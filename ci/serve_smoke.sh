@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # `ease serve` smoke — start the daemon in the background on BOTH its unix
 # socket and a TCP listener, hammer it with concurrent
-# `ease client recommend` calls split across the two transports (the TCP
-# clients speak the pipelined v2 framing), plus proxied recommends over
-# every `--endpoint` scheme (unix:, tcp:, http:), diff every answer
-# against the one-shot CLI output, drive the HTTP/JSON facade with raw
+# `ease client recommend` calls split across the two transports, plus
+# proxied recommends over every `--endpoint` scheme (unix:, tcp:, http:),
+# diff every answer against the one-shot CLI output, drive the HTTP/JSON
+# facade with raw
 # HTTP (curl, or bash /dev/tcp where curl is absent) — recommend, stats,
 # a 503 shed from a saturated budgeted fleet, and an HTTP shutdown — then
 # exercise graceful shutdown and a zero exit.
@@ -95,8 +95,8 @@ serve_pid=$!
 # wait for the daemon to accept on both transports
 ready=0
 for _ in $(seq 1 100); do
-    if "$EASE_BIN" client ping --socket "$sock" >/dev/null 2>&1 &&
-        "$EASE_BIN" client ping --tcp "$TCP_ADDR" >/dev/null 2>&1; then
+    if "$EASE_BIN" client ping --endpoint "unix:$sock" >/dev/null 2>&1 &&
+        "$EASE_BIN" client ping --endpoint "tcp:$TCP_ADDR" >/dev/null 2>&1; then
         ready=1
         break
     fi
@@ -108,7 +108,7 @@ if [[ "$ready" -ne 1 ]]; then
 fi
 
 # N concurrent clients, alternating text and mmap'd .bel ingestion AND
-# alternating transports — the --tcp clients drive the v2 pipelined path
+# alternating transports
 pids=()
 for i in $(seq 1 "$CLIENTS"); do
     if (( i % 2 == 0 )); then
@@ -137,14 +137,13 @@ for i in $(seq 1 "$CLIENTS"); do
 done
 echo "all $CLIENTS concurrent client answers (unix + tcp) are bit-identical to the one-shot CLI"
 
-# the deprecated --daemon alias still answers (proxying via unix), with a
-# one-line warning on stderr
-"$EASE_BIN" recommend --daemon "$sock" --graph "$smoke/graph.txt" \
-    --workload pr --goal e2e > "$smoke/proxy.out" 2> "$smoke/proxy.err"
+# `ease recommend --endpoint` proxies to the same daemon over the unix
+# socket...
+"$EASE_BIN" recommend --endpoint "unix:$sock" --graph "$smoke/graph.txt" \
+    --workload pr --goal e2e > "$smoke/proxy.out"
 diff "$smoke/oneshot_txt.out" "$smoke/proxy.out"
-grep -q "deprecated" "$smoke/proxy.err"
 
-# the --endpoint flag reaches the same daemon over pipelined v2 TCP...
+# ...over v2 TCP...
 "$EASE_BIN" recommend --endpoint "tcp:$TCP_ADDR" --graph "$smoke/graph.txt" \
     --workload pr --goal e2e > "$smoke/proxy_tcp.out"
 diff "$smoke/oneshot_txt.out" "$smoke/proxy_tcp.out"
@@ -196,7 +195,7 @@ fleet_pids+=("$!")
 for backend in "$b1" "$b2"; do
     ready=0
     for _ in $(seq 1 100); do
-        if "$EASE_BIN" client ping --socket "$backend" >/dev/null 2>&1; then
+        if "$EASE_BIN" client ping --endpoint "unix:$backend" >/dev/null 2>&1; then
             ready=1
             break
         fi
@@ -212,7 +211,7 @@ done
 fleet_pids+=("$!")
 ready=0
 for _ in $(seq 1 100); do
-    if "$EASE_BIN" client ping --socket "$front" >/dev/null 2>&1; then
+    if "$EASE_BIN" client ping --endpoint "unix:$front" >/dev/null 2>&1; then
         ready=1
         break
     fi

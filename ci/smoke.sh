@@ -28,7 +28,7 @@ trap 'rm -rf "$smoke"' EXIT
 # a reloaded service must answer identically across processes
 diff "$smoke/first.out" "$smoke/second.out"
 
-# feature extraction with cold-vs-prepared timings
+# feature extraction (last line: wall-clock extraction time)
 "$EASE_BIN" features "$smoke/graph.txt" --tier advanced
 
 # zero-copy ingestion: convert to the binary format, mmap it, and require

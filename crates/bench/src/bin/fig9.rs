@@ -11,7 +11,7 @@ use ease::evaluation::group_truth;
 use ease::profiling::{profile_processing, GraphInput};
 use ease::report::{f3, render_table, write_csv};
 use ease::selector::{strategy_pick, OptGoal, Strategy};
-use ease::EaseServiceBuilder;
+use ease::{EaseServiceBuilder, Query};
 use ease_bench::{banner, config_from_env, results_dir, seed_from_env};
 use ease_procsim::Workload;
 
@@ -40,7 +40,7 @@ fn main() {
     for g in &groups {
         let goal = OptGoal::EndToEnd;
         let sps = service
-            .recommend_with_k(&g.props, g.workload, cfg.processing_k, goal)
+            .recommend_query(&g.props, Query::new(g.workload).k(cfg.processing_k).goal(goal))
             .expect("trained workload")
             .best;
         let srf = strategy_pick(Strategy::SmallestRf, &g.truth, goal);

@@ -20,7 +20,7 @@
 //!
 //! The primary entry point is the [`service`] module — *train once, query
 //! cheaply*: [`EaseServiceBuilder`] trains a persistable [`EaseService`]
-//! whose `recommend`/`recommend_batch` answer selection queries with typed
+//! whose `recommend_query*` entries answer selection queries with typed
 //! [`EaseError`]s, and whose `save`/`load` round-trip the trained models
 //! bit-exactly through a versioned binary codec. The [`serve`] module
 //! turns a persisted service into a long-running daemon behind a
@@ -56,6 +56,5 @@ pub use error::{EaseError, ServeError};
 pub use predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 pub use selector::{Ease, OptGoal, Selection};
 pub use service::{
-    EaseService, EaseServiceBuilder, PropertyCacheStats, Query, RecommendQuery, ServiceInfo,
-    ServiceMeta,
+    EaseService, EaseServiceBuilder, PropertyCacheStats, Query, ServiceInfo, ServiceMeta,
 };

@@ -60,7 +60,6 @@ impl EaseConfig {
             workloads: Workload::all_training().to_vec(),
             max_small_graphs: max_small,
             max_large_graphs: max_large,
-            // lint: magic-ok(default pipeline seed; spells the magic for fun, not a wire constant)
             seed: 0xEA5E,
             timing: TimingMode::Measured,
         }

@@ -1,6 +1,5 @@
-//! Client side of the serve protocol: one-shot v1 calls over the unix
-//! socket (the PR 5 shape, unchanged) and pipelined v2 sessions over
-//! either transport.
+//! Client side of the serve protocol: pipelined v2 sessions over a unix
+//! socket or TCP, and one-request calls over any [`Endpoint`].
 //!
 //! A [`PipelinedClient`] keeps one connection open across many requests:
 //! [`PipelinedClient::send`] tags each request with a fresh `u64` id and
@@ -14,10 +13,7 @@
 //! the server's [`super::ServeConfig::pipeline_in_flight`] keeps the
 //! pipe moving by construction.
 
-use super::protocol::{
-    decode_response, encode_request, proto_err, read_frame, read_frame_v2, write_frame,
-    write_frame_v2, Request, Response,
-};
+use super::protocol::{proto_err, read_frame_v2, write_frame_v2, Request, Response};
 use crate::error::EaseError;
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -147,35 +143,20 @@ fn connect_unix(_socket: &Path) -> Result<Box<dyn ClientStream>, EaseError> {
     Err(crate::error::ServeError::Unsupported.into())
 }
 
-/// One v1 request/response exchange with a daemon at `socket` — the PR 5
-/// client, byte-for-byte: connect, one frame out, half-close, one frame
-/// back.
-#[cfg(unix)]
+/// One request/response exchange with a daemon on the unix socket at
+/// `socket` — [`call_endpoint`] for callers that hold a bare path.
 pub fn call(socket: &Path, request: &Request) -> Result<Response, EaseError> {
-    let mut stream = std::os::unix::net::UnixStream::connect(socket)?;
-    write_frame(&mut stream, &encode_request(request))?;
-    stream.shutdown(std::net::Shutdown::Write).ok();
-    let payload = read_frame(&mut stream)?;
-    decode_response(&payload)
+    call_endpoint(&Endpoint::unix(socket), request)
 }
 
-/// Unix-domain sockets are unavailable on this platform; use a TCP
-/// endpoint instead.
-#[cfg(not(unix))]
-pub fn call(_socket: &Path, _request: &Request) -> Result<Response, EaseError> {
-    Err(crate::error::ServeError::Unsupported.into())
-}
-
-/// One request/response exchange with a daemon at `endpoint`. Unix
-/// endpoints speak v1 (identical to [`call`]); TCP endpoints speak a
-/// one-request v2 session; HTTP endpoints POST the JSON envelope to
-/// `/rpc` — same answers every way, the daemon renders all of them
-/// through the same code.
+/// One request/response exchange with a daemon at `endpoint`. Unix and
+/// TCP endpoints open a one-request v2 session; HTTP endpoints POST the
+/// JSON envelope to `/rpc` — same answers every way, the daemon renders
+/// all of them through the same code.
 pub fn call_endpoint(endpoint: &Endpoint, request: &Request) -> Result<Response, EaseError> {
     match endpoint {
-        Endpoint::Unix(socket) => call(socket, request),
-        Endpoint::Tcp(_) => PipelinedClient::connect(endpoint)?.call(request),
         Endpoint::Http(addr) => super::http::call_http(addr, request),
+        binary => PipelinedClient::connect(binary)?.call(request),
     }
 }
 
@@ -200,7 +181,7 @@ impl PipelinedClient {
     pub fn send(&mut self, request: &Request) -> Result<u64, EaseError> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame_v2(&mut self.stream, id, &encode_request(request))?;
+        write_frame_v2(&mut self.stream, id, &request.encode_binary())?;
         Ok(id)
     }
 
@@ -211,7 +192,7 @@ impl PipelinedClient {
             return Ok(self.parked.remove(0));
         }
         let (id, payload) = read_frame_v2(&mut self.stream)?;
-        Ok((id, decode_response(&payload)?))
+        Ok((id, Response::decode_binary(&payload)?))
     }
 
     /// The response to request `want`, parking any responses that arrive
@@ -222,7 +203,7 @@ impl PipelinedClient {
         }
         loop {
             let (id, payload) = read_frame_v2(&mut self.stream)?;
-            let response = decode_response(&payload)?;
+            let response = Response::decode_binary(&payload)?;
             if id == want {
                 return Ok(response);
             }
@@ -265,7 +246,7 @@ impl PipelinedSender {
     pub fn send(&mut self, request: &Request) -> Result<u64, EaseError> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame_v2(&mut self.stream, id, &encode_request(request))?;
+        write_frame_v2(&mut self.stream, id, &request.encode_binary())?;
         Ok(id)
     }
 }
@@ -280,7 +261,7 @@ impl PipelinedReceiver {
     /// Next response off the wire, whatever request it answers.
     pub fn recv_any(&mut self) -> Result<(u64, Response), EaseError> {
         let (id, payload) = read_frame_v2(&mut self.stream)?;
-        Ok((id, decode_response(&payload)?))
+        Ok((id, Response::decode_binary(&payload)?))
     }
 }
 

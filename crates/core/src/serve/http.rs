@@ -345,7 +345,10 @@ fn percent_decode(s: &str) -> Result<String, EaseError> {
     let mut i = 0;
     while let Some(&b) = bytes.get(i) {
         if b == b'%' {
-            match (bytes.get(i + 1).and_then(hex_val), bytes.get(i + 2).and_then(hex_val)) {
+            match (
+                bytes.get(i + 1).copied().and_then(hex_val),
+                bytes.get(i + 2).copied().and_then(hex_val),
+            ) {
                 (Some(hi), Some(lo)) => {
                     out.push((hi << 4) | lo);
                     i += 3;
@@ -360,7 +363,7 @@ fn percent_decode(s: &str) -> Result<String, EaseError> {
     String::from_utf8(out).map_err(|_| proto_err(format!("percent-escapes in `{s}` are not UTF-8")))
 }
 
-fn hex_val(b: &u8) -> Option<u8> {
+fn hex_val(b: u8) -> Option<u8> {
     match b {
         b'0'..=b'9' => Some(b - b'0'),
         b'a'..=b'f' => Some(b - b'a' + 10),

@@ -9,13 +9,11 @@
 //! serves concurrent clients over two transports sharing one generic
 //! connection loop:
 //!
-//! * **Protocol** ([`protocol`]) — length-prefixed frames in two formats:
-//!   v1 (`[0xEA 0x5E][len][payload]`, one request per connection) and v2
-//!   (`[0xEA 0x5F][u64 id][len][payload]`, *pipelined*: many requests per
-//!   connection, responses tagged with the request id and completed out of
-//!   order). Payloads are versioned binary [`Request`]/[`Response`] values
-//!   encoded with the same `Writer`/`Reader` codec the model persistence
-//!   uses.
+//! * **Protocol** ([`protocol`]) — length-prefixed *pipelined* frames
+//!   (`[0xEA 0x5F][u64 id][len][payload]`): many requests per connection,
+//!   responses tagged with the request id and completed out of order.
+//!   Payloads are versioned binary [`Request`]/[`Response`] values encoded
+//!   with the same `Writer`/`Reader` codec the model persistence uses.
 //! * **Server** ([`server`]) — [`serve`] binds the configured endpoints
 //!   (unix socket, TCP, or both) and fans accepted connections out over a
 //!   bounded pool of connection workers; request execution runs on a
@@ -39,11 +37,12 @@
 //!   listener and zero dependencies. [`Request`]/[`Response`] are pure
 //!   data with codecs at the edges: `encode_binary`/`decode_binary` and
 //!   `to_json`/`from_json` over the same types.
-//! * **Clients** ([`client`]) — [`call`] performs one v1 exchange;
-//!   [`PipelinedClient`] keeps one v2 connection open across many
-//!   requests, and [`call_pipelined`] drives a whole batch through a
-//!   bounded window. `ease client …` and the `--endpoint
-//!   unix:|tcp:|http:` proxy flag are thin wrappers over these.
+//! * **Clients** ([`client`]) — [`PipelinedClient`] keeps one v2
+//!   connection open across many requests, [`call_pipelined`] drives a
+//!   whole batch through a bounded window, and [`call_endpoint`] performs
+//!   one exchange over any [`Endpoint`] (a one-request v2 session, or an
+//!   HTTP POST). `ease client …` and the `--endpoint unix:|tcp:|http:`
+//!   proxy flag are thin wrappers over these.
 //! * **Rendering** — [`render_recommendation`] / [`render_features`] build
 //!   the exact text the one-shot CLI prints. The daemon answers with the
 //!   same renderer over the same extraction path, so a proxied answer is
@@ -59,7 +58,7 @@
 
 use crate::error::EaseError;
 use crate::selector::OptGoal;
-use crate::service::EaseService;
+use crate::service::{EaseService, Query};
 use ease_graph::{GraphProperties, GraphSource, MemoryBudget, PreparedGraph, PropertyTier};
 use ease_procsim::Workload;
 use std::fmt::Write as _;
@@ -76,10 +75,8 @@ pub mod server;
 
 pub use client::{call, call_endpoint, call_pipelined, Endpoint, PipelinedClient};
 pub use protocol::{
-    decode_request, decode_response, encode_request, encode_response, expect_answer, read_frame,
-    read_frame_after_magic, read_frame_v2, read_frame_v2_after_magic, resolve_graph_path,
-    write_frame, write_frame_v2, Request, Response, ServeStats, DEFAULT_TOP, FRAME_MAGIC,
-    FRAME_MAGIC_V2, MAX_FRAME_BYTES, PROTOCOL_VERSION,
+    expect_answer, read_frame_v2, read_frame_v2_after_magic, resolve_graph_path, write_frame_v2,
+    Request, Response, ServeStats, DEFAULT_TOP, FRAME_MAGIC_V2, MAX_FRAME_BYTES, PROTOCOL_VERSION,
 };
 pub use ring::HashRing;
 pub use router::{route, RouterConfig};
@@ -91,7 +88,7 @@ pub use server::{serve, ServerHandle};
 
 /// Render a recommendation answer exactly as the one-shot
 /// `ease recommend` prints it. Both the one-shot CLI and the daemon call
-/// this function, which is what makes `--daemon` answers bit-identical to
+/// this function, which is what makes `--endpoint` answers bit-identical to
 /// per-process answers: same extraction path (the service's
 /// fingerprint-keyed property cache over a [`PreparedGraph`]), same
 /// formatting, same bytes.
@@ -106,7 +103,8 @@ pub fn render_recommendation(
     budget: Option<&Arc<MemoryBudget>>,
 ) -> Result<String, EaseError> {
     let prepared = budgeted(PreparedGraph::of_source(source), budget);
-    let selection = service.recommend_prepared_with_k(&prepared, workload, k, goal)?;
+    let selection =
+        service.recommend_query_prepared(&prepared, Query::new(workload).k(k).goal(goal))?;
     Ok(render_selection(
         display_path,
         source.num_vertices(),
@@ -191,33 +189,20 @@ pub(crate) fn render_selection(
 }
 
 /// Render a feature-extraction answer exactly as the one-shot
-/// `ease features` prints it. The final line carries wall-clock extraction
-/// timings (cold vs prepared) and is the only run-dependent line — CI and
-/// tests strip it before diffing daemon output against one-shot output.
+/// `ease features` prints it. The final line carries the wall-clock
+/// extraction time and is the only run-dependent line — CI and tests strip
+/// it (by its `extraction:` prefix) before diffing daemon output against
+/// one-shot output.
 pub fn render_features(
     display_path: &str,
     source: &dyn GraphSource,
     tier: PropertyTier,
     budget: Option<&Arc<MemoryBudget>>,
 ) -> Result<String, EaseError> {
-    // cold: throwaway context per extraction (what a naive caller pays)
-    let t = std::time::Instant::now();
-    let cold = budgeted(PreparedGraph::of_source(source), budget).properties(tier);
-    let cold_secs = t.elapsed().as_secs_f64();
-    // prepared: one shared context; the first extraction builds the caches,
-    // the second shows the steady-state cost of a warmed context
     let prepared = budgeted(PreparedGraph::of_source(source), budget);
     let t = std::time::Instant::now();
-    let first = GraphProperties::compute_prepared(&prepared, tier);
-    let first_secs = t.elapsed().as_secs_f64();
-    let t = std::time::Instant::now();
-    let warm = GraphProperties::compute_prepared(&prepared, tier);
-    let warm_secs = t.elapsed().as_secs_f64();
-    // extraction determinism is locked by the graph_source/prepared_graph
-    // suites; a debug_assert keeps test builds honest without giving the
-    // daemon a panic path
-    debug_assert_eq!(cold, first, "prepared extraction must match the cold path");
-    debug_assert_eq!(first, warm);
+    let props = prepared.properties(tier);
+    let secs = t.elapsed().as_secs_f64();
 
     let mut out = String::new();
     let w = &mut out;
@@ -229,19 +214,12 @@ pub fn render_features(
         tier.name()
     );
     let _ = writeln!(w, "{:<20} {:>18}", "feature", "value");
-    for (name, value) in GraphProperties::feature_names(tier).iter().zip(cold.feature_vector(tier))
+    for (name, value) in GraphProperties::feature_names(tier).iter().zip(props.feature_vector(tier))
     {
         let _ = writeln!(w, "{name:<20} {value:>18.6}");
     }
     let _ = writeln!(w, "fingerprint          0x{:016x}", prepared.fingerprint());
-    let speedup = if warm_secs > 0.0 { cold_secs / warm_secs } else { f64::INFINITY };
-    let _ = writeln!(
-        w,
-        "extraction: cold {:.3} ms | prepared first {:.3} ms | prepared warm {:.3} ms ({speedup:.0}x)",
-        cold_secs * 1e3,
-        first_secs * 1e3,
-        warm_secs * 1e3,
-    );
+    let _ = writeln!(w, "extraction: {:.3} ms", secs * 1e3);
     Ok(out)
 }
 

@@ -1,28 +1,22 @@
 //! Wire protocol for `ease serve` — transport-agnostic framing and the
 //! versioned binary request/response codec.
 //!
-//! Two frame formats share one listener (the server sniffs the leading
-//! magic of each connection's first frame):
+//! Binary peers speak one frame format,
+//! `[0xEA 0x5F][u64 LE request-id][u32 LE len][payload]`, *pipelined*: many
+//! requests per connection, each tagged with a client-chosen `u64` id.
+//! Responses come back as frames carrying the id of the request they
+//! answer and may arrive **out of order**: the server executes a
+//! connection's requests concurrently and writes each answer as it
+//! completes. Clients match responses to requests by id, never by arrival
+//! order; a one-request exchange is a session that sends one frame.
 //!
-//! * **v1** (`[0xEA 0x5E][u32 LE len][payload]`): one request per
-//!   connection, answered with a single v1 response frame. This is the
-//!   PR 5 format; `ease client --socket` and the `--daemon` proxy still
-//!   speak it, so old clients keep working unchanged.
-//! * **v2** (`[0xEA 0x5F][u64 LE request-id][u32 LE len][payload]`):
-//!   *pipelined* — many requests per connection, each tagged with a
-//!   client-chosen `u64` id. Responses come back as v2 frames carrying the
-//!   id of the request they answer and may arrive **out of order**: the
-//!   server executes a connection's requests concurrently and writes each
-//!   answer as it completes. Clients match responses to requests by id,
-//!   never by arrival order.
-//!
-//! Payloads are identical in both formats: versioned binary [`Request`] /
-//! [`Response`] values encoded with the same `Writer`/`Reader` codec the
-//! model persistence uses, capped at [`MAX_FRAME_BYTES`].
+//! Payloads are versioned binary [`Request`] / [`Response`] values encoded
+//! with the same `Writer`/`Reader` codec the model persistence uses, capped
+//! at [`MAX_FRAME_BYTES`].
 //!
 //! [`Request`] and [`Response`] are *pure data*; every wire spelling is a
 //! codec at the edge of the type — `encode_binary`/`decode_binary` for the
-//! framed formats above and `to_json`/`from_json` for the HTTP facade
+//! framed format above and `to_json`/`from_json` for the HTTP facade
 //! (`serve/http.rs`). One definition, two codecs: parity between the
 //! binary and JSON surfaces is structural, not coincidental.
 
@@ -40,13 +34,9 @@ use std::path::{Path, PathBuf};
 /// [`Response::Overloaded`] exists.
 pub const PROTOCOL_VERSION: u8 = 2;
 
-/// Two magic bytes opening every v1 frame — rejects non-protocol peers
-/// before a length is trusted.
-pub const FRAME_MAGIC: [u8; 2] = [0xEA, 0x5E];
-
-/// Two magic bytes opening every v2 (pipelined) frame. Distinct from
-/// [`FRAME_MAGIC`] so the server can tell a one-shot peer from a
-/// pipelined one on the first two bytes of a connection.
+/// Two magic bytes opening every binary frame — rejects non-protocol peers
+/// before a length is trusted, and tells the server's sniffer a binary
+/// session from an HTTP one on the first two bytes of a connection.
 pub const FRAME_MAGIC_V2: [u8; 2] = [0xEA, 0x5F];
 
 /// Upper bound on a frame payload. Requests carry paths and responses carry
@@ -254,7 +244,7 @@ pub fn resolve_graph_path(graph: &str, cwd: Option<&str>) -> PathBuf {
 
 impl Request {
     /// Serialize to the versioned binary payload (framing is separate;
-    /// see [`write_frame`] and [`write_frame_v2`]).
+    /// see [`write_frame_v2`]).
     pub fn encode_binary(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_u8(PROTOCOL_VERSION);
@@ -555,30 +545,6 @@ impl Response {
     }
 }
 
-/// Serialize a request payload — thin wrapper over
-/// [`Request::encode_binary`], kept for the many existing call sites.
-pub fn encode_request(req: &Request) -> Vec<u8> {
-    req.encode_binary()
-}
-
-/// Deserialize a request payload — thin wrapper over
-/// [`Request::decode_binary`].
-pub fn decode_request(bytes: &[u8]) -> Result<Request, EaseError> {
-    Request::decode_binary(bytes)
-}
-
-/// Serialize a response payload — thin wrapper over
-/// [`Response::encode_binary`].
-pub fn encode_response(resp: &Response) -> Vec<u8> {
-    resp.encode_binary()
-}
-
-/// Deserialize a response payload — thin wrapper over
-/// [`Response::decode_binary`].
-pub fn decode_response(bytes: &[u8]) -> Result<Response, EaseError> {
-    Response::decode_binary(bytes)
-}
-
 // -- JSON field plumbing (names ↔ enum values, required/optional members) --
 
 /// The CLI spelling of a goal (`--goal` vocabulary), also the JSON one.
@@ -666,17 +632,7 @@ fn json_opt_usize(v: &Value, key: &str) -> Result<Option<usize>, EaseError> {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Write one v1 `[magic][u32 LE len][payload]` frame.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), EaseError> {
-    check_payload_len(payload)?;
-    w.write_all(&FRAME_MAGIC)?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()?;
-    Ok(())
-}
-
-/// Write one v2 `[magic][u64 LE id][u32 LE len][payload]` frame.
+/// Write one `[magic][u64 LE id][u32 LE len][payload]` frame.
 pub fn write_frame_v2(w: &mut impl Write, id: u64, payload: &[u8]) -> Result<(), EaseError> {
     check_payload_len(payload)?;
     let mut head = [0u8; 14];
@@ -699,39 +655,24 @@ fn check_payload_len(payload: &[u8]) -> Result<(), EaseError> {
     Ok(())
 }
 
-/// Read one v1 frame, validating magic and the length cap. A peer that
-/// closes before a complete frame is a typed [`ServeError::Disconnected`].
-pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, EaseError> {
-    let mut magic = [0u8; 2];
-    read_exact_framed(r, &mut magic)?;
-    if magic != FRAME_MAGIC {
-        return Err(bad_magic(magic, FRAME_MAGIC));
-    }
-    read_frame_after_magic(r)
-}
-
-/// Read the `[u32 LE len][payload]` remainder of a v1 frame whose magic
-/// has already been consumed (the server sniffs the magic to dispatch
-/// between the one-shot and pipelined connection loops).
-pub fn read_frame_after_magic(r: &mut impl Read) -> Result<Vec<u8>, EaseError> {
-    let mut len_bytes = [0u8; 4];
-    read_exact_framed(r, &mut len_bytes)?;
-    read_capped_payload(r, u32::from_le_bytes(len_bytes) as usize)
-}
-
-/// Read one v2 frame, validating magic and the length cap; returns the
-/// request id alongside the payload.
+/// Read one frame, validating magic and the length cap; returns the
+/// request id alongside the payload. A peer that closes before a complete
+/// frame is a typed [`ServeError::Disconnected`].
 pub fn read_frame_v2(r: &mut impl Read) -> Result<(u64, Vec<u8>), EaseError> {
     let mut magic = [0u8; 2];
     read_exact_framed(r, &mut magic)?;
     if magic != FRAME_MAGIC_V2 {
-        return Err(bad_magic(magic, FRAME_MAGIC_V2));
+        let ([g0, g1], [e0, e1]) = (magic, FRAME_MAGIC_V2);
+        return Err(proto_err(format!(
+            "bad frame magic {g0:02x}{g1:02x} (expected {e0:02x}{e1:02x})"
+        )));
     }
     read_frame_v2_after_magic(r)
 }
 
-/// Read the `[u64 LE id][u32 LE len][payload]` remainder of a v2 frame
-/// whose magic has already been consumed.
+/// Read the `[u64 LE id][u32 LE len][payload]` remainder of a frame whose
+/// magic has already been consumed (the server sniffs the magic to dispatch
+/// between the binary and HTTP session loops).
 pub fn read_frame_v2_after_magic(r: &mut impl Read) -> Result<(u64, Vec<u8>), EaseError> {
     let mut head = [0u8; 12];
     read_exact_framed(r, &mut head)?;
@@ -740,11 +681,6 @@ pub fn read_frame_v2_after_magic(r: &mut impl Read) -> Result<(u64, Vec<u8>), Ea
     // lint: panic-ok(const split of a fixed 12-byte header; try_into sees exactly 8 and 4 bytes)
     let len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte slice")) as usize;
     Ok((id, read_capped_payload(r, len)?))
-}
-
-fn bad_magic(got: [u8; 2], expected: [u8; 2]) -> EaseError {
-    let ([g0, g1], [e0, e1]) = (got, expected);
-    proto_err(format!("bad frame magic {g0:02x}{g1:02x} (expected {e0:02x}{e1:02x})"))
 }
 
 fn read_capped_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, EaseError> {
@@ -787,16 +723,16 @@ mod tests {
     use super::*;
 
     fn round_trip_request(req: Request) {
-        let bytes = encode_request(&req);
-        assert_eq!(decode_request(&bytes).unwrap(), req);
+        let bytes = req.encode_binary();
+        assert_eq!(Request::decode_binary(&bytes).unwrap(), req);
         // the JSON codec covers the same type, so parity is structural:
         // every variant the binary codec round-trips, JSON must too
         assert_eq!(Request::from_json(&req.to_json()).unwrap(), req);
     }
 
     fn round_trip_response(resp: Response) {
-        let bytes = encode_response(&resp);
-        assert_eq!(decode_response(&bytes).unwrap(), resp);
+        let bytes = resp.encode_binary();
+        assert_eq!(Response::decode_binary(&bytes).unwrap(), resp);
         assert_eq!(Response::from_json(&resp.to_json()).unwrap(), resp);
     }
 
@@ -877,59 +813,26 @@ mod tests {
             );
         };
         // empty, version skew, unknown tag, truncation, trailing bytes
-        is_protocol(decode_request(&[]).unwrap_err());
-        is_protocol(decode_request(&[PROTOCOL_VERSION + 1, 0]).unwrap_err());
-        is_protocol(decode_request(&[PROTOCOL_VERSION, 99]).unwrap_err());
-        let mut truncated = encode_request(&Request::Features {
+        is_protocol(Request::decode_binary(&[]).unwrap_err());
+        is_protocol(Request::decode_binary(&[PROTOCOL_VERSION + 1, 0]).unwrap_err());
+        is_protocol(Request::decode_binary(&[PROTOCOL_VERSION, 99]).unwrap_err());
+        let mut truncated = Request::Features {
             graph: "abcdef.txt".into(),
             tier: PropertyTier::Advanced,
             cwd: None,
-        });
+        }
+        .encode_binary();
         truncated.truncate(truncated.len() - 3);
-        is_protocol(decode_request(&truncated).unwrap_err());
-        let mut trailing = encode_request(&Request::Ping);
+        is_protocol(Request::decode_binary(&truncated).unwrap_err());
+        let mut trailing = Request::Ping.encode_binary();
         trailing.push(0);
-        is_protocol(decode_request(&trailing).unwrap_err());
-        is_protocol(decode_response(&[PROTOCOL_VERSION, 77]).unwrap_err());
-    }
-
-    #[test]
-    fn frames_round_trip_and_reject_garbage() {
-        let payload = encode_request(&Request::CacheStats);
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).unwrap();
-        assert_eq!(&wire[..2], &FRAME_MAGIC);
-        let back = read_frame(&mut wire.as_slice()).unwrap();
-        assert_eq!(back, payload);
-        // wrong magic
-        let mut bad = wire.clone();
-        bad[0] = b'G';
-        assert!(matches!(
-            read_frame(&mut bad.as_slice()).unwrap_err(),
-            EaseError::Serve(ServeError::Protocol(_))
-        ));
-        // a length prefix past the cap must be refused before allocation
-        let mut oversized = Vec::new();
-        oversized.extend_from_slice(&FRAME_MAGIC);
-        oversized.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
-        assert!(matches!(
-            read_frame(&mut oversized.as_slice()).unwrap_err(),
-            EaseError::Serve(ServeError::Protocol(_))
-        ));
-        // peer vanishing mid-frame is Disconnected, not a parse panic
-        assert!(matches!(
-            read_frame(&mut wire[..3].to_vec().as_slice()).unwrap_err(),
-            EaseError::Serve(ServeError::Disconnected)
-        ));
-        // writers refuse to emit an oversized frame
-        let huge = vec![0u8; MAX_FRAME_BYTES + 1];
-        assert!(write_frame(&mut Vec::new(), &huge).is_err());
-        assert!(write_frame_v2(&mut Vec::new(), 1, &huge).is_err());
+        is_protocol(Request::decode_binary(&trailing).unwrap_err());
+        is_protocol(Response::decode_binary(&[PROTOCOL_VERSION, 77]).unwrap_err());
     }
 
     #[test]
     fn v2_frames_carry_request_ids_and_reject_garbage() {
-        let payload = encode_request(&Request::Ping);
+        let payload = Request::Ping.encode_binary();
         for id in [0u64, 1, 42, u64::MAX] {
             let mut wire = Vec::new();
             write_frame_v2(&mut wire, id, &payload).unwrap();
@@ -938,20 +841,18 @@ mod tests {
             assert_eq!(back_id, id);
             assert_eq!(back, payload);
         }
-        // v1 magic fed to the v2 reader (and vice versa) is a typed error,
-        // not a misparse: the id bytes would otherwise be read as a length
-        let mut v1 = Vec::new();
-        write_frame(&mut v1, &payload).unwrap();
-        assert!(matches!(
-            read_frame_v2(&mut v1.as_slice()).unwrap_err(),
-            EaseError::Serve(ServeError::Protocol(_))
-        ));
+        // any other leading pair — the retired 0xEA5E magic included — is a
+        // typed error, not a misparse of the id bytes as a length
         let mut v2 = Vec::new();
         write_frame_v2(&mut v2, 7, &payload).unwrap();
-        assert!(matches!(
-            read_frame(&mut v2.as_slice()).unwrap_err(),
-            EaseError::Serve(ServeError::Protocol(_))
-        ));
+        for first in [0x5E, b'G'] {
+            let mut bad = v2.clone();
+            bad[1] = first;
+            assert!(matches!(
+                read_frame_v2(&mut bad.as_slice()).unwrap_err(),
+                EaseError::Serve(ServeError::Protocol(_))
+            ));
+        }
         // oversized declared length refused before allocation
         let mut oversized = Vec::new();
         oversized.extend_from_slice(&FRAME_MAGIC_V2);
@@ -966,6 +867,9 @@ mod tests {
             read_frame_v2(&mut v2[..7].to_vec().as_slice()).unwrap_err(),
             EaseError::Serve(ServeError::Disconnected)
         ));
+        // the writer refuses to emit an oversized frame
+        let huge = vec![0u8; MAX_FRAME_BYTES + 1];
+        assert!(write_frame_v2(&mut Vec::new(), 1, &huge).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! One daemon process tops out around the single-host warm-QPS ceiling
 //! (PR 6); the router is the horizontal rung above it. It reuses the
 //! *entire* daemon connection stack — endpoint binding, magic sniffing,
-//! the v1/v2 connection loops, pipelining, backpressure, graceful
+//! the v2 and HTTP session loops, pipelining, backpressure, graceful
 //! shutdown — via [`Handler`]; only the answer changes: instead of
 //! analyzing graphs locally, the router forwards each request over one
 //! multiplexed pipelined v2 connection per backend — concurrent

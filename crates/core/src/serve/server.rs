@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! unix accept ─┐                         ┌─ connection worker ─┐
-//!              ├─▶ bounded conn hand-off ┤ (sniffs v1/v2/HTTP) │
+//!              ├─▶ bounded conn hand-off ┤  (sniffs v2/HTTP)   │
 //!  tcp accept ─┘                         └─ connection worker ─┘
 //!                                                 │ v2 + HTTP jobs
 //!                                                 ▼
@@ -15,8 +15,6 @@
 //!                                                              writer thread
 //! ```
 //!
-//! * **v1 connections** (one-shot) are answered inline by the connection
-//!   worker, exactly as PR 5 did — same latency, same bytes.
 //! * **HTTP connections** (`GET `/`POST` sniffed exactly like a frame
 //!   magic) run `serve/http.rs`'s keep-alive loop on the connection
 //!   worker; each parsed request executes on the shared executor pool
@@ -36,13 +34,12 @@
 
 use super::http;
 use super::protocol::{
-    decode_request, encode_response, read_frame_after_magic, read_frame_v2_after_magic,
-    resolve_graph_path, write_frame, write_frame_v2, Request, Response, ServeStats, FRAME_MAGIC,
+    read_frame_v2_after_magic, resolve_graph_path, write_frame_v2, Request, Response, ServeStats,
     FRAME_MAGIC_V2, PROTOCOL_VERSION,
 };
 use super::{ServeConfig, ServeSummary};
 use crate::error::EaseError;
-use crate::service::EaseService;
+use crate::service::{EaseService, Query};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -449,8 +446,8 @@ mod unix_server {
     }
 
     /// [`serve`] with the request handler abstracted: the whole listening
-    /// stack — endpoint binding, accept loops, magic sniffing, the v1 and
-    /// v2 connection loops, pipelining, backpressure and shutdown — runs
+    /// stack — endpoint binding, accept loops, magic sniffing, the v2 and
+    /// HTTP session loops, pipelining, backpressure and shutdown — runs
     /// unchanged whether requests are answered locally (the daemon) or
     /// forwarded to a backend fleet (the router).
     pub(crate) fn serve_with_handler(
@@ -619,95 +616,79 @@ mod unix_server {
         matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
     }
 
-    enum FirstByte {
-        Byte(u8),
-        /// EOF, a dead connection, a peer stalled past `evict_after`, or
-        /// shutdown — in every case the connection is done.
-        Close,
-    }
-
-    /// Read the first byte of the next frame, polling in [`SHUTDOWN_POLL`]
-    /// slices so a peer that is merely *idle* cannot pin the thread across
-    /// a shutdown (PR 6 bugfix: workers used to block in `read_exact`
-    /// until the full I/O timeout — forever, with the timeout disabled).
-    /// `evict_after` bounds how long an idle peer may hold the
-    /// connection: the sniffing stage passes the I/O timeout (a peer that
-    /// never sends a byte is evicted as before), pipelined sessions pass
-    /// `None` (idling between requests is legitimate).
-    fn poll_first_byte(
+    /// Read the two bytes that open the next frame or HTTP request,
+    /// polling in [`SHUTDOWN_POLL`] slices so a peer that is merely *idle*
+    /// cannot pin the thread across a shutdown (PR 6 bugfix: workers used
+    /// to block in `read_exact` until the full I/O timeout — forever, with
+    /// the timeout disabled). `evict_after` bounds how long an idle peer
+    /// may hold the connection: a fresh or HTTP keep-alive connection
+    /// passes the I/O timeout (a peer that never sends a byte is evicted),
+    /// pipelined sessions pass `None` (idling between requests is
+    /// legitimate). `None` means the connection is done: EOF, a dead
+    /// socket, an evicted peer, or shutdown. On `Some` the read timeout is
+    /// back at the configured I/O timeout for the rest of the message.
+    fn poll_prefix(
         stream: &mut Box<dyn Conn>,
         shared: &Shared,
         evict_after: Option<Duration>,
-    ) -> FirstByte {
+    ) -> Option<[u8; 2]> {
         stream.set_read_timeout_conn(Some(SHUTDOWN_POLL));
         let start = std::time::Instant::now();
-        let mut byte = [0u8; 1];
-        loop {
+        let mut prefix = [0u8; 2];
+        let mut filled = 0;
+        while let Some(rest) = prefix.get_mut(filled..).filter(|rest| !rest.is_empty()) {
             if shared.is_shutting_down_now() {
-                return FirstByte::Close;
+                return None;
             }
-            match stream.read(&mut byte) {
-                Ok(0) => return FirstByte::Close,
-                Ok(_) => return FirstByte::Byte(byte[0]), // lint: panic-ok(fixed 1-byte buffer)
+            match stream.read(rest) {
+                Ok(0) => return None,
+                Ok(n) => filled += n,
                 Err(e) if is_timeout(&e) || e.kind() == ErrorKind::Interrupted => {
-                    if let Some(limit) = evict_after {
-                        if start.elapsed() >= limit {
-                            return FirstByte::Close;
-                        }
+                    if evict_after.is_some_and(|limit| start.elapsed() >= limit) {
+                        return None;
                     }
                 }
-                Err(_) => return FirstByte::Close,
+                Err(_) => return None,
             }
         }
+        stream.set_read_timeout_conn(shared.io_timeout);
+        Some(prefix)
     }
 
-    /// One connection: sniff the first frame's magic and dispatch to the
-    /// one-shot (v1) or pipelined (v2) loop. Protocol violations get a
-    /// best-effort [`Response::Error`]; nothing in here can panic the
-    /// worker on user input.
+    /// One connection: sniff the first message's two-byte prefix and
+    /// dispatch to the pipelined (v2) or HTTP session loop. Any other
+    /// peer gets a best-effort [`Response::Error`] and a closed
+    /// connection; nothing in here can panic the worker on user input.
     fn handle_connection(
         mut stream: Box<dyn Conn>,
         shared: &Arc<Shared>,
         req_tx: &mpsc::SyncSender<Job>,
     ) {
         stream.set_write_timeout_conn(shared.io_timeout);
-        let first = match poll_first_byte(&mut stream, shared, shared.io_timeout) {
-            FirstByte::Byte(b) => b,
-            // a bare connect/close (e.g. the shutdown poke, or a port
-            // probe) is not worth an error frame
-            FirstByte::Close => return,
-        };
-        stream.set_read_timeout_conn(shared.io_timeout);
-        let mut second = [0u8; 1];
-        if stream.read_exact(&mut second).is_err() {
-            return;
-        }
-        let [second] = second;
-        match [first, second] {
-            FRAME_MAGIC => one_shot(stream, shared),
+        // a bare connect/close (e.g. the shutdown poke, or a port probe)
+        // is not worth an error frame
+        let Some(prefix) = poll_prefix(&mut stream, shared, shared.io_timeout) else { return };
+        match prefix {
             FRAME_MAGIC_V2 => pipelined_session(stream, shared, req_tx),
-            http::SNIFF_GET | http::SNIFF_POST => {
-                http_session(stream, [first, second], shared, req_tx);
-            }
+            http::SNIFF_GET | http::SNIFF_POST => http_session(stream, prefix, shared, req_tx),
             [a, b] => {
-                // non-protocol peer: answer with a v1 error frame if it
-                // is still listening, then close
-                let ([v1a, v1b], [v2a, v2b]) = (FRAME_MAGIC, FRAME_MAGIC_V2);
+                // non-protocol peer: answer with an error frame (id 0 — it
+                // never got to choose one) if it is still listening
+                let [m0, m1] = FRAME_MAGIC_V2;
                 let msg = format!(
                     "serve error: protocol violation: bad frame magic {a:02x}{b:02x} \
-                     (expected {v1a:02x}{v1b:02x}, {v2a:02x}{v2b:02x}, or an HTTP GET/POST)"
+                     (expected {m0:02x}{m1:02x} or an HTTP GET/POST)"
                 );
-                write_frame(&mut stream, &encode_response(&Response::Error(msg))).ok();
+                write_frame_v2(&mut stream, 0, &Response::Error(msg).encode_binary()).ok();
             }
         }
     }
 
     /// HTTP: serve requests sequentially on this connection (keep-alive),
     /// each executed on the shared executor pool through the same
-    /// [`answer`] path as the binary protocols — so `Shutdown`
+    /// [`answer`] path as the binary protocol — so `Shutdown`
     /// interception, the served counter and the `Handler` dispatch are
-    /// identical across all three wire formats. Between requests the loop
-    /// re-sniffs shutdown-aware, exactly like the binary sessions.
+    /// identical across both wire formats.
     fn http_session(
         mut stream: Box<dyn Conn>,
         mut prefix: [u8; 2],
@@ -729,42 +710,13 @@ mod unix_server {
             ) {
                 break;
             }
-            // keep-alive: wait for the next request's first byte without
-            // pinning the worker across a shutdown
-            let first = match poll_first_byte(&mut stream, shared, shared.io_timeout) {
-                FirstByte::Byte(b) => b,
-                FirstByte::Close => break,
-            };
-            stream.set_read_timeout_conn(shared.io_timeout);
-            let mut second = [0u8; 1];
-            if stream.read_exact(&mut second).is_err() {
-                break;
-            }
-            prefix = [first, second[0]]; // lint: panic-ok(fixed 1-byte buffer)
-            if prefix != http::SNIFF_GET && prefix != http::SNIFF_POST {
-                // a peer that switches wire formats mid-connection is
-                // desynced; close rather than guess
-                break;
+            // keep-alive: a peer that switches wire formats mid-connection
+            // is desynced; close rather than guess
+            match poll_prefix(&mut stream, shared, shared.io_timeout) {
+                Some(next @ (http::SNIFF_GET | http::SNIFF_POST)) => prefix = next,
+                _ => break,
             }
         }
-    }
-
-    /// v1: read the one request, answer it inline, close — byte-for-byte
-    /// the PR 5 behaviour.
-    fn one_shot(mut stream: Box<dyn Conn>, shared: &Shared) {
-        let response =
-            match read_frame_after_magic(&mut stream).and_then(|bytes| decode_request(&bytes)) {
-                Ok(request) => {
-                    shared.served.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(monotonic stats counter)
-                    answer(request, shared)
-                }
-                // peer vanished mid-frame: nothing to answer
-                Err(EaseError::Serve(ServeError::Disconnected)) => return,
-                Err(e) => Response::Error(e.to_string()),
-            };
-        let payload = encode_response(&response);
-        // the peer may already be gone; that is its problem, not the pool's
-        write_frame(&mut stream, &payload).ok();
     }
 
     /// v2: this connection worker becomes the session's frame reader.
@@ -789,34 +741,16 @@ mod unix_server {
             let in_flight = Arc::clone(&in_flight);
             std::thread::spawn(move || writer_loop(writer_stream, resp_rx, &in_flight))
         };
-        // the sniffer consumed the first frame's magic already
-        let mut magic_pending = true;
-        loop {
-            if !magic_pending {
-                match poll_first_byte(&mut reader, shared, None) {
-                    // lint: panic-ok(const index into the fixed 2-byte magic)
-                    FirstByte::Byte(b) if b == FRAME_MAGIC_V2[0] => {}
-                    // a desynced peer, EOF, a dead socket, or shutdown
-                    _ => break,
-                }
-                reader.set_read_timeout_conn(shared.io_timeout);
-                let mut second = [0u8; 1];
-                // lint: panic-ok(fixed 1-byte buffer and const index into the 2-byte magic)
-                if reader.read_exact(&mut second).is_err() || second[0] != FRAME_MAGIC_V2[1] {
-                    break;
-                }
-            }
-            magic_pending = false;
-            let (id, payload) = match read_frame_v2_after_magic(&mut reader) {
-                Ok(frame) => frame,
-                Err(_) => break, // truncated/oversized frame: desynced
-            };
+        // every pass starts after a frame's magic: the sniffer consumed
+        // the first one, the bottom of the loop the later ones; a
+        // truncated or oversized frame means a desynced peer
+        while let Ok((id, payload)) = read_frame_v2_after_magic(&mut reader) {
             // admission: blocks when `window` answers are outstanding, so
             // a client that stopped reading throttles only itself
             if !in_flight.acquire(shared) {
                 break;
             }
-            match decode_request(&payload) {
+            match Request::decode_binary(&payload) {
                 Ok(request) => {
                     shared.served.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(monotonic stats counter)
                     let job = Job { id, request, sink: RespSink::Framed(resp_tx.clone()) };
@@ -829,12 +763,17 @@ mod unix_server {
                     // a malformed payload in a well-framed request is
                     // answerable: the error goes back under its id (the
                     // permit guarantees this send cannot block)
-                    let resp = encode_response(&Response::Error(e.to_string()));
+                    let resp = Response::Error(e.to_string()).encode_binary();
                     if resp_tx.send((id, resp)).is_err() {
                         in_flight.release();
                         break;
                     }
                 }
+            }
+            // a desynced peer, EOF, a dead socket, or shutdown all end
+            // the session
+            if poll_prefix(&mut reader, shared, None) != Some(FRAME_MAGIC_V2) {
+                break;
             }
         }
         // executors processing this connection's jobs hold `resp_tx`
@@ -866,7 +805,7 @@ mod unix_server {
         match job.sink {
             // the permit held for this job guarantees the bounded send fits
             RespSink::Framed(tx) => {
-                tx.send((job.id, encode_response(&response))).ok();
+                tx.send((job.id, response.encode_binary())).ok();
             }
             // rendezvous of one: the HTTP session is blocked on this recv
             RespSink::Value(tx) => {
@@ -958,6 +897,7 @@ mod unix_server {
                 EaseError::InvalidConfig(format!("unknown workload `{workload}`"))
             })?;
             let k = k.unwrap_or(service.meta().default_k);
+            let query = Query::new(workload).k(k).goal(goal);
             // resolve against the client's cwd, but display the path as the
             // client wrote it (one-shot answer parity)
             let path = resolve_graph_path(graph, cwd.as_deref());
@@ -973,7 +913,7 @@ mod unix_server {
                 };
                 if let Some((fingerprint, n, m)) = remembered {
                     if let Some(props) = service.try_cached_properties(fingerprint) {
-                        let selection = service.recommend_with_k(&props, workload, k, goal)?;
+                        let selection = service.recommend_query(&props, query)?;
                         return Ok(super::super::render_selection(
                             graph, n, m, workload, k, goal, top, selection,
                         ));
@@ -986,7 +926,7 @@ mod unix_server {
             if let Some(budget) = &self.memory_budget {
                 prepared = prepared.with_memory_budget(Arc::clone(budget));
             }
-            let selection = service.recommend_prepared_with_k(&prepared, workload, k, goal)?;
+            let selection = service.recommend_query_prepared(&prepared, query)?;
             let n = source.num_vertices();
             let m = source.edge_count();
             let out =

@@ -8,13 +8,13 @@
 //! * [`EaseServiceBuilder`] — validated, fluent configuration of the
 //!   training pipeline (scale, model grid, CV folds, seed, timing mode,
 //!   optimization goal), producing a trained [`EaseService`].
-//! * [`EaseService::recommend`] / [`EaseService::recommend_batch`] —
-//!   query-oriented selection with typed [`EaseError`]s; the batch variant
-//!   fans queries out over `std::thread` for concurrent serving.
-//! * [`EaseService::recommend_graph`] — graph-in, answer-out: property
-//!   extraction runs through a fingerprint-keyed LRU cache, so repeated
-//!   queries on the same graph skip the (advanced-tier) extraction
-//!   entirely.
+//! * [`EaseService::recommend_query`] + [`Query`] — query-oriented
+//!   selection with typed [`EaseError`]s; the service is `Sync`, so
+//!   concurrent callers share one trained model behind `&self`.
+//! * [`EaseService::recommend_query_graph`] — graph-in, answer-out:
+//!   property extraction runs through a fingerprint-keyed LRU cache, so
+//!   repeated queries on the same graph skip the (advanced-tier)
+//!   extraction entirely.
 //! * [`EaseService::save`] / [`EaseService::load`] — versioned binary
 //!   persistence of the whole trained system (all fitted models plus
 //!   provenance), so a selector trained in one process answers queries in
@@ -55,7 +55,6 @@ use ease_ml::ModelConfig;
 use ease_partition::{PartitionerId, QualityTarget};
 use ease_procsim::Workload;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Builder for a trained [`EaseService`].
@@ -235,23 +234,13 @@ pub struct ServiceMeta {
     pub default_goal: OptGoal,
 }
 
-/// One query of a [`EaseService::recommend_batch`] call.
-#[derive(Debug, Clone)]
-pub struct RecommendQuery {
-    pub props: GraphProperties,
-    pub workload: Workload,
-    pub k: usize,
-    pub goal: OptGoal,
-}
-
 /// What to ask a service, independent of how the graph arrives: the
 /// workload is required, partition count and optimization goal are
 /// optional and resolve against the service's [`ServiceMeta`] defaults
 /// *at query time* (so one `Query` value means the same thing against
 /// differently-trained services).
 ///
-/// This is the single spelling behind the whole `recommend*` family —
-/// pick the entry point by input kind:
+/// Pick the entry point by input kind:
 /// [`EaseService::recommend_query`] (extracted properties),
 /// [`EaseService::recommend_query_graph`] (in-memory graph), or
 /// [`EaseService::recommend_query_prepared`] (shared analysis context).
@@ -454,7 +443,7 @@ impl EaseService {
     }
 
     /// Answer a [`Query`] from already-extracted properties — the core
-    /// entry the whole `recommend*` family funnels through. Unset query
+    /// entry the other `recommend*` entries funnel through. Unset query
     /// fields resolve against [`ServiceMeta`] here, at answer time.
     ///
     /// Returns the full predicted ranking; [`EaseError::UnsupportedWorkload`]
@@ -495,8 +484,9 @@ impl EaseService {
         self.recommend_query(&props, query)
     }
 
-    /// Recommend a partitioner at the service's default partition count.
-    /// Thin wrapper over [`EaseService::recommend_query`].
+    /// Recommend a partitioner at the service's default partition count —
+    /// the positional shorthand for
+    /// `recommend_query(props, Query::new(workload).goal(goal))`.
     pub fn recommend(
         &self,
         props: &GraphProperties,
@@ -504,62 +494,6 @@ impl EaseService {
         goal: OptGoal,
     ) -> Result<Selection, EaseError> {
         self.recommend_query(props, Query::new(workload).goal(goal))
-    }
-
-    /// [`EaseService::recommend`] with an explicit partition count.
-    pub fn recommend_with_k(
-        &self,
-        props: &GraphProperties,
-        workload: Workload,
-        k: usize,
-        goal: OptGoal,
-    ) -> Result<Selection, EaseError> {
-        self.recommend_query(props, Query::new(workload).k(k).goal(goal))
-    }
-
-    /// Recommend straight from a graph at the service's default partition
-    /// count. Thin wrapper over [`EaseService::recommend_query_graph`].
-    pub fn recommend_graph(
-        &self,
-        graph: &Graph,
-        workload: Workload,
-        goal: OptGoal,
-    ) -> Result<Selection, EaseError> {
-        self.recommend_query_graph(graph, Query::new(workload).goal(goal))
-    }
-
-    /// [`EaseService::recommend_graph`] with an explicit partition count.
-    pub fn recommend_graph_with_k(
-        &self,
-        graph: &Graph,
-        workload: Workload,
-        k: usize,
-        goal: OptGoal,
-    ) -> Result<Selection, EaseError> {
-        self.recommend_query_graph(graph, Query::new(workload).k(k).goal(goal))
-    }
-
-    /// Recommend from a shared analysis context at the service's default
-    /// partition count. Thin wrapper over
-    /// [`EaseService::recommend_query_prepared`].
-    pub fn recommend_prepared(
-        &self,
-        prepared: &PreparedGraph<'_>,
-        workload: Workload,
-        goal: OptGoal,
-    ) -> Result<Selection, EaseError> {
-        self.recommend_query_prepared(prepared, Query::new(workload).goal(goal))
-    }
-
-    /// [`EaseService::recommend_prepared`] with an explicit partition count.
-    pub fn recommend_prepared_with_k(
-        &self,
-        prepared: &PreparedGraph<'_>,
-        workload: Workload,
-        k: usize,
-        goal: OptGoal,
-    ) -> Result<Selection, EaseError> {
-        self.recommend_query_prepared(prepared, Query::new(workload).k(k).goal(goal))
     }
 
     /// Advanced-tier properties of `graph`, served from the query-side LRU
@@ -606,44 +540,6 @@ impl EaseService {
             len: cache.entries.len(),
             capacity: cache.capacity,
         }
-    }
-
-    /// Answer many queries concurrently: the queries fan out over
-    /// `std::thread` workers sharing the trained models behind `&self`.
-    /// Results come back in query order; each query fails independently.
-    pub fn recommend_batch(&self, queries: &[RecommendQuery]) -> Vec<Result<Selection, EaseError>> {
-        if queries.is_empty() {
-            return Vec::new();
-        }
-        let workers =
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(queries.len());
-        if workers <= 1 {
-            return queries
-                .iter()
-                .map(|q| self.recommend_with_k(&q.props, q.workload, q.k, q.goal))
-                .collect();
-        }
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Result<Selection, EaseError>)>> =
-            Mutex::new(Vec::with_capacity(queries.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // lint: relaxed-ok(work ticket counter; results are ordered after the scope join)
-                    let idx = next.fetch_add(1, Ordering::Relaxed);
-                    if idx >= queries.len() {
-                        break;
-                    }
-                    // lint: panic-ok(idx was bounds-checked against queries.len() just above)
-                    let q = &queries[idx];
-                    let sel = self.recommend_with_k(&q.props, q.workload, q.k, q.goal);
-                    results.lock().unwrap_or_else(PoisonError::into_inner).push((idx, sel));
-                });
-            }
-        });
-        let mut out = results.into_inner().unwrap_or_else(PoisonError::into_inner);
-        out.sort_by_key(|(idx, _)| *idx);
-        out.into_iter().map(|(_, sel)| sel).collect()
     }
 
     /// Summarize the trained service for reporting (`ease inspect`).
@@ -1010,93 +906,42 @@ mod tests {
     }
 
     #[test]
-    fn query_builder_resolves_service_defaults_and_matches_wrappers() {
+    fn query_builder_resolves_service_defaults_across_input_kinds() {
         let service = tiny_builder().train().unwrap();
         let graph = socfb_analogue(Scale::Tiny, 3).graph;
         let props = GraphProperties::compute_advanced(&graph);
         let workload = Workload::PageRank { iterations: 3 };
+        let same_bits = |a: &Selection, b: &Selection| {
+            assert_eq!(a.best, b.best);
+            for (a, b) in a.candidates.iter().zip(&b.candidates) {
+                assert_eq!(a.end_to_end_secs.to_bits(), b.end_to_end_secs.to_bits());
+            }
+        };
 
         // unset fields resolve to the trained defaults at answer time
+        let meta = *service.meta();
         let bare = service.recommend_query(&props, Query::new(workload)).unwrap();
         let explicit = service
-            .recommend_with_k(
-                &props,
-                workload,
-                service.meta().default_k,
-                service.meta().default_goal,
-            )
+            .recommend_query(&props, Query::new(workload).k(meta.default_k).goal(meta.default_goal))
             .unwrap();
-        assert_eq!(bare.best, explicit.best);
-        for (a, b) in bare.candidates.iter().zip(&explicit.candidates) {
-            assert_eq!(a.end_to_end_secs.to_bits(), b.end_to_end_secs.to_bits());
-        }
+        same_bits(&bare, &explicit);
+        // the positional shorthand is the default-k query with its goal
+        let goal = OptGoal::ProcessingOnly;
+        same_bits(
+            &service.recommend(&props, workload, goal).unwrap(),
+            &service.recommend_query(&props, Query::new(workload).goal(goal)).unwrap(),
+        );
 
-        // explicit fields win, and every wrapper funnels through the same
-        // builder path — the three input kinds agree bit-for-bit
-        let query = Query::new(workload).k(2).goal(OptGoal::ProcessingOnly);
+        // explicit fields win, and the three input kinds agree bit-for-bit
+        let query = Query::new(workload).k(2).goal(goal);
         assert_eq!(query.partitions(), Some(2));
-        assert_eq!(query.opt_goal(), Some(OptGoal::ProcessingOnly));
+        assert_eq!(query.opt_goal(), Some(goal));
         let by_props = service.recommend_query(&props, query).unwrap();
-        let by_graph = service.recommend_query_graph(&graph, query).unwrap();
-        let by_prepared =
-            service.recommend_query_prepared(&PreparedGraph::of(&graph), query).unwrap();
-        let wrapper =
-            service.recommend_with_k(&props, workload, 2, OptGoal::ProcessingOnly).unwrap();
-        assert_eq!(by_props.best, wrapper.best);
-        assert_eq!(by_graph.best, wrapper.best);
-        assert_eq!(by_prepared.best, wrapper.best);
-    }
-
-    #[test]
-    fn batch_matches_sequential_and_preserves_order() {
-        let service = tiny_builder().train().unwrap();
-        let queries: Vec<RecommendQuery> = (0..24)
-            .map(|i| RecommendQuery {
-                props: GraphProperties::compute_advanced(
-                    &socfb_analogue(Scale::Tiny, 100 + i).graph,
-                ),
-                workload: if i % 2 == 0 {
-                    Workload::PageRank { iterations: 3 }
-                } else {
-                    Workload::ConnectedComponents
-                },
-                k: if i % 3 == 0 { 2 } else { 4 },
-                goal: if i % 2 == 0 { OptGoal::EndToEnd } else { OptGoal::ProcessingOnly },
-            })
-            .collect();
-        let batch = service.recommend_batch(&queries);
-        assert_eq!(batch.len(), queries.len());
-        for (q, b) in queries.iter().zip(&batch) {
-            let s = service.recommend_with_k(&q.props, q.workload, q.k, q.goal).unwrap();
-            let b = b.as_ref().unwrap();
-            assert_eq!(s.best, b.best);
-            for (cs, cb) in s.candidates.iter().zip(&b.candidates) {
-                assert_eq!(cs.end_to_end_secs.to_bits(), cb.end_to_end_secs.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn batch_failures_are_per_query() {
-        let service = tiny_builder().train().unwrap();
-        let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, 9).graph);
-        let queries = vec![
-            RecommendQuery {
-                props: props.clone(),
-                workload: Workload::PageRank { iterations: 3 },
-                k: 4,
-                goal: OptGoal::EndToEnd,
-            },
-            RecommendQuery {
-                props,
-                workload: Workload::KCores, // untrained
-                k: 4,
-                goal: OptGoal::EndToEnd,
-            },
-        ];
-        let out = service.recommend_batch(&queries);
-        assert!(out[0].is_ok());
-        assert!(matches!(out[1], Err(EaseError::UnsupportedWorkload { .. })));
+        same_bits(&service.recommend_query_graph(&graph, query).unwrap(), &by_props);
+        same_bits(
+            &service.recommend_query_prepared(&PreparedGraph::of(&graph), query).unwrap(),
+            &by_props,
+        );
     }
 
     #[test]
@@ -1149,21 +994,21 @@ mod tests {
     }
 
     #[test]
-    fn recommend_graph_caches_by_content_fingerprint() {
+    fn graph_queries_cache_by_content_fingerprint() {
         let service = tiny_builder().train().unwrap();
         let g = socfb_analogue(Scale::Tiny, 21).graph;
         let wl = Workload::PageRank { iterations: 3 };
-        let first = service.recommend_graph(&g, wl, OptGoal::EndToEnd).unwrap();
+        let first = service.recommend_query_graph(&g, Query::new(wl)).unwrap();
         let stats = service.property_cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 1, 1));
         // same content (an independent clone!) -> cache hit, same answer
-        let again = service.recommend_graph(&g.clone(), wl, OptGoal::EndToEnd).unwrap();
+        let again = service.recommend_query_graph(&g.clone(), Query::new(wl)).unwrap();
         assert_eq!(first.best, again.best);
         let stats = service.property_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // a different graph misses
         let other = socfb_analogue(Scale::Tiny, 22).graph;
-        service.recommend_graph(&other, wl, OptGoal::EndToEnd).unwrap();
+        service.recommend_query_graph(&other, Query::new(wl)).unwrap();
         let stats = service.property_cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 2, 2));
         // cached answers are bit-identical to the uncached path
@@ -1200,7 +1045,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_recommend_prepared_keeps_cache_stats_coherent() {
+    fn concurrent_prepared_queries_keep_cache_stats_coherent() {
         let service = tiny_builder().train().unwrap();
         let graphs: Vec<_> = (0..3).map(|i| socfb_analogue(Scale::Tiny, 60 + i).graph).collect();
         let wl = Workload::PageRank { iterations: 3 };
@@ -1227,7 +1072,7 @@ mod tests {
                         let which = (c + r) % graphs.len();
                         let prepared = ease_graph::PreparedGraph::of(&graphs[which]);
                         let sel =
-                            service.recommend_prepared(&prepared, wl, OptGoal::EndToEnd).unwrap();
+                            service.recommend_query_prepared(&prepared, Query::new(wl)).unwrap();
                         assert_eq!(sel.best, baseline[which].best, "client {c} req {r}");
                         for (a, b) in sel.candidates.iter().zip(&baseline[which].candidates) {
                             assert_eq!(a.end_to_end_secs.to_bits(), b.end_to_end_secs.to_bits());
@@ -1253,7 +1098,7 @@ mod tests {
         let service = tiny_builder().train().unwrap();
         let g = socfb_analogue(Scale::Tiny, 33).graph;
         let wl = Workload::PageRank { iterations: 3 };
-        let first = service.recommend_graph(&g, wl, OptGoal::EndToEnd).unwrap();
+        let first = service.recommend_query_graph(&g, Query::new(wl)).unwrap();
         assert_eq!(service.property_cache_stats().misses, 1);
         // save with the warm entry, reload in a "new process"
         let restored = EaseService::from_bytes(&service.to_bytes()).unwrap();
@@ -1261,7 +1106,7 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 1), "restored warm");
         // the restarted service answers from the persisted cache: a hit, no
         // extraction, and a byte-identical ranking
-        let again = restored.recommend_graph(&g, wl, OptGoal::EndToEnd).unwrap();
+        let again = restored.recommend_query_graph(&g, Query::new(wl)).unwrap();
         let stats = restored.property_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
         assert_eq!(first.best, again.best);
@@ -1279,13 +1124,13 @@ mod tests {
     }
 
     #[test]
-    fn recommend_prepared_matches_recommend_graph() {
+    fn prepared_queries_match_graph_queries() {
         let service = tiny_builder().train().unwrap();
         let g = socfb_analogue(Scale::Tiny, 44).graph;
         let wl = Workload::ConnectedComponents;
-        let via_graph = service.recommend_graph(&g, wl, OptGoal::EndToEnd).unwrap();
+        let via_graph = service.recommend_query_graph(&g, Query::new(wl)).unwrap();
         let prepared = ease_graph::PreparedGraph::of(&g);
-        let via_prepared = service.recommend_prepared(&prepared, wl, OptGoal::EndToEnd).unwrap();
+        let via_prepared = service.recommend_query_prepared(&prepared, Query::new(wl)).unwrap();
         assert_eq!(via_graph.best, via_prepared.best);
         // second query on the same content hit the cache
         assert!(service.property_cache_stats().hits >= 1);

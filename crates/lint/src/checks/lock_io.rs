@@ -37,11 +37,8 @@ pub const IO_CALLS: &[&str] = &[
     "read_vectored",
     "write_vectored",
     "flush",
-    "write_frame",
     "write_frame_v2",
-    "read_frame",
     "read_frame_v2",
-    "read_frame_after_magic",
     "read_frame_v2_after_magic",
 ];
 

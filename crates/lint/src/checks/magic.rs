@@ -4,17 +4,17 @@
 //! waiting to happen: bump one copy and old clients half-work in ways no
 //! test names. Each magic in [`RULES`] may appear as a literal only in
 //! its *home* module — everywhere else must reference the exported
-//! constant (`FRAME_MAGIC`, `BEL_MAGIC`, `persist::MAGIC`).
+//! constant (`FRAME_MAGIC_V2`, `BEL_MAGIC`, `persist::MAGIC`).
 //!
 //! Detected spellings:
 //!
-//! * an integer literal with the magic's exact value (`0xEA5E`),
-//! * the split-byte pair (`0xEA, 0x5E`) the framing code writes,
+//! * an integer literal with the magic's exact value (`0xEA5F`),
+//! * the split-byte pair (`0xEA, 0x5F`) the framing code writes,
 //! * the split byte-char pair (`b'G', b'E'`) the HTTP sniffer matches,
 //! * a string/byte-string literal containing the magic text
 //!   (`b"EASEBEL1"`).
 //!
-//! A literal that merely *collides* (an RNG seed spelled `0xEA5E` for
+//! A literal that merely *collides* (an RNG seed spelled `0xEA5F` for
 //! fun) is annotated `// lint: magic-ok(<why>)`.
 
 use super::Ctx;
@@ -42,19 +42,11 @@ pub struct MagicRule {
 /// `persist`).
 pub const RULES: &[MagicRule] = &[
     MagicRule {
-        value: Some(0xEA5E), // lint: magic-ok(this table IS the magic catalogue)
-        byte_pair: Some([0xEA, 0x5E]), // lint: magic-ok(this table IS the magic catalogue)
-        char_pair: None,
-        text: None,
-        name: "0xEA5E (serve v1 frame magic, FRAME_MAGIC)",
-        home: "crates/core/src/serve/protocol.rs",
-    },
-    MagicRule {
         value: Some(0xEA5F), // lint: magic-ok(this table IS the magic catalogue)
         byte_pair: Some([0xEA, 0x5F]), // lint: magic-ok(this table IS the magic catalogue)
         char_pair: None,
         text: None,
-        name: "0xEA5F (serve v2 pipelined frame magic, FRAME_MAGIC_V2)",
+        name: "0xEA5F (serve pipelined frame magic, FRAME_MAGIC_V2)",
         home: "crates/core/src/serve/protocol.rs",
     },
     MagicRule {

@@ -526,7 +526,6 @@ mod tests {
         let lexed = lex("const A: u16 = 0xEA5E; const B: u64 = 0xEA5E_F16E; const C: i32 = 1_000;");
         let values: Vec<_> =
             lexed.tokens.iter().filter(|t| t.kind == TokKind::Number).map(|t| t.value).collect();
-        // lint: magic-ok(exercises hex-literal value parsing, not the wire format)
         assert_eq!(values, [Some(0xEA5E), Some(0xEA5E_F16E), Some(1000)]);
         assert_eq!(parse_int_value("42u64"), Some(42));
         assert_eq!(parse_int_value("0b1010"), Some(10));

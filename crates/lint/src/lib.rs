@@ -163,17 +163,17 @@ impl CheckId {
                 // lint: magic-ok(the --explain text names the protected magics)
                 "magic-constants — protocol magics have exactly one defining module.\n\
                  \n\
-                 Protected: 0xEA5E (FRAME_MAGIC) and 0xEA5F (FRAME_MAGIC_V2) in\n\
+                 Protected: 0xEA5F (FRAME_MAGIC_V2) in\n\
                  crates/core/src/serve/protocol.rs, \"EASEBEL1\" (BEL_MAGIC) in\n\
                  crates/graph/src/bel.rs, \"EASEMODL\" (persist::MAGIC) in\n\
                  crates/ml/src/persist.rs, and the HTTP sniff prefixes (b'G', b'E') /\n\
                  (b'P', b'O') (SNIFF_GET / SNIFF_POST) in crates/core/src/serve/http.rs.\n\
-                 Integer, split-byte-pair (0xEA, 0x5E), split-byte-char-pair and\n\
+                 Integer, split-byte-pair (0xEA, 0x5F), split-byte-char-pair and\n\
                  string-literal spellings are all detected.\n\
                  \n\
                  Everywhere outside the home module, reference the exported constant — a\n\
                  duplicated magic is a protocol fork waiting to happen. An accidental\n\
-                 collision (an RNG seed spelled 0xEA5E) is annotated\n\
+                 collision (an RNG seed spelled 0xEA5F) is annotated\n\
                  `// lint: magic-ok(<why>)`."
             }
             CheckId::AnnotationGrammar => {

@@ -35,7 +35,7 @@ pub use zoo::{ModelConfig, ModelKind};
 /// A regression model: fit on a feature matrix + targets, predict rows.
 ///
 /// `Send + Sync` so trained models can serve concurrent queries behind a
-/// shared reference (the `EaseService::recommend_batch` fan-out).
+/// shared reference (the serve daemon's executor pool).
 pub trait Regressor: Send + Sync {
     fn fit(&mut self, x: &Matrix, y: &[f64]);
 

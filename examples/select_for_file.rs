@@ -15,7 +15,7 @@
 use ease_repro::graph::{Graph, GraphProperties};
 use ease_repro::graphgen::Scale;
 use ease_repro::procsim::Workload;
-use ease_repro::{EaseService, EaseServiceBuilder, OptGoal};
+use ease_repro::{EaseService, EaseServiceBuilder, OptGoal, Query};
 
 fn workload_from_name(name: &str) -> Workload {
     match name {
@@ -80,7 +80,7 @@ fn main() {
         props.avg_lcc.unwrap_or(0.0)
     );
     for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
-        let sel = match system.recommend_with_k(&props, workload, k, goal) {
+        let sel = match system.recommend_query(&props, Query::new(workload).k(k).goal(goal)) {
             Ok(sel) => sel,
             Err(e) => {
                 eprintln!("cannot recommend: {e}");

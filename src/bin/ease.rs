@@ -75,7 +75,7 @@ TRAIN OPTIONS:
     --max-large <n>       Cap the time-training corpus
 
 RECOMMEND OPTIONS:
-    --model <path>        Saved service (required unless --daemon)
+    --model <path>        Saved service (required unless --endpoint)
     --graph <path>        Edge list, text or .bel (required)
     --workload <w>        pr | cc | sssp | kcores | lp | synthetic-low |
                           synthetic-high                  [default: pr]
@@ -447,7 +447,7 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The recommend query shared by the one-shot path, the `--daemon` proxy
+/// The recommend query shared by the one-shot path, the `--endpoint` proxy
 /// and `ease client recommend` — all three parse the same flags.
 struct RecommendArgs {
     graph: String,
@@ -549,35 +549,13 @@ fn endpoint_usage(flag: &str, spec: &str) -> CliError {
     ))
 }
 
-/// One stderr line steering callers of a pre-endpoint flag spelling to
-/// the `--endpoint` form; the old flag keeps working.
-fn warn_deprecated_flag(old: &str, new: &str) {
-    eprintln!("warning: {old} is deprecated; use {new}");
-}
-
 /// Where to proxy a one-shot query instead of loading a model:
-/// `--endpoint unix:<path>|tcp:<addr>|http:<addr>`. The pre-endpoint
-/// spellings `--daemon <socket>` and `--daemon-tcp <addr>` still work as
-/// deprecated aliases (one warning line on stderr).
+/// `--endpoint unix:<path>|tcp:<addr>|http:<addr>`, if given.
 fn daemon_endpoint(flags: &Flags) -> Result<Option<Endpoint>, CliError> {
-    let mut chosen: Vec<Endpoint> = Vec::new();
-    if let Some(spec) = flags.get("endpoint") {
-        chosen.push(Endpoint::parse(spec).map_err(|_| endpoint_usage("--endpoint", spec))?);
-    }
-    if let Some(socket) = flags.get("daemon") {
-        warn_deprecated_flag("--daemon <socket>", "--endpoint unix:<path>");
-        chosen.push(Endpoint::unix(socket));
-    }
-    if let Some(addr) = flags.get("daemon-tcp") {
-        warn_deprecated_flag("--daemon-tcp <addr>", "--endpoint tcp:<host:port>");
-        chosen.push(Endpoint::tcp(addr));
-    }
-    if chosen.len() > 1 {
-        return Err(CliError::Usage(
-            "give one endpoint: --endpoint (or one deprecated --daemon / --daemon-tcp)".into(),
-        ));
-    }
-    Ok(chosen.pop())
+    flags
+        .get("endpoint")
+        .map(|spec| Endpoint::parse(spec).map_err(|_| endpoint_usage("--endpoint", spec)))
+        .transpose()
 }
 
 fn cmd_recommend(args: &[String]) -> Result<(), CliError> {
@@ -588,7 +566,12 @@ fn cmd_recommend(args: &[String]) -> Result<(), CliError> {
         // proxy: the daemon's warm service answers; no model load here
         // (budgeting is the daemon's own --memory-budget, not the client's)
         Some(endpoint) => proxy_to_daemon(&endpoint, q.into_request()),
-        None => recommend_one_shot(Path::new(flags.require("model")?), q, budget),
+        None => {
+            let model = flags.get("model").ok_or_else(|| {
+                CliError::Usage("--model is required (or --endpoint to query a daemon)".into())
+            })?;
+            recommend_one_shot(Path::new(model), q, budget)
+        }
     }
 }
 
@@ -815,29 +798,9 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
     }
 }
 
-/// `--endpoint <ep>` on `ease client` — exactly one endpoint. The
-/// pre-endpoint `--socket <path>` / `--tcp <addr>` spellings still work
-/// as deprecated aliases (one warning line on stderr).
+/// `--endpoint <ep>` on `ease client`, where it is required.
 fn client_endpoint(flags: &Flags) -> Result<Endpoint, CliError> {
-    let mut chosen: Vec<Endpoint> = Vec::new();
-    if let Some(spec) = flags.get("endpoint") {
-        chosen.push(Endpoint::parse(spec).map_err(|_| endpoint_usage("--endpoint", spec))?);
-    }
-    if let Some(socket) = flags.get("socket") {
-        warn_deprecated_flag("--socket <path>", "--endpoint unix:<path>");
-        chosen.push(Endpoint::unix(socket));
-    }
-    if let Some(addr) = flags.get("tcp") {
-        warn_deprecated_flag("--tcp <addr>", "--endpoint tcp:<host:port>");
-        chosen.push(Endpoint::tcp(addr));
-    }
-    match chosen.len() {
-        0 => Err(CliError::Usage("--endpoint is required".into())),
-        1 => Ok(chosen.pop().expect("len checked")),
-        _ => Err(CliError::Usage(
-            "give one endpoint: --endpoint (or one deprecated --socket / --tcp)".into(),
-        )),
-    }
+    daemon_endpoint(flags)?.ok_or_else(|| CliError::Usage("--endpoint is required".into()))
 }
 
 fn unexpected_response(response: serve::Response) -> CliError {

@@ -2,7 +2,7 @@
 //!
 //! The primary entry point is [`EaseService`] — *train once, query
 //! cheaply*: [`EaseServiceBuilder`] trains a persistable selection service,
-//! `recommend`/`recommend_batch` answer queries with typed [`EaseError`]s,
+//! `recommend_query*` + [`Query`] answer queries with typed [`EaseError`]s,
 //! and `save`/`load` round-trip the trained models bit-exactly. The `ease`
 //! CLI binary (`cargo run --release --bin ease -- --help`) drives the same
 //! lifecycle from the shell.
@@ -22,7 +22,7 @@
 //! the full lifecycle in one doctest:
 //!
 //! ```
-//! use ease_repro::{EaseServiceBuilder, EaseService, OptGoal, Query, RecommendQuery};
+//! use ease_repro::{EaseServiceBuilder, EaseService, OptGoal, Query};
 //! use ease_repro::core::profiling::TimingMode;
 //! use ease_repro::graph::GraphProperties;
 //! use ease_repro::graphgen::Scale;
@@ -56,15 +56,6 @@
 //! std::fs::remove_file(&path).ok();
 //! let again = restored.recommend_query(&props, query)?;
 //! assert_eq!(pick.best, again.best);
-//!
-//! // concurrent queries fan out over std::thread
-//! let answers = restored.recommend_batch(&[RecommendQuery {
-//!     props,
-//!     workload: Workload::PageRank { iterations: 3 },
-//!     k: 4,
-//!     goal: OptGoal::EndToEnd,
-//! }]);
-//! assert_eq!(answers[0].as_ref().unwrap().best, pick.best);
 //! # Ok::<(), ease_repro::EaseError>(())
 //! ```
 
@@ -77,7 +68,7 @@ pub use ease_procsim as procsim;
 
 pub use ease::serve;
 pub use ease::{
-    EaseError, EaseService, EaseServiceBuilder, OptGoal, PropertyCacheStats, Query, RecommendQuery,
-    Selection, ServeError, ServiceInfo, ServiceMeta,
+    EaseError, EaseService, EaseServiceBuilder, OptGoal, PropertyCacheStats, Query, Selection,
+    ServeError, ServiceInfo, ServiceMeta,
 };
 pub use ease_graph::{BelSource, GraphSource, PreparedGraph, TextStreamSource};

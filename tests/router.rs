@@ -174,7 +174,7 @@ fn start_router(
 
 /// What a one-shot `ease recommend` prints for this query — the
 /// bit-identity reference for every routed answer.
-fn one_shot_answer(graph: &Path, workload: &str) -> String {
+fn cli_answer(graph: &Path, workload: &str) -> String {
     let fx = fixtures();
     let service = EaseService::load(&fx.model).expect("load model");
     let source = ease_repro::graph::open_path(graph).expect("open graph");
@@ -226,7 +226,7 @@ fn routed_answers_are_bit_identical_and_cache_affine() {
     // one-shot answer — the backend renders, the router only forwards
     for graph in &fx.graphs {
         for workload in ["pr", "cc"] {
-            let expected = one_shot_answer(graph, workload);
+            let expected = cli_answer(graph, workload);
             let got = serve::expect_answer(
                 client.call(&recommend_request(graph, workload)).expect("routed call"),
             )
@@ -295,8 +295,7 @@ fn killing_a_backend_mid_stream_retries_with_bit_identical_answers() {
 
     // first pass: all graphs answered through the full fleet — this also
     // parks pooled router->backend connections that the kill will poison
-    let expected: Vec<String> =
-        fx.graphs.iter().map(|graph| one_shot_answer(graph, "pr")).collect();
+    let expected: Vec<String> = fx.graphs.iter().map(|graph| cli_answer(graph, "pr")).collect();
     for (graph, expected) in fx.graphs.iter().zip(&expected) {
         let got = serve::expect_answer(client.call(&recommend_request(graph, "pr")).unwrap())
             .expect("pre-kill answer");
@@ -392,7 +391,7 @@ fn oversized_queries_steer_to_the_backend_with_headroom() {
     let mut client = PipelinedClient::connect(&front).expect("connect router");
 
     for graph in &fx.graphs {
-        let expected = one_shot_answer(graph, "pr");
+        let expected = cli_answer(graph, "pr");
         let got = serve::expect_answer(client.call(&recommend_request(graph, "pr")).unwrap())
             .expect("steered answer");
         assert_eq!(got, expected, "steered answers stay bit-identical");
@@ -434,7 +433,7 @@ fn header_sniffed_admission_admits_what_file_size_used_to_shed() {
     let (backend, ep) = start_backend("sniff-admit", Some(budget));
     let (router, front) = start_router("sniff-admit", vec![ep.clone()], false);
 
-    let expected = one_shot_answer(graph, "pr");
+    let expected = cli_answer(graph, "pr");
     let got = serve::expect_answer(
         serve::call_endpoint(&front, &recommend_request(graph, "pr")).expect("transport ok"),
     )

@@ -23,7 +23,7 @@ use ease_repro::serve::{self, Request, Response, ServeConfig};
 use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal, ServeError};
 use std::path::{Path, PathBuf};
 use std::process::Command;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock};
 
 use ease_repro::partition::PartitionerId;
 
@@ -90,8 +90,8 @@ fn start_server(tag: &str, workers: usize) -> (serve::ServerHandle, PathBuf) {
 
 /// What a one-shot `ease recommend` process answers: fresh service load,
 /// fresh graph open, shared renderer. The CLI binary itself is pinned to
-/// this exact text by `one_shot_render_matches_the_real_cli_binary`.
-fn one_shot_answer(graph: &Path, workload: &str, k: Option<usize>) -> String {
+/// this exact text by `render_matches_the_real_one_shot_cli_binary`.
+fn cli_answer(graph: &Path, workload: &str, k: Option<usize>) -> String {
     let fx = fixtures();
     let service = EaseService::load(&fx.model).expect("load model");
     let source = open_path(graph).expect("open graph");
@@ -122,8 +122,22 @@ fn recommend_request(graph: &Path, workload: &str, k: Option<usize>) -> Request 
     }
 }
 
+/// A forked child holds a copy of every descriptor this process has open
+/// until it execs — including a live daemon's flock'd `<socket>.lock`. A
+/// test that releases a lock and re-binds the same path must not overlap
+/// a sibling test's fork (measured: 1 run in 60 lost the re-bind to
+/// "another daemon is already serving this socket"), so every spawn holds
+/// the read side and `shutdown_is_graceful_and_sockets_are_exclusive`
+/// the write side.
+static SPAWN_GATE: RwLock<()> = RwLock::new(());
+
+fn ease_output(cli: &mut Command) -> std::process::Output {
+    let _no_rebind_in_flight = SPAWN_GATE.read().unwrap_or_else(PoisonError::into_inner);
+    cli.output().expect("run ease CLI")
+}
+
 fn run_cli(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(env!("CARGO_BIN_EXE_ease")).args(args).output().expect("run ease CLI");
+    let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args(args));
     (
         String::from_utf8(out.stdout).expect("utf8 stdout"),
         String::from_utf8(out.stderr).expect("utf8 stderr"),
@@ -132,10 +146,10 @@ fn run_cli(args: &[&str]) -> (String, String, bool) {
 }
 
 #[test]
-fn one_shot_render_matches_the_real_cli_binary() {
+fn render_matches_the_real_one_shot_cli_binary() {
     let fx = fixtures();
     for graph in [&fx.txt, &fx.bel] {
-        let expected = one_shot_answer(graph, "pr", None);
+        let expected = cli_answer(graph, "pr", None);
         let (stdout, stderr, ok) = run_cli(&[
             "recommend",
             "--model",
@@ -158,9 +172,9 @@ fn concurrent_clients_get_bit_identical_answers_for_text_and_bel() {
     let (handle, socket) = start_server("concurrent", 4);
     // the acceptance bar is >= 8 concurrent clients; run 12 mixing formats,
     // workloads and explicit k against the same warm daemon
-    let expected_txt = one_shot_answer(&fx.txt, "pr", None);
-    let expected_bel = one_shot_answer(&fx.bel, "pr", None);
-    let expected_txt_cc_k2 = one_shot_answer(&fx.txt, "cc", Some(2));
+    let expected_txt = cli_answer(&fx.txt, "pr", None);
+    let expected_bel = cli_answer(&fx.bel, "pr", None);
+    let expected_txt_cc_k2 = cli_answer(&fx.txt, "cc", Some(2));
     const CLIENTS: usize = 12;
     std::thread::scope(|scope| {
         for c in 0..CLIENTS {
@@ -195,21 +209,21 @@ fn concurrent_clients_get_bit_identical_answers_for_text_and_bel() {
 fn daemon_proxy_cli_is_bit_identical_to_one_shot_cli() {
     let fx = fixtures();
     let (handle, socket) = start_server("proxy", 2);
-    let socket_str = socket.to_str().unwrap();
+    let endpoint = format!("unix:{}", socket.display());
     for graph in [&fx.txt, &fx.bel] {
         let graph_str = graph.to_str().unwrap();
         let one_shot_args =
             ["recommend", "--model", fx.model.to_str().unwrap(), "--graph", graph_str];
         let (direct, stderr, ok) = run_cli(&one_shot_args);
         assert!(ok, "one-shot failed: {stderr}");
-        // `ease recommend --daemon <socket>`: no --model needed
+        // `ease recommend --endpoint unix:<socket>`: no --model needed
         let (proxied, stderr, ok) =
-            run_cli(&["recommend", "--daemon", socket_str, "--graph", graph_str]);
+            run_cli(&["recommend", "--endpoint", &endpoint, "--graph", graph_str]);
         assert!(ok, "proxy failed: {stderr}");
-        assert_eq!(proxied, direct, "--daemon answer must match the one-shot CLI byte-for-byte");
+        assert_eq!(proxied, direct, "--endpoint answer must match the one-shot CLI byte-for-byte");
         // `ease client recommend` speaks the same protocol
         let (via_client, stderr, ok) =
-            run_cli(&["client", "recommend", "--socket", socket_str, "--graph", graph_str]);
+            run_cli(&["client", "recommend", "--endpoint", &endpoint, "--graph", graph_str]);
         assert!(ok, "client failed: {stderr}");
         assert_eq!(via_client, direct);
     }
@@ -225,19 +239,41 @@ fn daemon_proxy_cli_is_bit_identical_to_one_shot_cli() {
     let (direct, _, ok) = run_cli(&["features", graph_str, "--tier", "advanced"]);
     assert!(ok);
     let (proxied, stderr, ok) =
-        run_cli(&["features", graph_str, "--tier", "advanced", "--daemon", socket_str]);
+        run_cli(&["features", graph_str, "--tier", "advanced", "--endpoint", &endpoint]);
     assert!(ok, "features proxy failed: {stderr}");
     assert_eq!(strip_timing(&proxied), strip_timing(&direct));
     // ping through the CLI client
-    let (pong, _, ok) = run_cli(&["client", "ping", "--socket", socket_str]);
+    let (pong, _, ok) = run_cli(&["client", "ping", "--endpoint", &endpoint]);
     assert!(ok);
     assert!(pong.contains("pong"), "{pong}");
     // graceful shutdown through the CLI client: zero exit, socket gone
-    let (_, _, ok) = run_cli(&["client", "shutdown", "--socket", socket_str]);
+    let (_, _, ok) = run_cli(&["client", "shutdown", "--endpoint", &endpoint]);
     assert!(ok);
     let summary = handle.join().expect("clean join");
     assert!(summary.requests_served >= 7);
     assert!(!socket.exists(), "shutdown must remove the socket file");
+}
+
+#[test]
+fn retired_endpoint_flags_are_usage_errors_naming_endpoint() {
+    // no daemon needed: every spelling must fail before any socket is
+    // touched, with exit 2 and a usage line steering to --endpoint
+    let graph = fixtures().txt.to_str().unwrap();
+    for args in [
+        &["recommend", "--daemon", "x", "--graph", graph][..],
+        &["recommend", "--daemon-tcp", "x", "--graph", graph],
+        &["client", "ping", "--socket", "x"],
+        &["client", "ping", "--tcp", "x"],
+    ] {
+        let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args(args));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("usage error") && stderr.contains("--endpoint"),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not answer");
+    }
 }
 
 #[test]
@@ -247,7 +283,7 @@ fn cache_stats_over_the_socket_stay_coherent_under_concurrency() {
     const CLIENTS: usize = 8;
     const REQS_PER_CLIENT: usize = 4;
     let expected: Vec<String> =
-        [&fx.txt, &fx.other_txt].iter().map(|g| one_shot_answer(g, "pr", None)).collect();
+        [&fx.txt, &fx.other_txt].iter().map(|g| cli_answer(g, "pr", None)).collect();
     std::thread::scope(|scope| {
         for c in 0..CLIENTS {
             let socket = &socket;
@@ -316,25 +352,36 @@ fn request_failures_never_kill_the_daemon() {
         },
         "malformed binary edge list",
     );
-    // raw protocol garbage: framed junk payload gets an Error response...
+    // raw protocol garbage: a framed junk payload gets an Error response
+    // under its own id...
     {
-        use std::io::Write as _;
+        use std::io::{Read as _, Write as _};
         use std::os::unix::net::UnixStream;
+        let expect_protocol_error = |stream: &mut UnixStream, want_id: u64, needle: &str| {
+            let (id, payload) = serve::read_frame_v2(stream).expect("framed error reply");
+            assert_eq!(id, want_id);
+            match Response::decode_binary(&payload).unwrap() {
+                Response::Error(msg) => assert!(msg.contains(needle), "{msg}"),
+                other => panic!("expected protocol error, got {other:?}"),
+            }
+        };
         let mut stream = UnixStream::connect(&socket).unwrap();
-        serve::write_frame(&mut stream, &[0xFF, 0xFF, 0xFF]).unwrap();
-        let payload = serve::read_frame(&mut stream).unwrap();
-        match serve::decode_response(&payload).unwrap() {
-            Response::Error(msg) => assert!(msg.contains("protocol"), "{msg}"),
-            other => panic!("expected protocol error, got {other:?}"),
-        }
-        // ...and an unframed byte blast (wrong magic) is answered or
-        // dropped, but never crashes the pool
+        serve::write_frame_v2(&mut stream, 9, &[0xFF, 0xFF, 0xFF]).unwrap();
+        expect_protocol_error(&mut stream, 9, "protocol");
+        // ...a peer opening with the retired one-request magic gets one
+        // error frame naming what the listener accepts, then EOF...
+        let mut stream = UnixStream::connect(&socket).unwrap();
+        stream.write_all(&[0xEA, 0x5E]).unwrap();
+        expect_protocol_error(&mut stream, 0, "bad frame magic ea5e (expected ea5f or an HTTP");
+        assert_eq!(stream.read(&mut [0u8; 1]).expect("server closes"), 0, "expected EOF");
+        // ...and a non-protocol byte blast is answered or dropped, but
+        // never crashes the pool
         let mut stream = UnixStream::connect(&socket).unwrap();
         stream.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         stream.shutdown(std::net::Shutdown::Write).ok();
     }
     // after all that abuse, a well-formed query still answers correctly
-    let expected = one_shot_answer(&fx.txt, "pr", None);
+    let expected = cli_answer(&fx.txt, "pr", None);
     let response = serve::call(&socket, &recommend_request(&fx.txt, "pr", None)).expect("call");
     assert_eq!(serve::expect_answer(response).expect("answer"), expected);
     handle.trigger_shutdown();
@@ -350,16 +397,20 @@ fn relative_graph_paths_resolve_against_the_client_cwd() {
     // daemon (whose cwd is the cargo test cwd, where `graph.txt` does not
     // exist) must still answer for the client's file — and display the
     // path exactly as the client wrote it
-    let out = Command::new(env!("CARGO_BIN_EXE_ease"))
-        .current_dir(&fx.dir)
-        .args(["recommend", "--daemon", socket.to_str().unwrap(), "--graph", "graph.txt"])
-        .output()
-        .expect("run ease CLI");
+    let mut cli = Command::new(env!("CARGO_BIN_EXE_ease"));
+    cli.current_dir(&fx.dir).args([
+        "recommend",
+        "--endpoint",
+        &format!("unix:{}", socket.display()),
+        "--graph",
+        "graph.txt",
+    ]);
+    let out = ease_output(&mut cli);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let answer = String::from_utf8(out.stdout).unwrap();
     assert!(answer.starts_with("graph graph.txt:"), "displays the client's spelling: {answer}");
     // identical ranking to the absolute-path answer (only line 1 differs)
-    let absolute = one_shot_answer(&fx.txt, "pr", None);
+    let absolute = cli_answer(&fx.txt, "pr", None);
     assert_eq!(
         answer.lines().skip(1).collect::<Vec<_>>(),
         absolute.lines().skip(1).collect::<Vec<_>>(),
@@ -410,6 +461,7 @@ fn shutdown_is_graceful_and_sockets_are_exclusive() {
         Ok(_) => panic!("expected a Bind error, got a second daemon"),
     }
     // client-initiated shutdown acknowledges, drains and removes the socket
+    let no_forks = SPAWN_GATE.write().unwrap_or_else(PoisonError::into_inner);
     match serve::call(&socket, &Request::Shutdown).expect("shutdown call") {
         Response::ShuttingDown => {}
         other => panic!("expected ShuttingDown, got {other:?}"),
@@ -429,6 +481,7 @@ fn shutdown_is_graceful_and_sockets_are_exclusive() {
             .expect("stale socket file must be reclaimed");
         (handle, ())
     };
+    drop(no_forks);
     match serve::call(&socket, &Request::Ping).expect("ping after reclaim") {
         Response::Pong { version } => assert_eq!(version, serve::PROTOCOL_VERSION),
         other => panic!("expected Pong, got {other:?}"),

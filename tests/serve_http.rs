@@ -146,7 +146,7 @@ fn parse_envelope(body: &str, expected_type: &str) -> Value {
 }
 
 /// What a one-shot `ease recommend` prints — the bit-identity reference.
-fn one_shot_answer(graph: &Path, workload: &str) -> String {
+fn cli_answer(graph: &Path, workload: &str) -> String {
     let fx = fixtures();
     let service = EaseService::load(&fx.model).expect("load model");
     let source = open_path(graph).expect("open graph");
@@ -182,7 +182,7 @@ fn http_answers_are_bit_identical_to_one_shot_for_text_and_bel() {
     let fx = fixtures();
     let (daemon, addr) = start_daemon(2);
     for graph in [&fx.txt, &fx.bel] {
-        let expected = one_shot_answer(graph, "pr");
+        let expected = cli_answer(graph, "pr");
         let target = format!("/recommend?graph={}&workload=pr", graph.display());
         let (status, body) = http_get(&addr, &target);
         assert_eq!(status, "HTTP/1.1 200 OK");
@@ -253,12 +253,6 @@ fn the_cli_http_endpoint_matches_the_one_shot_cli_bit_for_bit() {
         assert!(ok, "HTTP-proxied CLI succeeds");
         assert_eq!(got, expected, "`--endpoint http:` output is bit-identical to one-shot");
     }
-    // the deprecated alias spelling still works, with a warning line
-    let graph = fx.txt.to_str().expect("utf8 graph");
-    let (_, stderr, ok) =
-        run_cli(&["recommend", "--daemon-tcp", &addr, "--graph", graph, "--workload", "pr"]);
-    assert!(ok, "deprecated --daemon-tcp still answers");
-    assert!(stderr.contains("deprecated"), "alias warns once: {stderr}");
     daemon.trigger_shutdown();
     daemon.join().expect("daemon join");
 }
@@ -272,7 +266,7 @@ fn http_through_a_router_fleet_is_bit_identical_and_folds_stats() {
     let fx = fixtures();
     let (backends, router, front) = start_fleet("http-fleet");
     for graph in [&fx.txt, &fx.bel] {
-        let expected = one_shot_answer(graph, "pr");
+        let expected = cli_answer(graph, "pr");
         let (status, body) =
             http_get(&front, &format!("/recommend?graph={}&workload=pr", graph.display()));
         assert_eq!(status, "HTTP/1.1 200 OK");

@@ -93,7 +93,7 @@ fn start_server(tag: &str, workers: usize) -> (serve::ServerHandle, Endpoint, En
 
 /// What a one-shot `ease recommend` answers for this query (the CLI
 /// binary is pinned to this exact text by `tests/serve.rs`).
-fn one_shot_answer(graph: &Path, workload: &str, k: Option<usize>) -> String {
+fn cli_answer(graph: &Path, workload: &str, k: Option<usize>) -> String {
     let fx = fixtures();
     let service = EaseService::load(&fx.model).expect("load model");
     let source = open_path(graph).expect("open graph");
@@ -171,7 +171,7 @@ proptest! {
         count in 2usize..16,
     ) {
         let responses: Vec<(u64, Vec<u8>)> = (0..count as u64)
-            .map(|id| (id, serve::encode_response(&Response::Error(format!("r{id}")))))
+            .map(|id| (id, Response::Error(format!("r{id}")).encode_binary()))
             .collect();
         // deterministic shuffle: deliver in a seed-dependent order
         let mut order: Vec<usize> = (0..count).collect();
@@ -204,9 +204,9 @@ proptest! {
 fn pipelined_answers_are_bit_identical_over_unix_and_tcp() {
     let fx = fixtures();
     let (handle, unix, tcp) = start_server("identity", 4);
-    let expected_txt = one_shot_answer(&fx.txt, "pr", None);
-    let expected_bel = one_shot_answer(&fx.bel, "pr", None);
-    let expected_cc = one_shot_answer(&fx.txt, "cc", Some(2));
+    let expected_txt = cli_answer(&fx.txt, "pr", None);
+    let expected_bel = cli_answer(&fx.bel, "pr", None);
+    let expected_cc = cli_answer(&fx.txt, "cc", Some(2));
     // 6 clients × 9 requests, each client multiplexing one connection,
     // half over unix and half over TCP — v2 framing speaks both
     const CLIENTS: usize = 6;
@@ -240,16 +240,12 @@ fn pipelined_answers_are_bit_identical_over_unix_and_tcp() {
         }
     });
     // the real CLI binary over TCP prints the same bytes as the one-shot
-    let tcp_addr = match &tcp {
-        Endpoint::Tcp(addr) => addr.clone(),
-        _ => unreachable!(),
-    };
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_ease"))
         .args([
             "client",
             "recommend",
-            "--tcp",
-            &tcp_addr,
+            "--endpoint",
+            &tcp.to_string(),
             "--graph",
             fx.txt.to_str().unwrap(),
             "--workload",
@@ -317,7 +313,7 @@ fn slow_requests_do_not_block_later_answers_on_the_same_connection() {
 
 #[test]
 fn tcp_garbage_never_kills_the_daemon() {
-    let (handle, _unix, tcp) = start_server("garbage", 2);
+    let (handle, unix, tcp) = start_server("garbage", 2);
     let addr = match &tcp {
         Endpoint::Tcp(addr) => addr.clone(),
         _ => unreachable!(),
@@ -327,17 +323,29 @@ fn tcp_garbage_never_kills_the_daemon() {
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         stream
     };
-    // 1. an HTTP probe (wrong magic) gets a framed v1 error or a close,
-    //    never a hang or a crash
-    {
-        let mut stream = connect();
-        stream.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-        if let Ok(payload) = serve::read_frame(&mut stream) {
-            match serve::decode_response(&payload).unwrap() {
-                Response::Error(msg) => assert!(msg.contains("protocol"), "{msg}"),
-                other => panic!("expected protocol error, got {other:?}"),
-            }
+    // 1. a peer opening with the retired one-request magic, or with plain
+    //    garbage, gets exactly one v2 error frame (id 0: it never chose
+    //    one) naming what the listener accepts, then EOF — on either
+    //    transport. Two bytes only, so nothing unread can turn the close
+    //    into a TCP reset that eats the reply.
+    fn expect_bad_magic_reply(mut stream: impl Read + Write, prefix: [u8; 2]) {
+        stream.write_all(&prefix).unwrap();
+        let (id, payload) = serve::read_frame_v2(&mut stream).expect("framed error reply");
+        assert_eq!(id, 0);
+        let [a, b] = prefix;
+        match Response::decode_binary(&payload).unwrap() {
+            Response::Error(msg) => assert!(
+                msg.contains(&format!("bad frame magic {a:02x}{b:02x} (expected ea5f or an HTTP")),
+                "{msg}"
+            ),
+            other => panic!("expected protocol error, got {other:?}"),
         }
+        assert_eq!(stream.read(&mut [0u8; 1]).expect("server closes"), 0, "expected EOF");
+    }
+    let Endpoint::Unix(socket) = &unix else { unreachable!() };
+    for prefix in [[0xEA, 0x5E], *b"zz"] {
+        expect_bad_magic_reply(connect(), prefix);
+        expect_bad_magic_reply(UnixStream::connect(socket).expect("unix connect"), prefix);
     }
     // 2. a v2 frame declaring an oversized payload: connection closed
     //    without reading the flood
@@ -358,25 +366,23 @@ fn tcp_garbage_never_kills_the_daemon() {
         serve::write_frame_v2(&mut stream, 99, &[0xFF, 0xFF, 0xFF]).unwrap();
         let (id, payload) = serve::read_frame_v2(&mut stream).expect("framed error reply");
         assert_eq!(id, 99);
-        match serve::decode_response(&payload).unwrap() {
+        match Response::decode_binary(&payload).unwrap() {
             Response::Error(msg) => assert!(msg.contains("protocol"), "{msg}"),
             other => panic!("expected protocol error, got {other:?}"),
         }
         // same connection, valid request after the bad one
-        serve::write_frame_v2(&mut stream, 100, &serve::encode_request(&Request::Ping)).unwrap();
+        serve::write_frame_v2(&mut stream, 100, &Request::Ping.encode_binary()).unwrap();
         let (id, payload) = serve::read_frame_v2(&mut stream).expect("pong after garbage");
         assert_eq!(id, 100);
-        assert!(matches!(serve::decode_response(&payload).unwrap(), Response::Pong { .. }));
+        assert!(matches!(Response::decode_binary(&payload).unwrap(), Response::Pong { .. }));
     }
-    // 4. v1 framing over TCP works too — the sniffer dispatches per
-    //    connection, not per transport
-    {
-        let mut stream = connect();
-        serve::write_frame(&mut stream, &serve::encode_request(&Request::Ping)).unwrap();
-        let payload = serve::read_frame(&mut stream).expect("v1 over tcp");
-        assert!(matches!(serve::decode_response(&payload).unwrap(), Response::Pong { .. }));
+    // after all that abuse the daemon still answers one-request sessions
+    // on both transports...
+    for endpoint in [&unix, &tcp] {
+        let pong = serve::call_endpoint(endpoint, &Request::Ping).expect("daemon alive");
+        assert!(matches!(pong, Response::Pong { .. }), "{endpoint}: {pong:?}");
     }
-    // after all that abuse the daemon still answers pipelined queries
+    // ...and pipelined queries
     let responses = serve::call_pipelined(&tcp, &[Request::Ping, Request::CacheStats], 2)
         .expect("daemon alive");
     assert!(matches!(responses[0], Response::Pong { .. }));
@@ -400,7 +406,7 @@ fn rewritten_graph_files_are_answered_fresh_not_from_the_memo() {
     let (handle, unix, _tcp) = start_server("rewrite", 2);
     let path = fx.dir.join("rewrite.txt");
     std::fs::copy(&fx.txt, &path).expect("seed graph file");
-    let expected_first = one_shot_answer(&path, "pr", None);
+    let expected_first = cli_answer(&path, "pr", None);
 
     let ask = || {
         let responses = serve::call_pipelined(&unix, &[recommend_request(&path, "pr", None)], 1)
@@ -416,7 +422,7 @@ fn rewritten_graph_files_are_answered_fresh_not_from_the_memo() {
     // the file size — and therefore the stat stamp — must change even on
     // filesystems with coarse mtime granularity)
     std::fs::copy(&fx.other_txt, &path).expect("rewrite graph file");
-    let expected_second = one_shot_answer(&path, "pr", None);
+    let expected_second = cli_answer(&path, "pr", None);
     assert_ne!(expected_first, expected_second, "fixture graphs must rank differently");
     assert_eq!(ask(), expected_second, "rewritten file must be answered fresh, not from memo");
     // and the new content is itself memoized correctly
