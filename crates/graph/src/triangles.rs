@@ -2,10 +2,24 @@
 //!
 //! Both are "advanced" features in the paper (Table III): the average number
 //! of triangles `t(G)` and the average local clustering coefficient `C(G)`
-//! (Sec. II-B.3/4). Triangles are counted on the undirected simple graph via
-//! the *forward* algorithm: orient each edge from lower-rank to higher-rank
-//! endpoint (rank = degree order) and intersect sorted forward-neighbor
-//! lists. Runs in `O(E^{3/2})` and is cache-friendly on CSR.
+//! (Sec. II-B.3/4). Triangles are counted on the undirected simple graph by
+//! the *forward* algorithm with mark-and-scan intersection, in three steps:
+//!
+//! 1. **Rank** vertices by `(degree, id)` with a counting sort, `O(|V| +
+//!    max degree)`. Orienting every edge from its lower- to its higher-ranked
+//!    endpoint bounds each forward list by `O(√E)`.
+//! 2. **Relabel**: build the forward adjacency in rank space — list `r` holds
+//!    the *ranks* of the higher-ranked neighbours of the vertex ranked `r` —
+//!    in a counting and a placement pass that both walk the CSR in vertex-id
+//!    order (sequential over a spilled CSR's mapping; the only random
+//!    accesses go to heap-resident arrays). The lists are not sorted.
+//! 3. **Mark and scan**: for each `v`, mark `fwd(v)` in a `|V|`-entry flag
+//!    array, then for each `u ∈ fwd(v)` stream `fwd(u)` and add up the marks.
+//!    Every hit `w` closes the triangle `{v, u, w}`, found exactly once with
+//!    `v < u < w` in rank order. The scan has no data-dependent branch and
+//!    no rank indirection, and keeps the `O(E^{3/2})` bound. Counts are kept
+//!    in rank space — where the hot, high-degree vertices sit together — and
+//!    permuted back to vertex-id order once at the end.
 
 use crate::csr::Csr;
 use crate::edge_list::Graph;
@@ -17,73 +31,109 @@ pub fn triangle_counts(graph: &Graph) -> Vec<u64> {
     triangle_counts_from_simple(&adj)
 }
 
-/// Triangle counts from a prebuilt undirected simple adjacency
-/// (sorted neighbor lists, no self-loops, no duplicates).
+/// Triangle counts from a prebuilt undirected simple adjacency, indexed by
+/// vertex id.
+///
+/// `adj` must be what [`Csr::build_undirected_simple`] and its source /
+/// spilled twins produce: every neighbour list strictly increasing (sorted,
+/// no duplicates) and free of self-loops. A raw `Csr::build(..,
+/// Direction::Undirected)` over-counts; debug builds assert the
+/// precondition, release builds do not pay the extra pass.
 pub fn triangle_counts_from_simple(adj: &Csr) -> Vec<u64> {
-    let n = adj.num_vertices();
-    let mut counts = vec![0u64; n];
-    if n == 0 {
-        return counts;
-    }
-    // Rank vertices by (degree, id): orienting edges toward higher rank
-    // bounds forward-degree by O(sqrt(E)).
-    let mut order: Vec<VertexId> = (0..n as VertexId).collect();
-    order.sort_unstable_by_key(|&v| (adj.degree(v), v));
-    let mut rank = vec![0u32; n];
-    for (r, &v) in order.iter().enumerate() {
-        rank[v as usize] = r as u32;
-    }
-    // Forward adjacency: neighbors with higher rank, sorted by rank.
-    let mut fwd_offsets = vec![0usize; n + 1];
-    for v in 0..n {
-        let vr = rank[v];
-        let cnt = adj.neighbors(v as VertexId).iter().filter(|&&u| rank[u as usize] > vr).count();
-        fwd_offsets[v + 1] = fwd_offsets[v] + cnt;
-    }
-    let mut fwd = vec![0 as VertexId; fwd_offsets[n]];
-    {
-        let mut cursor = fwd_offsets.clone();
-        for v in 0..n {
-            let vr = rank[v];
-            for &u in adj.neighbors(v as VertexId) {
-                if rank[u as usize] > vr {
-                    fwd[cursor[v]] = u;
-                    cursor[v] += 1;
-                }
-            }
-            fwd[fwd_offsets[v]..fwd_offsets[v + 1]].sort_unstable_by_key(|&u| rank[u as usize]);
-        }
-    }
-    // For each edge (v, u) with rank[v] < rank[u], intersect fwd(v) ∩ fwd(u).
-    let by_rank = |s: &[VertexId],
-                   rank: &[u32],
-                   target: &[VertexId],
-                   counts: &mut [u64],
-                   v: usize,
-                   u: usize| {
-        // merge-intersect two rank-sorted lists
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < s.len() && j < target.len() {
-            let ri = rank[s[i] as usize];
-            let rj = rank[target[j] as usize];
-            match ri.cmp(&rj) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    counts[v] += 1;
-                    counts[u] += 1;
-                    counts[s[i] as usize] += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
+    debug_assert!(
+        adj.iter().all(|(v, list)| list.windows(2).all(|w| w[0] < w[1]) && !list.contains(&v)),
+        "triangle counting needs a simple adjacency: strictly increasing, loop-free lists"
+    );
+    let rank = rank_by_degree(adj);
+    // the forward lists are freed before the id-order result is allocated
+    let by_rank = {
+        let (fwd_offsets, fwd) = forward_lists(adj, &rank);
+        scan_forward_lists(&fwd_offsets, &fwd)
     };
+    rank.iter().map(|&r| by_rank[r as usize]).collect()
+}
+
+/// Rank of every vertex in `(degree, id)` order, by counting sort. Ranks are
+/// the vertex ids of the relabelled graph, so they fit [`VertexId`].
+fn rank_by_degree(adj: &Csr) -> Vec<VertexId> {
+    let n = adj.num_vertices();
+    let max_degree = (0..n).map(|v| adj.degree(v as VertexId)).max().unwrap_or(0);
+    // next[d] = the rank the next vertex of degree d receives
+    let mut next = vec![0 as VertexId; max_degree + 2];
     for v in 0..n {
-        let fv = &fwd[fwd_offsets[v]..fwd_offsets[v + 1]];
-        for &u in fv {
-            let fu = &fwd[fwd_offsets[u as usize]..fwd_offsets[u as usize + 1]];
-            by_rank(fv, &rank, fu, &mut counts, v, u as usize);
+        next[adj.degree(v as VertexId) + 1] += 1;
+    }
+    for d in 0..=max_degree {
+        next[d + 1] += next[d];
+    }
+    (0..n)
+        .map(|v| {
+            let slot = &mut next[adj.degree(v as VertexId)];
+            let r = *slot;
+            *slot += 1;
+            r
+        })
+        .collect()
+}
+
+/// Forward adjacency in rank space as `(offsets, lists)`: the list of rank
+/// `r` is `lists[offsets[r]..offsets[r + 1]]` and holds the ranks of the
+/// higher-ranked neighbours of the vertex ranked `r`, in neighbour-id order.
+/// Each list is filled while its own vertex is visited, so placement needs
+/// no cursor array.
+fn forward_lists(adj: &Csr, rank: &[VertexId]) -> (Vec<usize>, Vec<VertexId>) {
+    let n = rank.len();
+    let mut offsets = vec![0usize; n + 1];
+    for (v, &rv) in rank.iter().enumerate() {
+        offsets[rv as usize + 1] =
+            adj.neighbors(v as VertexId).iter().filter(|&&u| rank[u as usize] > rv).count();
+    }
+    for r in 0..n {
+        offsets[r + 1] += offsets[r];
+    }
+    let mut lists = vec![0 as VertexId; offsets[n]];
+    for (v, &rv) in rank.iter().enumerate() {
+        let mut at = offsets[rv as usize];
+        for &u in adj.neighbors(v as VertexId) {
+            let ru = rank[u as usize];
+            if ru > rv {
+                lists[at] = ru;
+                at += 1;
+            }
+        }
+    }
+    (offsets, lists)
+}
+
+/// Mark-and-scan over the forward lists; returns triangle counts indexed by
+/// rank.
+fn scan_forward_lists(offsets: &[usize], lists: &[VertexId]) -> Vec<u64> {
+    let n = offsets.len() - 1;
+    let mut counts = vec![0u64; n];
+    let mut marked = vec![false; n];
+    for v in 0..n {
+        let fwd_v = &lists[offsets[v]..offsets[v + 1]];
+        // the lowest-ranked corner of a triangle has two forward neighbours
+        if fwd_v.len() < 2 {
+            continue;
+        }
+        for &w in fwd_v {
+            marked[w as usize] = true;
+        }
+        let mut at_v = 0u64;
+        for &u in fwd_v {
+            let mut at_u = 0u64;
+            for &w in &lists[offsets[u as usize]..offsets[u as usize + 1]] {
+                let hit = u64::from(marked[w as usize]);
+                counts[w as usize] += hit;
+                at_u += hit;
+            }
+            counts[u as usize] += at_u;
+            at_v += at_u;
+        }
+        counts[v] += at_v;
+        for &w in fwd_v {
+            marked[w as usize] = false;
         }
     }
     counts
@@ -91,11 +141,18 @@ pub fn triangle_counts_from_simple(adj: &Csr) -> Vec<u64> {
 
 /// Average number of triangles per vertex, `t(G) = (1/|V|) Σ t(v)`.
 pub fn avg_triangles(graph: &Graph) -> f64 {
-    let counts = triangle_counts(graph);
-    if counts.is_empty() {
-        return 0.0;
+    triangle_stats(graph).avg_triangles
+}
+
+/// `c(v)` of one vertex from its triangle count and its degree — the one
+/// spelling every clustering figure in this module goes through.
+fn clustering(triangles: u64, degree: usize) -> f64 {
+    let d = degree as f64;
+    if d < 2.0 {
+        0.0
+    } else {
+        triangles as f64 / (0.5 * d * (d - 1.0))
     }
-    counts.iter().map(|&c| c as f64).sum::<f64>() / counts.len() as f64
 }
 
 /// Local clustering coefficient per vertex:
@@ -104,25 +161,12 @@ pub fn avg_triangles(graph: &Graph) -> f64 {
 pub fn local_clustering(graph: &Graph) -> Vec<f64> {
     let adj = Csr::build_undirected_simple(graph);
     let t = triangle_counts_from_simple(&adj);
-    (0..adj.num_vertices())
-        .map(|v| {
-            let d = adj.degree(v as VertexId) as f64;
-            if d < 2.0 {
-                0.0
-            } else {
-                t[v] as f64 / (0.5 * d * (d - 1.0))
-            }
-        })
-        .collect()
+    (0..adj.num_vertices()).map(|v| clustering(t[v], adj.degree(v as VertexId))).collect()
 }
 
 /// Average local clustering coefficient `C(G)`.
 pub fn avg_local_clustering(graph: &Graph) -> f64 {
-    let c = local_clustering(graph);
-    if c.is_empty() {
-        return 0.0;
-    }
-    c.iter().sum::<f64>() / c.len() as f64
+    triangle_stats(graph).avg_lcc
 }
 
 /// Triangle metrics computed in one pass (shared adjacency build).
@@ -151,10 +195,7 @@ pub fn stats_from_parts(adj: &Csr, t: &[u64]) -> TriangleStats {
     let mut sum_c = 0.0;
     for v in 0..n {
         sum_t += t[v] as f64;
-        let d = adj.degree(v as VertexId) as f64;
-        if d >= 2.0 {
-            sum_c += t[v] as f64 / (0.5 * d * (d - 1.0));
-        }
+        sum_c += clustering(t[v], adj.degree(v as VertexId));
     }
     TriangleStats { avg_triangles: sum_t / n as f64, avg_lcc: sum_c / n as f64 }
 }
@@ -209,6 +250,57 @@ mod tests {
         // deg(0)=3 -> c= 2/3; deg(1)=2 -> 1/1 = 1
         assert!((c[0] - 2.0 / 3.0).abs() < 1e-12);
         assert!((c[1] - 1.0).abs() < 1e-12);
+    }
+
+    /// Closed-form counts on shapes that stress one part of the kernel
+    /// each: one long list and many empty ones, every list hit, long lists
+    /// with no hit at all, and one edge shared by every triangle.
+    #[test]
+    fn worst_case_shapes_have_their_closed_form_counts() {
+        let star = Graph::from_pairs((1..=50).map(|leaf| (0, leaf)));
+        assert_eq!(triangle_counts(&star), vec![0; 51]);
+
+        let clique = Graph::from_pairs((0..20).flat_map(|a| (a + 1..20).map(move |b| (a, b))));
+        // every pair of the other 19 vertices closes a triangle
+        assert_eq!(triangle_counts(&clique), vec![19 * 18 / 2; 20]);
+
+        let bipartite = Graph::from_pairs((0..8).flat_map(|a| (8..16).map(move |b| (a, b))));
+        assert_eq!(triangle_counts(&bipartite), vec![0; 16]);
+
+        // hubs 0 and 1 share leaves 2..=31: without the hub-hub edge there
+        // is no triangle, with it every leaf closes one
+        let leaves = || (2..32).flat_map(|leaf| [(0, leaf), (1, leaf)]);
+        assert_eq!(triangle_counts(&Graph::from_pairs(leaves())), vec![0; 32]);
+        let mut want = vec![1u64; 32];
+        want[0] = 30;
+        want[1] = 30;
+        assert_eq!(triangle_counts(&Graph::from_pairs(leaves().chain([(0, 1)]))), want);
+    }
+
+    #[test]
+    fn empty_and_edgeless_graphs_count_nothing() {
+        assert_eq!(triangle_counts(&Graph::empty(0)), Vec::<u64>::new());
+        assert_eq!(triangle_counts(&Graph::empty(5)), vec![0; 5]);
+        let s = triangle_stats(&Graph::empty(0));
+        assert_eq!((s.avg_triangles, s.avg_lcc), (0.0, 0.0));
+    }
+
+    /// Counts come back in vertex-id order, not in the kernel's rank order:
+    /// the triangle sits on the highest ids, which rank lowest by degree.
+    #[test]
+    fn counts_are_indexed_by_vertex_id() {
+        let g = Graph::from_pairs([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7), (5, 7)]);
+        assert_eq!(triangle_counts(&g), vec![0, 0, 0, 0, 0, 1, 1, 1]);
+    }
+
+    /// A raw undirected CSR (duplicates, loops, unsorted lists) is not a
+    /// valid input; debug builds refuse it instead of over-counting.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "simple adjacency")]
+    fn non_simple_adjacency_is_refused_in_debug_builds() {
+        let g = Graph::from_pairs([(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)]);
+        triangle_counts_from_simple(&Csr::build(&g, crate::csr::Direction::Undirected));
     }
 
     #[test]

@@ -11,9 +11,11 @@
 //! buffer — locked with a thread-local allocation counter.
 #![cfg(unix)]
 
+mod common;
+
 use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::csr::Direction;
-use ease_repro::graph::{Csr, Graph, MemoryBudget, VertexId};
+use ease_repro::graph::{triangles, Csr, Graph, MemoryBudget, VertexId};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::graphgen::Scale;
 use ease_repro::partition::PartitionerId;
@@ -188,6 +190,10 @@ proptest! {
             // every derived analysis quantity is bit-identical
             prop_assert_eq!(spilled_ctx.fingerprint(), heap_ctx.fingerprint());
             prop_assert_eq!(spilled_ctx.triangle_counts(), heap_ctx.triangle_counts());
+            // ... and right, not merely equal: the kernel reading the mapped
+            // CSR agrees with the naive oracle reading the same mapping
+            let oracle = common::naive_triangle_counts(spilled_ctx.undirected_simple());
+            prop_assert_eq!(spilled_ctx.triangle_counts(), oracle.as_slice());
             let (s, h) = (spilled_ctx.triangle_stats(), heap_ctx.triangle_stats());
             prop_assert_eq!(s.avg_triangles.to_bits(), h.avg_triangles.to_bits());
             prop_assert_eq!(s.avg_lcc.to_bits(), h.avg_lcc.to_bits());
@@ -277,6 +283,32 @@ fn undirected_simplify_compacts_in_place_without_a_second_targets_buffer() {
         "simplify allocated {allocated} bytes (raw CSR is {raw_bytes}; bound {bound}) — \
          did the in-place compaction regress to a copy?"
     );
+}
+
+/// The triangle kernel's heap stays under what the merge kernel it replaced
+/// allocated: `32·|V|` bytes of per-vertex tables plus one 4-byte forward
+/// entry per undirected edge. It reads a spilled CSR in place, so nothing
+/// the size of the adjacency may be copied to the heap either.
+#[test]
+fn triangle_kernel_allocates_no_more_than_the_merge_kernel_did() {
+    let g = Rmat::new(RMAT_COMBOS[5], 1 << 12, 20_000, 13).generate();
+    let dir = spill_dir("tri_alloc");
+    let chunk = 1 << 12;
+    let spilled =
+        Csr::build_spilled(&g, Direction::Undirected, 1, true, chunk, &dir).expect("spilled build");
+    let heap = Csr::build_undirected_simple(&g);
+    let bound = (32 * heap.num_vertices() + 4 * (heap.num_entries() / 2)) as u64;
+    for adj in [&heap, &spilled] {
+        let (counts, allocated) = tracked(|| triangles::triangle_counts_from_simple(adj));
+        assert!(counts.iter().any(|&t| t > 0), "the graph has triangles to count");
+        assert!(
+            allocated <= bound,
+            "kernel allocated {allocated} bytes on a {} CSR; the merge kernel's total was {bound}",
+            if adj.is_spilled() { "spilled" } else { "heap" }
+        );
+    }
+    drop(spilled);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---------------------------------------------------------------------

@@ -1,10 +1,14 @@
 //! Property tests for the prepared-graph analysis context: extraction
 //! through [`PreparedGraph`] must be *bit-identical* to the pre-refactor
 //! direct path, and the content fingerprint must be stable under
-//! recomputation yet sensitive to any edge change.
+//! recomputation yet sensitive to any edge change. The triangle kernel
+//! behind the advanced tier is differential-tested against a naive oracle.
 
+mod common;
+
+use common::naive_triangle_counts;
 use ease_repro::graph::degree::DegreeTable;
-use ease_repro::graph::{triangles, Edge, Graph, GraphProperties, PropertyTier};
+use ease_repro::graph::{triangles, Csr, Edge, Graph, GraphProperties, PropertyTier};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::PreparedGraph;
 use proptest::prelude::*;
@@ -12,6 +16,21 @@ use proptest::prelude::*;
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (0usize..9, 40usize..600, 0u64..50)
         .prop_map(|(combo, edges, seed)| Rmat::new(RMAT_COMBOS[combo], 128, edges, seed).generate())
+}
+
+/// Small, dense multigraphs the R-MAT strategy does not reach: endpoints
+/// drawn from a handful of ids so triangles, self-loops and parallel edges
+/// are common, some edges repeated and some reversed on purpose, and up to
+/// five isolated vertices beyond the largest endpoint. May have no edge.
+fn arb_multigraph() -> impl Strategy<Value = Graph> {
+    (1u32..28, 0usize..6).prop_flat_map(|(ids, isolated)| {
+        prop::collection::vec((0..ids, 0..ids), 0..220).prop_map(move |pairs| {
+            let mut edges: Vec<Edge> = pairs.iter().map(|&(s, d)| Edge::new(s, d)).collect();
+            edges.extend(pairs.iter().step_by(3).map(|&(s, d)| Edge::new(d, s)));
+            edges.extend(pairs.iter().step_by(5).map(|&(s, d)| Edge::new(s, d)));
+            Graph::new(ids as usize + isolated, edges)
+        })
+    })
 }
 
 /// The pre-refactor direct extraction path, reimplemented verbatim: degree
@@ -75,6 +94,20 @@ proptest! {
         }
         // one graph, three tiers: the undirected CSR was still built once
         prop_assert_eq!(prepared.undirected_csr_builds(), 1);
+    }
+
+    /// The triangle kernel agrees with the naive oracle, called directly
+    /// and through the memoizing context.
+    #[test]
+    fn triangle_kernel_matches_the_naive_oracle(g in arb_multigraph(), rmat in arb_graph()) {
+        for g in [&g, &rmat] {
+            let adj = Csr::build_undirected_simple(g);
+            let want = naive_triangle_counts(&adj);
+            prop_assert_eq!(want.len(), g.num_vertices());
+            prop_assert_eq!(&triangles::triangle_counts_from_simple(&adj), &want);
+            let prepared = PreparedGraph::of(g);
+            prop_assert_eq!(prepared.triangle_counts(), want.as_slice());
+        }
     }
 
     /// Recomputing the fingerprint — same context or a fresh one over the
