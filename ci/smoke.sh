@@ -61,10 +61,24 @@ diff <(grep -v '^#' "$smoke/graph.txt") <(grep -v '^#' "$smoke/back.txt")
 
 # typed errors, not panics: malformed graph input reports the line
 printf '0 1\nbroken token\n' > "$smoke/bad.txt"
-if "$EASE_BIN" recommend --model "$smoke/ease.model" --graph "$smoke/bad.txt"; then
+if "$EASE_BIN" recommend --model "$smoke/ease.model" --graph "$smoke/bad.txt" \
+    2> "$smoke/bad.err"; then
     echo "expected a parse failure" >&2
     exit 1
 fi
+cat "$smoke/bad.err" >&2
+grep -q 'line 2' "$smoke/bad.err"
+grep -q "\`broken\`" "$smoke/bad.err"
+# a KONECT-style dump (% header, tabs, a weight column, CRLF) must analyze
+# exactly like its normalised two-column twin
+grep -v '^#' "$smoke/graph.txt" > "$smoke/twin.txt"
+{
+    printf '%% sym weighted\r\n'
+    awk '{ printf "%s\t%s\t%d\r\n", $1, $2, NR % 5 + 1 }' "$smoke/twin.txt"
+} > "$smoke/konect.txt"
+"$EASE_BIN" features "$smoke/konect.txt" --tier advanced | head -n -1 > "$smoke/f_konect.out"
+"$EASE_BIN" features "$smoke/twin.txt" --tier advanced | head -n -1 > "$smoke/f_twin.out"
+diff <(tail -n +2 "$smoke/f_twin.out") <(tail -n +2 "$smoke/f_konect.out")
 # ...and corrupt binary input is a typed format error
 printf 'NOTABEL!' > "$smoke/bad.bel"
 if "$EASE_BIN" features "$smoke/bad.bel"; then

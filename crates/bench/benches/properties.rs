@@ -62,12 +62,41 @@ fn bench_triangle_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// Text ingest, file to `Graph`: the `ease-bench` `cold-text-sparse` input
+/// as `write_edge_list` spells it (every line on the byte-scan fast path),
+/// and the same edges as a KONECT dump — `%` header, tabs, weight and
+/// timestamp columns, CRLF — so the cost of real-world dumps' extra
+/// columns is a visible number next to it.
+fn bench_read_edge_list(c: &mut Criterion) {
+    let graph = ErdosRenyi::new(1 << 18, 600_000, 7).generate();
+    let dir = std::env::temp_dir();
+    let plain = dir.join(format!("ease_bench_read_plain_{}.txt", std::process::id()));
+    let konect = dir.join(format!("ease_bench_read_konect_{}.txt", std::process::id()));
+    ease_graph::io::write_edge_list(&graph, &plain).expect("write plain edge list");
+    let mut dump = String::from("% sym weighted\r\n");
+    for (i, e) in graph.edges().iter().enumerate() {
+        dump.push_str(&format!("{}\t{}\t{}\t{}\r\n", e.src, e.dst, i % 5 + 1, 1_200_000_000 + i));
+    }
+    std::fs::write(&konect, dump).expect("write KONECT dump");
+    let mut group = c.benchmark_group("read_edge_list");
+    for (name, path) in
+        [("gnm_sparse_600k_edges", &plain), ("konect_4col_crlf_600k_edges", &konect)]
+    {
+        group.bench_with_input(BenchmarkId::from_parameter(name), path, |b, path| {
+            b.iter(|| black_box(ease_graph::io::read_edge_list(path).expect("readable")));
+        });
+    }
+    group.finish();
+    std::fs::remove_file(&plain).ok();
+    std::fs::remove_file(&konect).ok();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
     targets = bench_property_tiers, bench_prepared_extraction, bench_degree_table, bench_triangles,
-        bench_triangle_kernel
+        bench_triangle_kernel, bench_read_edge_list
 }
 criterion_main!(benches);

@@ -10,8 +10,8 @@
 //! * [`crate::Graph`] — the in-memory edge list (exposes a zero-cost slice),
 //! * [`crate::bel::BelSource`] — a zero-copy view over a memory-mapped
 //!   binary edge-list (`.bel`) file,
-//! * [`TextStreamSource`] — a buffered streaming reader over a text edge
-//!   list that never holds the whole file.
+//! * [`TextStreamSource`] — a streaming reader over a text edge list that
+//!   holds one block of the file at a time.
 //!
 //! Consumers drive the source with whole-stream passes
 //! ([`GraphSource::for_each_edge`]) or shard a pass over contiguous edge
@@ -27,14 +27,13 @@
 //! fixed — never derived from the worker count — so the fingerprint is
 //! bit-identical across backends, shard counts and machines.
 
-use std::io::BufRead;
-use std::ops::Range;
+use std::ops::{ControlFlow, Range};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::edge_list::Graph;
 use crate::hash::mix64;
-use crate::io::{parse_edge_line, GraphIoError};
+use crate::io::{scan_edge_list, scan_whole_edge_list, GraphIoError, TextItem};
 use crate::types::Edge;
 
 /// Fixed block length (in edges) of the content fingerprint. Part of the
@@ -144,8 +143,10 @@ pub fn is_bel_path(path: &Path) -> bool {
 /// Open a graph file for analysis, format-dispatched by extension: `.bel`
 /// files are memory-mapped zero-copy (no owned edge list, validation at
 /// open); everything else is parsed as a whitespace-separated text edge
-/// list into an owned [`Graph`] — analysis makes several passes, and
-/// re-parsing text per pass would dominate every downstream timing.
+/// list into an owned [`Graph`] by the block kernel of [`crate::io`] (byte
+/// scan for plain `src dst` lines, [`crate::io::parse_edge_line`] for the
+/// rest) — analysis makes several passes, and re-parsing text per pass
+/// would dominate every downstream timing.
 ///
 /// The handle is `Send + Sync` ([`GraphSource`] supertraits), so one
 /// opened graph can be analyzed from any thread — the `ease serve` daemon
@@ -316,11 +317,12 @@ impl GraphSource for Graph {
 }
 
 // ---------------------------------------------------------------------
-// Backend 3: buffered streaming text reader
+// Backend 3: block-streaming text reader
 // ---------------------------------------------------------------------
 
-/// A text edge list consumed as a stream: one buffered pass per replay,
-/// one reusable line buffer, never the whole file in memory.
+/// A text edge list consumed as a stream: one pass of the block kernel
+/// ([`crate::io`]) per replay, one reusable block, never the whole file in
+/// memory.
 ///
 /// [`TextStreamSource::open`] runs a single validation pass (counting edges
 /// and the max endpoint, type-checking every line) so later replays are
@@ -334,40 +336,14 @@ pub struct TextStreamSource {
 }
 
 impl TextStreamSource {
-    /// Open and validate `path` (one full buffered pass, constant memory).
+    /// Open and validate `path` (one full pass, constant memory).
     /// A `# vertices N` summary comment declares an explicit universe (see
     /// [`crate::io::parse_universe_comment`]); the source covers
     /// `max(declared, max endpoint + 1)`.
     pub fn open(path: &Path) -> Result<Self, GraphIoError> {
-        let file = std::fs::File::open(path)?;
-        let mut reader = std::io::BufReader::new(file);
-        let mut line = String::new();
-        let mut lineno = 0usize;
         let mut edge_count = 0usize;
-        let mut max_v = 0u32;
-        let mut declared = 0usize;
-        let mut any = false;
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
-            }
-            lineno += 1;
-            if let Some(e) = parse_edge_line(&line, lineno)? {
-                edge_count += 1;
-                max_v = max_v.max(e.src).max(e.dst);
-                any = true;
-            } else if let Some(n) = crate::io::parse_universe_comment(&line) {
-                crate::io::check_declared_universe(n)?;
-                declared = declared.max(n);
-            }
-        }
-        let inferred = if any { max_v as usize + 1 } else { 0 };
-        Ok(TextStreamSource {
-            path: path.to_path_buf(),
-            num_vertices: inferred.max(declared),
-            edge_count,
-        })
+        let num_vertices = scan_whole_edge_list(std::fs::File::open(path)?, |_| edge_count += 1)?;
+        Ok(TextStreamSource { path: path.to_path_buf(), num_vertices, edge_count })
     }
 
     pub fn path(&self) -> &Path {
@@ -384,31 +360,25 @@ impl TextStreamSource {
         let file = std::fs::File::open(&self.path).unwrap_or_else(|e| {
             panic!("edge list {} vanished mid-analysis: {e}", self.path.display())
         });
-        let mut reader = std::io::BufReader::new(file);
-        let mut line = String::new();
-        let mut lineno = 0usize;
         let mut idx = 0usize;
-        loop {
-            line.clear();
-            let n = reader.read_line(&mut line).unwrap_or_else(|e| {
-                panic!("edge list {} unreadable mid-analysis: {e}", self.path.display())
-            });
-            if n == 0 {
-                break;
-            }
-            lineno += 1;
-            let parsed = parse_edge_line(&line, lineno).unwrap_or_else(|e| {
-                panic!("edge list {} changed mid-analysis: {e}", self.path.display())
-            });
-            if let Some(e) = parsed {
+        let scanned = scan_edge_list(file, |item| {
+            if let TextItem::Edge(e) = item {
                 if idx >= range.end {
-                    return;
+                    return Ok(ControlFlow::Break(()));
                 }
                 if idx >= range.start {
                     f(e);
                 }
                 idx += 1;
             }
+            Ok(ControlFlow::Continue(()))
+        });
+        match scanned {
+            Ok(()) => {}
+            Err(GraphIoError::Io(e)) => {
+                panic!("edge list {} unreadable mid-analysis: {e}", self.path.display())
+            }
+            Err(e) => panic!("edge list {} changed mid-analysis: {e}", self.path.display()),
         }
         assert!(
             idx >= range.end,

@@ -314,8 +314,12 @@ impl MappedCsr {
 mod tests {
     use super::*;
 
+    /// A fresh directory per call: tests run on parallel threads and each
+    /// removes its directory when done.
     fn dir() -> PathBuf {
-        let d = std::env::temp_dir().join(format!("ease_spill_unit_{}", std::process::id()));
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let tag = NEXT.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(unique-name counter)
+        let d = std::env::temp_dir().join(format!("ease_spill_unit_{}_{tag}", std::process::id()));
         std::fs::create_dir_all(&d).expect("mk spill dir");
         d
     }

@@ -9,9 +9,9 @@
 //! thread-local allocation counter around the zero-copy analysis path.
 
 use ease_repro::graph::bel::{write_bel, BelSource};
-use ease_repro::graph::io::write_edge_list;
+use ease_repro::graph::io::{read_edge_list, read_edge_list_from, write_edge_list};
 use ease_repro::graph::source::{collect_source, fingerprint_source};
-use ease_repro::graph::{Graph, GraphSource, PropertyTier, TextStreamSource};
+use ease_repro::graph::{Graph, GraphIoError, GraphSource, PropertyTier, TextStreamSource};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::partition::{PartitionerId, QualityMetrics};
 use ease_repro::PreparedGraph;
@@ -20,6 +20,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+mod common;
 
 // ---------------------------------------------------------------------
 // Thread-local allocation counter (only the calling thread is charged, so
@@ -193,6 +195,131 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
+// Differential: the block kernel reads what the line-at-a-time reader read
+// ---------------------------------------------------------------------
+
+/// A reader's verdict in comparable form: the graph, or the error's
+/// variant, line and message (`io::Error` has no `PartialEq`).
+fn verdict(result: Result<Graph, GraphIoError>) -> Result<Graph, String> {
+    result.map_err(|e| match e {
+        GraphIoError::Io(e) => format!("Io({:?}): {e}", e.kind()),
+        GraphIoError::Parse { line, message } => format!("Parse(line {line}): {message}"),
+        GraphIoError::Format(message) => format!("Format: {message}"),
+    })
+}
+
+/// Slot fillers for a line of edge-list soup, on both sides of every
+/// fast-path / slow-path boundary. The first `.1` entries of a list keep
+/// the line an edge; the rest mostly make it an error.
+type Slot = (&'static [&'static [u8]], usize);
+const LEADS: Slot = (&[b"", b" ", b"\t ", b"\r", b"\xc2\xa0", b"\x0b", b"x", b"\xff"], 6);
+const IDS: Slot = (
+    &[
+        b"0",
+        b"7",
+        b"12",
+        b"300",
+        b"007",
+        b"+5",
+        b"4294967295",
+        b"00000000001",
+        b"0000000000",
+        b"4294967296",
+        b"12345678901",
+        b"-3",
+        b"1.5",
+        b"",
+    ],
+    9,
+);
+const SEPS: Slot = (&[b" ", b"\t", b"  \t", b"\r", b"\xc2\xa0", b"\x0b", b"", b".", b"\xa0"], 6);
+const TAILS: Slot = (
+    &[
+        b"",
+        b" ",
+        b"\r",
+        b" \t\r",
+        b"\t0.25\t1200000000\r",
+        b" 3 4",
+        b"\x0bz",
+        b" caf\xc3\xa9",
+        b" \xff",
+        b"\xa0",
+        b"x",
+        b".5",
+    ],
+    8,
+);
+const ENDS: Slot = (&[b"\n", b"\r\n", b""], 2);
+const NON_EDGES: Slot = (
+    &[
+        b"",
+        b"  ",
+        b"# comment",
+        b"% konect",
+        b"# vertices 9",
+        b"  # vertices 300 edges 2",
+        b"# vertices 4294967296",
+        b"# vertices -1",
+        b"# vertices 4294967297",
+        b"# vertices 99999999999999999999",
+        b"#\xff",
+        b"\xc3",
+    ],
+    8,
+);
+
+/// One draw in eight takes any filler, the rest a harmless one — so files
+/// are long runs of edges with the odd error, not an error on line 1.
+fn fill(slot: Slot, draw: usize) -> &'static [u8] {
+    let (fillers, harmless) = slot;
+    let choices = if draw.is_multiple_of(8) { fillers.len() } else { harmless };
+    fillers[(draw / 8) % choices]
+}
+
+/// Up to a dozen lines, three in four `lead id sep id tail end`, the rest
+/// comments, blanks and universe declarations; an empty `end` glues a line
+/// to the next one or leaves the file without a final newline, and the
+/// empty file occurs.
+fn arb_soup() -> impl Strategy<Value = Vec<u8>> {
+    let line = prop::collection::vec(0usize..1 << 16, 7).prop_map(|d| {
+        if d[0].is_multiple_of(4) {
+            [fill(NON_EDGES, d[1]), fill(ENDS, d[6])].concat()
+        } else {
+            let slots = [LEADS, IDS, SEPS, IDS, TAILS, ENDS];
+            slots.iter().zip(&d[1..]).flat_map(|(&slot, &draw)| fill(slot, draw)).copied().collect()
+        }
+    });
+    prop::collection::vec(line, 0..12).prop_map(|lines| lines.concat())
+}
+
+fn arb_bytes() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec((0u32..256).prop_map(|b| b as u8), 0..96)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn block_reader_matches_the_line_reader_on_structured_soup(text in arb_soup()) {
+        assert_eq!(
+            verdict(read_edge_list_from(&text[..])),
+            verdict(common::naive_read_edge_list(&text[..])),
+            "on {:?}", String::from_utf8_lossy(&text)
+        );
+    }
+
+    #[test]
+    fn block_reader_matches_the_line_reader_on_arbitrary_bytes(text in arb_bytes()) {
+        assert_eq!(
+            verdict(read_edge_list_from(&text[..])),
+            verdict(common::naive_read_edge_list(&text[..])),
+            "on {text:?}"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // The zero-copy lock: mmap ingestion allocates nothing proportional to |E|
 // ---------------------------------------------------------------------
 
@@ -260,4 +387,53 @@ fn source_backed_analysis_never_builds_a_graph() {
     );
     assert!(prepared.try_graph().is_none(), "analysis materialized a Graph");
     std::fs::remove_file(&bel).ok();
+}
+
+// ---------------------------------------------------------------------
+// The text lock: streamed text holds one block, whatever the edge count
+// ---------------------------------------------------------------------
+
+/// The text kernel's read block (`io::BLOCK_BYTES`, private to the crate).
+const TEXT_BLOCK_BYTES: u64 = 1 << 18;
+
+/// `TextStreamSource::open` plus one full replay allocate one block each
+/// and nothing that grows with the file; `read_edge_list` allocates what
+/// the line-at-a-time reader did (the edge vector's doublings) plus at
+/// most the block.
+#[test]
+fn text_ingestion_allocates_a_block_not_an_edge_list() {
+    let stream_cost = |m: usize| {
+        let g = Rmat::new(RMAT_COMBOS[6], 2_048, m, 99).generate();
+        let txt = std::env::temp_dir().join(format!("ease_gs_tb_{}_{m}.txt", std::process::id()));
+        write_edge_list(&g, &txt).unwrap();
+        let (streamed, allocated) = tracked(|| {
+            let src = TextStreamSource::open(&txt).expect("open text");
+            let mut streamed = 0usize;
+            src.for_each_edge(&mut |_| streamed += 1);
+            streamed
+        });
+        assert_eq!(streamed, m);
+        let (read, read_allocated) = tracked(|| read_edge_list(&txt).expect("read text"));
+        let (naive, naive_allocated) = tracked(|| {
+            let file = std::fs::File::open(&txt).expect("open text");
+            common::naive_read_edge_list(std::io::BufReader::new(file)).expect("read text")
+        });
+        assert_eq!((&read, &naive), (&g, &g));
+        assert!(
+            read_allocated <= naive_allocated + TEXT_BLOCK_BYTES,
+            "read_edge_list allocated {read_allocated} bytes, the line reader {naive_allocated}"
+        );
+        std::fs::remove_file(&txt).ok();
+        allocated
+    };
+    let (small, large) = (stream_cost(50_000), stream_cost(400_000));
+    // 400 k edges are a 3.2 MB edge list and a file of more than a dozen blocks
+    assert!(
+        large <= 2 * TEXT_BLOCK_BYTES + 4096,
+        "open + replay allocated {large} bytes — more than the two passes' blocks"
+    );
+    assert!(
+        large.abs_diff(small) < 256,
+        "streaming allocation depends on |E|: {small} bytes for 50 k edges, {large} for 400 k"
+    );
 }
