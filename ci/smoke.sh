@@ -86,4 +86,13 @@ if "$EASE_BIN" features "$smoke/bad.bel"; then
     exit 1
 fi
 
+# a typo'd flag is exit 2 naming the flag, never silently ignored; --help
+# after a subcommand is the usage text
+rc=0
+"$EASE_BIN" train --out "$smoke/typo.model" --sede 7 2> "$smoke/typo.err" || rc=$?
+[[ $rc -eq 2 ]]
+grep -q 'unknown flag --sede for ease train' "$smoke/typo.err"
+"$EASE_BIN" train --help > "$smoke/help.out"
+grep -q 'TRAIN OPTIONS' "$smoke/help.out"
+
 echo "lifecycle smoke passed"

@@ -23,6 +23,23 @@ impl OptGoal {
             OptGoal::ProcessingOnly => "Pro.",
         }
     }
+
+    /// The byte every binary format (saved services, the serve wire)
+    /// stores a goal as.
+    pub fn tag(self) -> u8 {
+        match self {
+            OptGoal::EndToEnd => 0,
+            OptGoal::ProcessingOnly => 1,
+        }
+    }
+
+    pub fn from_tag(tag: u8) -> Option<OptGoal> {
+        match tag {
+            0 => Some(OptGoal::EndToEnd),
+            1 => Some(OptGoal::ProcessingOnly),
+            _ => None,
+        }
+    }
 }
 
 /// Predicted costs of one candidate partitioner.

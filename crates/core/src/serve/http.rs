@@ -8,16 +8,22 @@
 //! consistent-hash router fleet, and `curl` answers stay bit-identical to
 //! the one-shot CLI (modulo the JSON envelope).
 //!
-//! Endpoints:
+//! Endpoints (the `ROUTES` table below is the one place that lists them):
 //!
 //! | method + path     | request                         |
 //! |-------------------|---------------------------------|
-//! | `GET /recommend`  | [`Request::Recommend`] from `?graph=…&workload=…&k=…&goal=…&top=…&cwd=…` |
-//! | `GET /features`   | [`Request::Features`] from `?graph=…&tier=…&cwd=…` |
+//! | `GET /recommend`  | [`Request::Recommend`] from `?graph=…&workload=…` plus optional `k`, `goal`, `top`, `cwd` |
+//! | `GET /features`   | [`Request::Features`] from `?graph=…` plus optional `tier`, `cwd` |
 //! | `GET /stats`      | [`Request::CacheStats`] (fleet-folded through the router) |
 //! | `GET /healthz`    | [`Request::Ping`]               |
 //! | `POST /shutdown`  | [`Request::Shutdown`]           |
 //! | `POST /rpc`       | any [`Request`] as a JSON body (the `--endpoint http:` client path) |
+//!
+//! The two query endpoints name no field themselves: the path is the
+//! request's kind and [`Request::from_text`] reads the percent-decoded
+//! pairs through the field list that also drives the JSON and binary
+//! codecs, so parameter names, defaults and vocabularies are the JSON
+//! envelope's by construction.
 //!
 //! Every response body is the [`Response`]'s JSON envelope
 //! ([`Response::to_json`]); the status code classifies it — `503` for
@@ -25,12 +31,8 @@
 //! not open), `400` for every other error. Alongside `http.rs`, only
 //! `json.rs` formats JSON text.
 
-use super::protocol::{
-    goal_from_name, proto_err, tier_from_name, Request, Response, DEFAULT_TOP, MAX_FRAME_BYTES,
-};
+use super::protocol::{proto_err, Request, Response, MAX_FRAME_BYTES};
 use crate::error::EaseError;
-use crate::selector::OptGoal;
-use ease_graph::PropertyTier;
 use std::io::{Read, Write};
 
 /// First two bytes of `GET ` — the connection sniffer in `server.rs`
@@ -257,52 +259,48 @@ fn parse_head(head: &str) -> Result<ParsedHead, String> {
 
 type RouteError = (u16, &'static str, String);
 
+/// How an endpoint builds its [`Request`].
+enum Route {
+    /// The endpoint *is* this request.
+    Is(Request),
+    /// From the query pairs; the request kind is the path without its `/`.
+    Query,
+    /// From a JSON body.
+    Body,
+}
+
+/// Every endpoint: the method it answers to, its path, its request.
+static ROUTES: [(&str, &str, Route); 6] = [
+    ("GET", "/healthz", Route::Is(Request::Ping)),
+    ("GET", "/stats", Route::Is(Request::CacheStats)),
+    ("GET", "/recommend", Route::Query),
+    ("GET", "/features", Route::Query),
+    ("POST", "/shutdown", Route::Is(Request::Shutdown)),
+    ("POST", "/rpc", Route::Body),
+];
+
 /// Map a parsed request line onto a typed [`Request`]. Routing failures
 /// carry the status they should travel under: `404` for unknown paths,
 /// `405` for a known path with the wrong method, `400` for bad queries.
 fn request_for(method: &str, target: &str, body: Option<&str>) -> Result<Request, RouteError> {
-    let (path, query) = match target.split_once('?') {
-        Some((path, query)) => (path, query),
-        None => (target, ""),
+    let (path, query) = target.split_once('?').unwrap_or((target, ""));
+    let Some((allowed, _, route)) = ROUTES.iter().find(|(_, known, _)| *known == path) else {
+        return Err((404, "Not Found", format!("no such endpoint `{path}`")));
     };
-    let bad = |message: String| -> RouteError { (400, "Bad Request", message) };
-    match (method, path) {
-        ("GET", "/healthz") => Ok(Request::Ping),
-        ("GET", "/stats") => Ok(Request::CacheStats),
-        ("GET", "/recommend") => {
-            let pairs = parse_query(query).map_err(|e| bad(e.to_string()))?;
-            Ok(Request::Recommend {
-                graph: require_param(&pairs, "graph")?,
-                workload: require_param(&pairs, "workload")?,
-                k: optional_num(&pairs, "k")?,
-                goal: match find_param(&pairs, "goal") {
-                    Some(name) => goal_from_name(name).map_err(|e| bad(e.to_string()))?,
-                    None => OptGoal::EndToEnd,
-                },
-                top: optional_num(&pairs, "top")?.unwrap_or(DEFAULT_TOP),
-                cwd: find_param(&pairs, "cwd").map(str::to_string),
-            })
-        }
-        ("GET", "/features") => {
-            let pairs = parse_query(query).map_err(|e| bad(e.to_string()))?;
-            Ok(Request::Features {
-                graph: require_param(&pairs, "graph")?,
-                tier: match find_param(&pairs, "tier") {
-                    Some(name) => tier_from_name(name).map_err(|e| bad(e.to_string()))?,
-                    None => PropertyTier::Advanced,
-                },
-                cwd: find_param(&pairs, "cwd").map(str::to_string),
-            })
-        }
-        ("POST", "/shutdown") => Ok(Request::Shutdown),
-        ("POST", "/rpc") => {
-            Request::from_json(body.unwrap_or_default()).map_err(|e| bad(e.to_string()))
-        }
-        (_, "/healthz" | "/stats" | "/recommend" | "/features" | "/shutdown" | "/rpc") => {
-            Err((405, "Method Not Allowed", format!("method {method} is not allowed on {path}")))
-        }
-        _ => Err((404, "Not Found", format!("no such endpoint `{path}`"))),
+    if *allowed != method {
+        let message = format!("method {method} is not allowed on {path}");
+        return Err((405, "Method Not Allowed", message));
     }
+    let request = match route {
+        Route::Is(request) => Ok(request.clone()),
+        Route::Query => parse_query(query).and_then(|pairs| {
+            Request::from_text(path.trim_start_matches('/'), "query parameter", |key| {
+                pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+            })
+        }),
+        Route::Body => Request::from_json(body.unwrap_or_default()),
+    };
+    request.map_err(|e| (400, "Bad Request", e.to_string()))
 }
 
 /// Split and percent-decode a query string into key/value pairs. `+` is
@@ -318,25 +316,6 @@ fn parse_query(query: &str) -> Result<Vec<(String, String)>, EaseError> {
         pairs.push((percent_decode(key)?, percent_decode(value)?));
     }
     Ok(pairs)
-}
-
-fn find_param<'a>(pairs: &'a [(String, String)], key: &str) -> Option<&'a str> {
-    pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
-}
-
-fn require_param(pairs: &[(String, String)], key: &str) -> Result<String, RouteError> {
-    find_param(pairs, key)
-        .map(str::to_string)
-        .ok_or_else(|| (400, "Bad Request", format!("missing query parameter `{key}`")))
-}
-
-fn optional_num(pairs: &[(String, String)], key: &str) -> Result<Option<usize>, RouteError> {
-    match find_param(pairs, key) {
-        None => Ok(None),
-        Some(raw) => raw.parse::<usize>().map(Some).map_err(|_| {
-            (400, "Bad Request", format!("query parameter `{key}` must be a number, got `{raw}`"))
-        }),
-    }
 }
 
 fn percent_decode(s: &str) -> Result<String, EaseError> {
@@ -439,7 +418,10 @@ fn call_http_on(
 
 #[cfg(test)]
 mod tests {
+    use super::super::protocol::DEFAULT_TOP;
     use super::*;
+    use crate::selector::OptGoal;
+    use ease_graph::PropertyTier;
 
     /// An in-memory duplex stream: reads drain `input`, writes land in
     /// `output`.

@@ -35,8 +35,9 @@
 //!   `/rpc`) on the same connection workers, executor pool and `Handler`
 //!   — so `curl` reaches both a daemon and a router fleet with no new
 //!   listener and zero dependencies. [`Request`]/[`Response`] are pure
-//!   data with codecs at the edges: `encode_binary`/`decode_binary` and
-//!   `to_json`/`from_json` over the same types.
+//!   data; one field list per variant drives every spelling of them —
+//!   `encode_binary`/`decode_binary`, `to_json`/`from_json`, the `GET`
+//!   query strings and the CLI flags ([`Request::from_text`]).
 //! * **Clients** ([`client`]) — [`PipelinedClient`] keeps one v2
 //!   connection open across many requests, [`call_pipelined`] drives a
 //!   whole batch through a bounded window, and [`call_endpoint`] performs
@@ -262,15 +263,6 @@ pub struct ServeConfig {
     /// per connection, so a slow-reading client cannot occupy executors
     /// or stall the accept loop.
     pub pipeline_in_flight: usize,
-    /// Enable the daemon's stat-keyed fingerprint memo. A warm recommend
-    /// query's dominant cost is not the model but re-hashing the graph's
-    /// edge list to key the property cache; the memo maps a graph *file*
-    /// (by `dev`/`ino`/`size`/`mtime`) to the fingerprint it hashed last
-    /// time, so repeated queries on an unchanged file skip the open and
-    /// the `O(|E|)` hash entirely. A rewritten file changes its stamp and
-    /// misses — answers are never served stale. Default on; turned off by
-    /// benchmarks that want to measure the un-memoized baseline.
-    pub fingerprint_memo: bool,
     /// Memory budget for per-request derived state (PR 8). When set, every
     /// analysis context the daemon builds charges its CSRs against this
     /// shared budget; builds that would exceed it spill to disk instead of
@@ -286,31 +278,26 @@ impl ServeConfig {
         std::thread::available_parallelism().map(|p| p.get()).unwrap_or(2).clamp(2, 8)
     }
 
-    /// Serve on a unix-domain socket (the PR 5 shape; add [`Self::tcp`]
-    /// for a TCP listener alongside).
-    pub fn at(socket: impl Into<PathBuf>) -> Self {
+    fn listening(socket: Option<PathBuf>, tcp: Option<String>) -> Self {
         ServeConfig {
-            socket: Some(socket.into()),
-            tcp: None,
+            socket,
+            tcp,
             workers: Self::default_workers(),
             io_timeout: Some(DEFAULT_IO_TIMEOUT),
             pipeline_in_flight: DEFAULT_PIPELINE_IN_FLIGHT,
-            fingerprint_memo: true,
             memory_budget: None,
         }
     }
 
+    /// Serve on a unix-domain socket (the PR 5 shape; add [`Self::tcp`]
+    /// for a TCP listener alongside).
+    pub fn at(socket: impl Into<PathBuf>) -> Self {
+        Self::listening(Some(socket.into()), None)
+    }
+
     /// Serve on a TCP address only (no unix socket).
     pub fn tcp_at(addr: impl Into<String>) -> Self {
-        ServeConfig {
-            socket: None,
-            tcp: Some(addr.into()),
-            workers: Self::default_workers(),
-            io_timeout: Some(DEFAULT_IO_TIMEOUT),
-            pipeline_in_flight: DEFAULT_PIPELINE_IN_FLIGHT,
-            fingerprint_memo: true,
-            memory_budget: None,
-        }
+        Self::listening(None, Some(addr.into()))
     }
 
     /// Add a TCP listener (kept alongside any configured unix socket).
@@ -331,11 +318,6 @@ impl ServeConfig {
 
     pub fn pipeline_in_flight(mut self, in_flight: usize) -> Self {
         self.pipeline_in_flight = in_flight.max(1);
-        self
-    }
-
-    pub fn fingerprint_memo(mut self, enabled: bool) -> Self {
-        self.fingerprint_memo = enabled;
         self
     }
 

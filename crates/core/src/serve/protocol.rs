@@ -14,17 +14,31 @@
 //! with the same `Writer`/`Reader` codec the model persistence uses, capped
 //! at [`MAX_FRAME_BYTES`].
 //!
-//! [`Request`] and [`Response`] are *pure data*; every wire spelling is a
-//! codec at the edge of the type — `encode_binary`/`decode_binary` for the
-//! framed format above and `to_json`/`from_json` for the HTTP facade
-//! (`serve/http.rs`). One definition, two codecs: parity between the
-//! binary and JSON surfaces is structural, not coincidental.
+//! [`Request`] and [`Response`] are *pure data*, and every wire spelling
+//! of them is driven by one declaration per variant (`Message::decl`): its
+//! kind — the binary tag byte and the JSON `type` name — and its ordered
+//! field list, each field a wire name plus one of a small closed set of
+//! kinds (`Slot`). Nothing else knows a field. Two walkers read that list:
+//!
+//! * a **positional** one over the `Writer`/`Reader` codec — the framed
+//!   payload behind `encode_binary`/`decode_binary`;
+//! * a **named** one over a key → scalar source — the JSON object behind
+//!   `to_json`/`from_json` (the HTTP facade, `serve/http.rs`), and through
+//!   [`Request::from_text`] the query pairs of `GET /recommend` and
+//!   `GET /features` and the flags of the `ease` CLI. JSON is typed (a
+//!   number spelled as a string is an error); text sources parse decimal.
+//!
+//! Defaults for fields a named source omits live in one place
+//! (`Message::blanks`), so parity between the binary, JSON, query-string
+//! and CLI surfaces is structural, not coincidental: a new field's wire
+//! spelling is one line in its variant's declaration.
 
 use super::json::{self, Value};
 use crate::error::{EaseError, ServeError};
 use crate::selector::OptGoal;
 use ease_graph::PropertyTier;
 use ease_ml::persist::{Reader, Writer};
+use ease_ml::PersistError;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
@@ -86,7 +100,7 @@ pub enum Request {
 }
 
 /// Observability snapshot answered to [`Request::CacheStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     pub hits: u64,
     pub misses: u64,
@@ -173,61 +187,11 @@ pub enum Response {
 }
 
 // ---------------------------------------------------------------------
-// Payload codec
+// Field lists: one declaration per variant
 // ---------------------------------------------------------------------
 
 pub(crate) fn proto_err(msg: impl Into<String>) -> EaseError {
     ServeError::Protocol(msg.into()).into()
-}
-
-fn goal_tag(goal: OptGoal) -> u8 {
-    match goal {
-        OptGoal::EndToEnd => 0,
-        OptGoal::ProcessingOnly => 1,
-    }
-}
-
-fn goal_from_tag(tag: u8) -> Result<OptGoal, EaseError> {
-    match tag {
-        0 => Ok(OptGoal::EndToEnd),
-        1 => Ok(OptGoal::ProcessingOnly),
-        other => Err(proto_err(format!("unknown goal tag {other}"))),
-    }
-}
-
-fn tier_tag(tier: PropertyTier) -> u8 {
-    match tier {
-        PropertyTier::Simple => 0,
-        PropertyTier::Basic => 1,
-        PropertyTier::Advanced => 2,
-    }
-}
-
-fn tier_from_tag(tag: u8) -> Result<PropertyTier, EaseError> {
-    match tag {
-        0 => Ok(PropertyTier::Simple),
-        1 => Ok(PropertyTier::Basic),
-        2 => Ok(PropertyTier::Advanced),
-        other => Err(proto_err(format!("unknown tier tag {other}"))),
-    }
-}
-
-fn put_opt_str(w: &mut Writer, v: &Option<String>) {
-    match v {
-        Some(s) => {
-            w.put_u8(1);
-            w.put_str(s);
-        }
-        None => w.put_u8(0),
-    }
-}
-
-fn take_opt_str(r: &mut Reader) -> Result<Option<String>, ease_ml::PersistError> {
-    match r.take_u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.take_str()?)),
-        other => Err(ease_ml::PersistError::Corrupt(format!("unknown option tag {other}"))),
-    }
 }
 
 /// Resolve a request's graph path: relative paths are joined to the
@@ -242,98 +206,341 @@ pub fn resolve_graph_path(graph: &str, cwd: Option<&str>) -> PathBuf {
     }
 }
 
+/// One field of a message: where its value lives, tagged with its kind.
+/// The kind fixes the field's bytes in a binary payload, its JSON type,
+/// and whether a named source may omit it: `Str`, `U8`, `U64` and `Usize`
+/// are required, the `Opt*` kinds read as `None` when absent or `null`,
+/// and `UsizeOr`, `Goal` and `Tier` then keep the default their variant
+/// carries in [`Message::blanks`].
+enum Slot<'a> {
+    Str(&'a mut String),
+    OptStr(&'a mut Option<String>),
+    U8(&'a mut u8),
+    U64(&'a mut u64),
+    OptU64(&'a mut Option<u64>),
+    Usize(&'a mut usize),
+    OptUsize(&'a mut Option<usize>),
+    UsizeOr(&'a mut usize),
+    Goal(&'a mut OptGoal),
+    Tier(&'a mut PropertyTier),
+}
+
+/// A variant's declaration: its binary tag byte, its JSON `type` name,
+/// and its fields in wire order under their wire names.
+type Decl<'a> = (u8, &'static str, Vec<(&'static str, Slot<'a>)>);
+
+/// A wire message: [`Request`] or [`Response`].
+trait Message: Clone {
+    /// `request` / `response`, for error messages.
+    const WHAT: &'static str;
+
+    /// Every variant once: required fields empty, optional fields at the
+    /// default a named source gets by omitting them. Decoding fills in the
+    /// variant whose declaration has the tag or `type` name on the wire.
+    fn blanks() -> Vec<Self>;
+
+    fn decl(&mut self) -> Decl<'_>;
+}
+
+/// The JSON member naming a message's kind.
+const TYPE: &str = "type";
+
+// wire names that more than one declaration spells
+const GRAPH: &str = "graph";
+const CWD: &str = "cwd";
+const ANSWER: &str = "answer";
+const ERROR: &str = "error";
+
+impl Message for Request {
+    const WHAT: &'static str = "request";
+
+    fn blanks() -> Vec<Request> {
+        vec![
+            Request::Ping,
+            Request::Recommend {
+                graph: String::new(),
+                workload: String::new(),
+                k: None,
+                goal: OptGoal::EndToEnd,
+                top: DEFAULT_TOP,
+                cwd: None,
+            },
+            Request::Features { graph: String::new(), tier: PropertyTier::Advanced, cwd: None },
+            Request::CacheStats,
+            Request::Shutdown,
+        ]
+    }
+
+    fn decl(&mut self) -> Decl<'_> {
+        use Slot::{Goal, OptStr, OptUsize, Str, Tier, UsizeOr};
+        match self {
+            Request::Ping => (0, "ping", vec![]),
+            Request::Recommend { graph, workload, k, goal, top, cwd } => {
+                let query = vec![
+                    (GRAPH, Str(graph)),
+                    ("workload", Str(workload)),
+                    ("k", OptUsize(k)),
+                    ("goal", Goal(goal)),
+                    ("top", UsizeOr(top)),
+                    (CWD, OptStr(cwd)),
+                ];
+                (1, "recommend", query)
+            }
+            Request::Features { graph, tier, cwd } => {
+                (2, "features", vec![(GRAPH, Str(graph)), ("tier", Tier(tier)), (CWD, OptStr(cwd))])
+            }
+            Request::CacheStats => (3, "cache-stats", vec![]),
+            Request::Shutdown => (4, "shutdown", vec![]),
+        }
+    }
+}
+
+impl Message for Response {
+    const WHAT: &'static str = "response";
+
+    fn blanks() -> Vec<Response> {
+        vec![
+            Response::Pong { version: 0 },
+            Response::Answer(String::new()),
+            Response::CacheStats(ServeStats::default()),
+            Response::Error(String::new()),
+            Response::ShuttingDown,
+            Response::Overloaded { needed: 0, headroom: 0 },
+        ]
+    }
+
+    fn decl(&mut self) -> Decl<'_> {
+        use Slot::{OptU64, Str, Usize, U64, U8};
+        match self {
+            Response::Pong { version } => (0, "pong", vec![("version", U8(version))]),
+            Response::Answer(text) => (1, ANSWER, vec![(ANSWER, Str(text))]),
+            Response::CacheStats(s) => {
+                // the budget pair rides after the original fields (the v2
+                // payload bump), which are unchanged
+                let counters = vec![
+                    ("hits", U64(&mut s.hits)),
+                    ("misses", U64(&mut s.misses)),
+                    ("evictions", U64(&mut s.evictions)),
+                    ("len", Usize(&mut s.len)),
+                    ("capacity", Usize(&mut s.capacity)),
+                    ("requests_served", U64(&mut s.requests_served)),
+                    ("memory_budget_remaining", OptU64(&mut s.memory_budget_remaining)),
+                    ("spilled_csr_builds", U64(&mut s.spilled_csr_builds)),
+                ];
+                (2, "stats", counters)
+            }
+            Response::Error(msg) => (3, ERROR, vec![(ERROR, Str(msg))]),
+            Response::ShuttingDown => (4, "shutting-down", vec![]),
+            Response::Overloaded { needed, headroom } => {
+                (5, "overloaded", vec![("needed", U64(needed)), ("headroom", U64(headroom))])
+            }
+        }
+    }
+}
+
+/// The blank variant of `M` whose declared tag and name `is_it` accepts,
+/// filled in field by field by `fill`; `None` when no variant matches.
+fn decode<M: Message>(
+    is_it: impl Fn(u8, &str) -> bool,
+    mut fill: impl FnMut(&'static str, Slot) -> Result<(), EaseError>,
+) -> Result<Option<M>, EaseError> {
+    for mut blank in M::blanks() {
+        let (tag, name, fields) = blank.decl();
+        if is_it(tag, name) {
+            fields.into_iter().try_for_each(|(key, slot)| fill(key, slot))?;
+            return Ok(Some(blank));
+        }
+    }
+    Ok(None)
+}
+
+// ---------------------------------------------------------------------
+// The positional walker: field lists over the binary `Writer`/`Reader`
+// ---------------------------------------------------------------------
+
+fn put_opt<T>(w: &mut Writer, v: Option<T>, put: impl FnOnce(&mut Writer, T)) {
+    w.put_u8(u8::from(v.is_some()));
+    if let Some(x) = v {
+        put(w, x);
+    }
+}
+
+fn take_opt<'a, T>(
+    r: &mut Reader<'a>,
+    take: impl FnOnce(&mut Reader<'a>) -> Result<T, PersistError>,
+) -> Result<Option<T>, PersistError> {
+    match r.take_u8()? {
+        0 => Ok(None),
+        1 => take(r).map(Some),
+        other => Err(PersistError::Corrupt(format!("unknown option tag {other}"))),
+    }
+}
+
+fn encode_binary<M: Message>(message: &M) -> Vec<u8> {
+    let mut message = message.clone();
+    let (tag, _, fields) = message.decl();
+    let mut w = Writer::new();
+    w.put_u8(PROTOCOL_VERSION);
+    w.put_u8(tag);
+    for (_, slot) in fields {
+        match slot {
+            Slot::Str(s) => w.put_str(s),
+            Slot::OptStr(s) => put_opt(&mut w, s.as_deref(), Writer::put_str),
+            Slot::U8(n) => w.put_u8(*n),
+            Slot::U64(n) => w.put_u64(*n),
+            Slot::OptU64(n) => put_opt(&mut w, *n, Writer::put_u64),
+            Slot::Usize(n) | Slot::UsizeOr(n) => w.put_usize(*n),
+            Slot::OptUsize(n) => put_opt(&mut w, *n, Writer::put_usize),
+            Slot::Goal(goal) => w.put_u8(goal.tag()),
+            Slot::Tier(tier) => w.put_u8(tier.tag()),
+        }
+    }
+    w.into_bytes()
+}
+
+fn take_tag<T>(
+    r: &mut Reader,
+    key: &str,
+    from_tag: fn(u8) -> Option<T>,
+) -> Result<T, PersistError> {
+    let tag = r.take_u8()?;
+    from_tag(tag).ok_or_else(|| PersistError::Corrupt(format!("unknown `{key}` tag {tag}")))
+}
+
+fn take_field(r: &mut Reader, key: &str, slot: Slot) -> Result<(), PersistError> {
+    match slot {
+        Slot::Str(s) => *s = r.take_str()?,
+        Slot::OptStr(s) => *s = take_opt(r, Reader::take_str)?,
+        Slot::U8(n) => *n = r.take_u8()?,
+        Slot::U64(n) => *n = r.take_u64()?,
+        Slot::OptU64(n) => *n = take_opt(r, Reader::take_u64)?,
+        Slot::Usize(n) | Slot::UsizeOr(n) => *n = r.take_usize()?,
+        Slot::OptUsize(n) => *n = take_opt(r, Reader::take_usize)?,
+        Slot::Goal(goal) => *goal = take_tag(r, key, OptGoal::from_tag)?,
+        Slot::Tier(tier) => *tier = take_tag(r, key, PropertyTier::from_tag)?,
+    }
+    Ok(())
+}
+
+fn decode_binary<M: Message>(bytes: &[u8]) -> Result<M, EaseError> {
+    let what = M::WHAT;
+    let bad = |e: PersistError| proto_err(format!("truncated {what}: {e}"));
+    let mut r = Reader::new(bytes);
+    let version = r.take_u8().map_err(bad)?;
+    if version != PROTOCOL_VERSION {
+        return Err(proto_err(format!(
+            "protocol version skew: peer speaks v{version}, this build v{PROTOCOL_VERSION}"
+        )));
+    }
+    let tag = r.take_u8().map_err(bad)?;
+    let message = decode(|t, _| t == tag, |key, slot| take_field(&mut r, key, slot).map_err(bad))?
+        .ok_or_else(|| proto_err(format!("unknown {what} tag {tag}")))?;
+    if r.remaining() != 0 {
+        return Err(proto_err(format!("{} trailing bytes after {what}", r.remaining())));
+    }
+    Ok(message)
+}
+
+// ---------------------------------------------------------------------
+// The named walker: field lists over a key → scalar source
+// ---------------------------------------------------------------------
+
+fn to_json<M: Message>(message: &M) -> String {
+    let mut message = message.clone();
+    let (_, name, fields) = message.decl();
+    let mut members = vec![(TYPE.to_string(), Value::str(name))];
+    for (key, slot) in fields {
+        let value = match slot {
+            Slot::Str(s) => Value::Str(std::mem::take(s)),
+            Slot::OptStr(s) => s.take().map_or(Value::Null, Value::Str),
+            Slot::U8(n) => Value::UInt(u64::from(*n)),
+            Slot::U64(n) => Value::UInt(*n),
+            Slot::OptU64(n) => n.map_or(Value::Null, Value::UInt),
+            Slot::Usize(n) | Slot::UsizeOr(n) => Value::UInt(*n as u64),
+            Slot::OptUsize(n) => n.map_or(Value::Null, |n| Value::UInt(n as u64)),
+            Slot::Goal(goal) => Value::str(goal_name(*goal)),
+            Slot::Tier(tier) => Value::str(tier_name(*tier)),
+        };
+        members.push((key.to_string(), value));
+    }
+    Value::Obj(members).render()
+}
+
+/// Build the `kind` variant of `M` from a named source — one that answers,
+/// for a key, the text and the unsigned integer it holds there: `Ok(None)`
+/// when it holds nothing (or `null`), `Err` when what it holds is not
+/// that. `noun` is what the source calls a pair, for error messages.
+fn from_named<'a, M: Message>(
+    kind: &str,
+    noun: &str,
+    text: impl Fn(&str) -> Result<Option<&'a str>, ()>,
+    uint: impl Fn(&str) -> Result<Option<u64>, ()>,
+) -> Result<M, EaseError> {
+    let bad = |key: &str, why: String| proto_err(format!("{noun} `{key}` {why}"));
+    let text = |key: &str| text(key).map_err(|()| bad(key, "must be a string".into()));
+    let uint = |key: &str, max: u64| match uint(key) {
+        Ok(Some(n)) if n > max => Err(bad(key, format!("is {n}, past its maximum {max}"))),
+        Ok(n) => Ok(n),
+        Err(()) => Err(bad(key, "must be an unsigned integer".into())),
+    };
+    let missing = |key: &str| proto_err(format!("missing {noun} `{key}`"));
+    let (byte, word) = (u64::from(u8::MAX), usize::MAX as u64);
+    // the `as` casts narrow a value already checked against its maximum
+    let fill = |key: &'static str, slot: Slot| {
+        match slot {
+            Slot::Str(s) => *s = text(key)?.ok_or_else(|| missing(key))?.to_string(),
+            Slot::OptStr(s) => *s = text(key)?.map(String::from),
+            Slot::U8(n) => *n = uint(key, byte)?.ok_or_else(|| missing(key))? as u8,
+            Slot::U64(n) => *n = uint(key, u64::MAX)?.ok_or_else(|| missing(key))?,
+            Slot::OptU64(n) => *n = uint(key, u64::MAX)?,
+            Slot::Usize(n) => *n = uint(key, word)?.ok_or_else(|| missing(key))? as usize,
+            Slot::OptUsize(n) => *n = uint(key, word)?.map(|n| n as usize),
+            Slot::UsizeOr(n) => *n = uint(key, word)?.map_or(*n, |n| n as usize),
+            Slot::Goal(goal) => *goal = text(key)?.map_or(Ok(*goal), goal_from_name)?,
+            Slot::Tier(tier) => *tier = text(key)?.map_or(Ok(*tier), tier_from_name)?,
+        }
+        Ok(())
+    };
+    decode(|_, name| name == kind, fill)?
+        .ok_or_else(|| proto_err(format!("unknown {} type `{kind}`", M::WHAT)))
+}
+
+fn from_json<M: Message>(src: &str) -> Result<M, EaseError> {
+    let what = M::WHAT;
+    let v = json::parse(src).map_err(|e| proto_err(format!("bad JSON {what}: {e}")))?;
+    let kind = v
+        .get(TYPE)
+        .and_then(Value::as_str)
+        .ok_or_else(|| proto_err(format!("JSON {what} has no string `{TYPE}` member")))?;
+    // strictly typed: a number spelled as a string is not a number
+    let text = |key: &str| match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(member) => member.as_str().map(Some).ok_or(()),
+    };
+    let uint = |key: &str| match v.get(key) {
+        None | Some(Value::Null) => Ok(None),
+        Some(member) => member.as_u64().map(Some).ok_or(()),
+    };
+    from_named(kind, "member", text, uint)
+}
+
 impl Request {
     /// Serialize to the versioned binary payload (framing is separate;
     /// see [`write_frame_v2`]).
     pub fn encode_binary(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(PROTOCOL_VERSION);
-        match self {
-            Request::Ping => w.put_u8(0),
-            Request::Recommend { graph, workload, k, goal, top, cwd } => {
-                w.put_u8(1);
-                w.put_str(graph);
-                w.put_str(workload);
-                w.put_opt_usize(*k);
-                w.put_u8(goal_tag(*goal));
-                w.put_usize(*top);
-                put_opt_str(&mut w, cwd);
-            }
-            Request::Features { graph, tier, cwd } => {
-                w.put_u8(2);
-                w.put_str(graph);
-                w.put_u8(tier_tag(*tier));
-                put_opt_str(&mut w, cwd);
-            }
-            Request::CacheStats => w.put_u8(3),
-            Request::Shutdown => w.put_u8(4),
-        }
-        w.into_bytes()
+        encode_binary(self)
     }
 
     /// Deserialize a binary request payload. Every malformation is a typed
     /// [`ServeError::Protocol`] — never a panic in a server worker.
     pub fn decode_binary(bytes: &[u8]) -> Result<Request, EaseError> {
-        let mut r = Reader::new(bytes);
-        let p = |e: ease_ml::PersistError| proto_err(format!("truncated request: {e}"));
-        let version = r.take_u8().map_err(p)?;
-        if version != PROTOCOL_VERSION {
-            return Err(proto_err(format!(
-                "protocol version skew: peer speaks v{version}, this build v{PROTOCOL_VERSION}"
-            )));
-        }
-        let req = match r.take_u8().map_err(p)? {
-            0 => Request::Ping,
-            1 => Request::Recommend {
-                graph: r.take_str().map_err(p)?,
-                workload: r.take_str().map_err(p)?,
-                k: r.take_opt_usize().map_err(p)?,
-                goal: goal_from_tag(r.take_u8().map_err(p)?)?,
-                top: r.take_usize().map_err(p)?,
-                cwd: take_opt_str(&mut r).map_err(p)?,
-            },
-            2 => Request::Features {
-                graph: r.take_str().map_err(p)?,
-                tier: tier_from_tag(r.take_u8().map_err(p)?)?,
-                cwd: take_opt_str(&mut r).map_err(p)?,
-            },
-            3 => Request::CacheStats,
-            4 => Request::Shutdown,
-            other => return Err(proto_err(format!("unknown request tag {other}"))),
-        };
-        if r.remaining() != 0 {
-            return Err(proto_err(format!("{} trailing bytes after request", r.remaining())));
-        }
-        Ok(req)
+        decode_binary(bytes)
     }
 
-    /// Serialize to the JSON envelope the HTTP facade speaks: a
-    /// `"type"`-discriminated object, e.g. `{"type":"ping"}`.
+    /// Serialize to the JSON envelope the HTTP facade speaks: an object
+    /// whose `type` member names the variant, then its fields by name.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
-    }
-
-    pub(crate) fn to_json_value(&self) -> Value {
-        match self {
-            Request::Ping => Value::Obj(vec![("type".into(), Value::str("ping"))]),
-            Request::Recommend { graph, workload, k, goal, top, cwd } => Value::Obj(vec![
-                ("type".into(), Value::str("recommend")),
-                ("graph".into(), Value::str(graph.clone())),
-                ("workload".into(), Value::str(workload.clone())),
-                ("k".into(), k.map_or(Value::Null, |k| Value::UInt(k as u64))),
-                ("goal".into(), Value::str(goal_name(*goal))),
-                ("top".into(), Value::UInt(*top as u64)),
-                ("cwd".into(), cwd.clone().map_or(Value::Null, Value::Str)),
-            ]),
-            Request::Features { graph, tier, cwd } => Value::Obj(vec![
-                ("type".into(), Value::str("features")),
-                ("graph".into(), Value::str(graph.clone())),
-                ("tier".into(), Value::str(tier_name(*tier))),
-                ("cwd".into(), cwd.clone().map_or(Value::Null, Value::Str)),
-            ]),
-            Request::CacheStats => Value::Obj(vec![("type".into(), Value::str("cache-stats"))]),
-            Request::Shutdown => Value::Obj(vec![("type".into(), Value::str("shutdown"))]),
-        }
+        to_json(self)
     }
 
     /// Deserialize the JSON envelope. Optional fields (`k`, `goal`, `top`,
@@ -341,211 +548,51 @@ impl Request {
     /// the CLI flags take; malformations are typed
     /// [`ServeError::Protocol`] errors.
     pub fn from_json(src: &str) -> Result<Request, EaseError> {
-        let v = json::parse(src).map_err(|e| proto_err(format!("bad JSON request: {e}")))?;
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| proto_err("JSON request has no string `type` member"))?;
-        match kind {
-            "ping" => Ok(Request::Ping),
-            "recommend" => Ok(Request::Recommend {
-                graph: json_require_str(&v, "graph")?,
-                workload: json_require_str(&v, "workload")?,
-                k: json_opt_usize(&v, "k")?,
-                goal: match json_opt_str(&v, "goal")? {
-                    Some(name) => goal_from_name(&name)?,
-                    None => OptGoal::EndToEnd,
-                },
-                top: json_opt_usize(&v, "top")?.unwrap_or(DEFAULT_TOP),
-                cwd: json_opt_str(&v, "cwd")?,
-            }),
-            "features" => Ok(Request::Features {
-                graph: json_require_str(&v, "graph")?,
-                tier: match json_opt_str(&v, "tier")? {
-                    Some(name) => tier_from_name(&name)?,
-                    None => PropertyTier::Advanced,
-                },
-                cwd: json_opt_str(&v, "cwd")?,
-            }),
-            "cache-stats" => Ok(Request::CacheStats),
-            "shutdown" => Ok(Request::Shutdown),
-            other => Err(proto_err(format!("unknown JSON request type `{other}`"))),
-        }
+        from_json(src)
+    }
+
+    /// Build the `kind` request (its JSON `type` name) from untyped text
+    /// pairs — the percent-decoded query of a `GET`, the flags of a CLI
+    /// invocation — with the field list, defaults and vocabularies
+    /// [`Request::from_json`] reads; numeric fields parse as decimal.
+    /// `noun` is what the caller calls a pair (`query parameter`, `flag`).
+    pub fn from_text<'a>(
+        kind: &str,
+        noun: &str,
+        get: impl Fn(&str) -> Option<&'a str>,
+    ) -> Result<Request, EaseError> {
+        let uint = |key: &str| get(key).map(|s| s.parse::<u64>().map_err(|_| ())).transpose();
+        from_named(kind, noun, |key| Ok(get(key)), uint)
     }
 }
 
 impl Response {
     /// Serialize to the versioned binary payload.
     pub fn encode_binary(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_u8(PROTOCOL_VERSION);
-        match self {
-            Response::Pong { version } => {
-                w.put_u8(0);
-                w.put_u8(*version);
-            }
-            Response::Answer(text) => {
-                w.put_u8(1);
-                w.put_str(text);
-            }
-            Response::CacheStats(s) => {
-                w.put_u8(2);
-                w.put_u64(s.hits);
-                w.put_u64(s.misses);
-                w.put_u64(s.evictions);
-                w.put_usize(s.len);
-                w.put_usize(s.capacity);
-                w.put_u64(s.requests_served);
-                // v2 payload bump: budget observability rides after the
-                // original fields, which are unchanged
-                match s.memory_budget_remaining {
-                    Some(remaining) => {
-                        w.put_u8(1);
-                        w.put_u64(remaining);
-                    }
-                    None => w.put_u8(0),
-                }
-                w.put_u64(s.spilled_csr_builds);
-            }
-            Response::Error(msg) => {
-                w.put_u8(3);
-                w.put_str(msg);
-            }
-            Response::ShuttingDown => w.put_u8(4),
-            Response::Overloaded { needed, headroom } => {
-                w.put_u8(5);
-                w.put_u64(*needed);
-                w.put_u64(*headroom);
-            }
-        }
-        w.into_bytes()
+        encode_binary(self)
     }
 
     /// Deserialize a binary response payload.
     pub fn decode_binary(bytes: &[u8]) -> Result<Response, EaseError> {
-        let mut r = Reader::new(bytes);
-        let p = |e: ease_ml::PersistError| proto_err(format!("truncated response: {e}"));
-        let version = r.take_u8().map_err(p)?;
-        if version != PROTOCOL_VERSION {
-            return Err(proto_err(format!(
-                "protocol version skew: peer speaks v{version}, this build v{PROTOCOL_VERSION}"
-            )));
-        }
-        let resp = match r.take_u8().map_err(p)? {
-            0 => Response::Pong { version: r.take_u8().map_err(p)? },
-            1 => Response::Answer(r.take_str().map_err(p)?),
-            2 => Response::CacheStats(ServeStats {
-                hits: r.take_u64().map_err(p)?,
-                misses: r.take_u64().map_err(p)?,
-                evictions: r.take_u64().map_err(p)?,
-                len: r.take_usize().map_err(p)?,
-                capacity: r.take_usize().map_err(p)?,
-                requests_served: r.take_u64().map_err(p)?,
-                memory_budget_remaining: match r.take_u8().map_err(p)? {
-                    0 => None,
-                    1 => Some(r.take_u64().map_err(p)?),
-                    other => return Err(proto_err(format!("unknown budget tag {other}"))),
-                },
-                spilled_csr_builds: r.take_u64().map_err(p)?,
-            }),
-            3 => Response::Error(r.take_str().map_err(p)?),
-            4 => Response::ShuttingDown,
-            5 => Response::Overloaded {
-                needed: r.take_u64().map_err(p)?,
-                headroom: r.take_u64().map_err(p)?,
-            },
-            other => return Err(proto_err(format!("unknown response tag {other}"))),
-        };
-        if r.remaining() != 0 {
-            return Err(proto_err(format!("{} trailing bytes after response", r.remaining())));
-        }
-        Ok(resp)
+        decode_binary(bytes)
     }
 
-    /// Serialize to the JSON envelope, e.g. `{"type":"answer","answer":…}`.
-    /// This is the body every HTTP response carries, so non-Rust clients
-    /// see exactly the data binary clients decode — including the verbatim
-    /// answer text, which stays bit-identical to the one-shot CLI.
+    /// Serialize to the JSON envelope: the `type` member, then the
+    /// variant's fields by name. This is the body every HTTP response
+    /// carries, so non-Rust clients see exactly the data binary clients
+    /// decode — including the verbatim answer text, which stays
+    /// bit-identical to the one-shot CLI.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
-    }
-
-    pub(crate) fn to_json_value(&self) -> Value {
-        match self {
-            Response::Pong { version } => Value::Obj(vec![
-                ("type".into(), Value::str("pong")),
-                ("version".into(), Value::UInt(u64::from(*version))),
-            ]),
-            Response::Answer(text) => Value::Obj(vec![
-                ("type".into(), Value::str("answer")),
-                ("answer".into(), Value::str(text.clone())),
-            ]),
-            Response::CacheStats(s) => Value::Obj(vec![
-                ("type".into(), Value::str("stats")),
-                ("hits".into(), Value::UInt(s.hits)),
-                ("misses".into(), Value::UInt(s.misses)),
-                ("evictions".into(), Value::UInt(s.evictions)),
-                ("len".into(), Value::UInt(s.len as u64)),
-                ("capacity".into(), Value::UInt(s.capacity as u64)),
-                ("requests_served".into(), Value::UInt(s.requests_served)),
-                (
-                    "memory_budget_remaining".into(),
-                    s.memory_budget_remaining.map_or(Value::Null, Value::UInt),
-                ),
-                ("spilled_csr_builds".into(), Value::UInt(s.spilled_csr_builds)),
-            ]),
-            Response::Error(msg) => Value::Obj(vec![
-                ("type".into(), Value::str("error")),
-                ("error".into(), Value::str(msg.clone())),
-            ]),
-            Response::ShuttingDown => {
-                Value::Obj(vec![("type".into(), Value::str("shutting-down"))])
-            }
-            Response::Overloaded { needed, headroom } => Value::Obj(vec![
-                ("type".into(), Value::str("overloaded")),
-                ("needed".into(), Value::UInt(*needed)),
-                ("headroom".into(), Value::UInt(*headroom)),
-            ]),
-        }
+        to_json(self)
     }
 
     /// Deserialize the JSON envelope (the HTTP client path).
     pub fn from_json(src: &str) -> Result<Response, EaseError> {
-        let v = json::parse(src).map_err(|e| proto_err(format!("bad JSON response: {e}")))?;
-        let kind = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| proto_err("JSON response has no string `type` member"))?;
-        match kind {
-            "pong" => {
-                let version = json_require_u64(&v, "version")?;
-                let version = u8::try_from(version)
-                    .map_err(|_| proto_err(format!("version {version} does not fit u8")))?;
-                Ok(Response::Pong { version })
-            }
-            "answer" => Ok(Response::Answer(json_require_str(&v, "answer")?)),
-            "stats" => Ok(Response::CacheStats(ServeStats {
-                hits: json_require_u64(&v, "hits")?,
-                misses: json_require_u64(&v, "misses")?,
-                evictions: json_require_u64(&v, "evictions")?,
-                len: json_require_usize(&v, "len")?,
-                capacity: json_require_usize(&v, "capacity")?,
-                requests_served: json_require_u64(&v, "requests_served")?,
-                memory_budget_remaining: json_opt_u64(&v, "memory_budget_remaining")?,
-                spilled_csr_builds: json_require_u64(&v, "spilled_csr_builds")?,
-            })),
-            "error" => Ok(Response::Error(json_require_str(&v, "error")?)),
-            "shutting-down" => Ok(Response::ShuttingDown),
-            "overloaded" => Ok(Response::Overloaded {
-                needed: json_require_u64(&v, "needed")?,
-                headroom: json_require_u64(&v, "headroom")?,
-            }),
-            other => Err(proto_err(format!("unknown JSON response type `{other}`"))),
-        }
+        from_json(src)
     }
 }
 
-// -- JSON field plumbing (names ↔ enum values, required/optional members) --
+// -- names ↔ enum values: the CLI, query-string and JSON vocabularies --
 
 /// The CLI spelling of a goal (`--goal` vocabulary), also the JSON one.
 pub fn goal_name(goal: OptGoal) -> &'static str {
@@ -566,66 +613,15 @@ pub fn goal_from_name(name: &str) -> Result<OptGoal, EaseError> {
 
 /// The CLI spelling of a property tier (`--tier` vocabulary).
 pub fn tier_name(tier: PropertyTier) -> &'static str {
-    match tier {
-        PropertyTier::Simple => "simple",
-        PropertyTier::Basic => "basic",
-        PropertyTier::Advanced => "advanced",
-    }
+    tier.name()
 }
 
 /// Parse the CLI/JSON tier vocabulary.
 pub fn tier_from_name(name: &str) -> Result<PropertyTier, EaseError> {
-    match name {
-        "simple" => Ok(PropertyTier::Simple),
-        "basic" => Ok(PropertyTier::Basic),
-        "advanced" => Ok(PropertyTier::Advanced),
-        other => Err(proto_err(format!("unknown tier `{other}` (expected simple|basic|advanced)"))),
-    }
-}
-
-fn json_require_str(v: &Value, key: &str) -> Result<String, EaseError> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| proto_err(format!("missing or non-string `{key}` member")))
-}
-
-fn json_require_u64(v: &Value, key: &str) -> Result<u64, EaseError> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| proto_err(format!("missing or non-integer `{key}` member")))
-}
-
-fn json_require_usize(v: &Value, key: &str) -> Result<usize, EaseError> {
-    let n = json_require_u64(v, key)?;
-    usize::try_from(n).map_err(|_| proto_err(format!("`{key}` member {n} does not fit usize")))
-}
-
-/// Missing or `null` members read as `None`; a present member must be a
-/// string.
-fn json_opt_str(v: &Value, key: &str) -> Result<Option<String>, EaseError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::Str(s)) => Ok(Some(s.clone())),
-        Some(_) => Err(proto_err(format!("`{key}` member must be a string or null"))),
-    }
-}
-
-fn json_opt_u64(v: &Value, key: &str) -> Result<Option<u64>, EaseError> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(Value::UInt(n)) => Ok(Some(*n)),
-        Some(_) => Err(proto_err(format!("`{key}` member must be an unsigned integer or null"))),
-    }
-}
-
-fn json_opt_usize(v: &Value, key: &str) -> Result<Option<usize>, EaseError> {
-    match json_opt_u64(v, key)? {
-        None => Ok(None),
-        Some(n) => usize::try_from(n)
-            .map(Some)
-            .map_err(|_| proto_err(format!("`{key}` member {n} does not fit usize"))),
-    }
+    PropertyTier::ALL
+        .into_iter()
+        .find(|tier| tier.name() == name)
+        .ok_or_else(|| proto_err(format!("unknown tier `{name}` (expected simple|basic|advanced)")))
 }
 
 // ---------------------------------------------------------------------

@@ -58,8 +58,8 @@ pub const MAX_PROBE_BACKOFF: Duration = Duration::from_secs(10);
 pub struct RouterConfig {
     /// The router's own listening endpoints and connection-pool bounds —
     /// the same shape the daemon uses, because the router *is* the daemon
-    /// stack with a forwarding handler. `fingerprint_memo` and
-    /// `memory_budget` are ignored (the backends own those).
+    /// stack with a forwarding handler. `memory_budget` is ignored (the
+    /// backends own it).
     pub listen: ServeConfig,
     /// The backend fleet, each an `ease serve` daemon speaking v2.
     pub backends: Vec<Endpoint>,
@@ -442,16 +442,7 @@ mod unix_router {
         /// The fleet-wide `cache-stats` view: every healthy backend's
         /// snapshot folded into one (see [`ServeStats::absorb`]).
         fn fleet_stats(&self) -> Response {
-            let mut fleet = ServeStats {
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-                len: 0,
-                capacity: 0,
-                requests_served: 0,
-                memory_budget_remaining: None,
-                spilled_csr_builds: 0,
-            };
+            let mut fleet = ServeStats::default();
             let mut reached = 0usize;
             for backend in &self.backends {
                 if !backend.is_healthy() {

@@ -221,9 +221,9 @@ mod unix_server {
     /// and bounded by the shared memory budget.
     struct LocalHandler {
         service: Arc<EaseService>,
-        /// Stat-keyed fingerprint memo (see [`ServeConfig::fingerprint_memo`]
-        /// and [`LocalHandler::recommend_answer`]); `None` when disabled.
-        graph_memo: Option<Mutex<HashMap<PathBuf, MemoEntry>>>,
+        /// Stat-keyed fingerprint memo (see
+        /// [`LocalHandler::recommend_answer`]).
+        graph_memo: Mutex<HashMap<PathBuf, MemoEntry>>,
         /// Shared memory budget for per-request derived state (see
         /// [`ServeConfig::memory_budget`]): all concurrently-executing
         /// requests charge the same pool, so total daemon CSR heap stays
@@ -439,7 +439,7 @@ mod unix_server {
     ) -> Result<ServerHandle, EaseError> {
         let handler = Arc::new(LocalHandler {
             service,
-            graph_memo: config.fingerprint_memo.then(|| Mutex::new(HashMap::new())),
+            graph_memo: Mutex::new(HashMap::new()),
             memory_budget: config.memory_budget.clone(),
         });
         serve_with_handler(handler, config)
@@ -902,13 +902,12 @@ mod unix_server {
             // client wrote it (one-shot answer parity)
             let path = resolve_graph_path(graph, cwd.as_deref());
 
-            let stamped_memo =
-                self.graph_memo.as_ref().and_then(|m| file_stamp(&path).map(|s| (m, s)));
-            if let Some((memo, stamp)) = &stamped_memo {
+            let stamp = file_stamp(&path);
+            if let Some(stamp) = stamp {
                 let remembered = {
-                    let memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+                    let memo = self.graph_memo.lock().unwrap_or_else(PoisonError::into_inner);
                     memo.get(&path)
-                        .filter(|e| e.stamp == *stamp)
+                        .filter(|e| e.stamp == stamp)
                         .map(|e| (e.fingerprint, e.num_vertices, e.edge_count))
                 };
                 if let Some((fingerprint, n, m)) = remembered {
@@ -934,10 +933,10 @@ mod unix_server {
             // memoize only if the file did not change while we read it: the
             // pre-open stamp still matching means the fingerprint we just
             // computed really describes the bytes that stamp names
-            if let Some((memo, before)) = stamped_memo {
+            if let Some(before) = stamp {
                 if file_stamp(&path) == Some(before) {
                     let fingerprint = prepared.fingerprint();
-                    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+                    let mut memo = self.graph_memo.lock().unwrap_or_else(PoisonError::into_inner);
                     if memo.len() >= GRAPH_MEMO_CAPACITY && !memo.contains_key(&path) {
                         if let Some(evict) = memo.keys().next().cloned() {
                             memo.remove(&evict);

@@ -580,10 +580,7 @@ impl EaseService {
             TimingMode::Deterministic => 1,
         });
         w.put_usize(self.meta.default_k);
-        w.put_u8(match self.meta.default_goal {
-            OptGoal::EndToEnd => 0,
-            OptGoal::ProcessingOnly => 1,
-        });
+        w.put_u8(self.meta.default_goal.tag());
         // catalog
         w.put_usize(self.ease.catalog.len());
         for p in &self.ease.catalog {
@@ -591,7 +588,7 @@ impl EaseService {
         }
         // quality predictor
         let qp = self.ease.quality.to_params();
-        w.put_u8(tier_tag(qp.tier));
+        w.put_u8(qp.tier.tag());
         w.put_usize(qp.targets.len());
         for (target, c, model) in &qp.targets {
             w.put_u8(target_tag(*target));
@@ -640,11 +637,9 @@ impl EaseService {
             }
         };
         let default_k = r.take_usize()?;
-        let default_goal = match r.take_u8()? {
-            0 => OptGoal::EndToEnd,
-            1 => OptGoal::ProcessingOnly,
-            other => return Err(PersistError::Corrupt(format!("unknown goal tag {other}")).into()),
-        };
+        let goal_tag = r.take_u8()?;
+        let default_goal = OptGoal::from_tag(goal_tag)
+            .ok_or_else(|| PersistError::Corrupt(format!("unknown goal tag {goal_tag}")))?;
         // catalog
         let n_catalog = r.take_usize()?;
         if n_catalog > PartitionerId::ALL.len() {
@@ -659,7 +654,10 @@ impl EaseService {
             catalog.push(partitioner_from_tag(r.take_u8()?)?);
         }
         // quality predictor
-        let tier = tier_from_tag(r.take_u8()?)?;
+        let tier_tag = r.take_u8()?;
+        let tier = PropertyTier::from_tag(tier_tag).ok_or_else(|| {
+            PersistError::Corrupt(format!("unknown property tier tag {tier_tag}"))
+        })?;
         let n_targets = r.take_usize()?;
         if n_targets > QualityTarget::ALL.len() {
             return Err(
@@ -759,23 +757,6 @@ impl EaseService {
 // ---------------------------------------------------------------------
 // Small enum codecs
 // ---------------------------------------------------------------------
-
-fn tier_tag(tier: PropertyTier) -> u8 {
-    match tier {
-        PropertyTier::Simple => 0,
-        PropertyTier::Basic => 1,
-        PropertyTier::Advanced => 2,
-    }
-}
-
-fn tier_from_tag(tag: u8) -> Result<PropertyTier, PersistError> {
-    match tag {
-        0 => Ok(PropertyTier::Simple),
-        1 => Ok(PropertyTier::Basic),
-        2 => Ok(PropertyTier::Advanced),
-        other => Err(PersistError::Corrupt(format!("unknown property tier tag {other}"))),
-    }
-}
 
 fn target_tag(target: QualityTarget) -> u8 {
     // lint: panic-ok(every QualityTarget variant is in ALL by construction)

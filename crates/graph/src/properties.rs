@@ -30,6 +30,16 @@ impl PropertyTier {
             PropertyTier::Advanced => "advanced",
         }
     }
+
+    /// The byte every binary format (saved services, the serve wire)
+    /// stores a tier as: its position in [`Self::ALL`].
+    pub fn tag(self) -> u8 {
+        self as u8
+    }
+
+    pub fn from_tag(tag: u8) -> Option<PropertyTier> {
+        Self::ALL.get(usize::from(tag)).copied()
+    }
 }
 
 /// Extracted graph properties (paper Sec. II-B).

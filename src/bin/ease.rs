@@ -29,13 +29,13 @@ use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::bel::{BelSource, BelWriter};
 use ease_repro::graph::io::TextEdgeListWriter;
 use ease_repro::graph::source::TextStreamSource;
-use ease_repro::graph::{is_bel_path, open_path, Edge, GraphSource, MemoryBudget, PropertyTier};
+use ease_repro::graph::{is_bel_path, open_path, Edge, GraphSource, MemoryBudget};
 use ease_repro::graphgen::realworld::{generate_typed, GraphType};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::graphgen::Scale;
 use ease_repro::procsim::Workload;
-use ease_repro::serve::{self, Endpoint, Request, RouterConfig, ServeConfig};
-use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal};
+use ease_repro::serve::{self, Endpoint, Request, Response, RouterConfig, ServeConfig};
+use ease_repro::{EaseError, EaseService, EaseServiceBuilder, ServeError};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -180,8 +180,7 @@ fn main() -> ExitCode {
     };
     let result = match cmd.as_str() {
         "train" => cmd_train(&args[1..]),
-        "recommend" => cmd_recommend(&args[1..]),
-        "features" => cmd_features(&args[1..]),
+        "recommend" | "features" => cmd_query(cmd, &args[1..], true),
         "inspect" => cmd_inspect(&args[1..]),
         "gen" => cmd_gen(&args[1..]),
         "convert" => cmd_convert(&args[1..]),
@@ -200,6 +199,10 @@ fn main() -> ExitCode {
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Help) => {
+            print!("{USAGE}");
+            ExitCode::SUCCESS
+        }
         Err(CliError::Usage(msg)) => {
             eprintln!("usage error: {msg} (see `ease --help`)");
             ExitCode::from(2)
@@ -212,6 +215,8 @@ fn main() -> ExitCode {
 }
 
 enum CliError {
+    /// `--help` among a subcommand's flags.
+    Help,
     Usage(String),
     Ease(EaseError),
 }
@@ -234,19 +239,36 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String], switches: &[&str]) -> Result<Flags, CliError> {
+    /// Parse the flags of `ease <sub>`, which takes the `values` flags
+    /// (each followed by a value) and the `switches`; anything else is a
+    /// usage error naming what is accepted, so a typo is never ignored.
+    fn parse(
+        sub: &str,
+        args: &[String],
+        values: &[&str],
+        switches: &[&str],
+    ) -> Result<Flags, CliError> {
         let mut pairs = Vec::new();
-        let mut it = args.iter().peekable();
+        let mut it = args.iter();
         while let Some(arg) = it.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(CliError::Usage(format!("unexpected argument `{arg}`")));
             };
-            if switches.contains(&name) {
+            if name == "help" {
+                return Err(CliError::Help);
+            } else if switches.contains(&name) {
                 pairs.push((name.to_string(), None));
-            } else {
+            } else if values.contains(&name) {
                 let value =
                     it.next().ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
                 pairs.push((name.to_string(), Some(value.clone())));
+            } else {
+                let accepted: Vec<String> =
+                    values.iter().chain(switches).map(|flag| format!("--{flag}")).collect();
+                return Err(CliError::Usage(format!(
+                    "unknown flag --{name} for ease {sub} (accepted: {})",
+                    accepted.join(", ")
+                )));
             }
         }
         Ok(Flags { pairs })
@@ -290,23 +312,6 @@ fn parse_scale(flags: &Flags) -> Result<Scale, CliError> {
 
 fn parse_workload(name: &str) -> Result<Workload, CliError> {
     Workload::from_name(name).ok_or_else(|| CliError::Usage(format!("unknown workload `{name}`")))
-}
-
-fn parse_goal(flags: &Flags) -> Result<OptGoal, CliError> {
-    Ok(match flags.get("goal") {
-        None | Some("e2e") => OptGoal::EndToEnd,
-        Some("processing") | Some("proc") => OptGoal::ProcessingOnly,
-        Some(other) => return Err(CliError::Usage(format!("unknown goal `{other}`"))),
-    })
-}
-
-fn parse_tier(flags: &Flags) -> Result<PropertyTier, CliError> {
-    Ok(match flags.get("tier") {
-        None | Some("advanced") => PropertyTier::Advanced,
-        Some("basic") => PropertyTier::Basic,
-        Some("simple") => PropertyTier::Simple,
-        Some(other) => return Err(CliError::Usage(format!("unknown tier `{other}`"))),
-    })
 }
 
 /// A streaming edge writer, format-dispatched like [`open_graph`].
@@ -399,7 +404,12 @@ fn same_file(a: &Path, b: &Path) -> bool {
 }
 
 fn cmd_train(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["quick", "deterministic"])?;
+    let flags = Flags::parse(
+        "train",
+        args,
+        &["out", "scale", "folds", "seed", "k", "max-small", "max-large"],
+        &["quick", "deterministic"],
+    )?;
     let out = PathBuf::from(flags.require("out")?);
     let scale = parse_scale(&flags)?;
     let mut builder = EaseServiceBuilder::at_scale(scale);
@@ -447,48 +457,61 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The recommend query shared by the one-shot path, the `--endpoint` proxy
-/// and `ease client recommend` — all three parse the same flags.
-struct RecommendArgs {
-    graph: String,
-    workload_name: String,
-    k: Option<usize>,
-    goal: OptGoal,
-    top: usize,
-}
-
-impl RecommendArgs {
-    fn from_flags(flags: &Flags) -> Result<RecommendArgs, CliError> {
-        let workload_name = flags.get("workload").unwrap_or("pr").to_string();
-        // validate client-side so a typo is a usage error (exit 2) before
-        // any socket or model is touched — identical to one-shot behaviour
-        parse_workload(&workload_name)?;
-        Ok(RecommendArgs {
-            graph: flags.require("graph")?.to_string(),
-            workload_name,
-            k: flags.parse_num::<usize>("k")?,
-            goal: parse_goal(flags)?,
-            top: flags.parse_num::<usize>("top")?.unwrap_or(serve::DEFAULT_TOP),
-        })
-    }
-
-    fn into_request(self) -> Request {
-        Request::Recommend {
-            graph: self.graph,
-            workload: self.workload_name,
-            k: self.k,
-            goal: self.goal,
-            top: self.top,
-            cwd: client_cwd(),
+/// `ease [client] recommend|features`: parse the flags into the
+/// [`Request`] they spell — through the walker that decodes the same
+/// query from JSON and from a `GET` query string, so field names,
+/// defaults and vocabularies cannot drift — then send it to the daemon
+/// `--endpoint` names, or (`one_shot`) answer it in this process.
+fn cmd_query(kind: &str, args: &[String], one_shot: bool) -> Result<(), CliError> {
+    let sub = if one_shot { kind.to_string() } else { format!("client {kind}") };
+    // `features` also takes its graph as a leading positional
+    let (positional, rest) = match args.split_first() {
+        Some((first, rest)) if kind == "features" && !first.starts_with("--") => {
+            (Some(first.as_str()), rest)
         }
+        _ => (None, args),
+    };
+    // the flags that spell the query (the wire names of the request's
+    // fields), and those only a local answer takes on top
+    let (query, local): (&[&str], &[&str]) = match kind {
+        "features" => (&["graph", "tier", "endpoint"], &["memory-budget"]),
+        _ => (&["graph", "workload", "k", "goal", "top", "endpoint"], &["model", "memory-budget"]),
+    };
+    let accepted = if one_shot { [query, local].concat() } else { query.to_vec() };
+    let flags = Flags::parse(&sub, rest, &accepted, &[])?;
+    if kind == "features" && positional.or(flags.get("graph")).is_none() {
+        return Err(CliError::Usage("features needs an edge-list path".into()));
     }
-}
-
-/// The client's working directory, sent with daemon-bound requests so the
-/// server resolves relative graph paths against *this* process's cwd, not
-/// the daemon's.
-fn client_cwd() -> Option<String> {
-    std::env::current_dir().ok().and_then(|d| d.to_str().map(String::from))
+    // sent along so the server resolves relative graph paths against
+    // *this* process's working directory, not the daemon's
+    let cwd = std::env::current_dir().ok().and_then(|d| d.to_str().map(String::from));
+    let request = Request::from_text(kind, "flag", |key| match key {
+        "cwd" => cwd.as_deref(),
+        "graph" => positional.or(flags.get(key)),
+        "workload" => flags.get(key).or(Some("pr")),
+        _ => flags.get(key),
+    })
+    .map_err(|e| match e {
+        EaseError::Serve(ServeError::Protocol(msg)) => CliError::Usage(msg),
+        other => CliError::Ease(other),
+    })?;
+    // validate client-side so a typo is a usage error (exit 2) before any
+    // socket or model is touched — identical to one-shot behaviour
+    if let Request::Recommend { workload, .. } = &request {
+        parse_workload(workload)?;
+    }
+    let budget = memory_budget_flag(&flags)?;
+    match daemon_endpoint(&flags)? {
+        // proxy: the daemon's warm service answers; no model load here
+        // (budgeting is the daemon's own --memory-budget, not the client's)
+        Some(endpoint) => {
+            let response = serve::call_endpoint(&endpoint, &request)?;
+            print!("{}", serve::expect_answer(response)?);
+            Ok(())
+        }
+        None if one_shot => answer_one_shot(&flags, request, budget),
+        None => Err(CliError::Usage("--endpoint is required".into())),
+    }
 }
 
 /// `--memory-budget <size>`: cap for derived analysis state (CSRs); builds
@@ -505,38 +528,43 @@ fn memory_budget_flag(flags: &Flags) -> Result<Option<Arc<MemoryBudget>>, CliErr
     }
 }
 
-/// Answer a recommend query locally from a saved model — the one-shot path.
-/// Rendering and extraction go through [`serve::render_recommendation`],
-/// the same function the daemon answers with, so both paths emit identical
-/// bytes for identical queries.
-fn recommend_one_shot(
-    model: &Path,
-    q: RecommendArgs,
+/// Answer a query in this process — the one-shot path. Rendering and
+/// extraction go through [`serve::render_recommendation`] and
+/// [`serve::render_features`], the functions the daemon answers with, so
+/// both paths emit identical bytes for identical queries.
+fn answer_one_shot(
+    flags: &Flags,
+    request: Request,
     budget: Option<Arc<MemoryBudget>>,
 ) -> Result<(), CliError> {
-    let service = EaseService::load(model)?;
-    let workload = parse_workload(&q.workload_name)?;
-    // format-dispatched ingestion: `.bel` mmaps, text materializes
-    let source = open_path(Path::new(&q.graph)).map_err(EaseError::from)?;
-    let k = q.k.unwrap_or(service.meta().default_k);
-    let text = serve::render_recommendation(
-        &service,
-        &q.graph,
-        source.as_ref(),
-        workload,
-        k,
-        q.goal,
-        q.top,
-        budget.as_ref(),
-    )?;
+    let text = match request {
+        Request::Recommend { graph, workload, k, goal, top, .. } => {
+            let model = flags.get("model").ok_or_else(|| {
+                CliError::Usage("--model is required (or --endpoint to query a daemon)".into())
+            })?;
+            let service = EaseService::load(Path::new(model))?;
+            let workload = parse_workload(&workload)?;
+            // format-dispatched ingestion: `.bel` mmaps, text materializes
+            let source = open_path(Path::new(&graph)).map_err(EaseError::from)?;
+            let k = k.unwrap_or(service.meta().default_k);
+            serve::render_recommendation(
+                &service,
+                &graph,
+                source.as_ref(),
+                workload,
+                k,
+                goal,
+                top,
+                budget.as_ref(),
+            )?
+        }
+        Request::Features { graph, tier, .. } => {
+            let source = open_path(Path::new(&graph)).map_err(EaseError::from)?;
+            serve::render_features(&graph, source.as_ref(), tier, budget.as_ref())?
+        }
+        other => return Err(CliError::Usage(format!("{other:?} is not a one-shot query"))),
+    };
     print!("{text}");
-    Ok(())
-}
-
-/// Send one request to a daemon and print the rendered answer verbatim.
-fn proxy_to_daemon(endpoint: &Endpoint, request: Request) -> Result<(), CliError> {
-    let response = serve::call_endpoint(endpoint, &request)?;
-    print!("{}", serve::expect_answer(response)?);
     Ok(())
 }
 
@@ -558,109 +586,83 @@ fn daemon_endpoint(flags: &Flags) -> Result<Option<Endpoint>, CliError> {
         .transpose()
 }
 
-fn cmd_recommend(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
-    let q = RecommendArgs::from_flags(&flags)?;
-    let budget = memory_budget_flag(&flags)?;
-    match daemon_endpoint(&flags)? {
-        // proxy: the daemon's warm service answers; no model load here
-        // (budgeting is the daemon's own --memory-budget, not the client's)
-        Some(endpoint) => proxy_to_daemon(&endpoint, q.into_request()),
-        None => {
-            let model = flags.get("model").ok_or_else(|| {
-                CliError::Usage("--model is required (or --endpoint to query a daemon)".into())
-            })?;
-            recommend_one_shot(Path::new(model), q, budget)
-        }
-    }
-}
-
-/// Parse the `features` argument shape: a positional edge-list path or
-/// `--graph`, plus flags.
-fn features_args(args: &[String]) -> Result<(String, Flags), CliError> {
-    let (positional, rest) = match args.first() {
-        Some(first) if !first.starts_with("--") => (Some(first.clone()), &args[1..]),
-        _ => (None, args),
-    };
-    let flags = Flags::parse(rest, &[])?;
-    let graph = match (positional, flags.get("graph")) {
-        (Some(p), _) => p,
-        (None, Some(p)) => p.to_string(),
-        (None, None) => return Err(CliError::Usage("features needs an edge-list path".into())),
-    };
-    Ok((graph, flags))
-}
-
-fn cmd_features(args: &[String]) -> Result<(), CliError> {
-    let (graph, flags) = features_args(args)?;
-    let tier = parse_tier(&flags)?;
-    if let Some(endpoint) = daemon_endpoint(&flags)? {
-        return proxy_to_daemon(&endpoint, Request::Features { graph, tier, cwd: client_cwd() });
-    }
-    let budget = memory_budget_flag(&flags)?;
-    let source = open_path(Path::new(&graph)).map_err(EaseError::from)?;
-    print!("{}", serve::render_features(&graph, source.as_ref(), tier, budget.as_ref())?);
-    Ok(())
-}
-
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
-    let model = PathBuf::from(flags.require("model")?);
+/// The listener half of `ease serve` and `ease route`: `--socket` and/or
+/// the TCP address under `tcp_flag`, `--workers`, `--in-flight`.
+fn listen_config(sub: &str, flags: &Flags, tcp_flag: &str) -> Result<ServeConfig, CliError> {
     let socket = flags.get("socket").map(PathBuf::from);
-    let tcp = flags.get("tcp").map(String::from);
-    if socket.is_none() && tcp.is_none() {
-        return Err(CliError::Usage("serve needs --socket and/or --tcp".into()));
-    }
-    let workers = flags.parse_num::<usize>("workers")?.unwrap_or_else(ServeConfig::default_workers);
-    if workers == 0 {
-        return Err(CliError::Usage("--workers must be >= 1".into()));
-    }
-    let mut config = match &socket {
-        Some(path) => ServeConfig::at(path),
-        None => ServeConfig::tcp_at(tcp.clone().expect("tcp or socket is set")),
-    };
-    if socket.is_some() {
-        if let Some(addr) = tcp {
-            config = config.tcp(addr);
+    let mut config = match (socket, flags.get(tcp_flag)) {
+        (Some(path), Some(addr)) => ServeConfig::at(path).tcp(addr),
+        (Some(path), None) => ServeConfig::at(path),
+        (None, Some(addr)) => ServeConfig::tcp_at(addr),
+        (None, None) => {
+            return Err(CliError::Usage(format!("{sub} needs --socket and/or --{tcp_flag}")))
         }
+    };
+    if let Some(workers) = flags.parse_num::<usize>("workers")? {
+        if workers == 0 {
+            return Err(CliError::Usage("--workers must be >= 1".into()));
+        }
+        config = config.workers(workers);
     }
-    config = config.workers(workers);
     if let Some(in_flight) = flags.parse_num::<usize>("in-flight")? {
         if in_flight == 0 {
             return Err(CliError::Usage("--in-flight must be >= 1".into()));
         }
         config = config.pipeline_in_flight(in_flight);
     }
+    Ok(config)
+}
+
+/// Announce a started listener stack as `ease <sub>: <what> on <endpoints>
+/// (<detail>)` plus the command that stops it, then serve until shutdown.
+fn run_listener(
+    sub: &str,
+    what: &str,
+    detail: &str,
+    handle: serve::ServerHandle,
+) -> Result<(), CliError> {
+    // the *resolved* TCP address: with port 0 this is where the kernel
+    // actually put us, and the only place a client can learn it
+    let endpoints: Vec<String> = handle
+        .socket_path()
+        .map(|path| format!("unix:{}", path.display()))
+        .into_iter()
+        .chain(handle.tcp_addr().map(|addr| format!("tcp:{addr}")))
+        .collect();
+    eprintln!("ease {sub}: {what} on {} ({detail})", endpoints.join(" + "));
+    if let Some(stop) = endpoints.first() {
+        eprintln!("ease {sub}: stop with `ease client shutdown --endpoint {stop}`");
+    }
+    let summary = handle.join()?;
+    eprintln!("ease {sub}: drained after {} requests", summary.requests_served);
+    Ok(())
+}
+
+fn cmd_serve(args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse(
+        "serve",
+        args,
+        &["model", "socket", "tcp", "workers", "in-flight", "memory-budget"],
+        &[],
+    )?;
+    let model = PathBuf::from(flags.require("model")?);
+    let mut config = listen_config("serve", &flags, "tcp")?;
     if let Some(budget) = memory_budget_flag(&flags)? {
         config = config.memory_budget(budget);
     }
+    let workers = config.workers;
     let service = Arc::new(EaseService::load(&model)?);
     let cache = service.property_cache_stats();
     let handle = serve::serve(service, config)?;
-    let mut endpoints = Vec::new();
-    if let Some(path) = handle.socket_path() {
-        endpoints.push(format!("unix:{}", path.display()));
-    }
-    if let Some(addr) = handle.tcp_addr() {
-        // the *resolved* address: with `--tcp host:0` this is where the
-        // kernel actually put us, and the only place a client can learn it
-        endpoints.push(format!("tcp:{addr}"));
-    }
-    eprintln!(
-        "ease serve: model {} on {} ({workers} workers, property cache {} warm / {} capacity)",
-        model.display(),
-        endpoints.join(" + "),
-        cache.len,
-        cache.capacity,
-    );
-    let stop = match handle.socket_path() {
-        Some(path) => format!("unix:{}", path.display()),
-        None => format!("tcp:{}", handle.tcp_addr().expect("no socket implies tcp")),
-    };
-    eprintln!("ease serve: stop with `ease client shutdown --endpoint {stop}`");
-    let summary = handle.join()?;
-    eprintln!("ease serve: drained after {} requests", summary.requests_served);
-    Ok(())
+    run_listener(
+        "serve",
+        &format!("model {}", model.display()),
+        &format!(
+            "{workers} workers, property cache {} warm / {} capacity",
+            cache.len, cache.capacity
+        ),
+        handle,
+    )
 }
 
 /// A `--backend` endpoint spec, parsed with the shared [`Endpoint::parse`]
@@ -680,40 +682,22 @@ fn parse_backend(spec: &str) -> Result<Endpoint, CliError> {
 }
 
 fn cmd_route(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &["no-forward-shutdown"])?;
+    let flags = Flags::parse(
+        "route",
+        args,
+        &["backend", "listen", "socket", "workers", "in-flight", "health-interval-ms"],
+        &["no-forward-shutdown"],
+    )?;
     let backends: Vec<Endpoint> =
         flags.get_all("backend").into_iter().map(parse_backend).collect::<Result<_, _>>()?;
     if backends.is_empty() {
         return Err(CliError::Usage("route needs at least one --backend".into()));
     }
-    let socket = flags.get("socket").map(PathBuf::from);
-    let listen = flags.get("listen").map(String::from);
-    if socket.is_none() && listen.is_none() {
-        return Err(CliError::Usage("route needs --listen and/or --socket".into()));
-    }
-    let workers = flags.parse_num::<usize>("workers")?.unwrap_or_else(ServeConfig::default_workers);
-    if workers == 0 {
-        return Err(CliError::Usage("--workers must be >= 1".into()));
-    }
-    let mut listen_config = match &socket {
-        Some(path) => ServeConfig::at(path),
-        None => ServeConfig::tcp_at(listen.clone().expect("listen or socket is set")),
-    };
-    if socket.is_some() {
-        if let Some(addr) = listen {
-            listen_config = listen_config.tcp(addr);
-        }
-    }
-    listen_config = listen_config.workers(workers);
-    if let Some(in_flight) = flags.parse_num::<usize>("in-flight")? {
-        if in_flight == 0 {
-            return Err(CliError::Usage("--in-flight must be >= 1".into()));
-        }
-        listen_config = listen_config.pipeline_in_flight(in_flight);
-    }
+    let listen = listen_config("route", &flags, "listen")?;
+    let workers = listen.workers;
     let n = backends.len();
-    let mut config = RouterConfig::new(listen_config, backends)
-        .forward_shutdown(!flags.has("no-forward-shutdown"));
+    let mut config =
+        RouterConfig::new(listen, backends).forward_shutdown(!flags.has("no-forward-shutdown"));
     if let Some(ms) = flags.parse_num::<u64>("health-interval-ms")? {
         if ms == 0 {
             return Err(CliError::Usage("--health-interval-ms must be >= 1".into()));
@@ -721,96 +705,52 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
         config = config.health_interval(std::time::Duration::from_millis(ms));
     }
     let handle = serve::route(config)?;
-    let mut endpoints = Vec::new();
-    if let Some(path) = handle.socket_path() {
-        endpoints.push(format!("unix:{}", path.display()));
-    }
-    if let Some(addr) = handle.tcp_addr() {
-        endpoints.push(format!("tcp:{addr}"));
-    }
-    eprintln!(
-        "ease route: fronting {n} backend(s) on {} ({workers} workers)",
-        endpoints.join(" + ")
-    );
-    let stop = match handle.socket_path() {
-        Some(path) => format!("unix:{}", path.display()),
-        None => format!("tcp:{}", handle.tcp_addr().expect("no socket implies tcp")),
-    };
-    eprintln!("ease route: stop with `ease client shutdown --endpoint {stop}`");
-    let summary = handle.join()?;
-    eprintln!("ease route: drained after {} requests", summary.requests_served);
-    Ok(())
+    run_listener(
+        "route",
+        &format!("fronting {n} backend(s)"),
+        &format!("{workers} workers"),
+        handle,
+    )
 }
 
 fn cmd_client(args: &[String]) -> Result<(), CliError> {
-    let Some(action) = args.first() else {
+    let Some((action, rest)) = args.split_first() else {
         return Err(CliError::Usage(
             "client needs an action: recommend | features | cache-stats | ping | shutdown".into(),
         ));
     };
-    let rest = &args[1..];
-    match action.as_str() {
-        "recommend" => {
-            let flags = Flags::parse(rest, &[])?;
-            let endpoint = client_endpoint(&flags)?;
-            let q = RecommendArgs::from_flags(&flags)?;
-            proxy_to_daemon(&endpoint, q.into_request())
-        }
-        "features" => {
-            let (graph, flags) = features_args(rest)?;
-            let endpoint = client_endpoint(&flags)?;
-            let tier = parse_tier(&flags)?;
-            proxy_to_daemon(&endpoint, Request::Features { graph, tier, cwd: client_cwd() })
-        }
-        "cache-stats" => {
-            let endpoint = client_endpoint(&Flags::parse(rest, &[])?)?;
-            match serve::call_endpoint(&endpoint, &Request::CacheStats)? {
-                serve::Response::CacheStats(stats) => {
-                    print!("{}", stats.render());
-                    Ok(())
-                }
-                other => Err(unexpected_response(other)),
-            }
-        }
-        "ping" => {
-            let endpoint = client_endpoint(&Flags::parse(rest, &[])?)?;
-            match serve::call_endpoint(&endpoint, &Request::Ping)? {
-                serve::Response::Pong { version } => {
-                    println!("pong (protocol v{version})");
-                    Ok(())
-                }
-                other => Err(unexpected_response(other)),
-            }
-        }
-        "shutdown" => {
-            let endpoint = client_endpoint(&Flags::parse(rest, &[])?)?;
-            match serve::call_endpoint(&endpoint, &Request::Shutdown)? {
-                serve::Response::ShuttingDown => {
-                    eprintln!("daemon on {endpoint} is shutting down");
-                    Ok(())
-                }
-                other => Err(unexpected_response(other)),
-            }
-        }
-        other => Err(CliError::Usage(format!(
+    let request = match action.as_str() {
+        "recommend" | "features" => return cmd_query(action, rest, false),
+        "cache-stats" => Request::CacheStats,
+        "ping" => Request::Ping,
+        "shutdown" => Request::Shutdown,
+        other => {
+            return Err(CliError::Usage(format!(
             "unknown client action `{other}` (recommend | features | cache-stats | ping | shutdown)"
-        ))),
+        )))
+        }
+    };
+    let flags = Flags::parse(&format!("client {action}"), rest, &["endpoint"], &[])?;
+    let endpoint =
+        daemon_endpoint(&flags)?.ok_or_else(|| CliError::Usage("--endpoint is required".into()))?;
+    match (&request, serve::call_endpoint(&endpoint, &request)?) {
+        (Request::CacheStats, Response::CacheStats(stats)) => print!("{}", stats.render()),
+        (Request::Ping, Response::Pong { version }) => println!("pong (protocol v{version})"),
+        (Request::Shutdown, Response::ShuttingDown) => {
+            eprintln!("daemon on {endpoint} is shutting down");
+        }
+        (_, other) => {
+            return Err(EaseError::from(ServeError::Protocol(format!(
+                "unexpected response {other:?}"
+            )))
+            .into())
+        }
     }
-}
-
-/// `--endpoint <ep>` on `ease client`, where it is required.
-fn client_endpoint(flags: &Flags) -> Result<Endpoint, CliError> {
-    daemon_endpoint(flags)?.ok_or_else(|| CliError::Usage("--endpoint is required".into()))
-}
-
-fn unexpected_response(response: serve::Response) -> CliError {
-    CliError::Ease(
-        ease_repro::ServeError::Protocol(format!("unexpected response {response:?}")).into(),
-    )
+    Ok(())
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse("inspect", args, &["model"], &[])?;
     let model = PathBuf::from(flags.require("model")?);
     let service = EaseService::load(&model)?;
     let info = service.info();
@@ -839,7 +779,12 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse(
+        "gen",
+        args,
+        &["out", "kind", "format", "scale", "seed", "vertices", "edges", "combo"],
+        &[],
+    )?;
     let out = PathBuf::from(flags.require("out")?);
     let scale = parse_scale(&flags)?;
     let seed = flags.parse_num::<u64>("seed")?.unwrap_or(42);
@@ -902,7 +847,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(args, &[])?;
+    let flags = Flags::parse("convert", args, &["in", "out", "format"], &[])?;
     let input = PathBuf::from(flags.require("in")?);
     let output = PathBuf::from(flags.require("out")?);
     let io_err = |e: std::io::Error| CliError::Ease(EaseError::Io(e));

@@ -277,6 +277,54 @@ fn retired_endpoint_flags_are_usage_errors_naming_endpoint() {
 }
 
 #[test]
+fn unknown_flags_are_usage_errors_and_help_exits_zero() {
+    // a typo'd flag used to be dropped on the floor: `--modle m` reported
+    // "--model is required", `train --sede 7` trained with the default
+    // seed. Every subcommand now names the flag and what it accepts.
+    let fx = fixtures();
+    let graph = fx.txt.to_str().unwrap();
+    let untouched = fx.dir.join("never_trained.model");
+    for (args, sub, typo, accepted) in [
+        (&["recommend", "--modle", "m", "--graph", graph][..], "recommend", "--modle", "--model"),
+        (
+            &["train", "--out", untouched.to_str().unwrap(), "--sede", "7"],
+            "train",
+            "--sede",
+            "--seed",
+        ),
+        (&["features", graph, "--teir", "basic"], "features", "--teir", "--tier"),
+        (&["client", "ping", "--endpiont", "unix:/x"], "client ping", "--endpiont", "--endpoint"),
+        (&["client", "recommend", "--model", "m"], "client recommend", "--model", "--graph"),
+        (
+            &["route", "--backend", "unix:/x", "--forward-shutdown"],
+            "route",
+            "--forward-shutdown",
+            "--listen",
+        ),
+        (&["convert", "--in", graph, "--output", "x"], "convert", "--output", "--out"),
+    ] {
+        let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args(args));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("usage error: unknown flag {typo}"))
+                && stderr.contains(&format!("for ease {sub} (accepted: "))
+                && stderr.contains(accepted),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?} must not answer");
+    }
+    assert!(!untouched.exists(), "a rejected train must not write a model");
+    // `--help` after a subcommand is the usage text, not "--help needs a value"
+    for args in [&["train", "--help"][..], &["client", "ping", "--help"], &["features", "--help"]] {
+        let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args(args));
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+        assert!(String::from_utf8_lossy(&out.stdout).contains("TRAIN OPTIONS:"), "{args:?}");
+        assert!(out.stderr.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
 fn cache_stats_over_the_socket_stay_coherent_under_concurrency() {
     let fx = fixtures();
     let (handle, socket) = start_server("stats", 4);

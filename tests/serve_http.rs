@@ -18,7 +18,7 @@ use ease_repro::partition::PartitionerId;
 use ease_repro::procsim::Workload;
 use ease_repro::serve::json::Value;
 use ease_repro::serve::{
-    self, Endpoint, PipelinedClient, Request, Response, RouterConfig, ServeConfig,
+    self, Endpoint, PipelinedClient, Request, Response, RouterConfig, ServeConfig, ServeStats,
 };
 use ease_repro::{EaseService, EaseServiceBuilder, OptGoal};
 use proptest::prelude::*;
@@ -488,6 +488,17 @@ proptest! {
         let round_tripped = Request::from_json(&request.to_json())
             .unwrap_or_else(|e| panic!("request envelope must parse: {e}"));
         prop_assert_eq!(round_tripped, request);
+        // ...and so does an arbitrary value of every variant, through the
+        // JSON and the binary codec alike
+        for variant in 0..REQUEST_VARIANTS {
+            let request = request_from(variant, graph_seed, workload_seed);
+            let from_json = Request::from_json(&request.to_json())
+                .unwrap_or_else(|e| panic!("{request:?} must parse from JSON: {e}"));
+            prop_assert_eq!(&from_json, &request);
+            let from_binary = Request::decode_binary(&request.encode_binary())
+                .unwrap_or_else(|e| panic!("{request:?} must decode from binary: {e}"));
+            prop_assert_eq!(&from_binary, &request);
+        }
     }
 
     /// The response envelope round-trips arbitrary answer payloads —
@@ -507,5 +518,145 @@ proptest! {
                 .unwrap_or_else(|e| panic!("response envelope must parse: {e}"));
             prop_assert_eq!(round_tripped, response);
         }
+        for variant in 0..RESPONSE_VARIANTS {
+            let response = response_from(variant, answer_seed, needed ^ headroom);
+            let from_json = Response::from_json(&response.to_json())
+                .unwrap_or_else(|e| panic!("{response:?} must parse from JSON: {e}"));
+            prop_assert_eq!(&from_json, &response);
+            let from_binary = Response::decode_binary(&response.encode_binary())
+                .unwrap_or_else(|e| panic!("{response:?} must decode from binary: {e}"));
+            prop_assert_eq!(&from_binary, &response);
+        }
     }
+
+    /// Totality: no bytes and no text make a decoder panic — not garbage,
+    /// and not a valid encoding with one byte changed, cut short or
+    /// extended, which reaches every branch garbage rarely finds. Each
+    /// call returns; `Ok` or a typed error is all a peer can cause.
+    #[test]
+    fn decoders_are_total_on_hostile_input(
+        garbage in prop::collection::vec(0u8..=255, 0..96),
+        seed in 0u64..u64::MAX,
+        salt in 0u64..u64::MAX,
+    ) {
+        let decode_all = |bytes: &[u8]| {
+            let _ = Request::decode_binary(bytes);
+            let _ = Response::decode_binary(bytes);
+            let text = String::from_utf8_lossy(bytes);
+            let _ = Request::from_json(&text);
+            let _ = Response::from_json(&text);
+        };
+        decode_all(&garbage);
+        let mut valid: Vec<Vec<u8>> = Vec::new();
+        for variant in 0..REQUEST_VARIANTS {
+            let request = request_from(variant, seed, salt);
+            valid.push(request.encode_binary());
+            valid.push(request.to_json().into_bytes());
+        }
+        for variant in 0..RESPONSE_VARIANTS {
+            let response = response_from(variant, seed, salt);
+            valid.push(response.encode_binary());
+            valid.push(response.to_json().into_bytes());
+        }
+        for encoding in &valid {
+            let at = (salt % encoding.len() as u64) as usize;
+            let mut mutated = encoding.clone();
+            mutated[at] ^= (seed % 255) as u8 + 1;
+            decode_all(&mutated);
+            decode_all(&encoding[..at]);
+            let mut extended = encoding.clone();
+            extended.extend_from_slice(&garbage);
+            decode_all(&extended);
+        }
+    }
+}
+
+const REQUEST_VARIANTS: u64 = 5;
+const RESPONSE_VARIANTS: u64 = 6;
+
+/// An arbitrary value of the `variant`-th `Request` variant; the seeds
+/// pick both arms of every optional field.
+fn request_from(variant: u64, seed: u64, salt: u64) -> Request {
+    let graph = format!("graphs/{}.bel", string_from(seed));
+    let cwd = salt.is_multiple_of(2).then(|| string_from(seed ^ salt));
+    match variant {
+        0 => Request::Ping,
+        1 => Request::Recommend {
+            graph,
+            workload: string_from(salt),
+            k: seed.is_multiple_of(2).then_some((seed >> 8) as usize),
+            goal: if salt.is_multiple_of(3) { OptGoal::EndToEnd } else { OptGoal::ProcessingOnly },
+            top: (salt >> 4) as usize,
+            cwd,
+        },
+        2 => Request::Features {
+            graph,
+            tier: PropertyTier::ALL[(seed % PropertyTier::ALL.len() as u64) as usize],
+            cwd,
+        },
+        3 => Request::CacheStats,
+        _ => Request::Shutdown,
+    }
+}
+
+/// An arbitrary value of the `variant`-th `Response` variant.
+fn response_from(variant: u64, seed: u64, salt: u64) -> Response {
+    match variant {
+        0 => Response::Pong { version: (seed % 256) as u8 },
+        1 => Response::Answer(format!("{}\n", string_from(seed))),
+        2 => Response::CacheStats(ServeStats {
+            hits: seed,
+            misses: salt,
+            evictions: seed ^ salt,
+            len: (seed >> 3) as usize,
+            capacity: (salt >> 5) as usize,
+            requests_served: seed.rotate_left(9),
+            memory_budget_remaining: salt.is_multiple_of(2).then_some(seed.rotate_left(21)),
+            spilled_csr_builds: salt.rotate_left(33),
+        }),
+        3 => Response::Error(string_from(salt)),
+        4 => Response::ShuttingDown,
+        _ => Response::Overloaded { needed: seed, headroom: salt },
+    }
+}
+
+/// Text sources parse decimal where JSON demands a number: the same
+/// field list reads `k=8` from a query or a flag, and rejects `"k":"8"`.
+#[test]
+fn text_sources_parse_decimal_fields_while_json_rejects_string_typed_numbers() {
+    let expected = Request::Recommend {
+        graph: "g.bel".into(),
+        workload: "pr".into(),
+        k: Some(8),
+        goal: OptGoal::ProcessingOnly,
+        top: 3,
+        cwd: None,
+    };
+    let pairs =
+        [("graph", "g.bel"), ("workload", "pr"), ("k", "8"), ("goal", "proc"), ("top", "3")];
+    let get = |key: &str| pairs.iter().find(|(k, _)| *k == key).map(|(_, v)| *v);
+    assert_eq!(Request::from_text("recommend", "flag", get).unwrap(), expected);
+    assert_eq!(
+        Request::from_json(
+            r#"{"type":"recommend","graph":"g.bel","workload":"pr","k":8,"goal":"proc","top":3}"#
+        )
+        .unwrap(),
+        expected
+    );
+    let typed = Request::from_json(
+        r#"{"type":"recommend","graph":"g.bel","workload":"pr","k":"8","goal":"proc","top":3}"#,
+    );
+    let message = typed.unwrap_err().to_string();
+    assert!(message.contains("member `k` must be an unsigned integer"), "{message}");
+    // text that is not decimal is an error naming the pair, not a default
+    for bad in ["eight", "-8", "8.0", ""] {
+        let get = |key: &str| if key == "k" { Some(bad) } else { get(key) };
+        let message = Request::from_text("recommend", "flag", get).unwrap_err().to_string();
+        assert!(message.contains("flag `k` must be an unsigned integer"), "{bad}: {message}");
+    }
+    // a kind the protocol does not have, and a required pair left out
+    assert!(Request::from_text("warp", "flag", get).is_err());
+    let message =
+        Request::from_text("features", "query parameter", |_| None).unwrap_err().to_string();
+    assert!(message.contains("missing query parameter `graph`"), "{message}");
 }
