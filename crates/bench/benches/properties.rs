@@ -3,7 +3,7 @@
 //! below partitioning cost, unlike GNN embeddings; Sec. IV-E).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ease_graph::{Csr, DegreeTable, GraphProperties, PreparedGraph, PropertyTier};
+use ease_graph::{DegreeTable, GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::erdos_renyi::ErdosRenyi;
 use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};
 use std::hint::black_box;
@@ -43,20 +43,20 @@ fn bench_triangles(c: &mut Criterion) {
     });
 }
 
-/// The triangle kernel alone, on a prebuilt adjacency: the two shapes the
-/// `ease-bench` cold workloads use (skewed R-MAT: the mark-and-scan
-/// dominates; sparse G(n, m): ranking and relabelling do), at a quarter of
-/// their size.
+/// The triangle kernel alone, fed by the edge stream and a precomputed
+/// degree table: the two shapes the `ease-bench` cold workloads use (skewed
+/// R-MAT: the mark-and-scan dominates; sparse G(n, m): ranking and routing
+/// the forward lists do), at a quarter of their size.
 fn bench_triangle_kernel(c: &mut Criterion) {
     let graphs = [
         ("rmat_skewed_100k_edges", Rmat::new(RMAT_COMBOS[6], 1 << 14, 100_000, 7).generate()),
         ("gnm_sparse_150k_edges", ErdosRenyi::new(1 << 16, 150_000, 7).generate()),
     ];
-    let mut group = c.benchmark_group("triangle_counts_from_simple");
+    let mut group = c.benchmark_group("triangles_count_source");
     for (name, graph) in &graphs {
-        let adj = Csr::build_undirected_simple(graph);
-        group.bench_with_input(BenchmarkId::from_parameter(name), &adj, |b, adj| {
-            b.iter(|| black_box(ease_graph::triangles::triangle_counts_from_simple(adj)));
+        let total = graph.total_degrees();
+        group.bench_with_input(BenchmarkId::from_parameter(name), graph, |b, graph| {
+            b.iter(|| black_box(ease_graph::triangles::count_source(graph, &total, 1)));
         });
     }
     group.finish();

@@ -2,10 +2,12 @@
 //!
 //! [`MemoryBudget`] is the PR 8 tentpole's accounting ledger: every
 //! [`PreparedGraph`](crate::PreparedGraph) that carries one *charges* the
-//! heap bytes of each CSR it is about to memoize. A charge that fits is
-//! recorded (and released when the context drops); a charge that would
-//! exceed the limit is refused, and the caller builds the CSR out of core
-//! instead — spilled to a temp file and mmapped back (see [`crate::spill`]).
+//! heap bytes of each CSR it is about to build. A charge that fits is
+//! recorded (and released when the context drops or, for the triangle
+//! kernel's forward lists, when the scan that reads them ends); a charge
+//! that would exceed the limit is refused, and the caller builds the CSR out
+//! of core instead — spilled to a temp file and mmapped back (see
+//! [`crate::spill`]).
 //!
 //! Semantics, deliberately simple:
 //!

@@ -4,6 +4,7 @@ use crate::edge_list::Graph;
 use crate::source::{each_edge, each_edge_in, GraphSource};
 use crate::spill::{LoadedCsr, MappedCsr, SpillWriter};
 use crate::types::{Edge, VertexId};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -17,6 +18,55 @@ pub enum Direction {
     /// `neighbors(v)` = union of both directions (each directed edge
     /// contributes to both endpoints' lists).
     Undirected,
+}
+
+/// Which per-vertex list(s) an edge of the stream lands in — what the
+/// counting, placement and spill passes route by. A [`Direction`] converts
+/// into the plain routing of its name.
+#[derive(Debug, Clone, Copy)]
+pub enum Route<'r> {
+    /// Vertex-id space, as the [`Direction`] says.
+    Plain(Direction),
+    /// Rank space — the triangle kernel's forward adjacency. The slice gives
+    /// every vertex its rank in some total order; each non-loop edge puts
+    /// the higher of its endpoints' ranks into the list of the lower one, so
+    /// lists are indexed by rank and hold ranks. The CSR reports
+    /// [`Direction::Out`]: the out-neighbours of the rank-oriented graph.
+    Forward(&'r [VertexId]),
+}
+
+impl From<Direction> for Route<'_> {
+    fn from(direction: Direction) -> Self {
+        Route::Plain(direction)
+    }
+}
+
+impl Route<'_> {
+    fn direction(self) -> Direction {
+        match self {
+            Route::Plain(direction) => direction,
+            Route::Forward(_) => Direction::Out,
+        }
+    }
+
+    /// Call `put(list, entry)` for every adjacency entry `e` contributes.
+    #[inline]
+    fn each_entry(self, e: Edge, mut put: impl FnMut(usize, VertexId)) {
+        match self {
+            Route::Plain(Direction::Out) => put(e.src as usize, e.dst),
+            Route::Plain(Direction::In) => put(e.dst as usize, e.src),
+            Route::Plain(Direction::Undirected) => {
+                put(e.src as usize, e.dst);
+                put(e.dst as usize, e.src);
+            }
+            Route::Forward(rank) => {
+                let (s, d) = (rank[e.src as usize], rank[e.dst as usize]);
+                if s != d {
+                    put(s.min(d) as usize, s.max(d));
+                }
+            }
+        }
+    }
 }
 
 /// Where a [`Csr`]'s offsets/targets actually live (PR 8): the classic heap
@@ -121,11 +171,16 @@ impl Csr {
     /// count: per-shard counts merge by addition, and each shard places its
     /// edges at cursor positions offset by the counts of earlier shards, so
     /// every per-vertex neighbor list ends up in stream order.
-    pub fn build_source(source: &dyn GraphSource, direction: Direction, shards: usize) -> Self {
+    pub fn build_source<'r>(
+        source: &dyn GraphSource,
+        route: impl Into<Route<'r>>,
+        shards: usize,
+    ) -> Self {
+        let route = route.into();
         let n = source.num_vertices();
         let chunks = source.par_chunks(shards.max(1));
         if chunks.len() <= 1 {
-            return Self::build_source_sequential(source, direction);
+            return Self::build_source_sequential(source, route);
         }
         // ---- counting pass: one private count array per shard ----
         let per_shard: Vec<Vec<u32>> = std::thread::scope(|scope| {
@@ -135,7 +190,7 @@ impl Csr {
                 .map(|range| {
                     scope.spawn(move || {
                         let mut counts = vec![0u32; n];
-                        each_edge_in(source, range, |e| count_edge(&mut counts, direction, e));
+                        each_edge_in(source, range, |e| count_edge(&mut counts, route, e));
                         counts
                     })
                 })
@@ -165,20 +220,20 @@ impl Csr {
                 let shared = &shared;
                 scope.spawn(move || {
                     each_edge_in(source, range, |e| {
-                        place_edge(&mut cursor, shared, direction, e);
+                        place_edge(&mut cursor, shared, route, e);
                     });
                 });
             }
         });
-        Csr::heap(offsets, targets, direction)
+        Csr::heap(offsets, targets, route.direction())
     }
 
     /// Sequential two-pass build over a source (the degrade path of
     /// [`Csr::build_source`]).
-    fn build_source_sequential(source: &dyn GraphSource, direction: Direction) -> Self {
+    fn build_source_sequential(source: &dyn GraphSource, route: Route<'_>) -> Self {
         let n = source.num_vertices();
         let mut counts = vec![0u32; n];
-        each_edge(source, |e| count_edge(&mut counts, direction, e));
+        each_edge(source, |e| count_edge(&mut counts, route, e));
         let mut offsets = vec![0usize; n + 1];
         for v in 0..n {
             offsets[v + 1] = offsets[v] + counts[v] as usize;
@@ -187,41 +242,44 @@ impl Csr {
         let mut cursor = offsets[..n].to_vec();
         let mut targets = vec![0 as VertexId; offsets[n]];
         let shared = SharedTargets { ptr: targets.as_mut_ptr(), len: targets.len() };
-        each_edge(source, |e| place_edge(&mut cursor, &shared, direction, e));
-        Csr::heap(offsets, targets, direction)
+        each_edge(source, |e| place_edge(&mut cursor, &shared, route, e));
+        Csr::heap(offsets, targets, route.direction())
     }
 
-    /// [`Csr::build_undirected_simple`] over any source, with both the
-    /// underlying undirected build *and* the simplify pass sharded (see
-    /// [`Csr::build_source`]).
-    pub fn build_undirected_simple_source(source: &dyn GraphSource, shards: usize) -> Self {
-        Self::build_source(source, Direction::Undirected, shards).into_undirected_simple(shards)
+    /// [`Csr::build_source`] followed by the simplify pass — every list
+    /// sorted, duplicates and the list's own index dropped — both sharded.
+    pub fn build_simple_source<'r>(
+        source: &dyn GraphSource,
+        route: impl Into<Route<'r>>,
+        shards: usize,
+    ) -> Self {
+        Self::build_source(source, route, shards).into_simple(shards)
     }
 
     /// Build undirected *simple* adjacency: reciprocal duplicates, parallel
     /// edges and self-loops removed, each list sorted. This is the input for
-    /// triangle counting and neighborhood expansion.
+    /// neighborhood expansion and the triangle oracle.
     pub fn build_undirected_simple(graph: &Graph) -> Self {
-        Csr::build(graph, Direction::Undirected).into_undirected_simple(1)
+        Csr::build(graph, Direction::Undirected).into_simple(1)
     }
 
-    /// Simplify an undirected adjacency **in place**: sort each list, drop
-    /// self-loops and duplicates, and compact the surviving entries to the
-    /// front of the existing targets buffer — no second full-size targets
-    /// vector (PR 8: the old scratch copy doubled peak memory right at the
-    /// largest transient of the whole pipeline). With `shards > 1` the
+    /// Simplify an adjacency **in place**: sort each list, drop self-loops
+    /// and duplicates, and compact the surviving entries to the front of the
+    /// existing targets buffer — no second full-size targets vector (PR 8:
+    /// the old scratch copy doubled peak memory right at the largest
+    /// transient of the whole pipeline). With `shards > 1` the
     /// sort/dedup runs on contiguous vertex ranges under scoped threads,
     /// mirroring how counting/placement already shard; results are
     /// bit-identical for every shard count because each vertex's list is
     /// simplified independently.
-    fn into_undirected_simple(self, shards: usize) -> Self {
+    fn into_simple(self, shards: usize) -> Self {
         let (mut offsets, mut targets) = match self.store {
             Store::Heap { offsets, targets } => (offsets, targets),
             // defensive: a mapped CSR is immutable, decode before editing
             Store::Mapped(m) => m.decode(),
         };
         simplify_in_place(&mut offsets, &mut targets, shards);
-        Csr::heap(offsets, targets, Direction::Undirected)
+        Csr::heap(offsets, targets, self.direction)
     }
 
     /// Build adjacency **out of core**: stream vertex chunks of at most
@@ -229,23 +287,24 @@ impl Csr {
     /// `EASECSR1` spill file in `dir`, then map the file read-only (see
     /// [`crate::spill`]). With `simplify`, each per-vertex list is sorted
     /// and deduplicated (self-loops dropped) before it is written — the
-    /// out-of-core twin of [`Csr::build_undirected_simple_source`], never
+    /// out-of-core twin of [`Csr::build_simple_source`], never
     /// holding more than one chunk plus the `O(|V|)` count table in heap.
     ///
     /// The counting pass shards exactly like [`Csr::build_source`]; each
     /// chunk then replays the edge stream once, placing its own incidences
     /// in stream order, so the result is bit-identical to the in-heap
     /// build for every shard count and chunk size.
-    pub fn build_spilled(
+    pub fn build_spilled<'r>(
         source: &dyn GraphSource,
-        direction: Direction,
+        route: impl Into<Route<'r>>,
         shards: usize,
         simplify: bool,
         chunk_bytes: usize,
         dir: &Path,
     ) -> std::io::Result<Self> {
+        let route = route.into();
         let n = source.num_vertices();
-        let counts = count_source(source, direction, shards);
+        let counts = count_source(source, route, shards);
         let mut writer = SpillWriter::create(dir, n)?;
         let cap_entries = (chunk_bytes / std::mem::size_of::<VertexId>()).max(1024);
         let mut buf: Vec<VertexId> = Vec::new();
@@ -276,36 +335,22 @@ impl Csr {
             // order — the same order the in-heap placement pass produces
             let mut cursor = local_off[..v1 - v0].to_vec();
             each_edge(source, |e| {
-                let mut put = |v: usize, t: VertexId| {
+                route.each_entry(e, |v, t| {
                     if (v0..v1).contains(&v) {
                         let c = &mut cursor[v - v0];
                         buf[*c] = t;
                         *c += 1;
                     }
-                };
-                match direction {
-                    Direction::Out => put(e.src as usize, e.dst),
-                    Direction::In => put(e.dst as usize, e.src),
-                    Direction::Undirected => {
-                        put(e.src as usize, e.dst);
-                        put(e.dst as usize, e.src);
-                    }
-                }
+                });
             });
             for v in v0..v1 {
                 let (lo, hi) = (local_off[v - v0], local_off[v - v0 + 1]);
-                let list = &mut buf[lo..hi];
-                if simplify {
-                    list.sort_unstable();
-                    let kept = dedup_list(list, v);
-                    writer.push_list(&list[..kept])?;
-                } else {
-                    writer.push_list(list)?;
-                }
+                let kept = if simplify { dedup_list(&mut buf, lo..hi, lo, v) } else { hi - lo };
+                writer.push_list(&buf[lo..lo + kept])?;
             }
             v0 = v1;
         }
-        let direction = if simplify { Direction::Undirected } else { direction };
+        let direction = route.direction();
         Ok(match writer.finish()? {
             LoadedCsr::Mapped(m) => Csr { store: Store::Mapped(Arc::new(m)), direction },
             LoadedCsr::Heap { offsets, targets } => Csr::heap(offsets, targets, direction),
@@ -376,27 +421,29 @@ impl Csr {
     }
 }
 
-/// Sort `list`, then compact it to unique entries excluding vertex `v`
-/// itself; returns how many entries survive at the front. The caller has
-/// already sorted the slice.
+/// Sort `buf[list]` and write its distinct entries other than `v` itself (a
+/// self-loop) to `buf[to..]`, where `to <= list.start` so the write cursor
+/// never overtakes the unread entries; returns how many survive. The one
+/// sort + dedup loop behind every simplify pass, heap or spilled.
 #[inline]
-fn dedup_list(list: &mut [VertexId], v: usize) -> usize {
-    let mut kept = 0usize;
+fn dedup_list(buf: &mut [VertexId], list: Range<usize>, to: usize, v: usize) -> usize {
+    buf[list.clone()].sort_unstable();
+    let mut w = to;
     let mut prev = None;
-    for i in 0..list.len() {
-        let t = list[i];
+    for i in list {
+        let t = buf[i];
         if t as usize == v || prev == Some(t) {
             continue;
         }
-        list[kept] = t;
+        buf[w] = t;
         prev = Some(t);
-        kept += 1;
+        w += 1;
     }
-    kept
+    w - to
 }
 
 /// The in-place simplify pass behind
-/// [`Csr::build_undirected_simple`]/[`build_undirected_simple_source`]:
+/// [`Csr::build_undirected_simple`]/[`Csr::build_simple_source`]:
 /// sort + dedup every per-vertex list (dropping self-loops) and slide the
 /// survivors to the front of `targets`, rewriting `offsets` as it goes.
 /// Peak extra memory is `O(shards · |V|/shards)` for the per-shard degree
@@ -405,23 +452,12 @@ fn simplify_in_place(offsets: &mut [usize], targets: &mut Vec<VertexId>, shards:
     let n = offsets.len() - 1;
     let ranges = shard_vertex_ranges(offsets, shards);
     if ranges.len() <= 1 {
-        // sequential: one forward write cursor; `w <= lo` always, so the
-        // compaction never overtakes the unread region
+        // sequential: one forward write cursor, `w <= offsets[v]` always
         let mut w = 0usize;
         for v in 0..n {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            targets[lo..hi].sort_unstable();
+            let kept = dedup_list(targets, offsets[v]..offsets[v + 1], w, v);
             offsets[v] = w;
-            let mut prev = None;
-            for i in lo..hi {
-                let t = targets[i];
-                if t as usize == v || prev == Some(t) {
-                    continue;
-                }
-                targets[w] = t;
-                prev = Some(t);
-                w += 1;
-            }
+            w += kept;
         }
         offsets[n] = w;
         targets.truncate(w);
@@ -451,20 +487,10 @@ fn simplify_in_place(offsets: &mut [usize], targets: &mut Vec<VertexId>, shards:
                     let mut degrees = Vec::with_capacity(range.len());
                     let mut w = 0usize;
                     for v in range {
-                        let (lo, hi) = (offsets_ro[v] - span_start, offsets_ro[v + 1] - span_start);
-                        span[lo..hi].sort_unstable();
-                        let start = w;
-                        let mut prev = None;
-                        for i in lo..hi {
-                            let t = span[i];
-                            if t as usize == v || prev == Some(t) {
-                                continue;
-                            }
-                            span[w] = t;
-                            prev = Some(t);
-                            w += 1;
-                        }
-                        degrees.push((w - start) as u32);
+                        let list = offsets_ro[v] - span_start..offsets_ro[v + 1] - span_start;
+                        let kept = dedup_list(span, list, w, v);
+                        w += kept;
+                        degrees.push(kept as u32);
                     }
                     (w, degrees)
                 })
@@ -493,7 +519,7 @@ fn simplify_in_place(offsets: &mut [usize], targets: &mut Vec<VertexId>, shards:
 /// Carve `0..n` into at most `shards` contiguous vertex ranges balanced by
 /// adjacency entries (hubs make per-vertex splits uneven; entry balancing
 /// keeps shard wall-times comparable).
-fn shard_vertex_ranges(offsets: &[usize], shards: usize) -> Vec<std::ops::Range<usize>> {
+fn shard_vertex_ranges(offsets: &[usize], shards: usize) -> Vec<Range<usize>> {
     let n = offsets.len() - 1;
     let total = offsets[n];
     let shards = shards.max(1).min(n.max(1));
@@ -519,13 +545,13 @@ fn shard_vertex_ranges(offsets: &[usize], shards: usize) -> Vec<std::ops::Range<
 }
 
 /// Sharded counting pass shared by the heap and spilled builders: merged
-/// per-vertex incidence counts for `direction` over the whole stream.
-fn count_source(source: &dyn GraphSource, direction: Direction, shards: usize) -> Vec<u32> {
+/// per-list entry counts for `route` over the whole stream.
+fn count_source(source: &dyn GraphSource, route: Route<'_>, shards: usize) -> Vec<u32> {
     let n = source.num_vertices();
     let chunks = source.par_chunks(shards.max(1));
     if chunks.len() <= 1 {
         let mut counts = vec![0u32; n];
-        each_edge(source, |e| count_edge(&mut counts, direction, e));
+        each_edge(source, |e| count_edge(&mut counts, route, e));
         return counts;
     }
     let per_shard: Vec<Vec<u32>> = std::thread::scope(|scope| {
@@ -534,7 +560,7 @@ fn count_source(source: &dyn GraphSource, direction: Direction, shards: usize) -
             .map(|range| {
                 scope.spawn(move || {
                     let mut counts = vec![0u32; n];
-                    each_edge_in(source, range, |e| count_edge(&mut counts, direction, e));
+                    each_edge_in(source, range, |e| count_edge(&mut counts, route, e));
                     counts
                 })
             })
@@ -551,34 +577,19 @@ fn count_source(source: &dyn GraphSource, direction: Direction, shards: usize) -
 }
 
 #[inline]
-fn count_edge(counts: &mut [u32], direction: Direction, e: Edge) {
-    match direction {
-        Direction::Out => counts[e.src as usize] += 1,
-        Direction::In => counts[e.dst as usize] += 1,
-        Direction::Undirected => {
-            counts[e.src as usize] += 1;
-            counts[e.dst as usize] += 1;
-        }
-    }
+fn count_edge(counts: &mut [u32], route: Route<'_>, e: Edge) {
+    route.each_entry(e, |v, _| counts[v] += 1);
 }
 
 #[inline]
-fn place_edge(cursor: &mut [usize], targets: &SharedTargets, direction: Direction, e: Edge) {
-    let mut put = |v: usize, t: VertexId| {
+fn place_edge(cursor: &mut [usize], targets: &SharedTargets, route: Route<'_>, e: Edge) {
+    route.each_entry(e, |v, t| {
         let c = &mut cursor[v];
         // SAFETY: see `SharedTargets` — this cursor position belongs
         // exclusively to this shard.
         unsafe { targets.write(*c, t) };
         *c += 1;
-    };
-    match direction {
-        Direction::Out => put(e.src as usize, e.dst),
-        Direction::In => put(e.dst as usize, e.src),
-        Direction::Undirected => {
-            put(e.src as usize, e.dst);
-            put(e.dst as usize, e.src);
-        }
-    }
+    });
 }
 
 /// Shared mutable view of the placement target buffer.
@@ -734,8 +745,7 @@ mod tests {
                 want_offsets.push(want_targets.len());
             }
             for shards in [1usize, 2, 3, 5, 8, 64] {
-                let simple =
-                    Csr::build_source(&g, Direction::Undirected, 1).into_undirected_simple(shards);
+                let simple = Csr::build_source(&g, Direction::Undirected, 1).into_simple(shards);
                 assert_eq!(
                     dump(&simple),
                     (want_offsets.clone(), want_targets.clone()),
@@ -756,7 +766,7 @@ mod tests {
         let csr = Csr::build_source(&tiny, Direction::Undirected, 64);
         assert_eq!(dump(&csr), dump(&Csr::build(&tiny, Direction::Undirected)));
         // simplifying an empty adjacency is a no-op, at any shard count
-        let simple = Csr::build_source(&empty, Direction::Out, 1).into_undirected_simple(4);
+        let simple = Csr::build_source(&empty, Direction::Out, 1).into_simple(4);
         assert_eq!(simple.num_entries(), 0);
     }
 

@@ -1,8 +1,8 @@
 //! `PreparedGraph` — a build-once, share-everywhere graph analysis context.
 //!
 //! Every layer of the workspace consumes *derived* graph structure: property
-//! extraction needs the degree table and the undirected simple adjacency,
-//! triangle counting needs the same adjacency, DBH and HEP need total
+//! extraction needs the degree table and the triangle counts, triangle
+//! counting needs the total degrees for its ranking, DBH and HEP need total
 //! degrees, the placement simulator needs out- and total-degree vectors, and
 //! profiling runs 11 partitioners × K on the *same* graph. Rebuilding each of
 //! those from the raw edge list at every call site is the dominant shared
@@ -20,7 +20,11 @@
 //!   there is),
 //! * the [`DegreeTable`] (degrees + moments + skewness), whose counting
 //!   pass also folds the content fingerprint incrementally,
-//! * per-vertex triangle counts of the undirected simple graph,
+//! * per-vertex triangle counts and degrees of the undirected simple graph,
+//!   from a kernel that routes the edge stream into rank-space forward lists
+//!   ([`crate::triangles`]) — a transient half-size CSR, charged to the memory
+//!   budget or spilled while it lives; the undirected simple CSR itself is
+//!   built only for callers of [`PreparedGraph::undirected_simple`],
 //! * a stable content [fingerprint](PreparedGraph::fingerprint) for
 //!   query-side property caches.
 //!
@@ -45,19 +49,20 @@
 //! // the second extraction reuses every memoized structure
 //! let again = prepared.properties(PropertyTier::Advanced);
 //! assert_eq!(props, again);
-//! assert_eq!(prepared.undirected_csr_builds(), 1);
+//! // ... none of which is the undirected simple CSR
+//! assert_eq!(prepared.undirected_csr_builds(), 0);
 //! ```
 
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::budget::MemoryBudget;
-use crate::csr::{Csr, Direction};
+use crate::csr::{Csr, Direction, Route};
 use crate::degree::DegreeTable;
 use crate::edge_list::Graph;
 use crate::properties::{GraphProperties, PropertyTier};
 use crate::source::{each_edge, fingerprint_source_sharded, GraphSource};
-use crate::triangles::{self, TriangleStats};
+use crate::triangles::{self, TriangleStats, TriangleTable};
 use crate::types::Edge;
 
 /// Typed error of [`PreparedGraph::graph`]: the context is backed by a
@@ -102,18 +107,20 @@ pub struct PreparedGraph<'g> {
     in_csr: OnceLock<Csr>,
     undirected_simple: OnceLock<Csr>,
     degrees: OnceLock<DegreeTable>,
-    triangle_counts: OnceLock<Vec<u64>>,
+    triangles: OnceLock<TriangleTable>,
     fingerprint: OnceLock<u64>,
     /// Observability hook: how many times the undirected simple CSR was
-    /// actually constructed (must stay ≤ 1; locked by tests).
+    /// actually constructed (must stay ≤ 1, and 0 unless a caller asks for
+    /// it by name; locked by tests).
     undirected_builds: AtomicU32,
-    /// Heap budget for memoized CSRs (PR 8): charge on in-heap build, spill
-    /// to a mapped temp file when the charge is refused. `None` = in-heap
-    /// always, exactly the pre-budget behaviour.
+    /// Heap budget for every CSR this context builds (PR 8): charge on
+    /// in-heap build, spill to a mapped temp file when the charge is
+    /// refused. `None` = in-heap always, exactly the pre-budget behaviour.
     budget: Option<Arc<MemoryBudget>>,
-    /// Bytes this context has charged to `budget` (released on drop).
+    /// Bytes this context has charged to `budget` for its memoized CSRs
+    /// (released on drop).
     charged: AtomicUsize,
-    /// Observability hook: how many memoized CSRs went out of core.
+    /// Observability hook: how many CSR builds went out of core.
     spilled_builds: AtomicU32,
 }
 
@@ -127,7 +134,7 @@ impl std::fmt::Debug for PreparedGraph<'_> {
             .field("in_csr", &self.in_csr.get().is_some())
             .field("undirected_simple", &self.undirected_simple.get().is_some())
             .field("degrees", &self.degrees.get().is_some())
-            .field("triangle_counts", &self.triangle_counts.get().is_some())
+            .field("triangle_counts", &self.triangles.get().is_some())
             .field("fingerprint", &self.fingerprint.get())
             .finish()
     }
@@ -172,7 +179,7 @@ impl<'g> PreparedGraph<'g> {
             in_csr: OnceLock::new(),
             undirected_simple: OnceLock::new(),
             degrees: OnceLock::new(),
-            triangle_counts: OnceLock::new(),
+            triangles: OnceLock::new(),
             fingerprint: OnceLock::new(),
             undirected_builds: AtomicU32::new(0),
             budget: None,
@@ -190,11 +197,13 @@ impl<'g> PreparedGraph<'g> {
         self
     }
 
-    /// Attach a (shareable) memory budget: each CSR about to be memoized
-    /// charges its exact heap bytes first, and a refused charge reroutes
+    /// Attach a (shareable) memory budget: each CSR about to be built —
+    /// the memoized adjacencies and the triangle kernel's transient forward
+    /// lists — charges its heap bytes first, and a refused charge reroutes
     /// the build out of core — spilled to an unlinked `EASECSR1` temp file
     /// and mmapped read-only (see [`crate::spill`]). Every derived result
-    /// is bit-identical either way; charges are released when the context
+    /// is bit-identical either way; the forward lists' charge is released
+    /// when the kernel is done with them, the others when the context
     /// drops.
     pub fn with_memory_budget(mut self, budget: Arc<MemoryBudget>) -> Self {
         self.budget = Some(budget);
@@ -206,8 +215,8 @@ impl<'g> PreparedGraph<'g> {
         self.budget.as_ref()
     }
 
-    /// How many memoized CSRs were built out of core so far (0 without a
-    /// budget or when everything fit).
+    /// How many CSRs were built out of core so far (0 without a budget or
+    /// when everything fit).
     pub fn spilled_csr_builds(&self) -> u32 {
         self.spilled_builds.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter)
     }
@@ -217,48 +226,58 @@ impl<'g> PreparedGraph<'g> {
             .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
     }
 
-    /// Heap-or-spill decision for every memoized CSR. No budget — or a
-    /// granted charge — builds in heap exactly as before; a refused charge
-    /// streams the build through a bounded chunk into a spill file. A
-    /// spill I/O failure (full temp disk, unwritable dir) falls back to
-    /// the in-heap build: correctness over the budget, and a daemon that
-    /// degrades instead of dying.
-    fn build_csr(&self, direction: Direction, simplify: bool) -> Csr {
+    /// Heap-or-spill decision for every CSR this context builds; returns
+    /// the CSR and the bytes charged for it, which the caller owes back to
+    /// the budget. No budget — or a granted charge — builds in heap exactly
+    /// as before; a refused charge streams the build through a bounded
+    /// chunk into a spill file. A spill I/O failure (full temp disk,
+    /// unwritable dir) falls back to the in-heap build: correctness over
+    /// the budget, and a daemon that degrades instead of dying.
+    fn build_csr(&self, route: Route<'_>, simplify: bool) -> (Csr, usize) {
         let shards = self.build_shards();
         let in_heap = || {
             if simplify {
-                Csr::build_undirected_simple_source(self.source(), shards)
+                Csr::build_simple_source(self.source(), route, shards)
             } else {
-                Csr::build_source(self.source(), direction, shards)
+                Csr::build_source(self.source(), route, shards)
             }
         };
-        let Some(budget) = &self.budget else { return in_heap() };
-        let entries = match direction {
-            Direction::Undirected => self.num_edges().saturating_mul(2),
-            Direction::Out | Direction::In => self.num_edges(),
+        let Some(budget) = &self.budget else { return (in_heap(), 0) };
+        // what the placement pass allocates, before any simplify: |E| bounds
+        // the forward lists' one entry per non-loop edge
+        let entries = match route {
+            Route::Plain(Direction::Undirected) => self.num_edges().saturating_mul(2),
+            Route::Plain(Direction::Out | Direction::In) | Route::Forward(_) => self.num_edges(),
         };
         let bytes = Csr::heap_bytes(self.num_vertices(), entries);
         if budget.try_charge(bytes) {
-            // lint: relaxed-ok(accounting counter read only by our own Drop)
-            self.charged.fetch_add(bytes, Ordering::Relaxed);
-            return in_heap();
+            return (in_heap(), bytes);
         }
         match Csr::build_spilled(
             self.source(),
-            direction,
+            route,
             shards,
             simplify,
             budget.spill_chunk_bytes(),
             budget.spill_dir(),
         ) {
             Ok(csr) => {
-                // lint: relaxed-ok(diagnostic counter; OnceLock publishes the CSR)
+                // lint: relaxed-ok(diagnostic counter; OnceLock publishes what the CSR yields)
                 self.spilled_builds.fetch_add(1, Ordering::Relaxed);
                 budget.note_spill();
-                csr
+                (csr, 0)
             }
-            Err(_) => in_heap(),
+            Err(_) => (in_heap(), 0),
         }
+    }
+
+    /// [`Self::build_csr`] for a CSR that lives as long as the context: its
+    /// charge is returned on drop.
+    fn build_memoized_csr(&self, direction: Direction, simplify: bool) -> Csr {
+        let (csr, bytes) = self.build_csr(direction.into(), simplify);
+        // lint: relaxed-ok(accounting counter read only by our own Drop)
+        self.charged.fetch_add(bytes, Ordering::Relaxed);
+        csr
     }
 
     /// The ingestion source backing this context.
@@ -341,28 +360,28 @@ impl<'g> PreparedGraph<'g> {
 
     /// Out-neighbor adjacency, built on first use (sharded construction).
     pub fn out_csr(&self) -> &Csr {
-        self.out_csr.get_or_init(|| self.build_csr(Direction::Out, false))
+        self.out_csr.get_or_init(|| self.build_memoized_csr(Direction::Out, false))
     }
 
     /// In-neighbor adjacency, built on first use (sharded construction).
     pub fn in_csr(&self) -> &Csr {
-        self.in_csr.get_or_init(|| self.build_csr(Direction::In, false))
+        self.in_csr.get_or_init(|| self.build_memoized_csr(Direction::In, false))
     }
 
     /// Undirected *simple* adjacency (sorted lists, no loops/duplicates) —
-    /// the input of triangle counting and neighborhood expansion. Built at
-    /// most once per context.
+    /// the input of neighborhood expansion. Built at most once per context,
+    /// and only for callers of this accessor: no property tier needs it.
     pub fn undirected_simple(&self) -> &Csr {
         self.undirected_simple.get_or_init(|| {
             // lint: relaxed-ok(diagnostic build counter; OnceLock publishes the CSR itself)
             self.undirected_builds.fetch_add(1, Ordering::Relaxed);
-            self.build_csr(Direction::Undirected, true)
+            self.build_memoized_csr(Direction::Undirected, true)
         })
     }
 
     /// How many times the undirected simple CSR was constructed so far
-    /// (0 before first use, 1 ever after — memoization makes more
-    /// impossible).
+    /// (0 before the first [`Self::undirected_simple`] call, 1 ever after —
+    /// memoization makes more impossible).
     pub fn undirected_csr_builds(&self) -> u32 {
         self.undirected_builds.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter)
     }
@@ -382,24 +401,42 @@ impl<'g> PreparedGraph<'g> {
         })
     }
 
-    /// Per-vertex triangle counts of the undirected simple graph, built on
-    /// first use from the (shared) undirected adjacency.
+    /// The triangle kernel's output, computed on first use: ranks from the
+    /// degree table, forward lists routed straight off the source — in heap
+    /// while the budget admits them, spilled otherwise — and dropped, with
+    /// their charge, as soon as the scan is over.
+    fn triangle_table(&self) -> &TriangleTable {
+        self.triangles.get_or_init(|| {
+            let mut charged = 0;
+            let table = triangles::count_with(&self.degrees().total, |rank| {
+                let (forward, bytes) = self.build_csr(Route::Forward(rank), true);
+                charged = bytes;
+                forward
+            });
+            if let Some(budget) = &self.budget {
+                budget.release(charged);
+            }
+            table
+        })
+    }
+
+    /// Per-vertex triangle counts of the undirected simple graph, computed
+    /// on first use by the source-fed kernel of [`crate::triangles`].
     pub fn triangle_counts(&self) -> &[u64] {
-        self.triangle_counts
-            .get_or_init(|| triangles::triangle_counts_from_simple(self.undirected_simple()))
+        &self.triangle_table().counts
     }
 
     /// Averaged triangle statistics (`t(G)`, `C(G)`) from the memoized
-    /// adjacency and counts — bit-identical to
+    /// counts and simple-graph degrees — bit-identical to
     /// [`triangles::triangle_stats`] on the same graph.
     pub fn triangle_stats(&self) -> TriangleStats {
-        triangles::stats_from_parts(self.undirected_simple(), self.triangle_counts())
+        self.triangle_table().stats()
     }
 
     /// Graph properties up to `tier`, computed from the memoized structures
     /// (see [`GraphProperties::compute_prepared`]). Only the structures the
     /// tier needs are built: `Simple` touches nothing, `Basic` the degree
-    /// table, `Advanced` additionally the undirected CSR + triangle counts.
+    /// table, `Advanced` additionally the triangle table.
     pub fn properties(&self, tier: PropertyTier) -> GraphProperties {
         GraphProperties::compute_prepared(self, tier)
     }
@@ -456,19 +493,27 @@ mod tests {
     }
 
     #[test]
-    fn advanced_properties_build_undirected_csr_exactly_once() {
+    fn advanced_properties_build_no_undirected_csr() {
+        let g = toy();
+        let prepared = PreparedGraph::of(&g);
+        let a = prepared.properties(PropertyTier::Advanced);
+        let b = prepared.properties(PropertyTier::Advanced);
+        let _ = prepared.triangle_counts();
+        let _ = prepared.triangle_stats();
+        assert_eq!(prepared.undirected_csr_builds(), 0, "the kernel is fed by the source");
+        assert_eq!(a, b);
+    }
+
+    #[test]
+    fn undirected_simple_is_built_exactly_once_and_only_on_request() {
         let g = toy();
         let prepared = PreparedGraph::of(&g);
         assert_eq!(prepared.undirected_csr_builds(), 0, "lazy until first use");
-        let a = prepared.properties(PropertyTier::Advanced);
-        assert_eq!(prepared.undirected_csr_builds(), 1);
-        // repeated extraction + direct access: still exactly one build
-        let b = prepared.properties(PropertyTier::Advanced);
-        let _ = prepared.triangle_counts();
         let _ = prepared.undirected_simple();
-        let _ = prepared.triangle_stats();
         assert_eq!(prepared.undirected_csr_builds(), 1);
-        assert_eq!(a, b);
+        let _ = prepared.undirected_simple();
+        let _ = prepared.properties(PropertyTier::Advanced);
+        assert_eq!(prepared.undirected_csr_builds(), 1);
     }
 
     #[test]
@@ -613,6 +658,7 @@ mod tests {
                 scope.spawn(|| {
                     let p = prepared.properties(PropertyTier::Advanced);
                     assert_eq!(p.num_edges, 6);
+                    assert_eq!(prepared.undirected_simple().num_entries(), 12);
                 });
             }
         });
@@ -636,11 +682,17 @@ mod tests {
         assert!(!in_heap.undirected_simple().is_spilled());
         assert_eq!(in_heap.spilled_csr_builds(), 0);
 
-        // bit-identical derived state either way
+        // bit-identical derived state either way, the kernel's forward
+        // lists being one more spilled build
         assert_eq!(
             spilled.properties(PropertyTier::Advanced),
             PreparedGraph::of(&g).properties(PropertyTier::Advanced)
         );
+        assert_eq!(spilled.spilled_csr_builds(), 4);
+        assert_eq!(zero.spill_events(), 4);
+        assert_eq!(zero.charged(), 0);
+        assert_eq!(in_heap.properties(PropertyTier::Advanced).avg_triangles, Some(3.0));
+        assert_eq!(in_heap.spilled_csr_builds(), 0);
         assert_eq!(spilled.fingerprint(), in_heap.fingerprint());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -656,8 +708,31 @@ mod tests {
             let expected = Csr::heap_bytes(g.num_vertices(), g.num_edges())
                 + Csr::heap_bytes(g.num_vertices(), 2 * g.num_edges());
             assert_eq!(budget.charged(), expected);
+            // the kernel's forward lists are charged only while they live
+            let _ = prepared.triangle_stats();
+            assert_eq!(budget.charged(), expected, "the transient charge is back after the scan");
+            assert_eq!(prepared.spilled_csr_builds(), 0, "and it was granted, not spilled");
         }
         assert_eq!(budget.charged(), 0, "drop returns every charge");
+    }
+
+    /// The forward lists are the budgeted object: a budget too small for
+    /// them spills them, and nothing stays charged either way.
+    #[test]
+    fn forward_lists_are_charged_while_they_live_or_spilled() {
+        let g = toy();
+        let bytes = Csr::heap_bytes(g.num_vertices(), g.num_edges());
+        let dir = std::env::temp_dir().join(format!("ease_prep_forward_{}", std::process::id()));
+        for (limit, spills) in [(bytes, 0), (bytes - 1, 1)] {
+            let budget = Arc::new(MemoryBudget::bytes(limit).with_spill_dir(&dir));
+            let prepared = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&budget));
+            assert_eq!(prepared.triangle_counts(), [3, 3, 3, 3]);
+            assert_eq!(prepared.spilled_csr_builds(), spills);
+            assert_eq!(budget.spill_events(), u64::from(spills));
+            assert_eq!(budget.charged(), 0);
+            assert_eq!(prepared.undirected_csr_builds(), 0);
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

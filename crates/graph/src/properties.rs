@@ -7,6 +7,9 @@
 //!   out-degree skewness — used by quality & time predictors.
 //! * **Advanced**: basic + average triangles + average local clustering
 //!   coefficient — compute-intensive, optionally improves RF prediction.
+//!   Both come from one run of the source-fed kernel in [`crate::triangles`],
+//!   which ranks by the basic tier's degree table and builds no undirected
+//!   CSR.
 
 use crate::edge_list::Graph;
 use crate::prepared::PreparedGraph;
@@ -70,17 +73,17 @@ impl GraphProperties {
     /// Cold path: wraps the graph in a throwaway [`PreparedGraph`]. Callers
     /// that extract repeatedly from the same graph (profiling workers, the
     /// query service) should build one context and use
-    /// [`Self::compute_prepared`] so the degree table and the undirected
-    /// adjacency are built exactly once.
+    /// [`Self::compute_prepared`] so the degree table and the triangle table
+    /// are built exactly once.
     pub fn compute(graph: &Graph, tier: PropertyTier) -> Self {
         Self::compute_prepared(&PreparedGraph::of(graph), tier)
     }
 
     /// Compute properties as a thin view over an analysis context: every
-    /// super-constant structure (degree table, undirected simple CSR,
-    /// triangle counts) comes from the context's memoized caches. The
-    /// `Advanced` tier builds the undirected CSR exactly once — triangle
-    /// counts and the clustering coefficient share it.
+    /// super-constant structure (degree table, triangle counts and
+    /// simple-graph degrees) comes from the context's memoized caches. The
+    /// `Advanced` tier runs the triangle kernel exactly once — the triangle
+    /// average and the clustering coefficient share its table.
     pub fn compute_prepared(prepared: &PreparedGraph<'_>, tier: PropertyTier) -> Self {
         let n = prepared.num_vertices();
         let m = prepared.num_edges();

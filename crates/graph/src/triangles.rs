@@ -3,72 +3,109 @@
 //! Both are "advanced" features in the paper (Table III): the average number
 //! of triangles `t(G)` and the average local clustering coefficient `C(G)`
 //! (Sec. II-B.3/4). Triangles are counted on the undirected simple graph by
-//! the *forward* algorithm with mark-and-scan intersection, in three steps:
+//! the *forward* algorithm with mark-and-scan intersection — without ever
+//! materialising that graph's adjacency — in three steps:
 //!
-//! 1. **Rank** vertices by `(degree, id)` with a counting sort, `O(|V| +
-//!    max degree)`. Orienting every edge from its lower- to its higher-ranked
-//!    endpoint bounds each forward list by `O(√E)`.
-//! 2. **Relabel**: build the forward adjacency in rank space — list `r` holds
-//!    the *ranks* of the higher-ranked neighbours of the vertex ranked `r` —
-//!    in a counting and a placement pass that both walk the CSR in vertex-id
-//!    order (sequential over a spilled CSR's mapping; the only random
-//!    accesses go to heap-resident arrays). The lists are not sorted.
+//! 1. **Rank** vertices by `(total degree, id)` with a counting sort, `O(|V|)`.
+//!    The degree is the raw one of [`DegreeTable::total`](crate::DegreeTable)
+//!    — parallel edges and loops counted — which the degree stage has already
+//!    computed. Any total order gives exact counts; this one keeps every
+//!    forward list short: a list of `D` distinct higher-ranked neighbours
+//!    accounts for at least `D²` of the `2|E|` degree sum.
+//! 2. **Route** the edge stream into the forward adjacency in rank space —
+//!    list `r` holds the *ranks* of the higher-ranked neighbours of the vertex
+//!    ranked `r`. It is a [`Csr`] built with [`Route::Forward`]: one entry per
+//!    non-loop edge at its lower-ranked endpoint, counted and placed straight
+//!    off the [`GraphSource`], then each list sorted and deduplicated by the
+//!    CSR's own simplify pass — in heap, or through the spill chunk loop when
+//!    a memory budget refuses it. Half the entries of the undirected simple
+//!    CSR, and the only adjacency this module reads.
 //! 3. **Mark and scan**: for each `v`, mark `fwd(v)` in a `|V|`-entry flag
 //!    array, then for each `u ∈ fwd(v)` stream `fwd(u)` and add up the marks.
 //!    Every hit `w` closes the triangle `{v, u, w}`, found exactly once with
 //!    `v < u < w` in rank order. The scan has no data-dependent branch and
-//!    no rank indirection, and keeps the `O(E^{3/2})` bound. Counts are kept
-//!    in rank space — where the hot, high-degree vertices sit together — and
+//!    no rank indirection, and keeps the `O(E^{3/2})` bound. The same pass
+//!    recovers the simple-graph degree `c(v)` needs: `|fwd(r)|` plus the
+//!    occurrences of `r` in the other lists. Counts and degrees are kept in
+//!    rank space — where the hot, high-degree vertices sit together — and
 //!    permuted back to vertex-id order once at the end.
 
-use crate::csr::Csr;
+use crate::csr::{Csr, Route};
 use crate::edge_list::Graph;
+use crate::source::GraphSource;
 use crate::types::VertexId;
+
+/// What the kernel computes, indexed by vertex id: the triangle count `t(v)`
+/// and the degree of `v` in the undirected simple graph.
+#[derive(Debug)]
+pub struct TriangleTable {
+    pub counts: Vec<u64>,
+    pub degrees: Vec<u32>,
+}
+
+impl TriangleTable {
+    /// Averaged triangle statistics `t(G)` and `C(G)`.
+    pub fn stats(&self) -> TriangleStats {
+        averaged(&self.counts, |v| self.degrees[v] as usize)
+    }
+}
 
 /// Per-vertex triangle counts `t(v)` of the undirected simple graph.
 pub fn triangle_counts(graph: &Graph) -> Vec<u64> {
-    let adj = Csr::build_undirected_simple(graph);
-    triangle_counts_from_simple(&adj)
+    count_graph(graph).counts
 }
 
-/// Triangle counts from a prebuilt undirected simple adjacency, indexed by
-/// vertex id.
-///
-/// `adj` must be what [`Csr::build_undirected_simple`] and its source /
-/// spilled twins produce: every neighbour list strictly increasing (sorted,
-/// no duplicates) and free of self-loops. A raw `Csr::build(..,
-/// Direction::Undirected)` over-counts; debug builds assert the
-/// precondition, release builds do not pay the extra pass.
-pub fn triangle_counts_from_simple(adj: &Csr) -> Vec<u64> {
-    debug_assert!(
-        adj.iter().all(|(v, list)| list.windows(2).all(|w| w[0] < w[1]) && !list.contains(&v)),
-        "triangle counting needs a simple adjacency: strictly increasing, loop-free lists"
-    );
-    let rank = rank_by_degree(adj);
-    // the forward lists are freed before the id-order result is allocated
-    let by_rank = {
-        let (fwd_offsets, fwd) = forward_lists(adj, &rank);
-        scan_forward_lists(&fwd_offsets, &fwd)
-    };
-    rank.iter().map(|&r| by_rank[r as usize]).collect()
+fn count_graph(graph: &Graph) -> TriangleTable {
+    count_source(graph, &graph.total_degrees(), 1)
+}
+
+/// The kernel over any edge stream: `total_degrees[v]` is the number of edge
+/// endpoints at `v` (what [`DegreeTable::total`](crate::DegreeTable) holds),
+/// `shards` parallelises the forward build as in [`Csr::build_source`].
+/// Self-loops, parallel and reciprocal edges are ignored.
+pub fn count_source(
+    source: &dyn GraphSource,
+    total_degrees: &[u32],
+    shards: usize,
+) -> TriangleTable {
+    count_with(total_degrees, |rank| Csr::build_simple_source(source, Route::Forward(rank), shards))
+}
+
+/// [`count_source`] with the forward build left to the caller, who is handed
+/// the ranks and returns the simplified [`Route::Forward`] CSR over them —
+/// [`crate::PreparedGraph`] puts its heap-or-spill decision there. The CSR is
+/// dropped before the id-order result is allocated.
+pub(crate) fn count_with(
+    total_degrees: &[u32],
+    build_forward: impl FnOnce(&[VertexId]) -> Csr,
+) -> TriangleTable {
+    let rank = rank_by_degree(total_degrees);
+    let (counts, degrees) = scan_forward_lists(&build_forward(&rank));
+    TriangleTable {
+        counts: rank.iter().map(|&r| counts[r as usize]).collect(),
+        degrees: rank.iter().map(|&r| degrees[r as usize]).collect(),
+    }
 }
 
 /// Rank of every vertex in `(degree, id)` order, by counting sort. Ranks are
-/// the vertex ids of the relabelled graph, so they fit [`VertexId`].
-fn rank_by_degree(adj: &Csr) -> Vec<VertexId> {
-    let n = adj.num_vertices();
-    let max_degree = (0..n).map(|v| adj.degree(v as VertexId)).max().unwrap_or(0);
-    // next[d] = the rank the next vertex of degree d receives
-    let mut next = vec![0 as VertexId; max_degree + 2];
-    for v in 0..n {
-        next[adj.degree(v as VertexId) + 1] += 1;
+/// the vertex ids of the relabelled graph, so they fit [`VertexId`]. Degrees
+/// are capped at `|V|` — above it they cannot shorten a list of distinct
+/// neighbours further — which keeps the sort's table `O(|V|)` on multigraphs.
+fn rank_by_degree(degrees: &[u32]) -> Vec<VertexId> {
+    let n = degrees.len();
+    let key = |d: u32| (d as usize).min(n);
+    // next[k] = the rank the next vertex of key k receives
+    let mut next = vec![0 as VertexId; n + 2];
+    for &d in degrees {
+        next[key(d) + 1] += 1;
     }
-    for d in 0..=max_degree {
-        next[d + 1] += next[d];
+    for k in 0..=n {
+        next[k + 1] += next[k];
     }
-    (0..n)
-        .map(|v| {
-            let slot = &mut next[adj.degree(v as VertexId)];
+    degrees
+        .iter()
+        .map(|&d| {
+            let slot = &mut next[key(d)];
             let r = *slot;
             *slot += 1;
             r
@@ -76,43 +113,26 @@ fn rank_by_degree(adj: &Csr) -> Vec<VertexId> {
         .collect()
 }
 
-/// Forward adjacency in rank space as `(offsets, lists)`: the list of rank
-/// `r` is `lists[offsets[r]..offsets[r + 1]]` and holds the ranks of the
-/// higher-ranked neighbours of the vertex ranked `r`, in neighbour-id order.
-/// Each list is filled while its own vertex is visited, so placement needs
-/// no cursor array.
-fn forward_lists(adj: &Csr, rank: &[VertexId]) -> (Vec<usize>, Vec<VertexId>) {
-    let n = rank.len();
-    let mut offsets = vec![0usize; n + 1];
-    for (v, &rv) in rank.iter().enumerate() {
-        offsets[rv as usize + 1] =
-            adj.neighbors(v as VertexId).iter().filter(|&&u| rank[u as usize] > rv).count();
-    }
-    for r in 0..n {
-        offsets[r + 1] += offsets[r];
-    }
-    let mut lists = vec![0 as VertexId; offsets[n]];
-    for (v, &rv) in rank.iter().enumerate() {
-        let mut at = offsets[rv as usize];
-        for &u in adj.neighbors(v as VertexId) {
-            let ru = rank[u as usize];
-            if ru > rv {
-                lists[at] = ru;
-                at += 1;
-            }
-        }
-    }
-    (offsets, lists)
-}
-
-/// Mark-and-scan over the forward lists; returns triangle counts indexed by
-/// rank.
-fn scan_forward_lists(offsets: &[usize], lists: &[VertexId]) -> Vec<u64> {
-    let n = offsets.len() - 1;
+/// Mark-and-scan over the forward lists; returns triangle counts and simple
+/// degrees, both indexed by rank.
+fn scan_forward_lists(fwd: &Csr) -> (Vec<u64>, Vec<u32>) {
+    debug_assert!(
+        fwd.iter().all(|(v, list)| list.first().is_none_or(|&w| w > v)
+            && list.windows(2).all(|w| w[0] < w[1])),
+        "triangle counting needs simplified forward lists: strictly increasing, above their own rank"
+    );
+    let n = fwd.num_vertices();
     let mut counts = vec![0u64; n];
+    let mut degrees = vec![0u32; n];
     let mut marked = vec![false; n];
     for v in 0..n {
-        let fwd_v = &lists[offsets[v]..offsets[v + 1]];
+        let fwd_v = fwd.neighbors(v as VertexId);
+        // each undirected simple edge is in exactly one list: one degree for
+        // the list's owner, one for the entry
+        degrees[v] += fwd_v.len() as u32;
+        for &w in fwd_v {
+            degrees[w as usize] += 1;
+        }
         // the lowest-ranked corner of a triangle has two forward neighbours
         if fwd_v.len() < 2 {
             continue;
@@ -123,7 +143,7 @@ fn scan_forward_lists(offsets: &[usize], lists: &[VertexId]) -> Vec<u64> {
         let mut at_v = 0u64;
         for &u in fwd_v {
             let mut at_u = 0u64;
-            for &w in &lists[offsets[u as usize]..offsets[u as usize + 1]] {
+            for &w in fwd.neighbors(u) {
                 let hit = u64::from(marked[w as usize]);
                 counts[w as usize] += hit;
                 at_u += hit;
@@ -136,7 +156,7 @@ fn scan_forward_lists(offsets: &[usize], lists: &[VertexId]) -> Vec<u64> {
             marked[w as usize] = false;
         }
     }
-    counts
+    (counts, degrees)
 }
 
 /// Average number of triangles per vertex, `t(G) = (1/|V|) Σ t(v)`.
@@ -159,9 +179,8 @@ fn clustering(triangles: u64, degree: usize) -> f64 {
 /// `c(v) = t(v) / (0.5 · deg(v) · (deg(v)−1))`, 0 for deg < 2.
 /// Degrees are taken in the undirected simple graph.
 pub fn local_clustering(graph: &Graph) -> Vec<f64> {
-    let adj = Csr::build_undirected_simple(graph);
-    let t = triangle_counts_from_simple(&adj);
-    (0..adj.num_vertices()).map(|v| clustering(t[v], adj.degree(v as VertexId))).collect()
+    let table = count_graph(graph);
+    table.counts.iter().zip(&table.degrees).map(|(&t, &d)| clustering(t, d as usize)).collect()
 }
 
 /// Average local clustering coefficient `C(G)`.
@@ -169,33 +188,36 @@ pub fn avg_local_clustering(graph: &Graph) -> f64 {
     triangle_stats(graph).avg_lcc
 }
 
-/// Triangle metrics computed in one pass (shared adjacency build).
+/// Triangle metrics computed in one pass (shared forward build).
 pub struct TriangleStats {
     pub avg_triangles: f64,
     pub avg_lcc: f64,
 }
 
-/// Compute both averaged triangle statistics with a single adjacency build.
+/// Compute both averaged triangle statistics with a single kernel run.
 pub fn triangle_stats(graph: &Graph) -> TriangleStats {
-    let adj = Csr::build_undirected_simple(graph);
-    let t = triangle_counts_from_simple(&adj);
-    stats_from_parts(&adj, &t)
+    count_graph(graph).stats()
 }
 
-/// Averaged triangle statistics from a prebuilt undirected simple adjacency
-/// and its per-vertex triangle counts — the path
-/// [`crate::PreparedGraph::triangle_stats`] takes so the adjacency is built
-/// only once per graph.
+/// Averaged triangle statistics from an undirected simple adjacency and its
+/// per-vertex triangle counts — what [`TriangleTable::stats`] must equal bit
+/// for bit, with the degrees read off a materialised CSR.
 pub fn stats_from_parts(adj: &Csr, t: &[u64]) -> TriangleStats {
-    let n = adj.num_vertices();
+    averaged(t, |v| adj.degree(v as VertexId))
+}
+
+/// Both averages in vertex-id order — the summation order is part of the
+/// bit-exact answer.
+fn averaged(t: &[u64], degree: impl Fn(usize) -> usize) -> TriangleStats {
+    let n = t.len();
     if n == 0 {
         return TriangleStats { avg_triangles: 0.0, avg_lcc: 0.0 };
     }
     let mut sum_t = 0.0;
     let mut sum_c = 0.0;
-    for v in 0..n {
-        sum_t += t[v] as f64;
-        sum_c += clustering(t[v], adj.degree(v as VertexId));
+    for (v, &t_v) in t.iter().enumerate() {
+        sum_t += t_v as f64;
+        sum_c += clustering(t_v, degree(v));
     }
     TriangleStats { avg_triangles: sum_t / n as f64, avg_lcc: sum_c / n as f64 }
 }
@@ -260,6 +282,14 @@ mod tests {
         let star = Graph::from_pairs((1..=50).map(|leaf| (0, leaf)));
         assert_eq!(triangle_counts(&star), vec![0; 51]);
 
+        // a multigraph star: 50 parallel spokes to leaf 1 make it outrank
+        // leaves 2 and 3 by raw degree (51 against 2) although all three have
+        // simple degree 2; hub 0 closes one triangle with 2 and 3
+        let spokes = (0..50).map(|_| (0, 1)).chain([(0, 2), (0, 3), (2, 3), (1, 4)]);
+        let table = count_graph(&Graph::from_pairs(spokes));
+        assert_eq!(table.counts, vec![1, 0, 1, 1, 0]);
+        assert_eq!(table.degrees, vec![3, 2, 2, 2, 1]);
+
         let clique = Graph::from_pairs((0..20).flat_map(|a| (a + 1..20).map(move |b| (a, b))));
         // every pair of the other 19 vertices closes a triangle
         assert_eq!(triangle_counts(&clique), vec![19 * 18 / 2; 20]);
@@ -293,14 +323,14 @@ mod tests {
         assert_eq!(triangle_counts(&g), vec![0, 0, 0, 0, 0, 1, 1, 1]);
     }
 
-    /// A raw undirected CSR (duplicates, loops, unsorted lists) is not a
-    /// valid input; debug builds refuse it instead of over-counting.
+    /// Raw forward lists (parallel edges kept, unsorted) are not a valid
+    /// input; debug builds refuse them instead of over-counting.
     #[test]
     #[cfg(debug_assertions)]
-    #[should_panic(expected = "simple adjacency")]
+    #[should_panic(expected = "simplified forward lists")]
     fn non_simple_adjacency_is_refused_in_debug_builds() {
         let g = Graph::from_pairs([(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)]);
-        triangle_counts_from_simple(&Csr::build(&g, crate::csr::Direction::Undirected));
+        count_with(&g.total_degrees(), |rank| Csr::build_source(&g, Route::Forward(rank), 1));
     }
 
     #[test]

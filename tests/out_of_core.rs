@@ -15,7 +15,7 @@ mod common;
 
 use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::csr::Direction;
-use ease_repro::graph::{triangles, Csr, Graph, MemoryBudget, VertexId};
+use ease_repro::graph::{Csr, Graph, MemoryBudget, VertexId};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::graphgen::Scale;
 use ease_repro::partition::PartitionerId;
@@ -154,7 +154,7 @@ proptest! {
     fn sharded_and_spilled_simplify_match_the_sequential_reference(g in arb_graph()) {
         let reference = reference_simplified(&g);
         for shards in [1usize, 2, 3, 5, 8] {
-            let heap = Csr::build_undirected_simple_source(&g, shards);
+            let heap = Csr::build_simple_source(&g, Direction::Undirected, shards);
             prop_assert!(!heap.is_spilled());
             prop_assert_eq!(&dump(&heap), &reference, "heap shards={}", shards);
             let dir = spill_dir("prop");
@@ -285,29 +285,32 @@ fn undirected_simplify_compacts_in_place_without_a_second_targets_buffer() {
     );
 }
 
-/// The triangle kernel's heap stays under what the merge kernel it replaced
-/// allocated: `32·|V|` bytes of per-vertex tables plus one 4-byte forward
-/// entry per undirected edge. It reads a spilled CSR in place, so nothing
-/// the size of the adjacency may be copied to the heap either.
+/// The whole advanced-tier extraction — degree table, ranks, forward lists,
+/// scan — allocates less than the raw undirected CSR alone did, the stage
+/// the source-fed kernel deleted: `4·|E|` bytes of forward entries stand in
+/// for `8·|E|`. Heap and spilled; the spilled build holds one chunk of the
+/// forward lists and reads the mapping in place. Dense graph, so the
+/// targets dominate every `O(|V|)` table.
 #[test]
-fn triangle_kernel_allocates_no_more_than_the_merge_kernel_did() {
-    let g = Rmat::new(RMAT_COMBOS[5], 1 << 12, 20_000, 13).generate();
-    let dir = spill_dir("tri_alloc");
-    let chunk = 1 << 12;
-    let spilled =
-        Csr::build_spilled(&g, Direction::Undirected, 1, true, chunk, &dir).expect("spilled build");
-    let heap = Csr::build_undirected_simple(&g);
-    let bound = (32 * heap.num_vertices() + 4 * (heap.num_entries() / 2)) as u64;
-    for adj in [&heap, &spilled] {
-        let (counts, allocated) = tracked(|| triangles::triangle_counts_from_simple(adj));
-        assert!(counts.iter().any(|&t| t > 0), "the graph has triangles to count");
+fn advanced_extraction_allocates_less_than_the_undirected_csr_did() {
+    let g = Rmat::new(RMAT_COMBOS[5], 1 << 10, 40_000, 13).generate();
+    let bound = Csr::heap_bytes(g.num_vertices(), 2 * g.num_edges()) as u64;
+    let tier = ease_repro::graph::PropertyTier::Advanced;
+    let dir = spill_dir("advanced_alloc");
+    let budgets = [("heap", Arc::new(MemoryBudget::unlimited())), ("spilled", zero_budget(&dir))];
+    for (what, budget) in budgets {
+        let ctx = PreparedGraph::of(&g).with_shards(1).with_memory_budget(Arc::clone(&budget));
+        let (props, allocated) = tracked(|| ctx.properties(tier));
+        assert!(props.avg_triangles.is_some_and(|t| t > 0.0), "the graph has triangles to count");
+        assert_eq!(ctx.undirected_csr_builds(), 0);
+        assert_eq!(budget.spill_events(), u64::from(what == "spilled"));
         assert!(
-            allocated <= bound,
-            "kernel allocated {allocated} bytes on a {} CSR; the merge kernel's total was {bound}",
-            if adj.is_spilled() { "spilled" } else { "heap" }
+            allocated < bound,
+            "{what} advanced extraction allocated {allocated} bytes; \
+             the raw undirected CSR alone was {bound}"
         );
     }
-    drop(spilled);
+    assert_eq!(dir_entries(&dir), Vec::<String>::new());
     std::fs::remove_dir_all(&dir).ok();
 }
 

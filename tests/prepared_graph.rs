@@ -1,17 +1,52 @@
 //! Property tests for the prepared-graph analysis context: extraction
 //! through [`PreparedGraph`] must be *bit-identical* to the pre-refactor
 //! direct path, and the content fingerprint must be stable under
-//! recomputation yet sensitive to any edge change. The triangle kernel
-//! behind the advanced tier is differential-tested against a naive oracle.
+//! recomputation yet sensitive to any edge change. The source-fed triangle
+//! kernel behind the advanced tier is differential-tested against a naive
+//! oracle over the undirected simple CSR the kernel no longer builds.
 
 mod common;
 
 use common::naive_triangle_counts;
+use ease_repro::graph::bel::{write_bel, BelSource};
 use ease_repro::graph::degree::DegreeTable;
-use ease_repro::graph::{triangles, Csr, Edge, Graph, GraphProperties, PropertyTier};
+use ease_repro::graph::{
+    triangles, Csr, Edge, Graph, GraphProperties, GraphSource, MemoryBudget, PropertyTier,
+};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::PreparedGraph;
 use proptest::prelude::*;
+use std::ops::Range;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+/// An in-memory graph that hides its slice, so builders take the replay
+/// path every non-resident source takes.
+struct NoSlice<'g>(&'g Graph);
+
+impl GraphSource for NoSlice<'_> {
+    fn num_vertices(&self) -> usize {
+        self.0.num_vertices()
+    }
+    fn edge_count(&self) -> usize {
+        self.0.num_edges()
+    }
+    fn for_each_edge(&self, f: &mut dyn FnMut(Edge)) {
+        GraphSource::for_each_edge(self.0, f)
+    }
+    fn for_each_edge_in(&self, range: Range<usize>, f: &mut dyn FnMut(Edge)) {
+        self.0.for_each_edge_in(range, f)
+    }
+}
+
+/// A fresh path under the temp dir, unique to this call and process: the
+/// suite's tests run on parallel threads and must not share a file.
+fn temp_path(tag: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(unique-name counter)
+    std::env::temp_dir().join(format!("ease_pg_{tag}_{}_{n}", std::process::id()))
+}
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (0usize..9, 40usize..600, 0u64..50)
@@ -92,21 +127,52 @@ proptest! {
             assert_bit_identical(&via_prepared, &direct);
             assert_bit_identical(&via_compute, &direct);
         }
-        // one graph, three tiers: the undirected CSR was still built once
-        prop_assert_eq!(prepared.undirected_csr_builds(), 1);
+        // one graph, three tiers: no tier builds the undirected CSR
+        prop_assert_eq!(prepared.undirected_csr_builds(), 0);
     }
 
-    /// The triangle kernel agrees with the naive oracle, called directly
-    /// and through the memoizing context.
+    /// The source-fed kernel agrees with the naive oracle over the simple
+    /// CSR — which shares no code with it — on multigraphs with self-loops,
+    /// parallel and reciprocal edges: per-vertex counts, and both averages
+    /// bit for bit, from every kind of source, shard count and budget.
     #[test]
     fn triangle_kernel_matches_the_naive_oracle(g in arb_multigraph(), rmat in arb_graph()) {
         for g in [&g, &rmat] {
             let adj = Csr::build_undirected_simple(g);
             let want = naive_triangle_counts(&adj);
             prop_assert_eq!(want.len(), g.num_vertices());
-            prop_assert_eq!(&triangles::triangle_counts_from_simple(&adj), &want);
-            let prepared = PreparedGraph::of(g);
-            prop_assert_eq!(prepared.triangle_counts(), want.as_slice());
+            let want_stats = triangles::stats_from_parts(&adj, &want);
+            prop_assert_eq!(&triangles::triangle_counts(g), &want);
+
+            let bel = temp_path("oracle").with_extension("bel");
+            write_bel(g, &bel).expect("write .bel");
+            let mapped = BelSource::open(&bel).expect("open .bel");
+            let hidden = NoSlice(g);
+            let sources: [(&str, &dyn GraphSource); 3] =
+                [("memory", g), ("hidden slice", &hidden), (".bel", &mapped)];
+            let spill_dir = temp_path("oracle_spill");
+            for (source_name, source) in sources {
+                for shards in [1usize, 2, 5] {
+                    for limit in [usize::MAX, 0] {
+                        let budget = Arc::new(MemoryBudget::bytes(limit).with_spill_dir(&spill_dir));
+                        let prepared = PreparedGraph::of_source(source)
+                            .with_shards(shards)
+                            .with_memory_budget(Arc::clone(&budget));
+                        let what = format!("{source_name} x{shards} budget {limit}");
+                        prop_assert_eq!(prepared.triangle_counts(), want.as_slice(), "{}", &what);
+                        let got = prepared.triangle_stats();
+                        prop_assert_eq!(
+                            got.avg_triangles.to_bits(), want_stats.avg_triangles.to_bits(), "{}", &what
+                        );
+                        prop_assert_eq!(got.avg_lcc.to_bits(), want_stats.avg_lcc.to_bits(), "{}", &what);
+                        prop_assert_eq!(prepared.undirected_csr_builds(), 0, "{}", &what);
+                        prop_assert_eq!(budget.spill_events(), u64::from(limit == 0), "{}", &what);
+                        prop_assert_eq!(budget.charged(), 0, "{}", &what);
+                    }
+                }
+            }
+            std::fs::remove_file(&bel).ok();
+            std::fs::remove_dir_all(&spill_dir).ok();
         }
     }
 
