@@ -262,11 +262,12 @@ echo "router smoke passed: fleet answered identically and stopped as one"
 
 # ---- HTTP 503: a saturated budgeted fleet sheds over HTTP --------------
 # one backend whose analysis budget is far below the query's estimated
-# derived-CSR footprint: the router sheds with a typed overload answer,
+# footprint (the forward lists of a ~600-edge graph: 8(|V|+1) + 4|E| is
+# about 3 KB): the router sheds with a typed overload answer,
 # which the facade maps to 503 Service Unavailable; then an HTTP POST
 # /shutdown drains the whole fleet.
 b3="$smoke/budgeted.sock"
-"$EASE_BIN" serve --model "$smoke/ease.model" --socket "$b3" --memory-budget 4096 &
+"$EASE_BIN" serve --model "$smoke/ease.model" --socket "$b3" --memory-budget 1024 &
 fleet_pids+=("$!")
 ready=0
 for _ in $(seq 1 100); do

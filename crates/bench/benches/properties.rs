@@ -56,7 +56,7 @@ fn bench_triangle_kernel(c: &mut Criterion) {
     for (name, graph) in &graphs {
         let total = graph.total_degrees();
         group.bench_with_input(BenchmarkId::from_parameter(name), graph, |b, graph| {
-            b.iter(|| black_box(ease_graph::triangles::count_source(graph, &total, 1)));
+            b.iter(|| black_box(ease_graph::triangles::count_source(graph, &total)));
         });
     }
     group.finish();

@@ -79,16 +79,6 @@ impl GraphInput {
         }
     }
 
-    /// [`GraphInput::prepare`] with a pinned construction-shard count.
-    /// The profiling fan-out already saturates the machine with one worker
-    /// per core, so its contexts pin shards to the leftover parallelism
-    /// (usually 1) instead of the default one-shard-per-core — nested
-    /// `workers × cores` thread explosions add scheduler noise to
-    /// `Measured`-timing runs without speeding anything up.
-    pub fn prepare_sharded(&self, shards: usize) -> PreparedGraph<'_> {
-        self.prepare().with_shards(shards)
-    }
-
     pub fn from_specs(specs: Vec<RmatSpec>) -> Vec<GraphInput> {
         specs.into_iter().map(GraphInput::Rmat).collect()
     }
@@ -234,18 +224,17 @@ impl PreparedPool {
         (self.builds.load(Ordering::Relaxed), self.reuses.load(Ordering::Relaxed))
     }
 
-    /// Prepare `input` with pinned construction shards, sharing the
-    /// context if its spec is in the overlap.
-    fn prepare<'i>(&self, input: &'i GraphInput, shards: usize) -> PooledPrepared<'i> {
+    /// Prepare `input`, sharing the context if its spec is in the overlap.
+    fn prepare<'i>(&self, input: &'i GraphInput) -> PooledPrepared<'i> {
         // No overlap (the disabled-pool legacy paths): skip spec_key
         // entirely — for materialized inputs it costs a full O(|E|)
         // fingerprint pass that could never produce a hit.
         if self.eligible.is_empty() {
-            return PooledPrepared::Local(input.prepare_sharded(shards));
+            return PooledPrepared::Local(input.prepare());
         }
         let key = input.spec_key();
         if !self.eligible.contains(&key) {
-            return PooledPrepared::Local(input.prepare_sharded(shards));
+            return PooledPrepared::Local(input.prepare());
         }
         let cell = {
             let mut shared = self.shared.lock().expect("prepared pool lock");
@@ -256,16 +245,13 @@ impl PreparedPool {
         let mut built = false;
         let arc = cell.get_or_init(|| {
             built = true;
-            Arc::new(
-                match input {
-                    GraphInput::Rmat(s) => match rmat_spilled_source(s, &key) {
-                        Some(source) => PreparedGraph::from_source(Box::new(source)),
-                        None => PreparedGraph::new(s.generate()),
-                    },
-                    GraphInput::Materialized(t) => PreparedGraph::new(t.graph.clone()),
-                }
-                .with_shards(shards),
-            )
+            Arc::new(match input {
+                GraphInput::Rmat(s) => match rmat_spilled_source(s, &key) {
+                    Some(source) => PreparedGraph::from_source(Box::new(source)),
+                    None => PreparedGraph::new(s.generate()),
+                },
+                GraphInput::Materialized(t) => PreparedGraph::new(t.graph.clone()),
+            })
         });
         if built {
             self.builds.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(stats counter only)
@@ -333,18 +319,15 @@ fn worker_count(n_items: usize) -> usize {
 }
 
 /// Run `f` over the inputs with scoped-thread fan-out, collecting outputs.
-/// `f` receives the per-context construction-shard budget: the leftover
-/// parallelism after the worker fan-out (so `workers × shards ≈ cores`,
-/// never `workers × cores` nested threads).
+/// One graph per worker is the only level of parallelism: every pass inside
+/// a [`PreparedGraph`] runs on the worker that asked for it.
 fn parallel_profile<T: Send, F>(inputs: &[GraphInput], f: F) -> Vec<T>
 where
-    F: Fn(&GraphInput, usize) -> Vec<T> + Sync,
+    F: Fn(&GraphInput) -> Vec<T> + Sync,
 {
     let results: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
     let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = worker_count(inputs.len());
-    let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    let ctx_shards = (cores / workers.max(1)).max(1);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -353,7 +336,7 @@ where
                 if idx >= inputs.len() {
                     break;
                 }
-                let out = f(&inputs[idx], ctx_shards);
+                let out = f(&inputs[idx]);
                 results.lock().unwrap().push((idx, out));
             });
         }
@@ -398,8 +381,8 @@ pub fn profile_quality_pooled(
     timing: TimingMode,
     pool: &PreparedPool,
 ) -> Vec<QualityRecord> {
-    parallel_profile(inputs, |input, ctx_shards| {
-        let pooled = pool.prepare(input, ctx_shards);
+    parallel_profile(inputs, |input| {
+        let pooled = pool.prepare(input);
         let prepared = pooled.get();
         // Extracting properties first also warms the context (degree table,
         // undirected CSR, triangles), so no partitioner run is charged for
@@ -468,8 +451,8 @@ pub fn profile_processing_pooled(
     pool: &PreparedPool,
 ) -> Vec<ProcessingRecord> {
     let cluster = ClusterSpec::new(k);
-    parallel_profile(inputs, |input, ctx_shards| {
-        let pooled = pool.prepare(input, ctx_shards);
+    parallel_profile(inputs, |input| {
+        let pooled = pool.prepare(input);
         let prepared = pooled.get();
         let props = GraphProperties::compute_prepared(prepared, PropertyTier::Advanced);
         let mut out = Vec::with_capacity(partitioners.len() * workloads.len());

@@ -489,11 +489,12 @@ mod unix_router {
     ///
     /// `.bel` files declare `|V|` and `|E|` in their header, so the
     /// estimate can be the thing admission actually guards: the heap
-    /// charge of the undirected simple CSR the advanced property tier
-    /// builds (`Csr::heap_bytes(|V|, 2·|E|)` — usize offsets plus two u32
-    /// targets per edge). That is roughly *half* the `.bel` file's own
-    /// size for edge-heavy graphs (the file stores two u64s per edge), so
-    /// sniffing admits real queries the old file-size estimate shed.
+    /// charge of the triangle kernel's forward lists, the one CSR the
+    /// advanced property tier builds (`Csr::heap_bytes(|V|, |E|)` — usize
+    /// offsets plus one u32 target per edge). That is roughly a *quarter*
+    /// of the `.bel` file's own size for edge-heavy graphs (the file stores
+    /// two u64s per edge), so sniffing admits real queries a file-size
+    /// estimate sheds.
     /// Anything without a well-formed `.bel` header (text edge lists,
     /// truncated files) falls back to the file size, a coarse
     /// over-approximation. `None` (unreadable/absent file) admits to the
@@ -507,7 +508,7 @@ mod unix_router {
     }
 
     /// The admission estimate declared by a well-formed `.bel` header:
-    /// CSR offsets + undirected targets, saturating so a hostile header
+    /// CSR offsets + forward-list targets, saturating so a hostile header
     /// cannot overflow the arithmetic. `None` when the file does not start
     /// with a `.bel` header.
     fn bel_csr_estimate(path: &Path) -> Option<u64> {
@@ -521,10 +522,11 @@ mod unix_router {
         }
         let num_vertices = u64::from_le_bytes(header[8..16].try_into().ok()?); // lint: panic-ok(fixed 24-byte header array)
         let num_edges = u64::from_le_bytes(header[16..24].try_into().ok()?); // lint: panic-ok(fixed 24-byte header array)
-                                                                             // Csr::heap_bytes(|V|, 2·|E|): 8-byte offsets, 4-byte targets,
-                                                                             // every edge appearing in both endpoints' lists
+
+        // Csr::heap_bytes(|V|, |E|): 8-byte offsets, and a 4-byte target
+        // for every edge in the forward list of its lower-ranked endpoint
         let offsets = num_vertices.saturating_add(1).saturating_mul(8);
-        let targets = num_edges.saturating_mul(8);
+        let targets = num_edges.saturating_mul(4);
         Some(offsets.saturating_add(targets))
     }
 
@@ -682,10 +684,10 @@ mod unix_router {
 
             let file_size = std::fs::metadata(&file).expect("stat").len();
             assert_eq!(file_size, BEL_HEADER_LEN as u64 + num_edges * BEL_EDGE_LEN as u64);
-            // offsets (8·(|V|+1)) + undirected u32 targets (8·|E|) — the
-            // advanced tier's actual heap charge, about half the file
+            // offsets (8·(|V|+1)) + forward-list u32 targets (4·|E|) — the
+            // advanced tier's actual heap charge, about a quarter of the file
             let estimate = estimated_bytes(&file).expect("estimate");
-            assert_eq!(estimate, (8 + 1) * 8 + num_edges * 8);
+            assert_eq!(estimate, (8 + 1) * 8 + num_edges * 4);
             assert!(estimate < file_size);
 
             // regression: a headroom between the CSR charge and the file

@@ -12,8 +12,8 @@
 //! 16 bytes per edge, no parsing: ingesting a `.bel` file is a header check
 //! plus `u64::from_le_bytes` per endpoint straight out of the page cache.
 //! [`BelSource`] memory-maps the file ([`crate::mmap::Mmap`]) and implements
-//! [`GraphSource`], so CSR/degree construction shards directly over the
-//! mapping without ever materializing an owned `Vec<Edge>`.
+//! [`GraphSource`], so CSR/degree construction replays the mapping directly
+//! without ever materializing an owned `Vec<Edge>`.
 //!
 //! [`BelWriter`] streams edges to disk with a placeholder header that is
 //! patched on [`BelWriter::finish`] — writers (the `ease gen`/`ease convert`
@@ -22,7 +22,6 @@
 
 use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 use crate::edge_list::Graph;
@@ -215,12 +214,7 @@ impl GraphSource for BelSource {
     }
 
     fn for_each_edge(&self, f: &mut dyn FnMut(Edge)) {
-        self.for_each_edge_in(0..self.edge_count, f);
-    }
-
-    fn for_each_edge_in(&self, range: Range<usize>, f: &mut dyn FnMut(Edge)) {
-        debug_assert!(range.end <= self.edge_count);
-        for i in range {
+        for i in 0..self.edge_count {
             f(self.edge(i));
         }
     }

@@ -1,7 +1,15 @@
 //! Compressed sparse row adjacency.
+//!
+//! One builder over a [`GraphSource`] for the heap ([`Csr::build_source`]:
+//! a counting replay, a prefix sum, a placement replay, optionally the
+//! in-place simplify pass) and one for the spill file
+//! ([`Csr::build_spilled`]: the same counting replay, then one replay per
+//! bounded vertex chunk). Every pass is sequential and runs on the calling
+//! thread. [`Csr::build`] over an in-memory [`Graph`] shares no code with
+//! them and is the reference the tests compare both with.
 
 use crate::edge_list::Graph;
-use crate::source::{each_edge, each_edge_in, GraphSource};
+use crate::source::{each_edge, GraphSource};
 use crate::spill::{LoadedCsr, MappedCsr, SpillWriter};
 use crate::types::{Edge, VertexId};
 use std::ops::Range;
@@ -162,78 +170,15 @@ impl Csr {
         Csr::heap(offsets, targets, direction)
     }
 
-    /// Build adjacency from any [`GraphSource`] with the counting and
-    /// placement passes sharded over `shards` contiguous edge ranges
-    /// (scoped `std::thread` workers). One shard — or a source without
-    /// random access — degrades to the sequential two-pass build.
-    ///
-    /// Bit-identical to [`Csr::build`] on the same stream for every shard
-    /// count: per-shard counts merge by addition, and each shard places its
-    /// edges at cursor positions offset by the counts of earlier shards, so
-    /// every per-vertex neighbor list ends up in stream order.
-    pub fn build_source<'r>(
-        source: &dyn GraphSource,
-        route: impl Into<Route<'r>>,
-        shards: usize,
-    ) -> Self {
+    /// Build adjacency from any [`GraphSource`] in two sequential replays of
+    /// the stream: count every list's entries, prefix-sum the counts into
+    /// offsets, then place each entry at its list's cursor — so every
+    /// per-vertex neighbor list ends up in stream order, bit-identical to
+    /// [`Csr::build`] on the same stream.
+    pub fn build_source<'r>(source: &dyn GraphSource, route: impl Into<Route<'r>>) -> Self {
         let route = route.into();
         let n = source.num_vertices();
-        let chunks = source.par_chunks(shards.max(1));
-        if chunks.len() <= 1 {
-            return Self::build_source_sequential(source, route);
-        }
-        // ---- counting pass: one private count array per shard ----
-        let per_shard: Vec<Vec<u32>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .cloned()
-                .map(|range| {
-                    scope.spawn(move || {
-                        let mut counts = vec![0u32; n];
-                        each_edge_in(source, range, |e| count_edge(&mut counts, route, e));
-                        counts
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("csr count shard")).collect()
-        });
-        // ---- merge into offsets; derive each shard's start cursors ----
-        let mut offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            let total: usize = per_shard.iter().map(|c| c[v] as usize).sum();
-            offsets[v + 1] = offsets[v] + total;
-        }
-        let mut cursors: Vec<Vec<usize>> = Vec::with_capacity(per_shard.len());
-        let mut running = offsets[..n].to_vec();
-        for shard_counts in &per_shard {
-            cursors.push(running.clone());
-            for (r, &c) in running.iter_mut().zip(shard_counts) {
-                *r += c as usize;
-            }
-        }
-        drop(per_shard);
-        // ---- placement pass: disjoint writes into one shared buffer ----
-        let mut targets = vec![0 as VertexId; offsets[n]];
-        let shared = SharedTargets { ptr: targets.as_mut_ptr(), len: targets.len() };
-        std::thread::scope(|scope| {
-            for (range, mut cursor) in chunks.into_iter().zip(cursors) {
-                let shared = &shared;
-                scope.spawn(move || {
-                    each_edge_in(source, range, |e| {
-                        place_edge(&mut cursor, shared, route, e);
-                    });
-                });
-            }
-        });
-        Csr::heap(offsets, targets, route.direction())
-    }
-
-    /// Sequential two-pass build over a source (the degrade path of
-    /// [`Csr::build_source`]).
-    fn build_source_sequential(source: &dyn GraphSource, route: Route<'_>) -> Self {
-        let n = source.num_vertices();
-        let mut counts = vec![0u32; n];
-        each_edge(source, |e| count_edge(&mut counts, route, e));
+        let counts = count_source(source, route);
         let mut offsets = vec![0usize; n + 1];
         for v in 0..n {
             offsets[v + 1] = offsets[v] + counts[v] as usize;
@@ -241,44 +186,50 @@ impl Csr {
         drop(counts);
         let mut cursor = offsets[..n].to_vec();
         let mut targets = vec![0 as VertexId; offsets[n]];
-        let shared = SharedTargets { ptr: targets.as_mut_ptr(), len: targets.len() };
-        each_edge(source, |e| place_edge(&mut cursor, &shared, route, e));
+        each_edge(source, |e| {
+            route.each_entry(e, |v, t| {
+                let c = &mut cursor[v];
+                targets[*c] = t;
+                *c += 1;
+            });
+        });
         Csr::heap(offsets, targets, route.direction())
     }
 
     /// [`Csr::build_source`] followed by the simplify pass — every list
-    /// sorted, duplicates and the list's own index dropped — both sharded.
-    pub fn build_simple_source<'r>(
-        source: &dyn GraphSource,
-        route: impl Into<Route<'r>>,
-        shards: usize,
-    ) -> Self {
-        Self::build_source(source, route, shards).into_simple(shards)
+    /// sorted, duplicates and the list's own index dropped.
+    pub fn build_simple_source<'r>(source: &dyn GraphSource, route: impl Into<Route<'r>>) -> Self {
+        Self::build_source(source, route).into_simple()
     }
 
     /// Build undirected *simple* adjacency: reciprocal duplicates, parallel
     /// edges and self-loops removed, each list sorted. This is the input for
     /// neighborhood expansion and the triangle oracle.
     pub fn build_undirected_simple(graph: &Graph) -> Self {
-        Csr::build(graph, Direction::Undirected).into_simple(1)
+        Csr::build(graph, Direction::Undirected).into_simple()
     }
 
     /// Simplify an adjacency **in place**: sort each list, drop self-loops
     /// and duplicates, and compact the surviving entries to the front of the
     /// existing targets buffer — no second full-size targets vector (PR 8:
     /// the old scratch copy doubled peak memory right at the largest
-    /// transient of the whole pipeline). With `shards > 1` the
-    /// sort/dedup runs on contiguous vertex ranges under scoped threads,
-    /// mirroring how counting/placement already shard; results are
-    /// bit-identical for every shard count because each vertex's list is
-    /// simplified independently.
-    fn into_simple(self, shards: usize) -> Self {
+    /// transient of the whole pipeline).
+    fn into_simple(self) -> Self {
         let (mut offsets, mut targets) = match self.store {
             Store::Heap { offsets, targets } => (offsets, targets),
             // defensive: a mapped CSR is immutable, decode before editing
             Store::Mapped(m) => m.decode(),
         };
-        simplify_in_place(&mut offsets, &mut targets, shards);
+        // one forward write cursor, `w <= offsets[v]` always
+        let n = offsets.len() - 1;
+        let mut w = 0usize;
+        for v in 0..n {
+            let kept = dedup_list(&mut targets, offsets[v]..offsets[v + 1], w, v);
+            offsets[v] = w;
+            w += kept;
+        }
+        offsets[n] = w;
+        targets.truncate(w);
         Csr::heap(offsets, targets, self.direction)
     }
 
@@ -290,21 +241,20 @@ impl Csr {
     /// out-of-core twin of [`Csr::build_simple_source`], never
     /// holding more than one chunk plus the `O(|V|)` count table in heap.
     ///
-    /// The counting pass shards exactly like [`Csr::build_source`]; each
-    /// chunk then replays the edge stream once, placing its own incidences
-    /// in stream order, so the result is bit-identical to the in-heap
-    /// build for every shard count and chunk size.
+    /// After the counting pass of [`Csr::build_source`], each chunk replays
+    /// the edge stream once, placing its own incidences in stream order, so
+    /// the result is bit-identical to the in-heap build for every chunk
+    /// size.
     pub fn build_spilled<'r>(
         source: &dyn GraphSource,
         route: impl Into<Route<'r>>,
-        shards: usize,
         simplify: bool,
         chunk_bytes: usize,
         dir: &Path,
     ) -> std::io::Result<Self> {
         let route = route.into();
         let n = source.num_vertices();
-        let counts = count_source(source, route, shards);
+        let counts = count_source(source, route);
         let mut writer = SpillWriter::create(dir, n)?;
         let cap_entries = (chunk_bytes / std::mem::size_of::<VertexId>()).max(1024);
         let mut buf: Vec<VertexId> = Vec::new();
@@ -442,187 +392,12 @@ fn dedup_list(buf: &mut [VertexId], list: Range<usize>, to: usize, v: usize) -> 
     w - to
 }
 
-/// The in-place simplify pass behind
-/// [`Csr::build_undirected_simple`]/[`Csr::build_simple_source`]:
-/// sort + dedup every per-vertex list (dropping self-loops) and slide the
-/// survivors to the front of `targets`, rewriting `offsets` as it goes.
-/// Peak extra memory is `O(shards · |V|/shards)` for the per-shard degree
-/// records — never a second targets buffer.
-fn simplify_in_place(offsets: &mut [usize], targets: &mut Vec<VertexId>, shards: usize) {
-    let n = offsets.len() - 1;
-    let ranges = shard_vertex_ranges(offsets, shards);
-    if ranges.len() <= 1 {
-        // sequential: one forward write cursor, `w <= offsets[v]` always
-        let mut w = 0usize;
-        for v in 0..n {
-            let kept = dedup_list(targets, offsets[v]..offsets[v + 1], w, v);
-            offsets[v] = w;
-            w += kept;
-        }
-        offsets[n] = w;
-        targets.truncate(w);
-        return;
-    }
-    // ---- phase 1 (parallel): each shard owns a disjoint sub-slice of
-    // targets (split at vertex-range boundaries) and compacts its own
-    // vertices to the front of that span ----
-    let mut spans: Vec<(usize, &mut [VertexId])> = Vec::with_capacity(ranges.len());
-    let mut rest: &mut [VertexId] = targets.as_mut_slice();
-    let mut consumed = 0usize;
-    for range in &ranges {
-        let span_end = offsets[range.end];
-        let (head, tail) = rest.split_at_mut(span_end - consumed);
-        spans.push((consumed, head));
-        consumed = span_end;
-        rest = tail;
-    }
-    let offsets_ro: &[usize] = offsets;
-    let results: Vec<(usize, Vec<u32>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .cloned()
-            .zip(spans)
-            .map(|(range, (span_start, span))| {
-                scope.spawn(move || {
-                    let mut degrees = Vec::with_capacity(range.len());
-                    let mut w = 0usize;
-                    for v in range {
-                        let list = offsets_ro[v] - span_start..offsets_ro[v + 1] - span_start;
-                        let kept = dedup_list(span, list, w, v);
-                        w += kept;
-                        degrees.push(kept as u32);
-                    }
-                    (w, degrees)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("simplify shard")).collect()
-    });
-    // ---- phase 2 (sequential): slide each shard's compacted block left
-    // to abut the previous one, and rewrite offsets from the new degrees.
-    // `offsets[range.start]` is still the *old* span start when its shard
-    // is processed: only offsets of strictly earlier vertices have been
-    // rewritten by then ----
-    let mut w = 0usize;
-    for (range, (compacted, degrees)) in ranges.iter().cloned().zip(results) {
-        let span_start = offsets[range.start];
-        targets.copy_within(span_start..span_start + compacted, w);
-        for (v, d) in range.zip(degrees) {
-            offsets[v] = w;
-            w += d as usize;
-        }
-    }
-    offsets[n] = w;
-    targets.truncate(w);
-}
-
-/// Carve `0..n` into at most `shards` contiguous vertex ranges balanced by
-/// adjacency entries (hubs make per-vertex splits uneven; entry balancing
-/// keeps shard wall-times comparable).
-fn shard_vertex_ranges(offsets: &[usize], shards: usize) -> Vec<Range<usize>> {
-    let n = offsets.len() - 1;
-    let total = offsets[n];
-    let shards = shards.max(1).min(n.max(1));
-    if shards <= 1 || total == 0 {
-        return std::iter::once(0..n).collect();
-    }
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    for s in 0..shards {
-        if start >= n {
-            break;
-        }
-        let end = if s + 1 == shards {
-            n
-        } else {
-            let goal = (total as u128 * (s as u128 + 1) / shards as u128) as usize;
-            offsets.partition_point(|&o| o < goal).clamp(start + 1, n)
-        };
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
-/// Sharded counting pass shared by the heap and spilled builders: merged
-/// per-list entry counts for `route` over the whole stream.
-fn count_source(source: &dyn GraphSource, route: Route<'_>, shards: usize) -> Vec<u32> {
-    let n = source.num_vertices();
-    let chunks = source.par_chunks(shards.max(1));
-    if chunks.len() <= 1 {
-        let mut counts = vec![0u32; n];
-        each_edge(source, |e| count_edge(&mut counts, route, e));
-        return counts;
-    }
-    let per_shard: Vec<Vec<u32>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|range| {
-                scope.spawn(move || {
-                    let mut counts = vec![0u32; n];
-                    each_edge_in(source, range, |e| count_edge(&mut counts, route, e));
-                    counts
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("csr count shard")).collect()
-    });
-    let mut merged = vec![0u32; n];
-    for counts in per_shard {
-        for (m, c) in merged.iter_mut().zip(counts) {
-            *m += c;
-        }
-    }
-    merged
-}
-
-#[inline]
-fn count_edge(counts: &mut [u32], route: Route<'_>, e: Edge) {
-    route.each_entry(e, |v, _| counts[v] += 1);
-}
-
-#[inline]
-fn place_edge(cursor: &mut [usize], targets: &SharedTargets, route: Route<'_>, e: Edge) {
-    route.each_entry(e, |v, t| {
-        let c = &mut cursor[v];
-        // SAFETY: see `SharedTargets` — this cursor position belongs
-        // exclusively to this shard.
-        unsafe { targets.write(*c, t) };
-        *c += 1;
-    });
-}
-
-/// Shared mutable view of the placement target buffer.
-///
-/// SAFETY invariant: every write index is unique across all shards. Shard
-/// `s` writes vertex `v`'s entries at `offsets[v] + Σ_{t<s} counts_t[v] ..`,
-/// a span sized exactly to its own count of `v`-incident edges — spans for
-/// the same vertex from different shards are disjoint by construction, and
-/// spans for different vertices live in disjoint `offsets` windows. Nobody
-/// reads the buffer until every placement worker has joined.
-struct SharedTargets {
-    ptr: *mut VertexId,
-    len: usize,
-}
-
-// SAFETY: concurrent writes go through `write` at provably disjoint indices
-// (see the invariant above), so shared access never aliases a write.
-unsafe impl Sync for SharedTargets {}
-// SAFETY: the struct is just a pointer + length into a buffer the spawning
-// thread owns and outlives; moving it across threads transfers no state.
-unsafe impl Send for SharedTargets {}
-
-impl SharedTargets {
-    /// Write `val` at `idx`. Caller must uphold the disjoint-index
-    /// invariant documented on the type.
-    #[inline]
-    unsafe fn write(&self, idx: usize, val: VertexId) {
-        debug_assert!(idx < self.len);
-        // SAFETY: caller guarantees `idx < len` and exclusive ownership of
-        // this index (type invariant), so the write is in-bounds, aligned
-        // (derived from a Vec allocation) and unaliased.
-        unsafe { *self.ptr.add(idx) = val };
-    }
+/// The counting pass shared by the heap and spilled builders: per-list entry
+/// counts for `route` over the whole stream.
+fn count_source(source: &dyn GraphSource, route: Route<'_>) -> Vec<u32> {
+    let mut counts = vec![0u32; source.num_vertices()];
+    each_edge(source, |e| route.each_entry(e, |v, _| counts[v] += 1));
+    counts
 }
 
 #[cfg(test)]
@@ -712,25 +487,22 @@ mod tests {
         Graph::new(n as usize, edges)
     }
 
+    /// The source-fed builder against the independent `Graph` one, on a
+    /// stream long enough to span several fingerprint blocks.
     #[test]
-    fn sharded_build_is_bit_identical_to_sequential() {
-        // > one fingerprint block so multi-chunk splits actually happen
+    fn source_build_is_bit_identical_to_the_graph_build() {
         let g = scrambled(257, crate::source::FINGERPRINT_BLOCK * 3 + 101);
         for direction in [Direction::Out, Direction::In, Direction::Undirected] {
-            let reference = Csr::build(&g, direction);
-            for shards in [1, 2, 3, 5, 8] {
-                let sharded = Csr::build_source(&g, direction, shards);
-                assert_eq!(dump(&sharded), dump(&reference), "{direction:?} x{shards}");
-            }
+            let built = Csr::build_source(&g, direction);
+            assert_eq!(dump(&built), dump(&Csr::build(&g, direction)), "{direction:?}");
         }
     }
 
-    /// The PR 8 simplify rework: every shard count (including the
-    /// sequential in-place path) produces the same structure the old
-    /// scratch-copy implementation did, reconstructed here from the raw
-    /// undirected adjacency via public accessors.
+    /// The PR 8 simplify rework: the in-place pass produces the same
+    /// structure the old scratch-copy implementation did, reconstructed
+    /// here from the raw undirected adjacency via public accessors.
     #[test]
-    fn sharded_simplify_is_bit_identical_for_every_shard_count() {
+    fn in_place_simplify_matches_the_sort_dedup_reference() {
         for (n, m) in [(257u32, 4_000usize), (64, 900), (5, 3), (1, 4)] {
             let g = scrambled(n, m);
             let raw = Csr::build(&g, Direction::Undirected);
@@ -744,29 +516,23 @@ mod tests {
                 want_targets.extend_from_slice(&list);
                 want_offsets.push(want_targets.len());
             }
-            for shards in [1usize, 2, 3, 5, 8, 64] {
-                let simple = Csr::build_source(&g, Direction::Undirected, 1).into_simple(shards);
-                assert_eq!(
-                    dump(&simple),
-                    (want_offsets.clone(), want_targets.clone()),
-                    "n={n} m={m} x{shards}"
-                );
-                assert_eq!(simple.direction(), Direction::Undirected);
-            }
+            let simple = Csr::build_source(&g, Direction::Undirected).into_simple();
+            assert_eq!(dump(&simple), (want_offsets, want_targets), "n={n} m={m}");
+            assert_eq!(simple.direction(), Direction::Undirected);
         }
     }
 
     #[test]
-    fn sharded_build_handles_degenerate_inputs() {
+    fn source_build_handles_degenerate_inputs() {
         let empty = Graph::empty(4);
-        let csr = Csr::build_source(&empty, Direction::Out, 8);
+        let csr = Csr::build_source(&empty, Direction::Out);
         assert_eq!(csr.num_vertices(), 4);
         assert_eq!(csr.num_entries(), 0);
         let tiny = toy();
-        let csr = Csr::build_source(&tiny, Direction::Undirected, 64);
+        let csr = Csr::build_source(&tiny, Direction::Undirected);
         assert_eq!(dump(&csr), dump(&Csr::build(&tiny, Direction::Undirected)));
-        // simplifying an empty adjacency is a no-op, at any shard count
-        let simple = Csr::build_source(&empty, Direction::Out, 1).into_simple(4);
+        // simplifying an empty adjacency is a no-op
+        let simple = Csr::build_source(&empty, Direction::Out).into_simple();
         assert_eq!(simple.num_entries(), 0);
     }
 
@@ -781,7 +547,7 @@ mod tests {
             let heap = Csr::build(&g, direction);
             // 64-byte chunks force one-vertex chunks; 1 MiB fits everything
             for chunk_bytes in [0usize, 4096, 1 << 20] {
-                let spilled = Csr::build_spilled(&g, direction, 2, false, chunk_bytes, &dir)
+                let spilled = Csr::build_spilled(&g, direction, false, chunk_bytes, &dir)
                     .expect("spilled build");
                 assert_eq!(dump(&spilled), dump(&heap), "{direction:?} chunk={chunk_bytes}");
                 assert_eq!(spilled.direction(), direction);
@@ -790,7 +556,7 @@ mod tests {
         }
         let simple = Csr::build_undirected_simple(&g);
         for chunk_bytes in [0usize, 4096, 1 << 20] {
-            let spilled = Csr::build_spilled(&g, Direction::Undirected, 2, true, chunk_bytes, &dir)
+            let spilled = Csr::build_spilled(&g, Direction::Undirected, true, chunk_bytes, &dir)
                 .expect("spilled simplify");
             assert!(spilled.is_spilled() || cfg!(not(unix)));
             assert_eq!(dump(&spilled), dump(&simple), "simplify chunk={chunk_bytes}");
@@ -807,7 +573,7 @@ mod tests {
     #[test]
     fn spilled_empty_graph_is_degenerate_but_safe() {
         let dir = spill_dir("empty");
-        let csr = Csr::build_spilled(&Graph::empty(3), Direction::Out, 1, false, 0, &dir)
+        let csr = Csr::build_spilled(&Graph::empty(3), Direction::Out, false, 0, &dir)
             .expect("spill empty");
         assert_eq!(csr.num_vertices(), 3);
         assert_eq!(csr.num_entries(), 0);

@@ -4,9 +4,14 @@
 //! `skew(values) = (mean(values) − mode(values)) / σ(values)` and feeds the
 //! in-degree and out-degree skewness to the machine-learning models as
 //! "basic" features.
+//!
+//! [`DegreeTable::compute_source`] derives the table from any edge stream in
+//! one sequential pass that also folds the content fingerprint;
+//! [`DegreeTable::compute`] over an in-memory [`Graph`] is the independent
+//! reference the tests compare it with.
 
 use crate::edge_list::Graph;
-use crate::source::{combine_fingerprint, each_edge_in, BlockHasher, GraphSource};
+use crate::source::{each_edge, BlockHasher, GraphSource};
 
 /// Summary statistics of a per-vertex integer metric (degrees, triangle
 /// counts, ...).
@@ -111,74 +116,36 @@ impl DegreeTable {
         DegreeTable { out, into, total, out_moments, in_moments, total_moments }
     }
 
-    /// Compute the table from any [`GraphSource`] with the counting pass
-    /// sharded over `shards` edge ranges (`std::thread` scoped workers;
-    /// one shard degrades to a single sequential pass). The same pass folds
-    /// the [block fingerprint](crate::source) — the second return value —
-    /// so source-backed contexts pay one traversal for both.
+    /// Compute the table from any [`GraphSource`] in one sequential pass.
+    /// The same pass folds the [block fingerprint](crate::source) — the
+    /// second return value — so source-backed contexts pay one traversal
+    /// for both.
     ///
-    /// Bit-identical to [`DegreeTable::compute`] on the same stream for any
-    /// shard count: per-shard counts are exact integers merged by addition,
-    /// and the fingerprint's block decomposition is fixed, not shard-derived.
-    pub fn compute_source(source: &dyn GraphSource, shards: usize) -> (Self, u64) {
+    /// Bit-identical to [`DegreeTable::compute`] and
+    /// [`fingerprint_source`](crate::source::fingerprint_source) on the same
+    /// stream.
+    pub fn compute_source(source: &dyn GraphSource) -> (Self, u64) {
         let n = source.num_vertices();
-        let m = source.edge_count();
-        let chunks = source.par_chunks(shards.max(1));
-        let shard_outputs: Vec<(Vec<u32>, Vec<u32>, Vec<(usize, u64)>)> = if chunks.len() <= 1 {
-            let range = chunks.into_iter().next().unwrap_or(0..0);
-            vec![count_shard(source, range, n)]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = chunks
-                    .into_iter()
-                    .map(|range| scope.spawn(move || count_shard(source, range, n)))
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("degree shard")).collect()
-            })
-        };
         let mut out = vec![0u32; n];
         let mut into = vec![0u32; n];
-        let mut blocks: Vec<(usize, u64)> = Vec::new();
-        for (shard_out, shard_in, shard_blocks) in shard_outputs {
-            for (acc, v) in out.iter_mut().zip(&shard_out) {
-                *acc += v;
-            }
-            for (acc, v) in into.iter_mut().zip(&shard_in) {
-                *acc += v;
-            }
-            blocks.extend(shard_blocks);
-        }
-        blocks.sort_unstable_by_key(|&(i, _)| i);
-        let fingerprint = combine_fingerprint(n, m, &blocks);
+        let mut hasher = BlockHasher::new(n, source.edge_count());
+        each_edge(source, |e| {
+            out[e.src as usize] += 1;
+            into[e.dst as usize] += 1;
+            hasher.feed(e);
+        });
         let total: Vec<u32> = out.iter().zip(&into).map(|(a, b)| a + b).collect();
         let out_moments = moments(&out);
         let in_moments = moments(&into);
         let total_moments = moments(&total);
-        (DegreeTable { out, into, total, out_moments, in_moments, total_moments }, fingerprint)
+        let table = DegreeTable { out, into, total, out_moments, in_moments, total_moments };
+        (table, hasher.finish())
     }
 
     /// Mean total degree `2|E|/|V|` (paper Sec. II-B.2).
     pub fn mean_degree(&self) -> f64 {
         self.total_moments.mean
     }
-}
-
-/// One shard of the fused degree/fingerprint pass: count out/in degrees and
-/// fold whole fingerprint blocks for the (block-aligned) `range`.
-fn count_shard(
-    source: &dyn GraphSource,
-    range: std::ops::Range<usize>,
-    n: usize,
-) -> (Vec<u32>, Vec<u32>, Vec<(usize, u64)>) {
-    let mut out = vec![0u32; n];
-    let mut into = vec![0u32; n];
-    let mut hasher = BlockHasher::starting_at(range.start);
-    each_edge_in(source, range, |e| {
-        out[e.src as usize] += 1;
-        into[e.dst as usize] += 1;
-        hasher.feed(e);
-    });
-    (out, into, hasher.finish())
 }
 
 #[cfg(test)]
@@ -245,8 +212,10 @@ mod tests {
         assert_eq!(m.pearson_skew, 0.0);
     }
 
+    /// Two full fingerprint blocks and a partial one, so the fused pass's
+    /// hasher rolls over block boundaries.
     #[test]
-    fn sharded_source_table_matches_sequential_and_fingerprints_agree() {
+    fn source_table_matches_the_graph_table_and_fingerprints_agree() {
         use crate::source::{fingerprint_source, FINGERPRINT_BLOCK};
         let mut edges = Vec::new();
         let mut x = 7u64;
@@ -257,19 +226,17 @@ mod tests {
         let g = Graph::new(113, edges);
         let reference = DegreeTable::compute(&g);
         let fp_reference = fingerprint_source(&g);
-        for shards in [1, 2, 4, 9] {
-            let (table, fp) = DegreeTable::compute_source(&g, shards);
-            assert_eq!(table.out, reference.out, "x{shards}");
-            assert_eq!(table.into, reference.into, "x{shards}");
-            assert_eq!(table.total, reference.total, "x{shards}");
-            assert_eq!(table.total_moments, reference.total_moments, "x{shards}");
-            assert_eq!(fp, fp_reference, "fused fingerprint x{shards}");
-        }
+        let (table, fp) = DegreeTable::compute_source(&g);
+        assert_eq!(table.out, reference.out);
+        assert_eq!(table.into, reference.into);
+        assert_eq!(table.total, reference.total);
+        assert_eq!(table.total_moments, reference.total_moments);
+        assert_eq!(fp, fp_reference, "fused fingerprint");
     }
 
     #[test]
     fn empty_source_table_is_degenerate_but_safe() {
-        let (table, fp) = DegreeTable::compute_source(&Graph::empty(0), 4);
+        let (table, fp) = DegreeTable::compute_source(&Graph::empty(0));
         assert!(table.out.is_empty());
         assert_eq!(fp, crate::source::fingerprint_source(&Graph::empty(0)));
     }

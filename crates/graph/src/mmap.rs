@@ -7,8 +7,8 @@
 //!
 //! [`Mmap`] is an immutable byte view: `PROT_READ` + `MAP_PRIVATE`, unmapped
 //! on drop. The mapping is `Send + Sync` (read-only shared memory), which
-//! is what lets one mapped `.bel` file feed sharded CSR construction from
-//! several worker threads at once.
+//! is what lets one mapped `.bel` file feed several profiling workers at
+//! once.
 
 use std::fs::File;
 use std::io;

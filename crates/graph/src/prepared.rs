@@ -14,10 +14,8 @@
 //! text reader ([`crate::source::TextStreamSource`]) — and lazily memoizes
 //! the expensive derived structures behind [`OnceLock`]s:
 //!
-//! * out-/in-/undirected-simple CSR adjacency, built with counting and
-//!   placement passes **sharded over edge ranges** (scoped `std::thread`
-//!   workers; sequential when one core — or a non-seekable source — is all
-//!   there is),
+//! * out-/in-/undirected-simple CSR adjacency, each built by one counting
+//!   and one placement replay of the edge stream,
 //! * the [`DegreeTable`] (degrees + moments + skewness), whose counting
 //!   pass also folds the content fingerprint incrementally,
 //! * per-vertex triangle counts and degrees of the undirected simple graph,
@@ -29,8 +27,9 @@
 //!   query-side property caches.
 //!
 //! Nothing is computed until first use, every structure is computed at most
-//! once, and `&PreparedGraph` is `Send + Sync`, so one context can serve a
-//! whole profiling fan-out. Source-backed contexts never materialize an
+//! once — each by sequential passes on the calling thread; parallelism is the
+//! caller's, one graph per worker — and `&PreparedGraph` is `Send + Sync`, so
+//! one context can serve a whole profiling fan-out. Source-backed contexts never materialize an
 //! owned `Vec<Edge>` — derived structure is built straight off the source's
 //! replayable stream. Edge access goes through
 //! [`PreparedGraph::for_each_edge`] (monomorphized slice loop for in-memory
@@ -61,7 +60,7 @@ use crate::csr::{Csr, Direction, Route};
 use crate::degree::DegreeTable;
 use crate::edge_list::Graph;
 use crate::properties::{GraphProperties, PropertyTier};
-use crate::source::{each_edge, fingerprint_source_sharded, GraphSource};
+use crate::source::{each_edge, fingerprint_source, GraphSource};
 use crate::triangles::{self, TriangleStats, TriangleTable};
 use crate::types::Edge;
 
@@ -100,9 +99,6 @@ enum GraphHandle<'g> {
 /// everywhere* — now over any ingestion backend.
 pub struct PreparedGraph<'g> {
     handle: GraphHandle<'g>,
-    /// Shard count for the parallel construction passes (`None` = one shard
-    /// per available core at build time).
-    shards: Option<usize>,
     out_csr: OnceLock<Csr>,
     in_csr: OnceLock<Csr>,
     undirected_simple: OnceLock<Csr>,
@@ -174,7 +170,6 @@ impl<'g> PreparedGraph<'g> {
     fn from_handle(handle: GraphHandle<'g>) -> Self {
         PreparedGraph {
             handle,
-            shards: None,
             out_csr: OnceLock::new(),
             in_csr: OnceLock::new(),
             undirected_simple: OnceLock::new(),
@@ -186,15 +181,6 @@ impl<'g> PreparedGraph<'g> {
             charged: AtomicUsize::new(0),
             spilled_builds: AtomicU32::new(0),
         }
-    }
-
-    /// Pin the shard count of the parallel construction passes (`1` forces
-    /// the sequential path). Defaults to one shard per available core.
-    /// Derived structures are bit-identical for every shard count; this
-    /// knob exists for benchmarks and for tests that lock that invariant.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = Some(shards.max(1));
-        self
     }
 
     /// Attach a (shareable) memory budget: each CSR about to be built —
@@ -221,11 +207,6 @@ impl<'g> PreparedGraph<'g> {
         self.spilled_builds.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter)
     }
 
-    fn build_shards(&self) -> usize {
-        self.shards
-            .unwrap_or_else(|| std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1))
-    }
-
     /// Heap-or-spill decision for every CSR this context builds; returns
     /// the CSR and the bytes charged for it, which the caller owes back to
     /// the budget. No budget — or a granted charge — builds in heap exactly
@@ -234,12 +215,11 @@ impl<'g> PreparedGraph<'g> {
     /// unwritable dir) falls back to the in-heap build: correctness over
     /// the budget, and a daemon that degrades instead of dying.
     fn build_csr(&self, route: Route<'_>, simplify: bool) -> (Csr, usize) {
-        let shards = self.build_shards();
         let in_heap = || {
             if simplify {
-                Csr::build_simple_source(self.source(), route, shards)
+                Csr::build_simple_source(self.source(), route)
             } else {
-                Csr::build_source(self.source(), route, shards)
+                Csr::build_source(self.source(), route)
             }
         };
         let Some(budget) = &self.budget else { return (in_heap(), 0) };
@@ -256,7 +236,6 @@ impl<'g> PreparedGraph<'g> {
         match Csr::build_spilled(
             self.source(),
             route,
-            shards,
             simplify,
             budget.spill_chunk_bytes(),
             budget.spill_dir(),
@@ -358,12 +337,12 @@ impl<'g> PreparedGraph<'g> {
         self.source().edge_slice()
     }
 
-    /// Out-neighbor adjacency, built on first use (sharded construction).
+    /// Out-neighbor adjacency, built on first use.
     pub fn out_csr(&self) -> &Csr {
         self.out_csr.get_or_init(|| self.build_memoized_csr(Direction::Out, false))
     }
 
-    /// In-neighbor adjacency, built on first use (sharded construction).
+    /// In-neighbor adjacency, built on first use.
     pub fn in_csr(&self) -> &Csr {
         self.in_csr.get_or_init(|| self.build_memoized_csr(Direction::In, false))
     }
@@ -386,14 +365,13 @@ impl<'g> PreparedGraph<'g> {
         self.undirected_builds.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter)
     }
 
-    /// Degree tables + moments/skewness, built on first use. The sharded
-    /// counting pass folds the content fingerprint as it goes, so a
+    /// Degree tables + moments/skewness, built on first use. The counting
+    /// pass folds the content fingerprint as it goes, so a
     /// context that derives degrees gets [`PreparedGraph::fingerprint`]
     /// for free — one traversal, two memoized results.
     pub fn degrees(&self) -> &DegreeTable {
         self.degrees.get_or_init(|| {
-            let (table, fingerprint) =
-                DegreeTable::compute_source(self.source(), self.build_shards());
+            let (table, fingerprint) = DegreeTable::compute_source(self.source());
             // Opportunistic: a concurrent standalone fingerprint pass may
             // have won the race — the values are identical either way.
             let _ = self.fingerprint.set(fingerprint);
@@ -442,14 +420,12 @@ impl<'g> PreparedGraph<'g> {
     }
 
     /// A stable content fingerprint: equal for identical `(num_vertices,
-    /// edge stream)` inputs — across every ingestion backend and shard
-    /// count — and different (with overwhelming probability) when any edge,
+    /// edge stream)` inputs — across every ingestion backend — and
+    /// different (with overwhelming probability) when any edge,
     /// the edge order, or the vertex universe changes. Keys the query-side
     /// property caches; see [`crate::source`] for the block construction.
     pub fn fingerprint(&self) -> u64 {
-        *self
-            .fingerprint
-            .get_or_init(|| fingerprint_source_sharded(self.source(), self.build_shards()))
+        *self.fingerprint.get_or_init(|| fingerprint_source(self.source()))
     }
 }
 
@@ -467,7 +443,6 @@ mod tests {
     use super::*;
     use crate::source::collect_source;
     use crate::types::Edge;
-    use std::ops::Range;
 
     fn toy() -> Graph {
         Graph::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)])
@@ -486,9 +461,6 @@ mod tests {
         }
         fn for_each_edge(&self, f: &mut dyn FnMut(Edge)) {
             GraphSource::for_each_edge(&self.0, f)
-        }
-        fn for_each_edge_in(&self, range: Range<usize>, f: &mut dyn FnMut(Edge)) {
-            self.0.for_each_edge_in(range, f)
         }
     }
 
@@ -565,7 +537,7 @@ mod tests {
         let g = toy();
         let via_graph = PreparedGraph::of(&g);
         let hidden = NoSlice(g.clone());
-        let via_source = PreparedGraph::of_source(&hidden).with_shards(3);
+        let via_source = PreparedGraph::of_source(&hidden);
         assert!(via_source.try_graph().is_none());
         assert!(via_source.edge_slice().is_none());
         assert_eq!(via_source.num_vertices(), via_graph.num_vertices());
@@ -631,22 +603,6 @@ mod tests {
         // grow the vertex universe without touching edges
         let padded = Graph::new(g.num_vertices() + 1, g.edges().to_vec());
         assert_ne!(a, PreparedGraph::of(&padded).fingerprint());
-    }
-
-    #[test]
-    fn shard_counts_do_not_change_any_derived_structure() {
-        let g = crate::Graph::from_pairs((0..500u32).map(|i| (i % 37, (i * 13) % 41)));
-        let reference = PreparedGraph::of(&g).with_shards(1);
-        for shards in [2, 4, 16] {
-            let sharded = PreparedGraph::of(&g).with_shards(shards);
-            assert_eq!(sharded.fingerprint(), reference.fingerprint(), "x{shards}");
-            assert_eq!(
-                sharded.properties(PropertyTier::Advanced),
-                reference.properties(PropertyTier::Advanced),
-                "x{shards}"
-            );
-            assert_eq!(sharded.degrees().out, reference.degrees().out, "x{shards}");
-        }
     }
 
     #[test]

@@ -15,11 +15,11 @@
 //! 2. **Route** the edge stream into the forward adjacency in rank space —
 //!    list `r` holds the *ranks* of the higher-ranked neighbours of the vertex
 //!    ranked `r`. It is a [`Csr`] built with [`Route::Forward`]: one entry per
-//!    non-loop edge at its lower-ranked endpoint, counted and placed straight
-//!    off the [`GraphSource`], then each list sorted and deduplicated by the
-//!    CSR's own simplify pass — in heap, or through the spill chunk loop when
-//!    a memory budget refuses it. Half the entries of the undirected simple
-//!    CSR, and the only adjacency this module reads.
+//!    non-loop edge at its lower-ranked endpoint, counted and placed in two
+//!    sequential replays of the [`GraphSource`], then each list sorted and
+//!    deduplicated by the CSR's own simplify pass — in heap, or through the
+//!    spill chunk loop when a memory budget refuses it. Half the entries of
+//!    the undirected simple CSR, and the only adjacency this module reads.
 //! 3. **Mark and scan**: for each `v`, mark `fwd(v)` in a `|V|`-entry flag
 //!    array, then for each `u ∈ fwd(v)` stream `fwd(u)` and add up the marks.
 //!    Every hit `w` closes the triangle `{v, u, w}`, found exactly once with
@@ -56,19 +56,14 @@ pub fn triangle_counts(graph: &Graph) -> Vec<u64> {
 }
 
 fn count_graph(graph: &Graph) -> TriangleTable {
-    count_source(graph, &graph.total_degrees(), 1)
+    count_source(graph, &graph.total_degrees())
 }
 
 /// The kernel over any edge stream: `total_degrees[v]` is the number of edge
-/// endpoints at `v` (what [`DegreeTable::total`](crate::DegreeTable) holds),
-/// `shards` parallelises the forward build as in [`Csr::build_source`].
+/// endpoints at `v` (what [`DegreeTable::total`](crate::DegreeTable) holds).
 /// Self-loops, parallel and reciprocal edges are ignored.
-pub fn count_source(
-    source: &dyn GraphSource,
-    total_degrees: &[u32],
-    shards: usize,
-) -> TriangleTable {
-    count_with(total_degrees, |rank| Csr::build_simple_source(source, Route::Forward(rank), shards))
+pub fn count_source(source: &dyn GraphSource, total_degrees: &[u32]) -> TriangleTable {
+    count_with(total_degrees, |rank| Csr::build_simple_source(source, Route::Forward(rank)))
 }
 
 /// [`count_source`] with the forward build left to the caller, who is handed
@@ -330,7 +325,7 @@ mod tests {
     #[should_panic(expected = "simplified forward lists")]
     fn non_simple_adjacency_is_refused_in_debug_builds() {
         let g = Graph::from_pairs([(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)]);
-        count_with(&g.total_degrees(), |rank| Csr::build_source(&g, Route::Forward(rank), 1));
+        count_with(&g.total_degrees(), |rank| Csr::build_source(&g, Route::Forward(rank)));
     }
 
     #[test]

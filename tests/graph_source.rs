@@ -4,13 +4,13 @@
 //! in-memory edge list, a memory-mapped `.bel` file, or a streamed text
 //! file — never changes *what* the system computes: properties,
 //! fingerprints and partition assignments must be bit-identical across all
-//! three backends and every shard count. The mmap backend must additionally
+//! three backends. The mmap backend must additionally
 //! never materialize an owned `Vec<Edge>`, which is locked here with a
 //! thread-local allocation counter around the zero-copy analysis path.
 
 use ease_repro::graph::bel::{write_bel, BelSource};
 use ease_repro::graph::io::{read_edge_list, read_edge_list_from, write_edge_list};
-use ease_repro::graph::source::{collect_source, fingerprint_source};
+use ease_repro::graph::source::{collect_source, fingerprint_source, FINGERPRINT_BLOCK};
 use ease_repro::graph::{Graph, GraphIoError, GraphSource, PropertyTier, TextStreamSource};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::partition::{PartitionerId, QualityMetrics};
@@ -112,8 +112,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Properties, fingerprints and the raw edge stream agree bit-for-bit
-    /// across in-memory, mmap `.bel` and streamed text — for several shard
-    /// counts.
+    /// across in-memory, mmap `.bel` and streamed text.
     #[test]
     fn backends_agree_on_properties_and_fingerprints(g in arb_graph()) {
         let (txt, bel) = temp_pair(&g);
@@ -126,18 +125,16 @@ proptest! {
         let fp = fingerprint_source(&g);
         prop_assert_eq!(fingerprint_source(&bel_src), fp);
         prop_assert_eq!(fingerprint_source(&txt_src), fp);
-        // identical extracted features, at every tier and shard count
-        for shards in [1usize, 4] {
-            let reference = PreparedGraph::of(&g).with_shards(shards);
-            let via_bel = PreparedGraph::of_source(&bel_src).with_shards(shards);
-            let via_txt = PreparedGraph::of_source(&txt_src).with_shards(shards);
-            prop_assert_eq!(via_bel.fingerprint(), reference.fingerprint());
-            prop_assert_eq!(via_txt.fingerprint(), reference.fingerprint());
-            for tier in PropertyTier::ALL {
-                let want = reference.properties(tier);
-                assert_props_bit_identical(&via_bel.properties(tier), &want, "bel");
-                assert_props_bit_identical(&via_txt.properties(tier), &want, "txt");
-            }
+        // identical extracted features, at every tier
+        let reference = PreparedGraph::of(&g);
+        let via_bel = PreparedGraph::of_source(&bel_src);
+        let via_txt = PreparedGraph::of_source(&txt_src);
+        prop_assert_eq!(via_bel.fingerprint(), reference.fingerprint());
+        prop_assert_eq!(via_txt.fingerprint(), reference.fingerprint());
+        for tier in PropertyTier::ALL {
+            let want = reference.properties(tier);
+            assert_props_bit_identical(&via_bel.properties(tier), &want, "bel");
+            assert_props_bit_identical(&via_txt.properties(tier), &want, "txt");
         }
         std::fs::remove_file(&txt).ok();
         std::fs::remove_file(&bel).ok();
@@ -191,6 +188,47 @@ proptest! {
         std::fs::remove_file(&txt).ok();
         std::fs::remove_file(&bel).ok();
         std::fs::remove_file(&rebel).ok();
+    }
+}
+
+// ---------------------------------------------------------------------
+// The fingerprint is a persisted value, not just a self-consistent one
+// ---------------------------------------------------------------------
+
+/// Literal fingerprints: property-cache trailers in saved model files, the
+/// daemon memo and `ease features` output carry these values, so a rewrite
+/// of the hasher must reproduce them — agreeing with itself is not enough.
+/// The third graph spans two full blocks and a partial one.
+#[test]
+fn fingerprints_are_pinned() {
+    let mut x = 7u64;
+    let multi_block = (0..2 * FINGERPRINT_BLOCK + 77).map(|_| {
+        x = x.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(0x9E37);
+        (((x >> 32) % 113) as u32, (x % 113) as u32)
+    });
+    let pinned = [
+        (Graph::empty(0), 0x0a56_933e_9b32_fd5d_u64),
+        (
+            Graph::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)]),
+            0xd742_0956_d39d_897b,
+        ),
+        (Graph::from_pairs(multi_block), 0xc3d7_4843_240e_258b),
+    ];
+    for (g, want) in pinned {
+        let (txt, bel) = temp_pair(&g);
+        let bel_src = BelSource::open(&bel).unwrap();
+        let txt_src = TextStreamSource::open(&txt).unwrap();
+        let sources: [(&str, &dyn GraphSource); 3] =
+            [("graph", &g), ("bel", &bel_src), ("text", &txt_src)];
+        let m = g.num_edges();
+        for (name, source) in sources {
+            assert_eq!(fingerprint_source(source), want, "{name}, {m} edges: standalone pass");
+            let prepared = PreparedGraph::of_source(source);
+            let _ = prepared.degrees();
+            assert_eq!(prepared.fingerprint(), want, "{name}, {m} edges: fused degree pass");
+        }
+        std::fs::remove_file(&txt).ok();
+        std::fs::remove_file(&bel).ok();
     }
 }
 
@@ -340,8 +378,7 @@ fn mmap_ingestion_never_materializes_an_edge_list() {
     let edge_list_bytes = (m * std::mem::size_of::<ease_repro::graph::Edge>()) as u64;
     let ((fingerprint, props, streamed), allocated) = tracked(|| {
         let src = BelSource::open(&bel).expect("open bel");
-        // force the sequential path so every allocation lands on this thread
-        let prepared = PreparedGraph::of_source(&src).with_shards(1);
+        let prepared = PreparedGraph::of_source(&src);
         let fingerprint = prepared.fingerprint();
         let props = prepared.properties(PropertyTier::Basic);
         let mut streamed = 0usize;

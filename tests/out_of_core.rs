@@ -4,11 +4,11 @@
 //! memory-mapped temp spill — never changes *what* any consumer computes:
 //! neighbors, degrees, triangle stats, properties, fingerprints and every
 //! partitioner's assignment must be bit-identical between the in-heap and
-//! spilled builds, for every shard count, and both must match a plain
-//! sequential sort/dedup reference. The spill files themselves must never
-//! outlive their CSR (unlink-after-mmap), and the in-place sharded
-//! simplify must not regress to the pre-refactor second full-size targets
-//! buffer — locked with a thread-local allocation counter.
+//! spilled builds, and both must match a plain sequential sort/dedup
+//! reference. The spill files themselves must never outlive their CSR
+//! (unlink-after-mmap), and the in-place simplify must not regress to the
+//! pre-refactor second full-size targets buffer — locked with a
+//! thread-local allocation counter.
 #![cfg(unix)]
 
 mod common;
@@ -147,69 +147,62 @@ fn reference_simplified(g: &Graph) -> (Vec<usize>, Vec<VertexId>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The sharded in-place simplify and the budget-0 spilled build both
-    /// match the sequential sort/dedup reference bit-for-bit, for every
-    /// shard count.
+    /// The in-place heap simplify and the budget-0 spilled build both
+    /// match the sequential sort/dedup reference bit-for-bit.
     #[test]
-    fn sharded_and_spilled_simplify_match_the_sequential_reference(g in arb_graph()) {
+    fn heap_and_spilled_simplify_match_the_sequential_reference(g in arb_graph()) {
         let reference = reference_simplified(&g);
-        for shards in [1usize, 2, 3, 5, 8] {
-            let heap = Csr::build_simple_source(&g, Direction::Undirected, shards);
-            prop_assert!(!heap.is_spilled());
-            prop_assert_eq!(&dump(&heap), &reference, "heap shards={}", shards);
-            let dir = spill_dir("prop");
-            let chunk = 1 << 12; // tiny chunks: many spill passes per graph
-            let spilled = Csr::build_spilled(&g, Direction::Undirected, shards, true, chunk, &dir)
-                .expect("spilled build");
-            prop_assert!(spilled.is_spilled());
-            prop_assert_eq!(&dump(&spilled), &reference, "spilled shards={}", shards);
-            // unlink-after-mmap: nothing on disk even while the CSR lives
-            prop_assert_eq!(dir_entries(&dir), Vec::<String>::new());
-            drop(spilled);
-            std::fs::remove_dir_all(&dir).ok();
-        }
+        let heap = Csr::build_simple_source(&g, Direction::Undirected);
+        prop_assert!(!heap.is_spilled());
+        prop_assert_eq!(&dump(&heap), &reference, "heap");
+        let dir = spill_dir("prop");
+        let chunk = 1 << 12; // tiny chunks: many spill passes per graph
+        let spilled = Csr::build_spilled(&g, Direction::Undirected, true, chunk, &dir)
+            .expect("spilled build");
+        prop_assert!(spilled.is_spilled());
+        prop_assert_eq!(&dump(&spilled), &reference, "spilled");
+        // unlink-after-mmap: nothing on disk even while the CSR lives
+        prop_assert_eq!(dir_entries(&dir), Vec::<String>::new());
+        drop(spilled);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A zero budget (everything spills) and an unlimited budget (nothing
     /// spills) agree bit-for-bit on every analysis output and on every
-    /// partitioner's assignment, across shard counts.
+    /// partitioner's assignment.
     #[test]
     fn spilled_analysis_is_bit_identical_for_every_partitioner(g in arb_graph()) {
-        for shards in [1usize, 4] {
-            let dir = spill_dir("analysis");
-            let spilled_ctx = PreparedGraph::of(&g)
-                .with_shards(shards)
-                .with_memory_budget(zero_budget(&dir));
-            let heap_ctx = PreparedGraph::of(&g).with_shards(shards);
-            // adjacency served through the budgeted context is spilled
-            spilled_ctx.undirected_simple();
-            prop_assert!(spilled_ctx.spilled_csr_builds() >= 1);
-            prop_assert_eq!(dump(spilled_ctx.undirected_simple()), dump(heap_ctx.undirected_simple()));
-            prop_assert_eq!(dump(spilled_ctx.out_csr()), dump(heap_ctx.out_csr()));
-            prop_assert_eq!(dump(spilled_ctx.in_csr()), dump(heap_ctx.in_csr()));
-            // every derived analysis quantity is bit-identical
-            prop_assert_eq!(spilled_ctx.fingerprint(), heap_ctx.fingerprint());
-            prop_assert_eq!(spilled_ctx.triangle_counts(), heap_ctx.triangle_counts());
-            // ... and right, not merely equal: the kernel reading the mapped
-            // CSR agrees with the naive oracle reading the same mapping
-            let oracle = common::naive_triangle_counts(spilled_ctx.undirected_simple());
-            prop_assert_eq!(spilled_ctx.triangle_counts(), oracle.as_slice());
-            let (s, h) = (spilled_ctx.triangle_stats(), heap_ctx.triangle_stats());
-            prop_assert_eq!(s.avg_triangles.to_bits(), h.avg_triangles.to_bits());
-            prop_assert_eq!(s.avg_lcc.to_bits(), h.avg_lcc.to_bits());
-            let tier = ease_repro::graph::PropertyTier::Advanced;
-            prop_assert_eq!(spilled_ctx.properties(tier), heap_ctx.properties(tier));
-            // every partitioner in the registry assigns identically
-            for id in PartitionerId::ALL {
-                let p = id.build(17);
-                let a = p.partition_prepared(&spilled_ctx, 4);
-                let b = p.partition_prepared(&heap_ctx, 4);
-                prop_assert_eq!(a, b, "partitioner {} diverged on spilled adjacency", id.name());
-            }
-            drop(spilled_ctx);
-            prop_assert_eq!(dir_entries(&dir), Vec::<String>::new());
-            std::fs::remove_dir_all(&dir).ok();
+        let dir = spill_dir("analysis");
+        let spilled_ctx = PreparedGraph::of(&g).with_memory_budget(zero_budget(&dir));
+        let heap_ctx = PreparedGraph::of(&g);
+        // adjacency served through the budgeted context is spilled
+        spilled_ctx.undirected_simple();
+        prop_assert!(spilled_ctx.spilled_csr_builds() >= 1);
+        prop_assert_eq!(dump(spilled_ctx.undirected_simple()), dump(heap_ctx.undirected_simple()));
+        prop_assert_eq!(dump(spilled_ctx.out_csr()), dump(heap_ctx.out_csr()));
+        prop_assert_eq!(dump(spilled_ctx.in_csr()), dump(heap_ctx.in_csr()));
+        // every derived analysis quantity is bit-identical
+        prop_assert_eq!(spilled_ctx.fingerprint(), heap_ctx.fingerprint());
+        prop_assert_eq!(spilled_ctx.triangle_counts(), heap_ctx.triangle_counts());
+        // ... and right, not merely equal: the kernel reading the mapped
+        // CSR agrees with the naive oracle reading the same mapping
+        let oracle = common::naive_triangle_counts(spilled_ctx.undirected_simple());
+        prop_assert_eq!(spilled_ctx.triangle_counts(), oracle.as_slice());
+        let (s, h) = (spilled_ctx.triangle_stats(), heap_ctx.triangle_stats());
+        prop_assert_eq!(s.avg_triangles.to_bits(), h.avg_triangles.to_bits());
+        prop_assert_eq!(s.avg_lcc.to_bits(), h.avg_lcc.to_bits());
+        let tier = ease_repro::graph::PropertyTier::Advanced;
+        prop_assert_eq!(spilled_ctx.properties(tier), heap_ctx.properties(tier));
+        // every partitioner in the registry assigns identically
+        for id in PartitionerId::ALL {
+            let p = id.build(17);
+            let a = p.partition_prepared(&spilled_ctx, 4);
+            let b = p.partition_prepared(&heap_ctx, 4);
+            prop_assert_eq!(a, b, "partitioner {} diverged on spilled adjacency", id.name());
         }
+        drop(spilled_ctx);
+        prop_assert_eq!(dir_entries(&dir), Vec::<String>::new());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -299,7 +292,7 @@ fn advanced_extraction_allocates_less_than_the_undirected_csr_did() {
     let dir = spill_dir("advanced_alloc");
     let budgets = [("heap", Arc::new(MemoryBudget::unlimited())), ("spilled", zero_budget(&dir))];
     for (what, budget) in budgets {
-        let ctx = PreparedGraph::of(&g).with_shards(1).with_memory_budget(Arc::clone(&budget));
+        let ctx = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&budget));
         let (props, allocated) = tracked(|| ctx.properties(tier));
         assert!(props.avg_triangles.is_some_and(|t| t > 0.0), "the graph has triangles to count");
         assert_eq!(ctx.undirected_csr_builds(), 0);

@@ -16,7 +16,6 @@ use ease_repro::graph::{
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::PreparedGraph;
 use proptest::prelude::*;
-use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,9 +33,6 @@ impl GraphSource for NoSlice<'_> {
     }
     fn for_each_edge(&self, f: &mut dyn FnMut(Edge)) {
         GraphSource::for_each_edge(self.0, f)
-    }
-    fn for_each_edge_in(&self, range: Range<usize>, f: &mut dyn FnMut(Edge)) {
-        self.0.for_each_edge_in(range, f)
     }
 }
 
@@ -134,7 +130,7 @@ proptest! {
     /// The source-fed kernel agrees with the naive oracle over the simple
     /// CSR — which shares no code with it — on multigraphs with self-loops,
     /// parallel and reciprocal edges: per-vertex counts, and both averages
-    /// bit for bit, from every kind of source, shard count and budget.
+    /// bit for bit, from every kind of source and budget.
     #[test]
     fn triangle_kernel_matches_the_naive_oracle(g in arb_multigraph(), rmat in arb_graph()) {
         for g in [&g, &rmat] {
@@ -152,23 +148,20 @@ proptest! {
                 [("memory", g), ("hidden slice", &hidden), (".bel", &mapped)];
             let spill_dir = temp_path("oracle_spill");
             for (source_name, source) in sources {
-                for shards in [1usize, 2, 5] {
-                    for limit in [usize::MAX, 0] {
-                        let budget = Arc::new(MemoryBudget::bytes(limit).with_spill_dir(&spill_dir));
-                        let prepared = PreparedGraph::of_source(source)
-                            .with_shards(shards)
-                            .with_memory_budget(Arc::clone(&budget));
-                        let what = format!("{source_name} x{shards} budget {limit}");
-                        prop_assert_eq!(prepared.triangle_counts(), want.as_slice(), "{}", &what);
-                        let got = prepared.triangle_stats();
-                        prop_assert_eq!(
-                            got.avg_triangles.to_bits(), want_stats.avg_triangles.to_bits(), "{}", &what
-                        );
-                        prop_assert_eq!(got.avg_lcc.to_bits(), want_stats.avg_lcc.to_bits(), "{}", &what);
-                        prop_assert_eq!(prepared.undirected_csr_builds(), 0, "{}", &what);
-                        prop_assert_eq!(budget.spill_events(), u64::from(limit == 0), "{}", &what);
-                        prop_assert_eq!(budget.charged(), 0, "{}", &what);
-                    }
+                for limit in [usize::MAX, 0] {
+                    let budget = Arc::new(MemoryBudget::bytes(limit).with_spill_dir(&spill_dir));
+                    let prepared =
+                        PreparedGraph::of_source(source).with_memory_budget(Arc::clone(&budget));
+                    let what = format!("{source_name} budget {limit}");
+                    prop_assert_eq!(prepared.triangle_counts(), want.as_slice(), "{}", &what);
+                    let got = prepared.triangle_stats();
+                    prop_assert_eq!(
+                        got.avg_triangles.to_bits(), want_stats.avg_triangles.to_bits(), "{}", &what
+                    );
+                    prop_assert_eq!(got.avg_lcc.to_bits(), want_stats.avg_lcc.to_bits(), "{}", &what);
+                    prop_assert_eq!(prepared.undirected_csr_builds(), 0, "{}", &what);
+                    prop_assert_eq!(budget.spill_events(), u64::from(limit == 0), "{}", &what);
+                    prop_assert_eq!(budget.charged(), 0, "{}", &what);
                 }
             }
             std::fs::remove_file(&bel).ok();

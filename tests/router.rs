@@ -10,7 +10,7 @@
 #![cfg(unix)]
 
 use ease_repro::core::profiling::TimingMode;
-use ease_repro::graph::{bel, GraphSource, MemoryBudget};
+use ease_repro::graph::{bel, Csr, GraphSource, MemoryBudget};
 use ease_repro::graphgen::realworld::socfb_analogue;
 use ease_repro::graphgen::Scale;
 use ease_repro::partition::PartitionerId;
@@ -342,9 +342,9 @@ fn a_saturated_fleet_sheds_with_a_typed_overloaded_answer() {
 
     let graph = &fx.graphs[0];
     // admission sniffs the .bel header and estimates the advanced tier's
-    // CSR charge (offsets + undirected u32 targets), not the file size
+    // CSR charge (offsets + the forward lists' u32 targets), not the file size
     let src = ease_repro::graph::BelSource::open(graph).expect("open bel");
-    let needed = 8 * (src.num_vertices() as u64 + 1) + 8 * src.edge_count() as u64;
+    let needed = Csr::heap_bytes(src.num_vertices(), src.edge_count()) as u64;
     assert!(
         needed < std::fs::metadata(graph).expect("stat graph").len(),
         "the sniffed estimate undercuts the old file-size one"
@@ -409,24 +409,26 @@ fn oversized_queries_steer_to_the_backend_with_headroom() {
     }
 }
 
-/// Regression for the file-size admission estimate: a `.bel` query whose
-/// file is bigger than the fleet's headroom used to be shed outright,
-/// even though the derived CSR state it actually needs fits fine. With
-/// the header-sniffed estimate the same budget admits it — answered
-/// bit-identically, nothing spilled.
+/// Regression for the admission estimate: a `.bel` query whose file — or
+/// whose undirected CSR, which no request builds since the triangle kernel
+/// is fed by the source — is bigger than the fleet's headroom used to be
+/// shed outright, even though the forward lists it actually charges fit
+/// fine. With the header-sniffed estimate of that charge the same budget
+/// admits it — answered bit-identically, nothing spilled.
 #[test]
 fn header_sniffed_admission_admits_what_file_size_used_to_shed() {
     let fx = fixtures();
     let graph = &fx.graphs[1];
     let src = ease_repro::graph::BelSource::open(graph).expect("open bel");
-    let estimate = 8 * (src.num_vertices() as u64 + 1) + 8 * src.edge_count() as u64;
+    let estimate = Csr::heap_bytes(src.num_vertices(), src.edge_count()) as u64;
+    let undirected = Csr::heap_bytes(src.num_vertices(), 2 * src.edge_count()) as u64;
     drop(src);
     let file_size = std::fs::metadata(graph).expect("stat graph").len();
-    let budget_bytes = (estimate + file_size) / 2;
+    let budget_bytes = (estimate + undirected) / 2;
     assert!(
-        estimate <= budget_bytes && budget_bytes < file_size,
-        "a budget the old file-size estimate shed against ({budget_bytes} < {file_size}) \
-         but the CSR charge ({estimate}) fits"
+        estimate <= budget_bytes && budget_bytes < undirected && undirected < file_size,
+        "a budget the file-size ({file_size}) and undirected-CSR ({undirected}) estimates \
+         shed against ({budget_bytes}) but the forward lists' charge ({estimate}) fits"
     );
 
     let budget = Arc::new(MemoryBudget::bytes(budget_bytes as usize).with_spill_dir(&fx.dir));

@@ -13,10 +13,11 @@
 
 use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::bel;
-use ease_repro::graph::io::TextEdgeListWriter;
+use ease_repro::graph::io::{write_edge_list, TextEdgeListWriter};
 use ease_repro::graph::open_path;
 use ease_repro::graph::PropertyTier;
 use ease_repro::graphgen::realworld::socfb_analogue;
+use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::graphgen::Scale;
 use ease_repro::partition::PartitionerId;
 use ease_repro::procsim::Workload;
@@ -270,11 +271,17 @@ fn slow_requests_do_not_block_later_answers_on_the_same_connection() {
     let fx = fixtures();
     let (handle, _unix, tcp) = start_server("ooo", 4);
     let mut client = PipelinedClient::connect(&tcp).expect("connect");
-    // one heavy request (three full feature extractions) followed by a
-    // burst of pings: with concurrent executors the pings must overtake it
+    // one heavy request followed by a burst of pings: with concurrent
+    // executors the pings must overtake it. Heavy in any build profile —
+    // parsing and counting triangles on 120 k skewed edges takes
+    // milliseconds optimised, where the tiny fixtures take well under one
+    // and can win the race against the hand-off of a ping
+    let heavy_txt = fx.dir.join("heavy.txt");
+    let heavy_graph = Rmat::new(RMAT_COMBOS[6], 1 << 12, 120_000, 3).generate();
+    write_edge_list(&heavy_graph, &heavy_txt).expect("write heavy graph");
     let heavy = client
         .send(&Request::Features {
-            graph: fx.other_txt.to_str().unwrap().into(),
+            graph: heavy_txt.to_str().unwrap().into(),
             tier: PropertyTier::Advanced,
             cwd: None,
         })
