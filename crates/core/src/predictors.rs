@@ -2,13 +2,21 @@
 //! training (step 4 of Fig. 5): per-component model selection across the
 //! six ML families with K-fold cross-validation, then retraining the winner
 //! on the full training set.
+//!
+//! Each predictor also owns its bytes in a saved service: `encode` /
+//! `decode` sit next to the fields they spell, and `decode` checks what
+//! the predictor's own lookups rely on (every quality target exactly once,
+//! at least one known workload) on top of what each model's `decode`
+//! checks for itself.
 
 use crate::features;
 use crate::profiling::{ProcessingRecord, QualityRecord};
 use ease_graph::{GraphProperties, PropertyTier};
 use ease_ml::cv::grid_search;
-use ease_ml::persist::{build_regressor, PersistError};
-use ease_ml::{Dataset, ModelConfig, ModelParams, Regressor};
+use ease_ml::persist::{
+    decode_config, decode_regressor, encode_config, PersistError, Reader, Writer,
+};
+use ease_ml::{Dataset, ModelConfig, Regressor};
 use ease_partition::{PartitionerId, QualityMetrics, QualityTarget};
 use ease_procsim::Workload;
 
@@ -33,30 +41,15 @@ pub struct ChosenModel {
     pub cv_mape: f64,
 }
 
-/// Intern a persisted workload name back to the `'static` catalog — backed
-/// by [`Workload::from_name`] so a workload added to `ease-procsim` is
-/// automatically loadable without touching this crate.
-fn intern_workload_name(name: &str) -> Option<&'static str> {
-    Workload::from_name(name).map(Workload::name)
-}
+impl ChosenModel {
+    fn encode(&self, w: &mut Writer) {
+        encode_config(w, &self.config);
+        w.put_f64(self.cv_mape);
+    }
 
-/// Serialized state of a [`QualityPredictor`]: per quality target, the
-/// grid-search provenance and the fitted model.
-pub struct QualityPredictorParams {
-    pub tier: PropertyTier,
-    pub targets: Vec<(QualityTarget, ChosenModel, ModelParams)>,
-}
-
-/// Serialized state of a [`PartitioningTimePredictor`].
-pub struct PartitioningTimePredictorParams {
-    pub chosen: ChosenModel,
-    pub model: ModelParams,
-}
-
-/// Serialized state of a [`ProcessingTimePredictor`]: one fitted model per
-/// workload name.
-pub struct ProcessingTimePredictorParams {
-    pub workloads: Vec<(String, ChosenModel, ModelParams)>,
+    fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        Ok(ChosenModel { config: decode_config(r)?, cv_mape: r.take_f64()? })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -188,43 +181,52 @@ impl QualityPredictor {
         self.model(target).feature_importances()
     }
 
-    /// Snapshot the trained state for persistence.
-    pub fn to_params(&self) -> QualityPredictorParams {
-        QualityPredictorParams {
-            tier: self.tier,
-            targets: self
-                .models
-                .iter()
-                .zip(&self.chosen)
-                .map(|((t, m), (_, c))| (*t, c.clone(), m.to_params()))
-                .collect(),
+    /// Write the trained state: the tier, then per target its tag (its
+    /// position in [`QualityTarget::ALL`]), the grid-search provenance and
+    /// the fitted model.
+    pub fn encode(&self, w: &mut Writer) {
+        w.put_u8(self.tier.tag());
+        w.put_usize(self.models.len());
+        for ((target, model), (_, chosen)) in self.models.iter().zip(&self.chosen) {
+            let tag = QualityTarget::ALL.iter().position(|t| t == target);
+            w.put_u8(tag.expect("every target is in ALL") as u8);
+            chosen.encode(w);
+            model.encode(w);
         }
     }
 
-    /// Rebuild a trained predictor from persisted state.
-    pub fn from_params(params: QualityPredictorParams) -> Result<Self, PersistError> {
-        if params.targets.len() != QualityTarget::ALL.len() {
+    /// Inverse of [`QualityPredictor::encode`]. `model(target)` expects a
+    /// model per target, so the file must carry each of
+    /// [`QualityTarget::ALL`] exactly once.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        let tier_tag = r.take_u8()?;
+        let tier = PropertyTier::from_tag(tier_tag).ok_or_else(|| {
+            PersistError::Corrupt(format!("unknown property tier tag {tier_tag}"))
+        })?;
+        let n_targets = r.take_usize()?;
+        if n_targets != QualityTarget::ALL.len() {
             return Err(PersistError::Corrupt(format!(
-                "quality predictor carries {} targets, expected {}",
-                params.targets.len(),
+                "quality predictor carries {n_targets} targets, expected {}",
                 QualityTarget::ALL.len()
             )));
         }
-        let mut models = Vec::new();
+        let mut models: Vec<(QualityTarget, Box<dyn Regressor>)> = Vec::new();
         let mut chosen = Vec::new();
-        for (target, c, model_params) in params.targets {
-            models.push((target, build_regressor(model_params)?));
-            chosen.push((target, c));
-        }
-        for target in QualityTarget::ALL {
-            if !models.iter().any(|(t, _)| *t == target) {
+        for _ in 0..n_targets {
+            let tag = r.take_u8()?;
+            let target = *QualityTarget::ALL.get(usize::from(tag)).ok_or_else(|| {
+                PersistError::Corrupt(format!("unknown quality target tag {tag}"))
+            })?;
+            if models.iter().any(|(t, _)| *t == target) {
                 return Err(PersistError::Corrupt(format!(
-                    "quality predictor is missing target {}",
+                    "quality predictor carries target {} twice",
                     target.name()
                 )));
             }
+            chosen.push((target, ChosenModel::decode(r)?));
+            models.push((target, decode_regressor(r)?));
         }
-        Ok(QualityPredictor { tier: params.tier, models, chosen })
+        Ok(QualityPredictor { tier, models, chosen })
     }
 }
 
@@ -267,20 +269,16 @@ impl PartitioningTimePredictor {
         from_log(self.model.predict_row(&row))
     }
 
-    /// Snapshot the trained state for persistence.
-    pub fn to_params(&self) -> PartitioningTimePredictorParams {
-        PartitioningTimePredictorParams {
-            chosen: self.chosen.clone(),
-            model: self.model.to_params(),
-        }
+    /// Write the trained state: grid-search provenance, then the model.
+    pub fn encode(&self, w: &mut Writer) {
+        self.chosen.encode(w);
+        self.model.encode(w);
     }
 
-    /// Rebuild a trained predictor from persisted state.
-    pub fn from_params(params: PartitioningTimePredictorParams) -> Result<Self, PersistError> {
-        Ok(PartitioningTimePredictor {
-            model: build_regressor(params.model)?,
-            chosen: params.chosen,
-        })
+    /// Inverse of [`PartitioningTimePredictor::encode`].
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        let chosen = ChosenModel::decode(r)?;
+        Ok(PartitioningTimePredictor { model: decode_regressor(r)?, chosen })
     }
 }
 
@@ -384,33 +382,38 @@ impl ProcessingTimePredictor {
         self.models.iter().any(|(n, _)| *n == workload.name())
     }
 
-    /// Snapshot the trained state for persistence.
-    pub fn to_params(&self) -> ProcessingTimePredictorParams {
-        ProcessingTimePredictorParams {
-            workloads: self
-                .models
-                .iter()
-                .zip(&self.chosen)
-                .map(|((n, m), (_, c))| (n.to_string(), c.clone(), m.to_params()))
-                .collect(),
+    /// Write the trained state: per workload its name, the grid-search
+    /// provenance and the fitted model.
+    pub fn encode(&self, w: &mut Writer) {
+        w.put_usize(self.models.len());
+        for ((name, model), (_, chosen)) in self.models.iter().zip(&self.chosen) {
+            w.put_str(name);
+            chosen.encode(w);
+            model.encode(w);
         }
     }
 
-    /// Rebuild a trained predictor from persisted state. Workload names are
-    /// interned back to the known `'static` catalog; an unknown name means
-    /// the artifact was written by an incompatible build.
-    pub fn from_params(params: ProcessingTimePredictorParams) -> Result<Self, PersistError> {
-        if params.workloads.is_empty() {
-            return Err(PersistError::Corrupt("processing predictor has no workloads".into()));
+    /// Inverse of [`ProcessingTimePredictor::encode`]: between one and 64
+    /// workloads, each name interned back to the `'static` catalog through
+    /// [`Workload::from_name`] — so a workload added to `ease-procsim` is
+    /// loadable without touching this crate, and an unknown name means the
+    /// artifact was written by an incompatible build.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        let n_workloads = r.take_usize()?;
+        if !(1..=64).contains(&n_workloads) {
+            return Err(PersistError::Corrupt(format!(
+                "processing predictor declares {n_workloads} workloads, expected 1..=64"
+            )));
         }
-        let mut models = Vec::new();
+        let mut models: Vec<(&'static str, Box<dyn Regressor>)> = Vec::new();
         let mut chosen = Vec::new();
-        for (name, c, model_params) in params.workloads {
-            let interned = intern_workload_name(&name).ok_or_else(|| {
+        for _ in 0..n_workloads {
+            let name = r.take_str()?;
+            let interned = Workload::from_name(&name).map(Workload::name).ok_or_else(|| {
                 PersistError::Corrupt(format!("unknown persisted workload `{name}`"))
             })?;
-            models.push((interned, build_regressor(model_params)?));
-            chosen.push((interned, c));
+            chosen.push((interned, ChosenModel::decode(r)?));
+            models.push((interned, decode_regressor(r)?));
         }
         Ok(ProcessingTimePredictor { models, chosen })
     }

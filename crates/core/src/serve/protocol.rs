@@ -358,24 +358,6 @@ fn decode<M: Message>(
 // The positional walker: field lists over the binary `Writer`/`Reader`
 // ---------------------------------------------------------------------
 
-fn put_opt<T>(w: &mut Writer, v: Option<T>, put: impl FnOnce(&mut Writer, T)) {
-    w.put_u8(u8::from(v.is_some()));
-    if let Some(x) = v {
-        put(w, x);
-    }
-}
-
-fn take_opt<'a, T>(
-    r: &mut Reader<'a>,
-    take: impl FnOnce(&mut Reader<'a>) -> Result<T, PersistError>,
-) -> Result<Option<T>, PersistError> {
-    match r.take_u8()? {
-        0 => Ok(None),
-        1 => take(r).map(Some),
-        other => Err(PersistError::Corrupt(format!("unknown option tag {other}"))),
-    }
-}
-
 fn encode_binary<M: Message>(message: &M) -> Vec<u8> {
     let mut message = message.clone();
     let (tag, _, fields) = message.decl();
@@ -385,12 +367,12 @@ fn encode_binary<M: Message>(message: &M) -> Vec<u8> {
     for (_, slot) in fields {
         match slot {
             Slot::Str(s) => w.put_str(s),
-            Slot::OptStr(s) => put_opt(&mut w, s.as_deref(), Writer::put_str),
+            Slot::OptStr(s) => w.put_opt(s.as_deref(), Writer::put_str),
             Slot::U8(n) => w.put_u8(*n),
             Slot::U64(n) => w.put_u64(*n),
-            Slot::OptU64(n) => put_opt(&mut w, *n, Writer::put_u64),
+            Slot::OptU64(n) => w.put_opt(*n, Writer::put_u64),
             Slot::Usize(n) | Slot::UsizeOr(n) => w.put_usize(*n),
-            Slot::OptUsize(n) => put_opt(&mut w, *n, Writer::put_usize),
+            Slot::OptUsize(n) => w.put_opt(*n, Writer::put_usize),
             Slot::Goal(goal) => w.put_u8(goal.tag()),
             Slot::Tier(tier) => w.put_u8(tier.tag()),
         }
@@ -410,12 +392,12 @@ fn take_tag<T>(
 fn take_field(r: &mut Reader, key: &str, slot: Slot) -> Result<(), PersistError> {
     match slot {
         Slot::Str(s) => *s = r.take_str()?,
-        Slot::OptStr(s) => *s = take_opt(r, Reader::take_str)?,
+        Slot::OptStr(s) => *s = r.take_opt(Reader::take_str)?,
         Slot::U8(n) => *n = r.take_u8()?,
         Slot::U64(n) => *n = r.take_u64()?,
-        Slot::OptU64(n) => *n = take_opt(r, Reader::take_u64)?,
+        Slot::OptU64(n) => *n = r.take_opt(Reader::take_u64)?,
         Slot::Usize(n) | Slot::UsizeOr(n) => *n = r.take_usize()?,
-        Slot::OptUsize(n) => *n = take_opt(r, Reader::take_usize)?,
+        Slot::OptUsize(n) => *n = r.take_opt(Reader::take_usize)?,
         Slot::Goal(goal) => *goal = take_tag(r, key, OptGoal::from_tag)?,
         Slot::Tier(tier) => *tier = take_tag(r, key, PropertyTier::from_tag)?,
     }

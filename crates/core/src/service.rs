@@ -18,7 +18,10 @@
 //! * [`EaseService::save`] / [`EaseService::load`] — versioned binary
 //!   persistence of the whole trained system (all fitted models plus
 //!   provenance), so a selector trained in one process answers queries in
-//!   another, bit-identically.
+//!   another, bit-identically. This module owns the header, provenance,
+//!   catalog and property-cache trailer; each predictor, and each model
+//!   inside it, writes and reads its own bytes
+//!   ([`crate::predictors`], `ease_ml::Regressor::encode`).
 //!
 //! ```no_run
 //! use ease::service::EaseServiceBuilder;
@@ -38,21 +41,14 @@
 
 use crate::error::EaseError;
 use crate::pipeline::{train_ease, EaseConfig, TrainingArtifacts};
-use crate::predictors::{
-    ChosenModel, PartitioningTimePredictor, PartitioningTimePredictorParams,
-    ProcessingTimePredictor, ProcessingTimePredictorParams, QualityPredictor,
-    QualityPredictorParams,
-};
+use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 use crate::profiling::TimingMode;
 use crate::selector::{Ease, OptGoal, Selection};
 use ease_graph::{Graph, GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::Scale;
-use ease_ml::persist::{
-    decode_config, decode_model, encode_config, encode_model, read_header, write_header,
-    PersistError, Reader, Writer,
-};
+use ease_ml::persist::{read_header, write_header, PersistError, Reader, Writer};
 use ease_ml::ModelConfig;
-use ease_partition::{PartitionerId, QualityTarget};
+use ease_partition::PartitionerId;
 use ease_procsim::Workload;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
@@ -567,7 +563,8 @@ impl EaseService {
     // -----------------------------------------------------------------
 
     /// Serialize the whole trained service (models + provenance) into the
-    /// versioned binary format.
+    /// versioned binary format, straight from the trained components — no
+    /// copy of any fitted state is made on the way.
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut w = Writer::new();
         write_header(&mut w);
@@ -586,27 +583,10 @@ impl EaseService {
         for p in &self.ease.catalog {
             w.put_u8(p.index() as u8);
         }
-        // quality predictor
-        let qp = self.ease.quality.to_params();
-        w.put_u8(qp.tier.tag());
-        w.put_usize(qp.targets.len());
-        for (target, c, model) in &qp.targets {
-            w.put_u8(target_tag(*target));
-            put_chosen(&mut w, c);
-            encode_model(&mut w, model);
-        }
-        // partitioning-time predictor
-        let tp = self.ease.partitioning_time.to_params();
-        put_chosen(&mut w, &tp.chosen);
-        encode_model(&mut w, &tp.model);
-        // processing-time predictor
-        let pp = self.ease.processing_time.to_params();
-        w.put_usize(pp.workloads.len());
-        for (name, c, model) in &pp.workloads {
-            w.put_str(name);
-            put_chosen(&mut w, c);
-            encode_model(&mut w, model);
-        }
+        // the three predictors, each writing its own bytes
+        self.ease.quality.encode(&mut w);
+        self.ease.partitioning_time.encode(&mut w);
+        self.ease.processing_time.encode(&mut w);
         // property-cache trailer (format v2): fingerprint-keyed extracted
         // properties in LRU order, so a reloaded service answers warm
         let cache = self.props_cache.lock().unwrap_or_else(PoisonError::into_inner);
@@ -618,7 +598,9 @@ impl EaseService {
         w.into_bytes()
     }
 
-    /// Deserialize a service persisted by [`EaseService::to_bytes`].
+    /// Deserialize a service persisted by [`EaseService::to_bytes`]. Total
+    /// on hostile bytes: a typed [`PersistError`], or a service whose
+    /// predictions terminate in bounds.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, EaseError> {
         let mut r = Reader::new(bytes);
         let version = read_header(&mut r)?;
@@ -653,47 +635,10 @@ impl EaseService {
         for _ in 0..n_catalog {
             catalog.push(partitioner_from_tag(r.take_u8()?)?);
         }
-        // quality predictor
-        let tier_tag = r.take_u8()?;
-        let tier = PropertyTier::from_tag(tier_tag).ok_or_else(|| {
-            PersistError::Corrupt(format!("unknown property tier tag {tier_tag}"))
-        })?;
-        let n_targets = r.take_usize()?;
-        if n_targets > QualityTarget::ALL.len() {
-            return Err(
-                PersistError::Corrupt(format!("{n_targets} quality targets declared")).into()
-            );
-        }
-        let mut targets = Vec::with_capacity(n_targets);
-        for _ in 0..n_targets {
-            let target = target_from_tag(r.take_u8()?)?;
-            let chosen = take_chosen(&mut r)?;
-            let model = decode_model(&mut r)?;
-            targets.push((target, chosen, model));
-        }
-        let quality = QualityPredictor::from_params(QualityPredictorParams { tier, targets })?;
-        // partitioning-time predictor
-        let chosen = take_chosen(&mut r)?;
-        let model = decode_model(&mut r)?;
-        let partitioning_time =
-            PartitioningTimePredictor::from_params(PartitioningTimePredictorParams {
-                chosen,
-                model,
-            })?;
-        // processing-time predictor
-        let n_workloads = r.take_usize()?;
-        if n_workloads > 64 {
-            return Err(PersistError::Corrupt(format!("{n_workloads} workloads declared")).into());
-        }
-        let mut workloads = Vec::with_capacity(n_workloads);
-        for _ in 0..n_workloads {
-            let name = r.take_str()?;
-            let chosen = take_chosen(&mut r)?;
-            let model = decode_model(&mut r)?;
-            workloads.push((name, chosen, model));
-        }
-        let processing_time =
-            ProcessingTimePredictor::from_params(ProcessingTimePredictorParams { workloads })?;
+        // the three predictors, each reading (and checking) its own bytes
+        let quality = QualityPredictor::decode(&mut r)?;
+        let partitioning_time = PartitioningTimePredictor::decode(&mut r)?;
+        let processing_time = ProcessingTimePredictor::decode(&mut r)?;
         // property-cache trailer (absent in v1 files: those start cold)
         let mut warm: Vec<(u64, GraphProperties)> = Vec::new();
         if version >= 2 {
@@ -758,32 +703,11 @@ impl EaseService {
 // Small enum codecs
 // ---------------------------------------------------------------------
 
-fn target_tag(target: QualityTarget) -> u8 {
-    // lint: panic-ok(every QualityTarget variant is in ALL by construction)
-    QualityTarget::ALL.iter().position(|&t| t == target).expect("target in ALL") as u8
-}
-
-fn target_from_tag(tag: u8) -> Result<QualityTarget, PersistError> {
-    QualityTarget::ALL
-        .get(tag as usize)
-        .copied()
-        .ok_or_else(|| PersistError::Corrupt(format!("unknown quality target tag {tag}")))
-}
-
 fn partitioner_from_tag(tag: u8) -> Result<PartitionerId, PersistError> {
     PartitionerId::ALL
         .get(tag as usize)
         .copied()
         .ok_or_else(|| PersistError::Corrupt(format!("unknown partitioner tag {tag}")))
-}
-
-fn put_chosen(w: &mut Writer, c: &ChosenModel) {
-    encode_config(w, &c.config);
-    w.put_f64(c.cv_mape);
-}
-
-fn take_chosen(r: &mut Reader) -> Result<ChosenModel, PersistError> {
-    Ok(ChosenModel { config: decode_config(r)?, cv_mape: r.take_f64()? })
 }
 
 /// Encode extracted graph properties for the cache trailer. `f64`s go as
@@ -795,42 +719,21 @@ fn put_props(w: &mut Writer, p: &GraphProperties) {
     w.put_f64(p.mean_degree);
     w.put_f64(p.in_degree_skew);
     w.put_f64(p.out_degree_skew);
-    let mut put_opt = |v: Option<f64>| match v {
-        Some(x) => {
-            w.put_u8(1);
-            w.put_f64(x);
-        }
-        None => w.put_u8(0),
-    };
-    put_opt(p.avg_triangles);
-    put_opt(p.avg_lcc);
+    w.put_opt(p.avg_triangles, Writer::put_f64);
+    w.put_opt(p.avg_lcc, Writer::put_f64);
 }
 
 fn take_props(r: &mut Reader) -> Result<GraphProperties, PersistError> {
-    let num_vertices = r.take_usize()?;
-    let num_edges = r.take_usize()?;
-    let density = r.take_f64()?;
-    let mean_degree = r.take_f64()?;
-    let in_degree_skew = r.take_f64()?;
-    let out_degree_skew = r.take_f64()?;
-    let take_opt = |r: &mut Reader| -> Result<Option<f64>, PersistError> {
-        match r.take_u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(r.take_f64()?)),
-            other => Err(PersistError::Corrupt(format!("unknown option tag {other}"))),
-        }
-    };
-    let avg_triangles = take_opt(r)?;
-    let avg_lcc = take_opt(r)?;
+    // fields are read in wire order: a struct literal evaluates top to bottom
     Ok(GraphProperties {
-        num_vertices,
-        num_edges,
-        density,
-        mean_degree,
-        in_degree_skew,
-        out_degree_skew,
-        avg_triangles,
-        avg_lcc,
+        num_vertices: r.take_usize()?,
+        num_edges: r.take_usize()?,
+        density: r.take_f64()?,
+        mean_degree: r.take_f64()?,
+        in_degree_skew: r.take_f64()?,
+        out_degree_skew: r.take_f64()?,
+        avg_triangles: r.take_opt(Reader::take_f64)?,
+        avg_lcc: r.take_opt(Reader::take_f64)?,
     })
 }
 

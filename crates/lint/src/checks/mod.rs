@@ -39,11 +39,13 @@ pub fn is_spill_module(file: &str) -> bool {
 /// Whether `file` is daemon-reachable: code a serve-path request can
 /// drive, where a panic kills a worker serving real clients. The spill
 /// layer counts — a budgeted daemon builds CSRs through it on the
-/// request path.
+/// request path — and so does the byte codec (`ml/src/persist.rs`): its
+/// `Reader` decodes every socket payload and every model file.
 pub fn daemon_reachable(file: &str) -> bool {
     file.contains("/serve/")
         || file.ends_with("/service.rs")
         || file == "service.rs"
+        || file.ends_with("ml/src/persist.rs")
         || is_spill_module(file)
 }
 

@@ -5,7 +5,9 @@
 //! socket, so *client input could crash the fleet*. The out-of-core
 //! spill layer (`graph/src/spill.rs`, `graph/src/mmap.rs`) is in scope
 //! too: a budgeted daemon builds CSRs through it on the request path, so
-//! a panic there is the same fleet-crash vector. This check flags, in
+//! a panic there is the same fleet-crash vector. So is the byte codec
+//! (`ml/src/persist.rs`): every socket payload and every model file is
+//! decoded by its `Reader`. This check flags, in
 //! daemon-reachable modules only (see [`super::daemon_reachable`]) and
 //! outside `#[cfg(test)]`/`#[test]` items:
 //!

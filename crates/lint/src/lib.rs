@@ -111,10 +111,12 @@ impl CheckId {
             CheckId::PanicPath => {
                 "panic-path — no panicking constructs in daemon-reachable modules.\n\
                  \n\
-                 Scope: files under serve/ and service.rs, outside #[cfg(test)]/#[test]\n\
-                 items. A panic there kills a worker thread serving real clients, and the\n\
-                 triggering input came off a socket — client input must never crash the\n\
-                 fleet.\n\
+                 Scope: files under serve/, service.rs, the out-of-core spill layer\n\
+                 (graph/src/spill.rs, graph/src/mmap.rs) and the byte codec whose Reader\n\
+                 decodes every socket payload and model file (ml/src/persist.rs), outside\n\
+                 #[cfg(test)]/#[test] items. A panic there kills a worker thread serving\n\
+                 real clients, and the triggering input came off a socket or out of a\n\
+                 file — outside bytes must never crash the fleet.\n\
                  \n\
                  Flagged: .unwrap(), .expect(...), panic!/unreachable!/todo!/unimplemented!,\n\
                  and slice/array indexing (every `[]` is an implicit panic path).\n\
@@ -122,9 +124,9 @@ impl CheckId {
                  Preferred fixes, in order: return a typed EaseError; recover (for lock\n\
                  poisoning: `unwrap_or_else(PoisonError::into_inner)` — a poisoned stats\n\
                  mutex should not take the daemon down); restructure to avoid indexing\n\
-                 (`split_first`, `get`, pattern-match fixed arrays). When the panic is\n\
-                 provably unreachable (compile-time in-bounds split of a fixed array),\n\
-                 annotate the line: `// lint: panic-ok(<why>)`."
+                 (`split_first`, `split_first_chunk`, `get`, pattern-match fixed arrays).\n\
+                 When the panic is provably unreachable (compile-time in-bounds split of a\n\
+                 fixed array), annotate the line: `// lint: panic-ok(<why>)`."
             }
             CheckId::UnsafeHygiene => {
                 "unsafe-hygiene — every `unsafe` site carries a // SAFETY: comment.\n\

@@ -120,6 +120,18 @@ fn panic_paths_in_the_spill_layer_are_flagged() {
     assert!(!findings.is_empty(), "{findings:?}");
 }
 
+/// PR 18: the byte codec is daemon-reachable — `persist::Reader` decodes
+/// every socket payload and every model file — while the model files next
+/// to it, which only run on bytes the codec already bounds-checked, stay
+/// out of scope.
+#[test]
+fn panic_paths_in_the_byte_codec_are_flagged() {
+    let findings = lint_source("crates/ml/src/persist.rs", PANIC_BAD, &only(CheckId::PanicPath));
+    assert_eq!(lines(&findings), [2, 4, 8], "{findings:?}");
+    let findings = lint_source("crates/ml/src/tree.rs", PANIC_BAD, &only(CheckId::PanicPath));
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
 /// PR 9: the router and hash ring are daemon code — a panicking router
 /// takes the whole fleet's front door down, so `serve/router.rs` and
 /// `serve/ring.rs` sit inside the panic-path scope like the rest of

@@ -1,5 +1,6 @@
 //! Row-major feature matrices and labelled datasets.
 
+use crate::persist::{PersistError, Reader, Writer};
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
@@ -50,15 +51,27 @@ impl Matrix {
         self.data[i * self.cols + j]
     }
 
-    /// The row-major backing storage (persistence codec).
-    pub fn values(&self) -> &[f64] {
-        &self.data
+    /// Persistence codec: both dimensions, then the row-major values.
+    pub(crate) fn encode(&self, w: &mut Writer) {
+        w.put_usize(self.rows);
+        w.put_usize(self.cols);
+        w.put_f64s(&self.data);
     }
 
-    /// Rebuild a matrix from row-major storage (persistence codec).
-    pub fn from_flat(rows: usize, cols: usize, data: Vec<f64>) -> Matrix {
-        assert_eq!(data.len(), rows * cols, "flat data size mismatch");
-        Matrix { data, rows, cols }
+    /// Inverse of [`Matrix::encode`]. Both dimensions are file-chosen:
+    /// their product must not overflow and must equal the number of values
+    /// present, which is what [`Matrix::row`] slices by.
+    pub(crate) fn decode(r: &mut Reader) -> Result<Matrix, PersistError> {
+        let rows = r.take_usize()?;
+        let cols = r.take_usize()?;
+        let data = r.take_f64s()?;
+        if rows.checked_mul(cols) != Some(data.len()) {
+            return Err(PersistError::Corrupt(format!(
+                "matrix {rows}x{cols} carries {} values",
+                data.len()
+            )));
+        }
+        Ok(Matrix { data, rows, cols })
     }
 
     /// Select a subset of rows by index.

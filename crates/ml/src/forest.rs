@@ -6,8 +6,8 @@
 //! interpretability for the feature-importance analysis of Table VII.
 
 use crate::dataset::Matrix;
-use crate::persist::{wrong_variant, ModelParams, PersistError};
-use crate::tree::{Binner, RegressionTree, TreeParams};
+use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_FOREST};
+use crate::tree::{decode_trees, encode_trees, Binner, RegressionTree, TreeParams};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -43,19 +43,22 @@ impl RandomForest {
         RandomForest { params, trees: Vec::new(), n_features: 0 }
     }
 
-    /// Rebuild from [`ModelParams::Forest`].
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Forest { params, trees, n_features } => Ok(RandomForest {
-                params,
-                trees: trees
-                    .into_iter()
-                    .map(RegressionTree::from_params)
-                    .collect::<Result<_, _>>()?,
-                n_features,
-            }),
-            other => Err(wrong_variant("forest", &other)),
+    /// Inverse of [`Regressor::encode`]. Prediction averages over the
+    /// trees, so there must be at least one.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_FOREST)?;
+        let params = ForestParams {
+            n_trees: r.take_usize()?,
+            max_depth: r.take_usize()?,
+            min_samples_leaf: r.take_usize()?,
+            feature_fraction: r.take_f64()?,
+            seed: r.take_u64()?,
+        };
+        let (n_features, trees) = decode_trees(r)?;
+        if trees.is_empty() {
+            return Err(PersistError::Corrupt("forest has no trees (never fitted)".into()));
         }
+        Ok(RandomForest { params, trees, n_features })
     }
 }
 
@@ -111,12 +114,14 @@ impl Regressor for RandomForest {
         Some(total)
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Forest {
-            params: self.params.clone(),
-            trees: self.trees.iter().map(Regressor::to_params).collect(),
-            n_features: self.n_features,
-        }
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_FOREST);
+        w.put_usize(self.params.n_trees);
+        w.put_usize(self.params.max_depth);
+        w.put_usize(self.params.min_samples_leaf);
+        w.put_f64(self.params.feature_fraction);
+        w.put_u64(self.params.seed);
+        encode_trees(w, self.n_features, &self.trees);
     }
 }
 

@@ -7,8 +7,8 @@
 //! second-order XGB leaf weight with hessian 1.
 
 use crate::dataset::Matrix;
-use crate::persist::{wrong_variant, ModelParams, PersistError};
-use crate::tree::{Binner, RegressionTree, TreeParams};
+use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_GBT};
+use crate::tree::{decode_trees, encode_trees, Binner, RegressionTree, TreeParams};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -53,20 +53,23 @@ impl GradientBoosting {
         GradientBoosting { params, base: 0.0, trees: Vec::new(), n_features: 0 }
     }
 
-    /// Rebuild from [`ModelParams::Gbt`].
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Gbt { params, base, trees, n_features } => Ok(GradientBoosting {
-                params,
-                base,
-                trees: trees
-                    .into_iter()
-                    .map(RegressionTree::from_params)
-                    .collect::<Result<_, _>>()?,
-                n_features,
-            }),
-            other => Err(wrong_variant("gbt", &other)),
-        }
+    /// Inverse of [`Regressor::encode`]. Prediction is the base plus a sum
+    /// over the trees, so any number of them — none included — is valid.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_GBT)?;
+        let params = GbtParams {
+            n_estimators: r.take_usize()?,
+            learning_rate: r.take_f64()?,
+            max_depth: r.take_usize()?,
+            lambda: r.take_f64()?,
+            gamma: r.take_f64()?,
+            subsample: r.take_f64()?,
+            min_samples_leaf: r.take_usize()?,
+            seed: r.take_u64()?,
+        };
+        let base = r.take_f64()?;
+        let (n_features, trees) = decode_trees(r)?;
+        Ok(GradientBoosting { params, base, trees, n_features })
     }
 }
 
@@ -143,13 +146,18 @@ impl Regressor for GradientBoosting {
         Some(total)
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Gbt {
-            params: self.params.clone(),
-            base: self.base,
-            trees: self.trees.iter().map(Regressor::to_params).collect(),
-            n_features: self.n_features,
-        }
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_GBT);
+        w.put_usize(self.params.n_estimators);
+        w.put_f64(self.params.learning_rate);
+        w.put_usize(self.params.max_depth);
+        w.put_f64(self.params.lambda);
+        w.put_f64(self.params.gamma);
+        w.put_f64(self.params.subsample);
+        w.put_usize(self.params.min_samples_leaf);
+        w.put_u64(self.params.seed);
+        w.put_f64(self.base);
+        encode_trees(w, self.n_features, &self.trees);
     }
 }
 

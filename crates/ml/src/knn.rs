@@ -1,7 +1,7 @@
 //! K-nearest-neighbors regression — the paper's simple baseline.
 
 use crate::dataset::Matrix;
-use crate::persist::{wrong_variant, ModelParams, PersistError};
+use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_KNN};
 use crate::Regressor;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -28,26 +28,23 @@ impl KnnRegressor {
         KnnRegressor { k, weights, x: Matrix::with_cols(0), y: Vec::new() }
     }
 
-    /// Rebuild from [`ModelParams::Knn`].
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Knn { k, distance_weighted, x, y } => {
-                if k == 0 {
-                    return Err(PersistError::Corrupt("knn k must be >= 1".into()));
-                }
-                if x.rows != y.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "knn: {} training rows vs {} targets",
-                        x.rows,
-                        y.len()
-                    )));
-                }
-                let weights =
-                    if distance_weighted { KnnWeights::Distance } else { KnnWeights::Uniform };
-                Ok(KnnRegressor { k, weights, x, y })
-            }
-            other => Err(wrong_variant("knn", &other)),
+    /// Inverse of [`Regressor::encode`]. Prediction averages the targets
+    /// of the `k ≥ 1` nearest training rows: there must be rows, and one
+    /// target per row.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_KNN)?;
+        let k = r.take_usize()?;
+        let weights = if r.take_bool()? { KnnWeights::Distance } else { KnnWeights::Uniform };
+        let x = Matrix::decode(r)?;
+        let y = r.take_f64s()?;
+        if k == 0 || y.is_empty() || x.rows != y.len() {
+            return Err(PersistError::Corrupt(format!(
+                "knn: k = {k} over {} training rows and {} targets",
+                x.rows,
+                y.len()
+            )));
         }
+        Ok(KnnRegressor { k, weights, x, y })
     }
 }
 
@@ -112,13 +109,12 @@ impl Regressor for KnnRegressor {
         }
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Knn {
-            k: self.k,
-            distance_weighted: self.weights == KnnWeights::Distance,
-            x: self.x.clone(),
-            y: self.y.clone(),
-        }
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_KNN);
+        w.put_usize(self.k);
+        w.put_bool(self.weights == KnnWeights::Distance);
+        self.x.encode(w);
+        w.put_f64s(&self.y);
     }
 }
 

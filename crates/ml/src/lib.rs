@@ -8,8 +8,9 @@
 //! paper uses: z-score standardization, one-hot encoding, K-fold
 //! cross-validation, grid search, and the RMSE/MAPE evaluation metrics.
 //!
-//! All models implement [`Regressor`]; [`zoo::default_grid`] exposes the
-//! hyper-parameter grid used for model selection.
+//! All models implement [`Regressor`] — fit, predict, and write their own
+//! bytes ([`persist`]); [`zoo::default_grid`] exposes the hyper-parameter
+//! grid used for model selection.
 
 pub mod cv;
 pub mod dataset;
@@ -28,7 +29,7 @@ pub mod zoo;
 
 pub use dataset::{Dataset, Matrix};
 pub use metrics::{mae, mape, r2, rmse};
-pub use persist::{ModelParams, PersistError, Reader, Writer};
+pub use persist::{PersistError, Reader, Writer};
 pub use preprocess::{OneHotEncoder, ScaledModel, StandardScaler};
 pub use zoo::{ModelConfig, ModelKind};
 
@@ -51,8 +52,9 @@ pub trait Regressor: Send + Sync {
         None
     }
 
-    /// Snapshot the *fitted* state as plain data. Together with
-    /// [`persist::build_regressor`] this lets a trained model round-trip
-    /// through the on-disk codec bit-exactly.
-    fn to_params(&self) -> ModelParams;
+    /// Write the *fitted* state: the model's tag byte, then its fields
+    /// (`f64`s as raw bits, so a reload predicts bit-identically). The
+    /// inverse is the model's inherent `decode`, or
+    /// [`persist::decode_regressor`] when the family is not known.
+    fn encode(&self, w: &mut Writer);
 }

@@ -2,7 +2,7 @@
 //! Cholesky solve. The building block for polynomial regression.
 
 use crate::dataset::Matrix;
-use crate::persist::{wrong_variant, ModelParams, PersistError};
+use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_RIDGE};
 use crate::Regressor;
 
 /// Ridge regression `min ‖Xw − y‖² + α‖w‖²` (intercept un-penalized,
@@ -24,14 +24,11 @@ impl Ridge {
         &self.weights
     }
 
-    /// Rebuild from [`ModelParams::Ridge`].
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Ridge { alpha, weights, intercept } => {
-                Ok(Ridge { alpha, weights, intercept })
-            }
-            other => Err(wrong_variant("ridge", &other)),
-        }
+    /// Inverse of [`Regressor::encode`]. Prediction zips weights against
+    /// the row, so every weight vector is a valid one.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_RIDGE)?;
+        Ok(Ridge { alpha: r.take_f64()?, weights: r.take_f64s()?, intercept: r.take_f64()? })
     }
 }
 
@@ -136,12 +133,11 @@ impl Regressor for Ridge {
         self.intercept + self.weights.iter().zip(row).map(|(w, v)| w * v).sum::<f64>()
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Ridge {
-            alpha: self.alpha,
-            weights: self.weights.clone(),
-            intercept: self.intercept,
-        }
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_RIDGE);
+        w.put_f64(self.alpha);
+        w.put_f64s(&self.weights);
+        w.put_f64(self.intercept);
     }
 }
 

@@ -8,7 +8,7 @@
 //! vs. run-times in seconds).
 
 use crate::dataset::Matrix;
-use crate::persist::{wrong_variant, LayerParams, ModelParams, PersistError};
+use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_MLP};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -104,39 +104,56 @@ impl MlpRegressor {
         MlpRegressor { params, layers: Vec::new(), y_mean: 0.0, y_std: 1.0 }
     }
 
-    /// Rebuild from [`ModelParams::Mlp`]. Adam moments are training-only
+    /// Inverse of [`Regressor::encode`]. Adam moments are training-only
     /// state and restart at zero; predictions depend only on weights and
-    /// biases, so the reload predicts bit-identically.
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Mlp { params, y_mean, y_std, layers } => {
-                for (i, pair) in layers.windows(2).enumerate() {
-                    if pair[0].n_out != pair[1].n_in {
-                        return Err(PersistError::Corrupt(format!(
-                            "mlp layer {i} emits {} values but layer {} expects {}",
-                            pair[0].n_out,
-                            i + 1,
-                            pair[1].n_in
-                        )));
-                    }
-                }
-                let layers = layers
-                    .into_iter()
-                    .map(|l| Layer {
-                        mw: vec![0.0; l.w.len()],
-                        vw: vec![0.0; l.w.len()],
-                        mb: vec![0.0; l.b.len()],
-                        vb: vec![0.0; l.b.len()],
-                        w: l.w,
-                        b: l.b,
-                        n_in: l.n_in,
-                        n_out: l.n_out,
-                    })
-                    .collect();
-                Ok(MlpRegressor { params, layers, y_mean, y_std })
+    /// biases, so the reload predicts bit-identically. The forward pass
+    /// slices each layer's weights by its dimensions, feeds it the previous
+    /// layer's output and reads the one value the last layer emits.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_MLP)?;
+        let params = MlpParams {
+            hidden: r.take_usizes()?,
+            epochs: r.take_usize()?,
+            batch_size: r.take_usize()?,
+            learning_rate: r.take_f64()?,
+            l2: r.take_f64()?,
+            seed: r.take_u64()?,
+        };
+        let y_mean = r.take_f64()?;
+        let y_std = r.take_f64()?;
+        let n_layers = r.take_len(1)?;
+        let mut layers: Vec<Layer> = Vec::with_capacity(n_layers);
+        for i in 0..n_layers {
+            let n_in = r.take_usize()?;
+            let n_out = r.take_usize()?;
+            let w = r.take_f64s()?;
+            let b = r.take_f64s()?;
+            let chained = layers.last().is_none_or(|prev| prev.n_out == n_in);
+            if n_in.checked_mul(n_out) != Some(w.len()) || b.len() != n_out || !chained {
+                return Err(PersistError::Corrupt(format!(
+                    "mlp layer {i} ({n_in}x{n_out}) carries {} weights / {} biases, or does \
+                     not take what the layer before it emits",
+                    w.len(),
+                    b.len()
+                )));
             }
-            other => Err(wrong_variant("mlp", &other)),
+            layers.push(Layer {
+                mw: vec![0.0; w.len()],
+                vw: vec![0.0; w.len()],
+                mb: vec![0.0; b.len()],
+                vb: vec![0.0; b.len()],
+                w,
+                b,
+                n_in,
+                n_out,
+            });
         }
+        if layers.last().map(|last| last.n_out) != Some(1) {
+            return Err(PersistError::Corrupt(
+                "mlp must end in a layer with one output (never fitted?)".into(),
+            ));
+        }
+        Ok(MlpRegressor { params, layers, y_mean, y_std })
     }
 
     fn forward_all(&self, row: &[f64], activations: &mut Vec<Vec<f64>>) -> f64 {
@@ -262,21 +279,22 @@ impl Regressor for MlpRegressor {
         z * self.y_std + self.y_mean
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Mlp {
-            params: self.params.clone(),
-            y_mean: self.y_mean,
-            y_std: self.y_std,
-            layers: self
-                .layers
-                .iter()
-                .map(|l| LayerParams {
-                    n_in: l.n_in,
-                    n_out: l.n_out,
-                    w: l.w.clone(),
-                    b: l.b.clone(),
-                })
-                .collect(),
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_MLP);
+        w.put_usizes(&self.params.hidden);
+        w.put_usize(self.params.epochs);
+        w.put_usize(self.params.batch_size);
+        w.put_f64(self.params.learning_rate);
+        w.put_f64(self.params.l2);
+        w.put_u64(self.params.seed);
+        w.put_f64(self.y_mean);
+        w.put_f64(self.y_std);
+        w.put_usize(self.layers.len());
+        for l in &self.layers {
+            w.put_usize(l.n_in);
+            w.put_usize(l.n_out);
+            w.put_f64s(&l.w);
+            w.put_f64s(&l.b);
         }
     }
 }

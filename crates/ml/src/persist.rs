@@ -1,33 +1,42 @@
-//! Versioned, hand-rolled binary model codec.
+//! Versioned, hand-rolled binary model codec: the shared half.
 //!
 //! EASE's value proposition is *train once, query cheaply*: a trained
 //! selector amortizes its profiling cost over many future queries, which
 //! requires the fitted models to survive the training process. No serde is
-//! available in the offline dependency set, so this module implements a
-//! small self-describing binary format:
+//! available in the offline dependency set, so the crate carries a small
+//! self-describing binary format. Every model writes and reads **its own**
+//! bytes — [`crate::Regressor::encode`] and an inherent `decode` sit next
+//! to the struct whose fields they spell, and `decode` checks every
+//! invariant that struct's `predict_row` relies on. This module keeps only
+//! what the models share:
 //!
 //! * [`Writer`]/[`Reader`] — little-endian primitive codec over a byte
 //!   buffer, with every read bounds-checked into a typed [`PersistError`].
-//! * [`ModelParams`] — the fitted state of every regressor in the zoo as
-//!   plain data. Models convert via [`crate::Regressor::to_params`] and
-//!   their inherent `from_params` constructors; [`build_regressor`] is the
-//!   tag-dispatched factory for trait objects.
 //! * A `MAGIC` + format-version header ([`write_header`]/[`read_header`])
 //!   so future layouts can evolve without silently misreading old files.
+//! * The nine model tag bytes and [`decode_regressor`], the one dispatch
+//!   table from a tag to the model that owns the bytes behind it.
+//! * [`encode_config`]/[`decode_config`] for grid-search provenance.
+//!
+//! Nesting is typed, not recursive: a polynomial holds a ridge, the two
+//! ensembles hold trees, and a scaled pipeline holds any model except
+//! another scaled pipeline — so decode depth is at most three whatever the
+//! file says.
 //!
 //! The codec stores `f64`s as raw IEEE-754 bits, so a saved model predicts
 //! **bit-identically** after reload — locked by the round-trip tests in
-//! `tests/persistence_roundtrip.rs`.
+//! `tests/persistence_roundtrip.rs`, which also pin the bytes themselves
+//! and prove the decoders total on mutated, truncated and extended files.
 
-use crate::dataset::Matrix;
-use crate::forest::{ForestParams, RandomForest};
-use crate::gbt::{GbtParams, GradientBoosting};
+use crate::forest::RandomForest;
+use crate::gbt::GradientBoosting;
 use crate::knn::KnnRegressor;
-use crate::mlp::{MlpParams, MlpRegressor};
+use crate::linear::Ridge;
+use crate::mlp::MlpRegressor;
 use crate::poly::PolynomialRegression;
-use crate::preprocess::{ScaledModel, StandardScaler};
-use crate::svr::{SvrParams, SvrRegressor};
-use crate::tree::{RegressionTree, TreeParams};
+use crate::preprocess::ScaledModel;
+use crate::svr::SvrRegressor;
+use crate::tree::RegressionTree;
 use crate::zoo::ModelConfig;
 use crate::Regressor;
 use std::fmt;
@@ -131,13 +140,13 @@ impl Writer {
         self.put_u64(v.to_bits());
     }
 
-    pub fn put_opt_usize(&mut self, v: Option<usize>) {
-        match v {
-            None => self.put_u8(0),
-            Some(x) => {
-                self.put_u8(1);
-                self.put_usize(x);
-            }
+    /// `Option<T>` as a `0`/`1` byte, then — for `Some` — whatever `put`
+    /// writes for the payload. The one option codec of every format built
+    /// on this writer (model files, the cache trailer, the serve wire).
+    pub fn put_opt<T>(&mut self, v: Option<T>, put: impl FnOnce(&mut Writer, T)) {
+        self.put_u8(u8::from(v.is_some()));
+        if let Some(x) = v {
+            put(self, x);
         }
     }
 
@@ -145,6 +154,14 @@ impl Writer {
         self.put_usize(vs.len());
         for &v in vs {
             self.put_f64(v);
+        }
+    }
+
+    /// A `usize` list — MLP hidden-layer widths, in models and configs.
+    pub(crate) fn put_usizes(&mut self, vs: &[usize]) {
+        self.put_usize(vs.len());
+        for &v in vs {
+            self.put_usize(v);
         }
     }
 
@@ -157,13 +174,15 @@ impl Writer {
 /// Bounds-checked little-endian byte source.
 #[derive(Debug)]
 pub struct Reader<'a> {
-    buf: &'a [u8],
+    /// The bytes not yet consumed.
+    rest: &'a [u8],
+    /// How many were.
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
     pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
+        Reader { rest: buf, pos: 0 }
     }
 
     pub fn offset(&self) -> usize {
@@ -171,20 +190,35 @@ impl<'a> Reader<'a> {
     }
 
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.rest.len()
+    }
+
+    fn truncated(&self, needed: usize) -> PersistError {
+        PersistError::Truncated { offset: self.pos, needed }
     }
 
     pub fn take_bytes(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
-        if self.remaining() < n {
-            return Err(PersistError::Truncated { offset: self.pos, needed: n });
-        }
-        let out = &self.buf[self.pos..self.pos + n];
+        let (out, rest) = self.rest.split_at_checked(n).ok_or_else(|| self.truncated(n))?;
+        self.rest = rest;
         self.pos += n;
         Ok(out)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], PersistError> {
+        let (out, rest) = self.rest.split_first_chunk::<N>().ok_or_else(|| self.truncated(N))?;
+        self.rest = rest;
+        self.pos += N;
+        Ok(*out)
+    }
+
+    /// The next byte, left in place — how [`decode_regressor`] reads a
+    /// model's tag before handing the model its own bytes.
+    pub fn peek_u8(&self) -> Result<u8, PersistError> {
+        self.rest.first().copied().ok_or_else(|| self.truncated(1))
+    }
+
     pub fn take_u8(&mut self) -> Result<u8, PersistError> {
-        Ok(self.take_bytes(1)?[0])
+        self.take_array().map(|[b]| b)
     }
 
     pub fn take_bool(&mut self) -> Result<bool, PersistError> {
@@ -196,13 +230,11 @@ impl<'a> Reader<'a> {
     }
 
     pub fn take_u32(&mut self) -> Result<u32, PersistError> {
-        let b = self.take_bytes(4)?;
-        Ok(u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        self.take_array().map(u32::from_le_bytes)
     }
 
     pub fn take_u64(&mut self) -> Result<u64, PersistError> {
-        let b = self.take_bytes(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
+        self.take_array().map(u64::from_le_bytes)
     }
 
     pub fn take_usize(&mut self) -> Result<usize, PersistError> {
@@ -211,9 +243,10 @@ impl<'a> Reader<'a> {
     }
 
     /// A length that will immediately drive an allocation: bounded by what
-    /// the remaining buffer could possibly hold, so a corrupted length
-    /// cannot trigger a multi-gigabyte `Vec` reservation.
-    fn take_len(&mut self, elem_bytes: usize) -> Result<usize, PersistError> {
+    /// the remaining buffer could possibly hold (each element takes at
+    /// least `elem_bytes`), so a corrupted length cannot trigger a
+    /// multi-gigabyte `Vec` reservation.
+    pub(crate) fn take_len(&mut self, elem_bytes: usize) -> Result<usize, PersistError> {
         let n = self.take_usize()?;
         if n.saturating_mul(elem_bytes) > self.remaining() {
             return Err(PersistError::Corrupt(format!(
@@ -228,11 +261,15 @@ impl<'a> Reader<'a> {
         Ok(f64::from_bits(self.take_u64()?))
     }
 
-    pub fn take_opt_usize(&mut self) -> Result<Option<usize>, PersistError> {
+    /// Inverse of [`Writer::put_opt`].
+    pub fn take_opt<T>(
+        &mut self,
+        take: impl FnOnce(&mut Self) -> Result<T, PersistError>,
+    ) -> Result<Option<T>, PersistError> {
         match self.take_u8()? {
             0 => Ok(None),
-            1 => Ok(Some(self.take_usize()?)),
-            other => Err(PersistError::Corrupt(format!("invalid option byte {other}"))),
+            1 => take(self).map(Some),
+            other => Err(PersistError::Corrupt(format!("unknown option tag {other}"))),
         }
     }
 
@@ -243,6 +280,12 @@ impl<'a> Reader<'a> {
             out.push(self.take_f64()?);
         }
         Ok(out)
+    }
+
+    /// Inverse of [`Writer::put_usizes`].
+    pub(crate) fn take_usizes(&mut self) -> Result<Vec<usize>, PersistError> {
+        let n = self.take_len(8)?;
+        (0..n).map(|_| self.take_usize()).collect()
     }
 
     pub fn take_str(&mut self) -> Result<String, PersistError> {
@@ -273,415 +316,46 @@ pub fn read_header(r: &mut Reader) -> Result<u32, PersistError> {
 }
 
 // ---------------------------------------------------------------------
-// ModelParams — fitted state as plain data
+// Model tags and dispatch
 // ---------------------------------------------------------------------
 
-/// One node of a serialized [`RegressionTree`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TreeNode {
-    Leaf { value: f64 },
-    Split { feature: u32, threshold: f64, left: u32, right: u32 },
-}
+/// The first byte of every encoded model names its family. Each model's
+/// `encode` writes its tag and its `decode` insists on it ([`expect_tag`]).
+pub(crate) const TAG_RIDGE: u8 = 1;
+pub(crate) const TAG_POLY: u8 = 2;
+pub(crate) const TAG_TREE: u8 = 3;
+pub(crate) const TAG_FOREST: u8 = 4;
+pub(crate) const TAG_GBT: u8 = 5;
+pub(crate) const TAG_KNN: u8 = 6;
+pub(crate) const TAG_MLP: u8 = 7;
+pub(crate) const TAG_SVR: u8 = 8;
+pub(crate) const TAG_SCALED: u8 = 9;
 
-/// One dense layer of a serialized [`MlpRegressor`] (weights + biases; the
-/// Adam moments are training-only state and are not persisted).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerParams {
-    pub n_in: usize,
-    pub n_out: usize,
-    pub w: Vec<f64>,
-    pub b: Vec<f64>,
-}
-
-/// The fitted state of every regressor in the zoo, as plain data.
-///
-/// Produced by [`Regressor::to_params`], consumed by the per-model
-/// `from_params` constructors (or [`build_regressor`] for trait objects),
-/// and serialized by [`encode_model`]/[`decode_model`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ModelParams {
-    Ridge { alpha: f64, weights: Vec<f64>, intercept: f64 },
-    Poly { degree: usize, alpha: f64, inner: Box<ModelParams> },
-    Tree { params: TreeParams, nodes: Vec<TreeNode>, importances: Vec<f64> },
-    Forest { params: ForestParams, trees: Vec<ModelParams>, n_features: usize },
-    Gbt { params: GbtParams, base: f64, trees: Vec<ModelParams>, n_features: usize },
-    Knn { k: usize, distance_weighted: bool, x: Matrix, y: Vec<f64> },
-    Mlp { params: MlpParams, y_mean: f64, y_std: f64, layers: Vec<LayerParams> },
-    Svr { params: SvrParams, support: Matrix, beta: Vec<f64>, bias: f64 },
-    Scaled { scaler: Option<StandardScaler>, inner: Box<ModelParams> },
-}
-
-impl ModelParams {
-    /// Short tag name for error messages.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            ModelParams::Ridge { .. } => "ridge",
-            ModelParams::Poly { .. } => "poly",
-            ModelParams::Tree { .. } => "tree",
-            ModelParams::Forest { .. } => "forest",
-            ModelParams::Gbt { .. } => "gbt",
-            ModelParams::Knn { .. } => "knn",
-            ModelParams::Mlp { .. } => "mlp",
-            ModelParams::Svr { .. } => "svr",
-            ModelParams::Scaled { .. } => "scaled",
-        }
+/// Consume a model's tag byte, which must be `want`. This is what makes
+/// nesting typed: a decoder that holds a fixed family (a polynomial's
+/// ridge, an ensemble's trees) calls that family's `decode`, which refuses
+/// any other tag instead of recursing into whatever the file names.
+pub(crate) fn expect_tag(r: &mut Reader, want: u8) -> Result<(), PersistError> {
+    match r.take_u8()? {
+        tag if tag == want => Ok(()),
+        tag => Err(PersistError::Corrupt(format!("expected model tag {want}, found {tag}"))),
     }
 }
 
-/// Error helper: `from_params` received the wrong variant.
-pub fn wrong_variant(expected: &str, got: &ModelParams) -> PersistError {
-    PersistError::Corrupt(format!("expected {expected} params, got {}", got.kind_name()))
-}
-
-/// Rebuild a boxed [`Regressor`] from its serialized parameters
-/// (tag-dispatched factory over the whole zoo).
-pub fn build_regressor(params: ModelParams) -> Result<Box<dyn Regressor>, PersistError> {
-    Ok(match params {
-        p @ ModelParams::Ridge { .. } => Box::new(crate::linear::Ridge::from_params(p)?),
-        p @ ModelParams::Poly { .. } => Box::new(PolynomialRegression::from_params(p)?),
-        p @ ModelParams::Tree { .. } => Box::new(RegressionTree::from_params(p)?),
-        p @ ModelParams::Forest { .. } => Box::new(RandomForest::from_params(p)?),
-        p @ ModelParams::Gbt { .. } => Box::new(GradientBoosting::from_params(p)?),
-        p @ ModelParams::Knn { .. } => Box::new(KnnRegressor::from_params(p)?),
-        p @ ModelParams::Mlp { .. } => Box::new(MlpRegressor::from_params(p)?),
-        p @ ModelParams::Svr { .. } => Box::new(SvrRegressor::from_params(p)?),
-        p @ ModelParams::Scaled { .. } => Box::new(ScaledModel::from_params(p)?),
-    })
-}
-
-// ---------------------------------------------------------------------
-// ModelParams codec
-// ---------------------------------------------------------------------
-
-const TAG_RIDGE: u8 = 1;
-const TAG_POLY: u8 = 2;
-const TAG_TREE: u8 = 3;
-const TAG_FOREST: u8 = 4;
-const TAG_GBT: u8 = 5;
-const TAG_KNN: u8 = 6;
-const TAG_MLP: u8 = 7;
-const TAG_SVR: u8 = 8;
-const TAG_SCALED: u8 = 9;
-
-fn put_matrix(w: &mut Writer, m: &Matrix) {
-    w.put_usize(m.rows);
-    w.put_usize(m.cols);
-    w.put_f64s(m.values());
-}
-
-fn take_matrix(r: &mut Reader) -> Result<Matrix, PersistError> {
-    let rows = r.take_usize()?;
-    let cols = r.take_usize()?;
-    let data = r.take_f64s()?;
-    if data.len() != rows * cols {
-        return Err(PersistError::Corrupt(format!(
-            "matrix {rows}x{cols} carries {} values",
-            data.len()
-        )));
-    }
-    Ok(Matrix::from_flat(rows, cols, data))
-}
-
-fn put_tree_params(w: &mut Writer, p: &TreeParams) {
-    w.put_usize(p.max_depth);
-    w.put_usize(p.min_samples_split);
-    w.put_usize(p.min_samples_leaf);
-    w.put_opt_usize(p.max_features);
-    w.put_f64(p.leaf_l2);
-    w.put_f64(p.min_gain);
-    w.put_u64(p.seed);
-}
-
-fn take_tree_params(r: &mut Reader) -> Result<TreeParams, PersistError> {
-    Ok(TreeParams {
-        max_depth: r.take_usize()?,
-        min_samples_split: r.take_usize()?,
-        min_samples_leaf: r.take_usize()?,
-        max_features: r.take_opt_usize()?,
-        leaf_l2: r.take_f64()?,
-        min_gain: r.take_f64()?,
-        seed: r.take_u64()?,
-    })
-}
-
-/// Serialize fitted model parameters (recursing into nested models).
-pub fn encode_model(w: &mut Writer, params: &ModelParams) {
-    match params {
-        ModelParams::Ridge { alpha, weights, intercept } => {
-            w.put_u8(TAG_RIDGE);
-            w.put_f64(*alpha);
-            w.put_f64s(weights);
-            w.put_f64(*intercept);
-        }
-        ModelParams::Poly { degree, alpha, inner } => {
-            w.put_u8(TAG_POLY);
-            w.put_usize(*degree);
-            w.put_f64(*alpha);
-            encode_model(w, inner);
-        }
-        ModelParams::Tree { params, nodes, importances } => {
-            w.put_u8(TAG_TREE);
-            put_tree_params(w, params);
-            w.put_usize(nodes.len());
-            for n in nodes {
-                match n {
-                    TreeNode::Leaf { value } => {
-                        w.put_u8(0);
-                        w.put_f64(*value);
-                    }
-                    TreeNode::Split { feature, threshold, left, right } => {
-                        w.put_u8(1);
-                        w.put_u32(*feature);
-                        w.put_f64(*threshold);
-                        w.put_u32(*left);
-                        w.put_u32(*right);
-                    }
-                }
-            }
-            w.put_f64s(importances);
-        }
-        ModelParams::Forest { params, trees, n_features } => {
-            w.put_u8(TAG_FOREST);
-            w.put_usize(params.n_trees);
-            w.put_usize(params.max_depth);
-            w.put_usize(params.min_samples_leaf);
-            w.put_f64(params.feature_fraction);
-            w.put_u64(params.seed);
-            w.put_usize(*n_features);
-            w.put_usize(trees.len());
-            for t in trees {
-                encode_model(w, t);
-            }
-        }
-        ModelParams::Gbt { params, base, trees, n_features } => {
-            w.put_u8(TAG_GBT);
-            w.put_usize(params.n_estimators);
-            w.put_f64(params.learning_rate);
-            w.put_usize(params.max_depth);
-            w.put_f64(params.lambda);
-            w.put_f64(params.gamma);
-            w.put_f64(params.subsample);
-            w.put_usize(params.min_samples_leaf);
-            w.put_u64(params.seed);
-            w.put_f64(*base);
-            w.put_usize(*n_features);
-            w.put_usize(trees.len());
-            for t in trees {
-                encode_model(w, t);
-            }
-        }
-        ModelParams::Knn { k, distance_weighted, x, y } => {
-            w.put_u8(TAG_KNN);
-            w.put_usize(*k);
-            w.put_bool(*distance_weighted);
-            put_matrix(w, x);
-            w.put_f64s(y);
-        }
-        ModelParams::Mlp { params, y_mean, y_std, layers } => {
-            w.put_u8(TAG_MLP);
-            w.put_usize(params.hidden.len());
-            for &h in &params.hidden {
-                w.put_usize(h);
-            }
-            w.put_usize(params.epochs);
-            w.put_usize(params.batch_size);
-            w.put_f64(params.learning_rate);
-            w.put_f64(params.l2);
-            w.put_u64(params.seed);
-            w.put_f64(*y_mean);
-            w.put_f64(*y_std);
-            w.put_usize(layers.len());
-            for l in layers {
-                w.put_usize(l.n_in);
-                w.put_usize(l.n_out);
-                w.put_f64s(&l.w);
-                w.put_f64s(&l.b);
-            }
-        }
-        ModelParams::Svr { params, support, beta, bias } => {
-            w.put_u8(TAG_SVR);
-            w.put_f64(params.c);
-            w.put_f64(params.epsilon);
-            w.put_f64(params.gamma);
-            w.put_usize(params.max_passes);
-            w.put_f64(params.tol);
-            w.put_usize(params.max_train);
-            put_matrix(w, support);
-            w.put_f64s(beta);
-            w.put_f64(*bias);
-        }
-        ModelParams::Scaled { scaler, inner } => {
-            w.put_u8(TAG_SCALED);
-            match scaler {
-                None => w.put_bool(false),
-                Some(s) => {
-                    w.put_bool(true);
-                    w.put_f64s(&s.means);
-                    w.put_f64s(&s.stds);
-                }
-            }
-            encode_model(w, inner);
-        }
-    }
-}
-
-/// Decode fitted model parameters (inverse of [`encode_model`]).
-pub fn decode_model(r: &mut Reader) -> Result<ModelParams, PersistError> {
-    let tag = r.take_u8()?;
-    Ok(match tag {
-        TAG_RIDGE => ModelParams::Ridge {
-            alpha: r.take_f64()?,
-            weights: r.take_f64s()?,
-            intercept: r.take_f64()?,
-        },
-        TAG_POLY => ModelParams::Poly {
-            degree: r.take_usize()?,
-            alpha: r.take_f64()?,
-            inner: Box::new(decode_model(r)?),
-        },
-        TAG_TREE => {
-            let params = take_tree_params(r)?;
-            let n_nodes = r.take_len(9)?;
-            let mut nodes = Vec::with_capacity(n_nodes);
-            for _ in 0..n_nodes {
-                nodes.push(match r.take_u8()? {
-                    0 => TreeNode::Leaf { value: r.take_f64()? },
-                    1 => TreeNode::Split {
-                        feature: r.take_u32()?,
-                        threshold: r.take_f64()?,
-                        left: r.take_u32()?,
-                        right: r.take_u32()?,
-                    },
-                    other => {
-                        return Err(PersistError::Corrupt(format!("unknown tree node tag {other}")))
-                    }
-                });
-            }
-            for (i, n) in nodes.iter().enumerate() {
-                if let TreeNode::Split { left, right, .. } = n {
-                    if *left as usize >= nodes.len() || *right as usize >= nodes.len() {
-                        return Err(PersistError::Corrupt(format!(
-                            "tree node {i} links outside the {} stored nodes",
-                            nodes.len()
-                        )));
-                    }
-                }
-            }
-            ModelParams::Tree { params, nodes, importances: r.take_f64s()? }
-        }
-        TAG_FOREST => {
-            let params = ForestParams {
-                n_trees: r.take_usize()?,
-                max_depth: r.take_usize()?,
-                min_samples_leaf: r.take_usize()?,
-                feature_fraction: r.take_f64()?,
-                seed: r.take_u64()?,
-            };
-            let n_features = r.take_usize()?;
-            let n_trees = r.take_len(1)?;
-            let mut trees = Vec::with_capacity(n_trees);
-            for _ in 0..n_trees {
-                trees.push(decode_model(r)?);
-            }
-            ModelParams::Forest { params, trees, n_features }
-        }
-        TAG_GBT => {
-            let params = GbtParams {
-                n_estimators: r.take_usize()?,
-                learning_rate: r.take_f64()?,
-                max_depth: r.take_usize()?,
-                lambda: r.take_f64()?,
-                gamma: r.take_f64()?,
-                subsample: r.take_f64()?,
-                min_samples_leaf: r.take_usize()?,
-                seed: r.take_u64()?,
-            };
-            let base = r.take_f64()?;
-            let n_features = r.take_usize()?;
-            let n_trees = r.take_len(1)?;
-            let mut trees = Vec::with_capacity(n_trees);
-            for _ in 0..n_trees {
-                trees.push(decode_model(r)?);
-            }
-            ModelParams::Gbt { params, base, trees, n_features }
-        }
-        TAG_KNN => ModelParams::Knn {
-            k: r.take_usize()?,
-            distance_weighted: r.take_bool()?,
-            x: take_matrix(r)?,
-            y: r.take_f64s()?,
-        },
-        TAG_MLP => {
-            let n_hidden = r.take_len(8)?;
-            let mut hidden = Vec::with_capacity(n_hidden);
-            for _ in 0..n_hidden {
-                hidden.push(r.take_usize()?);
-            }
-            let params = MlpParams {
-                hidden,
-                epochs: r.take_usize()?,
-                batch_size: r.take_usize()?,
-                learning_rate: r.take_f64()?,
-                l2: r.take_f64()?,
-                seed: r.take_u64()?,
-            };
-            let y_mean = r.take_f64()?;
-            let y_std = r.take_f64()?;
-            let n_layers = r.take_len(1)?;
-            let mut layers = Vec::with_capacity(n_layers);
-            for _ in 0..n_layers {
-                let n_in = r.take_usize()?;
-                let n_out = r.take_usize()?;
-                let w = r.take_f64s()?;
-                let b = r.take_f64s()?;
-                if w.len() != n_in * n_out || b.len() != n_out {
-                    return Err(PersistError::Corrupt(format!(
-                        "mlp layer {n_in}x{n_out} carries {} weights / {} biases",
-                        w.len(),
-                        b.len()
-                    )));
-                }
-                layers.push(LayerParams { n_in, n_out, w, b });
-            }
-            ModelParams::Mlp { params, y_mean, y_std, layers }
-        }
-        TAG_SVR => {
-            let params = SvrParams {
-                c: r.take_f64()?,
-                epsilon: r.take_f64()?,
-                gamma: r.take_f64()?,
-                max_passes: r.take_usize()?,
-                tol: r.take_f64()?,
-                max_train: r.take_usize()?,
-            };
-            let support = take_matrix(r)?;
-            let beta = r.take_f64s()?;
-            if beta.len() != support.rows {
-                return Err(PersistError::Corrupt(format!(
-                    "svr: {} duals for {} support vectors",
-                    beta.len(),
-                    support.rows
-                )));
-            }
-            ModelParams::Svr { params, support, beta, bias: r.take_f64()? }
-        }
-        TAG_SCALED => {
-            let scaler = if r.take_bool()? {
-                let means = r.take_f64s()?;
-                let stds = r.take_f64s()?;
-                if means.len() != stds.len() {
-                    return Err(PersistError::Corrupt(format!(
-                        "scaler: {} means vs {} stds",
-                        means.len(),
-                        stds.len()
-                    )));
-                }
-                Some(StandardScaler { means, stds })
-            } else {
-                None
-            };
-            ModelParams::Scaled { scaler, inner: Box::new(decode_model(r)?) }
-        }
+/// Decode whichever model the next tag byte names, as a trait object —
+/// the inverse of [`Regressor::encode`] where the family is not known in
+/// advance (a predictor's component, a scaled pipeline's inner model).
+pub fn decode_regressor(r: &mut Reader) -> Result<Box<dyn Regressor>, PersistError> {
+    Ok(match r.peek_u8()? {
+        TAG_RIDGE => Box::new(Ridge::decode(r)?),
+        TAG_POLY => Box::new(PolynomialRegression::decode(r)?),
+        TAG_TREE => Box::new(RegressionTree::decode(r)?),
+        TAG_FOREST => Box::new(RandomForest::decode(r)?),
+        TAG_GBT => Box::new(GradientBoosting::decode(r)?),
+        TAG_KNN => Box::new(KnnRegressor::decode(r)?),
+        TAG_MLP => Box::new(MlpRegressor::decode(r)?),
+        TAG_SVR => Box::new(SvrRegressor::decode(r)?),
+        TAG_SCALED => Box::new(ScaledModel::decode(r)?),
         other => return Err(PersistError::Corrupt(format!("unknown model tag {other}"))),
     })
 }
@@ -725,10 +399,7 @@ pub fn encode_config(w: &mut Writer, cfg: &ModelConfig) {
         }
         ModelConfig::Mlp { hidden, epochs, learning_rate } => {
             w.put_u8(6);
-            w.put_usize(hidden.len());
-            for &h in hidden {
-                w.put_usize(h);
-            }
+            w.put_usizes(hidden);
             w.put_usize(*epochs);
             w.put_f64(*learning_rate);
         }
@@ -752,14 +423,11 @@ pub fn decode_config(r: &mut Reader) -> Result<ModelConfig, PersistError> {
             lambda: r.take_f64()?,
         },
         5 => ModelConfig::Knn { k: r.take_usize()?, distance_weighted: r.take_bool()? },
-        6 => {
-            let n = r.take_len(8)?;
-            let mut hidden = Vec::with_capacity(n);
-            for _ in 0..n {
-                hidden.push(r.take_usize()?);
-            }
-            ModelConfig::Mlp { hidden, epochs: r.take_usize()?, learning_rate: r.take_f64()? }
-        }
+        6 => ModelConfig::Mlp {
+            hidden: r.take_usizes()?,
+            epochs: r.take_usize()?,
+            learning_rate: r.take_f64()?,
+        },
         other => return Err(PersistError::Corrupt(format!("unknown config tag {other}"))),
     })
 }
@@ -767,6 +435,7 @@ pub fn decode_config(r: &mut Reader) -> Result<ModelConfig, PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dataset::Matrix;
     use crate::zoo;
 
     fn training_data(n: usize) -> (Matrix, Vec<f64>) {
@@ -797,8 +466,9 @@ mod tests {
         w.put_usize(123_456);
         w.put_f64(-0.0);
         w.put_f64(f64::NAN);
-        w.put_opt_usize(None);
-        w.put_opt_usize(Some(9));
+        w.put_opt(None, Writer::put_usize);
+        w.put_opt(Some(9), Writer::put_usize);
+        w.put_opt(Some("opt"), Writer::put_str);
         w.put_f64s(&[1.5, -2.5]);
         w.put_str("ease");
         let bytes = w.into_bytes();
@@ -810,8 +480,9 @@ mod tests {
         assert_eq!(r.take_usize().unwrap(), 123_456);
         assert_eq!(r.take_f64().unwrap().to_bits(), (-0.0f64).to_bits());
         assert!(r.take_f64().unwrap().is_nan());
-        assert_eq!(r.take_opt_usize().unwrap(), None);
-        assert_eq!(r.take_opt_usize().unwrap(), Some(9));
+        assert_eq!(r.take_opt(Reader::take_usize).unwrap(), None);
+        assert_eq!(r.take_opt(Reader::take_usize).unwrap(), Some(9));
+        assert_eq!(r.take_opt(Reader::take_str).unwrap().as_deref(), Some("opt"));
         assert_eq!(r.take_f64s().unwrap(), vec![1.5, -2.5]);
         assert_eq!(r.take_str().unwrap(), "ease");
         assert_eq!(r.remaining(), 0);
@@ -823,7 +494,15 @@ mod tests {
         w.put_u32(5);
         let bytes = w.into_bytes();
         let mut r = Reader::new(&bytes);
-        assert!(matches!(r.take_u64(), Err(PersistError::Truncated { .. })));
+        assert_eq!(r.take_u64(), Err(PersistError::Truncated { offset: 0, needed: 8 }));
+        assert_eq!(r.take_u8(), Ok(5));
+        assert_eq!(r.peek_u8(), Ok(0));
+        assert_eq!(r.take_bytes(4), Err(PersistError::Truncated { offset: 1, needed: 4 }));
+        assert_eq!((r.offset(), r.remaining()), (1, 3));
+        assert!(matches!(
+            Reader::new(&[2]).take_opt(Reader::take_u8),
+            Err(PersistError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -869,10 +548,10 @@ mod tests {
             };
             m.fit(&x, &y);
             let mut w = Writer::new();
-            encode_model(&mut w, &m.to_params());
+            m.encode(&mut w);
             let bytes = w.into_bytes();
             let mut r = Reader::new(&bytes);
-            let restored = build_regressor(decode_model(&mut r).unwrap()).unwrap();
+            let restored = decode_regressor(&mut r).unwrap();
             assert_eq!(r.remaining(), 0, "{}", cfg.describe());
             for i in 0..xt.rows {
                 let a = m.predict_row(xt.row(i));
@@ -889,9 +568,9 @@ mod tests {
             ModelConfig::Forest { n_trees: 12, max_depth: 8, feature_fraction: 1.0 }.build();
         m.fit(&x, &y);
         let mut w = Writer::new();
-        encode_model(&mut w, &m.to_params());
+        m.encode(&mut w);
         let bytes = w.into_bytes();
-        let restored = build_regressor(decode_model(&mut Reader::new(&bytes)).unwrap()).unwrap();
+        let restored = decode_regressor(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(m.feature_importances(), restored.feature_importances());
     }
 
@@ -906,23 +585,147 @@ mod tests {
         }
     }
 
-    #[test]
-    fn wrong_variant_is_a_corrupt_error() {
-        let p = ModelParams::Ridge { alpha: 1.0, weights: vec![], intercept: 0.0 };
-        let err = crate::knn::KnnRegressor::from_params(p).unwrap_err();
-        assert!(matches!(err, PersistError::Corrupt(_)));
+    /// A stored tree node: `None` is a leaf, `Some((feature, left, right))`
+    /// a split.
+    type StoredNode = Option<(u32, u32, u32)>;
+
+    /// The bytes of a default-parameter tree over `n_features` features.
+    fn tree_bytes(nodes: &[StoredNode], n_features: usize) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(TAG_TREE);
+        for size in [12, 4, 2] {
+            w.put_usize(size); // max_depth, min_samples_split, min_samples_leaf
+        }
+        w.put_opt(None, Writer::put_usize); // max_features
+        w.put_f64(0.0); // leaf_l2
+        w.put_f64(1e-12); // min_gain
+        w.put_u64(0); // seed
+        w.put_usize(nodes.len());
+        for node in nodes {
+            match *node {
+                None => {
+                    w.put_u8(0);
+                    w.put_f64(1.0);
+                }
+                Some((feature, left, right)) => {
+                    w.put_u8(1);
+                    w.put_u32(feature);
+                    w.put_f64(0.5);
+                    w.put_u32(left);
+                    w.put_u32(right);
+                }
+            }
+        }
+        w.put_f64s(&vec![0.0; n_features]);
+        w.into_bytes()
     }
 
     #[test]
     fn split_links_are_validated() {
-        let bad = ModelParams::Tree {
-            params: TreeParams::default(),
-            nodes: vec![TreeNode::Split { feature: 0, threshold: 0.0, left: 5, right: 6 }],
-            importances: vec![0.0],
+        let decode = |nodes: &[StoredNode], n_features| {
+            RegressionTree::decode(&mut Reader::new(&tree_bytes(nodes, n_features)))
         };
+        // the shape `build` grows: a split ahead of both its subtrees
+        let grown = [Some((1, 1, 2)), None, Some((0, 3, 4)), None, None];
+        let tree = decode(&grown, 2).unwrap();
+        assert_eq!(tree.predict_row(&[9.0, 0.0]), 1.0);
+        let mut again = Writer::new();
+        tree.encode(&mut again);
+        assert_eq!(again.into_bytes(), tree_bytes(&grown, 2));
+
+        for (bad, n_features, why) in [
+            (vec![Some((0, 5, 6))], 1, "links past the end"),
+            (vec![Some((0, 1, 3)), None, None], 1, "one link past the end"),
+            (vec![Some((0, 0, 0))], 1, "links to itself"),
+            (vec![Some((0, 1, 2)), Some((0, 0, 2)), None], 1, "links backwards"),
+            (vec![Some((1000, 1, 2)), None, None], 1, "feature out of range"),
+            (vec![Some((0, 1, 2)), None, None], 0, "no features at all"),
+            (vec![], 1, "no root"),
+        ] {
+            assert!(matches!(decode(&bad, n_features), Err(PersistError::Corrupt(_))), "{why}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_typed() {
+        let tree = tree_bytes(&[None], 1);
+        let mut ridge = Writer::new();
+        Ridge::new(1.0).encode(&mut ridge);
+        let ridge = ridge.into_bytes();
+
+        // a polynomial holds a ridge and nothing else
         let mut w = Writer::new();
-        encode_model(&mut w, &bad);
-        let bytes = w.into_bytes();
-        assert!(matches!(decode_model(&mut Reader::new(&bytes)), Err(PersistError::Corrupt(_))));
+        w.put_u8(TAG_POLY);
+        w.put_usize(2);
+        w.put_f64(1.0);
+        let poly_head = w.into_bytes();
+        assert!(decode_regressor(&mut Reader::new(&[&poly_head[..], &ridge[..]].concat())).is_ok());
+        let poly_of_tree = [&poly_head[..], &tree[..]].concat();
+        assert!(matches!(
+            decode_regressor(&mut Reader::new(&poly_of_tree)),
+            Err(PersistError::Corrupt(_))
+        ));
+
+        // an ensemble holds trees over its own feature count and nothing else
+        let forest_of = |n_features: usize, member: &[u8]| {
+            let mut w = Writer::new();
+            w.put_u8(TAG_FOREST);
+            for size in [1, 3, 2] {
+                w.put_usize(size); // n_trees, max_depth, min_samples_leaf
+            }
+            w.put_f64(1.0); // feature_fraction
+            w.put_u64(0); // seed
+            w.put_usize(n_features);
+            w.put_usize(1);
+            w.put_bytes(member);
+            w.into_bytes()
+        };
+        assert!(decode_regressor(&mut Reader::new(&forest_of(1, &tree))).is_ok());
+        for bad in [forest_of(1, &ridge), forest_of(usize::MAX, &tree)] {
+            assert!(matches!(
+                decode_regressor(&mut Reader::new(&bad)),
+                Err(PersistError::Corrupt(_))
+            ));
+        }
+
+        // a fitted pipeline wraps any model but another pipeline
+        let scaled = [TAG_SCALED, 1].into_iter().chain([0; 16]).collect::<Vec<u8>>();
+        assert!(decode_regressor(&mut Reader::new(&[&scaled[..], &tree[..]].concat())).is_ok());
+        assert!(matches!(
+            decode_regressor(&mut Reader::new(&[&scaled[..], &scaled[..], &tree[..]].concat())),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    /// `decode` promises that what it returns can `predict_row`: the five
+    /// models whose prediction asserts "fit before predict" refuse their
+    /// never-fitted bytes, the other four load and predict.
+    #[test]
+    fn a_model_that_decodes_can_predict() {
+        use crate::knn::KnnWeights;
+        let round_trip = |m: &dyn Regressor| {
+            let mut w = Writer::new();
+            m.encode(&mut w);
+            decode_regressor(&mut Reader::new(&w.into_bytes()))
+        };
+        let refused: [Box<dyn Regressor>; 5] = [
+            Box::new(RegressionTree::new(Default::default())),
+            Box::new(RandomForest::new(Default::default())),
+            Box::new(KnnRegressor::new(1, KnnWeights::Uniform)),
+            Box::new(MlpRegressor::new(Default::default())),
+            Box::new(ScaledModel::new(Box::new(Ridge::new(1.0)))),
+        ];
+        for m in &refused {
+            assert!(matches!(round_trip(m.as_ref()), Err(PersistError::Corrupt(_))));
+        }
+        let loaded: [Box<dyn Regressor>; 4] = [
+            Box::new(Ridge::new(1.0)),
+            Box::new(PolynomialRegression::new(2, 1.0)),
+            Box::new(SvrRegressor::new(Default::default())),
+            Box::new(GradientBoosting::new(Default::default())),
+        ];
+        for m in &loaded {
+            assert_eq!(round_trip(m.as_ref()).unwrap().predict_row(&[1.0, 2.0]), 0.0);
+        }
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::dataset::Matrix;
 use crate::linear::Ridge;
-use crate::persist::{wrong_variant, ModelParams, PersistError};
+use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_POLY};
 use crate::Regressor;
 
 /// Polynomial regression of degree 1–3.
@@ -23,19 +23,16 @@ impl PolynomialRegression {
         PolynomialRegression { degree, alpha, inner: Ridge::new(alpha) }
     }
 
-    /// Rebuild from [`ModelParams::Poly`].
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Poly { degree, alpha, inner } => {
-                if !(1..=3).contains(&degree) {
-                    return Err(PersistError::Corrupt(format!(
-                        "poly degree {degree} out of 1..=3"
-                    )));
-                }
-                Ok(PolynomialRegression { degree, alpha, inner: Ridge::from_params(*inner)? })
-            }
-            other => Err(wrong_variant("poly", &other)),
+    /// Inverse of [`Regressor::encode`]: the degree is held to the range
+    /// [`PolynomialRegression::new`] asserts, and the solve is a ridge —
+    /// no other model tag is accepted in its place.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_POLY)?;
+        let degree = r.take_usize()?;
+        if !(1..=3).contains(&degree) {
+            return Err(PersistError::Corrupt(format!("poly degree {degree} out of 1..=3")));
         }
+        Ok(PolynomialRegression { degree, alpha: r.take_f64()?, inner: Ridge::decode(r)? })
     }
 
     fn expand(&self, row: &[f64], out: &mut Vec<f64>) {
@@ -82,12 +79,11 @@ impl Regressor for PolynomialRegression {
         self.inner.predict_row(&buf)
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Poly {
-            degree: self.degree,
-            alpha: self.alpha,
-            inner: Box::new(self.inner.to_params()),
-        }
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_POLY);
+        w.put_usize(self.degree);
+        w.put_f64(self.alpha);
+        self.inner.encode(w);
     }
 }
 

@@ -4,7 +4,7 @@
 //! algorithms").
 
 use crate::dataset::Matrix;
-use crate::persist::{build_regressor, wrong_variant, ModelParams, PersistError};
+use crate::persist::{decode_regressor, expect_tag, PersistError, Reader, Writer, TAG_SCALED};
 use crate::Regressor;
 
 /// Per-column z-score scaler.
@@ -58,6 +58,24 @@ impl StandardScaler {
         }
         out
     }
+
+    fn encode(&self, w: &mut Writer) {
+        w.put_f64s(&self.means);
+        w.put_f64s(&self.stds);
+    }
+
+    fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        let means = r.take_f64s()?;
+        let stds = r.take_f64s()?;
+        if means.len() != stds.len() {
+            return Err(PersistError::Corrupt(format!(
+                "scaler: {} means vs {} stds",
+                means.len(),
+                stds.len()
+            )));
+        }
+        Ok(StandardScaler { means, stds })
+    }
 }
 
 /// One-hot encoder over a fixed category universe.
@@ -101,14 +119,19 @@ impl ScaledModel {
         ScaledModel { scaler: None, inner }
     }
 
-    /// Rebuild from [`ModelParams::Scaled`].
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Scaled { scaler, inner } => {
-                Ok(ScaledModel { scaler, inner: build_regressor(*inner)? })
-            }
-            other => Err(wrong_variant("scaled", &other)),
+    /// Inverse of [`Regressor::encode`]. Prediction needs the fitted
+    /// scaler, and the pipeline wraps any model except another pipeline —
+    /// [`crate::ModelConfig::build`] never nests them, and refusing the
+    /// one recursive shape bounds decode depth whatever the file says.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_SCALED)?;
+        let Some(scaler) = r.take_opt(StandardScaler::decode)? else {
+            return Err(PersistError::Corrupt("scaled model has no scaler (never fitted)".into()));
+        };
+        if r.peek_u8()? == TAG_SCALED {
+            return Err(PersistError::Corrupt("a scaled model wraps another scaled model".into()));
         }
+        Ok(ScaledModel { scaler: Some(scaler), inner: decode_regressor(r)? })
     }
 }
 
@@ -131,8 +154,10 @@ impl Regressor for ScaledModel {
         self.inner.feature_importances()
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Scaled { scaler: self.scaler.clone(), inner: Box::new(self.inner.to_params()) }
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_SCALED);
+        w.put_opt(self.scaler.as_ref(), |w, scaler| scaler.encode(w));
+        self.inner.encode(w);
     }
 }
 

@@ -15,7 +15,7 @@
 //! component, it is one of the compared families).
 
 use crate::dataset::Matrix;
-use crate::persist::{wrong_variant, ModelParams, PersistError};
+use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_SVR};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -65,15 +65,28 @@ impl SvrRegressor {
         self.beta.iter().filter(|b| b.abs() > 1e-12).count()
     }
 
-    /// Rebuild from [`ModelParams::Svr`]. The decoder already validated
-    /// that `beta` and `support` agree in length.
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Svr { params, support, beta, bias } => {
-                Ok(SvrRegressor { params, support, beta, bias })
-            }
-            other => Err(wrong_variant("svr", &other)),
+    /// Inverse of [`Regressor::encode`]. Prediction walks the duals and
+    /// reads one support row per dual, so the two must agree in number.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_SVR)?;
+        let params = SvrParams {
+            c: r.take_f64()?,
+            epsilon: r.take_f64()?,
+            gamma: r.take_f64()?,
+            max_passes: r.take_usize()?,
+            tol: r.take_f64()?,
+            max_train: r.take_usize()?,
+        };
+        let support = Matrix::decode(r)?;
+        let beta = r.take_f64s()?;
+        if beta.len() != support.rows {
+            return Err(PersistError::Corrupt(format!(
+                "svr: {} duals for {} support vectors",
+                beta.len(),
+                support.rows
+            )));
         }
+        Ok(SvrRegressor { params, support, beta, bias: r.take_f64()? })
     }
 }
 
@@ -149,13 +162,17 @@ impl Regressor for SvrRegressor {
         sum
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Svr {
-            params: self.params.clone(),
-            support: self.support.clone(),
-            beta: self.beta.clone(),
-            bias: self.bias,
-        }
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_SVR);
+        w.put_f64(self.params.c);
+        w.put_f64(self.params.epsilon);
+        w.put_f64(self.params.gamma);
+        w.put_usize(self.params.max_passes);
+        w.put_f64(self.params.tol);
+        w.put_usize(self.params.max_train);
+        self.support.encode(w);
+        w.put_f64s(&self.beta);
+        w.put_f64(self.bias);
     }
 }
 

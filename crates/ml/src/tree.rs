@@ -13,7 +13,7 @@
 //! (paper Sec. V-E).
 
 use crate::dataset::Matrix;
-use crate::persist::{wrong_variant, ModelParams, PersistError, TreeNode};
+use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_TREE};
 use crate::Regressor;
 use ease_rng::SplitMix64;
 
@@ -284,25 +284,79 @@ impl RegressionTree {
         &self.importances
     }
 
-    /// Rebuild from [`ModelParams::Tree`]. Split links were already
-    /// validated against the node count by the decoder.
-    pub fn from_params(params: ModelParams) -> Result<Self, PersistError> {
-        match params {
-            ModelParams::Tree { params, nodes, importances } => {
-                let nodes = nodes
-                    .into_iter()
-                    .map(|n| match n {
-                        TreeNode::Leaf { value } => Node::Leaf { value },
-                        TreeNode::Split { feature, threshold, left, right } => {
-                            Node::Split { feature, threshold, left, right }
-                        }
-                    })
-                    .collect();
-                Ok(RegressionTree { params, nodes, importances })
-            }
-            other => Err(wrong_variant("tree", &other)),
+    /// Inverse of [`Regressor::encode`]. A decoded tree's `predict_row`
+    /// terminates inside the node list: there is a root, and every split
+    /// names one of the features the importances cover and links strictly
+    /// forward — true of every tree `build` grows, which pushes a split
+    /// before recursing into its children.
+    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+        expect_tag(r, TAG_TREE)?;
+        let params = TreeParams {
+            max_depth: r.take_usize()?,
+            min_samples_split: r.take_usize()?,
+            min_samples_leaf: r.take_usize()?,
+            max_features: r.take_opt(Reader::take_usize)?,
+            leaf_l2: r.take_f64()?,
+            min_gain: r.take_f64()?,
+            seed: r.take_u64()?,
+        };
+        let n_nodes = r.take_len(9)?;
+        let mut nodes = Vec::with_capacity(n_nodes);
+        for _ in 0..n_nodes {
+            nodes.push(match r.take_u8()? {
+                0 => Node::Leaf { value: r.take_f64()? },
+                1 => Node::Split {
+                    feature: r.take_u32()?,
+                    threshold: r.take_f64()?,
+                    left: r.take_u32()?,
+                    right: r.take_u32()?,
+                },
+                other => {
+                    return Err(PersistError::Corrupt(format!("unknown tree node tag {other}")))
+                }
+            });
         }
+        let importances = r.take_f64s()?;
+        if nodes.is_empty() {
+            return Err(PersistError::Corrupt("tree has no nodes (never fitted)".into()));
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            if let Node::Split { feature, left, right, .. } = *node {
+                let forward = |link: u32| (i + 1..nodes.len()).contains(&(link as usize));
+                if feature as usize >= importances.len() || !forward(left) || !forward(right) {
+                    return Err(PersistError::Corrupt(format!(
+                        "tree node {i}: feature {feature} or links {left}/{right} out of range"
+                    )));
+                }
+            }
+        }
+        Ok(RegressionTree { params, nodes, importances })
     }
+}
+
+/// The tail both ensembles store: feature count, tree count, each tree.
+pub(crate) fn encode_trees(w: &mut Writer, n_features: usize, trees: &[RegressionTree]) {
+    w.put_usize(n_features);
+    w.put_usize(trees.len());
+    for t in trees {
+        t.encode(w);
+    }
+}
+
+/// Inverse of [`encode_trees`]. Members are trees — no other model tag is
+/// accepted — as wide as the ensemble, which bounds its file-chosen
+/// feature count by bytes actually present.
+pub(crate) fn decode_trees(r: &mut Reader) -> Result<(usize, Vec<RegressionTree>), PersistError> {
+    let n_features = r.take_usize()?;
+    let n_trees = r.take_len(1)?;
+    let trees: Vec<_> =
+        (0..n_trees).map(|_| RegressionTree::decode(r)).collect::<Result<_, _>>()?;
+    if trees.iter().any(|t| t.importances.len() != n_features) {
+        return Err(PersistError::Corrupt(format!(
+            "an ensemble over {n_features} features holds a tree of another width"
+        )));
+    }
+    Ok((n_features, trees))
 }
 
 impl Regressor for RegressionTree {
@@ -339,21 +393,32 @@ impl Regressor for RegressionTree {
         Some(self.importances.iter().map(|v| v / total).collect())
     }
 
-    fn to_params(&self) -> ModelParams {
-        ModelParams::Tree {
-            params: self.params.clone(),
-            nodes: self
-                .nodes
-                .iter()
-                .map(|n| match *n {
-                    Node::Leaf { value } => TreeNode::Leaf { value },
-                    Node::Split { feature, threshold, left, right } => {
-                        TreeNode::Split { feature, threshold, left, right }
-                    }
-                })
-                .collect(),
-            importances: self.importances.clone(),
+    fn encode(&self, w: &mut Writer) {
+        w.put_u8(TAG_TREE);
+        w.put_usize(self.params.max_depth);
+        w.put_usize(self.params.min_samples_split);
+        w.put_usize(self.params.min_samples_leaf);
+        w.put_opt(self.params.max_features, Writer::put_usize);
+        w.put_f64(self.params.leaf_l2);
+        w.put_f64(self.params.min_gain);
+        w.put_u64(self.params.seed);
+        w.put_usize(self.nodes.len());
+        for node in &self.nodes {
+            match *node {
+                Node::Leaf { value } => {
+                    w.put_u8(0);
+                    w.put_f64(value);
+                }
+                Node::Split { feature, threshold, left, right } => {
+                    w.put_u8(1);
+                    w.put_u32(feature);
+                    w.put_f64(threshold);
+                    w.put_u32(left);
+                    w.put_u32(right);
+                }
+            }
         }
+        w.put_f64s(&self.importances);
     }
 }
 

@@ -121,15 +121,15 @@ fn timing_mode_lives_in_the_partition_runner() {
 
 #[test]
 fn ml_persistence_is_reachable_through_the_facade() {
-    use ease_repro::ml::persist::{build_regressor, decode_model, encode_model, Reader, Writer};
+    use ease_repro::ml::persist::{decode_regressor, Reader, Writer};
     use ease_repro::ml::{Matrix, ModelConfig};
     let x = Matrix::from_rows(&[vec![0.0], vec![1.0], vec![2.0], vec![3.0]]);
     let y = vec![0.0, 2.0, 4.0, 6.0];
     let mut m = ModelConfig::Knn { k: 1, distance_weighted: false }.build();
     m.fit(&x, &y);
     let mut w = Writer::new();
-    encode_model(&mut w, &m.to_params());
+    m.encode(&mut w);
     let bytes = w.into_bytes();
-    let restored = build_regressor(decode_model(&mut Reader::new(&bytes)).unwrap()).unwrap();
+    let restored = decode_regressor(&mut Reader::new(&bytes)).unwrap();
     assert_eq!(m.predict_row(&[1.2]), restored.predict_row(&[1.2]));
 }

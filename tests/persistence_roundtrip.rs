@@ -1,26 +1,30 @@
-//! Persistence round-trip guarantees for the PR 2 codec:
+//! Persistence guarantees for the `EASEMODL` codec:
 //!
-//! 1. Every `ModelConfig` in the default grid survives
-//!    `to_params → encode → decode → from_params` with **bit-identical**
-//!    predictions on random feature vectors (property-tested).
+//! 1. Every `ModelConfig` in the default grid survives `encode → decode`
+//!    with **bit-identical** predictions on random feature vectors
+//!    (property-tested).
 //! 2. A trained `EaseService` saved to disk and reloaded produces identical
 //!    `Selection`s for the same queries.
-//! 3. Corrupted headers, version skew, and truncation are rejected with
-//!    typed errors — never a panic or a silently wrong model.
+//! 3. The bytes themselves are pinned: a committed fixture loads and
+//!    re-saves byte for byte (`golden_service_bytes_are_stable`).
+//! 4. Hostile bytes are typed errors — corrupted headers, version skew,
+//!    the four shapes that used to abort, hang or panic, and every
+//!    single-byte mutation, truncation and extension of the fixture: never
+//!    a panic, an abort, a hang or a silently wrong model.
 
 use ease_repro::core::profiling::TimingMode;
-use ease_repro::graph::GraphProperties;
+use ease_repro::graph::{GraphProperties, PropertyTier};
 use ease_repro::graphgen::realworld::socfb_analogue;
 use ease_repro::graphgen::Scale;
-use ease_repro::ml::persist::{
-    build_regressor, decode_model, encode_model, read_header, write_header, Reader, Writer,
-};
+use ease_repro::ml::persist::{decode_regressor, read_header, write_header, Reader, Writer};
 use ease_repro::ml::zoo::default_grid;
 use ease_repro::ml::{Matrix, ModelConfig, PersistError};
 use ease_repro::partition::PartitionerId;
 use ease_repro::procsim::Workload;
-use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal};
+use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal, ServiceMeta};
 use proptest::prelude::*;
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
 
 /// Shrink the expensive grid members so the property test stays fast
 /// without losing family coverage.
@@ -42,11 +46,11 @@ fn test_sized(cfg: ModelConfig) -> ModelConfig {
 fn round_trip(model: &dyn ease_repro::ml::Regressor) -> Box<dyn ease_repro::ml::Regressor> {
     let mut w = Writer::new();
     write_header(&mut w);
-    encode_model(&mut w, &model.to_params());
+    model.encode(&mut w);
     let bytes = w.into_bytes();
     let mut r = Reader::new(&bytes);
     read_header(&mut r).expect("valid header");
-    let restored = build_regressor(decode_model(&mut r).expect("decodable")).expect("buildable");
+    let restored = decode_regressor(&mut r).expect("decodable");
     assert_eq!(r.remaining(), 0, "payload fully consumed");
     restored
 }
@@ -153,27 +157,243 @@ fn corrupted_header_is_rejected() {
     ));
 }
 
+/// Format v1 had no property-cache trailer: such a file still loads, cold,
+/// and re-saves as v2 with an empty trailer and every other byte in place.
 #[test]
-fn mid_payload_corruption_never_panics() {
-    let service = tiny_service();
-    let good = service.to_bytes();
-    // stomp a byte at several depths; decoding must either fail with a
-    // typed error or produce a structurally valid service — never panic
-    for at in [20, good.len() / 4, good.len() / 2, good.len() - 9] {
-        let mut bad = good.clone();
-        bad[at] ^= 0xA5;
-        match EaseService::from_bytes(&bad) {
-            Ok(s) => {
-                let _ = s.supported_workloads();
-            }
-            Err(EaseError::Persist(_)) => {}
-            Err(other) => panic!("unexpected error class: {other:?}"),
+fn a_v1_file_still_loads_cold() {
+    // the fixture's trailer: count, key, six 8-byte fields, `None`, `Some(f64)`
+    let models_end = GOLDEN.len() - (8 + 8 + 6 * 8 + 1 + 9);
+    let mut v1 = GOLDEN[..models_end].to_vec();
+    v1[8] = 1;
+    let service = EaseService::from_bytes(&v1).expect("v1 loads");
+    assert_eq!(service.property_cache_stats().len, 0);
+    let mut v2_cold = GOLDEN[..models_end].to_vec();
+    v2_cold.extend_from_slice(&0u64.to_le_bytes());
+    assert!(service.to_bytes() == v2_cold);
+}
+
+/// Run `work` on its own thread and give it 10 s: a decoder that hangs (a
+/// self-linking tree node used to) fails the test instead of wedging the
+/// suite, and a panic on the worker is re-raised here.
+fn within_watchdog<T: Send + 'static>(work: impl FnOnce() -> T + Send + 'static) -> T {
+    let (done, result) = mpsc::channel();
+    let worker = std::thread::spawn(move || {
+        let _ = done.send(work());
+    });
+    match result.recv_timeout(Duration::from_secs(10)) {
+        Ok(value) => value,
+        Err(RecvTimeoutError::Timeout) => panic!("no answer within 10 s: hung"),
+        Err(RecvTimeoutError::Disconnected) => {
+            std::panic::resume_unwind(worker.join().expect_err("the worker dropped its sender"))
         }
     }
+}
+
+/// All a hostile model file may cause: a typed persistence error, or a
+/// service that answers a query for its one workload.
+fn loads_or_fails_typed(bytes: &[u8], props: &GraphProperties) {
+    match EaseService::from_bytes(bytes) {
+        Ok(service) => {
+            for workload in service.supported_workloads() {
+                let workload = Workload::from_name(workload).expect("interned on load");
+                let _ = service.recommend(props, workload, OptGoal::EndToEnd);
+            }
+        }
+        Err(EaseError::Persist(_)) => {}
+        Err(other) => panic!("unexpected error class: {other:?}"),
+    }
+}
+
+const GOLDEN: &[u8] = include_bytes!("fixtures/golden_v2.model");
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Totality over the golden fixture, which reaches every model tag,
+    /// every config tag and both option arms: with one byte changed (every
+    /// position, under one random mask per case) or a tail appended it
+    /// never panics, aborts or hangs — not on load, and not on the first
+    /// query of whatever loaded.
+    #[test]
+    fn mid_payload_corruption_never_panics(
+        mask in 1u8..=255,
+        tail in prop::collection::vec(0u8..=255, 1..48),
+    ) {
+        within_watchdog(move || {
+            let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, 1).graph);
+            let mut bytes = GOLDEN.to_vec();
+            for at in 0..GOLDEN.len() {
+                bytes[at] ^= mask;
+                loads_or_fails_typed(&bytes, &props);
+                bytes[at] ^= mask;
+            }
+            bytes.extend_from_slice(&tail);
+            loads_or_fails_typed(&bytes, &props);
+        });
+    }
+}
+
+/// Cut short anywhere, the fixture is a typed error — never a panic, and
+/// never a service: the trailer count and the trailing-bytes check leave
+/// no proper prefix that is itself a complete file.
+#[test]
+fn every_truncation_is_a_typed_error() {
+    within_watchdog(|| {
+        for cut in 0..GOLDEN.len() {
+            match EaseService::from_bytes(&GOLDEN[..cut]) {
+                Err(EaseError::Persist(_)) => {}
+                other => panic!("{cut} of {} bytes: {other:?}", GOLDEN.len()),
+            }
+        }
+    });
+}
+
+// ---------------------------------------------------------------------
+// The four hostile files that got past the decoder before ISSUE 18, byte
+// for byte as they were probed against it: each is `Corrupt` now.
+// ---------------------------------------------------------------------
+
+fn decodes_as_corrupt(bytes: Vec<u8>) {
+    let outcome = within_watchdog(move || decode_regressor(&mut Reader::new(&bytes)).map(|_| ()));
+    assert!(matches!(outcome, Err(PersistError::Corrupt(_))), "{outcome:?}");
+}
+
+/// A lone tree (model tag 3) with default parameters, the given nodes and
+/// one feature's worth of importances.
+fn lone_tree(put_nodes: impl FnOnce(&mut Writer)) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_u8(3);
+    for size in [12, 4, 2] {
+        w.put_usize(size); // max_depth, min_samples_split, min_samples_leaf
+    }
+    w.put_u8(0); // max_features: None
+    w.put_f64(0.0); // leaf_l2
+    w.put_f64(1e-12); // min_gain
+    w.put_u64(0); // seed
+    put_nodes(&mut w);
+    w.put_f64s(&[0.0]);
+    w.into_bytes()
+}
+
+fn put_split(w: &mut Writer, feature: u32, left: u32, right: u32) {
+    w.put_u8(1);
+    w.put_u32(feature);
+    w.put_f64(0.0);
+    w.put_u32(left);
+    w.put_u32(right);
+}
+
+/// 20 000 nested `09 00` pairs — scaled model, no scaler — recursed through
+/// the old decoder until a release build overflowed its stack and aborted
+/// (1 000 pairs did in a debug build). A pipeline now holds any model but
+/// another pipeline, so no file chooses the decode depth.
+#[test]
+fn deeply_nested_scaled_models_are_corrupt_not_a_stack_overflow() {
+    decodes_as_corrupt([9u8, 0].repeat(20_000));
+    // the same nesting under fitted (empty) scalers, so that it is the
+    // nesting rule that refuses it
+    let fitted: Vec<u8> = [9u8, 1].into_iter().chain([0; 16]).collect();
+    decodes_as_corrupt(fitted.repeat(20_000));
+}
+
+/// A split whose children are itself decoded `Ok`, and `predict_row` never
+/// returned. Links must point strictly forward.
+#[test]
+fn a_self_linking_tree_node_is_corrupt_not_a_hang() {
+    decodes_as_corrupt(lone_tree(|w| {
+        w.put_usize(1);
+        put_split(w, 0, 0, 0);
+    }));
+}
+
+/// A split on feature 1000 of a one-feature tree decoded `Ok` and indexed
+/// past the row (`tree.rs:324`) on the first prediction.
+#[test]
+fn an_out_of_range_split_feature_is_corrupt_not_a_panic() {
+    decodes_as_corrupt(lone_tree(|w| {
+        w.put_usize(3);
+        put_split(w, 1000, 1, 2);
+        for _ in 0..2 {
+            w.put_u8(0);
+            w.put_f64(1.0);
+        }
+    }));
+}
+
+/// A KNN training matrix of `2^63 × 2` with no data: the unchecked product
+/// panicked on overflow under `cargo test` and wrapped to `0 == 0` in a
+/// release build.
+#[test]
+fn overflowing_matrix_dimensions_are_corrupt_not_an_overflow() {
+    let mut w = Writer::new();
+    w.put_u8(6);
+    w.put_usize(1); // k
+    w.put_bool(false); // uniform weights
+    w.put_usize(1 << 63);
+    w.put_usize(2);
+    w.put_f64s(&[]);
+    w.put_f64s(&[]);
+    decodes_as_corrupt(w.into_bytes());
 }
 
 #[test]
 fn load_of_missing_file_is_an_io_error() {
     let err = EaseService::load(std::path::Path::new("/nonexistent/ease.model")).unwrap_err();
     assert!(matches!(err, EaseError::Io(_)), "{err:?}");
+}
+
+/// The only test that holds literal model bytes. `fixtures/golden_v2.model`
+/// is `to_bytes()` of a hand-built (never trained, so libm-independent)
+/// service written by the tree *before* ISSUE 18 rewrote the codec: tier
+/// `simple`, catalog `[hdrf, ne]`, one workload, and seven component models
+/// that between them use all nine model tags and all six config tags —
+/// `Scaled(Poly(Ridge))`, a `Forest` of two 3-node trees, a one-tree `Gbt`,
+/// `Scaled(Knn)`, `Scaled(Mlp)` with two layers, `Scaled(Svr)` and a bare
+/// `Tree`, each as wide as its predictor's feature row — plus one
+/// property-cache trailer entry with a `None` and a `Some` advanced field.
+/// Any change to a field's order, width or tag fails here first.
+#[test]
+fn golden_service_bytes_are_stable() {
+    let service = EaseService::from_bytes(GOLDEN).expect("the golden fixture loads");
+    assert!(service.to_bytes() == GOLDEN, "load → save moved a byte of the v2 format");
+
+    assert_eq!(
+        *service.meta(),
+        ServiceMeta {
+            scale: Scale::Tiny,
+            seed: 18,
+            folds: 2,
+            timing: TimingMode::Deterministic,
+            default_k: 4,
+            default_goal: OptGoal::EndToEnd,
+        }
+    );
+    assert_eq!(service.catalog(), [PartitionerId::Hdrf, PartitionerId::Ne]);
+    assert_eq!(service.supported_workloads(), ["pr"]);
+    assert_eq!(service.property_cache_stats().len, 1);
+
+    let info = service.info();
+    assert_eq!(info.tier, PropertyTier::Simple);
+    let chosen: Vec<(&str, &str, u64)> =
+        info.chosen.iter().map(|(c, m, s)| (c.as_str(), m.as_str(), s.to_bits())).collect();
+    assert_eq!(
+        chosen,
+        [
+            ("quality/replication_factor", "poly(d=1,a=0.125)", 0.25f64.to_bits()),
+            ("quality/edge_balance", "rfr(t=2,d=3,f=0.75)", 0.5f64.to_bits()),
+            ("quality/vertex_balance", "xgb(n=1,lr=0.5,d=3,l=1)", 0.75f64.to_bits()),
+            ("quality/source_balance", "knn(k=2,dw=true)", f64::NAN.to_bits()),
+            ("quality/dest_balance", "mlp(h=[2],e=8,lr=0.001953125)", 1.5f64.to_bits()),
+            ("partitioning-time", "svr(C=10,e=0.0625,g=0.5)", 2.0f64.to_bits()),
+            ("processing/pr", "rfr(t=1,d=3,f=1)", 0.0625f64.to_bits()),
+        ]
+    );
+
+    // every model is as wide as the row its predictor feeds it, so the
+    // loaded service answers a query
+    let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, 1).graph);
+    let pick = service
+        .recommend(&props, Workload::PageRank { iterations: 3 }, OptGoal::EndToEnd)
+        .expect("pr is a trained workload");
+    assert!(service.catalog().contains(&pick.best));
 }
