@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# Service lifecycle smoke — train in one process, persist, reload in fresh
-# processes, answer identically; exercise zero-copy .bel ingestion, format
-# round trips, streaming generation and typed error paths, all through the
-# `ease` CLI.
+# Service lifecycle smoke — train in one process (and again in a second:
+# the model bytes must not differ), persist, reload in fresh processes,
+# answer identically; exercise zero-copy .bel ingestion, format round trips,
+# streaming generation and typed error paths, all through the `ease` CLI.
 #
 # Usage: ci/smoke.sh [path-to-ease-binary]
 # Runs locally and in CI (shellcheck-clean).
@@ -20,6 +20,13 @@ trap 'rm -rf "$smoke"' EXIT
 "$EASE_BIN" gen --out "$smoke/graph.txt" --kind soc --scale tiny --seed 7
 "$EASE_BIN" train --out "$smoke/ease.model" --scale tiny --quick --deterministic \
     --folds 2 --max-small 8 --max-large 4
+# cross-process determinism of the whole pipeline: the same --deterministic
+# configuration trained by a second process is the same file, byte for byte
+# (temp names, hash seeds and thread counts must not reach the model) — the
+# property that lets a simulator or profiling change be checked with `cmp`
+"$EASE_BIN" train --out "$smoke/second.model" --scale tiny --quick --deterministic \
+    --folds 2 --max-small 8 --max-large 4
+cmp "$smoke/ease.model" "$smoke/second.model"
 "$EASE_BIN" inspect --model "$smoke/ease.model"
 "$EASE_BIN" recommend --model "$smoke/ease.model" --graph "$smoke/graph.txt" \
     --workload pr --goal e2e | tee "$smoke/first.out"

@@ -1,6 +1,7 @@
-//! Criterion benchmarks for the distributed processing engine: workload
-//! execution cost over an HDRF-partitioned R-MAT graph, and the placement
-//! build itself.
+//! Criterion benchmarks for the distributed processing engine: the cost of
+//! `Workload::execute` — what profiling pays per label; stationary programs
+//! are priced from their first superstep — over an HDRF-partitioned R-MAT
+//! graph, and the placement build itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};

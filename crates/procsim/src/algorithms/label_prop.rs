@@ -88,6 +88,11 @@ impl VertexProgram for LabelPropagation {
         true
     }
 
+    /// `initially_active` and `apply` answer `true` unconditionally.
+    fn stationary(&self) -> bool {
+        true
+    }
+
     fn symmetric(&self) -> bool {
         true
     }

@@ -64,6 +64,11 @@ impl VertexProgram for PageRank {
         true
     }
 
+    /// `initially_active` and `apply` answer `true` unconditionally.
+    fn stationary(&self) -> bool {
+        true
+    }
+
     fn state_bytes(&self) -> f64 {
         8.0
     }

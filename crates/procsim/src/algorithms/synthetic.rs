@@ -82,6 +82,11 @@ impl VertexProgram for Synthetic {
         true
     }
 
+    /// `initially_active` and `apply` answer `true` unconditionally.
+    fn stationary(&self) -> bool {
+        true
+    }
+
     fn state_bytes(&self) -> f64 {
         8.0 * self.s as f64
     }

@@ -2,7 +2,7 @@
 //! cost model — the substitute for the paper's Spark/GraphX cluster
 //! (DESIGN.md §2.1).
 //!
-//! The engine executes vertex programs **for real** (PageRank ranks,
+//! [`engine::run`] executes vertex programs **for real** (PageRank ranks,
 //! component ids, distances, core numbers and labels are all correct and
 //! testable) over a graph that has been edge-partitioned across `k`
 //! simulated machines. While executing, it charges a cost ledger modelled on
@@ -20,6 +20,14 @@
 //! This reproduces the paper's empirical structure: replication factor
 //! drives communication-bound workloads (PageRank, Synthetic-High), vertex
 //! balance drives computation-bound workloads (Label Propagation).
+//!
+//! [`Workload::execute`] returns that ledger's report without the states.
+//! For the *stationary* programs — PageRank, Label Propagation, Synthetic:
+//! every covered vertex active in every one of a fixed number of supersteps
+//! — it executes the first superstep and charges it once per superstep,
+//! which is exact because no ledger term depends on a state value, only on
+//! which vertices are active (see [`engine`]). Data-dependent programs (CC,
+//! SSSP, K-Cores) always run to completion.
 
 pub mod algorithms;
 pub mod cluster;

@@ -37,76 +37,76 @@ pub const NO_MASTER: u16 = u16::MAX;
 
 impl DistributedGraph {
     pub fn build(graph: &Graph, partition: &EdgePartition) -> Self {
-        Self::build_inner(&PreparedGraph::of(graph), partition, false)
+        Self::build_prepared(&PreparedGraph::of(graph), partition)
     }
 
-    /// [`DistributedGraph::build`] from a shared analysis context: the
-    /// global degree vectors come from the context's memoized
-    /// [`ease_graph::DegreeTable`] instead of being re-derived per
-    /// placement — profiling places the same graph once per partitioner.
-    /// Works over any ingestion backend; placement replays the context's
-    /// edge stream, so only the per-partition slices are materialized.
+    /// Placement from a shared analysis context: the global degree vectors
+    /// come from the context's memoized [`ease_graph::DegreeTable`] instead
+    /// of being re-derived per placement — profiling places the same graph
+    /// once per partitioner. Works over any ingestion backend; placement
+    /// replays the context's edge stream, so only the per-partition slices
+    /// are materialized.
     pub fn build_prepared(prepared: &PreparedGraph<'_>, partition: &EdgePartition) -> Self {
-        Self::build_inner(prepared, partition, true)
-    }
-
-    fn build_inner(
-        prepared: &PreparedGraph<'_>,
-        partition: &EdgePartition,
-        shared_degrees: bool,
-    ) -> Self {
         assert_eq!(prepared.num_edges(), partition.num_edges());
         let k = partition.num_partitions();
         assert!(k <= 128, "replica masks are u128");
         let n = prepared.num_vertices();
         let mut replicas = vec![0u128; n];
-        let mut part_edges: Vec<Vec<Edge>> = vec![Vec::new(); k];
+        let empty = PartitionData {
+            edges: Vec::new(),
+            vertices: Vec::new(),
+            edge_src_local: Vec::new(),
+            edge_dst_local: Vec::new(),
+        };
+        let mut parts = vec![empty; k];
         prepared.for_each_edge_indexed(|i, e| {
             let p = partition.partition_of(i);
-            part_edges[p].push(e);
+            parts[p].edges.push(e);
             replicas[e.src as usize] |= 1 << p;
             replicas[e.dst as usize] |= 1 << p;
         });
-        // Master replica: a deterministic hash-spread pick among the
-        // covering partitions (GraphX hash-partitions vertex state
+        // One pass over the masks in vertex order hands every vertex to each
+        // partition covering it — so each `vertices` comes out ascending —
+        // and picks its master replica: a deterministic hash-spread pick
+        // among the covering partitions (GraphX hash-partitions vertex state
         // independently of edges; picking the lowest partition would pile
         // all master-side apply work onto machine 0).
         let mut master = vec![NO_MASTER; n];
         for (v, &mask) in replicas.iter().enumerate() {
-            if mask != 0 {
-                let r = mask.count_ones();
-                let pick =
-                    (ease_graph::hash::hash_vertex(v as u32, 0x5A57E12) % u64::from(r)) as u32;
-                let mut m = mask;
-                for _ in 0..pick {
-                    m &= m - 1;
+            if mask == 0 {
+                continue;
+            }
+            let r = u64::from(mask.count_ones());
+            let pick = ease_graph::hash::hash_vertex(v as u32, 0x5A57E12) % r;
+            let mut m = mask;
+            for nth in 0..r {
+                let p = m.trailing_zeros() as usize;
+                m &= m - 1;
+                parts[p].vertices.push(v as u32);
+                if nth == pick {
+                    master[v] = p as u16;
                 }
-                master[v] = m.trailing_zeros() as u16;
             }
         }
-        let parts = part_edges
-            .into_iter()
-            .map(|edges| {
-                let mut vertices: Vec<u32> = edges.iter().flat_map(|e| [e.src, e.dst]).collect();
-                vertices.sort_unstable();
-                vertices.dedup();
-                let local =
-                    |v: u32| -> u32 { vertices.binary_search(&v).expect("covered vertex") as u32 };
-                let edge_src_local = edges.iter().map(|e| local(e.src)).collect();
-                let edge_dst_local = edges.iter().map(|e| local(e.dst)).collect();
-                PartitionData { edges, vertices, edge_src_local, edge_dst_local }
-            })
-            .collect();
-        let (out_degree, total_degree) = match prepared.try_graph() {
-            Some(graph) if !shared_degrees => (graph.out_degrees(), graph.total_degrees()),
-            // memoized in the context (and the only option for source-backed
-            // contexts, which have no slice to re-derive from)
-            _ => {
-                let deg = prepared.degrees();
-                (deg.out.clone(), deg.total.clone())
+        // Global id → local index, one scratch for all partitions: a
+        // partition reads only the entries its own `vertices` just wrote.
+        let mut local_of = vec![0u32; n];
+        for part in &mut parts {
+            for (local, &v) in part.vertices.iter().enumerate() {
+                local_of[v as usize] = local as u32;
             }
-        };
-        DistributedGraph { parts, master, replicas, out_degree, total_degree, num_vertices: n }
+            part.edge_src_local = part.edges.iter().map(|e| local_of[e.src as usize]).collect();
+            part.edge_dst_local = part.edges.iter().map(|e| local_of[e.dst as usize]).collect();
+        }
+        let deg = prepared.degrees();
+        DistributedGraph {
+            parts,
+            master,
+            replicas,
+            out_degree: deg.out.clone(),
+            total_degree: deg.total.clone(),
+            num_vertices: n,
+        }
     }
 
     #[inline]
@@ -227,6 +227,79 @@ mod tests {
         for part in 0..direct.num_partitions() {
             assert_eq!(shared.partition(part).edges, direct.partition(part).edges);
             assert_eq!(shared.partition(part).vertices, direct.partition(part).vertices);
+        }
+    }
+
+    /// The placement as it was derived before the one-pass build: route the
+    /// edges, then per partition collect both endpoints, sort, dedup, and
+    /// `binary_search` every endpoint; masters by stripping `pick` low bits.
+    fn reference_parts(g: &Graph, p: &EdgePartition) -> (Vec<PartitionData>, Vec<u16>, Vec<u128>) {
+        let mut replicas = vec![0u128; g.num_vertices()];
+        let mut part_edges: Vec<Vec<Edge>> = vec![Vec::new(); p.num_partitions()];
+        for (i, e) in g.edges().iter().enumerate() {
+            let part = p.partition_of(i);
+            part_edges[part].push(*e);
+            replicas[e.src as usize] |= 1 << part;
+            replicas[e.dst as usize] |= 1 << part;
+        }
+        let master = replicas
+            .iter()
+            .enumerate()
+            .map(|(v, &mask)| {
+                if mask == 0 {
+                    return NO_MASTER;
+                }
+                let r = u64::from(mask.count_ones());
+                let mut m = mask;
+                for _ in 0..ease_graph::hash::hash_vertex(v as u32, 0x5A57E12) % r {
+                    m &= m - 1;
+                }
+                m.trailing_zeros() as u16
+            })
+            .collect();
+        let parts = part_edges
+            .into_iter()
+            .map(|edges| {
+                let mut vertices: Vec<u32> = edges.iter().flat_map(|e| [e.src, e.dst]).collect();
+                vertices.sort_unstable();
+                vertices.dedup();
+                let local = |v: u32| vertices.binary_search(&v).expect("covered vertex") as u32;
+                let edge_src_local = edges.iter().map(|e| local(e.src)).collect();
+                let edge_dst_local = edges.iter().map(|e| local(e.dst)).collect();
+                PartitionData { edges, vertices, edge_src_local, edge_dst_local }
+            })
+            .collect();
+        (parts, master, replicas)
+    }
+
+    #[test]
+    fn one_pass_build_matches_sort_dedup_search_reference() {
+        // multigraphs with self-loops, parallel edges and isolated ids
+        // (universe 300, endpoints below 200); k = 128 sets the top mask bit
+        let mut rng = ease_graph::hash::SplitMix64::new(0xB01D);
+        for k in [1usize, 2, 7, 128] {
+            for m in [0usize, 1, 40, 900] {
+                let mut edges: Vec<Edge> = (0..m)
+                    .map(|_| Edge::new(rng.next_below(200) as u32, rng.next_below(200) as u32))
+                    .collect();
+                edges.extend_from_slice(&[Edge::new(7, 7), Edge::new(3, 9), Edge::new(3, 9)]);
+                let g = Graph::new(300, edges);
+                let mut assignment: Vec<u16> =
+                    (0..g.num_edges()).map(|_| rng.next_below(k) as u16).collect();
+                assignment[0] = (k - 1) as u16;
+                let p = EdgePartition::new(k, assignment);
+                let dg = DistributedGraph::build(&g, &p);
+                let (parts, master, replicas) = reference_parts(&g, &p);
+                assert_eq!(dg.master, master, "k={k} m={m}");
+                assert_eq!(dg.replicas, replicas, "k={k} m={m}");
+                assert_eq!(dg.parts.len(), k);
+                for (got, want) in dg.parts.iter().zip(&parts) {
+                    assert_eq!(got.edges, want.edges, "k={k} m={m}");
+                    assert_eq!(got.vertices, want.vertices, "k={k} m={m}");
+                    assert_eq!(got.edge_src_local, want.edge_src_local, "k={k} m={m}");
+                    assert_eq!(got.edge_dst_local, want.edge_dst_local, "k={k} m={m}");
+                }
+            }
         }
     }
 

@@ -3,7 +3,7 @@
 
 use crate::algorithms::{ConnectedComponents, KCores, LabelPropagation, PageRank, Sssp, Synthetic};
 use crate::cluster::ClusterSpec;
-use crate::engine::{run, SimReport};
+use crate::engine::{report, SimReport};
 use crate::placement::DistributedGraph;
 
 /// A graph processing workload with the paper's parametrization.
@@ -107,20 +107,23 @@ impl Workload {
         }
     }
 
-    /// Execute the workload on a distributed graph; returns the cost report.
+    /// The workload's cost report on a distributed graph: what
+    /// [`crate::engine::run`] accumulates for the same program, bit for
+    /// bit, without its states — stationary programs (`pr`, `lp`, the two
+    /// synthetics) are priced from their first superstep.
     pub fn execute(self, dg: &DistributedGraph, cluster: &ClusterSpec) -> SimReport {
         match self {
-            Workload::PageRank { iterations } => run(&PageRank::new(iterations), dg, cluster).0,
-            Workload::ConnectedComponents => run(&ConnectedComponents, dg, cluster).0,
+            Workload::PageRank { iterations } => report(&PageRank::new(iterations), dg, cluster),
+            Workload::ConnectedComponents => report(&ConnectedComponents, dg, cluster),
             Workload::Sssp { source_seed } => {
-                run(&Sssp::with_random_source(dg, source_seed), dg, cluster).0
+                report(&Sssp::with_random_source(dg, source_seed), dg, cluster)
             }
-            Workload::KCores => run(&KCores::with_mean_degree(dg), dg, cluster).0,
+            Workload::KCores => report(&KCores::with_mean_degree(dg), dg, cluster),
             Workload::LabelPropagation { iterations } => {
-                run(&LabelPropagation::new(iterations), dg, cluster).0
+                report(&LabelPropagation::new(iterations), dg, cluster)
             }
             Workload::Synthetic { s, iterations } => {
-                run(&Synthetic { s, iterations }, dg, cluster).0
+                report(&Synthetic { s, iterations }, dg, cluster)
             }
         }
     }

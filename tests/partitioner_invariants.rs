@@ -1,10 +1,12 @@
 //! Property-based invariants that every partitioner must satisfy,
 //! exercised across crates on generated graphs.
 
-use ease_repro::graph::Graph;
+use ease_repro::graph::bel::{write_bel, BelSource};
+use ease_repro::graph::{Edge, Graph, PreparedGraph};
 use ease_repro::graphgen::rmat::{Rmat, RmatParams};
-use ease_repro::partition::{metrics::QualityMetrics, PartitionerId};
+use ease_repro::partition::{metrics::QualityMetrics, EdgePartition, PartitionerId};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 fn arb_graph() -> impl Strategy<Value = Graph> {
     (6u32..10, 200usize..1_500, 0u64..50, 0usize..9).prop_map(|(vexp, edges, seed, combo)| {
@@ -147,6 +149,84 @@ proptest! {
                     m.replication_factor >= 1.0 - 1e-12,
                     "{:?} k={} rf={}", p, k, m.replication_factor
                 );
+            }
+        }
+    }
+}
+
+/// Label oracle: the five quality metrics recomputed the obvious way — one
+/// `HashSet` per partition for the covered, source and destination
+/// vertices, balance as `max / mean`, replication factor over the vertices
+/// some edge covers (isolated ids never count). Shares nothing with the
+/// bitset pass in `partition::metrics` the models train on.
+fn naive_metrics(g: &Graph, part: &EdgePartition) -> QualityMetrics {
+    let k = part.num_partitions();
+    let mut edges = vec![0usize; k];
+    let mut cover: Vec<HashSet<u32>> = vec![HashSet::new(); k];
+    let mut sources = cover.clone();
+    let mut dests = cover.clone();
+    for (i, e) in g.edges().iter().enumerate() {
+        let p = part.partition_of(i);
+        edges[p] += 1;
+        cover[p].extend([e.src, e.dst]);
+        sources[p].insert(e.src);
+        dests[p].insert(e.dst);
+    }
+    let balance = |counts: Vec<usize>| {
+        let sum: usize = counts.iter().sum();
+        let max = counts.iter().copied().max().unwrap_or(0);
+        if sum == 0 {
+            1.0
+        } else {
+            max as f64 / (sum as f64 / counts.len() as f64)
+        }
+    };
+    let sizes = |sets: &[HashSet<u32>]| sets.iter().map(HashSet::len).collect::<Vec<_>>();
+    let covered: HashSet<u32> = cover.iter().flatten().copied().collect();
+    let replicas: usize = cover.iter().map(HashSet::len).sum();
+    QualityMetrics {
+        replication_factor: if covered.is_empty() {
+            1.0
+        } else {
+            replicas as f64 / covered.len() as f64
+        },
+        edge_balance: balance(edges),
+        vertex_balance: balance(sizes(&cover)),
+        source_balance: balance(sizes(&sources)),
+        dest_balance: balance(sizes(&dests)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// `QualityMetrics::compute_prepared` equals the naive recomputation
+    /// bit for bit, for every partitioner × `k ∈ {2, 4, 8}`, on the heap
+    /// graph and on the same graph reopened as a memory-mapped `.bel` —
+    /// with self-loops, parallel edges and isolated ids appended so the
+    /// "covered vertices only" denominator is exercised.
+    #[test]
+    fn quality_metrics_match_the_naive_oracle(g in arb_graph(), seed in 0u64..8) {
+        let mut edges = g.edges().to_vec();
+        edges.extend_from_slice(&[Edge::new(5, 5), Edge::new(1, 2), Edge::new(1, 2)]);
+        let g = Graph::new(g.num_vertices() + 3, edges);
+        let bel = std::env::temp_dir()
+            .join(format!("ease_pi_oracle_{}_{seed}_{}.bel", std::process::id(), g.num_edges()));
+        write_bel(&g, &bel).expect("write .bel");
+        let mapped = BelSource::open(&bel).expect("open .bel");
+        std::fs::remove_file(&bel).ok();
+        let backends = [("heap", PreparedGraph::of(&g)), (".bel", PreparedGraph::of_source(&mapped))];
+        for p in PartitionerId::ALL {
+            for k in [2usize, 4, 8] {
+                let part = p.build(seed).partition(&g, k);
+                let want = naive_metrics(&g, &part).as_vector().map(f64::to_bits);
+                for (backend, prepared) in &backends {
+                    let got = QualityMetrics::compute_prepared(prepared, &part);
+                    prop_assert_eq!(
+                        got.as_vector().map(f64::to_bits), want,
+                        "{} k={} on {}: {:?}", p.name(), k, backend, got
+                    );
+                }
             }
         }
     }

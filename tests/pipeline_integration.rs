@@ -193,3 +193,38 @@ fn trained_system_is_deterministic_given_records() {
         assert!((ca.end_to_end_secs - cb.end_to_end_secs).abs() < 1e-12);
     }
 }
+
+/// The processing-time labels themselves, pinned: every record the
+/// time-predictor corpus produces at tiny scale — all 11 partitioners ×
+/// the six training workloads at `k = 4` — folded through `mix64` into one
+/// literal. The literal was written by the tree *before* `ease-procsim`
+/// learned to price stationary workloads from their first superstep and to
+/// build placements in one pass; a simulator change that moves a single
+/// bit of a single label (or of the quality metrics it rides with) fails
+/// here, before any model is trained on it.
+#[test]
+fn processing_labels_are_pinned() {
+    use ease_repro::graph::hash::mix64;
+    let cfg = EaseConfig::at_scale(Scale::Tiny);
+    let records = profile_processing_with(
+        &cfg.large_inputs(),
+        &PartitionerId::ALL,
+        4,
+        &Workload::all_training(),
+        cfg.seed ^ 0x9A,
+        TimingMode::Deterministic,
+    );
+    let fold = |h: u64, x: u64| mix64(h ^ x);
+    let fold_str =
+        |h: u64, s: &str| s.bytes().fold(fold(h, s.len() as u64), |h, b| fold(h, b.into()));
+    let mut h = 0u64;
+    for r in &records {
+        h = fold_str(h, r.partitioner.name());
+        h = fold_str(h, r.workload.name());
+        h = fold(h, r.target_secs.to_bits());
+        h = fold(h, r.total_secs.to_bits());
+        h = r.metrics.as_vector().iter().fold(h, |h, m| fold(h, m.to_bits()));
+    }
+    assert_eq!(records.len(), 10 * 11 * 6);
+    assert_eq!(h, 0xd409_3c24_9f94_5ddd, "a processing label moved: {h:#018x}");
+}
