@@ -39,7 +39,7 @@ fn bench_degree_table(c: &mut Criterion) {
 fn bench_triangles(c: &mut Criterion) {
     let graph = Rmat::new(RMAT_COMBOS[0], 1 << 12, 24_000, 5).generate();
     c.bench_function("triangle_stats_24k_edges", |b| {
-        b.iter(|| black_box(ease_graph::triangles::triangle_stats(&graph)));
+        b.iter(|| black_box(PreparedGraph::of(&graph).triangle_stats()));
     });
 }
 

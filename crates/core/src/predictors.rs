@@ -210,6 +210,7 @@ impl QualityPredictor {
                 QualityTarget::ALL.len()
             )));
         }
+        let width = features::quality_feature_names(tier).len();
         let mut models: Vec<(QualityTarget, Box<dyn Regressor>)> = Vec::new();
         let mut chosen = Vec::new();
         for _ in 0..n_targets {
@@ -224,7 +225,7 @@ impl QualityPredictor {
                 )));
             }
             chosen.push((target, ChosenModel::decode(r)?));
-            models.push((target, decode_regressor(r)?));
+            models.push((target, decode_regressor(r, width)?));
         }
         Ok(QualityPredictor { tier, models, chosen })
     }
@@ -278,7 +279,8 @@ impl PartitioningTimePredictor {
     /// Inverse of [`PartitioningTimePredictor::encode`].
     pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
         let chosen = ChosenModel::decode(r)?;
-        Ok(PartitioningTimePredictor { model: decode_regressor(r)?, chosen })
+        let width = features::partitioning_time_feature_names().len();
+        Ok(PartitioningTimePredictor { model: decode_regressor(r, width)?, chosen })
     }
 }
 
@@ -405,6 +407,7 @@ impl ProcessingTimePredictor {
                 "processing predictor declares {n_workloads} workloads, expected 1..=64"
             )));
         }
+        let width = features::processing_time_feature_names().len();
         let mut models: Vec<(&'static str, Box<dyn Regressor>)> = Vec::new();
         let mut chosen = Vec::new();
         for _ in 0..n_workloads {
@@ -413,7 +416,7 @@ impl ProcessingTimePredictor {
                 PersistError::Corrupt(format!("unknown persisted workload `{name}`"))
             })?;
             chosen.push((interned, ChosenModel::decode(r)?));
-            models.push((interned, decode_regressor(r)?));
+            models.push((interned, decode_regressor(r, width)?));
         }
         Ok(ProcessingTimePredictor { models, chosen })
     }
@@ -452,8 +455,7 @@ mod tests {
         );
         let qp = QualityPredictor::train(&records, PropertyTier::Basic, &zoo::quick_grid(), 3, 1);
         // predictions are clamped to the metric domain
-        let g = inputs(1, 900)[0].generate();
-        let props = GraphProperties::compute_advanced(&g);
+        let props = inputs(1, 900)[0].prepare().properties(PropertyTier::Advanced);
         let m = qp.predict(&props, PartitionerId::Ne, 4);
         assert!(m.replication_factor >= 1.0);
         assert!(m.edge_balance >= 1.0);
@@ -471,8 +473,7 @@ mod tests {
         let records =
             profile_quality(&inputs(8, 1_200), &[PartitionerId::Crvc, PartitionerId::Ne], &[8], 3);
         let qp = QualityPredictor::train(&records, PropertyTier::Basic, &zoo::quick_grid(), 3, 2);
-        let g = inputs(1, 1_200)[0].generate();
-        let props = GraphProperties::compute_advanced(&g);
+        let props = inputs(1, 1_200)[0].prepare().properties(PropertyTier::Advanced);
         let rf_hash =
             qp.predict_target(QualityTarget::ReplicationFactor, &props, PartitionerId::Crvc, 8);
         let rf_ne =
@@ -485,8 +486,7 @@ mod tests {
         let records =
             profile_quality(&inputs(8, 4_000), &[PartitionerId::OneDD, PartitionerId::Ne], &[4], 5);
         let tp = PartitioningTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
-        let g = inputs(1, 4_000)[0].generate();
-        let props = GraphProperties::compute_advanced(&g);
+        let props = inputs(1, 4_000)[0].prepare().properties(PropertyTier::Advanced);
         let fast = tp.predict(&props, PartitionerId::OneDD);
         let slow = tp.predict(&props, PartitionerId::Ne);
         assert!(fast >= 0.0 && slow >= 0.0);
@@ -504,8 +504,7 @@ mod tests {
         );
         let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
         assert_eq!(pp.supported_workloads().len(), 2);
-        let g = inputs(1, 1_000)[0].generate();
-        let props = GraphProperties::compute_advanced(&g);
+        let props = inputs(1, 1_000)[0].prepare().properties(PropertyTier::Advanced);
         let metrics = ease_partition::QualityMetrics {
             replication_factor: 2.0,
             edge_balance: 1.05,
@@ -530,8 +529,7 @@ mod tests {
             3,
         );
         let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 2, 1);
-        let g = inputs(1, 600)[0].generate();
-        let props = GraphProperties::compute_advanced(&g);
+        let props = inputs(1, 600)[0].prepare().properties(PropertyTier::Advanced);
         let metrics = records[0].metrics;
         let _ = pp.predict_target(Workload::KCores, &props, &metrics);
     }

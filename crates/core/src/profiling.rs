@@ -11,7 +11,7 @@
 //! the edge list).
 
 use ease_graph::bel::{BelSource, BelWriter};
-use ease_graph::{Graph, GraphProperties, PreparedGraph, PropertyTier};
+use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::grids::RmatSpec;
 use ease_graphgen::realworld::{GraphType, TestGraph};
 use ease_graphgen::rmat::Rmat;
@@ -49,20 +49,10 @@ impl GraphInput {
         }
     }
 
-    /// Materialize an owned copy of the graph. Prefer [`GraphInput::prepare`]
-    /// (borrows materialized inputs, no edge-list copy) — this clone-er
-    /// survives for one-shot callers that need ownership.
-    pub fn generate(&self) -> Graph {
-        match self {
-            GraphInput::Rmat(s) => s.generate(),
-            GraphInput::Materialized(t) => t.graph.clone(),
-        }
-    }
-
     /// The profiling entry point: a [`PreparedGraph`] analysis context over
     /// this input. R-MAT specs *stream* their edges through
     /// [`Rmat::generate_into`] into a disk spill that is generated once per
-    /// process, memory-mapped and shared ([`rmat_spilled_source`]) — the
+    /// process, memory-mapped and shared (`rmat_spilled_source`) — the
     /// profiling fan-out's workers no longer each hold an owned
     /// `8 bytes × |E|` edge list on the heap. Materialized test graphs are
     /// *borrowed in place* — profiling workers used to deep-copy the full
@@ -173,8 +163,8 @@ fn spill_rmat(spec: &RmatSpec) -> Option<BelSource> {
 /// Shared [`PreparedGraph`] contexts for graph specs that appear in *both*
 /// profiling corpora (ROADMAP open item): the quality and processing passes
 /// used to generate + prepare such a graph once each; the pool keys
-/// contexts by [`GraphInput::spec_key`] so every overlapping spec is built
-/// exactly once total, and its memoized CSRs/degrees/triangles feed both
+/// contexts by `GraphInput::spec_key` so every overlapping spec is built
+/// exactly once total, and its memoized degrees/triangles feed both
 /// passes. Non-overlapping specs take the old per-pass path and are dropped
 /// as soon as their worker finishes — the pool never grows beyond the
 /// overlap.
@@ -540,7 +530,7 @@ mod tests {
         );
         let gi = GraphInput::Materialized(tg.clone());
         assert_eq!(gi.graph_type(), Some(GraphType::Social));
-        assert_eq!(gi.generate().num_edges(), tg.graph.num_edges());
+        assert_eq!(gi.prepare().num_edges(), tg.graph.num_edges());
     }
 
     #[test]
@@ -616,14 +606,14 @@ mod tests {
         // borrowed in place: the prepared context points at the input's own
         // edge storage, not at a per-worker deep copy
         let GraphInput::Materialized(inner) = &gi else { unreachable!() };
-        assert!(std::ptr::eq(prepared.graph().expect("graph-backed"), &inner.graph));
-        assert!(prepared.shared_graph().is_none());
+        let borrowed = prepared.source().edge_slice().expect("in-memory source");
+        assert!(std::ptr::eq(borrowed, inner.graph.edges()));
         // R-MAT specs stream to a shared disk spill: the context is
         // source-backed (no owned edge list) yet analyzes the exact same
         // edge stream as a heap generate
         let spec = tiny_inputs(1).remove(0);
         let spilled = spec.prepare();
-        assert!(spilled.try_graph().is_none(), "no heap edge list for R-MAT inputs");
+        assert!(spilled.source().edge_slice().is_none(), "no heap edge list for R-MAT inputs");
         assert_eq!(spilled.num_edges(), 700);
         let GraphInput::Rmat(s) = &spec else { unreachable!() };
         let heap = PreparedGraph::new(s.generate());

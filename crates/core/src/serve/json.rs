@@ -66,17 +66,6 @@ impl Value {
         }
     }
 
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
-    pub fn is_null(&self) -> bool {
-        matches!(self, Value::Null)
-    }
-
     /// Serialize to compact JSON text (no whitespace). Every `&str` in the
     /// tree round-trips: control characters, quotes, backslashes, and
     /// astral-plane characters all escape correctly. A non-finite
@@ -461,7 +450,7 @@ mod tests {
     fn whitespace_and_structure_parse() {
         let v = parse(" { \"a\" : [ 1 , 2 ] ,\n\t\"b\" : null } ").unwrap();
         assert_eq!(v.get("a"), Some(&Value::Arr(vec![Value::UInt(1), Value::UInt(2)])));
-        assert!(v.get("b").unwrap().is_null());
+        assert_eq!(v.get("b"), Some(&Value::Null));
         assert_eq!(v.get("missing"), None);
     }
 

@@ -20,6 +20,8 @@
 //! starting at the owner — the router's failover order when the owner is
 //! marked down (idempotent requests retry on the next node).
 
+use ease_graph::hash::mix64;
+
 /// Stable 64-bit content hash: FNV-1a over the bytes, finished with a
 /// splitmix64 avalanche so closely related labels ("backend-1",
 /// "backend-2") still land far apart on the circle. Deliberately not
@@ -33,14 +35,6 @@ pub fn hash64(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x1000_0000_01b3);
     }
     mix64(h)
-}
-
-/// splitmix64 finalizer — bijective avalanche over a `u64`.
-pub(crate) fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 /// A consistent-hash ring over `n` backends (see the module docs).

@@ -5,16 +5,16 @@
 //! (PR 6); the router is the horizontal rung above it. It reuses the
 //! *entire* daemon connection stack — endpoint binding, magic sniffing,
 //! the v2 and HTTP session loops, pipelining, backpressure, graceful
-//! shutdown — via [`Handler`]; only the answer changes: instead of
-//! analyzing graphs locally, the router forwards each request over one
-//! multiplexed pipelined v2 connection per backend — concurrent
+//! shutdown — via the server's `Handler` trait; only the answer changes:
+//! instead of analyzing graphs locally, the router forwards each request over
+//! one multiplexed pipelined v2 connection per backend — concurrent
 //! forwarders interleave their requests on it and responses demux back
 //! by id, so one router connection occupies exactly one connection
 //! worker on each backend no matter how many clients the router fans in.
 //!
 //! * **Placement** — requests are keyed by the graph *file identity*
 //!   (`dev`/`ino` from a stat, falling back to the resolved path bytes)
-//!   on a consistent-hash ring ([`HashRing`]). Repeat queries for a graph
+//!   on a consistent-hash ring ([`HashRing`](super::ring::HashRing)). Repeat queries for a graph
 //!   land on the same backend, so that backend's property cache and
 //!   fingerprint memo stay warm for its shard — sharding for cache
 //!   affinity, not just for load.
@@ -34,12 +34,12 @@
 //!   `cache-stats` (PR 8's budget, PR 9's payload bump). A query whose
 //!   estimated analysis footprint exceeds its primary's headroom routes
 //!   to the next ring backend *with* headroom; when no healthy backend
-//!   has room, the router answers a typed [`Response::Overloaded`]
+//!   has room, the router answers a typed [`Response::Overloaded`](super::protocol::Response::Overloaded)
 //!   instead of forcing a backend to spill or OOM — shedding is a
 //!   first-class answer, not a timeout.
 //! * **Fleet stats** — `cache-stats` through the router folds every
 //!   healthy backend's snapshot into one fleet-wide view
-//!   ([`ServeStats::absorb`]).
+//!   ([`ServeStats::absorb`](super::protocol::ServeStats::absorb)).
 
 use super::client::Endpoint;
 use super::ServeConfig;
@@ -106,10 +106,11 @@ mod unix_router {
     use super::super::protocol::{
         proto_err, resolve_graph_path, Request, Response, ServeStats, PROTOCOL_VERSION,
     };
-    use super::super::ring::{hash64, mix64, HashRing};
+    use super::super::ring::{hash64, HashRing};
     use super::super::server::{serve_with_handler, Handler, ServerHandle, SHUTDOWN_POLL};
     use super::{RouterConfig, MAX_PROBE_BACKOFF};
     use crate::error::EaseError;
+    use ease_graph::hash::mix64;
     use std::collections::HashMap;
     use std::path::Path;
     use std::sync::atomic::{AtomicBool, Ordering};

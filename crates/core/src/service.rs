@@ -492,13 +492,8 @@ impl EaseService {
         self.recommend_query(props, Query::new(workload).goal(goal))
     }
 
-    /// Advanced-tier properties of `graph`, served from the query-side LRU
-    /// when its content fingerprint was seen before.
-    pub fn cached_properties(&self, graph: &Graph) -> GraphProperties {
-        self.cached_properties_prepared(&PreparedGraph::of(graph))
-    }
-
-    /// [`EaseService::cached_properties`] over a shared analysis context.
+    /// Advanced-tier properties of the context's graph, served from the
+    /// query-side LRU when its content fingerprint was seen before.
     /// Extraction (the miss path) runs outside the cache lock; concurrent
     /// first queries on the same graph may both extract, which is wasteful
     /// but correct — the results are identical.
@@ -999,7 +994,7 @@ mod tests {
         }
         // cached properties survive the round trip bit-exactly
         let direct = GraphProperties::compute_advanced(&g);
-        let cached = restored.cached_properties(&g);
+        let cached = restored.cached_properties_prepared(&PreparedGraph::of(&g));
         assert_eq!(cached, direct);
         // an empty cache round-trips too
         let cold = tiny_builder().train().unwrap();

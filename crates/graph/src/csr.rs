@@ -312,17 +312,6 @@ impl Csr {
         matches!(self.store, Store::Mapped(_))
     }
 
-    /// Bytes held by the backing storage: heap vector bytes, or the mapped
-    /// spill file size.
-    pub fn storage_bytes(&self) -> usize {
-        match &self.store {
-            Store::Heap { offsets, targets } => {
-                Self::heap_bytes(offsets.len().saturating_sub(1), targets.len())
-            }
-            Store::Mapped(m) => m.mapped_bytes(),
-        }
-    }
-
     #[inline]
     pub fn num_vertices(&self) -> usize {
         match &self.store {

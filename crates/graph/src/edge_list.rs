@@ -70,29 +70,6 @@ impl Graph {
         self.edges.push(Edge::new(src, dst));
     }
 
-    /// Remove self-loops in place, preserving order.
-    pub fn remove_self_loops(&mut self) {
-        self.edges.retain(|e| !e.is_loop());
-    }
-
-    /// Remove duplicate directed edges (keeps first occurrence order is NOT
-    /// preserved; edges are sorted). Generators call this when simple graphs
-    /// are required.
-    pub fn dedup_edges(&mut self) {
-        self.edges.sort_unstable();
-        self.edges.dedup();
-    }
-
-    /// Number of distinct undirected edges (canonical pairs), ignoring
-    /// self-loops. Used by triangle/LCC computations.
-    pub fn num_undirected_edges(&self) -> usize {
-        let mut pairs: Vec<(VertexId, VertexId)> =
-            self.edges.iter().filter(|e| !e.is_loop()).map(|e| e.canonical()).collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        pairs.len()
-    }
-
     /// Out-degree of every vertex.
     pub fn out_degrees(&self) -> Vec<u32> {
         let mut deg = vec![0u32; self.num_vertices];
@@ -154,27 +131,6 @@ mod tests {
         assert_eq!(g.out_degrees(), vec![2, 1, 2]);
         assert_eq!(g.in_degrees(), vec![1, 2, 2]);
         assert_eq!(g.total_degrees(), vec![3, 3, 4]);
-    }
-
-    #[test]
-    fn self_loop_removal() {
-        let mut g = toy();
-        g.remove_self_loops();
-        assert_eq!(g.num_edges(), 4);
-        assert!(g.edges().iter().all(|e| !e.is_loop()));
-    }
-
-    #[test]
-    fn dedup_removes_parallel_edges() {
-        let mut g = toy();
-        g.dedup_edges();
-        assert_eq!(g.num_edges(), 4); // (0,1) was duplicated
-    }
-
-    #[test]
-    fn undirected_edge_count_merges_reciprocal() {
-        let g = Graph::from_pairs([(0, 1), (1, 0), (1, 2)]);
-        assert_eq!(g.num_undirected_edges(), 2);
     }
 
     #[test]

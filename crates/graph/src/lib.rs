@@ -11,9 +11,10 @@
 //! * [`GraphProperties`] — the simple/basic/advanced feature tiers of
 //!   Table III of the paper,
 //! * [`PreparedGraph`] — a build-once, share-everywhere analysis context
-//!   that lazily memoizes the CSRs, degree table, triangle counts and a
-//!   stable content fingerprint, each built by sequential passes over the
-//!   edge stream — callers parallelise across graphs, never inside one,
+//!   over one [`GraphSource`] that lazily memoizes the degree table, the
+//!   triangle counts and a stable content fingerprint, each built by
+//!   sequential passes over the edge stream — callers parallelise across
+//!   graphs, never inside one,
 //! * [`GraphSource`] — the ingestion seam: in-memory, memory-mapped binary
 //!   (`.bel`, [`bel`]) and streaming text ([`source::TextStreamSource`])
 //!   backends that replay an edge stream without requiring an owned copy,
@@ -51,7 +52,7 @@ pub use csr::Csr;
 pub use degree::DegreeTable;
 pub use edge_list::Graph;
 pub use io::GraphIoError;
-pub use prepared::{PreparedGraph, SourceBackedGraph};
+pub use prepared::PreparedGraph;
 pub use properties::{GraphProperties, PropertyTier};
 pub use source::{is_bel_path, open_path, GraphSource, TextStreamSource};
 pub use types::{Edge, VertexId};

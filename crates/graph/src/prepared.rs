@@ -9,34 +9,34 @@
 //! cost of the training pipeline (the HEP paper makes the same observation
 //! about degree/adjacency precomputation across partitioners).
 //!
-//! [`PreparedGraph`] wraps any [`GraphSource`] — an in-memory [`Graph`], a
-//! memory-mapped `.bel` file ([`crate::bel::BelSource`]), or a streaming
-//! text reader ([`crate::source::TextStreamSource`]) — and lazily memoizes
-//! the expensive derived structures behind [`OnceLock`]s:
+//! [`PreparedGraph`] holds one [`GraphSource`], borrowed or owned — an
+//! in-memory [`Graph`], a memory-mapped `.bel` file
+//! ([`crate::bel::BelSource`]) or a streaming text reader
+//! ([`crate::source::TextStreamSource`]) — and lazily memoizes, behind
+//! [`OnceLock`]s, the three results the rest of the workspace asks it for:
 //!
-//! * out-/in-/undirected-simple CSR adjacency, each built by one counting
-//!   and one placement replay of the edge stream,
 //! * the [`DegreeTable`] (degrees + moments + skewness), whose counting
 //!   pass also folds the content fingerprint incrementally,
 //! * per-vertex triangle counts and degrees of the undirected simple graph,
 //!   from a kernel that routes the edge stream into rank-space forward lists
 //!   ([`crate::triangles`]) — a transient half-size CSR, charged to the memory
-//!   budget or spilled while it lives; the undirected simple CSR itself is
-//!   built only for callers of [`PreparedGraph::undirected_simple`],
+//!   budget or spilled while it lives,
 //! * a stable content [fingerprint](PreparedGraph::fingerprint) for
 //!   query-side property caches.
+//!
+//! One adjacency is memoized besides them, and only for callers of
+//! [`PreparedGraph::undirected_simple`]: no property tier and no partitioner
+//! reads it (neighborhood expansion builds its own incidence lists); it
+//! survives for the benchmark harness's traced cold operation.
 //!
 //! Nothing is computed until first use, every structure is computed at most
 //! once — each by sequential passes on the calling thread; parallelism is the
 //! caller's, one graph per worker — and `&PreparedGraph` is `Send + Sync`, so
-//! one context can serve a whole profiling fan-out. Source-backed contexts never materialize an
-//! owned `Vec<Edge>` — derived structure is built straight off the source's
-//! replayable stream. Edge access goes through
-//! [`PreparedGraph::for_each_edge`] (monomorphized slice loop for in-memory
-//! graphs, streaming replay otherwise); [`PreparedGraph::graph`] returns a
-//! typed [`SourceBackedGraph`] error on source-backed contexts, so even a
-//! long-running daemon can never be crashed by an accessor that assumes an
-//! in-memory edge list.
+//! one context can serve a whole profiling fan-out. No context ever
+//! materializes an owned `Vec<Edge>`: derived structure is built straight off
+//! the source's replayable stream, and edge access goes through
+//! [`PreparedGraph::for_each_edge`] (monomorphized slice loop when the source
+//! has its edges in memory, streaming replay otherwise).
 //!
 //! ```
 //! use ease_graph::{Graph, PreparedGraph, PropertyTier};
@@ -64,43 +64,19 @@ use crate::source::{each_edge, fingerprint_source, GraphSource};
 use crate::triangles::{self, TriangleStats, TriangleTable};
 use crate::types::Edge;
 
-/// Typed error of [`PreparedGraph::graph`]: the context is backed by a
-/// replayable [`GraphSource`] (mmap'd `.bel`, streamed text, …) and holds
-/// no in-memory [`Graph`] to hand out. Materializing one would defeat the
-/// zero-copy ingestion path, so the accessor refuses instead — with an
-/// error a server loop can route, not a panic that would take the process
-/// down.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceBackedGraph;
-
-impl std::fmt::Display for SourceBackedGraph {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "graph context is source-backed (mmap/stream): no in-memory edge list \
-             is materialized; use for_each_edge or try_graph"
-        )
-    }
-}
-
-impl std::error::Error for SourceBackedGraph {}
-
-/// How the context holds its graph: a borrowed or `Arc`-shared in-memory
-/// [`Graph`], or any other [`GraphSource`] (borrowed or owned).
+/// How the context holds its source. A `&Graph` is a `&dyn GraphSource` and
+/// an owned `Graph` or `Arc<Graph>` a `Box<dyn GraphSource>`, like every other
+/// backend.
 enum GraphHandle<'g> {
-    Borrowed(&'g Graph),
-    Shared(Arc<Graph>),
-    SourceRef(&'g dyn GraphSource),
-    SourceOwned(Box<dyn GraphSource + 'g>),
+    Borrowed(&'g dyn GraphSource),
+    Owned(Box<dyn GraphSource + 'g>),
 }
 
-/// A graph plus lazily built, memoized derived structure. See the module
-/// docs for the motivation; the short version is *build once, share
-/// everywhere* — now over any ingestion backend.
+/// A graph source plus lazily built, memoized derived structure. See the
+/// module docs for the motivation; the short version is *build once, share
+/// everywhere*, over any ingestion backend.
 pub struct PreparedGraph<'g> {
     handle: GraphHandle<'g>,
-    out_csr: OnceLock<Csr>,
-    in_csr: OnceLock<Csr>,
     undirected_simple: OnceLock<Csr>,
     degrees: OnceLock<DegreeTable>,
     triangles: OnceLock<TriangleTable>,
@@ -113,7 +89,7 @@ pub struct PreparedGraph<'g> {
     /// in-heap build, spill to a mapped temp file when the charge is
     /// refused. `None` = in-heap always, exactly the pre-budget behaviour.
     budget: Option<Arc<MemoryBudget>>,
-    /// Bytes this context has charged to `budget` for its memoized CSRs
+    /// Bytes this context has charged to `budget` for its memoized CSR
     /// (released on drop).
     charged: AtomicUsize,
     /// Observability hook: how many CSR builds went out of core.
@@ -125,9 +101,7 @@ impl std::fmt::Debug for PreparedGraph<'_> {
         f.debug_struct("PreparedGraph")
             .field("num_vertices", &self.num_vertices())
             .field("num_edges", &self.num_edges())
-            .field("in_memory", &self.try_graph().is_some())
-            .field("out_csr", &self.out_csr.get().is_some())
-            .field("in_csr", &self.in_csr.get().is_some())
+            .field("in_memory", &self.source().edge_slice().is_some())
             .field("undirected_simple", &self.undirected_simple.get().is_some())
             .field("degrees", &self.degrees.get().is_some())
             .field("triangle_counts", &self.triangles.get().is_some())
@@ -140,38 +114,29 @@ impl<'g> PreparedGraph<'g> {
     /// Borrow `graph` without copying it. The context lives at most as long
     /// as the graph.
     pub fn of(graph: &'g Graph) -> PreparedGraph<'g> {
-        Self::from_handle(GraphHandle::Borrowed(graph))
+        Self::of_source(graph)
     }
 
-    /// Take ownership of `graph` (wrapped in an `Arc` so the context can
-    /// later hand out shared references).
+    /// Take ownership of `graph`.
     pub fn new(graph: Graph) -> PreparedGraph<'static> {
-        PreparedGraph::from_arc(Arc::new(graph))
-    }
-
-    /// Share an already `Arc`-owned graph — the profiling fan-out path:
-    /// workers receive clones of the `Arc`, never of the edge list.
-    pub fn from_arc(graph: Arc<Graph>) -> PreparedGraph<'static> {
-        PreparedGraph::from_handle(GraphHandle::Shared(graph))
+        PreparedGraph::from_source(Box::new(graph))
     }
 
     /// Borrow any [`GraphSource`] — the zero-copy ingestion path: a
     /// memory-mapped `.bel` file or a streaming text reader feeds the
     /// context directly, and no owned `Vec<Edge>` is ever materialized.
     pub fn of_source(source: &'g dyn GraphSource) -> PreparedGraph<'g> {
-        Self::from_handle(GraphHandle::SourceRef(source))
+        Self::from_handle(GraphHandle::Borrowed(source))
     }
 
     /// Take ownership of a [`GraphSource`].
     pub fn from_source(source: Box<dyn GraphSource + 'g>) -> PreparedGraph<'g> {
-        Self::from_handle(GraphHandle::SourceOwned(source))
+        Self::from_handle(GraphHandle::Owned(source))
     }
 
     fn from_handle(handle: GraphHandle<'g>) -> Self {
         PreparedGraph {
             handle,
-            out_csr: OnceLock::new(),
-            in_csr: OnceLock::new(),
             undirected_simple: OnceLock::new(),
             degrees: OnceLock::new(),
             triangles: OnceLock::new(),
@@ -184,21 +149,16 @@ impl<'g> PreparedGraph<'g> {
     }
 
     /// Attach a (shareable) memory budget: each CSR about to be built —
-    /// the memoized adjacencies and the triangle kernel's transient forward
-    /// lists — charges its heap bytes first, and a refused charge reroutes
-    /// the build out of core — spilled to an unlinked `EASECSR1` temp file
-    /// and mmapped read-only (see [`crate::spill`]). Every derived result
-    /// is bit-identical either way; the forward lists' charge is released
-    /// when the kernel is done with them, the others when the context
-    /// drops.
+    /// the memoized undirected adjacency and the triangle kernel's transient
+    /// forward lists — charges its heap bytes first, and a refused charge
+    /// reroutes the build out of core — spilled to an unlinked `EASECSR1`
+    /// temp file and mmapped read-only (see [`crate::spill`]). Every derived
+    /// result is bit-identical either way; the forward lists' charge is
+    /// released when the kernel is done with them, the adjacency's when the
+    /// context drops.
     pub fn with_memory_budget(mut self, budget: Arc<MemoryBudget>) -> Self {
         self.budget = Some(budget);
         self
-    }
-
-    /// The attached memory budget, if any.
-    pub fn memory_budget(&self) -> Option<&Arc<MemoryBudget>> {
-        self.budget.as_ref()
     }
 
     /// How many CSRs were built out of core so far (0 without a budget or
@@ -207,21 +167,15 @@ impl<'g> PreparedGraph<'g> {
         self.spilled_builds.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter)
     }
 
-    /// Heap-or-spill decision for every CSR this context builds; returns
-    /// the CSR and the bytes charged for it, which the caller owes back to
+    /// Heap-or-spill decision for every (simplified) CSR this context builds;
+    /// returns the CSR and the bytes charged for it, which the caller owes back to
     /// the budget. No budget — or a granted charge — builds in heap exactly
     /// as before; a refused charge streams the build through a bounded
     /// chunk into a spill file. A spill I/O failure (full temp disk,
     /// unwritable dir) falls back to the in-heap build: correctness over
     /// the budget, and a daemon that degrades instead of dying.
-    fn build_csr(&self, route: Route<'_>, simplify: bool) -> (Csr, usize) {
-        let in_heap = || {
-            if simplify {
-                Csr::build_simple_source(self.source(), route)
-            } else {
-                Csr::build_source(self.source(), route)
-            }
-        };
+    fn build_csr(&self, route: Route<'_>) -> (Csr, usize) {
+        let in_heap = || Csr::build_simple_source(self.source(), route);
         let Some(budget) = &self.budget else { return (in_heap(), 0) };
         // what the placement pass allocates, before any simplify: |E| bounds
         // the forward lists' one entry per non-loop edge
@@ -236,7 +190,7 @@ impl<'g> PreparedGraph<'g> {
         match Csr::build_spilled(
             self.source(),
             route,
-            simplify,
+            true,
             budget.spill_chunk_bytes(),
             budget.spill_dir(),
         ) {
@@ -250,54 +204,12 @@ impl<'g> PreparedGraph<'g> {
         }
     }
 
-    /// [`Self::build_csr`] for a CSR that lives as long as the context: its
-    /// charge is returned on drop.
-    fn build_memoized_csr(&self, direction: Direction, simplify: bool) -> Csr {
-        let (csr, bytes) = self.build_csr(direction.into(), simplify);
-        // lint: relaxed-ok(accounting counter read only by our own Drop)
-        self.charged.fetch_add(bytes, Ordering::Relaxed);
-        csr
-    }
-
     /// The ingestion source backing this context.
     #[inline]
     pub fn source(&self) -> &dyn GraphSource {
         match &self.handle {
-            GraphHandle::Borrowed(g) => *g,
-            GraphHandle::Shared(g) => g.as_ref(),
-            GraphHandle::SourceRef(s) => *s,
-            GraphHandle::SourceOwned(s) => s.as_ref(),
-        }
-    }
-
-    /// The underlying in-memory graph. Source-backed contexts (mmap /
-    /// stream) exist precisely so no owned edge list is materialized, so
-    /// for them this is a typed [`SourceBackedGraph`] error — never a
-    /// panic. Long-running callers (the `ease serve` daemon) must stay
-    /// alive no matter which ingestion backend a request arrives on; use
-    /// [`PreparedGraph::for_each_edge`] for backend-agnostic edge access
-    /// or [`PreparedGraph::try_graph`] when `Option` is more convenient.
-    #[inline]
-    pub fn graph(&self) -> Result<&Graph, SourceBackedGraph> {
-        self.try_graph().ok_or(SourceBackedGraph)
-    }
-
-    /// The underlying in-memory graph, if this context wraps one.
-    #[inline]
-    pub fn try_graph(&self) -> Option<&Graph> {
-        match &self.handle {
-            GraphHandle::Borrowed(g) => Some(g),
-            GraphHandle::Shared(g) => Some(g),
-            GraphHandle::SourceRef(_) | GraphHandle::SourceOwned(_) => None,
-        }
-    }
-
-    /// A shared handle to the graph, if the context owns one
-    /// (`None` for borrowed or source-backed contexts).
-    pub fn shared_graph(&self) -> Option<Arc<Graph>> {
-        match &self.handle {
-            GraphHandle::Shared(g) => Some(Arc::clone(g)),
-            _ => None,
+            GraphHandle::Borrowed(s) => *s,
+            GraphHandle::Owned(s) => s.as_ref(),
         }
     }
 
@@ -330,31 +242,19 @@ impl<'g> PreparedGraph<'g> {
         });
     }
 
-    /// The edges as a contiguous slice, when the backend has them in
-    /// memory (`None` for mmap/stream backends).
-    #[inline]
-    pub fn edge_slice(&self) -> Option<&[Edge]> {
-        self.source().edge_slice()
-    }
-
-    /// Out-neighbor adjacency, built on first use.
-    pub fn out_csr(&self) -> &Csr {
-        self.out_csr.get_or_init(|| self.build_memoized_csr(Direction::Out, false))
-    }
-
-    /// In-neighbor adjacency, built on first use.
-    pub fn in_csr(&self) -> &Csr {
-        self.in_csr.get_or_init(|| self.build_memoized_csr(Direction::In, false))
-    }
-
-    /// Undirected *simple* adjacency (sorted lists, no loops/duplicates) —
-    /// the input of neighborhood expansion. Built at most once per context,
-    /// and only for callers of this accessor: no property tier needs it.
+    /// Undirected *simple* adjacency (sorted lists, no loops/duplicates).
+    /// Built at most once per context, and only for callers of this
+    /// accessor: no property tier and no partitioner reads it — it is kept
+    /// for the benchmark harness's traced cold operation. Its budget charge
+    /// lives as long as the context and is returned on drop.
     pub fn undirected_simple(&self) -> &Csr {
         self.undirected_simple.get_or_init(|| {
             // lint: relaxed-ok(diagnostic build counter; OnceLock publishes the CSR itself)
             self.undirected_builds.fetch_add(1, Ordering::Relaxed);
-            self.build_memoized_csr(Direction::Undirected, true)
+            let (csr, bytes) = self.build_csr(Direction::Undirected.into());
+            // lint: relaxed-ok(accounting counter read only by our own Drop)
+            self.charged.fetch_add(bytes, Ordering::Relaxed);
+            csr
         })
     }
 
@@ -387,7 +287,7 @@ impl<'g> PreparedGraph<'g> {
         self.triangles.get_or_init(|| {
             let mut charged = 0;
             let table = triangles::count_with(&self.degrees().total, |rank| {
-                let (forward, bytes) = self.build_csr(Route::Forward(rank), true);
+                let (forward, bytes) = self.build_csr(Route::Forward(rank));
                 charged = bytes;
                 forward
             });
@@ -406,7 +306,7 @@ impl<'g> PreparedGraph<'g> {
 
     /// Averaged triangle statistics (`t(G)`, `C(G)`) from the memoized
     /// counts and simple-graph degrees — bit-identical to
-    /// [`triangles::triangle_stats`] on the same graph.
+    /// [`triangles::stats_from_parts`] over the materialized adjacency.
     pub fn triangle_stats(&self) -> TriangleStats {
         self.triangle_table().stats()
     }
@@ -504,17 +404,15 @@ mod tests {
         let prepared = PreparedGraph::of(&g);
         for v in 0..g.num_vertices() as u32 {
             assert_eq!(
-                prepared.out_csr().neighbors(v),
-                Csr::build(&g, Direction::Out).neighbors(v)
-            );
-            assert_eq!(prepared.in_csr().neighbors(v), Csr::build(&g, Direction::In).neighbors(v));
-            assert_eq!(
                 prepared.undirected_simple().neighbors(v),
                 Csr::build_undirected_simple(&g).neighbors(v)
             );
         }
         assert_eq!(prepared.degrees().total, g.total_degrees());
-        assert_eq!(prepared.triangle_counts(), triangles::triangle_counts(&g).as_slice());
+        assert_eq!(
+            prepared.triangle_counts(),
+            triangles::count_source(&g, &g.total_degrees()).counts
+        );
     }
 
     #[test]
@@ -522,14 +420,12 @@ mod tests {
         let g = toy();
         let borrowed = PreparedGraph::of(&g);
         let owned = PreparedGraph::new(g.clone());
-        let shared = PreparedGraph::from_arc(Arc::new(g.clone()));
+        let arc = Arc::new(g.clone());
+        let shared = PreparedGraph::from_source(Box::new(Arc::clone(&arc)));
         assert_eq!(borrowed.fingerprint(), owned.fingerprint());
         assert_eq!(owned.fingerprint(), shared.fingerprint());
-        assert!(borrowed.shared_graph().is_none());
-        let arc = shared.shared_graph().expect("shared context owns an Arc");
-        assert_eq!(arc.num_edges(), shared.num_edges());
-        // Arc sharing: no deep copy, the clone points at the same allocation
-        assert!(Arc::ptr_eq(&arc, &shared.shared_graph().unwrap()));
+        // Arc sharing: no deep copy, the context reads the same allocation
+        assert_eq!(shared.source().edge_slice().map(<[Edge]>::as_ptr), Some(arc.edges().as_ptr()));
     }
 
     #[test]
@@ -538,8 +434,7 @@ mod tests {
         let via_graph = PreparedGraph::of(&g);
         let hidden = NoSlice(g.clone());
         let via_source = PreparedGraph::of_source(&hidden);
-        assert!(via_source.try_graph().is_none());
-        assert!(via_source.edge_slice().is_none());
+        assert!(via_source.source().edge_slice().is_none());
         assert_eq!(via_source.num_vertices(), via_graph.num_vertices());
         assert_eq!(via_source.num_edges(), via_graph.num_edges());
         assert_eq!(via_source.fingerprint(), via_graph.fingerprint());
@@ -549,7 +444,10 @@ mod tests {
         );
         assert_eq!(via_source.degrees().total, via_graph.degrees().total);
         for v in 0..g.num_vertices() as u32 {
-            assert_eq!(via_source.out_csr().neighbors(v), via_graph.out_csr().neighbors(v));
+            assert_eq!(
+                via_source.undirected_simple().neighbors(v),
+                via_graph.undirected_simple().neighbors(v)
+            );
         }
         // indexed replay sees the same stream
         let mut seen = Vec::new();
@@ -560,19 +458,6 @@ mod tests {
         let owned = PreparedGraph::from_source(Box::new(NoSlice(g.clone())));
         assert_eq!(owned.fingerprint(), via_graph.fingerprint());
         assert_eq!(collect_source(owned.source()), g);
-    }
-
-    #[test]
-    fn graph_accessor_is_a_typed_error_on_source_backed_contexts() {
-        let hidden = NoSlice(toy());
-        let prepared = PreparedGraph::of_source(&hidden);
-        // never a panic: a daemon serving mmap'd inputs must survive any
-        // caller that assumed an in-memory edge list
-        assert_eq!(prepared.graph().unwrap_err(), SourceBackedGraph);
-        assert!(prepared.graph().unwrap_err().to_string().contains("source-backed"));
-        let g = toy();
-        let in_memory = PreparedGraph::of(&g);
-        assert_eq!(in_memory.graph().expect("graph-backed").num_edges(), g.num_edges());
     }
 
     #[test]
@@ -628,9 +513,7 @@ mod tests {
         let zero = Arc::new(MemoryBudget::bytes(0).with_spill_dir(&dir));
         let spilled = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&zero));
         assert!(spilled.undirected_simple().is_spilled() || cfg!(not(unix)));
-        let _ = spilled.out_csr();
-        let _ = spilled.in_csr();
-        assert_eq!(spilled.spilled_csr_builds(), 3);
+        assert_eq!(spilled.spilled_csr_builds(), 1);
         assert_eq!(zero.charged(), 0, "spilled builds charge nothing");
 
         let unlimited = Arc::new(MemoryBudget::unlimited());
@@ -644,8 +527,8 @@ mod tests {
             spilled.properties(PropertyTier::Advanced),
             PreparedGraph::of(&g).properties(PropertyTier::Advanced)
         );
-        assert_eq!(spilled.spilled_csr_builds(), 4);
-        assert_eq!(zero.spill_events(), 4);
+        assert_eq!(spilled.spilled_csr_builds(), 2);
+        assert_eq!(zero.spill_events(), 2);
         assert_eq!(zero.charged(), 0);
         assert_eq!(in_heap.properties(PropertyTier::Advanced).avg_triangles, Some(3.0));
         assert_eq!(in_heap.spilled_csr_builds(), 0);
@@ -659,10 +542,8 @@ mod tests {
         let budget = Arc::new(MemoryBudget::bytes(1 << 20));
         {
             let prepared = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&budget));
-            let _ = prepared.out_csr();
             let _ = prepared.undirected_simple();
-            let expected = Csr::heap_bytes(g.num_vertices(), g.num_edges())
-                + Csr::heap_bytes(g.num_vertices(), 2 * g.num_edges());
+            let expected = Csr::heap_bytes(g.num_vertices(), 2 * g.num_edges());
             assert_eq!(budget.charged(), expected);
             // the kernel's forward lists are charged only while they live
             let _ = prepared.triangle_stats();

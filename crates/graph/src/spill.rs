@@ -27,7 +27,7 @@
 //! Hygiene: the writer unlinks the file immediately after mapping it
 //! (`O_TMPFILE`-style), so even a SIGKILLed daemon cannot leak spill files
 //! — the kernel reclaims the blocks when the mapping drops. Every error
-//! path between create and finish is covered by a [`SpillGuard`] that
+//! path between create and finish is covered by a `SpillGuard` that
 //! unlinks on drop.
 
 use crate::mmap::Mmap;
@@ -257,11 +257,6 @@ impl MappedCsr {
 
     pub fn num_entries(&self) -> usize {
         self.num_entries
-    }
-
-    /// Bytes held by the backing mapping (the spill file size).
-    pub fn mapped_bytes(&self) -> usize {
-        self.map.as_slice().len()
     }
 
     #[inline]

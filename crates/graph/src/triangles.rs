@@ -31,7 +31,6 @@
 //!    permuted back to vertex-id order once at the end.
 
 use crate::csr::{Csr, Route};
-use crate::edge_list::Graph;
 use crate::source::GraphSource;
 use crate::types::VertexId;
 
@@ -48,15 +47,6 @@ impl TriangleTable {
     pub fn stats(&self) -> TriangleStats {
         averaged(&self.counts, |v| self.degrees[v] as usize)
     }
-}
-
-/// Per-vertex triangle counts `t(v)` of the undirected simple graph.
-pub fn triangle_counts(graph: &Graph) -> Vec<u64> {
-    count_graph(graph).counts
-}
-
-fn count_graph(graph: &Graph) -> TriangleTable {
-    count_source(graph, &graph.total_degrees())
 }
 
 /// The kernel over any edge stream: `total_degrees[v]` is the number of edge
@@ -154,12 +144,9 @@ fn scan_forward_lists(fwd: &Csr) -> (Vec<u64>, Vec<u32>) {
     (counts, degrees)
 }
 
-/// Average number of triangles per vertex, `t(G) = (1/|V|) Σ t(v)`.
-pub fn avg_triangles(graph: &Graph) -> f64 {
-    triangle_stats(graph).avg_triangles
-}
-
-/// `c(v)` of one vertex from its triangle count and its degree — the one
+/// Local clustering coefficient of one vertex from its triangle count and
+/// its degree in the undirected simple graph:
+/// `c(v) = t(v) / (0.5 · deg(v) · (deg(v)−1))`, 0 for deg < 2 — the one
 /// spelling every clustering figure in this module goes through.
 fn clustering(triangles: u64, degree: usize) -> f64 {
     let d = degree as f64;
@@ -170,28 +157,11 @@ fn clustering(triangles: u64, degree: usize) -> f64 {
     }
 }
 
-/// Local clustering coefficient per vertex:
-/// `c(v) = t(v) / (0.5 · deg(v) · (deg(v)−1))`, 0 for deg < 2.
-/// Degrees are taken in the undirected simple graph.
-pub fn local_clustering(graph: &Graph) -> Vec<f64> {
-    let table = count_graph(graph);
-    table.counts.iter().zip(&table.degrees).map(|(&t, &d)| clustering(t, d as usize)).collect()
-}
-
-/// Average local clustering coefficient `C(G)`.
-pub fn avg_local_clustering(graph: &Graph) -> f64 {
-    triangle_stats(graph).avg_lcc
-}
-
-/// Triangle metrics computed in one pass (shared forward build).
+/// The averaged triangle metrics: `t(G) = (1/|V|) Σ t(v)` and the average
+/// local clustering coefficient `C(G)`.
 pub struct TriangleStats {
     pub avg_triangles: f64,
     pub avg_lcc: f64,
-}
-
-/// Compute both averaged triangle statistics with a single kernel run.
-pub fn triangle_stats(graph: &Graph) -> TriangleStats {
-    count_graph(graph).stats()
 }
 
 /// Averaged triangle statistics from an undirected simple adjacency and its
@@ -220,53 +190,57 @@ fn averaged(t: &[u64], degree: impl Fn(usize) -> usize) -> TriangleStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Graph, PreparedGraph};
 
     #[test]
     fn triangle_in_k3() {
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0)]);
-        assert_eq!(triangle_counts(&g), vec![1, 1, 1]);
-        assert!((avg_triangles(&g) - 1.0).abs() < 1e-12);
-        assert!((avg_local_clustering(&g) - 1.0).abs() < 1e-12);
+        let prepared = PreparedGraph::of(&g);
+        assert_eq!(prepared.triangle_counts(), [1, 1, 1]);
+        assert!((prepared.triangle_stats().avg_triangles - 1.0).abs() < 1e-12);
+        assert!((prepared.triangle_stats().avg_lcc - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn no_triangle_in_path() {
         let g = Graph::from_pairs([(0, 1), (1, 2)]);
-        assert_eq!(triangle_counts(&g), vec![0, 0, 0]);
-        assert_eq!(avg_local_clustering(&g), 0.0);
+        let prepared = PreparedGraph::of(&g);
+        assert_eq!(prepared.triangle_counts(), [0, 0, 0]);
+        assert_eq!(prepared.triangle_stats().avg_lcc, 0.0);
     }
 
     #[test]
     fn k4_has_four_triangles() {
         let g = Graph::from_pairs([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]);
         // Each vertex of K4 participates in C(3,2) = 3 triangles.
-        assert_eq!(triangle_counts(&g), vec![3, 3, 3, 3]);
-        assert!((avg_local_clustering(&g) - 1.0).abs() < 1e-12);
+        let prepared = PreparedGraph::of(&g);
+        assert_eq!(prepared.triangle_counts(), [3, 3, 3, 3]);
+        assert!((prepared.triangle_stats().avg_lcc - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn direction_and_duplicates_ignored() {
         // Same triangle expressed with reversed/duplicated edges.
         let g = Graph::from_pairs([(1, 0), (0, 1), (1, 2), (0, 2), (2, 0)]);
-        assert_eq!(triangle_counts(&g), vec![1, 1, 1]);
+        assert_eq!(PreparedGraph::of(&g).triangle_counts(), [1, 1, 1]);
     }
 
     #[test]
     fn lcc_of_star_is_zero() {
         let g = Graph::from_pairs([(0, 1), (0, 2), (0, 3), (0, 4)]);
-        assert_eq!(avg_local_clustering(&g), 0.0);
+        assert_eq!(PreparedGraph::of(&g).triangle_stats().avg_lcc, 0.0);
     }
 
     #[test]
     fn lcc_hand_computed_square_with_diagonal() {
         // Square 0-1-2-3 plus diagonal 0-2: triangles {0,1,2} and {0,2,3}.
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]);
-        let t = triangle_counts(&g);
-        assert_eq!(t, vec![2, 1, 2, 1]);
-        let c = local_clustering(&g);
+        let table = count_source(&g, &g.total_degrees());
+        assert_eq!(table.counts, vec![2, 1, 2, 1]);
+        let c = |v: usize| clustering(table.counts[v], table.degrees[v] as usize);
         // deg(0)=3 -> c= 2/3; deg(1)=2 -> 1/1 = 1
-        assert!((c[0] - 2.0 / 3.0).abs() < 1e-12);
-        assert!((c[1] - 1.0).abs() < 1e-12);
+        assert!((c(0) - 2.0 / 3.0).abs() < 1e-12);
+        assert!((c(1) - 1.0).abs() < 1e-12);
     }
 
     /// Closed-form counts on shapes that stress one part of the kernel
@@ -275,38 +249,40 @@ mod tests {
     #[test]
     fn worst_case_shapes_have_their_closed_form_counts() {
         let star = Graph::from_pairs((1..=50).map(|leaf| (0, leaf)));
-        assert_eq!(triangle_counts(&star), vec![0; 51]);
+        assert_eq!(PreparedGraph::of(&star).triangle_counts(), [0; 51]);
 
         // a multigraph star: 50 parallel spokes to leaf 1 make it outrank
         // leaves 2 and 3 by raw degree (51 against 2) although all three have
         // simple degree 2; hub 0 closes one triangle with 2 and 3
         let spokes = (0..50).map(|_| (0, 1)).chain([(0, 2), (0, 3), (2, 3), (1, 4)]);
-        let table = count_graph(&Graph::from_pairs(spokes));
+        let multi = Graph::from_pairs(spokes);
+        let table = count_source(&multi, &multi.total_degrees());
         assert_eq!(table.counts, vec![1, 0, 1, 1, 0]);
         assert_eq!(table.degrees, vec![3, 2, 2, 2, 1]);
 
         let clique = Graph::from_pairs((0..20).flat_map(|a| (a + 1..20).map(move |b| (a, b))));
         // every pair of the other 19 vertices closes a triangle
-        assert_eq!(triangle_counts(&clique), vec![19 * 18 / 2; 20]);
+        assert_eq!(PreparedGraph::of(&clique).triangle_counts(), [19 * 18 / 2; 20]);
 
         let bipartite = Graph::from_pairs((0..8).flat_map(|a| (8..16).map(move |b| (a, b))));
-        assert_eq!(triangle_counts(&bipartite), vec![0; 16]);
+        assert_eq!(PreparedGraph::of(&bipartite).triangle_counts(), [0; 16]);
 
         // hubs 0 and 1 share leaves 2..=31: without the hub-hub edge there
         // is no triangle, with it every leaf closes one
         let leaves = || (2..32).flat_map(|leaf| [(0, leaf), (1, leaf)]);
-        assert_eq!(triangle_counts(&Graph::from_pairs(leaves())), vec![0; 32]);
+        assert_eq!(PreparedGraph::new(Graph::from_pairs(leaves())).triangle_counts(), [0; 32]);
         let mut want = vec![1u64; 32];
         want[0] = 30;
         want[1] = 30;
-        assert_eq!(triangle_counts(&Graph::from_pairs(leaves().chain([(0, 1)]))), want);
+        let closed = Graph::from_pairs(leaves().chain([(0, 1)]));
+        assert_eq!(PreparedGraph::of(&closed).triangle_counts(), want);
     }
 
     #[test]
     fn empty_and_edgeless_graphs_count_nothing() {
-        assert_eq!(triangle_counts(&Graph::empty(0)), Vec::<u64>::new());
-        assert_eq!(triangle_counts(&Graph::empty(5)), vec![0; 5]);
-        let s = triangle_stats(&Graph::empty(0));
+        assert_eq!(PreparedGraph::new(Graph::empty(0)).triangle_counts(), [0u64; 0]);
+        assert_eq!(PreparedGraph::new(Graph::empty(5)).triangle_counts(), [0; 5]);
+        let s = PreparedGraph::new(Graph::empty(0)).triangle_stats();
         assert_eq!((s.avg_triangles, s.avg_lcc), (0.0, 0.0));
     }
 
@@ -315,7 +291,7 @@ mod tests {
     #[test]
     fn counts_are_indexed_by_vertex_id() {
         let g = Graph::from_pairs([(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (5, 6), (6, 7), (5, 7)]);
-        assert_eq!(triangle_counts(&g), vec![0, 0, 0, 0, 0, 1, 1, 1]);
+        assert_eq!(PreparedGraph::of(&g).triangle_counts(), [0, 0, 0, 0, 0, 1, 1, 1]);
     }
 
     /// Raw forward lists (parallel edges kept, unsorted) are not a valid
@@ -326,13 +302,5 @@ mod tests {
     fn non_simple_adjacency_is_refused_in_debug_builds() {
         let g = Graph::from_pairs([(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)]);
         count_with(&g.total_degrees(), |rank| Csr::build_source(&g, Route::Forward(rank)));
-    }
-
-    #[test]
-    fn stats_consistent_with_individual_functions() {
-        let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3), (3, 4)]);
-        let s = triangle_stats(&g);
-        assert!((s.avg_triangles - avg_triangles(&g)).abs() < 1e-12);
-        assert!((s.avg_lcc - avg_local_clustering(&g)).abs() < 1e-12);
     }
 }

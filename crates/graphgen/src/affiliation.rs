@@ -64,7 +64,7 @@ impl Affiliation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ease_graph::{triangles, DegreeTable};
+    use ease_graph::{DegreeTable, PreparedGraph};
 
     #[test]
     fn edges_are_strictly_bipartite() {
@@ -76,7 +76,7 @@ mod tests {
     #[test]
     fn bipartite_graphs_have_no_triangles() {
         let g = Affiliation::new(400, 40, 2.5, 2).generate();
-        assert_eq!(triangles::avg_triangles(&g), 0.0);
+        assert_eq!(PreparedGraph::of(&g).triangle_stats().avg_triangles, 0.0);
     }
 
     #[test]

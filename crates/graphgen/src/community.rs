@@ -109,7 +109,7 @@ impl CommunityGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ease_graph::triangles;
+    use ease_graph::PreparedGraph;
 
     #[test]
     fn exact_edge_count() {
@@ -122,8 +122,8 @@ mod tests {
     fn low_mixing_is_more_clustered() {
         let tight = CommunityGraph::new(2_000, 16_000, 0.05, 3).generate();
         let loose = CommunityGraph::new(2_000, 16_000, 0.9, 3).generate();
-        let ct = triangles::avg_local_clustering(&tight);
-        let cl = triangles::avg_local_clustering(&loose);
+        let ct = PreparedGraph::of(&tight).triangle_stats().avg_lcc;
+        let cl = PreparedGraph::of(&loose).triangle_stats().avg_lcc;
         assert!(ct > 2.0 * cl, "tight={ct:.4} loose={cl:.4}");
     }
 

@@ -58,7 +58,7 @@ impl ErdosRenyi {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ease_graph::triangles;
+    use ease_graph::PreparedGraph;
 
     #[test]
     fn exact_edge_count_and_simplicity() {
@@ -82,7 +82,7 @@ mod tests {
     fn sparse_er_has_low_clustering() {
         let g = ErdosRenyi::new(2_000, 8_000, 1).generate();
         // expected LCC ≈ p ≈ m / (n(n-1)) ≈ 0.002
-        assert!(triangles::avg_local_clustering(&g) < 0.05);
+        assert!(PreparedGraph::of(&g).triangle_stats().avg_lcc < 0.05);
     }
 
     #[test]

@@ -32,11 +32,6 @@ impl Scale {
         }
     }
 
-    /// Scale a paper-sized count down, keeping at least `min`.
-    pub fn scale_count(self, paper: usize, min: usize) -> usize {
-        (paper >> self.log2_factor()).max(min)
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             Scale::Tiny => "tiny",

@@ -76,7 +76,7 @@ impl HolmeKim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ease_graph::triangles;
+    use ease_graph::PreparedGraph;
 
     #[test]
     fn produces_expected_edge_count() {
@@ -88,8 +88,8 @@ mod tests {
     fn triad_probability_raises_clustering() {
         let low = HolmeKim::new(1_500, 3, 0.0, 7).generate();
         let high = HolmeKim::new(1_500, 3, 0.95, 7).generate();
-        let c_low = triangles::avg_local_clustering(&low);
-        let c_high = triangles::avg_local_clustering(&high);
+        let c_low = PreparedGraph::of(&low).triangle_stats().avg_lcc;
+        let c_high = PreparedGraph::of(&high).triangle_stats().avg_lcc;
         assert!(c_high > 2.0 * c_low, "clustering low={c_low:.4} high={c_high:.4}");
     }
 

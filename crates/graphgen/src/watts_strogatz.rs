@@ -54,7 +54,7 @@ impl WattsStrogatz {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ease_graph::{triangles, DegreeTable};
+    use ease_graph::{DegreeTable, PreparedGraph};
 
     #[test]
     fn lattice_edge_count() {
@@ -66,7 +66,7 @@ mod tests {
     fn zero_rewire_is_clustered_lattice() {
         let g = WattsStrogatz::new(500, 6, 0.0, 1).generate();
         // k=6 ring lattice has LCC = 0.6 exactly
-        let c = triangles::avg_local_clustering(&g);
+        let c = PreparedGraph::of(&g).triangle_stats().avg_lcc;
         assert!((c - 0.6).abs() < 0.01, "c={c}");
     }
 
@@ -75,7 +75,8 @@ mod tests {
         let lat = WattsStrogatz::new(800, 6, 0.0, 2).generate();
         let rnd = WattsStrogatz::new(800, 6, 1.0, 2).generate();
         assert!(
-            triangles::avg_local_clustering(&rnd) < 0.2 * triangles::avg_local_clustering(&lat)
+            PreparedGraph::of(&rnd).triangle_stats().avg_lcc
+                < 0.2 * PreparedGraph::of(&lat).triangle_stats().avg_lcc
         );
     }
 

@@ -4,20 +4,16 @@
 
 use crate::dataset::Dataset;
 use crate::metrics::mape;
+use crate::rng::SplitMix64;
 use crate::zoo::ModelConfig;
 
 /// Deterministically shuffled K-fold index sets.
 pub fn kfold_indices(n: usize, folds: usize, seed: u64) -> Vec<Vec<usize>> {
     assert!(folds >= 2, "need at least 2 folds");
     let mut order: Vec<usize> = (0..n).collect();
-    let mut state = seed ^ 0xF01D;
+    let mut rng = SplitMix64::new(seed ^ 0xF01D);
     for i in (1..n).rev() {
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut x = state;
-        x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        x ^= x >> 31;
-        order.swap(i, (x % (i as u64 + 1)) as usize);
+        order.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
     }
     let mut out = vec![Vec::new(); folds];
     for (i, &idx) in order.iter().enumerate() {

@@ -42,11 +42,6 @@ impl Matrix {
     }
 
     #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    #[inline]
     pub fn get(&self, i: usize, j: usize) -> f64 {
         self.data[i * self.cols + j]
     }
@@ -124,15 +119,6 @@ impl Dataset {
         }
     }
 
-    /// Append all rows of another dataset (same schema) — the enrichment
-    /// operation of paper Sec. V-D.
-    pub fn extend_from(&mut self, other: &Dataset) {
-        assert_eq!(self.feature_names, other.feature_names, "schema mismatch");
-        for i in 0..other.len() {
-            self.push(other.x.row(i), other.y[i]);
-        }
-    }
-
     /// Write as CSV (features then `target` column).
     pub fn write_csv(&self, path: &Path) -> io::Result<()> {
         let f = std::fs::File::create(path)?;
@@ -181,17 +167,6 @@ mod tests {
         let s = ds.select(&[1]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.y, vec![20.0]);
-    }
-
-    #[test]
-    fn dataset_extend() {
-        let mut a = Dataset::new(vec!["f".into()]);
-        a.push(&[1.0], 1.0);
-        let mut b = Dataset::new(vec!["f".into()]);
-        b.push(&[2.0], 2.0);
-        a.extend_from(&b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.y, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use crate::dataset::Matrix;
 use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_FOREST};
+use crate::rng::SplitMix64;
 use crate::tree::{decode_trees, encode_trees, Binner, RegressionTree, TreeParams};
 use crate::Regressor;
 
@@ -45,7 +46,7 @@ impl RandomForest {
 
     /// Inverse of [`Regressor::encode`]. Prediction averages over the
     /// trees, so there must be at least one.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_FOREST)?;
         let params = ForestParams {
             n_trees: r.take_usize()?,
@@ -54,11 +55,11 @@ impl RandomForest {
             feature_fraction: r.take_f64()?,
             seed: r.take_u64()?,
         };
-        let (n_features, trees) = decode_trees(r)?;
+        let trees = decode_trees(r, width)?;
         if trees.is_empty() {
             return Err(PersistError::Corrupt("forest has no trees (never fitted)".into()));
         }
-        Ok(RandomForest { params, trees, n_features })
+        Ok(RandomForest { params, trees, n_features: width })
     }
 }
 
@@ -72,12 +73,12 @@ impl Regressor for RandomForest {
         let max_features =
             ((x.cols as f64 * self.params.feature_fraction).ceil() as usize).clamp(1, x.cols);
         self.trees.clear();
-        let mut rng = ease_graph_free_rng(self.params.seed);
+        let mut rng = SplitMix64::new(self.params.seed ^ 0xF0E5_7A11);
         let mut indices = vec![0u32; x.rows];
         for t in 0..self.params.n_trees {
             // bootstrap sample with replacement
             for slot in indices.iter_mut() {
-                *slot = (rng_next(&mut rng) % x.rows as u64) as u32;
+                *slot = (rng.next_u64() % x.rows as u64) as u32;
             }
             let mut tree = RegressionTree::new(TreeParams {
                 max_depth: self.params.max_depth,
@@ -125,19 +126,6 @@ impl Regressor for RandomForest {
     }
 }
 
-// tiny local splitmix to avoid pulling the graph crate into ml
-fn ease_graph_free_rng(seed: u64) -> u64 {
-    seed ^ 0xF0E5_7A11
-}
-
-fn rng_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut x = *state;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,12 +133,11 @@ mod tests {
 
     fn friedman_like(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
         // nonlinear target over 4 features
-        let mut state = seed;
+        let mut rng = SplitMix64::new(seed);
         let mut rows = Vec::with_capacity(n);
         let mut y = Vec::with_capacity(n);
         for _ in 0..n {
-            let f: Vec<f64> =
-                (0..4).map(|_| (rng_next(&mut state) >> 11) as f64 / (1u64 << 53) as f64).collect();
+            let f: Vec<f64> = (0..4).map(|_| rng.next_f64()).collect();
             y.push(10.0 * (f[0] * f[1]).sin() + 5.0 * f[2] + 2.0 * f[3] * f[3]);
             rows.push(f);
         }
@@ -183,13 +170,13 @@ mod tests {
     #[test]
     fn importances_normalized_and_informative() {
         // feature 0 determines y; features 1,2 are noise
-        let mut state = 5u64;
+        let mut rng = SplitMix64::new(5);
         let rows: Vec<Vec<f64>> = (0..300)
             .map(|i| {
                 vec![
                     f64::from(i % 30),
-                    (rng_next(&mut state) % 100) as f64,
-                    (rng_next(&mut state) % 100) as f64,
+                    (rng.next_u64() % 100) as f64,
+                    (rng.next_u64() % 100) as f64,
                 ]
             })
             .collect();

@@ -8,6 +8,7 @@
 
 use crate::dataset::Matrix;
 use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_GBT};
+use crate::rng::SplitMix64;
 use crate::tree::{decode_trees, encode_trees, Binner, RegressionTree, TreeParams};
 use crate::Regressor;
 
@@ -55,7 +56,7 @@ impl GradientBoosting {
 
     /// Inverse of [`Regressor::encode`]. Prediction is the base plus a sum
     /// over the trees, so any number of them — none included — is valid.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_GBT)?;
         let params = GbtParams {
             n_estimators: r.take_usize()?,
@@ -68,17 +69,8 @@ impl GradientBoosting {
             seed: r.take_u64()?,
         };
         let base = r.take_f64()?;
-        let (n_features, trees) = decode_trees(r)?;
-        Ok(GradientBoosting { params, base, trees, n_features })
+        Ok(GradientBoosting { params, base, trees: decode_trees(r, width)?, n_features: width })
     }
-}
-
-fn rng_next(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut x = *state;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 impl Regressor for GradientBoosting {
@@ -92,7 +84,7 @@ impl Regressor for GradientBoosting {
         let binned = binner.transform(x);
         let mut pred = vec![self.base; x.rows];
         let mut residual = vec![0.0; x.rows];
-        let mut rng = self.params.seed ^ 0x6B7;
+        let mut rng = SplitMix64::new(self.params.seed ^ 0x6B7);
         let sample_size =
             ((x.rows as f64 * self.params.subsample).round() as usize).clamp(1, x.rows);
         let mut indices: Vec<u32> = Vec::with_capacity(sample_size);
@@ -105,7 +97,7 @@ impl Regressor for GradientBoosting {
                 indices.extend(0..x.rows as u32);
             } else {
                 for _ in 0..sample_size {
-                    indices.push((rng_next(&mut rng) % x.rows as u64) as u32);
+                    indices.push((rng.next_u64() % x.rows as u64) as u32);
                 }
             }
             let mut tree = RegressionTree::new(TreeParams {
@@ -167,12 +159,12 @@ mod tests {
     use crate::metrics::{r2, rmse};
 
     fn wave(n: usize, seed: u64) -> (Matrix, Vec<f64>) {
-        let mut state = seed;
+        let mut rng = SplitMix64::new(seed);
         let mut rows = Vec::with_capacity(n);
         let mut y = Vec::with_capacity(n);
         for _ in 0..n {
-            let a = (rng_next(&mut state) >> 11) as f64 / (1u64 << 53) as f64 * 6.0;
-            let b = (rng_next(&mut state) >> 11) as f64 / (1u64 << 53) as f64;
+            let a = rng.next_f64() * 6.0;
+            let b = rng.next_f64();
             y.push(a.sin() * 3.0 + b * b);
             rows.push(vec![a, b]);
         }

@@ -1,7 +1,7 @@
 //! K-nearest-neighbors regression — the paper's simple baseline.
 
 use crate::dataset::Matrix;
-use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_KNN};
+use crate::persist::{expect_tag, expect_width, PersistError, Reader, Writer, TAG_KNN};
 use crate::Regressor;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -31,11 +31,12 @@ impl KnnRegressor {
     /// Inverse of [`Regressor::encode`]. Prediction averages the targets
     /// of the `k ≥ 1` nearest training rows: there must be rows, and one
     /// target per row.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_KNN)?;
         let k = r.take_usize()?;
         let weights = if r.take_bool()? { KnnWeights::Distance } else { KnnWeights::Uniform };
         let x = Matrix::decode(r)?;
+        expect_width("knn", x.cols, width)?;
         let y = r.take_f64s()?;
         if k == 0 || y.is_empty() || x.rows != y.len() {
             return Err(PersistError::Corrupt(format!(

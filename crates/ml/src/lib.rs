@@ -23,6 +23,7 @@ pub mod mlp;
 pub mod persist;
 pub mod poly;
 pub mod preprocess;
+pub(crate) mod rng;
 pub mod svr;
 pub mod tree;
 pub mod zoo;

@@ -2,7 +2,7 @@
 //! Cholesky solve. The building block for polynomial regression.
 
 use crate::dataset::Matrix;
-use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_RIDGE};
+use crate::persist::{expect_tag, expect_width, PersistError, Reader, Writer, TAG_RIDGE};
 use crate::Regressor;
 
 /// Ridge regression `min ‖Xw − y‖² + α‖w‖²` (intercept un-penalized,
@@ -25,10 +25,12 @@ impl Ridge {
     }
 
     /// Inverse of [`Regressor::encode`]. Prediction zips weights against
-    /// the row, so every weight vector is a valid one.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    /// the row, so there must be one weight per feature of a `width`-wide row.
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_RIDGE)?;
-        Ok(Ridge { alpha: r.take_f64()?, weights: r.take_f64s()?, intercept: r.take_f64()? })
+        let (alpha, weights) = (r.take_f64()?, r.take_f64s()?);
+        expect_width("ridge", weights.len(), width)?;
+        Ok(Ridge { alpha, weights, intercept: r.take_f64()? })
     }
 }
 

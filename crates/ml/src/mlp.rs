@@ -8,7 +8,8 @@
 //! vs. run-times in seconds).
 
 use crate::dataset::Matrix;
-use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_MLP};
+use crate::persist::{expect_tag, expect_width, PersistError, Reader, Writer, TAG_MLP};
+use crate::rng::SplitMix64;
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +48,7 @@ struct Layer {
 }
 
 impl Layer {
-    fn new(n_in: usize, n_out: usize, rng: &mut u64) -> Self {
+    fn new(n_in: usize, n_out: usize, rng: &mut SplitMix64) -> Self {
         // He initialization for ReLU nets
         let scale = (2.0 / n_in as f64).sqrt();
         let w = (0..n_in * n_out).map(|_| (next_gauss(rng)) * scale).collect();
@@ -73,22 +74,10 @@ impl Layer {
     }
 }
 
-fn next_u64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut x = *state;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-fn next_f64(state: &mut u64) -> f64 {
-    (next_u64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
 /// Box–Muller standard normal.
-fn next_gauss(state: &mut u64) -> f64 {
-    let u1 = next_f64(state).max(1e-12);
-    let u2 = next_f64(state);
+fn next_gauss(rng: &mut SplitMix64) -> f64 {
+    let u1 = rng.next_f64().max(1e-12);
+    let u2 = rng.next_f64();
     (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
 }
 
@@ -109,7 +98,7 @@ impl MlpRegressor {
     /// biases, so the reload predicts bit-identically. The forward pass
     /// slices each layer's weights by its dimensions, feeds it the previous
     /// layer's output and reads the one value the last layer emits.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_MLP)?;
         let params = MlpParams {
             hidden: r.take_usizes()?,
@@ -153,6 +142,7 @@ impl MlpRegressor {
                 "mlp must end in a layer with one output (never fitted?)".into(),
             ));
         }
+        expect_width("mlp", layers[0].n_in, width)?;
         Ok(MlpRegressor { params, layers, y_mean, y_std })
     }
 
@@ -183,7 +173,7 @@ impl Regressor for MlpRegressor {
         self.y_std = var.sqrt().max(1e-9);
         let yt: Vec<f64> = y.iter().map(|v| (v - self.y_mean) / self.y_std).collect();
 
-        let mut rng = self.params.seed ^ 0x11_17;
+        let mut rng = SplitMix64::new(self.params.seed ^ 0x11_17);
         let mut dims = vec![x.cols];
         dims.extend(&self.params.hidden);
         dims.push(1);
@@ -200,7 +190,7 @@ impl Regressor for MlpRegressor {
         for _epoch in 0..self.params.epochs {
             // Fisher–Yates shuffle
             for i in (1..order.len()).rev() {
-                let j = (next_u64(&mut rng) % (i as u64 + 1)) as usize;
+                let j = (rng.next_u64() % (i as u64 + 1)) as usize;
                 order.swap(i, j);
             }
             for batch in order.chunks(self.params.batch_size) {

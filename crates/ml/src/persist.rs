@@ -342,20 +342,33 @@ pub(crate) fn expect_tag(r: &mut Reader, want: u8) -> Result<(), PersistError> {
     }
 }
 
+/// A decoded model must take rows exactly `want` wide — the width of the
+/// row its caller will feed it. A tree split indexes `row[feature]` and the
+/// other families zip against the row, so any other width is a panic or a
+/// silently wrong prediction on the first query.
+pub(crate) fn expect_width(model: &str, got: usize, want: usize) -> Result<(), PersistError> {
+    if got == want {
+        return Ok(());
+    }
+    Err(PersistError::Corrupt(format!("{model} takes {got} features, its caller feeds it {want}")))
+}
+
 /// Decode whichever model the next tag byte names, as a trait object —
 /// the inverse of [`Regressor::encode`] where the family is not known in
 /// advance (a predictor's component, a scaled pipeline's inner model).
-pub fn decode_regressor(r: &mut Reader) -> Result<Box<dyn Regressor>, PersistError> {
+/// `width` is the length of the rows the caller will predict on; every
+/// family refuses a fitted state of another width.
+pub fn decode_regressor(r: &mut Reader, width: usize) -> Result<Box<dyn Regressor>, PersistError> {
     Ok(match r.peek_u8()? {
-        TAG_RIDGE => Box::new(Ridge::decode(r)?),
-        TAG_POLY => Box::new(PolynomialRegression::decode(r)?),
-        TAG_TREE => Box::new(RegressionTree::decode(r)?),
-        TAG_FOREST => Box::new(RandomForest::decode(r)?),
-        TAG_GBT => Box::new(GradientBoosting::decode(r)?),
-        TAG_KNN => Box::new(KnnRegressor::decode(r)?),
-        TAG_MLP => Box::new(MlpRegressor::decode(r)?),
-        TAG_SVR => Box::new(SvrRegressor::decode(r)?),
-        TAG_SCALED => Box::new(ScaledModel::decode(r)?),
+        TAG_RIDGE => Box::new(Ridge::decode(r, width)?),
+        TAG_POLY => Box::new(PolynomialRegression::decode(r, width)?),
+        TAG_TREE => Box::new(RegressionTree::decode(r, width)?),
+        TAG_FOREST => Box::new(RandomForest::decode(r, width)?),
+        TAG_GBT => Box::new(GradientBoosting::decode(r, width)?),
+        TAG_KNN => Box::new(KnnRegressor::decode(r, width)?),
+        TAG_MLP => Box::new(MlpRegressor::decode(r, width)?),
+        TAG_SVR => Box::new(SvrRegressor::decode(r, width)?),
+        TAG_SCALED => Box::new(ScaledModel::decode(r, width)?),
         other => return Err(PersistError::Corrupt(format!("unknown model tag {other}"))),
     })
 }
@@ -551,7 +564,7 @@ mod tests {
             m.encode(&mut w);
             let bytes = w.into_bytes();
             let mut r = Reader::new(&bytes);
-            let restored = decode_regressor(&mut r).unwrap();
+            let restored = decode_regressor(&mut r, x.cols).unwrap();
             assert_eq!(r.remaining(), 0, "{}", cfg.describe());
             for i in 0..xt.rows {
                 let a = m.predict_row(xt.row(i));
@@ -570,7 +583,7 @@ mod tests {
         let mut w = Writer::new();
         m.encode(&mut w);
         let bytes = w.into_bytes();
-        let restored = decode_regressor(&mut Reader::new(&bytes)).unwrap();
+        let restored = decode_regressor(&mut Reader::new(&bytes), x.cols).unwrap();
         assert_eq!(m.feature_importances(), restored.feature_importances());
     }
 
@@ -623,7 +636,7 @@ mod tests {
     #[test]
     fn split_links_are_validated() {
         let decode = |nodes: &[StoredNode], n_features| {
-            RegressionTree::decode(&mut Reader::new(&tree_bytes(nodes, n_features)))
+            RegressionTree::decode(&mut Reader::new(&tree_bytes(nodes, n_features)), n_features)
         };
         // the shape `build` grows: a split ahead of both its subtrees
         let grown = [Some((1, 1, 2)), None, Some((0, 3, 4)), None, None];
@@ -659,10 +672,11 @@ mod tests {
         w.put_usize(2);
         w.put_f64(1.0);
         let poly_head = w.into_bytes();
-        assert!(decode_regressor(&mut Reader::new(&[&poly_head[..], &ridge[..]].concat())).is_ok());
+        let poly_of_ridge = [&poly_head[..], &ridge[..]].concat();
+        assert!(decode_regressor(&mut Reader::new(&poly_of_ridge), 0).is_ok());
         let poly_of_tree = [&poly_head[..], &tree[..]].concat();
         assert!(matches!(
-            decode_regressor(&mut Reader::new(&poly_of_tree)),
+            decode_regressor(&mut Reader::new(&poly_of_tree), 1),
             Err(PersistError::Corrupt(_))
         ));
 
@@ -680,21 +694,70 @@ mod tests {
             w.put_bytes(member);
             w.into_bytes()
         };
-        assert!(decode_regressor(&mut Reader::new(&forest_of(1, &tree))).is_ok());
+        assert!(decode_regressor(&mut Reader::new(&forest_of(1, &tree)), 1).is_ok());
         for bad in [forest_of(1, &ridge), forest_of(usize::MAX, &tree)] {
             assert!(matches!(
-                decode_regressor(&mut Reader::new(&bad)),
+                decode_regressor(&mut Reader::new(&bad), 1),
                 Err(PersistError::Corrupt(_))
             ));
         }
 
         // a fitted pipeline wraps any model but another pipeline
-        let scaled = [TAG_SCALED, 1].into_iter().chain([0; 16]).collect::<Vec<u8>>();
-        assert!(decode_regressor(&mut Reader::new(&[&scaled[..], &tree[..]].concat())).is_ok());
+        let mut w = Writer::new();
+        w.put_u8(TAG_SCALED);
+        w.put_opt(Some(()), |w, ()| {
+            w.put_f64s(&[0.0]); // means
+            w.put_f64s(&[1.0]); // stds
+        });
+        let scaled = w.into_bytes();
+        assert!(decode_regressor(&mut Reader::new(&[&scaled[..], &tree[..]].concat()), 1).is_ok());
         assert!(matches!(
-            decode_regressor(&mut Reader::new(&[&scaled[..], &scaled[..], &tree[..]].concat())),
+            decode_regressor(&mut Reader::new(&[&scaled[..], &scaled[..], &tree[..]].concat()), 1),
             Err(PersistError::Corrupt(_))
         ));
+        // ... as wide as its scaler
+        let wider_tree = tree_bytes(&[None], 2);
+        assert!(matches!(
+            decode_regressor(&mut Reader::new(&[&scaled[..], &wider_tree[..]].concat()), 1),
+            Err(PersistError::Corrupt(_))
+        ));
+    }
+
+    /// Every family refuses fitted state of another width than the rows
+    /// its caller will feed it — narrower, wider, or (a tree) wide enough
+    /// that a split would index past the row.
+    #[test]
+    fn a_model_is_as_wide_as_the_rows_it_will_predict() {
+        use crate::knn::KnnWeights;
+        let (x, y) = training_data(30);
+        let families: [Box<dyn Regressor>; 9] = [
+            Box::new(Ridge::new(1.0)),
+            Box::new(PolynomialRegression::new(3, 1.0)),
+            Box::new(RegressionTree::new(Default::default())),
+            Box::new(RandomForest::new(Default::default())),
+            Box::new(GradientBoosting::new(Default::default())),
+            Box::new(KnnRegressor::new(3, KnnWeights::Uniform)),
+            Box::new(MlpRegressor::new(crate::mlp::MlpParams { epochs: 2, ..Default::default() })),
+            Box::new(SvrRegressor::new(Default::default())),
+            Box::new(ScaledModel::new(Box::new(Ridge::new(1.0)))),
+        ];
+        for (i, mut m) in families.into_iter().enumerate() {
+            m.fit(&x, &y);
+            let mut w = Writer::new();
+            m.encode(&mut w);
+            let bytes = w.into_bytes();
+            assert!(decode_regressor(&mut Reader::new(&bytes), x.cols).is_ok(), "family {i}");
+            for wrong in [0, x.cols - 1, x.cols + 1, 40] {
+                assert!(
+                    matches!(
+                        decode_regressor(&mut Reader::new(&bytes), wrong),
+                        Err(PersistError::Corrupt(_))
+                    ),
+                    "family {i} fitted on {} columns loaded as {wrong} wide",
+                    x.cols
+                );
+            }
+        }
     }
 
     /// `decode` promises that what it returns can `predict_row`: the five
@@ -706,7 +769,7 @@ mod tests {
         let round_trip = |m: &dyn Regressor| {
             let mut w = Writer::new();
             m.encode(&mut w);
-            decode_regressor(&mut Reader::new(&w.into_bytes()))
+            decode_regressor(&mut Reader::new(&w.into_bytes()), 0)
         };
         let refused: [Box<dyn Regressor>; 5] = [
             Box::new(RegressionTree::new(Default::default())),
@@ -725,7 +788,7 @@ mod tests {
             Box::new(GradientBoosting::new(Default::default())),
         ];
         for m in &loaded {
-            assert_eq!(round_trip(m.as_ref()).unwrap().predict_row(&[1.0, 2.0]), 0.0);
+            assert_eq!(round_trip(m.as_ref()).unwrap().predict_row(&[]), 0.0);
         }
     }
 }

@@ -26,13 +26,22 @@ impl PolynomialRegression {
     /// Inverse of [`Regressor::encode`]: the degree is held to the range
     /// [`PolynomialRegression::new`] asserts, and the solve is a ridge —
     /// no other model tag is accepted in its place.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_POLY)?;
         let degree = r.take_usize()?;
         if !(1..=3).contains(&degree) {
             return Err(PersistError::Corrupt(format!("poly degree {degree} out of 1..=3")));
         }
-        Ok(PolynomialRegression { degree, alpha: r.take_f64()?, inner: Ridge::decode(r)? })
+        // what `expand` makes of a `width`-wide row: the row, its pairwise
+        // products from degree 2, its cubes at degree 3
+        let expanded = width
+            + if degree >= 2 { width * (width + 1) / 2 } else { 0 }
+            + if degree >= 3 { width } else { 0 };
+        Ok(PolynomialRegression {
+            degree,
+            alpha: r.take_f64()?,
+            inner: Ridge::decode(r, expanded)?,
+        })
     }
 
     fn expand(&self, row: &[f64], out: &mut Vec<f64>) {

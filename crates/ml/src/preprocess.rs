@@ -4,7 +4,9 @@
 //! algorithms").
 
 use crate::dataset::Matrix;
-use crate::persist::{decode_regressor, expect_tag, PersistError, Reader, Writer, TAG_SCALED};
+use crate::persist::{
+    decode_regressor, expect_tag, expect_width, PersistError, Reader, Writer, TAG_SCALED,
+};
 use crate::Regressor;
 
 /// Per-column z-score scaler.
@@ -123,7 +125,7 @@ impl ScaledModel {
     /// scaler, and the pipeline wraps any model except another pipeline —
     /// [`crate::ModelConfig::build`] never nests them, and refusing the
     /// one recursive shape bounds decode depth whatever the file says.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_SCALED)?;
         let Some(scaler) = r.take_opt(StandardScaler::decode)? else {
             return Err(PersistError::Corrupt("scaled model has no scaler (never fitted)".into()));
@@ -131,7 +133,8 @@ impl ScaledModel {
         if r.peek_u8()? == TAG_SCALED {
             return Err(PersistError::Corrupt("a scaled model wraps another scaled model".into()));
         }
-        Ok(ScaledModel { scaler: Some(scaler), inner: decode_regressor(r)? })
+        expect_width("scaler", scaler.means.len(), width)?;
+        Ok(ScaledModel { scaler: Some(scaler), inner: decode_regressor(r, width)? })
     }
 }
 

@@ -15,7 +15,7 @@
 //! component, it is one of the compared families).
 
 use crate::dataset::Matrix;
-use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_SVR};
+use crate::persist::{expect_tag, expect_width, PersistError, Reader, Writer, TAG_SVR};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +67,7 @@ impl SvrRegressor {
 
     /// Inverse of [`Regressor::encode`]. Prediction walks the duals and
     /// reads one support row per dual, so the two must agree in number.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_SVR)?;
         let params = SvrParams {
             c: r.take_f64()?,
@@ -78,6 +78,7 @@ impl SvrRegressor {
             max_train: r.take_usize()?,
         };
         let support = Matrix::decode(r)?;
+        expect_width("svr", support.cols, width)?;
         let beta = r.take_f64s()?;
         if beta.len() != support.rows {
             return Err(PersistError::Corrupt(format!(

@@ -13,36 +13,9 @@
 //! (paper Sec. V-E).
 
 use crate::dataset::Matrix;
-use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_TREE};
+use crate::persist::{expect_tag, expect_width, PersistError, Reader, Writer, TAG_TREE};
+use crate::rng::SplitMix64;
 use crate::Regressor;
-use ease_rng::SplitMix64;
-
-/// Minimal local reimport to avoid a circular dev-dependency: the graph
-/// crate's SplitMix64 is tiny, so the tree carries its own copy.
-mod ease_rng {
-    #[derive(Debug, Clone)]
-    pub struct SplitMix64 {
-        state: u64,
-    }
-
-    impl SplitMix64 {
-        pub fn new(seed: u64) -> Self {
-            SplitMix64 { state: seed }
-        }
-
-        pub fn next_u64(&mut self) -> u64 {
-            self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut x = self.state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            x ^ (x >> 31)
-        }
-
-        pub fn next_below(&mut self, n: usize) -> usize {
-            ((u128::from(self.next_u64()) * n as u128) >> 64) as usize
-        }
-    }
-}
 
 pub const MAX_BINS: usize = 64;
 
@@ -289,7 +262,7 @@ impl RegressionTree {
     /// names one of the features the importances cover and links strictly
     /// forward — true of every tree `build` grows, which pushes a split
     /// before recursing into its children.
-    pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
+    pub fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
         expect_tag(r, TAG_TREE)?;
         let params = TreeParams {
             max_depth: r.take_usize()?,
@@ -317,6 +290,7 @@ impl RegressionTree {
             });
         }
         let importances = r.take_f64s()?;
+        expect_width("tree", importances.len(), width)?;
         if nodes.is_empty() {
             return Err(PersistError::Corrupt("tree has no nodes (never fitted)".into()));
         }
@@ -344,19 +318,14 @@ pub(crate) fn encode_trees(w: &mut Writer, n_features: usize, trees: &[Regressio
 }
 
 /// Inverse of [`encode_trees`]. Members are trees — no other model tag is
-/// accepted — as wide as the ensemble, which bounds its file-chosen
-/// feature count by bytes actually present.
-pub(crate) fn decode_trees(r: &mut Reader) -> Result<(usize, Vec<RegressionTree>), PersistError> {
-    let n_features = r.take_usize()?;
+/// accepted — and the ensemble and each of them is `width` features wide.
+pub(crate) fn decode_trees(
+    r: &mut Reader,
+    width: usize,
+) -> Result<Vec<RegressionTree>, PersistError> {
+    expect_width("tree ensemble", r.take_usize()?, width)?;
     let n_trees = r.take_len(1)?;
-    let trees: Vec<_> =
-        (0..n_trees).map(|_| RegressionTree::decode(r)).collect::<Result<_, _>>()?;
-    if trees.iter().any(|t| t.importances.len() != n_features) {
-        return Err(PersistError::Corrupt(format!(
-            "an ensemble over {n_features} features holds a tree of another width"
-        )));
-    }
-    Ok((n_features, trees))
+    (0..n_trees).map(|_| RegressionTree::decode(r, width)).collect()
 }
 
 impl Regressor for RegressionTree {

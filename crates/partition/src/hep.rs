@@ -39,7 +39,7 @@ impl Hep {
 
     /// Bound the in-memory phase by a real, measured budget: the effective
     /// degree threshold is lowered until the estimated footprint of the
-    /// low-degree part (Σ degrees ≤ threshold, at [`BYTES_PER_ADJ_ENTRY`]
+    /// low-degree part (Σ degrees ≤ threshold, at `BYTES_PER_ADJ_ENTRY`
     /// bytes per entry) fits the budget's remaining headroom. An unlimited
     /// budget is bit-identical to no budget; a zero budget streams every
     /// edge — HEP degrades to placement-aware HDRF instead of blowing the

@@ -28,11 +28,11 @@ pub mod two_ps;
 pub use assignment::EdgePartition;
 pub use metrics::{QualityMetrics, QualityTarget};
 pub use runner::{
-    deterministic_partitioning_secs, run_partitioner, run_partitioner_prepared,
-    run_partitioner_with, PartitionRun, TimingMode,
+    deterministic_partitioning_secs, run_partitioner, run_partitioner_prepared, PartitionRun,
+    TimingMode,
 };
 
-use ease_graph::{Graph, GraphSource, PreparedGraph};
+use ease_graph::{Graph, PreparedGraph};
 
 /// Taxonomy of partitioner categories (paper Sec. I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -154,8 +154,8 @@ impl PartitionerId {
 /// context pays for the derivation once. Every implementation consumes the
 /// context's replayable edge *stream* (never an owned slice), so all 11
 /// partitioners run unchanged over any ingestion backend — in-memory,
-/// memory-mapped `.bel`, or streamed text. [`Partitioner::partition`] and
-/// [`Partitioner::partition_source`] are the one-shot adapters.
+/// memory-mapped `.bel`, or streamed text. [`Partitioner::partition`] is the
+/// one-shot adapter for an in-memory [`Graph`].
 pub trait Partitioner: Send + Sync {
     fn id(&self) -> PartitionerId;
 
@@ -163,18 +163,12 @@ pub trait Partitioner: Send + Sync {
     /// (`1 ≤ k ≤ 128`), reusing the context's memoized derived structure.
     fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition;
 
-    /// Edge-list adapter: routes `graph` through the [`GraphSource`] seam
-    /// (an in-memory graph is its own source) into a throwaway context.
+    /// Edge-list adapter: partitions `graph` through a throwaway context.
     /// Prefer [`Partitioner::partition_prepared`] when running several
-    /// partitioners (or several `k`) on the same graph.
+    /// partitioners (or several `k`) on the same graph, or any other
+    /// [`GraphSource`](ease_graph::GraphSource) (`PreparedGraph::of_source`).
     fn partition(&self, graph: &Graph, k: usize) -> EdgePartition {
-        self.partition_source(graph, k)
-    }
-
-    /// Ingestion adapter: partition any [`GraphSource`] — a memory-mapped
-    /// `.bel` file partitions without an owned `Vec<Edge>` ever existing.
-    fn partition_source(&self, source: &dyn GraphSource, k: usize) -> EdgePartition {
-        self.partition_prepared(&PreparedGraph::of_source(source), k)
+        self.partition_prepared(&PreparedGraph::of(graph), k)
     }
 }
 

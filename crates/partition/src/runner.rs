@@ -88,25 +88,15 @@ pub fn run_partitioner(
     k: usize,
     seed: u64,
 ) -> PartitionRun {
-    run_partitioner_with(partitioner, graph, k, seed, TimingMode::Measured)
+    run_partitioner_prepared(partitioner, &PreparedGraph::of(graph), k, seed, TimingMode::Measured)
 }
 
-/// [`run_partitioner`] with an explicit [`TimingMode`]. Under
-/// [`TimingMode::Deterministic`] the system clock is never consulted, so
-/// the produced record is a pure function of `(graph, partitioner, k, seed)`.
-pub fn run_partitioner_with(
-    partitioner: PartitionerId,
-    graph: &Graph,
-    k: usize,
-    seed: u64,
-    timing: TimingMode,
-) -> PartitionRun {
-    run_partitioner_prepared(partitioner, &PreparedGraph::of(graph), k, seed, timing)
-}
-
-/// [`run_partitioner_with`] on a shared [`PreparedGraph`] context — the
-/// profiling entry point: one context per graph feeds every partitioner × k
-/// measurement, so degree tables are derived once instead of per run.
+/// [`run_partitioner`] with an explicit [`TimingMode`] on a shared
+/// [`PreparedGraph`] context — the profiling entry point: one context per
+/// graph feeds every partitioner × k measurement, so degree tables are
+/// derived once instead of per run. Under [`TimingMode::Deterministic`] the
+/// system clock is never consulted, so the produced record is a pure
+/// function of `(graph, partitioner, k, seed)`.
 ///
 /// Under [`TimingMode::Measured`] the wall clock covers only the
 /// partitioning call itself; warm the context first (properties extraction
@@ -166,8 +156,10 @@ mod tests {
     #[test]
     fn deterministic_mode_is_a_pure_function_of_the_inputs() {
         let g = Rmat::new(RMAT_COMBOS[2], 256, 2_000, 9).generate();
-        let a = run_partitioner_with(PartitionerId::Hdrf, &g, 8, 3, TimingMode::Deterministic);
-        let b = run_partitioner_with(PartitionerId::Hdrf, &g, 8, 3, TimingMode::Deterministic);
+        let prepared = PreparedGraph::of(&g);
+        let run = |timing| run_partitioner_prepared(PartitionerId::Hdrf, &prepared, 8, 3, timing);
+        let a = run(TimingMode::Deterministic);
+        let b = run(TimingMode::Deterministic);
         // bit-identical run-times across executions: no wall clock involved
         assert_eq!(a.partitioning_secs.to_bits(), b.partitioning_secs.to_bits());
         assert_eq!(
@@ -175,7 +167,7 @@ mod tests {
             deterministic_partitioning_secs(PartitionerId::Hdrf, g.num_edges(), 8)
         );
         // the partition itself is unaffected by the timing mode
-        let measured = run_partitioner_with(PartitionerId::Hdrf, &g, 8, 3, TimingMode::Measured);
+        let measured = run(TimingMode::Measured);
         assert_eq!(a.metrics.replication_factor, measured.metrics.replication_factor);
     }
 

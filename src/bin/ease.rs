@@ -314,7 +314,7 @@ fn parse_workload(name: &str) -> Result<Workload, CliError> {
     Workload::from_name(name).ok_or_else(|| CliError::Usage(format!("unknown workload `{name}`")))
 }
 
-/// A streaming edge writer, format-dispatched like [`open_graph`].
+/// A streaming edge writer, format-dispatched like [`open_path`].
 enum EdgeOut {
     Text(TextEdgeListWriter),
     Bel(BelWriter),

@@ -4,7 +4,7 @@
 //! rename or dropped re-export in any member crate fails here first.
 
 use ease_repro::graph::csr::Direction;
-use ease_repro::graph::{Csr, DegreeTable, Graph, GraphProperties, PropertyTier};
+use ease_repro::graph::{Csr, DegreeTable, Graph, GraphProperties, PreparedGraph, PropertyTier};
 use ease_repro::partition::{Partitioner, PartitionerId, QualityMetrics};
 
 #[test]
@@ -108,9 +108,11 @@ fn service_api_is_the_primary_entry_point() {
 fn timing_mode_lives_in_the_partition_runner() {
     // PR 2 moved TimingMode next to the runner so deterministic mode can
     // skip the wall clock entirely; the core re-export must stay intact
-    use ease_repro::partition::{run_partitioner_with, TimingMode};
+    use ease_repro::partition::{run_partitioner_prepared, TimingMode};
     let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0), (0, 2)]);
-    let run = run_partitioner_with(PartitionerId::Dbh, &g, 2, 1, TimingMode::Deterministic);
+    let prepared = PreparedGraph::of(&g);
+    let run =
+        run_partitioner_prepared(PartitionerId::Dbh, &prepared, 2, 1, TimingMode::Deterministic);
     assert_eq!(
         run.partitioning_secs,
         ease_repro::partition::deterministic_partitioning_secs(PartitionerId::Dbh, 4, 2)
@@ -130,6 +132,6 @@ fn ml_persistence_is_reachable_through_the_facade() {
     let mut w = Writer::new();
     m.encode(&mut w);
     let bytes = w.into_bytes();
-    let restored = decode_regressor(&mut Reader::new(&bytes)).unwrap();
+    let restored = decode_regressor(&mut Reader::new(&bytes), x.cols).unwrap();
     assert_eq!(m.predict_row(&[1.2]), restored.predict_row(&[1.2]));
 }

@@ -151,8 +151,8 @@ proptest! {
         for id in [PartitionerId::Dbh, PartitionerId::Hdrf, PartitionerId::Hep10, PartitionerId::Ne] {
             let p = id.build(17);
             let reference = p.partition(&g, k);
-            let via_bel = p.partition_source(&bel_src, k);
-            let via_txt = p.partition_source(&txt_src, k);
+            let via_bel = p.partition_prepared(&PreparedGraph::of_source(&bel_src), k);
+            let via_txt = p.partition_prepared(&PreparedGraph::of_source(&txt_src), k);
             prop_assert_eq!(&via_bel, &reference, "{:?} via bel", id);
             prop_assert_eq!(&via_txt, &reference, "{:?} via txt", id);
             // metrics over a source-backed context match the in-memory path
@@ -402,9 +402,10 @@ fn mmap_ingestion_never_materializes_an_edge_list() {
     std::fs::remove_file(&bel).ok();
 }
 
-/// The full recommendation path over a `.bel` mapping stays zero-copy:
-/// `try_graph` is `None` before and after advanced extraction + a
-/// partitioner run, i.e. nothing ever silently builds a `Graph`.
+/// The full recommendation path over a `.bel` mapping stays zero-copy: the
+/// context's source has no in-memory edge slice before and after advanced
+/// extraction + a partitioner run, i.e. nothing ever silently builds a
+/// `Graph`.
 #[test]
 fn source_backed_analysis_never_builds_a_graph() {
     let g = Rmat::new(RMAT_COMBOS[2], 512, 4_000, 5).generate();
@@ -413,7 +414,7 @@ fn source_backed_analysis_never_builds_a_graph() {
     write_bel(&g, &bel).unwrap();
     let src = BelSource::open(&bel).unwrap();
     let prepared = PreparedGraph::of_source(&src);
-    assert!(prepared.try_graph().is_none());
+    assert!(prepared.source().edge_slice().is_none());
     let advanced = prepared.properties(PropertyTier::Advanced);
     let partition = PartitionerId::Hdrf.build(3).partition_prepared(&prepared, 4);
     assert_eq!(partition.num_edges(), g.num_edges());
@@ -422,7 +423,7 @@ fn source_backed_analysis_never_builds_a_graph() {
         &PreparedGraph::of(&g).properties(PropertyTier::Advanced),
         "advanced",
     );
-    assert!(prepared.try_graph().is_none(), "analysis materialized a Graph");
+    assert!(prepared.source().edge_slice().is_none(), "analysis materialized a Graph");
     std::fs::remove_file(&bel).ok();
 }
 

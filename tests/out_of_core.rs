@@ -179,8 +179,12 @@ proptest! {
         spilled_ctx.undirected_simple();
         prop_assert!(spilled_ctx.spilled_csr_builds() >= 1);
         prop_assert_eq!(dump(spilled_ctx.undirected_simple()), dump(heap_ctx.undirected_simple()));
-        prop_assert_eq!(dump(spilled_ctx.out_csr()), dump(heap_ctx.out_csr()));
-        prop_assert_eq!(dump(spilled_ctx.in_csr()), dump(heap_ctx.in_csr()));
+        for direction in [Direction::Out, Direction::In] {
+            let spilled =
+                Csr::build_spilled(&g, direction, false, 1 << 12, &dir).expect("spilled build");
+            prop_assert!(spilled.is_spilled());
+            prop_assert_eq!(dump(&spilled), dump(&Csr::build_source(&g, direction)));
+        }
         // every derived analysis quantity is bit-identical
         prop_assert_eq!(spilled_ctx.fingerprint(), heap_ctx.fingerprint());
         prop_assert_eq!(spilled_ctx.triangle_counts(), heap_ctx.triangle_counts());
@@ -217,16 +221,12 @@ fn zero_budget_forces_spill_and_unlimited_never_spills() {
     let zero = zero_budget(&dir);
     let spilled_ctx = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&zero));
     assert!(spilled_ctx.undirected_simple().is_spilled());
-    assert!(spilled_ctx.out_csr().is_spilled());
-    assert!(spilled_ctx.in_csr().is_spilled());
-    assert_eq!(spilled_ctx.spilled_csr_builds(), 3);
+    assert_eq!(spilled_ctx.spilled_csr_builds(), 1);
     assert_eq!(zero.charged(), 0, "a zero budget never grants heap charges");
 
     let unlimited = Arc::new(MemoryBudget::unlimited());
     let heap_ctx = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&unlimited));
     assert!(!heap_ctx.undirected_simple().is_spilled());
-    assert!(!heap_ctx.out_csr().is_spilled());
-    assert!(!heap_ctx.in_csr().is_spilled());
     assert_eq!(heap_ctx.spilled_csr_builds(), 0);
     assert_eq!(dump(spilled_ctx.undirected_simple()), dump(heap_ctx.undirected_simple()));
     std::fs::remove_dir_all(&dir).ok();
@@ -244,8 +244,8 @@ fn spill_files_never_outlive_the_prepared_graph() {
         // unlink-after-mmap: the directory is already empty while the
         // mapped CSR is still alive and serving neighbor queries
         assert_eq!(dir_entries(&dir), Vec::<String>::new(), "spill visible during life");
-        let _ = ctx.in_csr();
-        let _ = ctx.out_csr();
+        let _ = ctx.triangle_counts();
+        assert_eq!(ctx.spilled_csr_builds(), 2, "the forward lists spilled too");
         assert_eq!(dir_entries(&dir), Vec::<String>::new());
     }
     assert_eq!(dir_entries(&dir), Vec::<String>::new(), "spill left behind after drop");

@@ -13,13 +13,16 @@
 //!    a panic, an abort, a hang or a silently wrong model.
 
 use ease_repro::core::profiling::TimingMode;
+use ease_repro::core::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 use ease_repro::graph::{GraphProperties, PropertyTier};
 use ease_repro::graphgen::realworld::socfb_analogue;
 use ease_repro::graphgen::Scale;
-use ease_repro::ml::persist::{decode_regressor, read_header, write_header, Reader, Writer};
+use ease_repro::ml::persist::{
+    decode_regressor, encode_config, read_header, write_header, Reader, Writer,
+};
 use ease_repro::ml::zoo::default_grid;
 use ease_repro::ml::{Matrix, ModelConfig, PersistError};
-use ease_repro::partition::PartitionerId;
+use ease_repro::partition::{PartitionerId, QualityTarget};
 use ease_repro::procsim::Workload;
 use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal, ServiceMeta};
 use proptest::prelude::*;
@@ -43,14 +46,17 @@ fn test_sized(cfg: ModelConfig) -> ModelConfig {
     }
 }
 
-fn round_trip(model: &dyn ease_repro::ml::Regressor) -> Box<dyn ease_repro::ml::Regressor> {
+fn round_trip(
+    model: &dyn ease_repro::ml::Regressor,
+    width: usize,
+) -> Box<dyn ease_repro::ml::Regressor> {
     let mut w = Writer::new();
     write_header(&mut w);
     model.encode(&mut w);
     let bytes = w.into_bytes();
     let mut r = Reader::new(&bytes);
     read_header(&mut r).expect("valid header");
-    let restored = decode_regressor(&mut r).expect("decodable");
+    let restored = decode_regressor(&mut r, width).expect("decodable");
     assert_eq!(r.remaining(), 0, "payload fully consumed");
     restored
 }
@@ -71,7 +77,7 @@ proptest! {
             let cfg = test_sized(cfg);
             let mut model = cfg.build();
             model.fit(&x, &y);
-            let restored = round_trip(model.as_ref());
+            let restored = round_trip(model.as_ref(), x.cols);
             for probe in &probes {
                 let a = model.predict_row(probe);
                 let b = restored.predict_row(probe);
@@ -253,8 +259,11 @@ fn every_truncation_is_a_typed_error() {
 // for byte as they were probed against it: each is `Corrupt` now.
 // ---------------------------------------------------------------------
 
-fn decodes_as_corrupt(bytes: Vec<u8>) {
-    let outcome = within_watchdog(move || decode_regressor(&mut Reader::new(&bytes)).map(|_| ()));
+/// `width` is the one the file's own models declare, so that it is the
+/// defect under test that refuses it.
+fn decodes_as_corrupt(width: usize, bytes: Vec<u8>) {
+    let outcome =
+        within_watchdog(move || decode_regressor(&mut Reader::new(&bytes), width).map(|_| ()));
     assert!(matches!(outcome, Err(PersistError::Corrupt(_))), "{outcome:?}");
 }
 
@@ -289,35 +298,37 @@ fn put_split(w: &mut Writer, feature: u32, left: u32, right: u32) {
 /// another pipeline, so no file chooses the decode depth.
 #[test]
 fn deeply_nested_scaled_models_are_corrupt_not_a_stack_overflow() {
-    decodes_as_corrupt([9u8, 0].repeat(20_000));
+    decodes_as_corrupt(0, [9u8, 0].repeat(20_000));
     // the same nesting under fitted (empty) scalers, so that it is the
     // nesting rule that refuses it
     let fitted: Vec<u8> = [9u8, 1].into_iter().chain([0; 16]).collect();
-    decodes_as_corrupt(fitted.repeat(20_000));
+    decodes_as_corrupt(0, fitted.repeat(20_000));
 }
 
 /// A split whose children are itself decoded `Ok`, and `predict_row` never
 /// returned. Links must point strictly forward.
 #[test]
 fn a_self_linking_tree_node_is_corrupt_not_a_hang() {
-    decodes_as_corrupt(lone_tree(|w| {
+    let self_linking = lone_tree(|w| {
         w.put_usize(1);
         put_split(w, 0, 0, 0);
-    }));
+    });
+    decodes_as_corrupt(1, self_linking);
 }
 
 /// A split on feature 1000 of a one-feature tree decoded `Ok` and indexed
 /// past the row (`tree.rs:324`) on the first prediction.
 #[test]
 fn an_out_of_range_split_feature_is_corrupt_not_a_panic() {
-    decodes_as_corrupt(lone_tree(|w| {
+    let out_of_range = lone_tree(|w| {
         w.put_usize(3);
         put_split(w, 1000, 1, 2);
         for _ in 0..2 {
             w.put_u8(0);
             w.put_f64(1.0);
         }
-    }));
+    });
+    decodes_as_corrupt(1, out_of_range);
 }
 
 /// A KNN training matrix of `2^63 × 2` with no data: the unchecked product
@@ -333,7 +344,55 @@ fn overflowing_matrix_dimensions_are_corrupt_not_an_overflow() {
     w.put_usize(2);
     w.put_f64s(&[]);
     w.put_f64s(&[]);
-    decodes_as_corrupt(w.into_bytes());
+    decodes_as_corrupt(2, w.into_bytes());
+}
+
+/// A well-formed forest fitted on 40 (or 10) columns loaded into every
+/// predictor, and the first prediction indexed `row[39]` of a 19-wide
+/// feature row (`tree.rs`, index out of bounds) — in the daemon, an executor
+/// panic on every request. A component model is as wide as the row its
+/// predictor builds, or the file is `Corrupt`.
+#[test]
+fn a_model_wider_or_narrower_than_its_predictors_row_is_corrupt_not_a_panic() {
+    for cols in [40usize, 10] {
+        let rows: Vec<Vec<f64>> =
+            (0..30).map(|i| (0..cols).map(|j| ((i * 7 + j * 3) % 11) as f64).collect()).collect();
+        let y: Vec<f64> = rows.iter().map(|r| r[0] + r[cols - 1]).collect();
+        let cfg = ModelConfig::Forest { n_trees: 4, max_depth: 6, feature_fraction: 1.0 };
+        let mut forest = cfg.build();
+        forest.fit(&Matrix::from_rows(&rows), &y);
+        // what every predictor stores per component: provenance, then model
+        let put_component = |w: &mut Writer| {
+            encode_config(w, &cfg);
+            w.put_f64(0.1); // cv_mape
+            forest.encode(w);
+        };
+
+        let mut ptime = Writer::new();
+        put_component(&mut ptime);
+        let mut quality = Writer::new();
+        quality.put_u8(PropertyTier::Advanced.tag());
+        quality.put_usize(QualityTarget::ALL.len());
+        for tag in 0..QualityTarget::ALL.len() {
+            quality.put_u8(tag as u8);
+            put_component(&mut quality);
+        }
+        let mut processing = Writer::new();
+        processing.put_usize(1);
+        processing.put_str(Workload::ConnectedComponents.name());
+        put_component(&mut processing);
+
+        let (ptime, quality, processing) =
+            (ptime.into_bytes(), quality.into_bytes(), processing.into_bytes());
+        let outcomes = [
+            PartitioningTimePredictor::decode(&mut Reader::new(&ptime)).map(|_| ()),
+            QualityPredictor::decode(&mut Reader::new(&quality)).map(|_| ()),
+            ProcessingTimePredictor::decode(&mut Reader::new(&processing)).map(|_| ()),
+        ];
+        for outcome in outcomes {
+            assert!(matches!(outcome, Err(PersistError::Corrupt(_))), "{cols} wide: {outcome:?}");
+        }
+    }
 }
 
 #[test]

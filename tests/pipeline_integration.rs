@@ -4,7 +4,7 @@
 
 use ease_repro::core::evaluation::{evaluate_selection, group_truth};
 use ease_repro::core::pipeline::{train_ease, EaseConfig};
-use ease_repro::core::profiling::{profile_processing_with, GraphInput, TimingMode};
+use ease_repro::core::profiling::{profile_processing_with, GraphInput, PreparedPool, TimingMode};
 use ease_repro::core::selector::OptGoal;
 use ease_repro::graph::GraphProperties;
 use ease_repro::graphgen::Scale;
@@ -227,4 +227,23 @@ fn processing_labels_are_pinned() {
     }
     assert_eq!(records.len(), 10 * 11 * 6);
     assert_eq!(h, 0xd409_3c24_9f94_5ddd, "a processing label moved: {h:#018x}");
+}
+
+/// The traffic `PreparedPool` was built for does not occur: at every scale
+/// the full R-MAT-SMALL and R-MAT-LARGE corpora share no spec (the spec key
+/// contains the `rmat-small-…` / `rmat-large-…` name), so `train_ease`'s
+/// pool never shares a context between the quality and processing passes.
+/// String keys only — no graph is generated.
+#[test]
+fn training_corpora_share_no_spec() {
+    for scale in [Scale::Tiny, Scale::Small, Scale::Medium] {
+        let cfg = EaseConfig {
+            max_small_graphs: None,
+            max_large_graphs: None,
+            ..EaseConfig::at_scale(scale)
+        };
+        let (small, large) = (cfg.small_inputs(), cfg.large_inputs());
+        assert_eq!((small.len(), large.len()), (297, 180), "{scale:?}");
+        assert_eq!(PreparedPool::for_overlap(&small, &large).overlap(), 0, "{scale:?}");
+    }
 }

@@ -282,7 +282,7 @@ fn http_through_a_router_fleet_is_bit_identical_and_folds_stats() {
     // hits the cache) or 2 (split across the fleet)
     let misses = envelope_field(&stats, "misses").as_u64().expect("misses");
     assert!((1..=2).contains(&misses), "fleet analyzed the graph: {stats:?}");
-    assert!(envelope_field(&stats, "memory_budget_remaining").is_null(), "unbudgeted fleet");
+    assert_eq!(envelope_field(&stats, "memory_budget_remaining"), &Value::Null, "unbudgeted fleet");
     assert_eq!(envelope_field(&stats, "spilled_csr_builds").as_u64(), Some(0));
     router.trigger_shutdown();
     router.join().expect("router join");
