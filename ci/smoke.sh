@@ -4,6 +4,12 @@
 # answer identically; exercise zero-copy .bel ingestion, format round trips,
 # streaming generation and typed error paths, all through the `ease` CLI.
 #
+# Where `taskset` exists and may pin to CPU 0, the second training runs
+# pinned there — every work queue gets one worker (`available_parallelism`
+# honours the affinity mask), so the `cmp` also proves the model does not
+# depend on the schedule; elsewhere it is a plain second run. The script
+# prints which of the two happened.
+#
 # Usage: ci/smoke.sh [path-to-ease-binary]
 # Runs locally and in CI (shellcheck-clean).
 set -euo pipefail
@@ -24,7 +30,14 @@ trap 'rm -rf "$smoke"' EXIT
 # configuration trained by a second process is the same file, byte for byte
 # (temp names, hash seeds and thread counts must not reach the model) — the
 # property that lets a simulator or profiling change be checked with `cmp`
-"$EASE_BIN" train --out "$smoke/second.model" --scale tiny --quick --deterministic \
+second=("$EASE_BIN")
+if command -v taskset > /dev/null && taskset -c 0 true 2> /dev/null; then
+    second=(taskset -c 0 "$EASE_BIN")
+    echo "determinism gate: second training pinned to one CPU (one worker per queue)"
+else
+    echo "determinism gate: no usable taskset here, second training runs unpinned"
+fi
+"${second[@]}" train --out "$smoke/second.model" --scale tiny --quick --deterministic \
     --folds 2 --max-small 8 --max-large 4
 cmp "$smoke/ease.model" "$smoke/second.model"
 "$EASE_BIN" inspect --model "$smoke/ease.model"

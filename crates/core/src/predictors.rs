@@ -12,7 +12,7 @@
 use crate::features;
 use crate::profiling::{ProcessingRecord, QualityRecord};
 use ease_graph::{GraphProperties, PropertyTier};
-use ease_ml::cv::grid_search;
+use ease_ml::cv::{select_models, Selection};
 use ease_ml::persist::{
     decode_config, decode_regressor, encode_config, PersistError, Reader, Writer,
 };
@@ -42,6 +42,13 @@ pub struct ChosenModel {
 }
 
 impl ChosenModel {
+    /// Split a selection into its provenance and its fitted model.
+    fn of(selection: Selection) -> (ChosenModel, Box<dyn Regressor>) {
+        let chosen =
+            ChosenModel { config: selection.search.best, cv_mape: selection.search.best_score };
+        (chosen, selection.model)
+    }
+
     fn encode(&self, w: &mut Writer) {
         encode_config(w, &self.config);
         w.put_f64(self.cv_mape);
@@ -91,16 +98,16 @@ impl QualityPredictor {
         seed: u64,
     ) -> Self {
         assert!(!records.is_empty(), "no quality training records");
-        let mut models = Vec::new();
-        let mut chosen = Vec::new();
-        for target in QualityTarget::ALL {
-            let ds = Self::dataset(records, tier, target);
-            let result = grid_search(grid, &ds, folds, seed);
-            let mut model = result.best.build();
-            model.fit(&ds.x, &ds.y);
-            chosen.push((target, ChosenModel { config: result.best, cv_mape: result.best_score }));
-            models.push((target, model));
-        }
+        let datasets = QualityTarget::ALL.map(|target| Self::dataset(records, tier, target));
+        let selections = select_models(grid, &datasets.each_ref(), folds, seed);
+        let (chosen, models) = QualityTarget::ALL
+            .into_iter()
+            .zip(selections)
+            .map(|(target, selection)| {
+                let (chosen, model) = ChosenModel::of(selection);
+                ((target, chosen), (target, model))
+            })
+            .unzip();
         QualityPredictor { tier, models, chosen }
     }
 
@@ -256,13 +263,10 @@ impl PartitioningTimePredictor {
     pub fn train(records: &[QualityRecord], grid: &[ModelConfig], folds: usize, seed: u64) -> Self {
         assert!(!records.is_empty(), "no partitioning-time records");
         let ds = Self::dataset(records);
-        let result = grid_search(grid, &ds, folds, seed);
-        let mut model = result.best.build();
-        model.fit(&ds.x, &ds.y);
-        PartitioningTimePredictor {
-            model,
-            chosen: ChosenModel { config: result.best, cv_mape: result.best_score },
-        }
+        let selection =
+            select_models(grid, &[&ds], folds, seed).pop().expect("one selection per dataset");
+        let (chosen, model) = ChosenModel::of(selection);
+        PartitioningTimePredictor { model, chosen }
     }
 
     pub fn predict(&self, props: &GraphProperties, partitioner: PartitionerId) -> f64 {
@@ -323,16 +327,17 @@ impl ProcessingTimePredictor {
                 names.push(r.workload.name());
             }
         }
-        let mut models = Vec::new();
-        let mut chosen = Vec::new();
-        for name in names {
-            let ds = Self::dataset(records, name);
-            let result = grid_search(grid, &ds, folds, seed);
-            let mut model = result.best.build();
-            model.fit(&ds.x, &ds.y);
-            chosen.push((name, ChosenModel { config: result.best, cv_mape: result.best_score }));
-            models.push((name, model));
-        }
+        let datasets: Vec<Dataset> =
+            names.iter().map(|name| Self::dataset(records, name)).collect();
+        let selections = select_models(grid, &datasets.iter().collect::<Vec<_>>(), folds, seed);
+        let (chosen, models) = names
+            .into_iter()
+            .zip(selections)
+            .map(|(name, selection)| {
+                let (chosen, model) = ChosenModel::of(selection);
+                ((name, chosen), (name, model))
+            })
+            .unzip();
         ProcessingTimePredictor { models, chosen }
     }
 

@@ -49,6 +49,14 @@ impl GraphInput {
         }
     }
 
+    /// Edge count, known without generating the graph.
+    fn num_edges(&self) -> usize {
+        match self {
+            GraphInput::Rmat(s) => s.num_edges,
+            GraphInput::Materialized(t) => t.graph.num_edges(),
+        }
+    }
+
     /// The profiling entry point: a [`PreparedGraph`] analysis context over
     /// this input. R-MAT specs *stream* their edges through
     /// [`Rmat::generate_into`] into a disk spill that is generated once per
@@ -310,22 +318,27 @@ fn worker_count(n_items: usize) -> usize {
 
 /// Run `f` over the inputs with scoped-thread fan-out, collecting outputs.
 /// One graph per worker is the only level of parallelism: every pass inside
-/// a [`PreparedGraph`] runs on the worker that asked for it.
+/// a [`PreparedGraph`] runs on the worker that asked for it. Tickets go out
+/// in descending edge count, outputs come back in input order.
 fn parallel_profile<T: Send, F>(inputs: &[GraphInput], f: F) -> Vec<T>
 where
     F: Fn(&GraphInput) -> Vec<T> + Sync,
 {
     let results: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
+    // largest first: the greedy queue's makespan is worst when the biggest
+    // graph is handed out last (stable sort — equal sizes keep input order)
+    let mut order: Vec<usize> = (0..inputs.len()).collect();
+    order.sort_by_key(|&i| std::cmp::Reverse(inputs[i].num_edges()));
     let next = std::sync::atomic::AtomicUsize::new(0);
     let workers = worker_count(inputs.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 // lint: relaxed-ok(work-stealing ticket counter; item handoff is via scope join)
-                let idx = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if idx >= inputs.len() {
+                let ticket = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(&idx) = order.get(ticket) else {
                     break;
-                }
+                };
                 let out = f(&inputs[idx]);
                 results.lock().unwrap().push((idx, out));
             });

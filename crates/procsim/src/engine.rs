@@ -23,15 +23,21 @@
 //! real — algorithm outputs are exact, only *time* is modelled — and returns
 //! the states with the report. [`crate::Workload::execute`] wants the report
 //! alone, and for a program that declares itself
-//! [`VertexProgram::stationary`] it executes the first superstep only and
-//! charges its ledger entry once per superstep of the run. That is the same
-//! report bit for bit, not an approximation: no term above reads a state
-//! value — each is decided by *which* vertices are active — and a stationary
-//! program's active set is the covered set in every superstep, so supersteps
-//! 2…n would add exactly the numbers superstep 1 added. It is also why the
-//! paper predicts these workloads by their *average iteration time* (Sec.
-//! V-C). Profiling runs every graph × partitioner × workload and keeps only
-//! the report, so it does not pay for iterations whose cost is already known.
+//! [`VertexProgram::stationary`] it walks the ledger of the first superstep
+//! only and charges that entry once per superstep of the run. That is the
+//! same report bit for bit, not an approximation: no term above reads a
+//! state value — each is decided by *which* vertices are active — and a
+//! stationary program's active set is the covered set in every superstep, so
+//! supersteps 2…n would add exactly the numbers superstep 1 added. It is
+//! also why the paper predicts these workloads by their *average iteration
+//! time* (Sec. V-C). For the same reason the priced superstep computes no
+//! value either: no `init_state`, no accumulator, no `gather` / `combine` /
+//! `apply` — the epoch stamps, touched lists and every `compute` / `bytes`
+//! term are all of it (a per-vertex `Vec<f64>` state made the synthetic
+//! workloads 1.5 and 1.05 ms per pricing against PageRank's 0.34 for the
+//! same ledger). Profiling runs every graph × partitioner × workload and
+//! keeps only the report, so it pays neither for iterations whose cost is
+//! already known nor for states nobody reads.
 
 use crate::cluster::ClusterSpec;
 use crate::placement::{DistributedGraph, NO_MASTER};
@@ -141,7 +147,8 @@ pub fn run<P: VertexProgram>(
 
 /// The cost report of [`run`] without its states — what
 /// [`crate::Workload::execute`] returns. A [`VertexProgram::stationary`]
-/// program is priced from its first superstep; any other runs to completion.
+/// program is priced from its first superstep's ledger, none of its state
+/// operations called; any other runs to completion.
 pub(crate) fn report<P: VertexProgram>(
     prog: &P,
     dg: &DistributedGraph,
@@ -150,12 +157,14 @@ pub(crate) fn report<P: VertexProgram>(
     drive(prog, dg, cluster, prog.stationary()).0
 }
 
-/// The superstep loop behind both drivers. With `replay`, the first
-/// superstep stands for all the remaining ones unless it ends the run: its
-/// ledger entry is charged once per superstep left and the loop stops
-/// (exact for a stationary program — see the module docs). The returned
-/// states are those after the last *executed* superstep, hence only [`run`]
-/// exposes them.
+/// The superstep loop behind both drivers. With `replay` (a stationary
+/// program, see the module docs) the first superstep stands for all the
+/// remaining ones unless it ends the run: its ledger entry is charged once
+/// per superstep left and the loop stops. That superstep is ledger-only —
+/// which vertices are active, touched and applied is tracked, no state
+/// operation of `prog` runs, and every covered vertex stays active by the
+/// program's declaration — so the returned states are empty under `replay`;
+/// without it they are the final states, hence only [`run`] exposes them.
 fn drive<P: VertexProgram>(
     prog: &P,
     dg: &DistributedGraph,
@@ -165,7 +174,10 @@ fn drive<P: VertexProgram>(
     assert_eq!(cluster.machines, dg.num_partitions(), "one machine per partition");
     let n = dg.num_vertices();
     let k = dg.num_partitions();
-    let mut states: Vec<P::State> = (0..n as u32).map(|v| prog.init_state(v, dg)).collect();
+    // a replayed superstep is ledger-only: no state or accumulator exists
+    let mut states: Vec<P::State> =
+        if replay { Vec::new() } else { (0..n as u32).map(|v| prog.init_state(v, dg)).collect() };
+    let acc_slots = |len| if replay { Vec::new() } else { vec![prog.acc_identity(); len] };
     let covered: Vec<bool> = (0..n as u32).map(|v| dg.master_of(v) != NO_MASTER).collect();
     let mut active: Vec<bool> =
         (0..n as u32).map(|v| covered[v as usize] && prog.initially_active(v, dg)).collect();
@@ -173,13 +185,13 @@ fn drive<P: VertexProgram>(
 
     // per-partition local accumulator storage, epoch-stamped
     let mut local_acc: Vec<Vec<P::Acc>> =
-        (0..k).map(|p| vec![prog.acc_identity(); dg.partition(p).vertices.len()]).collect();
+        (0..k).map(|p| acc_slots(dg.partition(p).vertices.len())).collect();
     let mut local_epoch: Vec<Vec<u32>> =
         (0..k).map(|p| vec![0u32; dg.partition(p).vertices.len()]).collect();
     let mut touched_lists: Vec<Vec<u32>> = vec![Vec::new(); k];
 
     // global (master-side) accumulators, epoch-stamped
-    let mut global_acc: Vec<P::Acc> = vec![prog.acc_identity(); n];
+    let mut global_acc: Vec<P::Acc> = acc_slots(n);
     let mut global_epoch: Vec<u32> = vec![0u32; n];
 
     let mut report = SimReport {
@@ -234,20 +246,30 @@ fn drive<P: VertexProgram>(
                     let dst_local = part.edge_dst_local[i] as usize;
                     if epochs[dst_local] != epoch {
                         epochs[dst_local] = epoch;
-                        accs[dst_local] = prog.acc_identity();
                         touched.push(dst_local as u32);
+                        if !replay {
+                            accs[dst_local] = prog.acc_identity();
+                        }
                     }
-                    prog.gather(e.src, &states[e.src as usize], e.dst, &mut accs[dst_local], dg);
+                    if !replay {
+                        let src_state = &states[e.src as usize];
+                        prog.gather(e.src, src_state, e.dst, &mut accs[dst_local], dg);
+                    }
                     work += edge_cost;
                 }
                 if prog.symmetric() && active[e.dst as usize] {
                     let src_local = part.edge_src_local[i] as usize;
                     if epochs[src_local] != epoch {
                         epochs[src_local] = epoch;
-                        accs[src_local] = prog.acc_identity();
                         touched.push(src_local as u32);
+                        if !replay {
+                            accs[src_local] = prog.acc_identity();
+                        }
                     }
-                    prog.gather(e.dst, &states[e.dst as usize], e.src, &mut accs[src_local], dg);
+                    if !replay {
+                        let dst_state = &states[e.dst as usize];
+                        prog.gather(e.dst, dst_state, e.src, &mut accs[src_local], dg);
+                    }
                     work += edge_cost;
                 }
             }
@@ -267,9 +289,13 @@ fn drive<P: VertexProgram>(
                     bytes[p] += acc_bytes;
                     bytes[master] += acc_bytes;
                 }
+                let first = global_epoch[v as usize] != epoch;
+                global_epoch[v as usize] = epoch;
+                if replay {
+                    continue;
+                }
                 let acc = &local_acc[p][local as usize];
-                if global_epoch[v as usize] != epoch {
-                    global_epoch[v as usize] = epoch;
+                if first {
                     global_acc[v as usize] = acc.clone();
                 } else {
                     prog.combine(&mut global_acc[v as usize], acc);
@@ -278,7 +304,8 @@ fn drive<P: VertexProgram>(
         }
 
         // ---- 4. apply at masters ----
-        let mut next_active = vec![false; n];
+        // replayed: every covered vertex stays active, by `stationary()`
+        let mut next_active = if replay { covered.clone() } else { vec![false; n] };
         let mut changed = 0usize;
         for v in 0..n {
             if !covered[v] {
@@ -290,6 +317,9 @@ fn drive<P: VertexProgram>(
             }
             let master = dg.master_of(v as u32) as usize;
             compute[master] += apply_cost;
+            if replay {
+                continue;
+            }
             let acc = if has_acc { Some(&global_acc[v]) } else { None };
             let (new_state, act) = prog.apply(v as u32, &states[v], acc, dg, step);
             if new_state != states[v] {
@@ -420,6 +450,105 @@ mod tests {
         let dg = dist(&[(0, 1), (1, 2), (2, 0)], vec![0, 0, 0], 1);
         let (report, _) = run(&CountIn, &dg, &ClusterSpec::new(1));
         assert_eq!(report.total_comm_bytes, 0.0);
+    }
+
+    /// A stationary program whose state operations are a tripwire when
+    /// `armed`: pricing it must not touch one of them. Unarmed, it is the
+    /// twin with working bodies that [`run`] can execute.
+    struct Tripwire {
+        armed: bool,
+    }
+
+    impl Tripwire {
+        fn trip(&self, op: &str) {
+            assert!(!self.armed, "tripwire: {op} called while pricing a stationary program");
+        }
+    }
+
+    impl VertexProgram for Tripwire {
+        type State = f64;
+        type Acc = Vec<f64>;
+
+        fn init_state(&self, v: u32, _dg: &DistributedGraph) -> f64 {
+            self.trip("init_state");
+            f64::from(v)
+        }
+        fn initially_active(&self, _v: u32, _dg: &DistributedGraph) -> bool {
+            true
+        }
+        fn acc_identity(&self) -> Vec<f64> {
+            self.trip("acc_identity");
+            Vec::new()
+        }
+        fn gather(&self, _s: u32, state: &f64, _d: u32, acc: &mut Vec<f64>, _: &DistributedGraph) {
+            self.trip("gather");
+            acc.push(*state);
+        }
+        fn combine(&self, into: &mut Vec<f64>, other: &Vec<f64>) {
+            self.trip("combine");
+            into.extend_from_slice(other);
+        }
+        fn apply(
+            &self,
+            _v: u32,
+            old: &f64,
+            acc: Option<&Vec<f64>>,
+            _dg: &DistributedGraph,
+            _step: usize,
+        ) -> (f64, bool) {
+            self.trip("apply");
+            (old + acc.map_or(0.0, |a| a.iter().sum()), true)
+        }
+        fn apply_to_all(&self) -> bool {
+            true
+        }
+        fn symmetric(&self) -> bool {
+            true
+        }
+        fn stationary(&self) -> bool {
+            true
+        }
+        fn state_bytes(&self) -> f64 {
+            8.0
+        }
+        fn acc_bytes(&self) -> f64 {
+            24.0
+        }
+        fn edge_cost(&self) -> f64 {
+            1.5
+        }
+        fn apply_cost(&self) -> f64 {
+            2.5
+        }
+        fn max_supersteps(&self) -> usize {
+            4
+        }
+    }
+
+    /// Three machines: vertex 2 gathers on all of them (so its accumulators
+    /// combine), vertex id 4 is uncovered, several vertices are replicated.
+    fn tripwire_graph() -> DistributedGraph {
+        dist(&[(0, 2), (1, 2), (3, 2), (2, 0), (5, 3), (1, 5)], vec![0, 1, 2, 1, 0, 2], 3)
+    }
+
+    #[test]
+    fn pricing_a_stationary_program_reads_no_state() {
+        let (dg, cluster) = (tripwire_graph(), ClusterSpec::new(3));
+        let priced = report(&Tripwire { armed: true }, &dg, &cluster);
+        let (executed, _) = run(&Tripwire { armed: false }, &dg, &cluster);
+        assert_eq!(priced.supersteps, 4);
+        assert_eq!(priced.supersteps, executed.supersteps);
+        assert_eq!(priced.total_secs.to_bits(), executed.total_secs.to_bits());
+        assert_eq!(priced.total_comm_bytes.to_bits(), executed.total_comm_bytes.to_bits());
+        assert_eq!(priced.total_compute_units.to_bits(), executed.total_compute_units.to_bits());
+        assert_eq!(priced.per_superstep, executed.per_superstep);
+        assert!(priced.total_comm_bytes > 0.0 && priced.total_compute_units > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "tripwire: init_state")]
+    fn executing_the_tripwire_trips_it() {
+        let _ = run(&Tripwire { armed: true }, &tripwire_graph(), &ClusterSpec::new(3));
     }
 
     #[test]

@@ -24,9 +24,10 @@
 //! [`Workload::execute`] returns that ledger's report without the states.
 //! For the *stationary* programs — PageRank, Label Propagation, Synthetic:
 //! every covered vertex active in every one of a fixed number of supersteps
-//! — it executes the first superstep and charges it once per superstep,
-//! which is exact because no ledger term depends on a state value, only on
-//! which vertices are active (see [`engine`]). Data-dependent programs (CC,
+//! — it walks the first superstep's ledger, computing no vertex state, and
+//! charges it once per superstep, which is exact because no ledger term
+//! depends on a state value, only on which vertices are active (see
+//! [`engine`]). Data-dependent programs (CC,
 //! SSSP, K-Cores) always run to completion.
 
 pub mod algorithms;

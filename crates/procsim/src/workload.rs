@@ -110,7 +110,8 @@ impl Workload {
     /// The workload's cost report on a distributed graph: what
     /// [`crate::engine::run`] accumulates for the same program, bit for
     /// bit, without its states — stationary programs (`pr`, `lp`, the two
-    /// synthetics) are priced from their first superstep.
+    /// synthetics) are priced from their first superstep's ledger, with no
+    /// vertex state computed.
     pub fn execute(self, dg: &DistributedGraph, cluster: &ClusterSpec) -> SimReport {
         match self {
             Workload::PageRank { iterations } => report(&PageRank::new(iterations), dg, cluster),

@@ -247,3 +247,73 @@ fn training_corpora_share_no_spec() {
         assert_eq!(PreparedPool::for_overlap(&small, &large).overlap(), 0, "{scale:?}");
     }
 }
+
+/// The three `*Predictor::train` calls run their model selection as one
+/// queued job each; what they return must be, byte for byte through
+/// `encode`, what the serial control flow assembles from the same records:
+/// per dataset `cross_val_mape` over the grid, the first minimum, the
+/// winner fitted on the full dataset.
+#[test]
+fn predictors_train_what_serial_selection_assembles() {
+    use ease_repro::core::pipeline::dedup_partition_runs;
+    use ease_repro::core::predictors::{
+        PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor,
+    };
+    use ease_repro::ml::cv::cross_val_mape;
+    use ease_repro::ml::persist::{encode_config, Writer};
+    use ease_repro::ml::Dataset;
+    use ease_repro::partition::QualityTarget;
+
+    let cfg = {
+        let mut c = tiny_config();
+        c.max_small_graphs = Some(6);
+        c.max_large_graphs = Some(4);
+        c.partitioners = vec![PartitionerId::Dbh, PartitionerId::Ne];
+        c.workloads = vec![Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents];
+        c.timing = TimingMode::Deterministic;
+        c
+    };
+    let (trained, artifacts) = train_ease(&cfg);
+    // provenance + fitted model of one dataset, as a predictor spells them
+    let serial = |w: &mut Writer, ds: &Dataset| {
+        let scores: Vec<f64> =
+            cfg.grid.iter().map(|c| cross_val_mape(c, ds, cfg.folds, cfg.seed)).collect();
+        let best = (0..scores.len())
+            .min_by(|&a, &b| scores[a].partial_cmp(&scores[b]).expect("finite scores"))
+            .expect("non-empty grid");
+        encode_config(w, &cfg.grid[best]);
+        w.put_f64(scores[best]);
+        let mut model = cfg.grid[best].build();
+        model.fit(&ds.x, &ds.y);
+        model.encode(w);
+    };
+    let bytes = |encode: &dyn Fn(&mut Writer)| {
+        let mut w = Writer::new();
+        encode(&mut w);
+        w.into_bytes()
+    };
+
+    let quality = bytes(&|w| {
+        w.put_u8(cfg.tier.tag());
+        w.put_usize(QualityTarget::ALL.len());
+        for (tag, target) in QualityTarget::ALL.into_iter().enumerate() {
+            w.put_u8(tag as u8);
+            serial(w, &QualityPredictor::dataset(&artifacts.quality_records, cfg.tier, target));
+        }
+    });
+    assert!(bytes(&|w| trained.quality.encode(w)) == quality, "quality predictor bytes");
+
+    let ptime_records = dedup_partition_runs(&artifacts.processing_records);
+    let partitioning = bytes(&|w| serial(w, &PartitioningTimePredictor::dataset(&ptime_records)));
+    assert!(bytes(&|w| trained.partitioning_time.encode(w)) == partitioning, "ptime bytes");
+
+    let processing = bytes(&|w| {
+        w.put_usize(cfg.workloads.len());
+        for workload in &cfg.workloads {
+            let name = workload.name();
+            w.put_str(name);
+            serial(w, &ProcessingTimePredictor::dataset(&artifacts.processing_records, name));
+        }
+    });
+    assert!(bytes(&|w| trained.processing_time.encode(w)) == processing, "proctime bytes");
+}
