@@ -1,7 +1,8 @@
 //! Criterion benchmarks for the distributed processing engine: the cost of
-//! `Workload::execute` — what profiling pays per label; stationary programs
-//! are priced from their first superstep — over an HDRF-partitioned R-MAT
-//! graph, and the placement build itself.
+//! a one-shot `Workload::execute` — an activity trace (declared by the
+//! stationary programs, one stateful run for the others) plus its pricing;
+//! profiling shares the trace across partitioners — over an HDRF-partitioned
+//! R-MAT graph, and the placement build itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};

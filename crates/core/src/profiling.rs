@@ -388,8 +388,8 @@ pub fn profile_quality_pooled(
         let pooled = pool.prepare(input);
         let prepared = pooled.get();
         // Extracting properties first also warms the context (degree table,
-        // undirected CSR, triangles), so no partitioner run is charged for
-        // the shared derivation under measured timing.
+        // triangles), so no partitioner run is charged for the shared
+        // derivation under measured timing.
         let props = GraphProperties::compute_prepared(prepared, PropertyTier::Advanced);
         let mut out = Vec::with_capacity(partitioners.len() * ks.len());
         for &p in partitioners {
@@ -444,6 +444,11 @@ pub fn profile_processing_with(
 }
 
 /// [`profile_processing_with`] sharing prepared contexts through `pool`.
+///
+/// Each workload runs once per graph, not once per placement: which vertices
+/// are active in which superstep does not depend on the partitioning, so the
+/// activity traces are taken on the first partitioner's placement and every
+/// placement — that one included — is priced from them.
 pub fn profile_processing_pooled(
     inputs: &[GraphInput],
     partitioners: &[PartitionerId],
@@ -459,12 +464,15 @@ pub fn profile_processing_pooled(
         let prepared = pooled.get();
         let props = GraphProperties::compute_prepared(prepared, PropertyTier::Advanced);
         let mut out = Vec::with_capacity(partitioners.len() * workloads.len());
+        let mut traces = None;
         for &p in partitioners {
             let run = run_partitioner_prepared(p, prepared, k, seed, timing);
             let partitioning_secs = run.partitioning_secs;
             let dg = DistributedGraph::build_prepared(prepared, &run.partition);
-            for &w in workloads {
-                let report = w.execute(&dg, &cluster);
+            let traces: &Vec<_> =
+                traces.get_or_insert_with(|| workloads.iter().map(|w| w.trace(&dg)).collect());
+            for (&w, trace) in workloads.iter().zip(traces) {
+                let report = w.price(trace, &dg, &cluster);
                 out.push(ProcessingRecord {
                     graph_name: input.name().to_string(),
                     graph_type: input.graph_type(),

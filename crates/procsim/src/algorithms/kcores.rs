@@ -26,11 +26,12 @@ impl KCores {
         KCores { k }
     }
 
-    /// Paper configuration: `k = ⌈mean degree⌉`.
+    /// Paper configuration: `k = ⌈mean degree⌉` (0 on a graph with no
+    /// vertices, which has no mean).
     pub fn with_mean_degree(dg: &DistributedGraph) -> Self {
-        let n = dg.num_vertices().max(1);
+        let n = dg.num_vertices();
         let total: u64 = (0..n as u32).map(|v| u64::from(dg.total_degree(v))).sum();
-        KCores { k: (total as f64 / n as f64).ceil() as u32 }
+        KCores { k: (total as f64 / n.max(1) as f64).ceil() as u32 }
     }
 }
 

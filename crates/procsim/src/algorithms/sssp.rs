@@ -20,11 +20,14 @@ impl Sssp {
     }
 
     /// Pick a deterministic pseudo-random source with at least one edge.
+    /// Falls back to vertex 0 when no draw finds one (a graph with no
+    /// vertices has none to draw).
     pub fn with_random_source(dg: &DistributedGraph, seed: u64) -> Self {
         let n = dg.num_vertices();
         let mut rng = ease_graph::hash::SplitMix64::new(seed);
-        for _ in 0..4 * n.max(16) {
-            let v = rng.next_below(n.max(1)) as u32;
+        let draws = if n == 0 { 0 } else { 4 * n.max(16) };
+        for _ in 0..draws {
+            let v = rng.next_below(n) as u32;
             if dg.total_degree(v) > 0 {
                 return Sssp { source: v };
             }

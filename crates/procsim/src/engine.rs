@@ -19,30 +19,51 @@
 //! Superstep wall time = `max_p compute_p / rate + max_p bytes_p / bw +
 //! latency`; the report sums these.
 //!
-//! One superstep loop, two drivers. [`run`] executes every state update for
-//! real — algorithm outputs are exact, only *time* is modelled — and returns
-//! the states with the report. [`crate::Workload::execute`] wants the report
-//! alone, and for a program that declares itself
-//! [`VertexProgram::stationary`] it walks the ledger of the first superstep
-//! only and charges that entry once per superstep of the run. That is the
-//! same report bit for bit, not an approximation: no term above reads a
-//! state value — each is decided by *which* vertices are active — and a
-//! stationary program's active set is the covered set in every superstep, so
-//! supersteps 2…n would add exactly the numbers superstep 1 added. It is
-//! also why the paper predicts these workloads by their *average iteration
-//! time* (Sec. V-C). For the same reason the priced superstep computes no
-//! value either: no `init_state`, no accumulator, no `gather` / `combine` /
-//! `apply` — the epoch stamps, touched lists and every `compute` / `bytes`
-//! term are all of it (a per-vertex `Vec<f64>` state made the synthetic
-//! workloads 1.5 and 1.05 ms per pricing against PageRank's 0.34 for the
-//! same ledger). Profiling runs every graph × partitioner × workload and
-//! keeps only the report, so it pays neither for iterations whose cost is
-//! already known nor for states nobody reads.
+//! **What happens, and what it costs here.** No term above reads a state
+//! value: each is decided by *which* vertices are active in the superstep.
+//! And which vertices are active when is a property of the graph and the
+//! program, not of the placement — a partitioning changes what a computation
+//! costs, never what it computes. So the engine is split along that line:
+//!
+//! * [`trace`] answers "what happens": the [`ActivityTrace`] of a program on
+//!   a graph, the ascending active vertex ids of every superstep. For a
+//!   [`VertexProgram::stationary`] program it is written down from the
+//!   declaration — the covered set, `max_supersteps()` times — and no state
+//!   operation is called; for any other program it is recorded by the one
+//!   stateful superstep loop, on *any* placement of the graph.
+//! * [`price`] answers "what it costs here": the [`SimReport`] of a trace on
+//!   one placement. Per partition it makes one pass over the local edges per
+//!   64 supersteps — the window's activity is one `u64` per vertex, and an
+//!   edge ORs its source's word into its destination's "touched" word — after
+//!   which every ledger term of a superstep is a count over vertices and
+//!   replicas, not edges. A stationary program needs no edge pass at all
+//!   (with every covered vertex active, a replica is touched iff it has a
+//!   local in-edge), and its one superstep's ledger is charged once per
+//!   superstep of the trace — the paper predicts these workloads by their
+//!   *average iteration time* for the same reason (Sec. V-C).
+//!
+//! [`crate::Workload::execute`] is `price(trace(..))`; profiling takes the
+//! trace once per graph and prices it once per partitioner. [`run`] is the
+//! stateful loop itself — every state update executed for real, algorithm
+//! outputs exact, only *time* modelled — and the reference `price` is held
+//! to: each `compute[p]` / `bytes[p]` receives the same addends in the same
+//! order there and here, so the reports agree bit for bit
+//! (`tests/procsim_correctness.rs`).
 
 use crate::cluster::ClusterSpec;
 use crate::placement::{DistributedGraph, NO_MASTER};
+use std::ops::Range;
 
 /// A vertex program in gather/apply form.
+///
+/// A program that is not [`stationary`](VertexProgram::stationary) must make
+/// `gather` + `combine` an *exactly* commutative and associative fold —
+/// integer min or sum, as in CC, SSSP and K-Cores: its [`ActivityTrace`] is
+/// taken on one placement and priced on others, and a placement decides the
+/// order and grouping in which a vertex's contributions are folded. A fold
+/// that rounds (a float sum) could activate different vertices on different
+/// placements (`tests/procsim_correctness.rs::activity_is_placement_independent`
+/// holds the catalogue to this).
 pub trait VertexProgram {
     type State: Clone + PartialEq;
     type Acc: Clone;
@@ -83,10 +104,11 @@ pub trait VertexProgram {
     /// Every covered vertex is active in every superstep, whatever the
     /// states are, and the run lasts exactly `max_supersteps()` — the
     /// paper's fixed-iteration workloads (Sec. V-C: "all vertices are active
-    /// in each iteration"). Every superstep of such a program costs what its
-    /// first one does, so [`crate::Workload::execute`] prices the run from
-    /// that one; [`run`] still executes all of them and `debug_assert!`s the
-    /// declaration each superstep.
+    /// in each iteration"). The declaration buys a declared trace: [`trace`]
+    /// writes such a program's activity down without executing it, and
+    /// [`price`] charges one superstep's ledger for all of them. [`run`]
+    /// still executes every superstep and `debug_assert!`s the declaration
+    /// in each.
     fn stationary(&self) -> bool {
         false
     }
@@ -124,6 +146,16 @@ pub struct SimReport {
 }
 
 impl SimReport {
+    fn empty() -> Self {
+        SimReport {
+            total_secs: 0.0,
+            supersteps: 0,
+            total_comm_bytes: 0.0,
+            total_compute_units: 0.0,
+            per_superstep: Vec::new(),
+        }
+    }
+
     /// Average per-superstep time — the prediction target for
     /// fixed-iteration workloads (paper Sec. V-C).
     pub fn avg_superstep_secs(&self) -> f64 {
@@ -132,6 +164,59 @@ impl SimReport {
         } else {
             self.total_secs / self.supersteps as f64
         }
+    }
+
+    /// Account one superstep from its per-machine ledger — the one `+=`
+    /// sequence a report grows by, executed or priced.
+    fn charge(&mut self, compute: &[f64], bytes: &[f64], active: usize, cluster: &ClusterSpec) {
+        let max_compute = compute.iter().cloned().fold(0.0, f64::max);
+        let max_bytes = bytes.iter().cloned().fold(0.0, f64::max);
+        let cost = SuperstepCost {
+            compute_secs: cluster.compute_secs(max_compute),
+            network_secs: cluster.network_secs(max_bytes),
+            active_senders: active,
+        };
+        self.total_secs += cost.compute_secs + cost.network_secs + cluster.superstep_latency_secs;
+        self.total_comm_bytes += bytes.iter().sum::<f64>();
+        self.total_compute_units += compute.iter().sum::<f64>();
+        self.per_superstep.push(cost);
+        self.supersteps += 1;
+    }
+}
+
+/// What one program does on one graph, whatever the placement: the
+/// ascending ids of the vertices active in each superstep of the run.
+/// Memory is `Σ_s |A_s|` ids, never `n · supersteps`; a stationary
+/// program's trace holds its covered set once.
+#[derive(Debug, Clone)]
+pub struct ActivityTrace {
+    num_vertices: usize,
+    num_edges: usize,
+    /// Ascending active ids, one stretch per distinct active set.
+    active: Vec<u32>,
+    /// Superstep `s` had `active[steps[s]]` active.
+    steps: Vec<Range<usize>>,
+}
+
+impl ActivityTrace {
+    /// Number of supersteps the run was charged for.
+    pub fn supersteps(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// The ascending ids of the vertices active in superstep `step`.
+    pub fn active(&self, step: usize) -> &[u32] {
+        &self.active[self.steps[step].clone()]
+    }
+}
+
+/// Same graph size, same active set in every superstep — however the sets
+/// are stored.
+impl PartialEq for ActivityTrace {
+    fn eq(&self, other: &Self) -> bool {
+        (self.num_vertices, self.num_edges, self.supersteps())
+            == (other.num_vertices, other.num_edges, other.supersteps())
+            && (0..self.supersteps()).all(|s| self.active(s) == other.active(s))
     }
 }
 
@@ -142,42 +227,49 @@ pub fn run<P: VertexProgram>(
     dg: &DistributedGraph,
     cluster: &ClusterSpec,
 ) -> (SimReport, Vec<P::State>) {
-    drive(prog, dg, cluster, false)
+    let (report, states, _) = drive(prog, dg, cluster);
+    (report, states)
 }
 
-/// The cost report of [`run`] without its states — what
-/// [`crate::Workload::execute`] returns. A [`VertexProgram::stationary`]
-/// program is priced from its first superstep's ledger, none of its state
-/// operations called; any other runs to completion.
-pub(crate) fn report<P: VertexProgram>(
-    prog: &P,
-    dg: &DistributedGraph,
-    cluster: &ClusterSpec,
-) -> SimReport {
-    drive(prog, dg, cluster, prog.stationary()).0
+/// The activity of `prog` on the graph `dg` places — equal on every
+/// placement of that graph. Declared, not executed, for a
+/// [`VertexProgram::stationary`] program; recorded by the stateful loop for
+/// any other.
+pub fn trace<P: VertexProgram>(prog: &P, dg: &DistributedGraph) -> ActivityTrace {
+    if !prog.stationary() {
+        return drive(prog, dg, &ClusterSpec::new(dg.num_partitions())).2;
+    }
+    let covered: Vec<u32> = covered_vertices(dg).collect();
+    // `run`'s exits: with nothing covered, nothing is ever active — the run
+    // ends before its first superstep, or after it when every superstep
+    // applies to all (and then changes nothing)
+    let supersteps = if !covered.is_empty() {
+        prog.max_supersteps()
+    } else if prog.apply_to_all() {
+        prog.max_supersteps().min(1)
+    } else {
+        0
+    };
+    ActivityTrace {
+        num_vertices: dg.num_vertices(),
+        num_edges: dg.num_edges(),
+        steps: vec![0..covered.len(); supersteps],
+        active: covered,
+    }
 }
 
-/// The superstep loop behind both drivers. With `replay` (a stationary
-/// program, see the module docs) the first superstep stands for all the
-/// remaining ones unless it ends the run: its ledger entry is charged once
-/// per superstep left and the loop stops. That superstep is ledger-only —
-/// which vertices are active, touched and applied is tracked, no state
-/// operation of `prog` runs, and every covered vertex stays active by the
-/// program's declaration — so the returned states are empty under `replay`;
-/// without it they are the final states, hence only [`run`] exposes them.
+/// The stateful superstep loop: executes every state update, charges the
+/// ledger as it goes and records which vertices were active when. [`run`]
+/// exposes the report and the states, [`trace`] the activity.
 fn drive<P: VertexProgram>(
     prog: &P,
     dg: &DistributedGraph,
     cluster: &ClusterSpec,
-    replay: bool,
-) -> (SimReport, Vec<P::State>) {
+) -> (SimReport, Vec<P::State>, ActivityTrace) {
     assert_eq!(cluster.machines, dg.num_partitions(), "one machine per partition");
     let n = dg.num_vertices();
     let k = dg.num_partitions();
-    // a replayed superstep is ledger-only: no state or accumulator exists
-    let mut states: Vec<P::State> =
-        if replay { Vec::new() } else { (0..n as u32).map(|v| prog.init_state(v, dg)).collect() };
-    let acc_slots = |len| if replay { Vec::new() } else { vec![prog.acc_identity(); len] };
+    let mut states: Vec<P::State> = (0..n as u32).map(|v| prog.init_state(v, dg)).collect();
     let covered: Vec<bool> = (0..n as u32).map(|v| dg.master_of(v) != NO_MASTER).collect();
     let mut active: Vec<bool> =
         (0..n as u32).map(|v| covered[v as usize] && prog.initially_active(v, dg)).collect();
@@ -185,53 +277,37 @@ fn drive<P: VertexProgram>(
 
     // per-partition local accumulator storage, epoch-stamped
     let mut local_acc: Vec<Vec<P::Acc>> =
-        (0..k).map(|p| acc_slots(dg.partition(p).vertices.len())).collect();
+        (0..k).map(|p| vec![prog.acc_identity(); dg.partition(p).vertices.len()]).collect();
     let mut local_epoch: Vec<Vec<u32>> =
         (0..k).map(|p| vec![0u32; dg.partition(p).vertices.len()]).collect();
     let mut touched_lists: Vec<Vec<u32>> = vec![Vec::new(); k];
 
     // global (master-side) accumulators, epoch-stamped
-    let mut global_acc: Vec<P::Acc> = acc_slots(n);
+    let mut global_acc: Vec<P::Acc> = vec![prog.acc_identity(); n];
     let mut global_epoch: Vec<u32> = vec![0u32; n];
 
-    let mut report = SimReport {
-        total_secs: 0.0,
-        supersteps: 0,
-        total_comm_bytes: 0.0,
-        total_compute_units: 0.0,
-        per_superstep: Vec::new(),
+    let mut report = SimReport::empty();
+    let mut trace = ActivityTrace {
+        num_vertices: n,
+        num_edges: dg.num_edges(),
+        active: Vec::new(),
+        steps: Vec::new(),
     };
 
     for step in 0..prog.max_supersteps() {
         let epoch = step as u32 + 1;
-        let num_active = active.iter().filter(|&&a| a).count();
+        let recorded = trace.active.len();
+        trace.active.extend((0..n as u32).filter(|&v| active[v as usize]));
+        let num_active = trace.active.len() - recorded;
         if num_active == 0 && !prog.apply_to_all() {
             break;
         }
+        trace.steps.push(recorded..trace.active.len());
         let mut compute = vec![0.0f64; k];
         let mut bytes = vec![0.0f64; k];
 
         // ---- 1. broadcast active vertex states to mirrors ----
-        let state_bytes = prog.state_bytes();
-        for v in 0..n {
-            if !active[v] {
-                continue;
-            }
-            let mask = dg.replica_mask(v as u32);
-            let r = mask.count_ones();
-            if r > 1 {
-                let master = dg.master_of(v as u32) as usize;
-                bytes[master] += (r - 1) as f64 * state_bytes;
-                let mut m = mask;
-                while m != 0 {
-                    let p = m.trailing_zeros() as usize;
-                    m &= m - 1;
-                    if p != master {
-                        bytes[p] += state_bytes;
-                    }
-                }
-            }
-        }
+        broadcast(&trace.active[recorded..], dg, prog.state_bytes(), &mut bytes);
 
         // ---- 2. gather along local edges ----
         let edge_cost = prog.edge_cost();
@@ -247,14 +323,10 @@ fn drive<P: VertexProgram>(
                     if epochs[dst_local] != epoch {
                         epochs[dst_local] = epoch;
                         touched.push(dst_local as u32);
-                        if !replay {
-                            accs[dst_local] = prog.acc_identity();
-                        }
+                        accs[dst_local] = prog.acc_identity();
                     }
-                    if !replay {
-                        let src_state = &states[e.src as usize];
-                        prog.gather(e.src, src_state, e.dst, &mut accs[dst_local], dg);
-                    }
+                    let src_state = &states[e.src as usize];
+                    prog.gather(e.src, src_state, e.dst, &mut accs[dst_local], dg);
                     work += edge_cost;
                 }
                 if prog.symmetric() && active[e.dst as usize] {
@@ -262,14 +334,10 @@ fn drive<P: VertexProgram>(
                     if epochs[src_local] != epoch {
                         epochs[src_local] = epoch;
                         touched.push(src_local as u32);
-                        if !replay {
-                            accs[src_local] = prog.acc_identity();
-                        }
+                        accs[src_local] = prog.acc_identity();
                     }
-                    if !replay {
-                        let dst_state = &states[e.dst as usize];
-                        prog.gather(e.dst, dst_state, e.src, &mut accs[src_local], dg);
-                    }
+                    let dst_state = &states[e.dst as usize];
+                    prog.gather(e.dst, dst_state, e.src, &mut accs[src_local], dg);
                     work += edge_cost;
                 }
             }
@@ -289,13 +357,9 @@ fn drive<P: VertexProgram>(
                     bytes[p] += acc_bytes;
                     bytes[master] += acc_bytes;
                 }
-                let first = global_epoch[v as usize] != epoch;
-                global_epoch[v as usize] = epoch;
-                if replay {
-                    continue;
-                }
                 let acc = &local_acc[p][local as usize];
-                if first {
+                if global_epoch[v as usize] != epoch {
+                    global_epoch[v as usize] = epoch;
                     global_acc[v as usize] = acc.clone();
                 } else {
                     prog.combine(&mut global_acc[v as usize], acc);
@@ -304,8 +368,7 @@ fn drive<P: VertexProgram>(
         }
 
         // ---- 4. apply at masters ----
-        // replayed: every covered vertex stays active, by `stationary()`
-        let mut next_active = if replay { covered.clone() } else { vec![false; n] };
+        let mut next_active = vec![false; n];
         let mut changed = 0usize;
         for v in 0..n {
             if !covered[v] {
@@ -317,9 +380,6 @@ fn drive<P: VertexProgram>(
             }
             let master = dg.master_of(v as u32) as usize;
             compute[master] += apply_cost;
-            if replay {
-                continue;
-            }
             let acc = if has_acc { Some(&global_acc[v]) } else { None };
             let (new_state, act) = prog.apply(v as u32, &states[v], acc, dg, step);
             if new_state != states[v] {
@@ -333,26 +393,7 @@ fn drive<P: VertexProgram>(
             "stationary: every covered vertex stays active (superstep {step})"
         );
 
-        // ---- account the superstep ----
-        let max_compute = compute.iter().cloned().fold(0.0, f64::max);
-        let max_bytes = bytes.iter().cloned().fold(0.0, f64::max);
-        let cost = SuperstepCost {
-            compute_secs: cluster.compute_secs(max_compute),
-            network_secs: cluster.network_secs(max_bytes),
-            active_senders: num_active,
-        };
-        let comm_bytes = bytes.iter().sum::<f64>();
-        let compute_units = compute.iter().sum::<f64>();
-        // the one `+=` sequence a report grows by, executed or replayed
-        let charge = |report: &mut SimReport| {
-            report.total_secs +=
-                cost.compute_secs + cost.network_secs + cluster.superstep_latency_secs;
-            report.total_comm_bytes += comm_bytes;
-            report.total_compute_units += compute_units;
-            report.per_superstep.push(cost);
-            report.supersteps += 1;
-        };
-        charge(&mut report);
+        report.charge(&compute, &bytes, num_active, cluster);
 
         let none_active = !next_active.iter().any(|&a| a);
         active = next_active;
@@ -363,15 +404,222 @@ fn drive<P: VertexProgram>(
         } else if none_active {
             break;
         }
-        if replay {
-            // every superstep left would add exactly what this one added
-            for _ in step + 1..prog.max_supersteps() {
-                charge(&mut report);
-            }
-            break;
+    }
+    (report, states, trace)
+}
+
+/// The vertices with at least one edge, ascending — those a placement gives
+/// a master.
+fn covered_vertices(dg: &DistributedGraph) -> impl Iterator<Item = u32> + '_ {
+    (0..dg.num_vertices() as u32).filter(|&v| dg.master_of(v) != NO_MASTER)
+}
+
+/// Supersteps priced per pass over a partition's edges: one bit each of a
+/// `u64` activity word.
+const WINDOW: usize = u64::BITS as usize;
+
+/// What one machine's ledger of one superstep is made of, as counts.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    /// Edge directions gathered along.
+    gathered: usize,
+    /// Local replicas that received a contribution.
+    touched: usize,
+    /// Accumulators shipped out of (as a mirror) or into (as a master) here.
+    shipped: usize,
+    /// Masters applied here.
+    applied: usize,
+}
+
+/// The set bits of `word`, ascending.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
+}
+
+/// `*sum += c`, `times` times over — what the stateful loop does one edge or
+/// vertex at a time. A single multiplication where that is the same number:
+/// whole `c` and `*sum` with every partial sum below 2^52 (the
+/// data-dependent programs cost 1.0 / 1.0 and ship 4–5 bytes); the repeated
+/// add otherwise (Synthetic's `0.2 · s`).
+fn add_times(sum: &mut f64, c: f64, times: usize) {
+    const EXACT: f64 = (1u64 << 52) as f64;
+    let product = c * times as f64;
+    if c.fract() == 0.0 && sum.fract() == 0.0 && sum.abs() + product.abs() < EXACT {
+        *sum += product;
+    } else {
+        for _ in 0..times {
+            *sum += c;
         }
     }
-    (report, states)
+}
+
+/// The cost report of the run `trace` describes on the placement `dg` —
+/// bit for bit what [`run`] accumulates there, with no vertex state
+/// computed. The trace may have been taken on any placement of the same
+/// graph.
+///
+/// # Panics
+/// If the trace was taken on a graph with another vertex or edge count.
+pub fn price<P: VertexProgram>(
+    prog: &P,
+    trace: &ActivityTrace,
+    dg: &DistributedGraph,
+    cluster: &ClusterSpec,
+) -> SimReport {
+    assert_eq!(cluster.machines, dg.num_partitions(), "one machine per partition");
+    assert!(
+        (trace.num_vertices, trace.num_edges) == (dg.num_vertices(), dg.num_edges()),
+        "trace of a graph with {} vertices and {} edges priced on a placement of {} and {}",
+        trace.num_vertices,
+        trace.num_edges,
+        dg.num_vertices(),
+        dg.num_edges(),
+    );
+    let n = dg.num_vertices();
+    let k = dg.num_partitions();
+    let master_of = |v: u32| dg.master_of(v) as usize;
+    debug_assert!(
+        trace.active.iter().all(|&v| dg.master_of(v) != NO_MASTER),
+        "only covered vertices are ever active"
+    );
+    let (stationary, symmetric) = (prog.stationary(), prog.symmetric());
+    let apply_to_all = prog.apply_to_all();
+    let (state_bytes, acc_bytes) = (prog.state_bytes(), prog.acc_bytes());
+    let (edge_cost, apply_cost) = (prog.edge_cost(), prog.apply_cost());
+    // what apply-to-all applies on each machine, every superstep
+    let mut masters = vec![0usize; k];
+    if apply_to_all {
+        covered_vertices(dg).for_each(|v| masters[master_of(v)] += 1);
+    }
+
+    // A stationary run is one superstep — every covered vertex active —
+    // charged once per superstep of the trace; any other is priced a window
+    // of supersteps at a time.
+    let total = trace.supersteps();
+    let (windows, charges): (Vec<Range<usize>>, usize) = if stationary {
+        debug_assert!(
+            (0..total).all(|s| trace.active(s).len() == covered_vertices(dg).count()),
+            "stationary: every covered vertex is active"
+        );
+        ((0..total.min(1)).map(|s| s..s + 1).collect(), total)
+    } else {
+        ((0..total).step_by(WINDOW).map(|s| s..(s + WINDOW).min(total)).collect(), 1)
+    };
+
+    let mut report = SimReport::empty();
+    // bit `s` of a word: "in superstep `window.start + s`"
+    let mut active = vec![0u64; n];
+    let mut reached = vec![0u64; if apply_to_all { 0 } else { n }];
+    let (mut local_active, mut local_touched) = (Vec::new(), Vec::new());
+    let mut tallies = Vec::new();
+    let (mut compute, mut bytes) = (vec![0.0f64; k], vec![0.0f64; k]);
+    for window in windows {
+        active.fill(0);
+        for (bit, step) in window.clone().enumerate() {
+            for &v in trace.active(step) {
+                active[v as usize] |= 1 << bit;
+            }
+        }
+        reached.fill(0);
+        tallies.clear();
+        tallies.resize(window.len() * k, Tally::default());
+        for p in 0..k {
+            let part = dg.partition(p);
+            local_active.clear();
+            local_active.extend(part.vertices.iter().map(|&v| active[v as usize]));
+            local_touched.clear();
+            if stationary {
+                // every local vertex is active: touched iff gathered into
+                local_touched.extend(part.in_degree.iter().map(|&d| u64::from(symmetric || d > 0)));
+            } else {
+                local_touched.resize(part.vertices.len(), 0);
+                for (&src, &dst) in part.edge_src_local.iter().zip(&part.edge_dst_local) {
+                    local_touched[dst as usize] |= local_active[src as usize];
+                    if symmetric {
+                        local_touched[src as usize] |= local_active[dst as usize];
+                    }
+                }
+            }
+            for (local, &v) in part.vertices.iter().enumerate() {
+                let in_degree = if symmetric { part.in_degree[local] } else { 0 };
+                let degree = (part.out_degree[local] + in_degree) as usize;
+                for bit in bits(local_active[local]) {
+                    tallies[bit * k + p].gathered += degree;
+                }
+                let touched = local_touched[local];
+                if touched == 0 {
+                    continue;
+                }
+                let master = master_of(v);
+                for bit in bits(touched) {
+                    tallies[bit * k + p].touched += 1;
+                    if master != p {
+                        tallies[bit * k + p].shipped += 1;
+                        tallies[bit * k + master].shipped += 1;
+                    }
+                }
+                if !apply_to_all {
+                    reached[v as usize] |= touched;
+                }
+            }
+        }
+        if apply_to_all {
+            for (i, tally) in tallies.iter_mut().enumerate() {
+                tally.applied = masters[i % k];
+            }
+        } else {
+            for (v, &word) in reached.iter().enumerate() {
+                for bit in bits(word) {
+                    tallies[bit * k + master_of(v as u32)].applied += 1;
+                }
+            }
+        }
+
+        for (step, tallies) in window.zip(tallies.chunks(k)) {
+            compute.fill(0.0);
+            bytes.fill(0.0);
+            broadcast(trace.active(step), dg, state_bytes, &mut bytes);
+            for (p, tally) in tallies.iter().enumerate() {
+                let mut work = 0.0;
+                add_times(&mut work, edge_cost, tally.gathered);
+                compute[p] += work;
+                compute[p] += apply_cost * tally.touched as f64;
+                add_times(&mut bytes[p], acc_bytes, tally.shipped);
+                add_times(&mut compute[p], apply_cost, tally.applied);
+            }
+            for _ in 0..charges {
+                report.charge(&compute, &bytes, trace.active(step).len(), cluster);
+            }
+        }
+    }
+    report
+}
+
+/// Superstep phase 1: every active vertex's master ships the state to each
+/// mirror.
+fn broadcast(active: &[u32], dg: &DistributedGraph, state_bytes: f64, bytes: &mut [f64]) {
+    for &v in active {
+        let mask = dg.replica_mask(v);
+        let r = mask.count_ones();
+        if r > 1 {
+            let master = dg.master_of(v) as usize;
+            bytes[master] += (r - 1) as f64 * state_bytes;
+            let mut m = mask;
+            while m != 0 {
+                let p = m.trailing_zeros() as usize;
+                m &= m - 1;
+                if p != master {
+                    bytes[p] += state_bytes;
+                }
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -534,7 +782,8 @@ mod tests {
     #[test]
     fn pricing_a_stationary_program_reads_no_state() {
         let (dg, cluster) = (tripwire_graph(), ClusterSpec::new(3));
-        let priced = report(&Tripwire { armed: true }, &dg, &cluster);
+        let armed = Tripwire { armed: true };
+        let priced = price(&armed, &trace(&armed, &dg), &dg, &cluster);
         let (executed, _) = run(&Tripwire { armed: false }, &dg, &cluster);
         assert_eq!(priced.supersteps, 4);
         assert_eq!(priced.supersteps, executed.supersteps);

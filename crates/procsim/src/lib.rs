@@ -21,14 +21,21 @@
 //! drives communication-bound workloads (PageRank, Synthetic-High), vertex
 //! balance drives computation-bound workloads (Label Propagation).
 //!
-//! [`Workload::execute`] returns that ledger's report without the states.
-//! For the *stationary* programs — PageRank, Label Propagation, Synthetic:
-//! every covered vertex active in every one of a fixed number of supersteps
-//! — it walks the first superstep's ledger, computing no vertex state, and
-//! charges it once per superstep, which is exact because no ledger term
-//! depends on a state value, only on which vertices are active (see
-//! [`engine`]). Data-dependent programs (CC,
-//! SSSP, K-Cores) always run to completion.
+//! [`Workload::execute`] returns that ledger's report without the states,
+//! in two steps that callers placing one graph several times take apart.
+//! [`Workload::trace`] is *what happens*: which vertices are active in which
+//! superstep — a property of the graph and the program, not of the
+//! placement. The *stationary* programs (PageRank, Label Propagation,
+//! Synthetic: every covered vertex active in every one of a fixed number of
+//! supersteps) declare it; the data-dependent ones (CC, SSSP, K-Cores) are
+//! executed once, on any placement, to record it. [`Workload::price`] is
+//! *what it costs here*: the report of a trace on one placement, from counts
+//! over vertices and replicas after one pass over the local edges per 64
+//! supersteps (none for a stationary program), computing no vertex state.
+//! That is exact, not an approximation, because no ledger term depends on a
+//! state value, only on which vertices are active (see [`engine`]) — so
+//! profiling runs each workload once per graph and prices it once per
+//! partitioner.
 
 pub mod algorithms;
 pub mod cluster;
@@ -37,6 +44,6 @@ pub mod placement;
 pub mod workload;
 
 pub use cluster::ClusterSpec;
-pub use engine::{SimReport, VertexProgram};
+pub use engine::{ActivityTrace, SimReport, VertexProgram};
 pub use placement::DistributedGraph;
 pub use workload::Workload;

@@ -14,6 +14,10 @@ pub struct PartitionData {
     pub edge_src_local: Vec<u32>,
     /// For each local edge: local index of its destination.
     pub edge_dst_local: Vec<u32>,
+    /// For each local vertex: how many local edges leave it.
+    pub out_degree: Vec<u32>,
+    /// For each local vertex: how many local edges enter it.
+    pub in_degree: Vec<u32>,
 }
 
 /// A graph distributed over `k` machines by a vertex-cut edge partitioning,
@@ -57,8 +61,13 @@ impl DistributedGraph {
             vertices: Vec::new(),
             edge_src_local: Vec::new(),
             edge_dst_local: Vec::new(),
+            out_degree: Vec::new(),
+            in_degree: Vec::new(),
         };
         let mut parts = vec![empty; k];
+        for (part, edges) in parts.iter_mut().zip(partition.edge_counts()) {
+            part.edges.reserve_exact(edges);
+        }
         prepared.for_each_edge_indexed(|i, e| {
             let p = partition.partition_of(i);
             parts[p].edges.push(e);
@@ -90,13 +99,22 @@ impl DistributedGraph {
         }
         // Global id → local index, one scratch for all partitions: a
         // partition reads only the entries its own `vertices` just wrote.
+        // The same pass over the local edges counts the local degrees.
         let mut local_of = vec![0u32; n];
         for part in &mut parts {
             for (local, &v) in part.vertices.iter().enumerate() {
                 local_of[v as usize] = local as u32;
             }
-            part.edge_src_local = part.edges.iter().map(|e| local_of[e.src as usize]).collect();
-            part.edge_dst_local = part.edges.iter().map(|e| local_of[e.dst as usize]).collect();
+            part.edge_src_local = vec![0; part.edges.len()];
+            part.edge_dst_local = vec![0; part.edges.len()];
+            part.out_degree = vec![0; part.vertices.len()];
+            part.in_degree = vec![0; part.vertices.len()];
+            let locals = part.edge_src_local.iter_mut().zip(&mut part.edge_dst_local);
+            for (e, (src, dst)) in part.edges.iter().zip(locals) {
+                (*src, *dst) = (local_of[e.src as usize], local_of[e.dst as usize]);
+                part.out_degree[*src as usize] += 1;
+                part.in_degree[*dst as usize] += 1;
+            }
         }
         let deg = prepared.degrees();
         DistributedGraph {
@@ -117,6 +135,11 @@ impl DistributedGraph {
     #[inline]
     pub fn num_vertices(&self) -> usize {
         self.num_vertices
+    }
+
+    /// Number of edges placed (Σ_p |E(p)|).
+    pub(crate) fn num_edges(&self) -> usize {
+        self.parts.iter().map(|p| p.edges.len()).sum()
     }
 
     #[inline]
@@ -232,7 +255,8 @@ mod tests {
 
     /// The placement as it was derived before the one-pass build: route the
     /// edges, then per partition collect both endpoints, sort, dedup, and
-    /// `binary_search` every endpoint; masters by stripping `pick` low bits.
+    /// `binary_search` every endpoint; masters by stripping `pick` low bits;
+    /// local degrees by a count over `edges` per local vertex.
     fn reference_parts(g: &Graph, p: &EdgePartition) -> (Vec<PartitionData>, Vec<u16>, Vec<u128>) {
         let mut replicas = vec![0u128; g.num_vertices()];
         let mut part_edges: Vec<Vec<Edge>> = vec![Vec::new(); p.num_partitions()];
@@ -266,7 +290,19 @@ mod tests {
                 let local = |v: u32| vertices.binary_search(&v).expect("covered vertex") as u32;
                 let edge_src_local = edges.iter().map(|e| local(e.src)).collect();
                 let edge_dst_local = edges.iter().map(|e| local(e.dst)).collect();
-                PartitionData { edges, vertices, edge_src_local, edge_dst_local }
+                let count = |end: fn(&Edge) -> u32| {
+                    let degree = |&v: &u32| edges.iter().filter(|e| end(e) == v).count() as u32;
+                    vertices.iter().map(degree).collect()
+                };
+                let (out_degree, in_degree) = (count(|e| e.src), count(|e| e.dst));
+                PartitionData {
+                    edges,
+                    vertices,
+                    edge_src_local,
+                    edge_dst_local,
+                    out_degree,
+                    in_degree,
+                }
             })
             .collect();
         (parts, master, replicas)
@@ -298,6 +334,8 @@ mod tests {
                     assert_eq!(got.vertices, want.vertices, "k={k} m={m}");
                     assert_eq!(got.edge_src_local, want.edge_src_local, "k={k} m={m}");
                     assert_eq!(got.edge_dst_local, want.edge_dst_local, "k={k} m={m}");
+                    assert_eq!(got.out_degree, want.out_degree, "k={k} m={m}");
+                    assert_eq!(got.in_degree, want.in_degree, "k={k} m={m}");
                 }
             }
         }

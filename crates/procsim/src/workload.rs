@@ -1,9 +1,12 @@
 //! Workload catalog — the graph processing algorithms used to train and
-//! evaluate EASE's ProcessingTimePredictor.
+//! evaluate EASE's ProcessingTimePredictor. A workload is asked two things:
+//! what it does on a graph ([`Workload::trace`], once per graph) and what
+//! that costs on a placement ([`Workload::price`], once per partitioner);
+//! [`Workload::execute`] asks both of one placement.
 
 use crate::algorithms::{ConnectedComponents, KCores, LabelPropagation, PageRank, Sssp, Synthetic};
 use crate::cluster::ClusterSpec;
-use crate::engine::{report, SimReport};
+use crate::engine::{self, ActivityTrace, SimReport};
 use crate::placement::DistributedGraph;
 
 /// A graph processing workload with the paper's parametrization.
@@ -29,6 +32,39 @@ pub enum Workload {
         s: usize,
         iterations: usize,
     },
+}
+
+/// `$body` with `$prog` bound to the workload's vertex program on `$dg` —
+/// the programs share a trait, not a type.
+macro_rules! with_program {
+    ($workload:expr, $dg:expr, |$prog:ident| $body:expr) => {
+        match $workload {
+            Workload::PageRank { iterations } => {
+                let $prog = PageRank::new(iterations);
+                $body
+            }
+            Workload::ConnectedComponents => {
+                let $prog = ConnectedComponents;
+                $body
+            }
+            Workload::Sssp { source_seed } => {
+                let $prog = Sssp::with_random_source($dg, source_seed);
+                $body
+            }
+            Workload::KCores => {
+                let $prog = KCores::with_mean_degree($dg);
+                $body
+            }
+            Workload::LabelPropagation { iterations } => {
+                let $prog = LabelPropagation::new(iterations);
+                $body
+            }
+            Workload::Synthetic { s, iterations } => {
+                let $prog = Synthetic { s, iterations };
+                $body
+            }
+        }
+    };
 }
 
 impl Workload {
@@ -107,26 +143,37 @@ impl Workload {
         }
     }
 
-    /// The workload's cost report on a distributed graph: what
-    /// [`crate::engine::run`] accumulates for the same program, bit for
-    /// bit, without its states — stationary programs (`pr`, `lp`, the two
-    /// synthetics) are priced from their first superstep's ledger, with no
-    /// vertex state computed.
+    /// What the workload does on the graph `dg` places: which vertices are
+    /// active in which superstep. A property of the graph and the workload,
+    /// not of the placement — take it on any placement, [`price`] it on all
+    /// of them. Stationary programs (`pr`, `lp`, the two synthetics) declare
+    /// theirs; `cc`, `sssp` and `kcores` are executed once to record it.
+    ///
+    /// [`price`]: Workload::price
+    pub fn trace(self, dg: &DistributedGraph) -> ActivityTrace {
+        with_program!(self, dg, |prog| engine::trace(&prog, dg))
+    }
+
+    /// What `trace` costs on the placement `dg`: the report
+    /// [`crate::engine::run`] accumulates for the same program there, bit
+    /// for bit, with no vertex state computed.
+    ///
+    /// # Panics
+    /// If `trace` was taken on a graph with another vertex or edge count.
+    pub fn price(
+        self,
+        trace: &ActivityTrace,
+        dg: &DistributedGraph,
+        cluster: &ClusterSpec,
+    ) -> SimReport {
+        with_program!(self, dg, |prog| engine::price(&prog, trace, dg, cluster))
+    }
+
+    /// The workload's cost report on a distributed graph: its
+    /// [`trace`](Workload::trace), [`price`](Workload::price)d where it was
+    /// taken. Placing one graph several times? Take the trace once.
     pub fn execute(self, dg: &DistributedGraph, cluster: &ClusterSpec) -> SimReport {
-        match self {
-            Workload::PageRank { iterations } => report(&PageRank::new(iterations), dg, cluster),
-            Workload::ConnectedComponents => report(&ConnectedComponents, dg, cluster),
-            Workload::Sssp { source_seed } => {
-                report(&Sssp::with_random_source(dg, source_seed), dg, cluster)
-            }
-            Workload::KCores => report(&KCores::with_mean_degree(dg), dg, cluster),
-            Workload::LabelPropagation { iterations } => {
-                report(&LabelPropagation::new(iterations), dg, cluster)
-            }
-            Workload::Synthetic { s, iterations } => {
-                report(&Synthetic { s, iterations }, dg, cluster)
-            }
-        }
+        self.price(&self.trace(dg), dg, cluster)
     }
 
     /// The prediction target the paper uses: average iteration time for
