@@ -59,21 +59,24 @@ pub fn draw_enrichment_subset(
     pool.iter().filter(|r| chosen.contains(r.graph_name.as_str())).cloned().collect()
 }
 
-/// Train a fixed-model quality predictor on base ∪ enrichment records.
+/// Train a fixed-model quality predictor for `targets` on base ∪ enrichment
+/// records.
 pub fn train_enriched(
     base: &[QualityRecord],
     enrichment: &[QualityRecord],
     tier: PropertyTier,
     config: &ModelConfig,
+    targets: &[QualityTarget],
 ) -> QualityPredictor {
     let mut combined: Vec<QualityRecord> = Vec::with_capacity(base.len() + enrichment.len());
     combined.extend_from_slice(base);
     combined.extend_from_slice(enrichment);
-    QualityPredictor::train_fixed(&combined, tier, config)
+    QualityPredictor::train_fixed(&combined, tier, config, targets)
 }
 
 /// The full Fig. 8 sweep: for each enrichment size and repetition, retrain
-/// and measure per-type MAPE on the test records.
+/// `target`'s model — the only one the sweep scores — and measure its
+/// per-type MAPE on the test records.
 #[allow(clippy::too_many_arguments)]
 pub fn enrichment_sweep(
     base: &[QualityRecord],
@@ -95,7 +98,7 @@ pub fn enrichment_sweep(
             } else {
                 draw_enrichment_subset(pool, size, seed ^ (size as u64) << 8 ^ rep as u64)
             };
-            let qp = train_enriched(base, &subset, tier, config);
+            let qp = train_enriched(base, &subset, tier, config, &[target]);
             let by_type = mape_by_type(&qp, test, target);
             let mut y_true = Vec::with_capacity(test.len());
             let mut y_pred = Vec::with_capacity(test.len());
@@ -140,7 +143,7 @@ pub fn aggregate_point(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiling::{profile_quality, GraphInput};
+    use crate::profiling::{profile_quality_with, GraphInput, TimingMode};
     use ease_graphgen::realworld::{generate_typed, GraphType};
     use ease_graphgen::Scale;
     use ease_partition::PartitionerId;
@@ -149,7 +152,13 @@ mod tests {
         let inputs: Vec<GraphInput> = (0..count)
             .map(|i| GraphInput::Materialized(generate_typed(graph_type, i, Scale::Tiny, seed)))
             .collect();
-        profile_quality(&inputs, &[PartitionerId::Dbh, PartitionerId::TwoPs], &[4], seed)
+        profile_quality_with(
+            &inputs,
+            &[PartitionerId::Dbh, PartitionerId::TwoPs],
+            &[4],
+            seed,
+            TimingMode::Measured,
+        )
     }
 
     #[test]

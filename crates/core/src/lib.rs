@@ -47,7 +47,6 @@ pub mod features;
 pub mod pipeline;
 pub mod predictors;
 pub mod profiling;
-pub mod report;
 pub mod selector;
 pub mod serve;
 pub mod service;

@@ -215,12 +215,13 @@ mod tests {
             partitioners: vec![PartitionerId::OneDD],
             ..EaseConfig::at_scale(Scale::Tiny)
         };
-        let records = crate::profiling::profile_processing(
+        let records = crate::profiling::profile_processing_with(
             &cfg.large_inputs(),
             &cfg.partitioners,
             2,
             &cfg.workloads,
             1,
+            TimingMode::Measured,
         );
         let deduped = dedup_partition_runs(&records);
         assert_eq!(deduped.len(), 2); // 2 graphs × 1 partitioner

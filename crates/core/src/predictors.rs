@@ -111,17 +111,20 @@ impl QualityPredictor {
         QualityPredictor { tier, models, chosen }
     }
 
-    /// Train with a *fixed* model configuration for every target (used by
-    /// the enrichment study, which pins RFR per the paper).
+    /// Fit a *fixed* model configuration for each of `targets` (used by the
+    /// enrichment study, which pins RFR per the paper). A study that scores
+    /// one metric fits one model; predicting a target that was not fitted
+    /// panics.
     pub fn train_fixed(
         records: &[QualityRecord],
         tier: PropertyTier,
         config: &ModelConfig,
+        targets: &[QualityTarget],
     ) -> Self {
         assert!(!records.is_empty());
         let mut models = Vec::new();
         let mut chosen = Vec::new();
-        for target in QualityTarget::ALL {
+        for &target in targets {
             let ds = Self::dataset(records, tier, target);
             let mut model = config.build();
             model.fit(&ds.x, &ds.y);
@@ -136,7 +139,7 @@ impl QualityPredictor {
             .iter()
             .find(|(t, _)| *t == target)
             .map(|(_, m)| m.as_ref())
-            .expect("model per target")
+            .expect("a model was fitted for this target")
     }
 
     /// Predict one metric.
@@ -430,7 +433,7 @@ impl ProcessingTimePredictor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::profiling::{profile_processing, profile_quality, GraphInput};
+    use crate::profiling::{profile_processing_with, profile_quality_with, GraphInput, TimingMode};
     use ease_graphgen::grids::RmatSpec;
     use ease_graphgen::rmat::RMAT_COMBOS;
     use ease_ml::zoo;
@@ -452,11 +455,12 @@ mod tests {
 
     #[test]
     fn quality_predictor_end_to_end() {
-        let records = profile_quality(
+        let records = profile_quality_with(
             &inputs(6, 900),
             &[PartitionerId::OneDD, PartitionerId::Ne, PartitionerId::Hdrf],
             &[2, 4, 8],
             7,
+            TimingMode::Measured,
         );
         let qp = QualityPredictor::train(&records, PropertyTier::Basic, &zoo::quick_grid(), 3, 1);
         // predictions are clamped to the metric domain
@@ -475,8 +479,13 @@ mod tests {
 
     #[test]
     fn quality_predictor_learns_partitioner_differences() {
-        let records =
-            profile_quality(&inputs(8, 1_200), &[PartitionerId::Crvc, PartitionerId::Ne], &[8], 3);
+        let records = profile_quality_with(
+            &inputs(8, 1_200),
+            &[PartitionerId::Crvc, PartitionerId::Ne],
+            &[8],
+            3,
+            TimingMode::Measured,
+        );
         let qp = QualityPredictor::train(&records, PropertyTier::Basic, &zoo::quick_grid(), 3, 2);
         let props = inputs(1, 1_200)[0].prepare().properties(PropertyTier::Advanced);
         let rf_hash =
@@ -488,8 +497,13 @@ mod tests {
 
     #[test]
     fn partitioning_time_predictor_orders_families() {
-        let records =
-            profile_quality(&inputs(8, 4_000), &[PartitionerId::OneDD, PartitionerId::Ne], &[4], 5);
+        let records = profile_quality_with(
+            &inputs(8, 4_000),
+            &[PartitionerId::OneDD, PartitionerId::Ne],
+            &[4],
+            5,
+            TimingMode::Measured,
+        );
         let tp = PartitioningTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
         let props = inputs(1, 4_000)[0].prepare().properties(PropertyTier::Advanced);
         let fast = tp.predict(&props, PartitionerId::OneDD);
@@ -500,12 +514,13 @@ mod tests {
 
     #[test]
     fn processing_time_predictor_per_workload() {
-        let records = profile_processing(
+        let records = profile_processing_with(
             &inputs(5, 1_000),
             &[PartitionerId::Dbh, PartitionerId::Ne],
             4,
             &[Workload::PageRank { iterations: 5 }, Workload::ConnectedComponents],
             3,
+            TimingMode::Measured,
         );
         let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
         assert_eq!(pp.supported_workloads().len(), 2);
@@ -526,12 +541,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "no model trained for workload")]
     fn unknown_workload_panics() {
-        let records = profile_processing(
+        let records = profile_processing_with(
             &inputs(2, 600),
             &[PartitionerId::Dbh],
             2,
             &[Workload::ConnectedComponents],
             3,
+            TimingMode::Measured,
         );
         let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 2, 1);
         let props = inputs(1, 600)[0].prepare().properties(PropertyTier::Advanced);

@@ -351,18 +351,8 @@ where
 }
 
 /// Step 2 of the pipeline: partition every input graph with every
-/// partitioner for every `k`, measuring quality metrics and wall-clock
-/// partitioning time.
-pub fn profile_quality(
-    inputs: &[GraphInput],
-    partitioners: &[PartitionerId],
-    ks: &[usize],
-    seed: u64,
-) -> Vec<QualityRecord> {
-    profile_quality_with(inputs, partitioners, ks, seed, TimingMode::Measured)
-}
-
-/// [`profile_quality`] with an explicit [`TimingMode`].
+/// partitioner for every `k`, recording quality metrics and the
+/// partitioning time as `timing` obtains it.
 pub fn profile_quality_with(
     inputs: &[GraphInput],
     partitioners: &[PartitionerId],
@@ -411,19 +401,9 @@ pub fn profile_quality_pooled(
 }
 
 /// Steps 2+3 combined for the time predictors: partition with every
-/// partitioner at a fixed `k`, then execute every workload on the
-/// partitioned graph with the cluster cost model.
-pub fn profile_processing(
-    inputs: &[GraphInput],
-    partitioners: &[PartitionerId],
-    k: usize,
-    workloads: &[Workload],
-    seed: u64,
-) -> Vec<ProcessingRecord> {
-    profile_processing_with(inputs, partitioners, k, workloads, seed, TimingMode::Measured)
-}
-
-/// [`profile_processing`] with an explicit [`TimingMode`].
+/// partitioner at a fixed `k` (partitioning time as `timing` obtains it),
+/// then execute every workload on the partitioned graph with the cluster
+/// cost model.
 pub fn profile_processing_with(
     inputs: &[GraphInput],
     partitioners: &[PartitionerId],
@@ -515,7 +495,7 @@ mod tests {
     fn quality_profiling_covers_the_cross_product() {
         let inputs = tiny_inputs(3);
         let parts = [PartitionerId::OneDD, PartitionerId::Hdrf];
-        let records = profile_quality(&inputs, &parts, &[2, 4], 1);
+        let records = profile_quality_with(&inputs, &parts, &[2, 4], 1, TimingMode::Measured);
         assert_eq!(records.len(), 3 * 2 * 2);
         for r in &records {
             assert!(r.metrics.replication_factor >= 1.0);
@@ -533,7 +513,8 @@ mod tests {
         let inputs = tiny_inputs(2);
         let parts = [PartitionerId::Dbh];
         let workloads = [Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents];
-        let records = profile_processing(&inputs, &parts, 4, &workloads, 2);
+        let records =
+            profile_processing_with(&inputs, &parts, 4, &workloads, 2, TimingMode::Measured);
         assert_eq!(records.len(), 2 * 2); // 2 graphs x 1 partitioner x 2 workloads
         for r in &records {
             assert!(r.target_secs > 0.0, "{}", r.workload.name());

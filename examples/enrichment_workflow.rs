@@ -7,7 +7,7 @@
 //! ```
 
 use ease_repro::core::enrich::{aggregate_point, enrichment_sweep};
-use ease_repro::core::profiling::{profile_quality, GraphInput};
+use ease_repro::core::profiling::{profile_quality_with, GraphInput, TimingMode};
 use ease_repro::graphgen::grids::rmat_small_corpus;
 use ease_repro::graphgen::realworld::{generate_typed, GraphType};
 use ease_repro::graphgen::Scale;
@@ -23,18 +23,18 @@ fn main() {
     println!("profiling a slice of the R-MAT training corpus...");
     let train_inputs: Vec<GraphInput> =
         rmat_small_corpus(scale).into_iter().step_by(12).map(GraphInput::Rmat).collect();
-    let base = profile_quality(&train_inputs, &partitioners, &ks, 1);
+    let base = profile_quality_with(&train_inputs, &partitioners, &ks, 1, TimingMode::Measured);
     println!("  {} training records", base.len());
 
     println!("profiling wiki graphs (the weak type) for enrichment + test...");
     let pool_inputs: Vec<GraphInput> = (0..12)
         .map(|i| GraphInput::Materialized(generate_typed(GraphType::Wiki, i, scale, 50)))
         .collect();
-    let pool = profile_quality(&pool_inputs, &partitioners, &ks, 2);
+    let pool = profile_quality_with(&pool_inputs, &partitioners, &ks, 2, TimingMode::Measured);
     let test_inputs: Vec<GraphInput> = (20..28)
         .map(|i| GraphInput::Materialized(generate_typed(GraphType::Wiki, i, scale, 51)))
         .collect();
-    let test = profile_quality(&test_inputs, &partitioners, &ks, 3);
+    let test = profile_quality_with(&test_inputs, &partitioners, &ks, 3, TimingMode::Measured);
 
     let rfr = ModelConfig::Forest { n_trees: 40, max_depth: 12, feature_fraction: 0.7 };
     let sizes = [0usize, 4, 8, 12];

@@ -83,6 +83,54 @@ fn selector_beats_worst_and_tracks_random() {
     }
 }
 
+/// The paper's qualitative claims as assertions, at the scale and seed the
+/// checked-in `PAPER_RESULTS.tiny.md` is printed at and with the truth
+/// profiled as the `paper` driver and `ease-bench`'s `train-tiny` profile it
+/// (tiny scale — whose grid is the quick grid —, deterministic timing, seed
+/// 42, `table4_test_set(.., seed)`, `seed ^ 2`). No bound is loosened to make
+/// a claim pass: what does not hold at tiny is said so, not asserted.
+#[test]
+fn the_papers_selection_claims_hold_at_the_tiny_documents_scale_and_seed() {
+    let seed = 42;
+    let cfg =
+        EaseConfig { seed, timing: TimingMode::Deterministic, ..EaseConfig::at_scale(Scale::Tiny) };
+    let (ease, _) = train_ease(&cfg);
+    let tests =
+        GraphInput::from_tests(ease_repro::graphgen::realworld::table4_test_set(cfg.scale, seed));
+    let (k, workloads) = (cfg.processing_k, &cfg.workloads);
+    let groups = group_truth(&profile_processing_with(
+        &tests,
+        &cfg.partitioners,
+        k,
+        workloads,
+        seed ^ 2,
+        cfg.timing,
+    ));
+
+    // End to end EASE beats a random pick, the smallest replication factor
+    // and the worst partitioner (Sec. I: 11.1 % / 17.4 % / 29.1 % cheaper).
+    let (rows, e2e) = evaluate_selection(&ease, &groups, k, OptGoal::EndToEnd);
+    assert!(e2e.avg_vs_random < 1.0, "S_PS at {} of random", e2e.avg_vs_random);
+    assert!(e2e.avg_vs_srf < 1.0, "S_PS at {} of smallest-RF", e2e.avg_vs_srf);
+    assert!(e2e.avg_vs_worst < 1.0, "S_PS at {} of worst", e2e.avg_vs_worst);
+
+    // Fig. 9, tailoring matters more than chasing the replication factor:
+    // S_SRF loses far more against the optimum on Connected Components, where
+    // fast partitioning wins, than on the communication-bound Synthetic-High,
+    // where the expensive partitioner amortises (1.43 vs 1.06 here).
+    let srf_vs_optimal = |workload: &str| {
+        rows.iter().find(|r| r.workload == workload).expect("a trained workload").srf_vs_optimal
+    };
+    assert!(srf_vs_optimal("cc") > srf_vs_optimal("synthetic-high"));
+
+    // On processing time alone it beats the worst partitioner. At tiny scale
+    // that is all: it only ties random (0.998) and loses to smallest-RF
+    // (1.06) — not reproduced here, as the tiny document's note says; the
+    // `small` document (PAPER_RESULTS.md) shows both recovering.
+    let (_, processing) = evaluate_selection(&ease, &groups, k, OptGoal::ProcessingOnly);
+    assert!(processing.avg_vs_worst < 1.0, "S_PS at {} of worst", processing.avg_vs_worst);
+}
+
 #[test]
 fn predictions_are_physically_consistent() {
     let cfg = tiny_config();
