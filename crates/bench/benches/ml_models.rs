@@ -1,9 +1,12 @@
 //! Criterion benchmarks for the six regression families: fit + predict
 //! cost on an EASE-shaped dataset (8 numeric features + 11-way one-hot,
-//! like the quality-predictor rows).
+//! like the quality-predictor rows) — and, at the shape the product
+//! actually trains on (`quality_shape`), the two tree ensembles' fits and
+//! the whole of model selection over the five quality targets.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ease_ml::{Matrix, ModelConfig};
+use ease_ml::cv::{select_models, LabelGroup};
+use ease_ml::{zoo, Matrix, ModelConfig};
 use std::hint::black_box;
 
 fn synthetic_dataset(rows: usize) -> (Matrix, Vec<f64>) {
@@ -27,6 +30,59 @@ fn synthetic_dataset(rows: usize) -> (Matrix, Vec<f64>) {
         data.push(row);
     }
     (Matrix::from_rows(&data), y)
+}
+
+/// The quality predictor's training set at tiny scale, in shape: 24 graphs
+/// × 11 partitioners × 3 values of `k` = 792 rows of 18 columns — six graph
+/// properties with 6, 8, 18, 21, 24 and 24 distinct values, `k`, an 11-way
+/// one-hot — and five label vectors over them. Low-cardinality columns are
+/// what the tree builder's occupied-bin masks and the shared bins see in
+/// the product; 2 000 continuous rows show neither.
+fn quality_shape() -> (Matrix, Vec<Vec<f64>>) {
+    const CARDINALITIES: [usize; 6] = [6, 8, 18, 21, 24, 24];
+    let mut x = Matrix::with_cols(CARDINALITIES.len() + 1 + 11);
+    let mut labels = vec![Vec::new(); 5];
+    for graph in 0..24usize {
+        let props = CARDINALITIES.map(|c| ((graph * 7 + 3) % c) as f64 / c as f64);
+        for partitioner in 0..11usize {
+            for k in [2.0, 4.0, 8.0] {
+                let mut row = props.to_vec();
+                row.push(k);
+                row.extend((0..11).map(|i| f64::from(i == partitioner)));
+                x.push_row(&row);
+                for (l, y) in labels.iter_mut().enumerate() {
+                    let skew = props[(l + 2) % 6] + 0.3 * props[l];
+                    y.push(1.0 + (k.log2() * skew + partitioner as f64 * 0.1 * props[5]).abs());
+                }
+            }
+        }
+    }
+    (x, labels)
+}
+
+fn bench_quality_shape(c: &mut Criterion) {
+    let (x, labels) = quality_shape();
+    let grid = zoo::quick_grid();
+    let mut group = c.benchmark_group("quality_shape_792x18");
+    group.sample_size(10);
+    for cfg in
+        grid.iter().filter(|c| matches!(c, ModelConfig::Forest { .. } | ModelConfig::Xgb { .. }))
+    {
+        group.bench_with_input(BenchmarkId::new("fit", cfg.kind().name()), cfg, |b, cfg| {
+            b.iter(|| {
+                let mut m = cfg.build();
+                m.fit(&x, &labels[0]);
+                black_box(m.predict_row(x.row(0)))
+            });
+        });
+    }
+    group.bench_function("select_models/quick_grid_5_labels_3_folds", |b| {
+        b.iter(|| {
+            let group = LabelGroup { x: &x, labels: labels.iter().map(Vec::as_slice).collect() };
+            black_box(select_models(&grid, &[group], 3, 42).len())
+        });
+    });
+    group.finish();
 }
 
 fn bench_fit(c: &mut Criterion) {
@@ -76,6 +132,6 @@ criterion_group! {
     config = Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_fit, bench_predict
+    targets = bench_fit, bench_predict, bench_quality_shape
 }
 criterion_main!(benches);

@@ -12,11 +12,11 @@
 use crate::features;
 use crate::profiling::{ProcessingRecord, QualityRecord};
 use ease_graph::{GraphProperties, PropertyTier};
-use ease_ml::cv::{select_models, Selection};
+use ease_ml::cv::{select_models, LabelGroup, Selection};
 use ease_ml::persist::{
     decode_config, decode_regressor, encode_config, PersistError, Reader, Writer,
 };
-use ease_ml::{Dataset, ModelConfig, Regressor};
+use ease_ml::{Dataset, Matrix, ModelConfig, Regressor};
 use ease_partition::{PartitionerId, QualityMetrics, QualityTarget};
 use ease_procsim::Workload;
 
@@ -72,20 +72,26 @@ pub struct QualityPredictor {
 }
 
 impl QualityPredictor {
+    /// The feature rows of `records` — one matrix, whichever the target.
+    fn feature_matrix(records: &[QualityRecord], tier: PropertyTier) -> Matrix {
+        let mut x = Matrix::with_cols(features::quality_feature_names(tier).len());
+        for r in records {
+            x.push_row(&features::quality_row(&r.props, tier, r.k, r.partitioner));
+        }
+        x
+    }
+
     /// Assemble the training dataset for one quality target.
     pub fn dataset(
         records: &[QualityRecord],
         tier: PropertyTier,
         target: QualityTarget,
     ) -> Dataset {
-        let mut ds = Dataset::new(features::quality_feature_names(tier));
-        for r in records {
-            ds.push(
-                &features::quality_row(&r.props, tier, r.k, r.partitioner),
-                r.metrics.get(target),
-            );
+        Dataset {
+            feature_names: features::quality_feature_names(tier),
+            x: Self::feature_matrix(records, tier),
+            y: records.iter().map(|r| r.metrics.get(target)).collect(),
         }
-        ds
     }
 
     /// Grid-search each target's model on the training records (paper:
@@ -98,8 +104,14 @@ impl QualityPredictor {
         seed: u64,
     ) -> Self {
         assert!(!records.is_empty(), "no quality training records");
-        let datasets = QualityTarget::ALL.map(|target| Self::dataset(records, tier, target));
-        let selections = select_models(grid, &datasets.each_ref(), folds, seed);
+        // the five targets are five label vectors over one feature matrix
+        let x = Self::feature_matrix(records, tier);
+        let labels: Vec<Vec<f64>> = QualityTarget::ALL
+            .iter()
+            .map(|&target| records.iter().map(|r| r.metrics.get(target)).collect())
+            .collect();
+        let group = LabelGroup { x: &x, labels: labels.iter().map(Vec::as_slice).collect() };
+        let selections = select_models(grid, &[group], folds, seed);
         let (chosen, models) = QualityTarget::ALL
             .into_iter()
             .zip(selections)
@@ -266,8 +278,9 @@ impl PartitioningTimePredictor {
     pub fn train(records: &[QualityRecord], grid: &[ModelConfig], folds: usize, seed: u64) -> Self {
         assert!(!records.is_empty(), "no partitioning-time records");
         let ds = Self::dataset(records);
-        let selection =
-            select_models(grid, &[&ds], folds, seed).pop().expect("one selection per dataset");
+        let selection = select_models(grid, &[(&ds).into()], folds, seed)
+            .pop()
+            .expect("one selection per label");
         let (chosen, model) = ChosenModel::of(selection);
         PartitioningTimePredictor { model, chosen }
     }
@@ -332,7 +345,9 @@ impl ProcessingTimePredictor {
         }
         let datasets: Vec<Dataset> =
             names.iter().map(|name| Self::dataset(records, name)).collect();
-        let selections = select_models(grid, &datasets.iter().collect::<Vec<_>>(), folds, seed);
+        // one group per workload: the `iterations` column differs
+        let groups: Vec<LabelGroup> = datasets.iter().map(LabelGroup::from).collect();
+        let selections = select_models(grid, &groups, folds, seed);
         let (chosen, models) = names
             .into_iter()
             .zip(selections)

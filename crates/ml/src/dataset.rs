@@ -21,6 +21,12 @@ impl Matrix {
         Matrix { data: Vec::new(), rows: 0, cols }
     }
 
+    /// An empty matrix with room for `rows` rows: filling it reallocates
+    /// nothing.
+    pub fn with_capacity(rows: usize, cols: usize) -> Self {
+        Matrix { data: Vec::with_capacity(rows * cols), rows: 0, cols }
+    }
+
     pub fn from_rows(rows: &[Vec<f64>]) -> Self {
         let cols = rows.first().map_or(0, Vec::len);
         let mut m = Matrix::with_cols(cols);
@@ -71,7 +77,7 @@ impl Matrix {
 
     /// Select a subset of rows by index.
     pub fn select(&self, indices: &[usize]) -> Matrix {
-        let mut m = Matrix::with_cols(self.cols);
+        let mut m = Matrix::with_capacity(indices.len(), self.cols);
         for &i in indices {
             m.push_row(self.row(i));
         }

@@ -8,7 +8,7 @@
 use crate::dataset::Matrix;
 use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_FOREST};
 use crate::rng::SplitMix64;
-use crate::tree::{decode_trees, encode_trees, Binner, RegressionTree, TreeParams};
+use crate::tree::{decode_trees, encode_trees, BinnedMatrix, RegressionTree, TreeParams};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -63,22 +63,22 @@ impl RandomForest {
     }
 }
 
-impl Regressor for RandomForest {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) {
-        assert_eq!(x.rows, y.len());
-        assert!(x.rows > 0, "empty training set");
-        self.n_features = x.cols;
-        let binner = Binner::fit(x);
-        let binned = binner.transform(x);
+impl RandomForest {
+    /// [`Regressor::fit`] on a matrix whose bins the caller already has.
+    pub fn fit_binned(&mut self, x: &BinnedMatrix, y: &[f64]) {
+        let (rows, cols) = (x.rows, x.binner.num_features());
+        assert_eq!(rows, y.len());
+        assert!(rows > 0, "empty training set");
+        self.n_features = cols;
         let max_features =
-            ((x.cols as f64 * self.params.feature_fraction).ceil() as usize).clamp(1, x.cols);
+            ((cols as f64 * self.params.feature_fraction).ceil() as usize).clamp(1, cols);
         self.trees.clear();
         let mut rng = SplitMix64::new(self.params.seed ^ 0xF0E5_7A11);
-        let mut indices = vec![0u32; x.rows];
+        let mut indices = vec![0u32; rows];
         for t in 0..self.params.n_trees {
             // bootstrap sample with replacement
             for slot in indices.iter_mut() {
-                *slot = (rng.next_u64() % x.rows as u64) as u32;
+                *slot = (rng.next_u64() % rows as u64) as u32;
             }
             let mut tree = RegressionTree::new(TreeParams {
                 max_depth: self.params.max_depth,
@@ -89,9 +89,15 @@ impl Regressor for RandomForest {
                 min_gain: 1e-12,
                 seed: self.params.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             });
-            tree.fit_binned(&binned, &binner, y, &mut indices);
+            tree.fit_binned(&x.bins, &x.binner, y, &mut indices);
             self.trees.push(tree);
         }
+    }
+}
+
+impl Regressor for RandomForest {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+        self.fit_binned(&BinnedMatrix::of(x), y);
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {

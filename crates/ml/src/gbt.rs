@@ -9,7 +9,7 @@
 use crate::dataset::Matrix;
 use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_GBT};
 use crate::rng::SplitMix64;
-use crate::tree::{decode_trees, encode_trees, Binner, RegressionTree, TreeParams};
+use crate::tree::{decode_trees, encode_trees, BinnedMatrix, RegressionTree, TreeParams};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -73,15 +73,16 @@ impl GradientBoosting {
     }
 }
 
-impl Regressor for GradientBoosting {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+impl GradientBoosting {
+    /// [`Regressor::fit`] on a matrix whose bins — `binned`, of `x` — the
+    /// caller already has.
+    pub fn fit_binned(&mut self, x: &Matrix, binned: &BinnedMatrix, y: &[f64]) {
         assert_eq!(x.rows, y.len());
+        assert_eq!(x.rows, binned.rows);
         assert!(x.rows > 0, "empty training set");
         self.n_features = x.cols;
         self.base = y.iter().sum::<f64>() / y.len() as f64;
         self.trees.clear();
-        let binner = Binner::fit(x);
-        let binned = binner.transform(x);
         let mut pred = vec![self.base; x.rows];
         let mut residual = vec![0.0; x.rows];
         let mut rng = SplitMix64::new(self.params.seed ^ 0x6B7);
@@ -109,12 +110,18 @@ impl Regressor for GradientBoosting {
                 min_gain: self.params.gamma,
                 seed: self.params.seed ^ (round as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
             });
-            tree.fit_binned(&binned, &binner, &residual, &mut indices);
+            tree.fit_binned(&binned.bins, &binned.binner, &residual, &mut indices);
             for i in 0..x.rows {
                 pred[i] += self.params.learning_rate * tree.predict_row(x.row(i));
             }
             self.trees.push(tree);
         }
+    }
+}
+
+impl Regressor for GradientBoosting {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+        self.fit_binned(x, &BinnedMatrix::of(x), y);
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {

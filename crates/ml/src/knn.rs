@@ -72,6 +72,68 @@ impl Ord for Candidate {
     }
 }
 
+/// The `min(k, rows)` rows of `x` nearest to `row`, in the heap's storage
+/// order — the order every average over them is summed in.
+fn nearest(x: &Matrix, row: &[f64], k: usize) -> Vec<Candidate> {
+    let k = k.min(x.rows);
+    let mut heap: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
+    for i in 0..x.rows {
+        let dist2: f64 = x.row(i).iter().zip(row).map(|(a, b)| (a - b) * (a - b)).sum();
+        if heap.len() < k {
+            heap.push(Candidate { dist2, index: i });
+        } else if heap.peek().is_some_and(|w| dist2 < w.dist2) {
+            heap.pop();
+            heap.push(Candidate { dist2, index: i });
+        }
+    }
+    heap.into_vec()
+}
+
+/// The prediction `neighbours` make of one label vector.
+fn average(neighbours: &[Candidate], y: &[f64], weights: KnnWeights) -> f64 {
+    match weights {
+        KnnWeights::Uniform => {
+            neighbours.iter().map(|c| y[c.index]).sum::<f64>() / neighbours.len() as f64
+        }
+        KnnWeights::Distance => {
+            let mut num = 0.0;
+            let mut den = 0.0;
+            for c in neighbours {
+                let w = 1.0 / (c.dist2.sqrt() + 1e-9);
+                num += w * y[c.index];
+                den += w;
+            }
+            num / den
+        }
+    }
+}
+
+impl KnnRegressor {
+    /// What this configuration, fitted on `x` with each label vector of
+    /// `ys` in turn, predicts for every row of `queries`: one prediction
+    /// vector per label. A query's neighbours depend on `x` alone, so they
+    /// are searched once and averaged per label; nothing is copied.
+    /// [`Regressor::predict_row`] is the same search and the same average
+    /// over the one label vector the model was fitted with.
+    pub fn predict_labels(&self, x: &Matrix, ys: &[&[f64]], queries: &Matrix) -> Vec<Vec<f64>> {
+        assert!(x.rows > 0, "empty training set");
+        let mut out: Vec<Vec<f64>> = ys
+            .iter()
+            .map(|y| {
+                assert_eq!(x.rows, y.len());
+                Vec::with_capacity(queries.rows)
+            })
+            .collect();
+        for q in 0..queries.rows {
+            let neighbours = nearest(x, queries.row(q), self.k);
+            for (predictions, y) in out.iter_mut().zip(ys) {
+                predictions.push(average(&neighbours, y, self.weights));
+            }
+        }
+        out
+    }
+}
+
 impl Regressor for KnnRegressor {
     fn fit(&mut self, x: &Matrix, y: &[f64]) {
         assert_eq!(x.rows, y.len());
@@ -82,32 +144,7 @@ impl Regressor for KnnRegressor {
 
     fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.y.is_empty(), "fit before predict");
-        let k = self.k.min(self.y.len());
-        let mut heap: BinaryHeap<Candidate> = BinaryHeap::with_capacity(k + 1);
-        for i in 0..self.x.rows {
-            let dist2: f64 = self.x.row(i).iter().zip(row).map(|(a, b)| (a - b) * (a - b)).sum();
-            if heap.len() < k {
-                heap.push(Candidate { dist2, index: i });
-            } else if heap.peek().is_some_and(|w| dist2 < w.dist2) {
-                heap.pop();
-                heap.push(Candidate { dist2, index: i });
-            }
-        }
-        match self.weights {
-            KnnWeights::Uniform => {
-                heap.iter().map(|c| self.y[c.index]).sum::<f64>() / heap.len() as f64
-            }
-            KnnWeights::Distance => {
-                let mut num = 0.0;
-                let mut den = 0.0;
-                for c in heap.iter() {
-                    let w = 1.0 / (c.dist2.sqrt() + 1e-9);
-                    num += w * self.y[c.index];
-                    den += w;
-                }
-                num / den
-            }
-        }
+        average(&nearest(&self.x, row, self.k), &self.y, self.weights)
     }
 
     fn encode(&self, w: &mut Writer) {
@@ -150,6 +187,34 @@ mod tests {
         m.fit(&x, &y);
         let near_zero = m.predict_row(&[1.0]);
         assert!(near_zero < 5.0, "prediction {near_zero}");
+    }
+
+    #[test]
+    fn many_label_predictions_equal_single_models() {
+        let mut rng = crate::rng::SplitMix64::new(8);
+        let mut matrix = |rows: usize| {
+            let rows: Vec<Vec<f64>> =
+                (0..rows).map(|_| (0..4).map(|_| rng.next_f64()).collect()).collect();
+            Matrix::from_rows(&rows)
+        };
+        let queries = matrix(9);
+        // 30 training rows, and 3 — fewer than k
+        for x in [matrix(30), matrix(3)] {
+            let ys: Vec<Vec<f64>> =
+                (0..5).map(|l| (0..x.rows).map(|i| x.get(i, l % 4) + l as f64).collect()).collect();
+            let labels: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
+            for weights in [KnnWeights::Uniform, KnnWeights::Distance] {
+                let model = KnnRegressor::new(5, weights);
+                let shared = model.predict_labels(&x, &labels, &queries);
+                assert_eq!(shared.len(), ys.len());
+                for (y, shared) in ys.iter().zip(&shared) {
+                    let mut single = KnnRegressor::new(5, weights);
+                    single.fit(&x, y);
+                    let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&single.predict(&queries)), bits(shared), "{weights:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -79,9 +79,15 @@ fn cholesky_solve(l: &[f64], b: &[f64], n: usize) -> Vec<f64> {
     x
 }
 
-impl Regressor for Ridge {
-    fn fit(&mut self, x: &Matrix, y: &[f64]) {
-        assert_eq!(x.rows, y.len());
+impl Ridge {
+    /// One fitted copy of this configuration per label vector in `ys`, all
+    /// over the rows of `x`. The column means, the centred Gram matrix
+    /// `XcᵀXc + αI` and its Cholesky factor are functions of `x` and `alpha`
+    /// alone and are built
+    /// once; a label costs its right-hand side `Xcᵀyc` and two triangular
+    /// solves. [`Regressor::fit`] is this with one label.
+    pub fn fit_labels(&self, x: &Matrix, ys: &[&[f64]]) -> Vec<Ridge> {
+        let alpha = self.alpha;
         assert!(x.rows > 0, "empty training set");
         let d = x.cols;
         // center features and target so the intercept needs no penalty
@@ -94,18 +100,16 @@ impl Regressor for Ridge {
         for m in &mut x_mean {
             *m /= x.rows as f64;
         }
-        let y_mean = y.iter().sum::<f64>() / y.len() as f64;
-        // gram = XcᵀXc + αI ; rhs = Xcᵀ yc
         let mut gram = vec![0.0; d * d];
-        let mut rhs = vec![0.0; d];
+        let mut centred = vec![0.0; d];
         for i in 0..x.rows {
-            let row = x.row(i);
-            let yc = y[i] - y_mean;
+            for ((c, v), m) in centred.iter_mut().zip(x.row(i)).zip(&x_mean) {
+                *c = v - m;
+            }
             for a in 0..d {
-                let va = row[a] - x_mean[a];
-                rhs[a] += va * yc;
-                for b in a..d {
-                    gram[a * d + b] += va * (row[b] - x_mean[b]);
+                let va = centred[a];
+                for (g, vb) in gram[a * d + a..(a + 1) * d].iter_mut().zip(&centred[a..]) {
+                    *g += va * vb;
                 }
             }
         }
@@ -113,7 +117,7 @@ impl Regressor for Ridge {
             for b in 0..a {
                 gram[a * d + b] = gram[b * d + a];
             }
-            gram[a * d + a] += self.alpha.max(1e-10);
+            gram[a * d + a] += alpha.max(1e-10);
         }
         // escalate regularization until the Gram matrix factorizes
         let mut boost = 1.0;
@@ -127,8 +131,29 @@ impl Regressor for Ridge {
             boost *= 10.0;
             assert!(boost < 1e12, "Gram matrix hopelessly singular");
         };
-        self.weights = cholesky_solve(&l, &rhs, d);
-        self.intercept = y_mean - self.weights.iter().zip(&x_mean).map(|(w, m)| w * m).sum::<f64>();
+        ys.iter()
+            .map(|y| {
+                assert_eq!(x.rows, y.len());
+                let y_mean = y.iter().sum::<f64>() / y.len() as f64;
+                let mut rhs = vec![0.0; d];
+                for (i, yi) in y.iter().enumerate() {
+                    let yc = yi - y_mean;
+                    for ((r, v), m) in rhs.iter_mut().zip(x.row(i)).zip(&x_mean) {
+                        *r += (v - m) * yc;
+                    }
+                }
+                let weights = cholesky_solve(&l, &rhs, d);
+                let intercept =
+                    y_mean - weights.iter().zip(&x_mean).map(|(w, m)| w * m).sum::<f64>();
+                Ridge { alpha, weights, intercept }
+            })
+            .collect()
+    }
+}
+
+impl Regressor for Ridge {
+    fn fit(&mut self, x: &Matrix, y: &[f64]) {
+        *self = self.fit_labels(x, &[y]).pop().expect("one label, one model");
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
@@ -185,6 +210,40 @@ mod tests {
         m.fit(&x, &y);
         let p = m.predict_row(&[4.0, 4.0]);
         assert!((p - 4.0).abs() < 1e-3, "p={p}");
+    }
+
+    #[test]
+    fn many_label_solve_equals_single_fits() {
+        // five label vectors over one matrix, one column an exact copy of
+        // another (the shared Gram matrix is singular before the ridge)
+        let mut rng = crate::rng::SplitMix64::new(3);
+        let rows: Vec<Vec<f64>> = (0..40)
+            .map(|_| {
+                let mut r: Vec<f64> = (0..5).map(|_| rng.next_f64()).collect();
+                r.push(r[0]);
+                r
+            })
+            .collect();
+        let x = Matrix::from_rows(&rows);
+        let ys: Vec<Vec<f64>> = (0..5)
+            .map(|l| rows.iter().map(|r| r[l] * (l as f64 + 1.0) - r[(l + 1) % 5]).collect())
+            .collect();
+        let encoded = |m: &Ridge| {
+            let mut w = Writer::new();
+            m.encode(&mut w);
+            w.into_bytes()
+        };
+        for alpha in [0.0, 1e-3] {
+            let labels: Vec<&[f64]> = ys.iter().map(Vec::as_slice).collect();
+            let many = Ridge::new(alpha).fit_labels(&x, &labels);
+            assert_eq!(many.len(), ys.len());
+            for (y, shared) in ys.iter().zip(&many) {
+                let mut single = Ridge::new(alpha);
+                single.fit(&x, y);
+                assert_eq!(encoded(&single), encoded(shared), "alpha {alpha}");
+            }
+        }
+        assert!(Ridge::new(1.0).fit_labels(&x, &[]).is_empty());
     }
 
     #[test]

@@ -64,7 +64,7 @@ impl PolynomialRegression {
     fn expand_matrix(&self, x: &Matrix) -> Matrix {
         let mut buf = Vec::new();
         self.expand(x.row(0), &mut buf);
-        let mut out = Matrix::with_cols(buf.len());
+        let mut out = Matrix::with_capacity(x.rows, buf.len());
         out.push_row(&buf);
         for i in 1..x.rows {
             self.expand(x.row(i), &mut buf);
@@ -74,12 +74,24 @@ impl PolynomialRegression {
     }
 }
 
+impl PolynomialRegression {
+    /// One fitted copy of this configuration per label vector in `ys`: the
+    /// expansion of `x` is built once and solved by
+    /// [`Ridge::fit_labels`]. [`Regressor::fit`] is this with one label.
+    pub fn fit_labels(&self, x: &Matrix, ys: &[&[f64]]) -> Vec<PolynomialRegression> {
+        assert!(x.rows > 0);
+        let (degree, alpha) = (self.degree, self.alpha);
+        Ridge::new(alpha)
+            .fit_labels(&self.expand_matrix(x), ys)
+            .into_iter()
+            .map(|inner| PolynomialRegression { degree, alpha, inner })
+            .collect()
+    }
+}
+
 impl Regressor for PolynomialRegression {
     fn fit(&mut self, x: &Matrix, y: &[f64]) {
-        assert!(x.rows > 0);
-        let expanded = self.expand_matrix(x);
-        self.inner = Ridge::new(self.alpha);
-        self.inner.fit(&expanded, y);
+        *self = self.fit_labels(x, &[y]).pop().expect("one label, one model");
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {

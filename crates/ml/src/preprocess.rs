@@ -52,7 +52,7 @@ impl StandardScaler {
     }
 
     pub fn transform(&self, x: &Matrix) -> Matrix {
-        let mut out = Matrix::with_cols(x.cols);
+        let mut out = Matrix::with_capacity(x.rows, x.cols);
         let mut buf = Vec::with_capacity(x.cols);
         for i in 0..x.rows {
             self.transform_row(x.row(i), &mut buf);

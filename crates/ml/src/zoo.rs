@@ -56,6 +56,19 @@ pub enum ModelConfig {
     Mlp { hidden: Vec<usize>, epochs: usize, learning_rate: f64 },
 }
 
+/// A configuration's unfitted model under its own type, without the z-score
+/// pipeline [`ModelConfig::build`] wraps the scale-sensitive families in.
+/// Model selection fits these, so that a family can be handed what a fold
+/// shares between label vectors (and the z-scores every family shares).
+pub(crate) enum Family {
+    Poly(PolynomialRegression),
+    Svr(SvrRegressor),
+    Forest(RandomForest),
+    Xgb(GradientBoosting),
+    Knn(KnnRegressor),
+    Mlp(MlpRegressor),
+}
+
 impl ModelConfig {
     pub fn kind(&self) -> ModelKind {
         match self {
@@ -68,24 +81,20 @@ impl ModelConfig {
         }
     }
 
-    /// Instantiate the model. Scale-sensitive families (SVR, KNN, MLP, and
-    /// polynomial ridge) are wrapped in a z-score pipeline, matching the
-    /// paper's preprocessing.
-    pub fn build(&self) -> Box<dyn Regressor> {
+    /// The configuration's model before any pipeline is put around it.
+    pub(crate) fn family(&self) -> Family {
         match self {
             ModelConfig::Poly { degree, alpha } => {
-                Box::new(ScaledModel::new(Box::new(PolynomialRegression::new(*degree, *alpha))))
+                Family::Poly(PolynomialRegression::new(*degree, *alpha))
             }
-            ModelConfig::Svr { c, epsilon, gamma } => {
-                Box::new(ScaledModel::new(Box::new(SvrRegressor::new(SvrParams {
-                    c: *c,
-                    epsilon: *epsilon,
-                    gamma: *gamma,
-                    ..Default::default()
-                }))))
-            }
+            ModelConfig::Svr { c, epsilon, gamma } => Family::Svr(SvrRegressor::new(SvrParams {
+                c: *c,
+                epsilon: *epsilon,
+                gamma: *gamma,
+                ..Default::default()
+            })),
             ModelConfig::Forest { n_trees, max_depth, feature_fraction } => {
-                Box::new(RandomForest::new(ForestParams {
+                Family::Forest(RandomForest::new(ForestParams {
                     n_trees: *n_trees,
                     max_depth: *max_depth,
                     feature_fraction: *feature_fraction,
@@ -93,7 +102,7 @@ impl ModelConfig {
                 }))
             }
             ModelConfig::Xgb { n_estimators, learning_rate, max_depth, lambda } => {
-                Box::new(GradientBoosting::new(GbtParams {
+                Family::Xgb(GradientBoosting::new(GbtParams {
                     n_estimators: *n_estimators,
                     learning_rate: *learning_rate,
                     max_depth: *max_depth,
@@ -104,16 +113,33 @@ impl ModelConfig {
             ModelConfig::Knn { k, distance_weighted } => {
                 let weights =
                     if *distance_weighted { KnnWeights::Distance } else { KnnWeights::Uniform };
-                Box::new(ScaledModel::new(Box::new(KnnRegressor::new(*k, weights))))
+                Family::Knn(KnnRegressor::new(*k, weights))
             }
             ModelConfig::Mlp { hidden, epochs, learning_rate } => {
-                Box::new(ScaledModel::new(Box::new(MlpRegressor::new(MlpParams {
+                Family::Mlp(MlpRegressor::new(MlpParams {
                     hidden: hidden.clone(),
                     epochs: *epochs,
                     learning_rate: *learning_rate,
                     ..Default::default()
-                }))))
+                }))
             }
+        }
+    }
+
+    /// Instantiate the model. Scale-sensitive families (SVR, KNN, MLP, and
+    /// polynomial ridge) are wrapped in a z-score pipeline, matching the
+    /// paper's preprocessing.
+    pub fn build(&self) -> Box<dyn Regressor> {
+        fn scaled(model: impl Regressor + 'static) -> Box<dyn Regressor> {
+            Box::new(ScaledModel::new(Box::new(model)))
+        }
+        match self.family() {
+            Family::Poly(m) => scaled(m),
+            Family::Svr(m) => scaled(m),
+            Family::Forest(m) => Box::new(m),
+            Family::Xgb(m) => Box::new(m),
+            Family::Knn(m) => scaled(m),
+            Family::Mlp(m) => scaled(m),
         }
     }
 

@@ -13,7 +13,8 @@
 //!
 //! so the *lower*-degree endpoint dominates placement and high-degree
 //! vertices get replicated first. Replica sets are `u128` bitmasks
-//! (k ≤ 128), making the score loop branch-light.
+//! (k ≤ 128) and `g` is selected, not branched on, so the score loop's only
+//! data-dependent branches are the arg-max and its tie-break.
 
 use crate::assignment::EdgePartition;
 use crate::{Partitioner, PartitionerId, MAX_PARTITIONS};
@@ -98,22 +99,19 @@ impl HdrfState {
         let (du, dv) = (f64::from(self.degrees[su]), f64::from(self.degrees[sv]));
         let theta_u = du / (du + dv);
         let theta_v = 1.0 - theta_u;
-        let max_size = self.sizes.iter().copied().max().unwrap_or(0) as f64;
-        let min_size = self.sizes.iter().copied().min().unwrap_or(0) as f64;
+        let (g_u, g_v) = (1.0 + (1.0 - theta_u), 1.0 + (1.0 - theta_v));
+        let (max_size, min_size) =
+            self.sizes.iter().fold((0, usize::MAX), |(hi, lo), &s| (hi.max(s), lo.min(s)));
+        let (max_size, min_size) = (max_size as f64, min_size as f64);
         let denom = 1e-3 + (max_size - min_size);
         let (ru, rv) = (self.replicas[su], self.replicas[sv]);
         let mut best_p = 0usize;
         let mut best_score = f64::NEG_INFINITY;
         let mut ties = 0u32;
         for p in 0..self.k {
-            let bit = 1u128 << p;
-            let mut c_rep = 0.0;
-            if ru & bit != 0 {
-                c_rep += 1.0 + (1.0 - theta_u);
-            }
-            if rv & bit != 0 {
-                c_rep += 1.0 + (1.0 - theta_v);
-            }
+            // selects, not branches: `0.0 + g` is `g` exactly
+            let c_rep = (if (ru >> p) & 1 != 0 { g_u } else { 0.0 })
+                + (if (rv >> p) & 1 != 0 { g_v } else { 0.0 });
             let c_bal = self.lambda * (max_size - self.sizes[p] as f64) / denom;
             let score = c_rep + c_bal;
             if score > best_score + 1e-12 {

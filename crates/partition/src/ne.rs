@@ -137,37 +137,55 @@ pub(crate) fn neighborhood_expansion(
     // epoch-stamped membership: value == p + 1 means "in set for partition p"
     let mut in_s = vec![0u32; n];
     let mut in_c = vec![0u32; n];
+    // ext[v], valid while v ∈ S this epoch: v's unassigned incidence
+    // entries whose other endpoint is outside S — the heap key, kept
+    // instead of recounted
+    let mut ext = vec![0u32; n];
+    // live[v]: v's unassigned incidence entries (a self-loop is two)
+    let mut live: Vec<u32> = inc.offsets.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
     let mut seed_cursor = 0usize;
     let is_eligible = |i: usize| eligible.is_none_or(|mask| mask[i]);
 
     let expandable = if fill_last { k.saturating_sub(1).max(1) } else { k };
     for p in 0..expandable {
         let epoch = p as u32 + 1;
-        let mut heap: BinaryHeap<Reverse<(usize, u32)>> = BinaryHeap::new();
-        let ext_degree = |v: u32, in_s: &[u32], assigned: &[bool]| -> usize {
-            inc.incident(v)
-                .filter(|&(nbr, ei)| !assigned[ei as usize] && in_s[nbr as usize] != epoch)
-                .count()
-        };
+        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::new();
+        // Allocate edge `ei` = (a, b) to the current partition.
+        macro_rules! allocate {
+            ($ei:expr, $a:expr, $b:expr) => {{
+                assigned[$ei] = true;
+                assignment[$ei] = p as u16;
+                sizes[p] += 1;
+                remaining -= 1;
+                live[$a as usize] -= 1;
+                live[$b as usize] -= 1;
+            }};
+        }
         // Add `y` to the boundary. Following the original allocation rule,
         // joining S only allocates y's edges toward *core* vertices; edges
-        // between two boundary vertices wait until one of them enters C.
+        // between two boundary vertices wait until one of them enters C —
+        // but stop being external to the boundary vertex at their other end.
         macro_rules! add_to_boundary {
             ($y:expr) => {{
                 let y = $y;
                 if in_s[y as usize] != epoch {
                     in_s[y as usize] = epoch;
+                    let mut outside = 0u32;
                     for (nbr, ei) in inc.incident(y) {
                         let ei = ei as usize;
-                        if !assigned[ei] && in_c[nbr as usize] == epoch {
-                            assigned[ei] = true;
-                            assignment[ei] = p as u16;
-                            sizes[p] += 1;
-                            remaining -= 1;
+                        if assigned[ei] {
+                            continue;
+                        }
+                        if in_c[nbr as usize] == epoch {
+                            allocate!(ei, y, nbr);
+                        } else if in_s[nbr as usize] != epoch {
+                            outside += 1;
+                        } else if nbr != y {
+                            ext[nbr as usize] -= 1;
                         }
                     }
-                    let d = ext_degree(y, &in_s, &assigned);
-                    heap.push(Reverse((d, y)));
+                    ext[y as usize] = outside;
+                    heap.push(Reverse((outside, y)));
                 }
             }};
         }
@@ -179,7 +197,7 @@ pub(crate) fn neighborhood_expansion(
                     None => {
                         // boundary exhausted: random restart (paper: random
                         // seed vertex -> vertex-balance instability)
-                        match pick_seed(n, &inc, &assigned, &mut rng, &mut seed_cursor) {
+                        match pick_seed(&live, &mut rng, &mut seed_cursor) {
                             Some(v) => {
                                 add_to_boundary!(v);
                                 continue;
@@ -191,7 +209,7 @@ pub(crate) fn neighborhood_expansion(
                         if in_c[x as usize] == epoch {
                             continue; // already in core
                         }
-                        let actual = ext_degree(x, &in_s, &assigned);
+                        let actual = ext[x as usize];
                         if actual != d {
                             heap.push(Reverse((actual, x)));
                             continue;
@@ -206,10 +224,7 @@ pub(crate) fn neighborhood_expansion(
             for (nbr, ei) in inc.incident(x) {
                 let ei = ei as usize;
                 if !assigned[ei] && (in_s[nbr as usize] == epoch || in_c[nbr as usize] == epoch) {
-                    assigned[ei] = true;
-                    assignment[ei] = p as u16;
-                    sizes[p] += 1;
-                    remaining -= 1;
+                    allocate!(ei, x, nbr);
                 }
             }
             for (nbr, ei) in inc.incident(x) {
@@ -238,30 +253,24 @@ pub(crate) fn neighborhood_expansion(
     ExpansionResult { assignment, assigned, sizes }
 }
 
-/// Random seed vertex with at least one unassigned eligible edge.
+/// Random seed vertex with at least one unassigned eligible edge
+/// (`live[v] > 0`).
 ///
 /// Sampling is *vertex-uniform* (like the original NE), not edge-uniform:
 /// edge-biased sampling would preferentially seed partitions at hubs, which
 /// measurably degrades replication factors on power-law graphs. Falls back
 /// to a linear cursor scan so the routine always terminates.
-fn pick_seed(
-    n: usize,
-    inc: &Incidence,
-    assigned: &[bool],
-    rng: &mut SplitMix64,
-    cursor: &mut usize,
-) -> Option<u32> {
-    let has_work = |v: u32| inc.incident(v).any(|(_, ei)| !assigned[ei as usize]);
+fn pick_seed(live: &[u32], rng: &mut SplitMix64, cursor: &mut usize) -> Option<u32> {
+    let n = live.len();
     for _ in 0..64 {
-        let v = rng.next_below(n) as u32;
-        if has_work(v) {
-            return Some(v);
+        let v = rng.next_below(n);
+        if live[v] > 0 {
+            return Some(v as u32);
         }
     }
     while *cursor < n {
-        let v = *cursor as u32;
-        if has_work(v) {
-            return Some(v);
+        if live[*cursor] > 0 {
+            return Some(*cursor as u32);
         }
         *cursor += 1;
     }

@@ -4,7 +4,9 @@
 
 use ease_repro::core::evaluation::{evaluate_selection, group_truth};
 use ease_repro::core::pipeline::{train_ease, EaseConfig};
-use ease_repro::core::profiling::{profile_processing_with, GraphInput, PreparedPool, TimingMode};
+use ease_repro::core::profiling::{
+    profile_processing_with, profile_quality_with, GraphInput, PreparedPool, TimingMode,
+};
 use ease_repro::core::selector::OptGoal;
 use ease_repro::graph::GraphProperties;
 use ease_repro::graphgen::Scale;
@@ -242,6 +244,15 @@ fn trained_system_is_deterministic_given_records() {
     }
 }
 
+/// One step of the label pins' running hash.
+fn fold(h: u64, x: u64) -> u64 {
+    ease_repro::graph::hash::mix64(h ^ x)
+}
+
+fn fold_str(h: u64, s: &str) -> u64 {
+    s.bytes().fold(fold(h, s.len() as u64), |h, b| fold(h, b.into()))
+}
+
 /// The processing-time labels themselves, pinned: every record the
 /// time-predictor corpus produces at tiny scale — all 11 partitioners ×
 /// the six training workloads at `k = 4` — folded through `mix64` into one
@@ -252,7 +263,6 @@ fn trained_system_is_deterministic_given_records() {
 /// here, before any model is trained on it.
 #[test]
 fn processing_labels_are_pinned() {
-    use ease_repro::graph::hash::mix64;
     let cfg = EaseConfig::at_scale(Scale::Tiny);
     let records = profile_processing_with(
         &cfg.large_inputs(),
@@ -262,9 +272,6 @@ fn processing_labels_are_pinned() {
         cfg.seed ^ 0x9A,
         TimingMode::Deterministic,
     );
-    let fold = |h: u64, x: u64| mix64(h ^ x);
-    let fold_str =
-        |h: u64, s: &str| s.bytes().fold(fold(h, s.len() as u64), |h, b| fold(h, b.into()));
     let mut h = 0u64;
     for r in &records {
         h = fold_str(h, r.partitioner.name());
@@ -275,6 +282,37 @@ fn processing_labels_are_pinned() {
     }
     assert_eq!(records.len(), 10 * 11 * 6);
     assert_eq!(h, 0xd409_3c24_9f94_5ddd, "a processing label moved: {h:#018x}");
+}
+
+/// The quality labels, pinned the same way: every record the quality
+/// predictor is trained on at tiny scale — the R-MAT-SMALL corpus, all 11
+/// partitioners × `k ∈ {2, 4, 8}` — its five metrics and its deterministic
+/// partitioning time folded through `mix64`. `processing_labels_are_pinned`
+/// sees `k = 4` on R-MAT-LARGE only; this is where the stateful
+/// partitioners run three times as often. The literal was written by the
+/// tree *before* `HdrfState::place` selected instead of branching and
+/// `neighborhood_expansion` kept its external degrees instead of recounting
+/// them; a partitioner change that moves one edge of one placement fails
+/// here.
+#[test]
+fn quality_labels_are_pinned() {
+    let cfg = EaseConfig::at_scale(Scale::Tiny);
+    let records = profile_quality_with(
+        &cfg.small_inputs(),
+        &PartitionerId::ALL,
+        &cfg.ks,
+        cfg.seed,
+        TimingMode::Deterministic,
+    );
+    let mut h = 0u64;
+    for r in &records {
+        h = fold_str(h, r.partitioner.name());
+        h = fold(h, r.k as u64);
+        h = r.metrics.as_vector().iter().fold(h, |h, m| fold(h, m.to_bits()));
+        h = fold(h, r.partitioning_secs.to_bits());
+    }
+    assert_eq!(records.len(), 24 * 11 * 3);
+    assert_eq!(h, 0x7d17_aa3c_7339_403b, "a quality label moved: {h:#018x}");
 }
 
 /// The traffic `PreparedPool` was built for does not occur: at every scale
