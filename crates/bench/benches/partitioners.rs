@@ -1,9 +1,11 @@
 //! Criterion micro-benchmarks: partitioning throughput of all 11
-//! partitioners, plus two ablations called out in DESIGN.md — HDRF's λ
+//! partitioners, the stateful partitioners and the metrics pass at the shape
+//! training profiles, plus two ablations called out in DESIGN.md — HDRF's λ
 //! balance weight and NE's seed-driven vertex-balance instability (the
 //! latter measured as quality spread, reported via bench output).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ease_graph::PreparedGraph;
 use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_partition::{hdrf::Hdrf, Partitioner, PartitionerId, QualityMetrics};
 use std::hint::black_box;
@@ -17,6 +19,40 @@ fn bench_partitioners(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(id.name()), &id, |b, &id| {
             let p = id.build(1);
             b.iter(|| black_box(p.partition(&graph, k)));
+        });
+    }
+    group.finish();
+}
+
+/// The shape step 2 of training runs at tiny scale: a dense R-MAT like the
+/// R-MAT-SMALL corpus (512 vertices, 12 207 edges), the partitioners whose
+/// per-edge kernels dominate profiling at the profiled `k ∈ {2, 4, 8}`, and
+/// the metrics pass every run is followed by. One shared context, as in
+/// profiling.
+fn bench_profiling_shape(c: &mut Criterion) {
+    let graph = Rmat::new(RMAT_COMBOS[4], 512, 12_207, 11).generate();
+    let prepared = PreparedGraph::of(&graph);
+    let mut group = c.benchmark_group("profiling_shape");
+    group.sample_size(10);
+    let stateful = [
+        PartitionerId::Hdrf,
+        PartitionerId::Ne,
+        PartitionerId::Hep1,
+        PartitionerId::Hep10,
+        PartitionerId::Hep100,
+    ];
+    for id in stateful {
+        for k in [2, 4, 8] {
+            group.bench_with_input(BenchmarkId::new(id.name(), k), &k, |b, &k| {
+                let p = id.build(1);
+                b.iter(|| black_box(p.partition_prepared(&prepared, k)));
+            });
+        }
+    }
+    for k in [2, 4, 8] {
+        let part = PartitionerId::Hdrf.build(1).partition_prepared(&prepared, k);
+        group.bench_with_input(BenchmarkId::new("metrics", k), &part, |b, part| {
+            b.iter(|| black_box(QualityMetrics::compute_prepared(&prepared, part)));
         });
     }
     group.finish();
@@ -71,6 +107,7 @@ criterion_group! {
     config = Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_partitioners, bench_hdrf_lambda_ablation, bench_ne_seed_instability
+    targets = bench_partitioners, bench_profiling_shape, bench_hdrf_lambda_ablation,
+        bench_ne_seed_instability
 }
 criterion_main!(benches);

@@ -12,7 +12,7 @@
 
 use crate::assignment::EdgePartition;
 use crate::hdrf::HdrfState;
-use crate::ne::neighborhood_expansion;
+use crate::ne::{neighborhood_expansion, ExpansionResult};
 use crate::{Partitioner, PartitionerId, MAX_PARTITIONS};
 use ease_graph::{MemoryBudget, PreparedGraph};
 use std::sync::Arc;
@@ -92,19 +92,13 @@ impl Hep {
         }
         threshold.min(capped)
     }
-}
 
-impl Partitioner for Hep {
-    fn id(&self) -> PartitionerId {
-        self.id_for_tau()
-    }
-
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
-        assert!((1..=MAX_PARTITIONS).contains(&k));
+    /// Phase 1 — in-memory neighborhood expansion on the low-degree part —
+    /// and the streaming state phase 2 starts from: the expansion ORs every
+    /// allocation into the state's replica masks as it goes, and its
+    /// partition sizes are accounted before the first streamed edge.
+    fn expand(&self, prepared: &PreparedGraph<'_>, k: usize) -> (ExpansionResult, HdrfState) {
         let m = prepared.num_edges();
-        if m == 0 {
-            return EdgePartition::new(k, Vec::new());
-        }
         // The degree threshold split uses *final* total degrees — exactly
         // what the shared context memoizes (one derivation across all three
         // HEP-τ variants and every k).
@@ -124,21 +118,37 @@ impl Partitioner for Hep {
             );
         });
         let capacity = m.div_ceil(k).max(1);
-        // ---- phase 1: in-memory neighborhood expansion on the low part ----
-        let ex = neighborhood_expansion(prepared, k, capacity, Some(&eligible), false, self.seed);
-        let mut assignment = ex.assignment;
-        // ---- phase 2: stream the high-degree core with placement-aware HDRF
         let mut state = HdrfState::new(prepared.num_vertices(), k, 1.1, self.seed ^ 0x48E5);
+        let ex = neighborhood_expansion(
+            prepared,
+            k,
+            capacity,
+            Some(&eligible),
+            false,
+            Some(&mut state.replicas),
+            self.seed,
+        );
         for (p, &count) in ex.sizes.iter().enumerate() {
             state.seed_size(p, count);
         }
-        prepared.for_each_edge_indexed(|i, e| {
-            if ex.assigned[i] {
-                let p = assignment[i] as usize;
-                state.seed_replica(e.src, p);
-                state.seed_replica(e.dst, p);
-            }
-        });
+        (ex, state)
+    }
+}
+
+impl Partitioner for Hep {
+    fn id(&self) -> PartitionerId {
+        self.id_for_tau()
+    }
+
+    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
+        assert!((1..=MAX_PARTITIONS).contains(&k));
+        if prepared.num_edges() == 0 {
+            return EdgePartition::new(k, Vec::new());
+        }
+        // ---- phase 1: in-memory neighborhood expansion on the low part ----
+        let (ex, mut state) = self.expand(prepared, k);
+        let mut assignment = ex.assignment;
+        // ---- phase 2: stream the high-degree core with placement-aware HDRF
         prepared.for_each_edge_indexed(|i, e| {
             if !ex.assigned[i] {
                 assignment[i] = state.place(e.src, e.dst) as u16;
@@ -263,6 +273,43 @@ mod tests {
             .with_memory_budget(std::sync::Arc::new(ease_graph::MemoryBudget::bytes(400)))
             .budget_capped_threshold(&degrees, f64::MAX);
         assert!(tighter <= capped, "smaller budget, lower threshold");
+    }
+
+    /// The replica masks phase 1 hands to phase 2, ORed in while expanding,
+    /// are the masks a pass over the edge stream recomputes from the
+    /// expansion's result — both endpoints of every assigned edge — for
+    /// every τ, unbudgeted, under a partial and under a zero budget.
+    #[test]
+    fn expansion_seeds_the_masks_a_stream_pass_would() {
+        use ease_graph::MemoryBudget;
+        let g = test_graph();
+        let prepared = PreparedGraph::of(&g);
+        for tau in [1.0, 10.0, 100.0] {
+            for budget in [None, Some(4_000), Some(0)] {
+                let mut hep = Hep::new(tau, 5);
+                if let Some(bytes) = budget {
+                    hep = hep.with_memory_budget(Arc::new(MemoryBudget::bytes(bytes)));
+                }
+                for k in [3, 8] {
+                    let (ex, state) = hep.expand(&prepared, k);
+                    let mut masks = vec![0u128; g.num_vertices()];
+                    prepared.for_each_edge_indexed(|i, e| {
+                        if ex.assigned[i] {
+                            let p = ex.assignment[i];
+                            masks[e.src as usize] |= 1u128 << p;
+                            masks[e.dst as usize] |= 1u128 << p;
+                        }
+                    });
+                    assert_eq!(state.replicas, masks, "τ={tau} budget={budget:?} k={k}");
+                    let expanded = masks.iter().any(|&m| m != 0);
+                    match budget {
+                        None => assert!(expanded, "τ={tau} k={k}: nothing expanded"),
+                        Some(0) => assert!(!expanded, "a zero budget expands nothing"),
+                        Some(_) => {}
+                    }
+                }
+            }
+        }
     }
 
     fn ease_repro_degrees(g: &Graph) -> Vec<u32> {

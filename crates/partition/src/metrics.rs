@@ -10,8 +10,13 @@
 //! contain isolated ids (R-MAT with |V| ≫ |E|) which no partitioner ever
 //! sees; counting them would push RF below 1 and distort every comparison.
 //!
-//! Vertex cover sets are computed with per-partition bitsets: `k ≤ 128`
-//! partitions × |V| bits is at most a few MB and one pass over the edges.
+//! Vertex cover sets are two per-partition bitset families, one for the
+//! sources and one for the destinations: `2 × k ≤ 256` bitsets of |V| bits
+//! is at most a few MB, filled in one pass over the edges that does three
+//! read-modify-writes per edge (edge count, source bit, destination bit).
+//! A partition's covered set is the word-wise union of its two bitsets, and
+//! the used vertices are the union of those over all partitions — both are
+//! popcounts after the pass, not bits set per edge.
 
 use crate::assignment::EdgePartition;
 use ease_graph::{Graph, PreparedGraph};
@@ -70,37 +75,37 @@ impl QualityMetrics {
         assert_eq!(prepared.num_edges(), partition.num_edges());
         let k = partition.num_partitions();
         let n = prepared.num_vertices();
-        let words = n.div_ceil(64);
-        // three bitset families: covered, covered-as-source, covered-as-dest
-        let mut cover = vec![0u64; k * words];
+        // at least one word, so an empty vertex set still chunks
+        let words = n.div_ceil(64).max(1);
+        // two bitset families: covered-as-source, covered-as-dest; one
+        // partition's covered set is their union, word by word
         let mut cover_src = vec![0u64; k * words];
         let mut cover_dst = vec![0u64; k * words];
         let mut edge_counts = vec![0usize; k];
-        let mut touched = vec![0u64; words];
         prepared.for_each_edge_indexed(|i, e| {
             let p = partition.partition_of(i);
             edge_counts[p] += 1;
             let (s, d) = (e.src as usize, e.dst as usize);
             let base = p * words;
-            cover[base + s / 64] |= 1 << (s % 64);
-            cover[base + d / 64] |= 1 << (d % 64);
             cover_src[base + s / 64] |= 1 << (s % 64);
             cover_dst[base + d / 64] |= 1 << (d % 64);
-            touched[s / 64] |= 1 << (s % 64);
-            touched[d / 64] |= 1 << (d % 64);
         });
-        let popcount = |bits: &[u64], p: usize| -> usize {
-            bits[p * words..(p + 1) * words].iter().map(|w| w.count_ones() as usize).sum()
-        };
-        let used_vertices: usize = touched.iter().map(|w| w.count_ones() as usize).sum();
+        // the used vertices are the union of every partition's covered set
+        let mut used = vec![0u64; words];
         let mut v_counts = vec![0usize; k];
         let mut s_counts = vec![0usize; k];
         let mut d_counts = vec![0usize; k];
-        for p in 0..k {
-            v_counts[p] = popcount(&cover, p);
-            s_counts[p] = popcount(&cover_src, p);
-            d_counts[p] = popcount(&cover_dst, p);
+        let families = cover_src.chunks_exact(words).zip(cover_dst.chunks_exact(words));
+        for (p, (src, dst)) in families.enumerate() {
+            for ((u, &s), &d) in used.iter_mut().zip(src).zip(dst) {
+                let covered = s | d;
+                *u |= covered;
+                v_counts[p] += covered.count_ones() as usize;
+                s_counts[p] += s.count_ones() as usize;
+                d_counts[p] += d.count_ones() as usize;
+            }
         }
+        let used_vertices: usize = used.iter().map(|w| w.count_ones() as usize).sum();
         let total_cover: usize = v_counts.iter().sum();
         let replication_factor =
             if used_vertices > 0 { total_cover as f64 / used_vertices as f64 } else { 1.0 };

@@ -43,7 +43,7 @@ impl Partitioner for Ne {
         // per-edge flags), which no other consumer shares — it builds its
         // own and takes only the edge stream from the context.
         let capacity = prepared.num_edges().div_ceil(k).max(1);
-        let r = neighborhood_expansion(prepared, k, capacity, None, true, self.seed);
+        let r = neighborhood_expansion(prepared, k, capacity, None, true, None, self.seed);
         EdgePartition::new(k, r.assignment)
     }
 }
@@ -110,15 +110,20 @@ impl Incidence {
 
 /// Core expansion routine. `eligible` restricts which edges participate
 /// (HEP's in-memory phase); `fill_last` dumps the remaining eligible edges
-/// into partition `k−1` (plain NE behaviour).
+/// into partition `k−1` (plain NE behaviour). `replicas`, when given, gets
+/// `1 << p` ORed into both endpoints' masks for every edge the expansion
+/// allocates to `p` — HEP's streaming phase starts from those masks.
 pub(crate) fn neighborhood_expansion(
     prepared: &PreparedGraph<'_>,
     k: usize,
     capacity: usize,
     eligible: Option<&[bool]>,
     fill_last: bool,
+    mut replicas: Option<&mut [u128]>,
     seed: u64,
 ) -> ExpansionResult {
+    // the leftover fill below records no replicas; HEP never fills
+    debug_assert!(!(fill_last && replicas.is_some()));
     let m = prepared.num_edges();
     let n = prepared.num_vertices();
     let mut assignment = vec![0u16; m];
@@ -159,12 +164,21 @@ pub(crate) fn neighborhood_expansion(
                 remaining -= 1;
                 live[$a as usize] -= 1;
                 live[$b as usize] -= 1;
+                if let Some(r) = replicas.as_deref_mut() {
+                    r[$a as usize] |= 1u128 << p;
+                    r[$b as usize] |= 1u128 << p;
+                }
             }};
         }
         // Add `y` to the boundary. Following the original allocation rule,
         // joining S only allocates y's edges toward *core* vertices; edges
         // between two boundary vertices wait until one of them enters C —
         // but stop being external to the boundary vertex at their other end.
+        // Only that allocation branches: the outside count and the
+        // neighbour's decrement are arithmetic on the membership tests. A
+        // core neighbour (C ⊆ S) is decremented too, harmlessly — its `ext`
+        // is never read again this epoch and still counts the entry toward
+        // `y`, so it cannot underflow.
         macro_rules! add_to_boundary {
             ($y:expr) => {{
                 let y = $y;
@@ -173,16 +187,13 @@ pub(crate) fn neighborhood_expansion(
                     let mut outside = 0u32;
                     for (nbr, ei) in inc.incident(y) {
                         let ei = ei as usize;
-                        if assigned[ei] {
-                            continue;
-                        }
-                        if in_c[nbr as usize] == epoch {
+                        let un = !assigned[ei];
+                        if un & (in_c[nbr as usize] == epoch) {
                             allocate!(ei, y, nbr);
-                        } else if in_s[nbr as usize] != epoch {
-                            outside += 1;
-                        } else if nbr != y {
-                            ext[nbr as usize] -= 1;
                         }
+                        let in_set = in_s[nbr as usize] == epoch;
+                        outside += u32::from(un & !in_set);
+                        ext[nbr as usize] -= u32::from(un & in_set & (nbr != y));
                     }
                     ext[y as usize] = outside;
                     heap.push(Reverse((outside, y)));
@@ -348,7 +359,7 @@ mod tests {
     fn expansion_with_mask_only_touches_eligible() {
         let g = Rmat::new(RMAT_COMBOS[3], 256, 2_000, 4).generate();
         let mask: Vec<bool> = (0..2_000).map(|i| i % 2 == 0).collect();
-        let r = neighborhood_expansion(&PreparedGraph::of(&g), 4, 250, Some(&mask), false, 1);
+        let r = neighborhood_expansion(&PreparedGraph::of(&g), 4, 250, Some(&mask), false, None, 1);
         for i in 0..2_000 {
             if !mask[i] {
                 assert!(!r.assigned[i], "ineligible edge {i} was assigned");

@@ -154,6 +154,11 @@ proptest! {
     }
 }
 
+/// The partition counts the metric oracle and the corner-graph sweep run:
+/// the profiled `{2, 4, 8}`, one partition, widths that are not a power of
+/// two, and `k = 128`, whose last partition is the `u128` masks' top bit.
+const ORACLE_KS: [usize; 8] = [1, 2, 3, 4, 5, 8, 64, 128];
+
 /// Label oracle: the five quality metrics recomputed the obvious way — one
 /// `HashSet` per partition for the covered, source and destination
 /// vertices, balance as `max / mean`, replication factor over the vertices
@@ -201,10 +206,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// `QualityMetrics::compute_prepared` equals the naive recomputation
-    /// bit for bit, for every partitioner × `k ∈ {2, 4, 8}`, on the heap
-    /// graph and on the same graph reopened as a memory-mapped `.bel` —
+    /// bit for bit, for every partitioner × `k` in [`ORACLE_KS`], on the
+    /// heap graph and on the same graph reopened as a memory-mapped `.bel` —
     /// with self-loops, parallel edges and isolated ids appended so the
-    /// "covered vertices only" denominator is exercised.
+    /// "covered vertices only" denominator is exercised. One more placement
+    /// at `k = 128` leaves its last partition empty: a covered count that
+    /// unions the source and destination bitsets must still count it as 0.
     #[test]
     fn quality_metrics_match_the_naive_oracle(g in arb_graph(), seed in 0u64..8) {
         let mut edges = g.edges().to_vec();
@@ -216,24 +223,27 @@ proptest! {
         let mapped = BelSource::open(&bel).expect("open .bel");
         std::fs::remove_file(&bel).ok();
         let backends = [("heap", PreparedGraph::of(&g)), (".bel", PreparedGraph::of_source(&mapped))];
-        for p in PartitionerId::ALL {
-            for k in [2usize, 4, 8] {
-                let part = p.build(seed).partition(&g, k);
-                let want = naive_metrics(&g, &part).as_vector().map(f64::to_bits);
-                for (backend, prepared) in &backends {
-                    let got = QualityMetrics::compute_prepared(prepared, &part);
-                    prop_assert_eq!(
-                        got.as_vector().map(f64::to_bits), want,
-                        "{} k={} on {}: {:?}", p.name(), k, backend, got
-                    );
-                }
+        let runs = PartitionerId::ALL.into_iter().flat_map(|p| {
+            ORACLE_KS.map(|k| (p.name(), p.build(seed).partition(&g, k)))
+        });
+        let one_empty = EdgePartition::new(128, (0..g.num_edges()).map(|i| (i % 127) as u16).collect());
+        for (name, part) in runs.chain([("127-of-128", one_empty)]) {
+            let k = part.num_partitions();
+            let want = naive_metrics(&g, &part).as_vector().map(f64::to_bits);
+            for (backend, prepared) in &backends {
+                let got = QualityMetrics::compute_prepared(prepared, &part);
+                prop_assert_eq!(
+                    got.as_vector().map(f64::to_bits), want,
+                    "{} k={} on {}: {:?}", name, k, backend, got
+                );
             }
         }
     }
 }
 
 /// The same sweep on fixed corner-case graphs (self-loops, duplicate edges,
-/// isolated vertices, stars) that random R-MAT sampling rarely hits.
+/// isolated vertices, stars) that random R-MAT sampling rarely hits, at
+/// every `k` in [`ORACLE_KS`].
 #[test]
 fn every_partitioner_handles_corner_graphs() {
     let corner_graphs: Vec<(&str, Graph)> = vec![
@@ -245,7 +255,7 @@ fn every_partitioner_handles_corner_graphs() {
     ];
     for (name, g) in &corner_graphs {
         for p in PartitionerId::ALL {
-            for k in [2usize, 4, 8] {
+            for k in ORACLE_KS {
                 let part = p.build(3).partition(g, k);
                 assert_eq!(part.num_edges(), g.num_edges(), "{name} {p:?} k={k}");
                 assert!(part.assignment().iter().all(|&x| (x as usize) < k), "{name} {p:?} k={k}");

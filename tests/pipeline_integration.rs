@@ -315,6 +315,39 @@ fn quality_labels_are_pinned() {
     assert_eq!(h, 0x7d17_aa3c_7339_403b, "a quality label moved: {h:#018x}");
 }
 
+/// The placements themselves, pinned: every edge's partition from all 11
+/// partitioners × `k ∈ {2, 3, 4, 8, 32}` on the tiny R-MAT-SMALL, R-MAT-LARGE
+/// and Table IV graphs, folded through `mix64`. The metric pins above cannot
+/// see two edges swap partitions at equal counts and run `k ∈ {2, 4, 8}`
+/// only; `k = 3` gives HDRF a width that is not a power of two. The literal
+/// was written by the tree *before* NE's boundary join stopped branching on
+/// membership, HDRF scored a fixed number of lanes and HEP seeded its
+/// replicas during expansion.
+#[test]
+fn partitioner_assignments_are_pinned() {
+    let cfg = EaseConfig::at_scale(Scale::Tiny);
+    let tests = GraphInput::from_tests(ease_repro::graphgen::realworld::table4_test_set(
+        cfg.scale, cfg.seed,
+    ));
+    let inputs: Vec<GraphInput> =
+        cfg.small_inputs().into_iter().chain(cfg.large_inputs()).chain(tests).collect();
+    assert_eq!(inputs.len(), 24 + 10 + 7);
+    let mut h = 0u64;
+    for input in &inputs {
+        let prepared = input.prepare();
+        h = fold_str(h, input.name());
+        for p in PartitionerId::ALL {
+            for k in [2usize, 3, 4, 8, 32] {
+                let part = p.build(cfg.seed ^ k as u64).partition_prepared(&prepared, k);
+                h = fold_str(h, p.name());
+                h = fold(h, k as u64);
+                h = part.assignment().iter().fold(h, |h, &a| fold(h, a.into()));
+            }
+        }
+    }
+    assert_eq!(h, 0xc77e_c41e_987f_4e12, "a placement moved: {h:#018x}");
+}
+
 /// The traffic `PreparedPool` was built for does not occur: at every scale
 /// the full R-MAT-SMALL and R-MAT-LARGE corpora share no spec (the spec key
 /// contains the `rmat-small-…` / `rmat-large-…` name), so `train_ease`'s
