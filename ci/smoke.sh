@@ -112,6 +112,20 @@ rc=0
 "$EASE_BIN" train --out "$smoke/typo.model" --sede 7 2> "$smoke/typo.err" || rc=$?
 [[ $rc -eq 2 ]]
 grep -q 'unknown flag --sede for ease train' "$smoke/typo.err"
+# ...so is a flag the chosen generator kind does not read, and the retired
+# --format (the extension picks the format, for writers as for readers);
+# neither leaves an output file behind
+rc=0
+"$EASE_BIN" gen --out "$smoke/unread.txt" --kind soc --vertices 5 2> "$smoke/unread.err" || rc=$?
+[[ $rc -eq 2 ]]
+grep -q -- '--vertices' "$smoke/unread.err"
+[[ ! -e "$smoke/unread.txt" ]]
+rc=0
+"$EASE_BIN" convert --in "$smoke/graph.txt" --out "$smoke/format.bel" --format txt \
+    2> "$smoke/format.err" || rc=$?
+[[ $rc -eq 2 ]]
+grep -q -- '--format' "$smoke/format.err"
+[[ ! -e "$smoke/format.bel" ]]
 "$EASE_BIN" train --help > "$smoke/help.out"
 grep -q 'TRAIN OPTIONS' "$smoke/help.out"
 

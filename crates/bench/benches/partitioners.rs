@@ -15,10 +15,12 @@ fn bench_partitioners(c: &mut Criterion) {
     let k = 32;
     let mut group = c.benchmark_group("partition_20k_edges_k32");
     group.sample_size(10);
+    // a fresh context per iteration: the one-shot cost, degree derivation
+    // included
     for id in PartitionerId::ALL {
         group.bench_with_input(BenchmarkId::from_parameter(id.name()), &id, |b, &id| {
             let p = id.build(1);
-            b.iter(|| black_box(p.partition(&graph, k)));
+            b.iter(|| black_box(p.partition_prepared(&PreparedGraph::of(&graph), k)));
         });
     }
     group.finish();
@@ -68,15 +70,16 @@ fn bench_hdrf_lambda_ablation(c: &mut Criterion) {
             &lambda,
             |b, &lambda| {
                 let p = Hdrf::with_lambda(lambda, 3);
-                b.iter(|| black_box(p.partition(&graph, 16)));
+                b.iter(|| black_box(p.partition_prepared(&PreparedGraph::of(&graph), 16)));
             },
         );
     }
     group.finish();
     // quality side of the ablation (printed once, not timed)
+    let prepared = PreparedGraph::of(&graph);
     for lambda in [0.1, 1.1, 5.0] {
-        let p = Hdrf::with_lambda(lambda, 3).partition(&graph, 16);
-        let m = QualityMetrics::compute(&graph, &p);
+        let p = Hdrf::with_lambda(lambda, 3).partition_prepared(&prepared, 16);
+        let m = QualityMetrics::compute_prepared(&prepared, &p);
         eprintln!(
             "hdrf lambda={lambda}: rf={:.3} edge_balance={:.3}",
             m.replication_factor, m.edge_balance
@@ -88,13 +91,14 @@ fn bench_ne_seed_instability(c: &mut Criterion) {
     let graph = Rmat::new(RMAT_COMBOS[6], 1 << 12, 16_000, 5).generate();
     c.bench_function("ne_partition_16k_edges_k8", |b| {
         let p = PartitionerId::Ne.build(1);
-        b.iter(|| black_box(p.partition(&graph, 8)));
+        b.iter(|| black_box(p.partition_prepared(&PreparedGraph::of(&graph), 8)));
     });
     // report the paper's instability observation alongside the timing
+    let prepared = PreparedGraph::of(&graph);
     let balances: Vec<f64> = (0..5)
         .map(|s| {
-            let p = PartitionerId::Ne.build(s).partition(&graph, 8);
-            QualityMetrics::compute(&graph, &p).vertex_balance
+            let p = PartitionerId::Ne.build(s).partition_prepared(&prepared, 8);
+            QualityMetrics::compute_prepared(&prepared, &p).vertex_balance
         })
         .collect();
     let min = balances.iter().cloned().fold(f64::INFINITY, f64::min);

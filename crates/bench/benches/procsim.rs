@@ -5,15 +5,16 @@
 //! R-MAT graph, and the placement build itself.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ease_graph::PreparedGraph;
 use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_partition::PartitionerId;
 use ease_procsim::{ClusterSpec, DistributedGraph, Workload};
 use std::hint::black_box;
 
 fn setup() -> DistributedGraph {
-    let graph = Rmat::new(RMAT_COMBOS[5], 1 << 12, 24_000, 13).generate();
-    let partition = PartitionerId::Hdrf.build(1).partition(&graph, 4);
-    DistributedGraph::build(&graph, &partition)
+    let graph = PreparedGraph::new(Rmat::new(RMAT_COMBOS[5], 1 << 12, 24_000, 13).generate());
+    let partition = PartitionerId::Hdrf.build(1).partition_prepared(&graph, 4);
+    DistributedGraph::build_prepared(&graph, &partition)
 }
 
 fn bench_workloads(c: &mut Criterion) {
@@ -31,9 +32,12 @@ fn bench_workloads(c: &mut Criterion) {
 
 fn bench_placement(c: &mut Criterion) {
     let graph = Rmat::new(RMAT_COMBOS[5], 1 << 12, 24_000, 13).generate();
-    let partition = PartitionerId::Hdrf.build(1).partition(&graph, 4);
+    let partition = PartitionerId::Hdrf.build(1).partition_prepared(&PreparedGraph::of(&graph), 4);
+    // a fresh context per iteration: the one-shot build, degree table included
     c.bench_function("distributed_graph_build_24k", |b| {
-        b.iter(|| black_box(DistributedGraph::build(&graph, &partition)));
+        b.iter(|| {
+            black_box(DistributedGraph::build_prepared(&PreparedGraph::of(&graph), &partition))
+        });
     });
 }
 

@@ -3,7 +3,7 @@
 //! below partitioning cost, unlike GNN embeddings; Sec. IV-E).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ease_graph::{DegreeTable, GraphProperties, PreparedGraph, PropertyTier};
+use ease_graph::{DegreeTable, PreparedGraph, PropertyTier};
 use ease_graphgen::erdos_renyi::ErdosRenyi;
 use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};
 use std::hint::black_box;
@@ -14,7 +14,7 @@ fn bench_property_tiers(c: &mut Criterion) {
     group.sample_size(10);
     for tier in PropertyTier::ALL {
         group.bench_with_input(BenchmarkId::from_parameter(tier.name()), &tier, |b, &tier| {
-            b.iter(|| black_box(GraphProperties::compute(&graph, tier)));
+            b.iter(|| black_box(PreparedGraph::of(&graph).properties(tier)));
         });
     }
     group.finish();

@@ -160,7 +160,7 @@ fn pearson(points: &[(f64, f64)]) -> f64 {
 
 fn fig6(lab: &Lab, doc: &mut Doc) {
     let (scale, seed) = (lab.cfg.scale, lab.cfg.seed);
-    let advanced = |g: &ease_graph::Graph| GraphProperties::compute(g, PropertyTier::Advanced);
+    let advanced = |g: &ease_graph::Graph| PreparedGraph::of(g).properties(PropertyTier::Advanced);
     let real: Vec<_> =
         realworld::full_library(scale, seed).iter().map(|t| advanced(&t.graph)).collect();
     let families = [

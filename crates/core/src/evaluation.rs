@@ -341,6 +341,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{train_ease, EaseConfig};
     use crate::profiling::{profile_processing_with, profile_quality_with, GraphInput, TimingMode};
+    use ease_graph::{PreparedGraph, PropertyTier};
     use ease_graphgen::Scale;
 
     fn tiny_system() -> (Ease, Vec<GraphInput>) {
@@ -394,7 +395,7 @@ mod tests {
     fn a_pick_tied_with_the_optimum_counts_as_a_hit() {
         let (ease, _) = tiny_system();
         let graph = ease_graphgen::realworld::socfb_analogue(Scale::Tiny, 5).graph;
-        let props = GraphProperties::compute_advanced(&graph);
+        let props = PreparedGraph::of(&graph).properties(PropertyTier::Advanced);
         let workload = Workload::ConnectedComponents;
         let goal = OptGoal::ProcessingOnly;
         let pick = ease.select(&props, workload, 4, goal).best;

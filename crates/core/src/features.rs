@@ -97,10 +97,11 @@ pub fn processing_time_row(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ease_graph::Graph;
+    use ease_graph::{Graph, PreparedGraph};
 
     fn props() -> GraphProperties {
-        GraphProperties::compute_advanced(&Graph::from_pairs([(0, 1), (1, 2), (2, 0)]))
+        PreparedGraph::new(Graph::from_pairs([(0, 1), (1, 2), (2, 0)]))
+            .properties(PropertyTier::Advanced)
     }
 
     fn metrics() -> QualityMetrics {

@@ -20,9 +20,11 @@
 //!
 //! The primary entry point is the [`service`] module — *train once, query
 //! cheaply*: [`EaseServiceBuilder`] trains a persistable [`EaseService`]
-//! whose `recommend_query*` entries answer selection queries with typed
-//! [`EaseError`]s, and whose `save`/`load` round-trip the trained models
-//! bit-exactly through a versioned binary codec. The [`serve`] module
+//! that extracts a graph's properties through its property cache
+//! ([`EaseService::cached_properties_prepared`]), answers selection queries
+//! with typed [`EaseError`]s ([`EaseService::recommend`]), and whose
+//! `save`/`load` round-trip the trained models bit-exactly through a
+//! versioned binary codec. The [`serve`] module
 //! turns a persisted service into a long-running daemon behind a
 //! unix-domain socket — one warm model + property cache answering
 //! concurrent clients, bit-identically to the one-shot CLI.
@@ -34,7 +36,7 @@
 //!
 //! let service = EaseServiceBuilder::at_scale(Scale::Tiny).train()?;
 //! let graph = ease_graphgen::realworld::socfb_analogue(Scale::Tiny, 42).graph;
-//! let props = ease_graph::GraphProperties::compute_advanced(&graph);
+//! let props = service.cached_properties_prepared(&ease_graph::PreparedGraph::of(&graph));
 //! let pick = service.recommend(&props, Workload::PageRank { iterations: 10 }, OptGoal::EndToEnd)?;
 //! println!("EASE picks {}", pick.best.name());
 //! # Ok::<(), ease::EaseError>(())
@@ -54,6 +56,4 @@ pub mod service;
 pub use error::{EaseError, ServeError};
 pub use predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 pub use selector::{Ease, OptGoal, Selection};
-pub use service::{
-    EaseService, EaseServiceBuilder, PropertyCacheStats, Query, ServiceInfo, ServiceMeta,
-};
+pub use service::{EaseService, EaseServiceBuilder, PropertyCacheStats, ServiceInfo, ServiceMeta};

@@ -171,7 +171,7 @@ pub fn dedup_partition_runs(records: &[ProcessingRecord]) -> Vec<QualityRecord> 
 mod tests {
     use super::*;
     use crate::selector::OptGoal;
-    use ease_graph::GraphProperties;
+    use ease_graph::PreparedGraph;
 
     #[test]
     fn tiny_pipeline_trains_and_selects() {
@@ -186,7 +186,7 @@ mod tests {
         assert_eq!(artifacts.quality_records.len(), 8 * 3 * 2);
         assert_eq!(artifacts.processing_records.len(), 4 * 3 * 2);
         let g = ease_graphgen::realworld::socfb_analogue(Scale::Tiny, 5).graph;
-        let props = GraphProperties::compute_advanced(&g);
+        let props = PreparedGraph::of(&g).properties(PropertyTier::Advanced);
         for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
             let sel = ease.select(&props, Workload::PageRank { iterations: 3 }, 4, goal);
             assert!(cfg.partitioners.contains(&sel.best));

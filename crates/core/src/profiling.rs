@@ -380,7 +380,7 @@ pub fn profile_quality_pooled(
         // Extracting properties first also warms the context (degree table,
         // triangles), so no partitioner run is charged for the shared
         // derivation under measured timing.
-        let props = GraphProperties::compute_prepared(prepared, PropertyTier::Advanced);
+        let props = prepared.properties(PropertyTier::Advanced);
         let mut out = Vec::with_capacity(partitioners.len() * ks.len());
         for &p in partitioners {
             for &k in ks {
@@ -442,7 +442,7 @@ pub fn profile_processing_pooled(
     parallel_profile(inputs, |input| {
         let pooled = pool.prepare(input);
         let prepared = pooled.get();
-        let props = GraphProperties::compute_prepared(prepared, PropertyTier::Advanced);
+        let props = prepared.properties(PropertyTier::Advanced);
         let mut out = Vec::with_capacity(partitioners.len() * workloads.len());
         let mut traces = None;
         for &p in partitioners {

@@ -59,7 +59,7 @@
 
 use crate::error::EaseError;
 use crate::selector::OptGoal;
-use crate::service::{EaseService, Query};
+use crate::service::EaseService;
 use ease_graph::{GraphProperties, GraphSource, MemoryBudget, PreparedGraph, PropertyTier};
 use ease_procsim::Workload;
 use std::fmt::Write as _;
@@ -104,8 +104,8 @@ pub fn render_recommendation(
     budget: Option<&Arc<MemoryBudget>>,
 ) -> Result<String, EaseError> {
     let prepared = budgeted(PreparedGraph::of_source(source), budget);
-    let selection =
-        service.recommend_query_prepared(&prepared, Query::new(workload).k(k).goal(goal))?;
+    let props = service.cached_properties_prepared(&prepared);
+    let selection = service.ease().try_select(&props, workload, k, goal)?;
     Ok(render_selection(
         display_path,
         source.num_vertices(),

@@ -39,7 +39,7 @@ use super::protocol::{
 };
 use super::{ServeConfig, ServeSummary};
 use crate::error::EaseError;
-use crate::service::{EaseService, Query};
+use crate::service::EaseService;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -897,7 +897,6 @@ mod unix_server {
                 EaseError::InvalidConfig(format!("unknown workload `{workload}`"))
             })?;
             let k = k.unwrap_or(service.meta().default_k);
-            let query = Query::new(workload).k(k).goal(goal);
             // resolve against the client's cwd, but display the path as the
             // client wrote it (one-shot answer parity)
             let path = resolve_graph_path(graph, cwd.as_deref());
@@ -912,7 +911,7 @@ mod unix_server {
                 };
                 if let Some((fingerprint, n, m)) = remembered {
                     if let Some(props) = service.try_cached_properties(fingerprint) {
-                        let selection = service.recommend_query(&props, query)?;
+                        let selection = service.ease().try_select(&props, workload, k, goal)?;
                         return Ok(super::super::render_selection(
                             graph, n, m, workload, k, goal, top, selection,
                         ));
@@ -925,7 +924,8 @@ mod unix_server {
             if let Some(budget) = &self.memory_budget {
                 prepared = prepared.with_memory_budget(Arc::clone(budget));
             }
-            let selection = service.recommend_query_prepared(&prepared, query)?;
+            let props = service.cached_properties_prepared(&prepared);
+            let selection = service.ease().try_select(&props, workload, k, goal)?;
             let n = source.num_vertices();
             let m = source.edge_count();
             let out =

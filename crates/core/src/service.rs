@@ -6,15 +6,16 @@
 //! This module makes that the first-class API shape:
 //!
 //! * [`EaseServiceBuilder`] — validated, fluent configuration of the
-//!   training pipeline (scale, model grid, CV folds, seed, timing mode,
-//!   optimization goal), producing a trained [`EaseService`].
-//! * [`EaseService::recommend_query`] + [`Query`] — query-oriented
-//!   selection with typed [`EaseError`]s; the service is `Sync`, so
-//!   concurrent callers share one trained model behind `&self`.
-//! * [`EaseService::recommend_query_graph`] — graph-in, answer-out:
-//!   property extraction runs through a fingerprint-keyed LRU cache, so
-//!   repeated queries on the same graph skip the (advanced-tier)
-//!   extraction entirely.
+//!   training pipeline (scale, model grid, CV folds, seed, timing mode),
+//!   producing a trained [`EaseService`].
+//! * [`EaseService::cached_properties_prepared`] — a graph's advanced-tier
+//!   properties through a fingerprint-keyed LRU cache, so repeated queries
+//!   on the same graph skip the extraction entirely.
+//! * [`EaseService::recommend`] — selection at the trained default `k`, with
+//!   typed [`EaseError`]s; the service is `Sync`, so concurrent callers
+//!   share one trained model behind `&self`. A caller with its own `k` asks
+//!   the predictor stack directly: [`Ease::try_select`] on
+//!   [`EaseService::ease`].
 //! * [`EaseService::save`] / [`EaseService::load`] — versioned binary
 //!   persistence of the whole trained system (all fitted models plus
 //!   provenance), so a selector trained in one process answers queries in
@@ -33,7 +34,7 @@
 //! service.save(std::path::Path::new("ease.model"))?;
 //!
 //! let graph = ease_graphgen::realworld::socfb_analogue(Scale::Tiny, 42).graph;
-//! let props = ease_graph::GraphProperties::compute_advanced(&graph);
+//! let props = service.cached_properties_prepared(&ease_graph::PreparedGraph::of(&graph));
 //! let pick = service.recommend(&props, Workload::PageRank { iterations: 10 }, OptGoal::EndToEnd)?;
 //! println!("EASE picks {}", pick.best.name());
 //! # Ok::<(), ease::EaseError>(())
@@ -44,7 +45,7 @@ use crate::pipeline::{train_ease, EaseConfig, TrainingArtifacts};
 use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 use crate::profiling::TimingMode;
 use crate::selector::{Ease, OptGoal, Selection};
-use ease_graph::{Graph, GraphProperties, PreparedGraph, PropertyTier};
+use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::Scale;
 use ease_ml::persist::{read_header, write_header, PersistError, Reader, Writer};
 use ease_ml::ModelConfig;
@@ -64,20 +65,19 @@ use std::sync::{Mutex, PoisonError};
 pub struct EaseServiceBuilder {
     cfg: EaseConfig,
     default_k: usize,
-    default_goal: OptGoal,
 }
 
 impl EaseServiceBuilder {
     /// Calibrated defaults for a scale (see [`EaseConfig::at_scale`]).
     pub fn at_scale(scale: Scale) -> Self {
         let cfg = EaseConfig::at_scale(scale);
-        EaseServiceBuilder { default_k: cfg.processing_k, cfg, default_goal: OptGoal::EndToEnd }
+        EaseServiceBuilder { default_k: cfg.processing_k, cfg }
     }
 
     /// Wrap an explicit pipeline configuration (escape hatch for the
     /// experiment binaries).
     pub fn from_config(cfg: EaseConfig) -> Self {
-        EaseServiceBuilder { default_k: cfg.processing_k, cfg, default_goal: OptGoal::EndToEnd }
+        EaseServiceBuilder { default_k: cfg.processing_k, cfg }
     }
 
     /// The hyper-parameter grid searched per predictor component.
@@ -112,13 +112,6 @@ impl EaseServiceBuilder {
     /// Graph-property tier used by the quality predictor.
     pub fn tier(mut self, tier: PropertyTier) -> Self {
         self.cfg.tier = tier;
-        self
-    }
-
-    /// Default optimization goal for [`EaseService::recommend`] callers
-    /// that take it from the service.
-    pub fn goal(mut self, goal: OptGoal) -> Self {
-        self.default_goal = goal;
         self
     }
 
@@ -212,7 +205,7 @@ impl EaseServiceBuilder {
             folds: self.cfg.folds,
             timing: self.cfg.timing,
             default_k: self.default_k,
-            default_goal: self.default_goal,
+            default_goal: OptGoal::EndToEnd,
         };
         let (ease, artifacts) = train_ease(&self.cfg);
         Ok((EaseService::from_parts(ease, meta), artifacts))
@@ -226,75 +219,12 @@ pub struct ServiceMeta {
     pub seed: u64,
     pub folds: usize,
     pub timing: TimingMode,
+    /// The `k` [`EaseService::recommend`] answers for.
     pub default_k: usize,
+    /// Carried by the model format and shown by `ease inspect`; the builder
+    /// records [`OptGoal::EndToEnd`]. No query reads it: every query names
+    /// its own goal.
     pub default_goal: OptGoal,
-}
-
-/// What to ask a service, independent of how the graph arrives: the
-/// workload is required, partition count and optimization goal are
-/// optional and resolve against the service's [`ServiceMeta`] defaults
-/// *at query time* (so one `Query` value means the same thing against
-/// differently-trained services).
-///
-/// Pick the entry point by input kind:
-/// [`EaseService::recommend_query`] (extracted properties),
-/// [`EaseService::recommend_query_graph`] (in-memory graph), or
-/// [`EaseService::recommend_query_prepared`] (shared analysis context).
-///
-/// ```
-/// # use ease::Query;
-/// # use ease::OptGoal;
-/// # use ease_procsim::Workload;
-/// let query = Query::new(Workload::PageRank { iterations: 3 })
-///     .k(8)
-///     .goal(OptGoal::ProcessingOnly);
-/// assert_eq!(query.partitions(), Some(8));
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Query {
-    workload: Workload,
-    k: Option<usize>,
-    goal: Option<OptGoal>,
-}
-
-impl Query {
-    /// A query for `workload` at the service's default partition count
-    /// and optimization goal.
-    pub fn new(workload: Workload) -> Query {
-        Query { workload, k: None, goal: None }
-    }
-
-    /// Ask for an explicit partition count instead of the service default.
-    pub fn k(mut self, k: usize) -> Query {
-        self.k = Some(k);
-        self
-    }
-
-    /// Ask for an explicit optimization goal instead of the service
-    /// default.
-    pub fn goal(mut self, goal: OptGoal) -> Query {
-        self.goal = Some(goal);
-        self
-    }
-
-    pub fn workload(&self) -> Workload {
-        self.workload
-    }
-
-    /// The explicit partition count, if one was set with [`Query::k`].
-    pub fn partitions(&self) -> Option<usize> {
-        self.k
-    }
-
-    /// The explicit goal, if one was set with [`Query::goal`].
-    pub fn opt_goal(&self) -> Option<OptGoal> {
-        self.goal
-    }
-
-    /// Resolve the optional fields against a service's defaults.
-    fn resolve(&self, meta: &ServiceMeta) -> (Workload, usize, OptGoal) {
-        (self.workload, self.k.unwrap_or(meta.default_k), self.goal.unwrap_or(meta.default_goal))
-    }
 }
 
 /// Human-readable summary of a trained service (the `ease inspect` view).
@@ -438,58 +368,18 @@ impl EaseService {
         self.ease.processing_time.supported_workloads()
     }
 
-    /// Answer a [`Query`] from already-extracted properties — the core
-    /// entry the other `recommend*` entries funnel through. Unset query
-    /// fields resolve against [`ServiceMeta`] here, at answer time.
+    /// Recommend a partitioner at the service's trained default partition
+    /// count ([`ServiceMeta::default_k`]).
     ///
     /// Returns the full predicted ranking; [`EaseError::UnsupportedWorkload`]
-    /// if the service was never trained on the query's workload.
-    pub fn recommend_query(
-        &self,
-        props: &GraphProperties,
-        query: Query,
-    ) -> Result<Selection, EaseError> {
-        let (workload, k, goal) = query.resolve(&self.meta);
-        self.ease.try_select(props, workload, k, goal)
-    }
-
-    /// Answer a [`Query`] straight from an in-memory graph: advanced-tier
-    /// properties come from the fingerprint-keyed LRU cache when this
-    /// graph (by content) was queried before, so repeated queries skip
-    /// extraction entirely — hashing the edge list is the only per-query
-    /// `O(|E|)` work.
-    pub fn recommend_query_graph(
-        &self,
-        graph: &Graph,
-        query: Query,
-    ) -> Result<Selection, EaseError> {
-        self.recommend_query_prepared(&PreparedGraph::of(graph), query)
-    }
-
-    /// Answer a [`Query`] from a shared [`PreparedGraph`] analysis context
-    /// — the ingestion-agnostic entry: the context may wrap an in-memory
-    /// graph, a memory-mapped `.bel` file, or a streamed text edge list,
-    /// and the recommendation is bit-identical across all of them. No
-    /// owned `Vec<Edge>` is materialized for source-backed contexts.
-    pub fn recommend_query_prepared(
-        &self,
-        prepared: &PreparedGraph<'_>,
-        query: Query,
-    ) -> Result<Selection, EaseError> {
-        let props = self.cached_properties_prepared(prepared);
-        self.recommend_query(&props, query)
-    }
-
-    /// Recommend a partitioner at the service's default partition count —
-    /// the positional shorthand for
-    /// `recommend_query(props, Query::new(workload).goal(goal))`.
+    /// if the service was never trained on `workload`.
     pub fn recommend(
         &self,
         props: &GraphProperties,
         workload: Workload,
         goal: OptGoal,
     ) -> Result<Selection, EaseError> {
-        self.recommend_query(props, Query::new(workload).goal(goal))
+        self.ease.try_select(props, workload, self.meta.default_k, goal)
     }
 
     /// Advanced-tier properties of the context's graph, served from the
@@ -767,7 +657,8 @@ mod tests {
     #[test]
     fn trained_service_answers_and_rejects_unknown_workloads() {
         let service = tiny_builder().train().unwrap();
-        let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, 3).graph);
+        let graph = socfb_analogue(Scale::Tiny, 3).graph;
+        let props = PreparedGraph::of(&graph).properties(PropertyTier::Advanced);
         let sel = service
             .recommend(&props, Workload::PageRank { iterations: 3 }, OptGoal::EndToEnd)
             .unwrap();
@@ -784,43 +675,29 @@ mod tests {
         }
     }
 
+    fn same_bits(a: &Selection, b: &Selection) {
+        assert_eq!(a.best, b.best);
+        assert_eq!(a.candidates.len(), b.candidates.len());
+        for (a, b) in a.candidates.iter().zip(&b.candidates) {
+            assert_eq!(a.end_to_end_secs.to_bits(), b.end_to_end_secs.to_bits());
+        }
+    }
+
     #[test]
-    fn query_builder_resolves_service_defaults_across_input_kinds() {
+    fn recommend_answers_at_the_trained_default_k() {
         let service = tiny_builder().train().unwrap();
         let graph = socfb_analogue(Scale::Tiny, 3).graph;
-        let props = GraphProperties::compute_advanced(&graph);
+        let props = PreparedGraph::of(&graph).properties(PropertyTier::Advanced);
         let workload = Workload::PageRank { iterations: 3 };
-        let same_bits = |a: &Selection, b: &Selection| {
-            assert_eq!(a.best, b.best);
-            for (a, b) in a.candidates.iter().zip(&b.candidates) {
-                assert_eq!(a.end_to_end_secs.to_bits(), b.end_to_end_secs.to_bits());
-            }
-        };
-
-        // unset fields resolve to the trained defaults at answer time
         let meta = *service.meta();
-        let bare = service.recommend_query(&props, Query::new(workload)).unwrap();
-        let explicit = service
-            .recommend_query(&props, Query::new(workload).k(meta.default_k).goal(meta.default_goal))
-            .unwrap();
-        same_bits(&bare, &explicit);
-        // the positional shorthand is the default-k query with its goal
-        let goal = OptGoal::ProcessingOnly;
-        same_bits(
-            &service.recommend(&props, workload, goal).unwrap(),
-            &service.recommend_query(&props, Query::new(workload).goal(goal)).unwrap(),
-        );
-
-        // explicit fields win, and the three input kinds agree bit-for-bit
-        let query = Query::new(workload).k(2).goal(goal);
-        assert_eq!(query.partitions(), Some(2));
-        assert_eq!(query.opt_goal(), Some(goal));
-        let by_props = service.recommend_query(&props, query).unwrap();
-        same_bits(&service.recommend_query_graph(&graph, query).unwrap(), &by_props);
-        same_bits(
-            &service.recommend_query_prepared(&PreparedGraph::of(&graph), query).unwrap(),
-            &by_props,
-        );
+        assert_eq!(meta.default_k, tiny_builder().config().processing_k);
+        assert_eq!(meta.default_goal, OptGoal::EndToEnd);
+        for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
+            same_bits(
+                &service.recommend(&props, workload, goal).unwrap(),
+                &service.ease().try_select(&props, workload, meta.default_k, goal).unwrap(),
+            );
+        }
     }
 
     #[test]
@@ -832,7 +709,8 @@ mod tests {
         assert_eq!(restored.catalog(), service.catalog());
         assert_eq!(restored.supported_workloads(), service.supported_workloads());
         for seed in [5, 6, 7] {
-            let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, seed).graph);
+            let graph = socfb_analogue(Scale::Tiny, seed).graph;
+            let props = PreparedGraph::of(&graph).properties(PropertyTier::Advanced);
             for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
                 let a =
                     service.recommend(&props, Workload::PageRank { iterations: 3 }, goal).unwrap();
@@ -876,33 +754,38 @@ mod tests {
     fn graph_queries_cache_by_content_fingerprint() {
         let service = tiny_builder().train().unwrap();
         let g = socfb_analogue(Scale::Tiny, 21).graph;
-        let wl = Workload::PageRank { iterations: 3 };
-        let first = service.recommend_query_graph(&g, Query::new(wl)).unwrap();
+        let first = service.cached_properties_prepared(&PreparedGraph::of(&g));
         let stats = service.property_cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 1, 1));
-        // same content (an independent clone!) -> cache hit, same answer
-        let again = service.recommend_query_graph(&g.clone(), Query::new(wl)).unwrap();
-        assert_eq!(first.best, again.best);
+        // same content (an independent clone!) -> cache hit, same properties
+        let again = service.cached_properties_prepared(&PreparedGraph::of(&g.clone()));
+        assert_eq!(first, again);
         let stats = service.property_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         // a different graph misses
         let other = socfb_analogue(Scale::Tiny, 22).graph;
-        service.recommend_query_graph(&other, Query::new(wl)).unwrap();
+        service.cached_properties_prepared(&PreparedGraph::of(&other));
         let stats = service.property_cache_stats();
         assert_eq!((stats.hits, stats.misses, stats.len), (1, 2, 2));
-        // cached answers are bit-identical to the uncached path
-        let direct = service
-            .recommend(&GraphProperties::compute_advanced(&g), wl, OptGoal::EndToEnd)
-            .unwrap();
-        for (a, b) in first.candidates.iter().zip(&direct.candidates) {
-            assert_eq!(a.end_to_end_secs.to_bits(), b.end_to_end_secs.to_bits());
+        // cached answers are bit-identical to the uncached path, at the
+        // default k and at an explicit one
+        let direct = PreparedGraph::of(&g).properties(PropertyTier::Advanced);
+        let wl = Workload::PageRank { iterations: 3 };
+        for k in [service.meta().default_k, 2] {
+            for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
+                same_bits(
+                    &service.ease().try_select(&again, wl, k, goal).unwrap(),
+                    &service.ease().try_select(&direct, wl, k, goal).unwrap(),
+                );
+            }
         }
     }
 
     #[test]
     fn property_cache_evicts_least_recently_used() {
         let mut cache = PropertyCache::new(2);
-        let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, 1).graph);
+        let graph = socfb_analogue(Scale::Tiny, 1).graph;
+        let props = PreparedGraph::of(&graph).properties(PropertyTier::Advanced);
         cache.insert(1, props.clone());
         cache.insert(2, props.clone());
         assert_eq!(cache.evictions, 0, "filling to capacity evicts nothing");
@@ -933,9 +816,8 @@ mod tests {
         let baseline: Vec<Selection> = graphs
             .iter()
             .map(|g| {
-                service
-                    .recommend(&GraphProperties::compute_advanced(g), wl, OptGoal::EndToEnd)
-                    .unwrap()
+                let props = PreparedGraph::of(g).properties(PropertyTier::Advanced);
+                service.recommend(&props, wl, OptGoal::EndToEnd).unwrap()
             })
             .collect();
         // reset point: stats after the baseline queries (which bypassed the cache)
@@ -949,13 +831,11 @@ mod tests {
                 scope.spawn(move || {
                     for r in 0..REQS_PER_CLIENT {
                         let which = (c + r) % graphs.len();
-                        let prepared = ease_graph::PreparedGraph::of(&graphs[which]);
-                        let sel =
-                            service.recommend_query_prepared(&prepared, Query::new(wl)).unwrap();
+                        let prepared = PreparedGraph::of(&graphs[which]);
+                        let props = service.cached_properties_prepared(&prepared);
+                        let sel = service.recommend(&props, wl, OptGoal::EndToEnd).unwrap();
                         assert_eq!(sel.best, baseline[which].best, "client {c} req {r}");
-                        for (a, b) in sel.candidates.iter().zip(&baseline[which].candidates) {
-                            assert_eq!(a.end_to_end_secs.to_bits(), b.end_to_end_secs.to_bits());
-                        }
+                        same_bits(&sel, &baseline[which]);
                     }
                 });
             }
@@ -977,7 +857,9 @@ mod tests {
         let service = tiny_builder().train().unwrap();
         let g = socfb_analogue(Scale::Tiny, 33).graph;
         let wl = Workload::PageRank { iterations: 3 };
-        let first = service.recommend_query_graph(&g, Query::new(wl)).unwrap();
+        let goal = OptGoal::EndToEnd;
+        let props = service.cached_properties_prepared(&PreparedGraph::of(&g));
+        let first = service.recommend(&props, wl, goal).unwrap();
         assert_eq!(service.property_cache_stats().misses, 1);
         // save with the warm entry, reload in a "new process"
         let restored = EaseService::from_bytes(&service.to_bytes()).unwrap();
@@ -985,34 +867,19 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.len), (0, 0, 1), "restored warm");
         // the restarted service answers from the persisted cache: a hit, no
         // extraction, and a byte-identical ranking
-        let again = restored.recommend_query_graph(&g, Query::new(wl)).unwrap();
+        let warm = restored.cached_properties_prepared(&PreparedGraph::of(&g));
+        let again = restored.recommend(&warm, wl, goal).unwrap();
         let stats = restored.property_cache_stats();
         assert_eq!((stats.hits, stats.misses), (1, 0));
-        assert_eq!(first.best, again.best);
-        for (a, b) in first.candidates.iter().zip(&again.candidates) {
-            assert_eq!(a.end_to_end_secs.to_bits(), b.end_to_end_secs.to_bits());
-        }
+        same_bits(&first, &again);
         // cached properties survive the round trip bit-exactly
-        let direct = GraphProperties::compute_advanced(&g);
+        let direct = PreparedGraph::of(&g).properties(PropertyTier::Advanced);
         let cached = restored.cached_properties_prepared(&PreparedGraph::of(&g));
         assert_eq!(cached, direct);
         // an empty cache round-trips too
         let cold = tiny_builder().train().unwrap();
         let reloaded = EaseService::from_bytes(&cold.to_bytes()).unwrap();
         assert_eq!(reloaded.property_cache_stats().len, 0);
-    }
-
-    #[test]
-    fn prepared_queries_match_graph_queries() {
-        let service = tiny_builder().train().unwrap();
-        let g = socfb_analogue(Scale::Tiny, 44).graph;
-        let wl = Workload::ConnectedComponents;
-        let via_graph = service.recommend_query_graph(&g, Query::new(wl)).unwrap();
-        let prepared = ease_graph::PreparedGraph::of(&g);
-        let via_prepared = service.recommend_query_prepared(&prepared, Query::new(wl)).unwrap();
-        assert_eq!(via_graph.best, via_prepared.best);
-        // second query on the same content hit the cache
-        assert!(service.property_cache_stats().hits >= 1);
     }
 
     #[test]

@@ -203,8 +203,10 @@ impl Csr {
     }
 
     /// Build undirected *simple* adjacency: reciprocal duplicates, parallel
-    /// edges and self-loops removed, each list sorted. This is the input for
-    /// neighborhood expansion and the triangle oracle.
+    /// edges and self-loops removed, each list sorted. The reference the
+    /// tests hold the memoized and spilled builds and the triangle kernel
+    /// against; no product path calls it (neighborhood expansion builds its
+    /// own incidence lists).
     pub fn build_undirected_simple(graph: &Graph) -> Self {
         Csr::build(graph, Direction::Undirected).into_simple()
     }

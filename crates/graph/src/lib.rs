@@ -9,12 +9,12 @@
 //! * [`triangles`] — per-vertex triangle counts and local clustering
 //!   coefficients,
 //! * [`GraphProperties`] — the simple/basic/advanced feature tiers of
-//!   Table III of the paper,
-//! * [`PreparedGraph`] — a build-once, share-everywhere analysis context
-//!   over one [`GraphSource`] that lazily memoizes the degree table, the
-//!   triangle counts and a stable content fingerprint, each built by
-//!   sequential passes over the edge stream — callers parallelise across
-//!   graphs, never inside one,
+//!   Table III of the paper, extracted by [`PreparedGraph::properties`],
+//! * [`PreparedGraph`] — the one way into every analysis: a build-once,
+//!   share-everywhere context over one [`GraphSource`] that lazily
+//!   memoizes the degree table, the triangle counts and a stable content
+//!   fingerprint, each built by sequential passes over the edge stream —
+//!   callers parallelise across graphs, never inside one,
 //! * [`GraphSource`] — the ingestion seam: in-memory, memory-mapped binary
 //!   (`.bel`, [`bel`]) and streaming text ([`source::TextStreamSource`])
 //!   backends that replay an edge stream without requiring an owned copy,

@@ -311,12 +311,38 @@ impl<'g> PreparedGraph<'g> {
         self.triangle_table().stats()
     }
 
-    /// Graph properties up to `tier`, computed from the memoized structures
-    /// (see [`GraphProperties::compute_prepared`]). Only the structures the
-    /// tier needs are built: `Simple` touches nothing, `Basic` the degree
-    /// table, `Advanced` additionally the triangle table.
+    /// Graph properties up to `tier`, computed from the memoized structures.
+    /// Only the structures the tier needs are built: `Simple` touches
+    /// nothing, `Basic` the degree table, `Advanced` additionally the
+    /// triangle table — one kernel run, whose table the triangle average and
+    /// the clustering coefficient share.
     pub fn properties(&self, tier: PropertyTier) -> GraphProperties {
-        GraphProperties::compute_prepared(self, tier)
+        let n = self.num_vertices();
+        let m = self.num_edges();
+        let density = if n > 1 { m as f64 / (n as f64 * (n as f64 - 1.0)) } else { 0.0 };
+        let mean_degree = if n > 0 { 2.0 * m as f64 / n as f64 } else { 0.0 };
+        let (in_skew, out_skew) = if matches!(tier, PropertyTier::Simple) {
+            (0.0, 0.0)
+        } else {
+            let deg = self.degrees();
+            (deg.in_moments.pearson_skew, deg.out_moments.pearson_skew)
+        };
+        let (avg_triangles, avg_lcc) = if matches!(tier, PropertyTier::Advanced) {
+            let s = self.triangle_stats();
+            (Some(s.avg_triangles), Some(s.avg_lcc))
+        } else {
+            (None, None)
+        };
+        GraphProperties {
+            num_vertices: n,
+            num_edges: m,
+            density,
+            mean_degree,
+            in_degree_skew: in_skew,
+            out_degree_skew: out_skew,
+            avg_triangles,
+            avg_lcc,
+        }
     }
 
     /// A stable content fingerprint: equal for identical `(num_vertices,

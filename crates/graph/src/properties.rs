@@ -10,9 +10,9 @@
 //!   Both come from one run of the source-fed kernel in [`crate::triangles`],
 //!   which ranks by the basic tier's degree table and builds no undirected
 //!   CSR.
-
-use crate::edge_list::Graph;
-use crate::prepared::PreparedGraph;
+//!
+//! Extraction is [`crate::PreparedGraph::properties`]: every tier reads the
+//! context's memoized structures.
 
 /// Which tier of features to compute / use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,56 +68,6 @@ pub struct GraphProperties {
 }
 
 impl GraphProperties {
-    /// Compute properties up to the requested tier.
-    ///
-    /// Cold path: wraps the graph in a throwaway [`PreparedGraph`]. Callers
-    /// that extract repeatedly from the same graph (profiling workers, the
-    /// query service) should build one context and use
-    /// [`Self::compute_prepared`] so the degree table and the triangle table
-    /// are built exactly once.
-    pub fn compute(graph: &Graph, tier: PropertyTier) -> Self {
-        Self::compute_prepared(&PreparedGraph::of(graph), tier)
-    }
-
-    /// Compute properties as a thin view over an analysis context: every
-    /// super-constant structure (degree table, triangle counts and
-    /// simple-graph degrees) comes from the context's memoized caches. The
-    /// `Advanced` tier runs the triangle kernel exactly once — the triangle
-    /// average and the clustering coefficient share its table.
-    pub fn compute_prepared(prepared: &PreparedGraph<'_>, tier: PropertyTier) -> Self {
-        let n = prepared.num_vertices();
-        let m = prepared.num_edges();
-        let density = if n > 1 { m as f64 / (n as f64 * (n as f64 - 1.0)) } else { 0.0 };
-        let mean_degree = if n > 0 { 2.0 * m as f64 / n as f64 } else { 0.0 };
-        let (in_skew, out_skew) = if matches!(tier, PropertyTier::Simple) {
-            (0.0, 0.0)
-        } else {
-            let deg = prepared.degrees();
-            (deg.in_moments.pearson_skew, deg.out_moments.pearson_skew)
-        };
-        let (avg_triangles, avg_lcc) = if matches!(tier, PropertyTier::Advanced) {
-            let s = prepared.triangle_stats();
-            (Some(s.avg_triangles), Some(s.avg_lcc))
-        } else {
-            (None, None)
-        };
-        GraphProperties {
-            num_vertices: n,
-            num_edges: m,
-            density,
-            mean_degree,
-            in_degree_skew: in_skew,
-            out_degree_skew: out_skew,
-            avg_triangles,
-            avg_lcc,
-        }
-    }
-
-    /// Convenience: compute the full advanced tier.
-    pub fn compute_advanced(graph: &Graph) -> Self {
-        Self::compute(graph, PropertyTier::Advanced)
-    }
-
     /// Feature vector for a given tier; panics if the tier requires advanced
     /// values that were not computed. Order is stable and documented:
     /// simple  = [|E|, |V|]
@@ -151,6 +101,8 @@ impl GraphProperties {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge_list::Graph;
+    use crate::prepared::PreparedGraph;
 
     fn triangle_graph() -> Graph {
         Graph::from_pairs([(0, 1), (1, 2), (2, 0)])
@@ -158,28 +110,28 @@ mod tests {
 
     #[test]
     fn density_and_mean_degree() {
-        let p = GraphProperties::compute(&triangle_graph(), PropertyTier::Basic);
+        let p = PreparedGraph::of(&triangle_graph()).properties(PropertyTier::Basic);
         assert!((p.density - 3.0 / 6.0).abs() < 1e-12);
         assert!((p.mean_degree - 2.0).abs() < 1e-12);
     }
 
     #[test]
     fn advanced_tier_fills_triangles() {
-        let p = GraphProperties::compute_advanced(&triangle_graph());
+        let p = PreparedGraph::of(&triangle_graph()).properties(PropertyTier::Advanced);
         assert_eq!(p.avg_triangles, Some(1.0));
         assert_eq!(p.avg_lcc, Some(1.0));
     }
 
     #[test]
     fn basic_tier_leaves_advanced_none() {
-        let p = GraphProperties::compute(&triangle_graph(), PropertyTier::Basic);
+        let p = PreparedGraph::of(&triangle_graph()).properties(PropertyTier::Basic);
         assert!(p.avg_triangles.is_none());
         assert!(p.avg_lcc.is_none());
     }
 
     #[test]
     fn feature_vector_lengths_match_names() {
-        let p = GraphProperties::compute_advanced(&triangle_graph());
+        let p = PreparedGraph::of(&triangle_graph()).properties(PropertyTier::Advanced);
         for tier in PropertyTier::ALL {
             assert_eq!(p.feature_vector(tier).len(), GraphProperties::feature_names(tier).len());
         }
@@ -191,7 +143,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "advanced properties not computed")]
     fn advanced_vector_requires_advanced_compute() {
-        let p = GraphProperties::compute(&triangle_graph(), PropertyTier::Basic);
+        let p = PreparedGraph::of(&triangle_graph()).properties(PropertyTier::Basic);
         let _ = p.feature_vector(PropertyTier::Advanced);
     }
 
@@ -200,13 +152,13 @@ mod tests {
         // Star: hub has out-degree n-1, leaves 0 -> out-degree distribution
         // is right-skewed (mean > mode = 0).
         let g = Graph::from_pairs((1..40u32).map(|i| (0u32, i)));
-        let p = GraphProperties::compute(&g, PropertyTier::Basic);
+        let p = PreparedGraph::of(&g).properties(PropertyTier::Basic);
         assert!(p.out_degree_skew > 0.0);
     }
 
     #[test]
     fn singleton_graph_is_degenerate_but_finite() {
-        let p = GraphProperties::compute(&Graph::empty(1), PropertyTier::Advanced);
+        let p = PreparedGraph::of(&Graph::empty(1)).properties(PropertyTier::Advanced);
         assert_eq!(p.density, 0.0);
         assert_eq!(p.mean_degree, 0.0);
         assert!(p.feature_vector(PropertyTier::Advanced).iter().all(|x| x.is_finite()));

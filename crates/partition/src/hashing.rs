@@ -169,7 +169,7 @@ mod tests {
     #[test]
     fn one_dd_never_replicates_destinations() {
         let g = star_plus_ring(64);
-        let p = OneD::destination(7).partition(&g, 8);
+        let p = OneD::destination(7).partition_prepared(&PreparedGraph::of(&g), 8);
         // every destination vertex appears in exactly one partition
         let mut seen: std::collections::HashMap<u32, usize> = Default::default();
         for (i, e) in g.edges().iter().enumerate() {
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn one_ds_never_replicates_sources() {
         let g = star_plus_ring(64);
-        let p = OneD::source(7).partition(&g, 8);
+        let p = OneD::source(7).partition_prepared(&PreparedGraph::of(&g), 8);
         let mut seen: std::collections::HashMap<u32, usize> = Default::default();
         for (i, e) in g.edges().iter().enumerate() {
             let part = p.partition_of(i);
@@ -198,7 +198,7 @@ mod tests {
     fn two_d_bounds_replication_by_grid() {
         let g = star_plus_ring(256);
         let k = 16;
-        let p = TwoD::new(3).partition(&g, k);
+        let p = TwoD::new(3).partition_prepared(&PreparedGraph::of(&g), k);
         // every vertex appears in at most 2*sqrt(k)-1 partitions
         let bound = 2 * (k as f64).sqrt().ceil() as usize - 1;
         let mut parts: std::collections::HashMap<u32, std::collections::HashSet<usize>> =
@@ -214,20 +214,21 @@ mod tests {
 
     #[test]
     fn crvc_colocates_reciprocal_edges() {
-        let g = Graph::from_pairs([(3, 9), (9, 3), (4, 5), (5, 4)]);
-        let p = Crvc::new(11).partition(&g, 8);
+        let g = PreparedGraph::new(Graph::from_pairs([(3, 9), (9, 3), (4, 5), (5, 4)]));
+        let p = Crvc::new(11).partition_prepared(&g, 8);
         assert_eq!(p.partition_of(0), p.partition_of(1));
         assert_eq!(p.partition_of(2), p.partition_of(3));
     }
 
     #[test]
     fn dbh_cuts_the_hub_not_the_leaves() {
-        let g = star_plus_ring(128);
-        let p = Dbh::new(5).partition(&g, 8);
+        let g = PreparedGraph::new(star_plus_ring(128));
+        let p = Dbh::new(5).partition_prepared(&g, 8);
         // leaves (low degree) should not be replicated: each leaf's star edge
         // is hashed by the leaf itself.
-        let m = QualityMetrics::compute(&g, &p);
-        let m_1dd = QualityMetrics::compute(&g, &OneD::destination(5).partition(&g, 8));
+        let m = QualityMetrics::compute_prepared(&g, &p);
+        let m_1dd =
+            QualityMetrics::compute_prepared(&g, &OneD::destination(5).partition_prepared(&g, 8));
         // DBH must beat destination hashing on a hub-dominated graph.
         assert!(
             m.replication_factor <= m_1dd.replication_factor + 1e-9,
@@ -239,7 +240,7 @@ mod tests {
 
     #[test]
     fn all_stateless_partitioners_assign_in_range() {
-        let g = star_plus_ring(50);
+        let g = PreparedGraph::new(star_plus_ring(50));
         for id in [
             PartitionerId::OneDD,
             PartitionerId::OneDS,
@@ -248,7 +249,7 @@ mod tests {
             PartitionerId::Dbh,
         ] {
             for k in [1, 2, 3, 7, 64, 128] {
-                let p = id.build(9).partition(&g, k);
+                let p = id.build(9).partition_prepared(&g, k);
                 assert_eq!(p.num_edges(), g.num_edges());
                 assert!(p.assignment().iter().all(|&x| (x as usize) < k), "{id:?} k={k}");
             }
@@ -257,12 +258,12 @@ mod tests {
 
     #[test]
     fn stateless_partitioners_are_deterministic() {
-        let g = star_plus_ring(40);
+        let g = PreparedGraph::new(star_plus_ring(40));
         for id in [PartitionerId::TwoD, PartitionerId::Crvc, PartitionerId::Dbh] {
-            let a = id.build(42).partition(&g, 8);
-            let b = id.build(42).partition(&g, 8);
+            let a = id.build(42).partition_prepared(&g, 8);
+            let b = id.build(42).partition_prepared(&g, 8);
             assert_eq!(a, b, "{id:?}");
-            let c = id.build(43).partition(&g, 8);
+            let c = id.build(43).partition_prepared(&g, 8);
             // different seed should (almost surely) differ
             assert_ne!(a, c, "{id:?}");
         }

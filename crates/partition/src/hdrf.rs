@@ -216,17 +216,18 @@ mod tests {
 
     #[test]
     fn assigns_all_edges_in_range() {
-        let g = Rmat::new(RMAT_COMBOS[2], 512, 4_000, 1).generate();
-        let p = Hdrf::new(7).partition(&g, 16);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[2], 512, 4_000, 1).generate());
+        let p = Hdrf::new(7).partition_prepared(&g, 16);
         assert_eq!(p.num_edges(), 4_000);
         assert!(p.assignment().iter().all(|&x| x < 16));
     }
 
     #[test]
     fn beats_stateless_hashing_on_replication() {
-        let g = Rmat::new(RMAT_COMBOS[6], 1 << 11, 16_000, 3).generate();
-        let hdrf = QualityMetrics::compute(&g, &Hdrf::new(5).partition(&g, 32));
-        let oned = QualityMetrics::compute(&g, &OneD::destination(5).partition(&g, 32));
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[6], 1 << 11, 16_000, 3).generate());
+        let hdrf = QualityMetrics::compute_prepared(&g, &Hdrf::new(5).partition_prepared(&g, 32));
+        let oned =
+            QualityMetrics::compute_prepared(&g, &OneD::destination(5).partition_prepared(&g, 32));
         assert!(
             hdrf.replication_factor < oned.replication_factor,
             "hdrf {} vs 1dd {}",
@@ -237,24 +238,30 @@ mod tests {
 
     #[test]
     fn keeps_edges_balanced() {
-        let g = Rmat::new(RMAT_COMBOS[8], 1 << 11, 20_000, 9).generate();
-        let m = QualityMetrics::compute(&g, &Hdrf::new(1).partition(&g, 8));
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[8], 1 << 11, 20_000, 9).generate());
+        let m = QualityMetrics::compute_prepared(&g, &Hdrf::new(1).partition_prepared(&g, 8));
         assert!(m.edge_balance < 1.2, "edge balance {}", m.edge_balance);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let g = Rmat::new(RMAT_COMBOS[0], 256, 2_000, 2).generate();
-        let a = Hdrf::new(11).partition(&g, 8);
-        let b = Hdrf::new(11).partition(&g, 8);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 256, 2_000, 2).generate());
+        let a = Hdrf::new(11).partition_prepared(&g, 8);
+        let b = Hdrf::new(11).partition_prepared(&g, 8);
         assert_eq!(a, b);
     }
 
     #[test]
     fn lambda_zero_chases_locality_over_balance() {
-        let g = Rmat::new(RMAT_COMBOS[4], 1 << 10, 10_000, 4).generate();
-        let greedy = QualityMetrics::compute(&g, &Hdrf::with_lambda(0.01, 3).partition(&g, 8));
-        let balanced = QualityMetrics::compute(&g, &Hdrf::with_lambda(5.0, 3).partition(&g, 8));
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[4], 1 << 10, 10_000, 4).generate());
+        let greedy = QualityMetrics::compute_prepared(
+            &g,
+            &Hdrf::with_lambda(0.01, 3).partition_prepared(&g, 8),
+        );
+        let balanced = QualityMetrics::compute_prepared(
+            &g,
+            &Hdrf::with_lambda(5.0, 3).partition_prepared(&g, 8),
+        );
         // with strong balance pressure, edge balance improves
         assert!(balanced.edge_balance <= greedy.edge_balance + 0.05);
         // with weak balance pressure, replication improves
@@ -309,8 +316,8 @@ mod tests {
 
     #[test]
     fn k_equals_one_trivially_works() {
-        let g = Rmat::new(RMAT_COMBOS[0], 128, 500, 6).generate();
-        let p = Hdrf::new(1).partition(&g, 1);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 128, 500, 6).generate());
+        let p = Hdrf::new(1).partition_prepared(&g, 1);
         assert!(p.assignment().iter().all(|&x| x == 0));
     }
 }

@@ -180,9 +180,9 @@ mod tests {
 
     #[test]
     fn assigns_all_edges() {
-        let g = test_graph();
+        let g = PreparedGraph::new(test_graph());
         for tau in [1.0, 10.0, 100.0] {
-            let p = Hep::new(tau, 3).partition(&g, 8);
+            let p = Hep::new(tau, 3).partition_prepared(&g, 8);
             assert_eq!(p.num_edges(), g.num_edges());
             assert!(p.assignment().iter().all(|&x| x < 8), "tau={tau}");
         }
@@ -190,9 +190,10 @@ mod tests {
 
     #[test]
     fn quality_improves_with_tau() {
-        let g = test_graph();
+        let g = PreparedGraph::new(test_graph());
         let rf = |tau: f64| {
-            QualityMetrics::compute(&g, &Hep::new(tau, 1).partition(&g, 16)).replication_factor
+            QualityMetrics::compute_prepared(&g, &Hep::new(tau, 1).partition_prepared(&g, 16))
+                .replication_factor
         };
         let (rf1, rf100) = (rf(1.0), rf(100.0));
         assert!(rf100 <= rf1 * 1.05, "hep-100 rf {rf100} should not trail hep-1 rf {rf1}");
@@ -200,9 +201,10 @@ mod tests {
 
     #[test]
     fn hep100_close_to_ne() {
-        let g = test_graph();
-        let hep = QualityMetrics::compute(&g, &Hep::new(100.0, 1).partition(&g, 8));
-        let ne = QualityMetrics::compute(&g, &Ne::new(1).partition(&g, 8));
+        let g = PreparedGraph::new(test_graph());
+        let hep =
+            QualityMetrics::compute_prepared(&g, &Hep::new(100.0, 1).partition_prepared(&g, 8));
+        let ne = QualityMetrics::compute_prepared(&g, &Ne::new(1).partition_prepared(&g, 8));
         assert!(
             hep.replication_factor < 1.5 * ne.replication_factor,
             "hep100 {} vs ne {}",
@@ -213,10 +215,14 @@ mod tests {
 
     #[test]
     fn beats_stateless_hashing() {
-        let g = test_graph();
+        let g = PreparedGraph::new(test_graph());
         for tau in [1.0, 10.0, 100.0] {
-            let hep = QualityMetrics::compute(&g, &Hep::new(tau, 2).partition(&g, 16));
-            let hash = QualityMetrics::compute(&g, &OneD::destination(2).partition(&g, 16));
+            let hep =
+                QualityMetrics::compute_prepared(&g, &Hep::new(tau, 2).partition_prepared(&g, 16));
+            let hash = QualityMetrics::compute_prepared(
+                &g,
+                &OneD::destination(2).partition_prepared(&g, 16),
+            );
             assert!(
                 hep.replication_factor < hash.replication_factor,
                 "tau={tau}: hep {} vs 1dd {}",
@@ -228,31 +234,31 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let g = Rmat::new(RMAT_COMBOS[0], 512, 3_000, 7).generate();
-        let a = Hep::new(10.0, 5).partition(&g, 4);
-        let b = Hep::new(10.0, 5).partition(&g, 4);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 512, 3_000, 7).generate());
+        let a = Hep::new(10.0, 5).partition_prepared(&g, 4);
+        let b = Hep::new(10.0, 5).partition_prepared(&g, 4);
         assert_eq!(a, b);
     }
 
     #[test]
     fn unlimited_budget_is_bit_identical_to_no_budget() {
-        let g = test_graph();
-        let plain = Hep::new(10.0, 5).partition(&g, 8);
+        let g = PreparedGraph::new(test_graph());
+        let plain = Hep::new(10.0, 5).partition_prepared(&g, 8);
         let budgeted = Hep::new(10.0, 5)
             .with_memory_budget(std::sync::Arc::new(ease_graph::MemoryBudget::unlimited()))
-            .partition(&g, 8);
+            .partition_prepared(&g, 8);
         assert_eq!(plain, budgeted);
     }
 
     #[test]
     fn zero_budget_streams_everything_and_stays_valid() {
-        let g = test_graph();
+        let g = PreparedGraph::new(test_graph());
         let hep = Hep::new(100.0, 5)
             .with_memory_budget(std::sync::Arc::new(ease_graph::MemoryBudget::bytes(0)));
-        let a = hep.partition(&g, 8);
+        let a = hep.partition_prepared(&g, 8);
         assert_eq!(a.num_edges(), g.num_edges());
         assert!(a.assignment().iter().all(|&x| x < 8));
-        assert_eq!(a, hep.partition(&g, 8), "budget-capped split stays deterministic");
+        assert_eq!(a, hep.partition_prepared(&g, 8), "budget-capped split stays deterministic");
     }
 
     /// A mid-size budget sits strictly between the extremes: it admits

@@ -28,11 +28,10 @@ pub mod two_ps;
 pub use assignment::EdgePartition;
 pub use metrics::{QualityMetrics, QualityTarget};
 pub use runner::{
-    deterministic_partitioning_secs, run_partitioner, run_partitioner_prepared, PartitionRun,
-    TimingMode,
+    deterministic_partitioning_secs, run_partitioner_prepared, PartitionRun, TimingMode,
 };
 
-use ease_graph::{Graph, PreparedGraph};
+use ease_graph::PreparedGraph;
 
 /// Taxonomy of partitioner categories (paper Sec. I).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -147,29 +146,21 @@ impl PartitionerId {
 /// An edge partitioner: assigns every edge of a graph to one of `k`
 /// partitions. Implementations must be deterministic for a fixed seed.
 ///
-/// The primary entry point is [`Partitioner::partition_prepared`]: it takes
-/// a [`PreparedGraph`] analysis context so degree-hungry partitioners (DBH,
+/// The one entry point, [`Partitioner::partition_prepared`], takes a
+/// [`PreparedGraph`] analysis context so degree-hungry partitioners (DBH,
 /// HEP) reuse the memoized degree table instead of re-deriving it per run —
 /// profiling executes 11 partitioners × K on the same graph, and the shared
 /// context pays for the derivation once. Every implementation consumes the
 /// context's replayable edge *stream* (never an owned slice), so all 11
-/// partitioners run unchanged over any ingestion backend — in-memory,
-/// memory-mapped `.bel`, or streamed text. [`Partitioner::partition`] is the
-/// one-shot adapter for an in-memory [`Graph`].
+/// partitioners run unchanged over any ingestion backend — in-memory
+/// ([`PreparedGraph::of`]), memory-mapped `.bel`, or streamed text
+/// ([`PreparedGraph::of_source`]).
 pub trait Partitioner: Send + Sync {
     fn id(&self) -> PartitionerId;
 
     /// Partition the edges of the prepared graph into `k` parts
     /// (`1 ≤ k ≤ 128`), reusing the context's memoized derived structure.
     fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition;
-
-    /// Edge-list adapter: partitions `graph` through a throwaway context.
-    /// Prefer [`Partitioner::partition_prepared`] when running several
-    /// partitioners (or several `k`) on the same graph, or any other
-    /// [`GraphSource`](ease_graph::GraphSource) (`PreparedGraph::of_source`).
-    fn partition(&self, graph: &Graph, k: usize) -> EdgePartition {
-        self.partition_prepared(&PreparedGraph::of(graph), k)
-    }
 }
 
 /// Maximum supported partition count (replica sets are u128 bitmasks; the
@@ -215,20 +206,22 @@ mod tests {
         }
     }
 
+    /// One context serves all eleven partitioners: each answers on the
+    /// shared, already-warm context exactly what it answers on a fresh one,
+    /// and none of them builds the undirected CSR.
     #[test]
-    fn prepared_and_edge_list_paths_agree_for_every_partitioner() {
+    fn a_shared_context_serves_every_partitioner_without_a_csr() {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[4], 512, 4_000, 11)
             .generate();
-        let prepared = PreparedGraph::of(&g);
+        let shared = PreparedGraph::of(&g);
         for id in PartitionerId::ALL {
             let p = id.build(7);
             assert_eq!(
-                p.partition(&g, 8),
-                p.partition_prepared(&prepared, 8),
-                "{id:?}: the edge-list adapter must be a pure wrapper"
+                p.partition_prepared(&shared, 8),
+                p.partition_prepared(&PreparedGraph::of(&g), 8),
+                "{id:?}: a warm context must not change the placement"
             );
         }
-        // one shared context across 11 partitioners derived degrees once
-        assert_eq!(prepared.undirected_csr_builds(), 0, "no partitioner needs the CSR");
+        assert_eq!(shared.undirected_csr_builds(), 0, "no partitioner needs the CSR");
     }
 }

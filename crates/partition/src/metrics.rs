@@ -19,7 +19,7 @@
 //! popcounts after the pass, not bits set per edge.
 
 use crate::assignment::EdgePartition;
-use ease_graph::{Graph, PreparedGraph};
+use ease_graph::PreparedGraph;
 
 /// The five quality metrics predicted by EASE's
 /// PartitioningQualityPredictor.
@@ -63,14 +63,10 @@ impl QualityTarget {
 }
 
 impl QualityMetrics {
-    /// Compute all five metrics in a single edge pass plus bitset popcounts.
-    pub fn compute(graph: &Graph, partition: &EdgePartition) -> Self {
-        Self::compute_prepared(&PreparedGraph::of(graph), partition)
-    }
-
-    /// [`QualityMetrics::compute`] over a shared analysis context — works
-    /// for any ingestion backend (in-memory, mmap `.bel`, streamed text):
-    /// the pass replays the context's edge stream, never a slice.
+    /// Compute all five metrics in a single edge pass plus bitset popcounts,
+    /// over a shared analysis context — works for any ingestion backend
+    /// (in-memory, mmap `.bel`, streamed text): the pass replays the
+    /// context's edge stream, never a slice.
     pub fn compute_prepared(prepared: &PreparedGraph<'_>, partition: &EdgePartition) -> Self {
         assert_eq!(prepared.num_edges(), partition.num_edges());
         let k = partition.num_partitions();
@@ -163,7 +159,7 @@ mod tests {
     fn replication_factor_hand_computed() {
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0)]);
         let p = EdgePartition::new(2, vec![0, 0, 1]);
-        let m = QualityMetrics::compute(&g, &p);
+        let m = QualityMetrics::compute_prepared(&PreparedGraph::of(&g), &p);
         assert!((m.replication_factor - 5.0 / 3.0).abs() < 1e-12);
         // edges: [2,1] -> max 2 / avg 1.5
         assert!((m.edge_balance - 2.0 / 1.5).abs() < 1e-12);
@@ -179,7 +175,7 @@ mod tests {
     fn single_partition_is_ideal() {
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 3)]);
         let p = EdgePartition::new(1, vec![0, 0, 0]);
-        let m = QualityMetrics::compute(&g, &p);
+        let m = QualityMetrics::compute_prepared(&PreparedGraph::of(&g), &p);
         assert_eq!(m.replication_factor, 1.0);
         assert_eq!(m.edge_balance, 1.0);
         assert_eq!(m.vertex_balance, 1.0);
@@ -190,7 +186,7 @@ mod tests {
         // 10 vertices but only an edge between 0 and 1.
         let g = Graph::new(10, vec![ease_graph::Edge::new(0, 1)]);
         let p = EdgePartition::new(2, vec![0]);
-        let m = QualityMetrics::compute(&g, &p);
+        let m = QualityMetrics::compute_prepared(&PreparedGraph::of(&g), &p);
         assert_eq!(m.replication_factor, 1.0);
     }
 
@@ -199,7 +195,7 @@ mod tests {
         // Star around 0 with k=4, one edge per partition: hub replicated 4x.
         let g = Graph::from_pairs([(0, 1), (0, 2), (0, 3), (0, 4)]);
         let p = EdgePartition::new(4, vec![0, 1, 2, 3]);
-        let m = QualityMetrics::compute(&g, &p);
+        let m = QualityMetrics::compute_prepared(&PreparedGraph::of(&g), &p);
         // covers: each partition {0, leaf} -> total 8 over 5 used vertices
         assert!((m.replication_factor - 8.0 / 5.0).abs() < 1e-12);
         assert_eq!(m.edge_balance, 1.0);
@@ -209,7 +205,7 @@ mod tests {
     fn get_matches_fields() {
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0)]);
         let p = EdgePartition::new(2, vec![0, 1, 0]);
-        let m = QualityMetrics::compute(&g, &p);
+        let m = QualityMetrics::compute_prepared(&PreparedGraph::of(&g), &p);
         for t in QualityTarget::ALL {
             assert!(m.get(t) >= 1.0 - 1e-12, "{t:?}");
         }

@@ -298,16 +298,16 @@ mod tests {
 
     #[test]
     fn assigns_every_edge() {
-        let g = Rmat::new(RMAT_COMBOS[1], 512, 4_000, 1).generate();
-        let p = Ne::new(3).partition(&g, 8);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[1], 512, 4_000, 1).generate());
+        let p = Ne::new(3).partition_prepared(&g, 8);
         assert_eq!(p.num_edges(), 4_000);
         assert!(p.assignment().iter().all(|&x| x < 8));
     }
 
     #[test]
     fn respects_capacity_approximately() {
-        let g = Rmat::new(RMAT_COMBOS[2], 1 << 10, 10_000, 2).generate();
-        let p = Ne::new(5).partition(&g, 4);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[2], 1 << 10, 10_000, 2).generate());
+        let p = Ne::new(5).partition_prepared(&g, 4);
         let cap = 10_000usize.div_ceil(4);
         for (i, c) in p.edge_counts().iter().enumerate() {
             // expansion can overshoot by one vertex's degree
@@ -317,9 +317,10 @@ mod tests {
 
     #[test]
     fn much_better_than_hashing_on_community_graphs() {
-        let g = CommunityGraph::new(2_000, 16_000, 0.05, 7).generate();
-        let ne = QualityMetrics::compute(&g, &Ne::new(1).partition(&g, 8));
-        let hash = QualityMetrics::compute(&g, &OneD::destination(1).partition(&g, 8));
+        let g = PreparedGraph::new(CommunityGraph::new(2_000, 16_000, 0.05, 7).generate());
+        let ne = QualityMetrics::compute_prepared(&g, &Ne::new(1).partition_prepared(&g, 8));
+        let hash =
+            QualityMetrics::compute_prepared(&g, &OneD::destination(1).partition_prepared(&g, 8));
         assert!(
             ne.replication_factor < 0.6 * hash.replication_factor,
             "ne {} vs hash {}",
@@ -332,16 +333,22 @@ mod tests {
     fn vertex_balance_fluctuates_across_seeds() {
         // Reproduces the paper's observation (Sec. V-C): repeated NE runs on
         // the same graph yield heavily varying vertex balance.
-        let g = Rmat::new(RMAT_COMBOS[6], 1 << 11, 12_000, 9).generate();
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[6], 1 << 11, 12_000, 9).generate());
         let balances: Vec<f64> = (0..6)
-            .map(|s| QualityMetrics::compute(&g, &Ne::new(s).partition(&g, 8)).vertex_balance)
+            .map(|s| {
+                QualityMetrics::compute_prepared(&g, &Ne::new(s).partition_prepared(&g, 8))
+                    .vertex_balance
+            })
             .collect();
         let min = balances.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = balances.iter().cloned().fold(0.0, f64::max);
         assert!(max / min > 1.02, "balances {balances:?}");
         // replication factor stays comparatively stable
         let rfs: Vec<f64> = (0..6)
-            .map(|s| QualityMetrics::compute(&g, &Ne::new(s).partition(&g, 8)).replication_factor)
+            .map(|s| {
+                QualityMetrics::compute_prepared(&g, &Ne::new(s).partition_prepared(&g, 8))
+                    .replication_factor
+            })
             .collect();
         let rf_min = rfs.iter().cloned().fold(f64::INFINITY, f64::min);
         let rf_max = rfs.iter().cloned().fold(0.0, f64::max);
@@ -350,16 +357,16 @@ mod tests {
 
     #[test]
     fn k_one_assigns_all_to_zero() {
-        let g = Rmat::new(RMAT_COMBOS[0], 128, 600, 3).generate();
-        let p = Ne::new(2).partition(&g, 1);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 128, 600, 3).generate());
+        let p = Ne::new(2).partition_prepared(&g, 1);
         assert!(p.assignment().iter().all(|&x| x == 0));
     }
 
     #[test]
     fn expansion_with_mask_only_touches_eligible() {
-        let g = Rmat::new(RMAT_COMBOS[3], 256, 2_000, 4).generate();
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[3], 256, 2_000, 4).generate());
         let mask: Vec<bool> = (0..2_000).map(|i| i % 2 == 0).collect();
-        let r = neighborhood_expansion(&PreparedGraph::of(&g), 4, 250, Some(&mask), false, None, 1);
+        let r = neighborhood_expansion(&g, 4, 250, Some(&mask), false, None, 1);
         for i in 0..2_000 {
             if !mask[i] {
                 assert!(!r.assigned[i], "ineligible edge {i} was assigned");

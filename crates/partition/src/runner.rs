@@ -1,16 +1,19 @@
 //! Timed partitioner execution — the measurement step of the EASE training
 //! pipeline (Fig. 5, step 2): run a partitioner, record quality metrics and
-//! the *actual* partitioning run-time.
+//! the partitioning run-time.
 //!
-//! Run-times are wall-clock measurements of this crate's implementations,
-//! which preserves the real trade-off the paper studies: in-memory NE costs
-//! orders of magnitude more time than one-pass hashing, with 2PS/HDRF/HEP
-//! in between.
+//! The run-time comes from the caller's [`TimingMode`]. `Measured` takes the
+//! wall clock around this crate's implementations, as the paper does.
+//! `Deterministic` — the mode every test, smoke script and results document
+//! runs in — prices the run with [`deterministic_partitioning_secs`], an
+//! analytical proxy that keeps the paper's ordering (in-memory NE costs
+//! orders of magnitude more than one-pass hashing, with 2PS/HDRF/HEP in
+//! between) but reads no clock.
 
 use crate::assignment::EdgePartition;
 use crate::metrics::QualityMetrics;
 use crate::PartitionerId;
-use ease_graph::{Graph, PreparedGraph};
+use ease_graph::PreparedGraph;
 use std::time::Instant;
 
 /// How partitioning run-times are obtained.
@@ -73,30 +76,18 @@ pub struct PartitionRun {
     pub k: usize,
     pub metrics: QualityMetrics,
     pub partition: EdgePartition,
-    /// Seconds spent inside `Partitioner::partition` — wall-clock under
-    /// [`TimingMode::Measured`], the analytical proxy under
+    /// Seconds spent inside [`crate::Partitioner::partition_prepared`] —
+    /// wall-clock under [`TimingMode::Measured`], the analytical proxy under
     /// [`TimingMode::Deterministic`].
     pub partitioning_secs: f64,
 }
 
-/// Execute `partitioner` on `graph` with `k` partitions and measure
-/// run-time + quality metrics (wall-clock timing, the paper-faithful
-/// default).
-pub fn run_partitioner(
-    partitioner: PartitionerId,
-    graph: &Graph,
-    k: usize,
-    seed: u64,
-) -> PartitionRun {
-    run_partitioner_prepared(partitioner, &PreparedGraph::of(graph), k, seed, TimingMode::Measured)
-}
-
-/// [`run_partitioner`] with an explicit [`TimingMode`] on a shared
-/// [`PreparedGraph`] context — the profiling entry point: one context per
-/// graph feeds every partitioner × k measurement, so degree tables are
-/// derived once instead of per run. Under [`TimingMode::Deterministic`] the
-/// system clock is never consulted, so the produced record is a pure
-/// function of `(graph, partitioner, k, seed)`.
+/// Execute `partitioner` with `k` partitions on a shared [`PreparedGraph`]
+/// context and record run-time + quality metrics — the profiling entry
+/// point: one context per graph feeds every partitioner × k measurement, so
+/// degree tables are derived once instead of per run. Under
+/// [`TimingMode::Deterministic`] the system clock is never consulted, so the
+/// produced record is a pure function of `(graph, partitioner, k, seed)`.
 ///
 /// Under [`TimingMode::Measured`] the wall clock covers only the
 /// partitioning call itself; warm the context first (properties extraction
@@ -133,8 +124,8 @@ mod tests {
 
     #[test]
     fn run_produces_consistent_record() {
-        let g = Rmat::new(RMAT_COMBOS[3], 512, 3_000, 1).generate();
-        let run = run_partitioner(PartitionerId::Dbh, &g, 8, 42);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[3], 512, 3_000, 1).generate());
+        let run = run_partitioner_prepared(PartitionerId::Dbh, &g, 8, 42, TimingMode::Measured);
         assert_eq!(run.partitioner, PartitionerId::Dbh);
         assert_eq!(run.k, 8);
         assert_eq!(run.partition.num_edges(), g.num_edges());
@@ -144,9 +135,9 @@ mod tests {
 
     #[test]
     fn all_eleven_partitioners_run_end_to_end() {
-        let g = Rmat::new(RMAT_COMBOS[5], 512, 4_000, 2).generate();
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[5], 512, 4_000, 2).generate());
         for id in PartitionerId::ALL {
-            let run = run_partitioner(id, &g, 4, 7);
+            let run = run_partitioner_prepared(id, &g, 4, 7, TimingMode::Measured);
             assert_eq!(run.partition.num_edges(), g.num_edges(), "{id:?}");
             assert!(run.metrics.edge_balance >= 1.0, "{id:?}");
             assert!(run.metrics.vertex_balance >= 1.0, "{id:?}");
@@ -191,11 +182,12 @@ mod tests {
         // The central trade-off of the paper's Sec. III: NE is slower to
         // partition than stateless hashing. Use a graph large enough for the
         // signal to dominate timer noise.
-        let g = Rmat::new(RMAT_COMBOS[6], 1 << 12, 60_000, 3).generate();
-        let fast: f64 =
-            (0..3).map(|s| run_partitioner(PartitionerId::OneDD, &g, 8, s).partitioning_secs).sum();
-        let slow: f64 =
-            (0..3).map(|s| run_partitioner(PartitionerId::Ne, &g, 8, s).partitioning_secs).sum();
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[6], 1 << 12, 60_000, 3).generate());
+        let secs = |id, seed| {
+            run_partitioner_prepared(id, &g, 8, seed, TimingMode::Measured).partitioning_secs
+        };
+        let fast: f64 = (0..3).map(|s| secs(PartitionerId::OneDD, s)).sum();
+        let slow: f64 = (0..3).map(|s| secs(PartitionerId::Ne, s)).sum();
         assert!(slow > fast, "ne {slow} vs 1dd {fast}");
     }
 }

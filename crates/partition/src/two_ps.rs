@@ -193,26 +193,27 @@ mod tests {
 
     #[test]
     fn assigns_all_edges_in_range() {
-        let g = Rmat::new(RMAT_COMBOS[4], 512, 5_000, 2).generate();
-        let p = TwoPs::new(1).partition(&g, 16);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[4], 512, 5_000, 2).generate());
+        let p = TwoPs::new(1).partition_prepared(&g, 16);
         assert_eq!(p.num_edges(), 5_000);
         assert!(p.assignment().iter().all(|&x| x < 16));
     }
 
     #[test]
     fn edge_balance_bounded_by_alpha() {
-        let g = Rmat::new(RMAT_COMBOS[7], 1 << 11, 20_000, 5).generate();
-        let p = TwoPs::new(3).partition(&g, 8);
-        let m = QualityMetrics::compute(&g, &p);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[7], 1 << 11, 20_000, 5).generate());
+        let p = TwoPs::new(3).partition_prepared(&g, 8);
+        let m = QualityMetrics::compute_prepared(&g, &p);
         assert!(m.edge_balance <= 1.10, "edge balance {}", m.edge_balance);
     }
 
     #[test]
     fn recovers_communities_and_approaches_ne() {
-        let g = CommunityGraph::new(2_000, 16_000, 0.04, 3).generate();
-        let tps = QualityMetrics::compute(&g, &TwoPs::new(1).partition(&g, 8));
-        let ne = QualityMetrics::compute(&g, &Ne::new(1).partition(&g, 8));
-        let hash = QualityMetrics::compute(&g, &OneD::destination(1).partition(&g, 8));
+        let g = PreparedGraph::new(CommunityGraph::new(2_000, 16_000, 0.04, 3).generate());
+        let tps = QualityMetrics::compute_prepared(&g, &TwoPs::new(1).partition_prepared(&g, 8));
+        let ne = QualityMetrics::compute_prepared(&g, &Ne::new(1).partition_prepared(&g, 8));
+        let hash =
+            QualityMetrics::compute_prepared(&g, &OneD::destination(1).partition_prepared(&g, 8));
         // 2PS should sit clearly below hashing...
         assert!(
             tps.replication_factor < 0.7 * hash.replication_factor,
@@ -233,9 +234,9 @@ mod tests {
     fn degrades_on_unclustered_graphs() {
         // On a skew-heavy, low-clustering R-MAT graph, 2PS's advantage over
         // hashing shrinks (the Friendster behaviour of Fig. 1).
-        let g = Rmat::new(RMAT_COMBOS[8], 1 << 12, 24_000, 6).generate();
-        let tps = QualityMetrics::compute(&g, &TwoPs::new(1).partition(&g, 8));
-        let ne = QualityMetrics::compute(&g, &Ne::new(1).partition(&g, 8));
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[8], 1 << 12, 24_000, 6).generate());
+        let tps = QualityMetrics::compute_prepared(&g, &TwoPs::new(1).partition_prepared(&g, 8));
+        let ne = QualityMetrics::compute_prepared(&g, &Ne::new(1).partition_prepared(&g, 8));
         assert!(
             tps.replication_factor > ne.replication_factor,
             "2ps {} should trail ne {} here",
@@ -246,9 +247,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        let g = Rmat::new(RMAT_COMBOS[0], 256, 2_000, 9).generate();
-        let a = TwoPs::new(5).partition(&g, 4);
-        let b = TwoPs::new(5).partition(&g, 4);
+        let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 256, 2_000, 9).generate());
+        let a = TwoPs::new(5).partition_prepared(&g, 4);
+        let b = TwoPs::new(5).partition_prepared(&g, 4);
         assert_eq!(a, b);
     }
 

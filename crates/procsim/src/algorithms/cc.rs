@@ -66,7 +66,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::engine::run;
-    use ease_graph::Graph;
+    use ease_graph::{Graph, PreparedGraph};
     use ease_partition::{EdgePartition, PartitionerId};
 
     fn reference_components(g: &Graph) -> Vec<u32> {
@@ -98,8 +98,9 @@ mod tests {
     #[test]
     fn labels_match_union_find() {
         let g = ease_graphgen::erdos_renyi::ErdosRenyi::new(300, 400, 5).generate();
-        let part = PartitionerId::TwoD.build(1).partition(&g, 4);
-        let dg = DistributedGraph::build(&g, &part);
+        let pg = PreparedGraph::of(&g);
+        let part = PartitionerId::TwoD.build(1).partition_prepared(&pg, 4);
+        let dg = DistributedGraph::build_prepared(&pg, &part);
         let (_, labels) = run(&ConnectedComponents, &dg, &ClusterSpec::new(4));
         let expect = reference_components(&g);
         for v in 0..g.num_vertices() {
@@ -115,7 +116,7 @@ mod tests {
     fn two_disjoint_triangles() {
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]);
         let part = EdgePartition::new(2, vec![0, 1, 0, 1, 0, 1]);
-        let dg = DistributedGraph::build(&g, &part);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &part);
         let (_, labels) = run(&ConnectedComponents, &dg, &ClusterSpec::new(2));
         assert_eq!(&labels[..3], &[0, 0, 0]);
         assert_eq!(&labels[3..], &[3, 3, 3]);
@@ -124,8 +125,9 @@ mod tests {
     #[test]
     fn active_set_shrinks_over_time() {
         let g = ease_graphgen::watts_strogatz::WattsStrogatz::new(400, 4, 0.05, 2).generate();
-        let part = PartitionerId::Dbh.build(1).partition(&g, 4);
-        let dg = DistributedGraph::build(&g, &part);
+        let pg = PreparedGraph::of(&g);
+        let part = PartitionerId::Dbh.build(1).partition_prepared(&pg, 4);
+        let dg = DistributedGraph::build_prepared(&pg, &part);
         let (report, _) = run(&ConnectedComponents, &dg, &ClusterSpec::new(4));
         assert!(report.supersteps > 2);
         let first = report.per_superstep.first().unwrap().active_senders;

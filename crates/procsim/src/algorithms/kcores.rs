@@ -112,7 +112,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::engine::run;
-    use ease_graph::Graph;
+    use ease_graph::{Graph, PreparedGraph};
     use ease_partition::{EdgePartition, PartitionerId};
 
     /// Single-machine reference peeling on the undirected multigraph.
@@ -147,7 +147,7 @@ mod tests {
         // triangle {0,1,2} is a 2-core; the tail 2-3 is not
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3)]);
         let part = EdgePartition::new(2, vec![0, 1, 0, 1]);
-        let dg = DistributedGraph::build(&g, &part);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &part);
         let (_, states) = run(&KCores::new(2), &dg, &ClusterSpec::new(2));
         assert!(!states[0].removed && !states[1].removed && !states[2].removed);
         assert!(states[3].removed);
@@ -157,8 +157,9 @@ mod tests {
     fn cascade_matches_reference() {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[3], 256, 1_500, 3)
             .generate();
-        let part = PartitionerId::Dbh.build(1).partition(&g, 4);
-        let dg = DistributedGraph::build(&g, &part);
+        let pg = PreparedGraph::of(&g);
+        let part = PartitionerId::Dbh.build(1).partition_prepared(&pg, 4);
+        let dg = DistributedGraph::build_prepared(&pg, &part);
         let prog = KCores::with_mean_degree(&dg);
         let (_, states) = run(&prog, &dg, &ClusterSpec::new(4));
         let expect = reference_core(&g, prog.k);
@@ -174,7 +175,7 @@ mod tests {
     fn mean_degree_k_is_positive() {
         let g = Graph::from_pairs([(0, 1), (1, 2)]);
         let part = EdgePartition::new(1, vec![0, 0]);
-        let dg = DistributedGraph::build(&g, &part);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &part);
         assert!(KCores::with_mean_degree(&dg).k >= 1);
     }
 }

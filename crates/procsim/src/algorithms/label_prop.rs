@@ -121,7 +121,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::engine::run;
-    use ease_graph::Graph;
+    use ease_graph::{Graph, PreparedGraph};
     use ease_partition::EdgePartition;
 
     #[test]
@@ -148,7 +148,7 @@ mod tests {
         pairs.push((0, 4));
         let g = Graph::from_pairs(pairs);
         let part = EdgePartition::new(2, vec![0; 13]);
-        let dg = DistributedGraph::build(&g, &part);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &part);
         let (_, labels) = run(&LabelPropagation::new(10), &dg, &ClusterSpec::new(2));
         // within each clique, labels agree
         assert!(labels[1] == labels[2] && labels[2] == labels[3], "{labels:?}");
@@ -162,14 +162,15 @@ mod tests {
         // vertex replicas. A vertex-skewed placement must straggle.
         let n = 2_000u32;
         let g = Graph::from_pairs((0..n / 2).map(|i| (2 * i, 2 * i + 1)));
+        let pg = PreparedGraph::of(&g);
         let m = g.num_edges();
         let balanced: Vec<u16> = (0..m).map(|i| (i % 4) as u16).collect();
         // skewed: 3/4 of the matching (and its vertices) on machine 0
         let skewed: Vec<u16> =
             (0..m).map(|i| if i % 4 != 0 { 0 } else { (i % 3 + 1) as u16 }).collect();
         let cluster = ClusterSpec::new(4);
-        let dgb = DistributedGraph::build(&g, &EdgePartition::new(4, balanced));
-        let dgs = DistributedGraph::build(&g, &EdgePartition::new(4, skewed));
+        let dgb = DistributedGraph::build_prepared(&pg, &EdgePartition::new(4, balanced));
+        let dgs = DistributedGraph::build_prepared(&pg, &EdgePartition::new(4, skewed));
         let (rb, _) = run(&LabelPropagation::new(5), &dgb, &cluster);
         let (rs, _) = run(&LabelPropagation::new(5), &dgs, &cluster);
         let cb: f64 = rb.per_superstep.iter().map(|s| s.compute_secs).sum();
@@ -183,8 +184,9 @@ mod tests {
         // histogram work dominates its tiny 4-byte messages.
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[2], 512, 4_000, 3)
             .generate();
-        let part = ease_partition::PartitionerId::Hdrf.build(1).partition(&g, 4);
-        let dg = DistributedGraph::build(&g, &part);
+        let pg = PreparedGraph::of(&g);
+        let part = ease_partition::PartitionerId::Hdrf.build(1).partition_prepared(&pg, 4);
+        let dg = DistributedGraph::build_prepared(&pg, &part);
         let (r, _) = run(&LabelPropagation::new(5), &dg, &ClusterSpec::new(4));
         let compute: f64 = r.per_superstep.iter().map(|s| s.compute_secs).sum();
         let network: f64 = r.per_superstep.iter().map(|s| s.network_secs).sum();

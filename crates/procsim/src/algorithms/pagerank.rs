@@ -83,7 +83,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::engine::run;
-    use ease_graph::Graph;
+    use ease_graph::{Graph, PreparedGraph};
     use ease_partition::{EdgePartition, PartitionerId};
 
     fn reference_pagerank(g: &Graph, iters: usize, d: f64) -> Vec<f64> {
@@ -107,8 +107,9 @@ mod tests {
     fn matches_single_machine_reference() {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[0], 256, 2_000, 1)
             .generate();
-        let part = PartitionerId::Hdrf.build(3).partition(&g, 4);
-        let dg = DistributedGraph::build(&g, &part);
+        let pg = PreparedGraph::of(&g);
+        let part = PartitionerId::Hdrf.build(3).partition_prepared(&pg, 4);
+        let dg = DistributedGraph::build_prepared(&pg, &part);
         let (_, ranks) = run(&PageRank::new(10), &dg, &ClusterSpec::new(4));
         let expect = reference_pagerank(&g, 10, 0.85);
         let degrees = g.total_degrees();
@@ -125,7 +126,7 @@ mod tests {
     fn rank_mass_is_bounded() {
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0), (0, 2)]);
         let part = EdgePartition::new(2, vec![0, 0, 1, 1]);
-        let dg = DistributedGraph::build(&g, &part);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &part);
         let (_, ranks) = run(&PageRank::new(20), &dg, &ClusterSpec::new(2));
         let total: f64 = ranks.iter().sum();
         assert!(total > 0.5 && total <= 1.0 + 1e-9, "total={total}");
@@ -136,7 +137,7 @@ mod tests {
     fn runs_exactly_requested_iterations() {
         let g = Graph::from_pairs([(0, 1), (1, 0)]);
         let part = EdgePartition::new(1, vec![0, 0]);
-        let dg = DistributedGraph::build(&g, &part);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &part);
         let (report, _) = run(&PageRank::new(7), &dg, &ClusterSpec::new(1));
         assert_eq!(report.supersteps, 7);
     }
@@ -144,11 +145,12 @@ mod tests {
     #[test]
     fn lower_replication_means_less_traffic() {
         let g = ease_graphgen::community::CommunityGraph::new(1_000, 8_000, 0.05, 3).generate();
+        let pg = PreparedGraph::of(&g);
         let k = 8;
-        let good = PartitionerId::Ne.build(1).partition(&g, k);
-        let bad = PartitionerId::Crvc.build(1).partition(&g, k);
-        let dg_good = DistributedGraph::build(&g, &good);
-        let dg_bad = DistributedGraph::build(&g, &bad);
+        let good = PartitionerId::Ne.build(1).partition_prepared(&pg, k);
+        let bad = PartitionerId::Crvc.build(1).partition_prepared(&pg, k);
+        let dg_good = DistributedGraph::build_prepared(&pg, &good);
+        let dg_bad = DistributedGraph::build_prepared(&pg, &bad);
         let cluster = ClusterSpec::new(k);
         let (rep_good, _) = run(&PageRank::new(5), &dg_good, &cluster);
         let (rep_bad, _) = run(&PageRank::new(5), &dg_bad, &cluster);

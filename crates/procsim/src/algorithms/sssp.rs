@@ -94,7 +94,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::engine::run;
-    use ease_graph::Graph;
+    use ease_graph::{Graph, PreparedGraph};
     use ease_partition::{EdgePartition, PartitionerId};
     use std::collections::VecDeque;
 
@@ -118,8 +118,9 @@ mod tests {
     fn distances_match_bfs() {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[5], 512, 4_000, 7)
             .generate();
-        let part = PartitionerId::Hdrf.build(1).partition(&g, 4);
-        let dg = DistributedGraph::build(&g, &part);
+        let pg = PreparedGraph::of(&g);
+        let part = PartitionerId::Hdrf.build(1).partition_prepared(&pg, 4);
+        let dg = DistributedGraph::build_prepared(&pg, &part);
         let prog = Sssp::with_random_source(&dg, 9);
         let (_, dist) = run(&prog, &dg, &ClusterSpec::new(4));
         let expect = reference_bfs(&g, prog.source);
@@ -130,7 +131,7 @@ mod tests {
     fn path_graph_distances() {
         let g = Graph::from_pairs([(0, 1), (1, 2), (2, 3)]);
         let part = EdgePartition::new(2, vec![0, 1, 0]);
-        let dg = DistributedGraph::build(&g, &part);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &part);
         let (report, dist) = run(&Sssp::new(0), &dg, &ClusterSpec::new(2));
         assert_eq!(dist, vec![0, 1, 2, 3]);
         // frontier expands one hop per superstep
@@ -142,7 +143,7 @@ mod tests {
     fn random_source_has_edges() {
         let g = Graph::new(100, vec![ease_graph::Edge::new(41, 42), ease_graph::Edge::new(42, 43)]);
         let part = EdgePartition::new(1, vec![0, 0]);
-        let dg = DistributedGraph::build(&g, &part);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &part);
         for seed in 0..5 {
             let prog = Sssp::with_random_source(&dg, seed);
             assert!(dg.total_degree(prog.source) > 0, "seed {seed}");

@@ -109,13 +109,15 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterSpec;
     use crate::engine::run;
+    use ease_graph::PreparedGraph;
     use ease_partition::PartitionerId;
 
     fn dist(k: usize) -> DistributedGraph {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[2], 256, 2_000, 4)
             .generate();
-        let part = PartitionerId::Hdrf.build(1).partition(&g, k);
-        DistributedGraph::build(&g, &part)
+        let pg = PreparedGraph::of(&g);
+        let part = PartitionerId::Hdrf.build(1).partition_prepared(&pg, k);
+        DistributedGraph::build_prepared(&pg, &part)
     }
 
     #[test]

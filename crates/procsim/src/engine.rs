@@ -625,7 +625,7 @@ fn broadcast(active: &[u32], dg: &DistributedGraph, state_bytes: f64, bytes: &mu
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ease_graph::Graph;
+    use ease_graph::{Graph, PreparedGraph};
     use ease_partition::EdgePartition;
 
     /// Trivial program: every vertex counts its in-neighbors once.
@@ -669,9 +669,8 @@ mod tests {
     }
 
     fn dist(pairs: &[(u32, u32)], assignment: Vec<u16>, k: usize) -> DistributedGraph {
-        let g = Graph::from_pairs(pairs.iter().copied());
-        let p = EdgePartition::new(k, assignment);
-        DistributedGraph::build(&g, &p)
+        let g = PreparedGraph::new(Graph::from_pairs(pairs.iter().copied()));
+        DistributedGraph::build_prepared(&g, &EdgePartition::new(k, assignment))
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Placement of an edge-partitioned graph onto simulated machines.
 
-use ease_graph::{Edge, Graph, PreparedGraph};
+use ease_graph::{Edge, PreparedGraph};
 use ease_partition::EdgePartition;
 
 /// One machine's slice of the graph.
@@ -40,10 +40,6 @@ pub struct DistributedGraph {
 pub const NO_MASTER: u16 = u16::MAX;
 
 impl DistributedGraph {
-    pub fn build(graph: &Graph, partition: &EdgePartition) -> Self {
-        Self::build_prepared(&PreparedGraph::of(graph), partition)
-    }
-
     /// Placement from a shared analysis context: the global degree vectors
     /// come from the context's memoized [`ease_graph::DegreeTable`] instead
     /// of being re-derived per placement — profiling places the same graph
@@ -194,7 +190,7 @@ mod tests {
     #[test]
     fn local_structures_consistent() {
         let (g, p) = toy();
-        let dg = DistributedGraph::build(&g, &p);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
         assert_eq!(dg.num_partitions(), 2);
         let p0 = dg.partition(0);
         assert_eq!(p0.vertices, vec![0, 1, 2]);
@@ -209,7 +205,7 @@ mod tests {
     #[test]
     fn masters_are_covering_and_deterministic() {
         let (g, p) = toy();
-        let dg = DistributedGraph::build(&g, &p);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
         // master must be one of the covering partitions
         for v in 0..4u32 {
             let m = dg.master_of(v);
@@ -219,7 +215,7 @@ mod tests {
         assert_eq!(dg.replica_count(0), 2);
         assert_eq!(dg.replica_count(3), 1);
         // determinism
-        let dg2 = DistributedGraph::build(&g, &p);
+        let dg2 = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
         for v in 0..4u32 {
             assert_eq!(dg.master_of(v), dg2.master_of(v));
         }
@@ -229,27 +225,30 @@ mod tests {
     fn isolated_vertices_have_no_master() {
         let g = Graph::new(5, vec![Edge::new(0, 1)]);
         let p = EdgePartition::new(2, vec![0]);
-        let dg = DistributedGraph::build(&g, &p);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
         assert_eq!(dg.master_of(4), NO_MASTER);
         assert_eq!(dg.replica_count(4), 0);
     }
 
+    /// A context that already placed another partitioning (its degree
+    /// table memoized) places the next one exactly as a fresh context does.
     #[test]
-    fn build_prepared_matches_build() {
+    fn warm_and_fresh_contexts_place_identically() {
         let (g, p) = toy();
-        let direct = DistributedGraph::build(&g, &p);
-        let prepared = PreparedGraph::of(&g);
-        let shared = DistributedGraph::build_prepared(&prepared, &p);
-        assert_eq!(shared.num_partitions(), direct.num_partitions());
+        let warm = PreparedGraph::of(&g);
+        let _ = DistributedGraph::build_prepared(&warm, &EdgePartition::new(3, vec![2, 1, 0, 1]));
+        let shared = DistributedGraph::build_prepared(&warm, &p);
+        let fresh = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
+        assert_eq!(shared.num_partitions(), fresh.num_partitions());
         for v in 0..g.num_vertices() as u32 {
-            assert_eq!(shared.master_of(v), direct.master_of(v));
-            assert_eq!(shared.replica_mask(v), direct.replica_mask(v));
-            assert_eq!(shared.out_degree(v), direct.out_degree(v));
-            assert_eq!(shared.total_degree(v), direct.total_degree(v));
+            assert_eq!(shared.master_of(v), fresh.master_of(v));
+            assert_eq!(shared.replica_mask(v), fresh.replica_mask(v));
+            assert_eq!(shared.out_degree(v), fresh.out_degree(v));
+            assert_eq!(shared.total_degree(v), fresh.total_degree(v));
         }
-        for part in 0..direct.num_partitions() {
-            assert_eq!(shared.partition(part).edges, direct.partition(part).edges);
-            assert_eq!(shared.partition(part).vertices, direct.partition(part).vertices);
+        for part in 0..fresh.num_partitions() {
+            assert_eq!(shared.partition(part).edges, fresh.partition(part).edges);
+            assert_eq!(shared.partition(part).vertices, fresh.partition(part).vertices);
         }
     }
 
@@ -324,7 +323,7 @@ mod tests {
                     (0..g.num_edges()).map(|_| rng.next_below(k) as u16).collect();
                 assignment[0] = (k - 1) as u16;
                 let p = EdgePartition::new(k, assignment);
-                let dg = DistributedGraph::build(&g, &p);
+                let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
                 let (parts, master, replicas) = reference_parts(&g, &p);
                 assert_eq!(dg.master, master, "k={k} m={m}");
                 assert_eq!(dg.replicas, replicas, "k={k} m={m}");
@@ -344,7 +343,7 @@ mod tests {
     #[test]
     fn total_replicas_matches_metric_numerator() {
         let (g, p) = toy();
-        let dg = DistributedGraph::build(&g, &p);
+        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
         // partition 0 covers {0,1,2}, partition 1 covers {0,2,3}
         assert_eq!(dg.total_replicas(), 6);
     }

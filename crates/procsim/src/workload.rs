@@ -198,6 +198,7 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ease_graph::PreparedGraph;
     use ease_partition::PartitionerId;
 
     #[test]
@@ -212,8 +213,9 @@ mod tests {
     fn every_training_workload_executes() {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[1], 256, 2_000, 2)
             .generate();
-        let part = PartitionerId::Dbh.build(1).partition(&g, 4);
-        let dg = DistributedGraph::build(&g, &part);
+        let pg = PreparedGraph::of(&g);
+        let part = PartitionerId::Dbh.build(1).partition_prepared(&pg, 4);
+        let dg = DistributedGraph::build_prepared(&pg, &part);
         let cluster = ClusterSpec::new(4);
         for w in Workload::all_training() {
             let report = w.execute(&dg, &cluster);

@@ -8,11 +8,10 @@
 //! cargo run --release --example auto_selection
 //! ```
 
-use ease_repro::graph::GraphProperties;
 use ease_repro::graphgen::Scale;
-use ease_repro::partition::run_partitioner;
+use ease_repro::partition::{run_partitioner_prepared, TimingMode};
 use ease_repro::procsim::{ClusterSpec, DistributedGraph, Workload};
-use ease_repro::{EaseServiceBuilder, OptGoal};
+use ease_repro::{EaseServiceBuilder, OptGoal, PreparedGraph};
 
 fn main() {
     println!("training EASE at tiny scale (this profiles two corpora)...");
@@ -26,7 +25,9 @@ fn main() {
 
     // an unseen graph: the Socfb-A-anon analogue of the paper's Fig. 2
     let tg = ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 777);
-    let props = GraphProperties::compute_advanced(&tg.graph);
+    // one context for the properties and every ground-truth run below
+    let graph = PreparedGraph::of(&tg.graph);
+    let props = service.cached_properties_prepared(&graph);
     println!("\nunseen graph {}: |V|={} |E|={}", tg.name, props.num_vertices, props.num_edges);
 
     let k = service.meta().default_k;
@@ -55,8 +56,8 @@ fn main() {
         .catalog()
         .iter()
         .map(|&p| {
-            let run = run_partitioner(p, &tg.graph, k, 5);
-            let dg = DistributedGraph::build(&tg.graph, &run.partition);
+            let run = run_partitioner_prepared(p, &graph, k, 5, TimingMode::Measured);
+            let dg = DistributedGraph::build_prepared(&graph, &run.partition);
             let rep = workload.execute(&dg, &cluster);
             (p.name().to_string(), run.partitioning_secs + rep.total_secs)
         })

@@ -5,15 +5,16 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ease_repro::graph::{GraphProperties, PropertyTier};
+use ease_repro::graph::{PreparedGraph, PropertyTier};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
-use ease_repro::partition::{run_partitioner, PartitionerId};
+use ease_repro::partition::{run_partitioner_prepared, PartitionerId, TimingMode};
 use ease_repro::procsim::{ClusterSpec, DistributedGraph, Workload};
 
 fn main() {
-    // 1. a power-law R-MAT graph (paper combo C7), 2^12 vertices, 30k edges
-    let graph = Rmat::new(RMAT_COMBOS[6], 1 << 12, 30_000, 42).generate();
-    let props = GraphProperties::compute(&graph, PropertyTier::Advanced);
+    // 1. a power-law R-MAT graph (paper combo C7), 2^12 vertices, 30k edges,
+    //    prepared once: every step below shares its memoized degree table
+    let graph = PreparedGraph::new(Rmat::new(RMAT_COMBOS[6], 1 << 12, 30_000, 42).generate());
+    let props = graph.properties(PropertyTier::Advanced);
     println!(
         "graph: |V|={} |E|={} mean degree {:.1} clustering {:.3}",
         props.num_vertices,
@@ -29,7 +30,7 @@ fn main() {
         "algo", "rf", "edge-bal", "vtx-bal", "partition-ms"
     );
     for id in [PartitionerId::OneDD, PartitionerId::Hdrf, PartitionerId::Ne] {
-        let run = run_partitioner(id, &graph, k, 1);
+        let run = run_partitioner_prepared(id, &graph, k, 1, TimingMode::Measured);
         println!(
             "{:<8} {:>6.2} {:>8.3} {:>8.3} {:>12.2}",
             id.name(),
@@ -44,8 +45,8 @@ fn main() {
     println!("\nPageRank (10 iterations) on the simulated cluster:");
     let cluster = ClusterSpec::new(k);
     for id in [PartitionerId::OneDD, PartitionerId::Hdrf, PartitionerId::Ne] {
-        let run = run_partitioner(id, &graph, k, 1);
-        let dg = DistributedGraph::build(&graph, &run.partition);
+        let run = run_partitioner_prepared(id, &graph, k, 1, TimingMode::Measured);
+        let dg = DistributedGraph::build_prepared(&graph, &run.partition);
         let report = Workload::PageRank { iterations: 10 }.execute(&dg, &cluster);
         println!(
             "  {:<8} processing {:>7.3}s  (comm {:.1} MB)",

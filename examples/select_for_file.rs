@@ -1,52 +1,63 @@
 //! Select a partitioner for *your own* graph.
 //!
-//! Reads a whitespace-separated edge list (SNAP/KONECT style, `#`/`%`
-//! comments allowed), trains EASE, and prints the recommended partitioner
-//! for a chosen workload and partition count — the deployment workflow of
-//! the paper's Fig. 3 pipeline.
+//! Reads an edge list — whitespace-separated text (SNAP/KONECT style,
+//! `#`/`%` comments allowed) or a `.bel` binary file, told apart by the
+//! extension exactly as the `ease` CLI does — trains EASE, and prints the
+//! recommended partitioner for a chosen workload and partition count — the
+//! deployment workflow of the paper's Fig. 3 pipeline.
 //!
 //! ```sh
 //! cargo run --release --example select_for_file -- my_graph.txt pr 16
 //! # args: <edge-list path> [workload: pr|cc|sssp|kcores|lp|synthetic-low|synthetic-high] [k]
 //! ```
 //!
-//! Without arguments it demos on a generated graph.
+//! Without arguments it demos on a generated graph. An unknown workload or
+//! a `k` that is not a number is a usage error (exit 2), an unreadable
+//! graph file an error (exit 1).
 
-use ease_repro::graph::{Graph, GraphProperties};
+use ease_repro::graph::{open_path, GraphSource};
 use ease_repro::graphgen::Scale;
 use ease_repro::procsim::Workload;
-use ease_repro::{EaseService, EaseServiceBuilder, OptGoal, Query};
+use ease_repro::{EaseService, EaseServiceBuilder, OptGoal, PreparedGraph};
+use std::path::Path;
+use std::process::ExitCode;
 
-fn workload_from_name(name: &str) -> Workload {
-    match name {
-        "pr" => Workload::PageRank { iterations: 10 },
-        "cc" => Workload::ConnectedComponents,
-        "sssp" => Workload::Sssp { source_seed: 1 },
-        "kcores" => Workload::KCores,
-        "lp" => Workload::LabelPropagation { iterations: 10 },
-        "synthetic-low" => Workload::Synthetic { s: 1, iterations: 5 },
-        "synthetic-high" => Workload::Synthetic { s: 10, iterations: 5 },
-        other => {
-            eprintln!("unknown workload `{other}`, using pr");
-            Workload::PageRank { iterations: 10 }
-        }
-    }
-}
-
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let graph: Graph = match args.get(1) {
+    // the workload catalogue the CLI and the daemon answer for
+    let name = args.get(2).map_or("pr", String::as_str);
+    let Some(workload) = Workload::from_name(name) else {
+        eprintln!(
+            "unknown workload `{name}` (pr | cc | sssp | kcores | lp | synthetic-low | \
+             synthetic-high)"
+        );
+        return ExitCode::from(2);
+    };
+    let k: usize = match args.get(3).map(|s| s.parse()) {
+        None => 8,
+        Some(Ok(k)) => k,
+        Some(Err(_)) => {
+            eprintln!("k `{}` is not a number", args[3]);
+            return ExitCode::from(2);
+        }
+    };
+    let source: Box<dyn GraphSource> = match args.get(1) {
         Some(path) => {
             println!("reading edge list from {path} ...");
-            ease_repro::graph::io::read_edge_list(path.as_ref()).expect("readable edge list")
+            match open_path(Path::new(path)) {
+                Ok(source) => source,
+                Err(e) => {
+                    eprintln!("cannot read {path}: {e}");
+                    return ExitCode::FAILURE;
+                }
+            }
         }
         None => {
             println!("no file given — demoing on a generated social graph");
-            ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 7).graph
+            Box::new(ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 7).graph)
         }
     };
-    let workload = workload_from_name(args.get(2).map(String::as_str).unwrap_or("pr"));
-    let k: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(8);
+    let graph = PreparedGraph::of_source(source.as_ref());
 
     println!(
         "graph: |V|={} |E|={}; workload {}; k={k}",
@@ -72,7 +83,7 @@ fn main() {
         }
     };
 
-    let props = GraphProperties::compute_advanced(&graph);
+    let props = system.cached_properties_prepared(&graph);
     println!(
         "properties: mean degree {:.2}, density {:.6}, clustering {:.4}",
         props.mean_degree,
@@ -80,11 +91,11 @@ fn main() {
         props.avg_lcc.unwrap_or(0.0)
     );
     for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
-        let sel = match system.recommend_query(&props, Query::new(workload).k(k).goal(goal)) {
+        let sel = match system.ease().try_select(&props, workload, k, goal) {
             Ok(sel) => sel,
             Err(e) => {
                 eprintln!("cannot recommend: {e}");
-                std::process::exit(1);
+                return ExitCode::FAILURE;
             }
         };
         let best = sel
@@ -100,4 +111,5 @@ fn main() {
             best.processing_secs,
         );
     }
+    ExitCode::SUCCESS
 }

@@ -157,14 +157,15 @@ GEN OPTIONS:
     --kind <k>            rmat | soc | web | wiki | citation |
                           collaboration | interaction | internet |
                           affiliation | product_network   [default: soc]
-    --format <f>          bel | txt            [default: by .bel extension]
-    --scale <s>           tiny | small | medium           [default: tiny]
+    --scale <s>           not rmat: tiny | small | medium [default: tiny]
     --seed <n>            Generator seed                  [default: 42]
     --vertices <n>        rmat only: vertex count         [default: 65536]
     --edges <n>           rmat only: edge count           [default: 524288]
     --combo <c>           rmat only: Table II combo 0..8  [default: 5]
-    Edges stream to the output file as they are generated; `--kind rmat`
-    never materializes the graph at all (constant memory at any size).
+    A flag the chosen kind does not read is a usage error. The format
+    follows the extension of --out (.bel or text). Edges stream to the
+    output file as they are generated; `--kind rmat` never materializes the
+    graph at all (constant memory at any size).
 
 CONVERT OPTIONS:
     --in <path>           Input edge list (format by extension, required)
@@ -321,14 +322,10 @@ enum EdgeOut {
 }
 
 impl EdgeOut {
-    fn create(path: &Path, format: Option<&str>) -> Result<EdgeOut, CliError> {
-        let bel = match format {
-            Some("bel") => true,
-            Some("txt") | Some("text") => false,
-            Some(other) => return Err(CliError::Usage(format!("unknown format `{other}`"))),
-            None => is_bel_path(path),
-        };
-        let out = if bel {
+    /// The extension picks the format, as it does for every reader: a file
+    /// written here always opens with [`open_path`].
+    fn create(path: &Path) -> Result<EdgeOut, CliError> {
+        let out = if is_bel_path(path) {
             EdgeOut::Bel(BelWriter::create(path).map_err(EaseError::Io)?)
         } else {
             EdgeOut::Text(TextEdgeListWriter::create(path).map_err(EaseError::Io)?)
@@ -782,16 +779,29 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(
         "gen",
         args,
-        &["out", "kind", "format", "scale", "seed", "vertices", "edges", "combo"],
+        &["out", "kind", "scale", "seed", "vertices", "edges", "combo"],
         &[],
     )?;
     let out = PathBuf::from(flags.require("out")?);
-    let scale = parse_scale(&flags)?;
     let seed = flags.parse_num::<u64>("seed")?.unwrap_or(42);
     let kind_name = flags.get("kind").unwrap_or("soc");
+    let kind = match kind_name {
+        "rmat" => None,
+        name => Some(
+            GraphType::ALL
+                .into_iter()
+                .find(|t| t.name() == name)
+                .ok_or_else(|| CliError::Usage(format!("unknown graph kind `{name}`")))?,
+        ),
+    };
+    // a flag the kind does not read is a typo, not a no-op
+    let unread: &[&str] = if kind.is_none() { &["scale"] } else { &["vertices", "edges", "combo"] };
+    if let Some(flag) = unread.iter().find(|&&flag| flags.has(flag)) {
+        return Err(CliError::Usage(format!("--{flag} is not read by --kind {kind_name}")));
+    }
     let io_err = |e: std::io::Error| CliError::Ease(EaseError::Io(e));
 
-    if kind_name == "rmat" {
+    let Some(kind) = kind else {
         // pure streaming: edges go from the generator straight into the
         // file writer — the graph is never materialized, so the size is
         // bounded by disk, not RAM. Validate every argument *before*
@@ -811,7 +821,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
             ));
         }
         let rmat = Rmat::new(RMAT_COMBOS[combo], num_vertices, num_edges, seed);
-        let mut sink = EdgeOut::create(&out, flags.get("format"))?;
+        let mut sink = EdgeOut::create(&out)?;
         let format = sink.format_name();
         drain_edges(|f| rmat.generate_into(f), &mut sink)?;
         sink.finish(Some(num_vertices)).map_err(io_err)?;
@@ -821,13 +831,10 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
             combo + 1,
         );
         return Ok(());
-    }
+    };
 
-    let kind = GraphType::ALL
-        .into_iter()
-        .find(|t| t.name() == kind_name)
-        .ok_or_else(|| CliError::Usage(format!("unknown graph kind `{kind_name}`")))?;
-    let mut sink = EdgeOut::create(&out, flags.get("format"))?;
+    let scale = parse_scale(&flags)?;
+    let mut sink = EdgeOut::create(&out)?;
     let format = sink.format_name();
     // library generators materialize internally (multi-pass models); the
     // edges still stream into the writer rather than through a second copy
@@ -847,7 +854,7 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_convert(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse("convert", args, &["in", "out", "format"], &[])?;
+    let flags = Flags::parse("convert", args, &["in", "out"], &[])?;
     let input = PathBuf::from(flags.require("in")?);
     let output = PathBuf::from(flags.require("out")?);
     let io_err = |e: std::io::Error| CliError::Ease(EaseError::Io(e));
@@ -864,7 +871,7 @@ fn cmd_convert(args: &[String]) -> Result<(), CliError> {
     } else {
         Box::new(TextStreamSource::open(&input)?)
     };
-    let mut sink = EdgeOut::create(&output, flags.get("format"))?;
+    let mut sink = EdgeOut::create(&output)?;
     let format = sink.format_name();
     drain_edges(|f| source.for_each_edge(f), &mut sink)?;
     sink.finish(Some(source.num_vertices())).map_err(io_err)?;

@@ -2,8 +2,9 @@
 //!
 //! The primary entry point is [`EaseService`] — *train once, query
 //! cheaply*: [`EaseServiceBuilder`] trains a persistable selection service,
-//! `recommend_query*` + [`Query`] answer queries with typed [`EaseError`]s,
-//! and `save`/`load` round-trip the trained models bit-exactly. The `ease`
+//! a graph enters once as a [`PreparedGraph`] whose properties the service
+//! caches, [`EaseService::recommend`] answers with typed [`EaseError`]s, and
+//! `save`/`load` round-trip the trained models bit-exactly. The `ease`
 //! CLI binary (`cargo run --release --bin ease -- --help`) drives the same
 //! lifecycle from the shell.
 //!
@@ -22,9 +23,8 @@
 //! the full lifecycle in one doctest:
 //!
 //! ```
-//! use ease_repro::{EaseServiceBuilder, EaseService, OptGoal, Query};
+//! use ease_repro::{EaseServiceBuilder, EaseService, OptGoal, PreparedGraph};
 //! use ease_repro::core::profiling::TimingMode;
-//! use ease_repro::graph::GraphProperties;
 //! use ease_repro::graphgen::Scale;
 //! use ease_repro::partition::PartitionerId;
 //! use ease_repro::procsim::Workload;
@@ -42,11 +42,11 @@
 //!     .train()?;
 //!
 //! let graph = ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 7).graph;
-//! let props = GraphProperties::compute_advanced(&graph);
-//! // one Query value works against every input kind and every service;
-//! // unset fields (here: k) resolve to the service's trained defaults
-//! let query = Query::new(Workload::PageRank { iterations: 3 }).goal(OptGoal::EndToEnd);
-//! let pick = service.recommend_query(&props, query)?;
+//! // advanced-tier properties, extracted once and cached by content
+//! let props = service.cached_properties_prepared(&PreparedGraph::of(&graph));
+//! // answered at the service's trained default k
+//! let workload = Workload::PageRank { iterations: 3 };
+//! let pick = service.recommend(&props, workload, OptGoal::EndToEnd)?;
 //! assert!(service.catalog().contains(&pick.best));
 //!
 //! // save → load → identical selection
@@ -54,7 +54,7 @@
 //! service.save(&path)?;
 //! let restored = EaseService::load(&path)?;
 //! std::fs::remove_file(&path).ok();
-//! let again = restored.recommend_query(&props, query)?;
+//! let again = restored.recommend(&props, workload, OptGoal::EndToEnd)?;
 //! assert_eq!(pick.best, again.best);
 //! # Ok::<(), ease_repro::EaseError>(())
 //! ```
@@ -68,7 +68,7 @@ pub use ease_procsim as procsim;
 
 pub use ease::serve;
 pub use ease::{
-    EaseError, EaseService, EaseServiceBuilder, OptGoal, PropertyCacheStats, Query, Selection,
-    ServeError, ServiceInfo, ServiceMeta,
+    EaseError, EaseService, EaseServiceBuilder, OptGoal, PropertyCacheStats, Selection, ServeError,
+    ServiceInfo, ServiceMeta,
 };
 pub use ease_graph::{BelSource, GraphSource, PreparedGraph, TextStreamSource};

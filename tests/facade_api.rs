@@ -22,21 +22,23 @@ fn graph_namespace_is_reachable() {
     assert_eq!(csr.neighbors(0).len(), 2);
     let degrees = DegreeTable::compute(&g);
     assert!(degrees.total.iter().copied().max().unwrap_or(0) >= 2);
-    let props = GraphProperties::compute(&g, PropertyTier::Simple);
+    let prepared = PreparedGraph::of(&g);
+    let props: GraphProperties = prepared.properties(PropertyTier::Simple);
     assert_eq!(props.num_edges, 4);
     // advanced tier exists through the facade too
-    let adv = GraphProperties::compute_advanced(&g);
+    let adv = prepared.properties(PropertyTier::Advanced);
     assert!(adv.avg_lcc.is_some());
 }
 
 #[test]
 fn partition_namespace_is_reachable() {
     let g = Graph::from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]);
+    let prepared = PreparedGraph::of(&g);
     for id in PartitionerId::ALL {
         let partitioner: Box<dyn Partitioner> = id.build(7);
-        let part = partitioner.partition(&g, 2);
+        let part = partitioner.partition_prepared(&prepared, 2);
         assert_eq!(part.num_edges(), g.num_edges(), "{id:?}");
-        let metrics = QualityMetrics::compute(&g, &part);
+        let metrics = QualityMetrics::compute_prepared(&prepared, &part);
         assert!(metrics.replication_factor >= 1.0, "{id:?}");
     }
 }
@@ -72,8 +74,9 @@ fn ml_namespace_is_reachable() {
 fn procsim_namespace_is_reachable() {
     use ease_repro::procsim::{ClusterSpec, DistributedGraph, Workload};
     let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3)]);
-    let part = PartitionerId::Dbh.build(1).partition(&g, 2);
-    let dg = DistributedGraph::build(&g, &part);
+    let prepared = PreparedGraph::of(&g);
+    let part = PartitionerId::Dbh.build(1).partition_prepared(&prepared, 2);
+    let dg = DistributedGraph::build_prepared(&prepared, &part);
     let report = Workload::PageRank { iterations: 2 }.execute(&dg, &ClusterSpec::new(2));
     assert!(report.total_secs > 0.0);
     assert_eq!(report.supersteps, 2);
@@ -93,11 +96,11 @@ fn core_namespace_is_reachable() {
 
 #[test]
 fn service_api_is_the_primary_entry_point() {
-    // the PR 2 surface: builder, service, typed errors, batch queries —
-    // re-exported at the facade root
+    // the service surface: builder, service, typed errors — re-exported at
+    // the facade root
     use ease_repro::graphgen::Scale;
-    use ease_repro::{EaseError, EaseServiceBuilder, OptGoal};
-    let builder = EaseServiceBuilder::at_scale(Scale::Tiny).seed(1).goal(OptGoal::EndToEnd);
+    use ease_repro::{EaseError, EaseServiceBuilder};
+    let builder = EaseServiceBuilder::at_scale(Scale::Tiny).seed(1);
     assert_eq!(builder.config().seed, 1);
     // validation is typed, not a panic
     let err = EaseServiceBuilder::at_scale(Scale::Tiny).folds(0).train().unwrap_err();

@@ -147,16 +147,17 @@ proptest! {
         let (txt, bel) = temp_pair(&g);
         let bel_src = BelSource::open(&bel).unwrap();
         let txt_src = TextStreamSource::open(&txt).unwrap();
+        let in_memory = PreparedGraph::of(&g);
         // one partitioner per category: stateless, stateful, hybrid, in-memory
         for id in [PartitionerId::Dbh, PartitionerId::Hdrf, PartitionerId::Hep10, PartitionerId::Ne] {
             let p = id.build(17);
-            let reference = p.partition(&g, k);
+            let reference = p.partition_prepared(&in_memory, k);
             let via_bel = p.partition_prepared(&PreparedGraph::of_source(&bel_src), k);
             let via_txt = p.partition_prepared(&PreparedGraph::of_source(&txt_src), k);
             prop_assert_eq!(&via_bel, &reference, "{:?} via bel", id);
             prop_assert_eq!(&via_txt, &reference, "{:?} via txt", id);
             // metrics over a source-backed context match the in-memory path
-            let m_ref = QualityMetrics::compute(&g, &reference);
+            let m_ref = QualityMetrics::compute_prepared(&in_memory, &reference);
             let m_bel = QualityMetrics::compute_prepared(
                 &PreparedGraph::of_source(&bel_src), &via_bel);
             prop_assert_eq!(

@@ -30,7 +30,7 @@ proptest! {
         k in 1usize..33,
         seed in 0u64..10,
     ) {
-        let part = p.build(seed).partition(&g, k);
+        let part = p.build(seed).partition_prepared(&PreparedGraph::of(&g), k);
         prop_assert_eq!(part.num_edges(), g.num_edges());
         prop_assert!(part.assignment().iter().all(|&x| (x as usize) < k));
     }
@@ -44,8 +44,9 @@ proptest! {
         k in 2usize..17,
         seed in 0u64..5,
     ) {
-        let part = p.build(seed).partition(&g, k);
-        let m = QualityMetrics::compute(&g, &part);
+        let prepared = PreparedGraph::of(&g);
+        let part = p.build(seed).partition_prepared(&prepared, k);
+        let m = QualityMetrics::compute_prepared(&prepared, &part);
         prop_assert!(m.replication_factor >= 1.0 - 1e-9);
         prop_assert!(m.replication_factor <= k as f64 + 1e-9);
         for b in [m.edge_balance, m.vertex_balance, m.source_balance, m.dest_balance] {
@@ -57,8 +58,9 @@ proptest! {
     /// k = 1 is always the perfect partitioning.
     #[test]
     fn single_partition_is_ideal(g in arb_graph(), p in arb_partitioner()) {
-        let part = p.build(1).partition(&g, 1);
-        let m = QualityMetrics::compute(&g, &part);
+        let prepared = PreparedGraph::of(&g);
+        let part = p.build(1).partition_prepared(&prepared, 1);
+        let m = QualityMetrics::compute_prepared(&prepared, &part);
         prop_assert!((m.replication_factor - 1.0).abs() < 1e-12);
         prop_assert!((m.edge_balance - 1.0).abs() < 1e-12);
     }
@@ -66,8 +68,9 @@ proptest! {
     /// Determinism: same seed -> identical partitioning.
     #[test]
     fn determinism(g in arb_graph(), p in arb_partitioner(), k in 2usize..9) {
-        let a = p.build(77).partition(&g, k);
-        let b = p.build(77).partition(&g, k);
+        let prepared = PreparedGraph::of(&g);
+        let a = p.build(77).partition_prepared(&prepared, k);
+        let b = p.build(77).partition_prepared(&prepared, k);
         prop_assert_eq!(a.assignment(), b.assignment());
     }
 
@@ -82,8 +85,8 @@ proptest! {
             }
         }
         prop_assume!(!pairs.is_empty());
-        let g = Graph::from_pairs(pairs.clone());
-        let part = PartitionerId::Crvc.build(5).partition(&g, 8);
+        let g = PreparedGraph::new(Graph::from_pairs(pairs.clone()));
+        let part = PartitionerId::Crvc.build(5).partition_prepared(&g, 8);
         for i in (0..pairs.len()).step_by(2) {
             prop_assert_eq!(part.partition_of(i), part.partition_of(i + 1));
         }
@@ -92,7 +95,7 @@ proptest! {
     /// 2D never exceeds the grid replication bound 2·⌈√k⌉ − 1.
     #[test]
     fn two_d_replication_bound(g in arb_graph(), k in 2usize..65) {
-        let part = PartitionerId::TwoD.build(3).partition(&g, k);
+        let part = PartitionerId::TwoD.build(3).partition_prepared(&PreparedGraph::of(&g), k);
         let bound = 2 * (k as f64).sqrt().ceil() as usize - 1;
         let n = g.num_vertices();
         let mut masks = vec![0u128; n];
@@ -111,10 +114,13 @@ proptest! {
     #[test]
     fn hdrf_not_worse_than_crvc(g in arb_graph(), k in 4usize..17) {
         prop_assume!(g.num_edges() >= 500);
-        let hdrf = QualityMetrics::compute(&g, &PartitionerId::Hdrf.build(1).partition(&g, k));
-        let crvc = QualityMetrics::compute(&g, &PartitionerId::Crvc.build(1).partition(&g, k));
-        prop_assert!(hdrf.replication_factor <= crvc.replication_factor * 1.05,
-            "hdrf {} vs crvc {}", hdrf.replication_factor, crvc.replication_factor);
+        let prepared = PreparedGraph::of(&g);
+        let rf = |p: PartitionerId| {
+            QualityMetrics::compute_prepared(&prepared, &p.build(1).partition_prepared(&prepared, k))
+                .replication_factor
+        };
+        let (hdrf, crvc) = (rf(PartitionerId::Hdrf), rf(PartitionerId::Crvc));
+        prop_assert!(hdrf <= crvc * 1.05, "hdrf {} vs crvc {}", hdrf, crvc);
     }
 }
 
@@ -129,9 +135,10 @@ proptest! {
         g in arb_graph(),
         seed in 0u64..8,
     ) {
+        let prepared = PreparedGraph::of(&g);
         for p in PartitionerId::ALL {
             for k in [2usize, 4, 8] {
-                let part = p.build(seed).partition(&g, k);
+                let part = p.build(seed).partition_prepared(&prepared, k);
                 prop_assert_eq!(
                     part.num_edges(), g.num_edges(),
                     "{:?} k={} dropped edges", p, k
@@ -144,7 +151,7 @@ proptest! {
                     part.assignment().iter().all(|&x| (x as usize) < k),
                     "{:?} k={} produced an out-of-range partition id", p, k
                 );
-                let m = QualityMetrics::compute(&g, &part);
+                let m = QualityMetrics::compute_prepared(&prepared, &part);
                 prop_assert!(
                     m.replication_factor >= 1.0 - 1e-12,
                     "{:?} k={} rf={}", p, k, m.replication_factor
@@ -224,7 +231,7 @@ proptest! {
         std::fs::remove_file(&bel).ok();
         let backends = [("heap", PreparedGraph::of(&g)), (".bel", PreparedGraph::of_source(&mapped))];
         let runs = PartitionerId::ALL.into_iter().flat_map(|p| {
-            ORACLE_KS.map(|k| (p.name(), p.build(seed).partition(&g, k)))
+            ORACLE_KS.map(|k| (p.name(), p.build(seed).partition_prepared(&backends[0].1, k)))
         });
         let one_empty = EdgePartition::new(128, (0..g.num_edges()).map(|i| (i % 127) as u16).collect());
         for (name, part) in runs.chain([("127-of-128", one_empty)]) {
@@ -254,12 +261,13 @@ fn every_partitioner_handles_corner_graphs() {
         ("two_components", Graph::from_pairs([(0, 1), (1, 2), (2, 0), (10, 11), (11, 12)])),
     ];
     for (name, g) in &corner_graphs {
+        let prepared = PreparedGraph::of(g);
         for p in PartitionerId::ALL {
             for k in ORACLE_KS {
-                let part = p.build(3).partition(g, k);
+                let part = p.build(3).partition_prepared(&prepared, k);
                 assert_eq!(part.num_edges(), g.num_edges(), "{name} {p:?} k={k}");
                 assert!(part.assignment().iter().all(|&x| (x as usize) < k), "{name} {p:?} k={k}");
-                let m = QualityMetrics::compute(g, &part);
+                let m = QualityMetrics::compute_prepared(&prepared, &part);
                 assert!(m.replication_factor >= 1.0 - 1e-12, "{name} {p:?} k={k}");
             }
         }

@@ -24,7 +24,7 @@ use ease_repro::ml::zoo::default_grid;
 use ease_repro::ml::{Matrix, ModelConfig, PersistError};
 use ease_repro::partition::{PartitionerId, QualityTarget};
 use ease_repro::procsim::Workload;
-use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal, ServiceMeta};
+use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal, PreparedGraph, ServiceMeta};
 use proptest::prelude::*;
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
@@ -113,7 +113,8 @@ fn service_survives_a_disk_round_trip_with_identical_selections() {
     assert_eq!(restored.meta(), service.meta());
     assert_eq!(restored.catalog(), service.catalog());
     for seed in 0..6 {
-        let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, seed).graph);
+        let props = PreparedGraph::new(socfb_analogue(Scale::Tiny, seed).graph)
+            .properties(PropertyTier::Advanced);
         for workload in [Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents] {
             for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
                 let a = service.recommend(&props, workload, goal).expect("trained");
@@ -226,7 +227,7 @@ proptest! {
         tail in prop::collection::vec(0u8..=255, 1..48),
     ) {
         within_watchdog(move || {
-            let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, 1).graph);
+            let props = PreparedGraph::new(socfb_analogue(Scale::Tiny, 1).graph).properties(PropertyTier::Advanced);
             let mut bytes = GOLDEN.to_vec();
             for at in 0..GOLDEN.len() {
                 bytes[at] ^= mask;
@@ -450,7 +451,8 @@ fn golden_service_bytes_are_stable() {
 
     // every model is as wide as the row its predictor feeds it, so the
     // loaded service answers a query
-    let props = GraphProperties::compute_advanced(&socfb_analogue(Scale::Tiny, 1).graph);
+    let props =
+        PreparedGraph::new(socfb_analogue(Scale::Tiny, 1).graph).properties(PropertyTier::Advanced);
     let pick = service
         .recommend(&props, Workload::PageRank { iterations: 3 }, OptGoal::EndToEnd)
         .expect("pr is a trained workload");

@@ -8,7 +8,7 @@ use ease_repro::core::profiling::{
     profile_processing_with, profile_quality_with, GraphInput, PreparedPool, TimingMode,
 };
 use ease_repro::core::selector::OptGoal;
-use ease_repro::graph::GraphProperties;
+use ease_repro::graph::{PreparedGraph, PropertyTier};
 use ease_repro::graphgen::Scale;
 use ease_repro::partition::PartitionerId;
 use ease_repro::procsim::Workload;
@@ -138,7 +138,7 @@ fn predictions_are_physically_consistent() {
     let cfg = tiny_config();
     let (ease, _) = train_ease(&cfg);
     let tg = ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 5);
-    let props = GraphProperties::compute_advanced(&tg.graph);
+    let props = PreparedGraph::of(&tg.graph).properties(PropertyTier::Advanced);
     for &p in &cfg.partitioners {
         let costs = ease.predict_costs(&props, Workload::PageRank { iterations: 5 }, 4, p);
         assert!(costs.quality.replication_factor >= 1.0);
@@ -185,7 +185,7 @@ fn same_config_same_seed_same_selection() {
     // ... and so are the trained systems' predictions and selections
     for graph_seed in [5u64, 9, 21] {
         let tg = ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, graph_seed);
-        let props = GraphProperties::compute_advanced(&tg.graph);
+        let props = PreparedGraph::of(&tg.graph).properties(PropertyTier::Advanced);
         for &w in &cfg.workloads {
             for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
                 let sa = sys_a.select(&props, w, cfg.processing_k, goal);
@@ -228,7 +228,7 @@ fn trained_system_is_deterministic_given_records() {
         cfg.seed,
     );
     let tg = ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 9);
-    let props = GraphProperties::compute_advanced(&tg.graph);
+    let props = PreparedGraph::of(&tg.graph).properties(PropertyTier::Advanced);
     for &p in &cfg.partitioners {
         let a = ease_sys.quality.predict(&props, p, 4);
         let b = qp2.predict(&props, p, 4);

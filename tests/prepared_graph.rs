@@ -111,17 +111,17 @@ fn assert_bit_identical(a: &GraphProperties, b: &GraphProperties) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Every tier, through a shared context and through the legacy
-    /// per-call path, produces bit-identical feature values.
+    /// Every tier, through one shared context and through a fresh context
+    /// per tier, produces bit-identical feature values.
     #[test]
     fn prepared_extraction_is_bit_identical_to_direct(g in arb_graph()) {
         let prepared = PreparedGraph::of(&g);
         for tier in PropertyTier::ALL {
             let via_prepared = prepared.properties(tier);
-            let via_compute = GraphProperties::compute(&g, tier);
+            let via_fresh = PreparedGraph::of(&g).properties(tier);
             let direct = direct_properties(&g, tier);
             assert_bit_identical(&via_prepared, &direct);
-            assert_bit_identical(&via_compute, &direct);
+            assert_bit_identical(&via_fresh, &direct);
         }
         // one graph, three tiers: no tier builds the undirected CSR
         prop_assert_eq!(prepared.undirected_csr_builds(), 0);

@@ -6,7 +6,7 @@
 //! priced.
 
 use ease_repro::core::profiling::{profile_processing_with, GraphInput, TimingMode};
-use ease_repro::graph::Graph;
+use ease_repro::graph::{Graph, PreparedGraph};
 use ease_repro::graphgen::grids::RmatSpec;
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::partition::{run_partitioner_prepared, EdgePartition, PartitionerId};
@@ -91,7 +91,8 @@ fn priced_report_matches_full_execution_without_edges() {
     for n in [5usize, 0] {
         let g = Graph::new(n, Vec::new());
         for k in [1usize, 4] {
-            let dg = DistributedGraph::build(&g, &EdgePartition::new(k, Vec::new()));
+            let empty = EdgePartition::new(k, Vec::new());
+            let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &empty);
             let cluster = ClusterSpec::new(k);
             for w in differential_workloads() {
                 let report = w.execute(&dg, &cluster);
@@ -130,7 +131,12 @@ fn priced_report_matches_full_execution_beyond_one_window() {
 /// `g` placed on `k` machines, edge `i` on machine `i mod k`.
 fn placed_round_robin(g: &Graph, k: usize) -> DistributedGraph {
     let assignment = (0..g.num_edges()).map(|i| (i % k) as u16).collect();
-    DistributedGraph::build(g, &EdgePartition::new(k, assignment))
+    DistributedGraph::build_prepared(&PreparedGraph::of(g), &EdgePartition::new(k, assignment))
+}
+
+/// The prepared graph on `k` machines, placed by `p` seeded with `seed`.
+fn placed(g: &PreparedGraph<'_>, p: PartitionerId, seed: u64, k: usize) -> DistributedGraph {
+    DistributedGraph::build_prepared(g, &p.build(seed).partition_prepared(g, k))
 }
 
 #[test]
@@ -217,10 +223,10 @@ proptest! {
     #[test]
     fn priced_report_matches_full_execution(g in arb_graph(), seed in 0u64..4) {
         let workloads = differential_workloads();
+        let prepared = PreparedGraph::of(&g);
         for k in 1usize..=9 {
             let cluster = ClusterSpec::new(k);
-            let placements = PartitionerId::ALL
-                .map(|p| (p, DistributedGraph::build(&g, &p.build(seed).partition(&g, k))));
+            let placements = PartitionerId::ALL.map(|p| (p, placed(&prepared, p, seed, k)));
             let traces: Vec<Vec<ActivityTrace>> = placements
                 .iter()
                 .map(|(_, taken_on)| workloads.iter().map(|w| w.trace(taken_on)).collect())
@@ -253,8 +259,8 @@ proptest! {
         k in 2usize..9,
     ) {
         let prog = PageRank::new(5);
-        let dg1 = DistributedGraph::build(&g, &p1.build(1).partition(&g, k));
-        let dg2 = DistributedGraph::build(&g, &p2.build(2).partition(&g, k));
+        let prepared = PreparedGraph::of(&g);
+        let (dg1, dg2) = (placed(&prepared, p1, 1, k), placed(&prepared, p2, 2, k));
         let (_, r1) = run(&prog, &dg1, &ClusterSpec::new(k));
         let (_, r2) = run(&prog, &dg2, &ClusterSpec::new(k));
         for v in 0..g.num_vertices() {
@@ -276,8 +282,8 @@ proptest! {
         k1 in 1usize..9,
         k2 in 1usize..9,
     ) {
-        let dg1 = DistributedGraph::build(&g, &p1.build(1).partition(&g, k1));
-        let dg2 = DistributedGraph::build(&g, &p2.build(2).partition(&g, k2));
+        let prepared = PreparedGraph::of(&g);
+        let (dg1, dg2) = (placed(&prepared, p1, 1, k1), placed(&prepared, p2, 2, k2));
         for name in ["cc", "sssp", "kcores"] {
             let w = Workload::from_name(name).expect("catalogued");
             let (t1, t2) = (w.trace(&dg1), w.trace(&dg2));
@@ -290,7 +296,7 @@ proptest! {
     /// every edge share a label, and the label is the component minimum.
     #[test]
     fn cc_labels_consistent(g in arb_graph(), p in arb_partitioner(), k in 2usize..9) {
-        let dg = DistributedGraph::build(&g, &p.build(3).partition(&g, k));
+        let dg = placed(&PreparedGraph::of(&g), p, 3, k);
         let (_, labels) = run(&ConnectedComponents, &dg, &ClusterSpec::new(k));
         for e in g.edges() {
             prop_assert_eq!(labels[e.src as usize], labels[e.dst as usize]);
@@ -307,7 +313,7 @@ proptest! {
     /// dist(dst) ≤ dist(src) + 1 for every reached source.
     #[test]
     fn sssp_relaxation_holds(g in arb_graph(), p in arb_partitioner(), k in 2usize..9) {
-        let dg = DistributedGraph::build(&g, &p.build(4).partition(&g, k));
+        let dg = placed(&PreparedGraph::of(&g), p, 4, k);
         let prog = Sssp::with_random_source(&dg, 7);
         let (_, dist) = run(&prog, &dg, &ClusterSpec::new(k));
         prop_assert_eq!(dist[prog.source as usize], 0);
@@ -324,7 +330,7 @@ proptest! {
     /// traffic under heavier replication.
     #[test]
     fn sim_time_positive(g in arb_graph(), p in arb_partitioner(), k in 2usize..9) {
-        let dg = DistributedGraph::build(&g, &p.build(5).partition(&g, k));
+        let dg = placed(&PreparedGraph::of(&g), p, 5, k);
         let report = ease_repro::procsim::Workload::PageRank { iterations: 3 }
             .execute(&dg, &ClusterSpec::new(k));
         prop_assert!(report.total_secs > 0.0);
