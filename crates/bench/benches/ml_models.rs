@@ -2,11 +2,20 @@
 //! cost on an EASE-shaped dataset (8 numeric features + 11-way one-hot,
 //! like the quality-predictor rows) — and, at the shape the product
 //! actually trains on (`quality_shape`), the two tree ensembles' fits and
-//! the whole of model selection over the five quality targets.
+//! the whole of model selection over the five quality targets; and at the
+//! shape it serves (`serve_shape`), one catalog of eleven candidate rows
+//! through the models a tiny service selects, batched and row by row, and
+//! a whole `Ease::try_select`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use ease::profiling::TimingMode;
+use ease::selector::OptGoal;
+use ease::EaseServiceBuilder;
+use ease_graph::{PreparedGraph, PropertyTier};
+use ease_graphgen::Scale;
 use ease_ml::cv::{select_models, LabelGroup};
 use ease_ml::{zoo, Matrix, ModelConfig};
+use ease_procsim::Workload;
 use std::hint::black_box;
 
 fn synthetic_dataset(rows: usize) -> (Matrix, Vec<f64>) {
@@ -85,6 +94,51 @@ fn bench_quality_shape(c: &mut Criterion) {
     group.finish();
 }
 
+/// What one recommendation asks of each model: the eleven partitioners'
+/// rows of one graph at one `k`, through the three families the tiny
+/// service selects at their chosen sizes — one `predict` over the matrix
+/// against eleven `predict_row`s — and the whole catalog through all seven
+/// models of a trained tiny service (`Ease::try_select`).
+fn bench_serve_shape(c: &mut Criterion) {
+    let (x, labels) = quality_shape();
+    // graph 0 at k = 4: rows `partitioner * 3 + 1`
+    let candidates = x.select(&(0..11).map(|p| p * 3 + 1).collect::<Vec<_>>());
+    let mut group = c.benchmark_group("serve_shape");
+    group.sample_size(20);
+    for cfg in [
+        ModelConfig::Xgb { n_estimators: 80, learning_rate: 0.1, max_depth: 5, lambda: 1.0 },
+        ModelConfig::Forest { n_trees: 30, max_depth: 12, feature_fraction: 0.7 },
+        ModelConfig::Poly { degree: 2, alpha: 1e-3 },
+    ] {
+        let mut m = cfg.build();
+        m.fit(&x, &labels[0]);
+        let name = cfg.kind().name();
+        group.bench_with_input(BenchmarkId::new("predict_11", name), &m, |b, m| {
+            b.iter(|| black_box(m.predict(&candidates)));
+        });
+        group.bench_with_input(BenchmarkId::new("predict_row_x11", name), &m, |b, m| {
+            b.iter(|| {
+                black_box(
+                    (0..candidates.rows).map(|i| m.predict_row(candidates.row(i))).sum::<f64>(),
+                )
+            });
+        });
+    }
+    let service = EaseServiceBuilder::at_scale(Scale::Tiny)
+        .quick_grid()
+        .timing(TimingMode::Deterministic)
+        .seed(42)
+        .train()
+        .expect("the tiny service trains");
+    let graph = ease_graphgen::realworld::socfb_analogue(Scale::Tiny, 7).graph;
+    let props = PreparedGraph::of(&graph).properties(PropertyTier::Advanced);
+    let workload = Workload::PageRank { iterations: 10 };
+    group.bench_function("try_select/tiny_seed42", |b| {
+        b.iter(|| black_box(service.ease().try_select(&props, workload, 4, OptGoal::EndToEnd)))
+    });
+    group.finish();
+}
+
 fn bench_fit(c: &mut Criterion) {
     let (x, y) = synthetic_dataset(2_000);
     let configs = [
@@ -132,6 +186,6 @@ criterion_group! {
     config = Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_fit, bench_predict, bench_quality_shape
+    targets = bench_fit, bench_predict, bench_quality_shape, bench_serve_shape
 }
 criterion_main!(benches);

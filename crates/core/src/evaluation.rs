@@ -125,7 +125,8 @@ pub fn processing_test_scores(
 /// Test MAPE of the partitioning-time predictor.
 pub fn partitioning_time_score(tp: &PartitioningTimePredictor, test: &[QualityRecord]) -> f64 {
     let y_true: Vec<f64> = test.iter().map(|r| r.partitioning_secs).collect();
-    let y_pred: Vec<f64> = test.iter().map(|r| tp.predict(&r.props, r.partitioner)).collect();
+    let y_pred: Vec<f64> =
+        test.iter().flat_map(|r| tp.predict(&r.props, &[r.partitioner])).collect();
     mape(&y_true, &y_pred)
 }
 

@@ -8,8 +8,8 @@
 //! | processing time    | simple (|E|, |V|)     | 5 quality metrics, iterations|
 
 use ease_graph::{GraphProperties, PropertyTier};
-use ease_ml::OneHotEncoder;
-use ease_partition::{PartitionerId, QualityMetrics};
+use ease_ml::{Matrix, OneHotEncoder};
+use ease_partition::{PartitionerId, QualityMetrics, QualityTarget};
 
 /// One-hot encoder over the 11 partitioner names (stable order). Built
 /// once — this sits on the per-prediction hot path of every predictor, and
@@ -47,6 +47,32 @@ pub fn quality_row(
     row
 }
 
+/// [`quality_row`] for each of `partitioners`, as the rows of one matrix:
+/// the graph's part of the row is built once.
+pub fn quality_rows(
+    props: &GraphProperties,
+    tier: PropertyTier,
+    k: usize,
+    partitioners: &[PartitionerId],
+) -> Matrix {
+    let mut head = props.feature_vector(tier);
+    head.push(k as f64);
+    one_row_per_partitioner(head, partitioners)
+}
+
+/// `head` followed by each partitioner's one-hot columns, one row each.
+fn one_row_per_partitioner(mut head: Vec<f64>, partitioners: &[PartitionerId]) -> Matrix {
+    let enc = partitioner_encoder();
+    let shared = head.len();
+    let mut x = Matrix::with_capacity(partitioners.len(), shared + enc.width());
+    for p in partitioners {
+        head.truncate(shared);
+        enc.encode_into(p.name(), &mut head);
+        x.push_row(&head);
+    }
+    x
+}
+
 /// Feature names for the PartitioningTimePredictor (all property tiers +
 /// partitioner, per Table III).
 pub fn partitioning_time_feature_names() -> Vec<String> {
@@ -68,6 +94,12 @@ pub fn partitioning_time_row(props: &GraphProperties, partitioner: PartitionerId
     row
 }
 
+/// [`partitioning_time_row`] for each of `partitioners`, as the rows of one
+/// matrix.
+pub fn partitioning_time_rows(props: &GraphProperties, partitioners: &[PartitionerId]) -> Matrix {
+    one_row_per_partitioner(props.feature_vector(PropertyTier::Advanced), partitioners)
+}
+
 /// Feature names for the ProcessingTimePredictor: simple graph properties +
 /// the five quality metrics + the iteration count.
 pub fn processing_time_feature_names() -> Vec<String> {
@@ -75,7 +107,7 @@ pub fn processing_time_feature_names() -> Vec<String> {
         .into_iter()
         .map(String::from)
         .collect();
-    names.extend(ease_partition::QualityTarget::ALL.iter().map(|t| t.name().to_string()));
+    names.extend(QualityTarget::ALL.iter().map(|t| t.name().to_string()));
     names.push("iterations".into());
     names
 }
@@ -92,6 +124,25 @@ pub fn processing_time_row(
     row.extend(metrics.as_vector());
     row.push(iterations as f64);
     row
+}
+
+/// [`processing_time_row`] for each of `metrics`, as the rows of one matrix.
+pub fn processing_time_rows(
+    props: &GraphProperties,
+    metrics: &[QualityMetrics],
+    iterations: usize,
+) -> Matrix {
+    let mut row = props.feature_vector(PropertyTier::Simple);
+    let shared = row.len();
+    let width = shared + QualityTarget::ALL.len() + 1;
+    let mut x = Matrix::with_capacity(metrics.len(), width);
+    for m in metrics {
+        row.truncate(shared);
+        row.extend(m.as_vector());
+        row.push(iterations as f64);
+        x.push_row(&row);
+    }
+    x
 }
 
 #[cfg(test)]
@@ -144,6 +195,27 @@ mod tests {
         assert_eq!(row.len(), partitioning_time_feature_names().len());
         // 8 advanced props + 11 one-hot
         assert_eq!(row.len(), 19);
+    }
+
+    #[test]
+    fn matrices_hold_the_single_rows() {
+        let catalog = [PartitionerId::Ne, PartitionerId::OneDD, PartitionerId::Hdrf];
+        for tier in PropertyTier::ALL {
+            let x = quality_rows(&props(), tier, 8, &catalog);
+            for (i, &p) in catalog.iter().enumerate() {
+                assert_eq!(x.row(i), quality_row(&props(), tier, 8, p), "{tier:?} {p:?}");
+            }
+        }
+        let x = partitioning_time_rows(&props(), &catalog);
+        for (i, &p) in catalog.iter().enumerate() {
+            assert_eq!(x.row(i), partitioning_time_row(&props(), p));
+        }
+        let all = [metrics(), QualityMetrics { replication_factor: 3.0, ..metrics() }];
+        let x = processing_time_rows(&props(), &all, 10);
+        for (i, m) in all.iter().enumerate() {
+            assert_eq!(x.row(i), processing_time_row(&props(), m, 10));
+        }
+        assert_eq!(quality_rows(&props(), PropertyTier::Basic, 2, &[]).rows, 0);
     }
 
     #[test]

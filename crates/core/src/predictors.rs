@@ -167,35 +167,26 @@ impl QualityPredictor {
         self.model(target).predict_row(&row).max(1.0)
     }
 
-    /// Predict all five metrics at once.
+    /// The five metrics of each of `partitioners` on one graph at `k`, in
+    /// order: one feature matrix, one `predict` per target's model.
     pub fn predict(
         &self,
         props: &GraphProperties,
-        partitioner: PartitionerId,
+        partitioners: &[PartitionerId],
         k: usize,
-    ) -> QualityMetrics {
-        QualityMetrics {
-            replication_factor: self.predict_target(
-                QualityTarget::ReplicationFactor,
-                props,
-                partitioner,
-                k,
-            ),
-            edge_balance: self.predict_target(QualityTarget::EdgeBalance, props, partitioner, k),
-            vertex_balance: self.predict_target(
-                QualityTarget::VertexBalance,
-                props,
-                partitioner,
-                k,
-            ),
-            source_balance: self.predict_target(
-                QualityTarget::SourceBalance,
-                props,
-                partitioner,
-                k,
-            ),
-            dest_balance: self.predict_target(QualityTarget::DestBalance, props, partitioner, k),
-        }
+    ) -> Vec<QualityMetrics> {
+        let x = features::quality_rows(props, self.tier, k, partitioners);
+        let [rf, eb, vb, sb, db] = QualityTarget::ALL.map(|target| self.model(target).predict(&x));
+        // quality metrics are ≥ 1 by definition; clamp regressor output
+        (0..partitioners.len())
+            .map(|i| QualityMetrics {
+                replication_factor: rf[i].max(1.0),
+                edge_balance: eb[i].max(1.0),
+                vertex_balance: vb[i].max(1.0),
+                source_balance: sb[i].max(1.0),
+                dest_balance: db[i].max(1.0),
+            })
+            .collect()
     }
 
     /// Feature importances of the replication-factor model, if available.
@@ -285,9 +276,11 @@ impl PartitioningTimePredictor {
         PartitioningTimePredictor { model, chosen }
     }
 
-    pub fn predict(&self, props: &GraphProperties, partitioner: PartitionerId) -> f64 {
-        let row = features::partitioning_time_row(props, partitioner);
-        from_log(self.model.predict_row(&row))
+    /// The partitioning time of each of `partitioners` on one graph, in
+    /// order, through one `predict`.
+    pub fn predict(&self, props: &GraphProperties, partitioners: &[PartitionerId]) -> Vec<f64> {
+        let x = features::partitioning_time_rows(props, partitioners);
+        self.model.predict(&x).into_iter().map(from_log).collect()
     }
 
     /// Write the trained state: grid-search provenance, then the model.
@@ -359,21 +352,15 @@ impl ProcessingTimePredictor {
         ProcessingTimePredictor { models, chosen }
     }
 
-    /// Predict the target metric (avg-iteration or total seconds) for a
-    /// workload given predicted/measured quality metrics, or `None` when no
-    /// model was trained for the workload (the typed-error path the
-    /// `EaseService` surfaces as `EaseError::UnsupportedWorkload`).
-    pub fn try_predict_target(
-        &self,
-        workload: Workload,
-        props: &GraphProperties,
-        metrics: &QualityMetrics,
-    ) -> Option<f64> {
-        let model =
-            self.models.iter().find(|(n, _)| *n == workload.name()).map(|(_, m)| m.as_ref())?;
-        let iters = workload.fixed_iterations().unwrap_or(0);
-        let row = features::processing_time_row(props, metrics, iters);
-        Some(from_log(model.predict_row(&row)))
+    /// The model trained for `workload`; panics when there is none (the
+    /// selector checks [`ProcessingTimePredictor::supports`] first and
+    /// reports `EaseError::UnsupportedWorkload`).
+    fn model(&self, workload: Workload) -> &dyn Regressor {
+        self.models
+            .iter()
+            .find(|(n, _)| *n == workload.name())
+            .map(|(_, m)| m.as_ref())
+            .unwrap_or_else(|| panic!("no model trained for workload {}", workload.name()))
     }
 
     /// Predict the target metric (avg-iteration or total seconds) for a
@@ -384,18 +371,25 @@ impl ProcessingTimePredictor {
         props: &GraphProperties,
         metrics: &QualityMetrics,
     ) -> f64 {
-        self.try_predict_target(workload, props, metrics)
-            .unwrap_or_else(|| panic!("no model trained for workload {}", workload.name()))
+        let model = self.model(workload);
+        let iters = workload.fixed_iterations().unwrap_or(0);
+        let row = features::processing_time_row(props, metrics, iters);
+        from_log(model.predict_row(&row))
     }
 
-    /// Predict the *total* processing time for a workload.
-    pub fn predict_total(
+    /// The *total* processing time of `workload` on one graph under each of
+    /// `metrics` — one per candidate partitioning — in order, through one
+    /// `predict`.
+    pub fn predict_totals(
         &self,
         workload: Workload,
         props: &GraphProperties,
-        metrics: &QualityMetrics,
-    ) -> f64 {
-        workload.total_from_target(self.predict_target(workload, props, metrics))
+        metrics: &[QualityMetrics],
+    ) -> Vec<f64> {
+        let model = self.model(workload);
+        let iters = workload.fixed_iterations().unwrap_or(0);
+        let x = features::processing_time_rows(props, metrics, iters);
+        model.predict(&x).into_iter().map(|v| workload.total_from_target(from_log(v))).collect()
     }
 
     pub fn supported_workloads(&self) -> Vec<&'static str> {
@@ -480,7 +474,7 @@ mod tests {
         let qp = QualityPredictor::train(&records, PropertyTier::Basic, &zoo::quick_grid(), 3, 1);
         // predictions are clamped to the metric domain
         let props = inputs(1, 900)[0].prepare().properties(PropertyTier::Advanced);
-        let m = qp.predict(&props, PartitionerId::Ne, 4);
+        let [m] = qp.predict(&props, &[PartitionerId::Ne], 4)[..] else { panic!("one candidate") };
         assert!(m.replication_factor >= 1.0);
         assert!(m.edge_balance >= 1.0);
         // higher k should predict higher RF for a hash partitioner
@@ -521,8 +515,10 @@ mod tests {
         );
         let tp = PartitioningTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
         let props = inputs(1, 4_000)[0].prepare().properties(PropertyTier::Advanced);
-        let fast = tp.predict(&props, PartitionerId::OneDD);
-        let slow = tp.predict(&props, PartitionerId::Ne);
+        let [fast, slow] = tp.predict(&props, &[PartitionerId::OneDD, PartitionerId::Ne])[..]
+        else {
+            panic!("two candidates")
+        };
         assert!(fast >= 0.0 && slow >= 0.0);
         assert!(slow > fast, "ne {slow} should cost more than 1dd {fast}");
     }
@@ -549,8 +545,8 @@ mod tests {
         };
         let t = pp.predict_target(Workload::PageRank { iterations: 5 }, &props, &metrics);
         assert!(t > 0.0);
-        let total = pp.predict_total(Workload::PageRank { iterations: 5 }, &props, &metrics);
-        assert!((total - t * 5.0).abs() < 1e-12);
+        let totals = pp.predict_totals(Workload::PageRank { iterations: 5 }, &props, &[metrics]);
+        assert_eq!(totals, [t * 5.0]);
     }
 
     #[test]

@@ -78,26 +78,6 @@ impl Ease {
         Ease { quality, partitioning_time, processing_time, catalog: PartitionerId::ALL.to_vec() }
     }
 
-    /// Predict all costs for one candidate.
-    pub fn predict_costs(
-        &self,
-        props: &GraphProperties,
-        workload: Workload,
-        k: usize,
-        partitioner: PartitionerId,
-    ) -> PredictedCosts {
-        let quality = self.quality.predict(props, partitioner, k);
-        let partitioning_secs = self.partitioning_time.predict(props, partitioner);
-        let processing_secs = self.processing_time.predict_total(workload, props, &quality);
-        PredictedCosts {
-            partitioner,
-            quality,
-            partitioning_secs,
-            processing_secs,
-            end_to_end_secs: partitioning_secs + processing_secs,
-        }
-    }
-
     /// Automatic selection: evaluate the whole catalog and pick the
     /// predicted minimum for the goal.
     pub fn select(
@@ -134,13 +114,28 @@ impl Ease {
                     .collect(),
             });
         }
-        let candidates: Vec<PredictedCosts> =
-            self.catalog.iter().map(|&p| self.predict_costs(props, workload, k, p)).collect();
+        // the whole catalog through each model at once: one matrix per model
+        let quality = self.quality.predict(props, &self.catalog, k);
+        let partitioning = self.partitioning_time.predict(props, &self.catalog);
+        let processing = self.processing_time.predict_totals(workload, props, &quality);
+        let candidates: Vec<PredictedCosts> = self
+            .catalog
+            .iter()
+            .zip(quality)
+            .zip(partitioning.into_iter().zip(processing))
+            .map(|((&partitioner, quality), (partitioning_secs, processing_secs))| PredictedCosts {
+                partitioner,
+                quality,
+                partitioning_secs,
+                processing_secs,
+                end_to_end_secs: partitioning_secs + processing_secs,
+            })
+            .collect();
+        // the first of equal minima, under the order `render_selection` ranks
+        // by: a non-finite prediction is ranked, not a panic
         let best = candidates
             .iter()
-            .min_by(|a, b| {
-                goal_cost(a, goal).partial_cmp(&goal_cost(b, goal)).expect("finite predictions")
-            })
+            .min_by(|a, b| goal_cost(a, goal).total_cmp(&goal_cost(b, goal)))
             .expect("non-empty catalog")
             .partitioner;
         Ok(Selection { best, goal, candidates })

@@ -8,7 +8,9 @@
 use crate::dataset::Matrix;
 use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_FOREST};
 use crate::rng::SplitMix64;
-use crate::tree::{decode_trees, encode_trees, BinnedMatrix, RegressionTree, TreeParams};
+use crate::tree::{
+    decode_trees, encode_trees, sum_predictions, BinnedMatrix, RegressionTree, TreeParams,
+};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -103,6 +105,17 @@ impl Regressor for RandomForest {
     fn predict_row(&self, row: &[f64]) -> f64 {
         assert!(!self.trees.is_empty(), "fit before predict");
         self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>() / self.trees.len() as f64
+    }
+
+    /// [`Regressor::predict_row`] of every row, tree by tree over all rows.
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        assert!(!self.trees.is_empty(), "fit before predict");
+        let n = self.trees.len() as f64;
+        let mut sums = sum_predictions(&self.trees, x);
+        for s in &mut sums {
+            *s /= n;
+        }
+        sums
     }
 
     fn feature_importances(&self) -> Option<Vec<f64>> {

@@ -9,7 +9,9 @@
 use crate::dataset::Matrix;
 use crate::persist::{expect_tag, PersistError, Reader, Writer, TAG_GBT};
 use crate::rng::SplitMix64;
-use crate::tree::{decode_trees, encode_trees, BinnedMatrix, RegressionTree, TreeParams};
+use crate::tree::{
+    decode_trees, encode_trees, sum_predictions, BinnedMatrix, RegressionTree, TreeParams,
+};
 use crate::Regressor;
 
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +129,15 @@ impl Regressor for GradientBoosting {
     fn predict_row(&self, row: &[f64]) -> f64 {
         self.base
             + self.params.learning_rate * self.trees.iter().map(|t| t.predict_row(row)).sum::<f64>()
+    }
+
+    /// [`Regressor::predict_row`] of every row, tree by tree over all rows.
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        let mut sums = sum_predictions(&self.trees, x);
+        for s in &mut sums {
+            *s = self.base + self.params.learning_rate * *s;
+        }
+        sums
     }
 
     fn feature_importances(&self) -> Option<Vec<f64>> {

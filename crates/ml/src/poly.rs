@@ -100,6 +100,18 @@ impl Regressor for PolynomialRegression {
         self.inner.predict_row(&buf)
     }
 
+    /// [`Regressor::predict_row`] of every row, each expanded into one
+    /// reused buffer.
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        let mut buf = Vec::new();
+        (0..x.rows)
+            .map(|i| {
+                self.expand(x.row(i), &mut buf);
+                self.inner.predict_row(&buf)
+            })
+            .collect()
+    }
+
     fn encode(&self, w: &mut Writer) {
         w.put_u8(TAG_POLY);
         w.put_usize(self.degree);

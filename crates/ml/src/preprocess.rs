@@ -153,6 +153,12 @@ impl Regressor for ScaledModel {
         self.inner.predict_row(&buf)
     }
 
+    /// The z-scored matrix through the wrapped model's own `predict`.
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        let scaler = self.scaler.as_ref().expect("fit before predict");
+        self.inner.predict(&scaler.transform(x))
+    }
+
     fn feature_importances(&self) -> Option<Vec<f64>> {
         self.inner.feature_importances()
     }

@@ -52,10 +52,30 @@ impl Default for TreeParams {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf { value: f64 },
-    Split { feature: u32, threshold: f64, left: u32, right: u32 },
+/// One node of a fitted tree. A split sends a row to `left` when
+/// `row[feature] <= value` and to `right` otherwise, and links strictly
+/// forward; a leaf links to itself on both sides and holds its prediction in
+/// `value`. So a walk of exactly the tree's depth from the root ends on the
+/// row's leaf however early it got there, and every step is the same
+/// select — no step asks what kind of node it is on. The model file spells
+/// nodes as tagged leaves and splits; [`RegressionTree::encode`] and
+/// [`RegressionTree::decode`] translate.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    value: f64,
+    feature: u32,
+    left: u32,
+    right: u32,
+}
+
+impl Node {
+    fn leaf(value: f64, id: u32) -> Node {
+        Node { value, feature: 0, left: id, right: id }
+    }
+
+    fn is_leaf(&self, id: usize) -> bool {
+        self.left as usize == id
+    }
 }
 
 /// A fitted regression tree.
@@ -63,6 +83,9 @@ enum Node {
 pub struct RegressionTree {
     pub params: TreeParams,
     nodes: Vec<Node>,
+    /// Edges on the longest root-to-leaf path: the number of steps every
+    /// walk takes.
+    depth: u32,
     importances: Vec<f64>,
 }
 
@@ -173,7 +196,7 @@ struct BuildCtx<'a> {
 
 impl RegressionTree {
     pub fn new(params: TreeParams) -> Self {
-        RegressionTree { params, nodes: Vec::new(), importances: Vec::new() }
+        RegressionTree { params, nodes: Vec::new(), depth: 0, importances: Vec::new() }
     }
 
     /// Fit against pre-binned data (ensemble path; `indices` may contain
@@ -194,10 +217,30 @@ impl RegressionTree {
             occupied: vec![0; cols],
         };
         if indices.is_empty() {
-            self.nodes.push(Node::Leaf { value: 0.0 });
-            return;
+            self.push_leaf(0.0);
+        } else {
+            self.build(&mut ctx, indices, 0);
         }
-        self.build(&mut ctx, indices, 0);
+        self.depth = longest_path(&self.nodes);
+    }
+
+    fn push_leaf(&mut self, value: f64) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node::leaf(value, id));
+        id
+    }
+
+    /// Push a split whose children are linked once they are built.
+    fn push_split(&mut self, feature: usize, threshold: f64) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(Node { value: threshold, feature: feature as u32, left: 0, right: 0 });
+        id
+    }
+
+    fn link(&mut self, split: u32, left: u32, right: u32) {
+        let node = &mut self.nodes[split as usize];
+        node.left = left;
+        node.right = right;
     }
 
     fn build(&mut self, ctx: &mut BuildCtx, indices: &mut [u32], depth: usize) -> u32 {
@@ -206,15 +249,13 @@ impl RegressionTree {
             let v = ctx.y[i as usize];
             (s + v, q + v * v)
         });
-        let node_id = self.nodes.len() as u32;
         let leaf_value = sum / (n as f64 + self.params.leaf_l2);
         let parent_sse = sq - sum * sum / n as f64;
         if depth >= self.params.max_depth
             || n < self.params.min_samples_split
             || parent_sse <= 1e-12
         {
-            self.nodes.push(Node::Leaf { value: leaf_value });
-            return node_id;
+            return self.push_leaf(leaf_value);
         }
         // sample candidate features without replacement (partial shuffle)
         let n_candidates = self.params.max_features.unwrap_or(ctx.cols).clamp(1, ctx.cols);
@@ -287,8 +328,7 @@ impl RegressionTree {
             }
         }
         let Some((feature, bin, gain)) = best else {
-            self.nodes.push(Node::Leaf { value: leaf_value });
-            return node_id;
+            return self.push_leaf(leaf_value);
         };
         self.importances[feature] += gain;
         // in-place partition: left = bin ≤ split bin
@@ -302,15 +342,11 @@ impl RegressionTree {
                 indices.swap(lo, hi);
             }
         }
-        let threshold = ctx.binner.threshold(feature, bin);
-        self.nodes.push(Node::Split { feature: feature as u32, threshold, left: 0, right: 0 });
+        let node_id = self.push_split(feature, ctx.binner.threshold(feature, bin));
         let (left_slice, right_slice) = indices.split_at_mut(lo);
         let left = self.build(ctx, left_slice, depth + 1);
         let right = self.build(ctx, right_slice, depth + 1);
-        if let Node::Split { left: l, right: r, .. } = &mut self.nodes[node_id as usize] {
-            *l = left;
-            *r = right;
-        }
+        self.link(node_id, left, right);
         node_id
     }
 
@@ -337,15 +373,24 @@ impl RegressionTree {
         };
         let n_nodes = r.take_len(9)?;
         let mut nodes = Vec::with_capacity(n_nodes);
-        for _ in 0..n_nodes {
+        // the first split that would leave the node list or the row,
+        // reported once the width is known to be the row's
+        let mut bad_split = None;
+        for i in 0..n_nodes {
             nodes.push(match r.take_u8()? {
-                0 => Node::Leaf { value: r.take_f64()? },
-                1 => Node::Split {
-                    feature: r.take_u32()?,
-                    threshold: r.take_f64()?,
-                    left: r.take_u32()?,
-                    right: r.take_u32()?,
-                },
+                0 => Node::leaf(r.take_f64()?, i as u32),
+                1 => {
+                    let feature = r.take_u32()?;
+                    let value = r.take_f64()?;
+                    let (left, right) = (r.take_u32()?, r.take_u32()?);
+                    let forward = |link: u32| (i + 1..n_nodes).contains(&(link as usize));
+                    if feature as usize >= width || !forward(left) || !forward(right) {
+                        bad_split.get_or_insert_with(|| {
+                            format!("tree node {i}: feature {feature} or links {left}/{right} out of range")
+                        });
+                    }
+                    Node { value, feature, left, right }
+                }
                 other => {
                     return Err(PersistError::Corrupt(format!("unknown tree node tag {other}")))
                 }
@@ -356,18 +401,66 @@ impl RegressionTree {
         if nodes.is_empty() {
             return Err(PersistError::Corrupt("tree has no nodes (never fitted)".into()));
         }
-        for (i, node) in nodes.iter().enumerate() {
-            if let Node::Split { feature, left, right, .. } = *node {
-                let forward = |link: u32| (i + 1..nodes.len()).contains(&(link as usize));
-                if feature as usize >= importances.len() || !forward(left) || !forward(right) {
-                    return Err(PersistError::Corrupt(format!(
-                        "tree node {i}: feature {feature} or links {left}/{right} out of range"
-                    )));
-                }
+        if let Some(message) = bad_split {
+            return Err(PersistError::Corrupt(message));
+        }
+        let depth = longest_path(&nodes);
+        Ok(RegressionTree { params, nodes, depth, importances })
+    }
+
+    /// Where `row` goes from `node`: a split's child, or a leaf itself.
+    #[inline]
+    fn step(&self, node: u32, row: &[f64]) -> u32 {
+        let n = &self.nodes[node as usize];
+        if row[n.feature as usize] <= n.value {
+            n.left
+        } else {
+            n.right
+        }
+    }
+
+    /// Add each row's prediction to its slot of `sums`. The rows advance
+    /// through the tree together, one level per pass, so their walks —
+    /// independent chains of dependent loads — overlap. `at` is where each
+    /// row is.
+    fn add_predictions(&self, rows: &[&[f64]], at: &mut [u32], sums: &mut [f64]) {
+        at.fill(0);
+        for _ in 0..self.depth {
+            for (node, row) in at.iter_mut().zip(rows) {
+                *node = self.step(*node, row);
             }
         }
-        Ok(RegressionTree { params, nodes, importances })
+        for (sum, &leaf) in sums.iter_mut().zip(at.iter()) {
+            *sum += self.nodes[leaf as usize].value;
+        }
     }
+}
+
+/// Edges on the longest path from the root. Links point forward, so a
+/// node's height is known before any node that links to it is visited — a
+/// node two parents reach at different depths included.
+fn longest_path(nodes: &[Node]) -> u32 {
+    let mut height = vec![0u32; nodes.len()];
+    for (i, node) in nodes.iter().enumerate().rev() {
+        if !node.is_leaf(i) {
+            height[i] = 1 + height[node.left as usize].max(height[node.right as usize]);
+        }
+    }
+    height[0]
+}
+
+/// Per row of `x`, the sum of the trees' predictions added in tree order
+/// from `-0.0` — the fold `f64`'s `Sum` makes, so it is
+/// `trees.iter().map(|t| t.predict_row(row)).sum::<f64>()` bit for bit —
+/// with the trees taken one at a time over all rows.
+pub(crate) fn sum_predictions(trees: &[RegressionTree], x: &Matrix) -> Vec<f64> {
+    let rows: Vec<&[f64]> = (0..x.rows).map(|i| x.row(i)).collect();
+    let mut at = vec![0; x.rows];
+    let mut sums = vec![-0.0; x.rows];
+    for tree in trees {
+        tree.add_predictions(&rows, &mut at, &mut sums);
+    }
+    sums
 }
 
 /// The tail both ensembles store: feature count, tree count, each tree.
@@ -400,19 +493,13 @@ impl Regressor for RegressionTree {
     }
 
     fn predict_row(&self, row: &[f64]) -> f64 {
-        let mut node = 0usize;
-        loop {
-            match &self.nodes[node] {
-                Node::Leaf { value } => return *value,
-                Node::Split { feature, threshold, left, right } => {
-                    node = if row[*feature as usize] <= *threshold {
-                        *left as usize
-                    } else {
-                        *right as usize
-                    };
-                }
-            }
-        }
+        let leaf = (0..self.depth).fold(0, |node, _| self.step(node, row));
+        self.nodes[leaf as usize].value
+    }
+
+    /// [`Regressor::predict_row`] of every row (`-0.0 + v` is `v`).
+    fn predict(&self, x: &Matrix) -> Vec<f64> {
+        sum_predictions(std::slice::from_ref(self), x)
     }
 
     fn feature_importances(&self) -> Option<Vec<f64>> {
@@ -433,19 +520,16 @@ impl Regressor for RegressionTree {
         w.put_f64(self.params.min_gain);
         w.put_u64(self.params.seed);
         w.put_usize(self.nodes.len());
-        for node in &self.nodes {
-            match *node {
-                Node::Leaf { value } => {
-                    w.put_u8(0);
-                    w.put_f64(value);
-                }
-                Node::Split { feature, threshold, left, right } => {
-                    w.put_u8(1);
-                    w.put_u32(feature);
-                    w.put_f64(threshold);
-                    w.put_u32(left);
-                    w.put_u32(right);
-                }
+        for (i, node) in self.nodes.iter().enumerate() {
+            if node.is_leaf(i) {
+                w.put_u8(0);
+                w.put_f64(node.value);
+            } else {
+                w.put_u8(1);
+                w.put_u32(node.feature);
+                w.put_f64(node.value);
+                w.put_u32(node.left);
+                w.put_u32(node.right);
             }
         }
         w.put_f64s(&self.importances);
@@ -544,10 +628,11 @@ mod tests {
             let mut rng = SplitMix64::new(self.params.seed ^ 0x7EE5);
             let mut pool: Vec<u32> = (0..cols as u32).collect();
             if indices.is_empty() {
-                self.nodes.push(Node::Leaf { value: 0.0 });
-                return;
+                self.push_leaf(0.0);
+            } else {
+                self.build_feature_major(binned, binner, y, &mut rng, &mut pool, indices, 0);
             }
-            self.build_feature_major(binned, binner, y, &mut rng, &mut pool, indices, 0);
+            self.depth = longest_path(&self.nodes);
         }
 
         #[allow(clippy::too_many_arguments)]
@@ -567,15 +652,13 @@ mod tests {
                 let v = y[i as usize];
                 (s + v, q + v * v)
             });
-            let node_id = self.nodes.len() as u32;
             let leaf_value = sum / (n as f64 + self.params.leaf_l2);
             let parent_sse = sq - sum * sum / n as f64;
             if depth >= self.params.max_depth
                 || n < self.params.min_samples_split
                 || parent_sse <= 1e-12
             {
-                self.nodes.push(Node::Leaf { value: leaf_value });
-                return node_id;
+                return self.push_leaf(leaf_value);
             }
             let n_candidates = self.params.max_features.unwrap_or(cols).clamp(1, cols);
             for i in 0..n_candidates {
@@ -628,8 +711,7 @@ mod tests {
                 }
             }
             let Some((feature, bin, gain)) = best else {
-                self.nodes.push(Node::Leaf { value: leaf_value });
-                return node_id;
+                return self.push_leaf(leaf_value);
             };
             self.importances[feature] += gain;
             let mut lo = 0usize;
@@ -642,17 +724,13 @@ mod tests {
                     indices.swap(lo, hi);
                 }
             }
-            let threshold = binner.threshold(feature, bin);
-            self.nodes.push(Node::Split { feature: feature as u32, threshold, left: 0, right: 0 });
+            let node_id = self.push_split(feature, binner.threshold(feature, bin));
             let (left_slice, right_slice) = indices.split_at_mut(lo);
             let left =
                 self.build_feature_major(binned, binner, y, rng, pool, left_slice, depth + 1);
             let right =
                 self.build_feature_major(binned, binner, y, rng, pool, right_slice, depth + 1);
-            if let Node::Split { left: l, right: r, .. } = &mut self.nodes[node_id as usize] {
-                *l = left;
-                *r = right;
-            }
+            self.link(node_id, left, right);
             node_id
         }
     }
@@ -729,6 +807,87 @@ mod tests {
             }
         }
         assert_eq!(compared, 3 * 4 * 3 * 3 * 2);
+    }
+
+    #[test]
+    fn a_node_is_no_larger_than_the_tagged_enum_it_replaced() {
+        // `enum { Leaf { f64 }, Split { u32, f64, u32, u32 } }` was 24 bytes
+        assert!(std::mem::size_of::<Node>() <= 24, "{} B", std::mem::size_of::<Node>());
+    }
+
+    /// A hand-encoded tree whose node 5 (a split) two parents reach: node 2
+    /// at depth 2, node 4 at depth 1. `decode` accepts the shape — links
+    /// point forward. The longest path, 0 → 1 → 2 → 5 → 6, is four edges;
+    /// a depth taken from each node's last parent puts node 5 at depth 2
+    /// and the tree at depth 3, one step short of leaf 6.
+    #[test]
+    fn a_node_two_parents_reach_at_different_depths_walks_the_longest_path() {
+        enum N {
+            Leaf(f64),
+            Split(f64, u32, u32),
+        }
+        let nodes = [
+            N::Split(0.0, 1, 4),
+            N::Split(-1.0, 2, 3),
+            N::Split(-2.0, 5, 8),
+            N::Leaf(3.0),
+            N::Split(1.0, 5, 9),
+            N::Split(-3.0, 6, 7),
+            N::Leaf(6.0),
+            N::Leaf(7.0),
+            N::Leaf(8.0),
+            N::Leaf(9.0),
+        ];
+        let mut w = Writer::new();
+        w.put_u8(TAG_TREE);
+        for v in [12, 4, 2] {
+            w.put_usize(v);
+        }
+        w.put_opt(None, Writer::put_usize);
+        w.put_f64(0.0);
+        w.put_f64(1e-12);
+        w.put_u64(0);
+        w.put_usize(nodes.len());
+        for node in &nodes {
+            match *node {
+                N::Leaf(value) => {
+                    w.put_u8(0);
+                    w.put_f64(value);
+                }
+                N::Split(threshold, left, right) => {
+                    w.put_u8(1);
+                    w.put_u32(0);
+                    w.put_f64(threshold);
+                    w.put_u32(left);
+                    w.put_u32(right);
+                }
+            }
+        }
+        w.put_f64s(&[1.0]);
+        let bytes = w.into_bytes();
+        let tree = RegressionTree::decode(&mut Reader::new(&bytes), 1).expect("forward links");
+        assert_eq!(tree.depth, 4);
+        let mut again = Writer::new();
+        tree.encode(&mut again);
+        assert!(again.into_bytes() == bytes, "the tagged nodes re-encode byte for byte");
+
+        let cases = [
+            (-5.0, 6.0), // through the deeper parent to the deepest leaf
+            (-2.5, 7.0),
+            (-1.5, 8.0),
+            (-0.5, 3.0),
+            (0.5, 7.0), // through the shallower parent
+            (2.0, 9.0),
+            (f64::NAN, 9.0), // every comparison false: right, right
+            (f64::INFINITY, 9.0),
+            (f64::NEG_INFINITY, 6.0),
+        ];
+        let x = Matrix::from_rows(&cases.iter().map(|&(v, _)| vec![v]).collect::<Vec<_>>());
+        let batched = tree.predict(&x);
+        for (&(v, want), got) in cases.iter().zip(batched) {
+            assert_eq!(tree.predict_row(&[v]), want, "row walk of {v}");
+            assert_eq!(got.to_bits(), want.to_bits(), "batched walk of {v}");
+        }
     }
 
     #[test]

@@ -139,8 +139,9 @@ fn predictions_are_physically_consistent() {
     let (ease, _) = train_ease(&cfg);
     let tg = ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 5);
     let props = PreparedGraph::of(&tg.graph).properties(PropertyTier::Advanced);
-    for &p in &cfg.partitioners {
-        let costs = ease.predict_costs(&props, Workload::PageRank { iterations: 5 }, 4, p);
+    let selection = ease.select(&props, Workload::PageRank { iterations: 5 }, 4, OptGoal::EndToEnd);
+    assert_eq!(selection.candidates.len(), cfg.partitioners.len());
+    for costs in &selection.candidates {
         assert!(costs.quality.replication_factor >= 1.0);
         assert!(costs.partitioning_secs >= 0.0);
         assert!(costs.processing_secs > 0.0);
@@ -229,9 +230,10 @@ fn trained_system_is_deterministic_given_records() {
     );
     let tg = ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 9);
     let props = PreparedGraph::of(&tg.graph).properties(PropertyTier::Advanced);
-    for &p in &cfg.partitioners {
-        let a = ease_sys.quality.predict(&props, p, 4);
-        let b = qp2.predict(&props, p, 4);
+    let a = ease_sys.quality.predict(&props, &cfg.partitioners, 4);
+    let b = qp2.predict(&props, &cfg.partitioners, 4);
+    assert_eq!(a.len(), cfg.partitioners.len());
+    for (a, b) in a.iter().zip(&b) {
         assert!((a.replication_factor - b.replication_factor).abs() < 1e-12);
         assert!((a.vertex_balance - b.vertex_balance).abs() < 1e-12);
     }
@@ -346,6 +348,64 @@ fn partitioner_assignments_are_pinned() {
         }
     }
     assert_eq!(h, 0xc77e_c41e_987f_4e12, "a placement moved: {h:#018x}");
+}
+
+/// The predictions themselves, pinned: every candidate's five predicted
+/// quality metrics, both predicted times and the end-to-end sum, and the
+/// pick, for the seven tiny Table IV graphs × the six training workloads ×
+/// `k ∈ {2, 4, 8, 32}` × both goals, folded through `mix64`. Two services
+/// answer: `fixtures/golden_v2.model`, whose seven models reach every model
+/// tag (it trains `pr` only, so the other workloads fold their typed
+/// error), and the service `ease train --scale tiny --quick --deterministic
+/// --seed 42` writes. The label and placement pins above cover what the
+/// models learn from; this one covers what they answer. The literal was
+/// written by the tree *before* `Ease::try_select` batched the catalog into
+/// one matrix per model and the trees walked a flat node array.
+#[test]
+fn selection_predictions_are_pinned() {
+    use ease_repro::{EaseService, EaseServiceBuilder};
+    let golden = EaseService::from_bytes(include_bytes!("fixtures/golden_v2.model"))
+        .expect("the golden fixture loads");
+    let trained = EaseServiceBuilder::at_scale(Scale::Tiny)
+        .quick_grid()
+        .timing(TimingMode::Deterministic)
+        .seed(42)
+        .train()
+        .expect("the tiny service trains");
+    let graphs = ease_repro::graphgen::realworld::table4_test_set(Scale::Tiny, 42);
+    assert_eq!(graphs.len(), 7);
+    let mut h = 0u64;
+    let mut answered = 0;
+    for service in [&golden, &trained] {
+        for tg in &graphs {
+            let props = PreparedGraph::of(&tg.graph).properties(PropertyTier::Advanced);
+            for workload in Workload::all_training() {
+                for k in [2usize, 4, 8, 32] {
+                    for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
+                        let selection = match service.ease().try_select(&props, workload, k, goal) {
+                            Ok(selection) => selection,
+                            Err(e) => {
+                                h = fold_str(h, &e.to_string());
+                                continue;
+                            }
+                        };
+                        h = fold_str(h, selection.best.name());
+                        for c in &selection.candidates {
+                            h = fold_str(h, c.partitioner.name());
+                            h = c.quality.as_vector().iter().fold(h, |h, m| fold(h, m.to_bits()));
+                            h = fold(h, c.partitioning_secs.to_bits());
+                            h = fold(h, c.processing_secs.to_bits());
+                            h = fold(h, c.end_to_end_secs.to_bits());
+                        }
+                        answered += 1;
+                    }
+                }
+            }
+        }
+    }
+    // golden: `pr` only; trained: every workload
+    assert_eq!(answered, 7 * 4 * 2 + 7 * 6 * 4 * 2);
+    assert_eq!(h, 0xb642_a96b_538a_2261, "a prediction moved: {h:#018x}");
 }
 
 /// The traffic `PreparedPool` was built for does not occur: at every scale
