@@ -126,6 +126,23 @@ rc=0
 [[ $rc -eq 2 ]]
 grep -q -- '--format' "$smoke/format.err"
 [[ ! -e "$smoke/format.bel" ]]
+# ...so is a flag only a local answer reads next to --endpoint: the daemon
+# answers with its own model and budget. Raised before any socket is
+# touched, so the endpoint need not exist
+for query in "recommend --model $smoke/ease.model" "recommend --memory-budget 1k" \
+    "features --memory-budget 1k"; do
+    read -r sub flag value <<< "$query"
+    rc=0
+    "$EASE_BIN" "$sub" --endpoint unix:/nonexistent.sock "$flag" "$value" \
+        --graph "$smoke/graph.txt" 2> "$smoke/proxy.err" || rc=$?
+    [[ $rc -eq 2 ]]
+    grep -q -- "$flag is not read with --endpoint" "$smoke/proxy.err"
+done
+rc=0
+"$EASE_BIN" serve --in-flight 4 --socket "$smoke/never.sock" \
+    --model "$smoke/ease.model" 2> "$smoke/inflight.err" || rc=$?
+[[ $rc -eq 2 ]]
+grep -q 'unknown flag --in-flight for ease serve' "$smoke/inflight.err"
 "$EASE_BIN" train --help > "$smoke/help.out"
 grep -q 'TRAIN OPTIONS' "$smoke/help.out"
 

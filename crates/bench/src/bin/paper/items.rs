@@ -450,7 +450,7 @@ fn fig9(lab: &Lab, doc: &mut Doc) {
             .find(|g| g.graph_name.contains("enwiki") && g.workload.name() == name)
             .expect("the Table IV set has an enwiki analogue and both workloads are trained");
         let chosen = [
-            ("S_PS", lab.ease().select(&g.props, g.workload, k, goal).best),
+            ("S_PS", lab.ease().try_select(&g.props, g.workload, k, goal).expect("trained").best),
             ("S_SRF", strategy_pick(Strategy::SmallestRf, &g.truth, goal)),
             ("optimal", strategy_pick(Strategy::Optimal, &g.truth, goal)),
         ];

@@ -7,7 +7,7 @@
 //! (XGB is marginally better but ~140× slower to retrain), and reports the
 //! per-type MAPE curves (Fig. 8) and the enriched heatmap (Fig. 7b).
 
-use crate::evaluation::mape_by_type;
+use crate::evaluation::{mape_by_type_of, quality_pairs};
 use crate::predictors::QualityPredictor;
 use crate::profiling::QualityRecord;
 use ease_graph::hash::SplitMix64;
@@ -99,18 +99,12 @@ pub fn enrichment_sweep(
                 draw_enrichment_subset(pool, size, seed ^ (size as u64) << 8 ^ rep as u64)
             };
             let qp = train_enriched(base, &subset, tier, config, &[target]);
-            let by_type = mape_by_type(&qp, test, target);
-            let mut y_true = Vec::with_capacity(test.len());
-            let mut y_pred = Vec::with_capacity(test.len());
-            for r in test {
-                y_true.push(r.metrics.get(target));
-                y_pred.push(qp.predict_target(target, &r.props, r.partitioner, r.k));
-            }
+            let pairs = quality_pairs(&qp, test, target);
             points.push(EnrichmentPoint {
                 n_graphs: size,
                 rep,
-                mape_by_type: by_type,
-                mape_all: ease_ml::metrics::mape(&y_true, &y_pred),
+                mape_by_type: mape_by_type_of(test, &pairs),
+                mape_all: ease_ml::metrics::mape(&pairs.0, &pairs.1),
             });
         }
     }

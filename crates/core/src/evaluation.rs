@@ -2,7 +2,9 @@
 //! (Tables V/VI, Fig. 7) and the selection-strategy comparison
 //! (Table VIII, Fig. 9, and the headline numbers of Sec. I).
 
-use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
+use crate::predictors::{
+    workload_names, PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor,
+};
 use crate::profiling::{ProcessingRecord, QualityRecord};
 use crate::selector::{strategy_cost, Ease, OptGoal, Strategy, TrueCosts};
 use ease_graph::GraphProperties;
@@ -24,12 +26,7 @@ pub fn quality_test_scores(
     QualityTarget::ALL
         .iter()
         .map(|&target| {
-            let mut y_true = Vec::with_capacity(test.len());
-            let mut y_pred = Vec::with_capacity(test.len());
-            for r in test {
-                y_true.push(r.metrics.get(target));
-                y_pred.push(qp.predict_target(target, &r.props, r.partitioner, r.k));
-            }
+            let (y_true, y_pred) = quality_pairs(qp, test, target);
             (target, mape(&y_true, &y_pred), rmse(&y_true, &y_pred))
         })
         .collect()
@@ -42,31 +39,18 @@ pub fn mape_heatmap(
     test: &[QualityRecord],
     target: QualityTarget,
 ) -> Vec<(GraphType, Vec<(PartitionerId, f64)>)> {
+    let pairs = quality_pairs(qp, test, target);
     GraphType::ALL
         .iter()
         .filter_map(|&gt| {
             let row: Vec<(PartitionerId, f64)> = PartitionerId::ALL
                 .iter()
                 .filter_map(|&p| {
-                    let mut y_true = Vec::new();
-                    let mut y_pred = Vec::new();
-                    for r in test.iter().filter(|r| r.graph_type == Some(gt) && r.partitioner == p)
-                    {
-                        y_true.push(r.metrics.get(target));
-                        y_pred.push(qp.predict_target(target, &r.props, r.partitioner, r.k));
-                    }
-                    if y_true.is_empty() {
-                        None
-                    } else {
-                        Some((p, mape(&y_true, &y_pred)))
-                    }
+                    mape_where(test, &pairs, |r| r.graph_type == Some(gt) && r.partitioner == p)
+                        .map(|mape| (p, mape))
                 })
                 .collect();
-            if row.is_empty() {
-                None
-            } else {
-                Some((gt, row))
-            }
+            (!row.is_empty()).then_some((gt, row))
         })
         .collect()
 }
@@ -78,22 +62,40 @@ pub fn mape_by_type(
     test: &[QualityRecord],
     target: QualityTarget,
 ) -> Vec<(GraphType, f64)> {
+    mape_by_type_of(test, &quality_pairs(qp, test, target))
+}
+
+/// [`mape_by_type`] over already-predicted `(truth, prediction)` pairs.
+pub(crate) fn mape_by_type_of(
+    test: &[QualityRecord],
+    pairs: &(Vec<f64>, Vec<f64>),
+) -> Vec<(GraphType, f64)> {
     GraphType::ALL
         .iter()
-        .filter_map(|&gt| {
-            let mut y_true = Vec::new();
-            let mut y_pred = Vec::new();
-            for r in test.iter().filter(|r| r.graph_type == Some(gt)) {
-                y_true.push(r.metrics.get(target));
-                y_pred.push(qp.predict_target(target, &r.props, r.partitioner, r.k));
-            }
-            if y_true.is_empty() {
-                None
-            } else {
-                Some((gt, mape(&y_true, &y_pred)))
-            }
-        })
+        .filter_map(|&gt| mape_where(test, pairs, |r| r.graph_type == Some(gt)).map(|m| (gt, m)))
         .collect()
+}
+
+/// `target`'s truth and prediction for each of `test`, in record order:
+/// the test set goes through the model once.
+pub(crate) fn quality_pairs(
+    qp: &QualityPredictor,
+    test: &[QualityRecord],
+    target: QualityTarget,
+) -> (Vec<f64>, Vec<f64>) {
+    (test.iter().map(|r| r.metrics.get(target)).collect(), qp.predict_target(target, test))
+}
+
+/// The MAPE of the `(truth, prediction)` pairs whose records `keep`
+/// selects, in record order; `None` when it selects none.
+fn mape_where<R>(
+    records: &[R],
+    (truth, pred): &(Vec<f64>, Vec<f64>),
+    keep: impl Fn(&R) -> bool,
+) -> Option<f64> {
+    let (y_true, y_pred): (Vec<f64>, Vec<f64>) =
+        records.iter().zip(truth.iter().zip(pred)).filter(|(r, _)| keep(r)).map(|(_, p)| p).unzip();
+    (!y_true.is_empty()).then(|| mape(&y_true, &y_pred))
 }
 
 /// Table V: per-workload MAPE of the processing-time predictor on a test
@@ -102,22 +104,11 @@ pub fn processing_test_scores(
     pp: &ProcessingTimePredictor,
     test: &[ProcessingRecord],
 ) -> Vec<(&'static str, f64)> {
-    let mut names: Vec<&'static str> = Vec::new();
-    for r in test {
-        if !names.contains(&r.workload.name()) {
-            names.push(r.workload.name());
-        }
-    }
-    names
+    let pairs = (test.iter().map(|r| r.target_secs).collect(), pp.predict_target(test));
+    workload_names(test)
         .into_iter()
-        .map(|name| {
-            let mut y_true = Vec::new();
-            let mut y_pred = Vec::new();
-            for r in test.iter().filter(|r| r.workload.name() == name) {
-                y_true.push(r.target_secs);
-                y_pred.push(pp.predict_target(r.workload, &r.props, &r.metrics));
-            }
-            (name, mape(&y_true, &y_pred))
+        .filter_map(|name| {
+            mape_where(test, &pairs, |r| r.workload.name() == name).map(|m| (name, m))
         })
         .collect()
 }
@@ -125,8 +116,7 @@ pub fn processing_test_scores(
 /// Test MAPE of the partitioning-time predictor.
 pub fn partitioning_time_score(tp: &PartitioningTimePredictor, test: &[QualityRecord]) -> f64 {
     let y_true: Vec<f64> = test.iter().map(|r| r.partitioning_secs).collect();
-    let y_pred: Vec<f64> =
-        test.iter().flat_map(|r| tp.predict(&r.props, &[r.partitioner])).collect();
+    let y_pred = tp.predict(test.iter().map(|r| (&r.props, r.partitioner)));
     mape(&y_true, &y_pred)
 }
 
@@ -281,7 +271,9 @@ pub fn evaluate_selection(
         let mut hits = 0usize;
         let mut count = 0usize;
         for g in groups.iter().filter(|g| g.workload.name() == w.name()) {
-            let selection = ease.select(&g.props, g.workload, k, goal);
+            let selection = ease
+                .try_select(&g.props, g.workload, k, goal)
+                .expect("every truth group's workload is trained and the catalog is not empty");
             let pick_cost = g
                 .truth
                 .iter()
@@ -399,7 +391,7 @@ mod tests {
         let props = PreparedGraph::of(&graph).properties(PropertyTier::Advanced);
         let workload = Workload::ConnectedComponents;
         let goal = OptGoal::ProcessingOnly;
-        let pick = ease.select(&props, workload, 4, goal).best;
+        let pick = ease.try_select(&props, workload, 4, goal).expect("a trained workload").best;
         // the pick comes *second* of two equal optima, the third costs more
         let twin = ease.catalog.iter().copied().find(|p| *p != pick).expect("three candidates");
         let costs = |partitioner, processing_secs| TrueCosts {

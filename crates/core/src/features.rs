@@ -6,6 +6,11 @@
 //! | partitioning quality | basic or advanced   | k, one-hot partitioner       |
 //! | partitioning time  | advanced (all tiers)  | one-hot partitioner          |
 //! | processing time    | simple (|E|, |V|)     | 5 quality metrics, iterations|
+//!
+//! Each predictor has one builder, from row descriptors to a feature
+//! matrix. Training, evaluation and selection all build through it: a
+//! training record, a test record and a candidate partitioner of a query
+//! are the same kind of row.
 
 use ease_graph::{GraphProperties, PropertyTier};
 use ease_ml::{Matrix, OneHotEncoder};
@@ -33,44 +38,19 @@ pub fn quality_feature_names(tier: PropertyTier) -> Vec<String> {
     names
 }
 
-/// Feature row for the PartitioningQualityPredictor.
-pub fn quality_row(
-    props: &GraphProperties,
+/// The PartitioningQualityPredictor's feature matrix: per
+/// `(props, k, partitioner)`, the graph's properties at `tier`, then `k`,
+/// then the partitioner's one-hot columns.
+pub fn quality_matrix<'a>(
     tier: PropertyTier,
-    k: usize,
-    partitioner: PartitionerId,
-) -> Vec<f64> {
-    let mut row = props.feature_vector(tier);
-    row.push(k as f64);
-    let enc = partitioner_encoder();
-    enc.encode_into(partitioner.name(), &mut row);
-    row
-}
-
-/// [`quality_row`] for each of `partitioners`, as the rows of one matrix:
-/// the graph's part of the row is built once.
-pub fn quality_rows(
-    props: &GraphProperties,
-    tier: PropertyTier,
-    k: usize,
-    partitioners: &[PartitionerId],
+    rows: impl IntoIterator<Item = (&'a GraphProperties, usize, PartitionerId)>,
 ) -> Matrix {
-    let mut head = props.feature_vector(tier);
-    head.push(k as f64);
-    one_row_per_partitioner(head, partitioners)
-}
-
-/// `head` followed by each partitioner's one-hot columns, one row each.
-fn one_row_per_partitioner(mut head: Vec<f64>, partitioners: &[PartitionerId]) -> Matrix {
     let enc = partitioner_encoder();
-    let shared = head.len();
-    let mut x = Matrix::with_capacity(partitioners.len(), shared + enc.width());
-    for p in partitioners {
-        head.truncate(shared);
-        enc.encode_into(p.name(), &mut head);
-        x.push_row(&head);
-    }
-    x
+    let rows = rows.into_iter().map(|(props, k, p)| (props, (k, p)));
+    matrix(tier, 1 + enc.width(), rows, |(k, p), row| {
+        row.push(k as f64);
+        enc.encode_into(p.name(), row);
+    })
 }
 
 /// Feature names for the PartitioningTimePredictor (all property tiers +
@@ -86,18 +66,15 @@ pub fn partitioning_time_feature_names() -> Vec<String> {
     names
 }
 
-/// Feature row for the PartitioningTimePredictor.
-pub fn partitioning_time_row(props: &GraphProperties, partitioner: PartitionerId) -> Vec<f64> {
-    let mut row = props.feature_vector(PropertyTier::Advanced);
+/// The PartitioningTimePredictor's feature matrix: per `(props,
+/// partitioner)`, the graph's advanced properties, then the partitioner's
+/// one-hot columns.
+pub fn partitioning_time_matrix<'a>(
+    rows: impl IntoIterator<Item = (&'a GraphProperties, PartitionerId)>,
+) -> Matrix {
     let enc = partitioner_encoder();
-    enc.encode_into(partitioner.name(), &mut row);
-    row
-}
-
-/// [`partitioning_time_row`] for each of `partitioners`, as the rows of one
-/// matrix.
-pub fn partitioning_time_rows(props: &GraphProperties, partitioners: &[PartitionerId]) -> Matrix {
-    one_row_per_partitioner(props.feature_vector(PropertyTier::Advanced), partitioners)
+    let rows = rows.into_iter();
+    matrix(PropertyTier::Advanced, enc.width(), rows, |p, row| enc.encode_into(p.name(), row))
 }
 
 /// Feature names for the ProcessingTimePredictor: simple graph properties +
@@ -112,34 +89,44 @@ pub fn processing_time_feature_names() -> Vec<String> {
     names
 }
 
-/// Feature row for the ProcessingTimePredictor. `iterations` is 0 for
-/// run-to-convergence workloads (paper: only fixed-iteration algorithms
-/// take I as an input).
-pub fn processing_time_row(
-    props: &GraphProperties,
-    metrics: &QualityMetrics,
-    iterations: usize,
-) -> Vec<f64> {
-    let mut row = props.feature_vector(PropertyTier::Simple);
-    row.extend(metrics.as_vector());
-    row.push(iterations as f64);
-    row
+/// The ProcessingTimePredictor's feature matrix: per `(props, metrics,
+/// iterations)`, the graph's simple properties, the five metrics, then the
+/// workload's iteration count — 0 for run-to-convergence workloads (paper:
+/// only fixed-iteration algorithms take I as an input).
+pub fn processing_time_matrix<'a>(
+    rows: impl IntoIterator<Item = (&'a GraphProperties, &'a QualityMetrics, usize)>,
+) -> Matrix {
+    let rows = rows.into_iter().map(|(props, metrics, iterations)| (props, (metrics, iterations)));
+    let tail = QualityTarget::ALL.len() + 1;
+    matrix(PropertyTier::Simple, tail, rows, |(metrics, iterations), row| {
+        row.extend(metrics.as_vector());
+        row.push(iterations as f64);
+    })
 }
 
-/// [`processing_time_row`] for each of `metrics`, as the rows of one matrix.
-pub fn processing_time_rows(
-    props: &GraphProperties,
-    metrics: &[QualityMetrics],
-    iterations: usize,
+/// The loop the three builders share: per row, its graph's properties at
+/// `tier`, then the `tail` columns `push_tail` appends. Consecutive rows
+/// over the same properties — the candidates of one query — share one
+/// property vector.
+fn matrix<'a, T>(
+    tier: PropertyTier,
+    tail: usize,
+    rows: impl Iterator<Item = (&'a GraphProperties, T)>,
+    push_tail: impl Fn(T, &mut Vec<f64>),
 ) -> Matrix {
-    let mut row = props.feature_vector(PropertyTier::Simple);
-    let shared = row.len();
-    let width = shared + QualityTarget::ALL.len() + 1;
-    let mut x = Matrix::with_capacity(metrics.len(), width);
-    for m in metrics {
-        row.truncate(shared);
-        row.extend(m.as_vector());
-        row.push(iterations as f64);
+    let width = GraphProperties::feature_names(tier).len() + tail;
+    let mut x = Matrix::with_capacity(rows.size_hint().0, width);
+    let mut row = Vec::new();
+    let mut head: Option<(&GraphProperties, usize)> = None;
+    for (props, rest) in rows {
+        match head {
+            Some((shared, len)) if std::ptr::eq(shared, props) => row.truncate(len),
+            _ => {
+                row = props.feature_vector(tier);
+                head = Some((props, row.len()));
+            }
+        }
+        push_tail(rest, &mut row);
         x.push_row(&row);
     }
     x
@@ -166,17 +153,21 @@ mod tests {
     }
 
     #[test]
-    fn quality_row_width_matches_names() {
+    fn quality_matrix_width_matches_names() {
+        let props = props();
         for tier in PropertyTier::ALL {
-            let row = quality_row(&props(), tier, 8, PartitionerId::Hdrf);
-            assert_eq!(row.len(), quality_feature_names(tier).len(), "{tier:?}");
+            let x = quality_matrix(tier, [(&props, 8, PartitionerId::Hdrf)]);
+            assert_eq!(x.cols, quality_feature_names(tier).len(), "{tier:?}");
+            assert_eq!(x.row(0).len(), x.cols);
         }
+        assert_eq!(quality_matrix(PropertyTier::Basic, []).rows, 0);
     }
 
     #[test]
-    fn quality_row_one_hot_is_exclusive() {
-        let row = quality_row(&props(), PropertyTier::Basic, 8, PartitionerId::Ne);
-        let hot: Vec<f64> = row[row.len() - 11..].to_vec();
+    fn quality_one_hot_is_exclusive() {
+        let props = props();
+        let x = quality_matrix(PropertyTier::Basic, [(&props, 8, PartitionerId::Ne)]);
+        let hot = &x.row(0)[x.cols - 11..];
         assert_eq!(hot.iter().filter(|&&v| v == 1.0).count(), 1);
         assert_eq!(hot.iter().filter(|&&v| v == 0.0).count(), 10);
         // NE is the last partitioner in ALL order
@@ -185,45 +176,49 @@ mod tests {
 
     #[test]
     fn k_lands_right_after_properties() {
-        let row = quality_row(&props(), PropertyTier::Simple, 64, PartitionerId::OneDD);
-        assert_eq!(row[2], 64.0); // [|E|, |V|, k, ...one-hot]
+        let props = props();
+        let x = quality_matrix(PropertyTier::Simple, [(&props, 64, PartitionerId::OneDD)]);
+        assert_eq!(x.row(0)[2], 64.0); // [|E|, |V|, k, ...one-hot]
     }
 
     #[test]
-    fn partitioning_time_row_width() {
-        let row = partitioning_time_row(&props(), PartitionerId::TwoPs);
-        assert_eq!(row.len(), partitioning_time_feature_names().len());
+    fn partitioning_time_matrix_width() {
+        let props = props();
+        let x = partitioning_time_matrix([(&props, PartitionerId::TwoPs)]);
+        assert_eq!(x.cols, partitioning_time_feature_names().len());
         // 8 advanced props + 11 one-hot
-        assert_eq!(row.len(), 19);
+        assert_eq!(x.cols, 19);
     }
 
+    /// A row does not depend on its neighbours: rows that share a graph's
+    /// property vector are the rows of graphs built one at a time.
     #[test]
-    fn matrices_hold_the_single_rows() {
+    fn shared_property_rows_equal_rows_built_alone() {
+        let (a, b) = (props(), props());
         let catalog = [PartitionerId::Ne, PartitionerId::OneDD, PartitionerId::Hdrf];
         for tier in PropertyTier::ALL {
-            let x = quality_rows(&props(), tier, 8, &catalog);
-            for (i, &p) in catalog.iter().enumerate() {
-                assert_eq!(x.row(i), quality_row(&props(), tier, 8, p), "{tier:?} {p:?}");
-            }
+            let shared = quality_matrix(tier, catalog.iter().map(|&p| (&a, 8, p)));
+            let apart =
+                quality_matrix(tier, catalog.iter().zip([&a, &b, &a]).map(|(&p, g)| (g, 8, p)));
+            assert_eq!(shared, apart, "{tier:?}");
         }
-        let x = partitioning_time_rows(&props(), &catalog);
-        for (i, &p) in catalog.iter().enumerate() {
-            assert_eq!(x.row(i), partitioning_time_row(&props(), p));
-        }
+        let shared = partitioning_time_matrix(catalog.iter().map(|&p| (&a, p)));
+        let apart =
+            partitioning_time_matrix(catalog.iter().zip([&b, &a, &b]).map(|(&p, g)| (g, p)));
+        assert_eq!(shared, apart);
         let all = [metrics(), QualityMetrics { replication_factor: 3.0, ..metrics() }];
-        let x = processing_time_rows(&props(), &all, 10);
-        for (i, m) in all.iter().enumerate() {
-            assert_eq!(x.row(i), processing_time_row(&props(), m, 10));
-        }
-        assert_eq!(quality_rows(&props(), PropertyTier::Basic, 2, &[]).rows, 0);
+        let shared = processing_time_matrix(all.iter().map(|m| (&a, m, 10)));
+        let apart = processing_time_matrix(all.iter().zip([&b, &a]).map(|(m, g)| (g, m, 10)));
+        assert_eq!(shared, apart);
     }
 
     #[test]
-    fn processing_time_row_layout() {
-        let row = processing_time_row(&props(), &metrics(), 10);
-        assert_eq!(row.len(), processing_time_feature_names().len());
+    fn processing_time_matrix_layout() {
+        let props = props();
+        let x = processing_time_matrix([(&props, &metrics(), 10)]);
+        assert_eq!(x.cols, processing_time_feature_names().len());
         // [|E|, |V|, rf, eb, vb, sb, db, iters]
-        assert_eq!(row[2], 1.5);
-        assert_eq!(row[7], 10.0);
+        assert_eq!(x.row(0)[2], 1.5);
+        assert_eq!(x.row(0)[7], 10.0);
     }
 }

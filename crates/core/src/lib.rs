@@ -9,7 +9,7 @@
 //!
 //! for each of the 11 supported edge partitioners, and automatically picks
 //! the partitioner minimizing either the processing time or the end-to-end
-//! time ([`Ease::select`]).
+//! time ([`Ease::try_select`]).
 //!
 //! The training pipeline (paper Fig. 5) lives in [`profiling`] (steps 1–3:
 //! generate graphs, partition + measure, process + measure) and

@@ -188,7 +188,8 @@ mod tests {
         let g = ease_graphgen::realworld::socfb_analogue(Scale::Tiny, 5).graph;
         let props = PreparedGraph::of(&g).properties(PropertyTier::Advanced);
         for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
-            let sel = ease.select(&props, Workload::PageRank { iterations: 3 }, 4, goal);
+            let sel =
+                ease.try_select(&props, Workload::PageRank { iterations: 3 }, 4, goal).unwrap();
             assert!(cfg.partitioners.contains(&sel.best));
             assert_eq!(sel.candidates.len(), 3);
             for c in &sel.candidates {

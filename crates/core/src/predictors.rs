@@ -74,11 +74,7 @@ pub struct QualityPredictor {
 impl QualityPredictor {
     /// The feature rows of `records` — one matrix, whichever the target.
     fn feature_matrix(records: &[QualityRecord], tier: PropertyTier) -> Matrix {
-        let mut x = Matrix::with_cols(features::quality_feature_names(tier).len());
-        for r in records {
-            x.push_row(&features::quality_row(&r.props, tier, r.k, r.partitioner));
-        }
-        x
+        features::quality_matrix(tier, records.iter().map(|r| (&r.props, r.k, r.partitioner)))
     }
 
     /// Assemble the training dataset for one quality target.
@@ -134,15 +130,17 @@ impl QualityPredictor {
         targets: &[QualityTarget],
     ) -> Self {
         assert!(!records.is_empty());
-        let mut models = Vec::new();
-        let mut chosen = Vec::new();
-        for &target in targets {
-            let ds = Self::dataset(records, tier, target);
-            let mut model = config.build();
-            model.fit(&ds.x, &ds.y);
-            chosen.push((target, ChosenModel { config: config.clone(), cv_mape: f64::NAN }));
-            models.push((target, model));
-        }
+        let x = Self::feature_matrix(records, tier);
+        let (models, chosen) = targets
+            .iter()
+            .map(|&target| {
+                let y: Vec<f64> = records.iter().map(|r| r.metrics.get(target)).collect();
+                let mut model = config.build();
+                model.fit(&x, &y);
+                let chosen = ChosenModel { config: config.clone(), cv_mape: f64::NAN };
+                ((target, model), (target, chosen))
+            })
+            .unzip();
         QualityPredictor { tier, models, chosen }
     }
 
@@ -154,17 +152,12 @@ impl QualityPredictor {
             .expect("a model was fitted for this target")
     }
 
-    /// Predict one metric.
-    pub fn predict_target(
-        &self,
-        target: QualityTarget,
-        props: &GraphProperties,
-        partitioner: PartitionerId,
-        k: usize,
-    ) -> f64 {
-        let row = features::quality_row(props, self.tier, k, partitioner);
+    /// One metric of each of `records`, in order: one feature matrix, one
+    /// `predict`.
+    pub fn predict_target(&self, target: QualityTarget, records: &[QualityRecord]) -> Vec<f64> {
+        let x = Self::feature_matrix(records, self.tier);
         // quality metrics are ≥ 1 by definition; clamp regressor output
-        self.model(target).predict_row(&row).max(1.0)
+        self.model(target).predict(&x).into_iter().map(|v| v.max(1.0)).collect()
     }
 
     /// The five metrics of each of `partitioners` on one graph at `k`, in
@@ -175,7 +168,7 @@ impl QualityPredictor {
         partitioners: &[PartitionerId],
         k: usize,
     ) -> Vec<QualityMetrics> {
-        let x = features::quality_rows(props, self.tier, k, partitioners);
+        let x = features::quality_matrix(self.tier, partitioners.iter().map(|&p| (props, k, p)));
         let [rf, eb, vb, sb, db] = QualityTarget::ALL.map(|target| self.model(target).predict(&x));
         // quality metrics are ≥ 1 by definition; clamp regressor output
         (0..partitioners.len())
@@ -256,14 +249,13 @@ pub struct PartitioningTimePredictor {
 
 impl PartitioningTimePredictor {
     pub fn dataset(records: &[QualityRecord]) -> Dataset {
-        let mut ds = Dataset::new(features::partitioning_time_feature_names());
-        for r in records {
-            ds.push(
-                &features::partitioning_time_row(&r.props, r.partitioner),
-                to_log(r.partitioning_secs),
-            );
+        Dataset {
+            feature_names: features::partitioning_time_feature_names(),
+            x: features::partitioning_time_matrix(
+                records.iter().map(|r| (&r.props, r.partitioner)),
+            ),
+            y: records.iter().map(|r| to_log(r.partitioning_secs)).collect(),
         }
-        ds
     }
 
     pub fn train(records: &[QualityRecord], grid: &[ModelConfig], folds: usize, seed: u64) -> Self {
@@ -276,10 +268,13 @@ impl PartitioningTimePredictor {
         PartitioningTimePredictor { model, chosen }
     }
 
-    /// The partitioning time of each of `partitioners` on one graph, in
-    /// order, through one `predict`.
-    pub fn predict(&self, props: &GraphProperties, partitioners: &[PartitionerId]) -> Vec<f64> {
-        let x = features::partitioning_time_rows(props, partitioners);
+    /// The partitioning time of each `(props, partitioner)`, in order,
+    /// through one `predict`.
+    pub fn predict<'a>(
+        &self,
+        rows: impl IntoIterator<Item = (&'a GraphProperties, PartitionerId)>,
+    ) -> Vec<f64> {
+        let x = features::partitioning_time_matrix(rows);
         self.model.predict(&x).into_iter().map(from_log).collect()
     }
 
@@ -310,17 +305,21 @@ pub struct ProcessingTimePredictor {
 }
 
 impl ProcessingTimePredictor {
+    /// The feature rows of `records`, in order.
+    fn feature_matrix<'a>(records: impl Iterator<Item = &'a ProcessingRecord>) -> Matrix {
+        features::processing_time_matrix(
+            records.map(|r| (&r.props, &r.metrics, r.workload.fixed_iterations().unwrap_or(0))),
+        )
+    }
+
     /// Dataset for one workload.
     pub fn dataset(records: &[ProcessingRecord], workload_name: &str) -> Dataset {
-        let mut ds = Dataset::new(features::processing_time_feature_names());
-        for r in records.iter().filter(|r| r.workload.name() == workload_name) {
-            let iters = r.workload.fixed_iterations().unwrap_or(0);
-            ds.push(
-                &features::processing_time_row(&r.props, &r.metrics, iters),
-                to_log(r.target_secs),
-            );
+        let of_workload = || records.iter().filter(|r| r.workload.name() == workload_name);
+        Dataset {
+            feature_names: features::processing_time_feature_names(),
+            x: Self::feature_matrix(of_workload()),
+            y: of_workload().map(|r| to_log(r.target_secs)).collect(),
         }
-        ds
     }
 
     pub fn train(
@@ -330,12 +329,7 @@ impl ProcessingTimePredictor {
         seed: u64,
     ) -> Self {
         assert!(!records.is_empty(), "no processing records");
-        let mut names: Vec<&'static str> = Vec::new();
-        for r in records {
-            if !names.contains(&r.workload.name()) {
-                names.push(r.workload.name());
-            }
-        }
+        let names = workload_names(records);
         let datasets: Vec<Dataset> =
             names.iter().map(|name| Self::dataset(records, name)).collect();
         // one group per workload: the `iterations` column differs
@@ -355,26 +349,28 @@ impl ProcessingTimePredictor {
     /// The model trained for `workload`; panics when there is none (the
     /// selector checks [`ProcessingTimePredictor::supports`] first and
     /// reports `EaseError::UnsupportedWorkload`).
-    fn model(&self, workload: Workload) -> &dyn Regressor {
+    fn model(&self, workload_name: &str) -> &dyn Regressor {
         self.models
             .iter()
-            .find(|(n, _)| *n == workload.name())
+            .find(|(n, _)| *n == workload_name)
             .map(|(_, m)| m.as_ref())
-            .unwrap_or_else(|| panic!("no model trained for workload {}", workload.name()))
+            .unwrap_or_else(|| panic!("no model trained for workload {workload_name}"))
     }
 
-    /// Predict the target metric (avg-iteration or total seconds) for a
-    /// workload given predicted/measured quality metrics.
-    pub fn predict_target(
-        &self,
-        workload: Workload,
-        props: &GraphProperties,
-        metrics: &QualityMetrics,
-    ) -> f64 {
-        let model = self.model(workload);
-        let iters = workload.fixed_iterations().unwrap_or(0);
-        let row = features::processing_time_row(props, metrics, iters);
-        from_log(model.predict_row(&row))
+    /// The target metric (avg-iteration or total seconds) of each of
+    /// `records`, in order, given its measured quality metrics: one feature
+    /// matrix and one `predict` per workload among them.
+    pub fn predict_target(&self, records: &[ProcessingRecord]) -> Vec<f64> {
+        let mut targets = vec![0.0; records.len()];
+        for name in workload_names(records) {
+            let of_workload = |r: &&ProcessingRecord| r.workload.name() == name;
+            let x = Self::feature_matrix(records.iter().filter(of_workload));
+            let slots = targets.iter_mut().zip(records).filter(|(_, r)| of_workload(r));
+            for ((slot, _), v) in slots.zip(self.model(name).predict(&x)) {
+                *slot = from_log(v);
+            }
+        }
+        targets
     }
 
     /// The *total* processing time of `workload` on one graph under each of
@@ -386,9 +382,9 @@ impl ProcessingTimePredictor {
         props: &GraphProperties,
         metrics: &[QualityMetrics],
     ) -> Vec<f64> {
-        let model = self.model(workload);
-        let iters = workload.fixed_iterations().unwrap_or(0);
-        let x = features::processing_time_rows(props, metrics, iters);
+        let model = self.model(workload.name());
+        let iterations = workload.fixed_iterations().unwrap_or(0);
+        let x = features::processing_time_matrix(metrics.iter().map(|m| (props, m, iterations)));
         model.predict(&x).into_iter().map(|v| workload.total_from_target(from_log(v))).collect()
     }
 
@@ -439,6 +435,17 @@ impl ProcessingTimePredictor {
     }
 }
 
+/// The workloads among `records`, each once, in order of appearance.
+pub(crate) fn workload_names(records: &[ProcessingRecord]) -> Vec<&'static str> {
+    let mut names: Vec<&'static str> = Vec::new();
+    for r in records {
+        if !names.contains(&r.workload.name()) {
+            names.push(r.workload.name());
+        }
+    }
+    names
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,12 +485,18 @@ mod tests {
         assert!(m.replication_factor >= 1.0);
         assert!(m.edge_balance >= 1.0);
         // higher k should predict higher RF for a hash partitioner
-        let rf2 =
-            qp.predict_target(QualityTarget::ReplicationFactor, &props, PartitionerId::OneDD, 2);
-        let rf8 =
-            qp.predict_target(QualityTarget::ReplicationFactor, &props, PartitionerId::OneDD, 8);
+        let rf = |k| qp.predict(&props, &[PartitionerId::OneDD], k)[0].replication_factor;
+        let (rf2, rf8) = (rf(2), rf(8));
         assert!(rf8 > rf2 * 0.9, "rf2={rf2} rf8={rf8}");
         assert_eq!(qp.chosen.len(), 5);
+        // a batch of records predicts what each record's candidate query does
+        for target in QualityTarget::ALL {
+            let batched = qp.predict_target(target, &records);
+            for (r, v) in records.iter().zip(batched) {
+                let [m] = qp.predict(&r.props, &[r.partitioner], r.k)[..] else { unreachable!() };
+                assert_eq!(v.to_bits(), m.get(target).to_bits(), "{target:?}");
+            }
+        }
     }
 
     #[test]
@@ -497,10 +510,11 @@ mod tests {
         );
         let qp = QualityPredictor::train(&records, PropertyTier::Basic, &zoo::quick_grid(), 3, 2);
         let props = inputs(1, 1_200)[0].prepare().properties(PropertyTier::Advanced);
-        let rf_hash =
-            qp.predict_target(QualityTarget::ReplicationFactor, &props, PartitionerId::Crvc, 8);
-        let rf_ne =
-            qp.predict_target(QualityTarget::ReplicationFactor, &props, PartitionerId::Ne, 8);
+        let [hash, ne] = qp.predict(&props, &[PartitionerId::Crvc, PartitionerId::Ne], 8)[..]
+        else {
+            panic!("two candidates")
+        };
+        let (rf_hash, rf_ne) = (hash.replication_factor, ne.replication_factor);
         assert!(rf_ne < rf_hash, "ne {rf_ne} vs crvc {rf_hash}");
     }
 
@@ -515,7 +529,8 @@ mod tests {
         );
         let tp = PartitioningTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
         let props = inputs(1, 4_000)[0].prepare().properties(PropertyTier::Advanced);
-        let [fast, slow] = tp.predict(&props, &[PartitionerId::OneDD, PartitionerId::Ne])[..]
+        let [fast, slow] =
+            tp.predict([(&props, PartitionerId::OneDD), (&props, PartitionerId::Ne)])[..]
         else {
             panic!("two candidates")
         };
@@ -535,18 +550,15 @@ mod tests {
         );
         let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
         assert_eq!(pp.supported_workloads().len(), 2);
-        let props = inputs(1, 1_000)[0].prepare().properties(PropertyTier::Advanced);
-        let metrics = ease_partition::QualityMetrics {
-            replication_factor: 2.0,
-            edge_balance: 1.05,
-            vertex_balance: 1.2,
-            source_balance: 1.2,
-            dest_balance: 1.2,
-        };
-        let t = pp.predict_target(Workload::PageRank { iterations: 5 }, &props, &metrics);
-        assert!(t > 0.0);
-        let totals = pp.predict_totals(Workload::PageRank { iterations: 5 }, &props, &[metrics]);
-        assert_eq!(totals, [t * 5.0]);
+        // records of both workloads, interleaved: each is predicted by its
+        // own workload's model, as a candidate query would be
+        let targets = pp.predict_target(&records);
+        assert_eq!(targets.len(), records.len());
+        for (r, t) in records.iter().zip(targets) {
+            assert!(t > 0.0);
+            let total = r.workload.total_from_target(t);
+            assert_eq!(pp.predict_totals(r.workload, &r.props, &[r.metrics]), [total]);
+        }
     }
 
     #[test]
@@ -562,8 +574,7 @@ mod tests {
         );
         let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 2, 1);
         let props = inputs(1, 600)[0].prepare().properties(PropertyTier::Advanced);
-        let metrics = records[0].metrics;
-        let _ = pp.predict_target(Workload::KCores, &props, &metrics);
+        let _ = pp.predict_totals(Workload::KCores, &props, &[records[0].metrics]);
     }
 
     #[test]

@@ -79,20 +79,9 @@ impl Ease {
     }
 
     /// Automatic selection: evaluate the whole catalog and pick the
-    /// predicted minimum for the goal.
-    pub fn select(
-        &self,
-        props: &GraphProperties,
-        workload: Workload,
-        k: usize,
-        goal: OptGoal,
-    ) -> Selection {
-        self.try_select(props, workload, k, goal).expect("selectable query")
-    }
-
-    /// [`Ease::select`] with typed errors instead of panics: an empty
-    /// catalog and untrained workloads are reported as [`EaseError`]s. The
-    /// error path the [`crate::service::EaseService`] exposes to users.
+    /// predicted minimum for the goal. An empty catalog and untrained
+    /// workloads are typed [`EaseError`]s — the error path the
+    /// [`crate::service::EaseService`] exposes to users.
     pub fn try_select(
         &self,
         props: &GraphProperties,
@@ -116,7 +105,7 @@ impl Ease {
         }
         // the whole catalog through each model at once: one matrix per model
         let quality = self.quality.predict(props, &self.catalog, k);
-        let partitioning = self.partitioning_time.predict(props, &self.catalog);
+        let partitioning = self.partitioning_time.predict(self.catalog.iter().map(|&p| (props, p)));
         let processing = self.processing_time.predict_totals(workload, props, &quality);
         let candidates: Vec<PredictedCosts> = self
             .catalog
@@ -206,7 +195,7 @@ pub fn strategy_cost(strategy: Strategy, truth: &[TrueCosts], goal: OptGoal) -> 
     assert!(!truth.is_empty());
     let cost = |t: &TrueCosts| t.cost(goal);
     match strategy {
-        Strategy::Ease => panic!("S_PS needs predictions; use Ease::select"),
+        Strategy::Ease => panic!("S_PS needs predictions; use Ease::try_select"),
         Strategy::Optimal => truth.iter().map(cost).fold(f64::INFINITY, f64::min),
         Strategy::Worst => truth.iter().map(cost).fold(0.0, f64::max),
         Strategy::Random => truth.iter().map(cost).sum::<f64>() / truth.len() as f64,
@@ -226,7 +215,7 @@ pub fn strategy_cost(strategy: Strategy, truth: &[TrueCosts], goal: OptGoal) -> 
 pub fn strategy_pick(strategy: Strategy, truth: &[TrueCosts], goal: OptGoal) -> PartitionerId {
     assert!(!truth.is_empty());
     match strategy {
-        Strategy::Ease => panic!("S_PS needs predictions; use Ease::select"),
+        Strategy::Ease => panic!("S_PS needs predictions; use Ease::try_select"),
         Strategy::Random => panic!("random strategy has no deterministic pick"),
         Strategy::Optimal => {
             truth

@@ -10,8 +10,8 @@
 //! which matters: a client that wrote an unbounded burst without reading
 //! would deadlock against the daemon's per-connection in-flight cap
 //! (both sides blocked on full buffers). Keeping the window at or below
-//! the server's [`super::ServeConfig::pipeline_in_flight`] keeps the
-//! pipe moving by construction.
+//! the server's [`super::DEFAULT_PIPELINE_IN_FLIGHT`] keeps the pipe
+//! moving by construction.
 
 use super::protocol::{proto_err, read_frame_v2, write_frame_v2, Request, Response};
 use crate::error::EaseError;
@@ -268,9 +268,9 @@ impl PipelinedReceiver {
 /// Drive a batch of requests through one pipelined connection, keeping up
 /// to `window` of them in flight, and return the responses in request
 /// order. `window` should not exceed the daemon's per-connection
-/// in-flight cap ([`super::DEFAULT_PIPELINE_IN_FLIGHT`] by default) —
-/// the bounded window is what prevents a write-everything-then-read
-/// deadlock against the daemon's own backpressure.
+/// in-flight cap ([`super::DEFAULT_PIPELINE_IN_FLIGHT`]) — the bounded
+/// window is what prevents a write-everything-then-read deadlock against
+/// the daemon's own backpressure.
 pub fn call_pipelined(
     endpoint: &Endpoint,
     requests: &[Request],

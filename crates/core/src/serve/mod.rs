@@ -20,8 +20,8 @@
 //!   second bounded executor pool shared by every pipelined session, so
 //!   one connection's requests complete concurrently and out of order.
 //!   Per-connection backpressure is a bounded in-flight window
-//!   ([`ServeConfig::pipeline_in_flight`]): a slow-reading client stalls
-//!   only its own connection, never the executors or the accept loop.
+//!   ([`DEFAULT_PIPELINE_IN_FLIGHT`]): a slow-reading client stalls only
+//!   its own connection, never the executors or the accept loop.
 //! * **Router** ([`router`] + [`ring`]) — [`route`] runs the same
 //!   connection stack with a forwarding handler instead of a local one:
 //!   a consistent-hash ring shards graphs across a fleet of daemons for
@@ -232,8 +232,12 @@ pub fn render_features(
 /// [`ServeConfig::io_timeout`]).
 pub const DEFAULT_IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
-/// Default bound on concurrently executing + queued responses per
-/// pipelined connection (see [`ServeConfig::pipeline_in_flight`]).
+/// Per-connection pipelining window: how many requests of one v2
+/// connection may be executing or queued for write at once. When the
+/// window is full the connection's *reader* blocks — backpressure is per
+/// connection, so a slow-reading client cannot occupy executors or stall
+/// the accept loop. Clients that pipeline ([`call_pipelined`]) keep their
+/// window at or below it.
 pub const DEFAULT_PIPELINE_IN_FLIGHT: usize = 32;
 
 /// Server configuration: the endpoints to bind and the worker-pool bounds.
@@ -257,12 +261,6 @@ pub struct ServeConfig {
     /// pipelined sessions keep a write timeout regardless, because their
     /// writer thread must stay joinable for graceful drain.
     pub io_timeout: Option<std::time::Duration>,
-    /// Per-connection pipelining window: how many requests of one v2
-    /// connection may be executing or queued for write at once. When the
-    /// window is full the connection's *reader* blocks — backpressure is
-    /// per connection, so a slow-reading client cannot occupy executors
-    /// or stall the accept loop.
-    pub pipeline_in_flight: usize,
     /// Memory budget for per-request derived state (PR 8). When set, every
     /// analysis context the daemon builds charges its CSRs against this
     /// shared budget; builds that would exceed it spill to disk instead of
@@ -284,7 +282,6 @@ impl ServeConfig {
             tcp,
             workers: Self::default_workers(),
             io_timeout: Some(DEFAULT_IO_TIMEOUT),
-            pipeline_in_flight: DEFAULT_PIPELINE_IN_FLIGHT,
             memory_budget: None,
         }
     }
@@ -313,11 +310,6 @@ impl ServeConfig {
 
     pub fn io_timeout(mut self, timeout: Option<std::time::Duration>) -> Self {
         self.io_timeout = timeout;
-        self
-    }
-
-    pub fn pipeline_in_flight(mut self, in_flight: usize) -> Self {
-        self.pipeline_in_flight = in_flight.max(1);
         self
     }
 

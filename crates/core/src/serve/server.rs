@@ -210,7 +210,6 @@ mod unix_server {
         shutdown: AtomicBool,
         served: AtomicU64,
         io_timeout: Option<Duration>,
-        pipeline_in_flight: usize,
         /// flock guard on `<socket>.lock`, held for the daemon's lifetime
         /// (see [`bind_unix`]); the kernel releases it on drop or crash.
         _socket_lock: Option<std::fs::File>,
@@ -483,7 +482,6 @@ mod unix_server {
             shutdown: AtomicBool::new(false),
             served: AtomicU64::new(0),
             io_timeout: config.io_timeout,
-            pipeline_in_flight: config.pipeline_in_flight.max(1),
             _socket_lock: socket_lock,
         });
 
@@ -734,7 +732,7 @@ mod unix_server {
         // sessions keep a write timeout even when io_timeout is disabled
         writer_stream
             .set_write_timeout_conn(shared.io_timeout.or(Some(super::super::DEFAULT_IO_TIMEOUT)));
-        let window = shared.pipeline_in_flight;
+        let window = super::super::DEFAULT_PIPELINE_IN_FLIGHT;
         let (resp_tx, resp_rx) = mpsc::sync_channel::<(u64, Vec<u8>)>(window);
         let in_flight = Arc::new(InFlight::new(window));
         let writer = {

@@ -1,8 +1,6 @@
 //! Row-major feature matrices and labelled datasets.
 
 use crate::persist::{PersistError, Reader, Writer};
-use std::io::{self, BufWriter, Write};
-use std::path::Path;
 
 /// Dense row-major matrix.
 #[derive(Debug, Clone, PartialEq)]
@@ -124,18 +122,6 @@ impl Dataset {
             y: indices.iter().map(|&i| self.y[i]).collect(),
         }
     }
-
-    /// Write as CSV (features then `target` column).
-    pub fn write_csv(&self, path: &Path) -> io::Result<()> {
-        let f = std::fs::File::create(path)?;
-        let mut w = BufWriter::new(f);
-        writeln!(w, "{},target", self.feature_names.join(","))?;
-        for i in 0..self.len() {
-            let row: Vec<String> = self.x.row(i).iter().map(|v| format!("{v}")).collect();
-            writeln!(w, "{},{}", row.join(","), self.y[i])?;
-        }
-        w.flush()
-    }
 }
 
 #[cfg(test)]
@@ -173,17 +159,5 @@ mod tests {
         let s = ds.select(&[1]);
         assert_eq!(s.len(), 1);
         assert_eq!(s.y, vec![20.0]);
-    }
-
-    #[test]
-    fn csv_round_shape() {
-        let mut ds = Dataset::new(vec!["a".into()]);
-        ds.push(&[1.5], 3.0);
-        let path = std::env::temp_dir().join(format!("ease_ml_ds_{}.csv", std::process::id()));
-        ds.write_csv(&path).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.starts_with("a,target"));
     }
 }

@@ -19,11 +19,6 @@ impl EdgePartition {
         EdgePartition { k, assignment }
     }
 
-    /// Pre-sized builder filled with partition 0.
-    pub fn zeroed(k: usize, num_edges: usize) -> Self {
-        EdgePartition { k, assignment: vec![0; num_edges] }
-    }
-
     #[inline]
     pub fn num_partitions(&self) -> usize {
         self.k
@@ -37,12 +32,6 @@ impl EdgePartition {
     #[inline]
     pub fn partition_of(&self, edge_index: usize) -> usize {
         self.assignment[edge_index] as usize
-    }
-
-    #[inline]
-    pub fn set(&mut self, edge_index: usize, partition: usize) {
-        debug_assert!(partition < self.k);
-        self.assignment[edge_index] = partition as u16;
     }
 
     #[inline]
@@ -88,15 +77,6 @@ mod tests {
     fn perfectly_balanced_is_one() {
         let p = EdgePartition::new(2, vec![0, 1, 0, 1]);
         assert!((p.edge_balance() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zeroed_builder() {
-        let mut p = EdgePartition::zeroed(3, 5);
-        assert_eq!(p.num_edges(), 5);
-        p.set(2, 2);
-        assert_eq!(p.partition_of(2), 2);
-        assert_eq!(p.partition_of(0), 0);
     }
 
     #[test]

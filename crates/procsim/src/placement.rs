@@ -168,11 +168,6 @@ impl DistributedGraph {
     pub fn total_degree(&self, v: u32) -> u32 {
         self.total_degree[v as usize]
     }
-
-    /// Total number of vertex replicas (Σ_p |V(p)|).
-    pub fn total_replicas(&self) -> usize {
-        self.parts.iter().map(|p| p.vertices.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -192,6 +187,8 @@ mod tests {
         let (g, p) = toy();
         let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
         assert_eq!(dg.num_partitions(), 2);
+        // partition 0 covers {0,1,2}, partition 1 covers {0,2,3}
+        assert_eq!(dg.partition(1).vertices, vec![0, 2, 3]);
         let p0 = dg.partition(0);
         assert_eq!(p0.vertices, vec![0, 1, 2]);
         assert_eq!(p0.edges.len(), 2);
@@ -338,13 +335,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn total_replicas_matches_metric_numerator() {
-        let (g, p) = toy();
-        let dg = DistributedGraph::build_prepared(&PreparedGraph::of(&g), &p);
-        // partition 0 covers {0,1,2}, partition 1 covers {0,2,3}
-        assert_eq!(dg.total_replicas(), 6);
     }
 }

@@ -107,7 +107,6 @@ SERVE OPTIONS:
                           ephemeral port and prints it); may be combined
                           with --socket — at least one is required
     --workers <n>         Request worker threads     [default: cores, 2..8]
-    --in-flight <n>       Pipelining window per TCP connection [default: 32]
     --memory-budget <sz>  One shared cap on derived analysis state across
                           all workers; over-budget CSR builds spill to disk
     The daemon loads the model once and keeps the fingerprint-keyed
@@ -131,7 +130,6 @@ ROUTE OPTIONS:
     --socket <path>       Unix socket to listen on; may be combined with
                           --listen — at least one is required
     --workers <n>         Forwarding worker threads  [default: cores, 2..8]
-    --in-flight <n>       Pipelining window per TCP connection [default: 32]
     --health-interval-ms <n>  Backend probe cadence        [default: 500]
     --no-forward-shutdown Client shutdown stops only the router, not the
                           backends (default forwards it fleet-wide)
@@ -476,6 +474,14 @@ fn cmd_query(kind: &str, args: &[String], one_shot: bool) -> Result<(), CliError
     };
     let accepted = if one_shot { [query, local].concat() } else { query.to_vec() };
     let flags = Flags::parse(&sub, rest, &accepted, &[])?;
+    let endpoint = daemon_endpoint(&flags)?;
+    // the daemon answers with its own model and budget: next to --endpoint a
+    // flag only a local answer reads would be silently dropped
+    if endpoint.is_some() {
+        if let Some(flag) = local.iter().find(|&&flag| flags.has(flag)) {
+            return Err(CliError::Usage(format!("--{flag} is not read with --endpoint")));
+        }
+    }
     if kind == "features" && positional.or(flags.get("graph")).is_none() {
         return Err(CliError::Usage("features needs an edge-list path".into()));
     }
@@ -498,7 +504,7 @@ fn cmd_query(kind: &str, args: &[String], one_shot: bool) -> Result<(), CliError
         parse_workload(workload)?;
     }
     let budget = memory_budget_flag(&flags)?;
-    match daemon_endpoint(&flags)? {
+    match endpoint {
         // proxy: the daemon's warm service answers; no model load here
         // (budgeting is the daemon's own --memory-budget, not the client's)
         Some(endpoint) => {
@@ -584,7 +590,7 @@ fn daemon_endpoint(flags: &Flags) -> Result<Option<Endpoint>, CliError> {
 }
 
 /// The listener half of `ease serve` and `ease route`: `--socket` and/or
-/// the TCP address under `tcp_flag`, `--workers`, `--in-flight`.
+/// the TCP address under `tcp_flag`, `--workers`.
 fn listen_config(sub: &str, flags: &Flags, tcp_flag: &str) -> Result<ServeConfig, CliError> {
     let socket = flags.get("socket").map(PathBuf::from);
     let mut config = match (socket, flags.get(tcp_flag)) {
@@ -600,12 +606,6 @@ fn listen_config(sub: &str, flags: &Flags, tcp_flag: &str) -> Result<ServeConfig
             return Err(CliError::Usage("--workers must be >= 1".into()));
         }
         config = config.workers(workers);
-    }
-    if let Some(in_flight) = flags.parse_num::<usize>("in-flight")? {
-        if in_flight == 0 {
-            return Err(CliError::Usage("--in-flight must be >= 1".into()));
-        }
-        config = config.pipeline_in_flight(in_flight);
     }
     Ok(config)
 }
@@ -636,12 +636,8 @@ fn run_listener(
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        "serve",
-        args,
-        &["model", "socket", "tcp", "workers", "in-flight", "memory-budget"],
-        &[],
-    )?;
+    let flags =
+        Flags::parse("serve", args, &["model", "socket", "tcp", "workers", "memory-budget"], &[])?;
     let model = PathBuf::from(flags.require("model")?);
     let mut config = listen_config("serve", &flags, "tcp")?;
     if let Some(budget) = memory_budget_flag(&flags)? {
@@ -682,7 +678,7 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
     let flags = Flags::parse(
         "route",
         args,
-        &["backend", "listen", "socket", "workers", "in-flight", "health-interval-ms"],
+        &["backend", "listen", "socket", "workers", "health-interval-ms"],
         &["no-forward-shutdown"],
     )?;
     let backends: Vec<Endpoint> =
