@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # `ease serve` smoke — start the daemon in the background on BOTH its unix
 # socket and a TCP listener, hammer it with concurrent
-# `ease client recommend` calls split across the two transports, plus
+# `ease recommend --endpoint` calls split across the two transports, plus
 # proxied recommends over every `--endpoint` scheme (unix:, tcp:, http:),
 # diff every answer against the one-shot CLI output, drive the HTTP/JSON
 # facade with raw
@@ -124,7 +124,7 @@ for i in $(seq 1 "$CLIENTS"); do
         endpoint=(--endpoint "tcp:$TCP_ADDR")
     fi
     printf '%s' "$ref" > "$smoke/client_$i.ref"
-    "$EASE_BIN" client recommend "${endpoint[@]}" --graph "$graph" \
+    "$EASE_BIN" recommend "${endpoint[@]}" --graph "$graph" \
         --workload pr --goal e2e > "$smoke/client_$i.out" &
     pids+=("$!")
 done
@@ -136,6 +136,13 @@ for i in $(seq 1 "$CLIENTS"); do
     diff "$smoke/oneshot_$(cat "$smoke/client_$i.ref").out" "$smoke/client_$i.out"
 done
 echo "all $CLIENTS concurrent client answers (unix + tcp) are bit-identical to the one-shot CLI"
+
+# a query has one CLI form: `ease client` refuses it and names that form
+rc=0
+"$EASE_BIN" client recommend --endpoint "unix:$sock" --graph "$smoke/graph.txt" \
+    2> "$smoke/client_query.err" || rc=$?
+[[ $rc -eq 2 ]]
+grep -q 'ease recommend --endpoint' "$smoke/client_query.err"
 
 # `ease recommend --endpoint` proxies to the same daemon over the unix
 # socket...
@@ -207,7 +214,7 @@ for backend in "$b1" "$b2"; do
     fi
 done
 "$EASE_BIN" route --backend "unix:$b1" --backend "unix:$b2" --socket "$front" \
-    --listen "$ROUTER_ADDR" &
+    --tcp "$ROUTER_ADDR" &
 fleet_pids+=("$!")
 ready=0
 for _ in $(seq 1 100); do
@@ -225,7 +232,7 @@ fi
 # routed answers, cold then warm, byte-diffed against the one-shot CLI
 for pass in cold warm; do
     for ref in txt bel; do
-        "$EASE_BIN" client recommend --endpoint "unix:$front" \
+        "$EASE_BIN" recommend --endpoint "unix:$front" \
             --graph "$smoke/graph.$ref" \
             --workload pr --goal e2e > "$smoke/routed_${pass}_$ref.out"
         diff "$smoke/oneshot_$ref.out" "$smoke/routed_${pass}_$ref.out"
@@ -281,7 +288,7 @@ if [[ "$ready" -ne 1 ]]; then
     echo "budgeted backend did not become ready on $b3" >&2
     exit 1
 fi
-"$EASE_BIN" route --backend "unix:$b3" --listen "$SHED_ADDR" &
+"$EASE_BIN" route --backend "unix:$b3" --tcp "$SHED_ADDR" &
 fleet_pids+=("$!")
 ready=0
 for _ in $(seq 1 100); do

@@ -138,6 +138,11 @@ for query in "recommend --model $smoke/ease.model" "recommend --memory-budget 1k
     [[ $rc -eq 2 ]]
     grep -q -- "$flag is not read with --endpoint" "$smoke/proxy.err"
 done
+# ...so is a graph given both as the positional and as --graph: neither wins
+rc=0
+"$EASE_BIN" features "$smoke/graph.txt" --graph "$smoke/graph.bel" 2> "$smoke/graph.err" || rc=$?
+[[ $rc -eq 2 ]]
+grep -q -- '--graph' "$smoke/graph.err"
 rc=0
 "$EASE_BIN" serve --in-flight 4 --socket "$smoke/never.sock" \
     --model "$smoke/ease.model" 2> "$smoke/inflight.err" || rc=$?

@@ -49,10 +49,9 @@ impl Endpoint {
 
     /// Parse the scheme-prefixed endpoint spelling every CLI surface
     /// shares: `unix:<path>`, `tcp:<host:port>`, or `http:<host:port>`
-    /// (a tolerated `http://<host:port>` means the same). A bare
-    /// `host:port` is accepted as TCP for backwards compatibility with
-    /// the old `--backend` spelling; anything else (including a bare
-    /// path) is a typed error naming the accepted forms.
+    /// (a tolerated `http://<host:port>` means the same). Anything else,
+    /// a bare `host:port` or path included, is a typed error naming the
+    /// accepted forms.
     pub fn parse(spec: &str) -> Result<Endpoint, EaseError> {
         if let Some(path) = spec.strip_prefix("unix:") {
             if path.is_empty() {
@@ -72,11 +71,6 @@ impl Endpoint {
                 return Err(proto_err("empty HTTP address in endpoint"));
             }
             return Ok(Endpoint::http(addr));
-        }
-        // bare host:port (the pre-PR 10 `--backend` spelling) — but not a
-        // filesystem path, which is a near-certain unix:/ typo
-        if spec.contains(':') && !spec.contains('/') {
-            return Ok(Endpoint::tcp(spec));
         }
         Err(proto_err(format!(
             "bad endpoint `{spec}` (expected unix:<path>, tcp:<host:port>, or http:<host:port>)"
@@ -330,14 +324,10 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_parse_keeps_bare_host_port_as_tcp() {
-        // the pre-endpoint `--backend` spelling keeps working
-        assert_eq!(Endpoint::parse("localhost:7070").unwrap(), Endpoint::tcp("localhost:7070"));
-    }
-
-    #[test]
     fn endpoint_parse_rejects_bare_paths_and_empty_values() {
-        for bad in ["/tmp/ease.sock", "unix:", "tcp:", "http:", "http://", "just-a-name"] {
+        // a bare host:port is no TCP endpoint: every form carries its scheme
+        let bare = ["localhost:7070", "127.0.0.1:7070", "/tmp/ease.sock", "just-a-name"];
+        for bad in bare.into_iter().chain(["unix:", "tcp:", "http:", "http://"]) {
             let err = Endpoint::parse(bad).unwrap_err().to_string();
             assert!(err.contains("protocol violation"), "{bad}: {err}");
         }

@@ -42,8 +42,8 @@
 //!   connection open across many requests, [`call_pipelined`] drives a
 //!   whole batch through a bounded window, and [`call_endpoint`] performs
 //!   one exchange over any [`Endpoint`] (a one-request v2 session, or an
-//!   HTTP POST). `ease client …` and the `--endpoint unix:|tcp:|http:`
-//!   proxy flag are thin wrappers over these.
+//!   HTTP POST). The CLI's `--endpoint unix:|tcp:|http:` flag (on
+//!   `recommend`, `features` and `client`) is a thin wrapper over these.
 //! * **Rendering** — [`render_recommendation`] / [`render_features`] build
 //!   the exact text the one-shot CLI prints. The daemon answers with the
 //!   same renderer over the same extraction path, so a proxied answer is

@@ -12,12 +12,17 @@
 //!
 //! # serve the trained model from a resident daemon (warm property cache)
 //! ease serve --model ease.model --socket /tmp/ease.sock --tcp 127.0.0.1:7654 &
-//! ease client recommend --endpoint unix:/tmp/ease.sock --graph graph.bel --workload pr
-//! ease client recommend --endpoint tcp:127.0.0.1:7654 --graph graph.bel --workload pr
-//! ease recommend --endpoint http:127.0.0.1:7654 --graph graph.bel --workload pr
+//! ease recommend --endpoint unix:/tmp/ease.sock --graph graph.bel --workload pr
+//! ease recommend --endpoint tcp:127.0.0.1:7654 --graph graph.bel --workload pr
+//! ease features graph.bel --endpoint http:127.0.0.1:7654
 //! curl 'http://127.0.0.1:7654/recommend?graph=graph.bel&workload=pr'
 //! ease client shutdown --endpoint unix:/tmp/ease.sock
 //! ```
+//!
+//! Each subcommand is one [`COMMANDS`] entry — flags, help, handler — from
+//! which `ease --help` is rendered and against which [`Flags::parse`] checks.
+//! `ease client` only sends what has no local answer: a query is
+//! `recommend` / `features`, with `--endpoint` to ask a daemon.
 //!
 //! Graph inputs are format-dispatched by extension: `.bel` files are
 //! memory-mapped (zero-copy, no owned edge list), everything else is read
@@ -40,166 +45,218 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-const USAGE: &str = "ease — partitioner selection with EASE (Merkel et al., ICDE 2023)
+/// One row of a subcommand's options: how it is spelled — `--name <metavar>`
+/// for a flag that takes a value, `--name` for a switch, `<metavar>` for an
+/// argument taken before the flags — and its help, one line per `\n`.
+struct Flag(&'static str, &'static str);
 
-USAGE:
-    ease <SUBCOMMAND> [OPTIONS]
+impl Flag {
+    /// The flag's name without `--`; `None` for the positional argument.
+    fn name(&self) -> Option<&'static str> {
+        let spec = self.0.strip_prefix("--")?;
+        Some(spec.split_once(' ').map_or(spec, |(name, _)| name))
+    }
+}
 
-SUBCOMMANDS:
-    train        Train a selection service and save it to disk
-    recommend    Query a saved service for the best partitioner for a graph
-    features     Extract a graph's feature vector (with extraction timings)
-    inspect      Print a saved service's provenance and chosen models
-    gen          Generate a synthetic graph file to experiment with
-    convert      Convert between text and binary (.bel) edge lists
-    serve        Run a resident recommendation daemon (unix socket, TCP,
-                 or both)
-    route        Front a fleet of daemons with a consistent-hash router
-    client       Talk to a running daemon (recommend, features, cache-stats,
-                 ping, shutdown)
+/// One subcommand: what `ease --help` prints for it, what
+/// [`Flags::parse`] accepts for it, and the handler that runs it.
+struct Command {
+    name: &'static str,
+    summary: &'static str,
+    flags: &'static [Flag],
+    /// Printed under the options, one line per `\n`.
+    notes: &'static str,
+    run: fn(&Command, &[String]) -> Result<(), CliError>,
+}
 
-Graph files ending in `.bel` are memory-mapped binary edge lists (header +
-little-endian u64 pairs); anything else is a whitespace-separated text edge
-list. `.bel` inputs are analyzed zero-copy — no owned edge list is ever
-materialized.
+// flags more than one subcommand takes
+const MODEL: Flag = Flag("--model <path>", "Saved service, as `ease train` wrote it");
+const GRAPH: Flag = Flag("--graph <path>", "Edge list, text or .bel (required)");
+const ENDPOINT: Flag = Flag("--endpoint <ep>", "Daemon to ask: unix:<path>|tcp:<addr>|http:<addr>");
+const MEMORY_BUDGET: Flag =
+    Flag("--memory-budget <sz>", "Spill CSRs to disk past <sz> (64k, 2gb, ...)");
+const SOCKET: Flag = Flag("--socket <path>", "Unix socket path to listen on");
+const TCP: Flag = Flag("--tcp <addr>", "TCP listen address (host:port; port 0 picks one)");
+const WORKERS: Flag = Flag("--workers <n>", "Worker threads     [default: cores, 2..8]");
 
-TRAIN OPTIONS:
-    --out <path>          Where to save the trained service (required)
-    --scale <s>           tiny | small | medium           [default: tiny]
-    --quick               Use the reduced quick model grid
-    --folds <n>           Cross-validation folds          [default: per scale]
-    --seed <n>            Training seed                   [default: 0xEA5E]
-    --deterministic       Analytical timing proxy instead of wall clock
-    --k <n>               Default partition count for recommendations
-    --max-small <n>       Cap the quality-training corpus
-    --max-large <n>       Cap the time-training corpus
+const COMMANDS: &[Command] = &[
+    Command {
+        name: "train",
+        summary: "Train a selection service and save it to disk",
+        flags: &[
+            Flag("--out <path>", "Where to save the trained service (required)"),
+            Flag("--scale <s>", "tiny | small | medium           [default: tiny]"),
+            Flag("--quick", "Use the reduced quick model grid"),
+            Flag("--folds <n>", "Cross-validation folds          [default: per scale]"),
+            Flag("--seed <n>", "Training seed                   [default: 0xEA5E]"),
+            Flag("--deterministic", "Analytical timing proxy instead of wall clock"),
+            Flag("--k <n>", "Default partition count for recommendations"),
+            Flag("--max-small <n>", "Cap the quality-training corpus"),
+            Flag("--max-large <n>", "Cap the time-training corpus"),
+        ],
+        notes: "",
+        run: cmd_train,
+    },
+    Command {
+        name: "recommend",
+        summary: "Query a saved service for the best partitioner for a graph",
+        flags: &[
+            MODEL,
+            GRAPH,
+            Flag(
+                "--workload <w>",
+                "pr | cc | sssp | kcores | lp | synthetic-low |\n\
+                 synthetic-high                  [default: pr]",
+            ),
+            Flag("--k <n>", "Partition count                 [default: service]"),
+            Flag("--goal <g>", "e2e | processing                [default: e2e]"),
+            Flag("--top <n>", "How many candidates to print    [default: 5]"),
+            ENDPOINT,
+            MEMORY_BUDGET,
+        ],
+        notes: "",
+        run: cmd_query,
+    },
+    Command {
+        name: "features",
+        summary: "Extract a graph's feature vector (with extraction timings)",
+        flags: &[
+            Flag("<edge-list>", "The graph, given first without --graph"),
+            GRAPH,
+            Flag("--tier <t>", "simple | basic | advanced       [default: advanced]"),
+            ENDPOINT,
+            MEMORY_BUDGET,
+        ],
+        notes: "",
+        run: cmd_query,
+    },
+    Command {
+        name: "inspect",
+        summary: "Print a saved service's provenance and chosen models",
+        flags: &[MODEL],
+        notes: "",
+        run: cmd_inspect,
+    },
+    Command {
+        name: "gen",
+        summary: "Generate a synthetic graph file to experiment with",
+        flags: &[
+            Flag("--out <path>", "Where to write the graph (required)"),
+            Flag(
+                "--kind <k>",
+                "rmat | soc | web | wiki | citation |\n\
+                 collaboration | interaction | internet |\n\
+                 affiliation | product_network   [default: soc]",
+            ),
+            Flag("--scale <s>", "not rmat: tiny | small | medium [default: tiny]"),
+            Flag("--seed <n>", "Generator seed                  [default: 42]"),
+            Flag("--vertices <n>", "rmat only: vertex count         [default: 65536]"),
+            Flag("--edges <n>", "rmat only: edge count           [default: 524288]"),
+            Flag("--combo <c>", "rmat only: Table II combo 0..8  [default: 5]"),
+        ],
+        notes: "A flag the chosen kind does not read is a usage error. The format\n\
+                follows the extension of --out (.bel or text). Edges stream to the\n\
+                output file as they are generated; `--kind rmat` never materializes the\n\
+                graph at all (constant memory at any size).",
+        run: cmd_gen,
+    },
+    Command {
+        name: "convert",
+        summary: "Convert between text and binary (.bel) edge lists",
+        flags: &[
+            Flag("--in <path>", "Input edge list (format by extension, required)"),
+            Flag("--out <path>", "Output edge list (format by extension, required)"),
+        ],
+        notes: "Conversion streams in both directions and never holds the whole graph.",
+        run: cmd_convert,
+    },
+    Command {
+        name: "serve",
+        summary: "Run a resident recommendation daemon (unix socket and/or TCP)",
+        flags: &[MODEL, SOCKET, TCP, WORKERS, MEMORY_BUDGET],
+        notes: "At least one of --socket and --tcp. The model loads once; the property\n\
+                cache stays warm across clients. Each connection speaks binary v2\n\
+                (pipelined) or HTTP/1.1 + JSON — `curl 'http://host:port/recommend?\n\
+                graph=g.bel&workload=pr'` works on the same port. `ease client shutdown`\n\
+                drains in-flight requests, removes the socket file and exits 0.",
+        run: cmd_serve,
+    },
+    Command {
+        name: "route",
+        summary: "Front a fleet of daemons with a consistent-hash router",
+        flags: &[
+            Flag(
+                "--backend <ep>",
+                "A daemon to front, unix:<path> or tcp:<host:\n\
+                 port>; repeatable, at least one. Not http: the\n\
+                 router multiplexes binary v2 sessions",
+            ),
+            SOCKET,
+            TCP,
+            WORKERS,
+        ],
+        notes: "At least one of --socket and --tcp; clients speak v2 or HTTP, as to serve.\n\
+                A graph's queries hash to one warm backend and fail over along the ring;\n\
+                oversized ones steer to budget headroom, or shed with a typed overload.\n\
+                `cache-stats` folds the fleet; `shutdown` stops it, backends included.",
+        run: cmd_route,
+    },
+    Command {
+        name: "client",
+        summary: "Send ping, cache-stats or shutdown to a running daemon",
+        flags: &[Flag("<action>", "ping | cache-stats | shutdown"), ENDPOINT],
+        notes: "The endpoint is required. Queries are not client actions: they are\n\
+                `ease recommend|features --endpoint <ep>`.",
+        run: cmd_client,
+    },
+];
 
-RECOMMEND OPTIONS:
-    --model <path>        Saved service (required unless --endpoint)
-    --graph <path>        Edge list, text or .bel (required)
-    --workload <w>        pr | cc | sssp | kcores | lp | synthetic-low |
-                          synthetic-high                  [default: pr]
-    --k <n>               Partition count                 [default: service]
-    --goal <g>            e2e | processing                [default: e2e]
-    --top <n>             How many candidates to print    [default: 5]
-    --endpoint <ep>       Proxy the query to a running `ease serve` daemon
-                          (or `ease route` fleet) instead of loading a
-                          model: unix:<path>, tcp:<host:port> (binary v2),
-                          or http:<host:port> (the JSON facade). The
-                          answer is bit-identical to the one-shot output
-    --memory-budget <sz>  Cap derived analysis state (CSRs) at <sz> bytes
-                          (accepts 64k/512MiB/2gb suffixes, 0, unlimited);
-                          over-budget builds spill to temp files — same
-                          answer bytes, bounded heap
-
-FEATURES OPTIONS:
-    <edge-list>           Edge-list file, text or .bel (positional;
-                          --graph <path> also accepted)
-    --tier <t>            simple | basic | advanced       [default: advanced]
-    --endpoint <ep>       Proxy the extraction to a running daemon:
-                          unix:<path>, tcp:<host:port>, or http:<host:port>
-    --memory-budget <sz>  As for recommend: spill over-budget CSRs to disk
-
-SERVE OPTIONS:
-    --model <path>        Saved service to load and keep warm (required)
-    --socket <path>       Unix socket path to bind
-    --tcp <addr>          TCP listen address (host:port; port 0 picks an
-                          ephemeral port and prints it); may be combined
-                          with --socket — at least one is required
-    --workers <n>         Request worker threads     [default: cores, 2..8]
-    --memory-budget <sz>  One shared cap on derived analysis state across
-                          all workers; over-budget CSR builds spill to disk
-    The daemon loads the model once and keeps the fingerprint-keyed
-    property cache warm across requests and clients. Every listener sniffs
-    the format per connection: binary v2 framing (many requests per
-    connection, answered out of order as they complete) or plain HTTP/1.1
-    with JSON bodies — `curl 'http://host:port/recommend?graph=g.bel&
-    workload=pr'` works against the same port, no extra listener. Stop the
-    daemon with `ease client shutdown` (graceful: drains in-flight
-    requests, removes the socket file, exits 0).
-
-ROUTE OPTIONS:
-    --backend <ep>        A backend daemon to front; repeatable (at least
-                          one). `unix:<path>`, `tcp:<host:port>`, or a
-                          bare `host:port` (TCP). `http:` backends are
-                          rejected: the router multiplexes binary v2
-                          sessions. (Clients may still speak HTTP *to*
-                          the router — its listener sniffs like serve's.)
-    --listen <addr>       TCP listen address for clients (host:port; port 0
-                          picks an ephemeral port and prints it)
-    --socket <path>       Unix socket to listen on; may be combined with
-                          --listen — at least one is required
-    --workers <n>         Forwarding worker threads  [default: cores, 2..8]
-    --health-interval-ms <n>  Backend probe cadence        [default: 500]
-    --no-forward-shutdown Client shutdown stops only the router, not the
-                          backends (default forwards it fleet-wide)
-    Requests route by consistent hash of the graph's file identity, so
-    repeat queries for a graph hit the same warm backend. Down backends are
-    probed with jittered backoff and requests fail over to the next ring
-    node. Oversized queries steer to the backend with memory-budget
-    headroom; a saturated fleet answers a typed overload error instead of
-    spilling. `cache-stats` through the router aggregates the whole fleet.
-
-CLIENT OPTIONS:
-    ease client <action> --endpoint <ep> [query options]
-    Actions: recommend | features | cache-stats | ping | shutdown
-    Endpoints: unix:<path> | tcp:<host:port> | http:<host:port>
-    recommend and features take the same query options as the one-shot
-    subcommands and print byte-identical answers over every transport.
-
-INSPECT OPTIONS:
-    --model <path>        Saved service (required)
-
-GEN OPTIONS:
-    --out <path>          Where to write the graph (required)
-    --kind <k>            rmat | soc | web | wiki | citation |
-                          collaboration | interaction | internet |
-                          affiliation | product_network   [default: soc]
-    --scale <s>           not rmat: tiny | small | medium [default: tiny]
-    --seed <n>            Generator seed                  [default: 42]
-    --vertices <n>        rmat only: vertex count         [default: 65536]
-    --edges <n>           rmat only: edge count           [default: 524288]
-    --combo <c>           rmat only: Table II combo 0..8  [default: 5]
-    A flag the chosen kind does not read is a usage error. The format
-    follows the extension of --out (.bel or text). Edges stream to the
-    output file as they are generated; `--kind rmat` never materializes the
-    graph at all (constant memory at any size).
-
-CONVERT OPTIONS:
-    --in <path>           Input edge list (format by extension, required)
-    --out <path>          Output edge list (format by extension, required)
-    Conversion streams in both directions and never holds the whole graph.
-";
+/// `ease --help`, rendered from [`COMMANDS`].
+fn usage() -> String {
+    let mut text = String::from(
+        "ease — partitioner selection with EASE (Merkel et al., ICDE 2023)\n\n\
+         USAGE:\n    ease <SUBCOMMAND> [OPTIONS]\n\nSUBCOMMANDS:\n",
+    );
+    for cmd in COMMANDS {
+        text += &format!("    {:<13}{}\n", cmd.name, cmd.summary);
+    }
+    text += "\nGraph files ending in `.bel` are memory-mapped binary edge lists (header +\n\
+             little-endian u64 pairs); anything else is a whitespace-separated text edge\n\
+             list. `.bel` inputs are analyzed zero-copy — no owned edge list is ever\n\
+             materialized.\n";
+    for cmd in COMMANDS {
+        text += &format!("\n{} OPTIONS:\n", cmd.name.to_uppercase());
+        for Flag(spec, help) in cmd.flags {
+            for (i, line) in help.lines().enumerate() {
+                text += &format!("    {:<22}{line}\n", if i == 0 { spec } else { "" });
+            }
+        }
+        for line in cmd.notes.lines() {
+            text += &format!("    {line}\n");
+        }
+    }
+    text
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprint!("{USAGE}");
-        return ExitCode::from(2);
-    };
-    let result = match cmd.as_str() {
-        "train" => cmd_train(&args[1..]),
-        "recommend" | "features" => cmd_query(cmd, &args[1..], true),
-        "inspect" => cmd_inspect(&args[1..]),
-        "gen" => cmd_gen(&args[1..]),
-        "convert" => cmd_convert(&args[1..]),
-        "serve" => cmd_serve(&args[1..]),
-        "route" => cmd_route(&args[1..]),
-        "client" => cmd_client(&args[1..]),
-        "--help" | "-h" | "help" => {
-            print!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => {
-            eprintln!("unknown subcommand `{other}`\n");
-            eprint!("{USAGE}");
+    let (name, args) =
+        args.split_first().map_or(("", &[][..]), |(name, args)| (name.as_str(), args));
+    let result = match COMMANDS.iter().find(|cmd| cmd.name == name) {
+        Some(cmd) => (cmd.run)(cmd, args),
+        None if matches!(name, "--help" | "-h" | "help") => Err(CliError::Help),
+        None => {
+            if !name.is_empty() {
+                eprintln!("unknown subcommand `{name}`\n");
+            }
+            eprint!("{}", usage());
             return ExitCode::from(2);
         }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(CliError::Help) => {
-            print!("{USAGE}");
+            print!("{}", usage());
             ExitCode::SUCCESS
         }
         Err(CliError::Usage(msg)) => {
@@ -232,59 +289,58 @@ impl From<ease_repro::graph::GraphIoError> for CliError {
     }
 }
 
-/// Minimal flag parser: `--flag value` pairs plus boolean switches.
+/// A subcommand's arguments, parsed against its [`Command`] entry.
 struct Flags {
+    positional: Option<String>,
     pairs: Vec<(String, Option<String>)>,
 }
 
 impl Flags {
-    /// Parse the flags of `ease <sub>`, which takes the `values` flags
-    /// (each followed by a value) and the `switches`; anything else is a
-    /// usage error naming what is accepted, so a typo is never ignored.
-    fn parse(
-        sub: &str,
-        args: &[String],
-        values: &[&str],
-        switches: &[&str],
-    ) -> Result<Flags, CliError> {
+    /// Parse the arguments of `ease <cmd>`: its positional, if it takes
+    /// one and one comes first, then its flags. Any other flag is a usage
+    /// error naming the accepted ones, so a typo is never ignored.
+    fn parse(cmd: &Command, args: &[String]) -> Result<Flags, CliError> {
+        let takes_positional = cmd.flags.iter().any(|flag| flag.name().is_none());
+        let positional = args.first().filter(|arg| takes_positional && !arg.starts_with("--"));
+        let mut it = args.iter().skip(usize::from(positional.is_some()));
         let mut pairs = Vec::new();
-        let mut it = args.iter();
         while let Some(arg) = it.next() {
             let Some(name) = arg.strip_prefix("--") else {
                 return Err(CliError::Usage(format!("unexpected argument `{arg}`")));
             };
             if name == "help" {
                 return Err(CliError::Help);
-            } else if switches.contains(&name) {
-                pairs.push((name.to_string(), None));
-            } else if values.contains(&name) {
-                let value =
-                    it.next().ok_or_else(|| CliError::Usage(format!("--{name} needs a value")))?;
-                pairs.push((name.to_string(), Some(value.clone())));
-            } else {
+            }
+            let Some(flag) = cmd.flags.iter().find(|flag| flag.name() == Some(name)) else {
                 let accepted: Vec<String> =
-                    values.iter().chain(switches).map(|flag| format!("--{flag}")).collect();
+                    cmd.flags.iter().filter_map(Flag::name).map(|n| format!("--{n}")).collect();
                 return Err(CliError::Usage(format!(
-                    "unknown flag --{name} for ease {sub} (accepted: {})",
+                    "unknown flag --{name} for ease {} (accepted: {})",
+                    cmd.name,
                     accepted.join(", ")
                 )));
+            };
+            let value = flag.0.contains(' ').then(|| it.next().cloned());
+            if value == Some(None) {
+                return Err(CliError::Usage(format!("--{name} needs a value")));
             }
+            pairs.push((name.to_string(), value.flatten()));
         }
-        Ok(Flags { pairs })
+        Ok(Flags { positional: positional.cloned(), pairs })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
-        self.pairs.iter().rev().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
+        self.pairs.iter().rev().find(|(n, _)| *n == name).and_then(|(_, v)| v.as_deref())
     }
 
     /// Every value given for a repeatable flag, in argument order
     /// (`--backend a --backend b` → `["a", "b"]`).
     fn get_all(&self, name: &str) -> Vec<&str> {
-        self.pairs.iter().filter(|(n, _)| n == name).filter_map(|(_, v)| v.as_deref()).collect()
+        self.pairs.iter().filter(|(n, _)| *n == name).filter_map(|(_, v)| v.as_deref()).collect()
     }
 
     fn has(&self, name: &str) -> bool {
-        self.pairs.iter().any(|(n, _)| n == name)
+        self.pairs.iter().any(|(n, _)| *n == name)
     }
 
     fn require(&self, name: &str) -> Result<&str, CliError> {
@@ -303,10 +359,8 @@ impl Flags {
 }
 
 fn parse_scale(flags: &Flags) -> Result<Scale, CliError> {
-    match flags.get("scale") {
-        None => Ok(Scale::Tiny),
-        Some(s) => Scale::parse(s).ok_or_else(|| CliError::Usage(format!("unknown scale `{s}`"))),
-    }
+    let s = flags.get("scale").unwrap_or(Scale::Tiny.name());
+    Scale::parse(s).ok_or_else(|| CliError::Usage(format!("unknown scale `{s}`")))
 }
 
 fn parse_workload(name: &str) -> Result<Workload, CliError> {
@@ -398,13 +452,8 @@ fn same_file(a: &Path, b: &Path) -> bool {
     }
 }
 
-fn cmd_train(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        "train",
-        args,
-        &["out", "scale", "folds", "seed", "k", "max-small", "max-large"],
-        &["quick", "deterministic"],
-    )?;
+fn cmd_train(cmd: &Command, args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse(cmd, args)?;
     let out = PathBuf::from(flags.require("out")?);
     let scale = parse_scale(&flags)?;
     let mut builder = EaseServiceBuilder::at_scale(scale);
@@ -452,45 +501,31 @@ fn cmd_train(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `ease [client] recommend|features`: parse the flags into the
-/// [`Request`] they spell — through the walker that decodes the same
-/// query from JSON and from a `GET` query string, so field names,
-/// defaults and vocabularies cannot drift — then send it to the daemon
-/// `--endpoint` names, or (`one_shot`) answer it in this process.
-fn cmd_query(kind: &str, args: &[String], one_shot: bool) -> Result<(), CliError> {
-    let sub = if one_shot { kind.to_string() } else { format!("client {kind}") };
-    // `features` also takes its graph as a leading positional
-    let (positional, rest) = match args.split_first() {
-        Some((first, rest)) if kind == "features" && !first.starts_with("--") => {
-            (Some(first.as_str()), rest)
-        }
-        _ => (None, args),
-    };
-    // the flags that spell the query (the wire names of the request's
-    // fields), and those only a local answer takes on top
-    let (query, local): (&[&str], &[&str]) = match kind {
-        "features" => (&["graph", "tier", "endpoint"], &["memory-budget"]),
-        _ => (&["graph", "workload", "k", "goal", "top", "endpoint"], &["model", "memory-budget"]),
-    };
-    let accepted = if one_shot { [query, local].concat() } else { query.to_vec() };
-    let flags = Flags::parse(&sub, rest, &accepted, &[])?;
+/// `ease recommend|features`: parse the flags into the [`Request`] they
+/// spell — through the walker that decodes the same query from JSON and
+/// from a `GET` query string, so field names, defaults and vocabularies
+/// cannot drift — then send it to the daemon `--endpoint` names, or answer
+/// it in this process.
+fn cmd_query(cmd: &Command, args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse(cmd, args)?;
+    if flags.positional.is_some() && flags.has("graph") {
+        return Err(CliError::Usage("give the graph as <edge-list> or --graph, not both".into()));
+    }
+    let graph = flags.positional.as_deref().or(flags.get("graph"));
     let endpoint = daemon_endpoint(&flags)?;
     // the daemon answers with its own model and budget: next to --endpoint a
     // flag only a local answer reads would be silently dropped
     if endpoint.is_some() {
-        if let Some(flag) = local.iter().find(|&&flag| flags.has(flag)) {
+        if let Some(flag) = ["model", "memory-budget"].into_iter().find(|&flag| flags.has(flag)) {
             return Err(CliError::Usage(format!("--{flag} is not read with --endpoint")));
         }
-    }
-    if kind == "features" && positional.or(flags.get("graph")).is_none() {
-        return Err(CliError::Usage("features needs an edge-list path".into()));
     }
     // sent along so the server resolves relative graph paths against
     // *this* process's working directory, not the daemon's
     let cwd = std::env::current_dir().ok().and_then(|d| d.to_str().map(String::from));
-    let request = Request::from_text(kind, "flag", |key| match key {
+    let request = Request::from_text(cmd.name, "flag", |key| match key {
         "cwd" => cwd.as_deref(),
-        "graph" => positional.or(flags.get(key)),
+        "graph" => graph,
         "workload" => flags.get(key).or(Some("pr")),
         _ => flags.get(key),
     })
@@ -503,7 +538,6 @@ fn cmd_query(kind: &str, args: &[String], one_shot: bool) -> Result<(), CliError
     if let Request::Recommend { workload, .. } = &request {
         parse_workload(workload)?;
     }
-    let budget = memory_budget_flag(&flags)?;
     match endpoint {
         // proxy: the daemon's warm service answers; no model load here
         // (budgeting is the daemon's own --memory-budget, not the client's)
@@ -512,8 +546,7 @@ fn cmd_query(kind: &str, args: &[String], one_shot: bool) -> Result<(), CliError
             print!("{}", serve::expect_answer(response)?);
             Ok(())
         }
-        None if one_shot => answer_one_shot(&flags, request, budget),
-        None => Err(CliError::Usage("--endpoint is required".into())),
+        None => answer_one_shot(&flags, request),
     }
 }
 
@@ -535,11 +568,8 @@ fn memory_budget_flag(flags: &Flags) -> Result<Option<Arc<MemoryBudget>>, CliErr
 /// extraction go through [`serve::render_recommendation`] and
 /// [`serve::render_features`], the functions the daemon answers with, so
 /// both paths emit identical bytes for identical queries.
-fn answer_one_shot(
-    flags: &Flags,
-    request: Request,
-    budget: Option<Arc<MemoryBudget>>,
-) -> Result<(), CliError> {
+fn answer_one_shot(flags: &Flags, request: Request) -> Result<(), CliError> {
+    let budget = memory_budget_flag(flags)?;
     let text = match request {
         Request::Recommend { graph, workload, k, goal, top, .. } => {
             let model = flags.get("model").ok_or_else(|| {
@@ -590,16 +620,14 @@ fn daemon_endpoint(flags: &Flags) -> Result<Option<Endpoint>, CliError> {
 }
 
 /// The listener half of `ease serve` and `ease route`: `--socket` and/or
-/// the TCP address under `tcp_flag`, `--workers`.
-fn listen_config(sub: &str, flags: &Flags, tcp_flag: &str) -> Result<ServeConfig, CliError> {
+/// `--tcp`, `--workers`.
+fn listen_config(sub: &str, flags: &Flags) -> Result<ServeConfig, CliError> {
     let socket = flags.get("socket").map(PathBuf::from);
-    let mut config = match (socket, flags.get(tcp_flag)) {
+    let mut config = match (socket, flags.get("tcp")) {
         (Some(path), Some(addr)) => ServeConfig::at(path).tcp(addr),
         (Some(path), None) => ServeConfig::at(path),
         (None, Some(addr)) => ServeConfig::tcp_at(addr),
-        (None, None) => {
-            return Err(CliError::Usage(format!("{sub} needs --socket and/or --{tcp_flag}")))
-        }
+        (None, None) => return Err(CliError::Usage(format!("{sub} needs --socket and/or --tcp"))),
     };
     if let Some(workers) = flags.parse_num::<usize>("workers")? {
         if workers == 0 {
@@ -635,11 +663,10 @@ fn run_listener(
     Ok(())
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), CliError> {
-    let flags =
-        Flags::parse("serve", args, &["model", "socket", "tcp", "workers", "memory-budget"], &[])?;
+fn cmd_serve(cmd: &Command, args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse(cmd, args)?;
     let model = PathBuf::from(flags.require("model")?);
-    let mut config = listen_config("serve", &flags, "tcp")?;
+    let mut config = listen_config("serve", &flags)?;
     if let Some(budget) = memory_budget_flag(&flags)? {
         config = config.memory_budget(budget);
     }
@@ -659,8 +686,7 @@ fn cmd_serve(args: &[String]) -> Result<(), CliError> {
 }
 
 /// A `--backend` endpoint spec, parsed with the shared [`Endpoint::parse`]
-/// grammar (`unix:/path`, `tcp:host:port`, or a bare `host:port` for
-/// TCP). `http:` backends are a usage error: the router multiplexes
+/// grammar. `http:` backends are a usage error: the router multiplexes
 /// pipelined binary v2 sessions to its backends, which the JSON facade
 /// by design does not speak.
 fn parse_backend(spec: &str) -> Result<Endpoint, CliError> {
@@ -674,30 +700,17 @@ fn parse_backend(spec: &str) -> Result<Endpoint, CliError> {
     Ok(endpoint)
 }
 
-fn cmd_route(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        "route",
-        args,
-        &["backend", "listen", "socket", "workers", "health-interval-ms"],
-        &["no-forward-shutdown"],
-    )?;
+fn cmd_route(cmd: &Command, args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse(cmd, args)?;
     let backends: Vec<Endpoint> =
         flags.get_all("backend").into_iter().map(parse_backend).collect::<Result<_, _>>()?;
     if backends.is_empty() {
         return Err(CliError::Usage("route needs at least one --backend".into()));
     }
-    let listen = listen_config("route", &flags, "listen")?;
+    let listen = listen_config("route", &flags)?;
     let workers = listen.workers;
     let n = backends.len();
-    let mut config =
-        RouterConfig::new(listen, backends).forward_shutdown(!flags.has("no-forward-shutdown"));
-    if let Some(ms) = flags.parse_num::<u64>("health-interval-ms")? {
-        if ms == 0 {
-            return Err(CliError::Usage("--health-interval-ms must be >= 1".into()));
-        }
-        config = config.health_interval(std::time::Duration::from_millis(ms));
-    }
-    let handle = serve::route(config)?;
+    let handle = serve::route(RouterConfig::new(listen, backends))?;
     run_listener(
         "route",
         &format!("fronting {n} backend(s)"),
@@ -706,24 +719,18 @@ fn cmd_route(args: &[String]) -> Result<(), CliError> {
     )
 }
 
-fn cmd_client(args: &[String]) -> Result<(), CliError> {
-    let Some((action, rest)) = args.split_first() else {
-        return Err(CliError::Usage(
-            "client needs an action: recommend | features | cache-stats | ping | shutdown".into(),
-        ));
-    };
-    let request = match action.as_str() {
-        "recommend" | "features" => return cmd_query(action, rest, false),
-        "cache-stats" => Request::CacheStats,
-        "ping" => Request::Ping,
-        "shutdown" => Request::Shutdown,
-        other => {
-            return Err(CliError::Usage(format!(
-            "unknown client action `{other}` (recommend | features | cache-stats | ping | shutdown)"
-        )))
-        }
-    };
-    let flags = Flags::parse(&format!("client {action}"), rest, &["endpoint"], &[])?;
+fn cmd_client(cmd: &Command, args: &[String]) -> Result<(), CliError> {
+    // before the flags, which would be the query's and not the client's
+    if let Some(query @ ("recommend" | "features")) = args.first().map(String::as_str) {
+        let one_form = format!("ease {query} --endpoint <ep>");
+        return Err(CliError::Usage(format!("`ease client {query}` is `{one_form}`")));
+    }
+    let flags = Flags::parse(cmd, args)?;
+    // an action is the wire name of a request without fields
+    let action = flags.positional.as_deref().unwrap_or_default();
+    let request = Request::from_text(action, "flag", |_| None).map_err(|_| {
+        CliError::Usage(format!("unknown client action `{action}` (ping | cache-stats | shutdown)"))
+    })?;
     let endpoint =
         daemon_endpoint(&flags)?.ok_or_else(|| CliError::Usage("--endpoint is required".into()))?;
     match (&request, serve::call_endpoint(&endpoint, &request)?) {
@@ -742,8 +749,8 @@ fn cmd_client(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse("inspect", args, &["model"], &[])?;
+fn cmd_inspect(cmd: &Command, args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse(cmd, args)?;
     let model = PathBuf::from(flags.require("model")?);
     let service = EaseService::load(&model)?;
     let info = service.info();
@@ -771,13 +778,8 @@ fn cmd_inspect(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse(
-        "gen",
-        args,
-        &["out", "kind", "scale", "seed", "vertices", "edges", "combo"],
-        &[],
-    )?;
+fn cmd_gen(cmd: &Command, args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse(cmd, args)?;
     let out = PathBuf::from(flags.require("out")?);
     let seed = flags.parse_num::<u64>("seed")?.unwrap_or(42);
     let kind_name = flags.get("kind").unwrap_or("soc");
@@ -849,8 +851,8 @@ fn cmd_gen(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_convert(args: &[String]) -> Result<(), CliError> {
-    let flags = Flags::parse("convert", args, &["in", "out"], &[])?;
+fn cmd_convert(cmd: &Command, args: &[String]) -> Result<(), CliError> {
+    let flags = Flags::parse(cmd, args)?;
     let input = PathBuf::from(flags.require("in")?);
     let output = PathBuf::from(flags.require("out")?);
     let io_err = |e: std::io::Error| CliError::Ease(EaseError::Io(e));

@@ -216,16 +216,14 @@ fn daemon_proxy_cli_is_bit_identical_to_one_shot_cli() {
             ["recommend", "--model", fx.model.to_str().unwrap(), "--graph", graph_str];
         let (direct, stderr, ok) = run_cli(&one_shot_args);
         assert!(ok, "one-shot failed: {stderr}");
-        // `ease recommend --endpoint unix:<socket>`: no --model needed
-        let (proxied, stderr, ok) =
-            run_cli(&["recommend", "--endpoint", &endpoint, "--graph", graph_str]);
-        assert!(ok, "proxy failed: {stderr}");
-        assert_eq!(proxied, direct, "--endpoint answer must match the one-shot CLI byte-for-byte");
-        // `ease client recommend` speaks the same protocol
-        let (via_client, stderr, ok) =
-            run_cli(&["client", "recommend", "--endpoint", &endpoint, "--graph", graph_str]);
-        assert!(ok, "client failed: {stderr}");
-        assert_eq!(via_client, direct);
+        // `ease recommend --endpoint unix:<socket>`: no --model needed, and
+        // a repeat answers from the warm cache with the same bytes
+        for pass in ["cold", "warm"] {
+            let (proxied, stderr, ok) =
+                run_cli(&["recommend", "--endpoint", &endpoint, "--graph", graph_str]);
+            assert!(ok, "{pass} proxy failed: {stderr}");
+            assert_eq!(proxied, direct, "{pass} --endpoint answer must match the one-shot CLI");
+        }
     }
     // features: every line except the trailing wall-clock timing line is
     // deterministic, so strip it on both sides (as CI does)
@@ -257,21 +255,30 @@ fn daemon_proxy_cli_is_bit_identical_to_one_shot_cli() {
 #[test]
 fn retired_endpoint_flags_are_usage_errors_naming_endpoint() {
     // no daemon needed: every spelling must fail before any socket is
-    // touched, with exit 2 and a usage line steering to --endpoint
+    // touched, with exit 2 and a usage line steering to the one spelling
     let graph = fixtures().txt.to_str().unwrap();
-    for args in [
-        &["recommend", "--daemon", "x", "--graph", graph][..],
-        &["recommend", "--daemon-tcp", "x", "--graph", graph],
-        &["client", "ping", "--socket", "x"],
-        &["client", "ping", "--tcp", "x"],
+    for (args, needle) in [
+        (&["recommend", "--daemon", "x", "--graph", graph][..], "--endpoint"),
+        (&["recommend", "--daemon-tcp", "x", "--graph", graph], "--endpoint"),
+        (&["client", "ping", "--socket", "x"], "--endpoint"),
+        (&["client", "ping", "--tcp", "x"], "--endpoint"),
+        // a query has one CLI form; `client` sends only what has no local answer
+        (
+            &["client", "recommend", "--endpoint", "unix:/x", "--graph", graph],
+            "`ease recommend --endpoint <ep>`",
+        ),
+        (
+            &["client", "features", graph, "--endpoint", "unix:/x"],
+            "`ease features --endpoint <ep>`",
+        ),
+        // endpoints need their scheme: a bare host:port is not TCP
+        (&["recommend", "--endpoint", "127.0.0.1:1", "--graph", graph], "--endpoint `127.0.0.1:1`"),
+        (&["route", "--backend", "127.0.0.1:1", "--socket", "x"], "--backend `127.0.0.1:1`"),
     ] {
         let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args(args));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains("usage error") && stderr.contains("--endpoint"),
-            "{args:?}: {stderr}"
-        );
+        assert!(stderr.contains("usage error") && stderr.contains(needle), "{args:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{args:?} must not answer");
     }
 }
@@ -293,14 +300,12 @@ fn unknown_flags_are_usage_errors_and_help_exits_zero() {
             "--seed",
         ),
         (&["features", graph, "--teir", "basic"], "features", "--teir", "--tier"),
-        (&["client", "ping", "--endpiont", "unix:/x"], "client ping", "--endpiont", "--endpoint"),
-        (&["client", "recommend", "--model", "m"], "client recommend", "--model", "--graph"),
-        (
-            &["route", "--backend", "unix:/x", "--forward-shutdown"],
-            "route",
-            "--forward-shutdown",
-            "--listen",
-        ),
+        (&["client", "ping", "--endpiont", "unix:/x"], "client", "--endpiont", "--endpoint"),
+        // `route` listens on --tcp, as `serve` does; its tuning flags are gone
+        (&["route", "--listen", "127.0.0.1:0"], "route", "--listen", "--tcp"),
+        (&["route", "--forward-shutdown"], "route", "--forward-shutdown", "--tcp"),
+        (&["route", "--no-forward-shutdown"], "route", "--no-forward-shutdown", "--tcp"),
+        (&["route", "--health-interval-ms", "5"], "route", "--health-interval-ms", "--tcp"),
         (&["convert", "--in", graph, "--output", "x"], "convert", "--output", "--out"),
     ] {
         let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args(args));
@@ -321,6 +326,39 @@ fn unknown_flags_are_usage_errors_and_help_exits_zero() {
         assert_eq!(out.status.code(), Some(0), "{args:?}");
         assert!(String::from_utf8_lossy(&out.stdout).contains("TRAIN OPTIONS:"), "{args:?}");
         assert!(out.stderr.is_empty(), "{args:?}");
+    }
+}
+
+#[test]
+fn help_lists_exactly_the_flags_each_subcommand_accepts() {
+    // for every subcommand `ease --help` lists, the `--flags` of its
+    // OPTIONS section are the `accepted:` list of its unknown-flag error
+    let (help, _, ok) = run_cli(&["--help"]);
+    assert!(ok);
+    let section = |header: &str| -> Vec<String> {
+        let (_, rest) = help.split_once(header).unwrap_or_else(|| panic!("no `{header}`: {help}"));
+        rest.lines().take_while(|line| !line.is_empty()).map(String::from).collect()
+    };
+    let subcommands: Vec<String> = section("\nSUBCOMMANDS:\n")
+        .iter()
+        .filter_map(|line| line.split_whitespace().next().map(String::from))
+        .collect();
+    assert_eq!(subcommands.len(), 9, "{help}");
+    for sub in &subcommands {
+        // option rows start in column 4; help continuations sit deeper
+        let listed: Vec<String> = section(&format!("\n{} OPTIONS:\n", sub.to_uppercase()))
+            .iter()
+            .filter_map(|line| line.strip_prefix("    --"))
+            .filter_map(|row| row.split_whitespace().next().map(|name| format!("--{name}")))
+            .collect();
+        let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args([sub, "--no-such"]));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{sub}: {stderr}");
+        let accepted = stderr
+            .split_once("(accepted: ")
+            .and_then(|(_, rest)| rest.split_once(')'))
+            .map_or_else(|| panic!("{sub}: no accepted list in {stderr}"), |(list, _)| list);
+        assert_eq!(accepted.split(", ").collect::<Vec<_>>(), listed, "ease {sub}");
     }
 }
 

@@ -243,7 +243,6 @@ fn pipelined_answers_are_bit_identical_over_unix_and_tcp() {
     // the real CLI binary over TCP prints the same bytes as the one-shot
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_ease"))
         .args([
-            "client",
             "recommend",
             "--endpoint",
             &tcp.to_string(),

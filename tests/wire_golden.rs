@@ -312,7 +312,7 @@ fn cli_flag_spellings_decode_to_the_same_requests() {
     let cwd_text = cwd.to_str().expect("utf-8 temp dir");
     let cases: [(&[&str], Request); 6] = [
         (
-            &["client", "recommend", "--graph", "data/g.bel"],
+            &["recommend", "--graph", "data/g.bel"],
             recommend(None, OptGoal::EndToEnd, DEFAULT_TOP, Some(cwd_text)),
         ),
         (
@@ -321,7 +321,6 @@ fn cli_flag_spellings_decode_to_the_same_requests() {
         ),
         (
             &[
-                "client",
                 "recommend",
                 "--graph",
                 "data/g.bel",
@@ -336,13 +335,13 @@ fn cli_flag_spellings_decode_to_the_same_requests() {
             ],
             recommend(Some(8), OptGoal::ProcessingOnly, 3, Some(cwd_text)),
         ),
-        (&["client", "features", "g.txt"], features(PropertyTier::Advanced, Some(cwd_text))),
+        (&["features", "g.txt"], features(PropertyTier::Advanced, Some(cwd_text))),
         (
             &["features", "--graph", "g.txt", "--tier", "basic"],
             features(PropertyTier::Basic, Some(cwd_text)),
         ),
         (
-            &["client", "features", "--graph", "g.txt", "--tier", "simple"],
+            &["features", "--graph", "g.txt", "--tier", "simple"],
             features(PropertyTier::Simple, Some(cwd_text)),
         ),
     ];
@@ -360,13 +359,15 @@ fn cli_flag_spellings_decode_to_the_same_requests() {
     }
     // typos in the query vocabulary are usage errors before any socket
     for args in [
-        &["client", "recommend", "--graph", "g", "--workload", "nope"][..],
-        &["client", "recommend", "--graph", "g", "--goal", "fastest"],
-        &["client", "recommend", "--graph", "g", "--k", "many"],
-        &["client", "recommend", "--graph", "g", "--top", "-1"],
-        &["client", "recommend", "--workload", "pr"],
-        &["client", "features", "g", "--tier", "ultra"],
-        &["client", "features", "--tier", "basic"],
+        &["recommend", "--graph", "g", "--workload", "nope"][..],
+        &["recommend", "--graph", "g", "--goal", "fastest"],
+        &["recommend", "--graph", "g", "--k", "many"],
+        &["recommend", "--graph", "g", "--top", "-1"],
+        &["recommend", "--workload", "pr"],
+        &["features", "g", "--tier", "ultra"],
+        &["features", "--tier", "basic"],
+        // the positional graph and --graph together: neither silently wins
+        &["features", "g", "--graph", "h"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_ease"))
             .args(args)
