@@ -16,7 +16,7 @@
 use super::protocol::{proto_err, read_frame_v2, write_frame_v2, Request, Response};
 use crate::error::EaseError;
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 
@@ -156,9 +156,13 @@ pub fn call_endpoint(endpoint: &Endpoint, request: &Request) -> Result<Response,
 
 /// A v2 session: one connection, many requests in flight, responses
 /// matched back to their ids. Not `Sync` — one session belongs to one
-/// thread; open more sessions for more concurrency.
+/// thread; open more sessions for more concurrency. Frames are read
+/// through one buffer, so a response costs one `read` and responses that
+/// arrive together are decoded without going back to the socket.
 pub struct PipelinedClient {
-    stream: Box<dyn ClientStream>,
+    /// The connection behind its read buffer; requests are written
+    /// straight to the socket through `get_mut`.
+    stream: BufReader<Box<dyn ClientStream>>,
     next_id: u64,
     /// Responses that arrived while [`Self::recv`] was waiting for a
     /// different id, kept in arrival order.
@@ -167,7 +171,8 @@ pub struct PipelinedClient {
 
 impl PipelinedClient {
     pub fn connect(endpoint: &Endpoint) -> Result<PipelinedClient, EaseError> {
-        Ok(PipelinedClient { stream: connect(endpoint)?, next_id: 0, parked: Vec::new() })
+        let stream = BufReader::new(connect(endpoint)?);
+        Ok(PipelinedClient { stream, next_id: 0, parked: Vec::new() })
     }
 
     /// Write one request frame and return the id its response will carry.
@@ -175,7 +180,7 @@ impl PipelinedClient {
     pub fn send(&mut self, request: &Request) -> Result<u64, EaseError> {
         let id = self.next_id;
         self.next_id += 1;
-        write_frame_v2(&mut self.stream, id, &request.encode_binary())?;
+        write_frame_v2(self.stream.get_mut(), id, &request.encode_binary())?;
         Ok(id)
     }
 
@@ -215,15 +220,17 @@ impl PipelinedClient {
     /// same connection (the OS-level stream is duplicated): one thread
     /// can keep sending while another blocks in
     /// [`PipelinedReceiver::recv_any`] — the shape a multiplexing proxy
-    /// needs. Refuses to split a session with parked responses: those
-    /// belong to the unified [`Self::recv`] bookkeeping.
+    /// needs. The receiver keeps the read buffer, so a response already
+    /// read off the socket is still delivered. Refuses to split a session
+    /// with parked responses: those belong to the unified [`Self::recv`]
+    /// bookkeeping.
     pub fn split(self) -> Result<(PipelinedSender, PipelinedReceiver), EaseError> {
         if !self.parked.is_empty() {
             return Err(proto_err("split a fresh session, not one with parked responses"));
         }
-        let read = self.stream.try_clone_stream()?;
-        let sender = PipelinedSender { stream: self.stream, next_id: self.next_id };
-        Ok((sender, PipelinedReceiver { stream: read }))
+        let write = self.stream.get_ref().try_clone_stream()?;
+        let sender = PipelinedSender { stream: write, next_id: self.next_id };
+        Ok((sender, PipelinedReceiver { stream: self.stream }))
     }
 }
 
@@ -248,7 +255,7 @@ impl PipelinedSender {
 /// The read half of a split [`PipelinedClient`]: yields responses in
 /// arrival order, never writes.
 pub struct PipelinedReceiver {
-    stream: Box<dyn ClientStream>,
+    stream: BufReader<Box<dyn ClientStream>>,
 }
 
 impl PipelinedReceiver {
@@ -349,5 +356,31 @@ mod tests {
             Err(err) => err.to_string(),
         };
         assert!(err.contains("binary endpoint"), "{err}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn split_hands_the_receiver_what_the_buffer_already_holds() {
+        use super::super::protocol::read_frame_v2;
+        let (near, mut far) = std::os::unix::net::UnixStream::pair().unwrap();
+        near.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
+        let stream: Box<dyn ClientStream> = Box::new(near);
+        let mut client =
+            PipelinedClient { stream: BufReader::new(stream), next_id: 0, parked: Vec::new() };
+        let id = client.send(&Request::Ping).unwrap();
+        assert_eq!(read_frame_v2(&mut far).unwrap().0, id);
+        // two answers in one write: the read that takes the first buffers
+        // the second
+        let mut wire = Vec::new();
+        write_frame_v2(&mut wire, id, &Response::Pong { version: 2 }.encode_binary()).unwrap();
+        write_frame_v2(&mut wire, 77, &Response::ShuttingDown.encode_binary()).unwrap();
+        far.write_all(&wire).unwrap();
+        assert_eq!(client.recv(id).unwrap(), Response::Pong { version: 2 });
+        assert!(!client.stream.buffer().is_empty(), "the second frame is buffered");
+        let (mut tx, mut rx) = client.split().unwrap();
+        assert_eq!(rx.recv_any().unwrap(), (77, Response::ShuttingDown));
+        // and the write half still reaches the peer
+        let next = tx.send(&Request::CacheStats).unwrap();
+        assert_eq!(read_frame_v2(&mut far).unwrap(), (next, Request::CacheStats.encode_binary()));
     }
 }

@@ -31,9 +31,9 @@
 //! not open), `400` for every other error. Alongside `http.rs`, only
 //! `json.rs` formats JSON text.
 
-use super::protocol::{proto_err, Request, Response, MAX_FRAME_BYTES};
+use super::protocol::{proto_err, read_capped_payload, Request, Response, MAX_FRAME_BYTES};
 use crate::error::EaseError;
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 
 /// First two bytes of `GET ` — the connection sniffer in `server.rs`
 /// dispatches on these exactly as it does on the binary frame magics.
@@ -56,16 +56,17 @@ pub(crate) enum SessionState {
     Close,
 }
 
-/// Serve exactly one HTTP request on `stream`. The two sniffed bytes
-/// arrive via `prefix` (they are part of the request line). `submit` runs
-/// the decoded request through the server's executor pool and returns its
-/// typed response — or `None` when the daemon is draining, which closes
-/// the connection without an answer.
+/// Serve exactly one HTTP request on `stream`, the connection's read
+/// buffer. The two sniffed bytes arrive via `prefix` (they are part of
+/// the request line); bytes past this request's body stay buffered for
+/// the next one. `submit` runs the decoded request through the server's
+/// executor pool and returns its typed response — or `None` when the
+/// daemon is draining, which closes the connection without an answer.
 ///
 /// Malformed or oversized heads get a best-effort `400` and close the
 /// connection; nothing in here can panic the worker on peer input.
 pub(crate) fn serve_one(
-    stream: &mut (impl Read + Write),
+    stream: &mut BufReader<impl Read + Write>,
     prefix: [u8; 2],
     submit: &mut dyn FnMut(Request) -> Option<Response>,
 ) -> SessionState {
@@ -76,7 +77,7 @@ pub(crate) fn serve_one(
                 "serve error: protocol violation: HTTP request head exceeds \
                  the {MAX_HEAD_BYTES}-byte cap"
             ));
-            respond(stream, 400, "Bad Request", &body.to_json(), true).ok();
+            respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
             return SessionState::Close;
         }
         // peer vanished mid-head: nothing to answer
@@ -86,14 +87,14 @@ pub(crate) fn serve_one(
         let body = Response::Error(
             "serve error: protocol violation: HTTP request head is not UTF-8".into(),
         );
-        respond(stream, 400, "Bad Request", &body.to_json(), true).ok();
+        respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
         return SessionState::Close;
     };
     let parsed = match parse_head(head) {
         Ok(parsed) => parsed,
         Err(message) => {
             let body = Response::Error(format!("serve error: protocol violation: {message}"));
-            respond(stream, 400, "Bad Request", &body.to_json(), true).ok();
+            respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
             return SessionState::Close;
         }
     };
@@ -104,21 +105,18 @@ pub(crate) fn serve_one(
                 "serve error: protocol violation: declared body of {len} bytes \
                  exceeds the {MAX_FRAME_BYTES}-byte cap"
             ));
-            respond(stream, 400, "Bad Request", &body.to_json(), true).ok();
+            respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
             return SessionState::Close;
         }
         len => {
-            let mut buf = vec![0u8; len];
-            if stream.read_exact(&mut buf).is_err() {
-                return SessionState::Close;
-            }
+            let Ok(buf) = read_capped_payload(stream, len) else { return SessionState::Close };
             match String::from_utf8(buf) {
                 Ok(text) => Some(text),
                 Err(_) => {
                     let body = Response::Error(
                         "serve error: protocol violation: HTTP body is not UTF-8".into(),
                     );
-                    respond(stream, 400, "Bad Request", &body.to_json(), true).ok();
+                    respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
                     return SessionState::Close;
                 }
             }
@@ -132,14 +130,14 @@ pub(crate) fn serve_one(
             let Some(response) = submit(request) else { return SessionState::Close };
             let (status, reason) = status_for(&response);
             let done = close || matches!(response, Response::ShuttingDown);
-            let ok = respond(stream, status, reason, &response.to_json(), done).is_ok();
+            let ok = respond(stream.get_mut(), status, reason, &response.to_json(), done).is_ok();
             next(ok && !done)
         }
         Err((status, reason, message)) => {
             // a routing error on a well-formed request is answerable and
             // the connection stays usable
-            let ok =
-                respond(stream, status, reason, &Response::Error(message).to_json(), close).is_ok();
+            let body = Response::Error(message).to_json();
+            let ok = respond(stream.get_mut(), status, reason, &body, close).is_ok();
             next(ok)
         }
     }
@@ -162,25 +160,37 @@ enum ReadHeadError {
     Io,
 }
 
-/// Read up to the `\r\n\r\n` head terminator, one byte at a time so the
-/// loop never consumes bytes belonging to the body or to a pipelined
-/// follow-up request. Heads are ≤ [`MAX_HEAD_BYTES`]; throughput is not
-/// what this path is for.
-fn read_head(stream: &mut impl Read, prefix: [u8; 2]) -> Result<Vec<u8>, ReadHeadError> {
+/// Read up to the `\r\n\r\n` head terminator, scanning whole buffered
+/// chunks. Only the head is consumed: bytes past the terminator — the
+/// body, or a pipelined follow-up request — stay in `stream`'s buffer.
+/// Heads are ≤ [`MAX_HEAD_BYTES`].
+fn read_head(stream: &mut impl BufRead, prefix: [u8; 2]) -> Result<Vec<u8>, ReadHeadError> {
     let mut head = prefix.to_vec();
-    let mut byte = [0u8; 1];
     loop {
+        let chunk = match stream.fill_buf() {
+            Ok([]) => return Err(ReadHeadError::Io),
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(_) => return Err(ReadHeadError::Io),
+        };
+        // the terminator may straddle the previous chunk
+        let scan_from = head.len().saturating_sub(3);
+        let taken = chunk.len().min(MAX_HEAD_BYTES.saturating_sub(head.len()));
+        head.extend_from_slice(chunk.get(..taken).unwrap_or_default());
+        let terminator =
+            head.get(scan_from..).and_then(|tail| tail.windows(4).position(|w| w == b"\r\n\r\n"));
+        if let Some(at) = terminator {
+            // the terminator ends past the previous chunk, so what is
+            // handed back is fewer than `taken` bytes
+            let end = scan_from + at + 4;
+            stream.consume(taken - (head.len() - end));
+            head.truncate(end);
+            return Ok(head);
+        }
+        stream.consume(taken);
         if head.len() >= MAX_HEAD_BYTES {
             drain_oversized_head(stream);
             return Err(ReadHeadError::TooLarge);
-        }
-        if stream.read_exact(&mut byte).is_err() {
-            return Err(ReadHeadError::Io);
-        }
-        let [b] = byte;
-        head.push(b);
-        if head.ends_with(b"\r\n\r\n") {
-            return Ok(head);
         }
     }
 }
@@ -351,7 +361,9 @@ fn hex_val(b: u8) -> Option<u8> {
     }
 }
 
-/// Write one HTTP/1.1 response carrying a JSON body.
+/// Write one HTTP/1.1 response carrying a JSON body — head and body in one
+/// write, for the reason [`write_frame_v2`](super::protocol::write_frame_v2)
+/// gives.
 fn respond(
     stream: &mut impl Write,
     status: u16,
@@ -360,15 +372,14 @@ fn respond(
     close: bool,
 ) -> std::io::Result<()> {
     let connection = if close { "close" } else { "keep-alive" };
-    let head = format!(
+    let message = format!(
         "HTTP/1.1 {status} {reason}\r\n\
          Content-Type: application/json\r\n\
          Content-Length: {}\r\n\
-         Connection: {connection}\r\n\r\n",
+         Connection: {connection}\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(message.as_bytes())?;
     stream.flush()
 }
 
@@ -392,16 +403,15 @@ fn call_http_on(
     request: &Request,
 ) -> Result<Response, EaseError> {
     let body = request.to_json();
-    let head = format!(
+    let message = format!(
         "POST /rpc HTTP/1.1\r\n\
          Host: {host}\r\n\
          Content-Type: application/json\r\n\
          Content-Length: {}\r\n\
-         Connection: close\r\n\r\n",
+         Connection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    stream.write_all(message.as_bytes())?;
     stream.flush()?;
     // `Connection: close` means the whole response is ours to drain
     let mut raw = Vec::new();
@@ -423,16 +433,23 @@ mod tests {
     use crate::selector::OptGoal;
     use ease_graph::PropertyTier;
 
-    /// An in-memory duplex stream: reads drain `input`, writes land in
-    /// `output`.
+    /// An in-memory duplex stream: reads drain `input` at most `chunk`
+    /// bytes at a time, writes land in `output` and are counted.
     struct FakeStream {
         input: std::io::Cursor<Vec<u8>>,
+        chunk: usize,
         output: Vec<u8>,
+        writes: usize,
     }
 
     impl FakeStream {
         fn new(input: &[u8]) -> FakeStream {
-            FakeStream { input: std::io::Cursor::new(input.to_vec()), output: Vec::new() }
+            FakeStream {
+                input: std::io::Cursor::new(input.to_vec()),
+                chunk: usize::MAX,
+                output: Vec::new(),
+                writes: 0,
+            }
         }
 
         fn wrote(&self) -> &str {
@@ -442,12 +459,14 @@ mod tests {
 
     impl Read for FakeStream {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.input.read(buf)
+            let n = buf.len().min(self.chunk);
+            self.input.read(&mut buf[..n])
         }
     }
 
     impl Write for FakeStream {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
             self.output.extend_from_slice(buf);
             Ok(buf.len())
         }
@@ -456,18 +475,21 @@ mod tests {
         }
     }
 
-    /// Drive [`serve_one`] the way `server.rs` does: the first two bytes
-    /// are pre-sniffed off the wire.
+    /// The connection's read buffer over `input`, the first two bytes
+    /// pre-sniffed off the wire the way `server.rs` does.
+    fn sniffed(raw: &[u8]) -> ([u8; 2], BufReader<FakeStream>) {
+        ([raw[0], raw[1]], BufReader::new(FakeStream::new(&raw[2..])))
+    }
+
+    /// Drive [`serve_one`] over one request.
     fn drive(raw: &str, answer: Response) -> (String, Vec<Request>) {
-        let bytes = raw.as_bytes();
-        let prefix = [bytes[0], bytes[1]];
-        let mut stream = FakeStream::new(&bytes[2..]);
+        let (prefix, mut stream) = sniffed(raw.as_bytes());
         let mut seen = Vec::new();
         serve_one(&mut stream, prefix, &mut |request| {
             seen.push(request);
             Some(answer.clone())
         });
-        (stream.wrote().to_string(), seen)
+        (stream.get_ref().wrote().to_string(), seen)
     }
 
     #[test]
@@ -585,25 +607,24 @@ mod tests {
             "GET /healthz HTTP/1.1\r\nbroken header\r\n\r\n",
             "POST /rpc HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
         ] {
-            let bytes = raw.as_bytes();
-            let mut stream = FakeStream::new(&bytes[2..]);
-            let state = serve_one(&mut stream, [bytes[0], bytes[1]], &mut |_| {
+            let (prefix, mut stream) = sniffed(raw.as_bytes());
+            let state = serve_one(&mut stream, prefix, &mut |_| {
                 panic!("malformed request must not reach the executor")
             });
             assert!(matches!(state, SessionState::Close));
-            assert!(stream.wrote().starts_with("HTTP/1.1 400"), "got: {}", stream.wrote());
+            let wrote = stream.get_ref().wrote();
+            assert!(wrote.starts_with("HTTP/1.1 400"), "got: {wrote}");
         }
     }
 
     #[test]
     fn oversized_heads_are_rejected_before_buffering() {
         let raw = format!("GET /x?pad={} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
-        let bytes = raw.as_bytes();
-        let mut stream = FakeStream::new(&bytes[2..]);
-        let state = serve_one(&mut stream, [bytes[0], bytes[1]], &mut |_| unreachable!());
+        let (prefix, mut stream) = sniffed(raw.as_bytes());
+        let state = serve_one(&mut stream, prefix, &mut |_| unreachable!());
         assert!(matches!(state, SessionState::Close));
-        assert!(stream.wrote().starts_with("HTTP/1.1 400"));
-        assert!(stream.wrote().contains("head exceeds"));
+        assert!(stream.get_ref().wrote().starts_with("HTTP/1.1 400"));
+        assert!(stream.get_ref().wrote().contains("head exceeds"));
     }
 
     #[test]
@@ -646,20 +667,79 @@ mod tests {
         // capture what the client would send (read_to_end sees EOF at once,
         // so the parse below fails; we only want the bytes)
         call_http_on(&mut client_out, "test", &request).unwrap_err();
-        let wire = client_out.output.clone();
-        let (prefix, rest) = (&wire[..2], &wire[2..]);
-        let mut server = FakeStream::new(rest);
+        let (prefix, mut server) = sniffed(&client_out.output);
         let answer = Response::Answer("the answer\n".into());
         let reply = answer.clone();
-        serve_one(&mut server, [prefix[0], prefix[1]], &mut |req| {
+        serve_one(&mut server, prefix, &mut |req| {
             assert_eq!(req, request);
             Some(reply.clone())
         });
         // now feed the server's bytes back through the client parser
-        let mut client_in = FakeStream::new(&server.output);
+        let mut client_in = FakeStream::new(&server.get_ref().output);
         let got = call_http_on(&mut client_in, "test", &Request::Ping);
         // the client wrote a fresh request into the void and parsed the
         // canned response; only the parse matters here
         assert_eq!(got.unwrap(), answer);
+    }
+
+    #[test]
+    fn every_message_leaves_in_one_write() {
+        // answered, routing error, malformed head: one response, one write
+        for raw in
+            ["GET /healthz HTTP/1.1\r\n\r\n", "GET /nope HTTP/1.1\r\n\r\n", "GET /healthz\r\n\r\n"]
+        {
+            let (prefix, mut stream) = sniffed(raw.as_bytes());
+            serve_one(&mut stream, prefix, &mut |_| Some(Response::Pong { version: 2 }));
+            assert_eq!(stream.get_ref().writes, 1, "{raw:?} got: {}", stream.get_ref().wrote());
+        }
+        let mut client = FakeStream::new(&[]);
+        call_http_on(&mut client, "test", &Request::CacheStats).unwrap_err();
+        assert_eq!(client.writes, 1, "client request: {}", client.wrote());
+        assert!(client.wrote().ends_with(&Request::CacheStats.to_json()));
+    }
+
+    #[test]
+    fn a_head_arriving_a_byte_per_read_is_parsed() {
+        let body = Request::Ping.to_json();
+        let raw = format!("POST /rpc HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+        let (prefix, mut stream) = sniffed(raw.as_bytes());
+        stream.get_mut().chunk = 1;
+        let mut seen = Vec::new();
+        let state = serve_one(&mut stream, prefix, &mut |request| {
+            seen.push(request);
+            Some(Response::Pong { version: 2 })
+        });
+        assert!(matches!(state, SessionState::KeepAlive));
+        assert_eq!(seen, vec![Request::Ping]);
+        assert!(stream.get_ref().wrote().starts_with("HTTP/1.1 200 OK\r\n"));
+    }
+
+    #[test]
+    fn bytes_past_one_request_stay_buffered_for_the_next() {
+        // three requests, one with a body, arrive in one read
+        let body = Request::CacheStats.to_json();
+        let raw = format!(
+            "GET /healthz HTTP/1.1\r\n\r\n\
+             POST /rpc HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}\
+             GET /stats HTTP/1.1\r\n\r\n",
+            body.len()
+        );
+        let (mut prefix, mut stream) = sniffed(raw.as_bytes());
+        let mut seen = Vec::new();
+        for _ in 0..3 {
+            let state = serve_one(&mut stream, prefix, &mut |request| {
+                seen.push(request);
+                Some(Response::Pong { version: 2 })
+            });
+            assert!(matches!(state, SessionState::KeepAlive));
+            // the next prefix comes out of the buffer, as `poll_prefix`
+            // takes it
+            prefix = [0; 2];
+            if stream.read_exact(&mut prefix).is_err() {
+                break;
+            }
+        }
+        assert_eq!(seen, vec![Request::Ping, Request::CacheStats, Request::CacheStats]);
+        assert_eq!(stream.get_ref().wrote().matches("HTTP/1.1 200 OK").count(), 3);
     }
 }

@@ -610,15 +610,19 @@ pub fn tier_from_name(name: &str) -> Result<PropertyTier, EaseError> {
 // Framing
 // ---------------------------------------------------------------------
 
-/// Write one `[magic][u64 LE id][u32 LE len][payload]` frame.
+/// Write one `[magic][u64 LE id][u32 LE len][payload]` frame in a single
+/// `write_all`. One write per frame is the rule: every serve socket runs
+/// with `TCP_NODELAY`, so each write leaves as its own segment, and a
+/// header written apart from its payload wakes the peer twice — once on
+/// the 14 header bytes, once more on the payload it then blocks for.
 pub fn write_frame_v2(w: &mut impl Write, id: u64, payload: &[u8]) -> Result<(), EaseError> {
     check_payload_len(payload)?;
-    let mut head = [0u8; 14];
-    head[..2].copy_from_slice(&FRAME_MAGIC_V2); // lint: panic-ok(const ranges of a fixed 14-byte header)
-    head[2..10].copy_from_slice(&id.to_le_bytes()); // lint: panic-ok(const ranges of a fixed 14-byte header)
-    head[10..14].copy_from_slice(&(payload.len() as u32).to_le_bytes()); // lint: panic-ok(const ranges of a fixed 14-byte header)
-    w.write_all(&head)?;
-    w.write_all(payload)?;
+    let mut frame = Vec::with_capacity(14 + payload.len());
+    frame.extend_from_slice(&FRAME_MAGIC_V2);
+    frame.extend_from_slice(&id.to_le_bytes());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(payload);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -661,16 +665,29 @@ pub fn read_frame_v2_after_magic(r: &mut impl Read) -> Result<(u64, Vec<u8>), Ea
     Ok((id, read_capped_payload(r, len)?))
 }
 
-fn read_capped_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, EaseError> {
+/// Read a payload of the declared `len` bytes. The length is the peer's
+/// word, so memory follows the bytes that actually arrive: the buffer
+/// starts at most [`PAYLOAD_PREALLOC`] bytes and grows as data comes in,
+/// and a frame that declares a megabyte and then closes costs what it
+/// sent, not the megabyte. The HTTP facade reads request bodies through
+/// it too.
+pub(crate) fn read_capped_payload(r: &mut impl Read, len: usize) -> Result<Vec<u8>, EaseError> {
     if len > MAX_FRAME_BYTES {
         return Err(proto_err(format!(
             "declared frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"
         )));
     }
-    let mut payload = vec![0u8; len];
-    read_exact_framed(r, &mut payload)?;
+    let mut payload = Vec::with_capacity(len.min(PAYLOAD_PREALLOC));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(ServeError::Disconnected.into());
+    }
     Ok(payload)
 }
+
+/// Most a payload read allocates before its bytes arrive: every message on
+/// the serve path fits, a hostile length prefix gains nothing past it.
+const PAYLOAD_PREALLOC: usize = 8 << 10;
 
 fn read_exact_framed(r: &mut impl Read, buf: &mut [u8]) -> Result<(), EaseError> {
     r.read_exact(buf).map_err(|e| {
@@ -848,6 +865,63 @@ mod tests {
         // the writer refuses to emit an oversized frame
         let huge = vec![0u8; MAX_FRAME_BYTES + 1];
         assert!(write_frame_v2(&mut Vec::new(), 1, &huge).is_err());
+    }
+
+    /// Counts `write` calls; accepts every byte, so one `write_all` is one
+    /// call.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        for payload in [Vec::new(), Request::Ping.encode_binary(), vec![7u8; 64 << 10]] {
+            let mut w = CountingWriter::default();
+            write_frame_v2(&mut w, 5, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{}-byte payload", payload.len());
+            assert_eq!(w.bytes.len(), 14 + payload.len());
+            assert_eq!(read_frame_v2(&mut w.bytes.as_slice()).unwrap(), (5, payload));
+        }
+    }
+
+    #[test]
+    fn a_declared_megabyte_followed_by_eof_allocates_what_arrived() {
+        /// Serves `data`, then EOF; records the largest buffer a read asked
+        /// to fill.
+        struct Widest<'a> {
+            data: &'a [u8],
+            widest: usize,
+        }
+        impl Read for Widest<'_> {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                self.widest = self.widest.max(buf.len());
+                self.data.read(buf)
+            }
+        }
+        let mut wire = Vec::new();
+        wire.extend_from_slice(&FRAME_MAGIC_V2);
+        wire.extend_from_slice(&3u64.to_le_bytes());
+        wire.extend_from_slice(&(MAX_FRAME_BYTES as u32).to_le_bytes());
+        wire.extend_from_slice(b"and then the peer hung up");
+        let mut r = Widest { data: &wire, widest: 0 };
+        assert!(matches!(
+            read_frame_v2(&mut r).unwrap_err(),
+            EaseError::Serve(ServeError::Disconnected)
+        ));
+        assert!(r.widest <= PAYLOAD_PREALLOC, "a read asked for {} bytes", r.widest);
     }
 
     #[test]

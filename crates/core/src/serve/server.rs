@@ -27,6 +27,13 @@
 //!   later request finishes first. A bounded in-flight window per
 //!   connection provides backpressure: a client that stops reading blocks
 //!   only its own reader, never the executors or the accept loops.
+//! * **One write and one read buffer per message.** Every frame and every
+//!   HTTP response leaves in a single write: the sockets run with
+//!   `TCP_NODELAY`, so each write is a segment of its own, and a head
+//!   written apart from its body wakes the peer twice. Every connection
+//!   is read through one buffer, created where it is sniffed: a frame or
+//!   an HTTP head costs one `read` however the peer segmented it, and
+//!   bytes of the next message stay buffered for the next pass.
 //! * **Shutdown** is a `SeqCst` flag re-checked at every blocking point
 //!   (accept hand-off, idle frame reads, the in-flight window) within
 //!   [`SHUTDOWN_POLL`], so a shutdown request drains the daemon promptly
@@ -61,7 +68,7 @@ mod unix_server {
     use ease_graph::{open_path, PreparedGraph, PropertyTier};
     use ease_procsim::Workload;
     use std::collections::HashMap;
-    use std::io::{ErrorKind, Read, Write};
+    use std::io::{BufReader, ErrorKind, Read, Write};
     use std::net::{SocketAddr, TcpListener, TcpStream};
     use std::os::unix::net::{UnixListener, UnixStream};
     use std::path::PathBuf;
@@ -101,6 +108,10 @@ mod unix_server {
         fn set_read_timeout_conn(&self, t: Option<Duration>);
         fn set_write_timeout_conn(&self, t: Option<Duration>);
     }
+
+    /// A connection behind its one read buffer (see the module docs);
+    /// writes go straight to the socket through `get_mut`.
+    type BufConn = BufReader<Box<dyn Conn>>;
 
     impl Conn for UnixStream {
         fn try_clone_conn(&self) -> std::io::Result<Box<dyn Conn>> {
@@ -623,20 +634,26 @@ mod unix_server {
     /// passes the I/O timeout (a peer that never sends a byte is evicted),
     /// pipelined sessions pass `None` (idling between requests is
     /// legitimate). `None` means the connection is done: EOF, a dead
-    /// socket, an evicted peer, or shutdown. On `Some` the read timeout is
+    /// socket, an evicted peer, or shutdown. Bytes already in the buffer
+    /// are taken without touching the socket; only an empty buffer
+    /// switches the read timeout to the poll slice, and on `Some` it is
     /// back at the configured I/O timeout for the rest of the message.
     fn poll_prefix(
-        stream: &mut Box<dyn Conn>,
+        stream: &mut BufConn,
         shared: &Shared,
         evict_after: Option<Duration>,
     ) -> Option<[u8; 2]> {
-        stream.set_read_timeout_conn(Some(SHUTDOWN_POLL));
         let start = std::time::Instant::now();
+        let mut polling = false;
         let mut prefix = [0u8; 2];
         let mut filled = 0;
         while let Some(rest) = prefix.get_mut(filled..).filter(|rest| !rest.is_empty()) {
             if shared.is_shutting_down_now() {
                 return None;
+            }
+            if !polling && stream.buffer().is_empty() {
+                stream.get_ref().set_read_timeout_conn(Some(SHUTDOWN_POLL));
+                polling = true;
             }
             match stream.read(rest) {
                 Ok(0) => return None,
@@ -649,7 +666,9 @@ mod unix_server {
                 Err(_) => return None,
             }
         }
-        stream.set_read_timeout_conn(shared.io_timeout);
+        if polling {
+            stream.get_ref().set_read_timeout_conn(shared.io_timeout);
+        }
         Some(prefix)
     }
 
@@ -658,11 +677,12 @@ mod unix_server {
     /// peer gets a best-effort [`Response::Error`] and a closed
     /// connection; nothing in here can panic the worker on user input.
     fn handle_connection(
-        mut stream: Box<dyn Conn>,
+        stream: Box<dyn Conn>,
         shared: &Arc<Shared>,
         req_tx: &mpsc::SyncSender<Job>,
     ) {
         stream.set_write_timeout_conn(shared.io_timeout);
+        let mut stream = BufReader::new(stream);
         // a bare connect/close (e.g. the shutdown poke, or a port probe)
         // is not worth an error frame
         let Some(prefix) = poll_prefix(&mut stream, shared, shared.io_timeout) else { return };
@@ -677,7 +697,7 @@ mod unix_server {
                     "serve error: protocol violation: bad frame magic {a:02x}{b:02x} \
                      (expected {m0:02x}{m1:02x} or an HTTP GET/POST)"
                 );
-                write_frame_v2(&mut stream, 0, &Response::Error(msg).encode_binary()).ok();
+                write_frame_v2(stream.get_mut(), 0, &Response::Error(msg).encode_binary()).ok();
             }
         }
     }
@@ -688,7 +708,7 @@ mod unix_server {
     /// interception, the served counter and the `Handler` dispatch are
     /// identical across both wire formats.
     fn http_session(
-        mut stream: Box<dyn Conn>,
+        mut stream: BufConn,
         mut prefix: [u8; 2],
         shared: &Arc<Shared>,
         req_tx: &mpsc::SyncSender<Job>,
@@ -723,11 +743,11 @@ mod unix_server {
     /// dedicated writer thread streams responses back as they complete,
     /// tagged with their request ids.
     fn pipelined_session(
-        mut reader: Box<dyn Conn>,
+        mut reader: BufConn,
         shared: &Arc<Shared>,
         req_tx: &mpsc::SyncSender<Job>,
     ) {
-        let Ok(writer_stream) = reader.try_clone_conn() else { return };
+        let Ok(writer_stream) = reader.get_ref().try_clone_conn() else { return };
         // the writer must stay joinable for graceful drain, so pipelined
         // sessions keep a write timeout even when io_timeout is disabled
         writer_stream

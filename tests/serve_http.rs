@@ -126,6 +126,28 @@ fn http_raw(addr: &str, raw: &str) -> (String, String) {
     (status, body.to_string())
 }
 
+/// Read one keep-alive response off `stream`, leaving the next one
+/// unread. Returns (status line, body).
+fn read_response(stream: &mut TcpStream) -> (String, String) {
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("head byte");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("utf8 head");
+    let length: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("Content-Length: "))
+        .expect("content-length")
+        .trim()
+        .parse()
+        .expect("numeric length");
+    let mut body = vec![0u8; length];
+    stream.read_exact(&mut body).expect("body");
+    (head.lines().next().expect("status").to_string(), String::from_utf8(body).expect("utf8"))
+}
+
 /// Pull a field out of a JSON envelope, panicking with the whole body on
 /// any shape surprise — test failures should show what came back.
 fn envelope_field<'a>(body: &'a Value, key: &str) -> &'a Value {
@@ -323,30 +345,11 @@ fn http_errors_carry_typed_statuses_and_json_bodies() {
 fn http_keep_alive_pipelines_requests_on_one_connection() {
     let (daemon, addr) = start_daemon(2);
     let mut stream = TcpStream::connect(&addr).expect("connect");
-    let read_one = |stream: &mut TcpStream| -> (String, String) {
-        let mut head = Vec::new();
-        let mut byte = [0u8; 1];
-        while !head.ends_with(b"\r\n\r\n") {
-            stream.read_exact(&mut byte).expect("head byte");
-            head.push(byte[0]);
-        }
-        let head = String::from_utf8(head).expect("utf8 head");
-        let length: usize = head
-            .lines()
-            .find_map(|l| l.strip_prefix("Content-Length: "))
-            .expect("content-length")
-            .trim()
-            .parse()
-            .expect("numeric length");
-        let mut body = vec![0u8; length];
-        stream.read_exact(&mut body).expect("body");
-        (head.lines().next().expect("status").to_string(), String::from_utf8(body).expect("utf8"))
-    };
     for _ in 0..3 {
         stream
             .write_all(format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes())
             .expect("send");
-        let (status, body) = read_one(&mut stream);
+        let (status, body) = read_response(&mut stream);
         assert_eq!(status, "HTTP/1.1 200 OK");
         parse_envelope(&body, "pong");
     }
@@ -354,6 +357,33 @@ fn http_keep_alive_pipelines_requests_on_one_connection() {
     let (_, body) = http_get(&addr, "/stats");
     let stats = parse_envelope(&body, "stats");
     assert_eq!(envelope_field(&stats, "requests_served").as_u64(), Some(4));
+    daemon.trigger_shutdown();
+    daemon.join().expect("daemon join");
+}
+
+#[test]
+fn http_requests_coalesced_or_trickled_on_the_wire_are_answered_in_order() {
+    let (daemon, addr) = start_daemon(2);
+    let mut stream = TcpStream::connect(&addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    // two keep-alive GETs in one write: two responses, in request order
+    let two = format!(
+        "GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\nGET /stats HTTP/1.1\r\nHost: {addr}\r\n\r\n"
+    );
+    stream.write_all(two.as_bytes()).expect("send both");
+    let (status, body) = read_response(&mut stream);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    parse_envelope(&body, "pong");
+    let (status, body) = read_response(&mut stream);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    parse_envelope(&body, "stats");
+    // a head sent a byte per write, on the same connection
+    for byte in format!("GET /healthz HTTP/1.1\r\nHost: {addr}\r\n\r\n").as_bytes() {
+        stream.write_all(std::slice::from_ref(byte)).expect("send one byte");
+    }
+    let (status, body) = read_response(&mut stream);
+    assert_eq!(status, "HTTP/1.1 200 OK");
+    parse_envelope(&body, "pong");
     daemon.trigger_shutdown();
     daemon.join().expect("daemon join");
 }

@@ -314,6 +314,52 @@ fn slow_requests_do_not_block_later_answers_on_the_same_connection() {
 }
 
 // ---------------------------------------------------------------------
+// Frames however the wire segments them
+// ---------------------------------------------------------------------
+
+#[test]
+fn coalesced_and_trickled_frames_are_answered_by_id() {
+    let fx = fixtures();
+    let (handle, _unix, tcp) = start_server("segments", 2);
+    let Endpoint::Tcp(addr) = &tcp else { unreachable!() };
+    let connect = || {
+        let stream = TcpStream::connect(addr).expect("tcp connect");
+        stream.set_nodelay(true).expect("nodelay");
+        stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+        stream
+    };
+    let expected = cli_answer(&fx.txt, "pr", None);
+    let recommend = recommend_request(&fx.txt, "pr", None).encode_binary();
+    // three frames in one write_all
+    let mut stream = connect();
+    let mut wire = Vec::new();
+    serve::write_frame_v2(&mut wire, 11, &Request::Ping.encode_binary()).expect("frame");
+    serve::write_frame_v2(&mut wire, 12, &recommend).expect("frame");
+    serve::write_frame_v2(&mut wire, 13, &Request::CacheStats.encode_binary()).expect("frame");
+    stream.write_all(&wire).expect("send three frames");
+    let mut answered = std::collections::HashMap::new();
+    for _ in 0..3 {
+        let (id, payload) = serve::read_frame_v2(&mut stream).expect("response frame");
+        answered.insert(id, Response::decode_binary(&payload).expect("response"));
+    }
+    assert!(matches!(answered.get(&11), Some(Response::Pong { .. })), "{answered:?}");
+    assert_eq!(answered.get(&12), Some(&Response::Answer(expected.clone())));
+    assert!(matches!(answered.get(&13), Some(Response::CacheStats(_))), "{answered:?}");
+    // one frame, a byte per write
+    let mut stream = connect();
+    let mut wire = Vec::new();
+    serve::write_frame_v2(&mut wire, 21, &recommend).expect("frame");
+    for byte in &wire {
+        stream.write_all(std::slice::from_ref(byte)).expect("send one byte");
+    }
+    let (id, payload) = serve::read_frame_v2(&mut stream).expect("response frame");
+    assert_eq!(id, 21);
+    assert_eq!(Response::decode_binary(&payload).expect("response"), Response::Answer(expected));
+    handle.trigger_shutdown();
+    handle.join().expect("clean join");
+}
+
+// ---------------------------------------------------------------------
 // Protocol robustness on the TCP path
 // ---------------------------------------------------------------------
 
