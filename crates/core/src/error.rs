@@ -58,8 +58,6 @@ pub enum ServeError {
     /// the alternative is forcing a backend to spill or OOM. Retry
     /// elsewhere, later, or against a backend with a bigger budget.
     Overloaded { needed: u64, headroom: u64 },
-    /// Unix-domain sockets are unavailable on this platform.
-    Unsupported,
 }
 
 impl fmt::Display for ServeError {
@@ -76,9 +74,6 @@ impl fmt::Display for ServeError {
                 "fleet over memory budget: query needs ~{needed} bytes of analysis headroom, \
                  best backend has {headroom} — retry elsewhere or later"
             ),
-            ServeError::Unsupported => {
-                write!(f, "unix-domain sockets are not available on this platform")
-            }
         }
     }
 }

@@ -18,13 +18,14 @@ use crate::error::EaseError;
 use std::collections::HashMap;
 use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 
 /// Where a daemon lives: a unix socket path, a TCP address (binary v2),
 /// or an HTTP address (the JSON facade on the same listener).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Endpoint {
-    /// Unix-domain socket path (unix platforms only).
+    /// Unix-domain socket path.
     Unix(PathBuf),
     /// TCP `host:port` address, spoken to with the binary v2 protocol.
     Tcp(String),
@@ -101,8 +102,7 @@ impl ClientStream for TcpStream {
     }
 }
 
-#[cfg(unix)]
-impl ClientStream for std::os::unix::net::UnixStream {
+impl ClientStream for UnixStream {
     fn try_clone_stream(&self) -> std::io::Result<Box<dyn ClientStream>> {
         Ok(Box::new(self.try_clone()?))
     }
@@ -110,7 +110,7 @@ impl ClientStream for std::os::unix::net::UnixStream {
 
 fn connect(endpoint: &Endpoint) -> Result<Box<dyn ClientStream>, EaseError> {
     match endpoint {
-        Endpoint::Unix(socket) => connect_unix(socket),
+        Endpoint::Unix(socket) => Ok(Box::new(UnixStream::connect(socket)?)),
         Endpoint::Tcp(addr) => {
             let stream = TcpStream::connect(addr)?;
             // frames are small and latency-sensitive; Nagle would delay
@@ -125,16 +125,6 @@ fn connect(endpoint: &Endpoint) -> Result<Box<dyn ClientStream>, EaseError> {
              http: endpoints answer one request per call",
         )),
     }
-}
-
-#[cfg(unix)]
-fn connect_unix(socket: &Path) -> Result<Box<dyn ClientStream>, EaseError> {
-    Ok(Box::new(std::os::unix::net::UnixStream::connect(socket)?))
-}
-
-#[cfg(not(unix))]
-fn connect_unix(_socket: &Path) -> Result<Box<dyn ClientStream>, EaseError> {
-    Err(crate::error::ServeError::Unsupported.into())
 }
 
 /// One request/response exchange with a daemon on the unix socket at
@@ -358,11 +348,10 @@ mod tests {
         assert!(err.contains("binary endpoint"), "{err}");
     }
 
-    #[cfg(unix)]
     #[test]
     fn split_hands_the_receiver_what_the_buffer_already_holds() {
         use super::super::protocol::read_frame_v2;
-        let (near, mut far) = std::os::unix::net::UnixStream::pair().unwrap();
+        let (near, mut far) = UnixStream::pair().unwrap();
         near.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
         let stream: Box<dyn ClientStream> = Box::new(near);
         let mut client =

@@ -549,7 +549,7 @@ mod tests {
         for chunk_bytes in [0usize, 4096, 1 << 20] {
             let spilled = Csr::build_spilled(&g, Direction::Undirected, true, chunk_bytes, &dir)
                 .expect("spilled simplify");
-            assert!(spilled.is_spilled() || cfg!(not(unix)));
+            assert!(spilled.is_spilled());
             assert_eq!(dump(&spilled), dump(&simple), "simplify chunk={chunk_bytes}");
             assert_eq!(spilled.direction(), Direction::Undirected);
         }

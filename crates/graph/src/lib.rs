@@ -29,6 +29,11 @@
 // attribute change, not a diff hunk.
 #![deny(unsafe_code)]
 
+// Files are mapped with `mmap(2)` and the daemon listens on unix-domain
+// sockets; no code in the workspace carries a branch for other targets.
+#[cfg(not(unix))]
+compile_error!("the EASE workspace builds on unix targets only");
+
 pub mod bel;
 pub mod budget;
 pub mod csr;

@@ -2,8 +2,7 @@
 //!
 //! The offline build environment has no `memmap2`/`libc` crates, so the two
 //! syscalls this module needs (`mmap`/`munmap`) are declared directly
-//! against the C runtime on unix targets. Non-unix targets fall back to
-//! reading the whole file into an owned buffer — same API, no zero-copy.
+//! against the C runtime.
 //!
 //! [`Mmap`] is an immutable byte view: `PROT_READ` + `MAP_PRIVATE`, unmapped
 //! on drop. The mapping is `Send + Sync` (read-only shared memory), which
@@ -13,7 +12,6 @@
 use std::fs::File;
 use std::io;
 
-#[cfg(unix)]
 mod sys {
     use std::os::raw::{c_int, c_void};
 
@@ -33,30 +31,23 @@ mod sys {
     }
 }
 
-/// A read-only memory-mapped file (or, off unix, an owned copy of one).
+/// A read-only memory-mapped file.
 #[derive(Debug)]
 pub struct Mmap {
-    #[cfg(unix)]
     ptr: *const u8,
-    #[cfg(unix)]
     len: usize,
-    #[cfg(not(unix))]
-    buf: Vec<u8>,
 }
 
 // SAFETY: the mapping is immutable (PROT_READ, private) for its whole
 // lifetime, so shared references to its bytes are valid from any thread.
-#[cfg(unix)]
 unsafe impl Send for Mmap {}
 // SAFETY: same argument as `Send` — the bytes behind `ptr` never change
 // after `map` returns, so concurrent shared reads are race-free.
-#[cfg(unix)]
 unsafe impl Sync for Mmap {}
 
 impl Mmap {
     /// Map `file` read-only. Empty files produce an empty (unmapped) view —
     /// `mmap(2)` rejects zero-length mappings.
-    #[cfg(unix)]
     pub fn map(file: &File) -> io::Result<Mmap> {
         use std::os::unix::io::AsRawFd;
         let len = file.metadata()?.len();
@@ -83,37 +74,20 @@ impl Mmap {
         Ok(Mmap { ptr: ptr as *const u8, len })
     }
 
-    /// Portability fallback: no mapping support, read the file instead.
-    #[cfg(not(unix))]
-    pub fn map(file: &File) -> io::Result<Mmap> {
-        use std::io::Read;
-        let mut buf = Vec::new();
-        let mut f = file.try_clone()?;
-        f.read_to_end(&mut buf)?;
-        Ok(Mmap { buf })
-    }
-
     /// The mapped bytes.
     #[inline]
     pub fn as_slice(&self) -> &[u8] {
-        #[cfg(unix)]
-        {
-            if self.len == 0 {
-                return &[];
-            }
-            // SAFETY: ptr/len describe a live PROT_READ mapping owned by
-            // self; it is unmapped only in Drop.
-            unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
+        if self.len == 0 {
+            return &[];
         }
-        #[cfg(not(unix))]
-        {
-            &self.buf
-        }
+        // SAFETY: ptr/len describe a live PROT_READ mapping owned by
+        // self; it is unmapped only in Drop.
+        unsafe { std::slice::from_raw_parts(self.ptr, self.len) }
     }
 
     #[inline]
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.len
     }
 
     #[inline]
@@ -122,7 +96,6 @@ impl Mmap {
     }
 }
 
-#[cfg(unix)]
 impl Drop for Mmap {
     fn drop(&mut self) {
         if !self.ptr.is_null() {

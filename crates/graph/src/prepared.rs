@@ -538,7 +538,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("ease_prep_budget_{}", std::process::id()));
         let zero = Arc::new(MemoryBudget::bytes(0).with_spill_dir(&dir));
         let spilled = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&zero));
-        assert!(spilled.undirected_simple().is_spilled() || cfg!(not(unix)));
+        assert!(spilled.undirected_simple().is_spilled());
         assert_eq!(spilled.spilled_csr_builds(), 1);
         assert_eq!(zero.charged(), 0, "spilled builds charge nothing");
 

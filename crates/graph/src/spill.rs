@@ -20,9 +20,8 @@
 //! mapped region doubles as a `&[VertexId]` with **zero** decoding — the
 //! header is 24 bytes and the offsets region is a multiple of 8, so the
 //! targets region is always 4-aligned within a page-aligned mapping. On a
-//! big-endian host (or the non-unix `Mmap` fallback, which cannot promise
-//! alignment) the loader decodes into heap vectors instead; both shapes are
-//! bit-identical to every reader.
+//! big-endian host the loader decodes into heap vectors instead; both
+//! shapes are bit-identical to every reader.
 //!
 //! Hygiene: the writer unlinks the file immediately after mapping it
 //! (`O_TMPFILE`-style), so even a SIGKILLed daemon cannot leak spill files
@@ -163,10 +162,9 @@ impl SpillWriter {
             None => return Err(invalid("spill writer: file already unlinked".into())),
         };
         let map = Mmap::map(&file)?;
-        // unlink-after-mmap: on unix the mapping stays valid and the kernel
-        // reclaims the blocks when it drops; the non-unix Mmap fallback
-        // copied the bytes, so removal is equally safe there. Either way a
-        // crashed process cannot leak spill files that reached this point.
+        // unlink-after-mmap: the mapping stays valid and the kernel reclaims
+        // the blocks when it drops, so a crashed process cannot leak spill
+        // files that reached this point.
         self.guard.unlink();
         MappedCsr::load(map)
     }
@@ -189,9 +187,8 @@ pub struct MappedCsr {
 }
 
 /// What a finished spill loads as: the mmap-backed form, or — when the
-/// platform cannot serve the mapping zero-copy (big-endian, or the
-/// non-unix read-into-heap `Mmap` fallback landing misaligned) — plain
-/// heap vectors decoded from the same bytes. Both are bit-identical to
+/// host cannot serve the mapping zero-copy (big-endian, or a misaligned
+/// targets region) — plain heap vectors decoded from the same bytes. Both are bit-identical to
 /// every reader; `Csr` wraps whichever comes back.
 #[derive(Debug)]
 pub enum LoadedCsr {
@@ -201,7 +198,7 @@ pub enum LoadedCsr {
 
 impl MappedCsr {
     /// Validate a mapping as a spill file; decode to heap when zero-copy
-    /// access is impossible on this platform.
+    /// access is impossible on this host.
     pub fn load(map: Mmap) -> io::Result<LoadedCsr> {
         let bytes = map.as_slice();
         // lint: panic-ok(len >= SPILL_HEADER_LEN >= 8 short-circuits before the index)

@@ -1,6 +1,5 @@
 //! The five workspace invariants, each a lexical pass over one file's
-//! token stream. Every check is independently toggleable from the CLI
-//! (`--only` / `--skip`) and reports [`Finding`]s with `file:line`.
+//! token stream that reports [`Finding`]s with `file:line`.
 
 use crate::annotations::Annotations;
 use crate::lexer::{Comment, Token};
@@ -122,21 +121,11 @@ fn test_attr_end(tokens: &[Token], i: usize) -> Option<usize> {
     None
 }
 
-/// Run every enabled check on one lexed file.
-pub fn run(ctx: &Ctx, enabled: impl Fn(crate::CheckId) -> bool, out: &mut Vec<Finding>) {
-    if enabled(crate::CheckId::AtomicOrdering) {
-        atomic::check(ctx, out);
-    }
-    if enabled(crate::CheckId::PanicPath) {
-        panic_path::check(ctx, out);
-    }
-    if enabled(crate::CheckId::UnsafeHygiene) {
-        unsafe_hygiene::check(ctx, out);
-    }
-    if enabled(crate::CheckId::LockAcrossIo) {
-        lock_io::check(ctx, out);
-    }
-    if enabled(crate::CheckId::MagicConstants) {
-        magic::check(ctx, out);
-    }
+/// Run every check on one lexed file.
+pub fn run(ctx: &Ctx, out: &mut Vec<Finding>) {
+    atomic::check(ctx, out);
+    panic_path::check(ctx, out);
+    unsafe_hygiene::check(ctx, out);
+    lock_io::check(ctx, out);
+    magic::check(ctx, out);
 }

@@ -129,7 +129,7 @@ impl Lexer<'_> {
                 }
                 b'/' if self.peek_at(1) == Some(b'/') => self.line_comment(),
                 b'/' if self.peek_at(1) == Some(b'*') => self.block_comment(),
-                b'"' => self.string(self.pos, false),
+                b'"' => self.string(),
                 b'\'' => self.char_or_lifetime(),
                 b'r' | b'b' | b'c' => self.ident_or_prefixed_literal(),
                 b'0'..=b'9' => self.number(),
@@ -242,16 +242,15 @@ impl Lexer<'_> {
         self.out.comments.push(Comment { text, line, end_line: self.line, trailing });
     }
 
-    /// Lex a `"`-delimited string whose opening quote is at `self.pos`.
-    /// `raw` disables escape processing (used for `r"..."` with 0 hashes
-    /// handled by [`Self::raw_string`], so here raw is always false).
-    fn string(&mut self, _token_start: usize, raw: bool) {
+    /// Lex a `"`-delimited string whose opening quote is at `self.pos`
+    /// (raw strings go through [`Self::raw_string`]).
+    fn string(&mut self) {
         let line = self.line;
         self.bump(); // opening quote
         let body_start = self.pos;
         while let Some(b) = self.peek() {
             match b {
-                b'\\' if !raw => {
+                b'\\' => {
                     self.bump();
                     self.bump(); // the escaped character (possibly `"` or `\`)
                 }
@@ -376,7 +375,7 @@ impl Lexer<'_> {
         }
         match action {
             b'R' => self.raw_string(),
-            b'S' => self.string(self.pos, false),
+            b'S' => self.string(),
             b'C' => self.char_or_lifetime(),
             _ => self.ident(),
         }

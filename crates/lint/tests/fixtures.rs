@@ -4,8 +4,7 @@
 //! fixtures live outside `src/` and are skipped by the workspace walk
 //! (`SKIP_DIRS`) — they contain violations *on purpose*.
 
-use ease_lint::{all_checks, lint_source, CheckId, Finding};
-use std::collections::BTreeSet;
+use ease_lint::{lint_source, CheckId, Finding};
 
 const PR6: &str = include_str!("../fixtures/pr6_shutdown_relaxed.rs");
 const ROUTER_HEALTH: &str = include_str!("../fixtures/router_health_relaxed.rs");
@@ -21,8 +20,10 @@ const MAGIC_BAD: &str = include_str!("../fixtures/magic_bad.rs");
 const MAGIC_HTTP_BAD: &str = include_str!("../fixtures/magic_http_bad.rs");
 const ANNOTATION_BAD: &str = include_str!("../fixtures/annotation_bad.rs");
 
-fn only(check: CheckId) -> BTreeSet<CheckId> {
-    [check].into_iter().collect()
+/// The findings of one check: every check runs, the others' findings are
+/// dropped.
+fn only(file: &str, src: &str, check: CheckId) -> Vec<Finding> {
+    lint_source(file, src).into_iter().filter(|f| f.check == check).collect()
 }
 
 fn lines(findings: &[Finding]) -> Vec<u32> {
@@ -38,7 +39,7 @@ fn lines(findings: &[Finding]) -> Vec<u32> {
 /// exact file:line, and the finding names the bug class.
 #[test]
 fn pr6_shutdown_relaxed_is_flagged_at_the_exact_line() {
-    let findings = lint_source("crates/core/src/serve/server.rs", PR6, &all_checks());
+    let findings = lint_source("crates/core/src/serve/server.rs", PR6);
     assert_eq!(findings.len(), 1, "{findings:?}");
     let f = &findings[0];
     assert_eq!(f.check, CheckId::AtomicOrdering);
@@ -54,7 +55,7 @@ fn pr6_shutdown_relaxed_is_flagged_at_the_exact_line() {
 /// flag wherever it lives.
 #[test]
 fn policy_flag_rule_is_workspace_wide() {
-    let findings = lint_source("crates/ml/src/train.rs", PR6, &only(CheckId::AtomicOrdering));
+    let findings = only("crates/ml/src/train.rs", PR6, CheckId::AtomicOrdering);
     assert_eq!(lines(&findings), [15]);
 }
 
@@ -64,11 +65,7 @@ fn policy_flag_rule_is_workspace_wide() {
 /// SeqCst load is not.
 #[test]
 fn router_health_state_relaxed_is_flagged() {
-    let findings = lint_source(
-        "crates/core/src/serve/router.rs",
-        ROUTER_HEALTH,
-        &only(CheckId::AtomicOrdering),
-    );
+    let findings = only("crates/core/src/serve/router.rs", ROUTER_HEALTH, CheckId::AtomicOrdering);
     assert_eq!(lines(&findings), [14, 18], "{findings:?}");
     assert!(findings[0].message.contains("healthy"), "{}", findings[0].message);
     assert!(findings[1].message.contains("mark_down_latch"), "{}", findings[1].message);
@@ -76,16 +73,7 @@ fn router_health_state_relaxed_is_flagged() {
 
 #[test]
 fn conforming_atomics_are_clean() {
-    let findings = lint_source("crates/ml/src/train.rs", ATOMIC_GOOD, &all_checks());
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-/// Disabling the check (CLI `--skip atomic-ordering`) silences it.
-#[test]
-fn atomic_check_is_toggleable() {
-    let mut enabled = all_checks();
-    enabled.remove(&CheckId::AtomicOrdering);
-    let findings = lint_source("crates/core/src/serve/server.rs", PR6, &enabled);
+    let findings = lint_source("crates/ml/src/train.rs", ATOMIC_GOOD);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -95,17 +83,15 @@ fn atomic_check_is_toggleable() {
 
 #[test]
 fn panic_paths_in_daemon_code_are_flagged() {
-    let findings =
-        lint_source("crates/core/src/serve/handler.rs", PANIC_BAD, &only(CheckId::PanicPath));
+    let findings = only("crates/core/src/serve/handler.rs", PANIC_BAD, CheckId::PanicPath);
     assert_eq!(lines(&findings), [2, 4, 8], "{findings:?}");
-    assert!(findings.iter().all(|f| f.check == CheckId::PanicPath));
 }
 
 /// The same source outside the daemon scope is fine — unwraps in batch
 /// tools are not a fleet-crash vector.
 #[test]
 fn panic_paths_outside_daemon_scope_are_ignored() {
-    let findings = lint_source("crates/ml/src/train.rs", PANIC_BAD, &only(CheckId::PanicPath));
+    let findings = only("crates/ml/src/train.rs", PANIC_BAD, CheckId::PanicPath);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -114,9 +100,9 @@ fn panic_paths_outside_daemon_scope_are_ignored() {
 /// just like in serve/.
 #[test]
 fn panic_paths_in_the_spill_layer_are_flagged() {
-    let findings = lint_source("crates/graph/src/spill.rs", PANIC_BAD, &only(CheckId::PanicPath));
+    let findings = only("crates/graph/src/spill.rs", PANIC_BAD, CheckId::PanicPath);
     assert_eq!(lines(&findings), [2, 4, 8], "{findings:?}");
-    let findings = lint_source("crates/graph/src/mmap.rs", PANIC_BAD, &only(CheckId::PanicPath));
+    let findings = only("crates/graph/src/mmap.rs", PANIC_BAD, CheckId::PanicPath);
     assert!(!findings.is_empty(), "{findings:?}");
 }
 
@@ -126,9 +112,9 @@ fn panic_paths_in_the_spill_layer_are_flagged() {
 /// out of scope.
 #[test]
 fn panic_paths_in_the_byte_codec_are_flagged() {
-    let findings = lint_source("crates/ml/src/persist.rs", PANIC_BAD, &only(CheckId::PanicPath));
+    let findings = only("crates/ml/src/persist.rs", PANIC_BAD, CheckId::PanicPath);
     assert_eq!(lines(&findings), [2, 4, 8], "{findings:?}");
-    let findings = lint_source("crates/ml/src/tree.rs", PANIC_BAD, &only(CheckId::PanicPath));
+    let findings = only("crates/ml/src/tree.rs", PANIC_BAD, CheckId::PanicPath);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -139,7 +125,7 @@ fn panic_paths_in_the_byte_codec_are_flagged() {
 #[test]
 fn panic_paths_in_the_router_and_ring_are_flagged() {
     for path in ["crates/core/src/serve/router.rs", "crates/core/src/serve/ring.rs"] {
-        let findings = lint_source(path, PANIC_BAD, &only(CheckId::PanicPath));
+        let findings = only(path, PANIC_BAD, CheckId::PanicPath);
         assert_eq!(lines(&findings), [2, 4, 8], "{path}: {findings:?}");
     }
 }
@@ -150,14 +136,14 @@ fn panic_paths_in_the_router_and_ring_are_flagged() {
 #[test]
 fn panic_paths_in_the_http_facade_and_json_codec_are_flagged() {
     for path in ["crates/core/src/serve/http.rs", "crates/core/src/serve/json.rs"] {
-        let findings = lint_source(path, PANIC_BAD, &only(CheckId::PanicPath));
+        let findings = only(path, PANIC_BAD, CheckId::PanicPath);
         assert_eq!(lines(&findings), [2, 4, 8], "{path}: {findings:?}");
     }
 }
 
 #[test]
 fn annotated_and_test_code_panic_paths_are_clean() {
-    let findings = lint_source("crates/core/src/serve/handler.rs", PANIC_GOOD, &all_checks());
+    let findings = lint_source("crates/core/src/serve/handler.rs", PANIC_GOOD);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -167,14 +153,13 @@ fn annotated_and_test_code_panic_paths_are_clean() {
 
 #[test]
 fn unsafe_without_safety_comment_is_flagged() {
-    let findings = lint_source("crates/graph/src/x.rs", UNSAFE_BAD, &only(CheckId::UnsafeHygiene));
+    let findings = only("crates/graph/src/x.rs", UNSAFE_BAD, CheckId::UnsafeHygiene);
     assert_eq!(lines(&findings), [2], "{findings:?}");
-    assert_eq!(findings[0].check, CheckId::UnsafeHygiene);
 }
 
 #[test]
 fn safety_commented_unsafe_is_clean() {
-    let findings = lint_source("crates/graph/src/x.rs", UNSAFE_GOOD, &all_checks());
+    let findings = lint_source("crates/graph/src/x.rs", UNSAFE_GOOD);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -183,10 +168,8 @@ fn safety_commented_unsafe_is_clean() {
 /// its invariants must be written down where they are relied on.
 #[test]
 fn unannotated_unsafe_spill_map_is_flagged() {
-    let findings =
-        lint_source("crates/graph/src/spill.rs", UNSAFE_SPILL_BAD, &only(CheckId::UnsafeHygiene));
+    let findings = only("crates/graph/src/spill.rs", UNSAFE_SPILL_BAD, CheckId::UnsafeHygiene);
     assert_eq!(lines(&findings), [2], "{findings:?}");
-    assert_eq!(findings[0].check, CheckId::UnsafeHygiene);
 }
 
 // ---------------------------------------------------------------------
@@ -195,16 +178,14 @@ fn unannotated_unsafe_spill_map_is_flagged() {
 
 #[test]
 fn guard_live_across_io_is_flagged_at_the_io_line() {
-    let findings =
-        lint_source("crates/core/src/serve/conn.rs", LOCK_IO_BAD, &only(CheckId::LockAcrossIo));
+    let findings = only("crates/core/src/serve/conn.rs", LOCK_IO_BAD, CheckId::LockAcrossIo);
     assert_eq!(lines(&findings), [6], "{findings:?}");
     assert!(findings[0].message.contains("`g`"), "{}", findings[0].message);
 }
 
 #[test]
 fn tight_scope_drop_and_annotation_are_clean() {
-    let findings =
-        lint_source("crates/core/src/serve/conn.rs", LOCK_IO_GOOD, &only(CheckId::LockAcrossIo));
+    let findings = only("crates/core/src/serve/conn.rs", LOCK_IO_GOOD, CheckId::LockAcrossIo);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -214,8 +195,7 @@ fn tight_scope_drop_and_annotation_are_clean() {
 /// scope.
 #[test]
 fn lock_across_io_in_the_router_is_flagged() {
-    let findings =
-        lint_source("crates/core/src/serve/router.rs", LOCK_IO_BAD, &only(CheckId::LockAcrossIo));
+    let findings = only("crates/core/src/serve/router.rs", LOCK_IO_BAD, CheckId::LockAcrossIo);
     assert_eq!(lines(&findings), [6], "{findings:?}");
 }
 
@@ -224,8 +204,7 @@ fn lock_across_io_in_the_router_is_flagged() {
 /// the facade sits inside the lock-across-io scope automatically.
 #[test]
 fn lock_across_io_in_the_http_facade_is_flagged() {
-    let findings =
-        lint_source("crates/core/src/serve/http.rs", LOCK_IO_BAD, &only(CheckId::LockAcrossIo));
+    let findings = only("crates/core/src/serve/http.rs", LOCK_IO_BAD, CheckId::LockAcrossIo);
     assert_eq!(lines(&findings), [6], "{findings:?}");
 }
 
@@ -233,7 +212,7 @@ fn lock_across_io_in_the_http_facade_is_flagged() {
 /// writes to a local file.
 #[test]
 fn lock_across_io_outside_serve_is_ignored() {
-    let findings = lint_source("crates/ml/src/x.rs", LOCK_IO_BAD, &only(CheckId::LockAcrossIo));
+    let findings = only("crates/ml/src/x.rs", LOCK_IO_BAD, CheckId::LockAcrossIo);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -243,8 +222,7 @@ fn lock_across_io_outside_serve_is_ignored() {
 
 #[test]
 fn duplicated_magics_are_flagged_in_every_spelling() {
-    let findings =
-        lint_source("crates/graph/src/other.rs", MAGIC_BAD, &only(CheckId::MagicConstants));
+    let findings = only("crates/graph/src/other.rs", MAGIC_BAD, CheckId::MagicConstants);
     assert_eq!(lines(&findings), [1, 2, 3], "{findings:?}");
 }
 
@@ -252,8 +230,7 @@ fn duplicated_magics_are_flagged_in_every_spelling() {
 /// file are still flagged.
 #[test]
 fn home_module_is_exempt_for_its_own_magic_only() {
-    let findings =
-        lint_source("crates/core/src/serve/protocol.rs", MAGIC_BAD, &only(CheckId::MagicConstants));
+    let findings = only("crates/core/src/serve/protocol.rs", MAGIC_BAD, CheckId::MagicConstants);
     assert_eq!(lines(&findings), [3], "{findings:?}");
 }
 
@@ -263,11 +240,7 @@ fn home_module_is_exempt_for_its_own_magic_only() {
 /// byte-char or a non-prefix pair is not a sniff prefix.
 #[test]
 fn duplicated_http_sniff_prefixes_are_flagged() {
-    let findings = lint_source(
-        "crates/core/src/serve/server.rs",
-        MAGIC_HTTP_BAD,
-        &only(CheckId::MagicConstants),
-    );
+    let findings = only("crates/core/src/serve/server.rs", MAGIC_HTTP_BAD, CheckId::MagicConstants);
     assert_eq!(lines(&findings), [1, 2], "{findings:?}");
     assert!(findings[0].message.contains("SNIFF_GET"), "{}", findings[0].message);
     assert!(findings[1].message.contains("SNIFF_POST"), "{}", findings[1].message);
@@ -276,11 +249,7 @@ fn duplicated_http_sniff_prefixes_are_flagged() {
 /// `serve/http.rs` is the sniff prefixes' home module and may spell them.
 #[test]
 fn http_module_may_spell_its_own_sniff_prefixes() {
-    let findings = lint_source(
-        "crates/core/src/serve/http.rs",
-        MAGIC_HTTP_BAD,
-        &only(CheckId::MagicConstants),
-    );
+    let findings = only("crates/core/src/serve/http.rs", MAGIC_HTTP_BAD, CheckId::MagicConstants);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -290,7 +259,7 @@ fn http_module_may_spell_its_own_sniff_prefixes() {
 
 #[test]
 fn malformed_annotations_are_findings() {
-    let findings = lint_source("crates/core/src/x.rs", ANNOTATION_BAD, &all_checks());
+    let findings = lint_source("crates/core/src/x.rs", ANNOTATION_BAD);
     assert_eq!(lines(&findings), [2, 4], "{findings:?}");
     assert!(findings.iter().all(|f| f.check == CheckId::AnnotationGrammar));
     assert!(findings[0].message.contains("empty reason"), "{}", findings[0].message);

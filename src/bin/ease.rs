@@ -434,20 +434,14 @@ fn drain_edges(
     }
 }
 
-/// True when two paths refer to the same file. Canonicalization catches
-/// symlinks and relative spellings; on unix the `(dev, ino)` pair also
-/// catches hard links — truncating the output while the input's inode is
-/// mapped or streamed would crash mid-read.
+/// True when two paths name the same file. The `(dev, ino)` pair catches
+/// symlinks, relative spellings and hard links — truncating the output
+/// while the input's inode is mapped or streamed would crash mid-read. A
+/// path that does not exist names no file.
 fn same_file(a: &Path, b: &Path) -> bool {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::MetadataExt;
-        if let (Ok(ma), Ok(mb)) = (std::fs::metadata(a), std::fs::metadata(b)) {
-            return ma.dev() == mb.dev() && ma.ino() == mb.ino();
-        }
-    }
-    match (a.canonicalize(), b.canonicalize()) {
-        (Ok(ca), Ok(cb)) => ca == cb,
+    use std::os::unix::fs::MetadataExt;
+    match (std::fs::metadata(a), std::fs::metadata(b)) {
+        (Ok(ma), Ok(mb)) => ma.dev() == mb.dev() && ma.ino() == mb.ino(),
         _ => false,
     }
 }

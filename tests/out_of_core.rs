@@ -9,7 +9,6 @@
 //! (unlink-after-mmap), and the in-place simplify must not regress to the
 //! pre-refactor second full-size targets buffer — locked with a
 //! thread-local allocation counter.
-#![cfg(unix)]
 
 mod common;
 

@@ -7,7 +7,6 @@
 //! next ring node with bit-identical retried answers; a budget-saturated
 //! fleet sheds load with the typed `Overloaded` answer instead of
 //! spilling; and one `shutdown` through the router stops the whole fleet.
-#![cfg(unix)]
 
 use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::{bel, Csr, GraphSource, MemoryBudget};

@@ -10,7 +10,6 @@
 //!
 //! The trained service + graph fixtures are built once per test binary
 //! (`OnceLock`) — every test then serves on its own socket.
-#![cfg(unix)]
 
 use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::bel;

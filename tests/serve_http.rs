@@ -7,7 +7,6 @@
 //! JSON codec round-trips arbitrary values and protocol envelopes
 //! (property tests); and malformed or oversized HTTP never kills a
 //! worker — the same daemon keeps answering binary v2 afterwards.
-#![cfg(unix)]
 
 use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::io::TextEdgeListWriter;

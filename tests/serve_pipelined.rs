@@ -9,7 +9,6 @@
 //! (the PR 6 lost-wake-up regression); and two daemons racing one socket
 //! path resolve to exactly one winner whose socket survives (the PR 6
 //! bind-TOCTOU regression).
-#![cfg(unix)]
 
 use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::bel;

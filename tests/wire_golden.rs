@@ -4,7 +4,6 @@
 //! `GET` query and CLI flag spellings that decode to the same `Request`
 //! values. Written against `db02c42`, before the codecs became walkers
 //! over one field list; a codec change that alters a byte fails here.
-#![cfg(unix)]
 
 use ease_repro::graph::PropertyTier;
 use ease_repro::serve::{
