@@ -5,7 +5,7 @@
 use crate::error::EaseError;
 use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 use ease_graph::GraphProperties;
-use ease_partition::{PartitionerId, QualityMetrics};
+use ease_partition::{PartitionerId, QualityMetrics, MAX_PARTITIONS};
 use ease_procsim::Workload;
 
 /// What the selection minimizes (paper: end-to-end = partitioning +
@@ -79,8 +79,9 @@ impl Ease {
     }
 
     /// Automatic selection: evaluate the whole catalog and pick the
-    /// predicted minimum for the goal. An empty catalog and untrained
-    /// workloads are typed [`EaseError`]s — the error path the
+    /// predicted minimum for the goal. An empty catalog, untrained
+    /// workloads and a `k` outside `2..=MAX_PARTITIONS` (no partitioner
+    /// runs it) are typed [`EaseError`]s — the error path the
     /// [`crate::service::EaseService`] exposes to users.
     pub fn try_select(
         &self,
@@ -91,6 +92,11 @@ impl Ease {
     ) -> Result<Selection, EaseError> {
         if self.catalog.is_empty() {
             return Err(EaseError::EmptyCatalog);
+        }
+        if !(2..=MAX_PARTITIONS).contains(&k) {
+            return Err(EaseError::InvalidConfig(format!(
+                "partition count k must be in 2..={MAX_PARTITIONS}, got {k}"
+            )));
         }
         if !self.processing_time.supports(workload) {
             return Err(EaseError::UnsupportedWorkload {

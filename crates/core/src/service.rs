@@ -49,7 +49,7 @@ use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::Scale;
 use ease_ml::persist::{read_header, write_header, PersistError, Reader, Writer};
 use ease_ml::ModelConfig;
-use ease_partition::PartitionerId;
+use ease_partition::{PartitionerId, MAX_PARTITIONS};
 use ease_procsim::Workload;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
@@ -169,11 +169,10 @@ impl EaseServiceBuilder {
         if self.cfg.ks.is_empty() {
             return bad("no partition counts (ks) to profile".into());
         }
-        if self.cfg.ks.iter().any(|&k| k < 2) {
-            return bad("partition counts must be >= 2".into());
-        }
-        if self.cfg.processing_k < 2 {
-            return bad(format!("processing_k must be >= 2, got {}", self.cfg.processing_k));
+        let mut ks = self.cfg.ks.iter().chain([&self.cfg.processing_k]);
+        if let Some(k) = ks.find(|k| !(2..=MAX_PARTITIONS).contains(k)) {
+            let what = "partition counts and processing_k";
+            return bad(format!("{what} must be in 2..={MAX_PARTITIONS}, got {k}"));
         }
         if self.cfg.partitioners.is_empty() {
             return bad("no candidate partitioners".into());
@@ -648,10 +647,12 @@ mod tests {
         invalid(tiny_builder().model_grid(vec![]));
         invalid(tiny_builder().partition_counts(vec![]));
         invalid(tiny_builder().partition_counts(vec![1]));
+        invalid(tiny_builder().partition_counts(vec![2, MAX_PARTITIONS + 1]));
         invalid(tiny_builder().partitioners(vec![]));
         invalid(tiny_builder().workloads(vec![]));
         invalid(tiny_builder().max_small_graphs(Some(0)));
         invalid(tiny_builder().processing_k(1));
+        invalid(tiny_builder().processing_k(MAX_PARTITIONS + 1));
     }
 
     #[test]
@@ -672,6 +673,16 @@ mod tests {
                 assert!(supported.contains(&"pr".to_string()));
             }
             other => panic!("expected UnsupportedWorkload, got {other:?}"),
+        }
+        // a partition count no partitioner runs -> typed, not a ranking
+        for k in [0, 1, MAX_PARTITIONS + 1] {
+            let err = service.ease().try_select(
+                &props,
+                Workload::PageRank { iterations: 3 },
+                k,
+                OptGoal::EndToEnd,
+            );
+            assert!(matches!(err, Err(EaseError::InvalidConfig(_))), "k={k}: {err:?}");
         }
     }
 

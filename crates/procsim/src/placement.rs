@@ -1,7 +1,7 @@
 //! Placement of an edge-partitioned graph onto simulated machines.
 
 use ease_graph::{Edge, PreparedGraph};
-use ease_partition::EdgePartition;
+use ease_partition::{EdgePartition, MAX_PARTITIONS};
 
 /// One machine's slice of the graph.
 #[derive(Debug, Clone)]
@@ -49,7 +49,7 @@ impl DistributedGraph {
     pub fn build_prepared(prepared: &PreparedGraph<'_>, partition: &EdgePartition) -> Self {
         assert_eq!(prepared.num_edges(), partition.num_edges());
         let k = partition.num_partitions();
-        assert!(k <= 128, "replica masks are u128");
+        assert!(k <= MAX_PARTITIONS, "replica masks are u128");
         let n = prepared.num_vertices();
         let mut replicas = vec![0u128; n];
         let empty = PartitionData {

@@ -38,6 +38,7 @@ use ease_repro::graph::{is_bel_path, open_path, Edge, GraphSource, MemoryBudget}
 use ease_repro::graphgen::realworld::{generate_typed, GraphType};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::graphgen::Scale;
+use ease_repro::partition::MAX_PARTITIONS;
 use ease_repro::procsim::Workload;
 use ease_repro::serve::{self, Endpoint, Request, Response, RouterConfig, ServeConfig};
 use ease_repro::{EaseError, EaseService, EaseServiceBuilder, ServeError};
@@ -529,8 +530,11 @@ fn cmd_query(cmd: &Command, args: &[String]) -> Result<(), CliError> {
     })?;
     // validate client-side so a typo is a usage error (exit 2) before any
     // socket or model is touched — identical to one-shot behaviour
-    if let Request::Recommend { workload, .. } = &request {
+    if let Request::Recommend { workload, k, .. } = &request {
         parse_workload(workload)?;
+        if let Some(k) = k.filter(|k| !(2..=MAX_PARTITIONS).contains(k)) {
+            return Err(CliError::Usage(format!("--k must be in 2..={MAX_PARTITIONS}, got {k}")));
+        }
     }
     match endpoint {
         // proxy: the daemon's warm service answers; no model load here

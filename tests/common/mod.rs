@@ -1,12 +1,38 @@
-//! Helpers shared between integration suites (`mod common;`).
+//! Fixtures and oracles shared by the root integration suites; a suite
+//! compiles this module with `mod common;`. Each exists only here:
+//!
+//! - [`naive_triangle_counts`] and [`naive_read_edge_list`], the oracles
+//!   the triangle kernel and the block text reader are diffed against;
+//! - [`arb_graph`], the 128-vertex R-MAT strategy of the graph-property
+//!   suites;
+//! - [`alloc`], the thread-local counting allocator behind the allocation
+//!   locks (each counting suite installs it as its `#[global_allocator]`);
+//! - [`daemon`], the serving fixture — one trained tiny service and its
+//!   graphs under `ease_<suite>_suite` in the temp dir — with the daemon
+//!   starter, the one-shot answer every served answer must equal, the
+//!   `Recommend` request builder and the CLI runner.
 
-// each suite compiles this module and uses its own subset of the oracles
+// each suite compiles this module and uses its own subset of it
 #![allow(dead_code)]
+
+pub mod alloc;
+pub mod daemon;
 
 use ease_repro::graph::io::{parse_edge_line, parse_universe_comment};
 use ease_repro::graph::{Csr, Edge, Graph, GraphIoError, VertexId};
+use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::io::BufRead;
+
+/// Arbitrary R-MAT graph. The universe is fixed at 128 vertices and often
+/// larger than `max endpoint + 1`, which deliberately exercises explicit
+/// universe preservation: `.bel` carries it in the header, text in the
+/// `# vertices N` summary comment both readers honour.
+pub fn arb_graph() -> impl Strategy<Value = Graph> {
+    (0usize..9, 40usize..600, 0u64..50)
+        .prop_map(|(combo, edges, seed)| Rmat::new(RMAT_COMBOS[combo], 128, edges, seed).generate())
+}
 
 /// Triangle-count oracle that shares nothing with the kernel — no ranking,
 /// no forward lists: `t(v)` is half the summed sizes of `N(v) ∩ N(u)` over

@@ -8,6 +8,10 @@
 //! never materialize an owned `Vec<Edge>`, which is locked here with a
 //! thread-local allocation counter around the zero-copy analysis path.
 
+mod common;
+
+use common::alloc::{tracked, CountingAlloc};
+use common::arb_graph;
 use ease_repro::graph::bel::{write_bel, BelSource};
 use ease_repro::graph::io::{read_edge_list, read_edge_list_from, write_edge_list};
 use ease_repro::graph::source::{collect_source, fingerprint_source, FINGERPRINT_BLOCK};
@@ -16,53 +20,11 @@ use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::partition::{PartitionerId, QualityMetrics};
 use ease_repro::PreparedGraph;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-mod common;
-
-// ---------------------------------------------------------------------
-// Thread-local allocation counter (only the calling thread is charged, so
-// the lock is immune to the test harness's other threads).
-// ---------------------------------------------------------------------
-
-thread_local! {
-    static TRACKING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: pure pass-through to `System`; the thread-local counter taps use
-// `Cell`s, never allocate, and cannot re-enter the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.with(|t| t.get()) {
-            ALLOCATED.with(|a| a.set(a.get() + layout.size() as u64));
-        }
-        // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` come from the paired `alloc` call above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Run `f`, returning its result and the bytes allocated *by this thread*.
-fn tracked<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCATED.with(|a| a.set(0));
-    TRACKING.with(|t| t.set(true));
-    let out = f();
-    TRACKING.with(|t| t.set(false));
-    (out, ALLOCATED.with(|a| a.get()))
-}
 
 // ---------------------------------------------------------------------
 // Helpers
@@ -78,15 +40,6 @@ fn temp_pair(graph: &Graph) -> (PathBuf, PathBuf) {
     write_edge_list(graph, &txt).unwrap();
     write_bel(graph, &bel).unwrap();
     (txt, bel)
-}
-
-/// Arbitrary R-MAT graph. The universe is fixed at 128 vertices and often
-/// larger than `max endpoint + 1`, which deliberately exercises explicit
-/// universe preservation: `.bel` carries it in the header, text in the
-/// `# vertices N` summary comment both readers honour.
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (0usize..9, 40usize..600, 0u64..50)
-        .prop_map(|(combo, edges, seed)| Rmat::new(RMAT_COMBOS[combo], 128, edges, seed).generate())
 }
 
 fn assert_props_bit_identical(

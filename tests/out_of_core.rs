@@ -12,63 +12,22 @@
 
 mod common;
 
-use ease_repro::core::profiling::TimingMode;
+use common::alloc::{tracked, CountingAlloc};
+use common::arb_graph;
+use common::daemon::{spawn_daemon, strip_timing};
 use ease_repro::graph::csr::Direction;
 use ease_repro::graph::{Csr, Graph, MemoryBudget, VertexId};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
-use ease_repro::graphgen::Scale;
 use ease_repro::partition::PartitionerId;
-use ease_repro::procsim::Workload;
 use ease_repro::serve::{self, Request, ServeConfig};
-use ease_repro::{EaseServiceBuilder, PreparedGraph};
+use ease_repro::PreparedGraph;
 use proptest::prelude::*;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-// ---------------------------------------------------------------------
-// Thread-local allocation counter (same pattern as tests/graph_source.rs:
-// only the calling thread is charged, so the lock is immune to the test
-// harness's other threads).
-// ---------------------------------------------------------------------
-
-thread_local! {
-    static TRACKING: Cell<bool> = const { Cell::new(false) };
-    static ALLOCATED: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAlloc;
-
-// SAFETY: pure pass-through to `System`; the thread-local counter taps use
-// `Cell`s, never allocate, and cannot re-enter the allocator.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if TRACKING.with(|t| t.get()) {
-            ALLOCATED.with(|a| a.set(a.get() + layout.size() as u64));
-        }
-        // SAFETY: caller upholds GlobalAlloc's contract for `layout`.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr`/`layout` come from the paired `alloc` call above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
-
-/// Run `f`, returning its result and the bytes allocated *by this thread*.
-fn tracked<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    ALLOCATED.with(|a| a.set(0));
-    TRACKING.with(|t| t.set(true));
-    let out = f();
-    TRACKING.with(|t| t.set(false));
-    (out, ALLOCATED.with(|a| a.get()))
-}
 
 // ---------------------------------------------------------------------
 // Helpers
@@ -99,11 +58,6 @@ fn dir_entries(dir: &std::path::Path) -> Vec<String> {
 /// build is forced out of core.
 fn zero_budget(dir: &std::path::Path) -> Arc<MemoryBudget> {
     Arc::new(MemoryBudget::bytes(0).with_spill_dir(dir))
-}
-
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (0usize..9, 40usize..600, 0u64..50)
-        .prop_map(|(combo, edges, seed)| Rmat::new(RMAT_COMBOS[combo], 128, edges, seed).generate())
 }
 
 /// Storage-independent dump of a CSR: `(per-vertex degree, all targets in
@@ -311,32 +265,10 @@ fn advanced_extraction_allocates_less_than_the_undirected_csr_did() {
 // timing line) and shutdown leaves the spill directory empty
 // ---------------------------------------------------------------------
 
-/// Strip the run-dependent trailing extraction-timing line (the CI diff
-/// idiom for features output).
-fn strip_timing(answer: &str) -> String {
-    let mut lines: Vec<&str> = answer.lines().collect();
-    assert!(lines.last().is_some_and(|l| l.starts_with("extraction:")), "timing line present");
-    lines.pop();
-    lines.join("\n")
-}
-
 #[test]
 fn budgeted_daemon_spills_serves_identical_answers_and_cleans_up_on_shutdown() {
     let dir = spill_dir("daemon");
     let fixture_dir = spill_dir("daemon_fixtures");
-    // a tiny trained service: the daemon needs one to serve at all, even
-    // though features answers never touch the model
-    let service = EaseServiceBuilder::at_scale(Scale::Tiny)
-        .quick_grid()
-        .max_small_graphs(Some(4))
-        .max_large_graphs(Some(2))
-        .partition_counts(vec![2])
-        .partitioners(vec![PartitionerId::OneDD, PartitionerId::Dbh])
-        .workloads(vec![Workload::PageRank { iterations: 5 }])
-        .folds(2)
-        .timing(TimingMode::Deterministic)
-        .train()
-        .expect("train tiny service");
     let graph = fixture_dir.join("graph.txt");
     let g = Rmat::new(RMAT_COMBOS[5], 512, 6_000, 21).generate();
     ease_repro::graph::io::write_edge_list(&g, &graph).expect("write graph");
@@ -351,7 +283,9 @@ fn budgeted_daemon_spills_serves_identical_answers_and_cleans_up_on_shutdown() {
     let socket = fixture_dir.join("daemon.sock");
     let budget = zero_budget(&dir);
     let config = ServeConfig::at(&socket).workers(2).memory_budget(Arc::clone(&budget));
-    let handle = serve::serve(Arc::new(service), config).expect("bind daemon");
+    // the daemon serves the suites' shared model, though features answers
+    // never read it
+    let handle = spawn_daemon(config);
     let request = Request::Features { graph: graph_str, tier, cwd: None };
     let answer = serve::expect_answer(serve::call(&socket, &request).expect("daemon call"))
         .expect("features answer");

@@ -7,13 +7,12 @@
 
 mod common;
 
-use common::naive_triangle_counts;
+use common::{arb_graph, naive_triangle_counts};
 use ease_repro::graph::bel::{write_bel, BelSource};
 use ease_repro::graph::degree::DegreeTable;
 use ease_repro::graph::{
     triangles, Csr, Edge, Graph, GraphProperties, GraphSource, MemoryBudget, PropertyTier,
 };
-use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::PreparedGraph;
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -42,11 +41,6 @@ fn temp_path(tag: &str) -> PathBuf {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(unique-name counter)
     std::env::temp_dir().join(format!("ease_pg_{tag}_{}_{n}", std::process::id()))
-}
-
-fn arb_graph() -> impl Strategy<Value = Graph> {
-    (0usize..9, 40usize..600, 0u64..50)
-        .prop_map(|(combo, edges, seed)| Rmat::new(RMAT_COMBOS[combo], 128, edges, seed).generate())
 }
 
 /// Small, dense multigraphs the R-MAT strategy does not reach: endpoints

@@ -8,20 +8,19 @@
 //! fleet sheds load with the typed `Overloaded` answer instead of
 //! spilling; and one `shutdown` through the router stops the whole fleet.
 
-use ease_repro::core::profiling::TimingMode;
+mod common;
+
+use common::daemon::{cli_answer, fixtures, recommend_request, spawn_daemon, stats_of};
 use ease_repro::graph::{bel, Csr, GraphSource, MemoryBudget};
 use ease_repro::graphgen::realworld::socfb_analogue;
 use ease_repro::graphgen::Scale;
-use ease_repro::partition::PartitionerId;
-use ease_repro::procsim::Workload;
 use ease_repro::serve::ring::hash64;
 use ease_repro::serve::{
     self, Endpoint, HashRing, PipelinedClient, Request, Response, RouterConfig, ServeConfig,
-    ServeStats,
 };
-use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal, ServeError};
+use ease_repro::{EaseError, ServeError};
 use proptest::prelude::*;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -104,53 +103,29 @@ proptest! {
 /// fleet essentially always has traffic on both sides.
 const GRAPHS: usize = 6;
 
-struct Fixtures {
-    dir: PathBuf,
-    model: PathBuf,
-    /// `GRAPHS` distinct `.bel` graphs (distinct fingerprints).
-    graphs: Vec<PathBuf>,
-}
-
-fn fixtures() -> &'static Fixtures {
-    static FIXTURES: OnceLock<Fixtures> = OnceLock::new();
-    FIXTURES.get_or_init(|| {
-        let dir = std::env::temp_dir().join("ease_router_suite");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create fixture dir");
-        let graphs: Vec<PathBuf> = (0..GRAPHS)
+/// `GRAPHS` distinct `.bel` graphs (distinct fingerprints) in the
+/// fixture dir.
+fn graphs() -> &'static [PathBuf] {
+    static PATHS: OnceLock<Vec<PathBuf>> = OnceLock::new();
+    PATHS.get_or_init(|| {
+        (0..GRAPHS)
             .map(|i| {
                 let g = socfb_analogue(Scale::Tiny, 20 + i as u64).graph;
-                let path = dir.join(format!("g{i}.bel"));
+                let path = fixtures().dir.join(format!("g{i}.bel"));
                 bel::write_bel(&g, &path).expect("write bel");
                 path
             })
-            .collect();
-        let model = dir.join("ease.model");
-        let service = EaseServiceBuilder::at_scale(Scale::Tiny)
-            .quick_grid()
-            .max_small_graphs(Some(6))
-            .max_large_graphs(Some(4))
-            .partition_counts(vec![2, 4])
-            .partitioners(vec![PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne])
-            .workloads(vec![Workload::PageRank { iterations: 10 }, Workload::ConnectedComponents])
-            .folds(2)
-            .timing(TimingMode::Deterministic)
-            .train()
-            .expect("train fixture service");
-        service.save(&model).expect("save fixture model");
-        Fixtures { dir, model, graphs }
+            .collect()
     })
 }
 
 /// An `ease serve` backend on an ephemeral TCP port, optionally budgeted.
 fn start_backend(tag: &str, budget: Option<Arc<MemoryBudget>>) -> (serve::ServerHandle, Endpoint) {
-    let fx = fixtures();
-    let service = Arc::new(EaseService::load(&fx.model).expect("load fixture model"));
     let mut config = ServeConfig::tcp_at("127.0.0.1:0").workers(2);
     if let Some(budget) = budget {
         config = config.memory_budget(budget);
     }
-    let handle = serve::serve(service, config).expect("bind backend");
+    let handle = spawn_daemon(config);
     let tcp = handle.tcp_addr().unwrap_or_else(|| panic!("{tag}: tcp listener bound")).to_string();
     (handle, Endpoint::tcp(tcp))
 }
@@ -171,51 +146,12 @@ fn start_router(
     (handle, Endpoint::unix(socket))
 }
 
-/// What a one-shot `ease recommend` prints for this query — the
-/// bit-identity reference for every routed answer.
-fn cli_answer(graph: &Path, workload: &str) -> String {
-    let fx = fixtures();
-    let service = EaseService::load(&fx.model).expect("load model");
-    let source = ease_repro::graph::open_path(graph).expect("open graph");
-    let wl = Workload::from_name(workload).expect("known workload");
-    serve::render_recommendation(
-        &service,
-        graph.to_str().expect("utf8 path"),
-        source.as_ref(),
-        wl,
-        service.meta().default_k,
-        OptGoal::EndToEnd,
-        serve::DEFAULT_TOP,
-        None,
-    )
-    .expect("render one-shot answer")
-}
-
-fn recommend_request(graph: &Path, workload: &str) -> Request {
-    Request::Recommend {
-        graph: graph.to_str().expect("utf8 path").to_string(),
-        workload: workload.to_string(),
-        k: None,
-        goal: OptGoal::EndToEnd,
-        top: serve::DEFAULT_TOP,
-        cwd: None,
-    }
-}
-
-fn stats_of(response: Response) -> ServeStats {
-    match response {
-        Response::CacheStats(stats) => stats,
-        other => panic!("expected CacheStats, got {other:?}"),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Bit-identity, affinity, and fleet-wide stats
 // ---------------------------------------------------------------------
 
 #[test]
 fn routed_answers_are_bit_identical_and_cache_affine() {
-    let fx = fixtures();
     let (backend_a, ep_a) = start_backend("identity-a", None);
     let (backend_b, ep_b) = start_backend("identity-b", None);
     let (router, front) = start_router("identity", vec![ep_a.clone(), ep_b.clone()], false);
@@ -223,11 +159,11 @@ fn routed_answers_are_bit_identical_and_cache_affine() {
 
     // every graph, both workloads: the routed answer is byte-for-byte the
     // one-shot answer — the backend renders, the router only forwards
-    for graph in &fx.graphs {
+    for graph in graphs() {
         for workload in ["pr", "cc"] {
-            let expected = cli_answer(graph, workload);
+            let expected = cli_answer(graph, workload, None);
             let got = serve::expect_answer(
-                client.call(&recommend_request(graph, workload)).expect("routed call"),
+                client.call(&recommend_request(graph, workload, None)).expect("routed call"),
             )
             .expect("routed answer");
             assert_eq!(got, expected, "routed answer must be bit-identical ({workload})");
@@ -237,13 +173,13 @@ fn routed_answers_are_bit_identical_and_cache_affine() {
     // cache affinity: a repeat query lands on the same backend, whose
     // property cache is warm — fleet-wide hits must rise, not misses
     let before = stats_of(client.call(&Request::CacheStats).expect("fleet stats"));
-    for graph in &fx.graphs {
-        let response = client.call(&recommend_request(graph, "pr")).expect("repeat call");
+    for graph in graphs() {
+        let response = client.call(&recommend_request(graph, "pr", None)).expect("repeat call");
         serve::expect_answer(response).expect("repeat answer");
     }
     let after = stats_of(client.call(&Request::CacheStats).expect("fleet stats"));
     assert!(
-        after.hits >= before.hits + fx.graphs.len() as u64,
+        after.hits >= before.hits + graphs().len() as u64,
         "repeat queries must be property-cache hits on their home backend \
          (hits {} -> {})",
         before.hits,
@@ -257,7 +193,7 @@ fn routed_answers_are_bit_identical_and_cache_affine() {
     let direct_b = stats_of(serve::call_endpoint(&ep_b, &Request::CacheStats).expect("b stats"));
     assert_eq!(after.capacity, direct_a.capacity + direct_b.capacity);
     assert_eq!(after.len as u64, after.misses, "every miss populated one cache slot");
-    let forwarded = (fx.graphs.len() * 3) as u64; // 2 cold workloads + 1 warm repeat each
+    let forwarded = (graphs().len() * 3) as u64; // 2 cold workloads + 1 warm repeat each
     assert!(
         direct_a.requests_served + direct_b.requests_served >= forwarded,
         "backends served {} + {}, expected at least {forwarded}",
@@ -286,7 +222,6 @@ fn routed_answers_are_bit_identical_and_cache_affine() {
 
 #[test]
 fn killing_a_backend_mid_stream_retries_with_bit_identical_answers() {
-    let fx = fixtures();
     let (backend_a, ep_a) = start_backend("failover-a", None);
     let (backend_b, ep_b) = start_backend("failover-b", None);
     let (router, front) = start_router("failover", vec![ep_a, ep_b.clone()], false);
@@ -294,9 +229,10 @@ fn killing_a_backend_mid_stream_retries_with_bit_identical_answers() {
 
     // first pass: all graphs answered through the full fleet — this also
     // parks pooled router->backend connections that the kill will poison
-    let expected: Vec<String> = fx.graphs.iter().map(|graph| cli_answer(graph, "pr")).collect();
-    for (graph, expected) in fx.graphs.iter().zip(&expected) {
-        let got = serve::expect_answer(client.call(&recommend_request(graph, "pr")).unwrap())
+    let expected: Vec<String> =
+        graphs().iter().map(|graph| cli_answer(graph, "pr", None)).collect();
+    for (graph, expected) in graphs().iter().zip(&expected) {
+        let got = serve::expect_answer(client.call(&recommend_request(graph, "pr", None)).unwrap())
             .expect("pre-kill answer");
         assert_eq!(&got, expected);
     }
@@ -308,8 +244,8 @@ fn killing_a_backend_mid_stream_retries_with_bit_identical_answers() {
     // same client, same queries: keys homed on the dead backend hit a
     // transport error, mark it down, and fail over to the ring successor
     // — and the retried answer is still bit-identical
-    for (graph, expected) in fx.graphs.iter().zip(&expected) {
-        let got = serve::expect_answer(client.call(&recommend_request(graph, "pr")).unwrap())
+    for (graph, expected) in graphs().iter().zip(&expected) {
+        let got = serve::expect_answer(client.call(&recommend_request(graph, "pr", None)).unwrap())
             .expect("post-kill answer must fail over, not error");
         assert_eq!(&got, expected, "retried answer must be bit-identical");
     }
@@ -339,7 +275,7 @@ fn a_saturated_fleet_sheds_with_a_typed_overloaded_answer() {
     let (router, front) = start_router("shed", vec![ep_a, ep_b], false);
     let mut client = PipelinedClient::connect(&front).expect("connect router");
 
-    let graph = &fx.graphs[0];
+    let graph = &graphs()[0];
     // admission sniffs the .bel header and estimates the advanced tier's
     // CSR charge (offsets + the forward lists' u32 targets), not the file size
     let src = ease_repro::graph::BelSource::open(graph).expect("open bel");
@@ -349,7 +285,7 @@ fn a_saturated_fleet_sheds_with_a_typed_overloaded_answer() {
         "the sniffed estimate undercuts the old file-size one"
     );
     drop(src);
-    match client.call(&recommend_request(graph, "pr")).expect("transport ok") {
+    match client.call(&recommend_request(graph, "pr", None)).expect("transport ok") {
         Response::Overloaded { needed: got_needed, headroom } => {
             assert_eq!(got_needed, needed, "needed = the query's estimated footprint");
             assert_eq!(headroom, 1, "headroom = the best backend's remaining budget");
@@ -357,7 +293,7 @@ fn a_saturated_fleet_sheds_with_a_typed_overloaded_answer() {
         other => panic!("expected a typed Overloaded shed, got {other:?}"),
     }
     // clients surface it as the typed error, not a stringly one
-    let err = serve::expect_answer(client.call(&recommend_request(graph, "pr")).unwrap())
+    let err = serve::expect_answer(client.call(&recommend_request(graph, "pr", None)).unwrap())
         .expect_err("overloaded is an error to clients");
     match err {
         EaseError::Serve(ServeError::Overloaded { needed: n, headroom }) => {
@@ -389,16 +325,16 @@ fn oversized_queries_steer_to_the_backend_with_headroom() {
     let (router, front) = start_router("steer", vec![ep_full.clone(), ep_open.clone()], false);
     let mut client = PipelinedClient::connect(&front).expect("connect router");
 
-    for graph in &fx.graphs {
-        let expected = cli_answer(graph, "pr");
-        let got = serve::expect_answer(client.call(&recommend_request(graph, "pr")).unwrap())
+    for graph in graphs() {
+        let expected = cli_answer(graph, "pr", None);
+        let got = serve::expect_answer(client.call(&recommend_request(graph, "pr", None)).unwrap())
             .expect("steered answer");
         assert_eq!(got, expected, "steered answers stay bit-identical");
     }
     let full = stats_of(serve::call_endpoint(&ep_full, &Request::CacheStats).expect("full stats"));
     let open = stats_of(serve::call_endpoint(&ep_open, &Request::CacheStats).expect("open stats"));
     assert_eq!(full.hits + full.misses, 0, "no analysis ever reached the saturated backend");
-    assert_eq!(open.misses, fx.graphs.len() as u64, "every graph was analyzed on the open one");
+    assert_eq!(open.misses, graphs().len() as u64, "every graph was analyzed on the open one");
 
     router.trigger_shutdown();
     router.join().expect("router join");
@@ -417,7 +353,7 @@ fn oversized_queries_steer_to_the_backend_with_headroom() {
 #[test]
 fn header_sniffed_admission_admits_what_file_size_used_to_shed() {
     let fx = fixtures();
-    let graph = &fx.graphs[1];
+    let graph = &graphs()[1];
     let src = ease_repro::graph::BelSource::open(graph).expect("open bel");
     let estimate = Csr::heap_bytes(src.num_vertices(), src.edge_count()) as u64;
     let undirected = Csr::heap_bytes(src.num_vertices(), 2 * src.edge_count()) as u64;
@@ -434,9 +370,9 @@ fn header_sniffed_admission_admits_what_file_size_used_to_shed() {
     let (backend, ep) = start_backend("sniff-admit", Some(budget));
     let (router, front) = start_router("sniff-admit", vec![ep.clone()], false);
 
-    let expected = cli_answer(graph, "pr");
+    let expected = cli_answer(graph, "pr", None);
     let got = serve::expect_answer(
-        serve::call_endpoint(&front, &recommend_request(graph, "pr")).expect("transport ok"),
+        serve::call_endpoint(&front, &recommend_request(graph, "pr", None)).expect("transport ok"),
     )
     .expect("admitted, not shed");
     assert_eq!(got, expected, "admitted answers stay bit-identical");

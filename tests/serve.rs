@@ -11,137 +11,23 @@
 //! The trained service + graph fixtures are built once per test binary
 //! (`OnceLock`) — every test then serves on its own socket.
 
-use ease_repro::core::profiling::TimingMode;
-use ease_repro::graph::bel;
-use ease_repro::graph::io::TextEdgeListWriter;
-use ease_repro::graph::open_path;
-use ease_repro::graphgen::realworld::socfb_analogue;
-use ease_repro::graphgen::Scale;
-use ease_repro::procsim::Workload;
+mod common;
+
+use common::daemon::{
+    cli_answer, ease_output, fixtures, load_service, recommend_request, run_cli, spawn_daemon,
+    stats_of, strip_timing, SPAWN_GATE,
+};
 use ease_repro::serve::{self, Request, Response, ServeConfig};
-use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal, ServeError};
-use std::path::{Path, PathBuf};
+use ease_repro::{EaseError, ServeError};
+use std::path::PathBuf;
 use std::process::Command;
-use std::sync::{Arc, OnceLock, PoisonError, RwLock};
-
-use ease_repro::partition::PartitionerId;
-
-struct Fixtures {
-    dir: PathBuf,
-    model: PathBuf,
-    /// The same graph content in both ingestion formats.
-    txt: PathBuf,
-    bel: PathBuf,
-    /// A second, different graph (distinct fingerprint).
-    other_txt: PathBuf,
-}
-
-fn fixtures() -> &'static Fixtures {
-    static FIXTURES: OnceLock<Fixtures> = OnceLock::new();
-    FIXTURES.get_or_init(|| {
-        // fixed name, wiped on entry: each run cleans up the previous
-        // run's fixtures (tests have no teardown hook for the OnceLock)
-        let dir = std::env::temp_dir().join("ease_serve_suite");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create fixture dir");
-        let write_txt = |path: &Path, g: &ease_repro::graph::Graph| {
-            let mut w = TextEdgeListWriter::create(path).expect("create txt");
-            for &e in g.edges() {
-                w.push(e).expect("write edge");
-            }
-            w.finish_with_vertices(g.num_vertices()).expect("finish txt");
-        };
-        let g = socfb_analogue(Scale::Tiny, 7).graph;
-        let txt = dir.join("graph.txt");
-        let bel_path = dir.join("graph.bel");
-        write_txt(&txt, &g);
-        bel::write_bel(&g, &bel_path).expect("write bel");
-        let other = socfb_analogue(Scale::Tiny, 8).graph;
-        let other_txt = dir.join("other.txt");
-        write_txt(&other_txt, &other);
-        let model = dir.join("ease.model");
-        let service = EaseServiceBuilder::at_scale(Scale::Tiny)
-            .quick_grid()
-            .max_small_graphs(Some(6))
-            .max_large_graphs(Some(4))
-            .partition_counts(vec![2, 4])
-            .partitioners(vec![PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne])
-            .workloads(vec![Workload::PageRank { iterations: 10 }, Workload::ConnectedComponents])
-            .folds(2)
-            .timing(TimingMode::Deterministic)
-            .train()
-            .expect("train fixture service");
-        service.save(&model).expect("save fixture model");
-        Fixtures { dir, model, txt, bel: bel_path, other_txt }
-    })
-}
+use std::sync::{Arc, PoisonError};
 
 /// Start an in-process daemon on a fresh socket, exactly as `ease serve`
 /// does: load the persisted model, share it behind an `Arc`.
 fn start_server(tag: &str, workers: usize) -> (serve::ServerHandle, PathBuf) {
-    let fx = fixtures();
-    let socket = fx.dir.join(format!("{tag}.sock"));
-    let service = Arc::new(EaseService::load(&fx.model).expect("load fixture model"));
-    let handle =
-        serve::serve(service, ServeConfig::at(&socket).workers(workers)).expect("bind daemon");
-    (handle, socket)
-}
-
-/// What a one-shot `ease recommend` process answers: fresh service load,
-/// fresh graph open, shared renderer. The CLI binary itself is pinned to
-/// this exact text by `render_matches_the_real_one_shot_cli_binary`.
-fn cli_answer(graph: &Path, workload: &str, k: Option<usize>) -> String {
-    let fx = fixtures();
-    let service = EaseService::load(&fx.model).expect("load model");
-    let source = open_path(graph).expect("open graph");
-    let display = graph.to_str().expect("utf8 path");
-    let wl = Workload::from_name(workload).expect("known workload");
-    let k = k.unwrap_or(service.meta().default_k);
-    serve::render_recommendation(
-        &service,
-        display,
-        source.as_ref(),
-        wl,
-        k,
-        OptGoal::EndToEnd,
-        serve::DEFAULT_TOP,
-        None,
-    )
-    .expect("render one-shot answer")
-}
-
-fn recommend_request(graph: &Path, workload: &str, k: Option<usize>) -> Request {
-    Request::Recommend {
-        graph: graph.to_str().expect("utf8 path").to_string(),
-        workload: workload.to_string(),
-        k,
-        goal: OptGoal::EndToEnd,
-        top: serve::DEFAULT_TOP,
-        cwd: None,
-    }
-}
-
-/// A forked child holds a copy of every descriptor this process has open
-/// until it execs — including a live daemon's flock'd `<socket>.lock`. A
-/// test that releases a lock and re-binds the same path must not overlap
-/// a sibling test's fork (measured: 1 run in 60 lost the re-bind to
-/// "another daemon is already serving this socket"), so every spawn holds
-/// the read side and `shutdown_is_graceful_and_sockets_are_exclusive`
-/// the write side.
-static SPAWN_GATE: RwLock<()> = RwLock::new(());
-
-fn ease_output(cli: &mut Command) -> std::process::Output {
-    let _no_rebind_in_flight = SPAWN_GATE.read().unwrap_or_else(PoisonError::into_inner);
-    cli.output().expect("run ease CLI")
-}
-
-fn run_cli(args: &[&str]) -> (String, String, bool) {
-    let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args(args));
-    (
-        String::from_utf8(out.stdout).expect("utf8 stdout"),
-        String::from_utf8(out.stderr).expect("utf8 stderr"),
-        out.status.success(),
-    )
+    let socket = fixtures().dir.join(format!("{tag}.sock"));
+    (spawn_daemon(ServeConfig::at(&socket).workers(workers)), socket)
 }
 
 #[test]
@@ -192,10 +78,7 @@ fn concurrent_clients_get_bit_identical_answers_for_text_and_bel() {
     });
     // same content, two backends -> one fingerprint: the .bel queries hit
     // the entry the .txt queries populated (or vice versa)
-    let stats = match serve::call(&socket, &Request::CacheStats).expect("stats call") {
-        Response::CacheStats(stats) => stats,
-        other => panic!("expected CacheStats, got {other:?}"),
-    };
+    let stats = stats_of(serve::call(&socket, &Request::CacheStats).expect("stats call"));
     assert_eq!(stats.hits + stats.misses, CLIENTS as u64);
     assert_eq!(stats.len, 1, "txt and bel of the same graph share one fingerprint");
     assert!(stats.misses >= 1);
@@ -226,12 +109,6 @@ fn daemon_proxy_cli_is_bit_identical_to_one_shot_cli() {
     }
     // features: every line except the trailing wall-clock timing line is
     // deterministic, so strip it on both sides (as CI does)
-    let strip_timing = |s: &str| {
-        let mut lines: Vec<&str> = s.lines().collect();
-        assert!(lines.last().is_some_and(|l| l.starts_with("extraction:")), "timing line last");
-        lines.pop();
-        lines.join("\n")
-    };
     let graph_str = fx.bel.to_str().unwrap();
     let (direct, _, ok) = run_cli(&["features", graph_str, "--tier", "advanced"]);
     assert!(ok);
@@ -273,6 +150,10 @@ fn retired_endpoint_flags_are_usage_errors_naming_endpoint() {
         // endpoints need their scheme: a bare host:port is not TCP
         (&["recommend", "--endpoint", "127.0.0.1:1", "--graph", graph], "--endpoint `127.0.0.1:1`"),
         (&["route", "--backend", "127.0.0.1:1", "--socket", "x"], "--backend `127.0.0.1:1`"),
+        // a partition count no partitioner runs, before any model or socket
+        (&["recommend", "--model", "/no/model", "--graph", graph, "--k", "0"], "2..=128, got 0"),
+        (&["recommend", "--model", "/no/model", "--graph", graph, "--k", "1"], "2..=128, got 1"),
+        (&["recommend", "--endpoint", "unix:/x", "--graph", graph, "--k", "129"], "got 129"),
     ] {
         let out = ease_output(Command::new(env!("CARGO_BIN_EXE_ease")).args(args));
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -386,10 +267,7 @@ fn cache_stats_over_the_socket_stay_coherent_under_concurrency() {
         }
     });
     let total = (CLIENTS * REQS_PER_CLIENT) as u64;
-    let stats = match serve::call(&socket, &Request::CacheStats).expect("stats") {
-        Response::CacheStats(stats) => stats,
-        other => panic!("expected CacheStats, got {other:?}"),
-    };
+    let stats = stats_of(serve::call(&socket, &Request::CacheStats).expect("stats"));
     // exactly one lookup per recommend; concurrent first queries may race
     // to a redundant extraction, so misses is bounded, not exact
     assert_eq!(stats.hits + stats.misses, total, "one cache lookup per recommend");
@@ -509,10 +387,9 @@ fn stalled_clients_cannot_block_graceful_shutdown() {
     use std::os::unix::net::UnixStream;
     let fx = fixtures();
     let socket = fx.dir.join("stalled.sock");
-    let service = Arc::new(EaseService::load(&fx.model).expect("load fixture model"));
     let config =
         ServeConfig::at(&socket).workers(2).io_timeout(Some(std::time::Duration::from_millis(200)));
-    let handle = serve::serve(service, config).expect("bind daemon");
+    let handle = spawn_daemon(config);
     // a client that connects and never sends a complete frame (crashed
     // peer, port probe) occupies a worker until the I/O timeout frees it
     let stalled = UnixStream::connect(&socket).expect("connect stalled client");
@@ -534,10 +411,9 @@ fn stalled_clients_cannot_block_graceful_shutdown() {
 
 #[test]
 fn shutdown_is_graceful_and_sockets_are_exclusive() {
-    let fx = fixtures();
     let (handle, socket) = start_server("lifecycle", 2);
     // a second daemon on a *live* socket is a typed bind error
-    let service = Arc::new(EaseService::load(&fx.model).unwrap());
+    let service = load_service();
     match serve::serve(Arc::clone(&service), ServeConfig::at(&socket).workers(2)) {
         Err(EaseError::Serve(ServeError::Bind { socket: s, .. })) => {
             assert_eq!(s, socket.display().to_string())
@@ -561,11 +437,8 @@ fn shutdown_is_graceful_and_sockets_are_exclusive() {
     ));
     // a *stale* socket file (dead daemon / leftover path) is replaced
     std::fs::write(&socket, b"stale").unwrap();
-    let (handle2, _) = {
-        let handle = serve::serve(service, ServeConfig::at(&socket).workers(2))
-            .expect("stale socket file must be reclaimed");
-        (handle, ())
-    };
+    let handle2 = serve::serve(service, ServeConfig::at(&socket).workers(2))
+        .expect("stale socket file must be reclaimed");
     drop(no_forks);
     match serve::call(&socket, &Request::Ping).expect("ping after reclaim") {
         Response::Pong { version } => assert_eq!(version, serve::PROTOCOL_VERSION),

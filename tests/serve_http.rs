@@ -8,76 +8,27 @@
 //! (property tests); and malformed or oversized HTTP never kills a
 //! worker — the same daemon keeps answering binary v2 afterwards.
 
-use ease_repro::core::profiling::TimingMode;
-use ease_repro::graph::io::TextEdgeListWriter;
-use ease_repro::graph::{bel, open_path, PropertyTier};
-use ease_repro::graphgen::realworld::socfb_analogue;
-use ease_repro::graphgen::Scale;
-use ease_repro::partition::PartitionerId;
-use ease_repro::procsim::Workload;
+mod common;
+
+use common::daemon::{cli_answer, fixtures, run_cli, spawn_daemon, strip_timing};
+use ease_repro::graph::{open_path, PropertyTier};
 use ease_repro::serve::json::Value;
 use ease_repro::serve::{
     self, Endpoint, PipelinedClient, Request, Response, RouterConfig, ServeConfig, ServeStats,
 };
-use ease_repro::{EaseService, EaseServiceBuilder, OptGoal};
+use ease_repro::OptGoal;
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::sync::{Arc, OnceLock};
 
 // ---------------------------------------------------------------------
-// Fixtures and raw-socket helpers
+// Daemons and raw-socket helpers
 // ---------------------------------------------------------------------
-
-struct Fixtures {
-    dir: PathBuf,
-    model: PathBuf,
-    /// The same graph content in both ingestion formats.
-    txt: PathBuf,
-    bel: PathBuf,
-}
-
-fn fixtures() -> &'static Fixtures {
-    static FIXTURES: OnceLock<Fixtures> = OnceLock::new();
-    FIXTURES.get_or_init(|| {
-        let dir = std::env::temp_dir().join("ease_serve_http_suite");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create fixture dir");
-        let g = socfb_analogue(Scale::Tiny, 7).graph;
-        let txt = dir.join("graph.txt");
-        let mut w = TextEdgeListWriter::create(&txt).expect("create txt");
-        for &e in g.edges() {
-            w.push(e).expect("write edge");
-        }
-        w.finish_with_vertices(g.num_vertices()).expect("finish txt");
-        let bel_path = dir.join("graph.bel");
-        bel::write_bel(&g, &bel_path).expect("write bel");
-        let model = dir.join("ease.model");
-        let service = EaseServiceBuilder::at_scale(Scale::Tiny)
-            .quick_grid()
-            .max_small_graphs(Some(6))
-            .max_large_graphs(Some(4))
-            .partition_counts(vec![2, 4])
-            .partitioners(vec![PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne])
-            .workloads(vec![Workload::PageRank { iterations: 10 }, Workload::ConnectedComponents])
-            .folds(2)
-            .timing(TimingMode::Deterministic)
-            .train()
-            .expect("train fixture service");
-        service.save(&model).expect("save fixture model");
-        Fixtures { dir, model, txt, bel: bel_path }
-    })
-}
 
 /// An in-process daemon on an ephemeral TCP port — the listener every
 /// HTTP test speaks to (the same one binary v2 clients use).
 fn start_daemon(workers: usize) -> (serve::ServerHandle, String) {
-    let fx = fixtures();
-    let service = Arc::new(EaseService::load(&fx.model).expect("load fixture model"));
-    let handle = serve::serve(service, ServeConfig::tcp_at("127.0.0.1:0").workers(workers))
-        .expect("bind daemon");
+    let handle = spawn_daemon(ServeConfig::tcp_at("127.0.0.1:0").workers(workers));
     let addr = handle.tcp_addr().expect("tcp listener bound").to_string();
     (handle, addr)
 }
@@ -166,34 +117,6 @@ fn parse_envelope(body: &str, expected_type: &str) -> Value {
     value
 }
 
-/// What a one-shot `ease recommend` prints — the bit-identity reference.
-fn cli_answer(graph: &Path, workload: &str) -> String {
-    let fx = fixtures();
-    let service = EaseService::load(&fx.model).expect("load model");
-    let source = open_path(graph).expect("open graph");
-    let wl = Workload::from_name(workload).expect("known workload");
-    serve::render_recommendation(
-        &service,
-        graph.to_str().expect("utf8 path"),
-        source.as_ref(),
-        wl,
-        service.meta().default_k,
-        OptGoal::EndToEnd,
-        serve::DEFAULT_TOP,
-        None,
-    )
-    .expect("render one-shot answer")
-}
-
-fn run_cli(args: &[&str]) -> (String, String, bool) {
-    let out = Command::new(env!("CARGO_BIN_EXE_ease")).args(args).output().expect("run ease CLI");
-    (
-        String::from_utf8(out.stdout).expect("utf8 stdout"),
-        String::from_utf8(out.stderr).expect("utf8 stderr"),
-        out.status.success(),
-    )
-}
-
 // ---------------------------------------------------------------------
 // Bit-identity through the daemon
 // ---------------------------------------------------------------------
@@ -203,7 +126,7 @@ fn http_answers_are_bit_identical_to_one_shot_for_text_and_bel() {
     let fx = fixtures();
     let (daemon, addr) = start_daemon(2);
     for graph in [&fx.txt, &fx.bel] {
-        let expected = cli_answer(graph, "pr");
+        let expected = cli_answer(graph, "pr", None);
         let target = format!("/recommend?graph={}&workload=pr", graph.display());
         let (status, body) = http_get(&addr, &target);
         assert_eq!(status, "HTTP/1.1 200 OK");
@@ -242,12 +165,7 @@ fn http_features_match_the_renderer_modulo_the_timing_line() {
     let got = envelope_field(&envelope, "answer").as_str().expect("answer text");
     // the trailing line carries wall-clock extraction timings; everything
     // above it is deterministic and must match bit-for-bit
-    let strip_last = |text: &str| {
-        let mut lines: Vec<&str> = text.lines().collect();
-        lines.pop();
-        lines.join("\n")
-    };
-    assert_eq!(strip_last(got), strip_last(&reference));
+    assert_eq!(strip_timing(got), strip_timing(&reference));
     daemon.trigger_shutdown();
     daemon.join().expect("daemon join");
 }
@@ -287,7 +205,7 @@ fn http_through_a_router_fleet_is_bit_identical_and_folds_stats() {
     let fx = fixtures();
     let (backends, router, front) = start_fleet("http-fleet");
     for graph in [&fx.txt, &fx.bel] {
-        let expected = cli_answer(graph, "pr");
+        let expected = cli_answer(graph, "pr", None);
         let (status, body) =
             http_get(&front, &format!("/recommend?graph={}&workload=pr", graph.display()));
         assert_eq!(status, "HTTP/1.1 200 OK");
@@ -333,6 +251,13 @@ fn http_errors_carry_typed_statuses_and_json_bodies() {
         http_get(&addr, &format!("/recommend?graph={}&workload=nope", fx.txt.display()));
     assert_eq!(status, "HTTP/1.1 400 Bad Request");
     parse_envelope(&body, "error");
+    // a partition count no partitioner runs → 400
+    let (status, body) =
+        http_get(&addr, &format!("/recommend?graph={}&workload=pr&k=0", fx.txt.display()));
+    assert_eq!(status, "HTTP/1.1 400 Bad Request");
+    let error = parse_envelope(&body, "error");
+    let message = envelope_field(&error, "error").as_str().expect("error text");
+    assert!(message.contains("k must be in 2..=128, got 0"), "got: {message}");
     // an unknown endpoint → 404 without ever reaching the executor
     let (status, _) = http_get(&addr, "/api/v1/recommend");
     assert_eq!(status, "HTTP/1.1 404 Not Found");

@@ -10,118 +10,30 @@
 //! path resolve to exactly one winner whose socket survives (the PR 6
 //! bind-TOCTOU regression).
 
-use ease_repro::core::profiling::TimingMode;
-use ease_repro::graph::bel;
-use ease_repro::graph::io::{write_edge_list, TextEdgeListWriter};
-use ease_repro::graph::open_path;
+mod common;
+
+use common::daemon::{
+    cli_answer, fixtures, load_service, recommend_request, run_cli, spawn_daemon,
+};
+use ease_repro::graph::io::write_edge_list;
 use ease_repro::graph::PropertyTier;
-use ease_repro::graphgen::realworld::socfb_analogue;
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
-use ease_repro::graphgen::Scale;
-use ease_repro::partition::PartitionerId;
-use ease_repro::procsim::Workload;
 use ease_repro::serve::{self, Endpoint, PipelinedClient, Request, Response, ServeConfig};
-use ease_repro::{EaseError, EaseService, EaseServiceBuilder, OptGoal, ServeError};
+use ease_repro::{EaseError, ServeError};
 use proptest::prelude::*;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
-use std::path::{Path, PathBuf};
-use std::sync::{Arc, Barrier, OnceLock};
+use std::sync::Barrier;
 use std::time::{Duration, Instant};
-
-struct Fixtures {
-    dir: PathBuf,
-    model: PathBuf,
-    /// The same graph content in both ingestion formats.
-    txt: PathBuf,
-    bel: PathBuf,
-    /// A second, different graph (distinct fingerprint) for heavier
-    /// feature-extraction requests.
-    other_txt: PathBuf,
-}
-
-fn fixtures() -> &'static Fixtures {
-    static FIXTURES: OnceLock<Fixtures> = OnceLock::new();
-    FIXTURES.get_or_init(|| {
-        let dir = std::env::temp_dir().join("ease_serve_pipelined_suite");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("create fixture dir");
-        let write_txt = |path: &Path, g: &ease_repro::graph::Graph| {
-            let mut w = TextEdgeListWriter::create(path).expect("create txt");
-            for &e in g.edges() {
-                w.push(e).expect("write edge");
-            }
-            w.finish_with_vertices(g.num_vertices()).expect("finish txt");
-        };
-        let g = socfb_analogue(Scale::Tiny, 7).graph;
-        let txt = dir.join("graph.txt");
-        let bel_path = dir.join("graph.bel");
-        write_txt(&txt, &g);
-        bel::write_bel(&g, &bel_path).expect("write bel");
-        let other = socfb_analogue(Scale::Tiny, 8).graph;
-        let other_txt = dir.join("other.txt");
-        write_txt(&other_txt, &other);
-        let model = dir.join("ease.model");
-        let service = EaseServiceBuilder::at_scale(Scale::Tiny)
-            .quick_grid()
-            .max_small_graphs(Some(6))
-            .max_large_graphs(Some(4))
-            .partition_counts(vec![2, 4])
-            .partitioners(vec![PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne])
-            .workloads(vec![Workload::PageRank { iterations: 10 }, Workload::ConnectedComponents])
-            .folds(2)
-            .timing(TimingMode::Deterministic)
-            .train()
-            .expect("train fixture service");
-        service.save(&model).expect("save fixture model");
-        Fixtures { dir, model, txt, bel: bel_path, other_txt }
-    })
-}
 
 /// Start an in-process daemon on a fresh unix socket *and* an ephemeral
 /// TCP port, exactly as `ease serve --socket … --tcp 127.0.0.1:0` does.
 fn start_server(tag: &str, workers: usize) -> (serve::ServerHandle, Endpoint, Endpoint) {
-    let fx = fixtures();
-    let socket = fx.dir.join(format!("{tag}.sock"));
-    let service = Arc::new(EaseService::load(&fx.model).expect("load fixture model"));
-    let config = ServeConfig::at(&socket).tcp("127.0.0.1:0").workers(workers);
-    let handle = serve::serve(service, config).expect("bind daemon");
+    let socket = fixtures().dir.join(format!("{tag}.sock"));
+    let handle = spawn_daemon(ServeConfig::at(&socket).tcp("127.0.0.1:0").workers(workers));
     let tcp = handle.tcp_addr().expect("tcp listener bound").to_string();
     (handle, Endpoint::unix(socket), Endpoint::tcp(tcp))
-}
-
-/// What a one-shot `ease recommend` answers for this query (the CLI
-/// binary is pinned to this exact text by `tests/serve.rs`).
-fn cli_answer(graph: &Path, workload: &str, k: Option<usize>) -> String {
-    let fx = fixtures();
-    let service = EaseService::load(&fx.model).expect("load model");
-    let source = open_path(graph).expect("open graph");
-    let display = graph.to_str().expect("utf8 path");
-    let wl = Workload::from_name(workload).expect("known workload");
-    let k = k.unwrap_or(service.meta().default_k);
-    serve::render_recommendation(
-        &service,
-        display,
-        source.as_ref(),
-        wl,
-        k,
-        OptGoal::EndToEnd,
-        serve::DEFAULT_TOP,
-        None,
-    )
-    .expect("render one-shot answer")
-}
-
-fn recommend_request(graph: &Path, workload: &str, k: Option<usize>) -> Request {
-    Request::Recommend {
-        graph: graph.to_str().expect("utf8 path").to_string(),
-        workload: workload.to_string(),
-        k,
-        goal: OptGoal::EndToEnd,
-        top: serve::DEFAULT_TOP,
-        cwd: None,
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -240,20 +152,17 @@ fn pipelined_answers_are_bit_identical_over_unix_and_tcp() {
         }
     });
     // the real CLI binary over TCP prints the same bytes as the one-shot
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_ease"))
-        .args([
-            "recommend",
-            "--endpoint",
-            &tcp.to_string(),
-            "--graph",
-            fx.txt.to_str().unwrap(),
-            "--workload",
-            "pr",
-        ])
-        .output()
-        .expect("run ease CLI");
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
-    assert_eq!(String::from_utf8(out.stdout).unwrap(), expected_txt);
+    let (stdout, stderr, ok) = run_cli(&[
+        "recommend",
+        "--endpoint",
+        &tcp.to_string(),
+        "--graph",
+        fx.txt.to_str().unwrap(),
+        "--workload",
+        "pr",
+    ]);
+    assert!(ok, "{stderr}");
+    assert_eq!(stdout, expected_txt);
     handle.trigger_shutdown();
     let summary = handle.join().expect("clean join");
     // all pipelined requests plus at least the CLI's one
@@ -491,13 +400,11 @@ fn rewritten_graph_files_are_answered_fresh_not_from_the_memo() {
 fn shutdown_drains_promptly_with_all_workers_pinned_and_handoff_full() {
     let fx = fixtures();
     let socket = fx.dir.join("pinned.sock");
-    let service = Arc::new(EaseService::load(&fx.model).expect("load fixture model"));
     // io_timeout(None): the old code's only escape hatch (worker eviction
     // at the I/O deadline) is off, so this reproduces the genuinely
     // unbounded case — workers blocked in reads forever, hand-off full,
     // accept thread stuck mid-send where the shutdown poke can't reach it
-    let config = ServeConfig::at(&socket).workers(2).io_timeout(None);
-    let handle = serve::serve(service, config).expect("bind daemon");
+    let handle = spawn_daemon(ServeConfig::at(&socket).workers(2).io_timeout(None));
     // 2 stalled connections pin both workers; 4 fill the bounded hand-off
     // (workers * 2); 1 more parks the accept thread in the hand-off
     let _stalled: Vec<UnixStream> =
@@ -537,8 +444,7 @@ fn two_daemons_racing_one_socket_path_resolve_to_one_winner() {
                 let socket = &socket;
                 let barrier = &barrier;
                 scope.spawn(move || {
-                    let service =
-                        Arc::new(EaseService::load(&fixtures().model).expect("load model"));
+                    let service = load_service();
                     barrier.wait();
                     serve::serve(service, ServeConfig::at(socket).workers(2))
                 })
