@@ -1,16 +1,17 @@
 //! Criterion benchmarks for the six regression families: fit + predict
 //! cost on an EASE-shaped dataset (8 numeric features + 11-way one-hot,
-//! like the quality-predictor rows) — and, at the shape the product
-//! actually trains on (`quality_shape`), the two tree ensembles' fits and
-//! the whole of model selection over the five quality targets; and at the
-//! shape it serves (`serve_shape`), one catalog of eleven candidate rows
-//! through the models a tiny service selects, batched and row by row, and
-//! a whole `Ease::try_select`.
+//! like the quality-predictor rows) — and, at the two shapes the product
+//! actually trains on, the two tree ensembles' fits and the whole of model
+//! selection: over the five quality targets (`quality_shape`) and over one
+//! workload's processing times (`time_shape`); and at the shape it serves
+//! (`serve_shape`), one catalog of eleven candidate rows through the models
+//! a tiny service selects, batched and row by row, and a whole
+//! `Ease::try_select`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ease::profiling::TimingMode;
+use ease::profiling::{profile_processing_with, TimingMode};
 use ease::selector::OptGoal;
-use ease::EaseServiceBuilder;
+use ease::{EaseServiceBuilder, ProcessingTimePredictor};
 use ease_graph::{PreparedGraph, PropertyTier};
 use ease_graphgen::Scale;
 use ease_ml::cv::{select_models, LabelGroup};
@@ -88,6 +89,58 @@ fn bench_quality_shape(c: &mut Criterion) {
     group.bench_function("select_models/quick_grid_5_labels_3_folds", |b| {
         b.iter(|| {
             let group = LabelGroup { x: &x, labels: labels.iter().map(Vec::as_slice).collect() };
+            black_box(select_models(&grid, &[group], 3, 42).len())
+        });
+    });
+    group.finish();
+}
+
+/// The processing-time predictor's training set at tiny scale, as training
+/// builds it: one workload's 110 rows (10 graphs × 11 partitioners at the
+/// default `k`) of 8 columns — two graph properties, the five quality
+/// metrics, near-continuous, and the iteration count — and its one label
+/// vector. Few samples: only a root split that leaves 96 of them on one
+/// side derives a child's histograms from its parent's, so nearly every
+/// node fills its own, and the tree builder must not get slower for
+/// checking.
+fn time_shape() -> (Matrix, Vec<f64>) {
+    let builder = EaseServiceBuilder::at_scale(Scale::Tiny)
+        .quick_grid()
+        .timing(TimingMode::Deterministic)
+        .seed(42);
+    let cfg = builder.config();
+    let records = profile_processing_with(
+        &cfg.large_inputs(),
+        &cfg.partitioners,
+        cfg.processing_k,
+        &cfg.workloads,
+        cfg.seed ^ 0x9A,
+        cfg.timing,
+    );
+    let ds = ProcessingTimePredictor::dataset(&records, cfg.workloads[0].name());
+    assert_eq!((ds.x.rows, ds.x.cols), (110, 8), "the tiny processing-time shape");
+    (ds.x, ds.y)
+}
+
+fn bench_time_shape(c: &mut Criterion) {
+    let (x, y) = time_shape();
+    let grid = zoo::quick_grid();
+    let mut group = c.benchmark_group("time_shape_110x8");
+    group.sample_size(20);
+    for cfg in
+        grid.iter().filter(|c| matches!(c, ModelConfig::Forest { .. } | ModelConfig::Xgb { .. }))
+    {
+        group.bench_with_input(BenchmarkId::new("fit", cfg.kind().name()), cfg, |b, cfg| {
+            b.iter(|| {
+                let mut m = cfg.build();
+                m.fit(&x, &y);
+                black_box(m.predict_row(x.row(0)))
+            });
+        });
+    }
+    group.bench_function("select_models/quick_grid_1_label_3_folds", |b| {
+        b.iter(|| {
+            let group = LabelGroup { x: &x, labels: vec![&y] };
             black_box(select_models(&grid, &[group], 3, 42).len())
         });
     });
@@ -186,6 +239,6 @@ criterion_group! {
     config = Criterion::default()
         .measurement_time(std::time::Duration::from_secs(2))
         .warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_fit, bench_predict, bench_quality_shape, bench_serve_shape
+    targets = bench_fit, bench_predict, bench_quality_shape, bench_time_shape, bench_serve_shape
 }
 criterion_main!(benches);

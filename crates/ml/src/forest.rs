@@ -77,6 +77,7 @@ impl RandomForest {
         self.trees.clear();
         let mut rng = SplitMix64::new(self.params.seed ^ 0xF0E5_7A11);
         let mut indices = vec![0u32; rows];
+        let mut hists = Vec::new();
         for t in 0..self.params.n_trees {
             // bootstrap sample with replacement
             for slot in indices.iter_mut() {
@@ -91,7 +92,7 @@ impl RandomForest {
                 min_gain: 1e-12,
                 seed: self.params.seed ^ (t as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             });
-            tree.fit_binned(&x.bins, &x.binner, y, &mut indices);
+            tree.fit_binned_reusing(&x.bins, &x.binner, y, &mut indices, &mut hists);
             self.trees.push(tree);
         }
     }

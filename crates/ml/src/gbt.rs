@@ -91,6 +91,7 @@ impl GradientBoosting {
         let sample_size =
             ((x.rows as f64 * self.params.subsample).round() as usize).clamp(1, x.rows);
         let mut indices: Vec<u32> = Vec::with_capacity(sample_size);
+        let mut hists = Vec::new();
         for round in 0..self.params.n_estimators {
             for i in 0..x.rows {
                 residual[i] = y[i] - pred[i];
@@ -112,7 +113,13 @@ impl GradientBoosting {
                 min_gain: self.params.gamma,
                 seed: self.params.seed ^ (round as u64).wrapping_mul(0x2545_F491_4F6C_DD1D),
             });
-            tree.fit_binned(&binned.bins, &binned.binner, &residual, &mut indices);
+            tree.fit_binned_reusing(
+                &binned.bins,
+                &binned.binner,
+                &residual,
+                &mut indices,
+                &mut hists,
+            );
             for i in 0..x.rows {
                 pred[i] += self.params.learning_rate * tree.predict_row(x.row(i));
             }

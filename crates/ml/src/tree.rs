@@ -1,15 +1,27 @@
 //! CART regression trees with histogram-based split search.
 //!
-//! Features are quantile-binned (≤ 64 bins) once per fit; each node then
-//! walks its samples once, adding every sample to one `{sum, sq, count}`
-//! cell per candidate feature, and scans only the bins that received a
-//! sample — `O(samples × features)` per tree level instead of sort-based
-//! `O(samples log samples × features)`, with one read of `y` and of the
-//! row's bin bytes per sample rather than one per (sample, feature). The
-//! datasets are small (792 × 18 for the quality predictor at tiny scale,
-//! with columns of 3 to 24 distinct values and eleven binary one-hots), so
-//! most of the 64 bins of most columns are empty at every node: the
-//! occupied-bin mask is what keeps the scan proportional to the data.
+//! Features are quantile-binned (≤ 64 bins) once per fit; a node's
+//! histograms are filled by one walk over its samples, adding every sample
+//! to one `{sum, sq, count}` cell per feature, and the split scan reads
+//! only the bins that received a sample — `O(samples × features)` per tree
+//! level instead of sort-based `O(samples log samples × features)`, with
+//! one read of `y` and of the row's bin bytes per sample rather than one
+//! per (sample, feature). The datasets are small (792 × 18 for the quality
+//! predictor at tiny scale, with columns of 3 to 24 distinct values and
+//! eleven binary one-hots), so most of the 64 bins of most columns are
+//! empty at every node: the occupied-bin mask is what keeps the scan
+//! proportional to the data.
+//!
+//! Histogram subtraction (LightGBM; XGBoost's `hist` builder): when both
+//! children of a split will be split again and `derives` says it pays,
+//! only the smaller child's histograms are filled, and the larger child's
+//! are the node's minus those, one occupied bin at a time. Counts are
+//! integers, so a derived count — and the occupied mask read off the
+//! counts — is exactly what a fill gives; a derived sum rounds differently,
+//! so a near-tie split can go the other way. Trees grown since derivation
+//! came in differ from earlier ones in their last bits for that reason
+//! alone: the RNG stream, the leaf values' fold, the scan and its
+//! tie-break, and the in-place partition are what they were.
 //!
 //! Supports the knobs the ensembles need: feature subsampling per split
 //! (random forest), L2 leaf shrinkage and minimum split gain
@@ -167,8 +179,8 @@ impl BinnedMatrix {
     }
 }
 
-/// One histogram bin of one candidate feature. The three accumulators sit
-/// side by side, so the update a sample makes touches one cache line.
+/// One histogram bin of one feature. The three accumulators sit side by
+/// side, so the update a sample makes touches one cache line.
 #[derive(Clone, Copy, Default)]
 struct Cell {
     sum: f64,
@@ -176,22 +188,129 @@ struct Cell {
     count: u32,
 }
 
-// a candidate's occupied bins are one `u64` mask
+/// One feature's histogram: its bins' cells, and bit `b` set when a sample
+/// fell in bin `b`.
+#[derive(Clone)]
+struct Bins {
+    cells: [Cell; MAX_BINS],
+    occupied: u64,
+}
+
+// a feature's occupied bins are one `u64` mask
 const _: () = assert!(MAX_BINS <= 64);
 
-struct BuildCtx<'a> {
+/// A node's histograms: one [`Bins`] per feature of the list it was filled
+/// over — the node's candidates, or every splittable feature — in that
+/// list's order. Reused from node to node and tree to tree, so a fill
+/// clears what it adds to and nothing else is read.
+#[derive(Default)]
+pub(crate) struct Histogram(Vec<Bins>);
+
+impl Histogram {
+    /// Clear the bins of `features`, then add the samples to them in one
+    /// pass; each cell receives its samples in `indices` order.
+    fn fill(&mut self, data: &Data, features: &[u32], indices: &[u32]) {
+        if self.0.len() < features.len() {
+            let empty = Bins { cells: [Cell::default(); MAX_BINS], occupied: 0 };
+            self.0.resize(features.len(), empty);
+        }
+        let hist = &mut self.0[..features.len()];
+        for (&f, bins) in features.iter().zip(hist.iter_mut()) {
+            bins.cells[..data.binner.cuts[f as usize].len() + 1].fill(Cell::default());
+            bins.occupied = 0;
+        }
+        let (y, binned, cols) = (data.y, data.binned, data.cols);
+        for &i in indices {
+            let v = y[i as usize];
+            let v2 = v * v;
+            let row = &binned[i as usize * cols..][..cols];
+            for (&f, bins) in features.iter().zip(hist.iter_mut()) {
+                // a bin index is below `MAX_BINS`; the `%` says so to the
+                // compiler, which then drops the bounds check
+                let b = row[f as usize] as usize % MAX_BINS;
+                let cell = &mut bins.cells[b];
+                cell.sum += v;
+                cell.sq += v2;
+                cell.count += 1;
+                bins.occupied |= 1 << b;
+            }
+        }
+    }
+
+    /// Turn a node's histograms (its first `features`) into those of the
+    /// child that `child` — the other child's, filled over the same list —
+    /// does not hold: subtract cell by cell over the node's occupied bins.
+    /// Counts are integers, so the derived counts, and the masks read off
+    /// them, are exactly a direct fill's; the sums round differently.
+    fn subtract(&mut self, child: &Histogram, features: usize) {
+        for (bins, sub) in self.0[..features].iter_mut().zip(&child.0) {
+            let (mut rest, mut occupied) = (bins.occupied, 0u64);
+            while rest != 0 {
+                let b = rest.trailing_zeros() as usize;
+                rest &= rest - 1;
+                let (cell, s) = (&mut bins.cells[b], &sub.cells[b]);
+                cell.count -= s.count;
+                cell.sum -= s.sum;
+                cell.sq -= s.sq;
+                occupied |= u64::from(cell.count != 0) << b;
+            }
+            bins.occupied = occupied;
+        }
+    }
+}
+
+/// Whether a split of a node at `depth` into children of `n_left` and
+/// `n_right` samples derives its larger child's histograms instead of
+/// filling them. Only when both children will be split again (neither is at
+/// the depth limit or below `min_samples_split`), and only when the larger
+/// child holds at least [`DERIVE_MIN_SAMPLES`]. Filling the larger child
+/// costs one cell update per sample and splittable feature; the
+/// subtraction costs one per occupied bin (at most `MAX_BINS`) and feature,
+/// each reading two cells and writing one. The rule reads only sample
+/// counts, so the same split derives whatever the node's bins hold.
+fn derives(params: &TreeParams, depth: usize, (n_left, n_right): (usize, usize)) -> bool {
+    depth + 1 < params.max_depth
+        && n_left.min(n_right) >= params.min_samples_split
+        && n_left.max(n_right) >= DERIVE_MIN_SAMPLES
+}
+
+/// The fewest samples a larger child holds for [`derives`] to pass:
+/// one and a half times `MAX_BINS`, so that its fill outweighs a
+/// subtraction over every bin.
+const DERIVE_MIN_SAMPLES: usize = 3 * MAX_BINS / 2;
+
+/// What a fit reads and never changes.
+struct Data<'a> {
     binned: &'a [u8],
     y: &'a [f64],
     cols: usize,
     binner: &'a Binner,
+}
+
+/// The builder's state. A node scans the histograms in its slot `s` of
+/// `hists`, filled there by itself or handed down by its parent. A split
+/// that [`derives`] fills the smaller child's histograms into slot `s + 1`
+/// over every splittable feature (not only its candidates, so that a
+/// random-forest child finds its own), subtracts them from the node's, and
+/// hands the left child slot `s + 1` and the right child slot `s` — the
+/// left subtree touches only slots past `s`. Any other split hands its
+/// children nothing, and each fills slot `s` again: over every splittable
+/// feature when a split of its size could derive, over its candidates
+/// otherwise. So a fit holds one histogram per derivation on its deepest
+/// path, plus one. Tree bytes changed when derivation came in — a derived
+/// sum rounds differently — but the RNG stream, the leaf values' fold, the
+/// scan and the partition did not.
+struct BuildCtx<'a> {
+    data: Data<'a>,
     rng: SplitMix64,
     feature_pool: Vec<u32>,
+    /// The features with cuts: all a histogram can split on.
+    splittable: Vec<u32>,
+    /// Per feature, its place in `splittable`.
+    position: Vec<u32>,
     /// The node's splittable candidate features, in pool order.
     candidates: Vec<u32>,
-    /// `MAX_BINS` cells per candidate, in `candidates` order.
-    cells: Vec<Cell>,
-    /// Per candidate, bit `b` set when a sample of the node fell in bin `b`.
-    occupied: Vec<u64>,
+    hists: Vec<Histogram>,
 }
 
 impl RegressionTree {
@@ -202,25 +321,43 @@ impl RegressionTree {
     /// Fit against pre-binned data (ensemble path; `indices` may contain
     /// duplicates for bootstrap sampling).
     pub fn fit_binned(&mut self, binned: &[u8], binner: &Binner, y: &[f64], indices: &mut [u32]) {
+        self.fit_binned_reusing(binned, binner, y, indices, &mut Vec::new());
+    }
+
+    /// [`RegressionTree::fit_binned`] with the histograms of an earlier fit
+    /// at hand, so that an ensemble allocates them once.
+    pub(crate) fn fit_binned_reusing(
+        &mut self,
+        binned: &[u8],
+        binner: &Binner,
+        y: &[f64],
+        indices: &mut [u32],
+        hists: &mut Vec<Histogram>,
+    ) {
         let cols = binner.num_features();
         self.nodes.clear();
         self.importances = vec![0.0; cols];
+        let splittable: Vec<u32> =
+            (0..cols as u32).filter(|&f| !binner.cuts[f as usize].is_empty()).collect();
+        let mut position = vec![0; cols];
+        for (at, &f) in splittable.iter().enumerate() {
+            position[f as usize] = at as u32;
+        }
         let mut ctx = BuildCtx {
-            binned,
-            y,
-            cols,
-            binner,
+            data: Data { binned, y, cols, binner },
             rng: SplitMix64::new(self.params.seed ^ 0x7EE5),
             feature_pool: (0..cols as u32).collect(),
+            splittable,
+            position,
             candidates: Vec::with_capacity(cols),
-            cells: vec![Cell::default(); cols * MAX_BINS],
-            occupied: vec![0; cols],
+            hists: std::mem::take(hists),
         };
         if indices.is_empty() {
             self.push_leaf(0.0);
         } else {
-            self.build(&mut ctx, indices, 0);
+            self.build(&mut ctx, indices, 0, 0, false);
         }
+        *hists = ctx.hists;
         self.depth = longest_path(&self.nodes);
     }
 
@@ -243,10 +380,19 @@ impl RegressionTree {
         node.right = right;
     }
 
-    fn build(&mut self, ctx: &mut BuildCtx, indices: &mut [u32], depth: usize) -> u32 {
+    /// Grow the subtree of `indices` at `depth` with histogram slot `slot`;
+    /// `handed` is whether the parent left the node's histograms there.
+    fn build(
+        &mut self,
+        ctx: &mut BuildCtx,
+        indices: &mut [u32],
+        depth: usize,
+        slot: usize,
+        handed: bool,
+    ) -> u32 {
         let n = indices.len();
         let (sum, sq) = indices.iter().fold((0.0, 0.0), |(s, q), &i| {
-            let v = ctx.y[i as usize];
+            let v = ctx.data.y[i as usize];
             (s + v, q + v * v)
         });
         let leaf_value = sum / (n as f64 + self.params.leaf_l2);
@@ -258,58 +404,54 @@ impl RegressionTree {
             return self.push_leaf(leaf_value);
         }
         // sample candidate features without replacement (partial shuffle)
-        let n_candidates = self.params.max_features.unwrap_or(ctx.cols).clamp(1, ctx.cols);
+        let cols = ctx.data.cols;
+        let n_candidates = self.params.max_features.unwrap_or(cols).clamp(1, cols);
         for i in 0..n_candidates {
-            let j = i + ctx.rng.next_below(ctx.cols - i);
+            let j = i + ctx.rng.next_below(cols - i);
             ctx.feature_pool.swap(i, j);
         }
         // a feature without cuts (constant when binned) cannot split
-        let BuildCtx { binned, y, cols, binner, candidates, cells, occupied, .. } = ctx;
+        let BuildCtx { data, feature_pool, splittable, position, candidates, hists, .. } =
+            &mut *ctx;
         candidates.clear();
         candidates.extend(
-            ctx.feature_pool[..n_candidates]
+            feature_pool[..n_candidates]
                 .iter()
-                .filter(|&&f| !binner.cuts[f as usize].is_empty()),
+                .filter(|&&f| !data.binner.cuts[f as usize].is_empty()),
         );
-        for (slot, &f) in candidates.iter().enumerate() {
-            let n_bins = binner.cuts[f as usize].len() + 1;
-            cells[slot * MAX_BINS..][..n_bins].fill(Cell::default());
-            occupied[slot] = 0;
+        if hists.len() <= slot {
+            hists.push(Histogram::default());
         }
-        // one pass over the node's samples fills every candidate's
-        // histogram; each cell still receives its samples in `indices` order
-        for &i in indices.iter() {
-            let v = y[i as usize];
-            let v2 = v * v;
-            let row = &binned[i as usize * *cols..][..*cols];
-            for ((&f, hist), mask) in
-                candidates.iter().zip(cells.chunks_exact_mut(MAX_BINS)).zip(occupied.iter_mut())
-            {
-                let b = row[f as usize] as usize;
-                let cell = &mut hist[b];
-                cell.sum += v;
-                cell.sq += v2;
-                cell.count += 1;
-                *mask |= 1 << b;
-            }
+        // a handed node's histograms cover every splittable feature; a node
+        // fills them all when its most uneven split into children of at
+        // least `min_samples_split` passes `derives` — any split that passes
+        // is no more uneven, so a node filled by candidate never derives —
+        // and its candidates' otherwise
+        let mut by_candidate = false;
+        if !handed {
+            let min_split = self.params.min_samples_split;
+            let may_derive = derives(&self.params, depth, (min_split, n.saturating_sub(min_split)));
+            by_candidate = !may_derive;
+            hists[slot].fill(data, if may_derive { splittable } else { candidates }, indices);
         }
+        let hist = &hists[slot];
         let mut best: Option<(usize, usize, f64)> = None; // (feature, bin, gain)
-        for ((&f, hist), &mask) in
-            candidates.iter().zip(cells.chunks_exact(MAX_BINS)).zip(occupied.iter())
-        {
+        for (k, &f) in candidates.iter().enumerate() {
             let f = f as usize;
+            let Bins { cells, occupied } =
+                &hist.0[if by_candidate { k } else { position[f] as usize }];
             // "bin ≤ b" is a split for every bin below the last. An empty
             // bin repeats the prefix sums of the bin before it, and a gain
             // cannot beat itself under the strict `>`: only occupied bins
             // are walked, in bin order.
-            let mut below_last = mask & ((1u64 << binner.cuts[f].len()) - 1);
+            let mut below_last = occupied & ((1u64 << data.binner.cuts[f].len()) - 1);
             let (mut lc, mut ls, mut lq) = (0u32, 0.0f64, 0.0f64);
             while below_last != 0 {
                 let b = below_last.trailing_zeros() as usize;
                 below_last &= below_last - 1;
-                lc += hist[b].count;
-                ls += hist[b].sum;
-                lq += hist[b].sq;
+                lc += cells[b].count;
+                ls += cells[b].sum;
+                lq += cells[b].sq;
                 let rc = n as u32 - lc;
                 if (lc as usize) < self.params.min_samples_leaf
                     || (rc as usize) < self.params.min_samples_leaf
@@ -335,17 +477,36 @@ impl RegressionTree {
         let mut lo = 0usize;
         let mut hi = indices.len();
         while lo < hi {
-            if ctx.binned[indices[lo] as usize * ctx.cols + feature] as usize <= bin {
+            if data.binned[indices[lo] as usize * cols + feature] as usize <= bin {
                 lo += 1;
             } else {
                 hi -= 1;
                 indices.swap(lo, hi);
             }
         }
-        let node_id = self.push_split(feature, ctx.binner.threshold(feature, bin));
+        let node_id = self.push_split(feature, data.binner.threshold(feature, bin));
         let (left_slice, right_slice) = indices.split_at_mut(lo);
-        let left = self.build(ctx, left_slice, depth + 1);
-        let right = self.build(ctx, right_slice, depth + 1);
+        if !derives(&self.params, depth, (left_slice.len(), right_slice.len())) {
+            let left = self.build(ctx, left_slice, depth + 1, slot, false);
+            let right = self.build(ctx, right_slice, depth + 1, slot, false);
+            self.link(node_id, left, right);
+            return node_id;
+        }
+        debug_assert!(!by_candidate, "a node filled by candidate derived");
+        let features = splittable.len();
+        if hists.len() <= slot + 1 {
+            hists.push(Histogram::default());
+        }
+        let (node, child) = hists.split_at_mut(slot + 1);
+        let (node, child) = (&mut node[slot], &mut child[0]);
+        let left_is_smaller = left_slice.len() <= right_slice.len();
+        child.fill(data, splittable, if left_is_smaller { left_slice } else { right_slice });
+        node.subtract(child, features);
+        if !left_is_smaller {
+            std::mem::swap(node, child);
+        }
+        let left = self.build(ctx, left_slice, depth + 1, slot + 1, true);
+        let right = self.build(ctx, right_slice, depth + 1, slot, true);
         self.link(node_id, left, right);
         node_id
     }
@@ -610,43 +771,90 @@ mod tests {
         assert_eq!(b.bin(1, 1.0), 1);
     }
 
+    /// The oracle's histograms: every bin of every feature, by feature.
+    type OracleBins = Vec<[(u32, f64, f64); MAX_BINS]>;
+
+    /// Every splittable feature's bins over `indices`, one feature at a time.
+    fn fill_feature_major(
+        binned: &[u8],
+        binner: &Binner,
+        y: &[f64],
+        indices: &[u32],
+    ) -> OracleBins {
+        let cols = binner.num_features();
+        let mut hist = vec![[(0u32, 0.0f64, 0.0f64); MAX_BINS]; cols];
+        for (f, bins) in hist.iter_mut().enumerate() {
+            if binner.cuts[f].is_empty() {
+                continue;
+            }
+            for &i in indices {
+                let (count, sum, sq) = &mut bins[binned[i as usize * cols + f] as usize];
+                let v = y[i as usize];
+                *count += 1;
+                *sum += v;
+                *sq += v * v;
+            }
+        }
+        hist
+    }
+
+    /// `node − child`, bin by bin; a bin the subtraction empties is empty.
+    fn subtract_feature_major(node: &OracleBins, child: &OracleBins) -> OracleBins {
+        let cell = |&(c, s, q): &(u32, f64, f64), &(cc, cs, cq): &(u32, f64, f64)| {
+            if c == cc {
+                (0, 0.0, 0.0)
+            } else {
+                (c - cc, s - cs, q - cq)
+            }
+        };
+        node.iter().zip(child).map(|(n, c)| std::array::from_fn(|b| cell(&n[b], &c[b]))).collect()
+    }
+
     impl RegressionTree {
         /// The feature-major builder `build` replaced — one scan of the
-        /// node's samples per candidate feature, three arrays, every bin
-        /// below the last walked — kept as the oracle the one-pass builder
-        /// must match byte for byte.
+        /// node's samples per feature, every bin below the last walked — kept
+        /// as the oracle the one-pass builder must match byte for byte.
+        /// With `derive`, a split that [`derives`] hands its children the
+        /// smaller one's bins filled and the larger one's subtracted, as
+        /// `build` does; without, every node fills its own. Returns how
+        /// many splits derived.
         fn fit_binned_feature_major(
             &mut self,
             binned: &[u8],
             binner: &Binner,
             y: &[f64],
             indices: &mut [u32],
-        ) {
+            derive: bool,
+        ) -> usize {
             let cols = binner.num_features();
             self.nodes.clear();
             self.importances = vec![0.0; cols];
             let mut rng = SplitMix64::new(self.params.seed ^ 0x7EE5);
             let mut pool: Vec<u32> = (0..cols as u32).collect();
+            let mut derived = 0;
             if indices.is_empty() {
                 self.push_leaf(0.0);
             } else {
-                self.build_feature_major(binned, binner, y, &mut rng, &mut pool, indices, 0);
+                let data = Data { binned, y, cols, binner };
+                let derive = derive.then_some(&mut derived);
+                self.build_feature_major(&data, &mut rng, &mut pool, indices, 0, derive, None);
             }
             self.depth = longest_path(&self.nodes);
+            derived
         }
 
         #[allow(clippy::too_many_arguments)]
         fn build_feature_major(
             &mut self,
-            binned: &[u8],
-            binner: &Binner,
-            y: &[f64],
+            data: &Data,
             rng: &mut SplitMix64,
             pool: &mut [u32],
             indices: &mut [u32],
             depth: usize,
+            mut derived: Option<&mut usize>,
+            handed: Option<OracleBins>,
         ) -> u32 {
-            let cols = binner.num_features();
+            let Data { binned, y, cols, binner } = *data;
             let n = indices.len();
             let (sum, sq) = indices.iter().fold((0.0, 0.0), |(s, q), &i| {
                 let v = y[i as usize];
@@ -665,32 +873,17 @@ mod tests {
                 let j = i + rng.next_below(cols - i);
                 pool.swap(i, j);
             }
+            let hist = handed.unwrap_or_else(|| fill_feature_major(binned, binner, y, indices));
             let mut best: Option<(usize, usize, f64)> = None;
-            let mut bin_count = [0u32; MAX_BINS];
-            let mut bin_sum = [0.0f64; MAX_BINS];
-            let mut bin_sq = [0.0f64; MAX_BINS];
             for &feature in &pool[..n_candidates] {
                 let f = feature as usize;
                 let n_cuts = binner.cuts[f].len();
-                if n_cuts == 0 {
-                    continue;
-                }
-                let n_bins = n_cuts + 1;
-                bin_count[..n_bins].fill(0);
-                bin_sum[..n_bins].fill(0.0);
-                bin_sq[..n_bins].fill(0.0);
-                for &i in indices.iter() {
-                    let b = binned[i as usize * cols + f] as usize;
-                    let v = y[i as usize];
-                    bin_count[b] += 1;
-                    bin_sum[b] += v;
-                    bin_sq[b] += v * v;
-                }
                 let (mut lc, mut ls, mut lq) = (0u32, 0.0f64, 0.0f64);
                 for b in 0..n_cuts {
-                    lc += bin_count[b];
-                    ls += bin_sum[b];
-                    lq += bin_sq[b];
+                    let (count, bin_sum, bin_sq) = hist[f][b];
+                    lc += count;
+                    ls += bin_sum;
+                    lq += bin_sq;
                     let rc = n as u32 - lc;
                     if (lc as usize) < self.params.min_samples_leaf
                         || (rc as usize) < self.params.min_samples_leaf
@@ -726,10 +919,42 @@ mod tests {
             }
             let node_id = self.push_split(feature, binner.threshold(feature, bin));
             let (left_slice, right_slice) = indices.split_at_mut(lo);
-            let left =
-                self.build_feature_major(binned, binner, y, rng, pool, left_slice, depth + 1);
-            let right =
-                self.build_feature_major(binned, binner, y, rng, pool, right_slice, depth + 1);
+            let (left_bins, right_bins) = if derived.is_some()
+                && derives(&self.params, depth, (left_slice.len(), right_slice.len()))
+            {
+                if let Some(count) = derived.as_mut() {
+                    **count += 1;
+                }
+                if left_slice.len() <= right_slice.len() {
+                    let smaller = fill_feature_major(binned, binner, y, left_slice);
+                    let larger = subtract_feature_major(&hist, &smaller);
+                    (Some(smaller), Some(larger))
+                } else {
+                    let smaller = fill_feature_major(binned, binner, y, right_slice);
+                    let larger = subtract_feature_major(&hist, &smaller);
+                    (Some(larger), Some(smaller))
+                }
+            } else {
+                (None, None)
+            };
+            let left = self.build_feature_major(
+                data,
+                rng,
+                pool,
+                left_slice,
+                depth + 1,
+                derived.as_deref_mut(),
+                left_bins,
+            );
+            let right = self.build_feature_major(
+                data,
+                rng,
+                pool,
+                right_slice,
+                depth + 1,
+                derived,
+                right_bins,
+            );
             self.link(node_id, left, right);
             node_id
         }
@@ -738,8 +963,11 @@ mod tests {
     /// 300 rows × 6 columns that stress the histogram: a continuous column
     /// (64 bins), a constant one (no cuts), a binary one, a five-valued
     /// one, a continuous one the target ignores, and a copy of the binary
-    /// column (exact gain ties across features).
-    fn oracle_data() -> (Matrix, Vec<f64>) {
+    /// column (exact gain ties across features). The labels are
+    /// real-valued, or multiples of 1/16 in [−8, 8] with `dyadic` — then
+    /// every partial sum of labels and of their squares over ≤ 300 samples
+    /// is exact in `f64`, and a subtracted bin equals a filled one.
+    fn oracle_data(dyadic: bool) -> (Matrix, Vec<f64>) {
         let mut rng = SplitMix64::new(0xACE);
         let mut x = Matrix::with_cols(6);
         let mut y = Vec::new();
@@ -748,31 +976,27 @@ mod tests {
             let binary = f64::from(i % 3 == 0);
             let five = (rng.next_f64() * 5.0).floor();
             x.push_row(&[a, 7.0, binary, five, rng.next_f64(), binary]);
-            y.push((6.0 * a).sin() + 2.0 * binary + 0.3 * five + 0.05 * rng.next_f64());
+            let label = (6.0 * a).sin() + 2.0 * binary + 0.3 * five + 0.05 * rng.next_f64();
+            y.push(if dyadic { ((label * 16.0).round() / 16.0).clamp(-8.0, 8.0) } else { label });
         }
         (x, y)
     }
 
-    #[test]
-    fn one_pass_builder_matches_the_feature_major_oracle() {
-        let (x, y) = oracle_data();
-        let binner = Binner::fit(&x);
-        let binned = binner.transform(&x);
-        assert_eq!(binner.cuts[0].len(), MAX_BINS - 1, "a 64-bin column");
-        assert_eq!(binner.cuts[1].len(), 0, "a constant column");
-        assert_eq!(binner.cuts[2].len(), 1, "a binary column");
-        let all: Vec<u32> = (0..x.rows as u32).collect();
-        // a bootstrap sample: duplicates, and rows that never appear
+    fn encoded(t: &RegressionTree) -> Vec<u8> {
+        let mut w = Writer::new();
+        t.encode(&mut w);
+        w.into_bytes()
+    }
+
+    /// Every one of the 216 parameter points of the oracle tests, over
+    /// all rows, a bootstrap sample (duplicates, and rows that never
+    /// appear), and fewer samples than `min_samples_split` (a leaf root).
+    fn oracle_points(rows: usize) -> Vec<(TreeParams, Vec<u32>)> {
+        let all: Vec<u32> = (0..rows as u32).collect();
         let mut rng = SplitMix64::new(5);
-        let bootstrap: Vec<u32> = (0..x.rows).map(|_| rng.next_below(x.rows) as u32).collect();
-        // fewer samples than `min_samples_split`: the root is a leaf
+        let bootstrap: Vec<u32> = (0..rows).map(|_| rng.next_below(rows) as u32).collect();
         let few: Vec<u32> = vec![3, 3, 17];
-        let encoded = |t: &RegressionTree| {
-            let mut w = Writer::new();
-            t.encode(&mut w);
-            w.into_bytes()
-        };
-        let mut compared = 0;
+        let mut points = Vec::new();
         for indices in [&all, &bootstrap, &few] {
             for max_features in [None, Some(1), Some(2), Some(4)] {
                 for min_samples_leaf in [1, 2, 5] {
@@ -787,26 +1011,109 @@ mod tests {
                                 min_gain,
                                 seed,
                             };
-                            let ctx = format!("{params:?} on {} samples", indices.len());
-                            let mut got = RegressionTree::new(params.clone());
-                            let mut want = RegressionTree::new(params);
-                            let (mut a, mut b) = (indices.clone(), indices.clone());
-                            got.fit_binned(&binned, &binner, &y, &mut a);
-                            want.fit_binned_feature_major(&binned, &binner, &y, &mut b);
-                            assert_eq!(encoded(&got), encoded(&want), "encoded tree: {ctx}");
-                            assert_eq!(a, b, "sample order after partitioning: {ctx}");
-                            // (one sampled feature may be the constant column)
-                            assert!(
-                                indices.len() < 4 || max_features.is_some() || want.nodes.len() > 9,
-                                "the fixture must split: {ctx}"
-                            );
-                            compared += 1;
+                            points.push((params, indices.clone()));
                         }
                     }
                 }
             }
         }
-        assert_eq!(compared, 3 * 4 * 3 * 3 * 2);
+        assert_eq!(points.len(), 3 * 4 * 3 * 3 * 2);
+        points
+    }
+
+    /// The one-pass builder and the feature-major oracle on one point:
+    /// the builder's tree, the oracle's with `derive`, and how many of the
+    /// oracle's splits derived; their sample orders after partitioning
+    /// must agree.
+    fn both_builders(
+        x: &Matrix,
+        y: &[f64],
+        params: &TreeParams,
+        indices: &[u32],
+        derive: bool,
+    ) -> (RegressionTree, RegressionTree, usize) {
+        let binner = Binner::fit(x);
+        let binned = binner.transform(x);
+        let mut got = RegressionTree::new(params.clone());
+        let mut want = RegressionTree::new(params.clone());
+        let (mut a, mut b) = (indices.to_vec(), indices.to_vec());
+        got.fit_binned(&binned, &binner, y, &mut a);
+        let derived = want.fit_binned_feature_major(&binned, &binner, y, &mut b, derive);
+        assert_eq!(a, b, "sample order after partitioning: {params:?}");
+        (got, want, derived)
+    }
+
+    #[test]
+    fn one_pass_builder_matches_the_feature_major_oracle() {
+        let (x, y) = oracle_data(false);
+        let binner = Binner::fit(&x);
+        assert_eq!(binner.cuts[0].len(), MAX_BINS - 1, "a 64-bin column");
+        assert_eq!(binner.cuts[1].len(), 0, "a constant column");
+        assert_eq!(binner.cuts[2].len(), 1, "a binary column");
+        let mut derived_somewhere = false;
+        for (params, indices) in oracle_points(x.rows) {
+            let ctx = format!("{params:?} on {} samples", indices.len());
+            let (got, want, _) = both_builders(&x, &y, &params, &indices, true);
+            assert_eq!(encoded(&got), encoded(&want), "encoded tree: {ctx}");
+            // (one sampled feature may be the constant column)
+            assert!(
+                indices.len() < 4 || params.max_features.is_some() || want.nodes.len() > 9,
+                "the fixture must split: {ctx}"
+            );
+            let (_, direct, _) = both_builders(&x, &y, &params, &indices, false);
+            derived_somewhere |= encoded(&got) != encoded(&direct);
+        }
+        assert!(derived_somewhere, "no point derived a histogram: the rule never fired");
+    }
+
+    /// With sums that never round, subtracting a child's bins from its
+    /// parent's gives exactly the bins a fill would: derivation changes
+    /// nothing but rounding.
+    #[test]
+    fn with_exact_sums_deriving_builds_the_trees_filling_does() {
+        let (x, y) = oracle_data(true);
+        assert!(y.iter().all(|v| (v * 16.0).fract() == 0.0 && v.abs() <= 8.0));
+        let mut derived = 0;
+        for (params, indices) in oracle_points(x.rows) {
+            let (got, direct, _) = both_builders(&x, &y, &params, &indices, false);
+            assert_eq!(encoded(&got), encoded(&direct), "encoded tree: {params:?}");
+            derived += both_builders(&x, &y, &params, &indices, true).2;
+        }
+        assert!(derived > 0, "no split derived: the comparison proves nothing");
+    }
+
+    #[test]
+    fn a_derived_histogram_counts_and_masks_what_a_fill_does() {
+        let (x, y) = oracle_data(false);
+        let binner = Binner::fit(&x);
+        let binned = binner.transform(&x);
+        let data = Data { binned: &binned, y: &y, cols: x.cols, binner: &binner };
+        let splittable: Vec<u32> =
+            (0..x.cols as u32).filter(|&f| !binner.cuts[f as usize].is_empty()).collect();
+        // a bootstrap-like multiset, split unevenly
+        let mut rng = SplitMix64::new(9);
+        let node: Vec<u32> = (0..250).map(|_| rng.next_below(x.rows) as u32).collect();
+        let (smaller, larger) = node.split_at(70);
+        let [mut derived, mut child, mut filled] = [(); 3].map(|()| Histogram::default());
+        derived.fill(&data, &splittable, &node);
+        let node_masks: Vec<u64> = derived.0.iter().map(|bins| bins.occupied).collect();
+        child.fill(&data, &splittable, smaller);
+        derived.subtract(&child, splittable.len());
+        filled.fill(&data, &splittable, larger);
+        let mut emptied = false;
+        for (at, &f) in splittable.iter().enumerate() {
+            let (d, w) = (&derived.0[at], &filled.0[at]);
+            assert_eq!(d.occupied, w.occupied, "mask of feature {f}");
+            emptied |= d.occupied != node_masks[at];
+            for b in 0..=binner.cuts[f as usize].len() {
+                let (d, w) = (d.cells[b], w.cells[b]);
+                assert_eq!(d.count, w.count, "count of feature {f}, bin {b}");
+                if w.count > 0 {
+                    assert!((d.sum - w.sum).abs() <= 1e-9 * w.sq.max(1.0), "sum of {f}/{b}");
+                }
+            }
+        }
+        assert!(emptied, "the smaller child must empty some bin of the node");
     }
 
     #[test]
