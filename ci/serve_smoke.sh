@@ -167,9 +167,20 @@ diff "$smoke/oneshot_bel.out" "$smoke/proxy_http.out"
     | head -n -1 > "$smoke/features_proxy.out"
 diff "$smoke/features_oneshot.out" "$smoke/features_proxy.out"
 
-# warm-cache observability over both transports
-"$EASE_BIN" client cache-stats --endpoint "unix:$sock"
-"$EASE_BIN" client cache-stats --endpoint "tcp:$TCP_ADDR"
+# warm-cache observability over both transports. The text and .bel twins
+# share one cache entry, and each recommend so far (the concurrent clients
+# plus the three proxied ones) made exactly one lookup; feature extraction
+# makes none.
+for endpoint in "unix:$sock" "tcp:$TCP_ADDR"; do
+    stats="$("$EASE_BIN" client cache-stats --endpoint "$endpoint")"
+    echo "$stats"
+    hits="$(sed -n 's/^property cache: hits=\([0-9]*\) .*/\1/p' <<<"$stats")"
+    misses="$(sed -n 's/^property cache: .* misses=\([0-9]*\) .*/\1/p' <<<"$stats")"
+    if ! grep -q 'len=1/' <<<"$stats" || (( hits + misses != CLIENTS + 3 )); then
+        echo "cache-stats on $endpoint: expected len=1 and $((CLIENTS + 3)) lookups" >&2
+        exit 1
+    fi
+done
 
 # raw HTTP (curl) against the very same port the v2 clients use
 http_expect GET "$TCP_ADDR" /healthz 200 '"type":"pong"'

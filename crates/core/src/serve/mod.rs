@@ -106,16 +106,7 @@ pub fn render_recommendation(
     let prepared = budgeted(PreparedGraph::of_source(source), budget);
     let props = service.cached_properties_prepared(&prepared);
     let selection = service.ease().try_select(&props, workload, k, goal)?;
-    Ok(render_selection(
-        display_path,
-        source.num_vertices(),
-        source.edge_count(),
-        workload,
-        k,
-        goal,
-        top,
-        selection,
-    ))
+    Ok(render_selection(display_path, &props, workload, k, goal, top, selection))
 }
 
 /// Attach a memory budget (when one is configured) to a freshly built
@@ -133,20 +124,20 @@ fn budgeted<'g>(
 }
 
 /// Format a computed [`Selection`](crate::selector::Selection) exactly as
-/// the one-shot CLI prints it. Split out of [`render_recommendation`] so
-/// the daemon's stat-memo fast path (which knows `|V|`, `|E|` and the
-/// cached properties without reopening the graph) renders through the
-/// same bytes-producing code as the full path.
+/// the one-shot CLI prints it, reading `|V|` and `|E|` from the graph's
+/// properties. Split out of [`render_recommendation`] so the daemon, which
+/// may answer from its property cache without opening the graph, renders
+/// through the same bytes-producing code.
 pub(crate) fn render_selection(
     display_path: &str,
-    n: usize,
-    m: usize,
+    props: &GraphProperties,
     workload: Workload,
     k: usize,
     goal: OptGoal,
     top: usize,
     selection: crate::selector::Selection,
 ) -> String {
+    let (n, m) = (props.num_vertices, props.num_edges);
     let mut out = String::new();
     let w = &mut out;
     let _ = writeln!(

@@ -1,10 +1,10 @@
 //! Consistent-hash ring for the fleet router (`ease route`).
 //!
-//! The router shards graphs across backends by fingerprint so repeat
+//! The router shards graphs across backends by file identity so repeat
 //! queries for a graph always land on the same backend — that backend's
-//! property cache (PR 3) and stat-keyed fingerprint memo (PR 6) stay warm
-//! for *its* slice of graphs, which is the whole perf argument for
-//! sharding over round-robin. A consistent ring (vs `hash % n`) keeps
+//! property cache, which also knows graph files by their stat stamps,
+//! stays warm for *its* slice of graphs, which is the whole perf argument
+//! for sharding over round-robin. A consistent ring (vs `hash % n`) keeps
 //! that affinity when the fleet changes: adding or removing one backend
 //! remaps only ~`1/n` of the keyspace instead of reshuffling everything,
 //! so a fleet resize does not flush every backend's caches at once.

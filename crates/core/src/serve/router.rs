@@ -15,9 +15,9 @@
 //! * **Placement** — requests are keyed by the graph *file identity*
 //!   (`dev`/`ino` from a stat, falling back to the resolved path bytes)
 //!   on a consistent-hash ring ([`HashRing`]). Repeat queries for a graph
-//!   land on the same backend, so that backend's property cache and
-//!   fingerprint memo stay warm for its shard — sharding for cache
-//!   affinity, not just for load.
+//!   land on the same backend, so that backend's property cache, which
+//!   also knows the file by its stat stamp, stays warm for its shard —
+//!   sharding for cache affinity, not just for load.
 //! * **Health** — a background thread probes every backend each
 //!   [`RouterConfig::health_interval`] with a `cache-stats` call (one
 //!   probe doubles as liveness *and* a budget-headroom refresh). A failed
@@ -500,18 +500,13 @@ fn estimated_bytes(path: &Path) -> Option<u64> {
 /// The admission estimate declared by a well-formed `.bel` header:
 /// CSR offsets + forward-list targets, saturating so a hostile header
 /// cannot overflow the arithmetic. `None` when the file does not start
-/// with a `.bel` header.
+/// with a header `ease_graph::bel::decode_header` accepts.
 fn bel_csr_estimate(path: &Path) -> Option<u64> {
-    use ease_graph::bel::{BEL_HEADER_LEN, BEL_MAGIC};
+    use ease_graph::bel::{decode_header, BEL_HEADER_LEN};
     use std::io::Read;
     let mut header = [0u8; BEL_HEADER_LEN];
     std::fs::File::open(path).ok()?.read_exact(&mut header).ok()?;
-    // lint: panic-ok(fixed 24-byte header array)
-    if header[..8] != BEL_MAGIC {
-        return None;
-    }
-    let num_vertices = u64::from_le_bytes(header[8..16].try_into().ok()?); // lint: panic-ok(fixed 24-byte header array)
-    let num_edges = u64::from_le_bytes(header[16..24].try_into().ok()?); // lint: panic-ok(fixed 24-byte header array)
+    let (num_vertices, num_edges) = decode_header(&header).ok()?;
 
     // Csr::heap_bytes(|V|, |E|): 8-byte offsets, and a 4-byte target
     // for every edge in the forward list of its lower-ranked endpoint
@@ -683,6 +678,28 @@ mod tests {
         // admits it (header-sniffed estimate)
         let headroom_between = (estimate + file_size) / 2;
         assert!(estimate <= headroom_between && headroom_between < file_size);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn hostile_bel_headers_saturate_or_fall_back_to_the_file_size() {
+        use ease_graph::bel::{BEL_HEADER_LEN, BEL_MAGIC};
+        let dir = std::env::temp_dir().join(format!("ease-route-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        let file = dir.join("g.bel");
+        let header = |num_vertices: u64, num_edges: u64| {
+            let mut bytes = BEL_MAGIC.to_vec();
+            bytes.extend_from_slice(&num_vertices.to_le_bytes());
+            bytes.extend_from_slice(&num_edges.to_le_bytes());
+            std::fs::write(&file, &bytes).expect("write header");
+        };
+        // |E| = u64::MAX: the estimate saturates instead of wrapping
+        header(8, u64::MAX);
+        assert_eq!(estimated_bytes(&file), Some(u64::MAX));
+        // a vertex universe past the u32 id space is not a header the
+        // reader accepts: the file size stands in
+        header(u64::MAX, 1);
+        assert_eq!(estimated_bytes(&file), Some(BEL_HEADER_LEN as u64));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -47,9 +47,8 @@ use super::protocol::{
 use super::{ServeConfig, ServeSummary};
 use crate::error::{EaseError, ServeError};
 use crate::service::EaseService;
-use ease_graph::{open_path, PreparedGraph, PropertyTier};
+use ease_graph::{open_path, PropertyTier};
 use ease_procsim::Workload;
-use std::collections::HashMap;
 use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -215,59 +214,15 @@ struct Shared {
 }
 
 /// The daemon's request handler: answers queries against a local
-/// [`EaseService`], accelerated by the stat-keyed fingerprint memo
-/// and bounded by the shared memory budget.
+/// [`EaseService`] (whose property cache also knows graph files by their
+/// stat stamps) within the shared memory budget.
 struct LocalHandler {
     service: Arc<EaseService>,
-    /// Stat-keyed fingerprint memo (see
-    /// [`LocalHandler::recommend_answer`]).
-    graph_memo: Mutex<HashMap<PathBuf, MemoEntry>>,
     /// Shared memory budget for per-request derived state (see
     /// [`ServeConfig::memory_budget`]): all concurrently-executing
     /// requests charge the same pool, so total daemon CSR heap stays
     /// bounded no matter how many workers analyze large graphs at once.
     memory_budget: Option<Arc<ease_graph::MemoryBudget>>,
-}
-
-/// Bound on resident [`MemoEntry`]s. Each is a path plus a few words;
-/// overflow evicts an arbitrary entry (the memo is a pure accelerator,
-/// eviction only costs one re-hash).
-const GRAPH_MEMO_CAPACITY: usize = 256;
-
-/// Identity stamp of a graph file at one point in time. Two stats
-/// agreeing on all four fields mean the same bytes for any writer
-/// that replaces or appends to files the normal way: a rewrite
-/// changes `mtime` (and usually `size`), a rename-over changes `ino`.
-#[derive(Clone, Copy, PartialEq, Eq)]
-struct FileStamp {
-    dev: u64,
-    ino: u64,
-    size: u64,
-    mtime_s: i64,
-    mtime_ns: i64,
-}
-
-fn file_stamp(path: &Path) -> Option<FileStamp> {
-    use std::os::unix::fs::MetadataExt;
-    let md = std::fs::metadata(path).ok()?;
-    md.is_file().then(|| FileStamp {
-        dev: md.dev(),
-        ino: md.ino(),
-        size: md.size(),
-        mtime_s: md.mtime(),
-        mtime_ns: md.mtime_nsec(),
-    })
-}
-
-/// What the daemon remembers about a graph file it has already hashed:
-/// enough to answer a repeat recommend query without reopening it —
-/// the fingerprint keys the service's property cache, `|V|`/`|E|`
-/// reproduce the answer header bit-for-bit.
-struct MemoEntry {
-    stamp: FileStamp,
-    fingerprint: u64,
-    num_vertices: usize,
-    edge_count: usize,
 }
 
 impl Shared {
@@ -433,11 +388,7 @@ fn bind_unix(socket: &Path) -> Result<(std::fs::File, UnixListener), EaseError> 
 /// replaced; a *live* daemon on the same path is a typed
 /// [`ServeError::Bind`].
 pub fn serve(service: Arc<EaseService>, config: ServeConfig) -> Result<ServerHandle, EaseError> {
-    let handler = Arc::new(LocalHandler {
-        service,
-        graph_memo: Mutex::new(HashMap::new()),
-        memory_budget: config.memory_budget.clone(),
-    });
+    let handler = Arc::new(LocalHandler { service, memory_budget: config.memory_budget.clone() });
     serve_with_handler(handler, config)
 }
 
@@ -859,18 +810,12 @@ impl Handler for LocalHandler {
 }
 
 impl LocalHandler {
-    /// Answer a recommend query, skipping the graph open and the
-    /// `O(|E|)` content hash when the daemon has served this exact file
-    /// before. Warm queries are the daemon's whole reason to exist, and
-    /// profiling shows the open+hash — not the model — dominates them.
-    ///
-    /// Correctness: the memo is keyed by the resolved path and guarded
-    /// by a [`FileStamp`]; a rewritten file changes its stamp, so the
-    /// daemon never renders a stale answer for new bytes. The remembered
-    /// fingerprint is only a *cache key* — if the property cache has
-    /// since evicted it, we fall back to the full open+hash path, which
-    /// produces identical bytes (both paths render via
-    /// [`render_selection`](super::render_selection)).
+    /// Answer a recommend query. A repeat query on an unchanged file
+    /// skips the graph open and the `O(|E|)` content hash: the service's
+    /// property cache knows the file by its stat stamp (see
+    /// [`EaseService::file_properties`]). Warm queries are the daemon's
+    /// whole reason to exist, and the open+hash — not the model — would
+    /// dominate them.
     fn recommend_answer(
         &self,
         graph: &str,
@@ -887,54 +832,9 @@ impl LocalHandler {
         // resolve against the client's cwd, but display the path as the
         // client wrote it (one-shot answer parity)
         let path = resolve_graph_path(graph, cwd.as_deref());
-
-        let stamp = file_stamp(&path);
-        if let Some(stamp) = stamp {
-            let remembered = {
-                let memo = self.graph_memo.lock().unwrap_or_else(PoisonError::into_inner);
-                memo.get(&path)
-                    .filter(|e| e.stamp == stamp)
-                    .map(|e| (e.fingerprint, e.num_vertices, e.edge_count))
-            };
-            if let Some((fingerprint, n, m)) = remembered {
-                if let Some(props) = service.try_cached_properties(fingerprint) {
-                    let selection = service.ease().try_select(&props, workload, k, goal)?;
-                    return Ok(super::render_selection(
-                        graph, n, m, workload, k, goal, top, selection,
-                    ));
-                }
-            }
-        }
-
-        let source = open_path(&path)?;
-        let mut prepared = PreparedGraph::of_source(source.as_ref());
-        if let Some(budget) = &self.memory_budget {
-            prepared = prepared.with_memory_budget(Arc::clone(budget));
-        }
-        let props = service.cached_properties_prepared(&prepared);
+        let props = service.file_properties(&path, self.memory_budget.as_ref())?;
         let selection = service.ease().try_select(&props, workload, k, goal)?;
-        let n = source.num_vertices();
-        let m = source.edge_count();
-        let out = super::render_selection(graph, n, m, workload, k, goal, top, selection);
-        // memoize only if the file did not change while we read it: the
-        // pre-open stamp still matching means the fingerprint we just
-        // computed really describes the bytes that stamp names
-        if let Some(before) = stamp {
-            if file_stamp(&path) == Some(before) {
-                let fingerprint = prepared.fingerprint();
-                let mut memo = self.graph_memo.lock().unwrap_or_else(PoisonError::into_inner);
-                if memo.len() >= GRAPH_MEMO_CAPACITY && !memo.contains_key(&path) {
-                    if let Some(evict) = memo.keys().next().cloned() {
-                        memo.remove(&evict);
-                    }
-                }
-                memo.insert(
-                    path,
-                    MemoEntry { stamp: before, fingerprint, num_vertices: n, edge_count: m },
-                );
-            }
-        }
-        Ok(out)
+        Ok(super::render_selection(graph, &props, workload, k, goal, top, selection))
     }
 
     fn features_answer(

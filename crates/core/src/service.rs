@@ -10,7 +10,9 @@
 //!   producing a trained [`EaseService`].
 //! * [`EaseService::cached_properties_prepared`] — a graph's advanced-tier
 //!   properties through a fingerprint-keyed LRU cache, so repeated queries
-//!   on the same graph skip the extraction entirely.
+//!   on the same graph skip the extraction entirely. Each entry also keeps
+//!   the stat stamps of the files it was read from, so the daemon answers
+//!   a repeat query on an unchanged file without opening it.
 //! * [`EaseService::recommend`] — selection at the trained default `k`, with
 //!   typed [`EaseError`]s; the service is `Sync`, so concurrent callers
 //!   share one trained model behind `&self`. A caller with its own `k` asks
@@ -45,14 +47,14 @@ use crate::pipeline::{train_ease, EaseConfig, TrainingArtifacts};
 use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 use crate::profiling::TimingMode;
 use crate::selector::{Ease, OptGoal, Selection};
-use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
+use ease_graph::{open_path, GraphProperties, MemoryBudget, PreparedGraph, PropertyTier};
 use ease_graphgen::Scale;
 use ease_ml::persist::{read_header, write_header, PersistError, Reader, Writer};
 use ease_ml::ModelConfig;
 use ease_partition::{PartitionerId, MAX_PARTITIONS};
 use ease_procsim::Workload;
 use std::path::Path;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Builder for a trained [`EaseService`].
 ///
@@ -64,20 +66,18 @@ use std::sync::{Mutex, PoisonError};
 #[derive(Debug, Clone)]
 pub struct EaseServiceBuilder {
     cfg: EaseConfig,
-    default_k: usize,
 }
 
 impl EaseServiceBuilder {
     /// Calibrated defaults for a scale (see [`EaseConfig::at_scale`]).
     pub fn at_scale(scale: Scale) -> Self {
-        let cfg = EaseConfig::at_scale(scale);
-        EaseServiceBuilder { default_k: cfg.processing_k, cfg }
+        EaseServiceBuilder { cfg: EaseConfig::at_scale(scale) }
     }
 
     /// Wrap an explicit pipeline configuration (escape hatch for the
     /// experiment binaries).
     pub fn from_config(cfg: EaseConfig) -> Self {
-        EaseServiceBuilder { default_k: cfg.processing_k, cfg }
+        EaseServiceBuilder { cfg }
     }
 
     /// The hyper-parameter grid searched per predictor component.
@@ -109,12 +109,6 @@ impl EaseServiceBuilder {
         self
     }
 
-    /// Graph-property tier used by the quality predictor.
-    pub fn tier(mut self, tier: PropertyTier) -> Self {
-        self.cfg.tier = tier;
-        self
-    }
-
     /// Partition counts profiled for the quality predictor.
     pub fn partition_counts(mut self, ks: Vec<usize>) -> Self {
         self.cfg.ks = ks;
@@ -125,7 +119,6 @@ impl EaseServiceBuilder {
     /// `k` of [`EaseService::recommend`].
     pub fn processing_k(mut self, k: usize) -> Self {
         self.cfg.processing_k = k;
-        self.default_k = k;
         self
     }
 
@@ -183,9 +176,6 @@ impl EaseServiceBuilder {
         if self.cfg.max_small_graphs == Some(0) || self.cfg.max_large_graphs == Some(0) {
             return bad("graph-corpus caps must be >= 1".into());
         }
-        if self.default_k < 2 {
-            return bad(format!("default k must be >= 2, got {}", self.default_k));
-        }
         Ok(())
     }
 
@@ -203,7 +193,7 @@ impl EaseServiceBuilder {
             seed: self.cfg.seed,
             folds: self.cfg.folds,
             timing: self.cfg.timing,
-            default_k: self.default_k,
+            default_k: self.cfg.processing_k,
             default_goal: OptGoal::EndToEnd,
         };
         let (ease, artifacts) = train_ease(&self.cfg);
@@ -242,13 +232,58 @@ pub struct ServiceInfo {
 /// costs nothing against the model weights it sits next to.
 pub const PROPERTY_CACHE_CAPACITY: usize = 64;
 
-/// Fingerprint-keyed LRU of advanced-tier graph properties. Guarded by one
-/// mutex — a hit is a linear scan over ≤ capacity u64 keys plus a small
-/// clone, orders of magnitude below one triangle counting pass.
+/// How many graph files one cache entry remembers: files with the same
+/// content (a `.bel` and its text twin) share the entry their common
+/// fingerprint keys, so the 64 entries know up to 256 files.
+const STAMPS_PER_ENTRY: usize = 4;
+
+/// Identity stamp of a graph file at one point in time. Two stats
+/// agreeing on all five fields mean the same bytes for any writer that
+/// replaces or appends to files the normal way: a rewrite changes
+/// `mtime` (and usually `size`), a rename-over changes `ino`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileStamp {
+    dev: u64,
+    ino: u64,
+    size: u64,
+    mtime_s: i64,
+    mtime_ns: i64,
+}
+
+impl FileStamp {
+    fn of(path: &Path) -> Option<FileStamp> {
+        use std::os::unix::fs::MetadataExt;
+        let md = std::fs::metadata(path).ok()?;
+        md.is_file().then(|| FileStamp {
+            dev: md.dev(),
+            ino: md.ino(),
+            size: md.size(),
+            mtime_s: md.mtime(),
+            mtime_ns: md.mtime_nsec(),
+        })
+    }
+
+    fn same_file(&self, other: &FileStamp) -> bool {
+        (self.dev, self.ino) == (other.dev, other.ino)
+    }
+}
+
+/// One resident graph: its properties, and the stamps of the files they
+/// were last read from, oldest first.
+struct CacheEntry {
+    key: u64,
+    props: GraphProperties,
+    stamps: Vec<FileStamp>,
+}
+
+/// Fingerprint-keyed LRU of advanced-tier graph properties, also found by
+/// the stat stamp of a file already read into it. Guarded by one mutex —
+/// a hit is a linear scan over ≤ capacity entries plus a small clone,
+/// orders of magnitude below one triangle counting pass.
 struct PropertyCache {
     capacity: usize,
     /// Most recently used at the back.
-    entries: Vec<(u64, GraphProperties)>,
+    entries: Vec<CacheEntry>,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -259,44 +294,66 @@ impl PropertyCache {
         PropertyCache { capacity, entries: Vec::new(), hits: 0, misses: 0, evictions: 0 }
     }
 
+    /// Count a hit on the entry at `pos` and make it the most recent.
+    fn hit(&mut self, pos: usize) -> GraphProperties {
+        let entry = self.entries.remove(pos);
+        let props = entry.props.clone();
+        self.entries.push(entry);
+        self.hits += 1;
+        props
+    }
+
     fn get(&mut self, key: u64) -> Option<GraphProperties> {
-        match self.entries.iter().position(|(k, _)| *k == key) {
-            Some(pos) => {
-                let entry = self.entries.remove(pos);
-                let props = entry.1.clone();
-                self.entries.push(entry);
-                self.hits += 1;
-                Some(props)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
+        let found = self.probe(key);
+        self.misses += u64::from(found.is_none());
+        found
     }
 
     /// [`PropertyCache::get`] minus the miss accounting: a hit counts, a
-    /// miss records nothing. This backs the daemon's stat-memo fast path,
-    /// which falls back to the full open-and-extract lookup on a probe
-    /// miss — *that* lookup records the miss, keeping `hits + misses` at
-    /// exactly one per query either way.
+    /// miss records nothing.
     fn probe(&mut self, key: u64) -> Option<GraphProperties> {
-        let pos = self.entries.iter().position(|(k, _)| *k == key)?;
-        let entry = self.entries.remove(pos);
-        let props = entry.1.clone();
-        self.entries.push(entry);
-        self.hits += 1;
-        Some(props)
+        let pos = self.entries.iter().position(|e| e.key == key)?;
+        Some(self.hit(pos))
     }
 
+    /// The properties of the file `stamp` names, if it was read into a
+    /// resident entry. A hit counts; a miss records nothing, because the
+    /// caller then reads the file through [`PropertyCache::get`], which
+    /// counts it — one hit or one miss per query either way.
+    fn get_stamped(&mut self, stamp: &FileStamp) -> Option<GraphProperties> {
+        let pos = self.entries.iter().position(|e| e.stamps.contains(stamp))?;
+        Some(self.hit(pos))
+    }
+
+    /// Re-inserting a resident key keeps its stamps and evicts nothing.
     fn insert(&mut self, key: u64, props: GraphProperties) {
-        if let Some(pos) = self.entries.iter().position(|(k, _)| *k == key) {
-            self.entries.remove(pos);
-        } else if self.entries.len() >= self.capacity {
-            self.entries.remove(0);
-            self.evictions += 1;
+        let stamps = match self.entries.iter().position(|e| e.key == key) {
+            Some(pos) => self.entries.remove(pos).stamps,
+            None => {
+                if self.entries.len() >= self.capacity {
+                    self.entries.remove(0);
+                    self.evictions += 1;
+                }
+                Vec::new()
+            }
+        };
+        self.entries.push(CacheEntry { key, props, stamps });
+    }
+
+    /// Remember that the file `stamp` names holds the graph `key`. Older
+    /// stamps of the same file leave every entry; an entry past
+    /// [`STAMPS_PER_ENTRY`] forgets its oldest; an entry evicted since the
+    /// read records nothing.
+    fn add_stamp(&mut self, key: u64, stamp: FileStamp) {
+        for entry in &mut self.entries {
+            entry.stamps.retain(|s| !s.same_file(&stamp));
         }
-        self.entries.push((key, props));
+        if let Some(entry) = self.entries.iter_mut().find(|e| e.key == key) {
+            if entry.stamps.len() >= STAMPS_PER_ENTRY {
+                entry.stamps.remove(0);
+            }
+            entry.stamps.push(stamp);
+        }
     }
 }
 
@@ -316,9 +373,10 @@ pub struct PropertyCacheStats {
 pub struct EaseService {
     ease: Ease,
     meta: ServiceMeta,
-    /// Query-side LRU keyed by [`PreparedGraph::fingerprint`]. Persisted
-    /// alongside the models (format v2), so a restarted service answers
-    /// warm for every graph it had already extracted.
+    /// Query-side LRU keyed by [`PreparedGraph::fingerprint`]. Its
+    /// properties are persisted alongside the models (format v2), so a
+    /// restarted service answers warm for every graph it had already
+    /// extracted; its file stamps are not.
     props_cache: Mutex<PropertyCache>,
 }
 
@@ -388,31 +446,54 @@ impl EaseService {
     /// but correct — the results are identical.
     pub fn cached_properties_prepared(&self, prepared: &PreparedGraph<'_>) -> GraphProperties {
         let key = prepared.fingerprint();
-        if let Some(props) =
-            self.props_cache.lock().unwrap_or_else(PoisonError::into_inner).get(key)
-        {
+        if let Some(props) = self.cache().get(key) {
             return props;
         }
         let props = prepared.properties(PropertyTier::Advanced);
-        self.props_cache.lock().unwrap_or_else(PoisonError::into_inner).insert(key, props.clone());
+        self.cache().insert(key, props.clone());
         props
     }
 
+    /// Advanced-tier properties of the graph file at `path` — the daemon's
+    /// lookup. A file whose stat stamp is one the cache recorded when it
+    /// last read it is answered without being opened: no `O(|E|)` open and
+    /// hash. Any other file is opened, its derived state charged to
+    /// `budget`, and looked up through
+    /// [`EaseService::cached_properties_prepared`]. Its stamp is recorded
+    /// only if it still matches after the read, so the fingerprint just
+    /// computed really describes the bytes that stamp names.
+    pub(crate) fn file_properties(
+        &self,
+        path: &Path,
+        budget: Option<&Arc<MemoryBudget>>,
+    ) -> Result<GraphProperties, EaseError> {
+        let before = FileStamp::of(path);
+        if let Some(props) = before.as_ref().and_then(|stamp| self.cache().get_stamped(stamp)) {
+            return Ok(props);
+        }
+        let source = open_path(path)?;
+        let mut prepared = PreparedGraph::of_source(source.as_ref());
+        if let Some(budget) = budget {
+            prepared = prepared.with_memory_budget(Arc::clone(budget));
+        }
+        let props = self.cached_properties_prepared(&prepared);
+        if let Some(stamp) = before.filter(|&stamp| FileStamp::of(path) == Some(stamp)) {
+            self.cache().add_stamp(prepared.fingerprint(), stamp);
+        }
+        Ok(props)
+    }
+
     /// Probe the property cache by an already-known content fingerprint,
-    /// without touching the graph itself. This is the serve daemon's fast
-    /// path: its stat-keyed memo maps an unchanged graph *file* to the
-    /// fingerprint it hashed last time, and this probe turns that into
-    /// cached properties with zero `O(|E|)` work. Returns `None` (recorded
-    /// as neither hit nor miss) when the entry was evicted — the caller
-    /// re-extracts through [`EaseService::cached_properties_prepared`],
-    /// which records the miss.
+    /// without touching the graph itself: a hit counts, a miss records
+    /// nothing. Only `ease-bench` calls it, to time a warm answer without
+    /// the socket.
     pub fn try_cached_properties(&self, fingerprint: u64) -> Option<GraphProperties> {
-        self.props_cache.lock().unwrap_or_else(PoisonError::into_inner).probe(fingerprint)
+        self.cache().probe(fingerprint)
     }
 
     /// Hit/miss/occupancy counters of the property cache.
     pub fn property_cache_stats(&self) -> PropertyCacheStats {
-        let cache = self.props_cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache = self.cache();
         PropertyCacheStats {
             hits: cache.hits,
             misses: cache.misses,
@@ -420,6 +501,12 @@ impl EaseService {
             len: cache.entries.len(),
             capacity: cache.capacity,
         }
+    }
+
+    /// The property cache. It holds plain data that a panicking holder
+    /// cannot leave half-updated, so a poisoned lock is recovered.
+    fn cache(&self) -> MutexGuard<'_, PropertyCache> {
+        self.props_cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Summarize the trained service for reporting (`ease inspect`).
@@ -473,11 +560,11 @@ impl EaseService {
         self.ease.processing_time.encode(&mut w);
         // property-cache trailer (format v2): fingerprint-keyed extracted
         // properties in LRU order, so a reloaded service answers warm
-        let cache = self.props_cache.lock().unwrap_or_else(PoisonError::into_inner);
+        let cache = self.cache();
         w.put_usize(cache.entries.len());
-        for (key, props) in &cache.entries {
-            w.put_u64(*key);
-            put_props(&mut w, props);
+        for entry in &cache.entries {
+            w.put_u64(entry.key);
+            put_props(&mut w, &entry.props);
         }
         w.into_bytes()
     }
@@ -550,11 +637,8 @@ impl EaseService {
         ease.catalog = catalog;
         let meta = ServiceMeta { scale, seed, folds, timing, default_k, default_goal };
         let service = EaseService::from_parts(ease, meta);
-        {
-            let mut cache = service.props_cache.lock().unwrap_or_else(PoisonError::into_inner);
-            for (key, props) in warm {
-                cache.insert(key, props);
-            }
+        for (key, props) in warm {
+            service.cache().insert(key, props);
         }
         Ok(service)
     }
@@ -815,6 +899,46 @@ mod tests {
         cache.insert(4, props.clone());
         cache.insert(5, props);
         assert_eq!(cache.evictions, 3);
+    }
+
+    #[test]
+    fn file_stamps_find_their_entry_until_it_leaves() {
+        let mut cache = PropertyCache::new(2);
+        let graph = socfb_analogue(Scale::Tiny, 1).graph;
+        let props = PreparedGraph::of(&graph).properties(PropertyTier::Advanced);
+        let stamp = |ino: u64| FileStamp { dev: 1, ino, size: 64, mtime_s: 7, mtime_ns: 0 };
+        cache.insert(1, props.clone());
+        // a `.bel` and its text twin: two files, one entry, both hit
+        cache.add_stamp(1, stamp(10));
+        cache.add_stamp(1, stamp(11));
+        assert_eq!(cache.get_stamped(&stamp(10)).as_ref(), Some(&props));
+        assert_eq!(cache.get_stamped(&stamp(11)).as_ref(), Some(&props));
+        assert_eq!((cache.hits, cache.misses), (2, 0), "a stamp hit counts one hit");
+        assert!(cache.get_stamped(&stamp(99)).is_none());
+        assert_eq!((cache.hits, cache.misses), (2, 0), "a stamp miss counts nothing");
+        // past the per-entry bound the oldest stamp is forgotten
+        for ino in 12..=10 + STAMPS_PER_ENTRY as u64 {
+            cache.add_stamp(1, stamp(ino));
+        }
+        assert!(cache.get_stamped(&stamp(10)).is_none());
+        assert!(cache.get_stamped(&stamp(11)).is_some());
+        // a file's new stamp replaces its old one
+        let rewritten = FileStamp { size: 65, ..stamp(11) };
+        cache.add_stamp(1, rewritten);
+        assert!(cache.get_stamped(&stamp(11)).is_none());
+        assert!(cache.get_stamped(&rewritten).is_some());
+        // re-inserting a resident key keeps its stamps
+        cache.insert(1, props.clone());
+        assert!(cache.get_stamped(&rewritten).is_some());
+        // an evicted entry's stamps leave with it, and a stamp read into
+        // an entry evicted since records nothing
+        cache.insert(2, props.clone());
+        cache.insert(3, props);
+        assert_eq!(cache.evictions, 1);
+        assert!(cache.get_stamped(&rewritten).is_none());
+        cache.add_stamp(1, stamp(20));
+        assert!(cache.get_stamped(&stamp(20)).is_none());
+        assert_eq!(cache.misses, 0, "stamp lookups never count a miss");
     }
 
     #[test]

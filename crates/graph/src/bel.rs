@@ -135,24 +135,7 @@ impl BelSource {
         let file = File::open(path)?;
         let map = Mmap::map(&file)?;
         let bytes = map.as_slice();
-        if bytes.len() < BEL_HEADER_LEN {
-            return Err(GraphIoError::Format(format!(
-                "{} bytes is too short for a .bel header ({BEL_HEADER_LEN} bytes)",
-                bytes.len()
-            )));
-        }
-        if bytes[..8] != BEL_MAGIC {
-            return Err(GraphIoError::Format(
-                "bad magic (not an EASEBEL1 binary edge list)".into(),
-            ));
-        }
-        let num_vertices = read_u64(bytes, 8);
-        let edge_count = read_u64(bytes, 16);
-        if num_vertices > u64::from(u32::MAX) + 1 {
-            return Err(GraphIoError::Format(format!(
-                "vertex universe {num_vertices} exceeds the u32 id space"
-            )));
-        }
+        let (num_vertices, edge_count) = decode_header(bytes)?;
         let expected = BEL_HEADER_LEN as u64 + edge_count.saturating_mul(BEL_EDGE_LEN as u64);
         if bytes.len() as u64 != expected {
             return Err(GraphIoError::Format(format!(
@@ -195,6 +178,29 @@ impl BelSource {
         let (s, d) = self.raw_edge(i);
         Edge::new(s as u32, d as u32)
     }
+}
+
+/// Decode the header at the start of `bytes`, the one reader of the
+/// layout in the module docs: checks the magic and that the vertex
+/// universe fits the u32 id space, and returns `(num_vertices,
+/// num_edges)` as declared. Says nothing about the edges that follow.
+pub fn decode_header(bytes: &[u8]) -> Result<(u64, u64), GraphIoError> {
+    let header = bytes.first_chunk::<BEL_HEADER_LEN>().ok_or_else(|| {
+        GraphIoError::Format(format!(
+            "{} bytes is too short for a .bel header ({BEL_HEADER_LEN} bytes)",
+            bytes.len()
+        ))
+    })?;
+    if !header.starts_with(&BEL_MAGIC) {
+        return Err(GraphIoError::Format("bad magic (not an EASEBEL1 binary edge list)".into()));
+    }
+    let num_vertices = read_u64(header, 8);
+    if num_vertices > u64::from(u32::MAX) + 1 {
+        return Err(GraphIoError::Format(format!(
+            "vertex universe {num_vertices} exceeds the u32 id space"
+        )));
+    }
+    Ok((num_vertices, read_u64(header, 16)))
 }
 
 #[inline]

@@ -24,9 +24,9 @@
 //! into fixed [`FINGERPRINT_BLOCK`]-edge blocks, each hashed from its own
 //! seed and folded into the running combination as it completes — one
 //! streaming pass, no per-block state kept. The block length is fixed by
-//! compatibility: persisted property-cache trailers, the daemon memo and
-//! `ease features` output carry fingerprints, so the construction may not
-//! change, and the value is bit-identical across backends and machines.
+//! compatibility: persisted property-cache trailers and `ease features`
+//! output carry fingerprints, so the construction may not change, and the
+//! value is bit-identical across backends and machines.
 
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};

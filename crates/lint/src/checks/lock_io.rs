@@ -6,8 +6,9 @@
 //! worker then queues on the mutex for as long as the *slowest client*
 //! takes to drain its socket — the daemon's concurrency collapses to one
 //! stalled peer. The fix is to copy what is needed out of the guard and
-//! drop it before touching the socket (exactly how `server.rs` scopes
-//! its memo lock).
+//! drop it before touching the socket (exactly how `service.rs` scopes
+//! its property-cache lock: one call per guard, released before any
+//! graph file is opened).
 //!
 //! Heuristic, by design (lexical, intra-function):
 //!

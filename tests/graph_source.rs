@@ -149,9 +149,9 @@ proptest! {
 // The fingerprint is a persisted value, not just a self-consistent one
 // ---------------------------------------------------------------------
 
-/// Literal fingerprints: property-cache trailers in saved model files, the
-/// daemon memo and `ease features` output carry these values, so a rewrite
-/// of the hasher must reproduce them — agreeing with itself is not enough.
+/// Literal fingerprints: property-cache trailers in saved model files and
+/// `ease features` output carry these values, so a rewrite of the hasher
+/// must reproduce them — agreeing with itself is not enough.
 /// The third graph spans two full blocks and a partial one.
 #[test]
 fn fingerprints_are_pinned() {

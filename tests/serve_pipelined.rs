@@ -13,19 +13,21 @@
 mod common;
 
 use common::daemon::{
-    cli_answer, fixtures, load_service, recommend_request, run_cli, spawn_daemon,
+    cli_answer, fixtures, load_service, recommend_request, run_cli, spawn_daemon, stats_of,
 };
 use ease_repro::graph::io::write_edge_list;
-use ease_repro::graph::PropertyTier;
+use ease_repro::graph::{bel, Graph, PropertyTier};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::serve::{self, Endpoint, PipelinedClient, Request, Response, ServeConfig};
 use ease_repro::{EaseError, ServeError};
 use proptest::prelude::*;
+use std::fs::FileTimes;
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::UnixStream;
 use std::sync::Barrier;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
 /// Start an in-process daemon on a fresh unix socket *and* an ephemeral
 /// TCP port, exactly as `ease serve --socket … --tcp 127.0.0.1:0` does.
@@ -352,7 +354,7 @@ fn tcp_garbage_never_kills_the_daemon() {
 }
 
 // ---------------------------------------------------------------------
-// Fingerprint-memo staleness: rewritten files must be re-read
+// File stamps: rewritten files must be re-read, unchanged ones need not be
 // ---------------------------------------------------------------------
 
 /// The daemon memoizes `path → fingerprint` keyed by a stat stamp so warm
@@ -388,6 +390,73 @@ fn rewritten_graph_files_are_answered_fresh_not_from_the_memo() {
     // and the new content is itself memoized correctly
     assert_eq!(ask(), expected_second, "warm answer after the rewrite stays fresh");
 
+    handle.trigger_shutdown();
+    handle.join().expect("clean join");
+}
+
+/// A `.bel` file and its text twin hold the same graph, so the daemon's
+/// property cache keeps one entry for both, each file known by its own
+/// stat stamp: queried alternately, every answer is the one-shot CLI's,
+/// and the one entry was read once.
+#[test]
+fn a_bel_file_and_its_text_twin_share_one_cache_entry() {
+    let fx = fixtures();
+    let (handle, unix, _tcp) = start_server("twins", 2);
+    let twins = [&fx.bel, &fx.txt].map(|file| (file, cli_answer(file, "pr", None)));
+    let mut client = PipelinedClient::connect(&unix).expect("connect");
+    const RECOMMENDS: usize = 8;
+    for i in 0..RECOMMENDS {
+        let (file, expected) = &twins[i % 2];
+        let response = client.call(&recommend_request(file, "pr", None)).expect("recommend");
+        assert_eq!(&serve::expect_answer(response).expect("answer"), expected, "request {i}");
+    }
+    let stats = stats_of(client.call(&Request::CacheStats).expect("cache stats"));
+    assert_eq!((stats.len, stats.misses), (1, 1), "one entry for both files, extracted once");
+    assert_eq!(stats.hits + stats.misses, RECOMMENDS as u64, "one lookup per recommend");
+    drop(client);
+    handle.trigger_shutdown();
+    handle.join().expect("clean join");
+}
+
+/// The stat stamp is all a warm answer trusts. Content rewritten in place
+/// at the same size, with the mtime put back, keeps the stamp, so the
+/// daemon answers from its cache without reading the file; a changed
+/// mtime makes it read the file again. (Writers that leave the stamp
+/// alone are out of contract — this pins that the fast path is taken.)
+#[test]
+fn an_unchanged_stat_stamp_is_answered_without_reading_the_file() {
+    let fx = fixtures();
+    let (handle, unix, _tcp) = start_server("stamp", 2);
+    let path = fx.dir.join("stamped.bel");
+    // same |E|, so the same `.bel` size, but a different graph
+    let [first, second] =
+        [RMAT_COMBOS[0], RMAT_COMBOS[6]].map(|combo| Rmat::new(combo, 1 << 9, 4_000, 5).generate());
+    let write = |graph: &Graph| bel::write_bel(graph, &path).expect("write .bel in place");
+    write(&first);
+    let expected_first = cli_answer(&path, "pr", None);
+    let ask = || {
+        let responses = serve::call_pipelined(&unix, &[recommend_request(&path, "pr", None)], 1)
+            .expect("recommend");
+        serve::expect_answer(responses.into_iter().next().unwrap()).expect("answer")
+    };
+    assert_eq!(ask(), expected_first, "cold answer matches the one-shot CLI");
+    assert_eq!(ask(), expected_first, "warm answer too");
+
+    let before = std::fs::metadata(&path).expect("stat");
+    write(&second);
+    let set_mtime = |mtime: SystemTime| {
+        let file = std::fs::File::options().write(true).open(&path).expect("open for set_times");
+        file.set_times(FileTimes::new().set_modified(mtime)).expect("set mtime");
+    };
+    set_mtime(before.modified().expect("mtime"));
+    let after = std::fs::metadata(&path).expect("stat");
+    assert_eq!((after.ino(), after.len()), (before.ino(), before.len()), "rewritten in place");
+    let expected_second = cli_answer(&path, "pr", None);
+    assert_ne!(expected_first, expected_second, "the two graphs must answer differently");
+    assert_eq!(ask(), expected_first, "an unchanged stamp is answered from the cache");
+
+    set_mtime(before.modified().expect("mtime") + Duration::from_secs(1));
+    assert_eq!(ask(), expected_second, "a changed stamp is answered fresh");
     handle.trigger_shutdown();
     handle.join().expect("clean join");
 }
