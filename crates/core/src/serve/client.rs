@@ -14,9 +14,10 @@
 //! moving by construction.
 
 use super::protocol::{proto_err, read_frame_v2, write_frame_v2, Request, Response};
+use super::Conn;
 use crate::error::EaseError;
 use std::collections::HashMap;
-use std::io::{BufReader, Read, Write};
+use std::io::BufReader;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
@@ -89,26 +90,7 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// Object-safe alias for "any byte stream a client can speak over".
-/// `try_clone_stream` duplicates the OS handle so a session can be split
-/// into independent send/receive halves (see [`PipelinedClient::split`]).
-trait ClientStream: Read + Write + Send {
-    fn try_clone_stream(&self) -> std::io::Result<Box<dyn ClientStream>>;
-}
-
-impl ClientStream for TcpStream {
-    fn try_clone_stream(&self) -> std::io::Result<Box<dyn ClientStream>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-}
-
-impl ClientStream for UnixStream {
-    fn try_clone_stream(&self) -> std::io::Result<Box<dyn ClientStream>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-}
-
-fn connect(endpoint: &Endpoint) -> Result<Box<dyn ClientStream>, EaseError> {
+fn connect(endpoint: &Endpoint) -> Result<Box<dyn Conn>, EaseError> {
     match endpoint {
         Endpoint::Unix(socket) => Ok(Box::new(UnixStream::connect(socket)?)),
         Endpoint::Tcp(addr) => {
@@ -152,7 +134,7 @@ pub fn call_endpoint(endpoint: &Endpoint, request: &Request) -> Result<Response,
 pub struct PipelinedClient {
     /// The connection behind its read buffer; requests are written
     /// straight to the socket through `get_mut`.
-    stream: BufReader<Box<dyn ClientStream>>,
+    stream: BufReader<Box<dyn Conn>>,
     next_id: u64,
     /// Responses that arrived while [`Self::recv`] was waiting for a
     /// different id, kept in arrival order.
@@ -218,7 +200,7 @@ impl PipelinedClient {
         if !self.parked.is_empty() {
             return Err(proto_err("split a fresh session, not one with parked responses"));
         }
-        let write = self.stream.get_ref().try_clone_stream()?;
+        let write = self.stream.get_ref().try_clone_conn()?;
         let sender = PipelinedSender { stream: write, next_id: self.next_id };
         Ok((sender, PipelinedReceiver { stream: self.stream }))
     }
@@ -227,7 +209,7 @@ impl PipelinedClient {
 /// The write half of a split [`PipelinedClient`]: tags and sends request
 /// frames, never reads.
 pub struct PipelinedSender {
-    stream: Box<dyn ClientStream>,
+    stream: Box<dyn Conn>,
     next_id: u64,
 }
 
@@ -245,7 +227,7 @@ impl PipelinedSender {
 /// The read half of a split [`PipelinedClient`]: yields responses in
 /// arrival order, never writes.
 pub struct PipelinedReceiver {
-    stream: BufReader<Box<dyn ClientStream>>,
+    stream: BufReader<Box<dyn Conn>>,
 }
 
 impl PipelinedReceiver {
@@ -298,6 +280,7 @@ pub fn call_pipelined(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::Write;
 
     #[test]
     fn endpoint_parse_accepts_all_three_schemes() {
@@ -353,7 +336,7 @@ mod tests {
         use super::super::protocol::read_frame_v2;
         let (near, mut far) = UnixStream::pair().unwrap();
         near.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
-        let stream: Box<dyn ClientStream> = Box::new(near);
+        let stream: Box<dyn Conn> = Box::new(near);
         let mut client =
             PipelinedClient { stream: BufReader::new(stream), next_id: 0, parked: Vec::new() };
         let id = client.send(&Request::Ping).unwrap();

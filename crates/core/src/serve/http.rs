@@ -413,9 +413,14 @@ fn call_http_on(
     );
     stream.write_all(message.as_bytes())?;
     stream.flush()?;
-    // `Connection: close` means the whole response is ours to drain
+    // `Connection: close` means the whole response is ours to drain, up to
+    // the caps the daemon puts on a head and on a body
+    let cap = MAX_HEAD_BYTES + MAX_FRAME_BYTES;
     let mut raw = Vec::new();
-    stream.read_to_end(&mut raw)?;
+    Read::by_ref(&mut stream).take(cap as u64 + 1).read_to_end(&mut raw)?;
+    if raw.len() > cap {
+        return Err(proto_err(format!("HTTP response exceeds the {cap}-byte cap")));
+    }
     let terminator = raw
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
@@ -430,6 +435,7 @@ fn call_http_on(
 mod tests {
     use super::super::protocol::DEFAULT_TOP;
     use super::*;
+    use crate::error::ServeError;
     use crate::selector::OptGoal;
     use ease_graph::PropertyTier;
 
@@ -680,6 +686,30 @@ mod tests {
         // the client wrote a fresh request into the void and parsed the
         // canned response; only the parse matters here
         assert_eq!(got.unwrap(), answer);
+    }
+
+    /// A peer that never stops sending: its read half is `io::repeat`.
+    struct Flood(std::io::Repeat);
+
+    impl Read for Flood {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.0.read(buf)
+        }
+    }
+
+    impl Write for Flood {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn an_endless_reply_is_a_protocol_error_not_a_hang() {
+        let got = call_http_on(Flood(std::io::repeat(b'x')), "test", &Request::Ping);
+        assert!(matches!(got, Err(EaseError::Serve(ServeError::Protocol(_)))), "{got:?}");
     }
 
     #[test]

@@ -63,8 +63,11 @@ use crate::service::EaseService;
 use ease_graph::{GraphProperties, GraphSource, MemoryBudget, PreparedGraph, PropertyTier};
 use ease_procsim::Workload;
 use std::fmt::Write as _;
+use std::net::TcpStream;
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::Arc;
+use std::time::Duration;
 
 pub mod client;
 pub mod http;
@@ -82,6 +85,40 @@ pub use protocol::{
 pub use ring::HashRing;
 pub use router::{route, RouterConfig};
 pub use server::{serve, ServerHandle};
+
+/// One connected socket, transport-erased — a connection the daemon
+/// accepted or a session a client opened. A connection loop needs framed
+/// reads and writes, per-direction timeouts, and a second handle on the
+/// same socket for the pipelined writer thread or a split session.
+pub(crate) trait Conn: std::io::Read + std::io::Write + Send {
+    fn try_clone_conn(&self) -> std::io::Result<Box<dyn Conn>>;
+    fn set_read_timeout_conn(&self, t: Option<Duration>);
+    fn set_write_timeout_conn(&self, t: Option<Duration>);
+}
+
+impl Conn for UnixStream {
+    fn try_clone_conn(&self) -> std::io::Result<Box<dyn Conn>> {
+        Ok(Box::new(self.try_clone()?))
+    }
+    fn set_read_timeout_conn(&self, t: Option<Duration>) {
+        self.set_read_timeout(t).ok();
+    }
+    fn set_write_timeout_conn(&self, t: Option<Duration>) {
+        self.set_write_timeout(t).ok();
+    }
+}
+
+impl Conn for TcpStream {
+    fn try_clone_conn(&self) -> std::io::Result<Box<dyn Conn>> {
+        Ok(Box::new(self.try_clone()?))
+    }
+    fn set_read_timeout_conn(&self, t: Option<Duration>) {
+        self.set_read_timeout(t).ok();
+    }
+    fn set_write_timeout_conn(&self, t: Option<Duration>) {
+        self.set_write_timeout(t).ok();
+    }
+}
 
 // ---------------------------------------------------------------------
 // Rendering — the single source of truth for CLI-visible answer text

@@ -44,12 +44,12 @@ use super::protocol::{
     read_frame_v2_after_magic, resolve_graph_path, write_frame_v2, Request, Response, ServeStats,
     FRAME_MAGIC_V2, PROTOCOL_VERSION,
 };
-use super::{ServeConfig, ServeSummary};
+use super::{Conn, ServeConfig, ServeSummary};
 use crate::error::{EaseError, ServeError};
 use crate::service::EaseService;
 use ease_graph::{open_path, PropertyTier};
 use ease_procsim::Workload;
-use std::io::{BufReader, ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -87,42 +87,9 @@ pub(crate) trait Handler: Send + Sync {
     fn on_shutdown(&self) {}
 }
 
-/// One accepted connection, transport-erased. The generic connection
-/// loop only needs framed reads/writes, per-direction timeouts, and a
-/// second handle for the pipelined writer thread.
-trait Conn: Read + Write + Send {
-    fn try_clone_conn(&self) -> std::io::Result<Box<dyn Conn>>;
-    fn set_read_timeout_conn(&self, t: Option<Duration>);
-    fn set_write_timeout_conn(&self, t: Option<Duration>);
-}
-
 /// A connection behind its one read buffer (see the module docs);
 /// writes go straight to the socket through `get_mut`.
 type BufConn = BufReader<Box<dyn Conn>>;
-
-impl Conn for UnixStream {
-    fn try_clone_conn(&self) -> std::io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_read_timeout_conn(&self, t: Option<Duration>) {
-        self.set_read_timeout(t).ok();
-    }
-    fn set_write_timeout_conn(&self, t: Option<Duration>) {
-        self.set_write_timeout(t).ok();
-    }
-}
-
-impl Conn for TcpStream {
-    fn try_clone_conn(&self) -> std::io::Result<Box<dyn Conn>> {
-        Ok(Box::new(self.try_clone()?))
-    }
-    fn set_read_timeout_conn(&self, t: Option<Duration>) {
-        self.set_read_timeout(t).ok();
-    }
-    fn set_write_timeout_conn(&self, t: Option<Duration>) {
-        self.set_write_timeout(t).ok();
-    }
-}
 
 /// Where a finished response goes. The executor pool is shared by
 /// every request source; only the last hop differs per protocol.

@@ -1,14 +1,13 @@
-//! Compressed sparse row adjacency.
+//! Compressed sparse row adjacency, built only as *simple* lists — sorted,
+//! duplicates and a list's own index dropped — along one of two [`Route`]s.
 //!
-//! One builder over a [`GraphSource`] for the heap ([`Csr::build_source`]:
-//! a counting replay, a prefix sum, a placement replay, optionally the
-//! in-place simplify pass) and one for the spill file
-//! ([`Csr::build_spilled`]: the same counting replay, then one replay per
-//! bounded vertex chunk). Every pass is sequential and runs on the calling
-//! thread. [`Csr::build`] over an in-memory [`Graph`] shares no code with
-//! them and is the reference the tests compare both with.
+//! Two builders over a [`GraphSource`], both sequential on the calling
+//! thread: [`Csr::build`] in heap (a counting replay, a prefix sum, a
+//! placement replay, then the in-place simplify pass) and
+//! [`Csr::build_spilled`] into an `EASECSR1` spill file (the same counting
+//! replay, then one replay per bounded vertex chunk, each list simplified
+//! before it is written). Both give the same lists for every chunk size.
 
-use crate::edge_list::Graph;
 use crate::source::{each_edge, GraphSource};
 use crate::spill::{LoadedCsr, MappedCsr, SpillWriter};
 use crate::types::{Edge, VertexId};
@@ -16,54 +15,26 @@ use std::ops::Range;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Which adjacency direction a [`Csr`] encodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Direction {
-    /// `neighbors(v)` = out-neighbors (edge targets).
-    Out,
-    /// `neighbors(v)` = in-neighbors (edge sources).
-    In,
-    /// `neighbors(v)` = union of both directions (each directed edge
-    /// contributes to both endpoints' lists).
-    Undirected,
-}
-
 /// Which per-vertex list(s) an edge of the stream lands in — what the
-/// counting, placement and spill passes route by. A [`Direction`] converts
-/// into the plain routing of its name.
+/// counting, placement and spill passes route by.
 #[derive(Debug, Clone, Copy)]
 pub enum Route<'r> {
-    /// Vertex-id space, as the [`Direction`] says.
-    Plain(Direction),
+    /// Vertex-id space, both directions: each edge puts each endpoint into
+    /// the other's list, so the simple CSR is the undirected simple graph.
+    Undirected,
     /// Rank space — the triangle kernel's forward adjacency. The slice gives
     /// every vertex its rank in some total order; each non-loop edge puts
     /// the higher of its endpoints' ranks into the list of the lower one, so
-    /// lists are indexed by rank and hold ranks. The CSR reports
-    /// [`Direction::Out`]: the out-neighbours of the rank-oriented graph.
+    /// lists are indexed by rank and hold ranks.
     Forward(&'r [VertexId]),
 }
 
-impl From<Direction> for Route<'_> {
-    fn from(direction: Direction) -> Self {
-        Route::Plain(direction)
-    }
-}
-
 impl Route<'_> {
-    fn direction(self) -> Direction {
-        match self {
-            Route::Plain(direction) => direction,
-            Route::Forward(_) => Direction::Out,
-        }
-    }
-
     /// Call `put(list, entry)` for every adjacency entry `e` contributes.
     #[inline]
     fn each_entry(self, e: Edge, mut put: impl FnMut(usize, VertexId)) {
         match self {
-            Route::Plain(Direction::Out) => put(e.src as usize, e.dst),
-            Route::Plain(Direction::In) => put(e.dst as usize, e.src),
-            Route::Plain(Direction::Undirected) => {
+            Route::Undirected => {
                 put(e.src as usize, e.dst);
                 put(e.dst as usize, e.src);
             }
@@ -77,7 +48,7 @@ impl Route<'_> {
     }
 }
 
-/// Where a [`Csr`]'s offsets/targets actually live (PR 8): the classic heap
+/// Where a [`Csr`]'s offsets/targets actually live: the classic heap
 /// vectors, or a read-only mapping of an unlinked `EASECSR1` spill file
 /// (see [`crate::spill`]). Every accessor routes through this enum, so the
 /// two shapes are indistinguishable — and bit-identical — to callers.
@@ -87,8 +58,7 @@ enum Store {
     Mapped(Arc<MappedCsr>),
 }
 
-/// Compressed sparse row adjacency built from a [`Graph`] or any
-/// [`GraphSource`].
+/// Compressed sparse row adjacency built from any [`GraphSource`].
 ///
 /// The neighbors of `v` are `targets[offsets[v]..offsets[v+1]]` with `n+1`
 /// offsets. Built with a counting pass followed by a placement pass — no
@@ -98,12 +68,11 @@ enum Store {
 #[derive(Debug, Clone)]
 pub struct Csr {
     store: Store,
-    direction: Direction,
 }
 
 impl Csr {
-    fn heap(offsets: Vec<usize>, targets: Vec<VertexId>, direction: Direction) -> Self {
-        Csr { store: Store::Heap { offsets, targets }, direction }
+    pub(crate) fn heap(offsets: Vec<usize>, targets: Vec<VertexId>) -> Self {
+        Csr { store: Store::Heap { offsets, targets } }
     }
 
     /// Exact heap cost of an in-heap CSR over `n` vertices and `entries`
@@ -113,70 +82,14 @@ impl Csr {
         (n + 1) * std::mem::size_of::<usize>() + entries * std::mem::size_of::<VertexId>()
     }
 
-    /// Build adjacency in the requested direction.
-    pub fn build(graph: &Graph, direction: Direction) -> Self {
-        let n = graph.num_vertices();
-        let mut counts = vec![0usize; n + 1];
-        match direction {
-            Direction::Out => {
-                for e in graph.edges() {
-                    counts[e.src as usize + 1] += 1;
-                }
-            }
-            Direction::In => {
-                for e in graph.edges() {
-                    counts[e.dst as usize + 1] += 1;
-                }
-            }
-            Direction::Undirected => {
-                for e in graph.edges() {
-                    counts[e.src as usize + 1] += 1;
-                    counts[e.dst as usize + 1] += 1;
-                }
-            }
-        }
-        for i in 0..n {
-            counts[i + 1] += counts[i];
-        }
-        let offsets = counts;
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0 as VertexId; offsets[n]];
-        match direction {
-            Direction::Out => {
-                for e in graph.edges() {
-                    let c = &mut cursor[e.src as usize];
-                    targets[*c] = e.dst;
-                    *c += 1;
-                }
-            }
-            Direction::In => {
-                for e in graph.edges() {
-                    let c = &mut cursor[e.dst as usize];
-                    targets[*c] = e.src;
-                    *c += 1;
-                }
-            }
-            Direction::Undirected => {
-                for e in graph.edges() {
-                    let c = &mut cursor[e.src as usize];
-                    targets[*c] = e.dst;
-                    *c += 1;
-                    let c = &mut cursor[e.dst as usize];
-                    targets[*c] = e.src;
-                    *c += 1;
-                }
-            }
-        }
-        Csr::heap(offsets, targets, direction)
-    }
-
-    /// Build adjacency from any [`GraphSource`] in two sequential replays of
-    /// the stream: count every list's entries, prefix-sum the counts into
-    /// offsets, then place each entry at its list's cursor — so every
-    /// per-vertex neighbor list ends up in stream order, bit-identical to
-    /// [`Csr::build`] on the same stream.
-    pub fn build_source<'r>(source: &dyn GraphSource, route: impl Into<Route<'r>>) -> Self {
-        let route = route.into();
+    /// Build the simple adjacency of `route` in heap: count every list's
+    /// entries in one replay of the stream, prefix-sum the counts into
+    /// offsets, place each entry at its list's cursor in a second replay,
+    /// then simplify **in place** — sort each list, drop duplicates and the
+    /// list's own index, and compact the survivors to the front of the same
+    /// targets buffer with one forward write cursor (no second full-size
+    /// targets vector at the largest transient of the pipeline).
+    pub fn build(source: &dyn GraphSource, route: Route<'_>) -> Self {
         let n = source.num_vertices();
         let counts = count_source(source, route);
         let mut offsets = vec![0usize; n + 1];
@@ -193,37 +106,7 @@ impl Csr {
                 *c += 1;
             });
         });
-        Csr::heap(offsets, targets, route.direction())
-    }
-
-    /// [`Csr::build_source`] followed by the simplify pass — every list
-    /// sorted, duplicates and the list's own index dropped.
-    pub fn build_simple_source<'r>(source: &dyn GraphSource, route: impl Into<Route<'r>>) -> Self {
-        Self::build_source(source, route).into_simple()
-    }
-
-    /// Build undirected *simple* adjacency: reciprocal duplicates, parallel
-    /// edges and self-loops removed, each list sorted. The reference the
-    /// tests hold the memoized and spilled builds and the triangle kernel
-    /// against; no product path calls it (neighborhood expansion builds its
-    /// own incidence lists).
-    pub fn build_undirected_simple(graph: &Graph) -> Self {
-        Csr::build(graph, Direction::Undirected).into_simple()
-    }
-
-    /// Simplify an adjacency **in place**: sort each list, drop self-loops
-    /// and duplicates, and compact the surviving entries to the front of the
-    /// existing targets buffer — no second full-size targets vector (PR 8:
-    /// the old scratch copy doubled peak memory right at the largest
-    /// transient of the whole pipeline).
-    fn into_simple(self) -> Self {
-        let (mut offsets, mut targets) = match self.store {
-            Store::Heap { offsets, targets } => (offsets, targets),
-            // defensive: a mapped CSR is immutable, decode before editing
-            Store::Mapped(m) => m.decode(),
-        };
-        // one forward write cursor, `w <= offsets[v]` always
-        let n = offsets.len() - 1;
+        // `w <= offsets[v]` always: the write cursor never overtakes a list
         let mut w = 0usize;
         for v in 0..n {
             let kept = dedup_list(&mut targets, offsets[v]..offsets[v + 1], w, v);
@@ -232,29 +115,25 @@ impl Csr {
         }
         offsets[n] = w;
         targets.truncate(w);
-        Csr::heap(offsets, targets, self.direction)
+        Csr::heap(offsets, targets)
     }
 
-    /// Build adjacency **out of core**: stream vertex chunks of at most
-    /// `chunk_bytes` of adjacency through a bounded scratch buffer into an
-    /// `EASECSR1` spill file in `dir`, then map the file read-only (see
-    /// [`crate::spill`]). With `simplify`, each per-vertex list is sorted
-    /// and deduplicated (self-loops dropped) before it is written — the
-    /// out-of-core twin of [`Csr::build_simple_source`], never
-    /// holding more than one chunk plus the `O(|V|)` count table in heap.
+    /// Build the simple adjacency of `route` **out of core**: stream vertex
+    /// chunks of at most `chunk_bytes` of adjacency through a bounded
+    /// scratch buffer into an `EASECSR1` spill file in `dir`, then map the
+    /// file read-only (see [`crate::spill`]). Each list is sorted and
+    /// deduplicated before it is written, so the heap never holds more than
+    /// one chunk plus the `O(|V|)` count table.
     ///
-    /// After the counting pass of [`Csr::build_source`], each chunk replays
-    /// the edge stream once, placing its own incidences in stream order, so
-    /// the result is bit-identical to the in-heap build for every chunk
-    /// size.
-    pub fn build_spilled<'r>(
+    /// After the counting pass of [`Csr::build`], each chunk replays the
+    /// edge stream once, placing its own entries in stream order, so the
+    /// result is bit-identical to the in-heap build for every chunk size.
+    pub fn build_spilled(
         source: &dyn GraphSource,
-        route: impl Into<Route<'r>>,
-        simplify: bool,
+        route: Route<'_>,
         chunk_bytes: usize,
         dir: &Path,
     ) -> std::io::Result<Self> {
-        let route = route.into();
         let n = source.num_vertices();
         let counts = count_source(source, route);
         let mut writer = SpillWriter::create(dir, n)?;
@@ -283,8 +162,8 @@ impl Csr {
             }
             buf.clear();
             buf.resize(entries, 0);
-            // one stream replay placing this chunk's incidences in edge
-            // order — the same order the in-heap placement pass produces
+            // one stream replay placing this chunk's entries in edge order
+            // — the same order the in-heap placement pass produces
             let mut cursor = local_off[..v1 - v0].to_vec();
             each_edge(source, |e| {
                 route.each_entry(e, |v, t| {
@@ -297,15 +176,14 @@ impl Csr {
             });
             for v in v0..v1 {
                 let (lo, hi) = (local_off[v - v0], local_off[v - v0 + 1]);
-                let kept = if simplify { dedup_list(&mut buf, lo..hi, lo, v) } else { hi - lo };
+                let kept = dedup_list(&mut buf, lo..hi, lo, v);
                 writer.push_list(&buf[lo..lo + kept])?;
             }
             v0 = v1;
         }
-        let direction = route.direction();
         Ok(match writer.finish()? {
-            LoadedCsr::Mapped(m) => Csr { store: Store::Mapped(Arc::new(m)), direction },
-            LoadedCsr::Heap { offsets, targets } => Csr::heap(offsets, targets, direction),
+            LoadedCsr::Mapped(m) => Csr { store: Store::Mapped(Arc::new(m)) },
+            LoadedCsr::Heap { offsets, targets } => Csr::heap(offsets, targets),
         })
     }
 
@@ -320,11 +198,6 @@ impl Csr {
             Store::Heap { offsets, .. } => offsets.len() - 1,
             Store::Mapped(m) => m.num_vertices(),
         }
-    }
-
-    #[inline]
-    pub fn direction(&self) -> Direction {
-        self.direction
     }
 
     /// Neighbor slice of `v`.
@@ -394,6 +267,7 @@ fn count_source(source: &dyn GraphSource, route: Route<'_>) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::edge_list::Graph;
 
     fn toy() -> Graph {
         Graph::from_pairs([(0, 1), (0, 2), (1, 2), (2, 0), (1, 1)])
@@ -410,62 +284,39 @@ mod tests {
         (offsets, targets)
     }
 
-    fn spill_dir(tag: &str) -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("ease_csr_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&d).expect("mk spill dir");
-        d
+    /// The oracle both builders are held to, sharing no code with them:
+    /// per-list `Vec`s filled edge by edge as `route` says, then each one
+    /// sorted, deduplicated and stripped of its own index.
+    fn oracle(g: &Graph, route: Route<'_>) -> (Vec<usize>, Vec<VertexId>) {
+        let mut lists = vec![Vec::new(); g.num_vertices()];
+        for e in g.edges() {
+            let (s, d) = (e.src as usize, e.dst as usize);
+            match route {
+                Route::Undirected => {
+                    lists[s].push(e.dst);
+                    lists[d].push(e.src);
+                }
+                Route::Forward(rank) => {
+                    let (low, high) = (rank[s].min(rank[d]), rank[s].max(rank[d]));
+                    lists[low as usize].push(high);
+                }
+            }
+        }
+        let mut offsets = vec![0usize];
+        let mut targets = Vec::new();
+        for (v, mut list) in lists.into_iter().enumerate() {
+            list.sort_unstable();
+            list.dedup();
+            list.retain(|&t| t as usize != v);
+            targets.extend_from_slice(&list);
+            offsets.push(targets.len());
+        }
+        (offsets, targets)
     }
 
-    #[test]
-    fn out_adjacency() {
-        let csr = Csr::build(&toy(), Direction::Out);
-        assert_eq!(csr.neighbors(0), &[1, 2]);
-        assert_eq!(csr.neighbors(1), &[2, 1]);
-        assert_eq!(csr.neighbors(2), &[0]);
-        assert_eq!(csr.num_entries(), 5);
-    }
-
-    #[test]
-    fn in_adjacency() {
-        let csr = Csr::build(&toy(), Direction::In);
-        assert_eq!(csr.neighbors(0), &[2]);
-        assert_eq!(csr.degree(2), 2);
-    }
-
-    #[test]
-    fn undirected_counts_both_sides() {
-        let csr = Csr::build(&toy(), Direction::Undirected);
-        assert_eq!(csr.num_entries(), 10);
-        assert_eq!(csr.degree(1), 4); // (0,1), (1,2), (1,1) twice
-    }
-
-    #[test]
-    fn undirected_simple_drops_loops_and_dupes() {
-        let g = Graph::from_pairs([(0, 1), (1, 0), (0, 1), (1, 1), (1, 2)]);
-        let csr = Csr::build_undirected_simple(&g);
-        assert_eq!(csr.neighbors(0), &[1]);
-        assert_eq!(csr.neighbors(1), &[0, 2]);
-        assert_eq!(csr.neighbors(2), &[1]);
-    }
-
-    #[test]
-    fn degrees_sum_to_entries() {
-        let g = toy();
-        let csr = Csr::build(&g, Direction::Out);
-        let total: usize = (0..g.num_vertices() as u32).map(|v| csr.degree(v)).sum();
-        assert_eq!(total, csr.num_entries());
-    }
-
-    #[test]
-    fn empty_graph_csr() {
-        let csr = Csr::build(&Graph::empty(3), Direction::Out);
-        assert_eq!(csr.num_vertices(), 3);
-        assert_eq!(csr.num_entries(), 0);
-        assert_eq!(csr.neighbors(1), &[] as &[u32]);
-    }
-
-    /// A deterministic pseudo-random multigraph big enough to span several
-    /// fingerprint blocks when `m` is large.
+    /// A deterministic pseudo-random multigraph (parallel edges, reciprocal
+    /// edges and self-loops all likely) spanning several fingerprint blocks
+    /// when `m` is large.
     fn scrambled(n: u32, m: usize) -> Graph {
         let mut edges = Vec::with_capacity(m);
         let mut x = 0x9E3779B97F4A7C15u64;
@@ -478,80 +329,98 @@ mod tests {
         Graph::new(n as usize, edges)
     }
 
-    /// The source-fed builder against the independent `Graph` one, on a
-    /// stream long enough to span several fingerprint blocks.
+    /// A total order that is neither the identity nor its reverse.
+    fn shuffled_rank(n: usize) -> Vec<VertexId> {
+        (0..n as VertexId).map(|v| (v * 7 + 3) % n as VertexId).collect()
+    }
+
+    fn spill_dir(tag: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("ease_csr_{tag}_{}", std::process::id()));
+        std::fs::create_dir_all(&d).expect("mk spill dir");
+        d
+    }
+
     #[test]
-    fn source_build_is_bit_identical_to_the_graph_build() {
-        let g = scrambled(257, crate::source::FINGERPRINT_BLOCK * 3 + 101);
-        for direction in [Direction::Out, Direction::In, Direction::Undirected] {
-            let built = Csr::build_source(&g, direction);
-            assert_eq!(dump(&built), dump(&Csr::build(&g, direction)), "{direction:?}");
+    fn undirected_lists_drop_loops_and_dupes() {
+        let csr = Csr::build(&toy(), Route::Undirected);
+        assert_eq!(csr.neighbors(0), &[1, 2]);
+        assert_eq!(csr.neighbors(1), &[0, 2]);
+        assert_eq!(csr.neighbors(2), &[0, 1]);
+        assert_eq!(csr.num_entries(), 6);
+        assert_eq!(csr.degree(1), 2);
+    }
+
+    #[test]
+    fn forward_lists_hold_the_higher_rank_at_the_lower() {
+        let g = toy();
+        // identity ranks: each pair once, at its lower id
+        let csr = Csr::build(&g, Route::Forward(&[0, 1, 2]));
+        assert_eq!(dump(&csr), (vec![0, 2, 3, 3], vec![1, 2, 2]));
+        // reversed ranks: vertex 2 ranks 0 and owns both its pairs
+        let csr = Csr::build(&g, Route::Forward(&[2, 1, 0]));
+        assert_eq!(csr.neighbors(0), &[1, 2]);
+        assert_eq!(csr.neighbors(1), &[2]);
+        assert_eq!(csr.neighbors(2), &[] as &[u32]);
+    }
+
+    #[test]
+    fn degrees_sum_to_entries() {
+        let g = scrambled(64, 900);
+        let rank = shuffled_rank(64);
+        for route in [Route::Undirected, Route::Forward(&rank)] {
+            let csr = Csr::build(&g, route);
+            let total: usize = (0..64).map(|v| csr.degree(v)).sum();
+            assert_eq!(total, csr.num_entries(), "{route:?}");
         }
     }
 
-    /// The PR 8 simplify rework: the in-place pass produces the same
-    /// structure the old scratch-copy implementation did, reconstructed
-    /// here from the raw undirected adjacency via public accessors.
     #[test]
-    fn in_place_simplify_matches_the_sort_dedup_reference() {
-        for (n, m) in [(257u32, 4_000usize), (64, 900), (5, 3), (1, 4)] {
+    fn empty_graph_csr() {
+        for route in [Route::Undirected, Route::Forward(&[0, 1, 2])] {
+            let csr = Csr::build(&Graph::empty(3), route);
+            assert_eq!(csr.num_vertices(), 3);
+            assert_eq!(csr.num_entries(), 0);
+            assert_eq!(csr.neighbors(1), &[] as &[u32]);
+        }
+        assert_eq!(Csr::build(&Graph::empty(0), Route::Undirected).num_vertices(), 0);
+    }
+
+    /// The heap build — counting, placement and in-place simplify — equals
+    /// the oracle on both routes, on streams long enough to span several
+    /// fingerprint blocks and on degenerate ones.
+    #[test]
+    fn heap_build_matches_the_per_route_oracle() {
+        let long = crate::source::FINGERPRINT_BLOCK * 3 + 101;
+        for (n, m) in [(257u32, long), (257, 4_000), (64, 900), (5, 3), (1, 4)] {
             let g = scrambled(n, m);
-            let raw = Csr::build(&g, Direction::Undirected);
-            let mut want_offsets = vec![0usize];
-            let mut want_targets: Vec<VertexId> = Vec::new();
-            for v in 0..n {
-                let mut list = raw.neighbors(v).to_vec();
-                list.sort_unstable();
-                list.dedup();
-                list.retain(|&t| t != v);
-                want_targets.extend_from_slice(&list);
-                want_offsets.push(want_targets.len());
+            let rank = shuffled_rank(n as usize);
+            for route in [Route::Undirected, Route::Forward(&rank)] {
+                let built = Csr::build(&g, route);
+                assert!(!built.is_spilled());
+                assert_eq!(dump(&built), oracle(&g, route), "n={n} m={m} {route:?}");
             }
-            let simple = Csr::build_source(&g, Direction::Undirected).into_simple();
-            assert_eq!(dump(&simple), (want_offsets, want_targets), "n={n} m={m}");
-            assert_eq!(simple.direction(), Direction::Undirected);
         }
     }
 
-    #[test]
-    fn source_build_handles_degenerate_inputs() {
-        let empty = Graph::empty(4);
-        let csr = Csr::build_source(&empty, Direction::Out);
-        assert_eq!(csr.num_vertices(), 4);
-        assert_eq!(csr.num_entries(), 0);
-        let tiny = toy();
-        let csr = Csr::build_source(&tiny, Direction::Undirected);
-        assert_eq!(dump(&csr), dump(&Csr::build(&tiny, Direction::Undirected)));
-        // simplifying an empty adjacency is a no-op
-        let simple = Csr::build_source(&empty, Direction::Out).into_simple();
-        assert_eq!(simple.num_entries(), 0);
-    }
-
-    /// Spilled builds — raw and simplified, across chunk sizes small enough
-    /// to force many chunks — serve the exact same structure through
-    /// `neighbors()`/`degree()` as the in-heap build.
+    /// Spilled builds across chunk sizes small enough to force many chunks
+    /// serve the exact structure of the heap build (and so of the oracle)
+    /// through `neighbors()`/`degree()`, and leave no file behind.
     #[test]
     fn spilled_build_is_bit_identical_to_heap() {
         let dir = spill_dir("bitid");
         let g = scrambled(101, 2_500);
-        for direction in [Direction::Out, Direction::In, Direction::Undirected] {
-            let heap = Csr::build(&g, direction);
-            // 64-byte chunks force one-vertex chunks; 1 MiB fits everything
+        let rank = shuffled_rank(101);
+        for route in [Route::Undirected, Route::Forward(&rank)] {
+            let heap = Csr::build(&g, route);
+            assert_eq!(dump(&heap), oracle(&g, route), "{route:?}");
+            // a 0-byte cap still takes 1024 entries; 1 MiB fits everything
             for chunk_bytes in [0usize, 4096, 1 << 20] {
-                let spilled = Csr::build_spilled(&g, direction, false, chunk_bytes, &dir)
-                    .expect("spilled build");
-                assert_eq!(dump(&spilled), dump(&heap), "{direction:?} chunk={chunk_bytes}");
-                assert_eq!(spilled.direction(), direction);
+                let spilled =
+                    Csr::build_spilled(&g, route, chunk_bytes, &dir).expect("spilled build");
+                assert!(spilled.is_spilled());
+                assert_eq!(dump(&spilled), dump(&heap), "{route:?} chunk={chunk_bytes}");
                 assert_eq!(spilled.num_vertices(), heap.num_vertices());
             }
-        }
-        let simple = Csr::build_undirected_simple(&g);
-        for chunk_bytes in [0usize, 4096, 1 << 20] {
-            let spilled = Csr::build_spilled(&g, Direction::Undirected, true, chunk_bytes, &dir)
-                .expect("spilled simplify");
-            assert!(spilled.is_spilled());
-            assert_eq!(dump(&spilled), dump(&simple), "simplify chunk={chunk_bytes}");
-            assert_eq!(spilled.direction(), Direction::Undirected);
         }
         assert_eq!(
             std::fs::read_dir(&dir).expect("read spill dir").count(),
@@ -564,8 +433,8 @@ mod tests {
     #[test]
     fn spilled_empty_graph_is_degenerate_but_safe() {
         let dir = spill_dir("empty");
-        let csr = Csr::build_spilled(&Graph::empty(3), Direction::Out, false, 0, &dir)
-            .expect("spill empty");
+        let csr =
+            Csr::build_spilled(&Graph::empty(3), Route::Undirected, 0, &dir).expect("spill empty");
         assert_eq!(csr.num_vertices(), 3);
         assert_eq!(csr.num_entries(), 0);
         assert_eq!(csr.neighbors(1), &[] as &[u32]);

@@ -3,7 +3,8 @@
 //! This crate provides the substrate every other crate builds on:
 //!
 //! * [`Graph`] — an owned directed edge list with a known vertex count,
-//! * [`Csr`] — compressed sparse row adjacency (out, in, or undirected),
+//! * [`Csr`] — compressed sparse row *simple* adjacency: the undirected
+//!   simple graph, or the triangle kernel's rank-space forward lists,
 //! * [`DegreeTable`] — degree statistics including Pearson's first skewness
 //!   coefficient used by the paper as a machine-learning feature,
 //! * [`triangles`] — per-vertex triangle counts and local clustering

@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use crate::budget::MemoryBudget;
-use crate::csr::{Csr, Direction, Route};
+use crate::csr::{Csr, Route};
 use crate::degree::DegreeTable;
 use crate::edge_list::Graph;
 use crate::properties::{GraphProperties, PropertyTier};
@@ -167,7 +167,7 @@ impl<'g> PreparedGraph<'g> {
         self.spilled_builds.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter)
     }
 
-    /// Heap-or-spill decision for every (simplified) CSR this context builds;
+    /// Heap-or-spill decision for every CSR this context builds;
     /// returns the CSR and the bytes charged for it, which the caller owes back to
     /// the budget. No budget — or a granted charge — builds in heap exactly
     /// as before; a refused charge streams the build through a bounded
@@ -175,13 +175,13 @@ impl<'g> PreparedGraph<'g> {
     /// unwritable dir) falls back to the in-heap build: correctness over
     /// the budget, and a daemon that degrades instead of dying.
     fn build_csr(&self, route: Route<'_>) -> (Csr, usize) {
-        let in_heap = || Csr::build_simple_source(self.source(), route);
+        let in_heap = || Csr::build(self.source(), route);
         let Some(budget) = &self.budget else { return (in_heap(), 0) };
         // what the placement pass allocates, before any simplify: |E| bounds
         // the forward lists' one entry per non-loop edge
         let entries = match route {
-            Route::Plain(Direction::Undirected) => self.num_edges().saturating_mul(2),
-            Route::Plain(Direction::Out | Direction::In) | Route::Forward(_) => self.num_edges(),
+            Route::Undirected => self.num_edges().saturating_mul(2),
+            Route::Forward(_) => self.num_edges(),
         };
         let bytes = Csr::heap_bytes(self.num_vertices(), entries);
         if budget.try_charge(bytes) {
@@ -190,7 +190,6 @@ impl<'g> PreparedGraph<'g> {
         match Csr::build_spilled(
             self.source(),
             route,
-            true,
             budget.spill_chunk_bytes(),
             budget.spill_dir(),
         ) {
@@ -251,7 +250,7 @@ impl<'g> PreparedGraph<'g> {
         self.undirected_simple.get_or_init(|| {
             // lint: relaxed-ok(diagnostic build counter; OnceLock publishes the CSR itself)
             self.undirected_builds.fetch_add(1, Ordering::Relaxed);
-            let (csr, bytes) = self.build_csr(Direction::Undirected.into());
+            let (csr, bytes) = self.build_csr(Route::Undirected);
             // lint: relaxed-ok(accounting counter read only by our own Drop)
             self.charged.fetch_add(bytes, Ordering::Relaxed);
             csr
@@ -431,7 +430,7 @@ mod tests {
         for v in 0..g.num_vertices() as u32 {
             assert_eq!(
                 prepared.undirected_simple().neighbors(v),
-                Csr::build_undirected_simple(&g).neighbors(v)
+                Csr::build(&g, Route::Undirected).neighbors(v)
             );
         }
         assert_eq!(prepared.degrees().total, g.total_degrees());

@@ -1,9 +1,10 @@
 //! Out-of-core CSR storage: the `EASECSR1` spill file format.
 //!
 //! When a [`MemoryBudget`](crate::MemoryBudget) refuses to admit a CSR into
-//! the heap, [`Csr::build_spilled`](crate::Csr::build_spilled) streams it
-//! into a temp file in this format, maps the file read-only, and serves
-//! `neighbors()`/`degree()` straight out of the mapping.
+//! the heap — in the product, the triangle kernel's forward lists —
+//! [`Csr::build_spilled`](crate::Csr::build_spilled) streams its simplified
+//! lists into a temp file in this format, maps the file read-only, and
+//! serves `neighbors()`/`degree()` straight out of the mapping.
 //!
 //! Layout (all integers little-endian, mirroring `.bel`):
 //!
@@ -82,9 +83,9 @@ impl Drop for SpillGuard {
     }
 }
 
-/// Streaming writer for a CSR spill file: push one finished (already
-/// sorted/deduplicated, if desired) adjacency list per vertex, in vertex
-/// order, then [`finish`](Self::finish) to map the result back.
+/// Streaming writer for a CSR spill file: push one finished adjacency list
+/// per vertex, in vertex order, then [`finish`](Self::finish) to map the
+/// result back.
 ///
 /// Two independent file handles write the offsets region and the targets
 /// region concurrently, so neither the offsets (`(n+1) × 8` bytes) nor the
@@ -283,8 +284,8 @@ impl MappedCsr {
         }
     }
 
-    /// Decode the whole structure into heap vectors (endian/alignment
-    /// fallback, and the escape hatch back to an owned CSR).
+    /// Decode the whole structure into heap vectors — the loader's fallback
+    /// when the host cannot serve the mapping zero-copy.
     pub fn decode(&self) -> (Vec<usize>, Vec<VertexId>) {
         let bytes = self.map.as_slice();
         let mut offsets = Vec::with_capacity(self.num_vertices + 1);
@@ -416,6 +417,67 @@ mod tests {
         std::fs::write(&path, &bytes).expect("write");
         let map = Mmap::map(&File::open(&path).expect("open")).expect("map");
         assert!(MappedCsr::load(map).is_err());
+        std::fs::remove_dir_all(&d).ok();
+    }
+
+    /// Totality of the loader: every single-bit flip, every truncation and
+    /// a one-byte extension of a small valid spill file either fails with
+    /// `InvalidData` or loads a CSR whose every list lies inside its
+    /// targets and whose degrees sum to its entry count — never a panic.
+    #[test]
+    fn every_corruption_is_rejected_or_loads_in_bounds() {
+        let lists: [&[VertexId]; 5] = [&[1, 3], &[], &[0, 2, 4], &[4], &[0, 1]];
+        let mut valid = Vec::new();
+        valid.extend_from_slice(&SPILL_MAGIC);
+        valid.extend_from_slice(&(lists.len() as u64).to_le_bytes());
+        valid.extend_from_slice(&8u64.to_le_bytes());
+        let mut end = 0u64;
+        valid.extend_from_slice(&end.to_le_bytes());
+        for list in lists {
+            end += list.len() as u64;
+            valid.extend_from_slice(&end.to_le_bytes());
+        }
+        for t in lists.concat() {
+            valid.extend_from_slice(&t.to_le_bytes());
+        }
+        let d = dir();
+        let path = d.join("totality.csr");
+        // (lists, entries) a load of `bytes` serves, or the error's kind
+        let load = |bytes: &[u8]| -> Result<(Vec<Vec<VertexId>>, usize), io::ErrorKind> {
+            std::fs::write(&path, bytes).expect("write");
+            let map = Mmap::map(&File::open(&path).expect("open")).expect("map");
+            match MappedCsr::load(map).map_err(|e| e.kind())? {
+                LoadedCsr::Mapped(m) => {
+                    let served = (0..m.num_vertices() as VertexId).map(|v| {
+                        assert_eq!(m.neighbors(v).len(), m.degree(v));
+                        m.neighbors(v).to_vec()
+                    });
+                    Ok((served.collect(), m.num_entries()))
+                }
+                LoadedCsr::Heap { offsets, targets } => {
+                    let served = offsets.windows(2).map(|w| targets[w[0]..w[1]].to_vec());
+                    Ok((served.collect(), targets.len()))
+                }
+            }
+        };
+        let check = |bytes: &[u8], what: &str| match load(bytes) {
+            Ok((served, entries)) => {
+                assert_eq!(served.iter().map(Vec::len).sum::<usize>(), entries, "{what}");
+            }
+            Err(kind) => assert_eq!(kind, io::ErrorKind::InvalidData, "{what}"),
+        };
+        assert_eq!(load(&valid), Ok((lists.map(<[VertexId]>::to_vec).to_vec(), 8)));
+        for bit in 0..valid.len() * 8 {
+            let mut flipped = valid.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            check(&flipped, &format!("bit {bit} flipped"));
+        }
+        for len in 0..valid.len() {
+            assert_eq!(load(&valid[..len]), Err(io::ErrorKind::InvalidData), "cut to {len} bytes");
+        }
+        let mut extended = valid.clone();
+        extended.push(0);
+        assert_eq!(load(&extended), Err(io::ErrorKind::InvalidData));
         std::fs::remove_dir_all(&d).ok();
     }
 }

@@ -17,9 +17,11 @@
 //!    ranked `r`. It is a [`Csr`] built with [`Route::Forward`]: one entry per
 //!    non-loop edge at its lower-ranked endpoint, counted and placed in two
 //!    sequential replays of the [`GraphSource`], then each list sorted and
-//!    deduplicated by the CSR's own simplify pass — in heap, or through the
-//!    spill chunk loop when a memory budget refuses it. Half the entries of
-//!    the undirected simple CSR, and the only adjacency this module reads.
+//!    deduplicated by the CSR's own simplify pass — in heap
+//!    ([`Csr::build`]), or through the spill chunk loop
+//!    ([`Csr::build_spilled`]) when a memory budget refuses it. Half the
+//!    entries of the undirected simple CSR, and the only adjacency this
+//!    module reads.
 //! 3. **Mark and scan**: for each `v`, mark `fwd(v)` in a `|V|`-entry flag
 //!    array, then for each `u ∈ fwd(v)` stream `fwd(u)` and add up the marks.
 //!    Every hit `w` closes the triangle `{v, u, w}`, found exactly once with
@@ -53,7 +55,7 @@ impl TriangleTable {
 /// endpoints at `v` (what [`DegreeTable::total`](crate::DegreeTable) holds).
 /// Self-loops, parallel and reciprocal edges are ignored.
 pub fn count_source(source: &dyn GraphSource, total_degrees: &[u32]) -> TriangleTable {
-    count_with(total_degrees, |rank| Csr::build_simple_source(source, Route::Forward(rank)))
+    count_with(total_degrees, |rank| Csr::build(source, Route::Forward(rank)))
 }
 
 /// [`count_source`] with the forward build left to the caller, who is handed
@@ -294,13 +296,14 @@ mod tests {
         assert_eq!(PreparedGraph::of(&g).triangle_counts(), [0, 0, 0, 0, 0, 1, 1, 1]);
     }
 
-    /// Raw forward lists (parallel edges kept, unsorted) are not a valid
-    /// input; debug builds refuse them instead of over-counting.
+    /// Forward lists that are not simple (here a parallel edge kept twice)
+    /// are not a valid input; debug builds refuse them instead of
+    /// over-counting. Neither builder makes such lists, so the test
+    /// assembles them by hand.
     #[test]
     #[cfg(debug_assertions)]
     #[should_panic(expected = "simplified forward lists")]
     fn non_simple_adjacency_is_refused_in_debug_builds() {
-        let g = Graph::from_pairs([(0, 1), (1, 0), (1, 2), (2, 0), (2, 2)]);
-        count_with(&g.total_degrees(), |rank| Csr::build_source(&g, Route::Forward(rank)));
+        count_with(&[2, 2, 0], |_| Csr::heap(vec![0, 2, 2, 2], vec![1, 1]));
     }
 }

@@ -99,12 +99,15 @@ mod tests {
     use std::collections::VecDeque;
 
     fn reference_bfs(g: &Graph, source: u32) -> Vec<u32> {
-        let csr = ease_graph::Csr::build(g, ease_graph::csr::Direction::Out);
+        let mut out = vec![Vec::new(); g.num_vertices()];
+        for e in g.edges() {
+            out[e.src as usize].push(e.dst);
+        }
         let mut dist = vec![UNREACHED; g.num_vertices()];
         dist[source as usize] = 0;
         let mut q = VecDeque::from([source]);
         while let Some(v) = q.pop_front() {
-            for &u in csr.neighbors(v) {
+            for &u in &out[v as usize] {
                 if dist[u as usize] == UNREACHED {
                     dist[u as usize] = dist[v as usize] + 1;
                     q.push_back(u);

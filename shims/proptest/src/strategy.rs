@@ -24,14 +24,6 @@ pub trait Strategy {
     {
         FlatMap { inner: self, f }
     }
-
-    fn prop_filter<F>(self, whence: &'static str, f: F) -> Filter<Self, F>
-    where
-        Self: Sized,
-        F: Fn(&Self::Value) -> bool,
-    {
-        Filter { inner: self, f, whence }
-    }
 }
 
 /// Constant strategy (`Just(v)`).
@@ -66,25 +58,6 @@ impl<S: Strategy, S2: Strategy, F: Fn(S::Value) -> S2> Strategy for FlatMap<S, F
     type Value = S2::Value;
     fn generate(&self, rng: &mut StdRng) -> S2::Value {
         (self.f)(self.inner.generate(rng)).generate(rng)
-    }
-}
-
-pub struct Filter<S, F> {
-    inner: S,
-    f: F,
-    whence: &'static str,
-}
-
-impl<S: Strategy, F: Fn(&S::Value) -> bool> Strategy for Filter<S, F> {
-    type Value = S::Value;
-    fn generate(&self, rng: &mut StdRng) -> S::Value {
-        for _ in 0..1_000 {
-            let v = self.inner.generate(rng);
-            if (self.f)(&v) {
-                return v;
-            }
-        }
-        panic!("prop_filter `{}`: rejected 1000 candidates in a row", self.whence)
     }
 }
 

@@ -2,8 +2,8 @@
 //!
 //! The workspace builds in environments without a crates.io mirror, so this
 //! shim implements exactly the subset of the `rand` 0.8 API the sources use:
-//! `StdRng`, `SeedableRng::seed_from_u64`, `Rng::{gen, gen_range, gen_bool}`
-//! and `seq::SliceRandom::{shuffle, choose}`. The generator is xoshiro256++
+//! `StdRng`, `SeedableRng::seed_from_u64`, `Rng::{gen::<f64>, gen_range}`
+//! and `seq::SliceRandom::shuffle`. The generator is xoshiro256++
 //! seeded through SplitMix64 — deterministic for a fixed seed, which is the
 //! only contract the graph generators rely on.
 
@@ -15,10 +15,6 @@ pub use rngs::StdRng;
 /// Core entropy source: everything derives from `next_u64`.
 pub trait RngCore {
     fn next_u64(&mut self) -> u64;
-
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
 }
 
 /// Construction from seeds (subset: `seed_from_u64`).
@@ -26,7 +22,7 @@ pub trait SeedableRng: Sized {
     fn seed_from_u64(state: u64) -> Self;
 }
 
-/// Types that `Rng::gen` can produce.
+/// Types that `Rng::gen` can produce (`f64` only).
 pub trait Standard: Sized {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
@@ -35,30 +31,6 @@ impl Standard for f64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         // 53 random mantissa bits -> uniform in [0, 1)
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Standard for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
-    }
-}
-
-impl Standard for u64 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl Standard for u32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u32()
-    }
-}
-
-impl Standard for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
     }
 }
 
@@ -123,13 +95,6 @@ pub trait Rng: RngCore {
         Self: Sized,
     {
         range.sample_from(self)
-    }
-
-    fn gen_bool(&mut self, p: f64) -> bool
-    where
-        Self: Sized,
-    {
-        f64::sample(self) < p
     }
 }
 

@@ -1,4 +1,4 @@
-//! Slice helpers (`shuffle`, `choose`) mirroring `rand::seq::SliceRandom`.
+//! The slice helper `shuffle`, mirroring `rand::seq::SliceRandom`.
 
 use crate::{Rng, RngCore};
 
@@ -7,9 +7,6 @@ pub trait SliceRandom {
 
     /// Fisher–Yates shuffle in place.
     fn shuffle<R: RngCore>(&mut self, rng: &mut R);
-
-    /// Uniformly random element, `None` on an empty slice.
-    fn choose<R: RngCore>(&self, rng: &mut R) -> Option<&Self::Item>;
 }
 
 impl<T> SliceRandom for [T] {
@@ -19,14 +16,6 @@ impl<T> SliceRandom for [T] {
         for i in (1..self.len()).rev() {
             let j = rng.gen_range(0..=i);
             self.swap(i, j);
-        }
-    }
-
-    fn choose<R: RngCore>(&self, rng: &mut R) -> Option<&T> {
-        if self.is_empty() {
-            None
-        } else {
-            Some(&self[rng.gen_range(0..self.len())])
         }
     }
 }
@@ -44,13 +33,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn choose_none_on_empty() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let v: Vec<u32> = Vec::new();
-        assert!(v.choose(&mut rng).is_none());
-        assert!([7].choose(&mut rng).is_some());
     }
 }

@@ -3,7 +3,7 @@
 //! (`Graph::from_pairs`, `PartitionerId::ALL.len() == 11`) must hold. A
 //! rename or dropped re-export in any member crate fails here first.
 
-use ease_repro::graph::csr::Direction;
+use ease_repro::graph::csr::Route;
 use ease_repro::graph::{Csr, DegreeTable, Graph, GraphProperties, PreparedGraph, PropertyTier};
 use ease_repro::partition::{Partitioner, PartitionerId, QualityMetrics};
 
@@ -18,7 +18,7 @@ fn doctest_contract_from_pairs_and_eleven_partitioners() {
 #[test]
 fn graph_namespace_is_reachable() {
     let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0), (0, 2)]);
-    let csr = Csr::build(&g, Direction::Out);
+    let csr = Csr::build(&g, Route::Undirected);
     assert_eq!(csr.neighbors(0).len(), 2);
     let degrees = DegreeTable::compute(&g);
     assert!(degrees.total.iter().copied().max().unwrap_or(0) >= 2);

@@ -15,7 +15,7 @@ mod common;
 use common::alloc::{tracked, CountingAlloc};
 use common::arb_graph;
 use common::daemon::{spawn_daemon, strip_timing};
-use ease_repro::graph::csr::Direction;
+use ease_repro::graph::csr::Route;
 use ease_repro::graph::{Csr, Graph, MemoryBudget, VertexId};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::partition::PartitionerId;
@@ -74,23 +74,40 @@ fn dump(csr: &Csr) -> (Vec<usize>, Vec<VertexId>) {
     (degrees, targets)
 }
 
-/// The pre-refactor sequential simplify, reconstructed as an obviously
-/// correct reference: take the raw undirected CSR, then per vertex sort,
-/// drop self-loops and deduplicate into fresh buffers.
-fn reference_simplified(g: &Graph) -> (Vec<usize>, Vec<VertexId>) {
-    let raw = Csr::build(g, Direction::Undirected);
-    let n = raw.num_vertices();
-    let mut degrees = Vec::with_capacity(n);
+/// The sequential simplify as an obviously correct reference: per-vertex
+/// `Vec`s filled edge by edge as `route` says, then each one sorted,
+/// stripped of self-loops and deduplicated into fresh buffers.
+fn reference_simplified(g: &Graph, route: Route<'_>) -> (Vec<usize>, Vec<VertexId>) {
+    let mut lists = vec![Vec::new(); g.num_vertices()];
+    for e in g.edges() {
+        let (s, d) = (e.src as usize, e.dst as usize);
+        match route {
+            Route::Undirected => {
+                lists[s].push(e.dst);
+                lists[d].push(e.src);
+            }
+            Route::Forward(rank) => {
+                lists[rank[s].min(rank[d]) as usize].push(rank[s].max(rank[d]));
+            }
+        }
+    }
+    let mut degrees = Vec::with_capacity(lists.len());
     let mut targets = Vec::new();
-    for v in 0..n as VertexId {
-        let mut list: Vec<VertexId> = raw.neighbors(v).to_vec();
+    for (v, mut list) in lists.into_iter().enumerate() {
         list.sort_unstable();
         list.dedup();
-        list.retain(|&t| t != v);
+        list.retain(|&t| t as usize != v);
         degrees.push(list.len());
         targets.extend_from_slice(&list);
     }
     (degrees, targets)
+}
+
+/// Ranks in descending-id order: a total order other than the identity,
+/// so forward lists are indexed by rank, not by vertex id.
+fn reversed_rank(g: &Graph) -> Vec<VertexId> {
+    let n = g.num_vertices() as VertexId;
+    (0..n).map(|v| n - 1 - v).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -100,23 +117,24 @@ fn reference_simplified(g: &Graph) -> (Vec<usize>, Vec<VertexId>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The in-place heap simplify and the budget-0 spilled build both
-    /// match the sequential sort/dedup reference bit-for-bit.
+    /// The in-place heap simplify and the spilled build both match the
+    /// sequential sort/dedup reference bit-for-bit, on both routes.
     #[test]
     fn heap_and_spilled_simplify_match_the_sequential_reference(g in arb_graph()) {
-        let reference = reference_simplified(&g);
-        let heap = Csr::build_simple_source(&g, Direction::Undirected);
-        prop_assert!(!heap.is_spilled());
-        prop_assert_eq!(&dump(&heap), &reference, "heap");
+        let rank = reversed_rank(&g);
         let dir = spill_dir("prop");
-        let chunk = 1 << 12; // tiny chunks: many spill passes per graph
-        let spilled = Csr::build_spilled(&g, Direction::Undirected, true, chunk, &dir)
-            .expect("spilled build");
-        prop_assert!(spilled.is_spilled());
-        prop_assert_eq!(&dump(&spilled), &reference, "spilled");
-        // unlink-after-mmap: nothing on disk even while the CSR lives
-        prop_assert_eq!(dir_entries(&dir), Vec::<String>::new());
-        drop(spilled);
+        for route in [Route::Undirected, Route::Forward(&rank)] {
+            let reference = reference_simplified(&g, route);
+            let heap = Csr::build(&g, route);
+            prop_assert!(!heap.is_spilled());
+            prop_assert_eq!(&dump(&heap), &reference, "heap {:?}", route);
+            let chunk = 1 << 12; // tiny chunks: many spill passes per graph
+            let spilled = Csr::build_spilled(&g, route, chunk, &dir).expect("spilled build");
+            prop_assert!(spilled.is_spilled());
+            prop_assert_eq!(&dump(&spilled), &reference, "spilled {:?}", route);
+            // unlink-after-mmap: nothing on disk even while the CSR lives
+            prop_assert_eq!(dir_entries(&dir), Vec::<String>::new());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -132,12 +150,13 @@ proptest! {
         spilled_ctx.undirected_simple();
         prop_assert!(spilled_ctx.spilled_csr_builds() >= 1);
         prop_assert_eq!(dump(spilled_ctx.undirected_simple()), dump(heap_ctx.undirected_simple()));
-        for direction in [Direction::Out, Direction::In] {
-            let spilled =
-                Csr::build_spilled(&g, direction, false, 1 << 12, &dir).expect("spilled build");
-            prop_assert!(spilled.is_spilled());
-            prop_assert_eq!(dump(&spilled), dump(&Csr::build_source(&g, direction)));
-        }
+        // ... and so are the forward lists, the adjacency the product spills
+        let rank = reversed_rank(&g);
+        let spilled = Csr::build_spilled(&g, Route::Forward(&rank), 1 << 12, &dir)
+            .expect("spilled build");
+        prop_assert!(spilled.is_spilled());
+        prop_assert_eq!(dump(&spilled), dump(&Csr::build(&g, Route::Forward(&rank))));
+        drop(spilled);
         // every derived analysis quantity is bit-identical
         prop_assert_eq!(spilled_ctx.fingerprint(), heap_ctx.fingerprint());
         prop_assert_eq!(spilled_ctx.triangle_counts(), heap_ctx.triangle_counts());
@@ -219,7 +238,7 @@ fn undirected_simplify_compacts_in_place_without_a_second_targets_buffer() {
     let n = g.num_vertices();
     let entries = g.num_edges() * 2;
     let raw_bytes = Csr::heap_bytes(n, entries) as u64;
-    let (csr, allocated) = tracked(|| Csr::build_undirected_simple(&g));
+    let (csr, allocated) = tracked(|| Csr::build(&g, Route::Undirected));
     assert!(csr.num_entries() < entries, "simplify removed duplicates/self-loops");
     // raw build (offsets + targets + count table) plus slack; a second
     // full-size targets vector (+8 bytes x |E|) would blow this bound

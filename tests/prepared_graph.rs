@@ -9,6 +9,7 @@ mod common;
 
 use common::{arb_graph, naive_triangle_counts};
 use ease_repro::graph::bel::{write_bel, BelSource};
+use ease_repro::graph::csr::Route;
 use ease_repro::graph::degree::DegreeTable;
 use ease_repro::graph::{
     triangles, Csr, Edge, Graph, GraphProperties, GraphSource, MemoryBudget, PropertyTier,
@@ -128,7 +129,7 @@ proptest! {
     #[test]
     fn triangle_kernel_matches_the_naive_oracle(g in arb_multigraph(), rmat in arb_graph()) {
         for g in [&g, &rmat] {
-            let adj = Csr::build_undirected_simple(g);
+            let adj = Csr::build(g, Route::Undirected);
             let want = naive_triangle_counts(&adj);
             prop_assert_eq!(want.len(), g.num_vertices());
             let want_stats = triangles::stats_from_parts(&adj, &want);
