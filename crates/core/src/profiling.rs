@@ -169,13 +169,14 @@ fn spill_rmat(spec: &RmatSpec) -> Option<BelSource> {
 }
 
 /// Shared [`PreparedGraph`] contexts for graph specs that appear in *both*
-/// profiling corpora (ROADMAP open item): the quality and processing passes
-/// used to generate + prepare such a graph once each; the pool keys
-/// contexts by `GraphInput::spec_key` so every overlapping spec is built
-/// exactly once total, and its memoized degrees/triangles feed both
-/// passes. Non-overlapping specs take the old per-pass path and are dropped
-/// as soon as their worker finishes — the pool never grows beyond the
-/// overlap.
+/// profiling corpora: the pool keys contexts by `GraphInput::spec_key`, so
+/// an overlapping spec would be generated and prepared once for both
+/// passes, its memoized degrees/triangles feeding each. No shipped
+/// configuration has such a spec: the R-MAT-SMALL and R-MAT-LARGE corpora
+/// share none at any scale (`training_corpora_share_no_spec` in
+/// `tests/pipeline_integration.rs`), so every spec takes the per-pass path
+/// and is dropped as soon as its worker finishes. The pool stays because
+/// the `ease-bench` `train-tiny` workload names it.
 pub struct PreparedPool {
     eligible: std::collections::HashSet<String>,
     /// Per-key latches: the map lock is held only to fetch/insert a cell;

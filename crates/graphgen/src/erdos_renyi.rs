@@ -4,12 +4,16 @@
 //! interaction-graph recipes in the real-world library (uniform random
 //! contact patterns have neither hubs nor clustering).
 
+use ease_graph::hash::mix64;
 use ease_graph::{Edge, Graph};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// G(n, m): `m` directed edges chosen uniformly without self-loops.
-/// Duplicates are avoided only when `simple` is set.
+/// Duplicates are avoided only when `simple` is set: a drawn pair already
+/// in the graph is dropped and redrawn, two `gen_range` draws per attempt.
 #[derive(Debug, Clone)]
 pub struct ErdosRenyi {
     pub num_vertices: usize,
@@ -34,11 +38,12 @@ impl ErdosRenyi {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut edges = Vec::with_capacity(self.num_edges);
         if self.simple {
-            let mut seen = std::collections::HashSet::with_capacity(self.num_edges * 2);
+            let mut seen: HashSet<u64, BuildHasherDefault<PairHasher>> =
+                HashSet::with_capacity_and_hasher(self.num_edges * 2, Default::default());
             while edges.len() < self.num_edges {
                 let src = rng.gen_range(0..n);
                 let dst = rng.gen_range(0..n);
-                if src != dst && seen.insert((src, dst)) {
+                if src != dst && seen.insert(u64::from(src) << 32 | u64::from(dst)) {
                     edges.push(Edge::new(src, dst));
                 }
             }
@@ -52,6 +57,29 @@ impl ErdosRenyi {
             }
         }
         Graph::new(self.num_vertices, edges)
+    }
+}
+
+/// The membership set's hasher: one [`mix64`] per `(src, dst)` key in
+/// place of SipHash. Only membership is read, so the hash moves no edge;
+/// the keys are the generator's own draws, so no outside input can pick
+/// colliding ones.
+#[derive(Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = mix64(self.0 ^ u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = mix64(self.0 ^ key);
     }
 }
 

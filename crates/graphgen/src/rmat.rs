@@ -49,7 +49,7 @@ pub const RMAT_COMBOS: [RmatParams; 9] = [
 pub struct Rmat {
     pub params: RmatParams,
     /// Number of vertices. Internally rounded up to the next power of two
-    /// for the quadrant recursion; sampled ids are folded back with modulo.
+    /// for the quadrant recursion; sampled ids are folded back modulo `n`.
     pub num_vertices: usize,
     pub num_edges: usize,
     /// Multiplicative noise on the quadrant probabilities per recursion
@@ -75,22 +75,73 @@ impl Rmat {
     /// edge list — `ease gen` pipes this straight into a file writer, so
     /// arbitrarily large R-MAT graphs generate in constant memory. Emits
     /// exactly the edges (and order) of [`Rmat::generate`].
+    ///
+    /// Each attempt descends `levels = ⌈log2 n⌉` quadrant levels and draws
+    /// 5 × `levels` uniforms: four weight perturbations, then the pick.
+    /// The pick is read as bits, with no branch the CPU would have to
+    /// guess. With `qa = r < na`, `qab = r < na + nb` and
+    /// `qabc = r < na + nb + nc`, the row bit is `!qa & !qab` and the
+    /// column bit is `!qa & (qab | !qabc)`: the `a` / `b` / `c` / `d` `if`
+    /// chain for any weights, noise-perturbed or negative ones included.
+    /// The sampled ids are below `2^levels < 2n`, so folding them into
+    /// `0..n` is one conditional subtract. Attempts that land on the
+    /// diagonal are dropped and redrawn.
     pub fn generate_into(&self, sink: &mut dyn FnMut(Edge)) {
         assert!(self.num_vertices >= 2, "R-MAT needs at least 2 vertices");
         let levels = (usize::BITS - (self.num_vertices - 1).leading_zeros()) as usize;
         let levels = levels.max(1);
         let n = self.num_vertices as u64;
+        let fold = |id: u64| (if id >= n { id - n } else { id }) as u32;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut emitted = 0usize;
         let RmatParams { a, b, c, d } = self.params;
+        // `1 - noise + 2 noise u` evaluates as `(1 - noise) + (2 noise) u`
+        let (base, spread) = (1.0 - self.noise, 2.0 * self.noise);
         while emitted < self.num_edges {
             let (mut row, mut col) = (0u64, 0u64);
             for _ in 0..levels {
                 // Perturb probabilities per level to avoid lattice artefacts.
-                let na = a * (1.0 - self.noise + 2.0 * self.noise * rng.gen::<f64>());
-                let nb = b * (1.0 - self.noise + 2.0 * self.noise * rng.gen::<f64>());
-                let nc = c * (1.0 - self.noise + 2.0 * self.noise * rng.gen::<f64>());
-                let nd = d * (1.0 - self.noise + 2.0 * self.noise * rng.gen::<f64>());
+                let na = a * (base + spread * rng.gen::<f64>());
+                let nb = b * (base + spread * rng.gen::<f64>());
+                let nc = c * (base + spread * rng.gen::<f64>());
+                let nd = d * (base + spread * rng.gen::<f64>());
+                let total = na + nb + nc + nd;
+                let r = rng.gen::<f64>() * total;
+                let (qa, qab, qabc) = (r < na, r < na + nb, r < na + nb + nc);
+                row = row << 1 | u64::from(!qa & !qab);
+                col = col << 1 | u64::from(!qa & (qab | !qabc));
+            }
+            let (src, dst) = (fold(row), fold(col));
+            if src != dst {
+                sink(Edge::new(src, dst));
+                emitted += 1;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ease_graph::hash::SplitMix64;
+    use ease_graph::DegreeTable;
+
+    /// The descent as it was before it went branch-free: the quadrant `if`
+    /// chain and the `%` fold, same draws in the same order.
+    fn branchy_oracle(rmat: &Rmat) -> Vec<Edge> {
+        let levels = (usize::BITS - (rmat.num_vertices - 1).leading_zeros()) as usize;
+        let levels = levels.max(1);
+        let n = rmat.num_vertices as u64;
+        let mut rng = StdRng::seed_from_u64(rmat.seed);
+        let mut edges = Vec::new();
+        let RmatParams { a, b, c, d } = rmat.params;
+        while edges.len() < rmat.num_edges {
+            let (mut row, mut col) = (0u64, 0u64);
+            for _ in 0..levels {
+                let na = a * (1.0 - rmat.noise + 2.0 * rmat.noise * rng.gen::<f64>());
+                let nb = b * (1.0 - rmat.noise + 2.0 * rmat.noise * rng.gen::<f64>());
+                let nc = c * (1.0 - rmat.noise + 2.0 * rmat.noise * rng.gen::<f64>());
+                let nd = d * (1.0 - rmat.noise + 2.0 * rmat.noise * rng.gen::<f64>());
                 let total = na + nb + nc + nd;
                 let r = rng.gen::<f64>() * total;
                 row <<= 1;
@@ -109,17 +160,37 @@ impl Rmat {
             let src = (row % n) as u32;
             let dst = (col % n) as u32;
             if src != dst {
-                sink(Edge::new(src, dst));
-                emitted += 1;
+                edges.push(Edge::new(src, dst));
+            }
+        }
+        edges
+    }
+
+    /// Random weights (every third case with one quadrant at zero), noise
+    /// off, realistic and above 1 (perturbed weights go negative), and
+    /// vertex counts on both sides of a power of two up to 2^32.
+    #[test]
+    fn branch_free_descent_matches_the_if_chain() {
+        let mut draw = SplitMix64::new(0xD1CE);
+        for case in 0..24usize {
+            let mut w = [(); 4].map(|()| 0.05 + draw.next_f64());
+            if case % 3 == 0 {
+                w[case / 3 % 4] = 0.0;
+            }
+            let sum: f64 = w.iter().sum();
+            let params = RmatParams { a: w[0] / sum, b: w[1] / sum, c: w[2] / sum, d: w[3] / sum };
+            let k = 2 + case % 14;
+            for noise in [0.0, 0.1, 1.5] {
+                for n in [2, 3, (1 << k) - 1, 1 << k, (1 << k) + 1, 1 << 32] {
+                    let rmat =
+                        Rmat { params, num_vertices: n, num_edges: 300, noise, seed: case as u64 };
+                    let mut streamed = Vec::new();
+                    rmat.generate_into(&mut |e| streamed.push(e));
+                    assert_eq!(streamed, branchy_oracle(&rmat), "{rmat:?}");
+                }
             }
         }
     }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use ease_graph::DegreeTable;
 
     #[test]
     fn combos_match_table_ii() {
