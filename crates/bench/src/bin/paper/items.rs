@@ -449,10 +449,11 @@ fn fig9(lab: &Lab, doc: &mut Doc) {
             .iter()
             .find(|g| g.graph_name.contains("enwiki") && g.workload.name() == name)
             .expect("the Table IV set has an enwiki analogue and both workloads are trained");
+        let baseline = |s| strategy_pick(s, &g.truth, goal).expect("a measured group picks one");
         let chosen = [
             ("S_PS", lab.ease().try_select(&g.props, g.workload, k, goal).expect("trained").best),
-            ("S_SRF", strategy_pick(Strategy::SmallestRf, &g.truth, goal)),
-            ("optimal", strategy_pick(Strategy::Optimal, &g.truth, goal)),
+            ("S_SRF", baseline(Strategy::SmallestRf)),
+            ("optimal", baseline(Strategy::Optimal)),
         ];
         let mut ranked = g.truth.clone();
         ranked.sort_by(|a, b| a.cost(goal).total_cmp(&b.cost(goal)));

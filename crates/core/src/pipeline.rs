@@ -3,8 +3,8 @@
 
 use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 use crate::profiling::{
-    profile_processing_pooled, profile_quality_pooled, GraphInput, PreparedPool, ProcessingRecord,
-    QualityRecord, TimingMode,
+    profile_processing_with, profile_quality_with, GraphInput, ProcessingRecord, QualityRecord,
+    TimingMode,
 };
 use crate::selector::Ease;
 use ease_graph::PropertyTier;
@@ -114,24 +114,16 @@ pub struct TrainingArtifacts {
 /// Run the full pipeline: profile both corpora, select + train the three
 /// predictors, assemble the system.
 pub fn train_ease(cfg: &EaseConfig) -> (Ease, TrainingArtifacts) {
-    let small = cfg.small_inputs();
-    let large = cfg.large_inputs();
-    // Specs present in both corpora are generated + prepared once total
-    // and shared between the quality and processing passes; the pool is
-    // dropped (with its contexts) as soon as profiling ends.
-    let pool = PreparedPool::for_overlap(&small, &large);
     let quality_records =
-        profile_quality_pooled(&small, &cfg.partitioners, &cfg.ks, cfg.seed, cfg.timing, &pool);
-    let processing_records = profile_processing_pooled(
-        &large,
+        profile_quality_with(&cfg.small_inputs(), &cfg.partitioners, &cfg.ks, cfg.seed, cfg.timing);
+    let processing_records = profile_processing_with(
+        &cfg.large_inputs(),
         &cfg.partitioners,
         cfg.processing_k,
         &cfg.workloads,
         cfg.seed ^ 0x9A,
         cfg.timing,
-        &pool,
     );
-    drop(pool);
     let quality =
         QualityPredictor::train(&quality_records, cfg.tier, &cfg.grid, cfg.folds, cfg.seed);
     // Partitioning time is trained on the larger graphs (paper Sec. IV-A);
@@ -216,7 +208,7 @@ mod tests {
             partitioners: vec![PartitionerId::OneDD],
             ..EaseConfig::at_scale(Scale::Tiny)
         };
-        let records = crate::profiling::profile_processing_with(
+        let records = profile_processing_with(
             &cfg.large_inputs(),
             &cfg.partitioners,
             2,

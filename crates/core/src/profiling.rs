@@ -3,18 +3,21 @@
 //! measure quality + run-time, then execute the processing workloads and
 //! measure their (simulated) run-time.
 //!
-//! Profiling fans out over graphs with std scoped threads; each
-//! worker prepares its graph exactly once — one [`PreparedGraph`] context
-//! feeds the property extraction *and* every partitioner × k × workload
-//! measurement — and drops it; the corpora are never materialized at once.
-//! Materialized inputs are borrowed in place (no per-worker deep copies of
-//! the edge list).
+//! Profiling fans out over graphs on the queue model selection runs on
+//! ([`ease_ml::cv::ticketed`], largest graph first); each worker prepares
+//! its graph exactly once — one [`PreparedGraph`] context feeds the
+//! property extraction *and* every partitioner × k × workload measurement —
+//! and drops it; the corpora are never materialized at once. Materialized
+//! inputs are borrowed in place (no per-worker deep copies of the edge
+//! list). Nothing is shared across the two corpora: they share no spec
+//! (see [`PreparedPool`], of which only the overlap is left).
 
 use ease_graph::bel::{BelSource, BelWriter};
 use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::grids::RmatSpec;
 use ease_graphgen::realworld::{GraphType, TestGraph};
 use ease_graphgen::rmat::Rmat;
+use ease_ml::cv::ticketed;
 use ease_partition::{run_partitioner_prepared, PartitionerId, QualityMetrics};
 use ease_procsim::{ClusterSpec, DistributedGraph, Workload};
 use std::collections::HashMap;
@@ -168,115 +171,34 @@ fn spill_rmat(spec: &RmatSpec) -> Option<BelSource> {
     source
 }
 
-/// Shared [`PreparedGraph`] contexts for graph specs that appear in *both*
-/// profiling corpora: the pool keys contexts by `GraphInput::spec_key`, so
-/// an overlapping spec would be generated and prepared once for both
-/// passes, its memoized degrees/triangles feeding each. No shipped
-/// configuration has such a spec: the R-MAT-SMALL and R-MAT-LARGE corpora
-/// share none at any scale (`training_corpora_share_no_spec` in
-/// `tests/pipeline_integration.rs`), so every spec takes the per-pass path
-/// and is dropped as soon as its worker finishes. The pool stays because
-/// the `ease-bench` `train-tiny` workload names it.
+/// How many specs the two profiling corpora share — all that is left of a
+/// pool that once prepared such a spec once for both passes. No shipped
+/// configuration has one: the R-MAT-SMALL and R-MAT-LARGE corpora share
+/// none at any scale (`training_corpora_share_no_spec` in
+/// `tests/pipeline_integration.rs`), and a shared R-MAT spec would still be
+/// generated once per process by the spill cache. Every input is prepared
+/// by [`GraphInput::prepare`] on the worker that profiles it. The type and
+/// [`profile_quality_pooled`] / [`profile_processing_pooled`] stay only
+/// because `ease-bench`'s `train-tiny` workload names them.
 pub struct PreparedPool {
-    eligible: std::collections::HashSet<String>,
-    /// Per-key latches: the map lock is held only to fetch/insert a cell;
-    /// the (expensive) generate + prepare runs inside the cell's
-    /// `OnceLock`, so concurrent *distinct* specs build in parallel while
-    /// concurrent requests for the *same* spec still build exactly once.
-    shared: Mutex<HashMap<String, Arc<OnceLock<Arc<PreparedGraph<'static>>>>>>,
-    builds: AtomicUsize,
-    reuses: AtomicUsize,
+    /// The spec keys both corpora contain — keys, not a count, because
+    /// `train-tiny` calls `drop(pool)`, which `clippy::drop_non_drop`
+    /// rejects for a type without drop glue.
+    shared: std::collections::HashSet<String>,
 }
 
 impl PreparedPool {
-    /// A pool eligible for exactly the specs present in both corpora.
+    /// The overlap of the two corpora, by [`GraphInput`] spec key.
     pub fn for_overlap(a: &[GraphInput], b: &[GraphInput]) -> PreparedPool {
         let keys_a: std::collections::HashSet<String> =
             a.iter().map(GraphInput::spec_key).collect();
-        let eligible = b.iter().map(GraphInput::spec_key).filter(|k| keys_a.contains(k)).collect();
-        PreparedPool {
-            eligible,
-            shared: Mutex::new(HashMap::new()),
-            builds: AtomicUsize::new(0),
-            reuses: AtomicUsize::new(0),
-        }
-    }
-
-    /// An empty pool (no sharing) — the behaviour of the unpooled API.
-    pub fn disabled() -> PreparedPool {
-        PreparedPool {
-            eligible: Default::default(),
-            shared: Mutex::new(HashMap::new()),
-            builds: AtomicUsize::new(0),
-            reuses: AtomicUsize::new(0),
-        }
+        let shared = b.iter().map(GraphInput::spec_key).filter(|k| keys_a.contains(k)).collect();
+        PreparedPool { shared }
     }
 
     /// How many specs the two corpora share.
     pub fn overlap(&self) -> usize {
-        self.eligible.len()
-    }
-
-    /// `(contexts built, contexts served from the pool)` so far.
-    pub fn stats(&self) -> (usize, usize) {
-        // lint: relaxed-ok(monotonic stats counters; readers tolerate stale values)
-        (self.builds.load(Ordering::Relaxed), self.reuses.load(Ordering::Relaxed))
-    }
-
-    /// Prepare `input`, sharing the context if its spec is in the overlap.
-    fn prepare<'i>(&self, input: &'i GraphInput) -> PooledPrepared<'i> {
-        // No overlap (the disabled-pool legacy paths): skip spec_key
-        // entirely — for materialized inputs it costs a full O(|E|)
-        // fingerprint pass that could never produce a hit.
-        if self.eligible.is_empty() {
-            return PooledPrepared::Local(input.prepare());
-        }
-        let key = input.spec_key();
-        if !self.eligible.contains(&key) {
-            return PooledPrepared::Local(input.prepare());
-        }
-        let cell = {
-            let mut shared = self.shared.lock().expect("prepared pool lock");
-            Arc::clone(shared.entry(key.clone()).or_default())
-        };
-        // Build outside the map lock: racing workers for the same spec
-        // serialize on this key's OnceLock only, never on each other.
-        let mut built = false;
-        let arc = cell.get_or_init(|| {
-            built = true;
-            Arc::new(match input {
-                GraphInput::Rmat(s) => match rmat_spilled_source(s, &key) {
-                    Some(source) => PreparedGraph::from_source(Box::new(source)),
-                    None => PreparedGraph::new(s.generate()),
-                },
-                GraphInput::Materialized(t) => PreparedGraph::new(t.graph.clone()),
-            })
-        });
-        if built {
-            self.builds.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(stats counter only)
-        } else {
-            self.reuses.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(stats counter only)
-        }
-        PooledPrepared::Pooled(Arc::clone(arc))
-    }
-}
-
-/// A context that is either private to one profiling worker or shared
-/// through the [`PreparedPool`]. One short-lived value per profiled graph,
-/// so the variant size gap is irrelevant; boxing the local context would
-/// only add an indirection on the hot path.
-#[allow(clippy::large_enum_variant)]
-enum PooledPrepared<'i> {
-    Local(PreparedGraph<'i>),
-    Pooled(Arc<PreparedGraph<'static>>),
-}
-
-impl PooledPrepared<'_> {
-    fn get(&self) -> &PreparedGraph<'_> {
-        match self {
-            PooledPrepared::Local(p) => p,
-            PooledPrepared::Pooled(p) => p,
-        }
+        self.shared.len()
     }
 }
 
@@ -313,40 +235,24 @@ pub struct ProcessingRecord {
     pub total_secs: f64,
 }
 
-fn worker_count(n_items: usize) -> usize {
-    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4).min(n_items.max(1))
-}
-
-/// Run `f` over the inputs with scoped-thread fan-out, collecting outputs.
-/// One graph per worker is the only level of parallelism: every pass inside
-/// a [`PreparedGraph`] runs on the worker that asked for it. Tickets go out
-/// in descending edge count, outputs come back in input order.
-fn parallel_profile<T: Send, F>(inputs: &[GraphInput], f: F) -> Vec<T>
-where
-    F: Fn(&GraphInput) -> Vec<T> + Sync,
-{
-    let results: Mutex<Vec<(usize, Vec<T>)>> = Mutex::new(Vec::new());
+/// Prepare each input once and run `f` over it on [`ticketed`]'s threads,
+/// collecting outputs. One graph per worker is the only level of
+/// parallelism: every pass inside a [`PreparedGraph`] runs on the worker
+/// that asked for it, and the context is dropped when `f` returns. Tickets
+/// go out in descending edge count, outputs come back in input order.
+fn profile_each<T: Send>(
+    inputs: &[GraphInput],
+    f: impl Fn(&GraphInput, &PreparedGraph) -> Vec<T> + Sync,
+) -> Vec<T> {
     // largest first: the greedy queue's makespan is worst when the biggest
     // graph is handed out last (stable sort — equal sizes keep input order)
     let mut order: Vec<usize> = (0..inputs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(inputs[i].num_edges()));
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    let workers = worker_count(inputs.len());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // lint: relaxed-ok(work-stealing ticket counter; item handoff is via scope join)
-                let ticket = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&idx) = order.get(ticket) else {
-                    break;
-                };
-                let out = f(&inputs[idx]);
-                results.lock().unwrap().push((idx, out));
-            });
-        }
+    let outputs = ticketed(order.len(), |t| {
+        let input = &inputs[order[t]];
+        f(input, &input.prepare())
     });
-    // deterministic output order regardless of thread scheduling
-    let mut chunks = results.into_inner().unwrap();
+    let mut chunks: Vec<(usize, Vec<T>)> = order.into_iter().zip(outputs).collect();
     chunks.sort_by_key(|(idx, _)| *idx);
     chunks.into_iter().flat_map(|(_, out)| out).collect()
 }
@@ -361,23 +267,7 @@ pub fn profile_quality_with(
     seed: u64,
     timing: TimingMode,
 ) -> Vec<QualityRecord> {
-    profile_quality_pooled(inputs, partitioners, ks, seed, timing, &PreparedPool::disabled())
-}
-
-/// [`profile_quality_with`] sharing prepared contexts through `pool` for
-/// specs that also appear in the processing corpus. Records are identical
-/// to the unpooled call — the pool only changes *where* contexts come from.
-pub fn profile_quality_pooled(
-    inputs: &[GraphInput],
-    partitioners: &[PartitionerId],
-    ks: &[usize],
-    seed: u64,
-    timing: TimingMode,
-    pool: &PreparedPool,
-) -> Vec<QualityRecord> {
-    parallel_profile(inputs, |input| {
-        let pooled = pool.prepare(input);
-        let prepared = pooled.get();
+    profile_each(inputs, |input, prepared| {
         // Extracting properties first also warms the context (degree table,
         // triangles), so no partitioner run is charged for the shared
         // derivation under measured timing.
@@ -401,10 +291,27 @@ pub fn profile_quality_pooled(
     })
 }
 
+/// [`profile_quality_with`]; the pool is not read (see [`PreparedPool`]).
+pub fn profile_quality_pooled(
+    inputs: &[GraphInput],
+    partitioners: &[PartitionerId],
+    ks: &[usize],
+    seed: u64,
+    timing: TimingMode,
+    _pool: &PreparedPool,
+) -> Vec<QualityRecord> {
+    profile_quality_with(inputs, partitioners, ks, seed, timing)
+}
+
 /// Steps 2+3 combined for the time predictors: partition with every
 /// partitioner at a fixed `k` (partitioning time as `timing` obtains it),
 /// then execute every workload on the partitioned graph with the cluster
 /// cost model.
+///
+/// Each workload runs once per graph, not once per placement: which vertices
+/// are active in which superstep does not depend on the partitioning, so the
+/// activity traces are taken on the first partitioner's placement and every
+/// placement — that one included — is priced from them.
 pub fn profile_processing_with(
     inputs: &[GraphInput],
     partitioners: &[PartitionerId],
@@ -413,36 +320,8 @@ pub fn profile_processing_with(
     seed: u64,
     timing: TimingMode,
 ) -> Vec<ProcessingRecord> {
-    profile_processing_pooled(
-        inputs,
-        partitioners,
-        k,
-        workloads,
-        seed,
-        timing,
-        &PreparedPool::disabled(),
-    )
-}
-
-/// [`profile_processing_with`] sharing prepared contexts through `pool`.
-///
-/// Each workload runs once per graph, not once per placement: which vertices
-/// are active in which superstep does not depend on the partitioning, so the
-/// activity traces are taken on the first partitioner's placement and every
-/// placement — that one included — is priced from them.
-pub fn profile_processing_pooled(
-    inputs: &[GraphInput],
-    partitioners: &[PartitionerId],
-    k: usize,
-    workloads: &[Workload],
-    seed: u64,
-    timing: TimingMode,
-    pool: &PreparedPool,
-) -> Vec<ProcessingRecord> {
     let cluster = ClusterSpec::new(k);
-    parallel_profile(inputs, |input| {
-        let pooled = pool.prepare(input);
-        let prepared = pooled.get();
+    profile_each(inputs, |input, prepared| {
         let props = prepared.properties(PropertyTier::Advanced);
         let mut out = Vec::with_capacity(partitioners.len() * workloads.len());
         let mut traces = None;
@@ -470,6 +349,19 @@ pub fn profile_processing_pooled(
         }
         out
     })
+}
+
+/// [`profile_processing_with`]; the pool is not read (see [`PreparedPool`]).
+pub fn profile_processing_pooled(
+    inputs: &[GraphInput],
+    partitioners: &[PartitionerId],
+    k: usize,
+    workloads: &[Workload],
+    seed: u64,
+    timing: TimingMode,
+    _pool: &PreparedPool,
+) -> Vec<ProcessingRecord> {
+    profile_processing_with(inputs, partitioners, k, workloads, seed, timing)
 }
 
 #[cfg(test)]
@@ -534,66 +426,6 @@ mod tests {
         let gi = GraphInput::Materialized(tg.clone());
         assert_eq!(gi.graph_type(), Some(GraphType::Social));
         assert_eq!(gi.prepare().num_edges(), tg.graph.num_edges());
-    }
-
-    #[test]
-    fn pooled_profiling_builds_overlapping_specs_once_and_matches_unpooled() {
-        // both "corpora" share their first two specs
-        let quality_inputs = tiny_inputs(3);
-        let processing_inputs: Vec<GraphInput> = tiny_inputs(2);
-        let parts = [PartitionerId::OneDD, PartitionerId::Dbh];
-        let workloads = [Workload::PageRank { iterations: 3 }];
-        let pool = PreparedPool::for_overlap(&quality_inputs, &processing_inputs);
-        assert_eq!(pool.overlap(), 2);
-        let q_pooled = profile_quality_pooled(
-            &quality_inputs,
-            &parts,
-            &[2, 4],
-            1,
-            TimingMode::Deterministic,
-            &pool,
-        );
-        let p_pooled = profile_processing_pooled(
-            &processing_inputs,
-            &parts,
-            4,
-            &workloads,
-            2,
-            TimingMode::Deterministic,
-            &pool,
-        );
-        // the two overlapping specs were built exactly once total, then
-        // served back to the second pass from the pool
-        let (builds, reuses) = pool.stats();
-        assert_eq!(builds, 2, "one build per overlapping spec");
-        assert_eq!(reuses, 2, "the processing pass reused both");
-        // pooled records are identical to the unpooled path
-        let q_plain =
-            profile_quality_with(&quality_inputs, &parts, &[2, 4], 1, TimingMode::Deterministic);
-        let p_plain = profile_processing_with(
-            &processing_inputs,
-            &parts,
-            4,
-            &workloads,
-            2,
-            TimingMode::Deterministic,
-        );
-        assert_eq!(q_pooled.len(), q_plain.len());
-        for (a, b) in q_pooled.iter().zip(&q_plain) {
-            assert_eq!(a.graph_name, b.graph_name);
-            assert_eq!(a.props, b.props);
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.partitioning_secs.to_bits(), b.partitioning_secs.to_bits());
-        }
-        assert_eq!(p_pooled.len(), p_plain.len());
-        for (a, b) in p_pooled.iter().zip(&p_plain) {
-            assert_eq!(a.graph_name, b.graph_name);
-            assert_eq!(a.metrics, b.metrics);
-            assert_eq!(a.target_secs.to_bits(), b.target_secs.to_bits());
-        }
-        // disjoint specs never enter the pool
-        let disjoint = PreparedPool::for_overlap(&tiny_inputs(1), &tiny_inputs(0));
-        assert_eq!(disjoint.overlap(), 0);
     }
 
     #[test]

@@ -166,11 +166,10 @@ impl TrueCosts {
     }
 }
 
-/// The selection strategies compared in Table VIII.
+/// The baseline strategies EASE's selector (S_PS, [`Ease::try_select`]) is
+/// compared against in Table VIII.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
-    /// EASE's prediction-based selector (S_PS).
-    Ease,
     /// Oracle: the truly optimal partitioner (S_O).
     Optimal,
     /// Smallest *true* replication factor (S_SRF — the paper notes this is
@@ -185,7 +184,6 @@ pub enum Strategy {
 impl Strategy {
     pub fn name(self) -> &'static str {
         match self {
-            Strategy::Ease => "S_PS",
             Strategy::Optimal => "S_O",
             Strategy::SmallestRf => "S_SRF",
             Strategy::Random => "S_R",
@@ -194,58 +192,40 @@ impl Strategy {
     }
 }
 
-/// The achieved time of a baseline strategy on measured candidates.
-/// `Random` returns the expectation over a uniform pick; the others return
-/// the cost of their deterministic choice.
-pub fn strategy_cost(strategy: Strategy, truth: &[TrueCosts], goal: OptGoal) -> f64 {
-    assert!(!truth.is_empty());
-    let cost = |t: &TrueCosts| t.cost(goal);
+/// The measured candidate a baseline picks: S_O the first of equal minimal
+/// costs, S_W the last of equal maximal ones, S_SRF the first of equal
+/// smallest replication factors. `None` for S_R, which is an expectation,
+/// not a choice, and when there is no candidate.
+fn picked(strategy: Strategy, truth: &[TrueCosts], goal: OptGoal) -> Option<&TrueCosts> {
+    let by_cost = |a: &&TrueCosts, b: &&TrueCosts| a.cost(goal).total_cmp(&b.cost(goal));
     match strategy {
-        Strategy::Ease => panic!("S_PS needs predictions; use Ease::try_select"),
-        Strategy::Optimal => truth.iter().map(cost).fold(f64::INFINITY, f64::min),
-        Strategy::Worst => truth.iter().map(cost).fold(0.0, f64::max),
-        Strategy::Random => truth.iter().map(cost).sum::<f64>() / truth.len() as f64,
+        Strategy::Optimal => truth.iter().min_by(by_cost),
+        Strategy::Worst => truth.iter().max_by(by_cost),
         Strategy::SmallestRf => {
-            let pick = truth
-                .iter()
-                .min_by(|a, b| {
-                    a.replication_factor.partial_cmp(&b.replication_factor).expect("finite rf")
-                })
-                .expect("non-empty");
-            pick.cost(goal)
+            truth.iter().min_by(|a, b| a.replication_factor.total_cmp(&b.replication_factor))
         }
+        Strategy::Random => None,
     }
 }
 
-/// The partitioner a deterministic baseline strategy picks.
-pub fn strategy_pick(strategy: Strategy, truth: &[TrueCosts], goal: OptGoal) -> PartitionerId {
-    assert!(!truth.is_empty());
-    match strategy {
-        Strategy::Ease => panic!("S_PS needs predictions; use Ease::try_select"),
-        Strategy::Random => panic!("random strategy has no deterministic pick"),
-        Strategy::Optimal => {
-            truth
-                .iter()
-                .min_by(|a, b| a.cost(goal).partial_cmp(&b.cost(goal)).expect("finite"))
-                .expect("non-empty")
-                .partitioner
-        }
-        Strategy::Worst => {
-            truth
-                .iter()
-                .max_by(|a, b| a.cost(goal).partial_cmp(&b.cost(goal)).expect("finite"))
-                .expect("non-empty")
-                .partitioner
-        }
-        Strategy::SmallestRf => {
-            truth
-                .iter()
-                .min_by(|a, b| {
-                    a.replication_factor.partial_cmp(&b.replication_factor).expect("finite")
-                })
-                .expect("non-empty")
-                .partitioner
-        }
+/// The partitioner a baseline picks on measured candidates — `None` for
+/// S_R, whose cost is an expectation over every candidate, and for an empty
+/// `truth`.
+pub fn strategy_pick(
+    strategy: Strategy,
+    truth: &[TrueCosts],
+    goal: OptGoal,
+) -> Option<PartitionerId> {
+    picked(strategy, truth, goal).map(|t| t.partitioner)
+}
+
+/// The achieved time of a baseline on measured candidates: the cost of its
+/// [`strategy_pick`], and for S_R the mean cost, the expectation over a
+/// uniform pick. `NaN` for an empty `truth`.
+pub fn strategy_cost(strategy: Strategy, truth: &[TrueCosts], goal: OptGoal) -> f64 {
+    match picked(strategy, truth, goal) {
+        Some(pick) => pick.cost(goal),
+        None => truth.iter().map(|t| t.cost(goal)).sum::<f64>() / truth.len() as f64,
     }
 }
 
@@ -293,24 +273,27 @@ mod tests {
         // smallest RF is NE, which pays 30s of partitioning
         assert_eq!(
             strategy_pick(Strategy::SmallestRf, &truth, OptGoal::EndToEnd),
-            PartitionerId::Ne
+            Some(PartitionerId::Ne)
         );
         let srf = strategy_cost(Strategy::SmallestRf, &truth, OptGoal::EndToEnd);
         assert!((srf - 40.0).abs() < 1e-12);
         // under processing-only, NE is actually optimal
         assert_eq!(
             strategy_pick(Strategy::Optimal, &truth, OptGoal::ProcessingOnly),
-            PartitionerId::Ne
+            Some(PartitionerId::Ne)
         );
     }
 
     #[test]
     fn goal_changes_the_oracle() {
         let truth = sample_truth();
-        assert_eq!(strategy_pick(Strategy::Optimal, &truth, OptGoal::EndToEnd), PartitionerId::Dbh);
+        assert_eq!(
+            strategy_pick(Strategy::Optimal, &truth, OptGoal::EndToEnd),
+            Some(PartitionerId::Dbh)
+        );
         assert_eq!(
             strategy_pick(Strategy::Optimal, &truth, OptGoal::ProcessingOnly),
-            PartitionerId::Ne
+            Some(PartitionerId::Ne)
         );
     }
 
@@ -320,5 +303,29 @@ mod tests {
         let expect = (51.0 + 40.0 + 21.5) / 3.0;
         let got = strategy_cost(Strategy::Random, &truth, OptGoal::EndToEnd);
         assert!((got - expect).abs() < 1e-12);
+        assert_eq!(strategy_pick(Strategy::Random, &truth, OptGoal::EndToEnd), None);
+    }
+
+    #[test]
+    fn ties_go_to_the_first_minimum_and_the_last_maximum() {
+        // three candidates of one cost and one replication factor
+        let truth: Vec<TrueCosts> = sample_truth()
+            .into_iter()
+            .map(|t| TrueCosts {
+                replication_factor: 2.0,
+                partitioning_secs: 1.0,
+                processing_secs: 9.0,
+                ..t
+            })
+            .collect();
+        let pick = |s| strategy_pick(s, &truth, OptGoal::EndToEnd);
+        assert_eq!(pick(Strategy::Optimal), Some(PartitionerId::OneDD));
+        assert_eq!(pick(Strategy::SmallestRf), Some(PartitionerId::OneDD));
+        assert_eq!(pick(Strategy::Worst), Some(PartitionerId::Dbh));
+        for s in [Strategy::Optimal, Strategy::SmallestRf, Strategy::Random, Strategy::Worst] {
+            assert_eq!(strategy_cost(s, &truth, OptGoal::EndToEnd), 10.0, "{}", s.name());
+            assert_eq!(strategy_pick(s, &[], OptGoal::EndToEnd), None, "{}", s.name());
+            assert!(strategy_cost(s, &[], OptGoal::EndToEnd).is_nan(), "{}", s.name());
+        }
     }
 }

@@ -70,55 +70,43 @@ pub(crate) fn serve_one(
     prefix: [u8; 2],
     submit: &mut dyn FnMut(Request) -> Option<Response>,
 ) -> SessionState {
+    // a peer that broke the protocol gets a best-effort `400` and the close
+    let violation = |stream: &mut BufReader<_>, reason: &str| {
+        let body = Response::Error(format!("serve error: protocol violation: {reason}"));
+        respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
+        SessionState::Close
+    };
     let head_bytes = match read_head(stream, prefix) {
         Ok(bytes) => bytes,
         Err(ReadHeadError::TooLarge) => {
-            let body = Response::Error(format!(
-                "serve error: protocol violation: HTTP request head exceeds \
-                 the {MAX_HEAD_BYTES}-byte cap"
-            ));
-            respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
-            return SessionState::Close;
+            return violation(
+                stream,
+                &format!("HTTP request head exceeds the {MAX_HEAD_BYTES}-byte cap"),
+            );
         }
         // peer vanished mid-head: nothing to answer
         Err(ReadHeadError::Io) => return SessionState::Close,
     };
     let Ok(head) = std::str::from_utf8(&head_bytes) else {
-        let body = Response::Error(
-            "serve error: protocol violation: HTTP request head is not UTF-8".into(),
-        );
-        respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
-        return SessionState::Close;
+        return violation(stream, "HTTP request head is not UTF-8");
     };
     let parsed = match parse_head(head) {
         Ok(parsed) => parsed,
-        Err(message) => {
-            let body = Response::Error(format!("serve error: protocol violation: {message}"));
-            respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
-            return SessionState::Close;
-        }
+        Err(message) => return violation(stream, &message),
     };
     let body = match parsed.content_length {
         0 => None,
         len if len > MAX_FRAME_BYTES => {
-            let body = Response::Error(format!(
-                "serve error: protocol violation: declared body of {len} bytes \
-                 exceeds the {MAX_FRAME_BYTES}-byte cap"
-            ));
-            respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
-            return SessionState::Close;
+            return violation(
+                stream,
+                &format!("declared body of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
+            );
         }
         len => {
             let Ok(buf) = read_capped_payload(stream, len) else { return SessionState::Close };
             match String::from_utf8(buf) {
                 Ok(text) => Some(text),
-                Err(_) => {
-                    let body = Response::Error(
-                        "serve error: protocol violation: HTTP body is not UTF-8".into(),
-                    );
-                    respond(stream.get_mut(), 400, "Bad Request", &body.to_json(), true).ok();
-                    return SessionState::Close;
-                }
+                Err(_) => return violation(stream, "HTTP body is not UTF-8"),
             }
         }
     };

@@ -147,9 +147,10 @@ impl MemoryBudget {
         });
     }
 
-    /// Parse a human byte-size spec: a plain byte count (`"1048576"`), a
-    /// `k`/`m`/`g` suffix with optional `b` (`"64k"`, `"512MiB"`, `"2g"`),
-    /// or `"unlimited"`/`"none"` for no limit. `"0"` means *always spill*.
+    /// Parse a human byte-size spec, case-insensitive: a plain byte count
+    /// (`"1048576"`, `"1048576b"`), a `k`/`m`/`g` suffix optionally followed
+    /// by `b` or `ib` (`"64k"`, `"512MiB"`, `"2gb"`), or `"unlimited"`/`"none"`
+    /// for no limit. `"0"` means *always spill*.
     pub fn parse_limit(spec: &str) -> Result<usize, String> {
         let s = spec.trim().to_ascii_lowercase();
         if s == "unlimited" || s == "none" || s == "max" {
@@ -160,11 +161,11 @@ impl MemoryBudget {
         let value: usize = digits
             .parse()
             .map_err(|_| format!("invalid memory budget `{spec}` (expected e.g. 64m, 2g, 0)"))?;
-        let shift = match suffix.trim_end_matches("ib").trim_end_matches('b') {
-            "" => 0u32,
-            "k" => 10,
-            "m" => 20,
-            "g" => 30,
+        let shift = match suffix {
+            "" | "b" => 0u32,
+            "k" | "kb" | "kib" => 10,
+            "m" | "mb" | "mib" => 20,
+            "g" | "gb" | "gib" => 30,
             _ => return Err(format!("unknown memory budget suffix `{suffix}` in `{spec}`")),
         };
         value
@@ -248,6 +249,9 @@ mod tests {
         assert!(MemoryBudget::parse_limit("eight").is_err());
         assert!(MemoryBudget::parse_limit("8q").is_err());
         assert!(MemoryBudget::parse_limit("99999999999g").is_err());
+        assert!(MemoryBudget::parse_limit("64bb").is_err());
+        assert!(MemoryBudget::parse_limit("64ib").is_err());
+        assert!(MemoryBudget::parse_limit("64kibib").is_err());
     }
 
     #[test]

@@ -24,6 +24,10 @@
 //!    *(split, candidate, label)* for the others, heaviest first.
 //! 2. *(group, label)* — the winner fitted on the full set.
 //!
+//! Both run on [`ticketed`], the workspace's one ticket queue. Its second
+//! caller is `ease-core`'s profiling, one unit per corpus graph, largest
+//! graph first.
+//!
 //! Per-fold scores land in slots and are summed in fold order from `0.0`,
 //! winners are the first minimum in grid order — so every score, every pick
 //! and every fitted byte is what the serial code produces, whatever the
@@ -285,18 +289,17 @@ pub struct Selection {
 /// label order: every candidate is scored with K-fold CV (one set of folds
 /// per group), the lowest MAPE wins (first in grid order on a tie; a NaN
 /// score — a candidate that diverged — ranks as `+∞`), and each winner is
-/// refitted on the full matrix. All of it is one job on
-/// `available_parallelism()` threads; scores, picks and fitted bytes are
-/// those of [`cross_val_mape`] on each label vector alone and do not depend
-/// on the thread count (see the module docs).
+/// refitted on the full matrix. All of it runs on [`ticketed`]'s threads;
+/// scores, picks and fitted bytes are those of [`cross_val_mape`] on each
+/// label vector alone and do not depend on the thread count (see the module
+/// docs).
 pub fn select_models(
     candidates: &[ModelConfig],
     groups: &[LabelGroup],
     folds: usize,
     seed: u64,
 ) -> Vec<Selection> {
-    let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4);
-    select_models_on(workers, candidates, groups, folds, seed)
+    select_models_on(host_workers(), candidates, groups, folds, seed)
 }
 
 /// One unit of the scoring queue: `candidate` on `split`, for `labels`.
@@ -342,7 +345,7 @@ pub(crate) fn select_models_on(
         }
     }
     tickets.sort_by(|a, b| b.work.total_cmp(&a.work));
-    let scored: Vec<Vec<f64>> = ticketed(workers, tickets.len(), |t| {
+    let scored: Vec<Vec<f64>> = ticketed_on(workers, tickets.len(), |t| {
         let Ticket { split, candidate, labels, .. } = &tickets[t];
         splits[*split]
             .as_ref()
@@ -385,7 +388,7 @@ pub(crate) fn select_models_on(
         })
         .collect();
     // queue 2 — unit (group, label): the winner on the full set
-    let models = ticketed(workers, searches.len(), |unit| {
+    let models = ticketed_on(workers, searches.len(), |unit| {
         let (g, l, search) = &searches[unit];
         let mut model = search.best.build();
         model.fit(groups[*g].x, groups[*g].labels[*l]);
@@ -398,9 +401,23 @@ pub(crate) fn select_models_on(
         .collect()
 }
 
-/// Run `job(0..units)` off one ticket counter on at most `workers` scoped
-/// threads; results come back in unit order whichever thread ran which.
-fn ticketed<T: Send>(workers: usize, units: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// How many threads a queue runs on: one per core the host reports, 4 when
+/// it reports none.
+fn host_workers() -> usize {
+    std::thread::available_parallelism().map(|p| p.get()).unwrap_or(4)
+}
+
+/// Run `job(0..units)` off one ticket counter on at most one scoped thread
+/// per core; results come back in unit order whichever thread ran which.
+/// Units are handed out in index order, so a caller that puts its heaviest
+/// unit first keeps a worker from finishing on it alone.
+pub fn ticketed<T: Send>(units: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    ticketed_on(host_workers(), units, job)
+}
+
+/// [`ticketed`] on at most `workers` threads — the seam the
+/// schedule-independence tests drive.
+fn ticketed_on<T: Send>(workers: usize, units: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<T>>> = (0..units).map(|_| Mutex::new(None)).collect();
     std::thread::scope(|scope| {
@@ -566,6 +583,25 @@ mod tests {
                 check(select_models_on(workers, &grid, &groups(), folds, 9), &how);
             }
         }
+    }
+
+    #[test]
+    fn ticketed_runs_every_unit_once_and_answers_in_unit_order() {
+        for workers in [1, 2, 3, 7] {
+            for units in [0, 1, 5, 64] {
+                let ctx = format!("{workers} workers, {units} units");
+                let ran = Mutex::new(Vec::new());
+                let out = ticketed_on(workers, units, |unit| {
+                    ran.lock().expect("no job panics").push(unit);
+                    unit
+                });
+                assert_eq!(out, (0..units).collect::<Vec<_>>(), "unit order: {ctx}");
+                let mut ran = ran.into_inner().expect("no job panics");
+                ran.sort_unstable();
+                assert_eq!(ran, (0..units).collect::<Vec<_>>(), "each unit once: {ctx}");
+            }
+        }
+        assert_eq!(ticketed(64, |unit| unit), (0..64).collect::<Vec<_>>(), "host workers");
     }
 
     #[test]
