@@ -8,7 +8,8 @@
 # pinned there — every work queue gets one worker (`available_parallelism`
 # honours the affinity mask), so the `cmp` also proves the model does not
 # depend on the schedule; elsewhere it is a plain second run. The script
-# prints which of the two happened.
+# prints which of the two happened. A third training over the full tiny
+# corpora is sampled from /proc and fails above 80 MiB peak resident set.
 #
 # Usage: ci/smoke.sh [path-to-ease-binary]
 # Runs locally and in CI (shellcheck-clean).
@@ -40,6 +41,28 @@ fi
 "${second[@]}" train --out "$smoke/second.model" --scale tiny --quick --deterministic \
     --folds 2 --max-small 8 --max-large 4
 cmp "$smoke/ease.model" "$smoke/second.model"
+# memory gate: profiling prepares one graph per worker in memory and drops
+# it when that graph is done, so training the full tiny corpora (297 + 180
+# graphs) must stay far below what holding every corpus graph at once
+# takes. VmHWM, the peak resident set, only grows, so the last reading
+# taken while the process runs is its peak.
+"$EASE_BIN" train --out "$smoke/full.model" --scale tiny --quick --deterministic \
+    --max-small 297 --max-large 180 &
+train_pid=$!
+hwm_kib=0
+while kill -0 "$train_pid" 2> /dev/null; do
+    reading="$(awk '/^VmHWM:/ { print $2 }' "/proc/$train_pid/status" 2> /dev/null || true)"
+    if [[ -n "$reading" ]]; then
+        hwm_kib="$reading"
+    fi
+    sleep 0.05
+done
+wait "$train_pid"
+echo "memory gate: full tiny training peaked at $((hwm_kib / 1024)) MiB VmHWM (limit 80 MiB)"
+if ((hwm_kib == 0 || hwm_kib > 80 * 1024)); then
+    echo "memory gate failed: VmHWM ${hwm_kib} KiB is unread or above 80 MiB" >&2
+    exit 1
+fi
 "$EASE_BIN" inspect --model "$smoke/ease.model"
 "$EASE_BIN" recommend --model "$smoke/ease.model" --graph "$smoke/graph.txt" \
     --workload pr --goal e2e | tee "$smoke/first.out"

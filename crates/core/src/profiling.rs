@@ -5,24 +5,21 @@
 //!
 //! Profiling fans out over graphs on the queue model selection runs on
 //! ([`ease_ml::cv::ticketed`], largest graph first); each worker prepares
-//! its graph exactly once — one [`PreparedGraph`] context feeds the
-//! property extraction *and* every partitioner × k × workload measurement —
-//! and drops it; the corpora are never materialized at once. Materialized
-//! inputs are borrowed in place (no per-worker deep copies of the edge
-//! list). Nothing is shared across the two corpora: they share no spec
-//! (see [`PreparedPool`], of which only the overlap is left).
+//! its graph in memory exactly once — one [`PreparedGraph`] context feeds
+//! the property extraction *and* every partitioner × k × workload
+//! measurement — and drops it, so a worker holds one graph at a time and
+//! the corpora are never materialized at once. R-MAT specs are generated
+//! on the worker that profiles them; materialized inputs are borrowed in
+//! place (no per-worker deep copies of the edge list). Nothing is shared
+//! across the two corpora: they share no spec (see [`PreparedPool`], of
+//! which only the overlap is left).
 
-use ease_graph::bel::{BelSource, BelWriter};
 use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::grids::RmatSpec;
 use ease_graphgen::realworld::{GraphType, TestGraph};
-use ease_graphgen::rmat::Rmat;
 use ease_ml::cv::ticketed;
 use ease_partition::{run_partitioner_prepared, PartitionerId, QualityMetrics};
 use ease_procsim::{ClusterSpec, DistributedGraph, Workload};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 // The timing mode lives next to the partition runner so the runner itself
 // can skip the wall clock under `Deterministic`; re-exported here because
@@ -60,22 +57,15 @@ impl GraphInput {
         }
     }
 
-    /// The profiling entry point: a [`PreparedGraph`] analysis context over
-    /// this input. R-MAT specs *stream* their edges through
-    /// [`Rmat::generate_into`] into a disk spill that is generated once per
-    /// process, memory-mapped and shared (`rmat_spilled_source`) — the
-    /// profiling fan-out's workers no longer each hold an owned
-    /// `8 bytes × |E|` edge list on the heap. Materialized test graphs are
-    /// *borrowed in place* — profiling workers used to deep-copy the full
-    /// edge list per worker, now they share `&t.graph`. Both routes produce
-    /// bit-identical analysis (same edge stream, same fingerprint).
+    /// The profiling entry point: an in-memory [`PreparedGraph`] analysis
+    /// context over this input, built on the worker that profiles it. An
+    /// R-MAT spec is generated into an owned edge list (`8 bytes × |E|`,
+    /// freed with the context); each call generates it afresh, and nothing
+    /// outlives the context. A materialized test graph is *borrowed in
+    /// place* — the workers share `&t.graph`, no deep copy.
     pub fn prepare(&self) -> PreparedGraph<'_> {
         match self {
-            GraphInput::Rmat(s) => match rmat_spilled_source(s, &self.spec_key()) {
-                Some(source) => PreparedGraph::from_source(Box::new(source)),
-                // disk trouble: degrade to the old heap-owned path
-                None => PreparedGraph::new(s.generate()),
-            },
+            GraphInput::Rmat(s) => PreparedGraph::new(s.generate()),
             GraphInput::Materialized(t) => PreparedGraph::of(&t.graph),
         }
     }
@@ -94,7 +84,9 @@ impl GraphInput {
     /// graphs — their names (`soc-000`, ...) encode neither scale nor seed,
     /// so name-keying would alias different graphs across corpora. The
     /// fingerprint pass is one cheap traversal of an already in-memory
-    /// edge list, amortized by the dozens of profiling passes that follow.
+    /// edge list. Only [`PreparedPool::for_overlap`] reads the key:
+    /// preparation itself is keyed by nothing, every input is prepared in
+    /// memory on the worker that profiles it.
     fn spec_key(&self) -> String {
         match self {
             GraphInput::Rmat(s) => format!(
@@ -119,65 +111,13 @@ impl GraphInput {
     }
 }
 
-/// Process-wide cache of spilled R-MAT corpora: per-spec-key cells whose
-/// [`OnceLock`] latches the generate-to-disk work, so concurrent workers
-/// preparing the *same* spec stream it exactly once while distinct specs
-/// spill in parallel. `None` in a cell records a failed spill (disk full,
-/// unwritable temp dir) so every later prepare takes the heap fallback
-/// without retrying the disk.
-type RmatSpillCell = Arc<OnceLock<Option<Arc<BelSource>>>>;
-
-fn rmat_spill_cell(key: &str) -> RmatSpillCell {
-    static CACHE: OnceLock<Mutex<HashMap<String, RmatSpillCell>>> = OnceLock::new();
-    let cache = CACHE.get_or_init(Default::default);
-    let mut map = cache.lock().expect("rmat spill cache lock");
-    Arc::clone(map.entry(key.to_string()).or_default())
-}
-
-/// The shared memory-mapped edge stream for `spec`, spilling it to a temp
-/// `.bel` file on first use (then unlinking it — the mapped pages outlive
-/// the directory entry, so no file is ever left behind). `None` when the
-/// spill could not be written; callers fall back to heap generation.
-fn rmat_spilled_source(spec: &RmatSpec, key: &str) -> Option<Arc<BelSource>> {
-    rmat_spill_cell(key).get_or_init(|| spill_rmat(spec).map(Arc::new)).clone()
-}
-
-/// Stream `spec`'s exact [`RmatSpec::generate`] edge order to disk via
-/// [`Rmat::generate_into`] — the analysis over the mapped spill is
-/// bit-identical to analysis over the generated heap graph because the
-/// edge stream (and hence every fingerprint-keyed derivation) is the same.
-fn spill_rmat(spec: &RmatSpec) -> Option<BelSource> {
-    static SPILL_SEQ: AtomicUsize = AtomicUsize::new(0);
-    // lint: relaxed-ok(unique-name counter)
-    let seq = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-    let path =
-        std::env::temp_dir().join(format!("ease-rmat-spill-{}-{seq}.bel", std::process::id()));
-    let source = (|| {
-        let mut writer = BelWriter::create(&path).ok()?;
-        let rmat = Rmat::new(spec.params, spec.num_vertices, spec.num_edges, spec.seed);
-        let mut io = Ok(());
-        rmat.generate_into(&mut |e| {
-            if io.is_ok() {
-                io = writer.push(e);
-            }
-        });
-        io.ok()?;
-        writer.finish_with_vertices(spec.num_vertices).ok()?;
-        BelSource::open(&path).ok()
-    })();
-    // unlink-after-mmap hygiene: success keeps only the mapping alive,
-    // failure leaves nothing behind
-    std::fs::remove_file(&path).ok();
-    source
-}
-
 /// How many specs the two profiling corpora share — all that is left of a
 /// pool that once prepared such a spec once for both passes. No shipped
 /// configuration has one: the R-MAT-SMALL and R-MAT-LARGE corpora share
 /// none at any scale (`training_corpora_share_no_spec` in
-/// `tests/pipeline_integration.rs`), and a shared R-MAT spec would still be
-/// generated once per process by the spill cache. Every input is prepared
-/// by [`GraphInput::prepare`] on the worker that profiles it. The type and
+/// `tests/pipeline_integration.rs`), and a shared R-MAT spec would simply
+/// be generated once per pass. Every input is prepared in memory by
+/// [`GraphInput::prepare`] on the worker that profiles it. The type and
 /// [`profile_quality_pooled`] / [`profile_processing_pooled`] stay only
 /// because `ease-bench`'s `train-tiny` workload names them.
 pub struct PreparedPool {
@@ -443,42 +383,74 @@ mod tests {
         let GraphInput::Materialized(inner) = &gi else { unreachable!() };
         let borrowed = prepared.source().edge_slice().expect("in-memory source");
         assert!(std::ptr::eq(borrowed, inner.graph.edges()));
-        // R-MAT specs stream to a shared disk spill: the context is
-        // source-backed (no owned edge list) yet analyzes the exact same
-        // edge stream as a heap generate
+        // R-MAT specs are generated in memory: the context owns the edge
+        // list, keeps the slice fast path, and holds the same edge stream
+        // as a direct generate
         let spec = tiny_inputs(1).remove(0);
-        let spilled = spec.prepare();
-        assert!(spilled.source().edge_slice().is_none(), "no heap edge list for R-MAT inputs");
-        assert_eq!(spilled.num_edges(), 700);
+        let generated = spec.prepare();
+        assert!(generated.source().edge_slice().is_some(), "in-memory edge list");
+        assert_eq!(generated.num_edges(), 700);
         let GraphInput::Rmat(s) = &spec else { unreachable!() };
-        let heap = PreparedGraph::new(s.generate());
-        assert_eq!(spilled.fingerprint(), heap.fingerprint(), "same edge stream bit-for-bit");
-        // the spill is cached per spec: preparing again shares the mapping
-        // rather than regenerating, and no temp file stays on disk
-        let again = spec.prepare();
-        assert_eq!(again.fingerprint(), heap.fingerprint());
+        let direct = PreparedGraph::new(s.generate());
+        assert_eq!(generated.fingerprint(), direct.fingerprint(), "same edge stream bit-for-bit");
     }
 
     #[test]
-    fn rmat_spills_leave_no_temp_files_behind() {
-        let spec = GraphInput::Rmat(RmatSpec {
-            name: "spill-hygiene".into(),
-            combo_index: 0,
-            params: RmatParams::new(0.45, 0.22, 0.22, 0.11),
-            num_vertices: 128,
-            num_edges: 500,
-            seed: 99,
-        });
-        let prepared = spec.prepare();
-        assert_eq!(prepared.num_edges(), 500);
-        // unlink-after-mmap: the spill file is gone even while the mapped
-        // source is still alive and serving edges
-        let leftovers: Vec<_> = std::fs::read_dir(std::env::temp_dir())
-            .expect("read temp dir")
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with(&format!("ease-rmat-spill-{}-", std::process::id())))
-            .collect();
-        assert!(leftovers.is_empty(), "spill files left behind: {leftovers:?}");
+    fn each_prepare_of_a_spec_holds_its_own_edge_list() {
+        let spec = tiny_inputs(1).remove(0);
+        let (first, second) = (spec.prepare(), spec.prepare());
+        let ptr = |p: &PreparedGraph| p.source().edge_slice().map(<[_]>::as_ptr);
+        assert!(ptr(&first).is_some());
+        assert_ne!(ptr(&first), ptr(&second), "nothing is shared between two prepares");
+        assert_eq!(first.fingerprint(), second.fingerprint());
+    }
+
+    /// A record's identity and every `f64` it carries, by bit pattern.
+    fn record_bits(
+        name: &str,
+        partitioner: PartitionerId,
+        k: usize,
+        props: &GraphProperties,
+        metrics: &QualityMetrics,
+        secs: &[f64],
+    ) -> (String, PartitionerId, usize, Vec<u64>) {
+        let mut values = props.feature_vector(PropertyTier::Advanced);
+        values.extend(metrics.as_vector());
+        values.extend(secs);
+        (name.to_string(), partitioner, k, values.iter().map(|v| v.to_bits()).collect())
+    }
+
+    #[test]
+    fn profiling_twice_in_one_process_is_bit_identical() {
+        // nothing is cached across passes: the second pass generates every
+        // spec again and must land on the same records, bit for bit
+        let inputs = tiny_inputs(3);
+        let parts = [PartitionerId::OneDD, PartitionerId::Hdrf, PartitionerId::Ne];
+        let workloads = [Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents];
+        let quality = || {
+            profile_quality_with(&inputs, &parts, &[2, 4], 7, TimingMode::Deterministic)
+                .iter()
+                .map(|r| {
+                    let secs = [r.partitioning_secs];
+                    record_bits(&r.graph_name, r.partitioner, r.k, &r.props, &r.metrics, &secs)
+                })
+                .collect::<Vec<_>>()
+        };
+        let processing = || {
+            profile_processing_with(&inputs, &parts, 4, &workloads, 7, TimingMode::Deterministic)
+                .iter()
+                .map(|r| {
+                    let secs = [r.partitioning_secs, r.target_secs, r.total_secs];
+                    let bits =
+                        record_bits(&r.graph_name, r.partitioner, r.k, &r.props, &r.metrics, &secs);
+                    (r.workload.name(), bits)
+                })
+                .collect::<Vec<_>>()
+        };
+        let (q1, p1) = (quality(), processing());
+        assert_eq!(q1.len(), 3 * 3 * 2);
+        assert_eq!(p1.len(), 3 * 3 * 2);
+        assert_eq!(q1, quality());
+        assert_eq!(p1, processing());
     }
 }

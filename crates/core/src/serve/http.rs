@@ -227,7 +227,7 @@ fn parse_head(head: &str) -> Result<ParsedHead, String> {
     }
     // HTTP/1.0 defaults to close, HTTP/1.1 to keep-alive
     let mut keep_alive = version != "HTTP/1.0";
-    let mut content_length = 0usize;
+    let mut content_length = None;
     for line in lines {
         if line.is_empty() {
             break;
@@ -237,8 +237,18 @@ fn parse_head(head: &str) -> Result<ParsedHead, String> {
         };
         let value = value.trim();
         if key.eq_ignore_ascii_case("content-length") {
-            content_length =
+            let len =
                 value.parse::<usize>().map_err(|_| format!("bad Content-Length `{value}`"))?;
+            // RFC 9112 §6.3: differing lengths leave the body's end unknown
+            if content_length.is_some_and(|seen| seen != len) {
+                return Err("conflicting Content-Length headers".to_string());
+            }
+            content_length = Some(len);
+        } else if key.eq_ignore_ascii_case("transfer-encoding") {
+            // RFC 9112 §6.1: a coding this server cannot decode frames the
+            // body some other way, so any bytes read as the next request
+            // would be the peer's body
+            return Err(format!("Transfer-Encoding `{value}` is not supported"));
         } else if key.eq_ignore_ascii_case("connection") {
             if value.eq_ignore_ascii_case("close") {
                 keep_alive = false;
@@ -250,7 +260,7 @@ fn parse_head(head: &str) -> Result<ParsedHead, String> {
     Ok(ParsedHead {
         method: method.to_string(),
         target: target.to_string(),
-        content_length,
+        content_length: content_length.unwrap_or(0),
         keep_alive,
     })
 }
@@ -600,6 +610,12 @@ mod tests {
             "GET /healthz HTTP/2 extra\r\n\r\n",
             "GET /healthz HTTP/1.1\r\nbroken header\r\n\r\n",
             "POST /rpc HTTP/1.1\r\nContent-Length: nope\r\n\r\n",
+            // chunked framing is not decoded: the chunks must not be read
+            // as the next request
+            "POST /rpc HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n",
+            // the last of two lengths must not win and leave a smuggled
+            // request in the buffer
+            "POST /rpc HTTP/1.1\r\nContent-Length: 23\r\nContent-Length: 0\r\n\r\nPOST /shutdown HTTP/1.1",
         ] {
             let (prefix, mut stream) = sniffed(raw.as_bytes());
             let state = serve_one(&mut stream, prefix, &mut |_| {

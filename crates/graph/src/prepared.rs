@@ -65,8 +65,7 @@ use crate::triangles::{self, TriangleStats, TriangleTable};
 use crate::types::Edge;
 
 /// How the context holds its source. A `&Graph` is a `&dyn GraphSource` and
-/// an owned `Graph` or `Arc<Graph>` a `Box<dyn GraphSource>`, like every other
-/// backend.
+/// an owned `Graph` a `Box<dyn GraphSource>`, like every other backend.
 enum GraphHandle<'g> {
     Borrowed(&'g dyn GraphSource),
     Owned(Box<dyn GraphSource + 'g>),
@@ -130,7 +129,7 @@ impl<'g> PreparedGraph<'g> {
     }
 
     /// Take ownership of a [`GraphSource`].
-    pub fn from_source(source: Box<dyn GraphSource + 'g>) -> PreparedGraph<'g> {
+    fn from_source(source: Box<dyn GraphSource + 'g>) -> PreparedGraph<'g> {
         Self::from_handle(GraphHandle::Owned(source))
     }
 
@@ -445,12 +444,7 @@ mod tests {
         let g = toy();
         let borrowed = PreparedGraph::of(&g);
         let owned = PreparedGraph::new(g.clone());
-        let arc = Arc::new(g.clone());
-        let shared = PreparedGraph::from_source(Box::new(Arc::clone(&arc)));
         assert_eq!(borrowed.fingerprint(), owned.fingerprint());
-        assert_eq!(owned.fingerprint(), shared.fingerprint());
-        // Arc sharing: no deep copy, the context reads the same allocation
-        assert_eq!(shared.source().edge_slice().map(<[Edge]>::as_ptr), Some(arc.edges().as_ptr()));
     }
 
     #[test]

@@ -30,7 +30,6 @@
 
 use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 use crate::edge_list::Graph;
 use crate::hash::mix64;
@@ -62,30 +61,6 @@ pub trait GraphSource: Send + Sync {
     /// skip per-edge dynamic dispatch without copying.
     fn edge_slice(&self) -> Option<&[Edge]> {
         None
-    }
-}
-
-/// Shared handles are sources too: the profiling spill cache hands the
-/// same mapped `.bel` to many workers as `Arc<BelSource>`. Every method —
-/// including the `edge_slice` default — forwards to the inner source so
-/// the slice fast path survives the indirection.
-impl<T: GraphSource + ?Sized> GraphSource for Arc<T> {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        (**self).num_vertices()
-    }
-
-    #[inline]
-    fn edge_count(&self) -> usize {
-        (**self).edge_count()
-    }
-
-    fn for_each_edge(&self, f: &mut dyn FnMut(Edge)) {
-        (**self).for_each_edge(f);
-    }
-
-    fn edge_slice(&self) -> Option<&[Edge]> {
-        (**self).edge_slice()
     }
 }
 
@@ -379,19 +354,6 @@ mod tests {
         let err = TextStreamSource::open(&path).unwrap_err();
         assert!(matches!(err, GraphIoError::Parse { line: 2, .. }), "{err:?}");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn arc_sources_forward_every_method() {
-        let g = toy();
-        let arc: Arc<Graph> = Arc::new(g.clone());
-        assert_eq!(GraphSource::num_vertices(&arc), GraphSource::num_vertices(&g));
-        assert_eq!(arc.edge_count(), g.edge_count());
-        assert_eq!(arc.edge_slice(), g.edge_slice(), "fast path survives the Arc");
-        assert_eq!(collect_source(&arc), g);
-        // the unsized form (Arc<dyn GraphSource>) forwards too
-        let dynamic: Arc<dyn GraphSource> = Arc::new(g.clone());
-        assert_eq!(fingerprint_source(&dynamic), fingerprint_source(&g));
     }
 
     #[test]
