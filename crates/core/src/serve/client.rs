@@ -256,18 +256,18 @@ pub fn call_pipelined(
     let mut sent = 0;
     let mut done = 0;
     while done < requests.len() {
-        while sent < requests.len() && sent - done < window {
-            // lint: panic-ok(loop condition bounds `sent` below requests.len())
-            let id = client.send(&requests[sent])?;
+        while sent - done < window {
+            let Some(request) = requests.get(sent) else { break };
+            let id = client.send(request)?;
             index_of.insert(id, sent);
             sent += 1;
         }
         let (id, response) = client.recv_any()?;
-        let at = index_of
+        let slot = index_of
             .remove(&id)
+            .and_then(|at| responses.get_mut(at))
             .ok_or_else(|| proto_err(format!("unexpected response for request id {id}")))?;
-        // lint: panic-ok(`at` was inserted from `sent`, which indexes `requests`/`responses`)
-        responses[at] = Some(response);
+        *slot = Some(response);
         done += 1;
     }
     let out: Vec<Response> = responses.into_iter().flatten().collect();

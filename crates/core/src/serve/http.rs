@@ -197,10 +197,9 @@ fn drain_oversized_head(stream: &mut impl Read) {
             Ok(n) => n,
         };
         budget = budget.saturating_sub(n);
-        // lint: panic-ok(read returns n <= chunk.len())
-        for &b in &chunk[..n] {
+        for &b in chunk.iter().take(n) {
             tail.rotate_left(1);
-            tail[3] = b; // lint: panic-ok(fixed 4-byte window)
+            tail[3] = b;
         }
         if tail == *b"\r\n\r\n" {
             return;
@@ -631,7 +630,9 @@ mod tests {
     fn oversized_heads_are_rejected_before_buffering() {
         let raw = format!("GET /x?pad={} HTTP/1.1\r\n\r\n", "a".repeat(MAX_HEAD_BYTES));
         let (prefix, mut stream) = sniffed(raw.as_bytes());
-        let state = serve_one(&mut stream, prefix, &mut |_| unreachable!());
+        let state = serve_one(&mut stream, prefix, &mut |_| {
+            panic!("an oversized head must not reach the executor")
+        });
         assert!(matches!(state, SessionState::Close));
         assert!(stream.get_ref().wrote().starts_with("HTTP/1.1 400"));
         assert!(stream.get_ref().wrote().contains("head exceeds"));

@@ -81,10 +81,10 @@ impl Value {
             Value::Null => out.push_str("null"),
             Value::Bool(true) => out.push_str("true"),
             Value::Bool(false) => out.push_str("false"),
-            // lint: panic-ok(fmt::Write to a String is infallible)
+            #[expect(clippy::expect_used, reason = "fmt::Write to a String is infallible")]
             Value::UInt(n) => write!(out, "{n}").expect("write to String"),
             Value::Num(x) if x.is_finite() => {
-                // lint: panic-ok(fmt::Write to a String is infallible)
+                #[expect(clippy::expect_used, reason = "fmt::Write to a String is infallible")]
                 write!(out, "{x}").expect("write to String");
             }
             Value::Num(_) => out.push_str("null"),
@@ -127,7 +127,7 @@ fn escape_into(s: &str, out: &mut String) {
             '\u{08}' => out.push_str("\\b"),
             '\u{0c}' => out.push_str("\\f"),
             c if (c as u32) < 0x20 => {
-                // lint: panic-ok(fmt::Write to a String is infallible)
+                #[expect(clippy::expect_used, reason = "fmt::Write to a String is infallible")]
                 write!(out, "\\u{:04x}", c as u32).expect("write to String");
             }
             c => out.push(c),
@@ -178,8 +178,7 @@ impl<'a> Parser<'a> {
     }
 
     fn expect_literal(&mut self, word: &str, value: Value) -> Result<Value, String> {
-        // lint: panic-ok(pos only advances past bytes that exist, so pos <= len)
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.bytes.get(self.pos..).is_some_and(|rest| rest.starts_with(word.as_bytes())) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -267,9 +266,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
             if self.pos > start {
-                let run =
-                    // lint: panic-ok(start <= pos <= len by the scan loop)
-                    std::str::from_utf8(&self.bytes[start..self.pos])
+                #[expect(clippy::indexing_slicing, reason = "start <= pos <= len by the scan loop")]
+                let run = std::str::from_utf8(&self.bytes[start..self.pos])
                     .map_err(|_| self.err("invalid UTF-8 in string"))?;
                 out.push_str(run);
             }
@@ -374,13 +372,13 @@ impl<'a> Parser<'a> {
             }
         }
         // the slice is ASCII digits and punctuation matched above
-        let text =
-            // lint: panic-ok(start <= pos <= len by the digit scan)
-            std::str::from_utf8(&self.bytes[start..self.pos])
+        #[expect(clippy::indexing_slicing, reason = "start <= pos <= len by the digit scan")]
+        let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid UTF-8 in number"))?;
         if !negative && !fractional {
             // exact u64 when it fits; huge integers degrade to f64 below
-            let exact = self.bytes[start..integer_end] // lint: panic-ok(start <= integer_end <= pos <= len)
+            #[expect(clippy::indexing_slicing, reason = "start <= integer_end <= pos <= len")]
+            let exact = self.bytes[start..integer_end]
                 .iter()
                 .try_fold(0u64, |acc, b| acc.checked_mul(10)?.checked_add(u64::from(b - b'0')));
             if let Some(n) = exact {

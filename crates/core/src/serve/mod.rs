@@ -57,6 +57,19 @@
 //! [`EaseError`]s routed back to the offending client as
 //! [`Response::Error`].
 
+// Daemon code: a panic here kills a worker that serves clients, so every
+// module below is held panic-free (`#[cfg(test)]` code is exempt, see
+// `clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::error::EaseError;
 use crate::selector::OptGoal;
 use crate::service::EaseService;

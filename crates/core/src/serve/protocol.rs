@@ -658,10 +658,9 @@ pub fn read_frame_v2(r: &mut impl Read) -> Result<(u64, Vec<u8>), EaseError> {
 pub fn read_frame_v2_after_magic(r: &mut impl Read) -> Result<(u64, Vec<u8>), EaseError> {
     let mut head = [0u8; 12];
     read_exact_framed(r, &mut head)?;
-    // lint: panic-ok(const split of a fixed 12-byte header; try_into sees exactly 8 and 4 bytes)
-    let id = u64::from_le_bytes(head[..8].try_into().expect("8-byte slice"));
-    // lint: panic-ok(const split of a fixed 12-byte header; try_into sees exactly 8 and 4 bytes)
-    let len = u32::from_le_bytes(head[8..12].try_into().expect("4-byte slice")) as usize;
+    let [i0, i1, i2, i3, i4, i5, i6, i7, l0, l1, l2, l3] = head;
+    let id = u64::from_le_bytes([i0, i1, i2, i3, i4, i5, i6, i7]);
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
     Ok((id, read_capped_payload(r, len)?))
 }
 

@@ -42,6 +42,18 @@
 //! # Ok::<(), ease::EaseError>(())
 //! ```
 
+// Daemon-reachable: every served query goes through this module, so it is
+// held panic-free (`#[cfg(test)]` code is exempt, see `clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::error::EaseError;
 use crate::pipeline::{train_ease, EaseConfig, TrainingArtifacts};
 use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};

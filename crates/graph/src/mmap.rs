@@ -9,6 +9,19 @@
 //! is what lets one mapped `.bel` file feed several profiling workers at
 //! once.
 
+// Daemon-reachable: every `.bel` and spill file the daemon reads is mapped
+// here, so this module is held panic-free (`#[cfg(test)]` code is exempt,
+// see `clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use std::fs::File;
 use std::io;
 

@@ -64,11 +64,11 @@ use crate::source::{each_edge, fingerprint_source, GraphSource};
 use crate::triangles::{self, TriangleStats, TriangleTable};
 use crate::types::Edge;
 
-/// How the context holds its source. A `&Graph` is a `&dyn GraphSource` and
-/// an owned `Graph` a `Box<dyn GraphSource>`, like every other backend.
+/// How the context holds its source: any backend borrowed (a `&Graph`
+/// included), or an owned `Graph`.
 enum GraphHandle<'g> {
     Borrowed(&'g dyn GraphSource),
-    Owned(Box<dyn GraphSource + 'g>),
+    Owned(Graph),
 }
 
 /// A graph source plus lazily built, memoized derived structure. See the
@@ -118,7 +118,7 @@ impl<'g> PreparedGraph<'g> {
 
     /// Take ownership of `graph`.
     pub fn new(graph: Graph) -> PreparedGraph<'static> {
-        PreparedGraph::from_source(Box::new(graph))
+        PreparedGraph::from_handle(GraphHandle::Owned(graph))
     }
 
     /// Borrow any [`GraphSource`] — the zero-copy ingestion path: a
@@ -126,11 +126,6 @@ impl<'g> PreparedGraph<'g> {
     /// context directly, and no owned `Vec<Edge>` is ever materialized.
     pub fn of_source(source: &'g dyn GraphSource) -> PreparedGraph<'g> {
         Self::from_handle(GraphHandle::Borrowed(source))
-    }
-
-    /// Take ownership of a [`GraphSource`].
-    fn from_source(source: Box<dyn GraphSource + 'g>) -> PreparedGraph<'g> {
-        Self::from_handle(GraphHandle::Owned(source))
     }
 
     fn from_handle(handle: GraphHandle<'g>) -> Self {
@@ -207,7 +202,7 @@ impl<'g> PreparedGraph<'g> {
     pub fn source(&self) -> &dyn GraphSource {
         match &self.handle {
             GraphHandle::Borrowed(s) => *s,
-            GraphHandle::Owned(s) => s.as_ref(),
+            GraphHandle::Owned(g) => g,
         }
     }
 
@@ -473,10 +468,7 @@ mod tests {
         via_source.for_each_edge_indexed(|i, e| seen.push((i, e)));
         assert_eq!(seen.len(), 6);
         assert_eq!(seen[4], (4, g.edges()[4]));
-        // owned-source construction works too
-        let owned = PreparedGraph::from_source(Box::new(NoSlice(g.clone())));
-        assert_eq!(owned.fingerprint(), via_graph.fingerprint());
-        assert_eq!(collect_source(owned.source()), g);
+        assert_eq!(collect_source(via_source.source()), g);
     }
 
     #[test]

@@ -30,6 +30,19 @@
 //! path between create and finish is covered by a `SpillGuard` that
 //! unlinks on drop.
 
+// Daemon-reachable: a budgeted daemon builds CSRs through this module on the
+// request path, so it is held panic-free (`#[cfg(test)]` code is exempt,
+// see `clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::mmap::Mmap;
 use crate::types::VertexId;
 use std::fs::File;
@@ -55,7 +68,8 @@ fn invalid(message: String) -> io::Error {
 #[inline]
 fn read_u64_at(bytes: &[u8], off: usize) -> u64 {
     let mut raw = [0u8; 8];
-    raw.copy_from_slice(&bytes[off..off + 8]); // lint: panic-ok(bounds validated at open)
+    #[expect(clippy::indexing_slicing, reason = "bounds validated at open")]
+    raw.copy_from_slice(&bytes[off..off + 8]);
     u64::from_le_bytes(raw)
 }
 
@@ -202,8 +216,7 @@ impl MappedCsr {
     /// access is impossible on this host.
     pub fn load(map: Mmap) -> io::Result<LoadedCsr> {
         let bytes = map.as_slice();
-        // lint: panic-ok(len >= SPILL_HEADER_LEN >= 8 short-circuits before the index)
-        if bytes.len() < SPILL_HEADER_LEN || bytes[..8] != SPILL_MAGIC {
+        if bytes.len() < SPILL_HEADER_LEN || !bytes.starts_with(&SPILL_MAGIC) {
             return Err(invalid("not a CSR spill file (bad magic or truncated header)".into()));
         }
         let num_vertices = read_u64_at(bytes, 8);
@@ -296,7 +309,8 @@ impl MappedCsr {
         for i in 0..self.num_entries {
             let at = self.targets_off + i * 4;
             let mut raw = [0u8; 4];
-            raw.copy_from_slice(&bytes[at..at + 4]); // lint: panic-ok(bounds validated at open)
+            #[expect(clippy::indexing_slicing, reason = "bounds validated at open")]
+            raw.copy_from_slice(&bytes[at..at + 4]);
             targets.push(VertexId::from_le_bytes(raw));
         }
         (offsets, targets)

@@ -10,7 +10,9 @@
 //!
 //! The reason is mandatory: an empty `relaxed-ok()` is itself a finding.
 //! Unknown kinds after `lint:` are findings too — a typo like
-//! `relxed-ok(...)` must fail the gate, not silently suppress nothing.
+//! `relxed-ok(...)` must fail the gate, not silently suppress nothing, and
+//! so must a kind left over from a check that became a clippy lint (its
+//! suppression is `#[expect(clippy::…, reason = …)]` now).
 
 use crate::lexer::{Comment, Token};
 use crate::{CheckId, Finding};
@@ -23,8 +25,6 @@ pub enum Kind {
     RelaxedOk,
     /// `ordering-ok` — a policy-named atomic intentionally not `SeqCst`.
     OrderingOk,
-    /// `panic-ok` — a provably unreachable panic path (panic-path).
-    PanicOk,
     /// `lock-io-ok` — a lock deliberately held across I/O (lock-across-io).
     LockIoOk,
     /// `magic-ok` — a literal that collides with a protocol magic but is
@@ -33,14 +33,12 @@ pub enum Kind {
 }
 
 impl Kind {
-    pub const ALL: [Kind; 5] =
-        [Kind::RelaxedOk, Kind::OrderingOk, Kind::PanicOk, Kind::LockIoOk, Kind::MagicOk];
+    pub const ALL: [Kind; 4] = [Kind::RelaxedOk, Kind::OrderingOk, Kind::LockIoOk, Kind::MagicOk];
 
     pub fn name(self) -> &'static str {
         match self {
             Kind::RelaxedOk => "relaxed-ok",
             Kind::OrderingOk => "ordering-ok",
-            Kind::PanicOk => "panic-ok",
             Kind::LockIoOk => "lock-io-ok",
             Kind::MagicOk => "magic-ok",
         }
@@ -143,16 +141,16 @@ mod tests {
         assert!(f.is_empty());
         assert!(a.allows(Kind::RelaxedOk, 1));
         assert!(!a.allows(Kind::RelaxedOk, 2));
-        assert!(!a.allows(Kind::PanicOk, 1));
+        assert!(!a.allows(Kind::LockIoOk, 1));
     }
 
     #[test]
     fn standalone_annotation_covers_next_code_line() {
-        let src = "// lint: panic-ok(infallible)\n\n// other comment\nfoo.unwrap();\nbar();\n";
+        let src = "// lint: relaxed-ok(stats)\n\n// other comment\nx.load(Relaxed);\nbar();\n";
         let (a, f) = annotations(src);
         assert!(f.is_empty());
-        assert!(a.allows(Kind::PanicOk, 4));
-        assert!(!a.allows(Kind::PanicOk, 5));
+        assert!(a.allows(Kind::RelaxedOk, 4));
+        assert!(!a.allows(Kind::RelaxedOk, 5));
     }
 
     #[test]
@@ -171,10 +169,10 @@ mod tests {
 
     #[test]
     fn annotation_inside_string_is_inert() {
-        let (a, f) = annotations("let s = \"// lint: panic-ok(nope)\";\nfoo.unwrap();\n");
+        let (a, f) = annotations("let s = \"// lint: relaxed-ok(nope)\";\nx.load(Relaxed);\n");
         assert!(f.is_empty());
-        assert!(!a.allows(Kind::PanicOk, 1));
-        assert!(!a.allows(Kind::PanicOk, 2));
+        assert!(!a.allows(Kind::RelaxedOk, 1));
+        assert!(!a.allows(Kind::RelaxedOk, 2));
     }
 
     #[test]

@@ -1,15 +1,13 @@
-//! The five workspace invariants, each a lexical pass over one file's
+//! The three workspace invariants, each a lexical pass over one file's
 //! token stream that reports [`Finding`]s with `file:line`.
 
 use crate::annotations::Annotations;
-use crate::lexer::{Comment, Token};
+use crate::lexer::Token;
 use crate::Finding;
 
 pub mod atomic;
 pub mod lock_io;
 pub mod magic;
-pub mod panic_path;
-pub mod unsafe_hygiene;
 
 /// Everything a check needs to analyze one file.
 pub struct Ctx<'a> {
@@ -17,35 +15,10 @@ pub struct Ctx<'a> {
     /// finding locations both use this form).
     pub file: &'a str,
     pub tokens: &'a [Token],
-    pub comments: &'a [Comment],
     pub annotations: &'a Annotations,
     /// `test_mask[i]` — token `i` sits inside a `#[cfg(test)]` or
-    /// `#[test]` item and is exempt from daemon-reachability checks.
+    /// `#[test]` item, where `lock-across-io` does not look.
     pub test_mask: &'a [bool],
-}
-
-/// Whether `file` is part of the out-of-core spill layer (PR 8): code
-/// that writes, maps and reinterprets raw `EASECSR1` bytes. Every daemon
-/// CSR build can route through it, and its `unsafe` mappings are exactly
-/// where a missing invariant becomes memory corruption.
-pub fn is_spill_module(file: &str) -> bool {
-    file.ends_with("graph/src/spill.rs")
-        || file.ends_with("graph/src/mmap.rs")
-        || file == "spill.rs"
-        || file == "mmap.rs"
-}
-
-/// Whether `file` is daemon-reachable: code a serve-path request can
-/// drive, where a panic kills a worker serving real clients. The spill
-/// layer counts — a budgeted daemon builds CSRs through it on the
-/// request path — and so does the byte codec (`ml/src/persist.rs`): its
-/// `Reader` decodes every socket payload and every model file.
-pub fn daemon_reachable(file: &str) -> bool {
-    file.contains("/serve/")
-        || file.ends_with("/service.rs")
-        || file == "service.rs"
-        || file.ends_with("ml/src/persist.rs")
-        || is_spill_module(file)
 }
 
 /// Index of the bracket token matching the opener at `open` (any of
@@ -124,8 +97,6 @@ fn test_attr_end(tokens: &[Token], i: usize) -> Option<usize> {
 /// Run every check on one lexed file.
 pub fn run(ctx: &Ctx, out: &mut Vec<Finding>) {
     atomic::check(ctx, out);
-    panic_path::check(ctx, out);
-    unsafe_hygiene::check(ctx, out);
     lock_io::check(ctx, out);
     magic::check(ctx, out);
 }

@@ -9,11 +9,6 @@ use ease_lint::{lint_source, CheckId, Finding};
 const PR6: &str = include_str!("../fixtures/pr6_shutdown_relaxed.rs");
 const ROUTER_HEALTH: &str = include_str!("../fixtures/router_health_relaxed.rs");
 const ATOMIC_GOOD: &str = include_str!("../fixtures/atomic_good.rs");
-const PANIC_BAD: &str = include_str!("../fixtures/panic_bad.rs");
-const PANIC_GOOD: &str = include_str!("../fixtures/panic_good.rs");
-const UNSAFE_BAD: &str = include_str!("../fixtures/unsafe_bad.rs");
-const UNSAFE_SPILL_BAD: &str = include_str!("../fixtures/unsafe_spill_bad.rs");
-const UNSAFE_GOOD: &str = include_str!("../fixtures/unsafe_good.rs");
 const LOCK_IO_BAD: &str = include_str!("../fixtures/lock_io_bad.rs");
 const LOCK_IO_GOOD: &str = include_str!("../fixtures/lock_io_good.rs");
 const MAGIC_BAD: &str = include_str!("../fixtures/magic_bad.rs");
@@ -75,101 +70,6 @@ fn router_health_state_relaxed_is_flagged() {
 fn conforming_atomics_are_clean() {
     let findings = lint_source("crates/ml/src/train.rs", ATOMIC_GOOD);
     assert!(findings.is_empty(), "{findings:?}");
-}
-
-// ---------------------------------------------------------------------
-// panic-path
-// ---------------------------------------------------------------------
-
-#[test]
-fn panic_paths_in_daemon_code_are_flagged() {
-    let findings = only("crates/core/src/serve/handler.rs", PANIC_BAD, CheckId::PanicPath);
-    assert_eq!(lines(&findings), [2, 4, 8], "{findings:?}");
-}
-
-/// The same source outside the daemon scope is fine — unwraps in batch
-/// tools are not a fleet-crash vector.
-#[test]
-fn panic_paths_outside_daemon_scope_are_ignored() {
-    let findings = only("crates/ml/src/train.rs", PANIC_BAD, CheckId::PanicPath);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-/// PR 8: the spill layer is daemon-reachable — a budgeted daemon builds
-/// CSRs through it on the request path, so panic paths there are flagged
-/// just like in serve/.
-#[test]
-fn panic_paths_in_the_spill_layer_are_flagged() {
-    let findings = only("crates/graph/src/spill.rs", PANIC_BAD, CheckId::PanicPath);
-    assert_eq!(lines(&findings), [2, 4, 8], "{findings:?}");
-    let findings = only("crates/graph/src/mmap.rs", PANIC_BAD, CheckId::PanicPath);
-    assert!(!findings.is_empty(), "{findings:?}");
-}
-
-/// PR 18: the byte codec is daemon-reachable — `persist::Reader` decodes
-/// every socket payload and every model file — while the model files next
-/// to it, which only run on bytes the codec already bounds-checked, stay
-/// out of scope.
-#[test]
-fn panic_paths_in_the_byte_codec_are_flagged() {
-    let findings = only("crates/ml/src/persist.rs", PANIC_BAD, CheckId::PanicPath);
-    assert_eq!(lines(&findings), [2, 4, 8], "{findings:?}");
-    let findings = only("crates/ml/src/tree.rs", PANIC_BAD, CheckId::PanicPath);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-/// PR 9: the router and hash ring are daemon code — a panicking router
-/// takes the whole fleet's front door down, so `serve/router.rs` and
-/// `serve/ring.rs` sit inside the panic-path scope like the rest of
-/// serve/.
-#[test]
-fn panic_paths_in_the_router_and_ring_are_flagged() {
-    for path in ["crates/core/src/serve/router.rs", "crates/core/src/serve/ring.rs"] {
-        let findings = only(path, PANIC_BAD, CheckId::PanicPath);
-        assert_eq!(lines(&findings), [2, 4, 8], "{path}: {findings:?}");
-    }
-}
-
-/// PR 10: the HTTP facade and JSON codec are daemon code — both sit
-/// under `serve/`, so the path gate covers them with no new wiring, and
-/// this pins that down.
-#[test]
-fn panic_paths_in_the_http_facade_and_json_codec_are_flagged() {
-    for path in ["crates/core/src/serve/http.rs", "crates/core/src/serve/json.rs"] {
-        let findings = only(path, PANIC_BAD, CheckId::PanicPath);
-        assert_eq!(lines(&findings), [2, 4, 8], "{path}: {findings:?}");
-    }
-}
-
-#[test]
-fn annotated_and_test_code_panic_paths_are_clean() {
-    let findings = lint_source("crates/core/src/serve/handler.rs", PANIC_GOOD);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-// ---------------------------------------------------------------------
-// unsafe-hygiene
-// ---------------------------------------------------------------------
-
-#[test]
-fn unsafe_without_safety_comment_is_flagged() {
-    let findings = only("crates/graph/src/x.rs", UNSAFE_BAD, CheckId::UnsafeHygiene);
-    assert_eq!(lines(&findings), [2], "{findings:?}");
-}
-
-#[test]
-fn safety_commented_unsafe_is_clean() {
-    let findings = lint_source("crates/graph/src/x.rs", UNSAFE_GOOD);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-/// PR 8 acceptance: an unannotated `unsafe` spill-map in the out-of-core
-/// module is flagged — the spill layer reinterprets raw mapped bytes, so
-/// its invariants must be written down where they are relied on.
-#[test]
-fn unannotated_unsafe_spill_map_is_flagged() {
-    let findings = only("crates/graph/src/spill.rs", UNSAFE_SPILL_BAD, CheckId::UnsafeHygiene);
-    assert_eq!(lines(&findings), [2], "{findings:?}");
 }
 
 // ---------------------------------------------------------------------
@@ -260,12 +160,11 @@ fn http_module_may_spell_its_own_sniff_prefixes() {
 #[test]
 fn malformed_annotations_are_findings() {
     let findings = lint_source("crates/core/src/x.rs", ANNOTATION_BAD);
-    assert_eq!(lines(&findings), [2, 4], "{findings:?}");
+    assert_eq!(lines(&findings), [2, 4, 6], "{findings:?}");
     assert!(findings.iter().all(|f| f.check == CheckId::AnnotationGrammar));
     assert!(findings[0].message.contains("empty reason"), "{}", findings[0].message);
-    assert!(
-        findings[1].message.contains("unknown lint annotation kind"),
-        "{}",
-        findings[1].message
-    );
+    // a typo, and a well-formed annotation of a check that is a clippy lint now
+    for f in &findings[1..] {
+        assert!(f.message.contains("unknown lint annotation kind"), "{}", f.message);
+    }
 }

@@ -28,6 +28,19 @@
 //! `tests/persistence_roundtrip.rs`, which also pin the bytes themselves
 //! and prove the decoders total on mutated, truncated and extended files.
 
+// Daemon-reachable: `Reader` decodes every socket payload and model file, so
+// this module is held panic-free (`#[cfg(test)]` code is exempt, see
+// `clippy.toml`).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
+
 use crate::forest::RandomForest;
 use crate::gbt::GradientBoosting;
 use crate::knn::KnnRegressor;
