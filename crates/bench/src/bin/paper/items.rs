@@ -17,6 +17,7 @@ use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::grids::{ba_sweep, fig6f_corpus, rmat_large_corpus, rmat_small_corpus};
 use ease_graphgen::realworld::{self, GraphType, TestGraph};
 use ease_graphgen::rmat::RMAT_COMBOS;
+use ease_ml::metrics::{mape, rmse};
 use ease_partition::{run_partitioner_prepared, PartitionerId, QualityTarget};
 use ease_procsim::{ClusterSpec, DistributedGraph, Workload};
 use std::collections::{BTreeMap, BTreeSet};
@@ -265,12 +266,16 @@ fn table6(lab: &Lab, doc: &mut Doc) {
         let model = model_of(&basic.chosen, &target);
         rows.push(row![target.name(), model, "basic", f3(mape), paper, f3(rmse)]);
     }
-    let advanced = PropertyTier::Advanced;
-    let qp = QualityPredictor::train(lab.train_quality(), advanced, &cfg.grid, cfg.folds, cfg.seed);
-    let scores = quality_test_scores(&qp, test);
-    let (_, mape, rmse) = scores.iter().find(|s| s.0 == rf).expect("every target is scored");
+    // the advanced row prints the replication factor only, so only its
+    // model is trained: the one a five-target search would select
+    let (train, advanced) = (lab.train_quality(), PropertyTier::Advanced);
+    let qp =
+        QualityPredictor::train_targets(train, advanced, &cfg.grid, cfg.folds, cfg.seed, &[rf]);
+    let truth: Vec<f64> = test.iter().map(|r| r.metrics.get(rf)).collect();
+    let predicted = qp.predict_target(rf, test);
+    let (mape, rmse) = (mape(&truth, &predicted), rmse(&truth, &predicted));
     let model = model_of(&qp.chosen, &rf);
-    rows.push(row![rf.name(), model, "advanced", f3(*mape), "0.288", f3(*rmse)]);
+    rows.push(row![rf.name(), model, "advanced", f3(mape), "0.288", f3(rmse)]);
     doc.table("Test scores on the real-world test set (trained on R-MAT-SMALL)", &rows);
     doc.para(
         "The paper gives one range for the four balances. Ours is below the paper's on the \

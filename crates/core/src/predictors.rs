@@ -99,17 +99,34 @@ impl QualityPredictor {
         folds: usize,
         seed: u64,
     ) -> Self {
+        Self::train_targets(records, tier, grid, folds, seed, &QualityTarget::ALL)
+    }
+
+    /// [`QualityPredictor::train`] for `targets` only. Each target's
+    /// selection does not depend on which others are trained beside it, so
+    /// its model is the one `train` fits for it; predicting a target that
+    /// was not trained panics, and only a predictor of all five is a
+    /// service's.
+    pub fn train_targets(
+        records: &[QualityRecord],
+        tier: PropertyTier,
+        grid: &[ModelConfig],
+        folds: usize,
+        seed: u64,
+        targets: &[QualityTarget],
+    ) -> Self {
         assert!(!records.is_empty(), "no quality training records");
-        // the five targets are five label vectors over one feature matrix
+        // the targets are label vectors over one feature matrix
         let x = Self::feature_matrix(records, tier);
-        let labels: Vec<Vec<f64>> = QualityTarget::ALL
+        let labels: Vec<Vec<f64>> = targets
             .iter()
             .map(|&target| records.iter().map(|r| r.metrics.get(target)).collect())
             .collect();
         let group = LabelGroup { x: &x, labels: labels.iter().map(Vec::as_slice).collect() };
         let selections = select_models(grid, &[group], folds, seed);
-        let (chosen, models) = QualityTarget::ALL
-            .into_iter()
+        let (chosen, models) = targets
+            .iter()
+            .copied()
             .zip(selections)
             .map(|(target, selection)| {
                 let (chosen, model) = ChosenModel::of(selection);
@@ -497,6 +514,25 @@ mod tests {
                 assert_eq!(v.to_bits(), m.get(target).to_bits(), "{target:?}");
             }
         }
+        // a target trained alone is selected and fitted as among all five
+        let rf = QualityTarget::ReplicationFactor;
+        let alone = QualityPredictor::train_targets(
+            &records,
+            PropertyTier::Basic,
+            &zoo::quick_grid(),
+            3,
+            1,
+            &[rf],
+        );
+        let [(target, one)] = &alone.chosen[..] else { panic!("one target trained") };
+        let all = &qp.chosen.iter().find(|(t, _)| t == target).expect("rf is trained").1;
+        assert_eq!(*target, rf);
+        assert_eq!(one.config, all.config);
+        assert_eq!(one.cv_mape.to_bits(), all.cv_mape.to_bits());
+        let bits = |p: &QualityPredictor| {
+            p.predict_target(rf, &records).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&alone), bits(&qp));
     }
 
     #[test]

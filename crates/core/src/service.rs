@@ -455,7 +455,9 @@ impl EaseService {
     /// query-side LRU when its content fingerprint was seen before.
     /// Extraction (the miss path) runs outside the cache lock; concurrent
     /// first queries on the same graph may both extract, which is wasteful
-    /// but correct — the results are identical.
+    /// but correct — the results are identical. The lookup's fingerprint is
+    /// memoized in `prepared`, so a miss's degree pass does not hash the
+    /// edge stream again.
     pub fn cached_properties_prepared(&self, prepared: &PreparedGraph<'_>) -> GraphProperties {
         let key = prepared.fingerprint();
         if let Some(props) = self.cache().get(key) {

@@ -11,9 +11,11 @@
 //!
 //! Semantics, deliberately simple:
 //!
-//! * the budget covers **derived adjacency state** (CSR offsets + targets)
-//!   — not mapped file pages, which the OS can reclaim under pressure, and
-//!   not the O(|V|) degree/triangle tables, which are small by design;
+//! * the budget covers **derived adjacency state** (CSR offsets + targets,
+//!   and the triangle kernel's hub bitmap while the scan reads it; a
+//!   refused bitmap is not spilled, the kernel scans without it) — not
+//!   mapped file pages, which the OS can reclaim under pressure, and not
+//!   the O(|V|) degree/triangle tables, which are small by design;
 //! * `limit == usize::MAX` means *unlimited*: charges always succeed and
 //!   nothing is ever spilled;
 //! * `limit == 0` refuses every non-zero charge, forcing the spill path —

@@ -12,6 +12,7 @@
 
 use crate::edge_list::Graph;
 use crate::source::{each_edge, BlockHasher, GraphSource};
+use crate::types::Edge;
 
 /// Summary statistics of a per-vertex integer metric (degrees, triangle
 /// counts, ...).
@@ -125,21 +126,33 @@ impl DegreeTable {
     /// [`fingerprint_source`](crate::source::fingerprint_source) on the same
     /// stream.
     pub fn compute_source(source: &dyn GraphSource) -> (Self, u64) {
+        let mut hasher = BlockHasher::new(source.num_vertices(), source.edge_count());
+        let table = Self::tally(source, |e| hasher.feed(e));
+        (table, hasher.finish())
+    }
+
+    /// [`DegreeTable::compute_source`] without the fingerprint, for a
+    /// context that has it already.
+    pub(crate) fn count_source(source: &dyn GraphSource) -> Self {
+        Self::tally(source, |_| {})
+    }
+
+    /// The counting pass, handing every edge to `also` as well.
+    #[inline(always)]
+    fn tally(source: &dyn GraphSource, mut also: impl FnMut(Edge)) -> Self {
         let n = source.num_vertices();
         let mut out = vec![0u32; n];
         let mut into = vec![0u32; n];
-        let mut hasher = BlockHasher::new(n, source.edge_count());
         each_edge(source, |e| {
             out[e.src as usize] += 1;
             into[e.dst as usize] += 1;
-            hasher.feed(e);
+            also(e);
         });
         let total: Vec<u32> = out.iter().zip(&into).map(|(a, b)| a + b).collect();
         let out_moments = moments(&out);
         let in_moments = moments(&into);
         let total_moments = moments(&total);
-        let table = DegreeTable { out, into, total, out_moments, in_moments, total_moments };
-        (table, hasher.finish())
+        DegreeTable { out, into, total, out_moments, in_moments, total_moments }
     }
 
     /// Mean total degree `2|E|/|V|` (paper Sec. II-B.2).

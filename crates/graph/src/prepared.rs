@@ -20,7 +20,9 @@
 //! * per-vertex triangle counts and degrees of the undirected simple graph,
 //!   from a kernel that routes the edge stream into rank-space forward lists
 //!   ([`crate::triangles`]) — a transient half-size CSR, charged to the memory
-//!   budget or spilled while it lives,
+//!   budget or spilled while it lives, plus, on a graph with a hub core, a
+//!   transient bitmap of its hubs' lists (at most 128 KiB), charged to the
+//!   budget too and skipped when the charge is refused,
 //! * a stable content [fingerprint](PreparedGraph::fingerprint) for
 //!   query-side property caches.
 //!
@@ -52,6 +54,7 @@
 //! assert_eq!(prepared.undirected_csr_builds(), 0);
 //! ```
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -146,10 +149,11 @@ impl<'g> PreparedGraph<'g> {
     /// the memoized undirected adjacency and the triangle kernel's transient
     /// forward lists — charges its heap bytes first, and a refused charge
     /// reroutes the build out of core — spilled to an unlinked `EASECSR1`
-    /// temp file and mmapped read-only (see [`crate::spill`]). Every derived
-    /// result is bit-identical either way; the forward lists' charge is
-    /// released when the kernel is done with them, the adjacency's when the
-    /// context drops.
+    /// temp file and mmapped read-only (see [`crate::spill`]). The kernel's
+    /// hub bitmap charges its bytes as well; a refused charge runs the plain
+    /// scan without it. Every derived result is bit-identical either way;
+    /// the forward lists' and the bitmap's charges are released when the
+    /// kernel is done with them, the adjacency's when the context drops.
     pub fn with_memory_budget(mut self, budget: Arc<MemoryBudget>) -> Self {
         self.budget = Some(budget);
         self
@@ -258,12 +262,17 @@ impl<'g> PreparedGraph<'g> {
         self.undirected_builds.load(Ordering::Relaxed) // lint: relaxed-ok(diagnostic counter)
     }
 
-    /// Degree tables + moments/skewness, built on first use. The counting
-    /// pass folds the content fingerprint as it goes, so a
-    /// context that derives degrees gets [`PreparedGraph::fingerprint`]
-    /// for free — one traversal, two memoized results.
+    /// Degree tables + moments/skewness, built on first use. Unless the
+    /// fingerprint is memoized already, the counting pass folds it as it
+    /// goes, so a context that derives degrees gets
+    /// [`PreparedGraph::fingerprint`] for free — one traversal, two memoized
+    /// results — and one that looked its fingerprint up first (a property
+    /// cache miss) hashes its edge stream once, not twice.
     pub fn degrees(&self) -> &DegreeTable {
         self.degrees.get_or_init(|| {
+            if self.fingerprint.get().is_some() {
+                return DegreeTable::count_source(self.source());
+            }
             let (table, fingerprint) = DegreeTable::compute_source(self.source());
             // Opportunistic: a concurrent standalone fingerprint pass may
             // have won the race — the values are identical either way.
@@ -274,18 +283,31 @@ impl<'g> PreparedGraph<'g> {
 
     /// The triangle kernel's output, computed on first use: ranks from the
     /// degree table, forward lists routed straight off the source — in heap
-    /// while the budget admits them, spilled otherwise — and dropped, with
-    /// their charge, as soon as the scan is over.
+    /// while the budget admits them, spilled otherwise — and the hub core's
+    /// bitmap (at most 128 KiB), charged to the budget too: a refused charge
+    /// runs the plain scan, with no bitmap. Both are dropped, and their
+    /// charges released, as soon as the scan is over.
     fn triangle_table(&self) -> &TriangleTable {
         self.triangles.get_or_init(|| {
-            let mut charged = 0;
-            let table = triangles::count_with(&self.degrees().total, |rank| {
-                let (forward, bytes) = self.build_csr(Route::Forward(rank));
-                charged = bytes;
-                forward
-            });
+            let charged = Cell::new(0);
+            let table = triangles::count_with(
+                &self.degrees().total,
+                |rank| {
+                    let (forward, bytes) = self.build_csr(Route::Forward(rank));
+                    charged.set(bytes);
+                    forward
+                },
+                |bitmap| {
+                    let Some(budget) = &self.budget else { return true };
+                    let granted = budget.try_charge(bitmap);
+                    if granted {
+                        charged.set(charged.get() + bitmap);
+                    }
+                    granted
+                },
+            );
             if let Some(budget) = &self.budget {
-                budget.release(charged);
+                budget.release(charged.get());
             }
             table
         })
@@ -581,6 +603,66 @@ mod tests {
             assert_eq!(prepared.undirected_csr_builds(), 0);
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// `K_64` on the top ids of 512 vertices: the hub rule picks 64 hubs,
+    /// a 512-byte bitmap.
+    fn hub_core() -> Graph {
+        Graph::from_pairs((448..512).flat_map(|a| (a + 1..512).map(move |b| (a, b))))
+    }
+
+    fn bitmaps_built() -> usize {
+        triangles::BITMAPS_BUILT.with(std::cell::Cell::get)
+    }
+
+    /// The hub bitmap is charged like the forward lists: a zero budget
+    /// refuses it and the plain scan runs with no bitmap, a budget that
+    /// spills the lists can still admit it, and every answer is the same.
+    #[test]
+    fn the_hub_bitmap_is_charged_and_a_refusal_allocates_none() {
+        let g = hub_core();
+        let want = PreparedGraph::of(&g).properties(PropertyTier::Advanced);
+        assert_eq!(want.avg_triangles, Some(64.0 * 63.0 * 62.0 / 6.0 * 3.0 / 512.0));
+        let lists = Csr::heap_bytes(g.num_vertices(), g.num_edges());
+        let bitmap = 64 * 8;
+        let dir = std::env::temp_dir().join(format!("ease_prep_bitmap_{}", std::process::id()));
+        // (limit, forward lists spilled, bitmap built)
+        for (limit, spills, bitmaps) in
+            [(0, 1, 0), (bitmap, 1, 1), (lists, 0, 0), (lists + bitmap, 0, 1)]
+        {
+            let budget = Arc::new(MemoryBudget::bytes(limit).with_spill_dir(&dir));
+            let prepared = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&budget));
+            let before = bitmaps_built();
+            assert_eq!(prepared.properties(PropertyTier::Advanced), want, "limit {limit}");
+            assert_eq!(bitmaps_built() - before, bitmaps, "limit {limit}");
+            assert_eq!(prepared.spilled_csr_builds(), spills, "limit {limit}");
+            assert_eq!(budget.charged(), 0, "both charges are back after the scan");
+        }
+        let before = bitmaps_built();
+        let unbudgeted = PreparedGraph::of(&g);
+        let _ = unbudgeted.triangle_counts();
+        assert_eq!(bitmaps_built() - before, 1, "no budget, no refusal");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A context whose fingerprint is memoized derives the same degree
+    /// table without folding it again, and keeps the fingerprint it had.
+    #[test]
+    fn degrees_after_the_fingerprint_match_degrees_before_it() {
+        let g = toy();
+        let fused = PreparedGraph::of(&g);
+        let fused_table = fused.degrees().clone();
+        let looked_up = PreparedGraph::of(&g);
+        let fingerprint = looked_up.fingerprint();
+        let table = looked_up.degrees();
+        assert_eq!(
+            (&table.out, &table.into, &table.total),
+            (&fused_table.out, &fused_table.into, &fused_table.total)
+        );
+        assert_eq!(table.in_moments, fused_table.in_moments);
+        assert_eq!(table.out_moments, fused_table.out_moments);
+        assert_eq!(fused.fingerprint(), fingerprint);
+        assert_eq!(looked_up.fingerprint(), fingerprint);
     }
 
     #[test]

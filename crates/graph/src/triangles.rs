@@ -31,6 +31,19 @@
 //!    occurrences of `r` in the other lists. Counts and degrees are kept in
 //!    rank space — where the hot, high-degree vertices sit together — and
 //!    permuted back to vertex-id order once at the end.
+//!
+//!    On a skewed graph most of the scan streams the lists of the few
+//!    highest-ranked vertices, so the scan is split. The top `H` ranks are
+//!    the *hubs*, `H = min(1024, |V|/8)` rounded down to a multiple of 64,
+//!    kept only when their forward lists average at least four entries:
+//!    shorter lists leave little scan for a bitmap to save. Their lists
+//!    are an `H × H` bitmap — at most 128 KiB. For `u ∈ fwd(v)` below the
+//!    hubs, `fwd(u)` is streamed against the marks as above; for a hub `u`,
+//!    each later entry `w` of `fwd(v)` is tested against `u`'s bitmap row
+//!    instead. That is exact: every entry of `fwd(u)` ranks above `u`, so
+//!    it is a hub too and has a bit, and a `w > u` closing `{v, u, w}` is
+//!    in `fwd(v)` after `u`, so it is tested once. The split is chosen once
+//!    per graph; a graph without a hub core runs the plain scan.
 
 use crate::csr::{Csr, Route};
 use crate::source::GraphSource;
@@ -55,19 +68,38 @@ impl TriangleTable {
 /// endpoints at `v` (what [`DegreeTable::total`](crate::DegreeTable) holds).
 /// Self-loops, parallel and reciprocal edges are ignored.
 pub fn count_source(source: &dyn GraphSource, total_degrees: &[u32]) -> TriangleTable {
-    count_with(total_degrees, |rank| Csr::build(source, Route::Forward(rank)))
+    count_with(total_degrees, |rank| Csr::build(source, Route::Forward(rank)), |_| true)
 }
 
 /// [`count_source`] with the forward build left to the caller, who is handed
 /// the ranks and returns the simplified [`Route::Forward`] CSR over them —
-/// [`crate::PreparedGraph`] puts its heap-or-spill decision there. The CSR is
-/// dropped before the id-order result is allocated.
+/// [`crate::PreparedGraph`] puts its heap-or-spill decision there — and
+/// asked by `admit_hubs` whether the hub bitmap's bytes may be allocated;
+/// a refusal runs the plain scan. The CSR is dropped before the id-order
+/// result is allocated.
 pub(crate) fn count_with(
     total_degrees: &[u32],
     build_forward: impl FnOnce(&[VertexId]) -> Csr,
+    admit_hubs: impl FnOnce(usize) -> bool,
+) -> TriangleTable {
+    count_with_hubs(total_degrees, build_forward, |fwd| match hub_count(fwd) {
+        0 => 0,
+        hubs if admit_hubs(HubRows::bytes(hubs)) => hubs,
+        _ => 0,
+    })
+}
+
+/// [`count_with`] with the hub count for the built lists picked by `hubs`:
+/// the admitted [`hub_count`] in the product, any count a test forces.
+fn count_with_hubs(
+    total_degrees: &[u32],
+    build_forward: impl FnOnce(&[VertexId]) -> Csr,
+    hubs: impl FnOnce(&Csr) -> usize,
 ) -> TriangleTable {
     let rank = rank_by_degree(total_degrees);
-    let (counts, degrees) = scan_forward_lists(&build_forward(&rank));
+    let fwd = build_forward(&rank);
+    let (counts, degrees) = scan_forward_lists(&fwd, hubs(&fwd));
+    drop(fwd);
     TriangleTable {
         counts: rank.iter().map(|&r| counts[r as usize]).collect(),
         degrees: rank.iter().map(|&r| degrees[r as usize]).collect(),
@@ -100,14 +132,95 @@ fn rank_by_degree(degrees: &[u32]) -> Vec<VertexId> {
         .collect()
 }
 
-/// Mark-and-scan over the forward lists; returns triangle counts and simple
-/// degrees, both indexed by rank.
-fn scan_forward_lists(fwd: &Csr) -> (Vec<u64>, Vec<u32>) {
+/// Most hubs a bitmap holds: `1024²` bits, 128 KiB.
+const MAX_HUBS: usize = 1024;
+
+/// How many entries the hubs' forward lists must average for the hub path
+/// to be taken.
+const MIN_HUB_LIST: usize = 4;
+
+/// The hub rule: how many of the top ranks of `fwd` form its hub core —
+/// `min(1024, |V|/8)` rounded down to a multiple of 64, or 0 when that is 0
+/// or their forward lists average fewer than [`MIN_HUB_LIST`] entries.
+fn hub_count(fwd: &Csr) -> usize {
+    let n = fwd.num_vertices();
+    let hubs = (n / 8).min(MAX_HUBS) / 64 * 64;
+    let entries: usize = (n - hubs..n).map(|u| fwd.degree(u as VertexId)).sum();
+    if hubs > 0 && entries >= MIN_HUB_LIST * hubs {
+        hubs
+    } else {
+        0
+    }
+}
+
+/// The forward lists of the top `hubs` ranks as a bitmap: row `u − first`
+/// has bit `w − first` set for every `w ∈ fwd(u)`, where `first` is the
+/// lowest hub rank.
+struct HubRows {
+    first: usize,
+    words: usize,
+    bits: Vec<u64>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// How many hub bitmaps this thread has allocated — the budget tests'
+    /// proof that a refused charge allocates none.
+    pub(crate) static BITMAPS_BUILT: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+impl HubRows {
+    /// Heap bytes of the bitmap over `hubs` hubs — its budget charge.
+    fn bytes(hubs: usize) -> usize {
+        hubs * hubs.div_ceil(64) * std::mem::size_of::<u64>()
+    }
+
+    fn build(fwd: &Csr, hubs: usize) -> Self {
+        #[cfg(test)]
+        BITMAPS_BUILT.with(|built| built.set(built.get() + 1));
+        let first = fwd.num_vertices() - hubs;
+        let words = hubs.div_ceil(64);
+        let mut bits = vec![0u64; hubs * words];
+        for (row, u) in bits.chunks_exact_mut(words).zip(first..) {
+            // every entry ranks above u, so it is a hub
+            for &w in fwd.neighbors(u as VertexId) {
+                let b = w as usize - first;
+                row[b / 64] |= 1 << (b % 64);
+            }
+        }
+        HubRows { first, words, bits }
+    }
+
+    /// No hubs: the plain scan's core, which allocates nothing.
+    fn none(fwd: &Csr) -> Self {
+        HubRows { first: fwd.num_vertices(), words: 0, bits: Vec::new() }
+    }
+
+    #[inline]
+    fn row(&self, u: VertexId) -> &[u64] {
+        &self.bits[(u as usize - self.first) * self.words..][..self.words]
+    }
+}
+
+/// Mark-and-scan over the forward lists, the top `hubs` ranks closed by
+/// bit test ([`hub_count`] picks how many; 0 runs the plain scan). Returns
+/// triangle counts and simple degrees, both indexed by rank.
+fn scan_forward_lists(fwd: &Csr, hubs: usize) -> (Vec<u64>, Vec<u32>) {
     debug_assert!(
         fwd.iter().all(|(v, list)| list.first().is_none_or(|&w| w > v)
             && list.windows(2).all(|w| w[0] < w[1])),
         "triangle counting needs simplified forward lists: strictly increasing, above their own rank"
     );
+    match hubs.min(fwd.num_vertices()) {
+        0 => scan::<false>(fwd, &HubRows::none(fwd)),
+        hubs => scan::<true>(fwd, &HubRows::build(fwd, hubs)),
+    }
+}
+
+/// The scan of [`scan_forward_lists`], monomorphized on whether there is a
+/// hub core, so the plain scan carries no per-vertex split.
+#[inline(always)]
+fn scan<const HUBS: bool>(fwd: &Csr, core: &HubRows) -> (Vec<u64>, Vec<u32>) {
     let n = fwd.num_vertices();
     let mut counts = vec![0u64; n];
     let mut degrees = vec![0u32; n];
@@ -124,24 +237,44 @@ fn scan_forward_lists(fwd: &Csr) -> (Vec<u64>, Vec<u32>) {
         if fwd_v.len() < 2 {
             continue;
         }
-        for &w in fwd_v {
-            marked[w as usize] = true;
-        }
+        // entries below the hubs are closed by the marks, hubs by bit test
+        let split =
+            if HUBS { fwd_v.partition_point(|&w| (w as usize) < core.first) } else { fwd_v.len() };
+        let (streamed, hub_suffix) = fwd_v.split_at(split);
         let mut at_v = 0u64;
-        for &u in fwd_v {
-            let mut at_u = 0u64;
-            for &w in fwd.neighbors(u) {
-                let hit = u64::from(marked[w as usize]);
-                counts[w as usize] += hit;
-                at_u += hit;
+        if !HUBS || !streamed.is_empty() {
+            for &w in fwd_v {
+                marked[w as usize] = true;
             }
-            counts[u as usize] += at_u;
-            at_v += at_u;
+            for &u in streamed {
+                let mut at_u = 0u64;
+                for &w in fwd.neighbors(u) {
+                    let hit = u64::from(marked[w as usize]);
+                    counts[w as usize] += hit;
+                    at_u += hit;
+                }
+                counts[u as usize] += at_u;
+                at_v += at_u;
+            }
+            for &w in fwd_v {
+                marked[w as usize] = false;
+            }
+        }
+        if HUBS {
+            for (i, &u) in hub_suffix.iter().enumerate() {
+                let row = core.row(u);
+                let mut at_u = 0u64;
+                for &w in &hub_suffix[i + 1..] {
+                    let b = w as usize - core.first;
+                    let hit = (row[b / 64] >> (b % 64)) & 1;
+                    counts[w as usize] += hit;
+                    at_u += hit;
+                }
+                counts[u as usize] += at_u;
+                at_v += at_u;
+            }
         }
         counts[v] += at_v;
-        for &w in fwd_v {
-            marked[w as usize] = false;
-        }
     }
     (counts, degrees)
 }
@@ -296,6 +429,145 @@ mod tests {
         assert_eq!(PreparedGraph::of(&g).triangle_counts(), [0, 0, 0, 0, 0, 1, 1, 1]);
     }
 
+    /// A splitmix64 step: the test graphs' deterministic random stream.
+    fn next(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// R-MAT with quadrant weights 0.57 / 0.19 / 0.19 / 0.05 — a skewed
+    /// degree distribution — folded onto `n` vertices.
+    fn rmat(n: usize, m: usize, seed: u64) -> Graph {
+        let levels = n.next_power_of_two().trailing_zeros();
+        let mut x = seed;
+        let pairs = (0..m).map(|_| {
+            let (mut s, mut d) = (0usize, 0usize);
+            for _ in 0..levels {
+                let p = next(&mut x) % 100;
+                s = 2 * s + usize::from(p >= 76);
+                d = 2 * d + usize::from((57..76).contains(&p) || p >= 95);
+            }
+            ((s % n) as VertexId, (d % n) as VertexId)
+        });
+        Graph::new(n, pairs.map(|(s, d)| crate::types::Edge::new(s, d)).collect())
+    }
+
+    fn gnm(n: usize, m: usize, seed: u64) -> Graph {
+        let mut x = seed;
+        let mut pick = || (next(&mut x) % n as u64) as VertexId;
+        Graph::new(n, (0..m).map(|_| crate::types::Edge::new(pick(), pick())).collect())
+    }
+
+    /// `K_k` on the top `k` ids of `n` vertices, the rest isolated.
+    fn clique(n: usize, k: usize) -> Graph {
+        let ids = (n - k) as VertexId..n as VertexId;
+        let pairs = ids.clone().flat_map(|a| (a + 1..n as VertexId).map(move |b| (a, b)));
+        Graph::new(n, pairs.map(|(a, b)| crate::types::Edge::new(a, b)).collect())
+    }
+
+    fn star(n: usize) -> Graph {
+        let spokes = (1..n as VertexId).map(|leaf| crate::types::Edge::new(0, leaf));
+        Graph::new(n, spokes.collect())
+    }
+
+    /// A G(n, m) core with every edge also reversed, every fifth doubled and
+    /// a loop at every seventh vertex.
+    fn multigraph(n: usize, seed: u64) -> Graph {
+        let mut edges = gnm(n, 6 * n, seed).edges().to_vec();
+        let extra: Vec<_> = edges
+            .iter()
+            .enumerate()
+            .flat_map(|(i, e)| {
+                let doubled = (i % 5 == 0).then_some(*e);
+                [Some(crate::types::Edge::new(e.dst, e.src)), doubled]
+            })
+            .flatten()
+            .collect();
+        edges.extend(extra);
+        edges.extend((0..n as VertexId).step_by(7).map(|v| crate::types::Edge::new(v, v)));
+        Graph::new(n, edges)
+    }
+
+    /// Triangle counts and simple degrees by set intersection over the
+    /// undirected simple neighbourhoods — no ranks, no forward lists.
+    fn naive(g: &Graph) -> (Vec<u64>, Vec<u32>) {
+        let mut sets = vec![std::collections::BTreeSet::new(); g.num_vertices()];
+        for e in g.edges().iter().filter(|e| e.src != e.dst) {
+            sets[e.src as usize].insert(e.dst);
+            sets[e.dst as usize].insert(e.src);
+        }
+        let counts = sets
+            .iter()
+            .map(|of_v| {
+                let twice: usize =
+                    of_v.iter().map(|&u| of_v.intersection(&sets[u as usize]).count()).sum();
+                (twice / 2) as u64
+            })
+            .collect();
+        (counts, sets.iter().map(|s| s.len() as u32).collect())
+    }
+
+    /// The hub split against the plain scan and the naive oracle, bit for
+    /// bit, with the hub count forced to none, 64, every rank and the rule's
+    /// own choice, on every shape the split could get wrong: all ranks hubs
+    /// (cliques), no closing edge at all (stars), a skewed hub core (R-MAT),
+    /// no hub core (G(n, m)) and lists that simplify away (loops, parallel
+    /// and reciprocal edges). A clique on every vertex of the largest size
+    /// would take 8 M edges, so there it spans the top 128 ids.
+    #[test]
+    fn the_hub_split_matches_the_plain_scan_and_the_naive_oracle() {
+        let mut hub_paths = 0;
+        for n in [1, 63, 64, 65, 4_097] {
+            let graphs = [
+                ("clique", clique(n, n.min(128))),
+                ("star", star(n)),
+                ("rmat", rmat(n, 8 * n, n as u64)),
+                ("gnm", gnm(n, 3 * n, n as u64 + 1)),
+                ("multigraph", multigraph(n, n as u64 + 2)),
+            ];
+            for (name, g) in graphs {
+                let want = naive(&g);
+                let build = |rank: &[VertexId]| Csr::build(&g, Route::Forward(rank));
+                let total = g.total_degrees();
+                let plain = count_with_hubs(&total, build, |_| 0);
+                assert_eq!((&plain.counts, &plain.degrees), (&want.0, &want.1), "{name} n={n}");
+                let forced: [fn(&Csr) -> usize; 3] = [|_| 64, Csr::num_vertices, hub_count];
+                for (which, hubs) in ["64", "every rank", "the rule's"].iter().zip(forced) {
+                    let split = count_with_hubs(&total, build, hubs);
+                    assert_eq!(split.counts, plain.counts, "{name} n={n}, {which} hubs");
+                    assert_eq!(split.degrees, plain.degrees, "{name} n={n}, {which} hubs");
+                }
+                hub_paths += usize::from(hub_count(&build(&rank_by_degree(&total))) > 0);
+            }
+        }
+        // the rule's own choice ran the hub path too: on the clique and the
+        // R-MAT of 4 097 vertices (below 512 vertices |V|/8 < 64)
+        assert_eq!(hub_paths, 2, "the rule chose hubs for {hub_paths} graphs");
+        // ... and never where the hubs' lists are short
+        let sparse = gnm(4_097, 3 * 4_097, 9);
+        let rank = rank_by_degree(&sparse.total_degrees());
+        assert_eq!(hub_count(&Csr::build(&sparse, Route::Forward(&rank))), 0);
+    }
+
+    #[test]
+    fn the_hub_rule_caps_the_core_and_rounds_it_to_words() {
+        // a 200-clique on the top ids: the top ranks' lists are long
+        let hubs_of = |n: usize| {
+            let g = clique(n, 200);
+            let rank = rank_by_degree(&g.total_degrees());
+            hub_count(&Csr::build(&g, Route::Forward(&rank)))
+        };
+        assert_eq!(hubs_of(511), 0, "|V|/8 = 63 rounds down to no hubs");
+        assert_eq!(hubs_of(512), 64);
+        assert_eq!(hubs_of(1_100), 128, "|V|/8 = 137 rounds down to 128");
+        assert_eq!(hubs_of(9_000), 1_024, "capped at 1024");
+        assert_eq!(HubRows::bytes(1_024), 128 << 10);
+        assert_eq!(HubRows::bytes(0), 0);
+    }
+
     /// Forward lists that are not simple (here a parallel edge kept twice)
     /// are not a valid input; debug builds refuse them instead of
     /// over-counting. Neither builder makes such lists, so the test
@@ -304,6 +576,6 @@ mod tests {
     #[cfg(debug_assertions)]
     #[should_panic(expected = "simplified forward lists")]
     fn non_simple_adjacency_is_refused_in_debug_builds() {
-        count_with(&[2, 2, 0], |_| Csr::heap(vec![0, 2, 2, 2], vec![1, 1]));
+        count_with(&[2, 2, 0], |_| Csr::heap(vec![0, 2, 2, 2], vec![1, 1]), |_| true);
     }
 }
