@@ -97,6 +97,19 @@ diff "$smoke/bel.out" "$smoke/spill.out"
 # binary round trip preserves the stream
 "$EASE_BIN" convert --in "$smoke/graph.bel" --out "$smoke/back.txt"
 diff <(grep -v '^#' "$smoke/graph.txt") <(grep -v '^#' "$smoke/back.txt")
+# a declared universe (`# vertices N`: isolated trailing vertices) survives
+# txt -> bel -> txt, and all three files extract the same features
+printf '# vertices 50\n0 1\n1 2\n2 0\n' > "$smoke/padded.txt"
+"$EASE_BIN" convert --in "$smoke/padded.txt" --out "$smoke/padded.bel"
+"$EASE_BIN" convert --in "$smoke/padded.bel" --out "$smoke/padded_back.txt"
+grep -q '^# vertices 50 edges 3$' "$smoke/padded_back.txt"
+for padded in padded.txt padded.bel padded_back.txt; do
+    "$EASE_BIN" features "$smoke/$padded" --tier advanced | head -n -1 | tail -n +2 \
+        > "$smoke/$padded.features"
+done
+grep -q '^num_vertices  *50.000000$' "$smoke/padded.txt.features"
+diff "$smoke/padded.txt.features" "$smoke/padded.bel.features"
+diff "$smoke/padded.txt.features" "$smoke/padded_back.txt.features"
 
 # streaming generation straight to .bel (never materializes)
 "$EASE_BIN" gen --out "$smoke/big.bel" --kind rmat --vertices 65536 --edges 500000 --seed 9
@@ -112,6 +125,15 @@ fi
 cat "$smoke/bad.err" >&2
 grep -q 'line 2' "$smoke/bad.err"
 grep -q "\`broken\`" "$smoke/bad.err"
+# ...and `convert` validates a text input before it creates --out: onto an
+# existing --out, a malformed input is exit 1 naming the line, and --out is
+# left byte-identical
+cp "$smoke/graph.bel" "$smoke/kept.bel"
+rc=0
+"$EASE_BIN" convert --in "$smoke/bad.txt" --out "$smoke/kept.bel" 2> "$smoke/convert.err" || rc=$?
+[[ $rc -eq 1 ]]
+grep -q 'line 2' "$smoke/convert.err"
+cmp "$smoke/graph.bel" "$smoke/kept.bel"
 # a KONECT-style dump (% header, tabs, a weight column, CRLF) must analyze
 # exactly like its normalised two-column twin
 grep -v '^#' "$smoke/graph.txt" > "$smoke/twin.txt"

@@ -128,14 +128,14 @@ pub fn call_endpoint(endpoint: &Endpoint, request: &Request) -> Result<Response,
 
 /// A v2 session: one connection, many requests in flight, responses
 /// matched back to their ids. Not `Sync` — one session belongs to one
-/// thread; open more sessions for more concurrency. Frames are read
-/// through one buffer, so a response costs one `read` and responses that
-/// arrive together are decoded without going back to the socket.
+/// thread; open more sessions for more concurrency. It is the two halves
+/// [`Self::split`] hands out plus the parked responses: requests go
+/// straight to the socket through a duplicate of its handle, frames are
+/// read through one buffer, so a response costs one `read` and responses
+/// that arrive together are decoded without going back to the socket.
 pub struct PipelinedClient {
-    /// The connection behind its read buffer; requests are written
-    /// straight to the socket through `get_mut`.
-    stream: BufReader<Box<dyn Conn>>,
-    next_id: u64,
+    sender: PipelinedSender,
+    receiver: PipelinedReceiver,
     /// Responses that arrived while [`Self::recv`] was waiting for a
     /// different id, kept in arrival order.
     parked: Vec<(u64, Response)>,
@@ -143,17 +143,21 @@ pub struct PipelinedClient {
 
 impl PipelinedClient {
     pub fn connect(endpoint: &Endpoint) -> Result<PipelinedClient, EaseError> {
-        let stream = BufReader::new(connect(endpoint)?);
-        Ok(PipelinedClient { stream, next_id: 0, parked: Vec::new() })
+        PipelinedClient::over(connect(endpoint)?)
+    }
+
+    /// A fresh session over `conn`: the receiver keeps `conn` behind the
+    /// read buffer, the sender writes to a duplicate of its handle.
+    fn over(conn: Box<dyn Conn>) -> Result<PipelinedClient, EaseError> {
+        let sender = PipelinedSender { stream: conn.try_clone_conn()?, next_id: 0 };
+        let receiver = PipelinedReceiver { stream: BufReader::new(conn) };
+        Ok(PipelinedClient { sender, receiver, parked: Vec::new() })
     }
 
     /// Write one request frame and return the id its response will carry.
     /// Does not wait for the answer — that is the point.
     pub fn send(&mut self, request: &Request) -> Result<u64, EaseError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        write_frame_v2(self.stream.get_mut(), id, &request.encode_binary())?;
-        Ok(id)
+        self.sender.send(request)
     }
 
     /// Next response in arrival order (parked responses first), whatever
@@ -162,8 +166,7 @@ impl PipelinedClient {
         if !self.parked.is_empty() {
             return Ok(self.parked.remove(0));
         }
-        let (id, payload) = read_frame_v2(&mut self.stream)?;
-        Ok((id, Response::decode_binary(&payload)?))
+        self.receiver.recv_any()
     }
 
     /// The response to request `want`, parking any responses that arrive
@@ -173,8 +176,7 @@ impl PipelinedClient {
             return Ok(self.parked.remove(at).1);
         }
         loop {
-            let (id, payload) = read_frame_v2(&mut self.stream)?;
-            let response = Response::decode_binary(&payload)?;
+            let (id, response) = self.receiver.recv_any()?;
             if id == want {
                 return Ok(response);
             }
@@ -189,9 +191,8 @@ impl PipelinedClient {
     }
 
     /// Split a fresh session into independently usable halves over the
-    /// same connection (the OS-level stream is duplicated): one thread
-    /// can keep sending while another blocks in
-    /// [`PipelinedReceiver::recv_any`] — the shape a multiplexing proxy
+    /// same connection: one thread can keep sending while another blocks
+    /// in [`PipelinedReceiver::recv_any`] — the shape a multiplexing proxy
     /// needs. The receiver keeps the read buffer, so a response already
     /// read off the socket is still delivered. Refuses to split a session
     /// with parked responses: those belong to the unified [`Self::recv`]
@@ -200,9 +201,7 @@ impl PipelinedClient {
         if !self.parked.is_empty() {
             return Err(proto_err("split a fresh session, not one with parked responses"));
         }
-        let write = self.stream.get_ref().try_clone_conn()?;
-        let sender = PipelinedSender { stream: write, next_id: self.next_id };
-        Ok((sender, PipelinedReceiver { stream: self.stream }))
+        Ok((self.sender, self.receiver))
     }
 }
 
@@ -336,9 +335,7 @@ mod tests {
         use super::super::protocol::read_frame_v2;
         let (near, mut far) = UnixStream::pair().unwrap();
         near.set_read_timeout(Some(std::time::Duration::from_secs(5))).unwrap();
-        let stream: Box<dyn Conn> = Box::new(near);
-        let mut client =
-            PipelinedClient { stream: BufReader::new(stream), next_id: 0, parked: Vec::new() };
+        let mut client = PipelinedClient::over(Box::new(near)).unwrap();
         let id = client.send(&Request::Ping).unwrap();
         assert_eq!(read_frame_v2(&mut far).unwrap().0, id);
         // two answers in one write: the read that takes the first buffers
@@ -348,7 +345,7 @@ mod tests {
         write_frame_v2(&mut wire, 77, &Response::ShuttingDown.encode_binary()).unwrap();
         far.write_all(&wire).unwrap();
         assert_eq!(client.recv(id).unwrap(), Response::Pong { version: 2 });
-        assert!(!client.stream.buffer().is_empty(), "the second frame is buffered");
+        assert!(!client.receiver.stream.buffer().is_empty(), "the second frame is buffered");
         let (mut tx, mut rx) = client.split().unwrap();
         assert_eq!(rx.recv_any().unwrap(), (77, Response::ShuttingDown));
         // and the write half still reaches the peer

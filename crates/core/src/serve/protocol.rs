@@ -441,7 +441,7 @@ fn to_json<M: Message>(message: &M) -> String {
             Slot::Usize(n) | Slot::UsizeOr(n) => Value::UInt(*n as u64),
             Slot::OptUsize(n) => n.map_or(Value::Null, |n| Value::UInt(n as u64)),
             Slot::Goal(goal) => Value::str(goal_name(*goal)),
-            Slot::Tier(tier) => Value::str(tier_name(*tier)),
+            Slot::Tier(tier) => Value::str(tier.name()),
         };
         members.push((key.to_string(), value));
     }
@@ -591,11 +591,6 @@ pub fn goal_from_name(name: &str) -> Result<OptGoal, EaseError> {
         "processing" | "proc" => Ok(OptGoal::ProcessingOnly),
         other => Err(proto_err(format!("unknown goal `{other}` (expected e2e|processing)"))),
     }
-}
-
-/// The CLI spelling of a property tier (`--tier` vocabulary).
-pub fn tier_name(tier: PropertyTier) -> &'static str {
-    tier.name()
 }
 
 /// Parse the CLI/JSON tier vocabulary.
@@ -979,7 +974,7 @@ mod tests {
         assert_eq!(goal_from_name("proc").unwrap(), OptGoal::ProcessingOnly);
         assert!(goal_from_name("fastest").is_err());
         for tier in [PropertyTier::Simple, PropertyTier::Basic, PropertyTier::Advanced] {
-            assert_eq!(tier_from_name(tier_name(tier)).unwrap(), tier);
+            assert_eq!(tier_from_name(tier.name()).unwrap(), tier);
         }
         assert!(tier_from_name("ultra").is_err());
     }

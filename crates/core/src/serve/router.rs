@@ -484,7 +484,9 @@ fn route_key(path: &Path) -> u64 {
 /// offsets plus one u32 target per edge). That is roughly a *quarter*
 /// of the `.bel` file's own size for edge-heavy graphs (the file stores
 /// two u64s per edge), so sniffing admits real queries a file-size
-/// estimate sheds.
+/// estimate sheds. The kernel's hub bitmap (at most 128 KiB) is left out
+/// on purpose: a budget that refuses it runs the plain scan and spills
+/// nothing.
 /// Anything without a well-formed `.bel` header (text edge lists,
 /// truncated files) falls back to the file size, a coarse
 /// over-approximation. `None` (unreadable/absent file) admits to the
@@ -497,22 +499,19 @@ fn estimated_bytes(path: &Path) -> Option<u64> {
     Some(bel_csr_estimate(path).unwrap_or(md.len()))
 }
 
-/// The admission estimate declared by a well-formed `.bel` header:
-/// CSR offsets + forward-list targets, saturating so a hostile header
-/// cannot overflow the arithmetic. `None` when the file does not start
-/// with a header `ease_graph::bel::decode_header` accepts.
+/// The forward lists' heap charge for the `|V|` and `|E|` a well-formed
+/// `.bel` header declares, saturating so a hostile header cannot
+/// overflow it. `None` when the file does not start with a header
+/// `ease_graph::bel::decode_header` accepts.
 fn bel_csr_estimate(path: &Path) -> Option<u64> {
     use ease_graph::bel::{decode_header, BEL_HEADER_LEN};
     use std::io::Read;
     let mut header = [0u8; BEL_HEADER_LEN];
     std::fs::File::open(path).ok()?.read_exact(&mut header).ok()?;
     let (num_vertices, num_edges) = decode_header(&header).ok()?;
-
-    // Csr::heap_bytes(|V|, |E|): 8-byte offsets, and a 4-byte target
-    // for every edge in the forward list of its lower-ranked endpoint
-    let offsets = num_vertices.saturating_add(1).saturating_mul(8);
-    let targets = num_edges.saturating_mul(4);
-    Some(offsets.saturating_add(targets))
+    let size = |n: u64| usize::try_from(n).unwrap_or(usize::MAX);
+    let bytes = ease_graph::Csr::heap_bytes(size(num_vertices), size(num_edges));
+    Some(u64::try_from(bytes).unwrap_or(u64::MAX))
 }
 
 /// Start the fleet router: bind the configured listen endpoints, probe

@@ -9,7 +9,7 @@
 //! before it is written). Both give the same lists for every chunk size.
 
 use crate::source::{each_edge, GraphSource};
-use crate::spill::{LoadedCsr, MappedCsr, SpillWriter};
+use crate::spill::{MappedCsr, SpillWriter};
 use crate::types::{Edge, VertexId};
 use std::ops::Range;
 use std::path::Path;
@@ -77,9 +77,11 @@ impl Csr {
 
     /// Exact heap cost of an in-heap CSR over `n` vertices and `entries`
     /// adjacency entries — what a [`MemoryBudget`](crate::MemoryBudget)
-    /// charge for this structure should be.
+    /// charge for this structure should be. Saturating, so a size read
+    /// from an untrusted header cannot wrap it.
     pub fn heap_bytes(n: usize, entries: usize) -> usize {
-        (n + 1) * std::mem::size_of::<usize>() + entries * std::mem::size_of::<VertexId>()
+        let offsets = n.saturating_add(1).saturating_mul(std::mem::size_of::<usize>());
+        offsets.saturating_add(entries.saturating_mul(std::mem::size_of::<VertexId>()))
     }
 
     /// Build the simple adjacency of `route` in heap: count every list's
@@ -181,10 +183,7 @@ impl Csr {
             }
             v0 = v1;
         }
-        Ok(match writer.finish()? {
-            LoadedCsr::Mapped(m) => Csr { store: Store::Mapped(Arc::new(m)) },
-            LoadedCsr::Heap { offsets, targets } => Csr::heap(offsets, targets),
-        })
+        Ok(Csr { store: Store::Mapped(Arc::new(writer.finish()?)) })
     }
 
     /// Whether this CSR is served from a mapped spill file rather than heap.

@@ -4,10 +4,11 @@
 //! ignored — the same whitespace-separated format used by SNAP/KONECT dumps,
 //! so users can feed their own graphs to the examples.
 //!
-//! Every text reader in the crate ([`read_edge_list`], [`read_edge_list_from`],
-//! [`crate::source::TextStreamSource`]) is a callback into one block kernel,
-//! `scan_edge_list`: it reads any [`Read`] in one reusable 256 KiB block (no
-//! per-line buffering, no `BufRead` needed) and splits the work in two:
+//! Every text reader ([`read_edge_list`], [`read_edge_list_from`] and the
+//! streaming [`stream_edge_list`] they wrap) is a callback into one block
+//! kernel, `scan_edge_list`: it reads any [`Read`] in one reusable 256 KiB
+//! block (no per-line buffering, no `BufRead` needed) and splits the work in
+//! two:
 //!
 //! * **fast path** — a line of the shape `[ \t]*digits[ \t]+digits`, then
 //!   nothing or a pure-ASCII tail that starts with a blank or `\r` (trailing
@@ -32,7 +33,6 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Write};
-use std::ops::ControlFlow;
 use std::path::Path;
 
 use crate::edge_list::Graph;
@@ -139,7 +139,7 @@ pub fn parse_edge_line(line: &str, lineno: usize) -> Result<Option<Edge>, GraphI
 const BLOCK_BYTES: usize = 1 << 18;
 
 /// What the kernel found on a line (lines that carry neither are skipped).
-pub(crate) enum TextItem {
+enum TextItem {
     Edge(Edge),
     /// A `# vertices N` summary comment, `N` not yet bounds-checked.
     DeclaredUniverse(usize),
@@ -147,13 +147,13 @@ pub(crate) enum TextItem {
 
 /// The one text-parsing loop of the crate: read `reader` to its end in
 /// [`BLOCK_BYTES`] blocks and hand every edge and universe declaration to
-/// `on_item` in file order, until it breaks or fails. The partial last
-/// line of a block is carried over to the next; the buffer only grows for
-/// a line longer than a block. See the module docs for the fast-path /
-/// slow-path contract.
-pub(crate) fn scan_edge_list<R: Read>(
+/// `on_item` in file order, until it fails. The partial last line of a
+/// block is carried over to the next; the buffer only grows for a line
+/// longer than a block. See the module docs for the fast-path / slow-path
+/// contract.
+fn scan_edge_list<R: Read>(
     mut reader: R,
-    mut on_item: impl FnMut(TextItem) -> Result<ControlFlow<()>, GraphIoError>,
+    mut on_item: impl FnMut(TextItem) -> Result<(), GraphIoError>,
 ) -> Result<(), GraphIoError> {
     let mut buf = vec![0u8; BLOCK_BYTES];
     let mut len = 0usize; // buf[..len]: the carried partial line, then fresh bytes
@@ -191,9 +191,7 @@ pub(crate) fn scan_edge_list<R: Read>(
                 }
             };
             if let Some(item) = item {
-                if on_item(item)?.is_break() {
-                    return Ok(());
-                }
+                on_item(item)?;
             }
             rest = &rest[used..];
         }
@@ -269,10 +267,12 @@ fn parse_irregular_line(line: &[u8], lineno: usize) -> Result<Option<TextItem>, 
     })
 }
 
-/// Run the kernel over a whole stream: `on_edge` sees every edge in order,
-/// and the result is the vertex universe — `max(declared, max endpoint + 1)`
-/// over every `# vertices N` summary comment (anywhere in the file).
-pub(crate) fn scan_whole_edge_list<R: Read>(
+/// Stream a whole text edge list through `on_edge`, in file order, in
+/// constant memory (one block, see the module docs), and return its vertex
+/// universe — `max(declared, max endpoint + 1)` over every `# vertices N`
+/// summary comment (anywhere in the file). On an error, `on_edge` has seen
+/// the edges before the offending line.
+pub fn stream_edge_list<R: Read>(
     reader: R,
     mut on_edge: impl FnMut(Edge),
 ) -> Result<usize, GraphIoError> {
@@ -289,7 +289,7 @@ pub(crate) fn scan_whole_edge_list<R: Read>(
                 declared = declared.max(n);
             }
         }
-        Ok(ControlFlow::Continue(()))
+        Ok(())
     })?;
     Ok(inferred.max(declared))
 }
@@ -300,7 +300,7 @@ pub(crate) fn scan_whole_edge_list<R: Read>(
 /// explicit universe; the result covers `max(declared, max endpoint + 1)`.
 pub fn read_edge_list_from<R: Read>(reader: R) -> Result<Graph, GraphIoError> {
     let mut edges: Vec<Edge> = Vec::new();
-    let num_vertices = scan_whole_edge_list(reader, |e| edges.push(e))?;
+    let num_vertices = stream_edge_list(reader, |e| edges.push(e))?;
     Ok(Graph::new(num_vertices, edges))
 }
 

@@ -16,9 +16,10 @@
 //!   memoizes the degree table, the triangle counts and a stable content
 //!   fingerprint, each built by sequential passes over the edge stream —
 //!   callers parallelise across graphs, never inside one,
-//! * [`GraphSource`] — the ingestion seam: in-memory, memory-mapped binary
-//!   (`.bel`, [`bel`]) and streaming text ([`source::TextStreamSource`])
-//!   backends that replay an edge stream without requiring an owned copy,
+//! * [`GraphSource`] — the ingestion seam: the in-memory backend (a text
+//!   edge list is read into a [`Graph`] by [`io`]) and the memory-mapped
+//!   binary backend (`.bel`, [`bel`]), which replays its edge stream
+//!   without an owned copy,
 //! * [`hash`] — fast seeded mixing functions shared by the hash partitioners.
 //!
 //! Everything is deterministic: no global RNG state, no time-dependent
@@ -60,5 +61,5 @@ pub use edge_list::Graph;
 pub use io::GraphIoError;
 pub use prepared::PreparedGraph;
 pub use properties::{GraphProperties, PropertyTier};
-pub use source::{is_bel_path, open_path, GraphSource, TextStreamSource};
+pub use source::{is_bel_path, open_path, GraphSource};
 pub use types::{Edge, VertexId};

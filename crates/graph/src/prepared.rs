@@ -10,10 +10,10 @@
 //! about degree/adjacency precomputation across partitioners).
 //!
 //! [`PreparedGraph`] holds one [`GraphSource`], borrowed or owned — an
-//! in-memory [`Graph`], a memory-mapped `.bel` file
-//! ([`crate::bel::BelSource`]) or a streaming text reader
-//! ([`crate::source::TextStreamSource`]) — and lazily memoizes, behind
-//! [`OnceLock`]s, the three results the rest of the workspace asks it for:
+//! in-memory [`Graph`] (a text edge list is read into one) or a
+//! memory-mapped `.bel` file ([`crate::bel::BelSource`]) — and lazily
+//! memoizes, behind [`OnceLock`]s, the three results the rest of the
+//! workspace asks it for:
 //!
 //! * the [`DegreeTable`] (degrees + moments + skewness), whose counting
 //!   pass also folds the content fingerprint incrementally,
@@ -125,8 +125,8 @@ impl<'g> PreparedGraph<'g> {
     }
 
     /// Borrow any [`GraphSource`] — the zero-copy ingestion path: a
-    /// memory-mapped `.bel` file or a streaming text reader feeds the
-    /// context directly, and no owned `Vec<Edge>` is ever materialized.
+    /// memory-mapped `.bel` file feeds the context directly, and no owned
+    /// `Vec<Edge>` is ever materialized.
     pub fn of_source(source: &'g dyn GraphSource) -> PreparedGraph<'g> {
         Self::from_handle(GraphHandle::Borrowed(source))
     }
@@ -169,9 +169,10 @@ impl<'g> PreparedGraph<'g> {
     /// returns the CSR and the bytes charged for it, which the caller owes back to
     /// the budget. No budget — or a granted charge — builds in heap exactly
     /// as before; a refused charge streams the build through a bounded
-    /// chunk into a spill file. A spill I/O failure (full temp disk,
-    /// unwritable dir) falls back to the in-heap build: correctness over
-    /// the budget, and a daemon that degrades instead of dying.
+    /// chunk into a spill file. A failed spill (full temp disk, unwritable
+    /// dir, a big-endian host that cannot map it zero-copy) falls back to
+    /// the in-heap build, uncharged: correctness over the budget, and a
+    /// daemon that degrades instead of dying.
     fn build_csr(&self, route: Route<'_>) -> (Csr, usize) {
         let in_heap = || Csr::build(self.source(), route);
         let Some(budget) = &self.budget else { return (in_heap(), 0) };

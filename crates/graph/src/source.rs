@@ -8,10 +8,13 @@
 //! replay its edge stream on demand:
 //!
 //! * [`crate::Graph`] — the in-memory edge list (exposes a zero-cost slice),
+//!   which is also what a text edge list is read into
+//!   ([`crate::io::read_edge_list`]),
 //! * [`crate::bel::BelSource`] — a zero-copy view over a memory-mapped
-//!   binary edge-list (`.bel`) file,
-//! * [`TextStreamSource`] — a streaming reader over a text edge list that
-//!   holds one block of the file at a time.
+//!   binary edge-list (`.bel`) file.
+//!
+//! Both replay from memory, so a replay cannot fail: every check a file
+//! needs happens once, when it is read or mapped.
 //!
 //! Consumers drive the source with whole-stream passes
 //! ([`GraphSource::for_each_edge`]), one sequential replay per stage: the
@@ -28,12 +31,11 @@
 //! output carry fingerprints, so the construction may not change, and the
 //! value is bit-identical across backends and machines.
 
-use std::ops::ControlFlow;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::edge_list::Graph;
 use crate::hash::mix64;
-use crate::io::{scan_edge_list, scan_whole_edge_list, GraphIoError, TextItem};
+use crate::io::GraphIoError;
 use crate::types::Edge;
 
 /// Fixed block length (in edges) of the content fingerprint. Part of the
@@ -166,7 +168,7 @@ pub fn fingerprint_source(source: &dyn GraphSource) -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// Backend 1: the in-memory edge list
+// The in-memory backend (the mapped one is `crate::bel::BelSource`)
 // ---------------------------------------------------------------------
 
 impl GraphSource for Graph {
@@ -188,85 +190,6 @@ impl GraphSource for Graph {
 
     fn edge_slice(&self) -> Option<&[Edge]> {
         Some(self.edges())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Backend 3: block-streaming text reader
-// ---------------------------------------------------------------------
-
-/// A text edge list consumed as a stream: one pass of the block kernel
-/// ([`crate::io`]) per replay, one reusable block, never the whole file in
-/// memory.
-///
-/// [`TextStreamSource::open`] runs a single validation pass (counting edges
-/// and the max endpoint, type-checking every line) so later replays are
-/// infallible; if the file changes between passes the replay panics rather
-/// than returning silently wrong analysis.
-#[derive(Debug, Clone)]
-pub struct TextStreamSource {
-    path: PathBuf,
-    num_vertices: usize,
-    edge_count: usize,
-}
-
-impl TextStreamSource {
-    /// Open and validate `path` (one full pass, constant memory).
-    /// A `# vertices N` summary comment declares an explicit universe (see
-    /// [`crate::io::parse_universe_comment`]); the source covers
-    /// `max(declared, max endpoint + 1)`.
-    pub fn open(path: &Path) -> Result<Self, GraphIoError> {
-        let mut edge_count = 0usize;
-        let num_vertices = scan_whole_edge_list(std::fs::File::open(path)?, |_| edge_count += 1)?;
-        Ok(TextStreamSource { path: path.to_path_buf(), num_vertices, edge_count })
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl GraphSource for TextStreamSource {
-    #[inline]
-    fn num_vertices(&self) -> usize {
-        self.num_vertices
-    }
-
-    #[inline]
-    fn edge_count(&self) -> usize {
-        self.edge_count
-    }
-
-    /// One pass of the block kernel over the file, stopping after the
-    /// `edge_count` edges `open` validated.
-    fn for_each_edge(&self, f: &mut dyn FnMut(Edge)) {
-        let file = std::fs::File::open(&self.path).unwrap_or_else(|e| {
-            panic!("edge list {} vanished mid-analysis: {e}", self.path.display())
-        });
-        let mut seen = 0usize;
-        let scanned = scan_edge_list(file, |item| {
-            if let TextItem::Edge(e) = item {
-                if seen == self.edge_count {
-                    return Ok(ControlFlow::Break(()));
-                }
-                f(e);
-                seen += 1;
-            }
-            Ok(ControlFlow::Continue(()))
-        });
-        match scanned {
-            Ok(()) => {}
-            Err(GraphIoError::Io(e)) => {
-                panic!("edge list {} unreadable mid-analysis: {e}", self.path.display())
-            }
-            Err(e) => panic!("edge list {} changed mid-analysis: {e}", self.path.display()),
-        }
-        assert!(
-            seen == self.edge_count,
-            "edge list {} shrank mid-analysis: expected {} edges, saw {seen}",
-            self.path.display(),
-            self.edge_count,
-        );
     }
 }
 
@@ -310,60 +233,5 @@ mod tests {
         let padded = Graph::new(5, g.edges().to_vec());
         assert_ne!(base, fingerprint_source(&padded));
         assert_eq!(base, fingerprint_source(&g.clone()));
-    }
-
-    #[test]
-    fn text_stream_source_round_trips_without_materializing() {
-        let g = toy();
-        let path =
-            std::env::temp_dir().join(format!("ease_text_stream_{}.txt", std::process::id()));
-        crate::io::write_edge_list(&g, &path).unwrap();
-        let src = TextStreamSource::open(&path).unwrap();
-        assert_eq!(src.edge_count(), g.num_edges());
-        assert_eq!(src.num_vertices(), g.num_vertices());
-        assert_eq!(collect_source(&src), g);
-        assert_eq!(fingerprint_source(&src), fingerprint_source(&g));
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// A replay of a file that changed since `open` must not hand out a
-    /// different stream: fewer edges or no file panic, extra ones are not
-    /// replayed.
-    #[test]
-    fn text_stream_replay_notices_a_file_that_changed_underneath() {
-        let path =
-            std::env::temp_dir().join(format!("ease_text_stream_chg_{}.txt", std::process::id()));
-        std::fs::write(&path, "0 1\n1 2\n").unwrap();
-        let src = TextStreamSource::open(&path).unwrap();
-        let replay_panics = || std::panic::catch_unwind(|| collect_source(&src)).is_err();
-        std::fs::write(&path, "0 1\n1 2\n2 0\n").unwrap();
-        assert_eq!(collect_source(&src).edges(), &[Edge::new(0, 1), Edge::new(1, 2)]);
-        std::fs::write(&path, "0 1\n").unwrap();
-        assert!(replay_panics(), "shrank");
-        std::fs::write(&path, "0 1\nnot an edge\n").unwrap();
-        assert!(replay_panics(), "changed");
-        std::fs::remove_file(&path).unwrap();
-        assert!(replay_panics(), "vanished");
-    }
-
-    #[test]
-    fn text_stream_open_reports_parse_errors() {
-        let path =
-            std::env::temp_dir().join(format!("ease_text_stream_bad_{}.txt", std::process::id()));
-        std::fs::write(&path, "0 1\nnot an edge\n").unwrap();
-        let err = TextStreamSource::open(&path).unwrap_err();
-        assert!(matches!(err, GraphIoError::Parse { line: 2, .. }), "{err:?}");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn empty_text_stream_is_an_empty_source() {
-        let path =
-            std::env::temp_dir().join(format!("ease_text_stream_empty_{}.txt", std::process::id()));
-        std::fs::write(&path, "# just a comment\n").unwrap();
-        let src = TextStreamSource::open(&path).unwrap();
-        assert_eq!((src.edge_count(), src.num_vertices()), (0, 0));
-        assert_eq!(collect_source(&src), Graph::empty(0));
-        std::fs::remove_file(&path).ok();
     }
 }

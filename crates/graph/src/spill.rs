@@ -20,9 +20,10 @@
 //! stored at `VertexId` width (u32) so that on a little-endian host the
 //! mapped region doubles as a `&[VertexId]` with **zero** decoding — the
 //! header is 24 bytes and the offsets region is a multiple of 8, so the
-//! targets region is always 4-aligned within a page-aligned mapping. On a
-//! big-endian host the loader decodes into heap vectors instead; both
-//! shapes are bit-identical to every reader.
+//! targets region is always 4-aligned within a page-aligned mapping. A
+//! big-endian host cannot serve the file that way, so its load is an
+//! `InvalidData` error and the caller builds the lists in heap instead
+//! (see `PreparedGraph::build_csr`).
 //!
 //! Hygiene: the writer unlinks the file immediately after mapping it
 //! (`O_TMPFILE`-style), so even a SIGKILLed daemon cannot leak spill files
@@ -158,7 +159,7 @@ impl SpillWriter {
     }
 
     /// Flush, patch the header, map the file read-only, and unlink it.
-    pub fn finish(mut self) -> io::Result<LoadedCsr> {
+    pub fn finish(mut self) -> io::Result<MappedCsr> {
         if self.vertices_done != self.num_vertices {
             return Err(invalid(format!(
                 "spill writer: {} of {} vertex lists written",
@@ -188,33 +189,22 @@ impl SpillWriter {
 /// A CSR served from a validated spill-file mapping.
 ///
 /// All structural invariants — magic, exact file length, monotonic offsets
-/// bounded by `num_entries` — are checked once in [`load`](Self::load);
-/// the accessors then index without rechecking.
+/// bounded by `num_entries`, a targets region this host can read as
+/// `&[VertexId]` — are checked once in [`load`](Self::load); the accessors
+/// then index without rechecking.
 #[derive(Debug)]
 pub struct MappedCsr {
     map: Mmap,
     num_vertices: usize,
     num_entries: usize,
     targets_off: usize,
-    /// Whether `neighbors()` may hand out `&[VertexId]` straight into the
-    /// mapping: little-endian host *and* 4-aligned targets region.
-    zero_copy: bool,
-}
-
-/// What a finished spill loads as: the mmap-backed form, or — when the
-/// host cannot serve the mapping zero-copy (big-endian, or a misaligned
-/// targets region) — plain heap vectors decoded from the same bytes. Both are bit-identical to
-/// every reader; `Csr` wraps whichever comes back.
-#[derive(Debug)]
-pub enum LoadedCsr {
-    Mapped(MappedCsr),
-    Heap { offsets: Vec<usize>, targets: Vec<VertexId> },
 }
 
 impl MappedCsr {
-    /// Validate a mapping as a spill file; decode to heap when zero-copy
-    /// access is impossible on this host.
-    pub fn load(map: Mmap) -> io::Result<LoadedCsr> {
+    /// Validate a mapping as a spill file this host can serve zero-copy —
+    /// a little-endian host and a 4-aligned targets region — else
+    /// `InvalidData`.
+    pub fn load(map: Mmap) -> io::Result<MappedCsr> {
         let bytes = map.as_slice();
         if bytes.len() < SPILL_HEADER_LEN || !bytes.starts_with(&SPILL_MAGIC) {
             return Err(invalid("not a CSR spill file (bad magic or truncated header)".into()));
@@ -252,14 +242,12 @@ impl MappedCsr {
         }
         let aligned = (bytes.as_ptr().wrapping_add(targets_off) as usize)
             .is_multiple_of(std::mem::align_of::<VertexId>());
-        let zero_copy = cfg!(target_endian = "little") && aligned;
-        let mapped = MappedCsr { map, num_vertices, num_entries, targets_off, zero_copy };
-        if mapped.zero_copy {
-            Ok(LoadedCsr::Mapped(mapped))
-        } else {
-            let (offsets, targets) = mapped.decode();
-            Ok(LoadedCsr::Heap { offsets, targets })
+        if !(cfg!(target_endian = "little") && aligned) {
+            return Err(invalid(
+                "CSR spill targets cannot be served zero-copy on this host".into(),
+            ));
         }
+        Ok(MappedCsr { map, num_vertices, num_entries, targets_off })
     }
 
     pub fn num_vertices(&self) -> usize {
@@ -296,25 +284,6 @@ impl MappedCsr {
             std::slice::from_raw_parts(base.add(lo), hi - lo)
         }
     }
-
-    /// Decode the whole structure into heap vectors — the loader's fallback
-    /// when the host cannot serve the mapping zero-copy.
-    pub fn decode(&self) -> (Vec<usize>, Vec<VertexId>) {
-        let bytes = self.map.as_slice();
-        let mut offsets = Vec::with_capacity(self.num_vertices + 1);
-        for v in 0..=self.num_vertices {
-            offsets.push(read_u64_at(bytes, SPILL_HEADER_LEN + v * 8) as usize);
-        }
-        let mut targets = Vec::with_capacity(self.num_entries);
-        for i in 0..self.num_entries {
-            let at = self.targets_off + i * 4;
-            let mut raw = [0u8; 4];
-            #[expect(clippy::indexing_slicing, reason = "bounds validated at open")]
-            raw.copy_from_slice(&bytes[at..at + 4]);
-            targets.push(VertexId::from_le_bytes(raw));
-        }
-        (offsets, targets)
-    }
 }
 
 #[cfg(test)]
@@ -344,24 +313,13 @@ mod tests {
         for list in &lists {
             w.push_list(list).expect("push");
         }
-        let loaded = w.finish().expect("finish");
+        let m = w.finish().expect("finish");
         assert_eq!(spill_files(&d), 0, "unlinked after mmap");
-        match loaded {
-            LoadedCsr::Mapped(m) => {
-                assert_eq!(m.num_vertices(), 4);
-                assert_eq!(m.num_entries(), 6);
-                for (v, list) in lists.iter().enumerate() {
-                    assert_eq!(m.neighbors(v as VertexId), &list[..]);
-                    assert_eq!(m.degree(v as VertexId), list.len());
-                }
-                let (offsets, targets) = m.decode();
-                assert_eq!(offsets, [0, 3, 3, 5, 6]);
-                assert_eq!(targets, [1, 3, 7, 0, 2, 5]);
-            }
-            LoadedCsr::Heap { offsets, targets } => {
-                assert_eq!(offsets, [0, 3, 3, 5, 6]);
-                assert_eq!(targets, [1, 3, 7, 0, 2, 5]);
-            }
+        assert_eq!(m.num_vertices(), 4);
+        assert_eq!(m.num_entries(), 6);
+        for (v, list) in lists.iter().enumerate() {
+            assert_eq!(m.neighbors(v as VertexId), &list[..]);
+            assert_eq!(m.degree(v as VertexId), list.len());
         }
         std::fs::remove_dir_all(&d).ok();
     }
@@ -370,16 +328,8 @@ mod tests {
     fn empty_csr_spills_cleanly() {
         let d = dir();
         let w = SpillWriter::create(&d, 0).expect("create");
-        match w.finish().expect("finish") {
-            LoadedCsr::Mapped(m) => {
-                assert_eq!(m.num_vertices(), 0);
-                assert_eq!(m.num_entries(), 0);
-            }
-            LoadedCsr::Heap { offsets, targets } => {
-                assert_eq!(offsets, [0]);
-                assert!(targets.is_empty());
-            }
-        }
+        let m = w.finish().expect("finish");
+        assert_eq!((m.num_vertices(), m.num_entries()), (0, 0));
         std::fs::remove_dir_all(&d).ok();
     }
 
@@ -460,19 +410,12 @@ mod tests {
         let load = |bytes: &[u8]| -> Result<(Vec<Vec<VertexId>>, usize), io::ErrorKind> {
             std::fs::write(&path, bytes).expect("write");
             let map = Mmap::map(&File::open(&path).expect("open")).expect("map");
-            match MappedCsr::load(map).map_err(|e| e.kind())? {
-                LoadedCsr::Mapped(m) => {
-                    let served = (0..m.num_vertices() as VertexId).map(|v| {
-                        assert_eq!(m.neighbors(v).len(), m.degree(v));
-                        m.neighbors(v).to_vec()
-                    });
-                    Ok((served.collect(), m.num_entries()))
-                }
-                LoadedCsr::Heap { offsets, targets } => {
-                    let served = offsets.windows(2).map(|w| targets[w[0]..w[1]].to_vec());
-                    Ok((served.collect(), targets.len()))
-                }
-            }
+            let m = MappedCsr::load(map).map_err(|e| e.kind())?;
+            let served = (0..m.num_vertices() as VertexId).map(|v| {
+                assert_eq!(m.neighbors(v).len(), m.degree(v));
+                m.neighbors(v).to_vec()
+            });
+            Ok((served.collect(), m.num_entries()))
         };
         let check = |bytes: &[u8], what: &str| match load(bytes) {
             Ok((served, entries)) => {

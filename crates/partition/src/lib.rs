@@ -152,8 +152,8 @@ impl PartitionerId {
 /// profiling executes 11 partitioners × K on the same graph, and the shared
 /// context pays for the derivation once. Every implementation consumes the
 /// context's replayable edge *stream* (never an owned slice), so all 11
-/// partitioners run unchanged over any ingestion backend — in-memory
-/// ([`PreparedGraph::of`]), memory-mapped `.bel`, or streamed text
+/// partitioners run unchanged over either ingestion backend — in-memory
+/// ([`PreparedGraph::of`]) or memory-mapped `.bel`
 /// ([`PreparedGraph::of_source`]).
 pub trait Partitioner: Send + Sync {
     fn id(&self) -> PartitionerId;

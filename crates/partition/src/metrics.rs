@@ -64,9 +64,9 @@ impl QualityTarget {
 
 impl QualityMetrics {
     /// Compute all five metrics in a single edge pass plus bitset popcounts,
-    /// over a shared analysis context — works for any ingestion backend
-    /// (in-memory, mmap `.bel`, streamed text): the pass replays the
-    /// context's edge stream, never a slice.
+    /// over a shared analysis context — works for either ingestion backend
+    /// (in-memory, mmap `.bel`): the pass replays the context's edge
+    /// stream, never a slice.
     pub fn compute_prepared(prepared: &PreparedGraph<'_>, partition: &EdgePartition) -> Self {
         assert_eq!(prepared.num_edges(), partition.num_edges());
         let k = partition.num_partitions();

@@ -32,9 +32,8 @@
 
 use ease_repro::core::profiling::TimingMode;
 use ease_repro::graph::bel::{BelSource, BelWriter};
-use ease_repro::graph::io::TextEdgeListWriter;
-use ease_repro::graph::source::TextStreamSource;
-use ease_repro::graph::{is_bel_path, open_path, Edge, GraphSource, MemoryBudget};
+use ease_repro::graph::io::{stream_edge_list, TextEdgeListWriter};
+use ease_repro::graph::{is_bel_path, open_path, Edge, GraphIoError, GraphSource, MemoryBudget};
 use ease_repro::graphgen::realworld::{generate_typed, GraphType};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::graphgen::Scale;
@@ -397,12 +396,10 @@ impl EdgeOut {
     /// universe in both formats (`.bel` carries it in the header, text in
     /// the summary comment readers honour), so isolated trailing vertices
     /// survive every conversion direction.
-    fn finish(self, num_vertices: Option<usize>) -> std::io::Result<()> {
-        match (self, num_vertices) {
-            (EdgeOut::Text(w), Some(n)) => w.finish_with_vertices(n),
-            (EdgeOut::Text(w), None) => w.finish(),
-            (EdgeOut::Bel(w), Some(n)) => w.finish_with_vertices(n),
-            (EdgeOut::Bel(w), None) => w.finish(),
+    fn finish(self, num_vertices: usize) -> std::io::Result<()> {
+        match self {
+            EdgeOut::Text(w) => w.finish_with_vertices(num_vertices),
+            EdgeOut::Bel(w) => w.finish_with_vertices(num_vertices),
         }
     }
 
@@ -820,7 +817,7 @@ fn cmd_gen(cmd: &Command, args: &[String]) -> Result<(), CliError> {
         let mut sink = EdgeOut::create(&out)?;
         let format = sink.format_name();
         drain_edges(|f| rmat.generate_into(f), &mut sink)?;
-        sink.finish(Some(num_vertices)).map_err(io_err)?;
+        sink.finish(num_vertices).map_err(io_err)?;
         eprintln!(
             "wrote {} (rmat C{}: |V|={num_vertices} |E|={num_edges}, {format}, streamed)",
             out.display(),
@@ -838,7 +835,7 @@ fn cmd_gen(cmd: &Command, args: &[String]) -> Result<(), CliError> {
     for &e in tg.graph.edges() {
         sink.push(e).map_err(io_err)?;
     }
-    sink.finish(Some(tg.graph.num_vertices())).map_err(io_err)?;
+    sink.finish(tg.graph.num_vertices()).map_err(io_err)?;
     eprintln!(
         "wrote {} ({}: |V|={} |E|={}, {format})",
         out.display(),
@@ -860,23 +857,46 @@ fn cmd_convert(cmd: &Command, args: &[String]) -> Result<(), CliError> {
     if same_file(&input, &output) {
         return Err(CliError::Usage("--in and --out must be different files".into()));
     }
-    // Streaming in both directions: text input goes through the validating
-    // stream reader (never holds the file), `.bel` input through the mmap.
-    let source: Box<dyn GraphSource> = if is_bel_path(&input) {
-        Box::new(BelSource::open(&input)?)
-    } else {
-        Box::new(TextStreamSource::open(&input)?)
+    // Streaming in both directions, and the whole input is validated
+    // before `--out` is created, so a malformed input leaves it untouched:
+    // `.bel` input is checked at open and replayed from the mmap, text
+    // input by a first pass of the block reader and copied by a second.
+    let bel = if is_bel_path(&input) { Some(BelSource::open(&input)?) } else { None };
+    let shape = match &bel {
+        Some(source) => (source.num_vertices(), source.edge_count()),
+        None => scan_text(&input, |_| {})?,
     };
     let mut sink = EdgeOut::create(&output)?;
     let format = sink.format_name();
-    drain_edges(|f| source.for_each_edge(f), &mut sink)?;
-    sink.finish(Some(source.num_vertices())).map_err(io_err)?;
+    let mut copied = Ok(shape);
+    drain_edges(
+        |f| match &bel {
+            Some(source) => source.for_each_edge(f),
+            None => copied = scan_text(&input, f),
+        },
+        &mut sink,
+    )?;
+    if copied? != shape {
+        let changed = format!("{} changed while it was being converted", input.display());
+        return Err(GraphIoError::Format(changed).into());
+    }
+    let (num_vertices, num_edges) = shape;
+    sink.finish(num_vertices).map_err(io_err)?;
     eprintln!(
-        "converted {} -> {} (|V|={} |E|={}, {format})",
+        "converted {} -> {} (|V|={num_vertices} |E|={num_edges}, {format})",
         input.display(),
         output.display(),
-        source.num_vertices(),
-        source.edge_count(),
     );
     Ok(())
+}
+
+/// One pass of the text block reader over `path`: every edge to `on_edge`,
+/// then the vertex universe and the edge count.
+fn scan_text(path: &Path, mut on_edge: impl FnMut(Edge)) -> Result<(usize, usize), GraphIoError> {
+    let mut num_edges = 0usize;
+    let num_vertices = stream_edge_list(std::fs::File::open(path)?, |e| {
+        num_edges += 1;
+        on_edge(e);
+    })?;
+    Ok((num_vertices, num_edges))
 }

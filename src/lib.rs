@@ -71,4 +71,4 @@ pub use ease::{
     EaseError, EaseService, EaseServiceBuilder, OptGoal, PropertyCacheStats, Selection, ServeError,
     ServiceInfo, ServiceMeta,
 };
-pub use ease_graph::{BelSource, GraphSource, PreparedGraph, TextStreamSource};
+pub use ease_graph::{BelSource, GraphSource, PreparedGraph};

@@ -1,21 +1,24 @@
 //! Ingestion-backend equivalence tests (PR 4 acceptance locks).
 //!
 //! The `GraphSource` seam promises that *where* a graph comes from — an
-//! in-memory edge list, a memory-mapped `.bel` file, or a streamed text
-//! file — never changes *what* the system computes: properties,
+//! in-memory edge list, a memory-mapped `.bel` file, or a text file read
+//! into memory — never changes *what* the system computes: properties,
 //! fingerprints and partition assignments must be bit-identical across all
-//! three backends. The mmap backend must additionally
-//! never materialize an owned `Vec<Edge>`, which is locked here with a
-//! thread-local allocation counter around the zero-copy analysis path.
+//! three. The mmap backend must additionally never materialize an owned
+//! `Vec<Edge>`, and the streaming text reader must hold one block whatever
+//! the file's size; both are locked here with a thread-local allocation
+//! counter.
 
 mod common;
 
 use common::alloc::{tracked, CountingAlloc};
 use common::arb_graph;
 use ease_repro::graph::bel::{write_bel, BelSource};
-use ease_repro::graph::io::{read_edge_list, read_edge_list_from, write_edge_list};
+use ease_repro::graph::io::{
+    read_edge_list, read_edge_list_from, stream_edge_list, write_edge_list,
+};
 use ease_repro::graph::source::{collect_source, fingerprint_source, FINGERPRINT_BLOCK};
-use ease_repro::graph::{Graph, GraphIoError, GraphSource, PropertyTier, TextStreamSource};
+use ease_repro::graph::{Graph, GraphIoError, GraphSource, PropertyTier};
 use ease_repro::graphgen::rmat::{Rmat, RMAT_COMBOS};
 use ease_repro::partition::{PartitionerId, QualityMetrics};
 use ease_repro::PreparedGraph;
@@ -58,19 +61,19 @@ fn assert_props_bit_identical(
 }
 
 // ---------------------------------------------------------------------
-// Proptests: the three backends are indistinguishable
+// Proptests: the three ways in are indistinguishable
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Properties, fingerprints and the raw edge stream agree bit-for-bit
-    /// across in-memory, mmap `.bel` and streamed text.
+    /// across in-memory, mmap `.bel` and text read by `read_edge_list`.
     #[test]
     fn backends_agree_on_properties_and_fingerprints(g in arb_graph()) {
         let (txt, bel) = temp_pair(&g);
         let bel_src = BelSource::open(&bel).unwrap();
-        let txt_src = TextStreamSource::open(&txt).unwrap();
+        let txt_src = read_edge_list(&txt).unwrap();
         // identical streams
         prop_assert_eq!(&collect_source(&bel_src), &g);
         prop_assert_eq!(&collect_source(&txt_src), &g);
@@ -99,7 +102,7 @@ proptest! {
     fn backends_agree_on_partition_assignments(g in arb_graph(), k in 2usize..9) {
         let (txt, bel) = temp_pair(&g);
         let bel_src = BelSource::open(&bel).unwrap();
-        let txt_src = TextStreamSource::open(&txt).unwrap();
+        let txt_src = read_edge_list(&txt).unwrap();
         let in_memory = PreparedGraph::of(&g);
         // one partitioner per category: stateless, stateful, hybrid, in-memory
         for id in [PartitionerId::Dbh, PartitionerId::Hdrf, PartitionerId::Hep10, PartitionerId::Ne] {
@@ -131,10 +134,10 @@ proptest! {
         let tag = FILE_TAG.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(unique-name counter)
         let rebel = std::env::temp_dir()
             .join(format!("ease_gs_rt_{}_{tag}.bel", std::process::id()));
-        let txt_src = TextStreamSource::open(&txt).unwrap();
         let mut w = ease_repro::graph::bel::BelWriter::create(&rebel).unwrap();
-        txt_src.for_each_edge(&mut |e| w.push(e).unwrap());
-        w.finish_with_vertices(txt_src.num_vertices()).unwrap();
+        let file = std::fs::File::open(&txt).unwrap();
+        let num_vertices = stream_edge_list(file, |e| w.push(e).unwrap()).unwrap();
+        w.finish_with_vertices(num_vertices).unwrap();
         // bel -> graph: same content, same fingerprint
         let reread = BelSource::open(&rebel).unwrap();
         prop_assert_eq!(&collect_source(&reread), &g);
@@ -171,7 +174,7 @@ fn fingerprints_are_pinned() {
     for (g, want) in pinned {
         let (txt, bel) = temp_pair(&g);
         let bel_src = BelSource::open(&bel).unwrap();
-        let txt_src = TextStreamSource::open(&txt).unwrap();
+        let txt_src = read_edge_list(&txt).unwrap();
         let sources: [(&str, &dyn GraphSource); 3] =
             [("graph", &g), ("bel", &bel_src), ("text", &txt_src)];
         let m = g.num_edges();
@@ -388,10 +391,10 @@ fn source_backed_analysis_never_builds_a_graph() {
 /// The text kernel's read block (`io::BLOCK_BYTES`, private to the crate).
 const TEXT_BLOCK_BYTES: u64 = 1 << 18;
 
-/// `TextStreamSource::open` plus one full replay allocate one block each
-/// and nothing that grows with the file; `read_edge_list` allocates what
-/// the line-at-a-time reader did (the edge vector's doublings) plus at
-/// most the block.
+/// Two passes of `stream_edge_list` (what `ease convert` runs on a text
+/// input) allocate one block each and nothing that grows with the file;
+/// `read_edge_list` allocates what the line-at-a-time reader did (the edge
+/// vector's doublings) plus at most the block.
 #[test]
 fn text_ingestion_allocates_a_block_not_an_edge_list() {
     let stream_cost = |m: usize| {
@@ -399,12 +402,15 @@ fn text_ingestion_allocates_a_block_not_an_edge_list() {
         let txt = std::env::temp_dir().join(format!("ease_gs_tb_{}_{m}.txt", std::process::id()));
         write_edge_list(&g, &txt).unwrap();
         let (streamed, allocated) = tracked(|| {
-            let src = TextStreamSource::open(&txt).expect("open text");
-            let mut streamed = 0usize;
-            src.for_each_edge(&mut |_| streamed += 1);
+            let mut streamed = [0usize; 2];
+            for count in &mut streamed {
+                let file = std::fs::File::open(&txt).expect("open text");
+                let num_vertices = stream_edge_list(file, |_| *count += 1).expect("stream text");
+                assert_eq!(num_vertices, g.num_vertices());
+            }
             streamed
         });
-        assert_eq!(streamed, m);
+        assert_eq!(streamed, [m, m]);
         let (read, read_allocated) = tracked(|| read_edge_list(&txt).expect("read text"));
         let (naive, naive_allocated) = tracked(|| {
             let file = std::fs::File::open(&txt).expect("open text");
@@ -422,7 +428,7 @@ fn text_ingestion_allocates_a_block_not_an_edge_list() {
     // 400 k edges are a 3.2 MB edge list and a file of more than a dozen blocks
     assert!(
         large <= 2 * TEXT_BLOCK_BYTES + 4096,
-        "open + replay allocated {large} bytes — more than the two passes' blocks"
+        "two passes allocated {large} bytes — more than their two blocks"
     );
     assert!(
         large.abs_diff(small) < 256,

@@ -224,6 +224,35 @@ fn spill_files_never_outlive_the_prepared_graph() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A spill that cannot be made falls back to the in-heap build, uncharged:
+/// here the spill dir lies under a regular file, so creating it fails with
+/// `ENOTDIR` whoever runs the test. A host that cannot serve a spill
+/// mapping zero-copy takes the same arm.
+#[test]
+fn a_spill_that_cannot_be_made_builds_in_heap_uncharged() {
+    let g = Rmat::new(RMAT_COMBOS[5], 256, 4_000, 11).generate();
+    let dir = spill_dir("blocked");
+    let blocker = dir.join("a-file");
+    std::fs::write(&blocker, b"").expect("write the blocking file");
+    let budget = zero_budget(&blocker.join("spill"));
+    let bits = |p: &ease_repro::graph::GraphProperties| {
+        let floats = [p.density, p.mean_degree, p.in_degree_skew, p.out_degree_skew];
+        let optional = [p.avg_triangles, p.avg_lcc].map(|x| x.map(f64::to_bits));
+        (p.num_vertices, p.num_edges, floats.map(f64::to_bits), optional)
+    };
+    let tier = ease_repro::graph::PropertyTier::Advanced;
+    let want = bits(&PreparedGraph::of(&g).properties(tier));
+    {
+        let ctx = PreparedGraph::of(&g).with_memory_budget(Arc::clone(&budget));
+        assert_eq!(bits(&ctx.properties(tier)), want);
+        assert_eq!(ctx.spilled_csr_builds(), 0);
+        assert_eq!(budget.spill_events(), 0);
+    }
+    assert_eq!(budget.charged(), 0, "nothing stays charged after drop");
+    assert_eq!(dir_entries(&dir), ["a-file"]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---------------------------------------------------------------------
 // In-place simplify allocation lock
 // ---------------------------------------------------------------------
