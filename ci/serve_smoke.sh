@@ -10,16 +10,13 @@
 # exercise graceful shutdown and a zero exit.
 #
 # Usage: ci/serve_smoke.sh [path-to-ease-binary] [num-concurrent-clients]
-# TCP ports default to 38471..38473; override the base with
-# EASE_SMOKE_PORT. Runs locally and in CI (shellcheck-clean).
+# Every TCP listener binds 127.0.0.1:0; the script reads the port the
+# kernel picked from the `ease serve|route: … on … + tcp:<addr>` line the
+# listener prints to stderr. Runs locally and in CI (shellcheck-clean).
 set -euo pipefail
 
 EASE_BIN="${1:-target/release/ease}"
 CLIENTS="${2:-8}"
-PORT="${EASE_SMOKE_PORT:-38471}"
-TCP_ADDR="127.0.0.1:$PORT"
-ROUTER_ADDR="127.0.0.1:$((PORT + 1))"
-SHED_ADDR="127.0.0.1:$((PORT + 2))"
 if [[ ! -x "$EASE_BIN" ]]; then
     echo "ease binary not found at $EASE_BIN (build with: cargo build --release)" >&2
     exit 1
@@ -40,6 +37,23 @@ cleanup() {
     rm -rf "$smoke"
 }
 trap cleanup EXIT
+
+# tcp_addr_of <stderr-log> <serve|route>: wait for the listener's
+# `ease <sub>: … on … + tcp:<addr> (…)` line and print <addr>.
+tcp_addr_of() {
+    local log="$1" sub="$2" addr=""
+    for _ in $(seq 1 100); do
+        addr="$(sed -n "s/^ease $sub: .* on .*tcp:\([0-9.]*:[0-9]*\) (.*/\1/p" "$log")"
+        if [[ -n "$addr" ]]; then
+            printf '%s' "$addr"
+            return 0
+        fi
+        sleep 0.1
+    done
+    echo "ease $sub did not report a TCP address; its stderr:" >&2
+    cat "$log" >&2
+    return 1
+}
 
 # One raw HTTP exchange: curl when present, bash /dev/tcp otherwise.
 # Prints the response body, then the status code alone on the last line.
@@ -89,8 +103,10 @@ http_expect() {
     --workload pr --goal e2e > "$smoke/oneshot_bel.out"
 
 sock="$smoke/ease.sock"
-"$EASE_BIN" serve --model "$smoke/ease.model" --socket "$sock" --tcp "$TCP_ADDR" &
+"$EASE_BIN" serve --model "$smoke/ease.model" --socket "$sock" --tcp 127.0.0.1:0 \
+    2> "$smoke/serve.err" &
 serve_pid=$!
+TCP_ADDR="$(tcp_addr_of "$smoke/serve.err" serve)"
 
 # wait for the daemon to accept on both transports
 ready=0
@@ -225,8 +241,9 @@ for backend in "$b1" "$b2"; do
     fi
 done
 "$EASE_BIN" route --backend "unix:$b1" --backend "unix:$b2" --socket "$front" \
-    --tcp "$ROUTER_ADDR" &
+    --tcp 127.0.0.1:0 2> "$smoke/router.err" &
 fleet_pids+=("$!")
+ROUTER_ADDR="$(tcp_addr_of "$smoke/router.err" route)"
 ready=0
 for _ in $(seq 1 100); do
     if "$EASE_BIN" client ping --endpoint "unix:$front" >/dev/null 2>&1; then
@@ -299,8 +316,9 @@ if [[ "$ready" -ne 1 ]]; then
     echo "budgeted backend did not become ready on $b3" >&2
     exit 1
 fi
-"$EASE_BIN" route --backend "unix:$b3" --tcp "$SHED_ADDR" &
+"$EASE_BIN" route --backend "unix:$b3" --tcp 127.0.0.1:0 2> "$smoke/shed.err" &
 fleet_pids+=("$!")
+SHED_ADDR="$(tcp_addr_of "$smoke/shed.err" route)"
 ready=0
 for _ in $(seq 1 100); do
     if "$EASE_BIN" client ping --endpoint "tcp:$SHED_ADDR" >/dev/null 2>&1; then

@@ -78,7 +78,7 @@ fn bench_quality_shape(c: &mut Criterion) {
     for cfg in
         grid.iter().filter(|c| matches!(c, ModelConfig::Forest { .. } | ModelConfig::Xgb { .. }))
     {
-        group.bench_with_input(BenchmarkId::new("fit", cfg.kind().name()), cfg, |b, cfg| {
+        group.bench_with_input(BenchmarkId::new("fit", cfg.name()), cfg, |b, cfg| {
             b.iter(|| {
                 let mut m = cfg.build();
                 m.fit(&x, &labels[0]);
@@ -130,7 +130,7 @@ fn bench_time_shape(c: &mut Criterion) {
     for cfg in
         grid.iter().filter(|c| matches!(c, ModelConfig::Forest { .. } | ModelConfig::Xgb { .. }))
     {
-        group.bench_with_input(BenchmarkId::new("fit", cfg.kind().name()), cfg, |b, cfg| {
+        group.bench_with_input(BenchmarkId::new("fit", cfg.name()), cfg, |b, cfg| {
             b.iter(|| {
                 let mut m = cfg.build();
                 m.fit(&x, &y);
@@ -165,7 +165,7 @@ fn bench_serve_shape(c: &mut Criterion) {
     ] {
         let mut m = cfg.build();
         m.fit(&x, &labels[0]);
-        let name = cfg.kind().name();
+        let name = cfg.name();
         group.bench_with_input(BenchmarkId::new("predict_11", name), &m, |b, m| {
             b.iter(|| black_box(m.predict(&candidates)));
         });
@@ -205,7 +205,7 @@ fn bench_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("model_fit_2000rows");
     group.sample_size(10);
     for cfg in &configs {
-        group.bench_with_input(BenchmarkId::from_parameter(cfg.kind().name()), cfg, |b, cfg| {
+        group.bench_with_input(BenchmarkId::from_parameter(cfg.name()), cfg, |b, cfg| {
             b.iter(|| {
                 let mut m = cfg.build();
                 m.fit(&x, &y);
@@ -227,7 +227,7 @@ fn bench_predict(c: &mut Criterion) {
     ] {
         let mut m = cfg.build();
         m.fit(&x, &y);
-        group.bench_with_input(BenchmarkId::from_parameter(cfg.kind().name()), &m, |b, m| {
+        group.bench_with_input(BenchmarkId::from_parameter(cfg.name()), &m, |b, m| {
             b.iter(|| black_box(m.predict_row(x.row(7))));
         });
     }

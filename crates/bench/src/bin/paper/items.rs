@@ -10,7 +10,7 @@ use ease::evaluation::{
     processing_test_scores, quality_test_scores, GroupTruth,
 };
 use ease::pipeline::dedup_partition_runs;
-use ease::predictors::{ChosenModel, QualityPredictor};
+use ease::predictors::{Fitted, QualityPredictor};
 use ease::profiling::TimingMode;
 use ease::selector::{strategy_pick, OptGoal, Strategy};
 use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
@@ -220,8 +220,8 @@ fn fig6(lab: &Lab, doc: &mut Doc) {
     ));
 }
 
-fn model_of<K: PartialEq>(chosen: &[(K, ChosenModel)], key: &K) -> &'static str {
-    chosen.iter().find(|(k, _)| k == key).map_or("?", |(_, c)| c.config.kind().name())
+fn model_of<K: PartialEq>(fitted: &[(K, Fitted)], key: &K) -> &'static str {
+    fitted.iter().find(|(k, _)| k == key).map_or("?", |(_, f)| f.config.name())
 }
 
 fn table5(lab: &Lab, doc: &mut Doc) {
@@ -237,11 +237,11 @@ fn table5(lab: &Lab, doc: &mut Doc) {
     let (ease, truth) = (lab.ease(), lab.truth());
     let mut rows = vec![row!["predicted run-time", "model", "MAPE ours", "MAPE paper"]];
     for (name, mape) in processing_test_scores(&ease.processing_time, truth) {
-        let model = model_of(&ease.processing_time.chosen, &name);
+        let model = model_of(ease.processing_time.fitted(), &name);
         rows.push(row![name, model, f3(mape), paper(name)]);
     }
     let ptime = partitioning_time_score(&ease.partitioning_time, &dedup_partition_runs(truth));
-    let model = ease.partitioning_time.chosen.config.kind().name();
+    let model = ease.partitioning_time.fitted().config.name();
     rows.push(row!["partitioning time", model, f3(ptime), "0.335"]);
     doc.table("Test MAPE on the Table IV graphs (trained on R-MAT-LARGE)", &rows);
     let fitted = lab.cfg.large_inputs().len();
@@ -263,7 +263,7 @@ fn table6(lab: &Lab, doc: &mut Doc) {
         vec![row!["target", "model", "features", "MAPE ours", "MAPE paper", "RMSE ours"]];
     for (target, mape, rmse) in quality_test_scores(basic, test) {
         let paper = if target == rf { "0.296" } else { "0.079-0.154" };
-        let model = model_of(&basic.chosen, &target);
+        let model = model_of(basic.fitted(), &target);
         rows.push(row![target.name(), model, "basic", f3(mape), paper, f3(rmse)]);
     }
     // the advanced row prints the replication factor only, so only its
@@ -274,7 +274,7 @@ fn table6(lab: &Lab, doc: &mut Doc) {
     let truth: Vec<f64> = test.iter().map(|r| r.metrics.get(rf)).collect();
     let predicted = qp.predict_target(rf, test);
     let (mape, rmse) = (mape(&truth, &predicted), rmse(&truth, &predicted));
-    let model = model_of(&qp.chosen, &rf);
+    let model = model_of(qp.fitted(), &rf);
     rows.push(row![rf.name(), model, "advanced", f3(mape), "0.288", f3(rmse)]);
     doc.table("Test scores on the real-world test set (trained on R-MAT-SMALL)", &rows);
     doc.para(

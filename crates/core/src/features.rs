@@ -11,20 +11,22 @@
 //! matrix. Training, evaluation and selection all build through it: a
 //! training record, a test record and a candidate partitioner of a query
 //! are the same kind of row.
+//!
+//! A partitioner's one-hot columns are [`PartitionerId::ALL`]'s eleven, in
+//! that order: 1 at [`PartitionerId::index`], 0 elsewhere.
 
 use ease_graph::{GraphProperties, PropertyTier};
-use ease_ml::{Matrix, OneHotEncoder};
+use ease_ml::Matrix;
 use ease_partition::{PartitionerId, QualityMetrics, QualityTarget};
 
-/// One-hot encoder over the 11 partitioner names (stable order). Built
-/// once — this sits on the per-prediction hot path of every predictor, and
-/// rebuilding 11 heap strings per feature row measurably slows batched
-/// query serving.
-pub fn partitioner_encoder() -> &'static OneHotEncoder {
-    static ENCODER: std::sync::OnceLock<OneHotEncoder> = std::sync::OnceLock::new();
-    ENCODER.get_or_init(|| {
-        OneHotEncoder::new(PartitionerId::ALL.iter().map(|p| p.name().to_string()).collect())
-    })
+/// Width of a partitioner's one-hot columns.
+const ONE_HOT: usize = PartitionerId::ALL.len();
+
+/// Append `p`'s one-hot columns to `row`.
+fn push_one_hot(p: PartitionerId, row: &mut Vec<f64>) {
+    let at = row.len();
+    row.resize(at + ONE_HOT, 0.0);
+    row[at + p.index()] = 1.0;
 }
 
 /// Feature names for the PartitioningQualityPredictor at a property tier.
@@ -45,11 +47,10 @@ pub fn quality_matrix<'a>(
     tier: PropertyTier,
     rows: impl IntoIterator<Item = (&'a GraphProperties, usize, PartitionerId)>,
 ) -> Matrix {
-    let enc = partitioner_encoder();
     let rows = rows.into_iter().map(|(props, k, p)| (props, (k, p)));
-    matrix(tier, 1 + enc.width(), rows, |(k, p), row| {
+    matrix(tier, 1 + ONE_HOT, rows, |(k, p), row| {
         row.push(k as f64);
-        enc.encode_into(p.name(), row);
+        push_one_hot(p, row);
     })
 }
 
@@ -72,9 +73,7 @@ pub fn partitioning_time_feature_names() -> Vec<String> {
 pub fn partitioning_time_matrix<'a>(
     rows: impl IntoIterator<Item = (&'a GraphProperties, PartitionerId)>,
 ) -> Matrix {
-    let enc = partitioner_encoder();
-    let rows = rows.into_iter();
-    matrix(PropertyTier::Advanced, enc.width(), rows, |p, row| enc.encode_into(p.name(), row))
+    matrix(PropertyTier::Advanced, ONE_HOT, rows.into_iter(), push_one_hot)
 }
 
 /// Feature names for the ProcessingTimePredictor: simple graph properties +

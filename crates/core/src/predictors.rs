@@ -3,11 +3,16 @@
 //! six ML families with K-fold cross-validation, then retraining the winner
 //! on the full training set.
 //!
+//! A predictor holds one [`Fitted`] per target — the configuration that
+//! won, its CV MAPE and the model, in one row keyed by the quality target
+//! or the workload name (the partitioning-time predictor has one target
+//! and holds one `Fitted`).
+//!
 //! Each predictor also owns its bytes in a saved service: `encode` /
 //! `decode` sit next to the fields they spell, and `decode` checks what
 //! the predictor's own lookups rely on (every quality target exactly once,
-//! at least one known workload) on top of what each model's `decode`
-//! checks for itself.
+//! one to 64 known workloads, each once) on top of what each model's
+//! `decode` checks for itself.
 
 use crate::features;
 use crate::profiling::{ProcessingRecord, QualityRecord};
@@ -34,28 +39,34 @@ fn from_log(value: f64) -> f64 {
     value.exp_m1().max(1e-6)
 }
 
-/// Which model won a component's grid search, with its CV score.
-#[derive(Debug, Clone)]
-pub struct ChosenModel {
+/// One target's model: the configuration that won its grid search, that
+/// configuration's CV MAPE (NaN where the configuration was pinned, not
+/// searched), and the model fitted on the whole training set.
+pub struct Fitted {
     pub config: ModelConfig,
     pub cv_mape: f64,
+    pub model: Box<dyn Regressor>,
 }
 
-impl ChosenModel {
-    /// Split a selection into its provenance and its fitted model.
-    fn of(selection: Selection) -> (ChosenModel, Box<dyn Regressor>) {
-        let chosen =
-            ChosenModel { config: selection.search.best, cv_mape: selection.search.best_score };
-        (chosen, selection.model)
+impl Fitted {
+    fn selected(selection: Selection) -> Self {
+        let Selection { search, model } = selection;
+        Fitted { config: search.best, cv_mape: search.best_score, model }
     }
 
     fn encode(&self, w: &mut Writer) {
         encode_config(w, &self.config);
         w.put_f64(self.cv_mape);
+        self.model.encode(w);
     }
 
-    fn decode(r: &mut Reader) -> Result<Self, PersistError> {
-        Ok(ChosenModel { config: decode_config(r)?, cv_mape: r.take_f64()? })
+    /// Inverse of `encode`, for a model fed rows of `width` features.
+    fn decode(r: &mut Reader, width: usize) -> Result<Self, PersistError> {
+        Ok(Fitted {
+            config: decode_config(r)?,
+            cv_mape: r.take_f64()?,
+            model: decode_regressor(r, width)?,
+        })
     }
 }
 
@@ -67,8 +78,7 @@ impl ChosenModel {
 /// k) triples. One model per target metric, independently selected.
 pub struct QualityPredictor {
     pub tier: PropertyTier,
-    models: Vec<(QualityTarget, Box<dyn Regressor>)>,
-    pub chosen: Vec<(QualityTarget, ChosenModel)>,
+    fitted: Vec<(QualityTarget, Fitted)>,
 }
 
 impl QualityPredictor {
@@ -124,16 +134,8 @@ impl QualityPredictor {
             .collect();
         let group = LabelGroup { x: &x, labels: labels.iter().map(Vec::as_slice).collect() };
         let selections = select_models(grid, &[group], folds, seed);
-        let (chosen, models) = targets
-            .iter()
-            .copied()
-            .zip(selections)
-            .map(|(target, selection)| {
-                let (chosen, model) = ChosenModel::of(selection);
-                ((target, chosen), (target, model))
-            })
-            .unzip();
-        QualityPredictor { tier, models, chosen }
+        let fitted = targets.iter().copied().zip(selections.into_iter().map(Fitted::selected));
+        QualityPredictor { tier, fitted: fitted.collect() }
     }
 
     /// Fit a *fixed* model configuration for each of `targets` (used by the
@@ -148,24 +150,28 @@ impl QualityPredictor {
     ) -> Self {
         assert!(!records.is_empty());
         let x = Self::feature_matrix(records, tier);
-        let (models, chosen) = targets
+        let fitted = targets
             .iter()
             .map(|&target| {
                 let y: Vec<f64> = records.iter().map(|r| r.metrics.get(target)).collect();
                 let mut model = config.build();
                 model.fit(&x, &y);
-                let chosen = ChosenModel { config: config.clone(), cv_mape: f64::NAN };
-                ((target, model), (target, chosen))
+                (target, Fitted { config: config.clone(), cv_mape: f64::NAN, model })
             })
-            .unzip();
-        QualityPredictor { tier, models, chosen }
+            .collect();
+        QualityPredictor { tier, fitted }
+    }
+
+    /// The fitted row of each trained target, in training order.
+    pub fn fitted(&self) -> &[(QualityTarget, Fitted)] {
+        &self.fitted
     }
 
     fn model(&self, target: QualityTarget) -> &dyn Regressor {
-        self.models
+        self.fitted
             .iter()
             .find(|(t, _)| *t == target)
-            .map(|(_, m)| m.as_ref())
+            .map(|(_, f)| f.model.as_ref())
             .expect("a model was fitted for this target")
     }
 
@@ -209,12 +215,11 @@ impl QualityPredictor {
     /// the fitted model.
     pub fn encode(&self, w: &mut Writer) {
         w.put_u8(self.tier.tag());
-        w.put_usize(self.models.len());
-        for ((target, model), (_, chosen)) in self.models.iter().zip(&self.chosen) {
+        w.put_usize(self.fitted.len());
+        for (target, fitted) in &self.fitted {
             let tag = QualityTarget::ALL.iter().position(|t| t == target);
             w.put_u8(tag.expect("every target is in ALL") as u8);
-            chosen.encode(w);
-            model.encode(w);
+            fitted.encode(w);
         }
     }
 
@@ -234,23 +239,21 @@ impl QualityPredictor {
             )));
         }
         let width = features::quality_feature_names(tier).len();
-        let mut models: Vec<(QualityTarget, Box<dyn Regressor>)> = Vec::new();
-        let mut chosen = Vec::new();
+        let mut fitted: Vec<(QualityTarget, Fitted)> = Vec::with_capacity(n_targets);
         for _ in 0..n_targets {
             let tag = r.take_u8()?;
             let target = *QualityTarget::ALL.get(usize::from(tag)).ok_or_else(|| {
                 PersistError::Corrupt(format!("unknown quality target tag {tag}"))
             })?;
-            if models.iter().any(|(t, _)| *t == target) {
+            if fitted.iter().any(|(t, _)| *t == target) {
                 return Err(PersistError::Corrupt(format!(
                     "quality predictor carries target {} twice",
                     target.name()
                 )));
             }
-            chosen.push((target, ChosenModel::decode(r)?));
-            models.push((target, decode_regressor(r, width)?));
+            fitted.push((target, Fitted::decode(r, width)?));
         }
-        Ok(QualityPredictor { tier, models, chosen })
+        Ok(QualityPredictor { tier, fitted })
     }
 }
 
@@ -260,8 +263,7 @@ impl QualityPredictor {
 
 /// Predicts partitioning wall-clock time for (graph, partitioner) pairs.
 pub struct PartitioningTimePredictor {
-    model: Box<dyn Regressor>,
-    pub chosen: ChosenModel,
+    fitted: Fitted,
 }
 
 impl PartitioningTimePredictor {
@@ -281,8 +283,12 @@ impl PartitioningTimePredictor {
         let selection = select_models(grid, &[(&ds).into()], folds, seed)
             .pop()
             .expect("one selection per label");
-        let (chosen, model) = ChosenModel::of(selection);
-        PartitioningTimePredictor { model, chosen }
+        PartitioningTimePredictor { fitted: Fitted::selected(selection) }
+    }
+
+    /// The one fitted model.
+    pub fn fitted(&self) -> &Fitted {
+        &self.fitted
     }
 
     /// The partitioning time of each `(props, partitioner)`, in order,
@@ -292,20 +298,18 @@ impl PartitioningTimePredictor {
         rows: impl IntoIterator<Item = (&'a GraphProperties, PartitionerId)>,
     ) -> Vec<f64> {
         let x = features::partitioning_time_matrix(rows);
-        self.model.predict(&x).into_iter().map(from_log).collect()
+        self.fitted.model.predict(&x).into_iter().map(from_log).collect()
     }
 
     /// Write the trained state: grid-search provenance, then the model.
     pub fn encode(&self, w: &mut Writer) {
-        self.chosen.encode(w);
-        self.model.encode(w);
+        self.fitted.encode(w);
     }
 
     /// Inverse of [`PartitioningTimePredictor::encode`].
     pub fn decode(r: &mut Reader) -> Result<Self, PersistError> {
-        let chosen = ChosenModel::decode(r)?;
         let width = features::partitioning_time_feature_names().len();
-        Ok(PartitioningTimePredictor { model: decode_regressor(r, width)?, chosen })
+        Ok(PartitioningTimePredictor { fitted: Fitted::decode(r, width)? })
     }
 }
 
@@ -317,8 +321,7 @@ impl PartitioningTimePredictor {
 /// graph processing algorithm — the paper's design choice that lets new
 /// algorithms join without retraining anything else (Sec. IV-E).
 pub struct ProcessingTimePredictor {
-    models: Vec<(&'static str, Box<dyn Regressor>)>,
-    pub chosen: Vec<(&'static str, ChosenModel)>,
+    fitted: Vec<(&'static str, Fitted)>,
 }
 
 impl ProcessingTimePredictor {
@@ -352,25 +355,24 @@ impl ProcessingTimePredictor {
         // one group per workload: the `iterations` column differs
         let groups: Vec<LabelGroup> = datasets.iter().map(LabelGroup::from).collect();
         let selections = select_models(grid, &groups, folds, seed);
-        let (chosen, models) = names
-            .into_iter()
-            .zip(selections)
-            .map(|(name, selection)| {
-                let (chosen, model) = ChosenModel::of(selection);
-                ((name, chosen), (name, model))
-            })
-            .unzip();
-        ProcessingTimePredictor { models, chosen }
+        let fitted = names.into_iter().zip(selections.into_iter().map(Fitted::selected));
+        ProcessingTimePredictor { fitted: fitted.collect() }
+    }
+
+    /// The fitted row of each trained workload, in order of appearance in
+    /// the training records.
+    pub fn fitted(&self) -> &[(&'static str, Fitted)] {
+        &self.fitted
     }
 
     /// The model trained for `workload`; panics when there is none (the
     /// selector checks [`ProcessingTimePredictor::supports`] first and
     /// reports `EaseError::UnsupportedWorkload`).
     fn model(&self, workload_name: &str) -> &dyn Regressor {
-        self.models
+        self.fitted
             .iter()
             .find(|(n, _)| *n == workload_name)
-            .map(|(_, m)| m.as_ref())
+            .map(|(_, f)| f.model.as_ref())
             .unwrap_or_else(|| panic!("no model trained for workload {workload_name}"))
     }
 
@@ -406,27 +408,26 @@ impl ProcessingTimePredictor {
     }
 
     pub fn supported_workloads(&self) -> Vec<&'static str> {
-        self.models.iter().map(|(n, _)| *n).collect()
+        self.fitted.iter().map(|(n, _)| *n).collect()
     }
 
     /// Allocation-free membership check (per-query hot path).
     pub fn supports(&self, workload: Workload) -> bool {
-        self.models.iter().any(|(n, _)| *n == workload.name())
+        self.fitted.iter().any(|(n, _)| *n == workload.name())
     }
 
     /// Write the trained state: per workload its name, the grid-search
     /// provenance and the fitted model.
     pub fn encode(&self, w: &mut Writer) {
-        w.put_usize(self.models.len());
-        for ((name, model), (_, chosen)) in self.models.iter().zip(&self.chosen) {
+        w.put_usize(self.fitted.len());
+        for (name, fitted) in &self.fitted {
             w.put_str(name);
-            chosen.encode(w);
-            model.encode(w);
+            fitted.encode(w);
         }
     }
 
     /// Inverse of [`ProcessingTimePredictor::encode`]: between one and 64
-    /// workloads, each name interned back to the `'static` catalog through
+    /// distinct workloads, each name interned back to the `'static` catalog through
     /// [`Workload::from_name`] — so a workload added to `ease-procsim` is
     /// loadable without touching this crate, and an unknown name means the
     /// artifact was written by an incompatible build.
@@ -438,17 +439,20 @@ impl ProcessingTimePredictor {
             )));
         }
         let width = features::processing_time_feature_names().len();
-        let mut models: Vec<(&'static str, Box<dyn Regressor>)> = Vec::new();
-        let mut chosen = Vec::new();
+        let mut fitted = Vec::with_capacity(n_workloads);
         for _ in 0..n_workloads {
             let name = r.take_str()?;
             let interned = Workload::from_name(&name).map(Workload::name).ok_or_else(|| {
                 PersistError::Corrupt(format!("unknown persisted workload `{name}`"))
             })?;
-            chosen.push((interned, ChosenModel::decode(r)?));
-            models.push((interned, decode_regressor(r, width)?));
+            if fitted.iter().any(|(n, _)| *n == interned) {
+                return Err(PersistError::Corrupt(format!(
+                    "processing predictor carries workload `{name}` twice"
+                )));
+            }
+            fitted.push((interned, Fitted::decode(r, width)?));
         }
-        Ok(ProcessingTimePredictor { models, chosen })
+        Ok(ProcessingTimePredictor { fitted })
     }
 }
 
@@ -505,7 +509,7 @@ mod tests {
         let rf = |k| qp.predict(&props, &[PartitionerId::OneDD], k)[0].replication_factor;
         let (rf2, rf8) = (rf(2), rf(8));
         assert!(rf8 > rf2 * 0.9, "rf2={rf2} rf8={rf8}");
-        assert_eq!(qp.chosen.len(), 5);
+        assert_eq!(qp.fitted.len(), 5);
         // a batch of records predicts what each record's candidate query does
         for target in QualityTarget::ALL {
             let batched = qp.predict_target(target, &records);
@@ -524,8 +528,8 @@ mod tests {
             1,
             &[rf],
         );
-        let [(target, one)] = &alone.chosen[..] else { panic!("one target trained") };
-        let all = &qp.chosen.iter().find(|(t, _)| t == target).expect("rf is trained").1;
+        let [(target, one)] = &alone.fitted[..] else { panic!("one target trained") };
+        let all = &qp.fitted.iter().find(|(t, _)| t == target).expect("rf is trained").1;
         assert_eq!(*target, rf);
         assert_eq!(one.config, all.config);
         assert_eq!(one.cv_mape.to_bits(), all.cv_mape.to_bits());
@@ -611,6 +615,83 @@ mod tests {
         let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 2, 1);
         let props = inputs(1, 600)[0].prepare().properties(PropertyTier::Advanced);
         let _ = pp.predict_totals(Workload::KCores, &props, &[records[0].metrics]);
+    }
+
+    /// One fitted entry of a predictor section as `encode` spells it: the
+    /// winning configuration, its CV MAPE, then a model fitted at `width`.
+    fn put_fitted(w: &mut Writer, width: usize) {
+        let config = ModelConfig::Knn { k: 1, distance_weighted: false };
+        let mut model = config.build();
+        model.fit(&Matrix::from_rows(&[vec![0.0; width], vec![1.0; width]]), &[1.0, 2.0]);
+        encode_config(w, &config);
+        w.put_f64(0.5);
+        model.encode(w);
+    }
+
+    /// A quality section at `tier_tag` whose entries carry `target_tags`.
+    fn quality_section(tier_tag: u8, target_tags: &[u8]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_u8(tier_tag);
+        w.put_usize(target_tags.len());
+        let width = features::quality_feature_names(PropertyTier::Basic).len();
+        for &tag in target_tags {
+            w.put_u8(tag);
+            put_fitted(&mut w, width);
+        }
+        w.into_bytes()
+    }
+
+    /// A processing section with one entry per name of `workloads`.
+    fn processing_section(workloads: &[&str]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.put_usize(workloads.len());
+        let width = features::processing_time_feature_names().len();
+        for name in workloads {
+            w.put_str(name);
+            put_fitted(&mut w, width);
+        }
+        w.into_bytes()
+    }
+
+    /// The message of a `Corrupt` rejection; anything else fails the test.
+    fn corrupt<T>(decoded: Result<T, PersistError>) -> String {
+        match decoded {
+            Err(PersistError::Corrupt(msg)) => msg,
+            Err(other) => panic!("expected Corrupt, got {other:?}"),
+            Ok(_) => panic!("a corrupt section decoded"),
+        }
+    }
+
+    /// Every structural corruption of a predictor section is a typed
+    /// `Corrupt`, each named for what is wrong, while the same entries
+    /// spelled correctly decode.
+    #[test]
+    fn decode_rejects_structural_corruption() {
+        let quality = |tier, tags: &[u8]| {
+            QualityPredictor::decode(&mut Reader::new(&quality_section(tier, tags)))
+        };
+        let basic = PropertyTier::Basic.tag();
+        let qp = quality(basic, &[4, 3, 2, 1, 0]).expect("a well-formed quality section");
+        assert_eq!(qp.tier, PropertyTier::Basic);
+        for tags in [&[0, 1, 2, 3][..], &[0, 1, 2, 3, 4, 0]] {
+            assert!(corrupt(quality(basic, tags)).contains("targets, expected 5"), "{tags:?}");
+        }
+        assert!(corrupt(quality(basic, &[0, 1, 2, 1, 4])).contains("twice"));
+        assert!(corrupt(quality(basic, &[0, 1, 2, 3, 5])).contains("unknown quality target tag 5"));
+        assert!(corrupt(quality(200, &[0, 1, 2, 3, 4])).contains("unknown property tier tag 200"));
+
+        let processing = |names: &[&str]| {
+            ProcessingTimePredictor::decode(&mut Reader::new(&processing_section(names)))
+        };
+        let pp = processing(&["pr", "cc"]).expect("a well-formed processing section");
+        assert_eq!(pp.supported_workloads(), ["pr", "cc"]);
+        for names in [Vec::new(), vec!["pr"; 65]] {
+            assert!(corrupt(processing(&names)).contains("expected 1..=64"), "{}", names.len());
+        }
+        assert!(
+            corrupt(processing(&["pr", "bogus"])).contains("unknown persisted workload `bogus`")
+        );
+        assert!(corrupt(processing(&["pr", "cc", "pr"])).contains("workload `pr` twice"));
     }
 
     #[test]

@@ -144,16 +144,17 @@ impl ServeStats {
     /// Fold another backend's snapshot into this one — the fleet view a
     /// router renders: counters sum, capacities sum, and the budget fields
     /// aggregate so `memory_budget_remaining` is the fleet-wide headroom
-    /// (`None` only when *no* backend has a budget; an unlimited backend
-    /// saturates the sum at `u64::MAX`).
+    /// (`None` only when *no* backend has a budget). Every sum saturates:
+    /// the operands are what backends reported over the wire, and an
+    /// unlimited backend's budget is `u64::MAX`.
     pub fn absorb(&mut self, other: &ServeStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.len += other.len;
-        self.capacity += other.capacity;
-        self.requests_served += other.requests_served;
-        self.spilled_csr_builds += other.spilled_csr_builds;
+        self.hits = self.hits.saturating_add(other.hits);
+        self.misses = self.misses.saturating_add(other.misses);
+        self.evictions = self.evictions.saturating_add(other.evictions);
+        self.len = self.len.saturating_add(other.len);
+        self.capacity = self.capacity.saturating_add(other.capacity);
+        self.requests_served = self.requests_served.saturating_add(other.requests_served);
+        self.spilled_csr_builds = self.spilled_csr_builds.saturating_add(other.spilled_csr_builds);
         self.memory_budget_remaining =
             match (self.memory_budget_remaining, other.memory_budget_remaining) {
                 (None, r) => r,
@@ -1044,5 +1045,19 @@ mod tests {
         assert_eq!(fleet.memory_budget_remaining, Some(750));
         fleet.absorb(&ServeStats { memory_budget_remaining: Some(u64::MAX), ..stats(0) });
         assert_eq!(fleet.memory_budget_remaining, Some(u64::MAX));
+        // a backend reporting every counter at its maximum saturates the
+        // fleet's sums instead of overflowing them
+        let maxed = ServeStats {
+            hits: u64::MAX,
+            misses: u64::MAX,
+            evictions: u64::MAX,
+            len: usize::MAX,
+            capacity: usize::MAX,
+            requests_served: u64::MAX,
+            memory_budget_remaining: Some(u64::MAX),
+            spilled_csr_builds: u64::MAX,
+        };
+        fleet.absorb(&maxed);
+        assert_eq!(fleet, maxed);
     }
 }

@@ -662,7 +662,7 @@ mod tests {
             w.push(ease_graph::Edge { src: (i % 8) as u32, dst: ((i + 1) % 8) as u32 })
                 .expect("push edge");
         }
-        w.finish().expect("finish .bel");
+        w.finish_with_vertices(8).expect("finish .bel");
 
         let file_size = std::fs::metadata(&file).expect("stat").len();
         assert_eq!(file_size, BEL_HEADER_LEN as u64 + num_edges * BEL_EDGE_LEN as u64);

@@ -526,13 +526,13 @@ impl EaseService {
     /// Summarize the trained service for reporting (`ease inspect`).
     pub fn info(&self) -> ServiceInfo {
         let mut chosen = Vec::new();
-        for (target, c) in &self.ease.quality.chosen {
-            chosen.push((format!("quality/{}", target.name()), c.config.describe(), c.cv_mape));
+        for (target, f) in self.ease.quality.fitted() {
+            chosen.push((format!("quality/{}", target.name()), f.config.describe(), f.cv_mape));
         }
-        let pt = &self.ease.partitioning_time.chosen;
+        let pt = self.ease.partitioning_time.fitted();
         chosen.push(("partitioning-time".to_string(), pt.config.describe(), pt.cv_mape));
-        for (name, c) in &self.ease.processing_time.chosen {
-            chosen.push((format!("processing/{name}"), c.config.describe(), c.cv_mape));
+        for (name, f) in self.ease.processing_time.fitted() {
+            chosen.push((format!("processing/{name}"), f.config.describe(), f.cv_mape));
         }
         ServiceInfo {
             meta: self.meta,

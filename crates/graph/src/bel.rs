@@ -16,9 +16,10 @@
 //! without ever materializing an owned `Vec<Edge>`.
 //!
 //! [`BelWriter`] streams edges to disk with a placeholder header that is
-//! patched on [`BelWriter::finish`] — writers (the `ease gen`/`ease convert`
-//! subcommands) do not need to know the edge count or vertex universe up
-//! front, which is what makes generator-to-file streaming possible.
+//! patched by [`BelWriter::finish_with_vertices`] — writers (the `ease
+//! gen`/`ease convert` subcommands) need the edge count and vertex universe
+//! only at the end, not up front, which is what makes generator-to-file
+//! streaming possible.
 
 use std::fs::File;
 use std::io::{self, Seek, SeekFrom, Write};
@@ -48,7 +49,7 @@ const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Streaming `.bel` writer: edges are staged and go to the file in 64 KiB
 /// writes as they are pushed; the header is patched with the final counts
-/// on `finish`.
+/// by [`BelWriter::finish_with_vertices`].
 #[derive(Debug)]
 pub struct BelWriter {
     file: File,
@@ -56,7 +57,6 @@ pub struct BelWriter {
     staged: Vec<u8>,
     edge_count: u64,
     max_endpoint: u64,
-    any_edge: bool,
 }
 
 impl BelWriter {
@@ -66,7 +66,7 @@ impl BelWriter {
         let mut staged = Vec::with_capacity(WRITE_CHUNK);
         staged.extend_from_slice(&BEL_MAGIC);
         staged.resize(BEL_HEADER_LEN, 0);
-        Ok(BelWriter { file, staged, edge_count: 0, max_endpoint: 0, any_edge: false })
+        Ok(BelWriter { file, staged, edge_count: 0, max_endpoint: 0 })
     }
 
     /// Append one edge as one 16-byte record: a `u128` whose low half is
@@ -85,32 +85,21 @@ impl BelWriter {
         self.staged.extend_from_slice(&record);
         self.edge_count += 1;
         self.max_endpoint = self.max_endpoint.max(u64::from(e.src)).max(u64::from(e.dst));
-        self.any_edge = true;
         Ok(())
     }
 
-    /// Patch the header with the final counts and flush. The vertex
-    /// universe is inferred as `max endpoint + 1` (0 for an empty stream).
-    pub fn finish(self) -> io::Result<()> {
-        let nv = if self.any_edge { self.max_endpoint + 1 } else { 0 };
-        self.finish_with_vertices_u64(nv)
-    }
-
-    /// [`BelWriter::finish`] with an explicit vertex universe (must cover
-    /// every pushed endpoint) — preserves isolated trailing vertices.
-    pub fn finish_with_vertices(self, num_vertices: usize) -> io::Result<()> {
+    /// Patch the header with the vertex universe and the edge count, and
+    /// flush. The universe must cover every pushed endpoint; ids above
+    /// the largest are isolated trailing vertices, and survive.
+    pub fn finish_with_vertices(mut self, num_vertices: usize) -> io::Result<()> {
         assert!(
-            !self.any_edge || (num_vertices as u64) > self.max_endpoint,
+            self.edge_count == 0 || (num_vertices as u64) > self.max_endpoint,
             "vertex universe {num_vertices} does not cover max endpoint {}",
             self.max_endpoint
         );
-        self.finish_with_vertices_u64(num_vertices as u64)
-    }
-
-    fn finish_with_vertices_u64(mut self, num_vertices: u64) -> io::Result<()> {
         self.file.write_all(&self.staged)?;
         self.file.seek(SeekFrom::Start(8))?;
-        self.file.write_all(&num_vertices.to_le_bytes())?;
+        self.file.write_all(&(num_vertices as u64).to_le_bytes())?;
         self.file.write_all(&self.edge_count.to_le_bytes())?;
         self.file.flush()
     }
@@ -278,13 +267,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_writer_infers_universe() {
+    fn streaming_writer_round_trips() {
         let path = temp("writer");
         let mut w = BelWriter::create(&path).unwrap();
         for e in [Edge::new(4, 2), Edge::new(0, 7)] {
             w.push(e).unwrap();
         }
-        w.finish().unwrap();
+        w.finish_with_vertices(8).unwrap();
         let src = BelSource::open(&path).unwrap();
         assert_eq!((GraphSource::num_vertices(&src), src.edge_count()), (8, 2));
         assert_eq!(collect_source(&src).edges(), &[Edge::new(4, 2), Edge::new(0, 7)]);
@@ -301,7 +290,7 @@ mod tests {
         for e in [Edge::new(4, 2), Edge::new(0x0102_0304, 7), Edge::new(0, 0x0001_0000)] {
             w.push(e).unwrap();
         }
-        w.finish().unwrap();
+        w.finish_with_vertices(0x0102_0305).unwrap();
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
@@ -342,7 +331,7 @@ mod tests {
     #[test]
     fn empty_graph_round_trips() {
         let path = temp("empty");
-        BelWriter::create(&path).unwrap().finish().unwrap();
+        BelWriter::create(&path).unwrap().finish_with_vertices(0).unwrap();
         let src = BelSource::open(&path).unwrap();
         assert_eq!((src.edge_count(), GraphSource::num_vertices(&src)), (0, 0));
         std::fs::remove_file(&path).ok();

@@ -353,18 +353,12 @@ pub struct TextEdgeListWriter {
     w: BufWriter<File>,
     edge_count: usize,
     max_endpoint: u32,
-    any_edge: bool,
 }
 
 impl TextEdgeListWriter {
     pub fn create(path: &Path) -> io::Result<TextEdgeListWriter> {
         let file = File::create(path)?;
-        Ok(TextEdgeListWriter {
-            w: BufWriter::new(file),
-            edge_count: 0,
-            max_endpoint: 0,
-            any_edge: false,
-        })
+        Ok(TextEdgeListWriter { w: BufWriter::new(file), edge_count: 0, max_endpoint: 0 })
     }
 
     /// Append one edge.
@@ -372,23 +366,15 @@ impl TextEdgeListWriter {
         write_edge_line(&mut self.w, e)?;
         self.edge_count += 1;
         self.max_endpoint = self.max_endpoint.max(e.src).max(e.dst);
-        self.any_edge = true;
         Ok(())
     }
 
-    /// Write the trailing summary comment (inferring the universe as
-    /// `max endpoint + 1`) and flush.
-    pub fn finish(self) -> io::Result<()> {
-        let nv = if self.any_edge { self.max_endpoint as usize + 1 } else { 0 };
-        self.finish_with_vertices(nv)
-    }
-
-    /// [`TextEdgeListWriter::finish`] with an explicit vertex universe —
-    /// readers honour the summary comment, so isolated trailing vertices
-    /// survive text round trips.
+    /// Write the trailing summary comment with the vertex universe, which
+    /// must cover every pushed endpoint, and flush. Readers honour the
+    /// comment, so isolated trailing vertices survive text round trips.
     pub fn finish_with_vertices(mut self, num_vertices: usize) -> io::Result<()> {
         assert!(
-            !self.any_edge || num_vertices > self.max_endpoint as usize,
+            self.edge_count == 0 || num_vertices > self.max_endpoint as usize,
             "vertex universe {num_vertices} does not cover max endpoint {}",
             self.max_endpoint
         );
@@ -521,7 +507,7 @@ mod tests {
         for e in [Edge::new(0, 1), Edge::new(1, 2), Edge::new(2, 0)] {
             w.push(e).unwrap();
         }
-        w.finish().unwrap();
+        w.finish_with_vertices(3).unwrap();
         let g = read_edge_list(&path).unwrap();
         assert_eq!(g.num_edges(), 3);
         assert_eq!(g.num_vertices(), 3);

@@ -52,7 +52,7 @@ use crate::metrics::mape;
 use crate::preprocess::StandardScaler;
 use crate::rng::SplitMix64;
 use crate::tree::BinnedMatrix;
-use crate::zoo::{Family, ModelConfig, ModelKind};
+use crate::zoo::{Family, ModelConfig};
 use crate::Regressor;
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -144,12 +144,12 @@ struct Split {
 }
 
 fn reads_bins(config: &ModelConfig) -> bool {
-    matches!(config.kind(), ModelKind::RandomForest | ModelKind::Xgb)
+    matches!(config, ModelConfig::Forest { .. } | ModelConfig::Xgb { .. })
 }
 
 /// Whether one fit of the family serves every label vector of a split.
 fn shares_labels(config: &ModelConfig) -> bool {
-    matches!(config.kind(), ModelKind::Poly | ModelKind::Knn)
+    matches!(config, ModelConfig::Poly { .. } | ModelConfig::Knn { .. })
 }
 
 impl Split {

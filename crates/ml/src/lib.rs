@@ -5,8 +5,9 @@
 //! Regression, Extreme Gradient Boosting, K-Nearest Neighbors and a
 //! fully-connected MLP. No ML crates exist in the allowed dependency set,
 //! so this crate implements all of them, plus the supporting machinery the
-//! paper uses: z-score standardization, one-hot encoding, K-fold
-//! cross-validation, grid search, and the RMSE/MAPE evaluation metrics.
+//! paper uses: z-score standardization, K-fold cross-validation, grid
+//! search, and the RMSE/MAPE evaluation metrics. A family is a
+//! [`ModelConfig`] variant and is named by [`ModelConfig::name`].
 //!
 //! All models implement [`Regressor`] — fit, predict, and write their own
 //! bytes ([`persist`]); [`zoo::default_grid`] exposes the hyper-parameter
@@ -31,8 +32,8 @@ pub mod zoo;
 pub use dataset::{Dataset, Matrix};
 pub use metrics::{mae, mape, r2, rmse};
 pub use persist::{PersistError, Reader, Writer};
-pub use preprocess::{OneHotEncoder, ScaledModel, StandardScaler};
-pub use zoo::{ModelConfig, ModelKind};
+pub use preprocess::{ScaledModel, StandardScaler};
+pub use zoo::ModelConfig;
 
 /// A regression model: fit on a feature matrix + targets, predict rows.
 ///

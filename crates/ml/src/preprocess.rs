@@ -1,7 +1,8 @@
-//! Preprocessing: z-score standardization, one-hot encoding, and the
-//! scaler+model pipeline (paper Sec. IV-C "the data was standardized with
-//! z-score normalization; one-hot encoding is used for the partitioning
-//! algorithms").
+//! Preprocessing: z-score standardization and the scaler+model pipeline
+//! (paper Sec. IV-C "the data was standardized with z-score
+//! normalization"). The paper's one-hot encoding of the partitioning
+//! algorithms is a column per partitioner, set where the feature rows are
+//! built (`ease::features`).
 
 use crate::dataset::Matrix;
 use crate::persist::{
@@ -77,34 +78,6 @@ impl StandardScaler {
             )));
         }
         Ok(StandardScaler { means, stds })
-    }
-}
-
-/// One-hot encoder over a fixed category universe.
-#[derive(Debug, Clone)]
-pub struct OneHotEncoder {
-    pub categories: Vec<String>,
-}
-
-impl OneHotEncoder {
-    pub fn new(categories: Vec<String>) -> Self {
-        OneHotEncoder { categories }
-    }
-
-    pub fn width(&self) -> usize {
-        self.categories.len()
-    }
-
-    /// Encode a category into `out` (appends `width()` values).
-    pub fn encode_into(&self, category: &str, out: &mut Vec<f64>) {
-        let idx = self
-            .categories
-            .iter()
-            .position(|c| c == category)
-            .unwrap_or_else(|| panic!("unknown category {category:?}"));
-        for i in 0..self.categories.len() {
-            out.push(if i == idx { 1.0 } else { 0.0 });
-        }
     }
 }
 
@@ -194,22 +167,5 @@ mod tests {
         let t = s.transform(&x);
         assert_eq!(t.get(0, 0), 0.0);
         assert_eq!(t.get(1, 0), 0.0);
-    }
-
-    #[test]
-    fn one_hot_encodes_each_category() {
-        let enc = OneHotEncoder::new(vec!["a".into(), "b".into(), "c".into()]);
-        let mut out = Vec::new();
-        enc.encode_into("b", &mut out);
-        assert_eq!(out, vec![0.0, 1.0, 0.0]);
-        assert_eq!(enc.width(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown category")]
-    fn one_hot_rejects_unknown() {
-        let enc = OneHotEncoder::new(vec!["a".into()]);
-        let mut out = Vec::new();
-        enc.encode_into("z", &mut out);
     }
 }

@@ -1,5 +1,6 @@
 //! The model zoo: one configuration enum covering all six families the
-//! paper compares, plus the default hyper-parameter grid for model
+//! paper compares — its variant is the family, [`ModelConfig::name`] the
+//! name the paper prints — plus the default hyper-parameter grid for model
 //! selection.
 
 use crate::forest::{ForestParams, RandomForest};
@@ -10,40 +11,6 @@ use crate::poly::PolynomialRegression;
 use crate::preprocess::ScaledModel;
 use crate::svr::{SvrParams, SvrRegressor};
 use crate::Regressor;
-
-/// The six model families of paper Sec. IV-C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ModelKind {
-    Poly,
-    Svr,
-    RandomForest,
-    Xgb,
-    Knn,
-    Mlp,
-}
-
-impl ModelKind {
-    pub const ALL: [ModelKind; 6] = [
-        ModelKind::Poly,
-        ModelKind::Svr,
-        ModelKind::RandomForest,
-        ModelKind::Xgb,
-        ModelKind::Knn,
-        ModelKind::Mlp,
-    ];
-
-    /// Name as the paper prints it in Tables V/VI.
-    pub fn name(self) -> &'static str {
-        match self {
-            ModelKind::Poly => "PolyRegression",
-            ModelKind::Svr => "SVR",
-            ModelKind::RandomForest => "RFR",
-            ModelKind::Xgb => "XGB",
-            ModelKind::Knn => "KNN",
-            ModelKind::Mlp => "MLP",
-        }
-    }
-}
 
 /// A buildable model configuration (hyper-parameter point).
 #[derive(Debug, Clone, PartialEq)]
@@ -70,14 +37,15 @@ pub(crate) enum Family {
 }
 
 impl ModelConfig {
-    pub fn kind(&self) -> ModelKind {
+    /// The family's name as the paper prints it in Tables V/VI.
+    pub fn name(&self) -> &'static str {
         match self {
-            ModelConfig::Poly { .. } => ModelKind::Poly,
-            ModelConfig::Svr { .. } => ModelKind::Svr,
-            ModelConfig::Forest { .. } => ModelKind::RandomForest,
-            ModelConfig::Xgb { .. } => ModelKind::Xgb,
-            ModelConfig::Knn { .. } => ModelKind::Knn,
-            ModelConfig::Mlp { .. } => ModelKind::Mlp,
+            ModelConfig::Poly { .. } => "PolyRegression",
+            ModelConfig::Svr { .. } => "SVR",
+            ModelConfig::Forest { .. } => "RFR",
+            ModelConfig::Xgb { .. } => "XGB",
+            ModelConfig::Knn { .. } => "KNN",
+            ModelConfig::Mlp { .. } => "MLP",
         }
     }
 
@@ -218,17 +186,13 @@ mod tests {
         }
     }
 
+    /// The grid spans the six families, each named as the paper prints it.
     #[test]
     fn grid_covers_all_six_families() {
-        let kinds: std::collections::HashSet<_> = default_grid().iter().map(|c| c.kind()).collect();
-        assert_eq!(kinds.len(), 6);
-    }
-
-    #[test]
-    fn kind_names_match_paper() {
-        assert_eq!(ModelKind::Xgb.name(), "XGB");
-        assert_eq!(ModelKind::RandomForest.name(), "RFR");
-        assert_eq!(ModelKind::Poly.name(), "PolyRegression");
+        let names: std::collections::BTreeSet<_> =
+            default_grid().iter().map(ModelConfig::name).collect();
+        let paper = ["KNN", "MLP", "PolyRegression", "RFR", "SVR", "XGB"];
+        assert!(names.into_iter().eq(paper));
     }
 
     #[test]

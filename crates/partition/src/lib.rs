@@ -53,7 +53,8 @@ impl Category {
     }
 }
 
-/// The 11 partitioners of the paper, named as in its figures.
+/// The 11 partitioners of the paper, named as in its figures. Declared
+/// in [`PartitionerId::ALL`]'s order, so a discriminant is a position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PartitionerId {
     OneDD,
@@ -114,10 +115,11 @@ impl PartitionerId {
         }
     }
 
-    /// Index into [`Self::ALL`] (stable across the workspace — used for
-    /// one-hot encoding in the ML feature builder).
+    /// Position in [`Self::ALL`]: the discriminant, as `ALL` lists the
+    /// variants in declaration order. It is the partitioner's one-hot
+    /// column in the ML feature rows.
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&p| p == self).expect("id in ALL")
+        self as usize
     }
 
     /// Parse a paper-style name.

@@ -1,20 +1,19 @@
 //! Offline stand-in for the `criterion` benchmark harness.
 //!
-//! Implements the subset the workspace benches use: `Criterion::default()`
-//! with `measurement_time` / `warm_up_time`, `benchmark_group` with
-//! `sample_size` / `bench_with_input` / `bench_function` / `finish`,
-//! `BenchmarkId`, `Bencher::iter`, and the `criterion_group!` /
-//! `criterion_main!` macros. Instead of criterion's statistical engine it
+//! Implements exactly the subset the workspace benches use:
+//! `Criterion::default()` with `measurement_time` / `warm_up_time`,
+//! `Criterion::bench_function`, `benchmark_group` with `sample_size` /
+//! `bench_with_input` / `bench_function` / `finish`, `BenchmarkId`,
+//! `Bencher::iter`, and the `criterion_group!` (`name = …; config = …;
+//! targets = …` form) / `criterion_main!` macros. The benches take
+//! `black_box` from `std::hint`. Instead of criterion's statistical engine it
 //! performs a short warm-up followed by `sample_size` timed batches and
 //! reports the median and min per-iteration time — enough to compare hot
 //! paths locally while keeping `cargo bench` runs fast and dependency-free.
 
 use std::fmt::Display;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-pub fn black_box<T>(x: T) -> T {
-    std::hint::black_box(x)
-}
 
 /// Benchmark label; mirrors `criterion::BenchmarkId`.
 #[derive(Debug, Clone)]
@@ -65,11 +64,6 @@ impl Criterion {
         self
     }
 
-    pub fn sample_size(mut self, n: usize) -> Self {
-        self.settings.sample_size = n;
-        self
-    }
-
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup { name: name.into(), settings: self.settings.clone(), _parent: self }
     }
@@ -92,11 +86,6 @@ pub struct BenchmarkGroup<'a> {
 impl BenchmarkGroup<'_> {
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.settings.sample_size = n;
-        self
-    }
-
-    pub fn measurement_time(&mut self, d: Duration) -> &mut Self {
-        self.settings.measurement_time = d;
         self
     }
 
@@ -182,7 +171,8 @@ fn fmt_time(secs: f64) -> String {
     }
 }
 
-/// Mirror of `criterion_group!` — both the struct-ish and plain forms.
+/// Mirror of `criterion_group!`'s `name = …; config = …; targets = …`
+/// form.
 #[macro_export]
 macro_rules! criterion_group {
     (name = $name:ident; config = $config:expr; targets = $($target:path),+ $(,)?) => {
@@ -190,13 +180,6 @@ macro_rules! criterion_group {
             let mut criterion: $crate::Criterion = $config;
             $($target(&mut criterion);)+
         }
-    };
-    ($name:ident, $($target:path),+ $(,)?) => {
-        $crate::criterion_group!(
-            name = $name;
-            config = $crate::Criterion::default();
-            targets = $($target),+
-        );
     };
 }
 
