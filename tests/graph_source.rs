@@ -155,21 +155,28 @@ proptest! {
 /// Literal fingerprints: property-cache trailers in saved model files and
 /// `ease features` output carry these values, so a rewrite of the hasher
 /// must reproduce them — agreeing with itself is not enough.
-/// The third graph spans two full blocks and a partial one.
+/// The last three graphs are one LCG stream cut at two full blocks and a
+/// partial one, at eight full blocks (two whole groups of the four-block
+/// fold), and at nine full blocks and a partial one (a whole group, then a
+/// remainder the sequential hasher finishes).
 #[test]
 fn fingerprints_are_pinned() {
-    let mut x = 7u64;
-    let multi_block = (0..2 * FINGERPRINT_BLOCK + 77).map(|_| {
-        x = x.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(0x9E37);
-        (((x >> 32) % 113) as u32, (x % 113) as u32)
-    });
+    let multi_block = |edges: usize| {
+        let mut x = 7u64;
+        Graph::from_pairs((0..edges).map(move |_| {
+            x = x.wrapping_mul(0x2545F4914F6CDD1D).wrapping_add(0x9E37);
+            (((x >> 32) % 113) as u32, (x % 113) as u32)
+        }))
+    };
     let pinned = [
         (Graph::empty(0), 0x0a56_933e_9b32_fd5d_u64),
         (
             Graph::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3), (3, 0), (1, 3)]),
             0xd742_0956_d39d_897b,
         ),
-        (Graph::from_pairs(multi_block), 0xc3d7_4843_240e_258b),
+        (multi_block(2 * FINGERPRINT_BLOCK + 77), 0xc3d7_4843_240e_258b),
+        (multi_block(8 * FINGERPRINT_BLOCK), 0xd523_6ec7_3753_999c),
+        (multi_block(9 * FINGERPRINT_BLOCK + 77), 0xde3d_1633_95c5_44b2),
     ];
     for (g, want) in pinned {
         let (txt, bel) = temp_pair(&g);
