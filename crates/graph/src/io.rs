@@ -8,27 +8,43 @@
 //! streaming [`stream_edge_list`] they wrap) is a callback into one block
 //! kernel, `scan_edge_list`: it reads any [`Read`] in one reusable 256 KiB
 //! block (no per-line buffering, no `BufRead` needed) and splits the work in
-//! two:
+//! three:
 //!
+//! * **lane probe** — a line of the exact shape `id SP id LF`, ids of 1..=8
+//!   digits (what `write_edge_list` writes for any graph below 10^8
+//!   vertices), is decoded from two 8-byte little-endian lanes: a mask finds
+//!   each id's first non-digit, three multiply-shift steps convert the
+//!   digits before it, and two byte checks confirm the space and the
+//!   newline;
 //! * **fast path** — a line of the shape `[ \t]*digits[ \t]+digits`, then
 //!   nothing or a pure-ASCII tail that starts with a blank or `\r` (trailing
 //!   blanks, the CR of a CRLF, KONECT weight/timestamp columns), then `\n`,
-//!   with at most 10 digits per id that fit a `u32`, is decoded in one byte
-//!   scan;
+//!   with at most 10 digits per id that fit a `u32`, is decoded in one scan,
+//!   an id's first 8 digits by lane and any 9th and 10th byte by byte. A line
+//!   the probe misses carries on here from what the probe read, so no byte
+//!   of it is scanned twice;
 //! * **slow path** — *every other line* (blank, comment, `# vertices N`,
 //!   `+5`, 11+ digits, Unicode whitespace, a non-ASCII byte anywhere, an
 //!   unterminated last line, anything malformed) is UTF-8-validated and handed
 //!   to [`parse_edge_line`] / [`parse_universe_comment`] with its 1-based
 //!   line number.
 //!
-//! The fast path accepts a strict subset of what [`parse_edge_line`] accepts
-//! and decodes it to the same edge, so [`parse_edge_line`] stays the one
-//! definition of the accepted language and of every error.
+//! The probe and the fast path accept a strict subset of what
+//! [`parse_edge_line`] accepts and decode it to the same edge, so
+//! [`parse_edge_line`] stays the one definition of the accepted language and
+//! of every error.
+//!
+//! A line may be at most 1 MiB long, counting its `\n` (an unterminated
+//! last line counts one too): the buffer grows for a line longer than a
+//! block, once, to that size, and a line that does not fit is a
+//! [`GraphIoError::Parse`]. Input with no newline (a device, a
+//! binary file read as text) costs one such buffer, not memory without
+//! bound.
 //!
 //! Parsing failures are typed: [`GraphIoError::Parse`] carries the 1-based
-//! line number and a description of the offending token, so callers (the
-//! `ease` CLI, `EaseError::Parse`) can point users at the broken line
-//! instead of panicking.
+//! line number and a description of the offending token (at most its first
+//! 64 bytes), so callers (the `ease` CLI, `EaseError::Parse`) can point users
+//! at the broken line instead of panicking.
 
 use std::fmt;
 use std::fs::File;
@@ -124,7 +140,7 @@ pub fn parse_edge_line(line: &str, lineno: usize) -> Result<Option<Edge>, GraphI
         })?;
         tok.parse::<u32>().map_err(|_| GraphIoError::Parse {
             line: lineno,
-            message: format!("{what} vertex id `{tok}` is not a u32"),
+            message: format!("{what} vertex id {} is not a u32", echo_token(tok)),
         })
     };
     let src = parse("source")?;
@@ -132,11 +148,31 @@ pub fn parse_edge_line(line: &str, lineno: usize) -> Result<Option<Edge>, GraphI
     Ok(Some(Edge::new(src, dst)))
 }
 
+/// The longest token an error message quotes, in bytes.
+const ECHO_BYTES: usize = 64;
+
+/// `tok` in backticks for an error message: whole when it is at most
+/// [`ECHO_BYTES`] long, else its longest prefix that fits and ends on a char
+/// boundary, followed by its length.
+fn echo_token(tok: &str) -> String {
+    if tok.len() <= ECHO_BYTES {
+        return format!("`{tok}`");
+    }
+    let cut = (0..=ECHO_BYTES).rev().find(|&at| tok.is_char_boundary(at)).unwrap_or(0);
+    format!("`{}...` ({} bytes)", &tok[..cut], tok.len())
+}
+
 /// Bytes the kernel asks the reader for at a time. One buffer of this size
 /// is the kernel's whole heap footprint unless a single line is longer.
 /// Measured on `ease-bench cold-text-sparse`: 256 KiB reads as fast as
 /// 1 MiB and, unlike it, leaves the process's peak RSS where it was.
 const BLOCK_BYTES: usize = 1 << 18;
+
+/// The longest line the kernel reads, `\n` included: four blocks. A longer
+/// one is a [`GraphIoError::Parse`] as soon as the buffer is full of it, so
+/// input without newlines (`/dev/zero`, a binary file read as text) costs
+/// one buffer of this size, not memory without bound.
+const MAX_LINE_BYTES: usize = 4 * BLOCK_BYTES;
 
 /// What the kernel found on a line (lines that carry neither are skipped).
 enum TextItem {
@@ -149,8 +185,8 @@ enum TextItem {
 /// [`BLOCK_BYTES`] blocks and hand every edge and universe declaration to
 /// `on_item` in file order, until it fails. The partial last line of a
 /// block is carried over to the next; the buffer only grows for a line
-/// longer than a block. See the module docs for the fast-path / slow-path
-/// contract.
+/// longer than a block, once, to [`MAX_LINE_BYTES`]. See the module docs
+/// for the fast-path / slow-path contract.
 fn scan_edge_list<R: Read>(
     mut reader: R,
     mut on_item: impl FnMut(TextItem) -> Result<(), GraphIoError>,
@@ -160,7 +196,14 @@ fn scan_edge_list<R: Read>(
     let mut lineno = 0usize;
     loop {
         if len == buf.len() {
-            buf.resize(len * 2, 0);
+            // the buffer holds one partial line and nothing else
+            if len == MAX_LINE_BYTES {
+                return Err(GraphIoError::Parse {
+                    line: lineno + 1,
+                    message: "line is longer than 1 MiB".into(),
+                });
+            }
+            buf.resize(MAX_LINE_BYTES, 0);
         }
         let n = match reader.read(&mut buf[len..]) {
             Ok(n) => n,
@@ -203,34 +246,99 @@ fn scan_edge_list<R: Read>(
     }
 }
 
+/// The longest line of the lane probe's shape: two 8-digit ids, a space
+/// and a newline.
+const PROBE_BYTES: usize = 18;
+
 /// The fast path: if `bytes` starts with a `\n`-terminated line of the
 /// module docs' plain shape, its edge and its length including the `\n`.
 /// `None` sends the line to [`parse_irregular_line`], which is always right.
+///
+/// The lane probe goes first: `id SP id LF` with ids of at most 8 digits
+/// is two lane reads and two byte checks. A line it misses carries on from
+/// what the probe read, so no byte is scanned twice.
 #[inline]
 fn match_plain_edge(bytes: &[u8]) -> Option<(Edge, usize)> {
-    let skip_blanks = |mut at: usize| {
-        while matches!(bytes.get(at), Some(b' ' | b'\t')) {
-            at += 1;
+    let (src, end) = match bytes.first_chunk::<PROBE_BYTES>() {
+        Some(head) if head[0].is_ascii_digit() => {
+            let (src, digits) = lane_decimal(lane(head, 0));
+            if head[digits] == b' ' {
+                let (dst, dst_digits) = lane_decimal(lane(head, digits + 1));
+                let end = digits + 1 + dst_digits;
+                if dst_digits > 0 {
+                    if head[end] == b'\n' {
+                        return Some((Edge::new(src as u32, dst as u32), end + 1));
+                    }
+                    let (dst, end) = finish_decimal_u32(bytes, digits + 1, dst, end)?;
+                    return match_edge_tail(bytes, Edge::new(src as u32, dst), end);
+                }
+            }
+            finish_decimal_u32(bytes, 0, src, digits)?
         }
-        at
+        _ => match_decimal_u32(bytes, skip_blanks(bytes, 0))?,
     };
-    let (src, end) = match_decimal_u32(bytes, skip_blanks(0))?;
     // a digit run is maximal, so a second one implies a blank in between
-    let (dst, end) = match_decimal_u32(bytes, skip_blanks(end))?;
-    // what follows the second id is ignored once it is known to start with
-    // whitespace and to be ASCII up to the newline: `str::split_whitespace`
-    // would cut the token here too, and ASCII cannot fail UTF-8 validation
+    let (dst, end) = match_decimal_u32(bytes, skip_blanks(bytes, end))?;
+    match_edge_tail(bytes, Edge::new(src, dst), end)
+}
+
+/// The index of the first byte at or after `at` that is not a blank.
+#[inline]
+fn skip_blanks(bytes: &[u8], mut at: usize) -> usize {
+    while matches!(bytes.get(at), Some(b' ' | b'\t')) {
+        at += 1;
+    }
+    at
+}
+
+/// The end of a fast-path line whose second id ends at `bytes[end]`.
+/// What follows that id is ignored once it is known to start with
+/// whitespace and to be ASCII up to the newline: `str::split_whitespace`
+/// would cut the token there too, and ASCII cannot fail UTF-8 validation.
+#[inline]
+fn match_edge_tail(bytes: &[u8], edge: Edge, end: usize) -> Option<(Edge, usize)> {
     if !matches!(bytes.get(end), Some(b' ' | b'\t' | b'\r' | b'\n')) {
         return None;
     }
     let mut at = end;
     loop {
         match *bytes.get(at)? {
-            b'\n' => return Some((Edge::new(src, dst), at + 1)),
+            b'\n' => return Some((edge, at + 1)),
             0x80.. => return None,
             _ => at += 1,
         }
     }
+}
+
+/// The 8 bytes at `head[at..]` as a little-endian lane (`at` is at most 9,
+/// which the probe's digit counts guarantee).
+#[inline]
+fn lane(head: &[u8; PROBE_BYTES], at: usize) -> u64 {
+    let mut lane = [0u8; 8];
+    lane.copy_from_slice(&head[at..at + 8]);
+    u64::from_le_bytes(lane)
+}
+
+/// The digits a lane starts with: their value and how many there are
+/// (0..=8). A byte is a digit when it is `0x30..=0x39`, i.e. when `t`, the
+/// lane XOR `'0'`, holds a value below 10 there; `t + 0x76` sets a byte's
+/// top bit exactly when that value is 10..=0x89, `t` itself when it is
+/// 0x80 or more. A carry out of a non-digit byte only reaches bytes after
+/// it, so the lowest flagged byte is the first non-digit.
+#[inline]
+fn lane_decimal(lane: u64) -> (u64, usize) {
+    const ZEROS: u64 = u64::from_le_bytes([b'0'; 8]);
+    let t = lane ^ ZEROS;
+    let non_digit = (t.wrapping_add(0x7676_7676_7676_7676) | t) & 0x8080_8080_8080_8080;
+    let digits = non_digit.trailing_zeros() / 8;
+    // the digits move to the lane's top bytes; the zero bytes shifted in
+    // below them read as leading zeros
+    let t = t.checked_shl(64 - 8 * digits).unwrap_or(0);
+    // pairs, then quadruples, then the eight: three multiply-shift steps
+    let t = (t * 10 + (t >> 8)) & 0x00FF_00FF_00FF_00FF;
+    let t = (t * 100 + (t >> 16)) & 0x0000_FFFF_0000_FFFF;
+    let value = (t * 10_000 + (t >> 32)) & 0xFFFF_FFFF;
+    (value, digits as usize)
 }
 
 /// A run of 1..=10 ASCII digits at `bytes[at..]` that fits a `u32`: its
@@ -238,8 +346,22 @@ fn match_plain_edge(bytes: &[u8]) -> Option<(Edge, usize)> {
 /// are the slow path's business.
 #[inline]
 fn match_decimal_u32(bytes: &[u8], at: usize) -> Option<(u32, usize)> {
-    let mut value = 0u64;
-    let mut end = at;
+    let (value, digits) = match bytes.get(at..).and_then(<[u8]>::first_chunk::<8>) {
+        Some(lane) => lane_decimal(u64::from_le_bytes(*lane)),
+        None => (0, 0),
+    };
+    finish_decimal_u32(bytes, at, value, at + digits)
+}
+
+/// [`match_decimal_u32`] for a run that starts at `at` and is known up to
+/// `end`, where it is worth `value`: the rest of it one byte at a time.
+#[inline]
+fn finish_decimal_u32(
+    bytes: &[u8],
+    at: usize,
+    mut value: u64,
+    mut end: usize,
+) -> Option<(u32, usize)> {
     while let Some(digit) = bytes.get(end).map(|b| b.wrapping_sub(b'0')).filter(|&d| d < 10) {
         if end - at == 10 {
             return None;
@@ -607,6 +729,118 @@ mod tests {
         text.truncate(text.len() - "broken\n".len());
         let g = read_edge_list_from(Trickle::new(&text, 7 * BLOCK_BYTES / 8)).unwrap();
         assert_eq!(g, Graph::from_pairs([(0, 1), (1, 2), (2, 0)]));
+    }
+
+    /// Lines the lane probe decodes (8 digits fill a lane, 7 leave the
+    /// separator in it) and lines it hands on (9 and 10 digits), each read
+    /// with every first-read length, so every line is cut at every offset
+    /// by some read.
+    #[test]
+    fn probe_lines_cut_at_every_offset_read_alike() {
+        for (line, src, dst) in [
+            ("12345678 87654321\n", 12_345_678, 87_654_321),
+            ("1234567 7654321\n", 1_234_567, 7_654_321),
+            ("00000000 0000000\n", 0, 0),
+            ("7 12345678\n", 7, 12_345_678),
+            ("12345678 7\n", 12_345_678, 7),
+            ("123456789 5\n", 123_456_789, 5),
+            ("5 4294967295\n", 5, u32::MAX),
+        ] {
+            let text = line.repeat(3);
+            let want = Graph::from_pairs([(src, dst); 3]);
+            for chunk in 1..=text.len() {
+                let got = read_edge_list_from(Trickle::new(text.as_bytes(), chunk));
+                assert_eq!(got.unwrap(), want, "{line:?} in reads of {chunk}");
+            }
+        }
+    }
+
+    /// Every byte value at every lane position, after digits and before
+    /// more bytes of every kind: the lane's digit count and value are the
+    /// byte loop's.
+    #[test]
+    fn lane_decimal_is_the_byte_loop() {
+        let naive = |lane: &[u8; 8]| {
+            let digits = lane.iter().take_while(|b| b.is_ascii_digit()).count();
+            let value = lane[..digits].iter().fold(0u64, |v, b| v * 10 + u64::from(b - b'0'));
+            (value, digits)
+        };
+        for at in 0..8 {
+            for byte in 0..=u8::MAX {
+                for after in [b'9', b'0', b' ', 0xff, 0x80, b':', b'/'] {
+                    let mut lane = [after; 8];
+                    lane[..at].copy_from_slice(&b"98765432"[..at]);
+                    lane[at] = byte;
+                    assert_eq!(lane_decimal(u64::from_le_bytes(lane)), naive(&lane), "{lane:?}");
+                }
+            }
+        }
+    }
+
+    /// The same lines as the last line of the input, without a newline:
+    /// the slow path's business, with the same edge.
+    #[test]
+    fn an_unterminated_probe_line_is_still_an_edge() {
+        for (line, src, dst) in [("12345678 87654321", 12_345_678, 87_654_321), ("7 3", 7, 3)] {
+            for text in [line.to_string(), format!("0 1\n{line}"), format!("{line}\n{line}")] {
+                let g = read_edge_list_from(Cursor::new(&text)).unwrap();
+                assert_eq!(g.edges().last(), Some(&Edge::new(src, dst)), "{text:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_line_of_the_longest_length_is_read_and_one_byte_more_is_an_error() {
+        let line = |len: usize| {
+            let mut text = b"0 1\n#".to_vec();
+            text.resize(text.len() + len - 2, b'x');
+            text.extend_from_slice(b"\n1 2\n");
+            text
+        };
+        let g = read_edge_list_from(Cursor::new(line(MAX_LINE_BYTES))).unwrap();
+        assert_eq!(g, Graph::from_pairs([(0, 1), (1, 2)]));
+        for text in
+            [line(MAX_LINE_BYTES + 1), line(MAX_LINE_BYTES + 1)[..MAX_LINE_BYTES + 4].to_vec()]
+        {
+            match read_edge_list_from(Trickle::new(&text, BLOCK_BYTES - 1)).unwrap_err() {
+                GraphIoError::Parse { line: 2, message } => {
+                    assert_eq!(message, "line is longer than 1 MiB")
+                }
+                other => panic!("expected a Parse error on line 2, got {other:?}"),
+            }
+        }
+    }
+
+    /// Input with no newline at all stops at the cap, whatever its length.
+    #[test]
+    fn endless_input_without_a_newline_is_an_error() {
+        let err = read_edge_list_from(io::repeat(0).take(64 << 20)).unwrap_err();
+        assert!(matches!(err, GraphIoError::Parse { line: 1, .. }), "{err:?}");
+        assert!(err.to_string().contains("longer than 1 MiB"), "{err}");
+    }
+
+    #[test]
+    fn error_messages_quote_at_most_64_bytes_of_a_token() {
+        let quoted = |text: &str| match read_edge_list_from(Cursor::new(text)).unwrap_err() {
+            GraphIoError::Parse { message, .. } => message,
+            other => panic!("expected a Parse error, got {other:?}"),
+        };
+        let short = "x".repeat(ECHO_BYTES);
+        assert_eq!(
+            quoted(&format!("{short} 1\n")),
+            format!("source vertex id `{short}` is not a u32")
+        );
+        let long = "y".repeat(100);
+        assert_eq!(
+            quoted(&format!("0 {long}\n")),
+            format!("destination vertex id `{}...` (100 bytes) is not a u32", &long[..ECHO_BYTES])
+        );
+        // byte 64 falls inside a two-byte char, so the quote stops before it
+        let accented = format!("a{}", "\u{e9}".repeat(40));
+        assert_eq!(
+            quoted(&format!("{accented} 1\n")),
+            format!("source vertex id `{}...` (81 bytes) is not a u32", &accented[..63])
+        );
     }
 
     #[test]

@@ -25,11 +25,20 @@
 //!
 //! The module also defines the *block fingerprint*: a content hash chunked
 //! into fixed [`FINGERPRINT_BLOCK`]-edge blocks, each hashed from its own
-//! seed and folded into the running combination as it completes — one
+//! seed and folded into the running combination in block order — one
 //! streaming pass, no per-block state kept. The block length is fixed by
 //! compatibility: persisted property-cache trailers and `ease features`
 //! output carry fingerprints, so the construction may not change, and the
 //! value is bit-identical across backends and machines.
+//!
+//! Because a block's chain starts from its own seed, blocks are independent
+//! until they are folded. [`fingerprint_source`] over an in-memory slice uses
+//! that: it hashes four consecutive full blocks in lockstep, one `mix64`
+//! chain per block, and folds the four results in block order, so the value
+//! is the sequential one by construction. A `.bel` mapping and the fused
+//! degree pass ([`crate::degree::DegreeTable::compute_source`]) feed the
+//! sequential hasher edge by edge: [`GraphSource`] replays only the whole
+//! stream, from the start, so there is no second position to hash from.
 
 use std::path::Path;
 
@@ -127,10 +136,41 @@ impl BlockHasher {
 
     #[inline]
     pub(crate) fn feed(&mut self, e: Edge) {
-        self.acc = mix64(self.acc ^ ((u64::from(e.src) << 32) | u64::from(e.dst)));
+        self.acc = mix64(self.acc ^ edge_word(e));
         self.in_block += 1;
         if self.in_block == FINGERPRINT_BLOCK {
             self.flush();
+        }
+    }
+
+    /// Feed the whole stream at once. Every group of four full blocks is
+    /// hashed in lockstep, one `acc` lane per block seeded as [`feed`] would
+    /// seed it, and the lanes are folded in block order: four independent
+    /// `mix64` chains instead of one. The remainder goes through [`feed`].
+    ///
+    /// [`feed`]: BlockHasher::feed
+    fn feed_all(&mut self, edges: &[Edge]) {
+        debug_assert_eq!((self.block_index, self.in_block), (0, 0));
+        let mut groups = edges.chunks_exact(4 * FINGERPRINT_BLOCK);
+        for group in &mut groups {
+            let (b0, rest) = group.split_at(FINGERPRINT_BLOCK);
+            let (b1, rest) = rest.split_at(FINGERPRINT_BLOCK);
+            let (b2, b3) = rest.split_at(FINGERPRINT_BLOCK);
+            let mut acc: [u64; 4] = std::array::from_fn(|i| block_seed(self.block_index + i));
+            for (((&e0, &e1), &e2), &e3) in b0.iter().zip(b1).zip(b2).zip(b3) {
+                acc[0] = mix64(acc[0] ^ edge_word(e0));
+                acc[1] = mix64(acc[1] ^ edge_word(e1));
+                acc[2] = mix64(acc[2] ^ edge_word(e2));
+                acc[3] = mix64(acc[3] ^ edge_word(e3));
+            }
+            for lane in acc {
+                self.combined = mix64(self.combined ^ lane);
+            }
+            self.block_index += 4;
+        }
+        self.acc = block_seed(self.block_index);
+        for &e in groups.remainder() {
+            self.feed(e);
         }
     }
 
@@ -155,15 +195,25 @@ fn block_seed(block_index: usize) -> u64 {
     mix64(0xB10C_EA5E ^ block_index as u64)
 }
 
-/// One sequential pass computing the content fingerprint of a source: equal
-/// for identical `(num_vertices, edge stream)` inputs regardless of backend;
+/// What one edge contributes to its block's chain.
+#[inline]
+fn edge_word(e: Edge) -> u64 {
+    (u64::from(e.src) << 32) | u64::from(e.dst)
+}
+
+/// One pass computing the content fingerprint of a source: equal for
+/// identical `(num_vertices, edge stream)` inputs regardless of backend;
 /// different (with overwhelming probability) when any edge, the edge order,
-/// or the vertex universe changes.
+/// or the vertex universe changes. An in-memory slice is hashed four blocks
+/// at a time, any other source edge by edge.
 /// [`crate::degree::DegreeTable::compute_source`] folds the same hasher into
 /// its counting pass and returns the same value.
 pub fn fingerprint_source(source: &dyn GraphSource) -> u64 {
     let mut hasher = BlockHasher::new(source.num_vertices(), source.edge_count());
-    each_edge(source, |e| hasher.feed(e));
+    match source.edge_slice() {
+        Some(edges) => hasher.feed_all(edges),
+        None => source.for_each_edge(&mut |e| hasher.feed(e)),
+    }
     hasher.finish()
 }
 
@@ -218,6 +268,29 @@ mod tests {
         assert_eq!(g.edge_count(), 6);
         assert_eq!(GraphSource::num_vertices(&g), 4);
         assert_eq!(g.edge_slice().unwrap(), g.edges());
+    }
+
+    /// The four-block fold against the sequential hasher (the fused degree
+    /// pass's) on both sides of every group and block boundary it has.
+    #[test]
+    fn four_block_fold_is_the_sequential_hash() {
+        let mut x = 3u64;
+        let edges: Vec<Edge> = (0..9 * FINGERPRINT_BLOCK + 5)
+            .map(|_| {
+                x = x.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(0x9E37);
+                Edge::new((x >> 48) as u32, x as u32 & 0xFFFF)
+            })
+            .collect();
+        for blocks in [0, 1, 3, 4, 5, 8, 9] {
+            for extra in [-1, 0, 1, 5] {
+                let Some(m) = (blocks * FINGERPRINT_BLOCK).checked_add_signed(extra) else {
+                    continue;
+                };
+                let g = Graph::new(1 << 16, edges[..m].to_vec());
+                let (_, sequential) = crate::degree::DegreeTable::compute_source(&g);
+                assert_eq!(fingerprint_source(&g), sequential, "{m} edges");
+            }
+        }
     }
 
     #[test]

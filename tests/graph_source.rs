@@ -211,8 +211,9 @@ fn verdict(result: Result<Graph, GraphIoError>) -> Result<Graph, String> {
 }
 
 /// Slot fillers for a line of edge-list soup, on both sides of every
-/// fast-path / slow-path boundary. The first `.1` entries of a list keep
-/// the line an edge; the rest mostly make it an error.
+/// fast-path / slow-path boundary, the ids also on both sides of the lane
+/// probe's 8-byte lane (7, 8 and 9 digits). The first `.1` entries of a
+/// list keep the line an edge; the rest mostly make it an error.
 type Slot = (&'static [&'static [u8]], usize);
 const LEADS: Slot = (&[b"", b" ", b"\t ", b"\r", b"\xc2\xa0", b"\x0b", b"x", b"\xff"], 6);
 const IDS: Slot = (
@@ -224,6 +225,11 @@ const IDS: Slot = (
         b"007",
         b"+5",
         b"4294967295",
+        b"1234567",
+        b"12345678",
+        b"123456789",
+        b"0000000",
+        b"00000000",
         b"00000000001",
         b"0000000000",
         b"4294967296",
@@ -232,7 +238,7 @@ const IDS: Slot = (
         b"1.5",
         b"",
     ],
-    9,
+    14,
 );
 const SEPS: Slot = (&[b" ", b"\t", b"  \t", b"\r", b"\xc2\xa0", b"\x0b", b"", b".", b"\xa0"], 6);
 const TAILS: Slot = (
@@ -397,6 +403,28 @@ fn source_backed_analysis_never_builds_a_graph() {
 
 /// The text kernel's read block (`io::BLOCK_BYTES`, private to the crate).
 const TEXT_BLOCK_BYTES: u64 = 1 << 18;
+
+/// The text kernel's longest line, `\n` included (`io::MAX_LINE_BYTES`).
+const TEXT_MAX_LINE_BYTES: u64 = 4 * TEXT_BLOCK_BYTES;
+
+/// Input without a newline (`/dev/zero` named as a graph) is refused once
+/// the kernel holds the longest line: it allocates its block, the buffer
+/// grown once to the line cap, and the error's message — not the input.
+#[test]
+fn text_without_a_newline_allocates_the_line_cap_not_the_input() {
+    let (result, allocated) =
+        tracked(|| read_edge_list_from(std::io::Read::take(std::io::repeat(0), 64 << 20)));
+    match result {
+        Err(GraphIoError::Parse { line: 1, message }) => {
+            assert_eq!(message, "line is longer than 1 MiB")
+        }
+        other => panic!("expected a Parse error on line 1, got {other:?}"),
+    }
+    assert!(
+        allocated <= TEXT_MAX_LINE_BYTES + TEXT_BLOCK_BYTES + 64,
+        "64 MiB without a newline allocated {allocated} bytes"
+    );
+}
 
 /// Two passes of `stream_edge_list` (what `ease convert` runs on a text
 /// input) allocate one block each and nothing that grows with the file;

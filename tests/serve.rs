@@ -352,6 +352,28 @@ fn request_failures_never_kill_the_daemon() {
     assert!(summary.requests_served >= 6);
 }
 
+/// A client can name any path as its graph. One that never ends a line
+/// (`/dev/zero`) is an error answer once the text kernel holds its longest
+/// line, not a worker growing a buffer until the process aborts.
+#[test]
+fn a_graph_path_without_newlines_is_an_error_answer() {
+    let (handle, socket) = start_server("devzero", 1);
+    let request = recommend_request(std::path::Path::new("/dev/zero"), "pr", None);
+    match serve::call(&socket, &request).expect("transport must survive") {
+        Response::Error(msg) => {
+            assert!(msg.contains("malformed edge-list line 1: line is longer than 1 MiB"), "{msg}")
+        }
+        other => panic!("expected an error for /dev/zero, got {other:?}"),
+    }
+    // the one worker is alive and answers the next request
+    match serve::call(&socket, &Request::Ping).expect("ping after /dev/zero") {
+        Response::Pong { version } => assert_eq!(version, serve::PROTOCOL_VERSION),
+        other => panic!("expected Pong, got {other:?}"),
+    }
+    handle.trigger_shutdown();
+    handle.join().expect("no worker may have panicked");
+}
+
 #[test]
 fn relative_graph_paths_resolve_against_the_client_cwd() {
     let fx = fixtures();
