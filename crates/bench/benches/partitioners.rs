@@ -7,7 +7,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ease_graph::PreparedGraph;
 use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};
-use ease_partition::{hdrf::Hdrf, Partitioner, PartitionerId, QualityMetrics};
+use ease_partition::{hdrf, PartitionerId, QualityMetrics};
 use std::hint::black_box;
 
 fn bench_partitioners(c: &mut Criterion) {
@@ -19,8 +19,7 @@ fn bench_partitioners(c: &mut Criterion) {
     // included
     for id in PartitionerId::ALL {
         group.bench_with_input(BenchmarkId::from_parameter(id.name()), &id, |b, &id| {
-            let p = id.build(1);
-            b.iter(|| black_box(p.partition_prepared(&PreparedGraph::of(&graph), k)));
+            b.iter(|| black_box(id.partition(&PreparedGraph::of(&graph), k, 1)));
         });
     }
     group.finish();
@@ -46,13 +45,12 @@ fn bench_profiling_shape(c: &mut Criterion) {
     for id in stateful {
         for k in [2, 4, 8] {
             group.bench_with_input(BenchmarkId::new(id.name(), k), &k, |b, &k| {
-                let p = id.build(1);
-                b.iter(|| black_box(p.partition_prepared(&prepared, k)));
+                b.iter(|| black_box(id.partition(&prepared, k, 1)));
             });
         }
     }
     for k in [2, 4, 8] {
-        let part = PartitionerId::Hdrf.build(1).partition_prepared(&prepared, k);
+        let part = PartitionerId::Hdrf.partition(&prepared, k, 1);
         group.bench_with_input(BenchmarkId::new("metrics", k), &part, |b, part| {
             b.iter(|| black_box(QualityMetrics::compute_prepared(&prepared, part)));
         });
@@ -69,8 +67,7 @@ fn bench_hdrf_lambda_ablation(c: &mut Criterion) {
             BenchmarkId::from_parameter(format!("lambda_{lambda}")),
             &lambda,
             |b, &lambda| {
-                let p = Hdrf::with_lambda(lambda, 3);
-                b.iter(|| black_box(p.partition_prepared(&PreparedGraph::of(&graph), 16)));
+                b.iter(|| black_box(hdrf::partition(&PreparedGraph::of(&graph), 16, 3, lambda)));
             },
         );
     }
@@ -78,7 +75,7 @@ fn bench_hdrf_lambda_ablation(c: &mut Criterion) {
     // quality side of the ablation (printed once, not timed)
     let prepared = PreparedGraph::of(&graph);
     for lambda in [0.1, 1.1, 5.0] {
-        let p = Hdrf::with_lambda(lambda, 3).partition_prepared(&prepared, 16);
+        let p = hdrf::partition(&prepared, 16, 3, lambda);
         let m = QualityMetrics::compute_prepared(&prepared, &p);
         eprintln!(
             "hdrf lambda={lambda}: rf={:.3} edge_balance={:.3}",
@@ -90,14 +87,13 @@ fn bench_hdrf_lambda_ablation(c: &mut Criterion) {
 fn bench_ne_seed_instability(c: &mut Criterion) {
     let graph = Rmat::new(RMAT_COMBOS[6], 1 << 12, 16_000, 5).generate();
     c.bench_function("ne_partition_16k_edges_k8", |b| {
-        let p = PartitionerId::Ne.build(1);
-        b.iter(|| black_box(p.partition_prepared(&PreparedGraph::of(&graph), 8)));
+        b.iter(|| black_box(PartitionerId::Ne.partition(&PreparedGraph::of(&graph), 8, 1)));
     });
     // report the paper's instability observation alongside the timing
     let prepared = PreparedGraph::of(&graph);
     let balances: Vec<f64> = (0..5)
         .map(|s| {
-            let p = PartitionerId::Ne.build(s).partition_prepared(&prepared, 8);
+            let p = PartitionerId::Ne.partition(&prepared, 8, s);
             QualityMetrics::compute_prepared(&prepared, &p).vertex_balance
         })
         .collect();

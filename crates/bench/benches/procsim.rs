@@ -13,7 +13,7 @@ use std::hint::black_box;
 
 fn setup() -> DistributedGraph {
     let graph = PreparedGraph::new(Rmat::new(RMAT_COMBOS[5], 1 << 12, 24_000, 13).generate());
-    let partition = PartitionerId::Hdrf.build(1).partition_prepared(&graph, 4);
+    let partition = PartitionerId::Hdrf.partition(&graph, 4, 1);
     DistributedGraph::build_prepared(&graph, &partition)
 }
 
@@ -32,7 +32,7 @@ fn bench_workloads(c: &mut Criterion) {
 
 fn bench_placement(c: &mut Criterion) {
     let graph = Rmat::new(RMAT_COMBOS[5], 1 << 12, 24_000, 13).generate();
-    let partition = PartitionerId::Hdrf.build(1).partition_prepared(&PreparedGraph::of(&graph), 4);
+    let partition = PartitionerId::Hdrf.partition(&PreparedGraph::of(&graph), 4, 1);
     // a fresh context per iteration: the one-shot build, degree table included
     c.bench_function("distributed_graph_build_24k", |b| {
         b.iter(|| {

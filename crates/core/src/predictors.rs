@@ -205,7 +205,7 @@ impl QualityPredictor {
             .collect()
     }
 
-    /// Feature importances of the replication-factor model, if available.
+    /// Feature importances of `target`'s model, if its family has them.
     pub fn importances(&self, target: QualityTarget) -> Option<Vec<f64>> {
         self.model(target).feature_importances()
     }

@@ -52,6 +52,17 @@ pub struct PredictedCosts {
     pub end_to_end_secs: f64,
 }
 
+impl PredictedCosts {
+    /// The predicted cost `goal` minimizes: the one number the selector
+    /// picks by and the rendered ranking sorts by.
+    pub fn cost(&self, goal: OptGoal) -> f64 {
+        match goal {
+            OptGoal::EndToEnd => self.end_to_end_secs,
+            OptGoal::ProcessingOnly => self.processing_secs,
+        }
+    }
+}
+
 /// Result of an EASE selection: the winner plus the full predicted ranking.
 #[derive(Debug, Clone)]
 pub struct Selection {
@@ -130,17 +141,10 @@ impl Ease {
         // by: a non-finite prediction is ranked, not a panic
         let best = candidates
             .iter()
-            .min_by(|a, b| goal_cost(a, goal).total_cmp(&goal_cost(b, goal)))
+            .min_by(|a, b| a.cost(goal).total_cmp(&b.cost(goal)))
             .expect("non-empty catalog")
             .partitioner;
         Ok(Selection { best, goal, candidates })
-    }
-}
-
-fn goal_cost(c: &PredictedCosts, goal: OptGoal) -> f64 {
-    match goal {
-        OptGoal::EndToEnd => c.end_to_end_secs,
-        OptGoal::ProcessingOnly => c.processing_secs,
     }
 }
 

@@ -156,7 +156,7 @@ pub fn render_recommendation(
     let prepared = budgeted(PreparedGraph::of_source(source), budget);
     let props = service.cached_properties_prepared(&prepared);
     let selection = service.ease().try_select(&props, workload, k, goal)?;
-    Ok(render_selection(display_path, &props, workload, k, goal, top, selection))
+    Ok(render_selection(display_path, &props, workload, k, top, selection))
 }
 
 /// Attach a memory budget (when one is configured) to a freshly built
@@ -177,13 +177,14 @@ fn budgeted<'g>(
 /// the one-shot CLI prints it, reading `|V|` and `|E|` from the graph's
 /// properties. Split out of [`render_recommendation`] so the daemon, which
 /// may answer from its property cache without opening the graph, renders
-/// through the same bytes-producing code.
+/// through the same bytes-producing code. Candidates are ranked by
+/// [`PredictedCosts::cost`](crate::selector::PredictedCosts::cost) under
+/// the selection's own goal, so the first row is the selector's pick.
 pub(crate) fn render_selection(
     display_path: &str,
     props: &GraphProperties,
     workload: Workload,
     k: usize,
-    goal: OptGoal,
     top: usize,
     selection: crate::selector::Selection,
 ) -> String {
@@ -202,15 +203,11 @@ pub(crate) fn render_selection(
         selection.goal.name(),
         selection.best.name()
     );
+    let goal = selection.goal;
     let mut ranked = selection.candidates;
-    // total_cmp: non-finite predictions must not panic a daemon worker
-    ranked.sort_by(|a, b| {
-        let cost = |c: &crate::selector::PredictedCosts| match goal {
-            OptGoal::EndToEnd => c.end_to_end_secs,
-            OptGoal::ProcessingOnly => c.processing_secs,
-        };
-        cost(a).total_cmp(&cost(b))
-    });
+    // total_cmp: non-finite predictions must not panic a daemon worker; a
+    // stable sort keeps the first of equal minima, the selector's pick, first
+    ranked.sort_by(|a, b| a.cost(goal).total_cmp(&b.cost(goal)));
     let _ = writeln!(
         w,
         "{:<10} {:>12} {:>12} {:>12} {:>8}",

@@ -801,7 +801,7 @@ impl LocalHandler {
         let path = resolve_graph_path(graph, cwd.as_deref());
         let props = service.file_properties(&path, self.memory_budget.as_ref())?;
         let selection = service.ease().try_select(&props, workload, k, goal)?;
-        Ok(super::render_selection(graph, &props, workload, k, goal, top, selection))
+        Ok(super::render_selection(graph, &props, workload, k, top, selection))
     }
 
     fn features_answer(

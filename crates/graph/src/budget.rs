@@ -14,8 +14,13 @@
 //! * the budget covers **derived adjacency state** (CSR offsets + targets,
 //!   and the triangle kernel's hub bitmap while the scan reads it; a
 //!   refused bitmap is not spilled, the kernel scans without it) — not
-//!   mapped file pages, which the OS can reclaim under pressure, and not
-//!   the O(|V|) degree/triangle tables, which are small by design;
+//!   mapped file pages, which the OS can reclaim under pressure;
+//! * it does **not** charge the O(|V|) degree and triangle tables. Those
+//!   are sized by the vertex-id universe (largest id + 1), not by |E|: a
+//!   one-line text graph `0 4294967295` makes the degree table alone
+//!   48 GiB (three `u32` columns × 2^32 ids). That hole is open: closing
+//!   it means charging the tables or refusing such an input, both
+//!   behaviour changes;
 //! * `limit == usize::MAX` means *unlimited*: charges always succeed and
 //!   nothing is ever spilled;
 //! * `limit == 0` refuses every non-zero charge, forcing the spill path —

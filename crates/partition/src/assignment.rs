@@ -1,6 +1,6 @@
 //! The result of partitioning: a per-edge partition assignment.
 
-/// Edge → partition assignment produced by a [`crate::Partitioner`].
+/// Edge → partition assignment produced by [`crate::PartitionerId::partition`].
 ///
 /// `assignment[i]` is the partition of `graph.edges()[i]`; partition ids are
 /// `u16` (the workspace caps k at [`crate::MAX_PARTITIONS`] = 128, matching

@@ -7,13 +7,12 @@
 //! power-law structure of real graphs (Xie et al., NIPS 2014).
 
 use crate::assignment::EdgePartition;
-use crate::{Partitioner, PartitionerId};
 use ease_graph::hash::{bucket, hash_pair, hash_vertex};
 use ease_graph::PreparedGraph;
 
 /// Which endpoint a 1-dimensional hash partitioner keys on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EndPoint {
+pub enum EndPoint {
     Source,
     Destination,
 }
@@ -21,101 +20,47 @@ enum EndPoint {
 /// 1DS / 1DD: hash one endpoint of the edge (GraphX `EdgePartition1D`).
 /// All edges of a source (resp. destination) vertex land together, so the
 /// hashed side is never replicated; the other side replicates freely.
-#[derive(Debug, Clone)]
-pub struct OneD {
-    endpoint: EndPoint,
+pub fn one_d(
+    prepared: &PreparedGraph<'_>,
+    k: usize,
     seed: u64,
-}
-
-impl OneD {
-    pub fn source(seed: u64) -> Self {
-        OneD { endpoint: EndPoint::Source, seed }
-    }
-
-    pub fn destination(seed: u64) -> Self {
-        OneD { endpoint: EndPoint::Destination, seed }
-    }
-}
-
-impl Partitioner for OneD {
-    fn id(&self) -> PartitionerId {
-        match self.endpoint {
-            EndPoint::Source => PartitionerId::OneDS,
-            EndPoint::Destination => PartitionerId::OneDD,
-        }
-    }
-
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
-        let mut assignment = Vec::with_capacity(prepared.num_edges());
-        prepared.for_each_edge(|e| {
-            let key = match self.endpoint {
-                EndPoint::Source => e.src,
-                EndPoint::Destination => e.dst,
-            };
-            assignment.push(bucket(hash_vertex(key, self.seed), k) as u16);
-        });
-        EdgePartition::new(k, assignment)
-    }
+    endpoint: EndPoint,
+) -> EdgePartition {
+    let mut assignment = Vec::with_capacity(prepared.num_edges());
+    prepared.for_each_edge(|e| {
+        let key = match endpoint {
+            EndPoint::Source => e.src,
+            EndPoint::Destination => e.dst,
+        };
+        assignment.push(bucket(hash_vertex(key, seed), k) as u16);
+    });
+    EdgePartition::new(k, assignment)
 }
 
 /// 2D grid partitioning (GraphX `EdgePartition2D`): source hashes pick the
 /// grid column, destination hashes the row, bounding each vertex's replicas
 /// by one row plus one column (`2√k − 1`).
-#[derive(Debug, Clone)]
-pub struct TwoD {
-    seed: u64,
-}
-
-impl TwoD {
-    pub fn new(seed: u64) -> Self {
-        TwoD { seed }
-    }
-}
-
-impl Partitioner for TwoD {
-    fn id(&self) -> PartitionerId {
-        PartitionerId::TwoD
-    }
-
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
-        let side = (k as f64).sqrt().ceil() as usize;
-        let mut assignment = Vec::with_capacity(prepared.num_edges());
-        prepared.for_each_edge(|e| {
-            let col = bucket(hash_vertex(e.src, self.seed), side);
-            let row = bucket(hash_vertex(e.dst, self.seed ^ 0xABCD_EF01), side);
-            assignment.push(((col * side + row) % k) as u16);
-        });
-        EdgePartition::new(k, assignment)
-    }
+pub fn two_d(prepared: &PreparedGraph<'_>, k: usize, seed: u64) -> EdgePartition {
+    let side = (k as f64).sqrt().ceil() as usize;
+    let mut assignment = Vec::with_capacity(prepared.num_edges());
+    prepared.for_each_edge(|e| {
+        let col = bucket(hash_vertex(e.src, seed), side);
+        let row = bucket(hash_vertex(e.dst, seed ^ 0xABCD_EF01), side);
+        assignment.push(((col * side + row) % k) as u16);
+    });
+    EdgePartition::new(k, assignment)
 }
 
 /// CRVC — canonical random vertex cut (GraphX `CanonicalRandomVertexCut`):
 /// hash the *unordered* endpoint pair, so reciprocal edges `(u,v)` and
 /// `(v,u)` colocate.
-#[derive(Debug, Clone)]
-pub struct Crvc {
-    seed: u64,
-}
-
-impl Crvc {
-    pub fn new(seed: u64) -> Self {
-        Crvc { seed }
-    }
-}
-
-impl Partitioner for Crvc {
-    fn id(&self) -> PartitionerId {
-        PartitionerId::Crvc
-    }
-
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
-        let mut assignment = Vec::with_capacity(prepared.num_edges());
-        prepared.for_each_edge(|e| {
-            let (a, b) = e.canonical();
-            assignment.push(bucket(hash_pair(a, b, self.seed), k) as u16);
-        });
-        EdgePartition::new(k, assignment)
-    }
+pub fn crvc(prepared: &PreparedGraph<'_>, k: usize, seed: u64) -> EdgePartition {
+    let mut assignment = Vec::with_capacity(prepared.num_edges());
+    prepared.for_each_edge(|e| {
+        let (a, b) = e.canonical();
+        assignment.push(bucket(hash_pair(a, b, seed), k) as u16);
+    });
+    EdgePartition::new(k, assignment)
 }
 
 /// DBH — degree-based hashing (Xie et al., NIPS 2014): hash the endpoint
@@ -123,38 +68,22 @@ impl Partitioner for Crvc {
 /// degree pre-pass of the reference implementation comes from the shared
 /// [`PreparedGraph`] degree table, so repeated DBH runs on one graph (the
 /// profiling cross-product) derive degrees only once.
-#[derive(Debug, Clone)]
-pub struct Dbh {
-    seed: u64,
-}
-
-impl Dbh {
-    pub fn new(seed: u64) -> Self {
-        Dbh { seed }
-    }
-}
-
-impl Partitioner for Dbh {
-    fn id(&self) -> PartitionerId {
-        PartitionerId::Dbh
-    }
-
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
-        let degrees = &prepared.degrees().total;
-        let mut assignment = Vec::with_capacity(prepared.num_edges());
-        prepared.for_each_edge(|e| {
-            let (ds, dd) = (degrees[e.src as usize], degrees[e.dst as usize]);
-            let key = if ds <= dd { e.src } else { e.dst };
-            assignment.push(bucket(hash_vertex(key, self.seed), k) as u16);
-        });
-        EdgePartition::new(k, assignment)
-    }
+pub fn dbh(prepared: &PreparedGraph<'_>, k: usize, seed: u64) -> EdgePartition {
+    let degrees = &prepared.degrees().total;
+    let mut assignment = Vec::with_capacity(prepared.num_edges());
+    prepared.for_each_edge(|e| {
+        let (ds, dd) = (degrees[e.src as usize], degrees[e.dst as usize]);
+        let key = if ds <= dd { e.src } else { e.dst };
+        assignment.push(bucket(hash_vertex(key, seed), k) as u16);
+    });
+    EdgePartition::new(k, assignment)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::QualityMetrics;
+    use crate::PartitionerId;
     use ease_graph::Graph;
 
     fn star_plus_ring(n: u32) -> Graph {
@@ -169,7 +98,7 @@ mod tests {
     #[test]
     fn one_dd_never_replicates_destinations() {
         let g = star_plus_ring(64);
-        let p = OneD::destination(7).partition_prepared(&PreparedGraph::of(&g), 8);
+        let p = one_d(&PreparedGraph::of(&g), 8, 7, EndPoint::Destination);
         // every destination vertex appears in exactly one partition
         let mut seen: std::collections::HashMap<u32, usize> = Default::default();
         for (i, e) in g.edges().iter().enumerate() {
@@ -184,7 +113,7 @@ mod tests {
     #[test]
     fn one_ds_never_replicates_sources() {
         let g = star_plus_ring(64);
-        let p = OneD::source(7).partition_prepared(&PreparedGraph::of(&g), 8);
+        let p = one_d(&PreparedGraph::of(&g), 8, 7, EndPoint::Source);
         let mut seen: std::collections::HashMap<u32, usize> = Default::default();
         for (i, e) in g.edges().iter().enumerate() {
             let part = p.partition_of(i);
@@ -198,7 +127,7 @@ mod tests {
     fn two_d_bounds_replication_by_grid() {
         let g = star_plus_ring(256);
         let k = 16;
-        let p = TwoD::new(3).partition_prepared(&PreparedGraph::of(&g), k);
+        let p = two_d(&PreparedGraph::of(&g), k, 3);
         // every vertex appears in at most 2*sqrt(k)-1 partitions
         let bound = 2 * (k as f64).sqrt().ceil() as usize - 1;
         let mut parts: std::collections::HashMap<u32, std::collections::HashSet<usize>> =
@@ -215,7 +144,7 @@ mod tests {
     #[test]
     fn crvc_colocates_reciprocal_edges() {
         let g = PreparedGraph::new(Graph::from_pairs([(3, 9), (9, 3), (4, 5), (5, 4)]));
-        let p = Crvc::new(11).partition_prepared(&g, 8);
+        let p = crvc(&g, 8, 11);
         assert_eq!(p.partition_of(0), p.partition_of(1));
         assert_eq!(p.partition_of(2), p.partition_of(3));
     }
@@ -223,12 +152,11 @@ mod tests {
     #[test]
     fn dbh_cuts_the_hub_not_the_leaves() {
         let g = PreparedGraph::new(star_plus_ring(128));
-        let p = Dbh::new(5).partition_prepared(&g, 8);
+        let p = dbh(&g, 8, 5);
         // leaves (low degree) should not be replicated: each leaf's star edge
         // is hashed by the leaf itself.
         let m = QualityMetrics::compute_prepared(&g, &p);
-        let m_1dd =
-            QualityMetrics::compute_prepared(&g, &OneD::destination(5).partition_prepared(&g, 8));
+        let m_1dd = QualityMetrics::compute_prepared(&g, &one_d(&g, 8, 5, EndPoint::Destination));
         // DBH must beat destination hashing on a hub-dominated graph.
         assert!(
             m.replication_factor <= m_1dd.replication_factor + 1e-9,
@@ -249,7 +177,7 @@ mod tests {
             PartitionerId::Dbh,
         ] {
             for k in [1, 2, 3, 7, 64, 128] {
-                let p = id.build(9).partition_prepared(&g, k);
+                let p = id.partition(&g, k, 9);
                 assert_eq!(p.num_edges(), g.num_edges());
                 assert!(p.assignment().iter().all(|&x| (x as usize) < k), "{id:?} k={k}");
             }
@@ -260,10 +188,10 @@ mod tests {
     fn stateless_partitioners_are_deterministic() {
         let g = PreparedGraph::new(star_plus_ring(40));
         for id in [PartitionerId::TwoD, PartitionerId::Crvc, PartitionerId::Dbh] {
-            let a = id.build(42).partition_prepared(&g, 8);
-            let b = id.build(42).partition_prepared(&g, 8);
+            let a = id.partition(&g, 8, 42);
+            let b = id.partition(&g, 8, 42);
             assert_eq!(a, b, "{id:?}");
-            let c = id.build(43).partition_prepared(&g, 8);
+            let c = id.partition(&g, 8, 43);
             // different seed should (almost surely) differ
             assert_ne!(a, c, "{id:?}");
         }

@@ -20,45 +20,26 @@
 //! tie-break then run sequentially over those lanes, the only branches left.
 
 use crate::assignment::EdgePartition;
-use crate::{Partitioner, PartitionerId, MAX_PARTITIONS};
+use crate::MAX_PARTITIONS;
 use ease_graph::hash::SplitMix64;
 use ease_graph::PreparedGraph;
 
-/// HDRF with the standard balance weight λ = 1.1 (paper default).
-#[derive(Debug, Clone)]
-pub struct Hdrf {
-    pub lambda: f64,
-    seed: u64,
-}
+/// The standard balance weight λ (paper default), the one the catalog and
+/// HEP's streaming phase run with.
+pub const LAMBDA: f64 = 1.1;
 
-impl Hdrf {
-    pub fn new(seed: u64) -> Self {
-        Hdrf { lambda: 1.1, seed }
-    }
-
-    pub fn with_lambda(lambda: f64, seed: u64) -> Self {
-        Hdrf { lambda, seed }
-    }
-}
-
-impl Partitioner for Hdrf {
-    fn id(&self) -> PartitionerId {
-        PartitionerId::Hdrf
-    }
-
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
-        assert!((1..=MAX_PARTITIONS).contains(&k));
-        // HDRF is degree-agnostic by design: it tracks *partial* degrees as
-        // the stream unfolds, so the prepared context only supplies the
-        // edge stream.
-        let mut state = HdrfState::new(prepared.num_vertices(), k, self.lambda, self.seed);
-        let mut assignment = Vec::with_capacity(prepared.num_edges());
-        prepared.for_each_edge(|e| {
-            let p = state.place(e.src, e.dst);
-            assignment.push(p as u16);
-        });
-        EdgePartition::new(k, assignment)
-    }
+/// HDRF with balance weight `lambda` ([`LAMBDA`] in the catalog). HDRF is
+/// degree-agnostic by design: it tracks *partial* degrees as the stream
+/// unfolds, so the prepared context only supplies the edge stream.
+pub fn partition(prepared: &PreparedGraph<'_>, k: usize, seed: u64, lambda: f64) -> EdgePartition {
+    assert!((1..=MAX_PARTITIONS).contains(&k));
+    let mut state = HdrfState::new(prepared.num_vertices(), k, lambda, seed);
+    let mut assignment = Vec::with_capacity(prepared.num_edges());
+    prepared.for_each_edge(|e| {
+        let p = state.place(e.src, e.dst);
+        assignment.push(p as u16);
+    });
+    EdgePartition::new(k, assignment)
 }
 
 /// Reusable streaming state — HEP's streaming phase drives it directly with
@@ -210,14 +191,14 @@ impl HdrfState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hashing::OneD;
+    use crate::hashing::{one_d, EndPoint};
     use crate::metrics::QualityMetrics;
     use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};
 
     #[test]
     fn assigns_all_edges_in_range() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[2], 512, 4_000, 1).generate());
-        let p = Hdrf::new(7).partition_prepared(&g, 16);
+        let p = partition(&g, 16, 7, LAMBDA);
         assert_eq!(p.num_edges(), 4_000);
         assert!(p.assignment().iter().all(|&x| x < 16));
     }
@@ -225,9 +206,8 @@ mod tests {
     #[test]
     fn beats_stateless_hashing_on_replication() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[6], 1 << 11, 16_000, 3).generate());
-        let hdrf = QualityMetrics::compute_prepared(&g, &Hdrf::new(5).partition_prepared(&g, 32));
-        let oned =
-            QualityMetrics::compute_prepared(&g, &OneD::destination(5).partition_prepared(&g, 32));
+        let hdrf = QualityMetrics::compute_prepared(&g, &partition(&g, 32, 5, LAMBDA));
+        let oned = QualityMetrics::compute_prepared(&g, &one_d(&g, 32, 5, EndPoint::Destination));
         assert!(
             hdrf.replication_factor < oned.replication_factor,
             "hdrf {} vs 1dd {}",
@@ -239,29 +219,23 @@ mod tests {
     #[test]
     fn keeps_edges_balanced() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[8], 1 << 11, 20_000, 9).generate());
-        let m = QualityMetrics::compute_prepared(&g, &Hdrf::new(1).partition_prepared(&g, 8));
+        let m = QualityMetrics::compute_prepared(&g, &partition(&g, 8, 1, LAMBDA));
         assert!(m.edge_balance < 1.2, "edge balance {}", m.edge_balance);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 256, 2_000, 2).generate());
-        let a = Hdrf::new(11).partition_prepared(&g, 8);
-        let b = Hdrf::new(11).partition_prepared(&g, 8);
+        let a = partition(&g, 8, 11, LAMBDA);
+        let b = partition(&g, 8, 11, LAMBDA);
         assert_eq!(a, b);
     }
 
     #[test]
     fn lambda_zero_chases_locality_over_balance() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[4], 1 << 10, 10_000, 4).generate());
-        let greedy = QualityMetrics::compute_prepared(
-            &g,
-            &Hdrf::with_lambda(0.01, 3).partition_prepared(&g, 8),
-        );
-        let balanced = QualityMetrics::compute_prepared(
-            &g,
-            &Hdrf::with_lambda(5.0, 3).partition_prepared(&g, 8),
-        );
+        let greedy = QualityMetrics::compute_prepared(&g, &partition(&g, 8, 3, 0.01));
+        let balanced = QualityMetrics::compute_prepared(&g, &partition(&g, 8, 3, 5.0));
         // with strong balance pressure, edge balance improves
         assert!(balanced.edge_balance <= greedy.edge_balance + 0.05);
         // with weak balance pressure, replication improves
@@ -289,7 +263,7 @@ mod tests {
         }
         let (seeded, streamed) = stream.split_at(stream.len() / 3);
         for k in 1..=MAX_PARTITIONS {
-            for lambda in [0.1, 1.1, 5.0] {
+            for lambda in [0.1, LAMBDA, 5.0] {
                 for preseed in [false, true] {
                     let mut fixed = HdrfState::new(256, k, lambda, 9);
                     let mut dynamic = HdrfState::new(256, k, lambda, 9);
@@ -317,7 +291,7 @@ mod tests {
     #[test]
     fn k_equals_one_trivially_works() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 128, 500, 6).generate());
-        let p = Hdrf::new(1).partition_prepared(&g, 1);
+        let p = partition(&g, 1, 1, LAMBDA);
         assert!(p.assignment().iter().all(|&x| x == 0));
     }
 }

@@ -13,6 +13,12 @@
 //!   low-degree part, streaming on the rest); each τ is treated as its own
 //!   partitioner, exactly as the paper does.
 //!
+//! A partitioner is its [`PartitionerId`]: [`PartitionerId::partition`]
+//! runs it on a [`PreparedGraph`], dispatching to one function per
+//! algorithm module ([`hashing::one_d`], [`hdrf::partition`],
+//! [`hep::partition`], …) with the catalog's settings (HEP's τ,
+//! [`hdrf::LAMBDA`]).
+//!
 //! The [`metrics`] module computes the five quality metrics of Sec. II-A:
 //! replication factor and the edge/vertex/source/destination balances.
 
@@ -127,42 +133,34 @@ impl PartitionerId {
         Self::ALL.iter().copied().find(|p| p.name() == s.to_ascii_lowercase())
     }
 
-    /// Instantiate the partitioner with a hash/tie-breaking seed.
-    pub fn build(self, seed: u64) -> Box<dyn Partitioner> {
+    /// Partition the edges of the prepared graph into `k` parts
+    /// (`1 ≤ k ≤ 128`); `seed` drives hashing and tie-breaking, and a fixed
+    /// seed gives a fixed placement.
+    ///
+    /// The [`PreparedGraph`] is an analysis context, so degree-hungry
+    /// partitioners (DBH, HEP) reuse its memoized degree table instead of
+    /// re-deriving it per run — profiling executes 11 partitioners × K on
+    /// the same graph, and the shared context pays for the derivation once.
+    /// Every algorithm consumes the context's replayable edge *stream*
+    /// (never an owned slice), so all 11 run unchanged over either ingestion
+    /// backend — in-memory ([`PreparedGraph::of`]) or memory-mapped `.bel`
+    /// ([`PreparedGraph::of_source`]).
+    pub fn partition(self, prepared: &PreparedGraph<'_>, k: usize, seed: u64) -> EdgePartition {
+        use hashing::EndPoint;
         match self {
-            PartitionerId::OneDD => Box::new(hashing::OneD::destination(seed)),
-            PartitionerId::OneDS => Box::new(hashing::OneD::source(seed)),
-            PartitionerId::TwoD => Box::new(hashing::TwoD::new(seed)),
-            PartitionerId::Crvc => Box::new(hashing::Crvc::new(seed)),
-            PartitionerId::Dbh => Box::new(hashing::Dbh::new(seed)),
-            PartitionerId::Hdrf => Box::new(hdrf::Hdrf::new(seed)),
-            PartitionerId::TwoPs => Box::new(two_ps::TwoPs::new(seed)),
-            PartitionerId::Ne => Box::new(ne::Ne::new(seed)),
-            PartitionerId::Hep1 => Box::new(hep::Hep::new(1.0, seed)),
-            PartitionerId::Hep10 => Box::new(hep::Hep::new(10.0, seed)),
-            PartitionerId::Hep100 => Box::new(hep::Hep::new(100.0, seed)),
+            PartitionerId::OneDD => hashing::one_d(prepared, k, seed, EndPoint::Destination),
+            PartitionerId::OneDS => hashing::one_d(prepared, k, seed, EndPoint::Source),
+            PartitionerId::TwoD => hashing::two_d(prepared, k, seed),
+            PartitionerId::Crvc => hashing::crvc(prepared, k, seed),
+            PartitionerId::Dbh => hashing::dbh(prepared, k, seed),
+            PartitionerId::Hdrf => hdrf::partition(prepared, k, seed, hdrf::LAMBDA),
+            PartitionerId::TwoPs => two_ps::partition(prepared, k),
+            PartitionerId::Ne => ne::partition(prepared, k, seed),
+            PartitionerId::Hep1 => hep::partition(prepared, k, seed, 1.0, None),
+            PartitionerId::Hep10 => hep::partition(prepared, k, seed, 10.0, None),
+            PartitionerId::Hep100 => hep::partition(prepared, k, seed, 100.0, None),
         }
     }
-}
-
-/// An edge partitioner: assigns every edge of a graph to one of `k`
-/// partitions. Implementations must be deterministic for a fixed seed.
-///
-/// The one entry point, [`Partitioner::partition_prepared`], takes a
-/// [`PreparedGraph`] analysis context so degree-hungry partitioners (DBH,
-/// HEP) reuse the memoized degree table instead of re-deriving it per run —
-/// profiling executes 11 partitioners × K on the same graph, and the shared
-/// context pays for the derivation once. Every implementation consumes the
-/// context's replayable edge *stream* (never an owned slice), so all 11
-/// partitioners run unchanged over either ingestion backend — in-memory
-/// ([`PreparedGraph::of`]) or memory-mapped `.bel`
-/// ([`PreparedGraph::of_source`]).
-pub trait Partitioner: Send + Sync {
-    fn id(&self) -> PartitionerId;
-
-    /// Partition the edges of the prepared graph into `k` parts
-    /// (`1 ≤ k ≤ 128`), reusing the context's memoized derived structure.
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition;
 }
 
 /// Maximum supported partition count (replica sets are u128 bitmasks; the
@@ -217,10 +215,9 @@ mod tests {
             .generate();
         let shared = PreparedGraph::of(&g);
         for id in PartitionerId::ALL {
-            let p = id.build(7);
             assert_eq!(
-                p.partition_prepared(&shared, 8),
-                p.partition_prepared(&PreparedGraph::of(&g), 8),
+                id.partition(&shared, 8, 7),
+                id.partition(&PreparedGraph::of(&g), 8, 7),
                 "{id:?}: a warm context must not change the placement"
             );
         }

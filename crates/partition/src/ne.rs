@@ -15,37 +15,21 @@
 //! `ne_seed_instability` ablation bench).
 
 use crate::assignment::EdgePartition;
-use crate::{Partitioner, PartitionerId, MAX_PARTITIONS};
+use crate::MAX_PARTITIONS;
 use ease_graph::hash::SplitMix64;
 use ease_graph::PreparedGraph;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-#[derive(Debug, Clone)]
-pub struct Ne {
-    seed: u64,
-}
-
-impl Ne {
-    pub fn new(seed: u64) -> Self {
-        Ne { seed }
-    }
-}
-
-impl Partitioner for Ne {
-    fn id(&self) -> PartitionerId {
-        PartitionerId::Ne
-    }
-
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
-        assert!((1..=MAX_PARTITIONS).contains(&k));
-        // NE needs *edge-index-carrying* incidence (so allocation can flip
-        // per-edge flags), which no other consumer shares — it builds its
-        // own and takes only the edge stream from the context.
-        let capacity = prepared.num_edges().div_ceil(k).max(1);
-        let r = neighborhood_expansion(prepared, k, capacity, None, true, None, self.seed);
-        EdgePartition::new(k, r.assignment)
-    }
+/// NE over every edge, `seed` drawing the restart vertices. NE needs
+/// *edge-index-carrying* incidence (so allocation can flip per-edge flags),
+/// which no other consumer shares — it builds its own and takes only the
+/// edge stream from the context.
+pub fn partition(prepared: &PreparedGraph<'_>, k: usize, seed: u64) -> EdgePartition {
+    assert!((1..=MAX_PARTITIONS).contains(&k));
+    let capacity = prepared.num_edges().div_ceil(k).max(1);
+    let r = neighborhood_expansion(prepared, k, capacity, None, true, None, seed);
+    EdgePartition::new(k, r.assignment)
 }
 
 /// Result of an expansion pass (shared with HEP's in-memory phase).
@@ -291,7 +275,7 @@ fn pick_seed(live: &[u32], rng: &mut SplitMix64, cursor: &mut usize) -> Option<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hashing::OneD;
+    use crate::hashing::{one_d, EndPoint};
     use crate::metrics::QualityMetrics;
     use ease_graphgen::community::CommunityGraph;
     use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};
@@ -299,7 +283,7 @@ mod tests {
     #[test]
     fn assigns_every_edge() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[1], 512, 4_000, 1).generate());
-        let p = Ne::new(3).partition_prepared(&g, 8);
+        let p = partition(&g, 8, 3);
         assert_eq!(p.num_edges(), 4_000);
         assert!(p.assignment().iter().all(|&x| x < 8));
     }
@@ -307,7 +291,7 @@ mod tests {
     #[test]
     fn respects_capacity_approximately() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[2], 1 << 10, 10_000, 2).generate());
-        let p = Ne::new(5).partition_prepared(&g, 4);
+        let p = partition(&g, 4, 5);
         let cap = 10_000usize.div_ceil(4);
         for (i, c) in p.edge_counts().iter().enumerate() {
             // expansion can overshoot by one vertex's degree
@@ -318,9 +302,8 @@ mod tests {
     #[test]
     fn much_better_than_hashing_on_community_graphs() {
         let g = PreparedGraph::new(CommunityGraph::new(2_000, 16_000, 0.05, 7).generate());
-        let ne = QualityMetrics::compute_prepared(&g, &Ne::new(1).partition_prepared(&g, 8));
-        let hash =
-            QualityMetrics::compute_prepared(&g, &OneD::destination(1).partition_prepared(&g, 8));
+        let ne = QualityMetrics::compute_prepared(&g, &partition(&g, 8, 1));
+        let hash = QualityMetrics::compute_prepared(&g, &one_d(&g, 8, 1, EndPoint::Destination));
         assert!(
             ne.replication_factor < 0.6 * hash.replication_factor,
             "ne {} vs hash {}",
@@ -335,20 +318,14 @@ mod tests {
         // the same graph yield heavily varying vertex balance.
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[6], 1 << 11, 12_000, 9).generate());
         let balances: Vec<f64> = (0..6)
-            .map(|s| {
-                QualityMetrics::compute_prepared(&g, &Ne::new(s).partition_prepared(&g, 8))
-                    .vertex_balance
-            })
+            .map(|s| QualityMetrics::compute_prepared(&g, &partition(&g, 8, s)).vertex_balance)
             .collect();
         let min = balances.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = balances.iter().cloned().fold(0.0, f64::max);
         assert!(max / min > 1.02, "balances {balances:?}");
         // replication factor stays comparatively stable
         let rfs: Vec<f64> = (0..6)
-            .map(|s| {
-                QualityMetrics::compute_prepared(&g, &Ne::new(s).partition_prepared(&g, 8))
-                    .replication_factor
-            })
+            .map(|s| QualityMetrics::compute_prepared(&g, &partition(&g, 8, s)).replication_factor)
             .collect();
         let rf_min = rfs.iter().cloned().fold(f64::INFINITY, f64::min);
         let rf_max = rfs.iter().cloned().fold(0.0, f64::max);
@@ -358,7 +335,7 @@ mod tests {
     #[test]
     fn k_one_assigns_all_to_zero() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 128, 600, 3).generate());
-        let p = Ne::new(2).partition_prepared(&g, 1);
+        let p = partition(&g, 1, 2);
         assert!(p.assignment().iter().all(|&x| x == 0));
     }
 

@@ -76,7 +76,7 @@ pub struct PartitionRun {
     pub k: usize,
     pub metrics: QualityMetrics,
     pub partition: EdgePartition,
-    /// Seconds spent inside [`crate::Partitioner::partition_prepared`] —
+    /// Seconds spent inside [`PartitionerId::partition`] —
     /// wall-clock under [`TimingMode::Measured`], the analytical proxy under
     /// [`TimingMode::Deterministic`].
     pub partitioning_secs: f64,
@@ -100,16 +100,15 @@ pub fn run_partitioner_prepared(
     seed: u64,
     timing: TimingMode,
 ) -> PartitionRun {
-    let p = partitioner.build(seed);
     let (partition, partitioning_secs) = match timing {
         TimingMode::Measured => {
             let start = Instant::now();
-            let partition = p.partition_prepared(prepared, k);
+            let partition = partitioner.partition(prepared, k, seed);
             let secs = start.elapsed().as_secs_f64();
             (partition, secs)
         }
         TimingMode::Deterministic => {
-            let partition = p.partition_prepared(prepared, k);
+            let partition = partitioner.partition(prepared, k, seed);
             (partition, deterministic_partitioning_secs(partitioner, prepared.num_edges(), k))
         }
     };

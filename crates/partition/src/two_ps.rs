@@ -15,22 +15,11 @@
 //! Fig. 1 (2PS ≈ NE on sk-2005, 2PS ≈ 2D on Friendster).
 
 use crate::assignment::EdgePartition;
-use crate::{Partitioner, PartitionerId, MAX_PARTITIONS};
+use crate::MAX_PARTITIONS;
 use ease_graph::PreparedGraph;
 
-#[derive(Debug, Clone)]
-pub struct TwoPs {
-    /// Edge-capacity slack (paper-family default 1.05).
-    pub alpha: f64,
-    #[allow(dead_code)]
-    seed: u64,
-}
-
-impl TwoPs {
-    pub fn new(seed: u64) -> Self {
-        TwoPs { alpha: 1.05, seed }
-    }
-}
+/// Edge-capacity slack α of phase 2 (paper-family default).
+pub const ALPHA: f64 = 1.05;
 
 /// Streaming vertex clustering state (2PS phase 1).
 ///
@@ -117,84 +106,79 @@ impl Clustering {
     }
 }
 
-impl Partitioner for TwoPs {
-    fn id(&self) -> PartitionerId {
-        PartitionerId::TwoPs
+/// 2PS: streaming clustering, then placement by cluster under the [`ALPHA`]
+/// capacity bound. Its tie-breaks are deterministic, so it takes no seed.
+pub fn partition(prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
+    assert!((1..=MAX_PARTITIONS).contains(&k));
+    // 2PS streams edges twice and maintains its own *partial* degrees
+    // (streaming semantics) — the context only supplies the edge stream.
+    let n = prepared.num_vertices();
+    let m = prepared.num_edges();
+    if m == 0 {
+        return EdgePartition::new(k, Vec::new());
     }
-
-    fn partition_prepared(&self, prepared: &PreparedGraph<'_>, k: usize) -> EdgePartition {
-        assert!((1..=MAX_PARTITIONS).contains(&k));
-        // 2PS streams edges twice and maintains its own *partial* degrees
-        // (streaming semantics) — the context only supplies the edge stream.
-        let n = prepared.num_vertices();
-        let m = prepared.num_edges();
-        if m == 0 {
-            return EdgePartition::new(k, Vec::new());
+    // ---- phase 1: streaming clustering under a volume cap ----
+    let volume_cap = ((2 * m) as u64).div_ceil(k as u64).max(2);
+    let mut clustering = Clustering::new(n);
+    prepared.for_each_edge(|e| {
+        clustering.observe(e.src, e.dst, volume_cap);
+    });
+    // ---- cluster -> partition mapping, largest volume first ----
+    let mut clusters: Vec<u32> =
+        (0..clustering.next_cluster).filter(|&c| clustering.volume[c as usize] > 0).collect();
+    clusters.sort_unstable_by_key(|&c| std::cmp::Reverse(clustering.volume[c as usize]));
+    let mut part_volume = vec![0u64; k];
+    let mut cluster_part = vec![0u16; clustering.next_cluster as usize];
+    for c in clusters {
+        // least-volume partition (first-fit-decreasing by volume)
+        let p = (0..k).min_by_key(|&p| part_volume[p]).unwrap_or(0);
+        cluster_part[c as usize] = p as u16;
+        part_volume[p] += clustering.volume[c as usize];
+    }
+    let part_of = |v: u32| -> usize {
+        let c = clustering.cluster[v as usize];
+        if c == UNCLUSTERED {
+            0
+        } else {
+            cluster_part[c as usize] as usize
         }
-        // ---- phase 1: streaming clustering under a volume cap ----
-        let volume_cap = ((2 * m) as u64).div_ceil(k as u64).max(2);
-        let mut clustering = Clustering::new(n);
-        prepared.for_each_edge(|e| {
-            clustering.observe(e.src, e.dst, volume_cap);
-        });
-        // ---- cluster -> partition mapping, largest volume first ----
-        let mut clusters: Vec<u32> =
-            (0..clustering.next_cluster).filter(|&c| clustering.volume[c as usize] > 0).collect();
-        clusters.sort_unstable_by_key(|&c| std::cmp::Reverse(clustering.volume[c as usize]));
-        let mut part_volume = vec![0u64; k];
-        let mut cluster_part = vec![0u16; clustering.next_cluster as usize];
-        for c in clusters {
-            // least-volume partition (first-fit-decreasing by volume)
-            let p = (0..k).min_by_key(|&p| part_volume[p]).unwrap_or(0);
-            cluster_part[c as usize] = p as u16;
-            part_volume[p] += clustering.volume[c as usize];
-        }
-        let part_of = |v: u32| -> usize {
-            let c = clustering.cluster[v as usize];
-            if c == UNCLUSTERED {
-                0
+    };
+    // ---- phase 2: stream edges, prefer endpoint-cluster partitions ----
+    let edge_cap = ((ALPHA * m as f64 / k as f64).ceil() as usize).max(1);
+    let mut sizes = vec![0usize; k];
+    let mut assignment = Vec::with_capacity(m);
+    prepared.for_each_edge(|e| {
+        let pu = part_of(e.src);
+        let pv = part_of(e.dst);
+        let preferred = if pu == pv || sizes[pu] <= sizes[pv] { pu } else { pv };
+        let p = if sizes[preferred] < edge_cap {
+            preferred
+        } else {
+            let alt = if preferred == pu { pv } else { pu };
+            if sizes[alt] < edge_cap {
+                alt
             } else {
-                cluster_part[c as usize] as usize
+                (0..k).min_by_key(|&p| sizes[p]).unwrap_or(0)
             }
         };
-        // ---- phase 2: stream edges, prefer endpoint-cluster partitions ----
-        let edge_cap = ((self.alpha * m as f64 / k as f64).ceil() as usize).max(1);
-        let mut sizes = vec![0usize; k];
-        let mut assignment = Vec::with_capacity(m);
-        prepared.for_each_edge(|e| {
-            let pu = part_of(e.src);
-            let pv = part_of(e.dst);
-            let preferred = if pu == pv || sizes[pu] <= sizes[pv] { pu } else { pv };
-            let p = if sizes[preferred] < edge_cap {
-                preferred
-            } else {
-                let alt = if preferred == pu { pv } else { pu };
-                if sizes[alt] < edge_cap {
-                    alt
-                } else {
-                    (0..k).min_by_key(|&p| sizes[p]).unwrap_or(0)
-                }
-            };
-            sizes[p] += 1;
-            assignment.push(p as u16);
-        });
-        EdgePartition::new(k, assignment)
-    }
+        sizes[p] += 1;
+        assignment.push(p as u16);
+    });
+    EdgePartition::new(k, assignment)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hashing::OneD;
+    use crate::hashing::{one_d, EndPoint};
     use crate::metrics::QualityMetrics;
-    use crate::ne::Ne;
     use ease_graphgen::community::CommunityGraph;
     use ease_graphgen::rmat::{Rmat, RMAT_COMBOS};
 
     #[test]
     fn assigns_all_edges_in_range() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[4], 512, 5_000, 2).generate());
-        let p = TwoPs::new(1).partition_prepared(&g, 16);
+        let p = partition(&g, 16);
         assert_eq!(p.num_edges(), 5_000);
         assert!(p.assignment().iter().all(|&x| x < 16));
     }
@@ -202,7 +186,7 @@ mod tests {
     #[test]
     fn edge_balance_bounded_by_alpha() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[7], 1 << 11, 20_000, 5).generate());
-        let p = TwoPs::new(3).partition_prepared(&g, 8);
+        let p = partition(&g, 8);
         let m = QualityMetrics::compute_prepared(&g, &p);
         assert!(m.edge_balance <= 1.10, "edge balance {}", m.edge_balance);
     }
@@ -210,10 +194,9 @@ mod tests {
     #[test]
     fn recovers_communities_and_approaches_ne() {
         let g = PreparedGraph::new(CommunityGraph::new(2_000, 16_000, 0.04, 3).generate());
-        let tps = QualityMetrics::compute_prepared(&g, &TwoPs::new(1).partition_prepared(&g, 8));
-        let ne = QualityMetrics::compute_prepared(&g, &Ne::new(1).partition_prepared(&g, 8));
-        let hash =
-            QualityMetrics::compute_prepared(&g, &OneD::destination(1).partition_prepared(&g, 8));
+        let tps = QualityMetrics::compute_prepared(&g, &partition(&g, 8));
+        let ne = QualityMetrics::compute_prepared(&g, &crate::ne::partition(&g, 8, 1));
+        let hash = QualityMetrics::compute_prepared(&g, &one_d(&g, 8, 1, EndPoint::Destination));
         // 2PS should sit clearly below hashing...
         assert!(
             tps.replication_factor < 0.7 * hash.replication_factor,
@@ -235,8 +218,8 @@ mod tests {
         // On a skew-heavy, low-clustering R-MAT graph, 2PS's advantage over
         // hashing shrinks (the Friendster behaviour of Fig. 1).
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[8], 1 << 12, 24_000, 6).generate());
-        let tps = QualityMetrics::compute_prepared(&g, &TwoPs::new(1).partition_prepared(&g, 8));
-        let ne = QualityMetrics::compute_prepared(&g, &Ne::new(1).partition_prepared(&g, 8));
+        let tps = QualityMetrics::compute_prepared(&g, &partition(&g, 8));
+        let ne = QualityMetrics::compute_prepared(&g, &crate::ne::partition(&g, 8, 1));
         assert!(
             tps.replication_factor > ne.replication_factor,
             "2ps {} should trail ne {} here",
@@ -248,8 +231,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = PreparedGraph::new(Rmat::new(RMAT_COMBOS[0], 256, 2_000, 9).generate());
-        let a = TwoPs::new(5).partition_prepared(&g, 4);
-        let b = TwoPs::new(5).partition_prepared(&g, 4);
+        let a = partition(&g, 4);
+        let b = partition(&g, 4);
         assert_eq!(a, b);
     }
 

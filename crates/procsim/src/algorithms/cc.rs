@@ -99,7 +99,7 @@ mod tests {
     fn labels_match_union_find() {
         let g = ease_graphgen::erdos_renyi::ErdosRenyi::new(300, 400, 5).generate();
         let pg = PreparedGraph::of(&g);
-        let part = PartitionerId::TwoD.build(1).partition_prepared(&pg, 4);
+        let part = PartitionerId::TwoD.partition(&pg, 4, 1);
         let dg = DistributedGraph::build_prepared(&pg, &part);
         let (_, labels) = run(&ConnectedComponents, &dg, &ClusterSpec::new(4));
         let expect = reference_components(&g);
@@ -126,7 +126,7 @@ mod tests {
     fn active_set_shrinks_over_time() {
         let g = ease_graphgen::watts_strogatz::WattsStrogatz::new(400, 4, 0.05, 2).generate();
         let pg = PreparedGraph::of(&g);
-        let part = PartitionerId::Dbh.build(1).partition_prepared(&pg, 4);
+        let part = PartitionerId::Dbh.partition(&pg, 4, 1);
         let dg = DistributedGraph::build_prepared(&pg, &part);
         let (report, _) = run(&ConnectedComponents, &dg, &ClusterSpec::new(4));
         assert!(report.supersteps > 2);

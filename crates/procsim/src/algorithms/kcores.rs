@@ -158,7 +158,7 @@ mod tests {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[3], 256, 1_500, 3)
             .generate();
         let pg = PreparedGraph::of(&g);
-        let part = PartitionerId::Dbh.build(1).partition_prepared(&pg, 4);
+        let part = PartitionerId::Dbh.partition(&pg, 4, 1);
         let dg = DistributedGraph::build_prepared(&pg, &part);
         let prog = KCores::with_mean_degree(&dg);
         let (_, states) = run(&prog, &dg, &ClusterSpec::new(4));

@@ -185,7 +185,7 @@ mod tests {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[2], 512, 4_000, 3)
             .generate();
         let pg = PreparedGraph::of(&g);
-        let part = ease_partition::PartitionerId::Hdrf.build(1).partition_prepared(&pg, 4);
+        let part = ease_partition::PartitionerId::Hdrf.partition(&pg, 4, 1);
         let dg = DistributedGraph::build_prepared(&pg, &part);
         let (r, _) = run(&LabelPropagation::new(5), &dg, &ClusterSpec::new(4));
         let compute: f64 = r.per_superstep.iter().map(|s| s.compute_secs).sum();

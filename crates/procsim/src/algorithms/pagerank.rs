@@ -108,7 +108,7 @@ mod tests {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[0], 256, 2_000, 1)
             .generate();
         let pg = PreparedGraph::of(&g);
-        let part = PartitionerId::Hdrf.build(3).partition_prepared(&pg, 4);
+        let part = PartitionerId::Hdrf.partition(&pg, 4, 3);
         let dg = DistributedGraph::build_prepared(&pg, &part);
         let (_, ranks) = run(&PageRank::new(10), &dg, &ClusterSpec::new(4));
         let expect = reference_pagerank(&g, 10, 0.85);
@@ -147,8 +147,8 @@ mod tests {
         let g = ease_graphgen::community::CommunityGraph::new(1_000, 8_000, 0.05, 3).generate();
         let pg = PreparedGraph::of(&g);
         let k = 8;
-        let good = PartitionerId::Ne.build(1).partition_prepared(&pg, k);
-        let bad = PartitionerId::Crvc.build(1).partition_prepared(&pg, k);
+        let good = PartitionerId::Ne.partition(&pg, k, 1);
+        let bad = PartitionerId::Crvc.partition(&pg, k, 1);
         let dg_good = DistributedGraph::build_prepared(&pg, &good);
         let dg_bad = DistributedGraph::build_prepared(&pg, &bad);
         let cluster = ClusterSpec::new(k);

@@ -122,7 +122,7 @@ mod tests {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[5], 512, 4_000, 7)
             .generate();
         let pg = PreparedGraph::of(&g);
-        let part = PartitionerId::Hdrf.build(1).partition_prepared(&pg, 4);
+        let part = PartitionerId::Hdrf.partition(&pg, 4, 1);
         let dg = DistributedGraph::build_prepared(&pg, &part);
         let prog = Sssp::with_random_source(&dg, 9);
         let (_, dist) = run(&prog, &dg, &ClusterSpec::new(4));

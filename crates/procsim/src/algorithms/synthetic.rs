@@ -116,7 +116,7 @@ mod tests {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[2], 256, 2_000, 4)
             .generate();
         let pg = PreparedGraph::of(&g);
-        let part = PartitionerId::Hdrf.build(1).partition_prepared(&pg, k);
+        let part = PartitionerId::Hdrf.partition(&pg, k, 1);
         DistributedGraph::build_prepared(&pg, &part)
     }
 

@@ -214,7 +214,7 @@ mod tests {
         let g = ease_graphgen::rmat::Rmat::new(ease_graphgen::rmat::RMAT_COMBOS[1], 256, 2_000, 2)
             .generate();
         let pg = PreparedGraph::of(&g);
-        let part = PartitionerId::Dbh.build(1).partition_prepared(&pg, 4);
+        let part = PartitionerId::Dbh.partition(&pg, 4, 1);
         let dg = DistributedGraph::build_prepared(&pg, &part);
         let cluster = ClusterSpec::new(4);
         for w in Workload::all_training() {

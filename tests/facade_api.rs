@@ -5,7 +5,7 @@
 
 use ease_repro::graph::csr::Route;
 use ease_repro::graph::{Csr, DegreeTable, Graph, GraphProperties, PreparedGraph, PropertyTier};
-use ease_repro::partition::{Partitioner, PartitionerId, QualityMetrics};
+use ease_repro::partition::{PartitionerId, QualityMetrics};
 
 #[test]
 fn doctest_contract_from_pairs_and_eleven_partitioners() {
@@ -35,8 +35,7 @@ fn partition_namespace_is_reachable() {
     let g = Graph::from_pairs([(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]);
     let prepared = PreparedGraph::of(&g);
     for id in PartitionerId::ALL {
-        let partitioner: Box<dyn Partitioner> = id.build(7);
-        let part = partitioner.partition_prepared(&prepared, 2);
+        let part = id.partition(&prepared, 2, 7);
         assert_eq!(part.num_edges(), g.num_edges(), "{id:?}");
         let metrics = QualityMetrics::compute_prepared(&prepared, &part);
         assert!(metrics.replication_factor >= 1.0, "{id:?}");
@@ -75,7 +74,7 @@ fn procsim_namespace_is_reachable() {
     use ease_repro::procsim::{ClusterSpec, DistributedGraph, Workload};
     let g = Graph::from_pairs([(0, 1), (1, 2), (2, 0), (2, 3)]);
     let prepared = PreparedGraph::of(&g);
-    let part = PartitionerId::Dbh.build(1).partition_prepared(&prepared, 2);
+    let part = PartitionerId::Dbh.partition(&prepared, 2, 1);
     let dg = DistributedGraph::build_prepared(&prepared, &part);
     let report = Workload::PageRank { iterations: 2 }.execute(&dg, &ClusterSpec::new(2));
     assert!(report.total_secs > 0.0);

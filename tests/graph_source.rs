@@ -106,10 +106,9 @@ proptest! {
         let in_memory = PreparedGraph::of(&g);
         // one partitioner per category: stateless, stateful, hybrid, in-memory
         for id in [PartitionerId::Dbh, PartitionerId::Hdrf, PartitionerId::Hep10, PartitionerId::Ne] {
-            let p = id.build(17);
-            let reference = p.partition_prepared(&in_memory, k);
-            let via_bel = p.partition_prepared(&PreparedGraph::of_source(&bel_src), k);
-            let via_txt = p.partition_prepared(&PreparedGraph::of_source(&txt_src), k);
+            let reference = id.partition(&in_memory, k, 17);
+            let via_bel = id.partition(&PreparedGraph::of_source(&bel_src), k, 17);
+            let via_txt = id.partition(&PreparedGraph::of_source(&txt_src), k, 17);
             prop_assert_eq!(&via_bel, &reference, "{:?} via bel", id);
             prop_assert_eq!(&via_txt, &reference, "{:?} via txt", id);
             // metrics over a source-backed context match the in-memory path
@@ -386,7 +385,7 @@ fn source_backed_analysis_never_builds_a_graph() {
     let prepared = PreparedGraph::of_source(&src);
     assert!(prepared.source().edge_slice().is_none());
     let advanced = prepared.properties(PropertyTier::Advanced);
-    let partition = PartitionerId::Hdrf.build(3).partition_prepared(&prepared, 4);
+    let partition = PartitionerId::Hdrf.partition(&prepared, 4, 3);
     assert_eq!(partition.num_edges(), g.num_edges());
     assert_props_bit_identical(
         &advanced,

@@ -171,9 +171,8 @@ proptest! {
         prop_assert_eq!(spilled_ctx.properties(tier), heap_ctx.properties(tier));
         // every partitioner in the registry assigns identically
         for id in PartitionerId::ALL {
-            let p = id.build(17);
-            let a = p.partition_prepared(&spilled_ctx, 4);
-            let b = p.partition_prepared(&heap_ctx, 4);
+            let a = id.partition(&spilled_ctx, 4, 17);
+            let b = id.partition(&heap_ctx, 4, 17);
             prop_assert_eq!(a, b, "partitioner {} diverged on spilled adjacency", id.name());
         }
         drop(spilled_ctx);

@@ -30,7 +30,7 @@ proptest! {
         k in 1usize..33,
         seed in 0u64..10,
     ) {
-        let part = p.build(seed).partition_prepared(&PreparedGraph::of(&g), k);
+        let part = p.partition(&PreparedGraph::of(&g), k, seed);
         prop_assert_eq!(part.num_edges(), g.num_edges());
         prop_assert!(part.assignment().iter().all(|&x| (x as usize) < k));
     }
@@ -45,7 +45,7 @@ proptest! {
         seed in 0u64..5,
     ) {
         let prepared = PreparedGraph::of(&g);
-        let part = p.build(seed).partition_prepared(&prepared, k);
+        let part = p.partition(&prepared, k, seed);
         let m = QualityMetrics::compute_prepared(&prepared, &part);
         prop_assert!(m.replication_factor >= 1.0 - 1e-9);
         prop_assert!(m.replication_factor <= k as f64 + 1e-9);
@@ -59,7 +59,7 @@ proptest! {
     #[test]
     fn single_partition_is_ideal(g in arb_graph(), p in arb_partitioner()) {
         let prepared = PreparedGraph::of(&g);
-        let part = p.build(1).partition_prepared(&prepared, 1);
+        let part = p.partition(&prepared, 1, 1);
         let m = QualityMetrics::compute_prepared(&prepared, &part);
         prop_assert!((m.replication_factor - 1.0).abs() < 1e-12);
         prop_assert!((m.edge_balance - 1.0).abs() < 1e-12);
@@ -69,8 +69,8 @@ proptest! {
     #[test]
     fn determinism(g in arb_graph(), p in arb_partitioner(), k in 2usize..9) {
         let prepared = PreparedGraph::of(&g);
-        let a = p.build(77).partition_prepared(&prepared, k);
-        let b = p.build(77).partition_prepared(&prepared, k);
+        let a = p.partition(&prepared, k, 77);
+        let b = p.partition(&prepared, k, 77);
         prop_assert_eq!(a.assignment(), b.assignment());
     }
 
@@ -86,7 +86,7 @@ proptest! {
         }
         prop_assume!(!pairs.is_empty());
         let g = PreparedGraph::new(Graph::from_pairs(pairs.clone()));
-        let part = PartitionerId::Crvc.build(5).partition_prepared(&g, 8);
+        let part = PartitionerId::Crvc.partition(&g, 8, 5);
         for i in (0..pairs.len()).step_by(2) {
             prop_assert_eq!(part.partition_of(i), part.partition_of(i + 1));
         }
@@ -95,7 +95,7 @@ proptest! {
     /// 2D never exceeds the grid replication bound 2·⌈√k⌉ − 1.
     #[test]
     fn two_d_replication_bound(g in arb_graph(), k in 2usize..65) {
-        let part = PartitionerId::TwoD.build(3).partition_prepared(&PreparedGraph::of(&g), k);
+        let part = PartitionerId::TwoD.partition(&PreparedGraph::of(&g), k, 3);
         let bound = 2 * (k as f64).sqrt().ceil() as usize - 1;
         let n = g.num_vertices();
         let mut masks = vec![0u128; n];
@@ -116,7 +116,7 @@ proptest! {
         prop_assume!(g.num_edges() >= 500);
         let prepared = PreparedGraph::of(&g);
         let rf = |p: PartitionerId| {
-            QualityMetrics::compute_prepared(&prepared, &p.build(1).partition_prepared(&prepared, k))
+            QualityMetrics::compute_prepared(&prepared, &p.partition(&prepared, k, 1))
                 .replication_factor
         };
         let (hdrf, crvc) = (rf(PartitionerId::Hdrf), rf(PartitionerId::Crvc));
@@ -138,7 +138,7 @@ proptest! {
         let prepared = PreparedGraph::of(&g);
         for p in PartitionerId::ALL {
             for k in [2usize, 4, 8] {
-                let part = p.build(seed).partition_prepared(&prepared, k);
+                let part = p.partition(&prepared, k, seed);
                 prop_assert_eq!(
                     part.num_edges(), g.num_edges(),
                     "{:?} k={} dropped edges", p, k
@@ -231,7 +231,7 @@ proptest! {
         std::fs::remove_file(&bel).ok();
         let backends = [("heap", PreparedGraph::of(&g)), (".bel", PreparedGraph::of_source(&mapped))];
         let runs = PartitionerId::ALL.into_iter().flat_map(|p| {
-            ORACLE_KS.map(|k| (p.name(), p.build(seed).partition_prepared(&backends[0].1, k)))
+            ORACLE_KS.map(|k| (p.name(), p.partition(&backends[0].1, k, seed)))
         });
         let one_empty = EdgePartition::new(128, (0..g.num_edges()).map(|i| (i % 127) as u16).collect());
         for (name, part) in runs.chain([("127-of-128", one_empty)]) {
@@ -264,7 +264,7 @@ fn every_partitioner_handles_corner_graphs() {
         let prepared = PreparedGraph::of(g);
         for p in PartitionerId::ALL {
             for k in ORACLE_KS {
-                let part = p.build(3).partition_prepared(&prepared, k);
+                let part = p.partition(&prepared, k, 3);
                 assert_eq!(part.num_edges(), g.num_edges(), "{name} {p:?} k={k}");
                 assert!(part.assignment().iter().all(|&x| (x as usize) < k), "{name} {p:?} k={k}");
                 let m = QualityMetrics::compute_prepared(&prepared, &part);

@@ -345,7 +345,7 @@ fn partitioner_assignments_are_pinned() {
         h = fold_str(h, input.name());
         for p in PartitionerId::ALL {
             for k in [2usize, 3, 4, 8, 32] {
-                let part = p.build(cfg.seed ^ k as u64).partition_prepared(&prepared, k);
+                let part = p.partition(&prepared, k, cfg.seed ^ k as u64);
                 h = fold_str(h, p.name());
                 h = fold(h, k as u64);
                 h = part.assignment().iter().fold(h, |h, &a| fold(h, a.into()));

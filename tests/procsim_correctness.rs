@@ -136,7 +136,7 @@ fn placed_round_robin(g: &Graph, k: usize) -> DistributedGraph {
 
 /// The prepared graph on `k` machines, placed by `p` seeded with `seed`.
 fn placed(g: &PreparedGraph<'_>, p: PartitionerId, seed: u64, k: usize) -> DistributedGraph {
-    DistributedGraph::build_prepared(g, &p.build(seed).partition_prepared(g, k))
+    DistributedGraph::build_prepared(g, &p.partition(g, k, seed))
 }
 
 #[test]

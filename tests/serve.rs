@@ -51,6 +51,55 @@ fn render_matches_the_real_one_shot_cli_binary() {
     }
 }
 
+/// The renderer ranks by the selection's own goal: for either goal, the
+/// first candidate row `render_recommendation` prints is the selector's
+/// `Selection::best`, and the rows ascend by that goal's predicted cost.
+#[test]
+fn the_first_rendered_candidate_is_the_selectors_pick() {
+    use ease_repro::graph::{open_path, PreparedGraph};
+    use ease_repro::procsim::Workload;
+    use ease_repro::OptGoal;
+    let fx = fixtures();
+    let service = load_service();
+    let source = open_path(&fx.txt).expect("open graph");
+    let props = service.cached_properties_prepared(&PreparedGraph::of_source(source.as_ref()));
+    let (workload, k) = (Workload::PageRank { iterations: 10 }, service.meta().default_k);
+    for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
+        let selection = service.ease().try_select(&props, workload, k, goal).expect("select");
+        let answer = serve::render_recommendation(
+            &service,
+            "graph.txt",
+            source.as_ref(),
+            workload,
+            k,
+            goal,
+            usize::MAX,
+            None,
+        )
+        .expect("render");
+        let names: Vec<&str> = answer
+            .lines()
+            .skip_while(|l| !l.starts_with("candidate"))
+            .skip(1)
+            .filter_map(|l| l.split_whitespace().next())
+            .collect();
+        assert_eq!(names.len(), selection.candidates.len(), "{goal:?}: one row per candidate");
+        assert_eq!(names[0], selection.best.name(), "{goal:?}: first row is the pick");
+        let costs: Vec<f64> = names
+            .iter()
+            .map(|&name| {
+                let c = selection.candidates.iter().find(|c| c.partitioner.name() == name);
+                let c = c.expect("a rendered row names a candidate");
+                match goal {
+                    OptGoal::EndToEnd => c.end_to_end_secs,
+                    OptGoal::ProcessingOnly => c.processing_secs,
+                }
+            })
+            .collect();
+        assert!(costs.windows(2).all(|w| w[0] <= w[1]), "{goal:?}: rows ascend, got {costs:?}");
+    }
+}
+
 #[test]
 fn concurrent_clients_get_bit_identical_answers_for_text_and_bel() {
     let fx = fixtures();
