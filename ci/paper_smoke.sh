@@ -41,7 +41,7 @@ if ! cmp "$smoke/tiny.md" PAPER_RESULTS.tiny.md; then
     exit 1
 fi
 
-# trained service, Table IV truth, test-set records, wiki pool, fixed RFR
+# trained service, Table IV truth, test-set runs, wiki pool, fixed RFR
 for artefact in '(a)' '(b)' '(c)' '(d)' '(e)'; do
     built="$(grep -c -F "building artefact $artefact" "$smoke/progress.err" || true)"
     if [[ "$built" -ne 1 ]]; then

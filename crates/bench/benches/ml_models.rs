@@ -109,7 +109,7 @@ fn time_shape() -> (Matrix, Vec<f64>) {
         .timing(TimingMode::Deterministic)
         .seed(42);
     let cfg = builder.config();
-    let records = profile_processing_with(
+    let runs = profile_processing_with(
         &cfg.large_inputs(),
         &cfg.partitioners,
         cfg.processing_k,
@@ -117,7 +117,7 @@ fn time_shape() -> (Matrix, Vec<f64>) {
         cfg.seed ^ 0x9A,
         cfg.timing,
     );
-    let ds = ProcessingTimePredictor::dataset(&records, cfg.workloads[0].name());
+    let ds = ProcessingTimePredictor::dataset(&runs, cfg.workloads[0].name());
     assert_eq!((ds.x.rows, ds.x.cols), (110, 8), "the tiny processing-time shape");
     (ds.x, ds.y)
 }

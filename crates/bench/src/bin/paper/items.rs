@@ -9,7 +9,6 @@ use ease::evaluation::{
     evaluate_selection, group_truth, grouped_importances, mape_heatmap, partitioning_time_score,
     processing_test_scores, quality_test_scores, GroupTruth,
 };
-use ease::pipeline::dedup_partition_runs;
 use ease::predictors::{Fitted, QualityPredictor};
 use ease::profiling::TimingMode;
 use ease::selector::{strategy_pick, OptGoal, Strategy};
@@ -240,7 +239,7 @@ fn table5(lab: &Lab, doc: &mut Doc) {
         let model = model_of(ease.processing_time.fitted(), &name);
         rows.push(row![name, model, f3(mape), paper(name)]);
     }
-    let ptime = partitioning_time_score(&ease.partitioning_time, &dedup_partition_runs(truth));
+    let ptime = partitioning_time_score(&ease.partitioning_time, truth);
     let model = ease.partitioning_time.fitted().config.name();
     rows.push(row!["partitioning time", model, f3(ptime), "0.335"]);
     doc.table("Test MAPE on the Table IV graphs (trained on R-MAT-LARGE)", &rows);
@@ -424,7 +423,7 @@ fn table8(lab: &Lab, doc: &mut Doc) {
     let mut enriched = lab.ease_copy();
     enriched.quality = lab.enriched_rfr(&QualityTarget::ALL);
     let enwiki: Vec<GroupTruth> =
-        groups.iter().filter(|g| g.graph_name.contains("enwiki")).cloned().collect();
+        groups.iter().filter(|g| g.graph.name.contains("enwiki")).cloned().collect();
     let mut rows = vec![row!["goal", "evaluated on", "S_O before", "S_O", "S_R", "S_W"]];
     for goal in goals {
         for (label, subset) in [("enwiki analogue", &enwiki), ("all graphs", &groups)] {
@@ -452,11 +451,12 @@ fn fig9(lab: &Lab, doc: &mut Doc) {
     for name in ["synthetic-high", "cc"] {
         let g = groups
             .iter()
-            .find(|g| g.graph_name.contains("enwiki") && g.workload.name() == name)
+            .find(|g| g.graph.name.contains("enwiki") && g.workload.name() == name)
             .expect("the Table IV set has an enwiki analogue and both workloads are trained");
         let baseline = |s| strategy_pick(s, &g.truth, goal).expect("a measured group picks one");
+        let sps = lab.ease().try_select(&g.graph.props, g.workload, k, goal).expect("trained");
         let chosen = [
-            ("S_PS", lab.ease().try_select(&g.props, g.workload, k, goal).expect("trained").best),
+            ("S_PS", sps.best),
             ("S_SRF", baseline(Strategy::SmallestRf)),
             ("optimal", baseline(Strategy::Optimal)),
         ];
@@ -471,8 +471,8 @@ fn fig9(lab: &Lab, doc: &mut Doc) {
                 [t.partitioning_secs, t.processing_secs, t.cost(goal)].map(ms);
             rows.push(row![t.partitioner.name(), partitioning, processing, total, by.join(" ")]);
         }
-        let (label, e) = (g.workload.label(), g.props.num_edges);
-        doc.table(&format!("{label} on {} (|E| = {e}), by end-to-end time", g.graph_name), &rows);
+        let (label, e) = (g.workload.label(), g.graph.props.num_edges);
+        doc.table(&format!("{label} on {} (|E| = {e}), by end-to-end time", g.graph.name), &rows);
         let [sps, srf, optimal] = chosen.map(|c| c.1.name());
         picks.push(format!("{label}: S_PS {sps}, S_SRF {srf}, optimal {optimal}"));
     }

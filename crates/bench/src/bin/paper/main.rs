@@ -16,8 +16,7 @@ use ease::enrich::train_enriched;
 use ease::pipeline::{EaseConfig, TrainingArtifacts};
 use ease::predictors::QualityPredictor;
 use ease::profiling::{
-    profile_processing_with, profile_quality_with, GraphInput, ProcessingRecord, QualityRecord,
-    TimingMode,
+    profile_processing_with, profile_quality_with, GraphInput, ProfileRun, TimingMode,
 };
 use ease::selector::Ease;
 use ease::{EaseService, EaseServiceBuilder};
@@ -83,9 +82,9 @@ fn parse_args(args: &[&str]) -> Result<Option<Args>, String> {
 pub struct Lab {
     pub cfg: EaseConfig,
     trained: OnceCell<(EaseService, TrainingArtifacts)>,
-    truth: OnceCell<Vec<ProcessingRecord>>,
-    test_quality: OnceCell<Vec<QualityRecord>>,
-    wiki_pool: OnceCell<Vec<QualityRecord>>,
+    truth: OnceCell<Vec<ProfileRun>>,
+    test_quality: OnceCell<Vec<ProfileRun>>,
+    wiki_pool: OnceCell<Vec<ProfileRun>>,
     fixed_rfr: OnceCell<QualityPredictor>,
     /// One entry per artefact built, in build order.
     built: RefCell<Vec<&'static str>>,
@@ -107,7 +106,7 @@ impl Lab {
     /// (a) The trained service and what training profiled.
     fn trained(&self) -> &(EaseService, TrainingArtifacts) {
         self.trained.get_or_init(|| {
-            self.announce("(a) trained service + training records");
+            self.announce("(a) trained service + training runs");
             let builder = EaseServiceBuilder::from_config(self.cfg.clone());
             builder.train_with_artifacts().expect("EaseConfig::at_scale is a valid configuration")
         })
@@ -118,8 +117,8 @@ impl Lab {
     }
 
     /// The R-MAT-SMALL quality profile the service was trained on.
-    pub fn train_quality(&self) -> &[QualityRecord] {
-        &self.trained().1.quality_records
+    pub fn train_quality(&self) -> &[ProfileRun] {
+        &self.trained().1.quality_runs
     }
 
     /// An independent copy of the trained system (the codec round trip is
@@ -131,7 +130,7 @@ impl Lab {
 
     /// (b) Every partitioner x workload on the Table IV test graphs — the
     /// ground truth, profiled exactly as `ease-bench`'s `train-tiny` does.
-    pub fn truth(&self) -> &[ProcessingRecord] {
+    pub fn truth(&self) -> &[ProfileRun] {
         self.truth.get_or_init(|| {
             self.announce("(b) Table IV ground truth");
             let cfg = &self.cfg;
@@ -142,24 +141,24 @@ impl Lab {
     }
 
     /// The quality profile of one of the real-world sets.
-    fn quality_of(&self, set: fn(Scale, u64) -> Vec<TestGraph>, salt: u64) -> Vec<QualityRecord> {
+    fn quality_of(&self, set: fn(Scale, u64) -> Vec<TestGraph>, salt: u64) -> Vec<ProfileRun> {
         let cfg = &self.cfg;
         let tests = GraphInput::from_tests(set(cfg.scale, cfg.seed ^ 0x7E57));
         profile_quality_with(&tests, &cfg.partitioners, &cfg.ks, cfg.seed ^ salt, cfg.timing)
     }
 
     /// (c) The quality profile of the standard real-world test set.
-    pub fn test_quality(&self) -> &[QualityRecord] {
+    pub fn test_quality(&self) -> &[ProfileRun] {
         self.test_quality.get_or_init(|| {
-            self.announce("(c) standard test set quality records");
+            self.announce("(c) standard test set quality runs");
             self.quality_of(realworld::standard_test_set, 1)
         })
     }
 
     /// (d) The quality profile of the 96-wiki enrichment pool.
-    pub fn wiki_pool(&self) -> &[QualityRecord] {
+    pub fn wiki_pool(&self) -> &[ProfileRun] {
         self.wiki_pool.get_or_init(|| {
-            self.announce("(d) 96-wiki enrichment pool quality records");
+            self.announce("(d) 96-wiki enrichment pool quality runs");
             self.quality_of(realworld::wiki_enrichment_pool, 2)
         })
     }

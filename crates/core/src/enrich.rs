@@ -9,7 +9,7 @@
 
 use crate::evaluation::{mape_by_type_of, quality_pairs};
 use crate::predictors::QualityPredictor;
-use crate::profiling::QualityRecord;
+use crate::profiling::ProfileRun;
 use ease_graph::hash::SplitMix64;
 use ease_graph::PropertyTier;
 use ease_graphgen::realworld::GraphType;
@@ -25,7 +25,7 @@ pub struct EnrichmentPoint {
     pub rep: usize,
     /// MAPE per graph type on the test set.
     pub mape_by_type: Vec<(GraphType, f64)>,
-    /// MAPE across all test records.
+    /// MAPE across all test runs.
     pub mape_all: f64,
 }
 
@@ -35,40 +35,33 @@ impl EnrichmentPoint {
     }
 }
 
-/// Select a random subset of `n` distinct pool graphs (by name) and return
-/// their records.
-pub fn draw_enrichment_subset(
-    pool: &[QualityRecord],
-    n_graphs: usize,
-    seed: u64,
-) -> Vec<QualityRecord> {
-    let mut names: Vec<&str> = Vec::new();
-    for r in pool {
-        if !names.iter().any(|n| *n == r.graph_name) {
-            names.push(&r.graph_name);
-        }
-    }
+/// Select a random subset of `n` distinct pool graphs (graph rows) and
+/// return their runs, in pool order.
+pub fn draw_enrichment_subset(pool: &[ProfileRun], n_graphs: usize, seed: u64) -> Vec<ProfileRun> {
+    let graphs: Vec<&[ProfileRun]> = pool.chunk_by(ProfileRun::same_graph).collect();
+    let mut picks: Vec<usize> = (0..graphs.len()).collect();
     let mut rng = SplitMix64::new(seed ^ 0xE021);
     // partial Fisher–Yates for the first n picks
-    let n = n_graphs.min(names.len());
+    let n = n_graphs.min(picks.len());
     for i in 0..n {
-        let j = i + rng.next_below(names.len() - i);
-        names.swap(i, j);
+        let j = i + rng.next_below(picks.len() - i);
+        picks.swap(i, j);
     }
-    let chosen: std::collections::HashSet<&str> = names[..n].iter().copied().collect();
-    pool.iter().filter(|r| chosen.contains(r.graph_name.as_str())).cloned().collect()
+    picks.truncate(n);
+    picks.sort_unstable();
+    picks.into_iter().flat_map(|i| graphs[i]).cloned().collect()
 }
 
 /// Train a fixed-model quality predictor for `targets` on base ∪ enrichment
-/// records.
+/// runs.
 pub fn train_enriched(
-    base: &[QualityRecord],
-    enrichment: &[QualityRecord],
+    base: &[ProfileRun],
+    enrichment: &[ProfileRun],
     tier: PropertyTier,
     config: &ModelConfig,
     targets: &[QualityTarget],
 ) -> QualityPredictor {
-    let mut combined: Vec<QualityRecord> = Vec::with_capacity(base.len() + enrichment.len());
+    let mut combined: Vec<ProfileRun> = Vec::with_capacity(base.len() + enrichment.len());
     combined.extend_from_slice(base);
     combined.extend_from_slice(enrichment);
     QualityPredictor::train_fixed(&combined, tier, config, targets)
@@ -76,12 +69,12 @@ pub fn train_enriched(
 
 /// The full Fig. 8 sweep: for each enrichment size and repetition, retrain
 /// `target`'s model — the only one the sweep scores — and measure its
-/// per-type MAPE on the test records.
+/// per-type MAPE on the test runs.
 #[allow(clippy::too_many_arguments)]
 pub fn enrichment_sweep(
-    base: &[QualityRecord],
-    pool: &[QualityRecord],
-    test: &[QualityRecord],
+    base: &[ProfileRun],
+    pool: &[ProfileRun],
+    test: &[ProfileRun],
     sizes: &[usize],
     repetitions: usize,
     tier: PropertyTier,
@@ -142,7 +135,7 @@ mod tests {
     use ease_graphgen::Scale;
     use ease_partition::PartitionerId;
 
-    fn records_for(graph_type: GraphType, count: usize, seed: u64) -> Vec<QualityRecord> {
+    fn runs_for(graph_type: GraphType, count: usize, seed: u64) -> Vec<ProfileRun> {
         let inputs: Vec<GraphInput> = (0..count)
             .map(|i| GraphInput::Materialized(generate_typed(graph_type, i, Scale::Tiny, seed)))
             .collect();
@@ -157,12 +150,10 @@ mod tests {
 
     #[test]
     fn subset_draw_selects_distinct_graphs() {
-        let pool = records_for(GraphType::Wiki, 6, 1);
+        let pool = runs_for(GraphType::Wiki, 6, 1);
         let subset = draw_enrichment_subset(&pool, 3, 42);
-        let names: std::collections::HashSet<_> =
-            subset.iter().map(|r| r.graph_name.clone()).collect();
-        assert_eq!(names.len(), 3);
-        // all records of a chosen graph come along
+        assert_eq!(subset.chunk_by(ProfileRun::same_graph).count(), 3);
+        // all runs of a chosen graph come along
         assert_eq!(subset.len(), 3 * 2);
         // deterministic
         let again = draw_enrichment_subset(&pool, 3, 42);
@@ -173,9 +164,9 @@ mod tests {
     fn enrichment_reduces_error_on_target_type() {
         // Base training on SOCIAL graphs only; test on WIKI graphs. Adding
         // wiki graphs to training must cut the wiki MAPE.
-        let base = records_for(GraphType::Social, 8, 2);
-        let pool = records_for(GraphType::Wiki, 8, 3);
-        let test = records_for(GraphType::Wiki, 5, 4);
+        let base = runs_for(GraphType::Social, 8, 2);
+        let pool = runs_for(GraphType::Wiki, 8, 3);
+        let test = runs_for(GraphType::Wiki, 5, 4);
         let cfg = ModelConfig::Forest { n_trees: 30, max_depth: 12, feature_fraction: 0.8 };
         let points = enrichment_sweep(
             &base,

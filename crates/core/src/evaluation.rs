@@ -5,13 +5,13 @@
 use crate::predictors::{
     workload_names, PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor,
 };
-use crate::profiling::{ProcessingRecord, QualityRecord};
+use crate::profiling::{ProfileRun, ProfiledGraph};
 use crate::selector::{strategy_cost, Ease, OptGoal, Strategy, TrueCosts};
-use ease_graph::GraphProperties;
 use ease_graphgen::realworld::GraphType;
 use ease_ml::metrics::{mape, rmse};
 use ease_partition::{PartitionerId, QualityTarget};
 use ease_procsim::Workload;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Prediction accuracy (Tables V & VI, Fig. 7)
@@ -21,7 +21,7 @@ use ease_procsim::Workload;
 /// (Table VI rows).
 pub fn quality_test_scores(
     qp: &QualityPredictor,
-    test: &[QualityRecord],
+    test: &[ProfileRun],
 ) -> Vec<(QualityTarget, f64, f64)> {
     QualityTarget::ALL
         .iter()
@@ -36,7 +36,7 @@ pub fn quality_test_scores(
 /// the Fig. 7 heatmaps.
 pub fn mape_heatmap(
     qp: &QualityPredictor,
-    test: &[QualityRecord],
+    test: &[ProfileRun],
     target: QualityTarget,
 ) -> Vec<(GraphType, Vec<(PartitionerId, f64)>)> {
     let pairs = quality_pairs(qp, test, target);
@@ -46,8 +46,10 @@ pub fn mape_heatmap(
             let row: Vec<(PartitionerId, f64)> = PartitionerId::ALL
                 .iter()
                 .filter_map(|&p| {
-                    mape_where(test, &pairs, |r| r.graph_type == Some(gt) && r.partitioner == p)
-                        .map(|mape| (p, mape))
+                    mape_where(test, &pairs, |r| {
+                        r.graph.graph_type == Some(gt) && r.partitioner == p
+                    })
+                    .map(|mape| (p, mape))
                 })
                 .collect();
             (!row.is_empty()).then_some((gt, row))
@@ -59,7 +61,7 @@ pub fn mape_heatmap(
 /// enrichment study (Fig. 8).
 pub fn mape_by_type(
     qp: &QualityPredictor,
-    test: &[QualityRecord],
+    test: &[ProfileRun],
     target: QualityTarget,
 ) -> Vec<(GraphType, f64)> {
     mape_by_type_of(test, &quality_pairs(qp, test, target))
@@ -67,56 +69,59 @@ pub fn mape_by_type(
 
 /// [`mape_by_type`] over already-predicted `(truth, prediction)` pairs.
 pub(crate) fn mape_by_type_of(
-    test: &[QualityRecord],
+    test: &[ProfileRun],
     pairs: &(Vec<f64>, Vec<f64>),
 ) -> Vec<(GraphType, f64)> {
     GraphType::ALL
         .iter()
-        .filter_map(|&gt| mape_where(test, pairs, |r| r.graph_type == Some(gt)).map(|m| (gt, m)))
+        .filter_map(|&gt| {
+            mape_where(test, pairs, |r| r.graph.graph_type == Some(gt)).map(|m| (gt, m))
+        })
         .collect()
 }
 
-/// `target`'s truth and prediction for each of `test`, in record order:
+/// `target`'s truth and prediction for each of `test`, in run order:
 /// the test set goes through the model once.
 pub(crate) fn quality_pairs(
     qp: &QualityPredictor,
-    test: &[QualityRecord],
+    test: &[ProfileRun],
     target: QualityTarget,
 ) -> (Vec<f64>, Vec<f64>) {
     (test.iter().map(|r| r.metrics.get(target)).collect(), qp.predict_target(target, test))
 }
 
-/// The MAPE of the `(truth, prediction)` pairs whose records `keep`
-/// selects, in record order; `None` when it selects none.
-fn mape_where<R>(
-    records: &[R],
+/// The MAPE of the `(truth, prediction)` pairs whose runs `keep` selects,
+/// in run order; `None` when it selects none.
+fn mape_where(
+    runs: &[ProfileRun],
     (truth, pred): &(Vec<f64>, Vec<f64>),
-    keep: impl Fn(&R) -> bool,
+    keep: impl Fn(&ProfileRun) -> bool,
 ) -> Option<f64> {
     let (y_true, y_pred): (Vec<f64>, Vec<f64>) =
-        records.iter().zip(truth.iter().zip(pred)).filter(|(r, _)| keep(r)).map(|(_, p)| p).unzip();
+        runs.iter().zip(truth.iter().zip(pred)).filter(|(r, _)| keep(r)).map(|(_, p)| p).unzip();
     (!y_true.is_empty()).then(|| mape(&y_true, &y_pred))
 }
 
 /// Table V: per-workload MAPE of the processing-time predictor on a test
-/// set of processing records.
+/// set of processing runs.
 pub fn processing_test_scores(
     pp: &ProcessingTimePredictor,
-    test: &[ProcessingRecord],
+    test: &[ProfileRun],
 ) -> Vec<(&'static str, f64)> {
-    let pairs = (test.iter().map(|r| r.target_secs).collect(), pp.predict_target(test));
     workload_names(test)
         .into_iter()
-        .filter_map(|name| {
-            mape_where(test, &pairs, |r| r.workload.name() == name).map(|m| (name, m))
+        .map(|name| {
+            let truth: Vec<f64> =
+                test.iter().filter_map(|r| Some(r.cost(name)?.target_secs)).collect();
+            (name, mape(&truth, &pp.predict_target(test, name)))
         })
         .collect()
 }
 
 /// Test MAPE of the partitioning-time predictor.
-pub fn partitioning_time_score(tp: &PartitioningTimePredictor, test: &[QualityRecord]) -> f64 {
+pub fn partitioning_time_score(tp: &PartitioningTimePredictor, test: &[ProfileRun]) -> f64 {
     let y_true: Vec<f64> = test.iter().map(|r| r.partitioning_secs).collect();
-    let y_pred = tp.predict(test.iter().map(|r| (&r.props, r.partitioner)));
+    let y_pred = tp.predict(test.iter().map(|r| (&r.graph.props, r.partitioner)));
     mape(&y_true, &y_pred)
 }
 
@@ -187,33 +192,29 @@ pub fn grouped_importances(
 /// Measured truth for one (graph, workload) pair across all partitioners.
 #[derive(Debug, Clone)]
 pub struct GroupTruth {
-    pub graph_name: String,
+    pub graph: Arc<ProfiledGraph>,
     pub workload: Workload,
-    pub props: GraphProperties,
     pub truth: Vec<TrueCosts>,
 }
 
-/// Group processing records into per-(graph, workload) truth tables.
-pub fn group_truth(records: &[ProcessingRecord]) -> Vec<GroupTruth> {
-    let mut groups: Vec<GroupTruth> = Vec::new();
-    for r in records {
-        let found = groups
-            .iter_mut()
-            .find(|g| g.graph_name == r.graph_name && g.workload.name() == r.workload.name());
-        let costs = TrueCosts {
-            partitioner: r.partitioner,
-            replication_factor: r.metrics.replication_factor,
-            partitioning_secs: r.partitioning_secs,
-            processing_secs: r.total_secs,
-        };
-        match found {
-            Some(g) => g.truth.push(costs),
-            None => groups.push(GroupTruth {
-                graph_name: r.graph_name.clone(),
-                workload: r.workload,
-                props: r.props.clone(),
-                truth: vec![costs],
-            }),
+/// Group processing runs into per-(graph, workload) truth tables: per graph
+/// row, per workload its first run executed, every run's cost of it.
+pub fn group_truth(runs: &[ProfileRun]) -> Vec<GroupTruth> {
+    let mut groups = Vec::new();
+    for of_graph in runs.chunk_by(ProfileRun::same_graph) {
+        let first = &of_graph[0];
+        for cost in &first.workloads {
+            let name = cost.workload.name();
+            let truth = of_graph.iter().filter_map(|r| {
+                Some(TrueCosts {
+                    partitioner: r.partitioner,
+                    replication_factor: r.metrics.replication_factor,
+                    partitioning_secs: r.partitioning_secs,
+                    processing_secs: r.cost(name)?.total_secs,
+                })
+            });
+            let graph = Arc::clone(&first.graph);
+            groups.push(GroupTruth { graph, workload: cost.workload, truth: truth.collect() });
         }
     }
     groups
@@ -272,7 +273,7 @@ pub fn evaluate_selection(
         let mut count = 0usize;
         for g in groups.iter().filter(|g| g.workload.name() == w.name()) {
             let selection = ease
-                .try_select(&g.props, g.workload, k, goal)
+                .try_select(&g.graph.props, g.workload, k, goal)
                 .expect("every truth group's workload is trained and the catalog is not empty");
             let pick_cost = g
                 .truth
@@ -358,7 +359,7 @@ mod tests {
     fn selection_rows_are_sane() {
         let (ease, test_inputs) = tiny_system();
         let parts = [PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne];
-        let records = profile_processing_with(
+        let runs = profile_processing_with(
             &test_inputs,
             &parts,
             4,
@@ -366,7 +367,7 @@ mod tests {
             3,
             TimingMode::Measured,
         );
-        let groups = group_truth(&records);
+        let groups = group_truth(&runs);
         assert_eq!(groups.len(), 6 * 2);
         for g in &groups {
             assert_eq!(g.truth.len(), 3);
@@ -404,7 +405,8 @@ mod tests {
         truth.extend(
             ease.catalog.iter().filter(|p| **p != pick && **p != twin).map(|&p| costs(p, 3.0)),
         );
-        let tied = GroupTruth { graph_name: "tie".into(), workload, props, truth };
+        let graph = Arc::new(ProfiledGraph { name: "tie".into(), graph_type: None, props });
+        let tied = GroupTruth { graph, workload, truth };
         let (rows, headline) = evaluate_selection(&ease, std::slice::from_ref(&tied), 4, goal);
         assert_eq!(rows[0].vs_optimal, 1.0);
         assert_eq!(rows[0].optimal_pick_rate, 1.0, "a tied optimum is still the optimum");
@@ -421,20 +423,19 @@ mod tests {
     fn quality_scores_and_heatmap_shapes() {
         let (ease, test_inputs) = tiny_system();
         let parts = [PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne];
-        let test_records =
-            profile_quality_with(&test_inputs, &parts, &[4], 9, TimingMode::Measured);
-        let scores = quality_test_scores(&ease.quality, &test_records);
+        let test_runs = profile_quality_with(&test_inputs, &parts, &[4], 9, TimingMode::Measured);
+        let scores = quality_test_scores(&ease.quality, &test_runs);
         assert_eq!(scores.len(), 5);
         for (t, m, r) in &scores {
             assert!(m.is_finite() && *m >= 0.0, "{t:?}");
             assert!(r.is_finite() && *r >= 0.0);
         }
-        let heat = mape_heatmap(&ease.quality, &test_records, QualityTarget::ReplicationFactor);
+        let heat = mape_heatmap(&ease.quality, &test_runs, QualityTarget::ReplicationFactor);
         assert!(!heat.is_empty());
         for (_, row) in &heat {
             assert_eq!(row.len(), 3); // three partitioners profiled
         }
-        let by_type = mape_by_type(&ease.quality, &test_records, QualityTarget::ReplicationFactor);
+        let by_type = mape_by_type(&ease.quality, &test_runs, QualityTarget::ReplicationFactor);
         assert_eq!(by_type.len(), heat.len());
     }
 }

@@ -3,8 +3,7 @@
 
 use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 use crate::profiling::{
-    profile_processing_with, profile_quality_with, GraphInput, ProcessingRecord, QualityRecord,
-    TimingMode,
+    profile_processing_with, profile_quality_with, GraphInput, ProfileRun, TimingMode,
 };
 use crate::selector::Ease;
 use ease_graph::PropertyTier;
@@ -12,6 +11,7 @@ use ease_graphgen::grids::{rmat_large_corpus, rmat_small_corpus, Scale};
 use ease_ml::{zoo, ModelConfig};
 use ease_partition::PartitionerId;
 use ease_procsim::Workload;
+use std::borrow::Cow;
 
 /// Pipeline configuration. [`EaseConfig::at_scale`] provides calibrated
 /// defaults; every field can be overridden.
@@ -107,16 +107,16 @@ fn stride_cap<T>(items: Vec<T>, cap: usize) -> Vec<T> {
 /// Everything the training produced besides the models — kept for
 /// evaluation and enrichment studies.
 pub struct TrainingArtifacts {
-    pub quality_records: Vec<QualityRecord>,
-    pub processing_records: Vec<ProcessingRecord>,
+    pub quality_runs: Vec<ProfileRun>,
+    pub processing_runs: Vec<ProfileRun>,
 }
 
 /// Run the full pipeline: profile both corpora, select + train the three
 /// predictors, assemble the system.
 pub fn train_ease(cfg: &EaseConfig) -> (Ease, TrainingArtifacts) {
-    let quality_records =
+    let quality_runs =
         profile_quality_with(&cfg.small_inputs(), &cfg.partitioners, &cfg.ks, cfg.seed, cfg.timing);
-    let processing_records = profile_processing_with(
+    let processing_runs = profile_processing_with(
         &cfg.large_inputs(),
         &cfg.partitioners,
         cfg.processing_k,
@@ -124,39 +124,25 @@ pub fn train_ease(cfg: &EaseConfig) -> (Ease, TrainingArtifacts) {
         cfg.seed ^ 0x9A,
         cfg.timing,
     );
-    let quality =
-        QualityPredictor::train(&quality_records, cfg.tier, &cfg.grid, cfg.folds, cfg.seed);
-    // Partitioning time is trained on the larger graphs (paper Sec. IV-A);
-    // the processing records carry the same measurements.
-    let ptime_records: Vec<QualityRecord> = dedup_partition_runs(&processing_records);
+    let quality = QualityPredictor::train(&quality_runs, cfg.tier, &cfg.grid, cfg.folds, cfg.seed);
+    // Partitioning time is trained on the larger graphs (paper Sec. IV-A):
+    // each processing run is one partitioning, measured once.
     let partitioning_time =
-        PartitioningTimePredictor::train(&ptime_records, &cfg.grid, cfg.folds, cfg.seed);
+        PartitioningTimePredictor::train(&processing_runs, &cfg.grid, cfg.folds, cfg.seed);
     let processing_time =
-        ProcessingTimePredictor::train(&processing_records, &cfg.grid, cfg.folds, cfg.seed);
+        ProcessingTimePredictor::train(&processing_runs, &cfg.grid, cfg.folds, cfg.seed);
     let mut ease = Ease::new(quality, partitioning_time, processing_time);
     ease.catalog = cfg.partitioners.clone();
-    (ease, TrainingArtifacts { quality_records, processing_records })
+    (ease, TrainingArtifacts { quality_runs, processing_runs })
 }
 
-/// Collapse processing records (one per workload) into one partitioning-run
-/// record per (graph, partitioner).
-pub fn dedup_partition_runs(records: &[ProcessingRecord]) -> Vec<QualityRecord> {
-    let mut seen: std::collections::HashSet<(String, PartitionerId)> = Default::default();
-    let mut out = Vec::new();
-    for r in records {
-        if seen.insert((r.graph_name.clone(), r.partitioner)) {
-            out.push(QualityRecord {
-                graph_name: r.graph_name.clone(),
-                graph_type: r.graph_type,
-                props: r.props.clone(),
-                partitioner: r.partitioner,
-                k: r.k,
-                metrics: r.metrics,
-                partitioning_secs: r.partitioning_secs,
-            });
-        }
-    }
-    out
+/// `runs` itself, borrowed: a processing run is already one partitioning
+/// run. Only `ease-bench`'s `train-tiny` workload names this, and ROADMAP
+/// item 1a deletes it with the `_pooled` forwards. It is a `Cow`, not the
+/// slice, because `train-tiny` borrows what it returns, which
+/// `clippy::needless_borrow` rejects on a reference.
+pub fn dedup_partition_runs(runs: &[ProfileRun]) -> Cow<'_, [ProfileRun]> {
+    Cow::Borrowed(runs)
 }
 
 #[cfg(test)]
@@ -175,8 +161,9 @@ mod tests {
         cfg.partitioners = vec![PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne];
         cfg.workloads = vec![Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents];
         let (ease, artifacts) = train_ease(&cfg);
-        assert_eq!(artifacts.quality_records.len(), 8 * 3 * 2);
-        assert_eq!(artifacts.processing_records.len(), 4 * 3 * 2);
+        assert_eq!(artifacts.quality_runs.len(), 8 * 3 * 2);
+        assert_eq!(artifacts.processing_runs.len(), 4 * 3);
+        assert!(artifacts.processing_runs.iter().all(|r| r.workloads.len() == 2));
         let g = ease_graphgen::realworld::socfb_analogue(Scale::Tiny, 5).graph;
         let props = PreparedGraph::of(&g).properties(PropertyTier::Advanced);
         for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
@@ -198,25 +185,5 @@ mod tests {
         assert_eq!(capped.len(), 10);
         assert_eq!(capped[0], 0);
         assert!(capped[9] >= 80);
-    }
-
-    #[test]
-    fn dedup_partition_runs_one_per_pair() {
-        let cfg = EaseConfig {
-            max_large_graphs: Some(2),
-            workloads: vec![Workload::PageRank { iterations: 2 }, Workload::ConnectedComponents],
-            partitioners: vec![PartitionerId::OneDD],
-            ..EaseConfig::at_scale(Scale::Tiny)
-        };
-        let records = profile_processing_with(
-            &cfg.large_inputs(),
-            &cfg.partitioners,
-            2,
-            &cfg.workloads,
-            1,
-            TimingMode::Measured,
-        );
-        let deduped = dedup_partition_runs(&records);
-        assert_eq!(deduped.len(), 2); // 2 graphs × 1 partitioner
     }
 }

@@ -15,7 +15,7 @@
 //! `decode` checks for itself.
 
 use crate::features;
-use crate::profiling::{ProcessingRecord, QualityRecord};
+use crate::profiling::{ProfileRun, WorkloadCost};
 use ease_graph::{GraphProperties, PropertyTier};
 use ease_ml::cv::{select_models, LabelGroup, Selection};
 use ease_ml::persist::{
@@ -82,34 +82,30 @@ pub struct QualityPredictor {
 }
 
 impl QualityPredictor {
-    /// The feature rows of `records` — one matrix, whichever the target.
-    fn feature_matrix(records: &[QualityRecord], tier: PropertyTier) -> Matrix {
-        features::quality_matrix(tier, records.iter().map(|r| (&r.props, r.k, r.partitioner)))
+    /// The feature rows of `runs` — one matrix, whichever the target.
+    fn feature_matrix(runs: &[ProfileRun], tier: PropertyTier) -> Matrix {
+        features::quality_matrix(tier, runs.iter().map(|r| (&r.graph.props, r.k, r.partitioner)))
     }
 
     /// Assemble the training dataset for one quality target.
-    pub fn dataset(
-        records: &[QualityRecord],
-        tier: PropertyTier,
-        target: QualityTarget,
-    ) -> Dataset {
+    pub fn dataset(runs: &[ProfileRun], tier: PropertyTier, target: QualityTarget) -> Dataset {
         Dataset {
             feature_names: features::quality_feature_names(tier),
-            x: Self::feature_matrix(records, tier),
-            y: records.iter().map(|r| r.metrics.get(target)).collect(),
+            x: Self::feature_matrix(runs, tier),
+            y: runs.iter().map(|r| r.metrics.get(target)).collect(),
         }
     }
 
-    /// Grid-search each target's model on the training records (paper:
-    /// 5-fold CV), then retrain winners on the full set.
+    /// Grid-search each target's model on the training runs (paper: 5-fold
+    /// CV), then retrain winners on the full set.
     pub fn train(
-        records: &[QualityRecord],
+        runs: &[ProfileRun],
         tier: PropertyTier,
         grid: &[ModelConfig],
         folds: usize,
         seed: u64,
     ) -> Self {
-        Self::train_targets(records, tier, grid, folds, seed, &QualityTarget::ALL)
+        Self::train_targets(runs, tier, grid, folds, seed, &QualityTarget::ALL)
     }
 
     /// [`QualityPredictor::train`] for `targets` only. Each target's
@@ -118,19 +114,19 @@ impl QualityPredictor {
     /// was not trained panics, and only a predictor of all five is a
     /// service's.
     pub fn train_targets(
-        records: &[QualityRecord],
+        runs: &[ProfileRun],
         tier: PropertyTier,
         grid: &[ModelConfig],
         folds: usize,
         seed: u64,
         targets: &[QualityTarget],
     ) -> Self {
-        assert!(!records.is_empty(), "no quality training records");
+        assert!(!runs.is_empty(), "no quality training runs");
         // the targets are label vectors over one feature matrix
-        let x = Self::feature_matrix(records, tier);
+        let x = Self::feature_matrix(runs, tier);
         let labels: Vec<Vec<f64>> = targets
             .iter()
-            .map(|&target| records.iter().map(|r| r.metrics.get(target)).collect())
+            .map(|&target| runs.iter().map(|r| r.metrics.get(target)).collect())
             .collect();
         let group = LabelGroup { x: &x, labels: labels.iter().map(Vec::as_slice).collect() };
         let selections = select_models(grid, &[group], folds, seed);
@@ -143,17 +139,17 @@ impl QualityPredictor {
     /// one metric fits one model; predicting a target that was not fitted
     /// panics.
     pub fn train_fixed(
-        records: &[QualityRecord],
+        runs: &[ProfileRun],
         tier: PropertyTier,
         config: &ModelConfig,
         targets: &[QualityTarget],
     ) -> Self {
-        assert!(!records.is_empty());
-        let x = Self::feature_matrix(records, tier);
+        assert!(!runs.is_empty());
+        let x = Self::feature_matrix(runs, tier);
         let fitted = targets
             .iter()
             .map(|&target| {
-                let y: Vec<f64> = records.iter().map(|r| r.metrics.get(target)).collect();
+                let y: Vec<f64> = runs.iter().map(|r| r.metrics.get(target)).collect();
                 let mut model = config.build();
                 model.fit(&x, &y);
                 (target, Fitted { config: config.clone(), cv_mape: f64::NAN, model })
@@ -175,10 +171,10 @@ impl QualityPredictor {
             .expect("a model was fitted for this target")
     }
 
-    /// One metric of each of `records`, in order: one feature matrix, one
+    /// One metric of each of `runs`, in order: one feature matrix, one
     /// `predict`.
-    pub fn predict_target(&self, target: QualityTarget, records: &[QualityRecord]) -> Vec<f64> {
-        let x = Self::feature_matrix(records, self.tier);
+    pub fn predict_target(&self, target: QualityTarget, runs: &[ProfileRun]) -> Vec<f64> {
+        let x = Self::feature_matrix(runs, self.tier);
         // quality metrics are ≥ 1 by definition; clamp regressor output
         self.model(target).predict(&x).into_iter().map(|v| v.max(1.0)).collect()
     }
@@ -267,19 +263,19 @@ pub struct PartitioningTimePredictor {
 }
 
 impl PartitioningTimePredictor {
-    pub fn dataset(records: &[QualityRecord]) -> Dataset {
+    pub fn dataset(runs: &[ProfileRun]) -> Dataset {
         Dataset {
             feature_names: features::partitioning_time_feature_names(),
             x: features::partitioning_time_matrix(
-                records.iter().map(|r| (&r.props, r.partitioner)),
+                runs.iter().map(|r| (&r.graph.props, r.partitioner)),
             ),
-            y: records.iter().map(|r| to_log(r.partitioning_secs)).collect(),
+            y: runs.iter().map(|r| to_log(r.partitioning_secs)).collect(),
         }
     }
 
-    pub fn train(records: &[QualityRecord], grid: &[ModelConfig], folds: usize, seed: u64) -> Self {
-        assert!(!records.is_empty(), "no partitioning-time records");
-        let ds = Self::dataset(records);
+    pub fn train(runs: &[ProfileRun], grid: &[ModelConfig], folds: usize, seed: u64) -> Self {
+        assert!(!runs.is_empty(), "no partitioning runs");
+        let ds = Self::dataset(runs);
         let selection = select_models(grid, &[(&ds).into()], folds, seed)
             .pop()
             .expect("one selection per label");
@@ -325,33 +321,37 @@ pub struct ProcessingTimePredictor {
 }
 
 impl ProcessingTimePredictor {
-    /// The feature rows of `records`, in order.
-    fn feature_matrix<'a>(records: impl Iterator<Item = &'a ProcessingRecord>) -> Matrix {
+    /// The runs that executed the workload named `name`, each with its cost
+    /// of it: one row each, in run order.
+    fn rows<'a>(
+        runs: &'a [ProfileRun],
+        name: &'a str,
+    ) -> impl Iterator<Item = (&'a ProfileRun, &'a WorkloadCost)> {
+        runs.iter().filter_map(move |r| Some((r, r.cost(name)?)))
+    }
+
+    /// The feature rows of the workload named `name`, in run order.
+    fn feature_matrix(runs: &[ProfileRun], name: &str) -> Matrix {
         features::processing_time_matrix(
-            records.map(|r| (&r.props, &r.metrics, r.workload.fixed_iterations().unwrap_or(0))),
+            Self::rows(runs, name).map(|(r, c)| {
+                (&r.graph.props, &r.metrics, c.workload.fixed_iterations().unwrap_or(0))
+            }),
         )
     }
 
     /// Dataset for one workload.
-    pub fn dataset(records: &[ProcessingRecord], workload_name: &str) -> Dataset {
-        let of_workload = || records.iter().filter(|r| r.workload.name() == workload_name);
+    pub fn dataset(runs: &[ProfileRun], workload_name: &str) -> Dataset {
         Dataset {
             feature_names: features::processing_time_feature_names(),
-            x: Self::feature_matrix(of_workload()),
-            y: of_workload().map(|r| to_log(r.target_secs)).collect(),
+            x: Self::feature_matrix(runs, workload_name),
+            y: Self::rows(runs, workload_name).map(|(_, c)| to_log(c.target_secs)).collect(),
         }
     }
 
-    pub fn train(
-        records: &[ProcessingRecord],
-        grid: &[ModelConfig],
-        folds: usize,
-        seed: u64,
-    ) -> Self {
-        assert!(!records.is_empty(), "no processing records");
-        let names = workload_names(records);
-        let datasets: Vec<Dataset> =
-            names.iter().map(|name| Self::dataset(records, name)).collect();
+    pub fn train(runs: &[ProfileRun], grid: &[ModelConfig], folds: usize, seed: u64) -> Self {
+        let names = workload_names(runs);
+        assert!(!names.is_empty(), "no workload costs");
+        let datasets: Vec<Dataset> = names.iter().map(|name| Self::dataset(runs, name)).collect();
         // one group per workload: the `iterations` column differs
         let groups: Vec<LabelGroup> = datasets.iter().map(LabelGroup::from).collect();
         let selections = select_models(grid, &groups, folds, seed);
@@ -360,7 +360,7 @@ impl ProcessingTimePredictor {
     }
 
     /// The fitted row of each trained workload, in order of appearance in
-    /// the training records.
+    /// the training runs.
     pub fn fitted(&self) -> &[(&'static str, Fitted)] {
         &self.fitted
     }
@@ -376,20 +376,12 @@ impl ProcessingTimePredictor {
             .unwrap_or_else(|| panic!("no model trained for workload {workload_name}"))
     }
 
-    /// The target metric (avg-iteration or total seconds) of each of
-    /// `records`, in order, given its measured quality metrics: one feature
-    /// matrix and one `predict` per workload among them.
-    pub fn predict_target(&self, records: &[ProcessingRecord]) -> Vec<f64> {
-        let mut targets = vec![0.0; records.len()];
-        for name in workload_names(records) {
-            let of_workload = |r: &&ProcessingRecord| r.workload.name() == name;
-            let x = Self::feature_matrix(records.iter().filter(of_workload));
-            let slots = targets.iter_mut().zip(records).filter(|(_, r)| of_workload(r));
-            for ((slot, _), v) in slots.zip(self.model(name).predict(&x)) {
-                *slot = from_log(v);
-            }
-        }
-        targets
+    /// The target metric (avg-iteration or total seconds) of the workload
+    /// named `name` on each run that executed it, in run order, given the
+    /// run's measured quality metrics: one feature matrix, one `predict`.
+    pub fn predict_target(&self, runs: &[ProfileRun], name: &str) -> Vec<f64> {
+        let x = Self::feature_matrix(runs, name);
+        self.model(name).predict(&x).into_iter().map(from_log).collect()
     }
 
     /// The *total* processing time of `workload` on one graph under each of
@@ -456,12 +448,12 @@ impl ProcessingTimePredictor {
     }
 }
 
-/// The workloads among `records`, each once, in order of appearance.
-pub(crate) fn workload_names(records: &[ProcessingRecord]) -> Vec<&'static str> {
+/// The workloads `runs` executed, each once, in order of appearance.
+pub(crate) fn workload_names(runs: &[ProfileRun]) -> Vec<&'static str> {
     let mut names: Vec<&'static str> = Vec::new();
-    for r in records {
-        if !names.contains(&r.workload.name()) {
-            names.push(r.workload.name());
+    for c in runs.iter().flat_map(|r| &r.workloads) {
+        if !names.contains(&c.workload.name()) {
+            names.push(c.workload.name());
         }
     }
     names
@@ -492,14 +484,14 @@ mod tests {
 
     #[test]
     fn quality_predictor_end_to_end() {
-        let records = profile_quality_with(
+        let runs = profile_quality_with(
             &inputs(6, 900),
             &[PartitionerId::OneDD, PartitionerId::Ne, PartitionerId::Hdrf],
             &[2, 4, 8],
             7,
             TimingMode::Measured,
         );
-        let qp = QualityPredictor::train(&records, PropertyTier::Basic, &zoo::quick_grid(), 3, 1);
+        let qp = QualityPredictor::train(&runs, PropertyTier::Basic, &zoo::quick_grid(), 3, 1);
         // predictions are clamped to the metric domain
         let props = inputs(1, 900)[0].prepare().properties(PropertyTier::Advanced);
         let [m] = qp.predict(&props, &[PartitionerId::Ne], 4)[..] else { panic!("one candidate") };
@@ -510,18 +502,20 @@ mod tests {
         let (rf2, rf8) = (rf(2), rf(8));
         assert!(rf8 > rf2 * 0.9, "rf2={rf2} rf8={rf8}");
         assert_eq!(qp.fitted.len(), 5);
-        // a batch of records predicts what each record's candidate query does
+        // a batch of runs predicts what each run's candidate query does
         for target in QualityTarget::ALL {
-            let batched = qp.predict_target(target, &records);
-            for (r, v) in records.iter().zip(batched) {
-                let [m] = qp.predict(&r.props, &[r.partitioner], r.k)[..] else { unreachable!() };
+            let batched = qp.predict_target(target, &runs);
+            for (r, v) in runs.iter().zip(batched) {
+                let [m] = qp.predict(&r.graph.props, &[r.partitioner], r.k)[..] else {
+                    unreachable!()
+                };
                 assert_eq!(v.to_bits(), m.get(target).to_bits(), "{target:?}");
             }
         }
         // a target trained alone is selected and fitted as among all five
         let rf = QualityTarget::ReplicationFactor;
         let alone = QualityPredictor::train_targets(
-            &records,
+            &runs,
             PropertyTier::Basic,
             &zoo::quick_grid(),
             3,
@@ -534,21 +528,21 @@ mod tests {
         assert_eq!(one.config, all.config);
         assert_eq!(one.cv_mape.to_bits(), all.cv_mape.to_bits());
         let bits = |p: &QualityPredictor| {
-            p.predict_target(rf, &records).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+            p.predict_target(rf, &runs).iter().map(|v| v.to_bits()).collect::<Vec<_>>()
         };
         assert_eq!(bits(&alone), bits(&qp));
     }
 
     #[test]
     fn quality_predictor_learns_partitioner_differences() {
-        let records = profile_quality_with(
+        let runs = profile_quality_with(
             &inputs(8, 1_200),
             &[PartitionerId::Crvc, PartitionerId::Ne],
             &[8],
             3,
             TimingMode::Measured,
         );
-        let qp = QualityPredictor::train(&records, PropertyTier::Basic, &zoo::quick_grid(), 3, 2);
+        let qp = QualityPredictor::train(&runs, PropertyTier::Basic, &zoo::quick_grid(), 3, 2);
         let props = inputs(1, 1_200)[0].prepare().properties(PropertyTier::Advanced);
         let [hash, ne] = qp.predict(&props, &[PartitionerId::Crvc, PartitionerId::Ne], 8)[..]
         else {
@@ -560,14 +554,14 @@ mod tests {
 
     #[test]
     fn partitioning_time_predictor_orders_families() {
-        let records = profile_quality_with(
+        let runs = profile_quality_with(
             &inputs(8, 4_000),
             &[PartitionerId::OneDD, PartitionerId::Ne],
             &[4],
             5,
             TimingMode::Measured,
         );
-        let tp = PartitioningTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
+        let tp = PartitioningTimePredictor::train(&runs, &zoo::quick_grid(), 3, 1);
         let props = inputs(1, 4_000)[0].prepare().properties(PropertyTier::Advanced);
         let [fast, slow] =
             tp.predict([(&props, PartitionerId::OneDD), (&props, PartitionerId::Ne)])[..]
@@ -580,7 +574,7 @@ mod tests {
 
     #[test]
     fn processing_time_predictor_per_workload() {
-        let records = profile_processing_with(
+        let runs = profile_processing_with(
             &inputs(5, 1_000),
             &[PartitionerId::Dbh, PartitionerId::Ne],
             4,
@@ -588,23 +582,25 @@ mod tests {
             3,
             TimingMode::Measured,
         );
-        let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 3, 1);
+        let pp = ProcessingTimePredictor::train(&runs, &zoo::quick_grid(), 3, 1);
         assert_eq!(pp.supported_workloads().len(), 2);
-        // records of both workloads, interleaved: each is predicted by its
-        // own workload's model, as a candidate query would be
-        let targets = pp.predict_target(&records);
-        assert_eq!(targets.len(), records.len());
-        for (r, t) in records.iter().zip(targets) {
-            assert!(t > 0.0);
-            let total = r.workload.total_from_target(t);
-            assert_eq!(pp.predict_totals(r.workload, &r.props, &[r.metrics]), [total]);
+        // each workload's rows are predicted by its own model, as a
+        // candidate query would be
+        for w in [Workload::PageRank { iterations: 5 }, Workload::ConnectedComponents] {
+            let targets = pp.predict_target(&runs, w.name());
+            assert_eq!(targets.len(), runs.len());
+            for (r, t) in runs.iter().zip(targets) {
+                assert!(t > 0.0);
+                let total = w.total_from_target(t);
+                assert_eq!(pp.predict_totals(w, &r.graph.props, &[r.metrics]), [total]);
+            }
         }
     }
 
     #[test]
     #[should_panic(expected = "no model trained for workload")]
     fn unknown_workload_panics() {
-        let records = profile_processing_with(
+        let runs = profile_processing_with(
             &inputs(2, 600),
             &[PartitionerId::Dbh],
             2,
@@ -612,9 +608,9 @@ mod tests {
             3,
             TimingMode::Measured,
         );
-        let pp = ProcessingTimePredictor::train(&records, &zoo::quick_grid(), 2, 1);
+        let pp = ProcessingTimePredictor::train(&runs, &zoo::quick_grid(), 2, 1);
         let props = inputs(1, 600)[0].prepare().properties(PropertyTier::Advanced);
-        let _ = pp.predict_totals(Workload::KCores, &props, &[records[0].metrics]);
+        let _ = pp.predict_totals(Workload::KCores, &props, &[runs[0].metrics]);
     }
 
     /// One fitted entry of a predictor section as `encode` spells it: the

@@ -3,6 +3,12 @@
 //! measure quality + run-time, then execute the processing workloads and
 //! measure their (simulated) run-time.
 //!
+//! Both passes return one [`ProfileRun`] per (graph, partitioner, k): the
+//! paper partitions a graph once per partitioner and runs every workload
+//! on that partitioning, so a processing run carries its workloads' costs
+//! beside its partitioning's quality and time. The runs of one graph share
+//! its [`ProfiledGraph`] row and come back consecutive, in corpus order.
+//!
 //! Profiling fans out over graphs on the queue model selection runs on
 //! ([`ease_ml::cv::ticketed`], largest graph first); each worker prepares
 //! its graph in memory exactly once — one [`PreparedGraph`] context feeds
@@ -18,8 +24,9 @@ use ease_graph::{GraphProperties, PreparedGraph, PropertyTier};
 use ease_graphgen::grids::RmatSpec;
 use ease_graphgen::realworld::{GraphType, TestGraph};
 use ease_ml::cv::ticketed;
-use ease_partition::{run_partitioner_prepared, PartitionerId, QualityMetrics};
+use ease_partition::{run_partitioner_prepared, PartitionRun, PartitionerId, QualityMetrics};
 use ease_procsim::{ClusterSpec, DistributedGraph, Workload};
+use std::sync::Arc;
 
 // The timing mode lives next to the partition runner so the runner itself
 // can skip the wall clock under `Deterministic`; re-exported here because
@@ -142,31 +149,18 @@ impl PreparedPool {
     }
 }
 
-/// One measured partitioning execution (training row for the quality and
-/// partitioning-time predictors).
+/// What every run on one graph shares: its name, its type (test graphs
+/// only) and its properties, built once on the worker that profiles it.
 #[derive(Debug, Clone)]
-pub struct QualityRecord {
-    pub graph_name: String,
+pub struct ProfiledGraph {
+    pub name: String,
     pub graph_type: Option<GraphType>,
     pub props: GraphProperties,
-    pub partitioner: PartitionerId,
-    pub k: usize,
-    pub metrics: QualityMetrics,
-    pub partitioning_secs: f64,
 }
 
-/// One measured workload execution (training row for the processing-time
-/// predictor). Carries the measured quality metrics of the partitioning the
-/// workload ran on.
-#[derive(Debug, Clone)]
-pub struct ProcessingRecord {
-    pub graph_name: String,
-    pub graph_type: Option<GraphType>,
-    pub props: GraphProperties,
-    pub partitioner: PartitionerId,
-    pub k: usize,
-    pub metrics: QualityMetrics,
-    pub partitioning_secs: f64,
+/// One workload executed on a run's partitioning.
+#[derive(Debug, Clone, Copy)]
+pub struct WorkloadCost {
     pub workload: Workload,
     /// The prediction target: average iteration time for fixed-iteration
     /// workloads, total time otherwise (paper Sec. V-C).
@@ -175,24 +169,74 @@ pub struct ProcessingRecord {
     pub total_secs: f64,
 }
 
-/// Prepare each input once and run `f` over it on [`ticketed`]'s threads,
-/// collecting outputs. One graph per worker is the only level of
+/// One partitioning run — a graph partitioned by one partitioner into `k`
+/// parts — with its measured quality and partitioning time, and the cost
+/// of every workload executed on that partitioning (none from
+/// [`profile_quality_with`]). The training row of every predictor and a
+/// row of every evaluation; the runs of one graph share its
+/// [`ProfiledGraph`] and are consecutive in a profile.
+#[derive(Debug, Clone)]
+pub struct ProfileRun {
+    pub graph: Arc<ProfiledGraph>,
+    pub partitioner: PartitionerId,
+    pub k: usize,
+    pub metrics: QualityMetrics,
+    pub partitioning_secs: f64,
+    pub workloads: Vec<WorkloadCost>,
+}
+
+impl ProfileRun {
+    /// A run of `graph` without workload costs.
+    fn of(graph: &Arc<ProfiledGraph>, run: &PartitionRun) -> ProfileRun {
+        ProfileRun {
+            graph: Arc::clone(graph),
+            partitioner: run.partitioner,
+            k: run.k,
+            metrics: run.metrics,
+            partitioning_secs: run.partitioning_secs,
+            workloads: Vec::new(),
+        }
+    }
+
+    /// The cost of the workload named `name`, if it ran on this partitioning.
+    pub fn cost(&self, name: &str) -> Option<&WorkloadCost> {
+        self.workloads.iter().find(|c| c.workload.name() == name)
+    }
+
+    /// Whether `other` is a run of the same graph row.
+    pub fn same_graph(&self, other: &ProfileRun) -> bool {
+        Arc::ptr_eq(&self.graph, &other.graph)
+    }
+}
+
+/// Prepare each input once, extract its properties into its
+/// [`ProfiledGraph`] and run `f` over both on [`ticketed`]'s threads,
+/// collecting the runs. One graph per worker is the only level of
 /// parallelism: every pass inside a [`PreparedGraph`] runs on the worker
 /// that asked for it, and the context is dropped when `f` returns. Tickets
-/// go out in descending edge count, outputs come back in input order.
-fn profile_each<T: Send>(
+/// go out in descending edge count, runs come back in input order.
+fn profile_each(
     inputs: &[GraphInput],
-    f: impl Fn(&GraphInput, &PreparedGraph) -> Vec<T> + Sync,
-) -> Vec<T> {
+    f: impl Fn(&PreparedGraph, &Arc<ProfiledGraph>) -> Vec<ProfileRun> + Sync,
+) -> Vec<ProfileRun> {
     // largest first: the greedy queue's makespan is worst when the biggest
     // graph is handed out last (stable sort — equal sizes keep input order)
     let mut order: Vec<usize> = (0..inputs.len()).collect();
     order.sort_by_key(|&i| std::cmp::Reverse(inputs[i].num_edges()));
     let outputs = ticketed(order.len(), |t| {
         let input = &inputs[order[t]];
-        f(input, &input.prepare())
+        let prepared = input.prepare();
+        // Extracting properties first also warms the context (degree
+        // table, triangles), so no partitioner run is charged for the
+        // shared derivation under measured timing.
+        let graph = Arc::new(ProfiledGraph {
+            name: input.name().to_string(),
+            graph_type: input.graph_type(),
+            props: prepared.properties(PropertyTier::Advanced),
+        });
+        f(&prepared, &graph)
     });
-    let mut chunks: Vec<(usize, Vec<T>)> = order.into_iter().zip(outputs).collect();
+    let mut chunks: Vec<(usize, Vec<ProfileRun>)> = order.into_iter().zip(outputs).collect();
     chunks.sort_by_key(|(idx, _)| *idx);
     chunks.into_iter().flat_map(|(_, out)| out).collect()
 }
@@ -206,25 +250,13 @@ pub fn profile_quality_with(
     ks: &[usize],
     seed: u64,
     timing: TimingMode,
-) -> Vec<QualityRecord> {
-    profile_each(inputs, |input, prepared| {
-        // Extracting properties first also warms the context (degree table,
-        // triangles), so no partitioner run is charged for the shared
-        // derivation under measured timing.
-        let props = prepared.properties(PropertyTier::Advanced);
+) -> Vec<ProfileRun> {
+    profile_each(inputs, |prepared, graph| {
         let mut out = Vec::with_capacity(partitioners.len() * ks.len());
         for &p in partitioners {
             for &k in ks {
                 let run = run_partitioner_prepared(p, prepared, k, seed ^ k as u64, timing);
-                out.push(QualityRecord {
-                    graph_name: input.name().to_string(),
-                    graph_type: input.graph_type(),
-                    props: props.clone(),
-                    partitioner: p,
-                    k,
-                    metrics: run.metrics,
-                    partitioning_secs: run.partitioning_secs,
-                });
+                out.push(ProfileRun::of(graph, &run));
             }
         }
         out
@@ -239,7 +271,7 @@ pub fn profile_quality_pooled(
     seed: u64,
     timing: TimingMode,
     _pool: &PreparedPool,
-) -> Vec<QualityRecord> {
+) -> Vec<ProfileRun> {
     profile_quality_with(inputs, partitioners, ks, seed, timing)
 }
 
@@ -259,33 +291,22 @@ pub fn profile_processing_with(
     workloads: &[Workload],
     seed: u64,
     timing: TimingMode,
-) -> Vec<ProcessingRecord> {
+) -> Vec<ProfileRun> {
     let cluster = ClusterSpec::new(k);
-    profile_each(inputs, |input, prepared| {
-        let props = prepared.properties(PropertyTier::Advanced);
-        let mut out = Vec::with_capacity(partitioners.len() * workloads.len());
+    profile_each(inputs, |prepared, graph| {
+        let mut out = Vec::with_capacity(partitioners.len());
         let mut traces = None;
         for &p in partitioners {
             let run = run_partitioner_prepared(p, prepared, k, seed, timing);
-            let partitioning_secs = run.partitioning_secs;
             let dg = DistributedGraph::build_prepared(prepared, &run.partition);
             let traces: &Vec<_> =
                 traces.get_or_insert_with(|| workloads.iter().map(|w| w.trace(&dg)).collect());
-            for (&w, trace) in workloads.iter().zip(traces) {
+            let costs = workloads.iter().zip(traces).map(|(&w, trace)| {
                 let report = w.price(trace, &dg, &cluster);
-                out.push(ProcessingRecord {
-                    graph_name: input.name().to_string(),
-                    graph_type: input.graph_type(),
-                    props: props.clone(),
-                    partitioner: p,
-                    k,
-                    metrics: run.metrics,
-                    partitioning_secs,
-                    workload: w,
-                    target_secs: w.prediction_target(&report),
-                    total_secs: report.total_secs,
-                });
-            }
+                let target_secs = w.prediction_target(&report);
+                WorkloadCost { workload: w, target_secs, total_secs: report.total_secs }
+            });
+            out.push(ProfileRun { workloads: costs.collect(), ..ProfileRun::of(graph, &run) });
         }
         out
     })
@@ -300,7 +321,7 @@ pub fn profile_processing_pooled(
     seed: u64,
     timing: TimingMode,
     _pool: &PreparedPool,
-) -> Vec<ProcessingRecord> {
+) -> Vec<ProfileRun> {
     profile_processing_with(inputs, partitioners, k, workloads, seed, timing)
 }
 
@@ -328,17 +349,19 @@ mod tests {
     fn quality_profiling_covers_the_cross_product() {
         let inputs = tiny_inputs(3);
         let parts = [PartitionerId::OneDD, PartitionerId::Hdrf];
-        let records = profile_quality_with(&inputs, &parts, &[2, 4], 1, TimingMode::Measured);
-        assert_eq!(records.len(), 3 * 2 * 2);
-        for r in &records {
+        let runs = profile_quality_with(&inputs, &parts, &[2, 4], 1, TimingMode::Measured);
+        assert_eq!(runs.len(), 3 * 2 * 2);
+        for r in &runs {
             assert!(r.metrics.replication_factor >= 1.0);
             assert!(r.partitioning_secs >= 0.0);
-            assert!(r.props.avg_lcc.is_some(), "advanced props computed");
+            assert!(r.graph.props.avg_lcc.is_some(), "advanced props computed");
+            assert!(r.workloads.is_empty());
         }
-        // all combos present
+        // all combos present, one graph row per input
         let combos: std::collections::HashSet<_> =
-            records.iter().map(|r| (r.graph_name.clone(), r.partitioner, r.k)).collect();
+            runs.iter().map(|r| (Arc::as_ptr(&r.graph), r.partitioner, r.k)).collect();
         assert_eq!(combos.len(), 12);
+        assert_eq!(runs.chunk_by(ProfileRun::same_graph).count(), 3);
     }
 
     #[test]
@@ -346,12 +369,15 @@ mod tests {
         let inputs = tiny_inputs(2);
         let parts = [PartitionerId::Dbh];
         let workloads = [Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents];
-        let records =
-            profile_processing_with(&inputs, &parts, 4, &workloads, 2, TimingMode::Measured);
-        assert_eq!(records.len(), 2 * 2); // 2 graphs x 1 partitioner x 2 workloads
-        for r in &records {
-            assert!(r.target_secs > 0.0, "{}", r.workload.name());
-            assert!(r.total_secs >= r.target_secs * 0.99);
+        let runs = profile_processing_with(&inputs, &parts, 4, &workloads, 2, TimingMode::Measured);
+        assert_eq!(runs.len(), 2); // 2 graphs x 1 partitioner
+        for r in &runs {
+            assert_eq!(r.workloads.len(), 2);
+            for (c, w) in r.workloads.iter().zip(workloads) {
+                assert_eq!(c.workload, w);
+                assert!(c.target_secs > 0.0, "{}", w.name());
+                assert!(c.total_secs >= c.target_secs * 0.99);
+            }
         }
     }
 
@@ -405,52 +431,70 @@ mod tests {
         assert_eq!(first.fingerprint(), second.fingerprint());
     }
 
-    /// A record's identity and every `f64` it carries, by bit pattern.
-    fn record_bits(
-        name: &str,
-        partitioner: PartitionerId,
-        k: usize,
-        props: &GraphProperties,
-        metrics: &QualityMetrics,
-        secs: &[f64],
-    ) -> (String, PartitionerId, usize, Vec<u64>) {
-        let mut values = props.feature_vector(PropertyTier::Advanced);
-        values.extend(metrics.as_vector());
-        values.extend(secs);
-        (name.to_string(), partitioner, k, values.iter().map(|v| v.to_bits()).collect())
+    /// A run's graph row, partitioning and every `f64` of both, by bit
+    /// pattern; the workload costs are not included.
+    fn run_bits(r: &ProfileRun) -> (String, Option<GraphType>, PartitionerId, usize, Vec<u64>) {
+        let mut values = r.graph.props.feature_vector(PropertyTier::Advanced);
+        values.extend(r.metrics.as_vector());
+        values.push(r.partitioning_secs);
+        let bits = values.iter().map(|v| v.to_bits()).collect();
+        (r.graph.name.clone(), r.graph.graph_type, r.partitioner, r.k, bits)
     }
 
     #[test]
     fn profiling_twice_in_one_process_is_bit_identical() {
         // nothing is cached across passes: the second pass generates every
-        // spec again and must land on the same records, bit for bit
+        // spec again and must land on the same runs, bit for bit
         let inputs = tiny_inputs(3);
         let parts = [PartitionerId::OneDD, PartitionerId::Hdrf, PartitionerId::Ne];
         let workloads = [Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents];
         let quality = || {
             profile_quality_with(&inputs, &parts, &[2, 4], 7, TimingMode::Deterministic)
                 .iter()
-                .map(|r| {
-                    let secs = [r.partitioning_secs];
-                    record_bits(&r.graph_name, r.partitioner, r.k, &r.props, &r.metrics, &secs)
-                })
+                .map(run_bits)
                 .collect::<Vec<_>>()
         };
         let processing = || {
             profile_processing_with(&inputs, &parts, 4, &workloads, 7, TimingMode::Deterministic)
                 .iter()
                 .map(|r| {
-                    let secs = [r.partitioning_secs, r.target_secs, r.total_secs];
-                    let bits =
-                        record_bits(&r.graph_name, r.partitioner, r.k, &r.props, &r.metrics, &secs);
-                    (r.workload.name(), bits)
+                    let costs = r.workloads.iter().map(|c| {
+                        (c.workload.name(), c.target_secs.to_bits(), c.total_secs.to_bits())
+                    });
+                    (run_bits(r), costs.collect::<Vec<_>>())
                 })
                 .collect::<Vec<_>>()
         };
         let (q1, p1) = (quality(), processing());
         assert_eq!(q1.len(), 3 * 3 * 2);
-        assert_eq!(p1.len(), 3 * 3 * 2);
+        assert_eq!(p1.len(), 3 * 3);
+        assert!(p1.iter().all(|(_, costs)| costs.len() == 2));
         assert_eq!(q1, quality());
         assert_eq!(p1, processing());
+    }
+
+    /// The partitioning-time predictor trains on processing runs: a
+    /// processing run at `k` with seed `s ^ k` must be the quality run at
+    /// `k` with seed `s` — graph row, partitioner, `k`, metrics and
+    /// partitioning time bit for bit — for R-MAT specs and test graphs.
+    #[test]
+    fn both_profilers_build_the_same_run() {
+        let mut inputs = tiny_inputs(2);
+        inputs.extend(GraphInput::from_tests(vec![ease_graphgen::realworld::generate_typed(
+            GraphType::Social,
+            1,
+            ease_graphgen::Scale::Tiny,
+            9,
+        )]));
+        let (k, seed, timing) = (4, 11u64, TimingMode::Deterministic);
+        let parts = PartitionerId::ALL;
+        let workloads = [Workload::PageRank { iterations: 2 }, Workload::KCores];
+        let quality = profile_quality_with(&inputs, &parts, &[k], seed, timing);
+        let processing =
+            profile_processing_with(&inputs, &parts, k, &workloads, seed ^ k as u64, timing);
+        assert_eq!(quality.len(), 3 * parts.len());
+        let bits = |runs: &[ProfileRun]| runs.iter().map(run_bits).collect::<Vec<_>>();
+        assert_eq!(bits(&quality), bits(&processing));
+        assert!(processing.iter().all(|r| r.workloads.len() == workloads.len()));
     }
 }

@@ -24,7 +24,7 @@ fn main() {
     let train_inputs: Vec<GraphInput> =
         rmat_small_corpus(scale).into_iter().step_by(12).map(GraphInput::Rmat).collect();
     let base = profile_quality_with(&train_inputs, &partitioners, &ks, 1, TimingMode::Measured);
-    println!("  {} training records", base.len());
+    println!("  {} training runs", base.len());
 
     println!("profiling wiki graphs (the weak type) for enrichment + test...");
     let pool_inputs: Vec<GraphInput> = (0..12)

@@ -44,8 +44,8 @@ fn selector_beats_worst_and_tracks_random() {
     let mut cfg = tiny_config();
     cfg.timing = TimingMode::Deterministic;
     let (ease, artifacts) = train_ease(&cfg);
-    assert!(!artifacts.quality_records.is_empty());
-    assert!(!artifacts.processing_records.is_empty());
+    assert!(!artifacts.quality_runs.is_empty());
+    assert!(!artifacts.processing_runs.is_empty());
 
     // unseen test graphs from the real-world library (distribution shift)
     let test_inputs = GraphInput::from_tests(
@@ -55,7 +55,7 @@ fn selector_beats_worst_and_tracks_random() {
             .take(8)
             .collect(),
     );
-    let records = profile_processing_with(
+    let runs = profile_processing_with(
         &test_inputs,
         &cfg.partitioners,
         cfg.processing_k,
@@ -63,7 +63,7 @@ fn selector_beats_worst_and_tracks_random() {
         99,
         cfg.timing,
     );
-    let groups = group_truth(&records);
+    let groups = group_truth(&runs);
     assert_eq!(groups.len(), 8 * cfg.workloads.len());
 
     for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
@@ -169,20 +169,23 @@ fn same_config_same_seed_same_selection() {
     let (sys_a, art_a) = train_ease(&cfg);
     let (sys_b, art_b) = train_ease(&cfg);
 
-    // the profiled training records themselves are bit-identical
-    assert_eq!(art_a.quality_records.len(), art_b.quality_records.len());
-    for (ra, rb) in art_a.quality_records.iter().zip(&art_b.quality_records) {
-        assert_eq!(ra.graph_name, rb.graph_name);
+    // the profiled training runs themselves are bit-identical
+    assert_eq!(art_a.quality_runs.len(), art_b.quality_runs.len());
+    for (ra, rb) in art_a.quality_runs.iter().zip(&art_b.quality_runs) {
+        assert_eq!(ra.graph.name, rb.graph.name);
         assert_eq!(ra.partitioner, rb.partitioner);
         assert_eq!(ra.k, rb.k);
         assert_eq!(ra.metrics.replication_factor, rb.metrics.replication_factor);
         assert_eq!(ra.partitioning_secs, rb.partitioning_secs);
     }
-    assert_eq!(art_a.processing_records.len(), art_b.processing_records.len());
-    for (ra, rb) in art_a.processing_records.iter().zip(&art_b.processing_records) {
-        assert_eq!(ra.graph_name, rb.graph_name);
+    assert_eq!(art_a.processing_runs.len(), art_b.processing_runs.len());
+    for (ra, rb) in art_a.processing_runs.iter().zip(&art_b.processing_runs) {
+        assert_eq!(ra.graph.name, rb.graph.name);
         assert_eq!(ra.partitioning_secs, rb.partitioning_secs);
-        assert_eq!(ra.target_secs, rb.target_secs);
+        assert_eq!(ra.workloads.len(), rb.workloads.len());
+        for (ca, cb) in ra.workloads.iter().zip(&rb.workloads) {
+            assert_eq!(ca.target_secs, cb.target_secs);
+        }
     }
 
     // ... and so are the trained systems' predictions and selections
@@ -222,9 +225,9 @@ fn trained_system_is_deterministic_given_records() {
         c
     };
     let (ease_sys, artifacts) = train_ease(&cfg);
-    // retrain the quality predictor from the SAME records: predictions match
+    // retrain the quality predictor from the SAME runs: predictions match
     let qp2 = ease_repro::core::predictors::QualityPredictor::train(
-        &artifacts.quality_records,
+        &artifacts.quality_runs,
         cfg.tier,
         &cfg.grid,
         cfg.folds,
@@ -260,10 +263,10 @@ fn fold_str(h: u64, s: &str) -> u64 {
     s.bytes().fold(fold(h, s.len() as u64), |h, b| fold(h, b.into()))
 }
 
-/// The processing-time labels themselves, pinned: every record the
+/// The processing-time labels themselves, pinned: every workload cost the
 /// time-predictor corpus produces at tiny scale — all 11 partitioners ×
-/// the six training workloads at `k = 4` — folded through `mix64` into one
-/// literal. The literal was written by the tree *before* `ease-procsim`
+/// the six training workloads at `k = 4`, run by run and then workload by
+/// workload — folded through `mix64` into one literal. The literal was written by the tree *before* `ease-procsim`
 /// learned to price stationary workloads from their first superstep and to
 /// build placements in one pass; a simulator change that moves a single
 /// bit of a single label (or of the quality metrics it rides with) fails
@@ -271,7 +274,7 @@ fn fold_str(h: u64, s: &str) -> u64 {
 #[test]
 fn processing_labels_are_pinned() {
     let cfg = EaseConfig::at_scale(Scale::Tiny);
-    let records = profile_processing_with(
+    let runs = profile_processing_with(
         &cfg.large_inputs(),
         &PartitionerId::ALL,
         4,
@@ -280,18 +283,21 @@ fn processing_labels_are_pinned() {
         TimingMode::Deterministic,
     );
     let mut h = 0u64;
-    for r in &records {
-        h = fold_str(h, r.partitioner.name());
-        h = fold_str(h, r.workload.name());
-        h = fold(h, r.target_secs.to_bits());
-        h = fold(h, r.total_secs.to_bits());
-        h = r.metrics.as_vector().iter().fold(h, |h, m| fold(h, m.to_bits()));
+    for r in &runs {
+        assert_eq!(r.workloads.len(), 6);
+        for c in &r.workloads {
+            h = fold_str(h, r.partitioner.name());
+            h = fold_str(h, c.workload.name());
+            h = fold(h, c.target_secs.to_bits());
+            h = fold(h, c.total_secs.to_bits());
+            h = r.metrics.as_vector().iter().fold(h, |h, m| fold(h, m.to_bits()));
+        }
     }
-    assert_eq!(records.len(), 10 * 11 * 6);
+    assert_eq!(runs.len(), 10 * 11);
     assert_eq!(h, 0xd409_3c24_9f94_5ddd, "a processing label moved: {h:#018x}");
 }
 
-/// The quality labels, pinned the same way: every record the quality
+/// The quality labels, pinned the same way: every run the quality
 /// predictor is trained on at tiny scale — the R-MAT-SMALL corpus, all 11
 /// partitioners × `k ∈ {2, 4, 8}` — its five metrics and its deterministic
 /// partitioning time folded through `mix64`. `processing_labels_are_pinned`
@@ -304,7 +310,7 @@ fn processing_labels_are_pinned() {
 #[test]
 fn quality_labels_are_pinned() {
     let cfg = EaseConfig::at_scale(Scale::Tiny);
-    let records = profile_quality_with(
+    let runs = profile_quality_with(
         &cfg.small_inputs(),
         &PartitionerId::ALL,
         &cfg.ks,
@@ -312,13 +318,13 @@ fn quality_labels_are_pinned() {
         TimingMode::Deterministic,
     );
     let mut h = 0u64;
-    for r in &records {
+    for r in &runs {
         h = fold_str(h, r.partitioner.name());
         h = fold(h, r.k as u64);
         h = r.metrics.as_vector().iter().fold(h, |h, m| fold(h, m.to_bits()));
         h = fold(h, r.partitioning_secs.to_bits());
     }
-    assert_eq!(records.len(), 24 * 11 * 3);
+    assert_eq!(runs.len(), 24 * 11 * 3);
     assert_eq!(h, 0x7d17_aa3c_7339_403b, "a quality label moved: {h:#018x}");
 }
 
@@ -420,7 +426,7 @@ fn selection_predictions_are_pinned() {
 /// comparison (Table VIII, both goals) and one enrichment point (Fig. 8)
 /// return for the seed-42 tiny service, folded through `mix64` with the
 /// labels they are keyed by. The results documents print three decimals
-/// and cannot see a one-ulp move; this can. The test records are profiled
+/// and cannot see a one-ulp move; this can. The test runs are profiled
 /// deterministically: typed graphs of `standard_test_set(Tiny, 77)` for
 /// the quality scorers, three Table IV graphs for the time scorers and the
 /// selection, three wiki-pool graphs to enrich with. The literal was
@@ -434,7 +440,6 @@ fn evaluation_scores_are_pinned() {
         mape_by_type, mape_heatmap, partitioning_time_score, processing_test_scores,
         quality_test_scores,
     };
-    use ease_repro::core::pipeline::dedup_partition_runs;
     use ease_repro::graphgen::realworld::{
         standard_test_set, table4_test_set, wiki_enrichment_pool,
     };
@@ -491,8 +496,7 @@ fn evaluation_scores_are_pinned() {
     for (workload, mape) in processing_test_scores(&ease.processing_time, &processing) {
         score(&mut h, workload, mape);
     }
-    let partitioning = dedup_partition_runs(&processing);
-    let ptime = partitioning_time_score(&ease.partitioning_time, &partitioning);
+    let ptime = partitioning_time_score(&ease.partitioning_time, &processing);
     score(&mut h, "partitioning time", ptime);
     let groups = group_truth(&processing);
     for goal in [OptGoal::EndToEnd, OptGoal::ProcessingOnly] {
@@ -511,17 +515,8 @@ fn evaluation_scores_are_pinned() {
         }
     }
     let rfr = ModelConfig::Forest { n_trees: 10, max_depth: 8, feature_fraction: 0.8 };
-    let points = enrichment_sweep(
-        &partitioning,
-        &pool,
-        &quality,
-        &[2],
-        1,
-        PropertyTier::Basic,
-        &rfr,
-        rf,
-        42,
-    );
+    let points =
+        enrichment_sweep(&processing, &pool, &quality, &[2], 1, PropertyTier::Basic, &rfr, rf, 42);
     assert_eq!(points.len(), 1);
     for p in &points {
         h = fold(fold(h, p.n_graphs as u64), p.rep as u64);
@@ -532,6 +527,46 @@ fn evaluation_scores_are_pinned() {
     }
     assert_eq!(scores, 152, "scores folded");
     assert_eq!(h, 0xd11d_2250_ef60_d847, "an evaluation score moved: {h:#018x}");
+}
+
+/// A graph is its row, not its name: two different test graphs under one
+/// name (test-graph names encode neither scale nor seed) stay two graphs in
+/// the ground truth — each group ranks one graph's costs — and in the
+/// enrichment draw.
+#[test]
+fn a_graph_is_identified_by_its_row_not_its_name() {
+    use ease_repro::core::enrich::draw_enrichment_subset;
+    use ease_repro::graphgen::realworld::{generate_typed, GraphType};
+
+    let twins: Vec<GraphInput> = [3, 4]
+        .into_iter()
+        .map(|seed| {
+            let mut graph = generate_typed(GraphType::Web, 0, Scale::Tiny, seed);
+            graph.name = "twin".into();
+            GraphInput::Materialized(graph)
+        })
+        .collect();
+    let parts = [PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne];
+    let workloads = [Workload::PageRank { iterations: 2 }, Workload::ConnectedComponents];
+    let runs = profile_processing_with(&twins, &parts, 4, &workloads, 5, TimingMode::Deterministic);
+    assert_eq!(runs.len(), 2 * parts.len());
+    assert_ne!(runs[0].graph.props, runs[parts.len()].graph.props, "two different graphs");
+
+    let groups = group_truth(&runs);
+    assert_eq!(groups.len(), 2 * workloads.len());
+    for g in &groups {
+        assert_eq!(g.graph.name, "twin");
+        let ranked: Vec<PartitionerId> = g.truth.iter().map(|t| t.partitioner).collect();
+        assert_eq!(ranked, parts, "one graph's |P| costs");
+    }
+
+    // one graph drawn is one graph's runs; two is both
+    for seed in 0..4 {
+        let one = draw_enrichment_subset(&runs, 1, seed);
+        assert_eq!(one.len(), parts.len(), "seed {seed}");
+        assert!(one.iter().all(|r| std::sync::Arc::ptr_eq(&r.graph, &one[0].graph)));
+    }
+    assert_eq!(draw_enrichment_subset(&runs, 2, 0).len(), 2 * parts.len());
 }
 
 /// The traffic `PreparedPool` was built for does not occur: at every scale
@@ -555,12 +590,11 @@ fn training_corpora_share_no_spec() {
 
 /// The three `*Predictor::train` calls run their model selection as one
 /// queued job each; what they return must be, byte for byte through
-/// `encode`, what the serial control flow assembles from the same records:
+/// `encode`, what the serial control flow assembles from the same runs:
 /// per dataset `cross_val_mape` over the grid, the first minimum, the
 /// winner fitted on the full dataset.
 #[test]
 fn predictors_train_what_serial_selection_assembles() {
-    use ease_repro::core::pipeline::dedup_partition_runs;
     use ease_repro::core::predictors::{
         PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor,
     };
@@ -603,13 +637,13 @@ fn predictors_train_what_serial_selection_assembles() {
         w.put_usize(QualityTarget::ALL.len());
         for (tag, target) in QualityTarget::ALL.into_iter().enumerate() {
             w.put_u8(tag as u8);
-            serial(w, &QualityPredictor::dataset(&artifacts.quality_records, cfg.tier, target));
+            serial(w, &QualityPredictor::dataset(&artifacts.quality_runs, cfg.tier, target));
         }
     });
     assert!(bytes(&|w| trained.quality.encode(w)) == quality, "quality predictor bytes");
 
-    let ptime_records = dedup_partition_runs(&artifacts.processing_records);
-    let partitioning = bytes(&|w| serial(w, &PartitioningTimePredictor::dataset(&ptime_records)));
+    let ptime = PartitioningTimePredictor::dataset(&artifacts.processing_runs);
+    let partitioning = bytes(&|w| serial(w, &ptime));
     assert!(bytes(&|w| trained.partitioning_time.encode(w)) == partitioning, "ptime bytes");
 
     let processing = bytes(&|w| {
@@ -617,7 +651,7 @@ fn predictors_train_what_serial_selection_assembles() {
         for workload in &cfg.workloads {
             let name = workload.name();
             w.put_str(name);
-            serial(w, &ProcessingTimePredictor::dataset(&artifacts.processing_records, name));
+            serial(w, &ProcessingTimePredictor::dataset(&artifacts.processing_runs, name));
         }
     });
     assert!(bytes(&|w| trained.processing_time.encode(w)) == processing, "proctime bytes");

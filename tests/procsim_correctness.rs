@@ -187,23 +187,24 @@ fn profiling_labels_match_per_placement_execution() {
         .collect();
     let (k, seed, timing) = (4, 0xACE, TimingMode::Deterministic);
     let workloads = Workload::all_training();
-    let records =
-        profile_processing_with(&inputs, &PartitionerId::ALL, k, &workloads, seed, timing);
-    assert_eq!(records.len(), 3 * PartitionerId::ALL.len() * workloads.len());
-    let mut records = records.iter();
+    let runs = profile_processing_with(&inputs, &PartitionerId::ALL, k, &workloads, seed, timing);
+    assert_eq!(runs.len(), 3 * PartitionerId::ALL.len());
+    let mut runs = runs.iter();
     for input in &inputs {
         let prepared = input.prepare();
         for p in PartitionerId::ALL {
             let partition = run_partitioner_prepared(p, &prepared, k, seed, timing).partition;
             let dg = DistributedGraph::build_prepared(&prepared, &partition);
-            for w in workloads {
+            let run = runs.next().expect("one run per graph × partitioner");
+            assert_eq!(run.partitioner, p);
+            assert_eq!(run.workloads.len(), workloads.len());
+            for (w, cost) in workloads.into_iter().zip(&run.workloads) {
                 let executed = run_to_completion(w, &dg, &ClusterSpec::new(k));
-                let record = records.next().expect("one record per graph × partitioner × workload");
                 let what = format!("{} {} {}", input.name(), p.name(), w.name());
-                assert_eq!((record.partitioner, record.workload), (p, w), "{what}");
-                assert_eq!(record.total_secs.to_bits(), executed.total_secs.to_bits(), "{what}");
+                assert_eq!(cost.workload, w, "{what}");
+                assert_eq!(cost.total_secs.to_bits(), executed.total_secs.to_bits(), "{what}");
                 assert_eq!(
-                    record.target_secs.to_bits(),
+                    cost.target_secs.to_bits(),
                     w.prediction_target(&executed).to_bits(),
                     "{what}"
                 );
