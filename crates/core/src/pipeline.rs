@@ -186,4 +186,24 @@ mod tests {
         assert_eq!(capped[0], 0);
         assert!(capped[9] >= 80);
     }
+
+    #[test]
+    fn dedup_partition_runs_one_per_pair() {
+        let cfg = EaseConfig {
+            max_large_graphs: Some(2),
+            workloads: vec![Workload::PageRank { iterations: 2 }, Workload::ConnectedComponents],
+            partitioners: vec![PartitionerId::OneDD],
+            ..EaseConfig::at_scale(Scale::Tiny)
+        };
+        let runs = profile_processing_with(
+            &cfg.large_inputs(),
+            &cfg.partitioners,
+            2,
+            &cfg.workloads,
+            1,
+            TimingMode::Measured,
+        );
+        let deduped = dedup_partition_runs(&runs);
+        assert_eq!(deduped.len(), 2); // 2 graphs × 1 partitioner
+    }
 }

@@ -199,6 +199,8 @@ impl ProfileRun {
     }
 
     /// The cost of the workload named `name`, if it ran on this partitioning.
+    /// A profile's workloads have distinct names (`EaseServiceBuilder`
+    /// rejects a list that repeats one), so the name identifies the cost.
     pub fn cost(&self, name: &str) -> Option<&WorkloadCost> {
         self.workloads.iter().find(|c| c.workload.name() == name)
     }

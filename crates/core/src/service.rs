@@ -140,7 +140,8 @@ impl EaseServiceBuilder {
         self
     }
 
-    /// Training workloads — the algorithms the service can answer for.
+    /// Training workloads — the algorithms the service can answer for. Their
+    /// names must be distinct: a processing model is keyed by the name.
     pub fn workloads(mut self, workloads: Vec<Workload>) -> Self {
         self.cfg.workloads = workloads;
         self
@@ -184,6 +185,10 @@ impl EaseServiceBuilder {
         }
         if self.cfg.workloads.is_empty() {
             return bad("no training workloads".into());
+        }
+        let mut names = std::collections::HashSet::new();
+        if let Some(w) = self.cfg.workloads.iter().find(|w| !names.insert(w.name())) {
+            return bad(format!("workload name {:?} appears more than once", w.name()));
         }
         if self.cfg.max_small_graphs == Some(0) || self.cfg.max_large_graphs == Some(0) {
             return bad("graph-corpus caps must be >= 1".into());
@@ -748,6 +753,11 @@ mod tests {
         invalid(tiny_builder().partition_counts(vec![2, MAX_PARTITIONS + 1]));
         invalid(tiny_builder().partitioners(vec![]));
         invalid(tiny_builder().workloads(vec![]));
+        // a processing profile and model are keyed by the workload's name
+        invalid(tiny_builder().workloads(vec![
+            Workload::PageRank { iterations: 3 },
+            Workload::PageRank { iterations: 10 },
+        ]));
         invalid(tiny_builder().max_small_graphs(Some(0)));
         invalid(tiny_builder().processing_k(1));
         invalid(tiny_builder().processing_k(MAX_PARTITIONS + 1));
