@@ -271,11 +271,13 @@ pub fn render_features(
 pub const DEFAULT_IO_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Per-connection pipelining window: how many requests of one v2
-/// connection may be executing or queued for write at once. When the
-/// window is full the connection's *reader* blocks — backpressure is per
-/// connection, so a slow-reading client cannot occupy executors or stall
-/// the accept loop. Clients that pipeline ([`call_pipelined`]) keep their
-/// window at or below it.
+/// connection may be executing or queued for write at once. The daemon
+/// holds it as a channel of this many permits: the connection's reader
+/// takes one per request, its writer returns it once the answer has left.
+/// With none free the *reader* blocks — backpressure is per connection,
+/// so a slow-reading client cannot occupy executors or stall the accept
+/// loop. Clients that pipeline ([`call_pipelined`]) keep their window at
+/// or below it.
 pub const DEFAULT_PIPELINE_IN_FLIGHT: usize = 32;
 
 /// Server configuration: the endpoints to bind and the worker-pool bounds.

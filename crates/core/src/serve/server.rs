@@ -11,22 +11,26 @@
 //!                                                 ▼
 //!                                    bounded request queue
 //!                                                 │
-//!                                        request executors ──▶ per-connection
-//!                                                              writer thread
+//!                                        request executors ──▶ the session's
+//!                                                              reply channel
 //! ```
 //!
+//! * **One reply shape.** Every job carries its session's reply channel,
+//!   and an executor sends the typed `(id, Response)` down it: the HTTP
+//!   session renders the JSON envelope and status, the v2 writer encodes
+//!   the frame. Shutdown interception, the served counter and `Handler`
+//!   dispatch are the executor's, so they are format-independent.
 //! * **HTTP connections** (`GET `/`POST` sniffed exactly like a frame
 //!   magic) run `serve/http.rs`'s keep-alive loop on the connection
-//!   worker; each parsed request executes on the shared executor pool
-//!   through the same `answer` path, so shutdown interception, the served
-//!   counter and `Handler` dispatch are format-independent.
+//!   worker, waiting for each answer in turn.
 //! * **v2 connections** (pipelined) turn their connection worker into a
 //!   frame *reader*: each decoded request becomes a job on the shared
-//!   executor queue, and a dedicated writer thread streams completed
-//!   responses back tagged with their request ids — out of order when a
-//!   later request finishes first. A bounded in-flight window per
-//!   connection provides backpressure: a client that stops reading blocks
-//!   only its own reader, never the executors or the accept loops.
+//!   executor queue, and a dedicated writer thread streams the replies
+//!   back tagged with their request ids — out of order when a later
+//!   request finishes first. The in-flight window is a channel of
+//!   permits: the reader takes one per request, the writer returns it
+//!   once the answer has left, so a client that stops reading blocks only
+//!   its own reader, never the executors or the accept loops.
 //! * **One write and one read buffer per message.** Every frame and every
 //!   HTTP response leaves in a single write: the sockets run with
 //!   `TCP_NODELAY`, so each write is a segment of its own, and a head
@@ -54,7 +58,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -91,70 +95,13 @@ pub(crate) trait Handler: Send + Sync {
 /// writes go straight to the socket through `get_mut`.
 type BufConn = BufReader<Box<dyn Conn>>;
 
-/// Where a finished response goes. The executor pool is shared by
-/// every request source; only the last hop differs per protocol.
-enum RespSink {
-    /// v2 pipelined: binary-encode and tag with the request id for
-    /// the session's writer thread.
-    Framed(mpsc::SyncSender<(u64, Vec<u8>)>),
-    /// HTTP: hand the typed [`Response`] back to the session loop,
-    /// which owns the JSON envelope and status mapping.
-    Value(mpsc::SyncSender<Response>),
-}
-
-/// One unit of executor work: a decoded request plus the id to tag
-/// the answer with and the owning connection's response sink.
+/// One unit of executor work: a decoded request, the id to tag its
+/// answer with (an HTTP session's is 0) and the owning session's reply
+/// channel.
 struct Job {
     id: u64,
     request: Request,
-    sink: RespSink,
-}
-
-/// Counting semaphore bounding one connection's in-flight requests
-/// (executing or queued for write). Acquired by the reader before
-/// admitting a request, released by the writer after the response
-/// leaves (or is discarded on a dead connection) — so "in flight"
-/// covers the whole request lifetime and executor sends into the
-/// equally-sized response channel can never block.
-struct InFlight {
-    cap: usize,
-    count: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl InFlight {
-    fn new(cap: usize) -> InFlight {
-        InFlight { cap: cap.max(1), count: Mutex::new(0), cv: Condvar::new() }
-    }
-
-    /// Take a slot; returns `false` if shutdown was requested while
-    /// waiting (a full window during shutdown means the client stopped
-    /// reading — don't let it pin the reader).
-    fn acquire(&self, shared: &Shared) -> bool {
-        // the in-flight count is a plain integer: a panicking holder
-        // cannot leave it logically broken, so recover from poison
-        // instead of cascading the panic through every worker
-        let mut n = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if *n < self.cap {
-                *n += 1;
-                return true;
-            }
-            if shared.is_shutting_down_now() {
-                return false;
-            }
-            let (guard, _) =
-                self.cv.wait_timeout(n, SHUTDOWN_POLL).unwrap_or_else(PoisonError::into_inner);
-            n = guard;
-        }
-    }
-
-    fn release(&self) {
-        let mut n = self.count.lock().unwrap_or_else(PoisonError::into_inner);
-        *n = n.saturating_sub(1);
-        drop(n);
-        self.cv.notify_one();
-    }
+    reply: mpsc::SyncSender<(u64, Response)>,
 }
 
 struct Shared {
@@ -204,12 +151,13 @@ impl Shared {
 /// serving detached.
 pub struct ServerHandle {
     shared: Arc<Shared>,
-    accepts: Vec<JoinHandle<()>>,
-    conn_workers: Vec<JoinHandle<()>>,
-    executors: Vec<JoinHandle<()>>,
-    /// Auxiliary threads adopted via [`ServerHandle::adopt_thread`]
-    /// (the router's health checker), joined last.
-    extra: Vec<JoinHandle<()>>,
+    /// Every server thread, adopted ones included. Each ends on its own
+    /// once shutdown is requested — the accept loops at the poke, the
+    /// connection workers when the accept loops drop the hand-off, the
+    /// executors when the last connection worker drops the request
+    /// queue, adopted threads by contract — so the join order does not
+    /// matter.
+    threads: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -245,7 +193,7 @@ impl ServerHandle {
     /// [`ServerHandle::join`] — the router parks its health checker
     /// here. The thread must exit once shutdown is requested.
     pub(crate) fn adopt_thread(&mut self, handle: JoinHandle<()>) {
-        self.extra.push(handle);
+        self.threads.push(handle);
     }
 
     /// Wait for the daemon to drain (a shutdown must have been
@@ -253,17 +201,8 @@ impl ServerHandle {
     /// file and return the final counters.
     pub fn join(self) -> Result<ServeSummary, EaseError> {
         let mut panicked = false;
-        for accept in self.accepts {
-            panicked |= accept.join().is_err();
-        }
-        for worker in self.conn_workers {
-            panicked |= worker.join().is_err();
-        }
-        for executor in self.executors {
-            panicked |= executor.join().is_err();
-        }
-        for aux in self.extra {
-            panicked |= aux.join().is_err();
+        for thread in self.threads {
+            panicked |= thread.join().is_err();
         }
         if let Some(socket) = &self.shared.socket {
             std::fs::remove_file(socket).ok();
@@ -405,16 +344,18 @@ pub(crate) fn serve_with_handler(
     // concurrency bound is global, not per transport.
     let (req_tx, req_rx) = mpsc::sync_channel::<Job>(workers * 2);
     let req_rx = Arc::new(Mutex::new(req_rx));
-    let mut executors = Vec::with_capacity(workers);
+    let mut threads = Vec::with_capacity(2 * workers + 2);
     for _ in 0..workers {
         let req_rx = Arc::clone(&req_rx);
         let shared = Arc::clone(&shared);
-        executors.push(std::thread::spawn(move || loop {
+        threads.push(std::thread::spawn(move || loop {
             let next = req_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
-            match next {
-                Ok(job) => execute(job, &shared),
-                Err(_) => break, // all connection workers gone: drained
-            }
+            // all connection workers gone: drained
+            let Ok(job) = next else { break };
+            // a send error just means the session already wound down;
+            // a pipelined one's permit guarantees the send fits, an HTTP
+            // one is waiting on this answer
+            job.reply.send((job.id, answer(job.request, &shared))).ok();
         }));
     }
 
@@ -423,12 +364,11 @@ pub(crate) fn serve_with_handler(
     // backlog instead of ballooning daemon memory.
     let (conn_tx, conn_rx) = mpsc::sync_channel::<Box<dyn Conn>>(workers * 2);
     let conn_rx = Arc::new(Mutex::new(conn_rx));
-    let mut conn_workers = Vec::with_capacity(workers);
     for _ in 0..workers {
         let conn_rx = Arc::clone(&conn_rx);
         let shared = Arc::clone(&shared);
         let req_tx = req_tx.clone();
-        conn_workers.push(std::thread::spawn(move || loop {
+        threads.push(std::thread::spawn(move || loop {
             let next = conn_rx.lock().unwrap_or_else(PoisonError::into_inner).recv();
             match next {
                 Ok(stream) => handle_connection(stream, &shared, &req_tx),
@@ -440,11 +380,10 @@ pub(crate) fn serve_with_handler(
     // has dropped its queue sender
     drop(req_tx);
 
-    let mut accepts = Vec::new();
     if let Some(listener) = unix_listener {
         let tx = conn_tx.clone();
         let shared = Arc::clone(&shared);
-        accepts.push(std::thread::spawn(move || {
+        threads.push(std::thread::spawn(move || {
             accept_loop(
                 || listener.accept().map(|(s, _)| Box::new(s) as Box<dyn Conn>),
                 &tx,
@@ -455,7 +394,7 @@ pub(crate) fn serve_with_handler(
     if let Some(listener) = tcp_listener {
         let tx = conn_tx.clone();
         let shared = Arc::clone(&shared);
-        accepts.push(std::thread::spawn(move || {
+        threads.push(std::thread::spawn(move || {
             accept_loop(
                 || {
                     listener.accept().map(|(s, _)| {
@@ -471,7 +410,7 @@ pub(crate) fn serve_with_handler(
         }));
     }
     drop(conn_tx);
-    Ok(ServerHandle { shared, accepts, conn_workers, executors, extra: Vec::new() })
+    Ok(ServerHandle { shared, threads })
 }
 
 fn accept_loop(
@@ -613,13 +552,12 @@ fn http_session(
     req_tx: &mpsc::SyncSender<Job>,
 ) {
     // rendezvous of one: the session waits for each answer in turn
-    let (resp_tx, resp_rx) = mpsc::sync_channel::<Response>(1);
+    let (reply, replies) = mpsc::sync_channel(1);
     loop {
         let mut submit = |request: Request| -> Option<Response> {
             shared.served.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(monotonic stats counter)
-            let job = Job { id: 0, request, sink: RespSink::Value(resp_tx.clone()) };
-            req_tx.send(job).ok()?;
-            resp_rx.recv().ok()
+            req_tx.send(Job { id: 0, request, reply: reply.clone() }).ok()?;
+            replies.recv().ok().map(|(_, response)| response)
         };
         if matches!(http::serve_one(&mut stream, prefix, &mut submit), http::SessionState::Close) {
             break;
@@ -634,50 +572,45 @@ fn http_session(
 }
 
 /// v2: this connection worker becomes the session's frame reader.
-/// Every decoded request is admitted through the per-connection
-/// in-flight window and executed on the shared executor pool; a
-/// dedicated writer thread streams responses back as they complete,
-/// tagged with their request ids.
+/// Every decoded request takes a permit of the per-connection window and
+/// executes on the shared executor pool; a dedicated writer thread
+/// streams the replies back as they complete, tagged with their request
+/// ids, and returns each permit once its answer has left.
 fn pipelined_session(mut reader: BufConn, shared: &Arc<Shared>, req_tx: &mpsc::SyncSender<Job>) {
     let Ok(writer_stream) = reader.get_ref().try_clone_conn() else { return };
     // the writer must stay joinable for graceful drain, so pipelined
     // sessions keep a write timeout even when io_timeout is disabled
     writer_stream.set_write_timeout_conn(shared.io_timeout.or(Some(super::DEFAULT_IO_TIMEOUT)));
     let window = super::DEFAULT_PIPELINE_IN_FLIGHT;
-    let (resp_tx, resp_rx) = mpsc::sync_channel::<(u64, Vec<u8>)>(window);
-    let in_flight = Arc::new(InFlight::new(window));
-    let writer = {
-        let in_flight = Arc::clone(&in_flight);
-        std::thread::spawn(move || writer_loop(writer_stream, resp_rx, &in_flight))
-    };
+    // a reply is only ever sent under a permit, so the reply channel,
+    // as long as the window, never blocks an executor
+    let (reply, replies) = mpsc::sync_channel(window);
+    let (permit_back, permits) = mpsc::sync_channel(window);
+    for _ in 0..window {
+        permit_back.try_send(()).ok();
+    }
+    let writer = std::thread::spawn(move || writer_loop(writer_stream, replies, permit_back));
     // every pass starts after a frame's magic: the sniffer consumed
     // the first one, the bottom of the loop the later ones; a
     // truncated or oversized frame means a desynced peer
     while let Ok((id, payload)) = read_frame_v2_after_magic(&mut reader) {
-        // admission: blocks when `window` answers are outstanding, so
-        // a client that stopped reading throttles only itself
-        if !in_flight.acquire(shared) {
+        // admission: blocks while the window is empty of permits, so a
+        // client that stopped reading throttles only itself
+        if !take_permit(&permits, shared) {
             break;
         }
-        match Request::decode_binary(&payload) {
+        let sent = match Request::decode_binary(&payload) {
             Ok(request) => {
                 shared.served.fetch_add(1, Ordering::Relaxed); // lint: relaxed-ok(monotonic stats counter)
-                let job = Job { id, request, sink: RespSink::Framed(resp_tx.clone()) };
-                if req_tx.send(job).is_err() {
-                    in_flight.release();
-                    break; // executors gone: shutdown drained past us
-                }
+                req_tx.send(Job { id, request, reply: reply.clone() }).is_ok()
             }
-            Err(e) => {
-                // a malformed payload in a well-framed request is
-                // answerable: the error goes back under its id (the
-                // permit guarantees this send cannot block)
-                let resp = Response::Error(e.to_string()).encode_binary();
-                if resp_tx.send((id, resp)).is_err() {
-                    in_flight.release();
-                    break;
-                }
-            }
+            // a malformed payload in a well-framed request is
+            // answerable: the error goes back under its id
+            Err(e) => reply.send((id, Response::Error(e.to_string()))).is_ok(),
+        };
+        // executors gone (shutdown drained past us) or the writer gone
+        if !sent {
+            break;
         }
         // a desynced peer, EOF, a dead socket, or shutdown all end
         // the session
@@ -685,41 +618,38 @@ fn pipelined_session(mut reader: BufConn, shared: &Arc<Shared>, req_tx: &mpsc::S
             break;
         }
     }
-    // executors processing this connection's jobs hold `resp_tx`
-    // clones; the writer drains every outstanding answer and exits
-    // when the last clone drops
-    drop(resp_tx);
+    // executors processing this connection's jobs hold `reply` clones;
+    // the writer drains every outstanding answer and exits when the
+    // last clone drops
+    drop(reply);
     writer.join().ok();
+}
+
+/// Take one permit of the window, re-checking the shutdown flag every
+/// [`SHUTDOWN_POLL`] while none is free. `false` means stop reading: a
+/// full window during shutdown means the client stopped reading, and it
+/// must not pin the reader.
+fn take_permit(permits: &mpsc::Receiver<()>, shared: &Shared) -> bool {
+    loop {
+        match permits.recv_timeout(SHUTDOWN_POLL) {
+            Ok(()) => return true,
+            Err(mpsc::RecvTimeoutError::Timeout) if !shared.is_shutting_down_now() => {}
+            Err(_) => return false,
+        }
+    }
 }
 
 fn writer_loop(
     mut stream: Box<dyn Conn>,
-    resp_rx: mpsc::Receiver<(u64, Vec<u8>)>,
-    in_flight: &InFlight,
+    replies: mpsc::Receiver<(u64, Response)>,
+    permit_back: mpsc::SyncSender<()>,
 ) {
     let mut dead = false;
-    while let Ok((id, payload)) = resp_rx.recv() {
-        if !dead && write_frame_v2(&mut stream, id, &payload).is_err() {
-            // client gone or stalled past the write timeout: keep
-            // draining so permits release and the reader winds down
-            dead = true;
-        }
-        in_flight.release();
-    }
-}
-
-fn execute(job: Job, shared: &Shared) {
-    let response = answer(job.request, shared);
-    // a send error just means the session already wound down
-    match job.sink {
-        // the permit held for this job guarantees the bounded send fits
-        RespSink::Framed(tx) => {
-            tx.send((job.id, response.encode_binary())).ok();
-        }
-        // rendezvous of one: the HTTP session is blocked on this recv
-        RespSink::Value(tx) => {
-            tx.send(response).ok();
-        }
+    while let Ok((id, response)) = replies.recv() {
+        // client gone or stalled past the write timeout: keep draining
+        // so permits return and the reader winds down
+        dead = dead || write_frame_v2(&mut stream, id, &response.encode_binary()).is_err();
+        permit_back.try_send(()).ok();
     }
 }
 
