@@ -345,7 +345,7 @@ mod tests {
         cfg.ks = vec![2, 4];
         cfg.partitioners = vec![PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne];
         cfg.workloads = vec![Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents];
-        let (ease, _) = train_ease(&cfg);
+        let (ease, _) = train_ease(&cfg).expect("valid config");
         let test = GraphInput::from_tests(
             ease_graphgen::realworld::standard_test_set(Scale::Tiny, 77)
                 .into_iter()

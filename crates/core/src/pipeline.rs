@@ -1,6 +1,7 @@
 //! End-to-end training pipeline: corpora → profiling → model selection →
 //! a trained [`Ease`] system (paper Fig. 5).
 
+use crate::error::EaseError;
 use crate::predictors::{PartitioningTimePredictor, ProcessingTimePredictor, QualityPredictor};
 use crate::profiling::{
     profile_processing_with, profile_quality_with, GraphInput, ProfileRun, TimingMode,
@@ -9,7 +10,7 @@ use crate::selector::Ease;
 use ease_graph::PropertyTier;
 use ease_graphgen::grids::{rmat_large_corpus, rmat_small_corpus, Scale};
 use ease_ml::{zoo, ModelConfig};
-use ease_partition::PartitionerId;
+use ease_partition::{PartitionerId, MAX_PARTITIONS};
 use ease_procsim::Workload;
 use std::borrow::Cow;
 
@@ -65,6 +66,42 @@ impl EaseConfig {
         }
     }
 
+    /// Reject a configuration training cannot use: fewer than two folds,
+    /// an empty grid, catalog or workload list, a partition count outside
+    /// `2..=MAX_PARTITIONS`, a corpus cap of zero, or two workloads sharing
+    /// a name (processing profiles and models are keyed by the name).
+    pub(crate) fn validate(&self) -> Result<(), EaseError> {
+        let bad = |msg: String| Err(EaseError::InvalidConfig(msg));
+        if self.folds < 2 {
+            return bad(format!("cross-validation needs >= 2 folds, got {}", self.folds));
+        }
+        if self.grid.is_empty() {
+            return bad("model grid is empty".into());
+        }
+        if self.ks.is_empty() {
+            return bad("no partition counts (ks) to profile".into());
+        }
+        let mut ks = self.ks.iter().chain([&self.processing_k]);
+        if let Some(k) = ks.find(|k| !(2..=MAX_PARTITIONS).contains(k)) {
+            let what = "partition counts and processing_k";
+            return bad(format!("{what} must be in 2..={MAX_PARTITIONS}, got {k}"));
+        }
+        if self.partitioners.is_empty() {
+            return bad("no candidate partitioners".into());
+        }
+        if self.workloads.is_empty() {
+            return bad("no training workloads".into());
+        }
+        let mut names = std::collections::HashSet::new();
+        if let Some(w) = self.workloads.iter().find(|w| !names.insert(w.name())) {
+            return bad(format!("workload name {:?} appears more than once", w.name()));
+        }
+        if self.max_small_graphs == Some(0) || self.max_large_graphs == Some(0) {
+            return bad("graph-corpus caps must be >= 1".into());
+        }
+        Ok(())
+    }
+
     /// The R-MAT-SMALL inputs (quality-predictor training).
     pub fn small_inputs(&self) -> Vec<GraphInput> {
         let mut specs = rmat_small_corpus(self.scale);
@@ -111,9 +148,12 @@ pub struct TrainingArtifacts {
     pub processing_runs: Vec<ProfileRun>,
 }
 
-/// Run the full pipeline: profile both corpora, select + train the three
-/// predictors, assemble the system.
-pub fn train_ease(cfg: &EaseConfig) -> (Ease, TrainingArtifacts) {
+/// Run the full pipeline: validate the configuration, profile both
+/// corpora, select + train the three predictors, assemble the system. A
+/// configuration training cannot use is an [`EaseError::InvalidConfig`]
+/// before anything is profiled.
+pub fn train_ease(cfg: &EaseConfig) -> Result<(Ease, TrainingArtifacts), EaseError> {
+    cfg.validate()?;
     let quality_runs =
         profile_quality_with(&cfg.small_inputs(), &cfg.partitioners, &cfg.ks, cfg.seed, cfg.timing);
     let processing_runs = profile_processing_with(
@@ -133,7 +173,7 @@ pub fn train_ease(cfg: &EaseConfig) -> (Ease, TrainingArtifacts) {
         ProcessingTimePredictor::train(&processing_runs, &cfg.grid, cfg.folds, cfg.seed);
     let mut ease = Ease::new(quality, partitioning_time, processing_time);
     ease.catalog = cfg.partitioners.clone();
-    (ease, TrainingArtifacts { quality_runs, processing_runs })
+    Ok((ease, TrainingArtifacts { quality_runs, processing_runs }))
 }
 
 /// `runs` itself, borrowed: a processing run is already one partitioning
@@ -152,6 +192,26 @@ mod tests {
     use ease_graph::PreparedGraph;
 
     #[test]
+    fn train_ease_rejects_invalid_configs_before_profiling() {
+        // `Medium` profiles for minutes: an answer in well under a second
+        // is one given before any graph was profiled
+        let repeated_name = EaseConfig {
+            workloads: vec![
+                Workload::PageRank { iterations: 3 },
+                Workload::PageRank { iterations: 10 },
+            ],
+            ..EaseConfig::at_scale(Scale::Medium)
+        };
+        let one_fold = EaseConfig { folds: 1, ..EaseConfig::at_scale(Scale::Medium) };
+        for cfg in [repeated_name, one_fold] {
+            let start = std::time::Instant::now();
+            let err = train_ease(&cfg).err().expect("an invalid config does not train");
+            assert!(matches!(err, EaseError::InvalidConfig(_)), "{err:?}");
+            assert!(start.elapsed() < std::time::Duration::from_secs(1), "{:?}", start.elapsed());
+        }
+    }
+
+    #[test]
     fn tiny_pipeline_trains_and_selects() {
         let mut cfg = EaseConfig::at_scale(Scale::Tiny);
         // shrink further for test speed
@@ -160,7 +220,7 @@ mod tests {
         cfg.ks = vec![2, 4];
         cfg.partitioners = vec![PartitionerId::OneDD, PartitionerId::Dbh, PartitionerId::Ne];
         cfg.workloads = vec![Workload::PageRank { iterations: 3 }, Workload::ConnectedComponents];
-        let (ease, artifacts) = train_ease(&cfg);
+        let (ease, artifacts) = train_ease(&cfg).expect("valid config");
         assert_eq!(artifacts.quality_runs.len(), 8 * 3 * 2);
         assert_eq!(artifacts.processing_runs.len(), 4 * 3);
         assert!(artifacts.processing_runs.iter().all(|r| r.workloads.len() == 2));

@@ -63,7 +63,7 @@ use ease_graph::{open_path, GraphProperties, MemoryBudget, PreparedGraph, Proper
 use ease_graphgen::Scale;
 use ease_ml::persist::{read_header, write_header, PersistError, Reader, Writer};
 use ease_ml::ModelConfig;
-use ease_partition::{PartitionerId, MAX_PARTITIONS};
+use ease_partition::PartitionerId;
 use ease_procsim::Workload;
 use std::path::Path;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -164,38 +164,6 @@ impl EaseServiceBuilder {
         &self.cfg
     }
 
-    fn validate(&self) -> Result<(), EaseError> {
-        let bad = |msg: String| Err(EaseError::InvalidConfig(msg));
-        if self.cfg.folds < 2 {
-            return bad(format!("cross-validation needs >= 2 folds, got {}", self.cfg.folds));
-        }
-        if self.cfg.grid.is_empty() {
-            return bad("model grid is empty".into());
-        }
-        if self.cfg.ks.is_empty() {
-            return bad("no partition counts (ks) to profile".into());
-        }
-        let mut ks = self.cfg.ks.iter().chain([&self.cfg.processing_k]);
-        if let Some(k) = ks.find(|k| !(2..=MAX_PARTITIONS).contains(k)) {
-            let what = "partition counts and processing_k";
-            return bad(format!("{what} must be in 2..={MAX_PARTITIONS}, got {k}"));
-        }
-        if self.cfg.partitioners.is_empty() {
-            return bad("no candidate partitioners".into());
-        }
-        if self.cfg.workloads.is_empty() {
-            return bad("no training workloads".into());
-        }
-        let mut names = std::collections::HashSet::new();
-        if let Some(w) = self.cfg.workloads.iter().find(|w| !names.insert(w.name())) {
-            return bad(format!("workload name {:?} appears more than once", w.name()));
-        }
-        if self.cfg.max_small_graphs == Some(0) || self.cfg.max_large_graphs == Some(0) {
-            return bad("graph-corpus caps must be >= 1".into());
-        }
-        Ok(())
-    }
-
     /// Validate, then run the full training pipeline.
     pub fn train(self) -> Result<EaseService, EaseError> {
         Ok(self.train_with_artifacts()?.0)
@@ -204,7 +172,6 @@ impl EaseServiceBuilder {
     /// [`EaseServiceBuilder::train`], also returning the profiling records
     /// (for evaluation/enrichment studies).
     pub fn train_with_artifacts(self) -> Result<(EaseService, TrainingArtifacts), EaseError> {
-        self.validate()?;
         let meta = ServiceMeta {
             scale: self.cfg.scale,
             seed: self.cfg.seed,
@@ -213,7 +180,7 @@ impl EaseServiceBuilder {
             default_k: self.cfg.processing_k,
             default_goal: OptGoal::EndToEnd,
         };
-        let (ease, artifacts) = train_ease(&self.cfg);
+        let (ease, artifacts) = train_ease(&self.cfg)?;
         Ok((EaseService::from_parts(ease, meta), artifacts))
     }
 }
@@ -728,6 +695,7 @@ fn take_props(r: &mut Reader) -> Result<GraphProperties, PersistError> {
 mod tests {
     use super::*;
     use ease_graphgen::realworld::socfb_analogue;
+    use ease_partition::MAX_PARTITIONS;
 
     fn tiny_builder() -> EaseServiceBuilder {
         EaseServiceBuilder::at_scale(Scale::Tiny)

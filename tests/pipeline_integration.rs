@@ -43,7 +43,7 @@ fn selector_beats_worst_and_tracks_random() {
     // strict AND reproducible; `Measured` stays the default everywhere else.
     let mut cfg = tiny_config();
     cfg.timing = TimingMode::Deterministic;
-    let (ease, artifacts) = train_ease(&cfg);
+    let (ease, artifacts) = train_ease(&cfg).expect("valid config");
     assert!(!artifacts.quality_runs.is_empty());
     assert!(!artifacts.processing_runs.is_empty());
 
@@ -96,7 +96,7 @@ fn the_papers_selection_claims_hold_at_the_tiny_documents_scale_and_seed() {
     let seed = 42;
     let cfg =
         EaseConfig { seed, timing: TimingMode::Deterministic, ..EaseConfig::at_scale(Scale::Tiny) };
-    let (ease, _) = train_ease(&cfg);
+    let (ease, _) = train_ease(&cfg).expect("valid config");
     let tests =
         GraphInput::from_tests(ease_repro::graphgen::realworld::table4_test_set(cfg.scale, seed));
     let (k, workloads) = (cfg.processing_k, &cfg.workloads);
@@ -136,7 +136,7 @@ fn the_papers_selection_claims_hold_at_the_tiny_documents_scale_and_seed() {
 #[test]
 fn predictions_are_physically_consistent() {
     let cfg = tiny_config();
-    let (ease, _) = train_ease(&cfg);
+    let (ease, _) = train_ease(&cfg).expect("valid config");
     let tg = ease_repro::graphgen::realworld::socfb_analogue(Scale::Tiny, 5);
     let props = PreparedGraph::of(&tg.graph).properties(PropertyTier::Advanced);
     let selection = ease
@@ -166,8 +166,8 @@ fn same_config_same_seed_same_selection() {
     cfg.timing = TimingMode::Deterministic;
     cfg.seed = 0xD5EED;
 
-    let (sys_a, art_a) = train_ease(&cfg);
-    let (sys_b, art_b) = train_ease(&cfg);
+    let (sys_a, art_a) = train_ease(&cfg).expect("valid config");
+    let (sys_b, art_b) = train_ease(&cfg).expect("valid config");
 
     // the profiled training runs themselves are bit-identical
     assert_eq!(art_a.quality_runs.len(), art_b.quality_runs.len());
@@ -224,7 +224,7 @@ fn trained_system_is_deterministic_given_records() {
         c.workloads = vec![Workload::PageRank { iterations: 3 }];
         c
     };
-    let (ease_sys, artifacts) = train_ease(&cfg);
+    let (ease_sys, artifacts) = train_ease(&cfg).expect("valid config");
     // retrain the quality predictor from the SAME runs: predictions match
     let qp2 = ease_repro::core::predictors::QualityPredictor::train(
         &artifacts.quality_runs,
@@ -612,7 +612,7 @@ fn predictors_train_what_serial_selection_assembles() {
         c.timing = TimingMode::Deterministic;
         c
     };
-    let (trained, artifacts) = train_ease(&cfg);
+    let (trained, artifacts) = train_ease(&cfg).expect("valid config");
     // provenance + fitted model of one dataset, as a predictor spells them
     let serial = |w: &mut Writer, ds: &Dataset| {
         let scores: Vec<f64> =
